@@ -34,9 +34,9 @@
 //! `--repeat` runs each, failing when the relative wall-clock delta
 //! exceeds `--budget` (default 1%).
 //!
-//! `audit` re-runs the canonical matrix through the *explained* planner
-//! (verified to compile the same schedules the gate measures), records
-//! every scenario's plan provenance, and joins the executed sim leg back
+//! `audit` re-runs the canonical matrix with a provenance recorder
+//! attached to the plan call the gate measures, records every
+//! scenario's plan provenance, and joins the executed sim leg back
 //! against the plan: any unexplained, missing, mismatched, or re-ordered
 //! op fails with exit code 1. It writes `BENCH_provenance.json` (the
 //! full decision records), `BENCH_conformance.json` (per-scenario

@@ -4,13 +4,18 @@
 //! Usage:
 //!
 //! ```text
-//! pdac-trace run [bcast|allgather|allreduce] [ranks] [bytes] [outdir]
-//! pdac-trace explain [bcast|allgather|allreduce] [ranks] [bytes] [outdir]
+//! pdac-trace run [collective] [ranks] [bytes] [outdir]
+//! pdac-trace explain [collective] [ranks] [bytes] [outdir]
 //!                    [--machine ig|zoot] [--policy contig|xsock]
 //! pdac-trace explain --diff <base-provenance.json> <new-provenance.json>
 //! pdac-trace analyze [outdir]
 //! pdac-trace diff <base-metrics.json> <new-metrics.json>
 //! ```
+//!
+//! `[collective]` is any of `bcast`, `allgather`, `allreduce`, `reduce`,
+//! `reduce_scatter`, `gather`, `scatter`, `alltoall`, `barrier` (default
+//! `bcast`), planned from root 0 with `[bytes]` as the message or per-rank
+//! block.
 //!
 //! `run` executes the chosen distance-aware collective twice — for real on
 //! the thread executor (process `real`, pid 2) and through the contention
@@ -33,10 +38,10 @@
 //!   (mechanism, distance-class) real/sim ratios, normalized by the run's
 //!   global calibration scale and flagged beyond tolerance.
 //!
-//! `explain` plans the chosen collective through the *explained* planner,
-//! prints the plan's full provenance — every algorithm, topology,
-//! distance-class, chunking, and cache decision with the inputs that drove
-//! it — then executes both legs (the real leg with the plan id stamped
+//! `explain` plans the chosen collective with a provenance recorder
+//! attached to the planner, prints the plan's full provenance — every
+//! algorithm, topology, distance-class, chunking, and cache decision with
+//! the inputs that drove it — then executes both legs (the real leg with the plan id stamped
 //! onto every op span) and audits each against the plan. It writes
 //! `provenance.json` and `conformance.json` to `outdir` (default
 //! `results/pdac_explain`). `--machine` / `--policy` pick the topology and
@@ -60,7 +65,7 @@ use pdac_analyze::{
     DivergenceReport, OpGraph,
 };
 use pdac_core::verify::pattern;
-use pdac_core::{AdaptiveColl, Provenance};
+use pdac_core::{AdaptiveColl, Collective, Provenance, Request, Sinks};
 use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix};
 use pdac_mpisim::{Communicator, ThreadExecutor};
 use pdac_simnet::trace::sim_events_with_distances;
@@ -70,8 +75,8 @@ use pdac_telemetry::RegistrySnapshot;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  pdac-trace run [bcast|allgather|allreduce] [ranks] [bytes] [outdir]\n  \
-         pdac-trace explain [bcast|allgather|allreduce] [ranks] [bytes] [outdir]\n  \
+        "usage:\n  pdac-trace run [collective] [ranks] [bytes] [outdir]\n  \
+         pdac-trace explain [collective] [ranks] [bytes] [outdir]\n  \
          \x20                [--machine ig|zoot] [--policy contig|xsock]\n  \
          pdac-trace explain --diff <base-provenance.json> <new-provenance.json>\n  \
          pdac-trace analyze [outdir]\n  \
@@ -89,6 +94,16 @@ fn main() {
         Some("diff") => diff(&args[1..]),
         _ => usage(),
     }
+}
+
+/// The collective named on the command line (any [`Collective::label`];
+/// broadcast when absent), planned from root 0 with `[bytes]` as the
+/// message or per-rank block.
+fn parse_collective(arg: Option<&str>) -> Collective {
+    arg.unwrap_or("bcast").parse().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    })
 }
 
 /// Renders the two per-leg critical-path reports plus the divergence
@@ -124,11 +139,7 @@ fn write_reports(outdir: &str, real: &OpGraph, sim: &OpGraph) {
 }
 
 fn run(args: &[String]) {
-    let what = args
-        .first()
-        .map(String::as_str)
-        .unwrap_or("bcast")
-        .to_string();
+    let what = parse_collective(args.first().map(String::as_str));
     let ranks: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(8);
     let bytes: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1 << 16);
     let outdir = args
@@ -149,19 +160,7 @@ fn run(args: &[String]) {
     // (including the distance fill above).
     telemetry.reset();
 
-    let schedule = match what.as_str() {
-        "allgather" => coll.allgather(&comm, bytes),
-        "allreduce" => {
-            let topo = coll.bcast_topology_choice(&comm, bytes);
-            let tree = coll.bcast_tree(&comm, 0, topo);
-            pdac_core::sched::allreduce_schedule(&tree, bytes, &coll.policy().sched)
-        }
-        "bcast" => coll.bcast(&comm, 0, bytes),
-        other => {
-            eprintln!("unknown collective {other:?}");
-            usage()
-        }
-    };
+    let schedule = coll.plan(&comm, Request::new(what, 0, bytes), Sinks::default());
 
     // Real leg: the thread executor moves actual bytes, recording per-op
     // spans (with distance classes via the matrix) into the recorder and
@@ -223,9 +222,9 @@ fn run(args: &[String]) {
     println!("load both traces in ui.perfetto.dev to compare real vs sim side-by-side");
 }
 
-/// Plans a collective through the explained planner, prints every recorded
-/// decision, executes both legs, and audits each against the plan. With
-/// `--diff a b` it instead diffs two saved provenance documents.
+/// Plans a collective with a provenance recorder attached, prints every
+/// recorded decision, executes both legs, and audits each against the plan.
+/// With `--diff a b` it instead diffs two saved provenance documents.
 fn explain(args: &[String]) -> i32 {
     if args.first().map(String::as_str) == Some("--diff") {
         let [_, base_path, new_path] = args else {
@@ -259,7 +258,7 @@ fn explain(args: &[String]) -> i32 {
             _ => positional.push(arg),
         }
     }
-    let what = positional.first().map(|s| s.as_str()).unwrap_or("bcast");
+    let what = parse_collective(positional.first().map(|s| s.as_str()));
     let ranks: usize = positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(8);
     let bytes: usize = positional
         .get(2)
@@ -289,15 +288,12 @@ fn explain(args: &[String]) -> i32 {
     let telemetry = pdac_telemetry::global();
     telemetry.reset();
 
-    let (schedule, mut prov) = match what {
-        "bcast" => coll.bcast_explained(None, &comm, 0, bytes),
-        "allgather" => coll.allgather_explained(None, &comm, bytes),
-        "allreduce" => coll.allreduce_explained(None, &comm, 0, bytes),
-        other => {
-            eprintln!("unknown collective {other:?}");
-            usage()
-        }
+    let mut prov = Provenance::default();
+    let sinks = Sinks {
+        cache: None,
+        provenance: Some(&mut prov),
     };
+    let schedule = coll.plan(&comm, Request::new(what, 0, bytes), sinks);
     print!("{}", prov.explain());
 
     // Real leg, with the plan id stamped onto every op span so the audit

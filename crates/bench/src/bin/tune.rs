@@ -14,7 +14,8 @@ use std::sync::Arc;
 use pdac_bench::human_size;
 use pdac_core::baseline::sm;
 use pdac_core::baseline::tuned::{self, TunedConfig};
-use pdac_core::framework::{Collective, Component, DecisionTable, Rule};
+use pdac_core::framework::{Component, DecisionTable, Rule};
+use pdac_core::Collective;
 use pdac_core::AdaptiveColl;
 use pdac_hwtopo::{machines, BindingPolicy, Machine};
 use pdac_mpisim::Communicator;
@@ -88,6 +89,7 @@ fn main() {
                     (Component::Tuned, worst_time(&|c, s| tuned::allgather(c.size(), s, &tuned_cfg), size)),
                     (Component::KnemColl, worst_time(&|c, s| coll.allgather(c, s), size)),
                 ],
+                other => unreachable!("{other:?} has no sm/tuned component to tune against"),
             };
             let &(winner, _) = candidates
                 .iter()

@@ -17,33 +17,12 @@
 use std::sync::Arc;
 
 use pdac_analyze::{ConformanceReport, CriticalPathReport, OpGraph};
-use pdac_core::{build_bcast_tree, sched::SchedConfig, AdaptiveColl, Provenance};
+use pdac_core::{AdaptiveColl, Collective, Provenance, Request, Sinks};
 use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix, Machine};
 use pdac_mpisim::Communicator;
 use pdac_simnet::trace::sim_events_with_distances;
 use pdac_simnet::{Schedule, SimConfig, SimExecutor, TransportModel};
 use serde::{Deserialize, Serialize};
-
-/// Which collective a scenario exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Collective {
-    /// Distance-aware broadcast.
-    Bcast,
-    /// Distance-aware allgather (size is the per-rank block).
-    Allgather,
-    /// Tree allreduce (reduce + bcast down the same tree).
-    Allreduce,
-}
-
-impl Collective {
-    fn label(&self) -> &'static str {
-        match self {
-            Collective::Bcast => "bcast",
-            Collective::Allgather => "allgather",
-            Collective::Allreduce => "allreduce",
-        }
-    }
-}
 
 /// One cell of the canonical matrix.
 #[derive(Debug, Clone)]
@@ -52,7 +31,8 @@ pub struct Scenario {
     pub id: String,
     /// Machine label.
     pub machine: String,
-    /// Collective under test.
+    /// Collective under test, planned from root 0 (allreduce rows are tree
+    /// allreduce; allgather sizes are the per-rank block).
     pub collective: Collective,
     /// Placement policy.
     pub policy: BindingPolicy,
@@ -185,40 +165,11 @@ impl GateReport {
     }
 }
 
-fn build_schedule(scenario: &Scenario, comm: &Communicator) -> Schedule {
-    let coll = AdaptiveColl::default();
-    match scenario.collective {
-        Collective::Bcast => coll.bcast(comm, 0, scenario.bytes),
-        Collective::Allgather => coll.allgather(comm, scenario.bytes),
-        Collective::Allreduce => {
-            let dist = comm.distances();
-            let tree = build_bcast_tree(&dist, 0);
-            pdac_core::sched::allreduce_schedule_dist(
-                &tree,
-                scenario.bytes,
-                &SchedConfig::default(),
-                Some(&dist),
-            )
-        }
-    }
-}
-
-/// Like `build_schedule`, but through the explained planner entry points,
-/// returning the plan's [`Provenance`] alongside the compiled schedule.
-/// The explained variants compile byte-identical schedules to the
-/// unexplained paths (asserted in pdac-core's tests and re-checked per
-/// audited scenario), so an audited run measures exactly what the gate
-/// measures.
-pub fn build_schedule_explained(
-    scenario: &Scenario,
-    comm: &Communicator,
-) -> (Schedule, Provenance) {
-    let coll = AdaptiveColl::default();
-    match scenario.collective {
-        Collective::Bcast => coll.bcast_explained(None, comm, 0, scenario.bytes),
-        Collective::Allgather => coll.allgather_explained(None, comm, scenario.bytes),
-        Collective::Allreduce => coll.allreduce_explained(None, comm, 0, scenario.bytes),
-    }
+/// Plans `scenario` on `comm` — the one construction the gate scores and
+/// the audit explains; `sinks` only decides what is recorded alongside.
+fn plan(scenario: &Scenario, comm: &Communicator, sinks: Sinks<'_>) -> Schedule {
+    let request = Request::new(scenario.collective, 0, scenario.bytes);
+    AdaptiveColl::default().plan(comm, request, sinks)
 }
 
 /// One scenario's audit artifacts: the plan that explains it and the
@@ -241,12 +192,8 @@ impl ScenarioAudit {
     }
 }
 
-/// Runs one scenario through the explained planner and audits the
+/// Plans one scenario with a provenance recorder attached and audits the
 /// simulated execution against the recorded plan.
-///
-/// Panics if the explained planner ever compiles a different schedule than
-/// the gate's own `build_schedule` — the audit must observe the exact run
-/// the gate scores, not a parallel reconstruction.
 pub fn audit_scenario(scenario: &Scenario) -> ScenarioAudit {
     let machine = Arc::new(machine_by_label(&scenario.machine));
     let ranks = machine.num_cores();
@@ -255,13 +202,12 @@ pub fn audit_scenario(scenario: &Scenario) -> ScenarioAudit {
         .bind(&machine, ranks)
         .expect("gate placement fits");
     let comm = Communicator::world(Arc::clone(&machine), binding.clone());
-    let (schedule, mut provenance) = build_schedule_explained(scenario, &comm);
-    assert_eq!(
-        schedule,
-        build_schedule(scenario, &comm),
-        "{}: explained planner must compile the gate's schedule",
-        scenario.id
-    );
+    let mut provenance = Provenance::default();
+    let sinks = Sinks {
+        cache: None,
+        provenance: Some(&mut provenance),
+    };
+    let schedule = plan(scenario, &comm, sinks);
     let report = SimExecutor::new(&machine, &binding, SimConfig::default())
         .with_transport_model(scenario.transport)
         .run(&schedule)
@@ -291,7 +237,7 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
         .bind(&machine, ranks)
         .expect("gate placement fits");
     let comm = Communicator::world(Arc::clone(&machine), binding.clone());
-    let schedule = build_schedule(scenario, &comm);
+    let schedule = plan(scenario, &comm, Sinks::default());
     let report = SimExecutor::new(&machine, &binding, SimConfig::default())
         .with_transport_model(scenario.transport)
         .run(&schedule)
@@ -303,10 +249,16 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
 
     let n = ranks;
     let bw_mbs = match scenario.collective {
-        Collective::Bcast | Collective::Allreduce => {
+        // Sized by the whole message.
+        Collective::Bcast | Collective::Allreduce | Collective::Reduce | Collective::Barrier => {
             pdac_simnet::bw_bcast(n, scenario.bytes, report.total_time)
         }
-        Collective::Allgather => pdac_simnet::bw_allgather(n, scenario.bytes, report.total_time),
+        // Sized by the per-rank block.
+        Collective::Allgather
+        | Collective::ReduceScatter
+        | Collective::Gather
+        | Collective::Scatter
+        | Collective::Alltoall => pdac_simnet::bw_allgather(n, scenario.bytes, report.total_time),
     };
     let notify_us = cp
         .by_mech

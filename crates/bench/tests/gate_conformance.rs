@@ -1,6 +1,6 @@
 //! The full canonical gate matrix must be explainable and conformant:
-//! every one of the 44 scenarios compiles through the explained planner
-//! (byte-identical to the gate's schedule), executes on the simulator,
+//! every one of the 44 scenarios is planned by the gate's own plan call
+//! with a provenance recorder attached, executes on the simulator,
 //! and audits clean against its recorded plan — zero unexplained,
 //! missing, mismatched, or re-ordered ops.
 

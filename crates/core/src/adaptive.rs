@@ -1,6 +1,20 @@
 //! The adaptive collective framework (§IV): communicator + binding +
 //! machine → distance matrix → runtime topology per collective call.
 //!
+//! There is **one planner path**. [`AdaptiveColl::plan`] takes a
+//! [`Request`] (one variant per collective, carrying the parameters callers
+//! actually vary) and compiles its schedule; underneath it exactly two
+//! private functions obtain a topology — `tree` (Algorithm 1) and `ring`
+//! (Algorithm 2) — and they are the only code that runs the Kruskal
+//! builders. Caching and explanation are not parallel planners but two
+//! optional [`Sinks`] on that path: a [`TopoCache`] the topology is looked
+//! up in (and built into on a miss), and a [`Provenance`] recorder every
+//! decision is written to. A plan is therefore the same schedule whichever
+//! sinks are attached — by construction, not by an equivalence test. Every
+//! other public planner entry here (and the `distance_aware` free functions
+//! of the per-collective modules) is a single delegation kept for callers
+//! that name it.
+//!
 //! Includes the §V-B refinement: for large messages, distance classes whose
 //! processes all share a memory controller are **collapsed**, because the
 //! controller — not the intra-socket hierarchy — is the bottleneck: "the
@@ -10,21 +24,105 @@
 //! topology that Figure 8 shows winning for messages above 16 KB; on IG
 //! (per-socket controllers) collapsing changes nothing.
 
-use pdac_hwtopo::{Distance, DistanceMatrix};
-use pdac_mpisim::Communicator;
-use pdac_simnet::Schedule;
-
+use std::str::FromStr;
 use std::sync::Arc;
 
+use pdac_hwtopo::{Distance, DistanceMatrix};
+use pdac_mpisim::Communicator;
+use pdac_simnet::{DataOp, Schedule};
+use serde::{Deserialize, Serialize};
+
 use crate::allgather_ring::Ring;
-use crate::bcast_tree::{build_bcast_tree, build_bcast_tree_with_arena};
+use crate::alltoall::alltoall_schedule;
+use crate::bcast_tree::build_bcast_tree_with_arena;
 use crate::decision_inputs;
+use crate::edges::Edge;
 use crate::provenance::{Decision, DecisionKind, Provenance};
+use crate::reduce_scatter::{reduce_scatter_schedule_with_op, ring_allreduce_schedule_with_op};
 use crate::sched::{
-    allgather_schedule_dist, allreduce_schedule_dist, bcast_schedule_dist, ChunkPolicy, SchedConfig,
+    allgather_schedule_dist, allreduce_schedule_dist_with_op, barrier_schedule,
+    bcast_schedule_dist, gather_schedule, reduce_schedule_with_op, scatter_schedule, ChunkPolicy,
+    SchedConfig,
 };
-use crate::topocache::{TopoCache, TopoKey, TopoKind};
+use crate::topocache::TopoCache;
 use crate::tree::Tree;
+
+/// The nine collectives the framework plans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Collective {
+    /// MPI_Bcast.
+    Bcast,
+    /// MPI_Allgather.
+    Allgather,
+    /// MPI_Allreduce.
+    Allreduce,
+    /// MPI_Reduce.
+    Reduce,
+    /// MPI_Reduce_scatter_block.
+    ReduceScatter,
+    /// MPI_Gather.
+    Gather,
+    /// MPI_Scatter.
+    Scatter,
+    /// MPI_Alltoall.
+    Alltoall,
+    /// MPI_Barrier.
+    Barrier,
+}
+
+impl Collective {
+    /// Every collective, in declaration order.
+    pub const ALL: [Collective; 9] = [
+        Collective::Bcast,
+        Collective::Allgather,
+        Collective::Allreduce,
+        Collective::Reduce,
+        Collective::ReduceScatter,
+        Collective::Gather,
+        Collective::Scatter,
+        Collective::Alltoall,
+        Collective::Barrier,
+    ];
+
+    /// Lowercase label used in scenario ids, plan ids and on command lines.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Collective::Bcast => "bcast",
+            Collective::Allgather => "allgather",
+            Collective::Allreduce => "allreduce",
+            Collective::Reduce => "reduce",
+            Collective::ReduceScatter => "reduce_scatter",
+            Collective::Gather => "gather",
+            Collective::Scatter => "scatter",
+            Collective::Alltoall => "alltoall",
+            Collective::Barrier => "barrier",
+        }
+    }
+
+    /// Whether the collective takes a root ([`Request::root`]).
+    pub fn is_rooted(&self) -> bool {
+        use Collective::*;
+        matches!(self, Bcast | Allreduce | Reduce | Gather | Scatter)
+    }
+}
+
+impl FromStr for Collective {
+    type Err = String;
+
+    /// Parses a [`Collective::label`].
+    fn from_str(s: &str) -> Result<Self, String> {
+        Collective::ALL
+            .into_iter()
+            .find(|c| c.label() == s)
+            .ok_or_else(|| {
+                let labels: Vec<&str> = Collective::ALL.iter().map(Collective::label).collect();
+                format!(
+                    "unknown collective {s:?} (expected one of {})",
+                    labels.join(", ")
+                )
+            })
+    }
+}
 
 /// Topology refinement for broadcast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,6 +132,84 @@ pub enum BcastTopology {
     /// Distances 1–3 (same memory controller) merged — on a single-MC
     /// machine this degenerates to the linear topology of Figure 8.
     Collapsed,
+}
+
+/// Which allreduce algorithm a [`Request`] asks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AllreduceAlgo {
+    /// Reduce up and broadcast down the hierarchical Algorithm-1 tree.
+    /// Allreduce never collapses: the reduction order is fixed by the
+    /// tree, so the §V-B rule does not apply.
+    Tree,
+    /// Ring reduce-scatter + allgather over the Algorithm-2 ring; the
+    /// payload must split evenly over the ranks.
+    Ring,
+}
+
+/// One collective call to plan: the collective plus the parameters callers
+/// vary. Start from [`Request::new`] and override fields with struct-update
+/// syntax; fields a collective has no use for are ignored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Request {
+    /// The collective to plan.
+    pub collective: Collective,
+    /// Root rank of the rooted collectives (bcast, reduce, gather, scatter,
+    /// tree allreduce).
+    pub root: usize,
+    /// The whole message for bcast, reduce and allreduce; the per-rank
+    /// block for the others; unused by barrier.
+    pub bytes: usize,
+    /// Combine operator of the reducing collectives.
+    pub op: DataOp,
+    /// Bcast only: `None` applies the §V-B size rule
+    /// ([`AdaptiveColl::bcast_topology_choice`]); `Some` forces a
+    /// refinement (the Figure 8 "4 sets" vs "linear" ablation).
+    pub bcast_topo: Option<BcastTopology>,
+    /// Allreduce only; see [`AdaptiveColl::allreduce_algorithm_choice`].
+    pub allreduce: AllreduceAlgo,
+}
+
+impl Request {
+    /// The default request: byte-wise [`DataOp::Add`], the size-ruled
+    /// broadcast topology, tree allreduce.
+    pub fn new(collective: Collective, root: usize, bytes: usize) -> Self {
+        Request {
+            collective,
+            root,
+            bytes,
+            op: DataOp::Add,
+            bcast_topo: None,
+            allreduce: AllreduceAlgo::Tree,
+        }
+    }
+}
+
+/// The optional by-products of one [`AdaptiveColl::plan`] call. Neither
+/// changes the schedule: the cache only decides whether the topology is
+/// rebuilt, the recorder only listens.
+#[derive(Debug, Default)]
+pub struct Sinks<'a> {
+    /// Look the topology up here, building into it on a miss.
+    pub cache: Option<&'a TopoCache>,
+    /// Overwritten with the plan's full record: identity, every decision
+    /// with the inputs its rule saw, and the planned-op list.
+    pub provenance: Option<&'a mut Provenance>,
+}
+
+impl<'a> Sinks<'a> {
+    /// Only the topology cache.
+    pub fn cached(cache: &'a TopoCache) -> Self {
+        Sinks {
+            cache: Some(cache),
+            provenance: None,
+        }
+    }
+
+    fn record(&mut self, decision: impl FnOnce() -> Decision) {
+        if let Some(prov) = self.provenance.as_deref_mut() {
+            prov.record(decision());
+        }
+    }
 }
 
 /// Framework policy knobs.
@@ -55,6 +231,10 @@ impl Default for AdaptivePolicy {
     }
 }
 
+/// From this payload upward the bandwidth-optimal ring allreduce beats the
+/// tree (when the payload splits evenly over the ranks).
+pub const RING_ALLREDUCE_MIN_BYTES: usize = 256 * 1024;
+
 /// Merges the same-controller distance classes (1, 2, 3 → 1) while keeping
 /// cross-controller classes distinct.
 pub fn collapse_intra_mc(dist: &DistanceMatrix) -> DistanceMatrix {
@@ -69,6 +249,60 @@ pub fn collapse_intra_mc(dist: &DistanceMatrix) -> DistanceMatrix {
     DistanceMatrix::from_raw(n, d)
 }
 
+/// Whether several distance classes share a memory controller (some class
+/// in 2..=3 is present beside another) — the only case collapsing matters.
+fn has_intra_mc_structure(classes: &[Distance]) -> bool {
+    classes.iter().any(|&c| (2..=3).contains(&c)) && classes.first() != classes.last()
+}
+
+/// The Algorithm-1 tree of `comm` rooted at `root` under `topo`: from the
+/// cache if one is given (built into it on a miss), fresh otherwise; the
+/// lookup outcome goes to the recorder if one is given.
+fn tree(comm: &Communicator, root: usize, topo: BcastTopology, sinks: &mut Sinks<'_>) -> Arc<Tree> {
+    let dist = comm.distances_arc();
+    let build = |arena: &mut Vec<Edge>| match topo {
+        BcastTopology::Hierarchical => build_bcast_tree_with_arena(&dist, root, arena),
+        BcastTopology::Collapsed => {
+            build_bcast_tree_with_arena(&collapse_intra_mc(&dist), root, arena)
+        }
+    };
+    let epoch = comm.epoch();
+    let (tree, hit) = match sinks.cache {
+        Some(cache) => {
+            let (tree, hit) = cache.tree(epoch, root, topo, build);
+            (tree, Some(hit))
+        }
+        None => (Arc::new(build(&mut Vec::new())), None),
+    };
+    sinks.record(|| cache_lookup_decision(format!("topocache bcast root {root}"), hit, epoch));
+    tree
+}
+
+/// The Algorithm-2 ring of `comm`; sinks as for [`tree`].
+fn ring(comm: &Communicator, sinks: &mut Sinks<'_>) -> Arc<Ring> {
+    let dist = comm.distances_arc();
+    let build = |arena: &mut Vec<Edge>| Ring::build_with_arena(&dist, arena);
+    let epoch = comm.epoch();
+    let (ring, hit) = match sinks.cache {
+        Some(cache) => {
+            let (ring, hit) = cache.ring(epoch, build);
+            (ring, Some(hit))
+        }
+        None => (Arc::new(build(&mut Vec::new())), None),
+    };
+    sinks.record(|| cache_lookup_decision("topocache allgather ring".into(), hit, epoch));
+    ring
+}
+
+/// What a plan routes payload over — the edges whose distance classes the
+/// recorder reports.
+enum Routes {
+    Tree(Arc<Tree>),
+    Ring(Arc<Ring>),
+    /// Direct pulls between the root and every other rank.
+    Star,
+}
+
 /// The distance-aware adaptive collective component ("KNEM collective").
 #[derive(Debug, Clone, Default)]
 pub struct AdaptiveColl {
@@ -81,39 +315,167 @@ impl AdaptiveColl {
         AdaptiveColl { policy }
     }
 
-    /// The policy in effect.
-    pub fn policy(&self) -> &AdaptivePolicy {
-        &self.policy
-    }
-
     /// Which refinement the framework picks for a broadcast of `bytes`.
     pub fn bcast_topology_choice(&self, comm: &Communicator, bytes: usize) -> BcastTopology {
-        // Collapsing only matters when several distance classes share a
-        // controller, i.e. some class in 2..=3 is present.
-        let classes = comm.distances_arc().classes();
-        let has_intra_mc_structure = classes.iter().any(|&c| (2..=3).contains(&c))
-            && classes.first().copied() != classes.last().copied();
-        if bytes > self.policy.collapse_intra_mc_above && has_intra_mc_structure {
+        if bytes > self.policy.collapse_intra_mc_above
+            && has_intra_mc_structure(&comm.distances_arc().classes())
+        {
             BcastTopology::Collapsed
         } else {
             BcastTopology::Hierarchical
         }
     }
 
-    /// The broadcast tree the framework would use (exposed for inspection
-    /// and for the Figure 8 ablation).
-    pub fn bcast_tree(&self, comm: &Communicator, root: usize, topo: BcastTopology) -> Tree {
-        let dist = comm.distances_arc();
-        match topo {
-            BcastTopology::Hierarchical => build_bcast_tree(&dist, root),
-            BcastTopology::Collapsed => build_bcast_tree(&collapse_intra_mc(&dist), root),
+    /// Which allreduce the framework picks for `bytes` under `op`: payloads
+    /// that split evenly over the ranks into lane-aligned blocks and are
+    /// worth the traffic use the bandwidth-optimal ring; everything else
+    /// uses the tree.
+    pub fn allreduce_algorithm_choice(
+        comm: &Communicator,
+        bytes: usize,
+        op: DataOp,
+    ) -> AllreduceAlgo {
+        let n = comm.size();
+        if n > 1
+            && bytes.is_multiple_of(n)
+            && (bytes / n).is_multiple_of(op.lane_bytes())
+            && bytes >= RING_ALLREDUCE_MIN_BYTES
+        {
+            AllreduceAlgo::Ring
+        } else {
+            AllreduceAlgo::Tree
         }
+    }
+
+    /// Plans one collective call: obtains the topology (through the cache
+    /// sink if given), compiles the one-sided schedule, and writes every
+    /// decision plus the planned-op list to the provenance sink if given.
+    /// The schedule does not depend on the sinks.
+    ///
+    /// Chunk sizing always uses the physical (uncollapsed) distances:
+    /// collapsing reshapes the tree, not the cost of moving bytes across
+    /// an edge.
+    ///
+    /// # Panics
+    /// Panics if a ring allreduce's `bytes` do not split over the ranks.
+    pub fn plan(&self, comm: &Communicator, request: Request, mut sinks: Sinks<'_>) -> Schedule {
+        // Shared, filled once per communicator — and not at all for a
+        // direct gather or scatter planned without a recorder.
+        let dist = || comm.distances_arc();
+        let n = comm.size();
+        let cfg = &self.policy.sched;
+        let Request {
+            collective,
+            root,
+            bytes,
+            op,
+            ..
+        } = request;
+        if let Some(prov) = sinks.provenance.as_deref_mut() {
+            *prov = Provenance::begin(collective.label(), n, bytes, comm.epoch());
+            prov.record(algorithm_decision(&request, n, &dist()));
+        }
+        let named = |mut s: Schedule, stem: &str| {
+            s.name = format!("{stem}/{}", comm.name());
+            s
+        };
+        // The schedule, what it routes over, and whether its edges pipeline
+        // in per-distance chunks.
+        let (schedule, routes, chunked) = match collective {
+            Collective::Bcast => {
+                let topo = request
+                    .bcast_topo
+                    .unwrap_or_else(|| self.bcast_topology_choice(comm, bytes));
+                sinks.record(|| self.bcast_topology_decision(&dist(), bytes, topo));
+                let tree = tree(comm, root, topo, &mut sinks);
+                let mut s = bcast_schedule_dist(&tree, bytes, cfg, Some(&dist()));
+                s.name = format!(
+                    "knemcoll-bcast/{}",
+                    match topo {
+                        BcastTopology::Hierarchical => "hier",
+                        BcastTopology::Collapsed => "linearized",
+                    }
+                );
+                (s, Routes::Tree(tree), true)
+            }
+            Collective::Allgather => {
+                let ring = ring(comm, &mut sinks);
+                let mut s = allgather_schedule_dist(&ring, bytes, Some(cfg), Some(&dist()));
+                s.name = "knemcoll-allgather".into();
+                (s, Routes::Ring(ring), true)
+            }
+            Collective::Allreduce if request.allreduce == AllreduceAlgo::Ring => {
+                assert!(
+                    bytes.is_multiple_of(n),
+                    "ring allreduce of {bytes} B does not split over {n} ranks"
+                );
+                let ring = ring(comm, &mut sinks);
+                let s = ring_allreduce_schedule_with_op(&ring, bytes / n, op);
+                (s, Routes::Ring(ring), false)
+            }
+            Collective::Allreduce => {
+                let tree = tree(comm, root, BcastTopology::Hierarchical, &mut sinks);
+                let s = allreduce_schedule_dist_with_op(&tree, bytes, cfg, Some(&dist()), op);
+                (s, Routes::Tree(tree), true)
+            }
+            Collective::Reduce => {
+                let tree = tree(comm, root, BcastTopology::Hierarchical, &mut sinks);
+                let s = named(reduce_schedule_with_op(&tree, bytes, op), "dist-reduce");
+                (s, Routes::Tree(tree), false)
+            }
+            Collective::ReduceScatter => {
+                let ring = ring(comm, &mut sinks);
+                let s = reduce_scatter_schedule_with_op(&ring, bytes, op);
+                (named(s, "dist-reduce-scatter"), Routes::Ring(ring), false)
+            }
+            Collective::Gather => {
+                let s = named(gather_schedule(root, n, bytes), "dist-gather");
+                (s, Routes::Star, false)
+            }
+            Collective::Scatter => {
+                let s = named(scatter_schedule(root, n, bytes), "dist-scatter");
+                (s, Routes::Star, false)
+            }
+            Collective::Alltoall => {
+                let ring = ring(comm, &mut sinks);
+                let s = named(alltoall_schedule(&ring, bytes), "dist-alltoall");
+                (s, Routes::Ring(ring), false)
+            }
+            Collective::Barrier => {
+                let tree = tree(comm, 0, BcastTopology::Hierarchical, &mut sinks);
+                let s = named(barrier_schedule(&tree), "dist-barrier");
+                (s, Routes::Tree(tree), false)
+            }
+        };
+        if let Some(prov) = sinks.provenance {
+            let edges = match routes {
+                Routes::Tree(tree) => tree.down_edges(),
+                Routes::Ring(ring) => ring.edges(),
+                // `(sender, receiver)`: gather pulls into the root, scatter
+                // out of it.
+                Routes::Star => (0..n)
+                    .filter(|&r| r != root)
+                    .map(|r| match collective {
+                        Collective::Gather => (r, root),
+                        _ => (root, r),
+                    })
+                    .collect(),
+            };
+            let chunk = chunked.then_some(&cfg.chunk);
+            record_edge_decisions(prov, &edges, &dist(), chunk, bytes);
+            prov.attach_schedule(&schedule);
+        }
+        schedule
+    }
+
+    /// The broadcast tree the framework would use (exposed for inspection).
+    pub fn bcast_tree(&self, comm: &Communicator, root: usize, topo: BcastTopology) -> Tree {
+        Arc::unwrap_or_clone(tree(comm, root, topo, &mut Sinks::default()))
     }
 
     /// [`Self::bcast_tree`] through `cache`: a hit skips edge enumeration,
     /// sorting and union-find entirely; a miss builds into the cache's
-    /// reusable edge arena. The returned tree is identical to what
-    /// [`Self::bcast_tree`] would build for the same communicator.
+    /// reusable edge arena.
     pub fn bcast_tree_cached(
         &self,
         cache: &TopoCache,
@@ -121,27 +483,23 @@ impl AdaptiveColl {
         root: usize,
         topo: BcastTopology,
     ) -> Arc<Tree> {
-        let key = TopoKey {
-            epoch: comm.epoch(),
-            kind: TopoKind::Bcast { root, topo },
-        };
-        cache.tree(key, |arena| {
-            let dist = comm.distances_arc();
-            match topo {
-                BcastTopology::Hierarchical => build_bcast_tree_with_arena(&dist, root, arena),
-                BcastTopology::Collapsed => {
-                    build_bcast_tree_with_arena(&collapse_intra_mc(&dist), root, arena)
-                }
-            }
-        })
+        tree(comm, root, topo, &mut Sinks::cached(cache))
     }
 
-    /// Distance-aware broadcast: build the (possibly collapsed) tree and
-    /// compile it to a pipelined one-sided schedule.
+    /// The allgather ring the framework would use.
+    pub fn allgather_ring(&self, comm: &Communicator) -> Ring {
+        Arc::unwrap_or_clone(ring(comm, &mut Sinks::default()))
+    }
+
+    /// [`Self::allgather_ring`] through `cache`.
+    pub fn allgather_ring_cached(&self, cache: &TopoCache, comm: &Communicator) -> Arc<Ring> {
+        ring(comm, &mut Sinks::cached(cache))
+    }
+
+    /// Distance-aware broadcast, no sinks.
     pub fn bcast(&self, comm: &Communicator, root: usize, bytes: usize) -> Schedule {
-        let topo = self.bcast_topology_choice(comm, bytes);
-        let tree = self.bcast_tree(comm, root, topo);
-        self.bcast_schedule_named(&tree, bytes, topo, comm)
+        let request = Request::new(Collective::Bcast, root, bytes);
+        self.plan(comm, request, Sinks::default())
     }
 
     /// [`Self::bcast`] through `cache`: repeated broadcasts on one
@@ -153,30 +511,26 @@ impl AdaptiveColl {
         root: usize,
         bytes: usize,
     ) -> Schedule {
-        let topo = self.bcast_topology_choice(comm, bytes);
-        let tree = self.bcast_tree_cached(cache, comm, root, topo);
-        self.bcast_schedule_named(&tree, bytes, topo, comm)
+        let request = Request::new(Collective::Bcast, root, bytes);
+        self.plan(comm, request, Sinks::cached(cache))
     }
 
-    fn bcast_schedule_named(
+    /// [`Self::bcast`] (through `cache` if given) returning the plan's
+    /// [`Provenance`] alongside the schedule.
+    pub fn bcast_explained(
         &self,
-        tree: &Tree,
-        bytes: usize,
-        topo: BcastTopology,
+        cache: Option<&TopoCache>,
         comm: &Communicator,
-    ) -> Schedule {
-        // Chunk sizing uses the physical (uncollapsed) distances: collapsing
-        // reshapes the tree, not the cost of moving bytes across an edge.
-        let dist = comm.distances_arc();
-        let mut s = bcast_schedule_dist(tree, bytes, &self.policy.sched, Some(dist.as_ref()));
-        s.name = format!(
-            "knemcoll-bcast/{}",
-            match topo {
-                BcastTopology::Hierarchical => "hier",
-                BcastTopology::Collapsed => "linearized",
-            }
-        );
-        s
+        root: usize,
+        bytes: usize,
+    ) -> (Schedule, Provenance) {
+        let mut prov = Provenance::default();
+        let sinks = Sinks {
+            cache,
+            provenance: Some(&mut prov),
+        };
+        let request = Request::new(Collective::Bcast, root, bytes);
+        (self.plan(comm, request, sinks), prov)
     }
 
     /// Explicit-topology broadcast (the Figure 8 "4 sets" vs "linear"
@@ -188,40 +542,17 @@ impl AdaptiveColl {
         bytes: usize,
         topo: BcastTopology,
     ) -> Schedule {
-        let tree = self.bcast_tree(comm, root, topo);
-        let dist = comm.distances_arc();
-        bcast_schedule_dist(&tree, bytes, &self.policy.sched, Some(dist.as_ref()))
-    }
-
-    /// The allgather ring the framework would use.
-    pub fn allgather_ring(&self, comm: &Communicator) -> Ring {
-        Ring::build(&comm.distances_arc())
-    }
-
-    /// [`Self::allgather_ring`] through `cache`: a hit skips construction
-    /// entirely; the ring is identical to a fresh build.
-    pub fn allgather_ring_cached(&self, cache: &TopoCache, comm: &Communicator) -> Arc<Ring> {
-        let key = TopoKey {
-            epoch: comm.epoch(),
-            kind: TopoKind::AllgatherRing,
+        let request = Request {
+            bcast_topo: Some(topo),
+            ..Request::new(Collective::Bcast, root, bytes)
         };
-        cache.ring(key, |arena| {
-            Ring::build_with_arena(&comm.distances_arc(), arena)
-        })
+        self.plan(comm, request, Sinks::default())
     }
 
-    /// Distance-aware allgather (Algorithm 2 + §IV-C execution).
+    /// Distance-aware allgather (Algorithm 2 + §IV-C execution), no sinks.
     pub fn allgather(&self, comm: &Communicator, block_bytes: usize) -> Schedule {
-        let ring = self.allgather_ring(comm);
-        let dist = comm.distances_arc();
-        let mut s = allgather_schedule_dist(
-            &ring,
-            block_bytes,
-            Some(&self.policy.sched),
-            Some(dist.as_ref()),
-        );
-        s.name = "knemcoll-allgather".into();
-        s
+        let request = Request::new(Collective::Allgather, 0, block_bytes);
+        self.plan(comm, request, Sinks::default())
     }
 
     /// [`Self::allgather`] through `cache`: repeated allgathers on one
@@ -232,218 +563,18 @@ impl AdaptiveColl {
         comm: &Communicator,
         block_bytes: usize,
     ) -> Schedule {
-        let ring = self.allgather_ring_cached(cache, comm);
-        let dist = comm.distances_arc();
-        let mut s = allgather_schedule_dist(
-            &ring,
-            block_bytes,
-            Some(&self.policy.sched),
-            Some(dist.as_ref()),
-        );
-        s.name = "knemcoll-allgather".into();
-        s
+        let request = Request::new(Collective::Allgather, 0, block_bytes);
+        self.plan(comm, request, Sinks::cached(cache))
     }
 
-    /// [`Self::bcast`] (or [`Self::bcast_cached`] when `cache` is given)
-    /// with a full [`Provenance`] record: the schedule is **identical** to
-    /// the unexplained path; the provenance additionally names the
-    /// algorithm, the §V-B topology ruling, the cache outcome, the
-    /// distance classification of every tree edge, and the chunk class
-    /// chosen per distance.
-    pub fn bcast_explained(
+    /// The §V-B topology ruling with the exact inputs the rule saw.
+    fn bcast_topology_decision(
         &self,
-        cache: Option<&TopoCache>,
-        comm: &Communicator,
-        root: usize,
-        bytes: usize,
-    ) -> (Schedule, Provenance) {
-        let mut prov = Provenance::begin("bcast", comm.size(), bytes, comm.epoch());
-        let dist = comm.distances_arc();
-        record_algorithm(
-            &mut prov,
-            "bcast algorithm",
-            "distance-aware MST broadcast tree (Algorithm 1)",
-            "Kruskal over distance-sorted edges yields a minimum-depth \
-             minimum-weight spanning tree for this distance profile",
-            comm,
-            &dist,
-        );
-        let topo = self.bcast_topology_choice(comm, bytes);
-        self.record_bcast_topology(&mut prov, &dist, bytes, topo);
-        let tree = match cache {
-            Some(cache) => {
-                let key = TopoKey {
-                    epoch: comm.epoch(),
-                    kind: TopoKind::Bcast { root, topo },
-                };
-                let (tree, hit) = cache.tree_outcome(key, |arena| match topo {
-                    BcastTopology::Hierarchical => build_bcast_tree_with_arena(&dist, root, arena),
-                    BcastTopology::Collapsed => {
-                        build_bcast_tree_with_arena(&collapse_intra_mc(&dist), root, arena)
-                    }
-                });
-                record_cache_lookup(
-                    &mut prov,
-                    format!("topocache bcast root {root}"),
-                    Some(hit),
-                    comm.epoch(),
-                );
-                tree
-            }
-            None => {
-                record_cache_lookup(
-                    &mut prov,
-                    format!("topocache bcast root {root}"),
-                    None,
-                    comm.epoch(),
-                );
-                Arc::new(self.bcast_tree(comm, root, topo))
-            }
-        };
-        record_edge_decisions(
-            &mut prov,
-            &tree.down_edges(),
-            &dist,
-            &self.policy.sched.chunk,
-            bytes,
-        );
-        let s = self.bcast_schedule_named(&tree, bytes, topo, comm);
-        prov.attach_schedule(&s);
-        (s, prov)
-    }
-
-    /// [`Self::allgather`] (or the cached variant) with a full
-    /// [`Provenance`] record; the schedule is identical to the
-    /// unexplained path.
-    pub fn allgather_explained(
-        &self,
-        cache: Option<&TopoCache>,
-        comm: &Communicator,
-        block_bytes: usize,
-    ) -> (Schedule, Provenance) {
-        let mut prov = Provenance::begin("allgather", comm.size(), block_bytes, comm.epoch());
-        let dist = comm.distances_arc();
-        record_algorithm(
-            &mut prov,
-            "allgather algorithm",
-            "distance-aware ring (Algorithm 2)",
-            "greedy fan-out-\u{2264}2 Kruskal path closed into a Hamiltonian \
-             cycle clusters physical neighbours",
-            comm,
-            &dist,
-        );
-        let ring = match cache {
-            Some(cache) => {
-                let key = TopoKey {
-                    epoch: comm.epoch(),
-                    kind: TopoKind::AllgatherRing,
-                };
-                let (ring, hit) =
-                    cache.ring_outcome(key, |arena| Ring::build_with_arena(&dist, arena));
-                record_cache_lookup(
-                    &mut prov,
-                    "topocache allgather ring",
-                    Some(hit),
-                    comm.epoch(),
-                );
-                ring
-            }
-            None => {
-                record_cache_lookup(&mut prov, "topocache allgather ring", None, comm.epoch());
-                Arc::new(self.allgather_ring(comm))
-            }
-        };
-        record_edge_decisions(
-            &mut prov,
-            &ring.edges(),
-            &dist,
-            &self.policy.sched.chunk,
-            block_bytes,
-        );
-        let mut s = allgather_schedule_dist(
-            &ring,
-            block_bytes,
-            Some(&self.policy.sched),
-            Some(dist.as_ref()),
-        );
-        s.name = "knemcoll-allgather".into();
-        prov.attach_schedule(&s);
-        (s, prov)
-    }
-
-    /// Tree allreduce (reduce up + broadcast down the distance-aware
-    /// hierarchical tree — the gate's construction) with a full
-    /// [`Provenance`] record. Allreduce never collapses: the reduction
-    /// order is fixed by the tree, so the §V-B rule does not apply.
-    pub fn allreduce_explained(
-        &self,
-        cache: Option<&TopoCache>,
-        comm: &Communicator,
-        root: usize,
-        bytes: usize,
-    ) -> (Schedule, Provenance) {
-        let mut prov = Provenance::begin("allreduce", comm.size(), bytes, comm.epoch());
-        let dist = comm.distances_arc();
-        record_algorithm(
-            &mut prov,
-            "allreduce algorithm",
-            "tree reduce + broadcast down the distance-aware tree",
-            "reduce up and broadcast down the same Algorithm 1 tree; the \
-             reduction order pins the hierarchical topology, so the \u{a7}V-B \
-             collapse rule never applies",
-            comm,
-            &dist,
-        );
-        let topo = BcastTopology::Hierarchical;
-        let tree = match cache {
-            Some(cache) => {
-                let key = TopoKey {
-                    epoch: comm.epoch(),
-                    kind: TopoKind::Bcast { root, topo },
-                };
-                let (tree, hit) = cache
-                    .tree_outcome(key, |arena| build_bcast_tree_with_arena(&dist, root, arena));
-                record_cache_lookup(
-                    &mut prov,
-                    format!("topocache bcast root {root}"),
-                    Some(hit),
-                    comm.epoch(),
-                );
-                tree
-            }
-            None => {
-                record_cache_lookup(
-                    &mut prov,
-                    format!("topocache bcast root {root}"),
-                    None,
-                    comm.epoch(),
-                );
-                Arc::new(build_bcast_tree(&dist, root))
-            }
-        };
-        record_edge_decisions(
-            &mut prov,
-            &tree.down_edges(),
-            &dist,
-            &self.policy.sched.chunk,
-            bytes,
-        );
-        let s = allreduce_schedule_dist(&tree, bytes, &self.policy.sched, Some(dist.as_ref()));
-        prov.attach_schedule(&s);
-        (s, prov)
-    }
-
-    /// Records the §V-B topology ruling with the exact inputs the rule saw.
-    fn record_bcast_topology(
-        &self,
-        prov: &mut Provenance,
         dist: &DistanceMatrix,
         bytes: usize,
         topo: BcastTopology,
-    ) {
+    ) -> Decision {
         let classes = dist.classes();
-        let has_intra_mc_structure = classes.iter().any(|&c| (2..=3).contains(&c))
-            && classes.first().copied() != classes.last().copied();
         let threshold = self.policy.collapse_intra_mc_above;
         let (choice, reason) = match topo {
             BcastTopology::Collapsed => (
@@ -463,7 +594,7 @@ impl AdaptiveColl {
                  hierarchy pays off",
             ),
         };
-        prov.record(Decision::new(
+        Decision::new(
             DecisionKind::Topology,
             "bcast topology",
             choice,
@@ -471,44 +602,86 @@ impl AdaptiveColl {
             decision_inputs![
                 ("bytes", bytes),
                 ("collapse_threshold", threshold),
-                ("intra_mc_structure", has_intra_mc_structure),
+                ("intra_mc_structure", has_intra_mc_structure(&classes)),
                 ("classes", render_classes(&classes)),
             ],
-        ));
+        )
     }
 }
 
-/// Records the per-collective algorithm selection with the distance
-/// profile that drove it.
-fn record_algorithm(
-    prov: &mut Provenance,
-    subject: &str,
-    choice: &str,
-    reason: &str,
-    comm: &Communicator,
-    dist: &DistanceMatrix,
-) {
-    prov.record(Decision::new(
+/// The per-collective algorithm selection with the distance profile that
+/// drove it.
+fn algorithm_decision(request: &Request, ranks: usize, dist: &DistanceMatrix) -> Decision {
+    let (choice, reason) = match request.collective {
+        Collective::Bcast => (
+            "distance-aware MST broadcast tree (Algorithm 1)",
+            "Kruskal over distance-sorted edges yields a minimum-depth \
+             minimum-weight spanning tree for this distance profile",
+        ),
+        Collective::Allgather => (
+            "distance-aware ring (Algorithm 2)",
+            "greedy fan-out-\u{2264}2 Kruskal path closed into a Hamiltonian \
+             cycle clusters physical neighbours",
+        ),
+        Collective::Allreduce if request.allreduce == AllreduceAlgo::Tree => (
+            "tree reduce + broadcast down the distance-aware tree",
+            "reduce up and broadcast down the same Algorithm 1 tree; the \
+             reduction order pins the hierarchical topology, so the \u{a7}V-B \
+             collapse rule never applies",
+        ),
+        Collective::Allreduce => (
+            "ring reduce-scatter + allgather over the distance-aware ring",
+            "the payload splits evenly over the ranks, so every byte crosses \
+             each Algorithm 2 ring link exactly twice \u{2014} bandwidth-optimal",
+        ),
+        Collective::Reduce => (
+            "bottom-up combine over the distance-aware tree (Algorithm 1)",
+            "the broadcast tree run in reverse: each parent combines its \
+             children's finished subtrees, so every slow link carries one partial",
+        ),
+        Collective::ReduceScatter => (
+            "ring reduce-scatter over the distance-aware ring (Algorithm 2)",
+            "accumulating partials travel physically short hops and each byte \
+             crosses each ring link once",
+        ),
+        Collective::Gather => (
+            "direct one-sided gather",
+            "every rank exposes its block and the root pulls each one, so every \
+             block crosses the machine exactly once",
+        ),
+        Collective::Scatter => (
+            "direct one-sided scatter",
+            "the root exposes its buffer once and every rank pulls its own block \
+             concurrently, without root-side serialization",
+        ),
+        Collective::Alltoall => (
+            "rotation over the distance-aware ring (Algorithm 2)",
+            "at step k every rank pulls from the peer k positions to its left, so \
+             early steps stay between physical neighbours and no controller is a \
+             hot-spot",
+        ),
+        Collective::Barrier => (
+            "notification gather-up / release-down over the distance-aware tree",
+            "control-only waves over the Algorithm 1 tree pay each slow link \
+             exactly twice",
+        ),
+    };
+    Decision::new(
         DecisionKind::Algorithm,
-        subject,
+        format!("{} algorithm", request.collective.label()),
         choice,
         reason,
         decision_inputs![
-            ("ranks", comm.size()),
+            ("ranks", ranks),
             ("classes", render_classes(&dist.classes())),
             ("max_distance", dist.max()),
         ],
-    ));
+    )
 }
 
-/// Records one TopoCache lookup outcome (`hit`, `miss (built)`) or the
-/// uncached path when no cache was supplied.
-fn record_cache_lookup(
-    prov: &mut Provenance,
-    subject: impl Into<String>,
-    hit: Option<bool>,
-    epoch: u64,
-) {
+/// One TopoCache lookup outcome (`hit`, `miss (built)`) or the uncached
+/// path when no cache was supplied.
+fn cache_lookup_decision(subject: String, hit: Option<bool>, epoch: u64) -> Decision {
     let (choice, reason) = match hit {
         Some(true) => (
             "hit",
@@ -525,25 +698,24 @@ fn record_cache_lookup(
             "no TopoCache supplied; topology built fresh",
         ),
     };
-    prov.record(Decision::new(
+    Decision::new(
         DecisionKind::CacheLookup,
         subject,
         choice,
         reason,
         decision_inputs![("epoch", epoch)],
-    ));
+    )
 }
 
-/// Classifies the topology's edges by physical distance class and records
-/// one [`DecisionKind::DistanceClass`] plus one [`DecisionKind::ChunkClass`]
-/// decision per class present. Chunking always uses the *physical*
-/// (uncollapsed) distances: collapsing reshapes the tree, not the cost of
-/// moving bytes across an edge.
+/// Classifies the plan's edges by physical distance class and records one
+/// [`DecisionKind::DistanceClass`] decision per class present, plus one
+/// [`DecisionKind::ChunkClass`] decision when the collective pipelines in
+/// per-distance chunks (`chunk` given).
 fn record_edge_decisions(
     prov: &mut Provenance,
     edges: &[(usize, usize)],
     dist: &DistanceMatrix,
-    chunk: &ChunkPolicy,
+    chunk: Option<&ChunkPolicy>,
     bytes: usize,
 ) {
     let mut by_class: Vec<(u8, Vec<(usize, usize)>)> = Vec::new();
@@ -575,9 +747,15 @@ fn record_edge_decisions(
             ),
             decision_inputs![("count", class_edges.len()), ("edges", rendered.join(" ")),],
         ));
+        let Some(chunk) = chunk else { continue };
         let chunk_bytes = chunk.chunk_for(*c);
-        let chunks_per_edge = bytes.div_ceil(chunk_bytes).max(1);
-        let (choice, reason) = if bytes > chunk_bytes {
+        // A zero chunk disables pipelining for the class.
+        let chunks_per_edge = if chunk_bytes == 0 {
+            1
+        } else {
+            bytes.div_ceil(chunk_bytes).max(1)
+        };
+        let (choice, reason) = if chunks_per_edge > 1 {
             (
                 format!("{chunk_bytes} B chunks"),
                 format!(
@@ -610,12 +788,6 @@ fn record_edge_decisions(
 fn render_classes(classes: &[Distance]) -> String {
     let parts: Vec<String> = classes.iter().map(|c| c.to_string()).collect();
     parts.join(",")
-}
-
-/// Largest distance class present in a communicator — handy for callers
-/// deciding whether distance-awareness can matter at all.
-pub fn max_distance(comm: &Communicator) -> Distance {
-    comm.distances_arc().max()
 }
 
 #[cfg(test)]
@@ -672,10 +844,10 @@ mod tests {
     #[test]
     fn collapse_preserves_cross_mc_classes() {
         let c = comm(machines::zoot(), BindingPolicy::Contiguous);
-        let collapsed = collapse_intra_mc(&c.distances());
+        let collapsed = collapse_intra_mc(&c.distances_arc());
         assert_eq!(collapsed.classes(), vec![1]);
         let ig = comm(machines::ig(), BindingPolicy::Contiguous);
-        let collapsed_ig = collapse_intra_mc(&ig.distances());
+        let collapsed_ig = collapse_intra_mc(&ig.distances_arc());
         assert_eq!(collapsed_ig.classes(), vec![1, 5, 6]);
     }
 
@@ -724,21 +896,11 @@ mod tests {
     }
 
     #[test]
-    fn cached_schedules_equal_uncached() {
+    fn dup_shares_the_epoch_and_hits_a_subset_misses() {
         let cache = TopoCache::new();
         let coll = AdaptiveColl::default();
         let c = comm(machines::ig(), BindingPolicy::CrossSocket);
-        for bytes in [1 << 10, 1 << 20] {
-            assert_eq!(
-                coll.bcast_cached(&cache, &c, 0, bytes),
-                coll.bcast(&c, 0, bytes)
-            );
-        }
-        assert_eq!(
-            coll.allgather_cached(&cache, &c, 4096),
-            coll.allgather(&c, 4096)
-        );
-        // dup shares the epoch, so its calls hit; a subset misses.
+        coll.bcast_cached(&cache, &c, 0, 1 << 10);
         let before = cache.stats();
         coll.bcast_cached(&cache, &c.dup(), 0, 1 << 10);
         assert_eq!(cache.stats().hits, before.hits + 1);
@@ -747,21 +909,77 @@ mod tests {
     }
 
     #[test]
-    fn explained_schedules_equal_unexplained() {
+    fn collective_labels_round_trip_through_from_str() {
+        for c in Collective::ALL {
+            assert_eq!(c.label().parse::<Collective>(), Ok(c));
+        }
+        let err = "broadcast".parse::<Collective>().unwrap_err();
+        assert!(
+            err.contains("reduce_scatter"),
+            "the error lists the labels: {err}"
+        );
+    }
+
+    #[test]
+    fn ring_allreduce_is_chosen_for_large_evenly_split_payloads_only() {
+        let c = comm(machines::zoot(), BindingPolicy::Contiguous); // 16 ranks
+        let choice = |bytes, op| AdaptiveColl::allreduce_algorithm_choice(&c, bytes, op);
+        assert_eq!(
+            choice(RING_ALLREDUCE_MIN_BYTES, DataOp::SumF64),
+            AllreduceAlgo::Ring
+        );
+        assert_eq!(
+            choice(RING_ALLREDUCE_MIN_BYTES - 16, DataOp::SumF64),
+            AllreduceAlgo::Tree
+        );
+        assert_eq!(
+            choice((1 << 20) + 8, DataOp::SumF64),
+            AllreduceAlgo::Tree,
+            "uneven split"
+        );
+        assert_eq!(
+            choice(16 * (1 << 14) + 64, DataOp::SumF64),
+            AllreduceAlgo::Tree,
+            "block not lane-aligned"
+        );
+        assert_eq!(
+            choice(16 * (1 << 14) + 64, DataOp::Add),
+            AllreduceAlgo::Ring
+        );
+    }
+
+    #[test]
+    fn tree_allreduce_pipelines_large_payloads() {
         let coll = AdaptiveColl::default();
-        for machine in machines::all_predefined() {
-            for policy in [BindingPolicy::Contiguous, BindingPolicy::Random { seed: 7 }] {
-                let c = comm(machine.clone(), policy);
-                for bytes in [1 << 10, 1 << 20] {
-                    let (s, p) = coll.bcast_explained(None, &c, 0, bytes);
-                    assert_eq!(s, coll.bcast(&c, 0, bytes), "{}", machine.name);
-                    assert_eq!(p.planned_ops.len(), s.ops.len());
-                    assert_eq!(p.schedule_name, s.name);
-                }
-                let (s, p) = coll.allgather_explained(None, &c, 4096);
-                assert_eq!(s, coll.allgather(&c, 4096), "{}", machine.name);
-                assert_eq!(p.planned_ops.len(), s.ops.len());
-            }
+        let c = comm(machines::zoot(), BindingPolicy::Contiguous);
+        let plan = |bytes| {
+            coll.plan(
+                &c,
+                Request::new(Collective::Allreduce, 0, bytes),
+                Sinks::default(),
+            )
+        };
+        assert!(
+            plan(1 << 20).num_copies() > plan(1024).num_copies(),
+            "chunked broadcast phase"
+        );
+    }
+
+    #[test]
+    fn recorder_tolerates_disabled_chunking() {
+        let coll = AdaptiveColl::new(AdaptivePolicy {
+            sched: SchedConfig::uniform(0),
+            ..AdaptivePolicy::default()
+        });
+        let c = comm(machines::zoot(), BindingPolicy::Contiguous);
+        let mut prov = Provenance::default();
+        let sinks = Sinks {
+            cache: None,
+            provenance: Some(&mut prov),
+        };
+        coll.plan(&c, Request::new(Collective::Bcast, 0, 1 << 20), sinks);
+        for d in prov.decisions_of(DecisionKind::ChunkClass) {
+            assert_eq!(d.input("chunks_per_edge"), Some("1"));
         }
     }
 
@@ -786,47 +1004,16 @@ mod tests {
             assert!(!d.inputs.is_empty(), "{:?} names its inputs", d.subject);
         }
         // Every distance class present among tree edges gets a chunk ruling.
-        let (_, pg) = coll.allgather_explained(None, &c, 512);
-        assert!(pg.explain().contains("[algorithm] allgather algorithm"));
-    }
-
-    #[test]
-    fn explained_cached_records_miss_then_hit_and_matches_uncached() {
-        let cache = TopoCache::new();
-        let coll = AdaptiveColl::default();
-        let c = comm(machines::ig(), BindingPolicy::CrossSocket);
-        let (s1, p1) = coll.bcast_explained(Some(&cache), &c, 0, 1 << 20);
-        let (s2, p2) = coll.bcast_explained(Some(&cache), &c, 0, 1 << 20);
-        assert_eq!(s1, s2);
-        assert_eq!(s1, coll.bcast(&c, 0, 1 << 20));
-        use crate::provenance::DecisionKind;
-        assert_eq!(
-            p1.decisions_of(DecisionKind::CacheLookup)[0].choice,
-            "miss (built)"
-        );
-        assert_eq!(p2.decisions_of(DecisionKind::CacheLookup)[0].choice, "hit");
-        let (g1, q1) = coll.allgather_explained(Some(&cache), &c, 4096);
-        let (g2, q2) = coll.allgather_explained(Some(&cache), &c, 4096);
-        assert_eq!(g1, g2);
-        assert_eq!(
-            q1.decisions_of(DecisionKind::CacheLookup)[0].choice,
-            "miss (built)"
-        );
-        assert_eq!(q2.decisions_of(DecisionKind::CacheLookup)[0].choice, "hit");
-    }
-
-    #[test]
-    fn allreduce_explained_matches_gate_construction() {
-        let c = comm(machines::ig(), BindingPolicy::Contiguous);
-        let coll = AdaptiveColl::default();
-        let (s, p) = coll.allreduce_explained(None, &c, 0, 64 << 10);
-        let dist = c.distances();
-        let tree = build_bcast_tree(&dist, 0);
-        let expected =
-            allreduce_schedule_dist(&tree, 64 << 10, &SchedConfig::default(), Some(&dist));
-        assert_eq!(s, expected, "explained allreduce is the gate's schedule");
-        assert_eq!(p.collective, "allreduce");
-        assert_eq!(p.planned_ops.len(), s.ops.len());
+        for collective in Collective::ALL {
+            let mut prov = Provenance::default();
+            let sinks = Sinks {
+                cache: None,
+                provenance: Some(&mut prov),
+            };
+            coll.plan(&c, Request::new(collective, 0, 512), sinks);
+            let subject = format!("[algorithm] {} algorithm", collective.label());
+            assert!(prov.explain().contains(&subject), "{}", prov.explain());
+        }
     }
 
     #[test]
@@ -860,22 +1047,6 @@ mod tests {
         assert!(
             cache.moved_inputs.iter().any(|m| m.name == "epoch"),
             "epoch input moved"
-        );
-    }
-
-    #[test]
-    fn max_distance_reports_hierarchy() {
-        assert_eq!(
-            max_distance(&comm(machines::ig(), BindingPolicy::Contiguous)),
-            6
-        );
-        assert_eq!(
-            max_distance(&comm(machines::zoot(), BindingPolicy::Contiguous)),
-            3
-        );
-        assert_eq!(
-            max_distance(&comm(machines::flat_smp(4), BindingPolicy::Contiguous)),
-            2
         );
     }
 }

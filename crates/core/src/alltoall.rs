@@ -11,6 +11,7 @@
 use pdac_mpisim::Communicator;
 use pdac_simnet::{BufId, Mech, Schedule, ScheduleBuilder};
 
+use crate::adaptive::{AdaptiveColl, Collective, Request, Sinks};
 use crate::allgather_ring::Ring;
 
 /// Builds the ring-ordered alltoall schedule.
@@ -51,10 +52,8 @@ pub fn alltoall_schedule(ring: &Ring, block_bytes: usize) -> Schedule {
 
 /// Distance-aware alltoall for a communicator.
 pub fn distance_aware(comm: &Communicator, block_bytes: usize) -> Schedule {
-    let ring = Ring::build(&comm.distances());
-    let mut s = alltoall_schedule(&ring, block_bytes);
-    s.name = format!("dist-alltoall/{}", comm.name());
-    s
+    let request = Request::new(Collective::Alltoall, 0, block_bytes);
+    AdaptiveColl::default().plan(comm, request, Sinks::default())
 }
 
 /// Rank-order baseline: the classic rotation over *logical* ranks

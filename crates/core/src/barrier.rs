@@ -5,15 +5,12 @@
 use pdac_mpisim::Communicator;
 use pdac_simnet::Schedule;
 
-use crate::bcast_tree::build_bcast_tree;
-use crate::sched::barrier_schedule;
+use crate::adaptive::{AdaptiveColl, Collective, Request, Sinks};
 
 /// Builds the barrier schedule for `comm`.
 pub fn distance_aware(comm: &Communicator) -> Schedule {
-    let tree = build_bcast_tree(&comm.distances(), 0);
-    let mut s = barrier_schedule(&tree);
-    s.name = format!("dist-barrier/{}", comm.name());
-    s
+    let request = Request::new(Collective::Barrier, 0, 0);
+    AdaptiveColl::default().plan(comm, request, Sinks::default())
 }
 
 #[cfg(test)]

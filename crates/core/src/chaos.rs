@@ -41,13 +41,13 @@ use pdac_mpisim::{
     ThreadExecutor, Transport, TransportKind,
 };
 use pdac_simnet::{
-    BufId, FaultPlan as SimFaultPlan, FaultStats, Resource, Schedule, SimConfig, SimExecutor,
-    SimReport,
+    BufId, DataOp, FaultPlan as SimFaultPlan, FaultStats, Resource, Schedule, SimConfig,
+    SimExecutor, SimReport,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::adaptive::AdaptiveColl;
+use crate::adaptive::{AdaptiveColl, AllreduceAlgo, Collective, Request};
 use crate::baseline;
 use crate::decision_inputs;
 use crate::edges::Edge;
@@ -58,28 +58,6 @@ use crate::sched::{allreduce_schedule, SchedConfig};
 use crate::topocache::TopoCache;
 use crate::tree::Tree;
 use crate::verify::{pattern, reduced_pattern};
-
-/// Which collective the harness exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosCollective {
-    /// Broadcast `bytes` from `root`.
-    Bcast {
-        /// Preferred root (world rank); re-elected if it is crashed.
-        root: usize,
-        /// Payload size.
-        bytes: usize,
-    },
-    /// Allgather with `block` bytes per rank.
-    Allgather {
-        /// Per-rank block size.
-        block: usize,
-    },
-    /// Allreduce of `bytes`.
-    Allreduce {
-        /// Payload size.
-        bytes: usize,
-    },
-}
 
 /// Harness configuration. The watchdog bounds each attempt (execution +
 /// recovery + re-execution); the retry policy governs per-operation
@@ -221,14 +199,6 @@ impl ChaosOutcome {
     }
 }
 
-fn build_schedule(mgr: &RecoveryManager, what: ChaosCollective) -> Schedule {
-    match what {
-        ChaosCollective::Bcast { root, bytes } => mgr.bcast(root, bytes),
-        ChaosCollective::Allgather { block } => mgr.allgather(block),
-        ChaosCollective::Allreduce { bytes } => mgr.allreduce(0, bytes),
-    }
-}
-
 /// Rank-order binomial tree rooted at `root` — the distance-oblivious
 /// shape degraded allreduce runs on (baseline has no allreduce builder).
 fn binomial_tree(n: usize, root: usize) -> Tree {
@@ -249,17 +219,18 @@ fn binomial_tree(n: usize, root: usize) -> Tree {
 /// The provenance record of one degraded-mode substitution: which
 /// distance-oblivious baseline replaced the adaptive schedule, and why.
 fn degraded_decision(
-    what: ChaosCollective,
+    what: Request,
     reason: impl Into<String>,
     seed: u64,
     recoveries: u32,
     max_recoveries: u32,
     survivors: usize,
 ) -> Decision {
-    let substitute = match what {
-        ChaosCollective::Bcast { .. } => "baseline binomial bcast",
-        ChaosCollective::Allgather { .. } => "baseline ring allgather",
-        ChaosCollective::Allreduce { .. } => "binomial-tree allreduce",
+    let substitute = match what.collective {
+        Collective::Bcast => "baseline binomial bcast",
+        Collective::Allgather => "baseline ring allgather",
+        Collective::Allreduce => "binomial-tree allreduce",
+        other => unreachable!("run_chaos rejects {other:?}"),
     };
     Decision::new(
         DecisionKind::Recovery,
@@ -277,25 +248,27 @@ fn degraded_decision(
 
 /// Degraded-mode schedule: the distance-oblivious baselines, which need
 /// only the local live list — safe to build without a coordinated view.
-fn build_degraded(mgr: &RecoveryManager, what: ChaosCollective, preferred_root: usize) -> Schedule {
+fn build_degraded(mgr: &RecoveryManager, what: Request) -> Schedule {
     let n = mgr.comm().size();
     let p2p = pdac_mpisim::P2pConfig::default();
-    match what {
-        ChaosCollective::Bcast { bytes, .. } => {
-            baseline::bcast::binomial(n, mgr.elect_root(preferred_root), bytes, &p2p)
+    let bytes = what.bytes;
+    match what.collective {
+        Collective::Bcast => {
+            baseline::bcast::binomial(n, mgr.elect_root(what.root), bytes, &p2p)
         }
-        ChaosCollective::Allgather { block } => baseline::allgather::ring(n, block, &p2p),
-        ChaosCollective::Allreduce { bytes } => {
-            let tree = binomial_tree(n, mgr.elect_root(0));
+        Collective::Allgather => baseline::allgather::ring(n, bytes, &p2p),
+        Collective::Allreduce => {
+            let tree = binomial_tree(n, mgr.elect_root(what.root));
             allreduce_schedule(&tree, bytes, &SchedConfig::default())
         }
+        other => unreachable!("run_chaos rejects {other:?}"),
     }
 }
 
 /// Semantic check of actual output buffers (the executor ran with faults,
 /// so the bytes — not just completion — must be validated).
 fn check_payload(
-    what: ChaosCollective,
+    what: Request,
     root: usize,
     res: &pdac_mpisim::ExecResult,
     num_ranks: usize,
@@ -317,28 +290,30 @@ fn check_payload(
             )),
         }
     };
-    match what {
-        ChaosCollective::Bcast { bytes, .. } => {
+    let bytes = what.bytes;
+    match what.collective {
+        Collective::Bcast => {
             let expected = pattern(root, bytes);
             for r in (0..num_ranks).filter(|&r| r != root) {
                 expect(r, &expected)?;
             }
         }
-        ChaosCollective::Allgather { block } => {
-            let mut expected = Vec::with_capacity(num_ranks * block);
+        Collective::Allgather => {
+            let mut expected = Vec::with_capacity(num_ranks * bytes);
             for r in 0..num_ranks {
-                expected.extend_from_slice(&pattern(r, block));
+                expected.extend_from_slice(&pattern(r, bytes));
             }
             for r in 0..num_ranks {
                 expect(r, &expected)?;
             }
         }
-        ChaosCollective::Allreduce { bytes } => {
+        Collective::Allreduce => {
             let expected = reduced_pattern(num_ranks, bytes);
             for r in 0..num_ranks {
                 expect(r, &expected)?;
             }
         }
+        other => unreachable!("run_chaos rejects {other:?}"),
     }
     Ok(())
 }
@@ -418,6 +393,10 @@ fn remap_plan(orig: &ExecFaultPlan, mgr: &RecoveryManager) -> ExecFaultPlan {
 /// recovering from failures detected through the detector→agreement
 /// pipeline. See the module docs for the guarantee this enforces.
 ///
+/// `what` is a broadcast, an allgather or a byte-sum tree allreduce — the
+/// collectives the harness has a degraded baseline and a payload oracle
+/// for; its root is the *preferred* world rank, re-elected if it crashes.
+///
 /// Every run annotates the process-global flight recorder; a failing run
 /// dumps the recorder (recent notes + metrics snapshot + `PDAC_SEED`)
 /// before the error propagates, so CI gets the last things the harness
@@ -425,9 +404,23 @@ fn remap_plan(orig: &ExecFaultPlan, mgr: &RecoveryManager) -> ExecFaultPlan {
 pub fn run_chaos(
     comm: &Communicator,
     coll: AdaptiveColl,
-    what: ChaosCollective,
+    what: Request,
     cfg: &ChaosConfig,
 ) -> Result<ChaosOutcome, CollectiveError> {
+    assert!(
+        matches!(
+            what,
+            Request { collective: Collective::Bcast | Collective::Allgather, .. }
+                | Request {
+                    collective: Collective::Allreduce,
+                    op: DataOp::Add,
+                    allreduce: AllreduceAlgo::Tree,
+                    ..
+                }
+        ),
+        "the chaos harness has degraded baselines and payload oracles only for bcast, \
+         allgather and byte-sum tree allreduce, not {what:?}"
+    );
     pdac_obs::flight::set_context("transport", format!("{:?}", cfg.transport).to_lowercase());
     pdac_obs::flight::set_context("machine", comm.machine().name.clone());
     pdac_obs::flight::note(format!(
@@ -458,7 +451,7 @@ pub fn run_chaos(
 fn run_chaos_inner(
     comm: &Communicator,
     coll: AdaptiveColl,
-    what: ChaosCollective,
+    what: Request,
     cfg: &ChaosConfig,
 ) -> Result<ChaosOutcome, CollectiveError> {
     let seed = cfg.seed;
@@ -470,10 +463,7 @@ fn run_chaos_inner(
         || vec![("seed", seed.into()), ("ranks", comm.size().into())],
     );
     telemetry.registry().add("chaos.runs", 1);
-    let preferred_root = match what {
-        ChaosCollective::Bcast { root, .. } => root,
-        _ => 0,
-    };
+    let preferred_root = what.root;
     let mut mgr = RecoveryManager::new(coll, Arc::new(TopoCache::new()), comm.clone());
     let mut stats = FaultStats::default();
     // Degraded-mode substitutions recorded as they happen; merged with the
@@ -546,9 +536,9 @@ fn run_chaos_inner(
             break None;
         }
         let schedule = if degraded {
-            build_degraded(&mgr, what, preferred_root)
+            build_degraded(&mgr, what)
         } else {
-            build_schedule(&mgr, what)
+            mgr.plan(what)
         };
         let detector = Arc::new(FailureDetector::with_suspect_after(
             mgr.comm().size(),
@@ -772,9 +762,9 @@ fn run_chaos_inner(
     let machine = mgr.comm().machine_arc();
     let binding = mgr.comm().binding().clone();
     let sim_schedule = if degraded {
-        build_degraded(&mgr, what, preferred_root)
+        build_degraded(&mgr, what)
     } else {
-        build_schedule(&mgr, what)
+        mgr.plan(what)
     };
     let mut sim_plan = SimFaultPlan::new(seed).degrade_link(Resource::Mc(0), degrade_factor);
     // Mirror the surviving transient corruption edges into the timing leg,
@@ -841,10 +831,7 @@ mod tests {
         let out = run_chaos(
             &comm,
             AdaptiveColl::default(),
-            ChaosCollective::Bcast {
-                root: 0,
-                bytes: 20_000,
-            },
+            Request::new(Collective::Bcast, 0, 20_000),
             &cfg,
         )
         .unwrap_or_else(|e| panic!("seed {}: {e}", cfg.seed));
@@ -874,10 +861,7 @@ mod tests {
         // backend differs. The epoch-fence contract is shared, so detection,
         // agreement and the final survivor set must match the KNEM run.
         let comm = world(6);
-        let what = ChaosCollective::Bcast {
-            root: 0,
-            bytes: 20_000,
-        };
+        let what = Request::new(Collective::Bcast, 0, 20_000);
         let knem = run_chaos(&comm, AdaptiveColl::default(), what, &ChaosConfig::new(0))
             .unwrap_or_else(|e| panic!("knem seed 0: {e}"));
         let rdma_cfg = ChaosConfig::on_transport(0, TransportKind::Rdma);
@@ -901,7 +885,7 @@ mod tests {
             run_chaos(
                 &comm,
                 AdaptiveColl::default(),
-                ChaosCollective::Allgather { block: 2048 },
+                Request::new(Collective::Allgather, 0, 2048),
                 &ChaosConfig::new(77),
             )
         };
@@ -927,10 +911,7 @@ mod tests {
         let out = run_chaos(
             &comm,
             AdaptiveColl::default(),
-            ChaosCollective::Bcast {
-                root: 0,
-                bytes: 4096,
-            },
+            Request::new(Collective::Bcast, 0, 4096),
             &cfg,
         )
         .unwrap_or_else(|e| panic!("seed 11: {e}"));
@@ -955,10 +936,7 @@ mod tests {
         let out = run_chaos(
             &comm,
             AdaptiveColl::default(),
-            ChaosCollective::Bcast {
-                root: 0,
-                bytes: 20_000,
-            },
+            Request::new(Collective::Bcast, 0, 20_000),
             &cfg,
         )
         .unwrap_or_else(|e| panic!("seed 0: {e}"));
@@ -988,7 +966,7 @@ mod tests {
             let out = run_chaos(
                 &comm,
                 AdaptiveColl::default(),
-                ChaosCollective::Allgather { block: 2048 },
+                Request::new(Collective::Allgather, 0, 2048),
                 &cfg,
             )
             .unwrap_or_else(|e| panic!("cascade seed {seed}: {e}"));
@@ -1011,10 +989,7 @@ mod tests {
     #[test]
     fn chaos_outcome_carries_recovery_provenance() {
         let comm = world(6);
-        let what = ChaosCollective::Bcast {
-            root: 0,
-            bytes: 20_000,
-        };
+        let what = Request::new(Collective::Bcast, 0, 20_000);
         let out = run_chaos(&comm, AdaptiveColl::default(), what, &ChaosConfig::new(0))
             .unwrap_or_else(|e| panic!("seed 0: {e}"));
         let shrink = out
@@ -1057,7 +1032,7 @@ mod tests {
             let out = run_chaos(
                 &comm,
                 AdaptiveColl::default(),
-                ChaosCollective::Allgather { block: 2048 },
+                Request::new(Collective::Allgather, 0, 2048),
                 &cfg,
             )
             .unwrap_or_else(|e| panic!("corruption seed {seed}: {e}"));
@@ -1089,7 +1064,7 @@ mod tests {
         let out = run_chaos(
             &comm,
             AdaptiveColl::default(),
-            ChaosCollective::Allgather { block: 2048 },
+            Request::new(Collective::Allgather, 0, 2048),
             &cfg,
         )
         .unwrap_or_else(|e| panic!("corrupter seed 5: {e}"));

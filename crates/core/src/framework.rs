@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use pdac_mpisim::Communicator;
 use pdac_simnet::Schedule;
 
-use crate::adaptive::{AdaptiveColl, AdaptivePolicy};
+use crate::adaptive::{AdaptiveColl, AdaptivePolicy, Collective};
 use crate::baseline::tuned::{self, TunedConfig};
 use crate::baseline::sm;
 
@@ -31,15 +31,6 @@ pub enum Component {
     Tuned,
     /// The distance-aware KNEM collective (the paper's contribution).
     KnemColl,
-}
-
-/// Which collective a rule applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Collective {
-    /// MPI_Bcast.
-    Bcast,
-    /// MPI_Allgather.
-    Allgather,
 }
 
 /// One decision-table row: messages up to `max_bytes` (inclusive) go to

@@ -17,20 +17,18 @@
 use pdac_mpisim::Communicator;
 use pdac_simnet::{BufId, Mech, OpId, Schedule, ScheduleBuilder};
 
-use crate::bcast_tree::build_bcast_tree;
-use crate::sched::gather_schedule;
+use crate::adaptive::{AdaptiveColl, BcastTopology, Collective, Request, Sinks};
 use crate::tree::Tree;
 
 /// Builds the direct (one-sided pull) gather schedule.
 pub fn distance_aware(comm: &Communicator, root: usize, block_bytes: usize) -> Schedule {
-    let mut s = gather_schedule(root, comm.size(), block_bytes);
-    s.name = format!("dist-gather/{}", comm.name());
-    s
+    let request = Request::new(Collective::Gather, root, block_bytes);
+    AdaptiveColl::default().plan(comm, request, Sinks::default())
 }
 
 /// Builds the staged (tree-aggregating) gather schedule.
 pub fn distance_aware_staged(comm: &Communicator, root: usize, block_bytes: usize) -> Schedule {
-    let tree = build_bcast_tree(&comm.distances(), root);
+    let tree = AdaptiveColl::default().bcast_tree(comm, root, BcastTopology::Hierarchical);
     let mut s = staged_gather_schedule(&tree, block_bytes);
     s.name = format!("dist-gather-staged/{}", comm.name());
     s

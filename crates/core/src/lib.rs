@@ -19,14 +19,17 @@
 //!   / ring allgather) plus Open MPI *tuned* and MPICH2-style decision
 //!   functions;
 //! * [`adaptive`] — the runtime framework: communicator + binding + machine
-//!   → distance matrix → per-collective topology, including the §V-B
+//!   → distance matrix → per-collective topology, through one planner path
+//!   ([`AdaptiveColl::plan`]) with the topology cache and the provenance
+//!   recorder as optional sinks; includes the §V-B
 //!   *distance collapsing* rule (distance classes sharing a saturated
 //!   memory controller are merged for large messages, which turns the Zoot
 //!   hierarchy into the winning linear topology of Figure 8);
 //! * [`metrics`] — the §IV-C analytical model: per-NUMA memory access
 //!   counts, link stress per distance class, tree depth;
-//! * [`reduce`], [`allreduce`], [`gather`], [`scatter`], [`barrier`] — the
-//!   distance-aware extensions the paper lists as future work;
+//! * [`reduce`], [`gather`], [`scatter`], [`barrier`], [`alltoall`],
+//!   [`reduce_scatter`] — the distance-aware extensions the paper lists as
+//!   future work (allreduce is a [`Request`] of the planner);
 //! * [`verify`] — semantic oracles running any schedule through the
 //!   real-thread executor and checking collective postconditions.
 
@@ -37,7 +40,6 @@
 
 pub mod adaptive;
 pub mod allgather_ring;
-pub mod allreduce;
 pub mod alltoall;
 pub mod barrier;
 pub mod baseline;
@@ -62,15 +64,15 @@ pub mod unionfind;
 pub mod verify;
 pub mod workload;
 
-pub use adaptive::{AdaptiveColl, AdaptivePolicy};
+pub use adaptive::{AdaptiveColl, AdaptivePolicy, AllreduceAlgo, Collective, Request, Sinks};
 pub use allgather_ring::Ring;
 pub use bcast_tree::build_bcast_tree;
-pub use chaos::{run_chaos, ChaosCollective, ChaosConfig, ChaosOutcome};
+pub use chaos::{run_chaos, ChaosConfig, ChaosOutcome};
 pub use edges::{bcast_edge_order, ring_edge_order, Edge};
 pub use membership::{agree, AgreementError, AgreementOutcome, MembershipConfig};
 pub use provenance::{Decision, DecisionKind, PlannedOp, Provenance, ProvenanceDiff};
 pub use recovery::{CollectiveError, RecoveryManager};
-pub use topocache::{TopoCache, TopoCacheStats, TopoKey, TopoKind};
+pub use topocache::{TopoCache, TopoCacheStats};
 pub use tree::Tree;
 pub use unionfind::DisjointSets;
 pub use workload::{

@@ -133,8 +133,9 @@ pub struct PlannedOp {
 }
 
 /// The provenance record of one plan: identity, every decision, and the
-/// planned-op list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// planned-op list. The `Default` value is an empty recorder for
+/// [`crate::adaptive::Sinks::provenance`]; planning overwrites it.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Provenance {
     /// Stable plan identity: `<collective>-e<epoch>-n<ranks>-b<bytes>`.
     pub plan_id: String,

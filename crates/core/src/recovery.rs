@@ -25,11 +25,10 @@ use std::time::Duration;
 use pdac_mpisim::{Communicator, ExecError};
 use pdac_simnet::{FaultStats, Schedule};
 
-use crate::adaptive::AdaptiveColl;
+use crate::adaptive::{AdaptiveColl, Request, Sinks};
 use crate::decision_inputs;
 use crate::membership::{agree, AgreementError, AgreementOutcome, MembershipConfig};
 use crate::provenance::{Decision, DecisionKind};
-use crate::sched::allreduce_schedule;
 use crate::topocache::TopoCache;
 
 /// Why a collective could not be completed (or could not even be
@@ -384,34 +383,22 @@ impl RecoveryManager {
         root
     }
 
-    /// Distance-aware broadcast over the survivors, rooted by
-    /// [`Self::elect_root`]. Topology comes from the epoch-keyed cache.
-    pub fn bcast(&self, preferred_root_world: usize, bytes: usize) -> Schedule {
-        let root = self.elect_root(preferred_root_world);
-        self.coll.bcast_cached(&self.cache, &self.comm, root, bytes)
-    }
-
-    /// Distance-aware allgather over the survivors.
-    pub fn allgather(&self, block_bytes: usize) -> Schedule {
+    /// Plans `request` over the survivors. The request's root is the
+    /// *preferred* root as a world rank; [`Self::elect_root`] substitutes
+    /// the elected leader. Topology comes from the epoch-keyed cache.
+    pub fn plan(&self, mut request: Request) -> Schedule {
+        if request.collective.is_rooted() {
+            request.root = self.elect_root(request.root);
+        }
         self.coll
-            .allgather_cached(&self.cache, &self.comm, block_bytes)
-    }
-
-    /// Allreduce over the survivors: reduce up and broadcast down the
-    /// (cached) distance-aware tree rooted at the elected leader.
-    pub fn allreduce(&self, preferred_root_world: usize, bytes: usize) -> Schedule {
-        let root = self.elect_root(preferred_root_world);
-        let topo = self.coll.bcast_topology_choice(&self.comm, bytes);
-        let tree = self
-            .coll
-            .bcast_tree_cached(&self.cache, &self.comm, root, topo);
-        allreduce_schedule(&tree, bytes, &self.coll.policy().sched)
+            .plan(&self.comm, request, Sinks::cached(&self.cache))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::Collective;
     use crate::verify::{verify_allgather, verify_allreduce, verify_bcast};
     use pdac_hwtopo::{machines, BindingPolicy};
 
@@ -463,12 +450,12 @@ mod tests {
         let mut mgr = manager(8);
         mgr.mark_failed(5).unwrap();
         mgr.mark_failed(0).unwrap();
-        let s = mgr.bcast(0, 20_000);
+        let s = mgr.plan(Request::new(Collective::Bcast, 0, 20_000));
         assert_eq!(s.num_ranks, 6);
         verify_bcast(&s, mgr.elect_root(0), 20_000).unwrap();
-        let s = mgr.allgather(1024);
+        let s = mgr.plan(Request::new(Collective::Allgather, 0, 1024));
         verify_allgather(&s, 1024).unwrap();
-        let s = mgr.allreduce(0, 4096);
+        let s = mgr.plan(Request::new(Collective::Allreduce, 0, 4096));
         verify_allreduce(&s, 4096).unwrap();
     }
 
@@ -476,7 +463,7 @@ mod tests {
     fn cache_never_serves_a_dead_epoch() {
         let mut mgr = manager(8);
         // Warm the cache for the full communicator.
-        let _ = mgr.bcast(0, 10_000);
+        let _ = mgr.plan(Request::new(Collective::Bcast, 0, 10_000));
         let before = mgr.cache.stats();
         assert_eq!(before.misses, 1);
         mgr.mark_failed(1).unwrap();
@@ -486,7 +473,7 @@ mod tests {
         );
         // The rebuilt topology is a fresh miss under the new epoch, and it
         // spans only the survivors.
-        let s = mgr.bcast(0, 10_000);
+        let s = mgr.plan(Request::new(Collective::Bcast, 0, 10_000));
         assert_eq!(s.num_ranks, 7);
         assert_eq!(mgr.cache.stats().misses, before.misses + 1);
     }

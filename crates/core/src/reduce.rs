@@ -5,15 +5,12 @@
 use pdac_mpisim::Communicator;
 use pdac_simnet::Schedule;
 
-use crate::bcast_tree::build_bcast_tree;
-use crate::sched::reduce_schedule;
+use crate::adaptive::{AdaptiveColl, Collective, Request, Sinks};
 
 /// Builds the distance-aware reduce schedule for `comm` rooted at `root`.
 pub fn distance_aware(comm: &Communicator, root: usize, bytes: usize) -> Schedule {
-    let tree = build_bcast_tree(&comm.distances(), root);
-    let mut s = reduce_schedule(&tree, bytes);
-    s.name = format!("dist-reduce/{}", comm.name());
-    s
+    let request = Request::new(Collective::Reduce, root, bytes);
+    AdaptiveColl::default().plan(comm, request, Sinks::default())
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 use pdac_mpisim::Communicator;
 use pdac_simnet::{BufId, DataOp, Mech, OpId, Schedule, ScheduleBuilder};
 
+use crate::adaptive::{AdaptiveColl, Collective, Request, Sinks};
 use crate::allgather_ring::Ring;
 
 /// Block `b` processed by rank `r` at step `k` (1-based): chosen so the
@@ -153,10 +154,8 @@ pub fn ring_allreduce_schedule_with_op(ring: &Ring, block_bytes: usize, op: Data
 
 /// Distance-aware reduce-scatter for a communicator.
 pub fn distance_aware(comm: &Communicator, block_bytes: usize) -> Schedule {
-    let ring = Ring::build(&comm.distances());
-    let mut s = reduce_scatter_schedule(&ring, block_bytes);
-    s.name = format!("dist-reduce-scatter/{}", comm.name());
-    s
+    let request = Request::new(Collective::ReduceScatter, 0, block_bytes);
+    AdaptiveColl::default().plan(comm, request, Sinks::default())
 }
 
 #[cfg(test)]
@@ -259,12 +258,13 @@ mod tests {
         let exec = SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false });
 
         let total = 48 * (64 << 10); // 3MB vector
-        let ring = Ring::build(&comm.distances());
-        let t_ring = exec.run(&ring_allreduce_schedule(&ring, 64 << 10)).unwrap().total_time;
-        let t_tree = exec
-            .run(&crate::allreduce::distance_aware(&comm, total, &crate::sched::SchedConfig::default()))
-            .unwrap()
-            .total_time;
+        let time = |algo| {
+            let request = Request { allreduce: algo, ..Request::new(Collective::Allreduce, 0, total) };
+            let schedule = AdaptiveColl::default().plan(&comm, request, Sinks::default());
+            exec.run(&schedule).unwrap().total_time
+        };
+        let t_ring = time(crate::adaptive::AllreduceAlgo::Ring);
+        let t_tree = time(crate::adaptive::AllreduceAlgo::Tree);
         assert!(
             t_ring < t_tree,
             "ring allreduce must win at {total} bytes: ring {t_ring:.4}s tree {t_tree:.4}s"

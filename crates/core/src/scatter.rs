@@ -5,13 +5,12 @@
 use pdac_mpisim::Communicator;
 use pdac_simnet::Schedule;
 
-use crate::sched::scatter_schedule;
+use crate::adaptive::{AdaptiveColl, Collective, Request, Sinks};
 
 /// Builds the scatter schedule for `comm` rooted at `root`.
 pub fn distance_aware(comm: &Communicator, root: usize, block_bytes: usize) -> Schedule {
-    let mut s = scatter_schedule(root, comm.size(), block_bytes);
-    s.name = format!("dist-scatter/{}", comm.name());
-    s
+    let request = Request::new(Collective::Scatter, root, block_bytes);
+    AdaptiveColl::default().plan(comm, request, Sinks::default())
 }
 
 #[cfg(test)]

@@ -1,4 +1,7 @@
-//! Per-communicator topology cache.
+//! Per-communicator topology cache — the `cache` sink of
+//! [`crate::AdaptiveColl::plan`]. The planner's two topology functions
+//! consult it when a caller passes one and build fresh otherwise; both
+//! kinds of entry go through one lookup that reports hit or miss.
 //!
 //! Building a collective topology costs the full Kruskal pipeline: enumerate
 //! `n(n-1)/2` edges, sort them into the paper's queue order, and run the
@@ -25,6 +28,7 @@
 //! [`TopoCache::invalidate_epoch`], or simply by eviction, since a dead
 //! epoch can never be requested again.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
@@ -38,7 +42,7 @@ use crate::tree::Tree;
 /// Which collective topology an entry holds, including the per-collective
 /// parameters it was built with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TopoKind {
+enum TopoKind {
     /// Broadcast tree from `root` under the given refinement.
     Bcast {
         /// The broadcast root rank.
@@ -52,19 +56,16 @@ pub enum TopoKind {
 
 /// Full cache key: communicator group identity plus collective parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TopoKey {
+struct TopoKey {
     /// Communicator epoch ([`pdac_mpisim::Communicator::epoch`]).
-    pub epoch: u64,
+    epoch: u64,
     /// Collective and its parameters.
-    pub kind: TopoKind,
+    kind: TopoKind,
 }
 
-/// A cached, immutable, shared topology.
-#[derive(Debug, Clone)]
-enum CachedTopo {
-    Tree(Arc<Tree>),
-    Ring(Arc<Ring>),
-}
+/// A cached, immutable, shared topology: an `Arc<Tree>` under a
+/// [`TopoKind::Bcast`] key, an `Arc<Ring>` under [`TopoKind::AllgatherRing`].
+type CachedTopo = Arc<dyn Any + Send + Sync>;
 
 /// Counters for observing cache behaviour (and asserting it in tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -163,88 +164,61 @@ impl TopoCache {
         }
     }
 
-    /// The broadcast tree for `key`, built by `build` on a miss. `build`
+    /// The broadcast tree of communicator `epoch` rooted at `root` under
+    /// `topo`, and whether the lookup hit; `build` runs on a miss and
     /// receives the cache's reusable edge arena.
-    ///
-    /// # Panics
-    /// Panics if `key` names an allgather ring.
-    pub fn tree(&self, key: TopoKey, build: impl FnOnce(&mut Vec<Edge>) -> Tree) -> Arc<Tree> {
-        self.tree_outcome(key, build).0
-    }
-
-    /// [`Self::tree`], also reporting whether the lookup hit — the
-    /// hit/miss outcome a plan's provenance records alongside the epoch.
-    pub fn tree_outcome(
+    pub fn tree(
         &self,
-        key: TopoKey,
+        epoch: u64,
+        root: usize,
+        topo: BcastTopology,
         build: impl FnOnce(&mut Vec<Edge>) -> Tree,
     ) -> (Arc<Tree>, bool) {
-        assert!(
-            matches!(key.kind, TopoKind::Bcast { .. }),
-            "tree lookup with non-tree key {key:?}"
-        );
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(CachedTopo::Tree(t)) = inner.map.get(&key) {
-            let t = Arc::clone(t);
-            inner.hits += 1;
-            self.metrics.hits.inc();
-            self.record_event("topo_hit", key);
-            return (t, true);
-        }
-        inner.misses += 1;
-        self.metrics.misses.inc();
-        self.record_event("topo_miss", key);
-        let mut arena = std::mem::take(&mut inner.arena);
-        let tree = Arc::new(build(&mut arena));
-        inner.arena = arena;
-        let evicted = inner.insert(key, CachedTopo::Tree(Arc::clone(&tree)));
-        self.metrics.evictions.add(evicted);
-        (tree, false)
+        let kind = TopoKind::Bcast { root, topo };
+        self.lookup(TopoKey { epoch, kind }, build)
     }
 
-    /// The allgather ring for `key`, built by `build` on a miss. `build`
-    /// receives the cache's reusable edge arena.
-    ///
-    /// # Panics
-    /// Panics if `key` names a broadcast tree.
-    pub fn ring(&self, key: TopoKey, build: impl FnOnce(&mut Vec<Edge>) -> Ring) -> Arc<Ring> {
-        self.ring_outcome(key, build).0
-    }
-
-    /// [`Self::ring`], also reporting whether the lookup hit — the
-    /// hit/miss outcome a plan's provenance records alongside the epoch.
-    pub fn ring_outcome(
+    /// The allgather ring of communicator `epoch`, and whether the lookup
+    /// hit; `build` as for [`Self::tree`].
+    pub fn ring(
         &self,
-        key: TopoKey,
+        epoch: u64,
         build: impl FnOnce(&mut Vec<Edge>) -> Ring,
     ) -> (Arc<Ring>, bool) {
-        assert!(
-            matches!(key.kind, TopoKind::AllgatherRing),
-            "ring lookup with non-ring key {key:?}"
-        );
+        let kind = TopoKind::AllgatherRing;
+        self.lookup(TopoKey { epoch, kind }, build)
+    }
+
+    /// The one lookup both topology kinds share. [`Self::tree`] and
+    /// [`Self::ring`] pair each key kind with one entry type, so the
+    /// downcast cannot fail.
+    fn lookup<T: Send + Sync + 'static>(
+        &self,
+        key: TopoKey,
+        build: impl FnOnce(&mut Vec<Edge>) -> T,
+    ) -> (Arc<T>, bool) {
         let mut inner = self
             .inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(CachedTopo::Ring(r)) = inner.map.get(&key) {
-            let r = Arc::clone(r);
+        if let Some(entry) = inner.map.get(&key) {
+            let topo = Arc::clone(entry)
+                .downcast::<T>()
+                .expect("key kind fixes the entry type");
             inner.hits += 1;
             self.metrics.hits.inc();
             self.record_event("topo_hit", key);
-            return (r, true);
+            return (topo, true);
         }
         inner.misses += 1;
         self.metrics.misses.inc();
         self.record_event("topo_miss", key);
         let mut arena = std::mem::take(&mut inner.arena);
-        let ring = Arc::new(build(&mut arena));
+        let topo = Arc::new(build(&mut arena));
         inner.arena = arena;
-        let evicted = inner.insert(key, CachedTopo::Ring(Arc::clone(&ring)));
+        let evicted = inner.insert(key, Arc::clone(&topo) as CachedTopo);
         self.metrics.evictions.add(evicted);
-        (ring, false)
+        (topo, false)
     }
 
     /// Drops every entry of `epoch` (a communicator was rebound or freed).
@@ -348,23 +322,16 @@ mod tests {
         DistanceMatrix::for_binding(&ig, &b)
     }
 
-    fn key(epoch: u64, root: usize) -> TopoKey {
-        TopoKey {
-            epoch,
-            kind: TopoKind::Bcast {
-                root,
-                topo: BcastTopology::Hierarchical,
-            },
-        }
-    }
+    const HIER: BcastTopology = BcastTopology::Hierarchical;
 
     #[test]
     fn hit_returns_same_allocation() {
         let cache = TopoCache::new();
         let dist = matrix();
-        let a = cache.tree(key(1, 0), |ar| build_bcast_tree_with_arena(&dist, 0, ar));
-        let b = cache.tree(key(1, 0), |_| unreachable!("second lookup must hit"));
+        let (a, a_hit) = cache.tree(1, 0, HIER, |ar| build_bcast_tree_with_arena(&dist, 0, ar));
+        let (b, b_hit) = cache.tree(1, 0, HIER, |_| unreachable!("second lookup must hit"));
         assert!(Arc::ptr_eq(&a, &b));
+        assert!(!a_hit && b_hit, "the outcome reports miss then hit");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
     }
@@ -373,17 +340,12 @@ mod tests {
     fn distinct_keys_are_distinct_entries() {
         let cache = TopoCache::new();
         let dist = matrix();
-        cache.tree(key(1, 0), |ar| build_bcast_tree_with_arena(&dist, 0, ar));
-        cache.tree(key(1, 1), |ar| build_bcast_tree_with_arena(&dist, 1, ar));
-        cache.tree(key(2, 0), |ar| build_bcast_tree_with_arena(&dist, 0, ar));
-        let collapsed = TopoKey {
-            epoch: 1,
-            kind: TopoKind::Bcast {
-                root: 0,
-                topo: BcastTopology::Collapsed,
-            },
-        };
-        cache.tree(collapsed, |ar| build_bcast_tree_with_arena(&dist, 0, ar));
+        cache.tree(1, 0, HIER, |ar| build_bcast_tree_with_arena(&dist, 0, ar));
+        cache.tree(1, 1, HIER, |ar| build_bcast_tree_with_arena(&dist, 1, ar));
+        cache.tree(2, 0, HIER, |ar| build_bcast_tree_with_arena(&dist, 0, ar));
+        cache.tree(1, 0, BcastTopology::Collapsed, |ar| {
+            build_bcast_tree_with_arena(&dist, 0, ar)
+        });
         assert_eq!(cache.stats().entries, 4);
         assert_eq!(cache.stats().misses, 4);
     }
@@ -392,13 +354,15 @@ mod tests {
     fn invalidate_epoch_only_touches_that_epoch() {
         let cache = TopoCache::new();
         let dist = matrix();
-        cache.tree(key(1, 0), |ar| build_bcast_tree_with_arena(&dist, 0, ar));
-        cache.tree(key(2, 0), |ar| build_bcast_tree_with_arena(&dist, 0, ar));
+        cache.tree(1, 0, HIER, |ar| build_bcast_tree_with_arena(&dist, 0, ar));
+        cache.tree(2, 0, HIER, |ar| build_bcast_tree_with_arena(&dist, 0, ar));
         assert_eq!(cache.invalidate_epoch(1), 1);
         assert_eq!(cache.stats().entries, 1);
         // Epoch 2 still hits; epoch 1 rebuilds.
-        cache.tree(key(2, 0), |_| unreachable!("epoch 2 survives invalidation"));
-        cache.tree(key(1, 0), |ar| build_bcast_tree_with_arena(&dist, 0, ar));
+        cache.tree(2, 0, HIER, |_| {
+            unreachable!("epoch 2 survives invalidation")
+        });
+        cache.tree(1, 0, HIER, |ar| build_bcast_tree_with_arena(&dist, 0, ar));
         assert_eq!(cache.stats().invalidations, 1);
     }
 
@@ -407,7 +371,7 @@ mod tests {
         let cache = TopoCache::with_capacity(2);
         let dist = matrix();
         for root in 0..3 {
-            cache.tree(key(1, root), |ar| {
+            cache.tree(1, root, HIER, |ar| {
                 build_bcast_tree_with_arena(&dist, root, ar)
             });
         }
@@ -415,14 +379,8 @@ mod tests {
         assert_eq!(s.entries, 2);
         assert_eq!(s.evictions, 1);
         // Oldest (root 0) was evicted; root 2 still resident.
-        cache.tree(key(1, 2), |_| unreachable!("newest entry resident"));
-        cache.tree(key(1, 0), |ar| build_bcast_tree_with_arena(&dist, 0, ar));
+        cache.tree(1, 2, HIER, |_| unreachable!("newest entry resident"));
+        cache.tree(1, 0, HIER, |ar| build_bcast_tree_with_arena(&dist, 0, ar));
         assert_eq!(cache.stats().misses, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-ring key")]
-    fn ring_lookup_rejects_tree_key() {
-        TopoCache::new().ring(key(1, 0), |_| unreachable!());
     }
 }

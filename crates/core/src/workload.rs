@@ -35,9 +35,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::adaptive::AdaptiveColl;
-use crate::chaos::{run_chaos, ChaosCollective, ChaosConfig};
-use crate::sched::allreduce_schedule;
+use crate::adaptive::{AdaptiveColl, Collective, Request, Sinks};
+use crate::chaos::{run_chaos, ChaosConfig};
 use crate::topocache::{TopoCache, TopoCacheStats};
 use crate::verify::{pattern, reduced_pattern};
 
@@ -444,9 +443,8 @@ pub fn run_workload(cfg: &WorkloadConfig) -> Result<WorkloadReport, WorkloadErro
 
         for &bytes in &trace {
             let root = rng.gen_range(0..comm.size());
-            let topo = coll.bcast_topology_choice(&comm, bytes);
-            let tree = coll.bcast_tree_cached(&cache, &comm, root, topo);
-            let schedule = allreduce_schedule(&tree, bytes, &coll.policy().sched);
+            let request = Request::new(Collective::Allreduce, root, bytes);
+            let schedule = coll.plan(&comm, request, Sinks::cached(&cache));
             let mut exec = ThreadExecutor::with_transport(Arc::clone(&transport))
                 .with_epoch(comm.epoch());
             if cfg.corruption {
@@ -496,7 +494,7 @@ pub fn run_workload(cfg: &WorkloadConfig) -> Result<WorkloadReport, WorkloadErro
         let out = run_chaos(
             &comm,
             AdaptiveColl::default(),
-            ChaosCollective::Allreduce { bytes: trace[0] },
+            Request::new(Collective::Allreduce, 0, trace[0]),
             &chaos_cfg,
         )
         .map_err(|e| fail(format!("chaos finale on {}: {e}", cfg.transport.label())))?;

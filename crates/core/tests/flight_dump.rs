@@ -5,8 +5,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use pdac_core::chaos::{run_chaos, ChaosCollective, ChaosConfig};
-use pdac_core::AdaptiveColl;
+use pdac_core::chaos::{run_chaos, ChaosConfig};
+use pdac_core::{AdaptiveColl, Collective, Request};
 use pdac_hwtopo::{machines, BindingPolicy};
 use pdac_mpisim::Communicator;
 
@@ -32,10 +32,7 @@ fn failing_chaos_run_dumps_flight_recorder() {
     let err = run_chaos(
         &comm,
         AdaptiveColl::default(),
-        ChaosCollective::Bcast {
-            root: 0,
-            bytes: 4096,
-        },
+        Request::new(Collective::Bcast, 0, 4096),
         &cfg,
     )
     .expect_err("1 ns watchdog must fail the run");

@@ -12,10 +12,10 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use pdac_core::adaptive::AdaptiveColl;
-use pdac_core::chaos::{run_chaos, ChaosCollective, ChaosConfig};
+use pdac_core::chaos::{run_chaos, ChaosConfig};
 use pdac_core::membership::{agree, AgreementError, MembershipConfig};
 use pdac_core::verify::pattern;
-use pdac_core::{RecoveryManager, TopoCache};
+use pdac_core::{Collective, RecoveryManager, Request, TopoCache};
 use pdac_hwtopo::{machines, BindingPolicy};
 use pdac_mpisim::knem::KnemError;
 use pdac_mpisim::{
@@ -122,7 +122,7 @@ proptest! {
             Duration::from_millis(5),
         ));
         let epoch_before = mgr.epoch();
-        let schedule = mgr.allgather(512);
+        let schedule = mgr.plan(Request::new(Collective::Allgather, 0, 512));
         let exec = ThreadExecutor::with_device(Arc::clone(&device))
             .with_policy(policy)
             .with_faults(plan)
@@ -195,7 +195,7 @@ proptest! {
         let out = run_chaos(
             &comm,
             AdaptiveColl::default(),
-            ChaosCollective::Allgather { block: 1024 },
+            Request::new(Collective::Allgather, 0, 1024),
             &cfg,
         );
         let out = out.unwrap_or_else(|e| panic!("seed {seed} cascade {cascade}: {e}"));

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use pdac_core::adaptive::{AdaptiveColl, BcastTopology};
 use pdac_core::bcast_tree::build_bcast_tree;
-use pdac_core::{verify, RecoveryManager, TopoCache};
+use pdac_core::{verify, Collective, RecoveryManager, Request, TopoCache};
 use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix, Machine};
 use pdac_mpisim::Communicator;
 
@@ -52,7 +52,7 @@ fn apply_failures(machine: Machine, seed: u64, script: &[u16]) -> Shrunk {
         let alive = mgr.survivors().to_vec();
         let victim = alive[raw as usize % alive.len()];
         // Warm the cache under the current (soon to be dead) epoch.
-        let _ = mgr.bcast(0, 1024);
+        let _ = mgr.plan(Request::new(Collective::Bcast, 0, 1024));
         let epoch_before = mgr.comm().epoch();
         let inval_before = cache.stats().invalidations;
         mgr.mark_failed(victim).unwrap();
@@ -84,15 +84,15 @@ proptest! {
             prop_assert!(!survivors.contains(dead), "rank {} is dead", dead);
         }
 
-        let bcast = s.mgr.bcast(0, 2048);
+        let bcast = s.mgr.plan(Request::new(Collective::Bcast, 0, 2048));
         prop_assert_eq!(bcast.num_ranks, survivors.len());
         verify::verify_bcast(&bcast, s.mgr.elect_root(0), 2048).unwrap();
 
-        let ag = s.mgr.allgather(512);
+        let ag = s.mgr.plan(Request::new(Collective::Allgather, 0, 512));
         prop_assert_eq!(ag.num_ranks, survivors.len());
         verify::verify_allgather(&ag, 512).unwrap();
 
-        let ar = s.mgr.allreduce(0, 1024);
+        let ar = s.mgr.plan(Request::new(Collective::Allreduce, 0, 1024));
         prop_assert_eq!(ar.num_ranks, survivors.len());
         verify::verify_allreduce(&ar, 1024).unwrap();
     }

@@ -3,14 +3,8 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use pdac_core::adaptive::AdaptiveColl;
-use pdac_core::allgather_ring::Ring;
-use pdac_core::alltoall;
-use pdac_core::bcast_tree::build_bcast_tree;
+use pdac_core::adaptive::{AdaptiveColl, Collective, Request, Sinks};
 use pdac_core::framework::CollFramework;
-use pdac_core::reduce_scatter::{reduce_scatter_schedule_with_op, ring_allreduce_schedule_with_op};
-use pdac_core::sched::{allreduce_schedule_with_op, barrier_schedule, reduce_schedule_with_op};
-use pdac_core::{gather as dist_gather, scatter as dist_scatter};
 use pdac_hwtopo::{Binding, BindingPolicy, Machine, TopoError};
 use pdac_mpisim::{Communicator, ExecError, ExecResult, KnemStats, ThreadExecutor};
 use pdac_simnet::{BufId, DataOp, Schedule};
@@ -146,6 +140,20 @@ impl Session {
         self.last_knem.get()
     }
 
+    /// The schedule this session runs for `request` (exposed for inspection).
+    pub fn plan(&self, request: Request) -> Schedule {
+        self.coll.plan(&self.comm, request, Sinks::default())
+    }
+
+    /// Plans `request` and runs it with per-rank send payloads.
+    fn plan_and_execute(
+        &self,
+        request: Request,
+        send: &[Vec<u8>],
+    ) -> Result<ExecResult, MpiError> {
+        self.execute(&self.plan(request), send)
+    }
+
     /// Runs a schedule with per-rank send payloads; records device stats.
     fn execute(&self, schedule: &Schedule, send: &[Vec<u8>]) -> Result<ExecResult, MpiError> {
         let result = ThreadExecutor::new().run(schedule, |rank, size| {
@@ -255,10 +263,9 @@ impl Session {
             return Ok(Vec::new());
         }
         let bytes = len * T::WIDTH;
-        let tree = build_bcast_tree(&self.comm.distances(), root);
-        let schedule = reduce_schedule_with_op(&tree, bytes, data_op);
         let send: Vec<Vec<u8>> = contribs.iter().map(|c| to_bytes(c)).collect();
-        let result = self.execute(&schedule, &send)?;
+        let request = Request { op: data_op, ..Request::new(Collective::Reduce, root, bytes) };
+        let result = self.plan_and_execute(request, &send)?;
         Ok(from_bytes(&result.buffer(root, BufId::Recv)[..bytes]))
     }
 
@@ -277,19 +284,13 @@ impl Session {
         }
         let n = self.size();
         let bytes = len * T::WIDTH;
-        let lane = data_op.lane_bytes();
-        let ring_block = bytes / n;
-        let use_ring =
-            n > 1 && bytes % n == 0 && ring_block.is_multiple_of(lane) && bytes >= 256 * 1024;
-        let schedule = if use_ring {
-            let ring = Ring::build(&self.comm.distances());
-            ring_allreduce_schedule_with_op(&ring, ring_block, data_op)
-        } else {
-            let tree = build_bcast_tree(&self.comm.distances(), 0);
-            allreduce_schedule_with_op(&tree, bytes, &self.coll.policy().sched, data_op)
-        };
         let send: Vec<Vec<u8>> = contribs.iter().map(|c| to_bytes(c)).collect();
-        let result = self.execute(&schedule, &send)?;
+        let request = Request {
+            op: data_op,
+            allreduce: AdaptiveColl::allreduce_algorithm_choice(&self.comm, bytes, data_op),
+            ..Request::new(Collective::Allreduce, 0, bytes)
+        };
+        let result = self.plan_and_execute(request, &send)?;
         Ok((0..n).map(|r| from_bytes(&result.buffer(r, BufId::Recv)[..bytes])).collect())
     }
 
@@ -315,10 +316,9 @@ impl Session {
         if !block.is_multiple_of(data_op.lane_bytes()) {
             return Err(MpiError::Shape("reduce_scatter: block not lane-aligned".into()));
         }
-        let ring = Ring::build(&self.comm.distances());
-        let schedule = reduce_scatter_schedule_with_op(&ring, block, data_op);
         let send: Vec<Vec<u8>> = contribs.iter().map(|c| to_bytes(c)).collect();
-        let result = self.execute(&schedule, &send)?;
+        let request = Request { op: data_op, ..Request::new(Collective::ReduceScatter, 0, block) };
+        let result = self.plan_and_execute(request, &send)?;
         Ok((0..n).map(|r| from_bytes(&result.buffer(r, BufId::Recv)[..block])).collect())
     }
 
@@ -333,9 +333,8 @@ impl Session {
             return Ok(Vec::new());
         }
         let block = len * T::WIDTH;
-        let schedule = dist_gather::distance_aware(&self.comm, root, block);
         let send: Vec<Vec<u8>> = contribs.iter().map(|c| to_bytes(c)).collect();
-        let result = self.execute(&schedule, &send)?;
+        let result = self.plan_and_execute(Request::new(Collective::Gather, root, block), &send)?;
         Ok(from_bytes(&result.buffer(root, BufId::Recv)[..block * self.size()]))
     }
 
@@ -353,10 +352,9 @@ impl Session {
         if block == 0 {
             return Ok(vec![Vec::new(); n]);
         }
-        let schedule = dist_scatter::distance_aware(&self.comm, root, block);
         let mut send: Vec<Vec<u8>> = vec![Vec::new(); n];
         send[root] = to_bytes(data);
-        let result = self.execute(&schedule, &send)?;
+        let result = self.plan_and_execute(Request::new(Collective::Scatter, root, block), &send)?;
         Ok((0..n).map(|r| from_bytes(&result.buffer(r, BufId::Recv)[..block])).collect())
     }
 
@@ -374,9 +372,8 @@ impl Session {
         if block == 0 {
             return Ok(vec![Vec::new(); n]);
         }
-        let schedule = alltoall::distance_aware(&self.comm, block);
         let send: Vec<Vec<u8>> = bufs.iter().map(|c| to_bytes(c)).collect();
-        let result = self.execute(&schedule, &send)?;
+        let result = self.plan_and_execute(Request::new(Collective::Alltoall, 0, block), &send)?;
         Ok((0..n).map(|r| from_bytes(&result.buffer(r, BufId::Recv)[..block * n])).collect())
     }
 
@@ -386,9 +383,7 @@ impl Session {
         if self.size() == 1 {
             return Ok(());
         }
-        let tree = build_bcast_tree(&self.comm.distances(), 0);
-        let schedule = barrier_schedule(&tree);
-        self.execute(&schedule, &[])?;
+        self.plan_and_execute(Request::new(Collective::Barrier, 0, 0), &[])?;
         Ok(())
     }
 }

@@ -4,8 +4,7 @@
 use std::sync::Arc;
 
 use pdac::collectives::adaptive::AdaptiveColl;
-use pdac::collectives::sched::SchedConfig;
-use pdac::collectives::{allreduce, barrier, gather, reduce, scatter, verify};
+use pdac::collectives::{barrier, gather, reduce, scatter, verify, Collective, Request, Sinks};
 use pdac::hwtopo::{machines, BindingPolicy};
 use pdac::mpisim::Communicator;
 use pdac::simnet::{SimConfig, SimExecutor};
@@ -68,7 +67,8 @@ fn extension_collectives_correct_on_hostile_subgroups() {
     let s = reduce::distance_aware(&sub, 3, 12_345);
     verify::verify_reduce(&s, 3, 12_345).unwrap();
 
-    let s = allreduce::distance_aware(&sub, 12_345, &SchedConfig::default());
+    let request = Request::new(Collective::Allreduce, 0, 12_345);
+    let s = AdaptiveColl::default().plan(&sub, request, Sinks::default());
     verify::verify_allreduce(&s, 12_345).unwrap();
 
     let s = gather::distance_aware(&sub, 5, 2_048);

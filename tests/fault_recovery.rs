@@ -15,7 +15,7 @@ use pdac::collectives::adaptive::AdaptiveColl;
 use pdac::collectives::metrics::fault_summary_line;
 use pdac::collectives::verify;
 use pdac::collectives::{
-    run_chaos, ChaosCollective, ChaosConfig, CollectiveError, RecoveryManager, TopoCache,
+    run_chaos, ChaosConfig, Collective, CollectiveError, RecoveryManager, Request, TopoCache,
 };
 use pdac::hwtopo::{machines, BindingPolicy};
 use pdac::mpisim::{Communicator, ExecError, ExecFaultPlan, RetryPolicy, ThreadExecutor};
@@ -119,11 +119,11 @@ fn crashed_rank_recovery_completes_on_survivors() {
         // Recovery: shrink to the survivors, rebuild, run clean, verify.
         let cache = Arc::new(TopoCache::new());
         let mut mgr = RecoveryManager::new(coll, Arc::clone(&cache), comm.clone());
-        let _ = mgr.bcast(0, bytes); // warm the doomed epoch
+        let _ = mgr.plan(Request::new(Collective::Bcast, 0, bytes)); // warm the doomed epoch
         mgr.mark_failed(3).unwrap();
         assert_eq!(mgr.survivors(), &[0, 1, 2, 4, 5]);
         assert!(cache.stats().invalidations >= 1, "dead epoch purged from the cache");
-        let rebuilt = mgr.bcast(0, bytes);
+        let rebuilt = mgr.plan(Request::new(Collective::Bcast, 0, bytes));
         assert_eq!(rebuilt.num_ranks, 5, "rebuilt tree spans exactly the survivors");
         verify::verify_bcast(&rebuilt, mgr.elect_root(0), bytes).unwrap();
         assert_eq!(mgr.stats().topology_rebuilds, 1);
@@ -141,7 +141,7 @@ fn chaos_harness_records_fault_stats_in_sim_report() {
         let out = run_chaos(
             &comm,
             AdaptiveColl::default(),
-            ChaosCollective::Bcast { root: 0, bytes: 20_000 },
+            Request::new(Collective::Bcast, 0, 20_000),
             &cfg,
         )
         .unwrap_or_else(|e| panic!("seed {}: {e}", cfg.seed));
@@ -167,7 +167,7 @@ fn chaos_outcome_is_deterministic_per_seed() {
             run_chaos(
                 &comm,
                 AdaptiveColl::default(),
-                ChaosCollective::Allreduce { bytes: 4096 },
+                Request::new(Collective::Allreduce, 0, 4096),
                 &ChaosConfig::new(13),
             )
             .unwrap_or_else(|e| panic!("seed 13: {e}"))
@@ -211,9 +211,9 @@ fn chaos_sweep_100_seeds_never_hangs() {
         let mut injected = 0u64;
         for seed in 0..100u64 {
             let what = match seed % 3 {
-                0 => ChaosCollective::Bcast { root: 0, bytes: 12_000 },
-                1 => ChaosCollective::Allgather { block: 1024 },
-                _ => ChaosCollective::Allreduce { bytes: 4096 },
+                0 => Request::new(Collective::Bcast, 0, 12_000),
+                1 => Request::new(Collective::Allgather, 0, 1024),
+                _ => Request::new(Collective::Allreduce, 0, 4096),
             };
             match run_chaos(&comm, coll.clone(), what, &ChaosConfig::new(seed)) {
                 Ok(out) => {
@@ -268,7 +268,7 @@ fn membership_sweep_100_cascade_seeds_agrees_through_detection() {
             // budgets actually fire.
             let mut cfg = ChaosConfig::cascade(seed);
             cfg.policy.op_deadline = Some(Duration::from_millis(50));
-            match run_chaos(&comm, coll.clone(), ChaosCollective::Allgather { block: 1024 }, &cfg)
+            match run_chaos(&comm, coll.clone(), Request::new(Collective::Allgather, 0, 1024), &cfg)
             {
                 Ok(out) => {
                     assert_eq!(
