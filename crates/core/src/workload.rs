@@ -399,6 +399,16 @@ pub fn run_workload(cfg: &WorkloadConfig) -> Result<WorkloadReport, WorkloadErro
     let coll = AdaptiveColl::default();
     let cache = TopoCache::new();
     let transport = cfg.transport.create(None);
+    // One executor for the whole storm, like a communicator keeps one: its
+    // rank workers park between steps and are reconfigured, not respawned.
+    let mut exec = ThreadExecutor::with_transport(Arc::clone(&transport));
+    if cfg.corruption {
+        // No lethal faults are injected, so the executor keeps its
+        // unbounded waits — only the chaos retry budget is needed, because
+        // every damaged chunk (transient budget 1) heals within
+        // max_retries re-transmits.
+        exec = exec.with_policy(RetryPolicy::chaos());
+    }
 
     // Training-style trace: the same gradient buckets, every step.
     let trace: Vec<usize> = (0..cfg.buckets.max(1))
@@ -445,16 +455,12 @@ pub fn run_workload(cfg: &WorkloadConfig) -> Result<WorkloadReport, WorkloadErro
             let root = rng.gen_range(0..comm.size());
             let request = Request::new(Collective::Allreduce, root, bytes);
             let schedule = coll.plan(&comm, request, Sinks::cached(&cache));
-            let mut exec = ThreadExecutor::with_transport(Arc::clone(&transport))
-                .with_epoch(comm.epoch());
+            exec = exec.with_epoch(comm.epoch());
             if cfg.corruption {
-                // Corruption-only plan: no lethal faults, so the executor
-                // keeps its unbounded waits — only the chaos retry budget
-                // is needed, because every damaged chunk (transient budget
-                // 1) heals within max_retries re-transmits.
+                // Corruption-only plan, redrawn per step.
                 let plan = ExecFaultPlan::new(seed.wrapping_add(step as u64))
                     .with_seeded_corruption(comm.size());
-                exec = exec.with_policy(RetryPolicy::chaos()).with_faults(plan);
+                exec = exec.with_faults(plan);
             }
             let res = exec
                 .run(&schedule, pattern)

@@ -122,6 +122,19 @@ pub struct KnemStats {
 }
 
 impl KnemStats {
+    /// This snapshot minus `earlier` (for per-run accounting on a device
+    /// shared across runs).
+    pub fn delta_since(&self, earlier: &KnemStats) -> KnemStats {
+        KnemStats {
+            registrations: self.registrations - earlier.registrations,
+            deregistrations: self.deregistrations - earlier.deregistrations,
+            copies: self.copies - earlier.copies,
+            bytes_copied: self.bytes_copied - earlier.bytes_copied,
+            lock_acquires: self.lock_acquires - earlier.lock_acquires,
+            fenced: self.fenced - earlier.fenced,
+        }
+    }
+
     /// Folds this record into the process-wide metrics registry under
     /// `knem.*` counters. The per-device struct stays the per-instance
     /// source of truth; the registry accumulates across devices and runs

@@ -32,10 +32,12 @@ pub mod integrity;
 pub mod knem;
 pub mod p2p;
 pub mod p2p_tuning;
+pub(crate) mod program;
 pub mod rdma;
 pub(crate) mod region;
 pub mod thread_exec;
 pub mod transport;
+pub(crate) mod workers;
 
 pub use bufpool::{BufferPool, BufferPoolStats};
 pub use comm::Communicator;

@@ -1,0 +1,298 @@
+//! The lowered form of a schedule — what the rank workers execute.
+//!
+//! A validated [`Schedule`] is a vector of ops, each owning its dependency
+//! list, over buffers named by `(rank, buffer)` keys. The rank workers are
+//! long-lived threads and cannot borrow it, so [`Program::lower`] flattens
+//! it once per run into an owned, `Arc`-shared program: one op stream per
+//! executing rank, dependency and subscriber lists as ranges into two
+//! arenas, and every buffer reference resolved to a slot of a dense table,
+//! so executing an op hashes and looks up nothing.
+
+use std::ops::Range;
+
+use pdac_hwtopo::DistanceMatrix;
+use pdac_simnet::{BufId, Mech, OpId, OpKind, Rank, Schedule};
+
+/// One lowered operation.
+pub(crate) struct LoweredOp {
+    /// The schedule's operation, verbatim (spans and the transport name
+    /// ranks, buffers and offsets, not slots).
+    pub kind: OpKind,
+    /// Buffer-table slots of a copy's source and destination (unused for a
+    /// notification).
+    pub src: usize,
+    pub dst: usize,
+    /// Latency-histogram kind: 0 = KNEM copy, 1 = memcpy copy, 2 = notify.
+    pub hist_kind: usize,
+    /// Process-distance class of the op's endpoints (0 without a matrix).
+    pub class: u8,
+    deps: Range<usize>,
+    subs: Range<usize>,
+}
+
+/// A schedule flattened for execution. Immutable once built.
+pub(crate) struct Program {
+    num_ranks: usize,
+    /// Indexed by schedule-wide op id.
+    ops: Vec<LoweredOp>,
+    /// Op ids grouped by executing rank, program order within a rank:
+    /// rank `r` runs `stream[rank_start[r]..rank_start[r + 1]]`.
+    stream: Vec<OpId>,
+    rank_start: Vec<usize>,
+    /// Arena of dependency op ids.
+    deps: Vec<OpId>,
+    /// Arena of subscriber ranks: per op, the ranks (deduped) that own an
+    /// op depending on it from another rank, whose ring a completion is
+    /// pushed into. Same-rank dependencies resolve in program order.
+    subs: Vec<Rank>,
+    /// Per rank, how many `(op, rank)` subscriptions name it: the exact
+    /// upper bound on pushes its completion ring can receive in one run.
+    inbound: Vec<usize>,
+    /// The dense buffer table: key and declared size per slot, in key order.
+    bufs: Vec<((Rank, BufId), usize)>,
+}
+
+impl Program {
+    /// Lowers a schedule that passed [`Schedule::validate`]. `distances`
+    /// labels each op with its process-distance class.
+    pub fn lower(schedule: &Schedule, distances: Option<&DistanceMatrix>) -> Self {
+        let num_ranks = schedule.num_ranks;
+        let bufs: Vec<((Rank, BufId), usize)> = schedule
+            .buf_sizes
+            .iter()
+            .map(|(&key, &size)| (key, size))
+            .collect();
+        let slot = |rank: Rank, buf: BufId| {
+            slot_in(&bufs, rank, buf)
+                .expect("validate() bounds-checked every buffer a copy touches")
+        };
+
+        // Counting sort of op ids by executor keeps program order per rank.
+        let mut rank_start = vec![0usize; num_ranks + 1];
+        for op in &schedule.ops {
+            rank_start[op.kind.executor() + 1] += 1;
+        }
+        for r in 0..num_ranks {
+            rank_start[r + 1] += rank_start[r];
+        }
+        let mut cursor = rank_start.clone();
+        let mut stream = vec![0; schedule.ops.len()];
+
+        let mut deps = Vec::new();
+        let mut edges: Vec<(OpId, Rank)> = Vec::new();
+        let mut ops = Vec::with_capacity(schedule.ops.len());
+        for (id, op) in schedule.ops.iter().enumerate() {
+            let me = op.kind.executor();
+            stream[cursor[me]] = id;
+            cursor[me] += 1;
+            let first_dep = deps.len();
+            for &dep in &op.deps {
+                deps.push(dep);
+                if schedule.ops[dep].kind.executor() != me {
+                    edges.push((dep, me));
+                }
+            }
+            let (src, dst) = match op.kind {
+                OpKind::Copy {
+                    src_rank,
+                    src_buf,
+                    dst_rank,
+                    dst_buf,
+                    ..
+                } => (slot(src_rank, src_buf), slot(dst_rank, dst_buf)),
+                OpKind::Notify { .. } => (usize::MAX, usize::MAX),
+            };
+            let (hist_kind, class) = op_kind_and_class(&op.kind, distances);
+            ops.push(LoweredOp {
+                kind: op.kind.clone(),
+                src,
+                dst,
+                hist_kind,
+                class,
+                deps: first_dep..deps.len(),
+                subs: 0..0,
+            });
+        }
+
+        // Sorted and deduped, the `(op, subscriber)` edges are the
+        // subscriber arena already grouped by op id.
+        edges.sort_unstable();
+        edges.dedup();
+        let mut inbound = vec![0usize; num_ranks];
+        let mut at = 0;
+        for (id, op) in ops.iter_mut().enumerate() {
+            let first = at;
+            while at < edges.len() && edges[at].0 == id {
+                inbound[edges[at].1] += 1;
+                at += 1;
+            }
+            op.subs = first..at;
+        }
+        let subs = edges.into_iter().map(|(_, rank)| rank).collect();
+
+        Program {
+            num_ranks,
+            ops,
+            stream,
+            rank_start,
+            deps,
+            subs,
+            inbound,
+            bufs,
+        }
+    }
+
+    /// Communicator size the program addresses.
+    pub fn num_ranks(&self) -> usize {
+        self.num_ranks
+    }
+
+    /// The op with schedule-wide id `id`.
+    pub fn op(&self, id: OpId) -> &LoweredOp {
+        &self.ops[id]
+    }
+
+    /// Ops in the program.
+    pub fn num_ops(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// `rank`'s op ids in program order.
+    pub fn rank_ops(&self, rank: Rank) -> &[OpId] {
+        &self.stream[self.rank_start[rank]..self.rank_start[rank + 1]]
+    }
+
+    /// Ids of the ops `op` waits for.
+    pub fn deps(&self, op: &LoweredOp) -> &[OpId] {
+        &self.deps[op.deps.clone()]
+    }
+
+    /// Ranks whose completion ring `op`'s completion is pushed into.
+    pub fn subscribers(&self, op: &LoweredOp) -> &[Rank] {
+        &self.subs[op.subs.clone()]
+    }
+
+    /// Upper bound on completions pushed into `rank`'s ring in one run.
+    pub fn inbound(&self, rank: Rank) -> usize {
+        self.inbound[rank]
+    }
+
+    /// Key and declared size of every buffer, in slot order.
+    pub fn bufs(&self) -> &[((Rank, BufId), usize)] {
+        &self.bufs
+    }
+
+    /// The slot of `(rank, buf)`, if the schedule declares that buffer.
+    pub fn slot_of(&self, rank: Rank, buf: BufId) -> Option<usize> {
+        slot_in(&self.bufs, rank, buf)
+    }
+}
+
+/// Position of `(rank, buf)` in a buffer table sorted by key.
+fn slot_in(bufs: &[((Rank, BufId), usize)], rank: Rank, buf: BufId) -> Option<usize> {
+    bufs.binary_search_by_key(&(rank, buf), |&(key, _)| key)
+        .ok()
+}
+
+/// The histogram kind index and distance class of one operation.
+fn op_kind_and_class(kind: &OpKind, distances: Option<&DistanceMatrix>) -> (usize, u8) {
+    let (k, a, b) = match kind {
+        OpKind::Copy {
+            src_rank,
+            dst_rank,
+            mech: Mech::Knem,
+            ..
+        } => (0, *src_rank, *dst_rank),
+        OpKind::Copy {
+            src_rank, dst_rank, ..
+        } => (1, *src_rank, *dst_rank),
+        OpKind::Notify { from, to } => (2, *from, *to),
+    };
+    let class = distances
+        .filter(|d| a < d.num_ranks() && b < d.num_ranks())
+        .map_or(0, |d| d.get(a, b));
+    (k, class)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pdac_simnet::ScheduleBuilder;
+
+    #[test]
+    fn lowering_keeps_program_order_deps_and_dedups_subscribers() {
+        // 0 -> 1, then rank 2 pulls from rank 1 twice and rank 1 once more
+        // from itself: op `a` has two dependents on rank 2 (one
+        // subscription) and one on its own rank (none).
+        let mut b = ScheduleBuilder::new("t", 3);
+        let a = b.copy(
+            (0, BufId::Send, 0),
+            (1, BufId::Recv, 0),
+            64,
+            Mech::Knem,
+            1,
+            vec![],
+        );
+        let c = b.copy(
+            (1, BufId::Recv, 0),
+            (2, BufId::Recv, 0),
+            32,
+            Mech::Knem,
+            2,
+            vec![a],
+        );
+        let d = b.copy(
+            (1, BufId::Recv, 32),
+            (2, BufId::Recv, 32),
+            32,
+            Mech::Memcpy,
+            2,
+            vec![a, c],
+        );
+        let e = b.copy(
+            (1, BufId::Recv, 0),
+            (1, BufId::Temp(0), 0),
+            64,
+            Mech::Memcpy,
+            1,
+            vec![a],
+        );
+        let n = b.notify(2, 0, vec![d, e]);
+        let schedule = b.finish();
+        schedule.validate().unwrap();
+        let p = Program::lower(&schedule, None);
+
+        assert_eq!(p.num_ranks(), 3);
+        assert_eq!(p.num_ops(), 5);
+        assert_eq!(p.rank_ops(0), &[] as &[OpId]);
+        assert_eq!(p.rank_ops(1), &[a, e]);
+        assert_eq!(p.rank_ops(2), &[c, d, n]);
+        for (id, op) in schedule.ops.iter().enumerate() {
+            assert_eq!(p.deps(p.op(id)), &op.deps[..], "op {id}");
+            assert_eq!(p.op(id).kind, op.kind, "op {id}");
+        }
+        assert_eq!(
+            p.subscribers(p.op(a)),
+            &[2],
+            "two dependents, one subscription"
+        );
+        assert_eq!(
+            p.subscribers(p.op(c)),
+            &[] as &[Rank],
+            "same-rank dependent"
+        );
+        assert_eq!(p.subscribers(p.op(e)), &[2]);
+        assert_eq!((p.inbound(0), p.inbound(1), p.inbound(2)), (0, 0, 2));
+
+        // Slots follow the schedule's key order and resolve both ways.
+        let keys: Vec<(Rank, BufId)> = p.bufs().iter().map(|&(key, _)| key).collect();
+        assert_eq!(keys, schedule.buf_sizes.keys().copied().collect::<Vec<_>>());
+        assert_eq!(p.bufs()[p.op(a).dst], ((1, BufId::Recv), 64));
+        assert_eq!(p.slot_of(1, BufId::Temp(0)), Some(p.op(e).dst));
+        assert_eq!(p.slot_of(0, BufId::Recv), None);
+        assert_eq!(
+            (p.op(a).hist_kind, p.op(d).hist_kind, p.op(n).hist_kind),
+            (0, 1, 2)
+        );
+    }
+}

@@ -7,6 +7,9 @@
 //!    detects faults: a dropped notification surfaces as a typed timeout
 //!    and a crashed rank is confirmed by the failure detector.
 //! 3. A healthy, no-deadline run never parks on the condvar.
+//! 4. A ring sized for exactly the pushes it will receive — how the executor
+//!    sizes a rank's ring, by its inbound subscription count — never
+//!    reports full, even if its owner drains nothing until the end.
 //!
 //! The stress case repeats the concurrent-producer check
 //! `PDAC_STRESS_ITERS` times (default 50) so CI can crank the iteration
@@ -81,6 +84,36 @@ proptest! {
     ) {
         let capacity = ((producers * per_producer) >> cap_shift).max(2);
         let seen = producers_vs_consumer(producers, per_producer, capacity);
+        check_mpsc_invariants(producers, per_producer, &seen);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn ring_sized_to_its_pushes_never_reports_full(
+        producers in 1usize..=6,
+        per_producer in 1usize..=40,
+    ) {
+        // Exactly as many slots as pushes (the constructor only rounds up
+        // to a power of two) and a consumer that sleeps through all of them.
+        let total = producers * per_producer;
+        let ring = CompletionRing::with_capacity(total);
+        prop_assert!(ring.capacity() < 2 * total.max(2), "rounding, not head-room");
+        std::thread::scope(|scope| {
+            for p in 0..producers {
+                let ring = &ring;
+                scope.spawn(move || {
+                    for i in 0..per_producer {
+                        assert!(ring.push(p * 1_000_000 + i), "push {i} of producer {p} found the ring full");
+                    }
+                });
+            }
+        });
+        prop_assert_eq!(ring.len(), total);
+        let mut seen = Vec::with_capacity(total);
+        ring.drain_into(&mut |v| seen.push(v));
         check_mpsc_invariants(producers, per_producer, &seen);
     }
 }

@@ -183,3 +183,34 @@ fn tree_allreduce_has_one_rule() {
         gate
     );
 }
+
+#[test]
+fn session_plans_through_its_cache_without_changing_the_schedule() {
+    // `Session::plan` always goes through the session's own TopoCache now;
+    // for all nine collectives the miss and every later hit must equal the
+    // schedule planned with no cache at all — also where `Session` routes a
+    // broadcast or allgather to the distance-aware component itself.
+    for (machine, n) in [(machines::ig(), 12), (machines::zoot(), 16)] {
+        let session = Session::new(Arc::new(machine), BindingPolicy::CrossSocket, n).unwrap();
+        let comm = session.comm();
+        let uncached = AdaptiveColl::default();
+        for request in requests(n) {
+            let plain = uncached.plan(comm, request, Sinks::default());
+            for pass in ["miss", "hit", "hit again"] {
+                assert_eq!(session.plan(request), plain, "{} {request:?}: {pass}", comm.name());
+            }
+        }
+        let framework = pdac::collectives::framework::CollFramework::default();
+        let (root, bytes) = (n / 3, 200_000);
+        assert_eq!(
+            session.plan(Request::new(Collective::Bcast, root, bytes)),
+            framework.bcast(comm, root, bytes),
+            "the KnemColl branch of the framework's bcast"
+        );
+        assert_eq!(
+            session.plan(Request::new(Collective::Allgather, 0, 4096)),
+            framework.allgather(comm, 4096),
+            "the KnemColl branch of the framework's allgather"
+        );
+    }
+}
