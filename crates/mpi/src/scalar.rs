@@ -28,25 +28,52 @@ pub trait Scalar: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// The element's numeric kind.
     const KIND: ScalarKind;
 
-    /// Serializes into exactly [`Self::WIDTH`] bytes at `out`.
-    fn write_le(&self, out: &mut [u8]);
+    /// Serializes `values` into `values.len() * WIDTH` little-endian bytes.
+    fn pack(values: &[Self]) -> Vec<u8>;
 
-    /// Deserializes from exactly [`Self::WIDTH`] bytes.
-    fn read_le(bytes: &[u8]) -> Self;
+    /// Deserializes little-endian `bytes` into a fresh vector.
+    ///
+    /// # Panics
+    /// Panics if `bytes.len()` is not a multiple of the element width.
+    fn unpack(bytes: &[u8]) -> Vec<Self>;
+
+    /// Deserializes little-endian `bytes` over the elements of `out`.
+    ///
+    /// # Panics
+    /// Panics if `bytes.len()` is not a multiple of the element width or
+    /// `out` does not hold exactly `bytes.len() / WIDTH` elements.
+    fn unpack_into(bytes: &[u8], out: &mut [Self]);
 }
 
+/// Splits `bytes` into whole `W`-byte elements.
+fn elements<const W: usize>(bytes: &[u8]) -> &[[u8; W]] {
+    let (elements, rest) = bytes.as_chunks::<W>();
+    assert!(rest.is_empty(), "byte length must be element-aligned");
+    elements
+}
+
+// Conversions run over `[u8; WIDTH]` arrays, not runtime-length subslices: with
+// the width in the type each loop compiles to plain vector loads and stores.
 macro_rules! impl_scalar {
     ($(($t:ty, $kind:ident)),*) => {$(
         impl Scalar for $t {
             const WIDTH: usize = std::mem::size_of::<$t>();
             const KIND: ScalarKind = ScalarKind::$kind;
 
-            fn write_le(&self, out: &mut [u8]) {
-                out.copy_from_slice(&self.to_le_bytes());
+            fn pack(values: &[Self]) -> Vec<u8> {
+                values.iter().map(|v| v.to_le_bytes()).collect::<Vec<_>>().into_flattened()
             }
 
-            fn read_le(bytes: &[u8]) -> Self {
-                <$t>::from_le_bytes(bytes.try_into().expect("exact width"))
+            fn unpack(bytes: &[u8]) -> Vec<Self> {
+                elements(bytes).iter().map(|e| <$t>::from_le_bytes(*e)).collect()
+            }
+
+            fn unpack_into(bytes: &[u8], out: &mut [Self]) {
+                let elements = elements(bytes);
+                assert_eq!(elements.len(), out.len(), "target length must match the payload");
+                for (o, e) in out.iter_mut().zip(elements) {
+                    *o = <$t>::from_le_bytes(*e);
+                }
             }
         }
     )*};
@@ -56,11 +83,7 @@ impl_scalar!((f64, F64), (i64, I64), (u64, U64), (u32, U32), (i32, I32), (u8, U8
 
 /// Serializes a slice of scalars into a little-endian byte vector.
 pub fn to_bytes<T: Scalar>(values: &[T]) -> Vec<u8> {
-    let mut out = vec![0u8; values.len() * T::WIDTH];
-    for (v, chunk) in values.iter().zip(out.chunks_exact_mut(T::WIDTH)) {
-        v.write_le(chunk);
-    }
-    out
+    T::pack(values)
 }
 
 /// Deserializes a little-endian byte slice into scalars.
@@ -68,24 +91,91 @@ pub fn to_bytes<T: Scalar>(values: &[T]) -> Vec<u8> {
 /// # Panics
 /// Panics if `bytes.len()` is not a multiple of the element width.
 pub fn from_bytes<T: Scalar>(bytes: &[u8]) -> Vec<T> {
-    assert_eq!(bytes.len() % T::WIDTH, 0, "byte length must be element-aligned");
-    bytes.chunks_exact(T::WIDTH).map(T::read_le).collect()
+    T::unpack(bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    /// Bit patterns a value-comparing round trip would not tell apart: quiet
+    /// and signalling NaNs with payloads, both zeros, both infinities.
+    const F64_SPECIAL: [u64; 8] = [
+        0x7ff8_0000_0000_0000,
+        0xfff8_0000_0000_1234,
+        0x7ff0_0000_dead_beef,
+        0xfff4_0000_0000_0001,
+        0x0000_0000_0000_0000,
+        0x8000_0000_0000_0000,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+    ];
+
+    /// `pack`/`unpack`/`unpack_into` against the per-element encoding they
+    /// replaced (one `to_le_bytes` copy, one `from_le_bytes` of a
+    /// runtime-length chunk per element), compared on bit patterns.
+    fn check_conversions<T: Scalar, const W: usize>(
+        values: Vec<T>,
+        to_le: fn(T) -> [u8; W],
+        from_le: fn([u8; W]) -> T,
+    ) -> Result<(), TestCaseError> {
+        let mut reference = vec![0u8; values.len() * T::WIDTH];
+        for (v, chunk) in values.iter().zip(reference.chunks_exact_mut(T::WIDTH)) {
+            chunk.copy_from_slice(&to_le(*v));
+        }
+        let packed = T::pack(&values);
+        prop_assert_eq!(&packed, &reference);
+        prop_assert_eq!(to_bytes(&values), reference);
+
+        let bits = |vs: &[T]| vs.iter().map(|v| to_le(*v)).collect::<Vec<_>>();
+        let decoded: Vec<T> = packed
+            .chunks_exact(T::WIDTH)
+            .map(|c| from_le(c.try_into().expect("exact width")))
+            .collect();
+        prop_assert_eq!(bits(&decoded), bits(&values));
+        prop_assert_eq!(bits(&T::unpack(&packed)), bits(&values));
+        prop_assert_eq!(bits(&from_bytes::<T>(&packed)), bits(&values));
+        let mut target = vec![from_le([0xa5; W]); values.len()];
+        T::unpack_into(&packed, &mut target);
+        prop_assert_eq!(bits(&target), bits(&values));
+        Ok(())
+    }
+
+    macro_rules! conversion_properties {
+        ($($name:ident($t:ty, $from_bits:expr)),* $(,)?) => {
+            proptest! {$(
+                #[test]
+                fn $name(raw in vec(any::<u64>(), 0..=300)) {
+                    check_conversions::<$t, { <$t>::WIDTH }>(
+                        raw.into_iter().map($from_bits).collect(),
+                        <$t>::to_le_bytes,
+                        <$t>::from_le_bytes,
+                    )?;
+                }
+            )*}
+        };
+    }
+
+    conversion_properties! {
+        f64_conversions(f64, |b| f64::from_bits(match b % 4 {
+            0 => F64_SPECIAL[(b >> 2) as usize % F64_SPECIAL.len()],
+            _ => b,
+        })),
+        i64_conversions(i64, |b| b as i64),
+        u64_conversions(u64, |b| b),
+        u32_conversions(u32, |b| b as u32),
+        i32_conversions(i32, |b| b as i32),
+        u8_conversions(u8, |b| b as u8),
+    }
 
     #[test]
-    fn roundtrip_all_types() {
-        let f = vec![1.5f64, -2.25, f64::MAX, 0.0];
-        assert_eq!(from_bytes::<f64>(&to_bytes(&f)), f);
-        let i = vec![i64::MIN, -1, 0, i64::MAX];
-        assert_eq!(from_bytes::<i64>(&to_bytes(&i)), i);
-        let u = vec![0u32, 7, u32::MAX];
-        assert_eq!(from_bytes::<u32>(&to_bytes(&u)), u);
-        let b = vec![0u8, 255, 42];
-        assert_eq!(from_bytes::<u8>(&to_bytes(&b)), b);
+    fn empty_slices_convert() {
+        assert!(u32::pack(&[]).is_empty());
+        assert!(f64::unpack(&[]).is_empty());
+        u64::unpack_into(&[], &mut []);
     }
 
     #[test]
@@ -98,5 +188,17 @@ mod tests {
     #[should_panic(expected = "element-aligned")]
     fn misaligned_rejected() {
         from_bytes::<u32>(&[0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "element-aligned")]
+    fn misaligned_unpack_into_rejected() {
+        u64::unpack_into(&[0; 12], &mut [0; 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "target length must match")]
+    fn wrong_length_target_rejected() {
+        u32::unpack_into(&[0; 8], &mut [0; 3]);
     }
 }

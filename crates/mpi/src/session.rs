@@ -11,7 +11,7 @@ use pdac_mpisim::{Communicator, ExecError, ExecResult, KnemDevice, KnemStats, Th
 use pdac_simnet::{BufId, DataOp, Schedule};
 
 use crate::datatype::Datatype;
-use crate::scalar::{from_bytes, to_bytes, Scalar, ScalarKind};
+use crate::scalar::{Scalar, ScalarKind};
 
 /// Typed reduction operators (the MPI_Op subset with lane-wise support).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,9 +217,20 @@ impl Session {
         Ok(len)
     }
 
+    fn check_root(&self, root: usize, what: &str) -> Result<(), MpiError> {
+        if root >= self.size() {
+            return Err(MpiError::Shape(format!(
+                "{what}: root {root} out of range for {} ranks",
+                self.size()
+            )));
+        }
+        Ok(())
+    }
+
     /// Broadcast: after the call every rank's buffer equals the root's.
     pub fn bcast<T: Scalar>(&self, bufs: &mut [Vec<T>], root: usize) -> Result<(), MpiError> {
         let len = self.check_uniform(bufs, "bcast")?;
+        self.check_root(root, "bcast")?;
         if len == 0 || self.size() == 1 {
             let src = bufs[root].clone();
             for b in bufs.iter_mut() {
@@ -230,11 +241,11 @@ impl Session {
         let bytes = len * T::WIDTH;
         let schedule = self.plan_selected(Request::new(Collective::Bcast, root, bytes));
         let mut send: Vec<Vec<u8>> = vec![Vec::new(); self.size()];
-        send[root] = to_bytes(&bufs[root]);
+        send[root] = T::pack(&bufs[root]);
         let result = self.execute(&schedule, send)?;
         for (r, buf) in bufs.iter_mut().enumerate() {
             if r != root {
-                *buf = from_bytes(&result.buffer(r, BufId::Recv)[..bytes]);
+                T::unpack_into(&result.buffer(r, BufId::Recv)[..bytes], buf);
             }
         }
         Ok(())
@@ -251,14 +262,17 @@ impl Session {
         if bufs.len() != self.size() {
             return Err(MpiError::Shape("bcast_typed: one buffer per rank".into()));
         }
+        self.check_root(root, "bcast_typed")?;
         if !dt.is_valid() {
             return Err(MpiError::Shape("bcast_typed: invalid datatype".into()));
         }
-        let mut packed: Vec<Vec<u8>> = vec![dt.pack(&bufs[root])];
+        let extent = dt.extent();
+        if bufs.iter().any(|b| b.len() < extent) {
+            return Err(MpiError::Shape("bcast_typed: buffer shorter than the extent".into()));
+        }
         // Reuse the scalar path over the packed bytes.
-        let mut staged: Vec<Vec<u8>> = (0..self.size())
-            .map(|r| if r == root { packed.pop().expect("one packed") } else { vec![0; dt.size()] })
-            .collect();
+        let mut staged: Vec<Vec<u8>> = vec![vec![0; dt.size()]; self.size()];
+        staged[root] = dt.pack(&bufs[root]);
         if dt.size() > 0 {
             self.bcast::<u8>(&mut staged, root)?;
         }
@@ -279,10 +293,10 @@ impl Session {
         }
         let block = len * T::WIDTH;
         let schedule = self.plan_selected(Request::new(Collective::Allgather, 0, block));
-        let send: Vec<Vec<u8>> = contribs.iter().map(|c| to_bytes(c)).collect();
+        let send: Vec<Vec<u8>> = contribs.iter().map(|c| T::pack(c)).collect();
         let result = self.execute(&schedule, send)?;
         Ok((0..self.size())
-            .map(|r| from_bytes(&result.buffer(r, BufId::Recv)[..block * self.size()]))
+            .map(|r| T::unpack(&result.buffer(r, BufId::Recv)[..block * self.size()]))
             .collect())
     }
 
@@ -295,15 +309,16 @@ impl Session {
         root: usize,
     ) -> Result<Vec<T>, MpiError> {
         let len = self.check_uniform(contribs, "reduce")?;
+        self.check_root(root, "reduce")?;
         let data_op = data_op_for(op, T::KIND)?;
         if len == 0 {
             return Ok(Vec::new());
         }
         let bytes = len * T::WIDTH;
-        let send: Vec<Vec<u8>> = contribs.iter().map(|c| to_bytes(c)).collect();
+        let send: Vec<Vec<u8>> = contribs.iter().map(|c| T::pack(c)).collect();
         let request = Request { op: data_op, ..Request::new(Collective::Reduce, root, bytes) };
         let result = self.plan_and_execute(request, send)?;
-        Ok(from_bytes(&result.buffer(root, BufId::Recv)[..bytes]))
+        Ok(T::unpack(&result.buffer(root, BufId::Recv)[..bytes]))
     }
 
     /// Allreduce: every rank receives the combination. Payloads that split
@@ -321,14 +336,14 @@ impl Session {
         }
         let n = self.size();
         let bytes = len * T::WIDTH;
-        let send: Vec<Vec<u8>> = contribs.iter().map(|c| to_bytes(c)).collect();
+        let send: Vec<Vec<u8>> = contribs.iter().map(|c| T::pack(c)).collect();
         let request = Request {
             op: data_op,
             allreduce: AdaptiveColl::allreduce_algorithm_choice(&self.comm, bytes, data_op),
             ..Request::new(Collective::Allreduce, 0, bytes)
         };
         let result = self.plan_and_execute(request, send)?;
-        Ok((0..n).map(|r| from_bytes(&result.buffer(r, BufId::Recv)[..bytes])).collect())
+        Ok((0..n).map(|r| T::unpack(&result.buffer(r, BufId::Recv)[..bytes])).collect())
     }
 
     /// Reduce-scatter: contributions of `n * block` elements; rank `r`
@@ -353,10 +368,10 @@ impl Session {
         if !block.is_multiple_of(data_op.lane_bytes()) {
             return Err(MpiError::Shape("reduce_scatter: block not lane-aligned".into()));
         }
-        let send: Vec<Vec<u8>> = contribs.iter().map(|c| to_bytes(c)).collect();
+        let send: Vec<Vec<u8>> = contribs.iter().map(|c| T::pack(c)).collect();
         let request = Request { op: data_op, ..Request::new(Collective::ReduceScatter, 0, block) };
         let result = self.plan_and_execute(request, send)?;
-        Ok((0..n).map(|r| from_bytes(&result.buffer(r, BufId::Recv)[..block])).collect())
+        Ok((0..n).map(|r| T::unpack(&result.buffer(r, BufId::Recv)[..block])).collect())
     }
 
     /// Gather: the root receives every rank's contribution, concatenated.
@@ -366,19 +381,21 @@ impl Session {
         root: usize,
     ) -> Result<Vec<T>, MpiError> {
         let len = self.check_uniform(contribs, "gather")?;
+        self.check_root(root, "gather")?;
         if len == 0 {
             return Ok(Vec::new());
         }
         let block = len * T::WIDTH;
-        let send: Vec<Vec<u8>> = contribs.iter().map(|c| to_bytes(c)).collect();
+        let send: Vec<Vec<u8>> = contribs.iter().map(|c| T::pack(c)).collect();
         let result = self.plan_and_execute(Request::new(Collective::Gather, root, block), send)?;
-        Ok(from_bytes(&result.buffer(root, BufId::Recv)[..block * self.size()]))
+        Ok(T::unpack(&result.buffer(root, BufId::Recv)[..block * self.size()]))
     }
 
     /// Scatter: the root's `n * block` elements are split; rank `r`
     /// receives block `r`.
     pub fn scatter<T: Scalar>(&self, data: &[T], root: usize) -> Result<Vec<Vec<T>>, MpiError> {
         let n = self.size();
+        self.check_root(root, "scatter")?;
         if !data.len().is_multiple_of(n) {
             return Err(MpiError::Shape(format!(
                 "scatter: {} elements do not split over {n} ranks",
@@ -390,9 +407,9 @@ impl Session {
             return Ok(vec![Vec::new(); n]);
         }
         let mut send: Vec<Vec<u8>> = vec![Vec::new(); n];
-        send[root] = to_bytes(data);
+        send[root] = T::pack(data);
         let result = self.plan_and_execute(Request::new(Collective::Scatter, root, block), send)?;
-        Ok((0..n).map(|r| from_bytes(&result.buffer(r, BufId::Recv)[..block])).collect())
+        Ok((0..n).map(|r| T::unpack(&result.buffer(r, BufId::Recv)[..block])).collect())
     }
 
     /// Alltoall: each rank's `n * block` elements are personalized; rank
@@ -409,9 +426,9 @@ impl Session {
         if block == 0 {
             return Ok(vec![Vec::new(); n]);
         }
-        let send: Vec<Vec<u8>> = bufs.iter().map(|c| to_bytes(c)).collect();
+        let send: Vec<Vec<u8>> = bufs.iter().map(|c| T::pack(c)).collect();
         let result = self.plan_and_execute(Request::new(Collective::Alltoall, 0, block), send)?;
-        Ok((0..n).map(|r| from_bytes(&result.buffer(r, BufId::Recv)[..block * n])).collect())
+        Ok((0..n).map(|r| T::unpack(&result.buffer(r, BufId::Recv)[..block * n])).collect())
     }
 
     /// Barrier: completes once every rank has entered (notification
@@ -524,6 +541,43 @@ mod tests {
         let ragged: Vec<Vec<f64>> = vec![vec![0.0], vec![0.0, 1.0], vec![], vec![]];
         assert!(matches!(s.allgather(&ragged), Err(MpiError::Shape(_))));
         assert!(matches!(s.scatter(&[1.0f64; 7], 0), Err(MpiError::Shape(_))));
+    }
+
+    #[test]
+    fn out_of_range_roots_are_shape_errors() {
+        // Two sessions: the multi-rank planner path and the single-rank
+        // shortcut both index by root.
+        for n in [4, 1] {
+            let s = session(n);
+            let data: Vec<Vec<u32>> = (0..n).map(|r| vec![r as u32; 2 * n]).collect();
+            let shape = |r: Result<(), MpiError>, what: &str| {
+                assert!(matches!(r, Err(MpiError::Shape(_))), "{what} on {n} ranks: {r:?}");
+            };
+            shape(s.bcast(&mut data.clone(), n), "bcast");
+            shape(s.bcast(&mut vec![Vec::<u32>::new(); n], n), "empty bcast");
+            let mut bytes = vec![vec![0u8; 8]; n];
+            shape(s.bcast_typed(&mut bytes, &Datatype::Contiguous { count: 8 }, n + 3), "bcast_typed");
+            shape(s.gather(&data, n).map(drop), "gather");
+            shape(s.scatter(&data[0], n).map(drop), "scatter");
+            let lanes: Vec<Vec<i64>> = vec![vec![1, 2]; n];
+            shape(s.reduce(&lanes, ReduceOp::Sum, usize::MAX).map(drop), "reduce");
+        }
+    }
+
+    #[test]
+    fn bcast_typed_rejects_buffers_shorter_than_the_extent() {
+        let s = session(4);
+        let dt = Datatype::Vector { count: 4, blocklen: 2, stride: 4 };
+        assert_eq!(dt.extent(), 14);
+        // Short at the root (pack would assert) and short elsewhere (unpack).
+        for short in [1, 2] {
+            let mut bufs: Vec<Vec<u8>> = (0..4).map(|r| vec![r as u8; 14]).collect();
+            bufs[short].truncate(13);
+            assert!(matches!(s.bcast_typed(&mut bufs, &dt, 1), Err(MpiError::Shape(_))));
+        }
+        let mut bufs: Vec<Vec<u8>> = (0..4).map(|r| vec![r as u8; 14]).collect();
+        s.bcast_typed(&mut bufs, &dt, 1).unwrap();
+        assert_eq!(bufs[3], [1, 1, 3, 3, 1, 1, 3, 3, 1, 1, 3, 3, 1, 1]);
     }
 
     #[test]

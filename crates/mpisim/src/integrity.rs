@@ -187,6 +187,44 @@ mod tests {
         assert_ne!(checksum(&[]), checksum(&[0]), "a zero byte is not absence");
     }
 
+    fn golden_pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i.wrapping_mul(131) ^ (i >> 8)) as u8).collect()
+    }
+
+    /// Pins the function itself, not just its properties: what is stamped
+    /// and verified may only change in a PR that argues for a new digest.
+    /// Lengths straddle the 8-byte word and the tail; values recorded at
+    /// commit 904318d.
+    #[test]
+    fn checksum_matches_golden_digests() {
+        for (len, digest) in [
+            (0, 0xcbf2_9ce4_8422_2325),
+            (1, 0xaf63_bc4c_8601_b62c),
+            (7, 0x9261_f54e_553c_19c6),
+            (8, 0x5b62_004e_553c_2c77),
+            (9, 0x83af_ae1a_d53c_d3d4),
+            (31, 0xea36_944d_7b51_377a),
+            (32, 0x5f8d_dcf9_a3e3_d8a5),
+            (33, 0x0fcd_bf23_d48e_4fac),
+            (128 * 1024, 0xfbc6_85c3_5ad1_6325),
+        ] {
+            assert_eq!(checksum(&golden_pattern(len)), digest, "{len} bytes");
+        }
+    }
+
+    /// `(h ^ w) * P mod 2^64` carries a difference only upward, so a flip of
+    /// bit 63 stays in bit 63 through every later word — and a second flip
+    /// of bit 63 in another word cancels it.
+    #[test]
+    #[ignore = "known gap, see ROADMAP: digest follow-up"]
+    fn checksum_sees_two_top_bit_flips() {
+        let mut buf = golden_pattern(4096);
+        let clean = checksum(&buf);
+        buf[7] ^= 0x80;
+        buf[807] ^= 0x80;
+        assert_ne!(checksum(&buf), clean, "top-bit flips in words 0 and 100 must not cancel");
+    }
+
     #[test]
     fn checksum_sees_single_byte_changes_anywhere() {
         let base: Vec<u8> = (0..253).map(|i| i as u8).collect();

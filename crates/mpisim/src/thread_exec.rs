@@ -1129,34 +1129,32 @@ pub fn apply_data_op(op: DataOp, dst: &mut [u8], src: &[u8]) {
                 *d |= *s;
             }
         }
-        DataOp::SumF64 | DataOp::MaxF64 | DataOp::MinF64 | DataOp::ProdF64 => {
-            for (d, s) in dst.chunks_exact_mut(8).zip(src.chunks_exact(8)) {
-                let a = f64::from_le_bytes(d.try_into().expect("8-byte lane"));
-                let b = f64::from_le_bytes(s.try_into().expect("8-byte lane"));
-                let r = match op {
-                    DataOp::SumF64 => a + b,
-                    DataOp::MaxF64 => a.max(b),
-                    DataOp::MinF64 => a.min(b),
-                    _ => a * b,
-                };
-                d.copy_from_slice(&r.to_le_bytes());
-            }
-        }
-        DataOp::SumI64 => {
-            for (d, s) in dst.chunks_exact_mut(8).zip(src.chunks_exact(8)) {
-                let a = i64::from_le_bytes(d.try_into().expect("8-byte lane"));
-                let b = i64::from_le_bytes(s.try_into().expect("8-byte lane"));
-                d.copy_from_slice(&a.wrapping_add(b).to_le_bytes());
-            }
-        }
-        DataOp::MaxU64 => {
-            for (d, s) in dst.chunks_exact_mut(8).zip(src.chunks_exact(8)) {
-                let a = u64::from_le_bytes(d.try_into().expect("8-byte lane"));
-                let b = u64::from_le_bytes(s.try_into().expect("8-byte lane"));
-                d.copy_from_slice(&a.max(b).to_le_bytes());
-            }
-        }
+        DataOp::SumF64 => combine_f64(dst, src, |a, b| a + b),
+        DataOp::MaxF64 => combine_f64(dst, src, f64::max),
+        DataOp::MinF64 => combine_f64(dst, src, f64::min),
+        DataOp::ProdF64 => combine_f64(dst, src, |a, b| a * b),
+        DataOp::SumI64 => combine_lanes(dst, src, |a, b| {
+            i64::from_le_bytes(a).wrapping_add(i64::from_le_bytes(b)).to_le_bytes()
+        }),
+        DataOp::MaxU64 => combine_lanes(dst, src, |a, b| {
+            u64::from_le_bytes(a).max(u64::from_le_bytes(b)).to_le_bytes()
+        }),
     }
+}
+
+/// `dst[lane] = f(dst[lane], src[lane])` over whole 8-byte lanes. Generic in
+/// `f` so every operator gets a loop of its own with nothing to decide per
+/// lane, which is what lets it vectorize.
+fn combine_lanes(dst: &mut [u8], src: &[u8], f: impl Fn([u8; 8], [u8; 8]) -> [u8; 8]) {
+    let (dst, _) = dst.as_chunks_mut::<8>();
+    let (src, _) = src.as_chunks::<8>();
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = f(*d, *s);
+    }
+}
+
+fn combine_f64(dst: &mut [u8], src: &[u8], f: impl Fn(f64, f64) -> f64) {
+    combine_lanes(dst, src, |a, b| f(f64::from_le_bytes(a), f64::from_le_bytes(b)).to_le_bytes());
 }
 
 impl RankJob {
@@ -1274,6 +1272,100 @@ mod tests {
         (0..size)
             .map(|i| (rank as u8).wrapping_mul(37).wrapping_add(i as u8))
             .collect()
+    }
+
+    /// The typed combines as they were before each operator got its own
+    /// loop: one loop, the operator matched per lane. Kept as the reference
+    /// [`apply_data_op`] must stay bit-identical to — signed zeros, infinities
+    /// and a single NaN operand included; NaN with NaN is the one exception,
+    /// explained where it is asserted.
+    fn apply_typed_reference(op: DataOp, dst: &mut [u8], src: &[u8]) {
+        for (d, s) in dst.chunks_exact_mut(8).zip(src.chunks_exact(8)) {
+            let (a, b): ([u8; 8], [u8; 8]) = (d.try_into().unwrap(), s.try_into().unwrap());
+            let (x, y) = (f64::from_le_bytes(a), f64::from_le_bytes(b));
+            let r = match op {
+                DataOp::SumF64 => (x + y).to_le_bytes(),
+                DataOp::MaxF64 => x.max(y).to_le_bytes(),
+                DataOp::MinF64 => x.min(y).to_le_bytes(),
+                DataOp::ProdF64 => (x * y).to_le_bytes(),
+                DataOp::SumI64 => {
+                    i64::from_le_bytes(a).wrapping_add(i64::from_le_bytes(b)).to_le_bytes()
+                }
+                DataOp::MaxU64 => u64::from_le_bytes(a).max(u64::from_le_bytes(b)).to_le_bytes(),
+                DataOp::Move | DataOp::Add | DataOp::BorU8 => unreachable!("byte-wise operator"),
+            };
+            d.copy_from_slice(&r);
+        }
+    }
+
+    #[test]
+    fn typed_combines_are_bit_identical_to_the_per_lane_reference() {
+        use rand::{rngs::StdRng, RngCore, SeedableRng};
+        let special = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_dead_beef), // signalling NaN with a payload
+            f64::from_bits(0xfff8_0000_0000_1234), // quiet NaN with a payload
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            f64::MAX,
+            1.5,
+        ];
+        let mut rng = StdRng::seed_from_u64(16);
+        // Every ordered pair of special values, then random bit patterns
+        // mixed with special ones; 8 * 1003 + 5 bytes leaves a vector-width
+        // remainder and a partial lane that must stay untouched.
+        let mut a: Vec<u8> = Vec::new();
+        let mut b: Vec<u8> = Vec::new();
+        for x in special {
+            for y in special {
+                a.extend_from_slice(&x.to_le_bytes());
+                b.extend_from_slice(&y.to_le_bytes());
+            }
+        }
+        while a.len() < 8 * 1003 {
+            for side in [&mut a, &mut b] {
+                let draw = rng.next_u64();
+                let lane = match draw % 4 {
+                    0 => special[(draw >> 8) as usize % special.len()].to_bits(),
+                    _ => draw,
+                };
+                side.extend_from_slice(&lane.to_le_bytes());
+            }
+        }
+        a.extend_from_slice(&[1, 2, 3, 4, 5]);
+        b.extend_from_slice(&[9, 9, 9, 9, 9]);
+        for op in [
+            DataOp::SumF64,
+            DataOp::MaxF64,
+            DataOp::MinF64,
+            DataOp::ProdF64,
+            DataOp::SumI64,
+            DataOp::MaxU64,
+        ] {
+            let (mut got, mut want) = (a.clone(), a.clone());
+            apply_data_op(op, &mut got, &b);
+            apply_typed_reference(op, &mut want, &b);
+            let is_f64 = !matches!(op, DataOp::SumI64 | DataOp::MaxU64);
+            for i in 0..1003 {
+                let lane = |v: &[u8]| u64::from_le_bytes(v[8 * i..8 * i + 8].try_into().unwrap());
+                let (x, y, g, w) = (lane(&a), lane(&b), lane(&got), lane(&want));
+                // NaN . NaN is the one case the language leaves open: the
+                // result is a NaN, but whose sign and payload it carries
+                // follows the operand order the compiler picked for the
+                // instruction (x86 returns its first operand's), and that
+                // differs between two compilations of the same `a + b`.
+                if is_f64 && f64::from_bits(x).is_nan() && f64::from_bits(y).is_nan() {
+                    assert!(f64::from_bits(g).is_nan(), "{op:?} lane {i}: {x:#018x} . {y:#018x}");
+                } else {
+                    assert_eq!(g, w, "{op:?} lane {i}: {x:#018x} . {y:#018x}");
+                }
+            }
+            assert_eq!(&got[8 * 1003..], &[1, 2, 3, 4, 5], "{op:?} touched the partial lane");
+        }
     }
 
     #[test]
