@@ -2,8 +2,9 @@
 //! corruption injection.
 //!
 //! The executor stamps every staged chunk with a checksum computed over the
-//! *source* bytes at `tx` time (while it still holds the source lock) and
-//! verifies the staged copy at completion, just before the combine into the
+//! *source* bytes at `tx` time (while it still holds the source lock, in the
+//! pass that copies them to staging: [`copy_stamped`]) and verifies the
+//! staged copy at completion ([`checksum`]), just before the combine into the
 //! destination. Anything that mutates the bytes in between — the modeled
 //! "wire" — is detected, whichever [`crate::Transport`] backend resolved
 //! the source: the checksum brackets the transfer itself, so KNEM pulls and
@@ -21,34 +22,95 @@
 
 use pdac_simnet::Rank;
 
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Words per stripe: each lane folds every `LANES`-th word of the payload.
+const LANES: usize = 8;
+/// Bytes per stripe, one word per lane.
+const STRIPE: usize = 8 * LANES;
+/// Initial state of the tail chain and base of the lane seeds (the FNV-1a
+/// offset basis).
+const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// Odd, dense multiplier of the lane step (2^64 / golden ratio).
+const MULT: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Fast FNV-1a-style checksum over `data`, folded eight bytes at a time.
+/// Folds word `w` into state `h`: fold, multiply, rotate.
 ///
-/// The classic byte-at-a-time FNV-1a is order-sensitive but touches every
-/// byte through a dependent multiply; folding whole `u64` words keeps the
-/// same xor-multiply structure (each step is a bijection of the running
-/// state, so a change to any word changes the digest) at roughly one
-/// multiply per eight bytes — cheap enough to run twice per staged chunk
-/// without moving the bench gate.
+/// A bijection of `h` for fixed `w` and of `w` for fixed `h` (`w ^ (w >> 32)`
+/// is invertible, the multiplier is odd, a rotation permutes bits), so a
+/// change confined to one word always changes the state. The fold — off the
+/// dependency chain — gives every input bit an image in the low half, whose
+/// product difference spreads over many state bits before the lane's next
+/// word arrives; DESIGN §16 has the argument and what it does not cover.
+#[inline(always)]
+fn step(h: u64, w: u64) -> u64 {
+    (h ^ w ^ (w >> 32)).wrapping_mul(MULT).rotate_left(29)
+}
+
+/// Per-lane seeds, so that equal words in different lanes leave different
+/// states and swapping two lanes' contents changes the digest.
+fn lane_seeds() -> [u64; LANES] {
+    std::array::from_fn(|i| OFFSET_BASIS ^ MULT.wrapping_mul(i as u64 + 1))
+}
+
+/// Folds one stripe into the lane states, lane `i` taking word `i`.
+#[inline(always)]
+fn absorb(lanes: &mut [u64; LANES], stripe: &[u8; STRIPE]) {
+    let (words, _) = stripe.as_chunks::<8>();
+    for (lane, word) in lanes.iter_mut().zip(words) {
+        *lane = step(*lane, u64::from_le_bytes(*word));
+    }
+}
+
+/// Chains the sub-stripe `rest` (zero-padded to whole words; `len` tells a
+/// padded zero from a real one) and then the lane states into one word, and
+/// mixes it so that every state bit reaches every digest bit.
+fn finish(lanes: &[u64; LANES], rest: &[u8], len: usize) -> u64 {
+    let mut h = OFFSET_BASIS ^ (len as u64);
+    for word in rest.chunks(8) {
+        let mut padded = [0u8; 8];
+        padded[..word.len()].copy_from_slice(word);
+        h = step(h, u64::from_le_bytes(padded));
+    }
+    for lane in lanes {
+        h = step(h, *lane);
+    }
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
+/// Checksum of `data`: eight interleaved fold-multiply-rotate lanes over
+/// 64-byte stripes, chained with the rest and the length, then mixed.
+///
+/// The eight lane chains are independent, so the multiplies overlap and the
+/// digest runs at copy speed rather than at one multiply latency per word —
+/// cheap enough to run twice per staged chunk. Every step is a bijection, so
+/// any change confined to one aligned word is always detected; it is not
+/// cryptographic and gives no CRC-style burst guarantee (DESIGN §16).
 pub fn checksum(data: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET ^ (data.len() as u64);
-    let mut chunks = data.chunks_exact(8);
-    for word in &mut chunks {
-        let w = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes"));
-        hash = (hash ^ w).wrapping_mul(FNV_PRIME);
+    let mut lanes = lane_seeds();
+    let (stripes, rest) = data.as_chunks::<STRIPE>();
+    for stripe in stripes {
+        absorb(&mut lanes, stripe);
     }
-    let mut tail = 0u64;
-    for (i, b) in chunks.remainder().iter().enumerate() {
-        tail |= (*b as u64) << (8 * i);
+    finish(&lanes, rest, data.len())
+}
+
+/// Copies `src` into `dst` and returns `checksum(src)`, reading `src` once.
+///
+/// # Panics
+/// With "copy_stamped: source and destination lengths differ" when
+/// `dst.len() != src.len()`.
+pub fn copy_stamped(dst: &mut [u8], src: &[u8]) -> u64 {
+    assert_eq!(dst.len(), src.len(), "copy_stamped: source and destination lengths differ");
+    let mut lanes = lane_seeds();
+    let (stripes, rest) = src.as_chunks::<STRIPE>();
+    let (dst_stripes, dst_rest) = dst.as_chunks_mut::<STRIPE>();
+    for (out, stripe) in dst_stripes.iter_mut().zip(stripes) {
+        *out = *stripe;
+        absorb(&mut lanes, stripe);
     }
-    if !chunks.remainder().is_empty() {
-        hash = (hash ^ tail).wrapping_mul(FNV_PRIME);
-    }
-    hash
+    dst_rest.copy_from_slice(rest);
+    finish(&lanes, rest, src.len())
 }
 
 /// Integrity counters for one run (monotonic; merged across attempts and
@@ -178,6 +240,7 @@ pub fn corrupt_payload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn checksum_is_deterministic_and_length_sensitive() {
@@ -193,36 +256,160 @@ mod tests {
 
     /// Pins the function itself, not just its properties: what is stamped
     /// and verified may only change in a PR that argues for a new digest.
-    /// Lengths straddle the 8-byte word and the tail; values recorded at
-    /// commit 904318d.
+    /// Lengths straddle the 8-byte word, the tail and the 64-byte stripe;
+    /// values recorded in PR 17 (parent commit e4fba4f), when this digest
+    /// replaced the word-wise FNV-1a pinned at 904318d.
     #[test]
     fn checksum_matches_golden_digests() {
         for (len, digest) in [
-            (0, 0xcbf2_9ce4_8422_2325),
-            (1, 0xaf63_bc4c_8601_b62c),
-            (7, 0x9261_f54e_553c_19c6),
-            (8, 0x5b62_004e_553c_2c77),
-            (9, 0x83af_ae1a_d53c_d3d4),
-            (31, 0xea36_944d_7b51_377a),
-            (32, 0x5f8d_dcf9_a3e3_d8a5),
-            (33, 0x0fcd_bf23_d48e_4fac),
-            (128 * 1024, 0xfbc6_85c3_5ad1_6325),
+            (0, 0xf0c2_d465_428d_0c76),
+            (1, 0x2655_c6da_5d59_bcc8),
+            (7, 0x2bbb_2de1_920d_e705),
+            (8, 0x9787_3fa8_f447_48e5),
+            (9, 0xd311_9296_a6d8_c489),
+            (31, 0x0086_aaf1_92df_6839),
+            (32, 0x47b7_8357_fdb2_4dfb),
+            (33, 0xb2fb_e802_3091_2e54),
+            (63, 0xe330_07db_49e1_a458),
+            (64, 0x1e43_adab_e7fb_fe1b),
+            (65, 0x551f_7fbb_5615_ddc0),
+            (127, 0x78ec_793a_8420_458c),
+            (128, 0x1fc1_b229_b8fa_d90c),
+            (129, 0x9fff_e4c8_b955_2f63),
+            (128 * 1024, 0xb397_802f_f6a9_a5ee),
         ] {
             assert_eq!(checksum(&golden_pattern(len)), digest, "{len} bytes");
         }
     }
 
-    /// `(h ^ w) * P mod 2^64` carries a difference only upward, so a flip of
-    /// bit 63 stays in bit 63 through every later word — and a second flip
-    /// of bit 63 in another word cancels it.
+    /// The digest this one replaced, `(h ^ w) * P mod 2^64`, carried a
+    /// difference only upward: a flip of bit 63 stayed in bit 63 through
+    /// every later word, and a second flip of bit 63 in another word
+    /// cancelled it. The rotation moves a state difference off the top bit
+    /// before the next word of the lane arrives.
     #[test]
-    #[ignore = "known gap, see ROADMAP: digest follow-up"]
     fn checksum_sees_two_top_bit_flips() {
         let mut buf = golden_pattern(4096);
         let clean = checksum(&buf);
         buf[7] ^= 0x80;
         buf[807] ^= 0x80;
         assert_ne!(checksum(&buf), clean, "top-bit flips in words 0 and 100 must not cancel");
+    }
+
+    fn flip(buf: &mut [u8], word: usize, bit: usize) {
+        buf[8 * word + bit / 8] ^= 1 << (bit % 8);
+    }
+
+    /// Tells a moved blind spot from a closed one: every one of the 64 x 64
+    /// two-bit flips across a pair of words must change the digest — for
+    /// pairs in the same lane one and two stripes apart (first stripe, last
+    /// stripe, in between), in the sub-stripe rest chain, for neighbouring
+    /// words (within a stripe, across a stripe boundary, across the boundary
+    /// to the rest) and for a far pair, over patterned, all-zero and all-one
+    /// payloads: 172 032 patterns.
+    ///
+    /// The rotate-only step `rotl((h ^ w) * K, 29)` passes
+    /// `checksum_sees_two_top_bit_flips` and fails here at bit pair
+    /// `(63, 28)` on every payload (and, payload permitting, at `(62, 27)`
+    /// before it): an odd multiplier keeps a lone top-bit difference a lone
+    /// bit, the rotation parks it on bit 28, and a flip of bit 28 in the
+    /// lane's next word cancels it. Folding `w >> 32` into the word first
+    /// gives every input bit a low-half image whose product difference
+    /// spreads over many state bits, which no single flip can cancel.
+    #[test]
+    fn checksum_sees_every_two_bit_flip_across_word_pairs() {
+        const WORDS: usize = 131; // 16 stripes and a three-word rest
+        let last = 16 * LANES - 1;
+        let pairs = [
+            (0, LANES),
+            (3, 3 + LANES),
+            (60, 60 + LANES),
+            (last - LANES, last),
+            (0, 2 * LANES),
+            (5, 5 + 2 * LANES),
+            (last - 2 * LANES, last),
+            (128, 129),
+            (128, 130),
+            (0, 1),
+            (LANES - 1, LANES),
+            (last - 1, last),
+            (last, 128),
+            (2, 125),
+        ];
+        assert!(3 * pairs.len() * 64 * 64 >= 100_000);
+        for (fill, mut buf) in [
+            ("patterned", golden_pattern(8 * WORDS)),
+            ("0x00", vec![0x00; 8 * WORDS]),
+            ("0xff", vec![0xff; 8 * WORDS]),
+        ] {
+            let clean = checksum(&buf);
+            for (a, b) in pairs {
+                for i in 0..64 {
+                    flip(&mut buf, a, i);
+                    for j in 0..64 {
+                        flip(&mut buf, b, j);
+                        assert_ne!(
+                            checksum(&buf),
+                            clean,
+                            "bit {i} of word {a} against bit {j} of word {b}, {fill} payload"
+                        );
+                        flip(&mut buf, b, j);
+                    }
+                    flip(&mut buf, a, i);
+                }
+            }
+        }
+    }
+
+    /// Every step is a bijection, so one flipped bit — which is confined to
+    /// one word — can never be missed, whatever the length; and the length
+    /// itself is part of the digest, so a padded zero is not a real one.
+    #[test]
+    fn checksum_sees_every_single_bit_flip_and_an_appended_zero() {
+        for fill in [golden_pattern(131), vec![0u8; 131]] {
+            for len in 0..=130 {
+                let clean = checksum(&fill[..len]);
+                assert_ne!(checksum(&fill[..len + 1]), clean, "{len} bytes plus one");
+                let mut zero_extended = fill[..len].to_vec();
+                zero_extended.push(0);
+                assert_ne!(checksum(&zero_extended), clean, "{len} bytes plus a zero byte");
+                let mut buf = fill[..len].to_vec();
+                for bit in 0..8 * len {
+                    buf[bit / 8] ^= 1 << (bit % 8);
+                    assert_ne!(checksum(&buf), clean, "bit {bit} of {len} bytes");
+                    buf[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn copy_stamped_copies_and_equals_checksum_at_every_short_length() {
+        let src = golden_pattern(200);
+        for len in 0..=200 {
+            let mut dst = vec![0xeeu8; len];
+            assert_eq!(copy_stamped(&mut dst, &src[..len]), checksum(&src[..len]), "{len} bytes");
+            assert_eq!(dst, &src[..len], "{len} bytes");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "copy_stamped: source and destination lengths differ")]
+    fn copy_stamped_rejects_mismatched_lengths() {
+        copy_stamped(&mut [0u8; 64], &[0u8; 65]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn copy_stamped_equals_checksum_and_copies(
+            src in proptest::collection::vec(any::<u8>(), 0..=300 * 1024),
+        ) {
+            let mut dst = vec![0u8; src.len()];
+            prop_assert_eq!(copy_stamped(&mut dst, &src), checksum(&src));
+            prop_assert!(dst == src, "copy differs at {} bytes", src.len());
+        }
     }
 
     #[test]

@@ -1212,10 +1212,9 @@ impl RankJob {
             );
             let src = buffers[src].read();
             let src_bytes = &src[src_off..src_off + bytes];
-            // Stamp under the source lock: the checksum describes exactly what
-            // the owner held when the transfer began.
-            expected = integrity::checksum(src_bytes);
-            staging.copy_from_slice(src_bytes);
+            // Stamp under the source lock, in the same pass as the copy: the
+            // checksum describes exactly what the owner held when it began.
+            expected = integrity::copy_stamped(&mut staging, src_bytes);
         }
         counters.stamped.fetch_add(1, Ordering::Relaxed);
         if let Some((damage, budget)) = ctx.corrupt {
