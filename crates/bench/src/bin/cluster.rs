@@ -16,7 +16,6 @@ use pdac_hwtopo::{cluster, machines, BindingPolicy};
 fn main() {
     let c = cluster::homogeneous("ig-x4", &machines::ig(), 4, 2).expect("cluster builds");
     let ranks = c.num_cores();
-    let sizes: Vec<usize> = (12..=23).step_by(2).map(|p| 1usize << p).collect();
     let tuned_cfg = TunedConfig::default();
     let coll = AdaptiveColl::default();
 
@@ -34,7 +33,14 @@ fn main() {
         }
     };
 
-    for (what, kind, bcast) in [("Broadcast", BwKind::Bcast, true), ("Allgather", BwKind::Allgather, false)] {
+    // 4 KiB .. 4 MiB messages for broadcast. Allgather sizes are per-rank
+    // blocks and stop at 1 MiB: above that the chunked pulls are millions of
+    // ops (2.2 M at 4 MiB) with thousands in flight, and the rate solver
+    // needs hours and more than 2 GiB for them.
+    for (what, kind, bcast, max_pow) in
+        [("Broadcast", BwKind::Bcast, true, 22), ("Allgather", BwKind::Allgather, false, 20)]
+    {
+        let sizes: Vec<usize> = (12..=max_pow).step_by(2).map(|p| 1usize << p).collect();
         let curves = vec![
             mk("tuned_contiguous", BindingPolicy::Contiguous, false, bcast),
             mk("tuned_crossnode", BindingPolicy::CrossNode, false, bcast),

@@ -120,3 +120,18 @@ fn placement_stability_extends_to_clusters() {
     let var = (contiguous - cross).abs() / contiguous.max(cross);
     assert!(var < 0.05, "distance-aware stays stable at cluster scale: {var:.3}");
 }
+
+/// Checking a schedule must cost about what building it does, in memory as
+/// in time: the ring allgather on eight IG nodes is ~295 K ops with ~147 K
+/// conflicting pairs, and a race check that keeps an ops × candidates
+/// reachability table needs gigabytes for it. No wall-clock assertion; the
+/// CI memory cap on `--bin cluster` guards the 192-rank case the same way.
+#[test]
+fn allgather_on_384_ranks_validates() {
+    let c = cluster::homogeneous("ig-x8", &machines::ig(), 8, 2).unwrap();
+    let (_, dist) = matrix(&c, BindingPolicy::CrossNode);
+    let sched = allgather_schedule(&Ring::build(&dist), 16 << 10);
+    assert_eq!(sched.num_ranks, 384);
+    assert!(sched.ops.len() > 290_000, "{} ops", sched.ops.len());
+    sched.validate().unwrap();
+}

@@ -324,9 +324,11 @@ impl Schedule {
     /// writes, overlapping bytes of the same buffer.
     ///
     /// Overlap candidates come from an interval sweep per buffer (near
-    /// linear for conflict-free schedules); dependency reachability is then
-    /// computed as bitsets over the candidate ops only, keeping memory
-    /// proportional to `ops x candidates` instead of `ops^2`.
+    /// linear for conflict-free schedules) and are reported in sweep order.
+    /// Whether a pair is ordered is read off happens-before clocks: one
+    /// `u32` per chain of conflicting ops, one row per op that still has a
+    /// dependent to come. Time is `(deps + candidates) x chains`, memory
+    /// `live rows x chains`; neither grows with `ops x candidates`.
     fn check_write_races(&self) -> Result<(), ScheduleError> {
         type Access = (usize, usize, usize); // (op, start, end)
         let mut writes: BTreeMap<(Rank, BufId), Vec<Access>> = BTreeMap::new();
@@ -399,45 +401,79 @@ impl Schedule {
             return Ok(());
         }
 
-        // Reachability bitsets restricted to candidate ops.
-        let mut cset: Vec<usize> = candidate_pairs
-            .iter()
-            .flat_map(|&(a, b, _)| [a, b])
-            .collect();
-        cset.sort_unstable();
-        cset.dedup();
-        let idx: std::collections::HashMap<usize, usize> =
-            cset.iter().enumerate().map(|(i, &op)| (op, i)).collect();
-        let words = cset.len().div_ceil(64);
+        // Happens-before clocks over a greedy chain cover (DESIGN §5c). Deps
+        // point backwards, so only the lower-numbered op of a pair can precede
+        // the other: those ops are put on chains, each link a (transitive)
+        // dependency, and `at` is their (lane, position), positions from 1
+        // (set to 1 up front to mark the op, 0 for every other op).
+        // clock[i][lane] is the last position on that chain that precedes or
+        // is `i`.
         let n = self.ops.len();
-        let mut reach = vec![0u64; n * words];
-        for i in 0..n {
-            if let Some(&c) = idx.get(&i) {
-                reach[i * words + c / 64] |= 1 << (c % 64);
+        assert!(n < u32::MAX as usize, "clock entries are u32");
+        let mut at = vec![(0u32, 0u32); n];
+        // A pair is answered when the pass reaches its later op: `head` and
+        // `next` list each op's pairs.
+        let mut head = vec![usize::MAX; n];
+        let mut next = vec![usize::MAX; candidate_pairs.len()];
+        for (p, &(a, b, _)) in candidate_pairs.iter().enumerate() {
+            at[a.min(b)].1 = 1;
+            next[p] = std::mem::replace(&mut head[a.max(b)], p);
+        }
+        let mut last_use: Vec<OpId> = (0..n).collect();
+        for (i, op) in self.ops.iter().enumerate() {
+            for &d in &op.deps {
+                last_use[d] = i;
             }
-            for d in 0..self.ops[i].deps.len() {
-                let dep = self.ops[i].deps[d];
-                for w in 0..words {
-                    reach[i * words + w] |= reach[dep * words + w];
+        }
+        let mut tails: Vec<u32> = Vec::new(); // per lane: its chain's last position
+        let mut clock: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut pool: Vec<Vec<u32>> = Vec::new();
+        let mut first_race = usize::MAX;
+        for (i, op) in self.ops.iter().enumerate() {
+            let mut row = pool.pop().unwrap_or_default();
+            row.clear();
+            row.resize(tails.len(), 0);
+            for &d in &op.deps {
+                for (r, &c) in row.iter_mut().zip(&clock[d]) {
+                    *r = (*r).max(c);
+                }
+                if last_use[d] == i {
+                    // The row returns to the pool with its op's last dependent.
+                    pool.push(std::mem::take(&mut clock[d]));
                 }
             }
-        }
-        let ordered = |a: usize, b: usize| {
-            let (ca, cb) = (idx[&a], idx[&b]);
-            reach[b * words + ca / 64] & (1 << (ca % 64)) != 0
-                || reach[a * words + cb / 64] & (1 << (cb % 64)) != 0
-        };
-
-        for (a, b, both_write) in candidate_pairs {
-            if !ordered(a, b) {
-                return Err(if both_write {
-                    ScheduleError::UnorderedOverlappingWrites { a: a.min(b), b: a.max(b) }
-                } else {
-                    ScheduleError::UnorderedReadWrite { reader: a, writer: b }
+            if at[i].1 != 0 {
+                // Extend a chain whose last op precedes `i`, else open one.
+                let lane = (0..tails.len()).find(|&l| row[l] == tails[l]).unwrap_or_else(|| {
+                    tails.push(0);
+                    row.push(0);
+                    tails.len() - 1
                 });
+                tails[lane] += 1;
+                row[lane] = tails[lane];
+                at[i] = (lane as u32, tails[lane]);
+            }
+            let mut p = head[i];
+            while let Some(&(a, b, _)) = candidate_pairs.get(p) {
+                let (lane, pos) = at[a.min(b)];
+                if row[lane as usize] < pos {
+                    first_race = first_race.min(p);
+                }
+                p = next[p];
+            }
+            if last_use[i] == i {
+                pool.push(row);
+            } else {
+                clock[i] = row;
             }
         }
-        Ok(())
+        match candidate_pairs.get(first_race) {
+            None => Ok(()),
+            Some(&(a, b, true)) => Err(ScheduleError::UnorderedOverlappingWrites { a, b }),
+            Some(&(reader, writer, false)) => {
+                Err(ScheduleError::UnorderedReadWrite { reader, writer })
+            }
+        }
     }
 }
 
