@@ -22,21 +22,10 @@ fn bench_sim_executor(c: &mut Criterion) {
         ("allgather_64K", coll.allgather(&comm, 64 << 10)),
     ] {
         group.throughput(Throughput::Elements(schedule.ops.len() as u64));
-        // Default (incremental component-scoped rate solver) vs the forced
-        // whole-flow-set recompute at every event.
         group.bench_with_input(BenchmarkId::from_parameter(name), &schedule, |b, s| {
             let exec = SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false });
             b.iter(|| exec.run(s).unwrap())
         });
-        group.bench_with_input(
-            BenchmarkId::new("full_rates", name),
-            &schedule,
-            |b, s| {
-                let exec = SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false })
-                    .with_full_rates();
-                b.iter(|| exec.run(s).unwrap())
-            },
-        );
     }
     group.finish();
 }

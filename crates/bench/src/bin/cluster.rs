@@ -34,9 +34,9 @@ fn main() {
     };
 
     // 4 KiB .. 4 MiB messages for broadcast. Allgather sizes are per-rank
-    // blocks and stop at 1 MiB: above that the chunked pulls are millions of
-    // ops (2.2 M at 4 MiB) with thousands in flight, and the rate solver
-    // needs hours and more than 2 GiB for them.
+    // blocks and stop at 1 MiB: the 2 MiB schedule (1.1 M ops) runs into the
+    // engine's zero-length-step stall (ROADMAP, "The simulator's clock can
+    // stop") a few hundred ops before its end and never returns.
     for (what, kind, bcast, max_pow) in
         [("Broadcast", BwKind::Bcast, true, 22), ("Allgather", BwKind::Allgather, false, 20)]
     {

@@ -1,11 +1,11 @@
 //! Hot-path benchmark: cached vs cold topology construction and the
-//! incremental vs full rate solver, on a 32-rank communicator.
+//! simulator's event rate, on a 32-rank communicator.
 //!
 //! Repeated collectives on one communicator are the framework's steady
 //! state: the topology never changes between calls, so the per-call edge
 //! enumeration + sort + union-find of a cold build is pure overhead. This
-//! binary quantifies what the [`pdac_core::TopoCache`] and the engine's
-//! component-scoped rate solver buy, and writes the numbers to
+//! binary quantifies what the [`pdac_core::TopoCache`] buys and how fast
+//! the engine turns events over, and writes the numbers to
 //! `BENCH_hotpath.json` in the working directory.
 
 use std::sync::Arc;
@@ -42,51 +42,16 @@ struct ConstructionBench {
 struct EngineBench {
     schedule_ops: usize,
     events: u64,
-    full_events_per_sec: f64,
-    incremental_events_per_sec: f64,
-    speedup: f64,
-    solver_skipped: u64,
-    solver_incremental: u64,
+    events_per_sec: f64,
+    /// Events that solved rates (a flow arrived or left) and events that
+    /// did not have to.
     solver_full: u64,
-    solver_skipped_frac: f64,
-    solver_incremental_frac: f64,
+    solver_skipped: u64,
     solver_full_frac: f64,
-    /// Honesty flag for the solver-rework workstream: true when the
-    /// incremental mode fails to beat the full recompute by at least 5%.
-    incremental_not_winning: bool,
-    /// Per-phase decomposition of the incremental run's solve wall time —
-    /// the data that explains *why* `incremental_not_winning` when it is.
-    solver: SolverIntrospection,
-}
-
-/// Where the solver's wall time goes and why it fell back, from the
-/// per-run [`pdac_simnet::SolverStats`] phase timers and named-reason
-/// counters.
-#[derive(Serialize)]
-struct SolverIntrospection {
-    /// Total solve wall time (solve calls + flow interning), ns.
+    /// Host time in the solves of one run, ns.
     solve_ns: u64,
-    /// Flow add/remove interning, ns.
-    intern_ns: u64,
-    /// Component-decomposition BFS (+ result sort), ns.
-    bfs_ns: u64,
-    /// Progressive-filling rate iterations and writeback, ns.
-    fill_ns: u64,
-    /// Share of `solve_ns` attributed to the named phases above.
-    phase_attribution: f64,
-    /// Rate iterations across all fills.
+    /// Progressive-filling rounds across all solves.
     fill_rounds: u64,
-    /// Full solves forced by configuration (`with_full_rates`).
-    fallback_forced: u64,
-    /// Full solves because nothing was solved yet (first event).
-    fallback_cold_start: u64,
-    /// Full solves because the touched component spanned most flows.
-    fallback_component_spanned: u64,
-    /// Full solves after the honesty check disabled incremental mode.
-    fallback_incremental_disabled: u64,
-    /// Touched-component size histogram, log2 buckets (index i counts
-    /// components of 2^i..2^(i+1) flows).
-    component_size_log2: Vec<u64>,
 }
 
 /// Critical-path wait attribution of one collective's predicted run: how
@@ -210,32 +175,13 @@ fn main() {
         },
     );
 
-    // Engine: a 1 MB broadcast on the same communicator, solved with the
-    // forced full recompute vs the incremental component-scoped solver.
+    // Engine: a 1 MB broadcast on the same communicator.
     let schedule = coll.bcast_cached(&cache, &comm, 0, 1 << 20);
-    let cfg = SimConfig { allow_cache: false };
-    let events_per_sec = |full: bool| {
-        let make = || {
-            let e = SimExecutor::new(&machine, &binding, cfg);
-            if full {
-                e.with_full_rates()
-            } else {
-                e
-            }
-        };
-        let report = make().run(&schedule).unwrap();
-        let s = report.solver_stats;
-        let events = s.skipped + s.incremental + s.full;
-        let iters = 40;
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(make().run(&schedule).unwrap());
-        }
-        let secs = t0.elapsed().as_secs_f64() / f64::from(iters);
-        (events as f64 / secs, events, s)
-    };
-    let (full_eps, events, _) = events_per_sec(true);
-    let (inc_eps, _, stats) = events_per_sec(false);
+    let exec = SimExecutor::new(&machine, &binding, SimConfig { allow_cache: false });
+    let stats = exec.run(&schedule).unwrap().solver_stats;
+    let run_ns = ns_per_call(40, || {
+        std::hint::black_box(exec.run(&schedule).unwrap());
+    });
 
     // Critical-path wait attribution: a 1 MB broadcast and a 256 KB-block
     // allgather on the same communicator, through the predicted-op leg of
@@ -247,27 +193,6 @@ fn main() {
         allgather: pipeline_bench(&allgather_schedule, &machine, &binding, &distances),
     };
 
-    let solver_events = (stats.skipped + stats.incremental + stats.full).max(1) as f64;
-    let speedup = inc_eps / full_eps;
-    let reasons = stats.fallback_reasons();
-    let named_fallbacks: u64 = reasons.iter().map(|(_, n)| n).sum();
-    assert_eq!(
-        named_fallbacks, stats.full,
-        "every full solve must carry a named fallback reason"
-    );
-    let solver = SolverIntrospection {
-        solve_ns: stats.total_solve_ns(),
-        intern_ns: stats.intern_ns,
-        bfs_ns: stats.bfs_ns,
-        fill_ns: stats.fill_ns,
-        phase_attribution: stats.phase_attribution(),
-        fill_rounds: stats.fill_rounds,
-        fallback_forced: stats.full_forced,
-        fallback_cold_start: stats.full_cold_start,
-        fallback_component_spanned: stats.full_component_spanned,
-        fallback_incremental_disabled: stats.full_incremental_disabled,
-        component_size_log2: stats.component_sizes.to_vec(),
-    };
     let report = HotpathReport {
         ranks,
         parallel_feature: cfg!(feature = "parallel"),
@@ -275,18 +200,13 @@ fn main() {
         allgather_ring,
         engine_bcast_1m: EngineBench {
             schedule_ops: schedule.ops.len(),
-            events,
-            full_events_per_sec: full_eps,
-            incremental_events_per_sec: inc_eps,
-            speedup,
-            solver_skipped: stats.skipped,
-            solver_incremental: stats.incremental,
+            events: stats.events(),
+            events_per_sec: stats.events() as f64 / (run_ns / 1e9),
             solver_full: stats.full,
-            solver_skipped_frac: stats.skipped as f64 / solver_events,
-            solver_incremental_frac: stats.incremental as f64 / solver_events,
-            solver_full_frac: stats.full as f64 / solver_events,
-            incremental_not_winning: speedup < 1.05,
-            solver,
+            solver_skipped: stats.skipped,
+            solver_full_frac: stats.full as f64 / stats.events().max(1) as f64,
+            solve_ns: stats.solve_ns,
+            fill_rounds: stats.fill_rounds,
         },
         pipeline,
     };
@@ -304,38 +224,10 @@ fn main() {
         report.allgather_ring.warm_ns_per_op,
         report.allgather_ring.speedup
     );
+    let e = &report.engine_bcast_1m;
     println!(
-        "  engine       full {:>10.0} ev/s    incr {:>8.0} ev/s    {:>6.2}x  ({} events: {} skipped / {} incremental / {} full)",
-        report.engine_bcast_1m.full_events_per_sec,
-        report.engine_bcast_1m.incremental_events_per_sec,
-        report.engine_bcast_1m.speedup,
-        report.engine_bcast_1m.events,
-        report.engine_bcast_1m.solver_skipped,
-        report.engine_bcast_1m.solver_incremental,
-        report.engine_bcast_1m.solver_full
-    );
-    if report.engine_bcast_1m.incremental_not_winning {
-        println!(
-            "  engine       WARNING: incremental solver is not winning ({:.3}x < 1.05x)",
-            report.engine_bcast_1m.speedup
-        );
-    }
-    let s = &report.engine_bcast_1m.solver;
-    println!(
-        "  solver       solve {:>10} ns  = intern {} + bfs {} + fill {} ns  ({:.1}% attributed, {} fill rounds)",
-        s.solve_ns,
-        s.intern_ns,
-        s.bfs_ns,
-        s.fill_ns,
-        s.phase_attribution * 100.0,
-        s.fill_rounds
-    );
-    println!(
-        "  solver       fallbacks: forced {} / cold_start {} / component_spanned {} / incremental_disabled {}",
-        s.fallback_forced,
-        s.fallback_cold_start,
-        s.fallback_component_spanned,
-        s.fallback_incremental_disabled
+        "  engine       {:>10.0} ev/s  ({} events: {} solved / {} skipped; solves {} ns, {} fill rounds)",
+        e.events_per_sec, e.events, e.solver_full, e.solver_skipped, e.solve_ns, e.fill_rounds
     );
     for (name, p) in [
         ("bcast", &report.pipeline.bcast),
@@ -355,15 +247,4 @@ fn main() {
         report.bcast_tree.speedup >= 5.0 && report.allgather_ring.speedup >= 5.0,
         "cached topology construction must be at least 5x over cold builds"
     );
-    // The phase timers must explain where the solve time goes; anything
-    // below 90% means an untimed path crept into the solver. Debug builds
-    // run the solver's full-recompute cross-check between the timers, so
-    // the bound only holds in release.
-    if !cfg!(debug_assertions) {
-        assert!(
-            report.engine_bcast_1m.solver.phase_attribution >= 0.9,
-            "named solver phases must attribute >=90% of solve wall time, got {:.1}%",
-            report.engine_bcast_1m.solver.phase_attribution * 100.0
-        );
-    }
 }

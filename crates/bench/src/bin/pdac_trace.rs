@@ -305,8 +305,7 @@ fn explain(args: &[String]) -> i32 {
         .expect("collective executes");
     let real = OpGraph::from_events(&telemetry.recorder().drain());
 
-    // Sim leg of the same schedule; its rate-solver mode and fallback
-    // reasons become the plan's solver decision.
+    // Sim leg of the same schedule.
     let report = SimExecutor::new(&machine, &binding, SimConfig::default())
         .run(&schedule)
         .expect("schedule validates");
@@ -315,16 +314,6 @@ fn explain(args: &[String]) -> i32 {
         &report,
         Some(&distances),
     ));
-    prov.record_solver(&report.solver_stats);
-    if let Some(d) = prov.decisions.last() {
-        println!(
-            "  [{}] {} -> {}\n      why: {}",
-            d.kind.label(),
-            d.subject,
-            d.choice,
-            d.reason
-        );
-    }
 
     let sim_conf = ConformanceReport::audit(&sim, &prov);
     println!("-- sim leg --");

@@ -179,7 +179,7 @@ pub struct ScenarioAudit {
     /// Scenario id (same join key as [`ScenarioResult`]).
     pub id: String,
     /// The recorded plan: every algorithm, distance-class, chunk-class,
-    /// cache, solver, and recovery decision with its inputs.
+    /// cache, and recovery decision with its inputs.
     pub provenance: Provenance,
     /// Conformance of the simulated execution against the plan.
     pub conformance: ConformanceReport,
@@ -212,7 +212,6 @@ pub fn audit_scenario(scenario: &Scenario) -> ScenarioAudit {
         .with_transport_model(scenario.transport)
         .run(&schedule)
         .expect("gate schedules validate");
-    provenance.record_solver(&report.solver_stats);
     let dist = DistanceMatrix::for_binding(&machine, &binding);
     let events = sim_events_with_distances(&schedule, &report, Some(&dist));
     let conformance = ConformanceReport::audit(&OpGraph::from_events(&events), &provenance);

@@ -7,7 +7,7 @@
 //! constructed and captures each decision as a [`Decision`]: the rule that
 //! fired ([`DecisionKind`]), the choice it made, a human-readable reason,
 //! and the named inputs that drove it (message size vs collapse threshold,
-//! distance classes present, cache epoch, solver fallback counters...).
+//! distance classes present, cache epoch...).
 //!
 //! The record is the substrate for three consumers:
 //!
@@ -23,7 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use pdac_simnet::{OpKind, Schedule, SolverStats};
+use pdac_simnet::{OpKind, Schedule};
 
 /// Which planning rule a [`Decision`] came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -38,8 +38,6 @@ pub enum DecisionKind {
     ChunkClass,
     /// TopoCache hit/miss/epoch path.
     CacheLookup,
-    /// simnet rate-solver mode and named fallback reasons.
-    Solver,
     /// Recovery / degraded-mode substitution.
     Recovery,
 }
@@ -53,7 +51,6 @@ impl DecisionKind {
             DecisionKind::DistanceClass => "distance",
             DecisionKind::ChunkClass => "chunk",
             DecisionKind::CacheLookup => "cache",
-            DecisionKind::Solver => "solver",
             DecisionKind::Recovery => "recovery",
         }
     }
@@ -174,45 +171,6 @@ impl Provenance {
     /// Records one decision.
     pub fn record(&mut self, decision: Decision) {
         self.decisions.push(decision);
-    }
-
-    /// Records the simnet rate-solver mode and its named fallback reasons
-    /// (the PR 8 `SolverStats` accounting) after a simulated leg ran.
-    pub fn record_solver(&mut self, stats: &SolverStats) {
-        let choice = if stats.incremental_disabled {
-            "full (incremental auto-disabled)"
-        } else if stats.incremental > 0 {
-            "incremental (component-scoped)"
-        } else {
-            "full"
-        };
-        let reasons = stats.fallback_reasons();
-        let dominant = reasons.iter().max_by_key(|(_, n)| *n).copied();
-        let reason = match dominant {
-            Some((name, n)) if n > 0 => format!(
-                "rate solver ran {} incremental / {} full solves; full solves dominated by `{name}` ({n})",
-                stats.incremental, stats.full
-            ),
-            _ => format!(
-                "rate solver ran {} incremental / {} full solves with no recorded fallback",
-                stats.incremental, stats.full
-            ),
-        };
-        let mut inputs = decision_inputs![
-            ("skipped", stats.skipped),
-            ("incremental", stats.incremental),
-            ("full", stats.full),
-        ];
-        for (name, n) in reasons {
-            inputs.push((format!("fallback.{name}"), n.to_string()));
-        }
-        self.record(Decision::new(
-            DecisionKind::Solver,
-            "rate solver",
-            choice,
-            reason,
-            inputs,
-        ));
     }
 
     /// Attaches the compiled schedule: fills `schedule_name`, derives the

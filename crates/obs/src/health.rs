@@ -22,8 +22,7 @@ pub enum ProbeStatus {
 /// One subsystem's condensed verdict.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Probe {
-    /// Subsystem label (`executor`, `detector`, `transport`, `pool`,
-    /// `solver`).
+    /// Subsystem label (`executor`, `detector`, `transport`, `pool`).
     pub subsystem: String,
     /// The ratio or count the verdict is based on.
     pub value: f64,
@@ -83,8 +82,6 @@ impl HealthReport {
     ///   a trickle is recovery working, a flood is stragglers looping.
     /// * **pool** — staging-buffer reuse rate; a cold pool on a steady
     ///   workload means the retain policy is losing the working set.
-    /// * **solver** — share of rate-solver events taking the full-solve
-    ///   fallback, plus whether the run disabled the incremental engine.
     pub fn from_snapshot(snap: &RegistrySnapshot) -> Self {
         let mut probes = Vec::new();
 
@@ -141,28 +138,6 @@ impl HealthReport {
                 false,
                 format!("{reuses} of {acquires} staging acquires reused a pooled buffer"),
             ));
-        }
-
-        let full = counter(snap, "sim.solver.full");
-        let events =
-            full + counter(snap, "sim.solver.incremental") + counter(snap, "sim.solver.skipped");
-        if events > 0 {
-            let share = full as f64 / events as f64;
-            let disabled = counter(snap, "solver.incremental_disabled");
-            let mut probe = ratio_probe(
-                "solver",
-                share,
-                0.75,
-                true,
-                format!("{full} full solves over {events} solver events"),
-            );
-            if disabled > 0 {
-                probe.status = ProbeStatus::Warn;
-                probe.detail.push_str(&format!(
-                    "; incremental engine disabled mid-run {disabled} time(s) for losing to full re-solve"
-                ));
-            }
-            probes.push(probe);
         }
 
         HealthReport { probes }
@@ -242,23 +217,6 @@ mod tests {
             .collect();
         assert_eq!(warn, vec!["executor", "pool"]);
         assert!(r.render().contains("WARN"));
-    }
-
-    #[test]
-    fn solver_disable_is_surfaced() {
-        let r = HealthReport::from_snapshot(&snap(&[
-            ("sim.solver.full", 10),
-            ("sim.solver.incremental", 40),
-            ("sim.solver.skipped", 50),
-            ("solver.incremental_disabled", 1),
-        ]));
-        let solver = r
-            .probes
-            .iter()
-            .find(|p| p.subsystem == "solver")
-            .expect("solver probe");
-        assert_eq!(solver.status, ProbeStatus::Warn);
-        assert!(solver.detail.contains("disabled mid-run"));
     }
 
     #[test]

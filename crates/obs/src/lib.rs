@@ -18,8 +18,7 @@
 //!   (`obs.flush.ns`) so the gate can enforce the ≤1% overhead budget.
 //! * [`health`] — per-subsystem [`health::HealthReport`] probes computed
 //!   from a snapshot: executor wait resolution, failure-detector suspect
-//!   balance, transport epoch-fence rejections, buffer-pool reuse, and
-//!   the rate solver's full-solve share.
+//!   balance, transport epoch-fence rejections, and buffer-pool reuse.
 //! * [`flight`] + [`history`] — a crash-surviving last-N-events flight
 //!   recorder (dumped on chaos failure, panic, or gate regression, with
 //!   the metrics snapshot and `PDAC_SEED` attached) and an append-only

@@ -9,32 +9,27 @@
 //! process repeats — max-min fairness with per-resource multiplicities (a
 //! NUMA-local copy loads its controller twice).
 //!
-//! # Incremental rate solving
+//! # Rate solving
 //!
-//! Recomputing every rate at every event is the simulator's hot path:
-//! max-min is O(flows × resources) per progressive-filling round, and most
-//! events touch only a corner of the machine. The engine therefore
-//! maintains a flow ↔ resource incidence index and exploits the
-//! decomposition property of max-min fairness: the allocation splits over
-//! connected components of the flow–resource graph, and components whose
-//! flow set did not change keep their previous (already max-min) rates.
-//! Per event:
+//! Rates depend only on the set of active flows and their routes, which are
+//! fixed when a flow starts. So an event at which no flow arrived or left
+//! solves nothing (a third of the events of a collective: notifications and
+//! latency phases), and every other event re-solves the whole flow set with
+//! the one flat solver in [`crate::solver`]. There is no second path.
 //!
-//! * **no flow arrived or departed** → nothing is solved (rates depend only
-//!   on the set of active flows and their fixed routes);
-//! * **some flows changed** → a BFS from the touched resources collects the
-//!   affected component(s); progressive filling re-runs for those flows
-//!   only. The affected set is closed under resource sharing, so the
-//!   restricted solve equals the full solve restricted to it;
-//! * **the component spans every flow** (e.g. an arriving flow merges two
-//!   components) → fall back to the plain full recompute.
-//!
-//! Debug builds re-solve everything after each incremental update and
-//! assert the rates agree; [`SimExecutor::with_full_rates`] forces the full
-//! solve at every event (the reference the property tests compare against).
+//! There used to be one: a component-scoped solve that walked the flow ↔
+//! resource graph from the resources an event touched and re-filled only the
+//! flows it reached. A collective couples every flow through the memory
+//! controllers and links, so the component was the whole flow set on all but
+//! a few events; measured, the full re-solve ran at 0.86–0.96 of the
+//! component-scoped time on 48 ranks, and on 192 ranks the run-time check
+//! that compared the two switched the component path off after its first 16
+//! samples. Multilevel structure (Karonis et al.) is the only way back to a
+//! scoped solve worth trying, and only if it wins by more than 3x at 192
+//! ranks.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::time::Instant;
 
 use pdac_hwtopo::{core_distance, Binding, Machine};
@@ -42,7 +37,8 @@ use pdac_hwtopo::{core_distance, Binding, Machine};
 use crate::fault::{Fault, FaultPlan, FaultStats, SimError};
 use crate::resource::{Calibration, Resource, TransportModel};
 use crate::route::{copy_route, Route};
-use crate::schedule::{OpId, OpKind, Schedule};
+use crate::schedule::{BufId, Mech, OpId, OpKind, Schedule};
+use crate::solver::{Flows, EPS};
 
 /// Simulation options.
 #[derive(Debug, Clone, Copy)]
@@ -59,105 +55,50 @@ impl Default for SimConfig {
     }
 }
 
-/// Number of log2 buckets in [`SolverStats::component_sizes`]; the last
-/// bucket absorbs components of 2^15 flows and up.
-pub const COMPONENT_SIZE_BUCKETS: usize = 16;
-
-/// How often each rate-solver path ran during a simulation, where the
-/// solver's wall time went, and why each full-solve fallback happened.
-///
-/// The phase timers decompose [`SolverStats::total_solve_ns`]:
-/// `intern_ns` (flow arrival/departure bookkeeping on the incidence
-/// index), `bfs_ns` (component decomposition from touched resources,
-/// including the component sort), and `fill_ns` (progressive-filling
-/// rate iterations plus rate writeback). Whatever the three don't cover
-/// is untracked dispatch overhead; [`SolverStats::phase_attribution`]
-/// reports the covered share so a bench can assert the decomposition
-/// actually explains the solve time it observed.
+/// How many events solved rates and how many did not need to, and the host
+/// time the solves took.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Events where the flow set was unchanged: no solve at all.
+    /// Events where the flow set was unchanged, or whose departures left no
+    /// flow: no solve at all.
     pub skipped: u64,
-    /// Component-scoped incremental solves.
-    pub incremental: u64,
-    /// Whole-flow-set solves (sum of the four `full_*` reasons below).
+    /// Whole-flow-set solves.
     pub full: u64,
-    /// Full solves forced via [`SimExecutor::with_full_rates`].
-    pub full_forced: u64,
-    /// First solve of the run: no previous allocation to reuse.
-    pub full_cold_start: u64,
-    /// The affected component spanned every flow (an arrival merged
-    /// previously independent components).
-    pub full_component_spanned: u64,
-    /// Incremental solving was disabled mid-run after being measured
-    /// slower than full re-solves (see [`SolverStats::incremental_disabled`]).
-    pub full_incremental_disabled: u64,
-    /// Nanoseconds interning flow arrivals/departures into the index.
-    pub intern_ns: u64,
-    /// Nanoseconds in component-decomposition BFS (incl. sorting).
-    pub bfs_ns: u64,
-    /// Nanoseconds in progressive-filling iterations + rate writeback.
-    pub fill_ns: u64,
-    /// Nanoseconds across all `solve_event` calls (excludes interning,
-    /// which happens at flow arrival/departure; see
-    /// [`SolverStats::total_solve_ns`]).
+    /// Nanoseconds in the solves: one clock pair around each.
     pub solve_ns: u64,
+    /// The filling rounds' part of `solve_ns` — all of it, the flat solve
+    /// has no other phase.
+    pub fill_ns: u64,
+    /// Reads 0: a flow's arrival and departure are a few array writes in the
+    /// event loop and are not timed.
+    pub intern_ns: u64,
     /// Progressive-filling rounds executed (each round fixes at least
     /// one bottlenecked flow).
     pub fill_rounds: u64,
-    /// Nanoseconds and event counts per solve path, feeding the
-    /// is-incremental-actually-winning comparison.
-    pub incremental_path_ns: u64,
-    /// Incremental events sampled into `incremental_path_ns`.
-    pub incremental_samples: u64,
-    /// Nanoseconds spent in organic (unforced) full solves.
-    pub full_path_ns: u64,
-    /// Organic full events sampled into `full_path_ns`.
-    pub full_samples: u64,
-    /// True when this run measured incremental solving slower than full
-    /// re-solves and fell back to full solves for the rest of the run.
-    pub incremental_disabled: bool,
-    /// Histogram of solved component sizes (flows per solve), log2
-    /// buckets: bucket `i` counts sizes in `[2^i, 2^(i+1))`.
-    pub component_sizes: [u64; COMPONENT_SIZE_BUCKETS],
+    // Read by pdac-e2e's frozen probes; delete in the next [benchmark] PR.
+    #[doc(hidden)]
+    pub incremental: u64,
+    // Read by pdac-e2e's frozen probes; delete in the next [benchmark] PR.
+    #[doc(hidden)]
+    pub full_component_spanned: u64,
+    // Read by pdac-e2e's frozen probes; delete in the next [benchmark] PR.
+    #[doc(hidden)]
+    pub bfs_ns: u64,
 }
 
 impl SolverStats {
-    /// Total solver events (skipped + incremental + full).
+    /// Total solver events (skipped + full): one per simulation event.
     pub fn events(&self) -> u64 {
-        self.skipped + self.incremental + self.full
+        self.skipped + self.full
     }
 
-    /// Total solver wall time: per-event solving plus the interning done
-    /// at flow arrival/departure.
-    pub fn total_solve_ns(&self) -> u64 {
-        self.solve_ns + self.intern_ns
-    }
-
-    /// Share of [`Self::total_solve_ns`] explained by the named phases
-    /// (interning, BFS, fill). `1.0` when no time was recorded.
+    /// Share of the solver's host time spent in filling rounds. `1.0` when
+    /// no time was recorded.
     pub fn phase_attribution(&self) -> f64 {
-        let total = self.total_solve_ns();
-        if total == 0 {
+        if self.solve_ns == 0 {
             return 1.0;
         }
-        (self.intern_ns + self.bfs_ns + self.fill_ns) as f64 / total as f64
-    }
-
-    /// Named full-solve reasons as `(name, count)` pairs; their counts
-    /// sum to [`Self::full`].
-    pub fn fallback_reasons(&self) -> [(&'static str, u64); 4] {
-        [
-            ("forced", self.full_forced),
-            ("cold_start", self.full_cold_start),
-            ("component_spanned", self.full_component_spanned),
-            ("incremental_disabled", self.full_incremental_disabled),
-        ]
-    }
-
-    fn record_component_size(&mut self, size: usize) {
-        let bucket = (usize::BITS - 1 - size.max(1).leading_zeros()) as usize;
-        self.component_sizes[bucket.min(COMPONENT_SIZE_BUCKETS - 1)] += 1;
+        self.fill_ns as f64 / self.solve_ns as f64
     }
 }
 
@@ -175,7 +116,7 @@ pub struct SimReport {
     pub resource_bytes: BTreeMap<Resource, f64>,
     /// Time each rank spent executing operations.
     pub rank_busy: Vec<f64>,
-    /// Rate-solver invocation counts (incremental vs full vs skipped).
+    /// Rate-solver invocation counts (full vs skipped) and host time.
     pub solver_stats: SolverStats,
     /// Fault-injection accounting (all zero when no plan was attached).
     pub fault_stats: FaultStats,
@@ -205,9 +146,6 @@ pub struct SimExecutor<'a> {
     binding: &'a Binding,
     cal: Calibration,
     config: SimConfig,
-    /// Force the whole-flow-set solve at every event instead of the
-    /// incremental component-scoped one (reference semantics for tests).
-    full_rates: bool,
     /// Seed-driven faults injected into this executor's runs.
     fault: Option<FaultPlan>,
     /// Simulated-time budget; exceeding it returns a typed error.
@@ -368,419 +306,6 @@ impl Ord for Time {
     }
 }
 
-struct Flow {
-    route: Route,
-    /// `route` with resources replaced by their dense [`RateSolver`]
-    /// indices and multiplicities pre-widened — what the solver's hot
-    /// loops read instead of hashing `Resource` keys.
-    droute: Vec<(usize, f64)>,
-    remaining: f64,
-    rate: f64,
-    bytes: usize,
-}
-
-/// Incremental max-min rate solver state, owned by one `run()`.
-///
-/// Resources are interned to dense indices on first sight, so all solver
-/// bookkeeping is flat vectors: the flow ↔ resource incidence, the
-/// generation-stamped visited marks of the component BFS, and the
-/// residual/load tables of progressive filling. Every buffer is reused
-/// across events — the steady state allocates nothing.
-/// Which path one solver event took, for per-path cost sampling. The
-/// honesty comparison only uses `Incremental` vs `FullOrganic` events:
-/// forced full solves (reference mode) and post-disable full solves say
-/// nothing about whether incremental decomposition is paying for itself.
-enum SolvePath {
-    Skipped,
-    Incremental,
-    /// A cold start or component merge: the cost of a real full solve.
-    FullOrganic,
-    /// Forced via `with_full_rates` or taken after the honesty disable.
-    FullOther,
-}
-
-struct RateSolver {
-    /// Resource → dense index.
-    index: HashMap<Resource, usize>,
-    /// Capacity per dense index (computed once per resource per run).
-    caps: Vec<f64>,
-    /// Flows currently crossing each resource.
-    incidence: Vec<Vec<OpId>>,
-    /// Resources touched by this event's flow arrivals/departures (may
-    /// contain duplicates; the BFS dedups via `res_mark`).
-    touched: Vec<usize>,
-    /// Generation stamps for resources / flows (0 = never seen).
-    res_mark: Vec<u64>,
-    flow_mark: Vec<u64>,
-    generation: u64,
-    /// False until the first whole-flow-set solve of the run: the first
-    /// full solve is a cold start, later ones are component merges.
-    ever_solved: bool,
-    /// Set when the run's own measurements show incremental solving
-    /// losing to full re-solves; every later event takes the full path
-    /// (safe: both paths produce bit-identical rates).
-    disabled: bool,
-    // Scratch reused across events.
-    stack: Vec<usize>,
-    affected: Vec<OpId>,
-    all_ids: Vec<OpId>,
-    parts: Vec<usize>,
-    residual: Vec<f64>,
-    load: Vec<f64>,
-    unfixed: Vec<bool>,
-    bottlenecked: Vec<usize>,
-    rates: Vec<f64>,
-}
-
-impl RateSolver {
-    fn new(num_ops: usize) -> Self {
-        RateSolver {
-            index: HashMap::new(),
-            caps: Vec::new(),
-            incidence: Vec::new(),
-            touched: Vec::new(),
-            res_mark: Vec::new(),
-            flow_mark: vec![0; num_ops],
-            generation: 0,
-            ever_solved: false,
-            disabled: false,
-            stack: Vec::new(),
-            affected: Vec::new(),
-            all_ids: Vec::new(),
-            parts: Vec::new(),
-            residual: Vec::new(),
-            load: Vec::new(),
-            unfixed: Vec::new(),
-            bottlenecked: Vec::new(),
-            rates: Vec::new(),
-        }
-    }
-
-    /// Interns a resource, computing its capacity once. Degraded resources
-    /// get their capacity scaled here, so both the incremental and the
-    /// full solver see identical (bit-exact) caps.
-    fn intern(
-        &mut self,
-        r: Resource,
-        cal: &Calibration,
-        degrade: &HashMap<Resource, f64>,
-    ) -> usize {
-        if let Some(&d) = self.index.get(&r) {
-            return d;
-        }
-        let d = self.caps.len();
-        self.index.insert(r, d);
-        let factor = degrade.get(&r).copied().unwrap_or(1.0);
-        self.caps.push(cal.capacity(r) * factor);
-        self.incidence.push(Vec::new());
-        self.res_mark.push(0);
-        self.residual.push(0.0);
-        self.load.push(0.0);
-        d
-    }
-
-    /// Registers an arriving flow; returns its dense route.
-    fn add_flow(
-        &mut self,
-        id: OpId,
-        route: &Route,
-        cal: &Calibration,
-        degrade: &HashMap<Resource, f64>,
-    ) -> Vec<(usize, f64)> {
-        let mut droute = Vec::with_capacity(route.len());
-        for &(r, m) in route {
-            let d = self.intern(r, cal, degrade);
-            self.incidence[d].push(id);
-            self.touched.push(d);
-            droute.push((d, f64::from(m)));
-        }
-        droute
-    }
-
-    /// Unregisters a departing flow.
-    fn remove_flow(&mut self, id: OpId, droute: &[(usize, f64)]) {
-        for &(d, _) in droute {
-            self.incidence[d].retain(|&x| x != id);
-            self.touched.push(d);
-        }
-    }
-
-    /// Per-event rate update. `force_full` reproduces the pre-incremental
-    /// engine: a whole-flow-set solve at every event. Times itself into
-    /// the per-path accumulators and trips the honesty fallback (see
-    /// [`Self::maybe_disable_incremental`]) when incremental solving is
-    /// measured losing.
-    fn solve_event(
-        &mut self,
-        flows: &mut BTreeMap<OpId, Flow>,
-        force_full: bool,
-        stats: &mut SolverStats,
-    ) {
-        let t0 = Instant::now();
-        let path = self.solve_event_inner(flows, force_full, stats);
-        let ns = t0.elapsed().as_nanos() as u64;
-        stats.solve_ns += ns;
-        match path {
-            SolvePath::Skipped | SolvePath::FullOther => {}
-            SolvePath::Incremental => {
-                stats.incremental_path_ns += ns;
-                stats.incremental_samples += 1;
-                self.maybe_disable_incremental(stats);
-            }
-            SolvePath::FullOrganic => {
-                stats.full_path_ns += ns;
-                stats.full_samples += 1;
-            }
-        }
-        // Outside the timers: the debug-only cross-check must not skew
-        // the incremental-vs-full comparison it exists to keep honest.
-        #[cfg(debug_assertions)]
-        self.assert_matches_full(flows);
-    }
-
-    fn solve_event_inner(
-        &mut self,
-        flows: &mut BTreeMap<OpId, Flow>,
-        force_full: bool,
-        stats: &mut SolverStats,
-    ) -> SolvePath {
-        if force_full {
-            self.touched.clear();
-            self.solve_all(flows, stats);
-            stats.full += 1;
-            stats.full_forced += 1;
-            return SolvePath::FullOther;
-        }
-        if self.touched.is_empty() {
-            // No flow arrived or departed: routes are fixed at flow
-            // creation, so the standing allocation is still max-min.
-            stats.skipped += 1;
-            return SolvePath::Skipped;
-        }
-        if self.disabled {
-            // This run measured incremental solving slower than full
-            // re-solves: spend nothing on decomposition, just re-solve.
-            self.touched.clear();
-            if flows.is_empty() {
-                stats.skipped += 1;
-                return SolvePath::Skipped;
-            }
-            stats.record_component_size(flows.len());
-            self.solve_all(flows, stats);
-            stats.full += 1;
-            stats.full_incremental_disabled += 1;
-            return SolvePath::FullOther;
-        }
-
-        // BFS over the bipartite flow <-> resource graph from the touched
-        // resources. The affected set is closed under resource sharing,
-        // and max-min decomposes over connected components, so flows
-        // outside it keep their (still max-min) rates.
-        let t_bfs = Instant::now();
-        self.generation += 1;
-        let gen = self.generation;
-        self.stack.clear();
-        for i in 0..self.touched.len() {
-            let r = self.touched[i];
-            if self.res_mark[r] != gen {
-                self.res_mark[r] = gen;
-                self.stack.push(r);
-            }
-        }
-        self.touched.clear();
-        self.affected.clear();
-        while let Some(r) = self.stack.pop() {
-            for i in 0..self.incidence[r].len() {
-                let id = self.incidence[r][i];
-                if self.flow_mark[id] != gen {
-                    self.flow_mark[id] = gen;
-                    self.affected.push(id);
-                    for &(r2, _) in &flows[&id].droute {
-                        if self.res_mark[r2] != gen {
-                            self.res_mark[r2] = gen;
-                            self.stack.push(r2);
-                        }
-                    }
-                }
-            }
-        }
-        stats.bfs_ns += t_bfs.elapsed().as_nanos() as u64;
-
-        if self.affected.is_empty() {
-            // Departures emptied their component; nothing left to solve.
-            stats.skipped += 1;
-            return SolvePath::Skipped;
-        }
-        stats.record_component_size(self.affected.len());
-        if self.affected.len() == flows.len() {
-            // The component spans every flow (cold start, or an arrival
-            // merged previously independent components): full recompute.
-            let cold = !self.ever_solved;
-            self.solve_all(flows, stats);
-            stats.full += 1;
-            if cold {
-                stats.full_cold_start += 1;
-            } else {
-                stats.full_component_spanned += 1;
-            }
-            return SolvePath::FullOrganic;
-        }
-        // Sorted ids ⇒ the same flow order (and therefore the same
-        // floating-point operation order) as a full solve restricted
-        // to the component. The sort is part of decomposition cost.
-        let t_sort = Instant::now();
-        self.affected.sort_unstable();
-        stats.bfs_ns += t_sort.elapsed().as_nanos() as u64;
-        let t_fill = Instant::now();
-        let ids = std::mem::take(&mut self.affected);
-        stats.fill_rounds += self.fill(flows, &ids);
-        for (i, id) in ids.iter().enumerate() {
-            flows.get_mut(id).expect("flow present").rate = self.rates[i];
-        }
-        self.affected = ids;
-        stats.fill_ns += t_fill.elapsed().as_nanos() as u64;
-        self.ever_solved = true;
-        stats.incremental += 1;
-        SolvePath::Incremental
-    }
-
-    /// The honesty fallback: once both paths have enough samples, compare
-    /// mean per-event cost and permanently (for this run) take the full
-    /// path when incremental is losing. Safe because both paths produce
-    /// bit-identical rates — only speed is at stake, and speed is exactly
-    /// what was measured to be worse.
-    fn maybe_disable_incremental(&mut self, stats: &mut SolverStats) {
-        const MIN_INCREMENTAL_SAMPLES: u64 = 16;
-        const MIN_FULL_SAMPLES: u64 = 4;
-        if self.disabled
-            || stats.incremental_samples < MIN_INCREMENTAL_SAMPLES
-            || stats.full_samples < MIN_FULL_SAMPLES
-        {
-            return;
-        }
-        let mean_inc = stats.incremental_path_ns / stats.incremental_samples;
-        let mean_full = stats.full_path_ns / stats.full_samples;
-        if mean_inc > mean_full {
-            self.disabled = true;
-            stats.incremental_disabled = true;
-        }
-    }
-
-    /// Whole-flow-set solve.
-    fn solve_all(&mut self, flows: &mut BTreeMap<OpId, Flow>, stats: &mut SolverStats) {
-        if flows.is_empty() {
-            return;
-        }
-        let t0 = Instant::now();
-        let mut ids = std::mem::take(&mut self.all_ids);
-        ids.clear();
-        ids.extend(flows.keys().copied());
-        stats.fill_rounds += self.fill(flows, &ids);
-        for (i, id) in ids.iter().enumerate() {
-            flows.get_mut(id).expect("flow present").rate = self.rates[i];
-        }
-        self.all_ids = ids;
-        self.ever_solved = true;
-        stats.fill_ns += t0.elapsed().as_nanos() as u64;
-    }
-
-    /// Max-min progressive filling restricted to `ids`, into `self.rates`.
-    /// The caller guarantees the subset shares no resource with any flow
-    /// outside it, so full capacities apply. Returns the number of
-    /// filling rounds run.
-    fn fill(&mut self, flows: &BTreeMap<OpId, Flow>, ids: &[OpId]) -> u64 {
-        self.generation += 1;
-        let gen = self.generation;
-        self.parts.clear();
-        for id in ids {
-            for &(r, m) in &flows[id].droute {
-                if self.res_mark[r] != gen {
-                    self.res_mark[r] = gen;
-                    self.parts.push(r);
-                    self.residual[r] = self.caps[r];
-                    self.load[r] = 0.0;
-                }
-                self.load[r] += m;
-            }
-        }
-        self.rates.clear();
-        self.rates.resize(ids.len(), 0.0);
-        self.unfixed.clear();
-        self.unfixed.resize(ids.len(), true);
-
-        let mut rounds = 0u64;
-        let mut remaining = ids.len();
-        while remaining > 0 {
-            rounds += 1;
-            // Bottleneck share.
-            let mut min_share = f64::INFINITY;
-            for &r in &self.parts {
-                if self.load[r] > 0.0 {
-                    let share = self.residual[r] / self.load[r];
-                    if share < min_share {
-                        min_share = share;
-                    }
-                }
-            }
-            debug_assert!(
-                min_share.is_finite(),
-                "every flow crosses a finite-capacity core"
-            );
-
-            // Fix every unfixed flow crossing a bottleneck resource. Two
-            // phases (collect, then drain) so the membership test sees the
-            // round's starting state for every flow.
-            let mut bottlenecked = std::mem::take(&mut self.bottlenecked);
-            bottlenecked.clear();
-            for (i, id) in ids.iter().enumerate() {
-                if self.unfixed[i]
-                    && flows[id].droute.iter().any(|&(r, _)| {
-                        self.load[r] > 0.0
-                            && self.residual[r] / self.load[r] <= min_share * (1.0 + 1e-9)
-                    })
-                {
-                    bottlenecked.push(i);
-                }
-            }
-            debug_assert!(!bottlenecked.is_empty());
-            for &i in &bottlenecked {
-                self.unfixed[i] = false;
-                remaining -= 1;
-                self.rates[i] = min_share;
-                for &(r, m) in &flows[&ids[i]].droute {
-                    self.residual[r] -= m * min_share;
-                    self.load[r] -= m;
-                }
-            }
-            self.bottlenecked = bottlenecked;
-        }
-        rounds
-    }
-
-    /// Debug-only invariant: the incremental allocation must match a fresh
-    /// whole-flow-set solve (to floating-point tolerance — an exact share
-    /// tie between components can make the full solve fix both in one
-    /// round).
-    #[cfg(debug_assertions)]
-    fn assert_matches_full(&mut self, flows: &BTreeMap<OpId, Flow>) {
-        let ids: Vec<OpId> = flows.keys().copied().collect();
-        if ids.is_empty() {
-            return;
-        }
-        self.fill(flows, &ids);
-        for (i, id) in ids.iter().enumerate() {
-            let got = flows[id].rate;
-            let want = self.rates[i];
-            debug_assert!(
-                (got - want).abs() <= want.abs().max(1.0) * 1e-9,
-                "incremental rate for flow {id} diverged: {got} vs full {want}"
-            );
-        }
-    }
-}
-
-const EPS: f64 = 1e-15;
-
 /// Per-executor copy pipeline depth for same-edge chunk streams.
 ///
 /// The thread executor double-buffers each `(sender, receiver)` edge: while
@@ -800,19 +325,111 @@ fn copy_edge(kind: &OpKind) -> Option<(usize, usize)> {
     }
 }
 
+/// The queues and clocks of one [`SimExecutor::run`].
+struct Run<'a> {
+    exec: &'a SimExecutor<'a>,
+    schedule: &'a Schedule,
+    now: f64,
+    /// Copies whose dependencies are met, per executor.
+    ready: Vec<BTreeSet<OpId>>,
+    /// Copies in flight per executor, oldest first.
+    busy: Vec<Vec<OpId>>,
+    /// Executors whose ready set grew or whose busy list shrank since
+    /// [`Self::start_ready`] last looked: only they can start a copy.
+    stale: Vec<usize>,
+    is_stale: Vec<bool>,
+    started_at: Vec<f64>,
+    /// (time, op) min-heap of latency-phase completions.
+    timers: BinaryHeap<Reverse<(Time, OpId)>>,
+    fs: FaultState,
+}
+
+impl Run<'_> {
+    fn mark_stale(&mut self, rank: usize) {
+        if !std::mem::replace(&mut self.is_stale[rank], true) {
+            self.stale.push(rank);
+        }
+    }
+
+    /// Queues an op whose dependencies are complete. Copies queue on their
+    /// executor (a core runs one memcpy at a time); notifications are
+    /// asynchronous control messages — they start at once and only cost
+    /// latency, without occupying the sender's copy engine.
+    fn enqueue(&mut self, id: OpId) {
+        let kind = &self.schedule.ops[id].kind;
+        match *kind {
+            OpKind::Copy { exec, .. } => {
+                if self.fs.crashed[exec] {
+                    self.fs.stats.ops_abandoned += 1;
+                    return;
+                }
+                self.ready[exec].insert(id);
+                self.mark_stale(exec);
+            }
+            OpKind::Notify { from, .. } => {
+                if self.fs.note_op_start(from) {
+                    self.fs.stats.ops_abandoned += 1;
+                    return;
+                }
+                let seq = self.fs.notify_seq;
+                self.fs.notify_seq += 1;
+                if self.fs.drop_nth.contains(&seq) {
+                    self.fs.stats.notifies_dropped += 1;
+                    return;
+                }
+                self.started_at[id] = self.now;
+                let lat = self.exec.latency_of(kind) + self.fs.stall_for(from);
+                self.timers.push(Reverse((Time(self.now + lat), id)));
+            }
+        }
+    }
+
+    /// Starts queued copies on the stale executors with free pipeline
+    /// slots, in rank order: an idle executor takes the lowest ready op; a
+    /// busy one may take a second op only when it continues the in-flight
+    /// edge's chunk stream (the double buffer).
+    fn start_ready(&mut self) {
+        let ops = &self.schedule.ops;
+        self.stale.sort_unstable();
+        for i in 0..self.stale.len() {
+            let r = self.stale[i];
+            self.is_stale[r] = false;
+            while self.busy[r].len() < PIPELINE_DEPTH {
+                let candidate = if let Some(&head) = self.busy[r].first() {
+                    let edge = copy_edge(&ops[head].kind);
+                    self.ready[r]
+                        .iter()
+                        .copied()
+                        .find(|&id| copy_edge(&ops[id].kind) == edge)
+                } else {
+                    self.ready[r].first().copied()
+                };
+                let Some(id) = candidate else { break };
+                if self.fs.note_op_start(r) {
+                    self.fs.stats.ops_abandoned += self.ready[r].len() as u64;
+                    self.ready[r].clear();
+                    break;
+                }
+                self.ready[r].remove(&id);
+                self.busy[r].push(id);
+                self.started_at[id] = self.now;
+                let mut lat = self.exec.latency_of(&ops[id].kind) + self.fs.stall_for(r);
+                if self.fs.note_copy_start(r) {
+                    // Detected corruption: the verified re-transmit
+                    // re-pulls the chunk, costing one more transfer.
+                    lat += self.exec.latency_of(&ops[id].kind);
+                }
+                self.timers.push(Reverse((Time(self.now + lat), id)));
+            }
+        }
+        self.stale.clear();
+    }
+}
+
 impl<'a> SimExecutor<'a> {
     /// Creates an executor with the machine's default calibration.
     pub fn new(machine: &'a Machine, binding: &'a Binding, config: SimConfig) -> Self {
-        SimExecutor {
-            machine,
-            binding,
-            cal: Calibration::for_machine(machine),
-            config,
-            full_rates: false,
-            fault: None,
-            deadline: None,
-            transport: TransportModel::Knem,
-        }
+        Self::with_calibration(machine, binding, Calibration::for_machine(machine), config)
     }
 
     /// Creates an executor with an explicit calibration (ablations).
@@ -827,7 +444,6 @@ impl<'a> SimExecutor<'a> {
             binding,
             cal,
             config,
-            full_rates: false,
             fault: None,
             deadline: None,
             transport: TransportModel::Knem,
@@ -843,11 +459,9 @@ impl<'a> SimExecutor<'a> {
         self
     }
 
-    /// Disables the incremental solver: every event re-solves the whole
-    /// flow set, exactly like the pre-incremental engine. The property
-    /// tests run both modes and assert identical reports.
-    pub fn with_full_rates(mut self) -> Self {
-        self.full_rates = true;
+    // Called by pdac-e2e's frozen probes; delete in the next [benchmark] PR.
+    #[doc(hidden)]
+    pub fn with_full_rates(self) -> Self {
         self
     }
 
@@ -902,33 +516,53 @@ impl<'a> SimExecutor<'a> {
             self.binding.num_ranks()
         );
 
-        let n = schedule.ops.len();
-        let mut dep_remaining: Vec<usize> = schedule.ops.iter().map(|o| o.deps.len()).collect();
-        let mut dependents: Vec<Vec<OpId>> = vec![Vec::new(); n];
-        for (id, op) in schedule.ops.iter().enumerate() {
+        let ops = &schedule.ops;
+        let n = ops.len();
+        let nranks = schedule.num_ranks;
+        let mut dep_remaining: Vec<usize> = ops.iter().map(|o| o.deps.len()).collect();
+        // The dependents of op `d`, in id order, are
+        // `dependents[first[d]..first[d + 1]]` once both passes are through:
+        // the fill advances `first[d + 1]` from the start of `d`'s range to
+        // its end, which is where `d + 1`'s starts.
+        let mut first = vec![0usize; n + 2];
+        for &d in ops.iter().flat_map(|op| &op.deps) {
+            first[d + 2] += 1;
+        }
+        for d in 2..n + 2 {
+            first[d] += first[d - 1];
+        }
+        let mut dependents: Vec<OpId> = vec![0; first[n + 1]];
+        for (id, op) in ops.iter().enumerate() {
             for &d in &op.deps {
-                dependents[d].push(id);
+                dependents[first[d + 1]] = id;
+                first[d + 1] += 1;
             }
         }
 
-        let nranks = schedule.num_ranks;
-        let mut ready: Vec<std::collections::BTreeSet<OpId>> = vec![Default::default(); nranks];
-        let mut busy: Vec<Vec<OpId>> = vec![Vec::new(); nranks];
-        let mut started_at: Vec<f64> = vec![0.0; n];
+        let mut run = Run {
+            exec: self,
+            schedule,
+            now: 0.0,
+            ready: vec![BTreeSet::new(); nranks],
+            busy: vec![Vec::with_capacity(PIPELINE_DEPTH); nranks],
+            stale: Vec::with_capacity(nranks),
+            is_stale: vec![false; nranks],
+            started_at: vec![0.0; n],
+            timers: BinaryHeap::new(),
+            fs: FaultState::from_plan(self.fault.as_ref(), nranks),
+        };
+        let seed = self.fault.as_ref().map(|p| p.seed);
         let mut op_finish: Vec<f64> = vec![0.0; n];
         let mut rank_busy: Vec<f64> = vec![0.0; nranks];
-        let mut resource_bytes: BTreeMap<Resource, f64> = BTreeMap::new();
         let mut done = 0usize;
-
-        // (time, op) min-heap of latency-phase completions.
-        let mut timers: BinaryHeap<Reverse<(Time, OpId)>> = BinaryHeap::new();
-        let mut flows: BTreeMap<OpId, Flow> = BTreeMap::new();
-        let mut solver = RateSolver::new(n);
+        let mut flows = Flows::default();
         let mut solver_stats = SolverStats::default();
-
-        let mut now = 0.0f64;
-        let mut fs = FaultState::from_plan(self.fault.as_ref(), nranks);
-        let seed = self.fault.as_ref().map(|p| p.seed);
+        // Earliest flow completion at the present rates.
+        let mut t_flow = f64::INFINITY;
+        // Reused by every event: the ops it completes, the route of the
+        // copy whose latency phase it ends.
+        let mut completed: Vec<OpId> = Vec::new();
+        let mut route: Route = Vec::new();
 
         // Regions hot in their owner's cache hierarchy: written by a
         // completed *user-space* memcpy. KNEM copies run inside the kernel
@@ -936,132 +570,19 @@ impl<'a> SimExecutor<'a> {
         // destination process's caches, so kernel-forwarded data is read
         // back from DRAM — the reason store-and-forward trees buy nothing
         // on single-controller machines (paper §V-B).
-        let mut hot_regions: std::collections::HashSet<(
-            usize,
-            crate::schedule::BufId,
-            usize,
-            usize,
-        )> = Default::default();
+        let mut hot_regions: HashSet<(usize, BufId, usize, usize)> = HashSet::new();
 
-        // Copies queue on their executor (a core runs one memcpy at a
-        // time); notifications are asynchronous control messages — they
-        // start as soon as their dependencies complete and only cost
-        // latency, without occupying the sender's copy engine.
-        let enqueue = |id: OpId,
-                       now: f64,
-                       ready: &mut Vec<std::collections::BTreeSet<OpId>>,
-                       timers: &mut BinaryHeap<Reverse<(Time, OpId)>>,
-                       started_at: &mut Vec<f64>,
-                       fs: &mut FaultState,
-                       schedule: &Schedule,
-                       this: &Self| {
-            match schedule.ops[id].kind {
-                OpKind::Copy { exec, .. } => {
-                    if fs.crashed[exec] {
-                        fs.stats.ops_abandoned += 1;
-                        return;
-                    }
-                    ready[exec].insert(id);
-                }
-                OpKind::Notify { from, .. } => {
-                    if fs.note_op_start(from) {
-                        fs.stats.ops_abandoned += 1;
-                        return;
-                    }
-                    let seq = fs.notify_seq;
-                    fs.notify_seq += 1;
-                    if fs.drop_nth.contains(&seq) {
-                        fs.stats.notifies_dropped += 1;
-                        return;
-                    }
-                    started_at[id] = now;
-                    let lat = this.latency_of(&schedule.ops[id].kind) + fs.stall_for(from);
-                    timers.push(Reverse((Time(now + lat), id)));
-                }
-            }
-        };
-
-        for (id, _) in schedule.ops.iter().enumerate() {
-            if dep_remaining[id] == 0 {
-                enqueue(
-                    id,
-                    now,
-                    &mut ready,
-                    &mut timers,
-                    &mut started_at,
-                    &mut fs,
-                    schedule,
-                    self,
-                );
-            }
+        for id in (0..n).filter(|&id| dep_remaining[id] == 0) {
+            run.enqueue(id);
         }
-
-        // Starts queued copies on executors with free pipeline slots: an
-        // idle executor takes the lowest ready op; a busy one may take a
-        // second op only when it continues the in-flight edge's chunk
-        // stream (the double buffer).
-        let start_ready = |now: f64,
-                           ready: &mut Vec<std::collections::BTreeSet<OpId>>,
-                           busy: &mut Vec<Vec<OpId>>,
-                           started_at: &mut Vec<f64>,
-                           timers: &mut BinaryHeap<Reverse<(Time, OpId)>>,
-                           fs: &mut FaultState,
-                           schedule: &Schedule,
-                           this: &Self| {
-            for r in 0..ready.len() {
-                'slots: while busy[r].len() < PIPELINE_DEPTH {
-                    let candidate = if let Some(&head) = busy[r].first() {
-                        let edge = copy_edge(&schedule.ops[head].kind);
-                        ready[r]
-                            .iter()
-                            .copied()
-                            .find(|&id| copy_edge(&schedule.ops[id].kind) == edge)
-                    } else {
-                        ready[r].iter().next().copied()
-                    };
-                    let Some(id) = candidate else { break 'slots };
-                    if fs.note_op_start(r) {
-                        fs.stats.ops_abandoned += ready[r].len() as u64;
-                        ready[r].clear();
-                        break 'slots;
-                    }
-                    ready[r].remove(&id);
-                    busy[r].push(id);
-                    started_at[id] = now;
-                    let mut lat = this.latency_of(&schedule.ops[id].kind) + fs.stall_for(r);
-                    if fs.note_copy_start(r) {
-                        // Detected corruption: the verified re-transmit
-                        // re-pulls the chunk, costing one more transfer.
-                        lat += this.latency_of(&schedule.ops[id].kind);
-                    }
-                    timers.push(Reverse((Time(now + lat), id)));
-                }
-            }
-        };
-
-        start_ready(
-            now,
-            &mut ready,
-            &mut busy,
-            &mut started_at,
-            &mut timers,
-            &mut fs,
-            schedule,
-            self,
-        );
+        run.start_ready();
 
         while done < n {
             // Next event time: earliest timer or earliest flow completion.
-            let t_timer = timers.peek().map(|Reverse((Time(t), _))| *t);
-            let t_flow = flows
-                .values()
-                .map(|f| now + f.remaining / f.rate)
-                .min_by(|a, b| a.total_cmp(b));
-            let t_next = match (t_timer, t_flow) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => {
+            let t_next = match run.timers.peek() {
+                Some(&Reverse((Time(t), _))) => t.min(t_flow),
+                None if t_flow < f64::INFINITY => t_flow,
+                None => {
                     // A fault-free validated schedule can never get here;
                     // dropped notifications and crashed ranks can orphan the
                     // remaining dependency graph.
@@ -1069,12 +590,11 @@ impl<'a> SimExecutor<'a> {
                         seed,
                         completed: done,
                         total: n,
-                        at: now,
-                        fault_stats: Box::new(fs.stats),
+                        at: run.now,
+                        fault_stats: Box::new(run.fs.stats),
                     });
                 }
             };
-
             if let Some(deadline) = self.deadline {
                 if t_next > deadline {
                     return Err(SimError::DeadlineExceeded {
@@ -1082,29 +602,24 @@ impl<'a> SimExecutor<'a> {
                         deadline,
                         completed: done,
                         total: n,
-                        fault_stats: Box::new(fs.stats),
+                        fault_stats: Box::new(run.fs.stats),
                     });
                 }
             }
+            let dt = t_next - run.now;
+            let now = t_next;
+            run.now = now;
+            completed.clear();
 
-            // Advance flows to t_next.
-            let dt = t_next - now;
-            if dt > 0.0 {
-                for f in flows.values_mut() {
-                    f.remaining = (f.remaining - f.rate * dt).max(0.0);
-                }
-            }
-            now = t_next;
-
-            let mut completed: Vec<OpId> = Vec::new();
-
-            // Latency-phase completions due now.
-            while let Some(Reverse((Time(t), id))) = timers.peek().copied() {
+            // Latency-phase completions due now: notifications are done,
+            // copies become flows (at rate 0 until this event's solve, so
+            // the advance below leaves them alone).
+            while let Some(&Reverse((Time(t), id))) = run.timers.peek() {
                 if t > now + EPS {
                     break;
                 }
-                timers.pop();
-                match &schedule.ops[id].kind {
+                run.timers.pop();
+                match ops[id].kind {
                     OpKind::Copy {
                         src_rank,
                         src_buf,
@@ -1114,105 +629,75 @@ impl<'a> SimExecutor<'a> {
                         bytes,
                         ..
                     } => {
-                        let src_hot =
-                            hot_regions.contains(&(*src_rank, *src_buf, *src_off, *bytes));
-                        let route = copy_route(
+                        copy_route(
                             self.machine,
-                            &self.cal,
-                            self.binding.core_of(*src_rank),
-                            self.binding.core_of(*dst_rank),
-                            self.binding.core_of(*exec),
-                            *bytes,
+                            self.binding.core_of(src_rank),
+                            self.binding.core_of(dst_rank),
+                            self.binding.core_of(exec),
+                            bytes,
                             self.config.allow_cache,
-                            src_hot,
+                            hot_regions.contains(&(src_rank, src_buf, src_off, bytes)),
+                            &mut route,
                         );
-                        let t_intern = Instant::now();
-                        let droute = solver.add_flow(id, &route, &self.cal, &fs.degrade);
-                        solver_stats.intern_ns += t_intern.elapsed().as_nanos() as u64;
-                        flows.insert(
-                            id,
-                            Flow {
-                                route,
-                                droute,
-                                remaining: *bytes as f64,
-                                rate: 0.0,
-                                bytes: *bytes,
-                            },
-                        );
+                        // Degraded resources get their capacity scaled
+                        // once, when the run first sees them.
+                        flows.add(id, bytes, &route, |r| {
+                            self.cal.capacity(r) * run.fs.degrade.get(&r).copied().unwrap_or(1.0)
+                        });
                     }
                     OpKind::Notify { .. } => completed.push(id),
                 }
             }
 
-            // Flow completions due now.
-            let finished: Vec<OpId> = flows
-                .iter()
-                .filter(|(_, f)| f.remaining <= f.bytes as f64 * 1e-12 + EPS)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in finished {
-                let f = flows.remove(&id).expect("flow present");
-                let t_intern = Instant::now();
-                solver.remove_flow(id, &f.droute);
-                solver_stats.intern_ns += t_intern.elapsed().as_nanos() as u64;
-                for (r, m) in f.route {
-                    *resource_bytes.entry(r).or_insert(0.0) += f.bytes as f64 * f64::from(m);
-                }
-                completed.push(id);
-            }
+            // One pass over the flows: advance to `now`, retire the drained.
+            t_flow = flows.advance(dt, now, &mut completed);
 
             completed.sort_unstable();
-            for id in completed {
+            for &id in &completed {
                 op_finish[id] = now;
                 done += 1;
                 if let OpKind::Copy {
                     dst_rank,
                     dst_buf,
                     dst_off,
+                    exec,
                     bytes,
                     mech,
                     ..
-                } = schedule.ops[id].kind
+                } = ops[id].kind
                 {
-                    let exec = schedule.ops[id].kind.executor();
-                    debug_assert!(busy[exec].contains(&id));
-                    busy[exec].retain(|&b| b != id);
-                    rank_busy[exec] += now - started_at[id];
+                    debug_assert!(run.busy[exec].contains(&id));
+                    run.busy[exec].retain(|&b| b != id);
+                    run.mark_stale(exec);
+                    rank_busy[exec] += now - run.started_at[id];
                     // User-space stores leave the written region hot in the
                     // writer's caches; kernel (KNEM) copies do not.
-                    if mech == crate::schedule::Mech::Memcpy {
+                    if mech == Mech::Memcpy {
                         hot_regions.insert((dst_rank, dst_buf, dst_off, bytes));
                     }
                 }
-                for &dep in &dependents[id] {
+                for &dep in &dependents[first[id]..first[id + 1]] {
                     dep_remaining[dep] -= 1;
                     if dep_remaining[dep] == 0 {
-                        enqueue(
-                            dep,
-                            now,
-                            &mut ready,
-                            &mut timers,
-                            &mut started_at,
-                            &mut fs,
-                            schedule,
-                            self,
-                        );
+                        run.enqueue(dep);
                     }
                 }
             }
+            run.start_ready();
 
-            start_ready(
-                now,
-                &mut ready,
-                &mut busy,
-                &mut started_at,
-                &mut timers,
-                &mut fs,
-                schedule,
-                self,
-            );
-            solver.solve_event(&mut flows, self.full_rates, &mut solver_stats);
+            // Rates depend only on the flow set: solve when it changed.
+            if flows.take_changed() && !flows.is_empty() {
+                let t0 = Instant::now();
+                let (next, rounds) = flows.solve(now);
+                solver_stats.solve_ns += t0.elapsed().as_nanos() as u64;
+                solver_stats.full += 1;
+                solver_stats.fill_rounds += rounds;
+                t_flow = next;
+            } else {
+                solver_stats.skipped += 1;
+            }
         }
+        solver_stats.fill_ns = solver_stats.solve_ns;
 
         // Fold this run's solver and fault accounting into the process-wide
         // registry (the per-run structs in the report stay authoritative
@@ -1221,71 +706,43 @@ impl<'a> SimExecutor<'a> {
         registry.add("sim.runs", 1);
         registry.add("sim.ops", n as u64);
         registry.add("sim.solver.skipped", solver_stats.skipped);
-        registry.add("sim.solver.incremental", solver_stats.incremental);
         registry.add("sim.solver.full", solver_stats.full);
-        registry.add("sim.solver.fallback.forced", solver_stats.full_forced);
-        registry.add(
-            "sim.solver.fallback.cold_start",
-            solver_stats.full_cold_start,
-        );
-        registry.add(
-            "sim.solver.fallback.component_spanned",
-            solver_stats.full_component_spanned,
-        );
-        registry.add(
-            "sim.solver.fallback.incremental_disabled",
-            solver_stats.full_incremental_disabled,
-        );
-        registry.add("sim.solver.phase_ns.intern", solver_stats.intern_ns);
-        registry.add("sim.solver.phase_ns.bfs", solver_stats.bfs_ns);
-        registry.add("sim.solver.phase_ns.fill", solver_stats.fill_ns);
         registry.add("sim.solver.solve_ns", solver_stats.solve_ns);
         registry.add("sim.solver.fill_rounds", solver_stats.fill_rounds);
-        if solver_stats.incremental_disabled {
-            registry.add("solver.incremental_disabled", 1);
-        }
-        let comp_hist = registry.histogram("sim.solver.component_size");
-        for (i, &c) in solver_stats.component_sizes.iter().enumerate() {
-            if c > 0 {
-                comp_hist.record_many(1u64 << i, c);
-            }
-        }
-        fs.stats.publish(registry);
+        run.fs.stats.publish(registry);
 
         Ok(SimReport {
-            total_time: now,
-            op_start: started_at,
+            total_time: run.now,
+            op_start: run.started_at,
             op_finish,
-            resource_bytes,
+            resource_bytes: flows.resource_bytes(),
             rank_busy,
             solver_stats,
-            fault_stats: fs.stats,
+            fault_stats: run.fs.stats,
         })
     }
 
     fn latency_of(&self, kind: &OpKind) -> f64 {
-        match kind {
+        let distance = |a: usize, b: usize| {
+            core_distance(
+                self.machine,
+                self.binding.core_of(a),
+                self.binding.core_of(b),
+            )
+        };
+        match *kind {
             OpKind::Copy {
                 src_rank,
                 dst_rank,
                 mech,
                 ..
             } => {
-                let d = core_distance(
-                    self.machine,
-                    self.binding.core_of(*src_rank),
-                    self.binding.core_of(*dst_rank),
-                );
+                let one_sided = mech == Mech::Knem;
                 self.cal
-                    .op_latency_for(self.transport, d, *mech == crate::schedule::Mech::Knem)
+                    .op_latency_for(self.transport, distance(src_rank, dst_rank), one_sided)
             }
             OpKind::Notify { from, to } => {
-                let d = core_distance(
-                    self.machine,
-                    self.binding.core_of(*from),
-                    self.binding.core_of(*to),
-                );
-                self.cal.notify_latency + self.cal.wire_latency(d)
+                self.cal.notify_latency + self.cal.wire_latency(distance(from, to))
             }
         }
     }
@@ -1296,6 +753,27 @@ mod tests {
     use super::*;
     use crate::schedule::{BufId, Mech, ScheduleBuilder};
     use pdac_hwtopo::machines;
+
+    /// A dependency-free copy of `bytes` at `off` of `src`'s send buffer to
+    /// `off` of `dst`'s receive buffer, executed by `dst`.
+    fn pull(
+        b: &mut ScheduleBuilder,
+        src: usize,
+        dst: usize,
+        off: usize,
+        bytes: usize,
+        mech: Mech,
+    ) -> OpId {
+        let at = |rank, buf| (rank, buf, off);
+        b.copy(
+            at(src, BufId::Send),
+            at(dst, BufId::Recv),
+            bytes,
+            mech,
+            dst,
+            vec![],
+        )
+    }
 
     fn run_on_ig(build: impl FnOnce(&mut ScheduleBuilder)) -> SimReport {
         let ig = machines::ig();
@@ -1313,14 +791,7 @@ mod tests {
         // One 1MB copy core0 -> core0's NUMA: rate = min(core_bw, mc_bw/2).
         let cal = Calibration::ig();
         let rep = run_on_ig(|b| {
-            b.copy(
-                (0, BufId::Send, 0),
-                (0, BufId::Recv, 0),
-                1 << 20,
-                Mech::Memcpy,
-                0,
-                vec![],
-            );
+            pull(b, 0, 0, 0, 1 << 20, Mech::Memcpy);
         });
         let expect_rate = cal.core_bw.min(cal.mc_bw / 2.0);
         let expect = cal.op_latency(0, false) + (1 << 20) as f64 / expect_rate;
@@ -1336,24 +807,10 @@ mod tests {
     fn knem_setup_added_once() {
         let cal = Calibration::ig();
         let rep_knem = run_on_ig(|b| {
-            b.copy(
-                (0, BufId::Send, 0),
-                (12, BufId::Recv, 0),
-                4096,
-                Mech::Knem,
-                12,
-                vec![],
-            );
+            pull(b, 0, 12, 0, 4096, Mech::Knem);
         });
         let rep_memcpy = run_on_ig(|b| {
-            b.copy(
-                (0, BufId::Send, 0),
-                (12, BufId::Recv, 0),
-                4096,
-                Mech::Memcpy,
-                12,
-                vec![],
-            );
+            pull(b, 0, 12, 0, 4096, Mech::Memcpy);
         });
         let diff = rep_knem.total_time - rep_memcpy.total_time;
         assert!((diff - cal.knem_setup).abs() < 1e-12);
@@ -1368,14 +825,7 @@ mod tests {
         let binding = Binding::identity(&ig);
         let cal = Calibration::ig();
         let mut b = ScheduleBuilder::new("test", 48);
-        b.copy(
-            (0, BufId::Send, 0),
-            (12, BufId::Recv, 0),
-            65536,
-            Mech::Knem,
-            12,
-            vec![],
-        );
+        pull(&mut b, 0, 12, 0, 65536, Mech::Knem);
         let s = b.finish();
         let knem = SimExecutor::new(&ig, &binding, SimConfig::default())
             .run(&s)
@@ -1392,14 +842,7 @@ mod tests {
         );
         // Memcpy ops pay no setup under either model.
         let mut b = ScheduleBuilder::new("test", 48);
-        b.copy(
-            (0, BufId::Send, 0),
-            (12, BufId::Recv, 0),
-            65536,
-            Mech::Memcpy,
-            12,
-            vec![],
-        );
+        pull(&mut b, 0, 12, 0, 65536, Mech::Memcpy);
         let s = b.finish();
         let plain = SimExecutor::new(&ig, &binding, SimConfig::default())
             .run(&s)
@@ -1417,22 +860,8 @@ mod tests {
         // controller (mult 2 each, load 4) is the bottleneck.
         let cal = Calibration::ig();
         let rep = run_on_ig(|b| {
-            b.copy(
-                (0, BufId::Send, 0),
-                (1, BufId::Recv, 0),
-                1 << 20,
-                Mech::Memcpy,
-                1,
-                vec![],
-            );
-            b.copy(
-                (2, BufId::Send, 0),
-                (3, BufId::Recv, 0),
-                1 << 20,
-                Mech::Memcpy,
-                3,
-                vec![],
-            );
+            pull(b, 0, 1, 0, 1 << 20, Mech::Memcpy);
+            pull(b, 2, 3, 0, 1 << 20, Mech::Memcpy);
         });
         // off-cache defaults to allow_cache=true; 1MB fits the shared L3, so
         // these actually route through the cache domain and share it.
@@ -1447,22 +876,8 @@ mod tests {
         let binding = Binding::identity(&ig);
         let cal = Calibration::ig();
         let mut b = ScheduleBuilder::new("t", 48);
-        b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            1 << 20,
-            Mech::Memcpy,
-            1,
-            vec![],
-        );
-        b.copy(
-            (2, BufId::Send, 0),
-            (3, BufId::Recv, 0),
-            1 << 20,
-            Mech::Memcpy,
-            3,
-            vec![],
-        );
+        pull(&mut b, 0, 1, 0, 1 << 20, Mech::Memcpy);
+        pull(&mut b, 2, 3, 0, 1 << 20, Mech::Memcpy);
         let s = b.finish();
         let rep = SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false })
             .run(&s)
@@ -1481,14 +896,7 @@ mod tests {
             // edges must run one after the other even though they are
             // independent — the double buffer only pipelines one edge's
             // chunk stream.
-            b.copy(
-                (0, BufId::Send, 0),
-                (1, BufId::Recv, 0),
-                1 << 20,
-                Mech::Memcpy,
-                1,
-                vec![],
-            );
+            pull(b, 0, 1, 0, 1 << 20, Mech::Memcpy);
             b.copy(
                 (2, BufId::Send, 0),
                 (1, BufId::Recv, 1 << 20),
@@ -1512,22 +920,8 @@ mod tests {
         // Two chunks of the same (0 -> 1) edge: the second is staged into
         // the double buffer and its transfer overlaps the first.
         let rep = run_on_ig(|b| {
-            b.copy(
-                (0, BufId::Send, 0),
-                (1, BufId::Recv, 0),
-                1 << 20,
-                Mech::Memcpy,
-                1,
-                vec![],
-            );
-            b.copy(
-                (0, BufId::Send, 1 << 20),
-                (1, BufId::Recv, 1 << 20),
-                1 << 20,
-                Mech::Memcpy,
-                1,
-                vec![],
-            );
+            pull(b, 0, 1, 0, 1 << 20, Mech::Memcpy);
+            pull(b, 0, 1, 1 << 20, 1 << 20, Mech::Memcpy);
         });
         assert_eq!(
             rep.op_start[0], rep.op_start[1],
@@ -1544,22 +938,8 @@ mod tests {
         );
         // A third op on a different edge still waits for a free executor.
         let rep3 = run_on_ig(|b| {
-            b.copy(
-                (0, BufId::Send, 0),
-                (1, BufId::Recv, 0),
-                1 << 20,
-                Mech::Memcpy,
-                1,
-                vec![],
-            );
-            b.copy(
-                (0, BufId::Send, 1 << 20),
-                (1, BufId::Recv, 1 << 20),
-                1 << 20,
-                Mech::Memcpy,
-                1,
-                vec![],
-            );
+            pull(b, 0, 1, 0, 1 << 20, Mech::Memcpy);
+            pull(b, 0, 1, 1 << 20, 1 << 20, Mech::Memcpy);
             b.copy(
                 (2, BufId::Send, 0),
                 (1, BufId::Recv, 2 << 20),
@@ -1579,14 +959,7 @@ mod tests {
     fn deps_are_honored() {
         let cal = Calibration::ig();
         let rep = run_on_ig(|b| {
-            let a = b.copy(
-                (0, BufId::Send, 0),
-                (1, BufId::Recv, 0),
-                1 << 20,
-                Mech::Memcpy,
-                1,
-                vec![],
-            );
+            let a = pull(b, 0, 1, 0, 1 << 20, Mech::Memcpy);
             let n = b.notify(1, 2, vec![a]);
             b.copy(
                 (1, BufId::Recv, 0),
@@ -1612,14 +985,7 @@ mod tests {
 
     fn chain_schedule() -> Schedule {
         let mut b = ScheduleBuilder::new("fault-chain", 48);
-        let a = b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            1 << 16,
-            Mech::Memcpy,
-            1,
-            vec![],
-        );
+        let a = pull(&mut b, 0, 1, 0, 1 << 16, Mech::Memcpy);
         let n = b.notify(1, 2, vec![a]);
         b.copy(
             (1, BufId::Recv, 0),
@@ -1675,27 +1041,15 @@ mod tests {
     }
 
     #[test]
-    fn degraded_link_slows_flows_and_keeps_modes_bit_exact() {
+    fn degraded_link_slows_flows() {
         let (ig, binding) = ig_exec();
         let cal = Calibration::ig();
         let mut b = ScheduleBuilder::new("t", 48);
-        b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            1 << 20,
-            Mech::Memcpy,
-            1,
-            vec![],
-        );
+        pull(&mut b, 0, 1, 0, 1 << 20, Mech::Memcpy);
         let s = b.finish();
         let plan = FaultPlan::new(3).degrade_link(Resource::Cache(0), 0.5);
         let rep = SimExecutor::new(&ig, &binding, SimConfig::default())
-            .with_fault_plan(plan.clone())
-            .run(&s)
-            .unwrap();
-        let full = SimExecutor::new(&ig, &binding, SimConfig::default())
             .with_fault_plan(plan)
-            .with_full_rates()
             .run(&s)
             .unwrap();
         // 1MB fits the shared L3 and routes through the cache domain; at half
@@ -1703,7 +1057,6 @@ mod tests {
         let expect_rate = cal.core_bw.min(cal.cache_bw * 0.5);
         let expect = cal.op_latency(1, false) + (1 << 20) as f64 / expect_rate;
         assert!((rep.total_time - expect).abs() / expect < 1e-6);
-        assert_eq!(rep.total_time.to_bits(), full.total_time.to_bits());
         assert_eq!(rep.fault_stats.links_degraded, 1);
     }
 
@@ -1832,14 +1185,7 @@ mod tests {
         let ig = machines::ig();
         let binding = Binding::identity(&ig);
         let mut b = ScheduleBuilder::new("t", 48);
-        b.copy(
-            (0, BufId::Send, 0),
-            (24, BufId::Recv, 0),
-            1 << 20,
-            Mech::Knem,
-            24,
-            vec![],
-        );
+        pull(&mut b, 0, 24, 0, 1 << 20, Mech::Knem);
         let rep = SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false })
             .run(&b.finish())
             .unwrap();
@@ -1890,14 +1236,7 @@ mod tests {
     #[test]
     fn rank_busy_accumulates() {
         let rep = run_on_ig(|b| {
-            b.copy(
-                (0, BufId::Send, 0),
-                (1, BufId::Recv, 0),
-                1 << 20,
-                Mech::Memcpy,
-                1,
-                vec![],
-            );
+            pull(b, 0, 1, 0, 1 << 20, Mech::Memcpy);
         });
         assert!(rep.rank_busy[1] > 0.0);
         assert_eq!(rep.rank_busy[0], 0.0);
@@ -1909,14 +1248,7 @@ mod tests {
         let mk = || {
             run_on_ig(|b| {
                 for i in 0..8 {
-                    b.copy(
-                        (i, BufId::Send, 0),
-                        ((i + 13) % 48, BufId::Recv, 0),
-                        123_457,
-                        Mech::Knem,
-                        (i + 13) % 48,
-                        vec![],
-                    );
+                    pull(b, i, (i + 13) % 48, 0, 123_457, Mech::Knem);
                 }
             })
         };
@@ -1927,240 +1259,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_rates_match_full_recompute() {
-        // Six independent NUMA-local chains with staggered sizes: the flow
-        // graph holds several disjoint components arriving and draining at
-        // different times, so the component-scoped solver actually runs
-        // (and the skip path, via the notify events). Reports must be
-        // bit-identical to the forced whole-flow-set solve.
-        let ig = machines::ig();
-        let binding = Binding::identity(&ig);
-        let mut b = ScheduleBuilder::new("chains", 48);
-        for i in 0..6 {
-            let src = i * 8;
-            let dst = src + 4;
-            let bytes = (i + 1) * (256 << 10);
-            let a = b.copy(
-                (src, BufId::Send, 0),
-                (dst, BufId::Recv, 0),
-                bytes,
-                Mech::Knem,
-                dst,
-                vec![],
-            );
-            let n = b.notify(dst, src, vec![a]);
-            b.copy(
-                (dst, BufId::Recv, 0),
-                (src, BufId::Temp(0), 0),
-                bytes / 2,
-                Mech::Memcpy,
-                src,
-                vec![n],
-            );
-        }
-        let s = b.finish();
-        let inc = SimExecutor::new(&ig, &binding, SimConfig::default())
-            .run(&s)
-            .unwrap();
-        let full = SimExecutor::new(&ig, &binding, SimConfig::default())
-            .with_full_rates()
-            .run(&s)
-            .unwrap();
-        assert_eq!(inc.total_time, full.total_time);
-        assert_eq!(inc.op_finish, full.op_finish);
-        assert_eq!(inc.resource_bytes, full.resource_bytes);
-        // The incremental engine must have used every fast path.
-        assert!(inc.solver_stats.incremental > 0, "{:?}", inc.solver_stats);
-        assert!(inc.solver_stats.skipped > 0, "{:?}", inc.solver_stats);
-        // The reference engine never does.
-        assert_eq!(full.solver_stats.incremental, 0);
-        assert_eq!(full.solver_stats.skipped, 0);
-        assert!(full.solver_stats.full > 0);
-
-        // Every full solve carries a named reason, and the reasons
-        // partition the count exactly.
-        let reasons_sum: u64 = inc
-            .solver_stats
-            .fallback_reasons()
-            .iter()
-            .map(|(_, c)| c)
-            .sum();
-        assert_eq!(reasons_sum, inc.solver_stats.full, "{:?}", inc.solver_stats);
-        assert_eq!(inc.solver_stats.full_forced, 0);
-        assert_eq!(
-            inc.solver_stats.full_cold_start, 1,
-            "exactly one first solve per run"
-        );
-        assert_eq!(full.solver_stats.full_forced, full.solver_stats.full);
-
-        // Phase decomposition: time was recorded, and the named phases
-        // explain (almost) all of it. Debug builds run the cross-check
-        // solve inside `solve_event` untimed by any phase, so only the
-        // weaker bound holds here; the hotpath bench asserts ≥0.9 on the
-        // release profile.
-        let st = &inc.solver_stats;
-        assert!(st.total_solve_ns() > 0);
-        assert!(
-            st.fill_ns > 0 && st.bfs_ns > 0 && st.intern_ns > 0,
-            "{st:?}"
-        );
-        let attr = st.phase_attribution();
-        assert!(attr > 0.0 && attr <= 1.0, "attribution {attr} out of range");
-        assert!(st.fill_rounds > 0);
-
-        // One component-size sample per solved (non-skipped, unforced)
-        // event; the forced reference run records none.
-        let sized: u64 = st.component_sizes.iter().sum();
-        assert_eq!(sized, st.incremental + st.full, "{st:?}");
-        assert_eq!(full.solver_stats.component_sizes.iter().sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn honesty_disable_trips_on_measured_loss_only() {
-        let mut solver = RateSolver::new(0);
-        let mut stats = SolverStats {
-            incremental_samples: 16,
-            incremental_path_ns: 16 * 1_000, // mean 1000 ns
-            full_samples: 4,
-            full_path_ns: 4 * 100, // mean 100 ns
-            ..SolverStats::default()
-        };
-        solver.maybe_disable_incremental(&mut stats);
-        assert!(
-            solver.disabled && stats.incremental_disabled,
-            "slower incremental must trip"
-        );
-
-        // Incremental winning: no trip.
-        let mut solver = RateSolver::new(0);
-        let mut stats = SolverStats {
-            incremental_samples: 16,
-            incremental_path_ns: 16 * 100,
-            full_samples: 4,
-            full_path_ns: 4 * 1_000,
-            ..SolverStats::default()
-        };
-        solver.maybe_disable_incremental(&mut stats);
-        assert!(!solver.disabled && !stats.incremental_disabled);
-
-        // Too few samples on either path: the comparison stays unarmed.
-        let mut solver = RateSolver::new(0);
-        let mut stats = SolverStats {
-            incremental_samples: 15,
-            incremental_path_ns: 15 * 1_000,
-            full_samples: 4,
-            full_path_ns: 4 * 100,
-            ..SolverStats::default()
-        };
-        solver.maybe_disable_incremental(&mut stats);
-        assert!(!solver.disabled, "below the incremental sample floor");
-        let mut solver = RateSolver::new(0);
-        let mut stats = SolverStats {
-            incremental_samples: 16,
-            incremental_path_ns: 16 * 1_000,
-            full_samples: 3,
-            full_path_ns: 3 * 100,
-            ..SolverStats::default()
-        };
-        solver.maybe_disable_incremental(&mut stats);
-        assert!(!solver.disabled, "below the full sample floor");
-    }
-
-    #[test]
-    fn disabled_solver_takes_named_full_path_with_identical_rates() {
-        // Force the disabled state and replay a contended schedule: every
-        // event must take the `incremental_disabled` full path and still
-        // produce the exact reference timings (the disabled path *is*
-        // `solve_all`).
-        let ig = machines::ig();
-        let binding = Binding::identity(&ig);
-        let mut b = ScheduleBuilder::new("disabled", 48);
-        for i in 0..4 {
-            b.copy(
-                (i, BufId::Send, 0),
-                (i + 8, BufId::Recv, 0),
-                512 << 10,
-                Mech::Knem,
-                i + 8,
-                vec![],
-            );
-        }
-        let _ = b.finish();
-
-        // Drive a solver by hand through the same arrival set with
-        // `disabled` pre-set, mirroring what run() does per event.
-        let mut solver = RateSolver::new(4);
-        solver.disabled = true;
-        let mut stats = SolverStats::default();
-        let mut flows: BTreeMap<OpId, Flow> = BTreeMap::new();
-        let cal = Calibration::for_machine(&ig);
-        for id in 0..4usize {
-            let route = copy_route(
-                &ig,
-                &cal,
-                binding.core_of(id),
-                binding.core_of(id + 8),
-                binding.core_of(id + 8),
-                512 << 10,
-                true,
-                false,
-            );
-            let droute = solver.add_flow(id, &route, &cal, &HashMap::new());
-            flows.insert(
-                id,
-                Flow {
-                    route,
-                    droute,
-                    remaining: (512 << 10) as f64,
-                    rate: 0.0,
-                    bytes: 512 << 10,
-                },
-            );
-            solver.solve_event(&mut flows, false, &mut stats);
-        }
-        assert_eq!(stats.incremental, 0);
-        assert_eq!(stats.full, 4);
-        assert_eq!(stats.full_incremental_disabled, 4, "{stats:?}");
-        assert!(flows.values().all(|f| f.rate > 0.0));
-    }
-
-    #[test]
-    fn contended_flows_share_a_component() {
-        // Two copies through one controller form a single component: the
-        // scoped solver must still see the merge and fall back to (or
-        // equal) the full solve. Cross-checked via total time equality.
-        let ig = machines::ig();
-        let binding = Binding::identity(&ig);
-        let mut b = ScheduleBuilder::new("contended", 48);
-        b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            1 << 20,
-            Mech::Memcpy,
-            1,
-            vec![],
-        );
-        b.copy(
-            (2, BufId::Send, 0),
-            (3, BufId::Recv, 0),
-            1 << 21,
-            Mech::Memcpy,
-            3,
-            vec![],
-        );
-        let s = b.finish();
-        let inc = SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false })
-            .run(&s)
-            .unwrap();
-        let full = SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false })
-            .with_full_rates()
-            .run(&s)
-            .unwrap();
-        assert_eq!(inc.total_time, full.total_time);
-        assert_eq!(inc.op_finish, full.op_finish);
-    }
-
-    #[test]
     fn pipeline_beats_store_and_forward() {
         // Chain 0 -> 12 -> 24 of 4MB, pipelined in 4 chunks vs monolithic.
         let ig = machines::ig();
@@ -2168,14 +1266,7 @@ mod tests {
         let total = 4 << 20;
         let mono = {
             let mut b = ScheduleBuilder::new("mono", 48);
-            let a = b.copy(
-                (0, BufId::Send, 0),
-                (12, BufId::Recv, 0),
-                total,
-                Mech::Knem,
-                12,
-                vec![],
-            );
+            let a = pull(&mut b, 0, 12, 0, total, Mech::Knem);
             b.copy(
                 (12, BufId::Recv, 0),
                 (24, BufId::Recv, 0),
@@ -2194,14 +1285,7 @@ mod tests {
             let mut prev: Vec<Option<usize>> = vec![None; 4];
             for c in 0..4 {
                 let off = c * chunk;
-                let a = b.copy(
-                    (0, BufId::Send, off),
-                    (12, BufId::Recv, off),
-                    chunk,
-                    Mech::Knem,
-                    12,
-                    vec![],
-                );
+                let a = pull(&mut b, 0, 12, off, chunk, Mech::Knem);
                 let deps = match prev[c] {
                     Some(p) => vec![a, p],
                     None => vec![a],

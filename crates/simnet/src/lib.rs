@@ -45,6 +45,7 @@ pub mod report;
 pub mod resource;
 pub mod route;
 pub mod schedule;
+mod solver;
 pub mod trace;
 
 pub use engine::{SimConfig, SimExecutor, SimReport, SolverStats};

@@ -8,7 +8,7 @@
 
 use pdac_hwtopo::{CoreId, Machine};
 
-use crate::resource::{Calibration, Resource};
+use crate::resource::Resource;
 
 /// Maximum resources a single route can touch.
 pub const MAX_ROUTE: usize = 7;
@@ -16,9 +16,10 @@ pub const MAX_ROUTE: usize = 7;
 /// A route: up to [`MAX_ROUTE`] `(resource, multiplicity)` entries.
 pub type Route = Vec<(Resource, u32)>;
 
-/// Computes the route of a copy of `bytes` from a buffer owned by the
-/// process on `src_core` to one owned by the process on `dst_core`,
-/// executed by the core `exec_core`.
+/// Computes into `route` (cleared first, so one buffer serves a whole run)
+/// the route of a copy of `bytes` from a buffer owned by the process on
+/// `src_core` to one owned by the process on `dst_core`, executed by the
+/// core `exec_core`.
 ///
 /// The transfer stays inside the shared-cache domain when both cores share
 /// a cache large enough for the payload and the source data can be warm:
@@ -30,17 +31,17 @@ pub type Route = Vec<(Resource, u32)>;
 #[allow(clippy::too_many_arguments)]
 pub fn copy_route(
     machine: &Machine,
-    _cal: &Calibration,
     src_core: CoreId,
     dst_core: CoreId,
     exec_core: CoreId,
     bytes: usize,
     allow_cache: bool,
     src_hot: bool,
-) -> Route {
+    route: &mut Route,
+) {
     let src = machine.core(src_core);
     let dst = machine.core(dst_core);
-    let mut route: Route = Vec::with_capacity(MAX_ROUTE);
+    route.clear();
 
     // Inter-node (cluster extension): RDMA-style get over the NICs. The
     // source side is read by the adapter's DMA engine (no cache service
@@ -56,7 +57,7 @@ pub fn copy_route(
         }
         route.push((Resource::Nic(dst.node), 1));
         route.push((Resource::Mc(dst.numa), 1));
-        return route;
+        return;
     }
 
     let warm = allow_cache || src_hot;
@@ -73,7 +74,7 @@ pub fn copy_route(
                     // are eventually evicted to the destination's DRAM.
                     route.push((Resource::Mc(dst.numa), 1));
                 }
-                return route;
+                return;
             }
         }
     }
@@ -96,7 +97,7 @@ pub fn copy_route(
                     route.push((Resource::BoardLink, 1));
                 }
                 route.push((Resource::Mc(dst.numa), 1));
-                return route;
+                return;
             }
         }
     }
@@ -121,7 +122,6 @@ pub fn copy_route(
             route.push((Resource::BoardLink, 1));
         }
     }
-    route
 }
 
 #[cfg(test)]
@@ -129,14 +129,35 @@ mod tests {
     use super::*;
     use pdac_hwtopo::machines;
 
-    fn cal() -> Calibration {
-        Calibration::generic()
+    #[allow(clippy::too_many_arguments)]
+    fn copy_route(
+        machine: &Machine,
+        src: CoreId,
+        dst: CoreId,
+        exec: CoreId,
+        bytes: usize,
+        allow_cache: bool,
+        src_hot: bool,
+    ) -> Route {
+        // Stale entries must not survive into the next route.
+        let mut route = vec![(Resource::BoardLink, 9)];
+        super::copy_route(
+            machine,
+            src,
+            dst,
+            exec,
+            bytes,
+            allow_cache,
+            src_hot,
+            &mut route,
+        );
+        route
     }
 
     #[test]
     fn self_copy_is_local_memory() {
         let ig = machines::ig();
-        let r = copy_route(&ig, &cal(), 0, 0, 0, 1 << 20, false, false);
+        let r = copy_route(&ig, 0, 0, 0, 1 << 20, false, false);
         assert_eq!(r, vec![(Resource::Core(0), 1), (Resource::Mc(0), 2)]);
     }
 
@@ -144,23 +165,23 @@ mod tests {
     fn shared_cache_route_when_fits() {
         let ig = machines::ig();
         // Cores 0 and 5 share the 5118KB L3; 1MB fits.
-        let r = copy_route(&ig, &cal(), 0, 5, 5, 1 << 20, true, false);
+        let r = copy_route(&ig, 0, 5, 5, 1 << 20, true, false);
         assert_eq!(r, vec![(Resource::Core(5), 1), (Resource::Cache(0), 1)]);
     }
 
     #[test]
     fn cache_route_denied_when_too_big_or_off_cache() {
         let ig = machines::ig();
-        let big = copy_route(&ig, &cal(), 0, 5, 5, 8 << 20, true, false);
+        let big = copy_route(&ig, 0, 5, 5, 8 << 20, true, false);
         assert!(big.contains(&(Resource::Mc(0), 2)), "8MB exceeds the L3");
-        let off = copy_route(&ig, &cal(), 0, 5, 5, 1 << 20, false, false);
+        let off = copy_route(&ig, 0, 5, 5, 1 << 20, false, false);
         assert!(off.contains(&(Resource::Mc(0), 2)), "off-cache forces memory");
     }
 
     #[test]
     fn cross_numa_same_board_route_cold() {
         let ig = machines::ig();
-        let r = copy_route(&ig, &cal(), 0, 12, 12, 1 << 20, false, false);
+        let r = copy_route(&ig, 0, 12, 12, 1 << 20, false, false);
         assert_eq!(
             r,
             vec![
@@ -181,7 +202,7 @@ mod tests {
         // Warm source (hot or cache-friendly benchmark): the read is served
         // from the source socket's L3 over the ports, skipping Mc(0).
         for (allow_cache, src_hot) in [(true, false), (false, true)] {
-            let r = copy_route(&ig, &cal(), 0, 12, 12, 1 << 20, allow_cache, src_hot);
+            let r = copy_route(&ig, 0, 12, 12, 1 << 20, allow_cache, src_hot);
             assert_eq!(
                 r,
                 vec![
@@ -194,14 +215,14 @@ mod tests {
             );
         }
         // Payload exceeding the source L3 falls back to memory.
-        let r = copy_route(&ig, &cal(), 0, 12, 12, 8 << 20, true, true);
+        let r = copy_route(&ig, 0, 12, 12, 8 << 20, true, true);
         assert!(r.contains(&(Resource::Mc(0), 1)));
     }
 
     #[test]
     fn cross_board_route_includes_board_link() {
         let ig = machines::ig();
-        let r = copy_route(&ig, &cal(), 0, 24, 24, 1 << 20, true, false);
+        let r = copy_route(&ig, 0, 24, 24, 1 << 20, true, false);
         assert!(r.contains(&(Resource::BoardLink, 1)));
         assert!(r.len() <= MAX_ROUTE);
     }
@@ -211,17 +232,17 @@ mod tests {
         let z = machines::zoot();
         // Distance 3 on Zoot: different sockets, same (single) controller —
         // no port traversal, double pass over the FSB controller.
-        let r = copy_route(&z, &cal(), 0, 4, 4, 8 << 20, true, false);
+        let r = copy_route(&z, 0, 4, 4, 8 << 20, true, false);
         assert_eq!(r, vec![(Resource::Core(4), 1), (Resource::Mc(0), 2)]);
     }
 
     #[test]
     fn zoot_shared_l2_pair_uses_cache_for_small() {
         let z = machines::zoot();
-        let r = copy_route(&z, &cal(), 0, 1, 1, 1 << 20, true, false);
+        let r = copy_route(&z, 0, 1, 1, 1 << 20, true, false);
         assert_eq!(r, vec![(Resource::Core(1), 1), (Resource::Cache(0), 1)]);
         // 8MB exceeds the 4MB L2.
-        let r = copy_route(&z, &cal(), 0, 1, 1, 8 << 20, true, false);
+        let r = copy_route(&z, 0, 1, 1, 8 << 20, true, false);
         assert_eq!(r, vec![(Resource::Core(1), 1), (Resource::Mc(0), 2)]);
     }
 }

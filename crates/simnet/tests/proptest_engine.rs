@@ -99,27 +99,6 @@ proptest! {
     }
 
     #[test]
-    fn incremental_solver_matches_full_recompute(schedule in arb_schedule()) {
-        // The component-scoped incremental rate solver must be observationally
-        // identical to re-solving the whole flow set at every event: same
-        // makespan, same per-op times, same traffic — exactly, not within
-        // tolerance.
-        let ig = machines::ig();
-        let binding = Binding::identity(&ig);
-        for allow_cache in [true, false] {
-            let cfg = SimConfig { allow_cache };
-            let inc = SimExecutor::new(&ig, &binding, cfg).run(&schedule).unwrap();
-            let full = SimExecutor::new(&ig, &binding, cfg).with_full_rates().run(&schedule).unwrap();
-            prop_assert_eq!(inc.total_time, full.total_time);
-            prop_assert_eq!(inc.op_finish, full.op_finish);
-            prop_assert_eq!(inc.op_start, full.op_start);
-            let iv: Vec<_> = inc.resource_bytes.into_iter().collect();
-            let fv: Vec<_> = full.resource_bytes.into_iter().collect();
-            prop_assert_eq!(iv, fv);
-        }
-    }
-
-    #[test]
     fn more_bytes_never_finish_faster(
         src in 0usize..48,
         dst in 0usize..48,
