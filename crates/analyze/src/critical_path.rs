@@ -359,8 +359,8 @@ mod tests {
     #[test]
     fn sub_nanosecond_wait_dust_clamps_to_exactly_zero() {
         // A dependency ending "exactly" when its successor starts, up to
-        // float rounding: the 4.5e-13 µs residue seen in BENCH_hotpath
-        // must read as zero wait, not as a 1e-13 µs wait share.
+        // float rounding: the 4.5e-13 µs residue seen on simulated
+        // traces must read as zero wait, not as a 1e-13 µs wait share.
         let g = OpGraph::new(vec![
             span(0, 0, 0.0, 4.0, vec![]),
             span(1, 1, 4.0 + 4.5e-13, 4.0, vec![0]),

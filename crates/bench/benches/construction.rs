@@ -85,8 +85,8 @@ fn bench_schedule_generation(c: &mut Criterion) {
 }
 
 /// Cached vs cold topology construction on a 32-rank communicator — the
-/// steady state of repeated collectives (see `src/bin/hotpath.rs` for the
-/// standalone report with the same workload).
+/// steady state of repeated collectives (`pdac-e2e`'s `core.plan_{cold,warm}_ns`
+/// probes time the same split end to end).
 fn bench_topo_cache(c: &mut Criterion) {
     let machine = Arc::new(machines::synthetic(2, 2, 8, true));
     let binding = BindingPolicy::Random { seed: 9 }.bind(&machine, 32).unwrap();

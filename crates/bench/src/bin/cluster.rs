@@ -34,9 +34,9 @@ fn main() {
     };
 
     // 4 KiB .. 4 MiB messages for broadcast. Allgather sizes are per-rank
-    // blocks and stop at 1 MiB: the 2 MiB schedule (1.1 M ops) runs into the
-    // engine's zero-length-step stall (ROADMAP, "The simulator's clock can
-    // stop") a few hundred ops before its end and never returns.
+    // blocks and stop at 1 MiB, where the committed table stops: the 2 MiB
+    // schedule is 1.1 M ops, and validating and simulating it four times
+    // over is most of a minute.
     for (what, kind, bcast, max_pow) in
         [("Broadcast", BwKind::Bcast, true, 22), ("Allgather", BwKind::Allgather, false, 20)]
     {

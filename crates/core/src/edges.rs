@@ -75,7 +75,7 @@ pub fn bcast_edge_order(dist: &DistanceMatrix, root: usize) -> Vec<Edge> {
 /// [`bcast_edge_order`] into a caller-owned arena (cleared and refilled).
 pub fn bcast_edge_order_into(dist: &DistanceMatrix, root: usize, edges: &mut Vec<Edge>) {
     all_edges_into(dist, edges);
-    sort_edges_by_key(edges, |e| {
+    edges.sort_by_key(|e| {
         if e.covers(root) {
             // Root-covering edges lead their weight class, ordered by the
             // non-root endpoint's rank.
@@ -96,68 +96,7 @@ pub fn ring_edge_order(dist: &DistanceMatrix) -> Vec<Edge> {
 /// [`ring_edge_order`] into a caller-owned arena (cleared and refilled).
 pub fn ring_edge_order_into(dist: &DistanceMatrix, edges: &mut Vec<Edge>) {
     all_edges_into(dist, edges);
-    sort_edges_by_key(edges, |e| (e.w, e.u, e.v));
-}
-
-/// Edge count above which the parallel build splits the sort across
-/// threads (≈ 256 ranks' worth of edges — below that, thread spawn
-/// overhead dominates).
-#[cfg(feature = "parallel")]
-const PAR_SORT_MIN_EDGES: usize = 32 * 1024;
-
-#[cfg(not(feature = "parallel"))]
-fn sort_edges_by_key<K: Ord>(edges: &mut [Edge], key: impl Fn(&Edge) -> K) {
-    edges.sort_by_key(key);
-}
-
-/// Stable sort via per-chunk sorts on scoped threads followed by a serial
-/// k-way merge. The key function is evaluated per comparison, exactly like
-/// the serial path, so the ordering (and therefore every downstream
-/// topology) is bit-identical to the serial build.
-#[cfg(feature = "parallel")]
-fn sort_edges_by_key<K: Ord>(edges: &mut [Edge], key: impl Fn(&Edge) -> K + Sync) {
-    let len = edges.len();
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if len < PAR_SORT_MIN_EDGES || threads < 2 {
-        edges.sort_by_key(key);
-        return;
-    }
-    let chunk = len.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for part in edges.chunks_mut(chunk) {
-            scope.spawn(|| part.sort_by_key(&key));
-        }
-    });
-    // Merge the sorted runs pairwise until one remains; merging is stable
-    // left-to-right, matching what a single stable sort would produce.
-    let mut width = chunk;
-    let mut scratch: Vec<Edge> = Vec::with_capacity(len);
-    while width < len {
-        let mut start = 0;
-        while start + width < len {
-            let mid = start + width;
-            let end = (mid + width).min(len);
-            scratch.clear();
-            {
-                let (left, right) = (&edges[start..mid], &edges[mid..end]);
-                let (mut i, mut j) = (0, 0);
-                while i < left.len() && j < right.len() {
-                    if key(&right[j]) < key(&left[i]) {
-                        scratch.push(right[j]);
-                        j += 1;
-                    } else {
-                        scratch.push(left[i]);
-                        i += 1;
-                    }
-                }
-                scratch.extend_from_slice(&left[i..]);
-                scratch.extend_from_slice(&right[j..]);
-            }
-            edges[start..end].copy_from_slice(&scratch);
-            start = end;
-        }
-        width *= 2;
-    }
+    edges.sort_by_key(|e| (e.w, e.u, e.v));
 }
 
 #[cfg(test)]
@@ -230,33 +169,6 @@ mod tests {
         // The arena is cleared and refilled, not appended to.
         ring_edge_order_into(&d, &mut arena);
         assert_eq!(arena, ring_edge_order(&d));
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_sort_matches_serial_order() {
-        // 288 ranks → 41328 edges, above PAR_SORT_MIN_EDGES, so this
-        // exercises the chunked sort + merge path. The reference is a
-        // plain single-threaded stable sort with the same keys.
-        let m = machines::synthetic(4, 4, 18, true);
-        let b = BindingPolicy::Random { seed: 7 }.bind(&m, 288).unwrap();
-        let d = DistanceMatrix::for_binding(&m, &b);
-        assert!(all_edges(&d).len() > super::PAR_SORT_MIN_EDGES);
-
-        let root = 3;
-        let mut reference = all_edges(&d);
-        reference.sort_by_key(|e| {
-            if e.covers(root) {
-                (e.w, 0usize, e.other(root), usize::MAX)
-            } else {
-                (e.w, 1usize, e.u, e.v)
-            }
-        });
-        assert_eq!(bcast_edge_order(&d, root), reference);
-
-        let mut reference = all_edges(&d);
-        reference.sort_by_key(|e| (e.w, e.u, e.v));
-        assert_eq!(ring_edge_order(&d), reference);
     }
 
     #[test]

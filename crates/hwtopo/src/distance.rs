@@ -84,17 +84,8 @@ pub struct DistanceMatrix {
     d: Vec<Distance>,
 }
 
-/// Rank count above which the parallel fill splits rows across threads
-/// (below it, thread spawn overhead exceeds the O(n²) fill).
-#[cfg(feature = "parallel")]
-const PAR_FILL_MIN_RANKS: usize = 128;
-
 impl DistanceMatrix {
     /// Distances between the ranks of `binding` on `machine`.
-    ///
-    /// With the `parallel` feature, large matrices are filled row-wise on
-    /// scoped threads; each cell is the same pure [`core_distance`] call,
-    /// so the result is bit-identical to the serial build.
     pub fn for_binding(machine: &Machine, binding: &Binding) -> Self {
         let n = binding.num_ranks();
         let telemetry = pdac_telemetry::global();
@@ -102,17 +93,10 @@ impl DistanceMatrix {
             0,
             "hwtopo",
             || format!("distance_fill n={n}"),
-            || vec![("ranks", n.into()), ("parallel", u64::from(cfg!(feature = "parallel")).into())],
+            || vec![("ranks", n.into())],
         );
         telemetry.registry().add("hwtopo.distance_fills", 1);
         telemetry.registry().add("hwtopo.distance_cells", (n * n) as u64);
-        #[cfg(feature = "parallel")]
-        {
-            let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
-            if n >= PAR_FILL_MIN_RANKS && threads >= 2 {
-                return Self::for_binding_parallel(machine, binding, threads);
-            }
-        }
         let mut d = vec![0; n * n];
         for i in 0..n {
             for j in (i + 1)..n {
@@ -121,34 +105,6 @@ impl DistanceMatrix {
                 d[j * n + i] = dist;
             }
         }
-        DistanceMatrix { n, d }
-    }
-
-    /// Row-parallel fill: each thread owns a contiguous block of rows (a
-    /// disjoint `chunks_mut` of the backing vector) and computes every cell
-    /// of its rows, including the symmetric halves, so no cross-thread
-    /// writes occur.
-    #[cfg(feature = "parallel")]
-    fn for_binding_parallel(machine: &Machine, binding: &Binding, threads: usize) -> Self {
-        let n = binding.num_ranks();
-        let mut d: Vec<Distance> = vec![0; n * n];
-        let rows_per = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (block, rows) in d.chunks_mut(rows_per * n).enumerate() {
-                scope.spawn(move || {
-                    let first = block * rows_per;
-                    for (k, row) in rows.chunks_mut(n).enumerate() {
-                        let i = first + k;
-                        let ci = binding.core_of(i);
-                        for (j, cell) in row.iter_mut().enumerate() {
-                            if i != j {
-                                *cell = core_distance(machine, ci, binding.core_of(j));
-                            }
-                        }
-                    }
-                });
-            }
-        });
         DistanceMatrix { n, d }
     }
 
@@ -350,25 +306,6 @@ mod tests {
         assert_eq!(h[1], 8, "8 shared-L2 pairs");
         assert_eq!(h[2], 16, "4 cross-die pairs per socket");
         assert_eq!(h[3], 96, "all cross-socket pairs");
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_fill_matches_pairwise_serial() {
-        // 256 ranks crosses PAR_FILL_MIN_RANKS, so this exercises the
-        // threaded path; every cell must equal the pure pairwise function.
-        let m = machines::synthetic(4, 4, 16, true);
-        let n = m.num_cores();
-        assert!(n >= super::PAR_FILL_MIN_RANKS);
-        let b = BindingPolicy::Random { seed: 31 }.bind(&m, n).unwrap();
-        let dm = DistanceMatrix::for_binding(&m, &b);
-        for i in 0..n {
-            for j in 0..n {
-                let expect =
-                    if i == j { 0 } else { core_distance(&m, b.core_of(i), b.core_of(j)) };
-                assert_eq!(dm.get(i, j), expect, "cell ({i}, {j})");
-            }
-        }
     }
 
     #[test]

@@ -25,7 +25,6 @@
 
 pub mod bufpool;
 pub mod comm;
-pub mod completion;
 pub mod detector;
 pub mod fault;
 pub mod integrity;
@@ -41,7 +40,6 @@ pub(crate) mod workers;
 
 pub use bufpool::{BufferPool, BufferPoolStats};
 pub use comm::Communicator;
-pub use completion::CompletionRing;
 pub use detector::{DetectorCounters, FailureDetector, RankState};
 pub use fault::{CorruptTarget, ExecFaultPlan, RetryPolicy};
 pub use integrity::{checksum, corrupt_payload, CorruptionKind, IntegrityStats};

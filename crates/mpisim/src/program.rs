@@ -4,9 +4,9 @@
 //! list, over buffers named by `(rank, buffer)` keys. The rank workers are
 //! long-lived threads and cannot borrow it, so [`Program::lower`] flattens
 //! it once per run into an owned, `Arc`-shared program: one op stream per
-//! executing rank, dependency and subscriber lists as ranges into two
-//! arenas, and every buffer reference resolved to a slot of a dense table,
-//! so executing an op hashes and looks up nothing.
+//! executing rank, dependency lists as ranges into one arena, and every
+//! buffer reference resolved to a slot of a dense table, so executing an op
+//! hashes and looks up nothing.
 
 use std::ops::Range;
 
@@ -27,7 +27,6 @@ pub(crate) struct LoweredOp {
     /// Process-distance class of the op's endpoints (0 without a matrix).
     pub class: u8,
     deps: Range<usize>,
-    subs: Range<usize>,
 }
 
 /// A schedule flattened for execution. Immutable once built.
@@ -41,13 +40,6 @@ pub(crate) struct Program {
     rank_start: Vec<usize>,
     /// Arena of dependency op ids.
     deps: Vec<OpId>,
-    /// Arena of subscriber ranks: per op, the ranks (deduped) that own an
-    /// op depending on it from another rank, whose ring a completion is
-    /// pushed into. Same-rank dependencies resolve in program order.
-    subs: Vec<Rank>,
-    /// Per rank, how many `(op, rank)` subscriptions name it: the exact
-    /// upper bound on pushes its completion ring can receive in one run.
-    inbound: Vec<usize>,
     /// The dense buffer table: key and declared size per slot, in key order.
     bufs: Vec<((Rank, BufId), usize)>,
 }
@@ -79,19 +71,13 @@ impl Program {
         let mut stream = vec![0; schedule.ops.len()];
 
         let mut deps = Vec::new();
-        let mut edges: Vec<(OpId, Rank)> = Vec::new();
         let mut ops = Vec::with_capacity(schedule.ops.len());
         for (id, op) in schedule.ops.iter().enumerate() {
             let me = op.kind.executor();
             stream[cursor[me]] = id;
             cursor[me] += 1;
             let first_dep = deps.len();
-            for &dep in &op.deps {
-                deps.push(dep);
-                if schedule.ops[dep].kind.executor() != me {
-                    edges.push((dep, me));
-                }
-            }
+            deps.extend_from_slice(&op.deps);
             let (src, dst) = match op.kind {
                 OpKind::Copy {
                     src_rank,
@@ -110,25 +96,8 @@ impl Program {
                 hist_kind,
                 class,
                 deps: first_dep..deps.len(),
-                subs: 0..0,
             });
         }
-
-        // Sorted and deduped, the `(op, subscriber)` edges are the
-        // subscriber arena already grouped by op id.
-        edges.sort_unstable();
-        edges.dedup();
-        let mut inbound = vec![0usize; num_ranks];
-        let mut at = 0;
-        for (id, op) in ops.iter_mut().enumerate() {
-            let first = at;
-            while at < edges.len() && edges[at].0 == id {
-                inbound[edges[at].1] += 1;
-                at += 1;
-            }
-            op.subs = first..at;
-        }
-        let subs = edges.into_iter().map(|(_, rank)| rank).collect();
 
         Program {
             num_ranks,
@@ -136,8 +105,6 @@ impl Program {
             stream,
             rank_start,
             deps,
-            subs,
-            inbound,
             bufs,
         }
     }
@@ -165,16 +132,6 @@ impl Program {
     /// Ids of the ops `op` waits for.
     pub fn deps(&self, op: &LoweredOp) -> &[OpId] {
         &self.deps[op.deps.clone()]
-    }
-
-    /// Ranks whose completion ring `op`'s completion is pushed into.
-    pub fn subscribers(&self, op: &LoweredOp) -> &[Rank] {
-        &self.subs[op.subs.clone()]
-    }
-
-    /// Upper bound on completions pushed into `rank`'s ring in one run.
-    pub fn inbound(&self, rank: Rank) -> usize {
-        self.inbound[rank]
     }
 
     /// Key and declared size of every buffer, in slot order.
@@ -220,10 +177,10 @@ mod tests {
     use pdac_simnet::ScheduleBuilder;
 
     #[test]
-    fn lowering_keeps_program_order_deps_and_dedups_subscribers() {
+    fn lowering_keeps_program_order_deps_and_slots() {
         // 0 -> 1, then rank 2 pulls from rank 1 twice and rank 1 once more
-        // from itself: op `a` has two dependents on rank 2 (one
-        // subscription) and one on its own rank (none).
+        // from itself: op `a` has two dependents on rank 2 and one on its
+        // own rank.
         let mut b = ScheduleBuilder::new("t", 3);
         let a = b.copy(
             (0, BufId::Send, 0),
@@ -271,18 +228,6 @@ mod tests {
             assert_eq!(p.deps(p.op(id)), &op.deps[..], "op {id}");
             assert_eq!(p.op(id).kind, op.kind, "op {id}");
         }
-        assert_eq!(
-            p.subscribers(p.op(a)),
-            &[2],
-            "two dependents, one subscription"
-        );
-        assert_eq!(
-            p.subscribers(p.op(c)),
-            &[] as &[Rank],
-            "same-rank dependent"
-        );
-        assert_eq!(p.subscribers(p.op(e)), &[2]);
-        assert_eq!((p.inbound(0), p.inbound(1), p.inbound(2)), (0, 0, 2));
 
         // Slots follow the schedule's key order and resolve both ways.
         let keys: Vec<(Rank, BufId)> = p.bufs().iter().map(|&(key, _)| key).collect();

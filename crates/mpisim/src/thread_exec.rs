@@ -23,7 +23,6 @@ use pdac_simnet::{BufId, DataOp, FaultStats, Mech, OpKind, Rank, Schedule, Sched
 use pdac_telemetry::LogHistogram;
 
 use crate::bufpool::{BufferPool, BufferPoolStats};
-use crate::completion::CompletionRing;
 use crate::detector::{DetectorCounters, FailureDetector};
 use crate::fault::{ExecFaultPlan, RetryPolicy};
 use crate::integrity::{self, CorruptionKind, IntegrityStats};
@@ -201,7 +200,7 @@ pub struct ExecResult {
 /// How the run's dependency waits resolved. Every wait lands in exactly one
 /// of the three resolution buckets, so `fast + spun + slow` is the number of
 /// dependency edges the run waited on; the other fields count events along
-/// the way. The success path is lock-free (completion rings + `done` flags);
+/// the way. The success path is lock-free (one `done` flag per op);
 /// `parked` counts condvar parks, which only the deadline/suspect-clock path
 /// takes — a healthy run with no deadline armed reports `parked == 0`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -213,7 +212,8 @@ pub struct WaitStats {
     /// Waits that outlasted the spin and went on to yield (and, under an
     /// armed deadline, park) — however they then ended.
     pub slow: u64,
-    /// Completion notifications drained from the per-rank rings.
+    // Read by pdac-e2e's frozen probes, always 0; delete in the next [benchmark] PR.
+    #[doc(hidden)]
     pub drained: u64,
     /// Condvar parks (bounded slices under an armed deadline only).
     pub parked: u64,
@@ -319,7 +319,6 @@ struct WaitCounters {
     fast: AtomicU64,
     spun: AtomicU64,
     slow: AtomicU64,
-    drained: AtomicU64,
     parked: AtomicU64,
     yields: AtomicU64,
 }
@@ -329,7 +328,7 @@ struct WaitCounters {
 /// condvar broadcast (only `poison` still notifies, to cut parks short).
 const PARK_SLICE: Duration = Duration::from_millis(1);
 
-/// Spin iterations (with ring drains) before falling back to `yield_now`.
+/// Spin iterations before falling back to `yield_now`.
 const SPIN_BUDGET: u32 = 128;
 
 /// How long a deadline-armed waiter stays on the cooperative yield path
@@ -340,12 +339,6 @@ const PARK_AFTER: Duration = Duration::from_micros(500);
 struct Sync_ {
     done: Vec<AtomicBool>,
     poisoned: AtomicBool,
-    /// One MPSC completion ring per rank: peers push op ids whose
-    /// completion unblocks a cross-rank dependency of that rank. Sized by
-    /// the rank's inbound subscription count, which bounds the pushes.
-    rings: Vec<CompletionRing>,
-    /// Depth of a rank's ring observed at each non-empty drain.
-    queue_depth: Arc<LogHistogram>,
     stats: WaitCounters,
     /// Condvar survives only for the deadline/suspect-clock path and for
     /// poisoning; the success path never takes the lock.
@@ -354,41 +347,26 @@ struct Sync_ {
 }
 
 impl Sync_ {
-    fn new(program: &Program, queue_depth: Arc<LogHistogram>) -> Self {
+    fn new(program: &Program) -> Self {
         Sync_ {
             done: (0..program.num_ops()).map(|_| AtomicBool::new(false)).collect(),
             poisoned: AtomicBool::new(false),
-            rings: (0..program.num_ranks())
-                .map(|r| CompletionRing::with_capacity(program.inbound(r)))
-                .collect(),
-            queue_depth,
             stats: WaitCounters::default(),
             lock: Mutex::new(()),
             cvar: Condvar::new(),
         }
     }
 
-    /// Empties `me`'s completion ring, recording the observed depth.
-    fn drain(&self, me: Rank) {
-        let depth = self.rings[me].len();
-        if depth > 0 {
-            self.queue_depth.record(depth as u64);
-            let n = self.rings[me].drain_into(&mut |_id| {});
-            self.stats.drained.fetch_add(n as u64, Ordering::Relaxed);
-        }
-    }
-
     /// Waits for `dep`, counting the wait in exactly one resolution bucket:
     /// `fast`, `spun`, or `slow` (whatever way it then ends).
-    fn wait(&self, me: Rank, dep: usize, deadline: Option<Duration>) -> Result<(), WaitFail> {
+    fn wait(&self, dep: usize, deadline: Option<Duration>) -> Result<(), WaitFail> {
         if self.done[dep].load(Ordering::Acquire) {
             self.stats.fast.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
-        // Phase 1: bounded spin, draining our own ring — the lock-free
-        // success path for dependencies completing within microseconds.
+        // Phase 1: bounded spin — the lock-free success path for
+        // dependencies completing within microseconds.
         for _ in 0..SPIN_BUDGET {
-            self.drain(me);
             let done = self.done[dep].load(Ordering::Acquire);
             if done || self.poisoned.load(Ordering::Acquire) {
                 self.stats.spun.fetch_add(1, Ordering::Relaxed);
@@ -397,7 +375,7 @@ impl Sync_ {
             std::hint::spin_loop();
         }
         self.stats.slow.fetch_add(1, Ordering::Relaxed);
-        self.wait_slow(me, dep, deadline)
+        self.wait_slow(dep, deadline)
     }
 
     /// Phase 2 of a wait (and all of a wait resumed after its suspicion
@@ -406,10 +384,9 @@ impl Sync_ {
     /// slices (the only blocking wait left — chaos timeouts and the failure
     /// detector's suspect clock), and `elapsed >= deadline` surfaces as a
     /// timeout.
-    fn wait_slow(&self, me: Rank, dep: usize, deadline: Option<Duration>) -> Result<(), WaitFail> {
+    fn wait_slow(&self, dep: usize, deadline: Option<Duration>) -> Result<(), WaitFail> {
         let start = Instant::now();
         loop {
-            self.drain(me);
             if self.done[dep].load(Ordering::Acquire) {
                 return Ok(());
             }
@@ -443,15 +420,11 @@ impl Sync_ {
         }
     }
 
-    /// Publishes a completion: flag first (`Release` pairs with the
-    /// waiters' `Acquire`), then a ring push per subscribed rank. No lock,
-    /// no broadcast — parked waiters re-check within one `PARK_SLICE`.
-    fn complete(&self, id: usize, subscribers: &[Rank]) {
+    /// Publishes a completion: the `Release` store pairs with the waiters'
+    /// `Acquire` load. No lock, no broadcast — parked waiters re-check
+    /// within one `PARK_SLICE`.
+    fn complete(&self, id: usize) {
         self.done[id].store(true, Ordering::Release);
-        for &r in subscribers {
-            let pushed = self.rings[r].push(id);
-            debug_assert!(pushed, "a ring holds every subscription of its rank");
-        }
     }
 
     fn poison(&self) {
@@ -466,7 +439,7 @@ impl Sync_ {
             fast: get(&self.stats.fast),
             spun: get(&self.stats.spun),
             slow: get(&self.stats.slow),
-            drained: get(&self.stats.drained),
+            drained: 0,
             parked: get(&self.stats.parked),
             yields: get(&self.stats.yields),
         }
@@ -542,8 +515,6 @@ struct IntegrityCtx {
 #[derive(Debug)]
 struct OpHistograms {
     hist: Vec<Vec<Arc<LogHistogram>>>,
-    /// `exec.queue.depth`: completion-ring depth at each non-empty drain.
-    queue_depth: Arc<LogHistogram>,
 }
 
 const OP_KIND_NAMES: [&str; 3] = ["knem", "memcpy", "notify"];
@@ -558,7 +529,7 @@ impl OpHistograms {
                     .collect()
             })
             .collect();
-        OpHistograms { hist, queue_depth: registry.histogram("exec.queue.depth") }
+        OpHistograms { hist }
     }
 
     fn record(&self, kind: usize, class: u8, ns: u64) {
@@ -783,7 +754,7 @@ impl ThreadExecutor {
                 .unwrap_or_else(|| Arc::new(BufferPool::new(program.num_ranks().max(1)))),
             histograms: Arc::clone(&self.histograms),
             buffers,
-            sync: Sync_::new(program, Arc::clone(&self.histograms.queue_depth)),
+            sync: Sync_::new(program),
             counters: FaultCounters::default(),
             drop_ops,
             // Lethal faults (crashes, dropped notifications) only surface
@@ -865,7 +836,6 @@ impl ThreadExecutor {
         registry.add("exec.wait.fast", wait_stats.fast);
         registry.add("exec.wait.spun", wait_stats.spun);
         registry.add("exec.wait.slow", wait_stats.slow);
-        registry.add("exec.wait.drained", wait_stats.drained);
         registry.add("exec.wait.parked", wait_stats.parked);
         registry.add("exec.wait.yields", wait_stats.yields);
 
@@ -956,7 +926,7 @@ impl RankJob {
                 counters.dropped.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            state.sync.complete(id, program.subscribers(op));
+            state.sync.complete(id);
             if let Some(det) = &state.config.detector {
                 // The published completion doubles as a heartbeat —
                 // liveness piggybacked on traffic.
@@ -974,15 +944,15 @@ impl RankJob {
         let (sync, deadline, rank) = (&self.state.sync, self.state.deadline, self.rank);
         let det = match &self.state.config.detector {
             Some(det) if deadline.is_none_or(|d| det.suspect_after() < d) => det,
-            _ => return sync.wait(rank, dep, deadline),
+            _ => return sync.wait(dep, deadline),
         };
-        let waited = match sync.wait(rank, dep, Some(det.suspect_after())) {
+        let waited = match sync.wait(dep, Some(det.suspect_after())) {
             Err(WaitFail::TimedOut(waited)) => waited,
             other => return other,
         };
         let owner = self.program.op(dep).kind.executor();
         det.suspect(owner, rank);
-        match sync.wait_slow(rank, dep, deadline.map(|d| d.saturating_sub(waited))) {
+        match sync.wait_slow(dep, deadline.map(|d| d.saturating_sub(waited))) {
             Ok(()) => {
                 det.heartbeat(owner);
                 Ok(())
@@ -1409,7 +1379,6 @@ mod tests {
             ("exec.wait.fast", w.fast),
             ("exec.wait.spun", w.spun),
             ("exec.wait.slow", w.slow),
-            ("exec.wait.drained", w.drained),
         ] {
             let delta = after.counters.get(name).copied().unwrap_or(0)
                 - before.counters.get(name).copied().unwrap_or(0);

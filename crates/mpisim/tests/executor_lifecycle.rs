@@ -233,61 +233,3 @@ fn two_callers_on_one_executor_take_turns() {
         }
     });
 }
-
-#[test]
-fn a_late_inbound_burst_fits_the_right_sized_ring() {
-    // Rank 0 sleeps through the whole run of its eight peers, so all eight
-    // completions it subscribed to sit in its ring undrained: the ring's
-    // capacity (its inbound subscription count, here a power of two) is
-    // exactly reached. A ninth rank makes the count non-power-of-two for
-    // rank 1.
-    let mut b = ScheduleBuilder::new("fan-in", 10);
-    let arrivals: Vec<usize> = (1..9)
-        .map(|r| {
-            b.copy(
-                (r, BufId::Send, 0),
-                (r, BufId::Recv, 0),
-                64,
-                Mech::Memcpy,
-                r,
-                vec![],
-            )
-        })
-        .collect();
-    let gathered = b.copy(
-        (0, BufId::Send, 0),
-        (0, BufId::Recv, 0),
-        64,
-        Mech::Memcpy,
-        0,
-        arrivals.clone(),
-    );
-    let mut to_one = arrivals[1..].to_vec();
-    to_one.push(gathered);
-    to_one.push(b.copy(
-        (9, BufId::Send, 0),
-        (9, BufId::Recv, 0),
-        64,
-        Mech::Memcpy,
-        9,
-        vec![],
-    ));
-    b.copy(
-        (1, BufId::Send, 0),
-        (1, BufId::Temp(0), 0),
-        64,
-        Mech::Memcpy,
-        1,
-        to_one,
-    );
-    let res = ThreadExecutor::new()
-        .with_faults(ExecFaultPlan::new(1).stall_rank(0, Duration::from_millis(30)))
-        .run(&b.finish(), pattern)
-        .unwrap();
-    assert_eq!(res.buffer(0, BufId::Recv), &pattern(0, 64)[..]);
-    assert_eq!(res.buffer(1, BufId::Temp(0)), &pattern(1, 64)[..]);
-    assert_eq!(
-        res.wait_stats.fast + res.wait_stats.spun + res.wait_stats.slow,
-        8 + 9
-    );
-}

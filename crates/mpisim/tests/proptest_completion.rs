@@ -1,136 +1,22 @@
-//! Properties of the lock-free completion path.
+//! Properties of the lock-free completion path: one `Release` store per
+//! finished op, `Acquire` polls on the waiting side, no condvar on success.
 //!
-//! 1. The MPSC ring under concurrent producers: nothing lost, nothing
-//!    duplicated, each producer's completions drain in the order it pushed
-//!    them (per-producer FIFO — the global interleave is unspecified).
-//! 2. The executor with the condvar bypassed on the success path still
+//! 1. The executor with the condvar bypassed on the success path still
 //!    detects faults: a dropped notification surfaces as a typed timeout
 //!    and a crashed rank is confirmed by the failure detector.
-//! 3. A healthy, no-deadline run never parks on the condvar.
-//! 4. A ring sized for exactly the pushes it will receive — how the executor
-//!    sizes a rank's ring, by its inbound subscription count — never
-//!    reports full, even if its owner drains nothing until the end.
+//! 2. A healthy, no-deadline run never parks on the condvar.
 //!
-//! The stress case repeats the concurrent-producer check
-//! `PDAC_STRESS_ITERS` times (default 50) so CI can crank the iteration
-//! count far past what a laptop run needs.
+//! The fan-out case repeats `PDAC_STRESS_ITERS` times (default 50) on one
+//! kept executor so CI can crank the iteration count far past what a
+//! laptop run needs.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use pdac_mpisim::detector::{FailureDetector, RankState};
 use pdac_mpisim::fault::{ExecFaultPlan, RetryPolicy};
-use pdac_mpisim::{CompletionRing, ExecError, ThreadExecutor};
+use pdac_mpisim::{ExecError, ThreadExecutor};
 use pdac_simnet::{BufId, Mech, ScheduleBuilder};
-use proptest::prelude::*;
-
-/// Runs `producers` threads, each pushing `per_producer` tagged values,
-/// against one draining consumer; returns the consumed sequence.
-fn producers_vs_consumer(producers: usize, per_producer: usize, capacity: usize) -> Vec<usize> {
-    let ring = Arc::new(CompletionRing::with_capacity(capacity));
-    let total = producers * per_producer;
-    let mut seen = Vec::with_capacity(total);
-    crossbeam::thread::scope(|scope| {
-        for p in 0..producers {
-            let ring = Arc::clone(&ring);
-            scope.spawn(move |_| {
-                for i in 0..per_producer {
-                    // Tag: producer id in the high digits, sequence low.
-                    while !ring.push(p * 1_000_000 + i) {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        }
-        while seen.len() < total {
-            match ring.pop() {
-                Some(v) => seen.push(v),
-                None => std::thread::yield_now(),
-            }
-        }
-    })
-    .unwrap();
-    seen
-}
-
-fn check_mpsc_invariants(producers: usize, per_producer: usize, seen: &[usize]) {
-    assert_eq!(seen.len(), producers * per_producer, "nothing lost");
-    let mut sorted = seen.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    assert_eq!(sorted.len(), seen.len(), "nothing duplicated");
-    // Per-producer FIFO: each producer's values appear in push order.
-    for p in 0..producers {
-        let seqs: Vec<usize> = seen
-            .iter()
-            .filter(|&&v| v / 1_000_000 == p)
-            .map(|&v| v % 1_000_000)
-            .collect();
-        let expect: Vec<usize> = (0..per_producer).collect();
-        assert_eq!(seqs, expect, "producer {p} reordered");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn mpsc_ring_loses_nothing_under_contention(
-        producers in 1usize..=6,
-        per_producer in 1usize..=150,
-        // Capacity may be far smaller than the total: producers then spin
-        // on a full ring, exercising the head-recycling path.
-        cap_shift in 0u32..=3,
-    ) {
-        let capacity = ((producers * per_producer) >> cap_shift).max(2);
-        let seen = producers_vs_consumer(producers, per_producer, capacity);
-        check_mpsc_invariants(producers, per_producer, &seen);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn ring_sized_to_its_pushes_never_reports_full(
-        producers in 1usize..=6,
-        per_producer in 1usize..=40,
-    ) {
-        // Exactly as many slots as pushes (the constructor only rounds up
-        // to a power of two) and a consumer that sleeps through all of them.
-        let total = producers * per_producer;
-        let ring = CompletionRing::with_capacity(total);
-        prop_assert!(ring.capacity() < 2 * total.max(2), "rounding, not head-room");
-        std::thread::scope(|scope| {
-            for p in 0..producers {
-                let ring = &ring;
-                scope.spawn(move || {
-                    for i in 0..per_producer {
-                        assert!(ring.push(p * 1_000_000 + i), "push {i} of producer {p} found the ring full");
-                    }
-                });
-            }
-        });
-        prop_assert_eq!(ring.len(), total);
-        let mut seen = Vec::with_capacity(total);
-        ring.drain_into(&mut |v| seen.push(v));
-        check_mpsc_invariants(producers, per_producer, &seen);
-    }
-}
-
-#[test]
-fn mpsc_ring_stress() {
-    let iters: usize = std::env::var("PDAC_STRESS_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50);
-    for i in 0..iters {
-        let producers = 2 + i % 5;
-        let per = 64 + (i * 13) % 128;
-        let seen = producers_vs_consumer(producers, per, (producers * per / 4).max(2));
-        check_mpsc_invariants(producers, per, &seen);
-    }
-}
 
 fn pattern(rank: usize, size: usize) -> Vec<u8> {
     (0..size)
@@ -139,7 +25,7 @@ fn pattern(rank: usize, size: usize) -> Vec<u8> {
 }
 
 /// A 4-rank relay with cross-rank notifies — every dependency crosses
-/// ranks, so completion rides the rings, not program order.
+/// ranks, so none resolves by program order.
 fn relay_schedule() -> pdac_simnet::Schedule {
     let mut b = ScheduleBuilder::new("relay", 4);
     let mut prev = b.copy(
@@ -240,10 +126,13 @@ fn crash_is_confirmed_by_detector_without_condvar() {
 }
 
 #[test]
-fn ring_traffic_flows_on_cross_rank_deps() {
-    // A fan-out from rank 0 to 7 dependents: every dependent's wait is
-    // satisfied through its completion ring (or the done-flag fast path);
-    // the drained + fast counters account for all cross-rank waits.
+fn fan_out_waits_resolve_without_parking() {
+    // A fan-out from rank 0 to 7 dependents: seven waiters poll one `done`
+    // flag, and every one of them lands in exactly one resolution bucket.
+    let iters: usize = std::env::var("PDAC_STRESS_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(50);
     let mut b = ScheduleBuilder::new("fan", 8);
     let root = b.copy(
         (0, BufId::Send, 0),
@@ -263,13 +152,19 @@ fn ring_traffic_flows_on_cross_rank_deps() {
             vec![root],
         );
     }
-    let res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
-    for r in 1..8 {
-        assert_eq!(
-            res.buffer(r, BufId::Recv),
-            &pattern(0, 1024)[..],
-            "rank {r}"
-        );
+    let schedule = b.finish();
+    let exec = ThreadExecutor::new();
+    for i in 0..iters {
+        let res = exec.run(&schedule, pattern).unwrap();
+        for r in 1..8 {
+            assert_eq!(
+                res.buffer(r, BufId::Recv),
+                &pattern(0, 1024)[..],
+                "rank {r}, iteration {i}"
+            );
+        }
+        let w = res.wait_stats;
+        assert_eq!(w.fast + w.spun + w.slow, 7, "iteration {i}: {w:?}");
+        assert_eq!(w.parked, 0, "iteration {i}: {w:?}");
     }
-    assert_eq!(res.wait_stats.parked, 0);
 }

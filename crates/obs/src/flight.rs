@@ -98,17 +98,18 @@ impl FlightRecorder {
 
     /// Records a note, evicting the oldest when the ring is full. A
     /// poisoned lock (panicking peer) is recovered — the recorder must
-    /// keep working *especially* during a panic.
+    /// keep working *especially* during a panic. The timestamp is read
+    /// under the lock, so ring order is time order across threads.
     pub fn note(&self, what: impl Into<String>) {
-        let ev = FlightEvent {
-            t_us: self.epoch.elapsed().as_micros() as u64,
-            what: what.into(),
-        };
+        let what = what.into();
         let mut ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
         if ring.len() == RING_CAPACITY {
             ring.pop_front();
         }
-        ring.push_back(ev);
+        ring.push_back(FlightEvent {
+            t_us: self.epoch.elapsed().as_micros() as u64,
+            what,
+        });
     }
 
     /// Number of notes currently held.
@@ -214,7 +215,12 @@ mod tests {
         }
         assert!(rec.len() <= RING_CAPACITY);
         let ring = rec.ring.lock().unwrap();
-        let last = ring.back().expect("ring non-empty");
+        // The ring is process-wide: a concurrent test may have noted since.
+        let last = ring
+            .iter()
+            .rev()
+            .find(|ev| ev.what.starts_with("bounded-test"))
+            .expect("ring holds this test's notes");
         assert!(last.what.contains(&format!("event {}", RING_CAPACITY + 9)));
         let mut prev = 0u64;
         for ev in ring.iter() {

@@ -73,9 +73,10 @@ fn ratio_probe(
 impl HealthReport {
     /// Computes every applicable probe from `snap`.
     ///
-    /// * **executor** — share of dependency waits resolved by condvar
-    ///   parks instead of the lock-free path. Healthy no-deadline runs
-    ///   park zero times; sustained parking means the pipeline drains.
+    /// * **executor** — condvar parks per dependency wait (every wait is
+    ///   counted once, in `exec.wait.{fast,spun,slow}`). Healthy
+    ///   no-deadline runs park zero times; sustained parking means the
+    ///   pipeline drains.
     /// * **detector** — suspicions never confirmed nor refuted: a
     ///   detector that raises but can't resolve is mistuned.
     /// * **transport** — epoch-fence rejections per one-sided operation;
@@ -86,9 +87,10 @@ impl HealthReport {
         let mut probes = Vec::new();
 
         let fast = counter(snap, "exec.wait.fast");
-        let drained = counter(snap, "exec.wait.drained");
+        let spun = counter(snap, "exec.wait.spun");
+        let slow = counter(snap, "exec.wait.slow");
         let parked = counter(snap, "exec.wait.parked");
-        let waits = fast + drained + parked;
+        let waits = fast + spun + slow;
         if waits > 0 {
             let share = parked as f64 / waits as f64;
             probes.push(ratio_probe(
@@ -96,7 +98,7 @@ impl HealthReport {
                 share,
                 0.10,
                 true,
-                format!("parked {parked} of {waits} waits (fast {fast}, drained {drained})"),
+                format!("{parked} parks over {waits} waits (fast {fast}, spun {spun}, slow {slow})"),
             ));
         }
 
@@ -192,11 +194,23 @@ mod tests {
     fn healthy_executor_and_pool_pass() {
         let r = HealthReport::from_snapshot(&snap(&[
             ("exec.wait.fast", 90),
-            ("exec.wait.drained", 10),
+            ("exec.wait.spun", 10),
             ("exec.pool.acquires", 100),
             ("exec.pool.reuses", 80),
         ]));
         assert_eq!(r.probes.len(), 2);
+        assert!(r.healthy(), "{}", r.render());
+    }
+
+    #[test]
+    fn executor_probe_counts_every_wait_once() {
+        let r = HealthReport::from_snapshot(&snap(&[
+            ("exec.wait.fast", 10),
+            ("exec.wait.spun", 90),
+            ("exec.wait.parked", 0),
+        ]));
+        assert_eq!(r.probes.len(), 1);
+        assert!(r.probes[0].detail.contains("over 100 waits"), "{}", r.probes[0].detail);
         assert!(r.healthy(), "{}", r.render());
     }
 

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// One run's record in the history file.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct HistoryEntry {
-    /// What produced the entry (`gate`, `hotpath`, ...).
+    /// What produced the entry (`gate`, `pdac-e2e/<workload>/s<seed>`, ...).
     pub label: String,
     /// Unix epoch milliseconds at record time.
     pub timestamp_ms: u64,

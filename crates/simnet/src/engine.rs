@@ -651,6 +651,11 @@ impl<'a> SimExecutor<'a> {
 
             // One pass over the flows: advance to `now`, retire the drained.
             t_flow = flows.advance(dt, now, &mut completed);
+            let flows_changed = flows.take_changed();
+            debug_assert!(
+                dt > 0.0 || flows_changed || !completed.is_empty(),
+                "an event that moves, starts and completes nothing repeats forever"
+            );
 
             completed.sort_unstable();
             for &id in &completed {
@@ -686,7 +691,7 @@ impl<'a> SimExecutor<'a> {
             run.start_ready();
 
             // Rates depend only on the flow set: solve when it changed.
-            if flows.take_changed() && !flows.is_empty() {
+            if flows_changed && !flows.is_empty() {
                 let t0 = Instant::now();
                 let (next, rounds) = flows.solve(now);
                 solver_stats.solve_ns += t0.elapsed().as_nanos() as u64;

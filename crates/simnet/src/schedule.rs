@@ -587,8 +587,12 @@ impl ScheduleBuilder {
         self.ops.len()
     }
 
-    /// Finishes the schedule.
-    pub fn finish(self) -> Schedule {
+    /// Finishes the schedule. The op vector gives back what doubling
+    /// reserved past its length: on a 192-rank allgather that is 5 MiB of
+    /// never-written heap per schedule, and which later allocation landed
+    /// in it made a planner's resident set differ from run to run.
+    pub fn finish(mut self) -> Schedule {
+        self.ops.shrink_to_fit();
         Schedule {
             name: self.name,
             num_ranks: self.num_ranks,

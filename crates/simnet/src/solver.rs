@@ -153,7 +153,14 @@ impl Flows {
     /// after the step), retires the drained ones — their op ids are appended
     /// to `finished` — and returns the earliest time one of the others
     /// drains at its present rate (`INFINITY` when none is left).
+    ///
+    /// A step of no length in an event that has started no flow and
+    /// completed nothing (`finished` holds the event's completions so far)
+    /// was asked for by a flow whose residue is above the drain threshold
+    /// yet too small for `remaining / rate` to move the clock. Nothing
+    /// would ever change again, so that flow is retired too.
     pub fn advance(&mut self, dt: f64, now: f64, finished: &mut Vec<OpId>) -> f64 {
+        let clock_stopped = dt == 0.0 && !self.changed && finished.is_empty();
         let mut next = f64::INFINITY;
         let mut i = 0;
         while i < self.active.len() {
@@ -162,13 +169,13 @@ impl Flows {
             if dt > 0.0 {
                 f.remaining = (f.remaining - f.rate * dt).max(0.0);
             }
-            if f.remaining <= f.bytes * 1e-12 + EPS {
+            let drained_at = now + f.remaining / f.rate;
+            if f.remaining <= f.bytes * 1e-12 + EPS || (clock_stopped && drained_at <= now) {
                 finished.push(f.op as OpId);
                 self.active.swap_remove(i);
                 self.retire(slot);
                 continue;
             }
-            let drained_at = now + f.remaining / f.rate;
             if drained_at < next {
                 next = drained_at;
             }
@@ -447,6 +454,34 @@ mod tests {
         assert_eq!(next, (1 << 20) as f64 / 3.0e9);
         let (got, want) = rates_and_reference(&flows);
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_zero_length_step_retires_the_residue_the_clock_cannot_resolve() {
+        // 1e-5 bytes left of 1 MiB at 4 GB/s: ten times the drain
+        // threshold, 2.5e-15 s from done — and half an ulp of a clock at
+        // 1000 s is 5.7e-14 s, so the flow drains "now".
+        let now = 1000.0;
+        let stuck = || {
+            let mut flows = Flows::default();
+            flows.add(3, 1 << 20, &[(Resource::Core(0), 1)], capacity);
+            assert!(flows.take_changed());
+            flows.solve(now);
+            flows.slab[0].remaining = 1e-5;
+            flows
+        };
+        let mut flows = stuck();
+        let mut finished = Vec::new();
+        assert_eq!(flows.advance(0.0, now, &mut finished), f64::INFINITY);
+        assert_eq!(finished, [3]);
+        assert!(flows.is_empty());
+
+        // An event that already completed a notification may yet change
+        // the flow set: the step retires nothing.
+        let mut flows = stuck();
+        let mut finished = vec![9];
+        assert_eq!(flows.advance(0.0, now, &mut finished), now);
+        assert_eq!(finished, [9]);
     }
 
     #[test]

@@ -6,7 +6,8 @@ use proptest::prelude::*;
 
 use pdac_hwtopo::{machines, Binding, BindingPolicy};
 use pdac_simnet::{
-    BufId, Calibration, Mech, Resource, Schedule, ScheduleBuilder, SimConfig, SimExecutor,
+    BufId, Calibration, FaultPlan, Mech, Resource, Schedule, ScheduleBuilder, SimConfig,
+    SimExecutor,
 };
 
 /// A random forest of copies over a fixed 48-rank IG world: each op may
@@ -95,6 +96,27 @@ proptest! {
         for &busy in &rep.rank_busy {
             prop_assert!(busy <= rep.total_time + 1e-12);
             prop_assert!(busy >= 0.0);
+        }
+    }
+
+    /// Every rank stalled by `delay` seconds puts the clock where an ulp is
+    /// worth whole bytes of a flow: residues the clock cannot resolve are
+    /// the rule there. The run must still end, and (the event loop's
+    /// `debug_assert`) no event may leave the state as it found it.
+    #[test]
+    fn no_event_repeats_the_state_before_it(schedule in arb_schedule(), delay in 1e2f64..1e7) {
+        let ig = machines::ig();
+        let binding = Binding::identity(&ig);
+        let plan = (0..48).fold(FaultPlan::new(1), |plan, r| plan.stall_rank(r, delay));
+        let rep = SimExecutor::new(&ig, &binding, SimConfig::default())
+            .with_fault_plan(plan)
+            .run(&schedule)
+            .unwrap();
+        prop_assert!(rep.total_time > delay);
+        for (id, op) in schedule.ops.iter().enumerate() {
+            for &d in &op.deps {
+                prop_assert!(rep.op_finish[d] <= rep.op_finish[id]);
+            }
         }
     }
 

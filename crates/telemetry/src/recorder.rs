@@ -13,7 +13,7 @@
 //! type: no clock is read, no name is formatted (names and args are passed
 //! as closures precisely so their construction is skipped), nothing is
 //! locked. Instrumented hot paths therefore cost nothing in default
-//! builds — measured by the hotpath bench against `BENCH_hotpath.json`.
+//! builds.
 
 use crate::event::{ArgValue, Event};
 #[cfg(feature = "enabled")]
