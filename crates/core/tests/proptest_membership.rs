@@ -19,7 +19,7 @@ use pdac_core::{Collective, RecoveryManager, Request, TopoCache};
 use pdac_hwtopo::{machines, BindingPolicy};
 use pdac_mpisim::knem::KnemError;
 use pdac_mpisim::{
-    Communicator, ExecFaultPlan, FailureDetector, KnemDevice, RetryPolicy, ThreadExecutor,
+    Communicator, ExecFaultPlan, FailureDetector, RetryPolicy, ThreadExecutor, TransportKind,
 };
 use pdac_simnet::BufId;
 
@@ -116,14 +116,14 @@ proptest! {
             op_deadline: Some(Duration::from_millis(25)),
             ..RetryPolicy::chaos()
         };
-        let device = Arc::new(KnemDevice::new());
+        let device = TransportKind::Knem.create(None);
         let detector = Arc::new(FailureDetector::with_suspect_after(
             n,
             Duration::from_millis(5),
         ));
         let epoch_before = mgr.epoch();
         let schedule = mgr.plan(Request::new(Collective::Allgather, 0, 512));
-        let exec = ThreadExecutor::with_device(Arc::clone(&device))
+        let exec = ThreadExecutor::with_transport(Arc::clone(&device))
             .with_policy(policy)
             .with_faults(plan)
             .with_detector(Arc::clone(&detector))
@@ -165,14 +165,14 @@ proptest! {
         // rejected with a typed error — never delivered — and accounted.
         device.fence_epochs_below(mgr.epoch());
         let fenced_before = device.fenced_messages();
-        let stale = device.register_epoch(0, BufId::Send, 0, 64, epoch_before);
+        let stale = device.register(0, BufId::Send, 0, 64, epoch_before);
         prop_assert!(
             matches!(stale, Err(KnemError::StaleEpoch { .. })),
             "dead-epoch registration must be fenced, got {:?}",
             stale
         );
         prop_assert_eq!(device.fenced_messages(), fenced_before + 1);
-        let current = device.register_epoch(0, BufId::Send, 0, 64, mgr.epoch());
+        let current = device.register(0, BufId::Send, 0, 64, mgr.epoch());
         prop_assert!(current.is_ok(), "current-epoch traffic passes the fence");
     }
 }

@@ -5,8 +5,10 @@
 //! [`Transport`] seam changes how bytes move, never which bytes arrive.
 //! Both backends must also enforce the same epoch-fence contract: a
 //! registration stamped with a fenced epoch is rejected with `StaleEpoch`
-//! on either side of the seam.
+//! on either side of the seam. What may differ is the model a kind adds:
+//! RDMA connects each (source, puller) rank pair once, KNEM nobody.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pdac_core::alltoall::alltoall_schedule;
@@ -18,7 +20,7 @@ use pdac_hwtopo::{machines, BindingPolicy, Machine};
 use pdac_mpisim::{
     Communicator, ExecFaultPlan, KnemError, RetryPolicy, ThreadExecutor, TransportKind,
 };
-use pdac_simnet::{BufId, Schedule};
+use pdac_simnet::{BufId, Mech, OpKind, Schedule};
 
 const RANKS: usize = 8;
 const TRANSPORTS: [TransportKind; 2] = [TransportKind::Knem, TransportKind::Rdma];
@@ -30,6 +32,22 @@ fn comm_on(machine: Machine) -> Communicator {
         .bind(&machine, RANKS)
         .expect("parity placement fits");
     Communicator::world(machine, binding)
+}
+
+/// Distinct unordered (source, puller) rank pairs among the one-sided
+/// copies of `schedule` — the connections an RDMA run must set up.
+fn pulled_pairs(schedule: &Schedule) -> u64 {
+    let pairs: BTreeSet<(usize, usize)> = schedule
+        .ops
+        .iter()
+        .filter_map(|op| match op.kind {
+            OpKind::Copy { src_rank, dst_rank, mech: Mech::Knem, .. } => {
+                Some((src_rank.min(dst_rank), src_rank.max(dst_rank)))
+            }
+            _ => None,
+        })
+        .collect();
+    pairs.len() as u64
 }
 
 /// Runs `schedule` under both transports and returns the per-rank `Recv`
@@ -45,6 +63,16 @@ fn run_both(label: &str, schedule: &Schedule, n: usize) -> Vec<Vec<u8>> {
         assert!(
             stats.bytes_copied > 0,
             "{label} on {} moved payload through the transport",
+            kind.label()
+        );
+        let connections = match kind {
+            TransportKind::Knem => 0,
+            TransportKind::Rdma => pulled_pairs(schedule),
+        };
+        assert_eq!(
+            stats.handshakes,
+            connections,
+            "{label} on {}: one handshake per pair that exchanged a copy",
             kind.label()
         );
         per_transport.push((0..n).map(|r| res.buffer(r, BufId::Recv).to_vec()).collect());

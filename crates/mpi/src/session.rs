@@ -7,7 +7,9 @@ use pdac_core::adaptive::{AdaptiveColl, Collective, Request, Sinks};
 use pdac_core::framework::{CollFramework, Component};
 use pdac_core::topocache::TopoCache;
 use pdac_hwtopo::{Binding, BindingPolicy, Machine, TopoError};
-use pdac_mpisim::{Communicator, ExecError, ExecResult, KnemDevice, KnemStats, ThreadExecutor};
+use pdac_mpisim::{
+    Communicator, ExecError, ExecResult, KnemStats, ThreadExecutor, TransportKind,
+};
 use pdac_simnet::{BufId, DataOp, Schedule};
 
 use crate::datatype::Datatype;
@@ -133,7 +135,7 @@ impl Session {
 
     fn from_parts(comm: Communicator, framework: CollFramework) -> Self {
         let coll = AdaptiveColl::new(framework.adaptive);
-        let executor = ThreadExecutor::with_device(Arc::new(KnemDevice::new()));
+        let executor = ThreadExecutor::with_transport(TransportKind::Knem.create(None));
         Session {
             comm,
             framework,

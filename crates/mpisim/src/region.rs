@@ -1,19 +1,13 @@
-//! Shared region-table + epoch-fencing core behind both one-sided
-//! transport backends.
+//! The region table and epoch fence under the one-sided transport device.
 //!
-//! The KNEM cookie table and the RDMA memory-region table used to be two
-//! copies of the same machinery: a 16-way sharded id → region map, an
-//! atomic id mint, a monotone epoch fence with stale-epoch rejection, a
-//! budgeted injected-fault window, and the registration/lock-acquisition
-//! accounting the contention tests assert on. [`RegionTable`] is that
-//! machinery once; [`crate::KnemDevice`] and [`crate::RdmaDevice`] keep
-//! only what is genuinely theirs (the KNEM trap cost model, the RDMA
-//! QP ladder and WQE segmentation) plus their telemetry vocabulary, which
-//! they pass in as [`RegionLabels`].
+//! A 16-way sharded id → region map, an atomic id mint, a monotone epoch
+//! fence with stale-epoch rejection, a budgeted injected-fault window, and
+//! the registration/lock-acquisition accounting the contention tests assert
+//! on. The device in [`crate::transport`] is its only caller; a transport
+//! kind passes in its telemetry vocabulary as [`RegionLabels`].
 //!
 //! Accounting contract (tests depend on it): exactly one `lock_acquires`
-//! increment per register / lookup / deregister, and one per shard for a
-//! `live_regions` sweep.
+//! increment per register / lookup / deregister.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,7 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 use pdac_simnet::{BufId, Rank};
 
-use crate::knem::{Cookie, FaultPlan, KnemError};
+use crate::knem::{FaultPlan, KnemError};
+use crate::transport::TxToken;
 
 /// Number of table shards. Region ids are dealt to shards round-robin
 /// (sequential ids land on distinct shards), so concurrent collectives
@@ -30,18 +25,17 @@ pub(crate) const REGION_SHARDS: usize = 16;
 
 /// A registered memory region: a byte range of one rank's buffer, stamped
 /// with the communicator epoch it was registered under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Region {
-    pub rank: Rank,
-    pub buf: BufId,
-    pub offset: usize,
-    pub len: usize,
-    pub epoch: u64,
+#[derive(Debug, Clone, Copy)]
+struct Region {
+    rank: Rank,
+    buf: BufId,
+    offset: usize,
+    len: usize,
+    epoch: u64,
 }
 
-/// The telemetry vocabulary of one backend, so shared events keep their
-/// backend-specific names ("knem_register" vs "mr_register", a dead cookie
-/// vs a flushed WQE).
+/// The telemetry vocabulary of one transport kind ("knem_register" vs
+/// "mr_register", a dead cookie vs a flushed WQE).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RegionLabels {
     /// Telemetry category ("knem" / "rdma").
@@ -55,7 +49,7 @@ pub(crate) struct RegionLabels {
 }
 
 /// Sharded region table with epoch fencing and a budgeted injected-fault
-/// window — the machinery both transport backends share.
+/// window.
 #[derive(Debug)]
 pub(crate) struct RegionTable {
     labels: RegionLabels,
@@ -72,7 +66,6 @@ pub(crate) struct RegionTable {
     /// Transfer attempts, counted only for fault budgeting (an injected
     /// failure consumes an attempt but is not a performed transfer).
     attempts: AtomicU64,
-    injected_failures: AtomicU64,
     fault: Option<FaultPlan>,
 }
 
@@ -90,7 +83,6 @@ impl RegionTable {
             epoch_fence: AtomicU64::new(0),
             fenced: AtomicU64::new(0),
             attempts: AtomicU64::new(0),
-            injected_failures: AtomicU64::new(0),
             fault,
         }
     }
@@ -102,9 +94,9 @@ impl RegionTable {
         &self.shards[(id as usize) % REGION_SHARDS]
     }
 
-    /// Counts a lock acquisition performed by the owning device on one of
-    /// its own locks (the RDMA QP table), so `lock_acquires` stays the
-    /// single contention observable per backend.
+    /// Counts a lock acquisition the device performs on its own lock (the
+    /// connected-pair set), so `lock_acquires` stays the single contention
+    /// observable.
     pub fn count_lock_acquire(&self) {
         self.lock_acquires.fetch_add(1, Ordering::Relaxed);
     }
@@ -136,7 +128,7 @@ impl RegionTable {
     }
 
     /// The lowest epoch the table still accepts.
-    pub fn epoch_fence(&self) -> u64 {
+    fn epoch_fence(&self) -> u64 {
         self.epoch_fence.load(Ordering::Acquire)
     }
 
@@ -179,24 +171,34 @@ impl RegionTable {
     /// Validates a transfer of `len` bytes starting `offset` bytes into
     /// region `id`: the handle must be live, its epoch unfenced, the range
     /// in bounds, and the injected-fault budget (if any) not in its failure
-    /// window. Returns the region on success; the caller performs its own
-    /// transfer accounting.
-    pub fn lookup(&self, id: u64, offset: usize, len: usize) -> Result<Region, KnemError> {
+    /// window. Returns the absolute `(rank, buf, byte offset)` the transfer
+    /// reads from; the caller performs its own transfer accounting.
+    pub fn lookup(
+        &self,
+        id: u64,
+        offset: usize,
+        len: usize,
+    ) -> Result<(Rank, BufId, usize), KnemError> {
         let region = self
             .shard(id)
             .lock()
             .get(&id)
             .copied()
-            .ok_or(KnemError::BadCookie(Cookie::from_raw(id)))?;
+            .ok_or(KnemError::BadCookie(TxToken(id)))?;
         self.check_epoch(region.rank, region.epoch)?;
-        if offset + len > region.len {
-            return Err(KnemError::OutOfRegion {
-                cookie: Cookie::from_raw(id),
-                offset,
-                len,
-                region_len: region.len,
-            });
-        }
+        // Offsets come from the caller: an end or a source offset past
+        // `usize::MAX` is out of region, not a wrapped pass.
+        let src_off = match (offset.checked_add(len), region.offset.checked_add(offset)) {
+            (Some(end), Some(src_off)) if end <= region.len => src_off,
+            _ => {
+                return Err(KnemError::OutOfRegion {
+                    cookie: TxToken(id),
+                    offset,
+                    len,
+                    region_len: region.len,
+                })
+            }
+        };
         if let Some(plan) = self.fault {
             let attempt = self.attempts.fetch_add(1, Ordering::Relaxed);
             if attempt >= plan.fail_after_copies
@@ -204,7 +206,6 @@ impl RegionTable {
             {
                 // Report the injected fault as a dead handle (what a torn
                 // down region or a flushed WQE looks like to the caller).
-                self.injected_failures.fetch_add(1, Ordering::Relaxed);
                 let event = self.labels.fault_event;
                 let key = self.labels.handle_key;
                 pdac_telemetry::global().recorder().instant(
@@ -213,10 +214,10 @@ impl RegionTable {
                     || format!("{event} #{id}"),
                     || vec![(key, id.into())],
                 );
-                return Err(KnemError::BadCookie(Cookie::from_raw(id)));
+                return Err(KnemError::BadCookie(TxToken(id)));
             }
         }
-        Ok(region)
+        Ok((region.rank, region.buf, src_off))
     }
 
     /// Removes a registration; later transfers with the handle fail.
@@ -226,19 +227,8 @@ impl RegionTable {
                 self.deregistrations.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
-            None => Err(KnemError::BadCookie(Cookie::from_raw(id))),
+            None => Err(KnemError::BadCookie(TxToken(id))),
         }
-    }
-
-    /// Number of live registrations (one lock acquisition per shard).
-    pub fn live_regions(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                self.lock_acquires.fetch_add(1, Ordering::Relaxed);
-                s.lock().len()
-            })
-            .sum()
     }
 
     /// Regions registered over the table lifetime.
@@ -254,11 +244,6 @@ impl RegionTable {
     /// Shard-lock acquisitions — the contention observable.
     pub fn lock_acquires(&self) -> u64 {
         self.lock_acquires.load(Ordering::Relaxed)
-    }
-
-    /// Transfer attempts that failed because of an injected fault.
-    pub fn injected_failures(&self) -> u64 {
-        self.injected_failures.load(Ordering::Relaxed)
     }
 }
 
@@ -288,16 +273,13 @@ mod tests {
             ids.iter().map(|id| (*id as usize) % REGION_SHARDS).collect();
         assert_eq!(shards.len(), REGION_SHARDS);
         assert_eq!(t.lock_acquires(), REGION_SHARDS as u64, "one acquisition per register");
-        assert_eq!(t.live_regions(), REGION_SHARDS);
-        assert_eq!(t.lock_acquires(), 2 * REGION_SHARDS as u64, "sweep visits every shard once");
     }
 
     #[test]
     fn lookup_validates_handle_epoch_and_bounds() {
         let t = table(None);
         let id = t.register_epoch(3, BufId::Send, 16, 100, 2).unwrap();
-        let r = t.lookup(id, 10, 20).unwrap();
-        assert_eq!((r.rank, r.buf, r.offset, r.len, r.epoch), (3, BufId::Send, 16, 100, 2));
+        assert_eq!(t.lookup(id, 10, 20), Ok((3, BufId::Send, 26)));
         assert!(matches!(t.lookup(id, 90, 20), Err(KnemError::OutOfRegion { .. })));
         t.fence_epochs_below(5);
         assert_eq!(t.lookup(id, 0, 8), Err(KnemError::StaleEpoch { epoch: 2, fence: 5 }));
@@ -314,6 +296,5 @@ mod tests {
         assert!(t.lookup(id, 0, 8).is_err());
         assert!(t.lookup(id, 0, 8).is_err());
         assert!(t.lookup(id, 0, 8).is_ok());
-        assert_eq!(t.injected_failures(), 2);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! One OS thread per rank executes that rank's operations in program order,
 //! blocking on cross-rank dependencies, moving real bytes between real
-//! buffers, and driving the configured one-sided [`Transport`] (the
-//! [`KnemDevice`] by default) for every `Mech::Knem` copy. The threads are
+//! buffers, and driving the configured one-sided [`Transport`] (a fresh
+//! [`TransportKind::Knem`] one by default) for every `Mech::Knem` copy. The threads are
 //! the executor's own and outlive a run: [`ThreadExecutor::run`] lowers the
 //! schedule into an owned flat program, hands each parked rank worker its
 //! share, and collects the buffers back when the last of them returns.
@@ -26,9 +26,9 @@ use crate::bufpool::{BufferPool, BufferPoolStats};
 use crate::detector::{DetectorCounters, FailureDetector};
 use crate::fault::{ExecFaultPlan, RetryPolicy};
 use crate::integrity::{self, CorruptionKind, IntegrityStats};
-use crate::knem::{KnemDevice, KnemError, KnemStats};
+use crate::knem::{KnemError, KnemStats};
 use crate::program::{LoweredOp, Program};
-use crate::transport::{KnemTransport, Transport};
+use crate::transport::{Transport, TransportKind};
 use crate::workers::Workers;
 
 /// Deadline forced onto runs whose fault plan contains a lethal fault
@@ -592,12 +592,6 @@ impl ThreadExecutor {
         ThreadExecutor::default()
     }
 
-    /// Creates an executor driving an explicit KNEM device (used for fault
-    /// injection and cross-run accounting).
-    pub fn with_device(device: Arc<KnemDevice>) -> Self {
-        Self::with_transport(Arc::new(KnemTransport::new(device)))
-    }
-
     /// Creates an executor driving an explicit transport backend — the seam
     /// that makes execution transport-pluggable while plans stay
     /// distance-aware: the schedule's `Mech::Knem` ("one-sided pull") is
@@ -747,7 +741,7 @@ impl ThreadExecutor {
             transport: config
                 .transport
                 .clone()
-                .unwrap_or_else(|| Arc::new(KnemTransport::new(Arc::new(KnemDevice::new())))),
+                .unwrap_or_else(|| TransportKind::Knem.create(None)),
             pool: config
                 .pool
                 .clone()
@@ -1636,8 +1630,8 @@ mod tests {
                 vec![prev],
             );
         }
-        let device = std::sync::Arc::new(KnemDevice::with_faults(FaultPlan::permanent_after(2)));
-        let err = ThreadExecutor::with_device(std::sync::Arc::clone(&device))
+        let device = TransportKind::Knem.create(Some(FaultPlan::permanent_after(2)));
+        let err = ThreadExecutor::with_transport(std::sync::Arc::clone(&device))
             .run(&b.finish(), pattern)
             .unwrap_err();
         assert!(matches!(
@@ -1667,8 +1661,8 @@ mod tests {
             1,
             vec![],
         );
-        let device = std::sync::Arc::new(KnemDevice::with_faults(FaultPlan::permanent_after(0)));
-        let err = ThreadExecutor::with_device(device)
+        let device = TransportKind::Knem.create(Some(FaultPlan::permanent_after(0)));
+        let err = ThreadExecutor::with_transport(device)
             .run(&b.finish(), pattern)
             .unwrap_err();
         assert!(matches!(err, ExecError::Knem { .. }));
@@ -1689,14 +1683,15 @@ mod tests {
         );
         // First two attempts fail, then the device heals: with 3 retries
         // the copy succeeds and the payload arrives intact.
-        let device = std::sync::Arc::new(KnemDevice::with_faults(FaultPlan::transient(0, 2)));
-        let res = ThreadExecutor::with_device(std::sync::Arc::clone(&device))
+        let device = TransportKind::Knem.create(Some(FaultPlan::transient(0, 2)));
+        let res = ThreadExecutor::with_transport(device)
             .with_policy(RetryPolicy::chaos())
             .run(&b.finish(), pattern)
             .unwrap();
         assert_eq!(res.buffer(1, BufId::Recv), &pattern(0, 256)[..]);
         assert_eq!(res.fault_stats.retries, 2);
-        assert_eq!(device.injected_failures(), 2);
+        let s = res.knem_stats;
+        assert_eq!((s.registrations, s.copies), (3, 1), "three attempts, one copy");
     }
 
     #[test]
@@ -1990,7 +1985,7 @@ mod tests {
     #[test]
     fn stale_epoch_run_is_fenced_not_retried() {
         use crate::fault::RetryPolicy;
-        let device = std::sync::Arc::new(KnemDevice::new());
+        let device = TransportKind::Knem.create(None);
         device.fence_epochs_below(7);
         let mut b = ScheduleBuilder::new("t", 2);
         b.copy(
@@ -2004,7 +1999,7 @@ mod tests {
         // A straggler still executing under epoch 3 after the membership
         // layer fenced everything below 7: typed rejection, zero retries
         // burned, the fenced message accounted.
-        let err = ThreadExecutor::with_device(std::sync::Arc::clone(&device))
+        let err = ThreadExecutor::with_transport(std::sync::Arc::clone(&device))
             .with_policy(RetryPolicy::chaos())
             .with_epoch(3)
             .run(&b.finish(), pattern)
@@ -2027,7 +2022,7 @@ mod tests {
             1,
             vec![],
         );
-        let res = ThreadExecutor::with_device(device)
+        let res = ThreadExecutor::with_transport(device)
             .with_epoch(7)
             .run(&b2.finish(), pattern)
             .unwrap();
@@ -2037,7 +2032,7 @@ mod tests {
 
     #[test]
     fn shared_device_accumulates_across_runs() {
-        let device = std::sync::Arc::new(KnemDevice::new());
+        let device = TransportKind::Knem.create(None);
         for _ in 0..3 {
             let mut b = ScheduleBuilder::new("t", 2);
             b.copy(
@@ -2048,16 +2043,13 @@ mod tests {
                 1,
                 vec![],
             );
-            ThreadExecutor::with_device(std::sync::Arc::clone(&device))
+            ThreadExecutor::with_transport(std::sync::Arc::clone(&device))
                 .run(&b.finish(), pattern)
                 .unwrap();
         }
-        assert_eq!(device.stats().copies, 3);
-        assert_eq!(
-            device.live_regions(),
-            0,
-            "every run deregistered its cookies"
-        );
+        let s = device.stats();
+        assert_eq!(s.copies, 3);
+        assert_eq!(s.registrations, s.deregistrations, "every run deregistered its cookies");
     }
 
     #[test]
@@ -2084,9 +2076,9 @@ mod tests {
         let s = b.finish();
         // Run through a device-level failure by injecting an op that
         // references a region with a bad range via direct device use.
-        let dev = KnemDevice::new();
-        let cookie = dev.register(0, BufId::Send, 0, 32);
-        assert!(dev.copy_from(cookie, 0, 64).is_err());
+        let dev = TransportKind::Knem.create(None);
+        let cookie = dev.register(0, BufId::Send, 0, 32, 0).unwrap();
+        assert!(dev.tx(cookie, 1, 0, 64).is_err());
         // The well-formed schedule itself executes fine.
         assert!(ThreadExecutor::new().run(&s, pattern).is_ok());
     }

@@ -8,8 +8,7 @@ use std::time::Duration;
 
 use pdac_mpisim::fault::{ExecFaultPlan, RetryPolicy};
 use pdac_mpisim::{
-    CostHints, ExecError, KnemDevice, KnemStats, KnemTransport, ThreadExecutor, Transport,
-    TransportError, TxToken,
+    ExecError, KnemStats, ThreadExecutor, Transport, TransportError, TransportKind, TxToken,
 };
 use pdac_simnet::{BufId, Mech, Rank, Schedule, ScheduleBuilder};
 
@@ -104,9 +103,9 @@ fn a_failed_run_leaves_the_workers_clean() {
     assert_clean_run(&exec, 512, "after Corrupt");
 
     // StaleEpoch: the device was fenced past the run's epoch.
-    let device = Arc::new(KnemDevice::new());
+    let device = TransportKind::Knem.create(None);
     device.fence_epochs_below(9);
-    let exec = ThreadExecutor::with_device(Arc::clone(&device)).with_epoch(4);
+    let exec = ThreadExecutor::with_transport(Arc::clone(&device)).with_epoch(4);
     let err = exec.run(&relay(512), pattern).unwrap_err();
     assert!(
         matches!(
@@ -122,14 +121,15 @@ fn a_failed_run_leaves_the_workers_clean() {
     let exec = exec.with_epoch(9);
     assert_clean_run(&exec, 512, "after StaleEpoch");
     assert_clean_run(&exec, 4096, "and again, larger");
-    assert_eq!(device.live_regions(), 0);
+    let stats = device.stats();
+    assert_eq!(stats.registrations, stats.deregistrations);
 }
 
 /// A KNEM transport whose `register` panics for one source rank until
 /// disarmed.
 #[derive(Debug)]
 struct Landmine {
-    inner: KnemTransport,
+    inner: Arc<dyn Transport>,
     armed: AtomicBool,
 }
 
@@ -165,25 +165,18 @@ impl Transport for Landmine {
     fn fence_epochs_below(&self, min_valid_epoch: u64) {
         self.inner.fence_epochs_below(min_valid_epoch);
     }
-    fn epoch_fence(&self) -> u64 {
-        self.inner.epoch_fence()
-    }
     fn fenced_messages(&self) -> u64 {
         self.inner.fenced_messages()
     }
     fn stats(&self) -> KnemStats {
         self.inner.stats()
     }
-    fn cost_hints(&self) -> CostHints {
-        self.inner.cost_hints()
-    }
 }
 
 #[test]
 fn a_rank_panic_reaches_the_caller_and_the_workers_survive_it() {
-    let inner = KnemTransport::new(Arc::new(KnemDevice::new()));
     let mine = Arc::new(Landmine {
-        inner,
+        inner: TransportKind::Knem.create(None),
         armed: true.into(),
     });
     let exec = ThreadExecutor::with_transport(Arc::clone(&mine) as Arc<dyn Transport>);

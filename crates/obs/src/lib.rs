@@ -4,7 +4,7 @@
 //! after a run ends. This crate layers a *live* plane over the same
 //! [`pdac_telemetry::Registry`], answering "where is time going" while
 //! the system runs — and leaving enough behind to answer it after a
-//! crash. Four pillars:
+//! crash. Three pillars:
 //!
 //! * [`openmetrics`] — renders a [`pdac_telemetry::RegistrySnapshot`] in the
 //!   OpenMetrics / Prometheus text exposition format: counters become
@@ -16,9 +16,6 @@
 //!   counted** under backpressure (`obs.flush.dropped`); the hot path
 //!   never blocks on the scrape file. The flusher measures its own cost
 //!   (`obs.flush.ns`) so the gate can enforce the ≤1% overhead budget.
-//! * [`health`] — per-subsystem [`health::HealthReport`] probes computed
-//!   from a snapshot: executor wait resolution, failure-detector suspect
-//!   balance, transport epoch-fence rejections, and buffer-pool reuse.
 //! * [`flight`] + [`history`] — a crash-surviving last-N-events flight
 //!   recorder (dumped on chaos failure, panic, or gate regression, with
 //!   the metrics snapshot and `PDAC_SEED` attached) and an append-only
@@ -34,12 +31,10 @@
 
 pub mod flight;
 pub mod flusher;
-pub mod health;
 pub mod history;
 pub mod openmetrics;
 
 pub use flight::FlightRecorder;
 pub use flusher::{ExpositionFlusher, FlusherConfig};
-pub use health::{HealthReport, Probe, ProbeStatus};
 pub use history::HistoryEntry;
 pub use openmetrics::to_openmetrics;

@@ -15,7 +15,7 @@
 //! fixed when a flow starts. So an event at which no flow arrived or left
 //! solves nothing (a third of the events of a collective: notifications and
 //! latency phases), and every other event re-solves the whole flow set with
-//! the one flat solver in [`crate::solver`]. There is no second path.
+//! the one flat solver in `crate::solver`. There is no second path.
 //!
 //! There used to be one: a component-scoped solve that walked the flow ↔
 //! resource graph from the resources an event touched and re-filled only the

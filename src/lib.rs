@@ -12,9 +12,8 @@
 //!   (recording compiles in with the `telemetry` feature);
 //! * [`analyze`] — performance introspection over telemetry artifacts:
 //!   critical-path extraction and sim-vs-real divergence reports;
-//! * [`obs`] — the live observability plane: OpenMetrics exposition,
-//!   per-subsystem health probes, the crash-surviving flight recorder,
-//!   and cross-run perf history.
+//! * [`obs`] — the live observability plane: OpenMetrics exposition, the
+//!   crash-surviving flight recorder, and cross-run perf history.
 //!
 //! The whole pipeline in a dozen lines — machine, hostile placement,
 //! distance-aware broadcast, simulated timing, byte-exact verification:
