@@ -69,10 +69,8 @@ pub struct ConformanceReport {
 impl ConformanceReport {
     /// Joins `graph` (one executed trace leg) against `plan`, flagging
     /// unexplained, missing, mismatched, and re-ordered ops, and bumps the
-    /// `conformance.*` registry counters. An empty graph (e.g. a real leg
-    /// recorded without the `telemetry` build feature) reports every
-    /// planned op missing — callers that consider that leg absent rather
-    /// than wrong should skip the audit.
+    /// `conformance.*` registry counters. An empty graph reports every
+    /// planned op missing.
     pub fn audit(graph: &OpGraph, plan: &Provenance) -> ConformanceReport {
         let mut unexplained = Vec::new();
         let mut mismatched = Vec::new();
@@ -232,7 +230,7 @@ mod tests {
     use pdac_simnet::{SimConfig, SimExecutor};
     use std::sync::Arc;
 
-    fn explained_run() -> (OpGraph, Provenance) {
+    fn explained_events() -> (Vec<pdac_telemetry::Event>, Provenance) {
         let machine = Arc::new(machines::ig());
         let n = machine.num_cores();
         let binding = BindingPolicy::Contiguous.bind(&machine, n).unwrap();
@@ -242,7 +240,14 @@ mod tests {
             .run(&schedule)
             .expect("schedule validates");
         let dist = DistanceMatrix::for_binding(&machine, &binding);
-        let events = sim_events_with_distances(&schedule, &report, Some(&dist));
+        (
+            sim_events_with_distances(&schedule, &report, Some(&dist)),
+            prov,
+        )
+    }
+
+    fn explained_run() -> (OpGraph, Provenance) {
+        let (events, prov) = explained_events();
         (OpGraph::from_events(&events), prov)
     }
 
@@ -327,5 +332,28 @@ mod tests {
         }
         let rep = ConformanceReport::audit(&OpGraph::new(spans), &prov);
         assert!(rep.passed(), "{}", rep.render());
+    }
+
+    #[test]
+    fn plan_tag_survives_a_trace_file_and_a_foreign_op_stays_flagged() {
+        // Stamped as the executor stamps (`with_plan_id`), except one op
+        // that ran under another plan; then out to a file and back.
+        let (mut events, prov) = explained_events();
+        for e in &mut events {
+            e.args.push(("plan", prov.plan_id.clone().into()));
+        }
+        let foreign = events[0].arg_u64("op").expect("op id") as usize;
+        *events[0].args.last_mut().unwrap() = ("plan", "someone-elses-plan".to_string().into());
+
+        let json = pdac_telemetry::chrome_trace(&events, &pdac_telemetry::TraceMeta::real());
+        let reparsed = crate::events_from_chrome_trace(&json).expect("trace parses");
+        let graph = OpGraph::from_events(&reparsed);
+        assert_eq!(graph.len(), events.len());
+        assert!(
+            graph.spans().iter().all(|s| s.plan.is_some()),
+            "plan ids survive the file"
+        );
+        let rep = ConformanceReport::audit(&graph, &prov);
+        assert_eq!(rep.unexplained, vec![foreign], "{}", rep.render());
     }
 }

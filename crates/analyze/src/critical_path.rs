@@ -130,8 +130,7 @@ fn attribution(steps: &[PathStep], key: impl Fn(&PathStep) -> String) -> Vec<Att
 
 impl CriticalPathReport {
     /// Extracts the critical path of one trace leg. Returns an all-zero
-    /// report for an empty graph (e.g. a real trace recorded without the
-    /// `telemetry` build feature).
+    /// report for an empty graph.
     pub fn extract(graph: &OpGraph) -> Self {
         let Some(mut idx) = graph.latest_end_idx() else {
             return CriticalPathReport {

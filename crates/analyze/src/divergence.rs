@@ -75,8 +75,8 @@ pub struct DivergenceReport {
     pub tolerance: f64,
     /// Per-class rows, worst |drift - 1| first.
     pub classes: Vec<ClassDrift>,
-    /// Set when the comparison could not run meaningfully (e.g. a real
-    /// leg recorded without the `telemetry` build feature).
+    /// Set when the comparison could not run meaningfully (a leg without
+    /// op spans, or legs whose op ids do not match).
     pub note: Option<String>,
 }
 
@@ -141,8 +141,7 @@ impl DivergenceReport {
 
         let note = if joined.is_empty() {
             Some(if real.is_empty() {
-                "real leg holds no op spans (trace recorded without the telemetry feature?)"
-                    .to_string()
+                "real leg holds no op spans".to_string()
             } else {
                 "no ops joined between legs (op ids do not match)".to_string()
             })

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use pdac_simnet::PredictedOp;
+use pdac_hwtopo::DIST_MAX_EXTENDED;
 use pdac_telemetry::{Event, EventKind};
 use serde::{Deserialize, Serialize};
 
@@ -102,14 +102,18 @@ impl OpGraph {
     }
 
     /// Rebuilds the DAG from recorded events: every `Complete` event with
-    /// an `op` argument becomes a span; instants and unlabelled spans
-    /// (run-level wrappers, cache events) are ignored.
+    /// an `op` argument becomes a span; instants, unlabelled spans
+    /// (run-level wrappers, cache events) and spans whose `dist` is no
+    /// distance class are ignored.
     pub fn from_events(events: &[Event]) -> Self {
         let spans = events
             .iter()
             .filter(|e| e.kind == EventKind::Complete)
             .filter_map(|e| {
                 let op = e.arg_u64("op")? as usize;
+                let dist = u8::try_from(e.arg_u64("dist").unwrap_or(0))
+                    .ok()
+                    .filter(|d| *d <= DIST_MAX_EXTENDED)?;
                 let mech = if e.cat == "notify" {
                     MechKind::Notify
                 } else {
@@ -127,38 +131,13 @@ impl OpGraph {
                     tid: e.tid,
                     name: e.name.clone(),
                     mech,
-                    dist: e.arg_u64("dist").unwrap_or(0) as u8,
+                    dist,
                     bytes: e.arg_u64("bytes").unwrap_or(0),
                     start_us: e.ts_us,
                     dur_us: e.dur_us,
                     deps,
                     plan: e.arg_str("plan").map(str::to_string),
                 })
-            })
-            .collect();
-        OpGraph::new(spans)
-    }
-
-    /// Builds the prediction leg's graph from the simulator's per-op
-    /// export (model seconds become microseconds, the span unit).
-    pub fn from_predicted(ops: &[PredictedOp]) -> Self {
-        let spans = ops
-            .iter()
-            .map(|p| OpSpan {
-                op: p.op,
-                tid: p.exec as u64,
-                name: format!("{} {}->{} ({}B)", p.mech, p.src, p.dst, p.bytes),
-                mech: match p.mech.as_str() {
-                    "knem" => MechKind::Knem,
-                    "notify" => MechKind::Notify,
-                    _ => MechKind::Memcpy,
-                },
-                dist: p.dist,
-                bytes: p.bytes as u64,
-                start_us: p.start_s * 1e6,
-                dur_us: p.dur_s() * 1e6,
-                deps: p.deps.clone(),
-                plan: None,
             })
             .collect();
         OpGraph::new(spans)
@@ -179,8 +158,8 @@ impl OpGraph {
         self.spans.len()
     }
 
-    /// True when the graph holds no op spans (e.g. a real trace recorded
-    /// without the `telemetry` build feature).
+    /// True when the graph holds no op spans (a trace file without any, or
+    /// a schedule with no ops).
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
     }
@@ -264,6 +243,12 @@ mod tests {
             span_event(0, 0, 0.0, 5.0, ""),
             span_event(1, 1, 5.0, 5.0, "0"),
             span_event(2, 1, 10.0, 5.0, "1"),
+            // So must a span whose class is no distance class (a
+            // hand-edited file): 300 must not wrap to class 44.
+            Event {
+                args: vec![("op", ArgValue::U64(3)), ("dist", ArgValue::U64(300))],
+                ..span_event(3, 2, 0.0, 1.0, "")
+            },
             // An unlabelled wrapper span must be ignored.
             Event {
                 seq: 99,

@@ -14,7 +14,7 @@ use serde_json::Value;
 /// Argument keys the analyzer understands. [`Event`] args use `&'static
 /// str` keys, so parsing has to intern: keys outside this list are
 /// dropped (the analyzer would ignore them anyway).
-const KNOWN_KEYS: [&str; 14] = [
+const KNOWN_KEYS: [&str; 15] = [
     "op",
     "src",
     "dst",
@@ -22,6 +22,7 @@ const KNOWN_KEYS: [&str; 14] = [
     "mech",
     "dist",
     "deps",
+    "plan",
     "to",
     "from",
     "seg",

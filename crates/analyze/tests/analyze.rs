@@ -11,7 +11,7 @@ use pdac_core::AdaptiveColl;
 use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix};
 use pdac_mpisim::Communicator;
 use pdac_simnet::trace::sim_events_with_distances;
-use pdac_simnet::{predicted_ops, SimConfig, SimExecutor};
+use pdac_simnet::{SimConfig, SimExecutor};
 use pdac_telemetry::{chrome_trace, TraceMeta};
 
 fn world_32() -> Communicator {
@@ -54,17 +54,20 @@ fn bcast_32_critical_path_attributes_at_least_95_percent_of_wall_time() {
 }
 
 #[test]
-fn divergence_runs_on_predicted_vs_simulated_legs() {
+fn divergence_of_a_saved_leg_against_itself_flags_nothing() {
     let comm = world_32();
     let schedule = AdaptiveColl::default().bcast(&comm, 0, 64 * 1024);
     let exec = SimExecutor::new(comm.machine(), comm.binding(), SimConfig::default());
     let report = exec.run(&schedule).expect("simulation runs");
 
     let dist = DistanceMatrix::for_binding(comm.machine(), comm.binding());
-    // "Real" leg: the sim events; sim leg: the per-op prediction export.
-    // Identical timings by construction, so nothing may flag.
-    let real = OpGraph::from_events(&sim_events_with_distances(&schedule, &report, Some(&dist)));
-    let sim = OpGraph::from_predicted(&predicted_ops(&schedule, &report, Some(&dist)));
+    // Sim leg: the simulator's events, as `pdac-trace` feeds them. "Real"
+    // leg: the same events out to a trace file and back. Identical timings
+    // up to export rounding, so nothing may flag.
+    let events = sim_events_with_distances(&schedule, &report, Some(&dist));
+    let sim = OpGraph::from_events(&events);
+    let json = chrome_trace(&events, &TraceMeta::real().with_ranks(comm.size()));
+    let real = OpGraph::from_events(&events_from_chrome_trace(&json).expect("trace parses"));
     let rep = DivergenceReport::compare(&real, &sim, DivergenceConfig::default());
     assert_eq!(rep.joined_ops, schedule.ops.len());
     assert_eq!(rep.real_only, 0);

@@ -4,9 +4,8 @@
 //!
 //! ```text
 //! pdac-bench gate [--baseline <path>] [--out <path>] [--update-baseline]
-//!                 [--expose <path>] [--history <path>] [--no-history]
+//!                 [--history <path>] [--no-history]
 //! pdac-bench trend [--history <path>] [--label <label>]
-//! pdac-bench overhead [--budget <rel>] [--repeat <n>]
 //! pdac-bench audit [--out-dir <dir>]
 //! pdac-bench list
 //! ```
@@ -26,13 +25,7 @@
 //! Every comparison run appends one line to `BENCH_history.jsonl`
 //! (`--history`, disable with `--no-history`) carrying the per-scenario
 //! `seconds` / `ops` / `wait_share` numbers; `trend` renders the delta
-//! between the two newest entries. `--expose <path>` serves the live
-//! OpenMetrics snapshot during the run via the non-blocking flusher.
-//!
-//! `overhead` measures the observability plane against its budget: the
-//! full scenario matrix with the exposition flusher on vs off, best of
-//! `--repeat` runs each, failing when the relative wall-clock delta
-//! exceeds `--budget` (default 1%).
+//! between the two newest entries.
 //!
 //! `audit` re-runs the canonical matrix with a provenance recorder
 //! attached to the plan call the gate measures, records every
@@ -49,14 +42,12 @@
 //!
 //! `list` prints the scenario matrix without running it.
 
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use pdac_bench::gate::{
-    audit_gate_scenarios, canonical_scenarios, compare, run_gate_scenarios, run_scenario,
-    GateReport, Tolerances,
+    audit_gate_scenarios, canonical_scenarios, compare, run_gate_scenarios, GateReport, Tolerances,
 };
 use pdac_obs::history::{append_jsonl, load_jsonl, render_trend, HistoryEntry};
-use pdac_obs::{flusher, ExpositionFlusher, FlusherConfig};
 
 const DEFAULT_BASELINE: &str = "baselines/BENCH_collectives.baseline.json";
 const DEFAULT_OUT: &str = "BENCH_collectives.json";
@@ -65,9 +56,8 @@ const DEFAULT_HISTORY: &str = "BENCH_history.jsonl";
 fn usage() -> ! {
     eprintln!(
         "usage:\n  pdac-bench gate [--baseline <path>] [--out <path>] [--update-baseline]\n       \
-         \x20          [--expose <path>] [--history <path>] [--no-history]\n  \
+         \x20          [--history <path>] [--no-history]\n  \
          pdac-bench trend [--history <path>] [--label <label>]\n  \
-         pdac-bench overhead [--budget <rel>] [--repeat <n>]\n  \
          pdac-bench audit [--out-dir <dir>]\n  \
          pdac-bench list"
     );
@@ -79,7 +69,6 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("gate") => std::process::exit(gate(&args[1..])),
         Some("trend") => std::process::exit(trend(&args[1..])),
-        Some("overhead") => std::process::exit(overhead(&args[1..])),
         Some("audit") => std::process::exit(audit(&args[1..])),
         Some("list") => list(),
         _ => usage(),
@@ -118,14 +107,12 @@ fn gate(args: &[String]) -> i32 {
     let mut baseline_path = DEFAULT_BASELINE.to_string();
     let mut out_path = DEFAULT_OUT.to_string();
     let mut history_path = Some(DEFAULT_HISTORY.to_string());
-    let mut expose_path: Option<String> = None;
     let mut update_baseline = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--baseline" => baseline_path = it.next().cloned().unwrap_or_else(|| usage()),
             "--out" => out_path = it.next().cloned().unwrap_or_else(|| usage()),
-            "--expose" => expose_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--history" => history_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--no-history" => history_path = None,
             "--update-baseline" => update_baseline = true,
@@ -136,18 +123,8 @@ fn gate(args: &[String]) -> i32 {
         }
     }
 
-    // The flusher serves a live OpenMetrics snapshot while the matrix
-    // runs; it never blocks the run (bounded queue, drop-and-count).
-    let flusher = expose_path.as_ref().map(|p| {
-        eprintln!("exposing OpenMetrics at {p}");
-        ExpositionFlusher::start(FlusherConfig::new(p).every(Duration::from_millis(250)))
-    });
-
     eprintln!("running {} gate scenarios...", canonical_scenarios().len());
     let report = run_gate_scenarios();
-    if let Some(f) = flusher {
-        f.stop();
-    }
 
     if update_baseline {
         if let Some(dir) = std::path::Path::new(&baseline_path).parent() {
@@ -325,85 +302,5 @@ fn audit(args: &[String]) -> i32 {
             println!("  FAIL {id}");
         }
         1
-    }
-}
-
-fn overhead(args: &[String]) -> i32 {
-    let mut budget = 0.01f64;
-    let mut repeat = 3usize;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--budget" => {
-                budget = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--repeat" => {
-                repeat = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                usage()
-            }
-        }
-    }
-    let repeat = repeat.max(1);
-    let scenarios = canonical_scenarios();
-    let expose_path = std::env::temp_dir().join(format!("pdac-overhead-{}.om", std::process::id()));
-
-    let run_matrix = || {
-        let t0 = Instant::now();
-        for s in &scenarios {
-            std::hint::black_box(run_scenario(s));
-        }
-        t0.elapsed().as_secs_f64()
-    };
-
-    // Warm up caches/allocator before timing anything.
-    eprintln!(
-        "overhead: {} scenarios, best of {repeat}, budget {:.2}%",
-        scenarios.len(),
-        budget * 100.0
-    );
-    run_matrix();
-
-    // Interleave the off/on measurements so slow drift (thermal, other
-    // load) hits both sides equally; keep the best of each.
-    let mut best_off = f64::INFINITY;
-    let mut best_on = f64::INFINITY;
-    let spent_before = flusher::spent_ns();
-    for round in 0..repeat {
-        let off = run_matrix();
-        best_off = best_off.min(off);
-
-        let f = ExpositionFlusher::start(
-            FlusherConfig::new(&expose_path).every(Duration::from_millis(25)),
-        );
-        let on = run_matrix();
-        f.stop();
-        best_on = best_on.min(on);
-        eprintln!("  round {round}: off {off:.3}s  on {on:.3}s");
-    }
-    let spent_s = flusher::spent_ns().saturating_sub(spent_before) as f64 / 1e9;
-    let _ = std::fs::remove_file(&expose_path);
-
-    let delta = (best_on - best_off) / best_off;
-    println!(
-        "overhead: exposition off {best_off:.3}s  on {best_on:.3}s  delta {:+.2}%  \
-         (flusher self-time {spent_s:.4}s, budget {:.2}%)",
-        delta * 100.0,
-        budget * 100.0
-    );
-    if delta > budget {
-        println!("overhead: FAIL (exposition costs more than the budget)");
-        1
-    } else {
-        println!("overhead: PASS");
-        0
     }
 }

@@ -23,9 +23,8 @@
 //! `outdir` (default `results/pdac_trace`):
 //!
 //! * `trace_real.json` — Chrome Trace Event timeline of the real run (per
-//!   operation: rank, peer, mechanism, bytes, distance class). Needs the
-//!   `telemetry` build feature; without it the timeline holds metadata
-//!   only and a note is printed.
+//!   operation: rank, peer, mechanism, bytes, distance class). The run
+//!   holds a reader on the event recorder, which is what arms it.
 //! * `trace_sim.json` — the simulated counterpart, same format and
 //!   exporter; load both into <https://ui.perfetto.dev> side-by-side.
 //! * `metrics.json` — registry snapshot: counters plus log-bucketed
@@ -156,9 +155,11 @@ fn run(args: &[String]) {
     let coll = AdaptiveColl::default();
 
     let telemetry = pdac_telemetry::global();
-    // One run, one set of artifacts: drop everything recorded before now
-    // (including the distance fill above).
+    // One run, one set of artifacts: drop everything counted before now
+    // (including the distance fill above). The recorder records while the
+    // reader is held.
     telemetry.reset();
+    let reader = telemetry.recorder().reader();
 
     let schedule = coll.plan(&comm, Request::new(what, 0, bytes), Sinks::default());
 
@@ -169,7 +170,8 @@ fn run(args: &[String]) {
         .with_distances(Arc::clone(&distances))
         .run(&schedule, pattern)
         .expect("collective executes");
-    let real_events = telemetry.recorder().drain();
+    let real_events = reader.drain();
+    drop(reader);
     let real_trace = chrome_trace(
         &real_events,
         &TraceMeta::real().with_ranks(schedule.num_ranks),
@@ -213,12 +215,6 @@ fn run(args: &[String]) {
         res.knem_stats.copies,
         report.total_time * 1e3,
     );
-    if !pdac_telemetry::recording_compiled() {
-        println!(
-            "note: built without the `telemetry` feature — trace_real.json holds metadata \
-             only (rebuild with `--features telemetry` for the real timeline)"
-        );
-    }
     println!("load both traces in ui.perfetto.dev to compare real vs sim side-by-side");
 }
 
@@ -287,6 +283,7 @@ fn explain(args: &[String]) -> i32 {
 
     let telemetry = pdac_telemetry::global();
     telemetry.reset();
+    let reader = telemetry.recorder().reader();
 
     let mut prov = Provenance::default();
     let sinks = Sinks {
@@ -303,7 +300,8 @@ fn explain(args: &[String]) -> i32 {
         .with_plan_id(prov.plan_id.clone())
         .run(&schedule, pattern)
         .expect("collective executes");
-    let real = OpGraph::from_events(&telemetry.recorder().drain());
+    let real = OpGraph::from_events(&reader.drain());
+    drop(reader);
 
     // Sim leg of the same schedule.
     let report = SimExecutor::new(&machine, &binding, SimConfig::default())
@@ -318,18 +316,9 @@ fn explain(args: &[String]) -> i32 {
     let sim_conf = ConformanceReport::audit(&sim, &prov);
     println!("-- sim leg --");
     print!("{}", sim_conf.render());
-    let real_conf = if real.is_empty() {
-        println!(
-            "-- real leg --\nno recorded spans (build with `--features telemetry` \
-             to audit the real executor)"
-        );
-        None
-    } else {
-        let c = ConformanceReport::audit(&real, &prov);
-        println!("-- real leg --");
-        print!("{}", c.render());
-        Some(c)
-    };
+    let real_conf = ConformanceReport::audit(&real, &prov);
+    println!("-- real leg --");
+    print!("{}", real_conf.render());
 
     std::fs::create_dir_all(&outdir).expect("output dir");
     let write = |name: &str, body: &str| {
@@ -343,10 +332,7 @@ fn explain(args: &[String]) -> i32 {
         &format!(
             "{{\"sim\":{},\"real\":{}}}\n",
             sim_conf.to_json(),
-            real_conf
-                .as_ref()
-                .map(|c| c.to_json())
-                .unwrap_or_else(|| "null".into()),
+            real_conf.to_json(),
         ),
     );
     println!(
@@ -354,8 +340,7 @@ fn explain(args: &[String]) -> i32 {
          `pdac-trace explain --diff <old>/provenance.json {outdir}/provenance.json`"
     );
 
-    let ok = sim_conf.passed() && real_conf.as_ref().is_none_or(|c| c.passed());
-    if ok {
+    if sim_conf.passed() && real_conf.passed() {
         0
     } else {
         1

@@ -40,7 +40,6 @@
 
 pub mod engine;
 pub mod fault;
-pub mod predict;
 pub mod report;
 pub mod resource;
 pub mod route;
@@ -50,7 +49,6 @@ pub mod trace;
 
 pub use engine::{SimConfig, SimExecutor, SimReport, SolverStats};
 pub use fault::{Fault, FaultPlan, FaultStats, SimError};
-pub use predict::{predicted_ops, predicted_ops_from_json, predicted_ops_json, PredictedOp};
 pub use report::{bw_allgather, bw_bcast, bw_p2p, Series, SweepPoint};
 pub use resource::{Calibration, Resource, TransportModel};
 pub use schedule::{

@@ -13,12 +13,19 @@
 //! side-by-side in one Perfetto window without colliding.
 
 use crate::engine::SimReport;
-use crate::predict::dist_class;
 use crate::schedule::{OpKind, Schedule};
 
 use pdac_hwtopo::DistanceMatrix;
 use pdac_telemetry::export::{chrome_trace, TraceMeta};
 use pdac_telemetry::{Event, EventKind};
+
+/// The distance class of the pair `(a, b)` under `distances` (0 without a
+/// matrix or for out-of-range ranks).
+fn dist_class(distances: Option<&DistanceMatrix>, a: usize, b: usize) -> u8 {
+    distances
+        .filter(|d| a < d.num_ranks() && b < d.num_ranks())
+        .map_or(0, |d| d.get(a, b))
+}
 
 /// Renders a dependency list as the compact `deps` span argument
 /// (`"0,3,7"`), the linking metadata `pdac-analyze` uses to rebuild the
@@ -179,6 +186,19 @@ mod tests {
         let t0 = xs[0]["ts"].as_f64().unwrap() + xs[0]["dur"].as_f64().unwrap();
         let t2 = xs[2]["ts"].as_f64().unwrap();
         assert!(t2 >= t0, "dependent copy starts after the first finishes");
+
+        // Classes come from the matrix when there is one, else 0.
+        assert!(xs.iter().all(|e| e["args"]["dist"].as_u64() == Some(0)));
+        let distances = DistanceMatrix::for_binding(&ig, &binding);
+        let classed = sim_events_with_distances(&s, &rep, Some(&distances));
+        assert_eq!(
+            classed[0].arg_u64("dist"),
+            Some(u64::from(distances.get(0, 1)))
+        );
+        assert_eq!(
+            classed[2].arg_u64("dist"),
+            Some(u64::from(distances.get(1, 2)))
+        );
     }
 
     #[test]

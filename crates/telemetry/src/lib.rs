@@ -6,11 +6,12 @@
 //! primitives:
 //!
 //! * the **[`Recorder`]** — a sharded, bounded ring buffer of timestamped
-//!   [`Event`]s (spans and instants). Recording is compiled out entirely
-//!   unless the `enabled` cargo feature is on (downstream crates forward
-//!   it as their `telemetry` feature): without it, every `span`/`instant`
-//!   call is an empty inlined function — no clock read, no allocation, no
-//!   lock — so instrumented hot paths cost nothing in production builds.
+//!   [`Event`]s (spans and instants). It records only while somebody
+//!   holds a [`Reader`] on it, and the reader is also the only way to
+//!   drain it: with none, every `span`/`instant` call returns after one
+//!   relaxed load — no clock read, no allocation, no lock — so
+//!   instrumented hot paths cost one predictable branch until a trace is
+//!   asked for.
 //! * the **[`Registry`]** — always-available named [`Counter`]s and
 //!   HDR-style log-bucketed [`LogHistogram`]s. This is the successor of
 //!   the ad-hoc stat structs (`SolverStats`, `FaultStats`, `KnemStats`,
@@ -39,7 +40,7 @@ pub mod snapshot;
 pub use event::{ArgValue, Event, EventKind};
 pub use export::{chrome_trace, esc, TraceMeta};
 pub use histogram::{bucket_bounds, bucket_index, estimate_percentile, LogHistogram};
-pub use recorder::{Recorder, Span};
+pub use recorder::{Reader, Recorder, Span};
 pub use registry::{Counter, Registry};
 pub use snapshot::{HistogramSnapshot, RegistrySnapshot, SnapshotDiff};
 
@@ -92,10 +93,4 @@ impl Default for Telemetry {
 pub fn global() -> &'static Telemetry {
     static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
     GLOBAL.get_or_init(Telemetry::new)
-}
-
-/// True when the crate was built with event recording compiled in (the
-/// `enabled` feature; downstream crates call it `telemetry`).
-pub const fn recording_compiled() -> bool {
-    cfg!(feature = "enabled")
 }

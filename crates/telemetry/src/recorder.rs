@@ -8,28 +8,22 @@
 //! a long run degrades to "most recent window" instead of unbounded
 //! memory.
 //!
-//! **Feature gating.** Without the crate's `enabled` feature every method
-//! here is an empty `#[inline]` function and [`Span`] is a zero-sized
-//! type: no clock is read, no name is formatted (names and args are passed
-//! as closures precisely so their construction is skipped), nothing is
-//! locked. Instrumented hot paths therefore cost nothing in default
-//! builds.
+//! **Armed by its readers.** A recorder records only while somebody holds
+//! a [`Reader`] on it ([`Recorder::reader`]) — the guard is also the only
+//! way to drain events, so whoever wants a trace arms the recorder by
+//! asking for one, and nothing else can. With no reader,
+//! `span`/`instant`/`complete` return after one relaxed load of the reader
+//! count: no clock is read, no name is formatted (names and args are
+//! passed as closures precisely so their construction is skipped), nothing
+//! is allocated or locked.
 
-use crate::event::{ArgValue, Event};
-#[cfg(feature = "enabled")]
-use crate::event::EventKind;
+use crate::event::{ArgValue, Event, EventKind};
 
-#[cfg(feature = "enabled")]
-use std::collections::VecDeque;
-#[cfg(feature = "enabled")]
 use std::collections::hash_map::DefaultHasher;
-#[cfg(feature = "enabled")]
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-#[cfg(feature = "enabled")]
-use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
-use std::sync::Mutex;
-#[cfg(feature = "enabled")]
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Number of independently locked event rings.
@@ -38,40 +32,37 @@ pub const SHARDS: usize = 16;
 /// Default total event capacity (split across shards).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
-#[cfg(feature = "enabled")]
-#[derive(Debug)]
-struct Shard {
-    ring: Mutex<VecDeque<Event>>,
-}
-
-/// Records spans and instants into a bounded ring. See the module docs for
-/// the sharding and feature-gating contract.
+/// Records spans and instants into a bounded ring while a [`Reader`] is
+/// held. See the module docs for the sharding and arming contract.
 #[derive(Debug)]
 pub struct Recorder {
-    #[cfg(feature = "enabled")]
     epoch: Instant,
-    #[cfg(feature = "enabled")]
+    /// Live [`Reader`] guards; recording calls are no-ops while it is 0.
+    readers: AtomicUsize,
     seq: AtomicU64,
-    #[cfg(feature = "enabled")]
     dropped: AtomicU64,
-    #[cfg(feature = "enabled")]
     cap_per_shard: usize,
-    #[cfg(feature = "enabled")]
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<VecDeque<Event>>>,
+}
+
+/// A reader's hold on a [`Recorder`]: the recorder records from
+/// [`Recorder::reader`] until the last overlapping guard is dropped, and
+/// [`Reader::drain`] takes what it recorded.
+#[derive(Debug)]
+#[must_use = "the recorder is armed only while the reader is held"]
+pub struct Reader<'a> {
+    rec: &'a Recorder,
 }
 
 /// Guard measuring one span: created at the start of the work, records a
-/// `EventKind::Complete` event when dropped. A zero-sized no-op when
-/// recording is compiled out.
+/// `EventKind::Complete` event when dropped. Empty when the recorder was
+/// not armed at the start; a span that did start lands even if the last
+/// reader has gone by the time it ends.
 #[must_use = "a span measures until it is dropped"]
 pub struct Span<'a> {
-    #[cfg(feature = "enabled")]
     inner: Option<SpanInner<'a>>,
-    #[cfg(not(feature = "enabled"))]
-    _marker: std::marker::PhantomData<&'a ()>,
 }
 
-#[cfg(feature = "enabled")]
 struct SpanInner<'a> {
     rec: &'a Recorder,
     tid: u64,
@@ -84,42 +75,39 @@ struct SpanInner<'a> {
 impl Recorder {
     /// A recorder holding at most `capacity` events (split across shards).
     pub fn new(capacity: usize) -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            let cap_per_shard = capacity.div_ceil(SHARDS).max(1);
-            Recorder {
-                epoch: Instant::now(),
-                seq: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-                cap_per_shard,
-                shards: (0..SHARDS)
-                    .map(|_| Shard { ring: Mutex::new(VecDeque::new()) })
-                    .collect(),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = capacity;
-            Recorder {}
+        Recorder {
+            epoch: Instant::now(),
+            readers: AtomicUsize::new(0),
+            seq: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+            cap_per_shard: capacity.div_ceil(SHARDS).max(1),
+            shards: (0..SHARDS).map(|_| Mutex::new(VecDeque::new())).collect(),
         }
     }
 
-    /// Microseconds since this recorder's epoch (0.0 when recording is
-    /// compiled out).
+    /// Arms the recorder for as long as the returned guard lives. Guards
+    /// nest and overlap freely; recording stops when the last one drops.
+    pub fn reader(&self) -> Reader<'_> {
+        self.readers.fetch_add(1, Ordering::Relaxed);
+        Reader { rec: self }
+    }
+
+    /// The check every recording call makes first. `Relaxed` throughout:
+    /// the count publishes no data, and a thread started or handed its work
+    /// after `reader()` returned sees the increment through that hand-off.
+    #[inline]
+    fn armed(&self) -> bool {
+        self.readers.load(Ordering::Relaxed) != 0
+    }
+
+    /// Microseconds since this recorder's epoch.
     pub fn now_us(&self) -> f64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.epoch.elapsed().as_secs_f64() * 1e6
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0.0
-        }
+        self.epoch.elapsed().as_secs_f64() * 1e6
     }
 
     /// Starts a span on logical thread `tid`. `name` and `args` are
-    /// closures so their construction is skipped entirely when recording
-    /// is compiled out.
+    /// closures so their construction is skipped entirely while no reader
+    /// is held.
     #[inline]
     pub fn span<'a>(
         &'a self,
@@ -128,23 +116,18 @@ impl Recorder {
         name: impl FnOnce() -> String,
         args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
     ) -> Span<'a> {
-        #[cfg(feature = "enabled")]
-        {
-            Span {
-                inner: Some(SpanInner {
-                    rec: self,
-                    tid,
-                    cat,
-                    name: name(),
-                    args: args(),
-                    start_us: self.now_us(),
-                }),
-            }
+        if !self.armed() {
+            return Span { inner: None };
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (tid, cat, name, args);
-            Span { _marker: std::marker::PhantomData }
+        Span {
+            inner: Some(SpanInner {
+                rec: self,
+                tid,
+                cat,
+                name: name(),
+                args: args(),
+                start_us: self.now_us(),
+            }),
         }
     }
 
@@ -157,27 +140,23 @@ impl Recorder {
         name: impl FnOnce() -> String,
         args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
     ) {
-        #[cfg(feature = "enabled")]
-        {
-            let ts = self.now_us();
-            self.push(Event {
-                seq: 0,
-                ts_us: ts,
-                dur_us: 0.0,
-                tid,
-                name: name(),
-                cat,
-                kind: EventKind::Instant,
-                args: args(),
-            });
+        if !self.armed() {
+            return;
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (tid, cat, name, args);
-        }
+        let ts = self.now_us();
+        self.push(Event {
+            seq: 0,
+            ts_us: ts,
+            dur_us: 0.0,
+            tid,
+            name: name(),
+            cat,
+            kind: EventKind::Instant,
+            args: args(),
+        });
     }
 
-    /// Records a complete span with explicit timestamps. Gated like every
+    /// Records a complete span with explicit timestamps. Armed like every
     /// other recording call; converters that already own their timing data
     /// (e.g. the simulator's report-to-trace path) build [`Event`] values
     /// directly instead of going through a recorder.
@@ -191,32 +170,34 @@ impl Recorder {
         name: impl FnOnce() -> String,
         args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
     ) {
-        #[cfg(feature = "enabled")]
-        {
-            self.push(Event {
-                seq: 0,
-                ts_us,
-                dur_us,
-                tid,
-                name: name(),
-                cat,
-                kind: EventKind::Complete,
-                args: args(),
-            });
+        if !self.armed() {
+            return;
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (tid, cat, ts_us, dur_us, name, args);
-        }
+        self.push(Event {
+            seq: 0,
+            ts_us,
+            dur_us,
+            tid,
+            name: name(),
+            cat,
+            kind: EventKind::Complete,
+            args: args(),
+        });
     }
 
-    #[cfg(feature = "enabled")]
+    /// Every update leaves a ring valid, so a shard poisoned by a panicking
+    /// recorder thread is still readable.
+    fn ring(shard: &Mutex<VecDeque<Event>>) -> MutexGuard<'_, VecDeque<Event>> {
+        shard
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn push(&self, mut event: Event) {
         event.seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let mut hasher = DefaultHasher::new();
         std::thread::current().id().hash(&mut hasher);
-        let shard = &self.shards[(hasher.finish() as usize) % SHARDS];
-        let mut ring = shard.ring.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut ring = Self::ring(&self.shards[(hasher.finish() as usize) % SHARDS]);
         if ring.len() >= self.cap_per_shard {
             ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -224,39 +205,9 @@ impl Recorder {
         ring.push_back(event);
     }
 
-    /// Takes every recorded event, ordered by sequence number (record
-    /// order). Empty when recording is compiled out.
-    pub fn drain(&self) -> Vec<Event> {
-        #[cfg(feature = "enabled")]
-        {
-            let mut all = Vec::new();
-            for shard in &self.shards {
-                let mut ring =
-                    shard.ring.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                all.extend(ring.drain(..));
-            }
-            all.sort_by_key(|e| e.seq);
-            all
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Vec::new()
-        }
-    }
-
     /// Number of events currently buffered.
     pub fn len(&self) -> usize {
-        #[cfg(feature = "enabled")]
-        {
-            self.shards
-                .iter()
-                .map(|s| s.ring.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len())
-                .sum()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.shards.iter().map(|s| Self::ring(s).len()).sum()
     }
 
     /// True when no events are buffered.
@@ -266,32 +217,40 @@ impl Recorder {
 
     /// Events discarded because a shard ring was full.
     pub fn dropped(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.dropped.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Discards every buffered event (sequence numbers keep increasing, so
     /// later drains still order correctly against earlier ones).
     pub fn clear(&self) {
-        #[cfg(feature = "enabled")]
-        {
-            for shard in &self.shards {
-                shard.ring.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
-            }
-            self.dropped.store(0, Ordering::Relaxed);
+        for shard in &self.shards {
+            Self::ring(shard).clear();
         }
+        self.dropped.store(0, Ordering::Relaxed);
+    }
+}
+
+impl Reader<'_> {
+    /// Takes every recorded event, ordered by sequence number (record
+    /// order).
+    pub fn drain(&self) -> Vec<Event> {
+        let mut all = Vec::new();
+        for shard in &self.rec.shards {
+            all.extend(Recorder::ring(shard).drain(..));
+        }
+        all.sort_by_key(|e| e.seq);
+        all
+    }
+}
+
+impl Drop for Reader<'_> {
+    fn drop(&mut self) {
+        self.rec.readers.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
         if let Some(inner) = self.inner.take() {
             let end = inner.rec.now_us();
             inner.rec.push(Event {
@@ -308,18 +267,75 @@ impl Drop for Span<'_> {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    fn never_name() -> String {
+        panic!("a disarmed recorder must not build a name")
+    }
+
+    fn never_args() -> Vec<(&'static str, ArgValue)> {
+        panic!("a disarmed recorder must not build args")
+    }
+
+    #[test]
+    fn disarmed_calls_never_run_their_closures() {
+        let rec = Recorder::new(1024);
+        drop(rec.span(0, "test", never_name, never_args));
+        rec.instant(0, "test", never_name, never_args);
+        rec.complete(0, "test", 1.0, 2.0, never_name, never_args);
+        assert_eq!(rec.len(), 0);
+        assert_eq!(rec.dropped(), 0);
+        assert!(rec.reader().drain().is_empty());
+    }
+
+    #[test]
+    fn overlapping_readers_compose_and_the_last_one_disarms() {
+        let rec = Recorder::new(1024);
+        let outer = rec.reader();
+        let inner = rec.reader();
+        rec.instant(0, "test", || "both".into(), Vec::new);
+        drop(outer);
+        rec.instant(0, "test", || "one".into(), Vec::new);
+        let names: Vec<String> = inner.drain().into_iter().map(|e| e.name).collect();
+        assert_eq!(names, ["both", "one"]);
+        drop(inner);
+        rec.instant(0, "test", never_name, never_args);
+        assert!(
+            rec.is_empty(),
+            "nothing records once the last reader is gone"
+        );
+    }
+
+    #[test]
+    fn span_opened_while_armed_lands_after_disarm() {
+        let rec = Recorder::new(1024);
+        let reader = rec.reader();
+        let span = rec.span(
+            7,
+            "test",
+            || "straddles".into(),
+            || vec![("k", 1u64.into())],
+        );
+        drop(reader);
+        drop(span);
+        let events = rec.reader().drain();
+        assert_eq!(events.len(), 1, "no half-recorded span");
+        assert_eq!(events[0].name, "straddles");
+        assert_eq!(events[0].kind, EventKind::Complete);
+        assert_eq!(events[0].arg_u64("k"), Some(1));
+    }
 
     #[test]
     fn spans_and_instants_are_sequenced() {
         let rec = Recorder::new(1024);
+        let reader = rec.reader();
         {
             let _s = rec.span(3, "test", || "outer".into(), Vec::new);
             rec.instant(3, "test", || "mark".into(), || vec![("k", 7u64.into())]);
         }
-        let events = rec.drain();
+        let events = reader.drain();
         assert_eq!(events.len(), 2);
         // The instant was pushed before the span ended.
         assert_eq!(events[0].name, "mark");
@@ -336,22 +352,24 @@ mod tests {
         // All events come from one thread, so they land in one shard of
         // capacity ceil(32/16) = 2.
         let rec = Recorder::new(32);
+        let reader = rec.reader();
         for i in 0..10 {
             rec.instant(0, "test", || format!("e{i}"), Vec::new);
         }
         assert_eq!(rec.len(), 2);
         assert_eq!(rec.dropped(), 8);
-        let events = rec.drain();
+        let events = reader.drain();
         assert_eq!(events.last().unwrap().name, "e9", "newest survives");
     }
 
     #[test]
     fn clear_discards_but_keeps_sequencing() {
         let rec = Recorder::new(64);
+        let reader = rec.reader();
         rec.instant(0, "test", || "a".into(), Vec::new);
         rec.clear();
         rec.instant(0, "test", || "b".into(), Vec::new);
-        let events = rec.drain();
+        let events = reader.drain();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].name, "b");
         assert!(events[0].seq >= 1, "sequence numbers continue after clear");

@@ -1,8 +1,5 @@
 //! Chrome Trace exporter edge cases: empty recorders, hostile thread
 //! names, and exports far past the recorder's default ring capacity.
-//!
-//! These run with and without the `enabled` feature — the exporter itself
-//! is always compiled; only the recorder's event intake is gated.
 
 use pdac_telemetry::export::{chrome_trace, TraceMeta};
 use pdac_telemetry::{ArgValue, Event, EventKind, Recorder};
@@ -23,7 +20,7 @@ fn span_event(seq: u64, tid: u64, name: &str) -> Event {
 #[test]
 fn empty_recorder_exports_valid_metadata_only_trace() {
     let rec = Recorder::new(64);
-    let events = rec.drain();
+    let events = rec.reader().drain();
     assert!(events.is_empty());
     let json = chrome_trace(&events, &TraceMeta::real().with_ranks(4));
     let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
@@ -83,18 +80,18 @@ fn export_of_more_than_64k_events_round_trips() {
     assert_eq!(last["args"]["op"].as_u64(), Some(N as u64 - 1));
 }
 
-#[cfg(feature = "enabled")]
 #[test]
 fn recorder_overflow_drops_oldest_but_export_stays_consistent() {
     // Push past capacity from one thread: the ring keeps the newest
     // window, and what is drained still exports as valid JSON with
     // monotone sequence numbers.
     let rec = Recorder::new(128);
+    let reader = rec.reader();
     for i in 0..100_000u64 {
         rec.instant(0, "test", || format!("e{i}"), Vec::new);
     }
     assert!(rec.dropped() > 0, "overflow recorded");
-    let events = rec.drain();
+    let events = reader.drain();
     assert!(!events.is_empty());
     assert!(
         events.windows(2).all(|w| w[0].seq < w[1].seq),

@@ -9,10 +9,10 @@
 //! * [`collectives`] — distance-aware topologies, baselines, schedules;
 //! * [`mpi`] — the typed MPI-style session API on top of everything;
 //! * [`telemetry`] — event recorder, metrics registry, trace export
-//!   (recording compiles in with the `telemetry` feature);
+//!   (the recorder records while a reader holds it);
 //! * [`analyze`] — performance introspection over telemetry artifacts:
 //!   critical-path extraction and sim-vs-real divergence reports;
-//! * [`obs`] — the live observability plane: OpenMetrics exposition, the
+//! * [`obs`] — the observability plane: OpenMetrics rendering, the
 //!   crash-surviving flight recorder, and cross-run perf history.
 //!
 //! The whole pipeline in a dozen lines — machine, hostile placement,

@@ -1,8 +1,7 @@
 //! Telemetry acceptance: exported traces parse with the vendored
 //! serde_json and carry one `X` event per executed operation, for both the
-//! simulated and (with the `telemetry` feature) the real executor path —
-//! rendered by the same exporter, under distinct process identities, so
-//! they load side-by-side in Perfetto. Registry snapshots round-trip
+//! simulated and the real executor path — rendered by the same exporter,
+//! under distinct process identities, so they load side-by-side in Perfetto. Registry snapshots round-trip
 //! through JSON and diff cleanly.
 
 use std::sync::Arc;
@@ -12,9 +11,7 @@ use pdac::collectives::metrics::fault_summary_line;
 use pdac::hwtopo::{machines, BindingPolicy};
 use pdac::mpisim::Communicator;
 use pdac::simnet::{FaultStats, SimConfig, SimExecutor};
-use pdac::telemetry::RegistrySnapshot;
-#[cfg(feature = "telemetry")]
-use pdac::telemetry::TraceMeta;
+use pdac::telemetry::{RegistrySnapshot, TraceMeta};
 
 fn bcast_world(ranks: usize, bytes: usize) -> (Communicator, pdac::simnet::Schedule) {
     let machine = Arc::new(machines::ig());
@@ -53,10 +50,8 @@ fn sim_trace_round_trips_with_one_x_event_per_op() {
 }
 
 /// The real-executor counterpart: an 8-rank bcast on the thread executor,
-/// drained from the recorder and rendered by the same exporter as the sim
-/// trace (acceptance criterion). Only meaningful when recording is
-/// compiled in.
-#[cfg(feature = "telemetry")]
+/// read from the recorder and rendered by the same exporter as the sim
+/// trace (acceptance criterion).
 #[test]
 fn real_trace_round_trips_with_one_x_event_per_op() {
     use pdac::collectives::verify::pattern;
@@ -68,11 +63,12 @@ fn real_trace_round_trips_with_one_x_event_per_op() {
 
     let telemetry = pdac::telemetry::global();
     telemetry.reset();
+    let reader = telemetry.recorder().reader();
     ThreadExecutor::new()
         .with_distances(distances)
         .run(&schedule, pattern)
         .expect("collective executes");
-    let events = telemetry.recorder().drain();
+    let events = reader.drain();
 
     let trace =
         pdac::telemetry::chrome_trace(&events, &TraceMeta::real().with_ranks(schedule.num_ranks));
