@@ -19,7 +19,7 @@ use pdac_core::bcast_tree::build_bcast_tree;
 use pdac_core::edges::{bcast_edge_order, ring_edge_order};
 use pdac_core::sched::{allgather_schedule, bcast_schedule, SchedConfig};
 use pdac_core::TopoCache;
-use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix};
+use pdac_hwtopo::{cluster, machines, BindingPolicy, DistanceMatrix};
 use pdac_mpisim::Communicator;
 
 /// A machine with `ranks` cores shaped like a big NUMA box.
@@ -80,6 +80,23 @@ fn bench_schedule_generation(c: &mut Criterion) {
     });
     group.bench_function("allgather_48_ranks", |b| {
         b.iter(|| allgather_schedule(&ring, 64 << 10))
+    });
+
+    // The largest schedules `pdac-e2e`'s `plan_churn` compiles on a cache
+    // hit (its `core.sched_build_ns.*` probes time the 48-rank ones): four
+    // IG nodes, ranks dealt across them.
+    let machine = Arc::new(cluster::homogeneous("ig-x4", &machines::ig(), 4, 2).unwrap());
+    let binding = BindingPolicy::CrossNode.bind(&machine, 192).unwrap();
+    let comm = Communicator::world(machine, binding);
+    let coll = AdaptiveColl::default();
+    let cache = TopoCache::new();
+    let ring = coll.allgather_ring_cached(&cache, &comm);
+    coll.bcast_cached(&cache, &comm, 0, 1 << 20);
+    group.bench_function("allgather_192_ranks", |b| {
+        b.iter(|| allgather_schedule(&ring, 64 << 10))
+    });
+    group.bench_function("bcast_1M_cached_192_ranks", |b| {
+        b.iter(|| coll.bcast_cached(&cache, &comm, 0, 1 << 20))
     });
     group.finish();
 }

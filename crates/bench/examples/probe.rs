@@ -24,7 +24,7 @@ fn main() {
             };
             println!("  op{cur:4} fin {:7.2}us  {desc}", rep.op_finish[cur] * 1e6);
             // follow latest-finishing dep
-            match op.deps.iter().max_by(|&&a,&&b| rep.op_finish[a].total_cmp(&rep.op_finish[b])) {
+            match s.deps(cur).iter().max_by(|&&a,&&b| rep.op_finish[a].total_cmp(&rep.op_finish[b])) {
                 Some(&d) => cur = d,
                 None => break,
             }

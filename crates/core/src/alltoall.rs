@@ -27,7 +27,7 @@ pub fn alltoall_schedule(ring: &Ring, block_bytes: usize) -> Schedule {
             block_bytes,
             Mech::Memcpy,
             r,
-            vec![],
+            &[],
         );
     }
 
@@ -36,14 +36,14 @@ pub fn alltoall_schedule(ring: &Ring, block_bytes: usize) -> Schedule {
     for k in 1..n {
         for r in 0..n {
             let peer = ring.left_k(r, k);
-            let ready = b.notify(peer, r, vec![]);
+            let ready = b.notify(peer, r, &[]);
             b.copy(
                 (peer, BufId::Send, r * block_bytes),
                 (r, BufId::Recv, peer * block_bytes),
                 block_bytes,
                 Mech::Knem,
                 r,
-                vec![ready],
+                &[ready],
             );
         }
     }
@@ -72,7 +72,7 @@ pub fn logical_rotation(
             block_bytes,
             Mech::Memcpy,
             r,
-            vec![],
+            &[],
         );
     }
     for k in 1..n {
@@ -85,7 +85,7 @@ pub fn logical_rotation(
                 (r, BufId::Send, to * block_bytes),
                 (to, BufId::Recv, r * block_bytes),
                 block_bytes,
-                vec![],
+                &[],
             );
         }
     }

@@ -20,7 +20,7 @@ pub fn ring(n: usize, block_bytes: usize, p2p: &P2pConfig) -> Schedule {
             block_bytes,
             pdac_simnet::Mech::Memcpy,
             r,
-            vec![],
+            &[],
         );
         arrival[r][r] = Some(local);
     }
@@ -29,7 +29,7 @@ pub fn ring(n: usize, block_bytes: usize, p2p: &P2pConfig) -> Schedule {
         for r in 0..n {
             let to = (r + 1) % n;
             let block = (r + n - k) % n;
-            let deps = vec![arrival[r][block].expect("block present from previous step")];
+            let held = arrival[r][block].expect("block present from previous step");
             let ops = emit_send(
                 &mut b,
                 p2p,
@@ -37,7 +37,7 @@ pub fn ring(n: usize, block_bytes: usize, p2p: &P2pConfig) -> Schedule {
                 (r, BufId::Recv, block * block_bytes),
                 (to, BufId::Recv, block * block_bytes),
                 block_bytes,
-                deps,
+                &[held],
             );
             arrival[to][block] = Some(ops.arrival);
         }
@@ -63,7 +63,7 @@ pub fn recursive_doubling(n: usize, block_bytes: usize, p2p: &P2pConfig) -> Sche
                 block_bytes,
                 pdac_simnet::Mech::Memcpy,
                 r,
-                vec![],
+                &[],
             )]
         })
         .collect();
@@ -82,7 +82,7 @@ pub fn recursive_doubling(n: usize, block_bytes: usize, p2p: &P2pConfig) -> Sche
                 (r, BufId::Recv, base * block_bytes),
                 (peer, BufId::Recv, base * block_bytes),
                 span * block_bytes,
-                ready[r].clone(),
+                &ready[r],
             );
             arrivals[peer] = ops.arrival;
         }

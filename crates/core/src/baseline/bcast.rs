@@ -41,7 +41,7 @@ pub fn binomial(n: usize, root: usize, bytes: usize, p2p: &P2pConfig) -> Schedul
             if peer >= n {
                 continue;
             }
-            let deps = arrival[v].map(|a| vec![a]).unwrap_or_default();
+            let deps = arrival[v].as_slice();
             let ops = emit_send(
                 &mut b,
                 p2p,
@@ -74,7 +74,7 @@ pub fn linear(n: usize, root: usize, bytes: usize, p2p: &P2pConfig) -> Schedule 
             (root, BufId::Send, 0),
             (vrank_to_rank(v, root, n), BufId::Recv, 0),
             bytes,
-            vec![],
+            &[],
         );
     }
     b.finish()
@@ -96,7 +96,7 @@ pub fn chain(n: usize, root: usize, bytes: usize, p2p: &P2pConfig, segment: usiz
         for c in 0..nchunks {
             let off = c * segment;
             let len = segment.min(bytes - off);
-            let deps = arrival[c].map(|a| vec![a]).unwrap_or_default();
+            let deps = arrival[c].as_slice();
             let ops = emit_send(
                 &mut b,
                 p2p,
@@ -136,7 +136,7 @@ pub fn binary(n: usize, root: usize, bytes: usize, p2p: &P2pConfig, segment: usi
             for c in 0..nchunks {
                 let off = c * segment;
                 let len = segment.min(bytes - off);
-                let deps = arrival[v][c].map(|a| vec![a]).unwrap_or_default();
+                let deps = arrival[v][c].as_slice();
                 let ops = emit_send(
                     &mut b,
                     p2p,

@@ -81,7 +81,7 @@ pub fn scatter_ring_allgather(n: usize, root: usize, bytes: usize, p2p: &P2pConf
             (vrank_to_rank(v, root, n), src_buf, off),
             (vrank_to_rank(peer, root, n), BufId::Recv, off),
             len,
-            dep.map(|d| vec![d]).unwrap_or_default(),
+            dep.as_slice(),
         );
         stack.push((v, keep, dep));
         stack.push((peer, extent - keep, Some(ops.arrival)));
@@ -101,7 +101,7 @@ pub fn scatter_ring_allgather(n: usize, root: usize, bytes: usize, p2p: &P2pConf
             // Step 0 forwards the own block (the root's lives in Send);
             // later steps forward what arrived into Recv.
             let src_buf = if k == 0 && v == 0 { BufId::Send } else { BufId::Recv };
-            let deps = arrival[v][blk].map(|a| vec![a]).unwrap_or_default();
+            let deps = arrival[v][blk].as_slice();
             let ops = emit_send(
                 &mut b,
                 p2p,

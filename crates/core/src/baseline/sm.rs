@@ -40,9 +40,6 @@ pub fn bcast(n: usize, root: usize, bytes: usize) -> Schedule {
             if peer >= n {
                 continue;
             }
-            let deps: Vec<Vec<OpId>> = (0..nchunks)
-                .map(|c| arrival[v][c].map(|a| vec![a]).unwrap_or_default())
-                .collect();
             let sends = emit_send_segmented(
                 &mut b,
                 &cfg,
@@ -51,7 +48,7 @@ pub fn bcast(n: usize, root: usize, bytes: usize) -> Schedule {
                 (vrank_to_rank(peer, root, n), BufId::Recv, 0),
                 bytes,
                 SM_FRAGMENT,
-                &deps,
+                |c| arrival[v][c].as_slice(),
             );
             for (c, s) in sends.iter().enumerate() {
                 arrival[peer][c] = Some(s.arrival);
@@ -78,7 +75,7 @@ pub fn allgather(n: usize, block_bytes: usize) -> Schedule {
             block_bytes,
             pdac_simnet::Mech::Memcpy,
             r,
-            vec![],
+            &[],
         );
         arrival[r][r] = vec![local];
     }
@@ -87,8 +84,6 @@ pub fn allgather(n: usize, block_bytes: usize) -> Schedule {
             let to = (r + 1) % n;
             let block = (r + n - k) % n;
             assert!(!arrival[r][block].is_empty(), "block present from previous step");
-            let deps: Vec<Vec<OpId>> =
-                vec![arrival[r][block].clone(); block_bytes.div_ceil(SM_FRAGMENT)];
             let sends = emit_send_segmented(
                 &mut b,
                 &cfg,
@@ -97,7 +92,7 @@ pub fn allgather(n: usize, block_bytes: usize) -> Schedule {
                 (to, BufId::Recv, block * block_bytes),
                 block_bytes,
                 SM_FRAGMENT,
-                &deps,
+                |_| &arrival[r][block],
             );
             arrival[to][block] = sends.iter().map(|s| s.arrival).collect();
         }

@@ -76,18 +76,18 @@ pub fn staged_gather_schedule(tree: &Tree, block_bytes: usize) -> Schedule {
     // finished staging buffer as one contiguous transfer.
     for &r in tree.bfs_order().iter().rev() {
         let mut last =
-            b.copy((r, BufId::Send, 0), (r, BufId::Temp(0), 0), block_bytes, Mech::Memcpy, r, vec![]);
+            b.copy((r, BufId::Send, 0), (r, BufId::Temp(0), 0), block_bytes, Mech::Memcpy, r, &[]);
         let mut offset = block_bytes;
         for &c in &tree.children[r] {
             let span = members[c].len() * block_bytes;
-            let ready = b.notify(c, r, vec![staged[c].expect("children staged first")]);
+            let ready = b.notify(c, r, &[staged[c].expect("children staged first")]);
             last = b.copy(
                 (c, BufId::Temp(0), 0),
                 (r, BufId::Temp(0), offset),
                 span,
                 Mech::Knem,
                 r,
-                vec![ready, last],
+                &[ready, last],
             );
             offset += span;
         }
@@ -103,7 +103,7 @@ pub fn staged_gather_schedule(tree: &Tree, block_bytes: usize) -> Schedule {
             block_bytes,
             Mech::Memcpy,
             root,
-            vec![done],
+            &[done],
         );
     }
     b.finish()

@@ -198,7 +198,7 @@ impl Provenance {
                     src,
                     dst,
                     bytes,
-                    deps: op.deps.clone(),
+                    deps: schedule.deps(id).to_vec(),
                 }
             })
             .collect();

@@ -39,7 +39,7 @@ fn emit_ring_reduce(b: &mut ScheduleBuilder, ring: &Ring, block_bytes: usize, op
                 n * block_bytes,
                 Mech::Memcpy,
                 r,
-                vec![],
+                &[],
             )
         })
         .collect();
@@ -51,7 +51,7 @@ fn emit_ring_reduce(b: &mut ScheduleBuilder, ring: &Ring, block_bytes: usize, op
             let left = ring.left(r);
             let blk = block_at(ring, r, k);
             debug_assert_eq!(blk, block_at(ring, left, k - 1), "partials chain along the ring");
-            let ready = b.notify(left, r, vec![last[left]]);
+            let ready = b.notify(left, r, &[last[left]]);
             let combine = b.combine_with(
                 (left, BufId::Temp(0), blk * block_bytes),
                 (r, BufId::Temp(0), blk * block_bytes),
@@ -59,7 +59,7 @@ fn emit_ring_reduce(b: &mut ScheduleBuilder, ring: &Ring, block_bytes: usize, op
                 Mech::Knem,
                 r,
                 op,
-                vec![ready, seed[r]],
+                &[ready, seed[r]],
             );
             next[r] = combine;
         }
@@ -79,7 +79,7 @@ pub fn reduce_scatter_schedule_with_op(ring: &Ring, block_bytes: usize, op: Data
     let n = ring.len();
     let mut b = ScheduleBuilder::new("dist-reduce-scatter", n);
     if n == 1 {
-        b.combine_with((0, BufId::Send, 0), (0, BufId::Recv, 0), block_bytes, Mech::Memcpy, 0, op, vec![]);
+        b.combine_with((0, BufId::Send, 0), (0, BufId::Recv, 0), block_bytes, Mech::Memcpy, 0, op, &[]);
         return b.finish();
     }
     let done = emit_ring_reduce(&mut b, ring, block_bytes, op);
@@ -90,7 +90,7 @@ pub fn reduce_scatter_schedule_with_op(ring: &Ring, block_bytes: usize, op: Data
             block_bytes,
             Mech::Memcpy,
             r,
-            vec![d],
+            &[d],
         );
     }
     b.finish()
@@ -108,7 +108,7 @@ pub fn ring_allreduce_schedule_with_op(ring: &Ring, block_bytes: usize, op: Data
     let n = ring.len();
     let mut b = ScheduleBuilder::new("dist-ring-allreduce", n);
     if n == 1 {
-        b.combine_with((0, BufId::Send, 0), (0, BufId::Recv, 0), block_bytes, Mech::Memcpy, 0, op, vec![]);
+        b.combine_with((0, BufId::Send, 0), (0, BufId::Recv, 0), block_bytes, Mech::Memcpy, 0, op, &[]);
         return b.finish();
     }
     let done = emit_ring_reduce(&mut b, ring, block_bytes, op);
@@ -122,11 +122,11 @@ pub fn ring_allreduce_schedule_with_op(ring: &Ring, block_bytes: usize, op: Data
                 block_bytes,
                 Mech::Memcpy,
                 r,
-                vec![done[r]],
+                &[done[r]],
             )
         })
         .collect();
-    let mut notif: Vec<OpId> = (0..n).map(|r| b.notify(r, ring.right(r), vec![ready[r]])).collect();
+    let mut notif: Vec<OpId> = (0..n).map(|r| b.notify(r, ring.right(r), &[ready[r]])).collect();
     for k in 1..n {
         let mut next_ready = ready.clone();
         let mut next_notif = notif.clone();
@@ -139,11 +139,11 @@ pub fn ring_allreduce_schedule_with_op(ring: &Ring, block_bytes: usize, op: Data
                 block_bytes,
                 Mech::Knem,
                 r,
-                vec![notif[left]],
+                &[notif[left]],
             );
             next_ready[r] = pull;
             if k + 1 < n {
-                next_notif[r] = b.notify(r, ring.right(r), vec![pull]);
+                next_notif[r] = b.notify(r, ring.right(r), &[pull]);
             }
         }
         ready = next_ready;

@@ -84,12 +84,13 @@ impl SchedConfig {
 }
 
 /// Splits `bytes` into pipeline chunks `(offset, len)`.
-fn chunks(bytes: usize, chunk: usize) -> Vec<(usize, usize)> {
-    if chunk == 0 || bytes <= chunk {
-        return vec![(0, bytes)];
-    }
-    let n = bytes.div_ceil(chunk);
-    (0..n).map(|c| (c * chunk, chunk.min(bytes - c * chunk))).collect()
+fn chunks(bytes: usize, chunk: usize) -> impl Iterator<Item = (usize, usize)> {
+    let (n, chunk) = if chunk == 0 || bytes <= chunk {
+        (1, bytes)
+    } else {
+        (bytes.div_ceil(chunk), chunk)
+    };
+    (0..n).map(move |c| (c * chunk, chunk.min(bytes - c * chunk)))
 }
 
 /// The `(offset, len)` pipeline spans a `bytes` payload splits into under
@@ -97,7 +98,7 @@ fn chunks(bytes: usize, chunk: usize) -> Vec<(usize, usize)> {
 /// `chunk == 0` (chunking disabled) or `bytes <= chunk` yields one span
 /// covering the whole payload.
 pub fn chunk_spans(bytes: usize, chunk: usize) -> Vec<(usize, usize)> {
-    chunks(bytes, chunk)
+    chunks(bytes, chunk).collect()
 }
 
 /// The chunk size for the edge `(a, b)`: the per-distance policy entry when
@@ -107,27 +108,59 @@ fn edge_chunk(cfg: &SchedConfig, distances: Option<&DistanceMatrix>, a: usize, b
     cfg.chunk.chunk_for(d)
 }
 
-/// Arrived byte intervals of one rank: `(start, end, op)` segments in
-/// arrival order. An edge whose chunk grid differs from its parent's (the
-/// per-distance policy makes grids heterogeneous across tree levels) must
-/// wait for every parent segment covering its own chunk.
-type Segments = Vec<(usize, usize, OpId)>;
+/// An arrived byte interval of one rank: `(start, end, op)`. An edge whose
+/// chunk grid differs from its parent's (the per-distance policy makes grids
+/// heterogeneous across tree levels) must wait for every parent segment
+/// covering its own chunk.
+type Segment = (usize, usize, OpId);
 
 /// Ops of `segs` overlapping the half-open interval `[start, end)`.
-fn covering(segs: &Segments, start: usize, end: usize) -> Vec<OpId> {
+fn covering(segs: &[Segment], start: usize, end: usize) -> impl Iterator<Item = OpId> + '_ {
     segs.iter()
-        .filter(|&&(s, e, _)| s < end && e > start)
+        .filter(move |&&(s, e, _)| s < end && e > start)
         .map(|&(_, _, op)| op)
-        .collect()
 }
 
-/// Source buffer of rank `r` in a broadcast tree: the root broadcasts its
-/// `Send` buffer, everyone else forwards out of `Recv`.
-fn bcast_src(tree: &Tree, r: usize) -> BufId {
-    if r == tree.root {
-        BufId::Send
-    } else {
-        BufId::Recv
+/// Emits the pipelined broadcast down `tree` into `b`: per chunk, a parent
+/// notifies each child once every segment covering the chunk has arrived
+/// (and `gate[parent]` has completed, when a gate is given) and the child
+/// pulls it with a KNEM single copy. The root sends out of `root_buf`,
+/// everyone else forwards out of `Recv`.
+fn emit_bcast(
+    b: &mut ScheduleBuilder,
+    tree: &Tree,
+    bytes: usize,
+    cfg: &SchedConfig,
+    distances: Option<&DistanceMatrix>,
+    root_buf: BufId,
+    gate: Option<&[OpId]>,
+) {
+    // Every rank's arrived segments in arrival order, one edge after the
+    // other: `arrived[r]` is rank `r`'s range of `segs`, empty at the root
+    // (data available from t=0, so root-sourced chunks carry no arrival
+    // deps) and filled before any edge out of `r` is emitted.
+    let mut segs: Vec<Segment> = Vec::new();
+    let mut arrived = vec![0..0; tree.len()];
+    let mut deps: Vec<OpId> = Vec::new();
+    for (parent, child) in tree.down_edges() {
+        let src_buf = if parent == tree.root { root_buf } else { BufId::Recv };
+        let first = segs.len();
+        for (off, len) in chunks(bytes, edge_chunk(cfg, distances, parent, child)) {
+            deps.clear();
+            deps.extend(gate.map(|done| done[parent]));
+            deps.extend(covering(&segs[arrived[parent].clone()], off, off + len));
+            let ready = b.notify(parent, child, &deps);
+            let pull = b.copy(
+                (parent, src_buf, off),
+                (child, BufId::Recv, off),
+                len,
+                Mech::Knem,
+                child,
+                &[ready],
+            );
+            segs.push((off, off + len, pull));
+        }
+        arrived[child] = first..segs.len();
     }
 }
 
@@ -152,31 +185,7 @@ pub fn bcast_schedule_dist(
     let n = tree.len();
     let mut b = ScheduleBuilder::new("dist-bcast", n);
     b.ensure_buf(tree.root, BufId::Send, bytes);
-
-    // Arrived byte segments per rank; empty at the root (data available
-    // from t=0, so root-sourced chunks carry no arrival deps).
-    let mut arrival: Vec<Segments> = vec![Vec::new(); n];
-
-    for (parent, child) in tree.down_edges() {
-        let parts = chunks(bytes, edge_chunk(cfg, distances, parent, child));
-        for &(off, len) in &parts {
-            let deps = if parent == tree.root {
-                Vec::new()
-            } else {
-                covering(&arrival[parent], off, off + len)
-            };
-            let ready = b.notify(parent, child, deps);
-            let pull = b.copy(
-                (parent, bcast_src(tree, parent), off),
-                (child, BufId::Recv, off),
-                len,
-                Mech::Knem,
-                child,
-                vec![ready],
-            );
-            arrival[child].push((off, off + len, pull));
-        }
-    }
+    emit_bcast(&mut b, tree, bytes, cfg, distances, BufId::Send, None);
     b.finish()
 }
 
@@ -200,58 +209,51 @@ pub fn allgather_schedule_dist(
 ) -> Schedule {
     let n = ring.len();
     let mut b = ScheduleBuilder::new("dist-allgather", n);
+    let chunk_into = |r: usize| cfg.map_or(0, |cfg| edge_chunk(cfg, distances, ring.left(r), r));
+    // Every rank pulls n-1 blocks, each in its edge's pieces, and announces
+    // all but the last: 2n² - n ops unchunked, known up front.
+    let pieces: usize = (0..n).map(|r| chunks(block_bytes, chunk_into(r)).count()).sum();
+    let num_ops = if n > 1 { 2 * n + (n - 1) * pieces + n * (n - 2) } else { 1 };
+    b.reserve(num_ops, (2 * n).saturating_sub(3) * pieces + n);
 
     // Step (1): local copy of the own block at offset rank * block.
-    let mut ready_notif: Vec<Option<OpId>> = vec![None; n];
-    let mut locals: Vec<OpId> = Vec::with_capacity(n);
-    for r in 0..n {
-        let local = b.copy(
-            (r, BufId::Send, 0),
-            (r, BufId::Recv, r * block_bytes),
-            block_bytes,
-            Mech::Memcpy,
-            r,
-            vec![],
-        );
-        locals.push(local);
-    }
-    for r in 0..n {
-        if n > 1 {
-            ready_notif[r] = Some(b.notify(r, ring.right(r), vec![locals[r]]));
-        }
-    }
+    let locals: Vec<OpId> = (0..n)
+        .map(|r| {
+            let own = (r, BufId::Recv, r * block_bytes);
+            b.copy((r, BufId::Send, 0), own, block_bytes, Mech::Memcpy, r, &[])
+        })
+        .collect();
+    let mut ready_notif: Vec<Option<OpId>> = (0..n)
+        .map(|r| (n > 1).then(|| b.notify(r, ring.right(r), &[locals[r]])))
+        .collect();
 
     // Steps (2)..(N): pull the travelling blocks.
+    let mut pulls: Vec<OpId> = Vec::new();
     for k in 1..n {
         let mut next_notif: Vec<Option<OpId>> = vec![None; n];
         for r in 0..n {
             let left = ring.left(r);
             let owner = ring.left_k(r, k);
             let notif = ready_notif[left].expect("left neighbour notified");
-            let chunk = match cfg {
-                Some(cfg) => edge_chunk(cfg, distances, left, r),
-                None => 0,
-            };
             let base = owner * block_bytes;
-            let pulls: Vec<OpId> = chunks(block_bytes, chunk)
-                .iter()
-                .map(|&(off, len)| {
-                    b.copy(
-                        (left, BufId::Recv, base + off),
-                        (r, BufId::Recv, base + off),
-                        len,
-                        Mech::Knem,
-                        r,
-                        vec![notif],
-                    )
-                })
-                .collect();
+            pulls.clear();
+            pulls.extend(chunks(block_bytes, chunk_into(r)).map(|(off, len)| {
+                b.copy(
+                    (left, BufId::Recv, base + off),
+                    (r, BufId::Recv, base + off),
+                    len,
+                    Mech::Knem,
+                    r,
+                    &[notif],
+                )
+            }));
             if k + 1 < n {
-                next_notif[r] = Some(b.notify(r, ring.right(r), pulls));
+                next_notif[r] = Some(b.notify(r, ring.right(r), &pulls));
             }
         }
         ready_notif = next_notif;
     }
+    debug_assert_eq!(b.next_id(), num_ops, "the reservation is exact");
     b.finish()
 }
 
@@ -266,18 +268,23 @@ pub fn reduce_schedule(tree: &Tree, bytes: usize) -> Schedule {
 /// [`reduce_schedule`] with an explicit combine operator (typed reductions
 /// for the MPI-facing session API).
 pub fn reduce_schedule_with_op(tree: &Tree, bytes: usize, op: DataOp) -> Schedule {
-    let n = tree.len();
-    let mut b = ScheduleBuilder::new("dist-reduce", n);
+    let mut b = ScheduleBuilder::new("dist-reduce", tree.len());
+    emit_reduce(&mut b, tree, bytes, op);
+    b.finish()
+}
 
+/// Emits the reduction up `tree` into `b`; returns per rank the op after
+/// which its `Recv` holds its subtree's reduction.
+fn emit_reduce(b: &mut ScheduleBuilder, tree: &Tree, bytes: usize, op: DataOp) -> Vec<OpId> {
     // Seed accumulators.
-    let mut done: Vec<OpId> = (0..n)
-        .map(|r| b.copy((r, BufId::Send, 0), (r, BufId::Recv, 0), bytes, Mech::Memcpy, r, vec![]))
+    let mut done: Vec<OpId> = (0..tree.len())
+        .map(|r| b.copy((r, BufId::Send, 0), (r, BufId::Recv, 0), bytes, Mech::Memcpy, r, &[]))
         .collect();
 
     // Combine bottom-up: children before parents.
     for &p in tree.bfs_order().iter().rev() {
         for &c in &tree.children[p] {
-            let ready = b.notify(c, p, vec![done[c]]);
+            let ready = b.notify(c, p, &[done[c]]);
             let combine = b.combine_with(
                 (c, BufId::Recv, 0),
                 (p, BufId::Recv, 0),
@@ -285,12 +292,12 @@ pub fn reduce_schedule_with_op(tree: &Tree, bytes: usize, op: DataOp) -> Schedul
                 Mech::Knem,
                 p,
                 op,
-                vec![ready, done[p]],
+                &[ready, done[p]],
             );
             done[p] = combine;
         }
     }
-    b.finish()
+    done
 }
 
 /// Distance-aware allreduce: reduce to the root, then broadcast the result
@@ -329,52 +336,16 @@ pub fn allreduce_schedule_dist_with_op(
     distances: Option<&DistanceMatrix>,
     op: DataOp,
 ) -> Schedule {
-    let n = tree.len();
-    let mut b = ScheduleBuilder::new("dist-allreduce", n);
+    let mut b = ScheduleBuilder::new("dist-allreduce", tree.len());
 
-    // Phase 1: reduce (inlined so both phases share one builder).
-    let mut done: Vec<OpId> = (0..n)
-        .map(|r| b.copy((r, BufId::Send, 0), (r, BufId::Recv, 0), bytes, Mech::Memcpy, r, vec![]))
-        .collect();
-    for &p in tree.bfs_order().iter().rev() {
-        for &c in &tree.children[p] {
-            let ready = b.notify(c, p, vec![done[c]]);
-            let combine = b.combine_with(
-                (c, BufId::Recv, 0),
-                (p, BufId::Recv, 0),
-                bytes,
-                Mech::Knem,
-                p,
-                op,
-                vec![ready, done[p]],
-            );
-            done[p] = combine;
-        }
-    }
+    let done = emit_reduce(&mut b, tree, bytes, op);
 
-    // Phase 2: pipelined broadcast of the root's accumulator.
-    let mut arrival: Vec<Segments> = vec![Vec::new(); n];
-    for (parent, child) in tree.down_edges() {
-        let parts = chunks(bytes, edge_chunk(cfg, distances, parent, child));
-        for &(off, len) in &parts {
-            // The first notification also carries the phase transition: the
-            // parent's subtree accumulation must be complete, and the child
-            // must have stopped contributing (guaranteed transitively: the
-            // root's completion depends on every combine).
-            let mut deps = vec![done[parent]];
-            deps.extend(covering(&arrival[parent], off, off + len));
-            let ready = b.notify(parent, child, deps);
-            let pull = b.copy(
-                (parent, BufId::Recv, off),
-                (child, BufId::Recv, off),
-                len,
-                Mech::Knem,
-                child,
-                vec![ready],
-            );
-            arrival[child].push((off, off + len, pull));
-        }
-    }
+    // Phase 2: pipelined broadcast of the root's accumulator. A parent's
+    // notifications also carry the phase transition: its subtree
+    // accumulation must be complete, and the child must have stopped
+    // contributing (guaranteed transitively: the root's completion depends
+    // on every combine).
+    emit_bcast(&mut b, tree, bytes, cfg, distances, BufId::Recv, Some(&done));
     b.finish()
 }
 
@@ -389,20 +360,20 @@ pub fn gather_schedule(root: usize, num_ranks: usize, block_bytes: usize) -> Sch
         block_bytes,
         Mech::Memcpy,
         root,
-        vec![],
+        &[],
     );
     for r in 0..num_ranks {
         if r == root {
             continue;
         }
-        let ready = b.notify(r, root, vec![]);
+        let ready = b.notify(r, root, &[]);
         b.copy(
             (r, BufId::Send, 0),
             (root, BufId::Recv, r * block_bytes),
             block_bytes,
             Mech::Knem,
             root,
-            vec![ready],
+            &[ready],
         );
     }
     b.finish()
@@ -419,20 +390,20 @@ pub fn scatter_schedule(root: usize, num_ranks: usize, block_bytes: usize) -> Sc
         block_bytes,
         Mech::Memcpy,
         root,
-        vec![],
+        &[],
     );
     for r in 0..num_ranks {
         if r == root {
             continue;
         }
-        let ready = b.notify(root, r, vec![]);
+        let ready = b.notify(root, r, &[]);
         b.copy(
             (root, BufId::Send, r * block_bytes),
             (r, BufId::Recv, 0),
             block_bytes,
             Mech::Knem,
             r,
-            vec![ready],
+            &[ready],
         );
     }
     b.finish()
@@ -446,27 +417,25 @@ pub fn barrier_schedule(tree: &Tree) -> Schedule {
 
     // Up phase: a rank reports once all its children have reported.
     let mut up: Vec<Option<OpId>> = vec![None; n];
+    let mut deps: Vec<OpId> = Vec::new();
     for &p in tree.bfs_order().iter().rev() {
         if p == tree.root {
             continue;
         }
-        let deps: Vec<OpId> =
-            tree.children[p].iter().map(|&c| up[c].expect("children first")).collect();
-        up[p] = Some(b.notify(p, tree.parent[p].expect("non-root"), deps));
+        deps.clear();
+        deps.extend(tree.children[p].iter().map(|&c| up[c].expect("children first")));
+        up[p] = Some(b.notify(p, tree.parent[p].expect("non-root"), &deps));
     }
 
     // Down phase: release flows from the root.
     let mut down: Vec<Option<OpId>> = vec![None; n];
     for u in tree.bfs_order() {
+        // The same list releases every child of `u`.
+        deps.clear();
+        deps.extend(tree.children[u].iter().filter_map(|&gc| up[gc]));
+        deps.extend(down[u]);
         for &c in &tree.children[u] {
-            let mut deps: Vec<OpId> = tree.children[u]
-                .iter()
-                .filter_map(|&gc| up[gc])
-                .collect();
-            if let Some(d) = down[u] {
-                deps.push(d);
-            }
-            down[c] = Some(b.notify(u, c, deps));
+            down[c] = Some(b.notify(u, c, &deps));
         }
     }
     b.finish()
@@ -555,10 +524,10 @@ mod tests {
 
     #[test]
     fn chunk_splitting() {
-        assert_eq!(chunks(100, 0), vec![(0, 100)]);
-        assert_eq!(chunks(100, 200), vec![(0, 100)]);
-        assert_eq!(chunks(300, 100), vec![(0, 100), (100, 100), (200, 100)]);
-        assert_eq!(chunks(250, 100), vec![(0, 100), (100, 100), (200, 50)]);
+        assert_eq!(chunk_spans(100, 0), vec![(0, 100)]);
+        assert_eq!(chunk_spans(100, 200), vec![(0, 100)]);
+        assert_eq!(chunk_spans(300, 100), vec![(0, 100), (100, 100), (200, 100)]);
+        assert_eq!(chunk_spans(250, 100), vec![(0, 100), (100, 100), (200, 50)]);
     }
 
     #[test]
@@ -575,12 +544,13 @@ mod tests {
 
     #[test]
     fn covering_segments_intersect_half_open() {
-        let segs: Segments = vec![(0, 100, 1), (100, 200, 2), (200, 300, 3)];
-        assert_eq!(covering(&segs, 0, 100), vec![1]);
-        assert_eq!(covering(&segs, 50, 150), vec![1, 2]);
-        assert_eq!(covering(&segs, 100, 101), vec![2]);
-        assert_eq!(covering(&segs, 0, 300), vec![1, 2, 3]);
-        assert!(covering(&segs, 300, 400).is_empty());
+        let segs: Vec<Segment> = vec![(0, 100, 1), (100, 200, 2), (200, 300, 3)];
+        let covering = |start, end| covering(&segs, start, end).collect::<Vec<_>>();
+        assert_eq!(covering(0, 100), vec![1]);
+        assert_eq!(covering(50, 150), vec![1, 2]);
+        assert_eq!(covering(100, 101), vec![2]);
+        assert_eq!(covering(0, 300), vec![1, 2, 3]);
+        assert!(covering(300, 400).is_empty());
     }
 
     #[test]

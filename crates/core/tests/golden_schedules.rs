@@ -68,7 +68,7 @@ fn digest(s: &Schedule) -> u64 {
                 }
             }
         }
-        let deps = &s.ops[id].deps;
+        let deps = s.deps(id);
         eat(deps.len() as u64);
         deps.iter().for_each(|&d| eat(d as u64));
     }

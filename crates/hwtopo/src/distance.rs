@@ -82,6 +82,10 @@ pub fn core_distance(machine: &Machine, a: CoreId, b: CoreId) -> Distance {
 pub struct DistanceMatrix {
     n: usize,
     d: Vec<Distance>,
+    /// Bit `c >= 1` is set iff some cell holds distance `c` (bit 0 stays
+    /// clear): the planner asks for the class set on every large broadcast,
+    /// and the fill has every pair in hand anyway.
+    classes: u16,
 }
 
 impl DistanceMatrix {
@@ -98,14 +102,16 @@ impl DistanceMatrix {
         telemetry.registry().add("hwtopo.distance_fills", 1);
         telemetry.registry().add("hwtopo.distance_cells", (n * n) as u64);
         let mut d = vec![0; n * n];
+        let mut classes = 0;
         for i in 0..n {
             for j in (i + 1)..n {
                 let dist = core_distance(machine, binding.core_of(i), binding.core_of(j));
                 d[i * n + j] = dist;
                 d[j * n + i] = dist;
+                classes |= 1 << dist;
             }
         }
-        DistanceMatrix { n, d }
+        DistanceMatrix { n, d, classes: classes & !1 }
     }
 
     /// Distances between all cores of `machine` (identity binding).
@@ -115,10 +121,15 @@ impl DistanceMatrix {
     }
 
     /// Builds a matrix from an explicit row-major table (used by tests and
-    /// by external topology sources). Panics if `d.len() != n * n`.
+    /// by external topology sources). Panics if `d.len() != n * n` or an
+    /// entry exceeds [`DIST_MAX_EXTENDED`].
     pub fn from_raw(n: usize, d: Vec<Distance>) -> Self {
         assert_eq!(d.len(), n * n, "distance table must be n*n");
-        DistanceMatrix { n, d }
+        let classes = d.iter().fold(0, |classes, &v| {
+            assert!(v <= DIST_MAX_EXTENDED, "distance {v} is past class {DIST_MAX_EXTENDED}");
+            classes | 1 << v
+        });
+        DistanceMatrix { n, d, classes: classes & !1 }
     }
 
     /// Number of ranks.
@@ -133,13 +144,7 @@ impl DistanceMatrix {
 
     /// Sorted distinct non-zero distances present in the matrix.
     pub fn classes(&self) -> Vec<Distance> {
-        let mut seen = [false; (DIST_MAX_EXTENDED as usize) + 1];
-        for &v in &self.d {
-            if v > 0 {
-                seen[v as usize] = true;
-            }
-        }
-        (1..=DIST_MAX_EXTENDED).filter(|&c| seen[c as usize]).collect()
+        (1..=DIST_MAX_EXTENDED).filter(|&c| self.classes & (1 << c) != 0).collect()
     }
 
     /// Largest distance between any two ranks (0 for a singleton).
@@ -306,6 +311,26 @@ mod tests {
         assert_eq!(h[1], 8, "8 shared-L2 pairs");
         assert_eq!(h[2], 16, "4 cross-die pairs per socket");
         assert_eq!(h[3], 96, "all cross-socket pairs");
+    }
+
+    #[test]
+    fn classes_recorded_at_fill_match_a_scan_of_the_cells() {
+        for m in machines::all_predefined() {
+            let dm = DistanceMatrix::for_machine(&m);
+            let n = dm.num_ranks();
+            let cells: Vec<Distance> = (0..n * n).map(|k| dm.get(k / n, k % n)).collect();
+            let mut scanned: Vec<Distance> = cells.iter().copied().filter(|&v| v > 0).collect();
+            scanned.sort_unstable();
+            scanned.dedup();
+            assert_eq!(dm.classes(), scanned, "{}", m.name);
+            assert_eq!(DistanceMatrix::from_raw(n, cells), dm, "{}", m.name);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past class 8")]
+    fn from_raw_rejects_a_class_it_cannot_record() {
+        DistanceMatrix::from_raw(2, vec![0, 9, 9, 0]);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub fn emit_send(
     src: (Rank, BufId, usize),
     dst: (Rank, BufId, usize),
     bytes: usize,
-    deps: Vec<OpId>,
+    deps: &[OpId],
 ) -> SendOps {
     let (src_rank, ..) = src;
     let (dst_rank, ..) = dst;
@@ -60,25 +60,26 @@ pub fn emit_send(
         *temp_seq += 1;
         let copy_in = b.copy(src, (src_rank, bounce, 0), bytes, Mech::Memcpy, src_rank, deps);
         let copy_out =
-            b.copy((src_rank, bounce, 0), dst, bytes, Mech::Memcpy, dst_rank, vec![copy_in]);
+            b.copy((src_rank, bounce, 0), dst, bytes, Mech::Memcpy, dst_rank, &[copy_in]);
         SendOps { arrival: copy_out, ack: None }
     } else {
         // Rendezvous: RTS carrying the cookie, single-copy pull by the
         // receiver, acknowledgement releasing the sender's buffer.
         let rts = b.notify(src_rank, dst_rank, deps);
-        let pull = b.copy(src, dst, bytes, Mech::Knem, dst_rank, vec![rts]);
-        let ack = b.notify(dst_rank, src_rank, vec![pull]);
+        let pull = b.copy(src, dst, bytes, Mech::Knem, dst_rank, &[rts]);
+        let ack = b.notify(dst_rank, src_rank, &[pull]);
         SendOps { arrival: pull, ack: Some(ack) }
     }
 }
 
 /// Emits a message split into `segments` pipeline chunks (rendezvous path
-/// per chunk); returns the per-chunk arrival ops in offset order.
+/// per chunk); returns the per-chunk arrival ops in offset order. Chunk `c`
+/// waits for `chunk_deps(c)`.
 ///
 /// Used by the segmented baselines (pipeline chain, split-binary) — each
 /// chunk can be forwarded downstream as soon as it arrives.
 #[allow(clippy::too_many_arguments)]
-pub fn emit_send_segmented(
+pub fn emit_send_segmented<'d>(
     b: &mut ScheduleBuilder,
     cfg: &P2pConfig,
     temp_seq: &mut u32,
@@ -86,7 +87,7 @@ pub fn emit_send_segmented(
     dst: (Rank, BufId, usize),
     bytes: usize,
     segment: usize,
-    per_chunk_deps: &[Vec<OpId>],
+    chunk_deps: impl Fn(usize) -> &'d [OpId],
 ) -> Vec<SendOps> {
     assert!(segment > 0, "segment size must be positive");
     let nchunks = bytes.div_ceil(segment);
@@ -94,7 +95,6 @@ pub fn emit_send_segmented(
     for c in 0..nchunks {
         let off = c * segment;
         let len = segment.min(bytes - off);
-        let deps = per_chunk_deps.get(c).cloned().unwrap_or_default();
         out.push(emit_send(
             b,
             cfg,
@@ -102,7 +102,7 @@ pub fn emit_send_segmented(
             (src.0, src.1, src.2 + off),
             (dst.0, dst.1, dst.2 + off),
             len,
-            deps,
+            chunk_deps(c),
         ));
     }
     out
@@ -124,7 +124,7 @@ mod tests {
             (0, BufId::Send, 0),
             (1, BufId::Recv, 0),
             4096,
-            vec![],
+            &[],
         );
         assert!(ops.ack.is_none());
         let s = b.finish();
@@ -146,7 +146,7 @@ mod tests {
             (0, BufId::Send, 0),
             (1, BufId::Recv, 0),
             4097,
-            vec![],
+            &[],
         );
         let s = b.finish();
         s.validate().unwrap();
@@ -171,7 +171,7 @@ mod tests {
             (1, BufId::Recv, 0),
             100_000,
             32_768,
-            &[],
+            |_| &[],
         );
         assert_eq!(chunks.len(), 4, "3 full chunks + remainder");
         let s = b.finish();
@@ -202,7 +202,7 @@ mod tests {
             (0, BufId::Send, 0),
             (1, BufId::Recv, 0),
             1,
-            vec![],
+            &[],
         );
         assert!(ops.ack.is_some(), "everything rendezvous at threshold 0");
     }

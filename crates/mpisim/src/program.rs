@@ -1,12 +1,13 @@
 //! The lowered form of a schedule — what the rank workers execute.
 //!
-//! A validated [`Schedule`] is a vector of ops, each owning its dependency
-//! list, over buffers named by `(rank, buffer)` keys. The rank workers are
-//! long-lived threads and cannot borrow it, so [`Program::lower`] flattens
-//! it once per run into an owned, `Arc`-shared program: one op stream per
-//! executing rank, dependency lists as ranges into one arena, and every
-//! buffer reference resolved to a slot of a dense table, so executing an op
-//! hashes and looks up nothing.
+//! A validated [`Schedule`] is a vector of ops and an arena of their
+//! dependency lists, over buffers named by `(rank, buffer)` keys. The rank
+//! workers are long-lived threads and cannot borrow it, so
+//! [`Program::lower`] copies it once per run into an owned, `Arc`-shared
+//! program: one op stream per executing rank, the dependency lists as
+//! ranges into the program's own arena, and every buffer reference resolved
+//! to a slot of a dense table, so executing an op hashes and looks up
+//! nothing.
 
 use std::ops::Range;
 
@@ -77,7 +78,7 @@ impl Program {
             stream[cursor[me]] = id;
             cursor[me] += 1;
             let first_dep = deps.len();
-            deps.extend_from_slice(&op.deps);
+            deps.extend_from_slice(schedule.deps(id));
             let (src, dst) = match op.kind {
                 OpKind::Copy {
                     src_rank,
@@ -188,7 +189,7 @@ mod tests {
             64,
             Mech::Knem,
             1,
-            vec![],
+            &[],
         );
         let c = b.copy(
             (1, BufId::Recv, 0),
@@ -196,7 +197,7 @@ mod tests {
             32,
             Mech::Knem,
             2,
-            vec![a],
+            &[a],
         );
         let d = b.copy(
             (1, BufId::Recv, 32),
@@ -204,7 +205,7 @@ mod tests {
             32,
             Mech::Memcpy,
             2,
-            vec![a, c],
+            &[a, c],
         );
         let e = b.copy(
             (1, BufId::Recv, 0),
@@ -212,9 +213,9 @@ mod tests {
             64,
             Mech::Memcpy,
             1,
-            vec![a],
+            &[a],
         );
-        let n = b.notify(2, 0, vec![d, e]);
+        let n = b.notify(2, 0, &[d, e]);
         let schedule = b.finish();
         schedule.validate().unwrap();
         let p = Program::lower(&schedule, None);
@@ -225,7 +226,7 @@ mod tests {
         assert_eq!(p.rank_ops(1), &[a, e]);
         assert_eq!(p.rank_ops(2), &[c, d, n]);
         for (id, op) in schedule.ops.iter().enumerate() {
-            assert_eq!(p.deps(p.op(id)), &op.deps[..], "op {id}");
+            assert_eq!(p.deps(p.op(id)), schedule.deps(id), "op {id}");
             assert_eq!(p.op(id).kind, op.kind, "op {id}");
         }
 

@@ -1340,7 +1340,7 @@ mod tests {
             256,
             Mech::Memcpy,
             1,
-            vec![],
+            &[],
         );
         let res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
         assert_eq!(res.buffer(1, BufId::Recv), &pattern(0, 256)[..]);
@@ -1352,14 +1352,14 @@ mod tests {
         // A 3-hop relay with a same-rank tail: cross-rank and same-rank
         // dependencies, and one op with two of them.
         let mut b = ScheduleBuilder::new("t", 4);
-        let mut prev = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 256, Mech::Memcpy, 1, vec![]);
+        let mut prev = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 256, Mech::Memcpy, 1, &[]);
         for r in 2..4 {
-            let n = b.notify(r - 1, r, vec![prev]);
-            prev = b.copy((r - 1, BufId::Recv, 0), (r, BufId::Recv, 0), 256, Mech::Knem, r, vec![n, prev]);
+            let n = b.notify(r - 1, r, &[prev]);
+            prev = b.copy((r - 1, BufId::Recv, 0), (r, BufId::Recv, 0), 256, Mech::Knem, r, &[n, prev]);
         }
-        b.copy((3, BufId::Recv, 0), (3, BufId::Temp(0), 0), 256, Mech::Memcpy, 3, vec![prev]);
+        b.copy((3, BufId::Recv, 0), (3, BufId::Temp(0), 0), 256, Mech::Memcpy, 3, &[prev]);
         let schedule = b.finish();
-        let edges: u64 = schedule.ops.iter().map(|op| op.deps.len() as u64).sum();
+        let edges: u64 = (0..schedule.ops.len()).map(|id| schedule.deps(id).len() as u64).sum();
         assert_eq!(edges, 7);
         let res = ThreadExecutor::new().run(&schedule, pattern).unwrap();
         let after = pdac_telemetry::global().registry().snapshot();
@@ -1389,7 +1389,7 @@ mod tests {
             100,
             Mech::Knem,
             1,
-            vec![],
+            &[],
         );
         let res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
         assert_eq!(res.buffer(1, BufId::Recv)[5..105], pattern(0, 110)[10..110]);
@@ -1409,7 +1409,7 @@ mod tests {
             (0, BufId::Send, 0),
             (1, BufId::Recv, 0),
             1024,
-            vec![],
+            &[],
         );
         let res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
         assert_eq!(res.buffer(1, BufId::Recv), &pattern(0, 1024)[..]);
@@ -1431,7 +1431,7 @@ mod tests {
             (0, BufId::Send, 0),
             (1, BufId::Recv, 0),
             100_000,
-            vec![],
+            &[],
         );
         let res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
         assert_eq!(res.buffer(1, BufId::Recv), &pattern(0, 100_000)[..]);
@@ -1448,7 +1448,7 @@ mod tests {
             512,
             Mech::Knem,
             1,
-            vec![],
+            &[],
         );
         b.copy(
             (1, BufId::Recv, 0),
@@ -1456,7 +1456,7 @@ mod tests {
             512,
             Mech::Knem,
             2,
-            vec![a],
+            &[a],
         );
         b.copy(
             (1, BufId::Recv, 0),
@@ -1464,7 +1464,7 @@ mod tests {
             512,
             Mech::Knem,
             3,
-            vec![a],
+            &[a],
         );
         let res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
         for r in 1..4 {
@@ -1485,7 +1485,7 @@ mod tests {
                     4096,
                     Mech::Knem,
                     (r + 1) % 16,
-                    vec![],
+                    &[],
                 );
                 arrivals.push(a);
             }
@@ -1497,7 +1497,7 @@ mod tests {
                     4096,
                     Mech::Memcpy,
                     r,
-                    vec![arrivals[(r + 15) % 16]],
+                    &[arrivals[(r + 15) % 16]],
                 );
             }
             b.finish()
@@ -1529,7 +1529,7 @@ mod tests {
             64,
             Mech::Memcpy,
             0,
-            vec![],
+            &[],
         );
         let c = b.copy(
             (0, BufId::Recv, 64),
@@ -1537,7 +1537,7 @@ mod tests {
             64,
             Mech::Memcpy,
             0,
-            vec![a],
+            &[a],
         );
         b.copy(
             (0, BufId::Recv, 0),
@@ -1545,7 +1545,7 @@ mod tests {
             64,
             Mech::Memcpy,
             0,
-            vec![c],
+            &[c],
         );
         let res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
         for seg in [0, 64, 128] {
@@ -1566,7 +1566,7 @@ mod tests {
             256,
             Mech::Memcpy,
             1,
-            vec![],
+            &[],
         );
         let mut res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
         let owned = res.take_buffer(1, BufId::Recv);
@@ -1588,7 +1588,7 @@ mod tests {
             8,
             Mech::Memcpy,
             2,
-            vec![],
+            &[],
         );
         b.copy(
             (1, BufId::Send, 0),
@@ -1596,7 +1596,7 @@ mod tests {
             8,
             Mech::Memcpy,
             2,
-            vec![],
+            &[],
         );
         let err = ThreadExecutor::new().run(&b.finish(), pattern).unwrap_err();
         assert!(matches!(
@@ -1618,7 +1618,7 @@ mod tests {
             256,
             Mech::Knem,
             1,
-            vec![],
+            &[],
         );
         for r in 2..8 {
             prev = b.copy(
@@ -1627,7 +1627,7 @@ mod tests {
                 256,
                 Mech::Knem,
                 r,
-                vec![prev],
+                &[prev],
             );
         }
         let device = TransportKind::Knem.create(Some(FaultPlan::permanent_after(2)));
@@ -1659,7 +1659,7 @@ mod tests {
             64,
             Mech::Knem,
             1,
-            vec![],
+            &[],
         );
         let device = TransportKind::Knem.create(Some(FaultPlan::permanent_after(0)));
         let err = ThreadExecutor::with_transport(device)
@@ -1679,7 +1679,7 @@ mod tests {
             256,
             Mech::Knem,
             1,
-            vec![],
+            &[],
         );
         // First two attempts fail, then the device heals: with 3 retries
         // the copy succeeds and the payload arrives intact.
@@ -1704,7 +1704,7 @@ mod tests {
             64,
             Mech::Memcpy,
             1,
-            vec![],
+            &[],
         );
         b.copy(
             (1, BufId::Recv, 0),
@@ -1712,7 +1712,7 @@ mod tests {
             64,
             Mech::Memcpy,
             2,
-            vec![a],
+            &[a],
         );
         let policy = RetryPolicy {
             op_deadline: Some(std::time::Duration::from_millis(50)),
@@ -1742,16 +1742,16 @@ mod tests {
             64,
             Mech::Memcpy,
             1,
-            vec![],
+            &[],
         );
-        let n = b.notify(1, 0, vec![a]);
+        let n = b.notify(1, 0, &[a]);
         b.copy(
             (0, BufId::Send, 0),
             (0, BufId::Recv, 0),
             64,
             Mech::Memcpy,
             0,
-            vec![n],
+            &[n],
         );
         // Default policy has no deadline; the lethal plan must still
         // terminate (forced deadline) instead of hanging forever.
@@ -1772,16 +1772,16 @@ mod tests {
             64,
             Mech::Memcpy,
             1,
-            vec![],
+            &[],
         );
-        let n = b.notify(1, 0, vec![a]);
+        let n = b.notify(1, 0, &[a]);
         b.copy(
             (0, BufId::Send, 0),
             (0, BufId::Recv, 0),
             64,
             Mech::Memcpy,
             0,
-            vec![n],
+            &[n],
         );
         let policy = RetryPolicy {
             op_deadline: Some(std::time::Duration::from_millis(50)),
@@ -1808,7 +1808,7 @@ mod tests {
             256,
             Mech::Memcpy,
             1,
-            vec![],
+            &[],
         );
         let res = ThreadExecutor::new()
             .with_faults(ExecFaultPlan::new(5).stall_rank(1, std::time::Duration::from_millis(5)))
@@ -1829,16 +1829,16 @@ mod tests {
             64,
             Mech::Memcpy,
             1,
-            vec![],
+            &[],
         );
-        let n = b.notify(1, 0, vec![0]);
+        let n = b.notify(1, 0, &[0]);
         b.copy(
             (0, BufId::Send, 0),
             (0, BufId::Recv, 0),
             64,
             Mech::Memcpy,
             0,
-            vec![n],
+            &[n],
         );
         // Rank 1 stalls well past the 5 ms suspicion window but well under
         // the 500 ms deadline: rank 0 suspects it, then the completed
@@ -1885,7 +1885,7 @@ mod tests {
             64,
             Mech::Memcpy,
             1,
-            vec![],
+            &[],
         );
         b.copy(
             (1, BufId::Recv, 0),
@@ -1893,7 +1893,7 @@ mod tests {
             64,
             Mech::Memcpy,
             2,
-            vec![a],
+            &[a],
         );
         let det = std::sync::Arc::new(FailureDetector::with_suspect_after(
             3,
@@ -1940,9 +1940,9 @@ mod tests {
                 64,
                 Mech::Memcpy,
                 1,
-                prev.clone(),
+                &prev,
             );
-            let n = b.notify(1, 0, vec![a]);
+            let n = b.notify(1, 0, &[a]);
             prev = vec![n];
         }
         b.copy(
@@ -1951,7 +1951,7 @@ mod tests {
             64,
             Mech::Memcpy,
             0,
-            prev,
+            &prev,
         );
         let det = std::sync::Arc::new(FailureDetector::with_suspect_after(
             2,
@@ -1994,7 +1994,7 @@ mod tests {
             64,
             Mech::Knem,
             1,
-            vec![],
+            &[],
         );
         // A straggler still executing under epoch 3 after the membership
         // layer fenced everything below 7: typed rejection, zero retries
@@ -2020,7 +2020,7 @@ mod tests {
             64,
             Mech::Knem,
             1,
-            vec![],
+            &[],
         );
         let res = ThreadExecutor::with_transport(device)
             .with_epoch(7)
@@ -2041,7 +2041,7 @@ mod tests {
                 64,
                 Mech::Knem,
                 1,
-                vec![],
+                &[],
             );
             ThreadExecutor::with_transport(std::sync::Arc::clone(&device))
                 .run(&b.finish(), pattern)
@@ -2063,7 +2063,7 @@ mod tests {
             64,
             Mech::Knem,
             1,
-            vec![],
+            &[],
         );
         b.copy(
             (1, BufId::Recv, 0),
@@ -2071,7 +2071,7 @@ mod tests {
             64,
             Mech::Knem,
             2,
-            vec![a],
+            &[a],
         );
         let s = b.finish();
         // Run through a device-level failure by injecting an op that
@@ -2086,8 +2086,8 @@ mod tests {
     #[test]
     fn clean_runs_stamp_and_verify_every_chunk() {
         let mut b = ScheduleBuilder::new("t", 3);
-        let a = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 256, Mech::Knem, 1, vec![]);
-        b.copy((1, BufId::Recv, 0), (2, BufId::Recv, 0), 256, Mech::Memcpy, 2, vec![a]);
+        let a = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 256, Mech::Knem, 1, &[]);
+        b.copy((1, BufId::Recv, 0), (2, BufId::Recv, 0), 256, Mech::Memcpy, 2, &[a]);
         let res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
         assert_eq!(res.integrity_stats.stamped, 2, "both copies are stamped");
         assert_eq!(res.integrity_stats.verified, 2, "both verify clean");
@@ -2100,7 +2100,7 @@ mod tests {
     fn transient_corruption_heals_through_verified_retransmit() {
         for kind_name in ["flip", "torn", "stale"] {
             let mut b = ScheduleBuilder::new("t", 2);
-            b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 512, Mech::Knem, 1, vec![]);
+            b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 512, Mech::Knem, 1, &[]);
             let plan = match kind_name {
                 "flip" => ExecFaultPlan::new(53).flip_bits(1, 0, 0xdead_beef),
                 "torn" => ExecFaultPlan::new(53).torn_write(1, 0),
@@ -2132,7 +2132,7 @@ mod tests {
     #[test]
     fn persistent_corrupter_escalates_to_typed_error_and_suspicion() {
         let mut b = ScheduleBuilder::new("t", 2);
-        b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 256, Mech::Knem, 1, vec![]);
+        b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 256, Mech::Knem, 1, &[]);
         let det = std::sync::Arc::new(FailureDetector::new(2));
         let err = ThreadExecutor::new()
             .with_policy(RetryPolicy::chaos())
@@ -2165,14 +2165,13 @@ mod tests {
             let mut b = ScheduleBuilder::new("t", 4);
             let mut prev = None;
             for r in 0..3usize {
-                let deps = prev.map(|p| vec![p]).unwrap_or_default();
                 prev = Some(b.copy(
                     (r, if r == 0 { BufId::Send } else { BufId::Recv }, 0),
                     (r + 1, BufId::Recv, 0),
                     128,
                     Mech::Knem,
                     r + 1,
-                    deps,
+                    prev.as_slice(),
                 ));
             }
             let res = ThreadExecutor::new()

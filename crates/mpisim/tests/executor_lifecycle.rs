@@ -28,7 +28,7 @@ fn relay(bytes: usize) -> Schedule {
         bytes,
         Mech::Knem,
         1,
-        vec![],
+        &[],
     );
     b.copy(
         (0, BufId::Send, 0),
@@ -36,17 +36,17 @@ fn relay(bytes: usize) -> Schedule {
         bytes,
         Mech::Memcpy,
         0,
-        vec![],
+        &[],
     );
     for r in 2..8 {
-        let n = b.notify(r - 1, r, vec![prev]);
+        let n = b.notify(r - 1, r, &[prev]);
         prev = b.copy(
             (r - 1, BufId::Recv, 0),
             (r, BufId::Recv, 0),
             bytes,
             Mech::Knem,
             r,
-            vec![n],
+            &[n],
         );
     }
     b.finish()

@@ -34,17 +34,17 @@ fn relay_schedule() -> pdac_simnet::Schedule {
         4096,
         Mech::Knem,
         1,
-        vec![],
+        &[],
     );
     for r in 2..4 {
-        let n = b.notify(r - 1, r, vec![prev]);
+        let n = b.notify(r - 1, r, &[prev]);
         prev = b.copy(
             (r - 1, BufId::Recv, 0),
             (r, BufId::Recv, 0),
             4096,
             Mech::Knem,
             r,
-            vec![n],
+            &[n],
         );
     }
     b.finish()
@@ -140,7 +140,7 @@ fn fan_out_waits_resolve_without_parking() {
         1024,
         Mech::Memcpy,
         0,
-        vec![],
+        &[],
     );
     for r in 1..8 {
         b.copy(
@@ -149,7 +149,7 @@ fn fan_out_waits_resolve_without_parking() {
             1024,
             Mech::Knem,
             r,
-            vec![root],
+            &[root],
         );
     }
     let schedule = b.finish();

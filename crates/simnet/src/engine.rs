@@ -519,21 +519,21 @@ impl<'a> SimExecutor<'a> {
         let ops = &schedule.ops;
         let n = ops.len();
         let nranks = schedule.num_ranks;
-        let mut dep_remaining: Vec<usize> = ops.iter().map(|o| o.deps.len()).collect();
+        let mut dep_remaining: Vec<usize> = (0..n).map(|id| schedule.deps(id).len()).collect();
         // The dependents of op `d`, in id order, are
         // `dependents[first[d]..first[d + 1]]` once both passes are through:
         // the fill advances `first[d + 1]` from the start of `d`'s range to
         // its end, which is where `d + 1`'s starts.
         let mut first = vec![0usize; n + 2];
-        for &d in ops.iter().flat_map(|op| &op.deps) {
+        for &d in (0..n).flat_map(|id| schedule.deps(id)) {
             first[d + 2] += 1;
         }
         for d in 2..n + 2 {
             first[d] += first[d - 1];
         }
         let mut dependents: Vec<OpId> = vec![0; first[n + 1]];
-        for (id, op) in ops.iter().enumerate() {
-            for &d in &op.deps {
+        for id in 0..n {
+            for &d in schedule.deps(id) {
                 dependents[first[d + 1]] = id;
                 first[d + 1] += 1;
             }
@@ -776,7 +776,7 @@ mod tests {
             bytes,
             mech,
             dst,
-            vec![],
+            &[],
         )
     }
 
@@ -908,7 +908,7 @@ mod tests {
                 1 << 20,
                 Mech::Memcpy,
                 1,
-                vec![],
+                &[],
             );
         });
         let one = cal.op_latency(1, false) + (1 << 20) as f64 / cal.core_bw.min(cal.cache_bw);
@@ -951,7 +951,7 @@ mod tests {
                 1 << 20,
                 Mech::Memcpy,
                 1,
-                vec![],
+                &[],
             );
         });
         assert!(
@@ -965,14 +965,14 @@ mod tests {
         let cal = Calibration::ig();
         let rep = run_on_ig(|b| {
             let a = pull(b, 0, 1, 0, 1 << 20, Mech::Memcpy);
-            let n = b.notify(1, 2, vec![a]);
+            let n = b.notify(1, 2, &[a]);
             b.copy(
                 (1, BufId::Recv, 0),
                 (2, BufId::Recv, 0),
                 1 << 20,
                 Mech::Memcpy,
                 2,
-                vec![n],
+                &[n],
             );
         });
         let copy = cal.op_latency(1, false) + (1 << 20) as f64 / cal.core_bw.min(cal.cache_bw);
@@ -991,14 +991,14 @@ mod tests {
     fn chain_schedule() -> Schedule {
         let mut b = ScheduleBuilder::new("fault-chain", 48);
         let a = pull(&mut b, 0, 1, 0, 1 << 16, Mech::Memcpy);
-        let n = b.notify(1, 2, vec![a]);
+        let n = b.notify(1, 2, &[a]);
         b.copy(
             (1, BufId::Recv, 0),
             (2, BufId::Recv, 0),
             1 << 16,
             Mech::Memcpy,
             2,
-            vec![n],
+            &[n],
         );
         b.finish()
     }
@@ -1215,7 +1215,7 @@ mod tests {
                 1 << 20,
                 mech,
                 0,
-                vec![],
+                &[],
             );
             b.copy(
                 (0, BufId::Temp(0), 0),
@@ -1223,7 +1223,7 @@ mod tests {
                 1 << 20,
                 Mech::Knem,
                 12,
-                vec![a],
+                &[a],
             );
             SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false })
                 .run(&b.finish())
@@ -1278,7 +1278,7 @@ mod tests {
                 total,
                 Mech::Knem,
                 24,
-                vec![a],
+                &[a],
             );
             SimExecutor::new(&ig, &binding, SimConfig::default())
                 .run(&b.finish())
@@ -1301,7 +1301,7 @@ mod tests {
                     chunk,
                     Mech::Knem,
                     24,
-                    deps,
+                    &deps,
                 );
                 if c + 1 < 4 {
                     prev[c + 1] = Some(second);

@@ -12,8 +12,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Rank index within the communicator the schedule was built for.
 pub type Rank = usize;
 /// Dense operation id.
@@ -22,7 +20,7 @@ pub type OpId = usize;
 /// A per-rank buffer. `Send`/`Recv` mirror the user buffers of the MPI call;
 /// `Temp(i)` are internal bounce buffers (eager copy-in/copy-out stages,
 /// scatter intermediates, reduction accumulators...).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BufId {
     /// The caller-provided source buffer.
     Send,
@@ -36,7 +34,7 @@ pub enum BufId {
 /// platform: plain load/store `memcpy` (shared-memory stages) and the
 /// KNEM kernel-assisted single copy (pays a fixed setup cost per operation —
 /// cookie distribution plus the trap into the kernel).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mech {
     /// User-space memcpy.
     Memcpy,
@@ -52,7 +50,7 @@ pub enum Mech {
 /// count to be lane-aligned (checked by [`Schedule::validate`]). The timing
 /// simulator charges all variants identically (a combine moves the same
 /// bytes); only the thread executor's arithmetic differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DataOp {
     /// Overwrite the destination (plain transfer).
     #[default]
@@ -92,7 +90,7 @@ impl DataOp {
 }
 
 /// One schedule operation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpKind {
     /// Move `bytes` from `(src_rank, src_buf)[src_off..]` to
     /// `(dst_rank, dst_buf)[dst_off..]`, executed by rank `exec` (the rank
@@ -147,13 +145,16 @@ impl OpKind {
     }
 }
 
-/// An operation plus its dependencies (all of which must have smaller ids).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// One operation of a [`Schedule`]. Its dependencies (all of which must
+/// have smaller ids) are read through [`Schedule::deps`]; only a
+/// [`ScheduleBuilder`] makes ops.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Op {
     /// What to do.
     pub kind: OpKind,
-    /// Ids of operations that must complete first.
-    pub deps: Vec<OpId>,
+    /// Where this op's dependency list ends in the schedule's arena; it
+    /// starts where the previous op's ends.
+    deps_end: u32,
 }
 
 /// Structural problems detected by [`Schedule::validate`].
@@ -208,43 +209,38 @@ impl std::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// A complete, validated-on-demand operation DAG.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A complete, validated-on-demand operation DAG: two flat vectors.
+///
+/// The dependency lists live in one private arena in op order with no gaps
+/// (an op stores only where its list ends), so two schedules with the same
+/// ops and dependencies have the same bytes and building, cloning,
+/// comparing or dropping one touches two heap blocks however many ops it has.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     /// Human-readable algorithm name (reported by the bench harness).
     pub name: String,
     /// Communicator size the schedule addresses.
     pub num_ranks: usize,
-    /// Operations in id order.
+    /// Operations in id order. An op's `kind` may be edited in place; ops
+    /// are not added, removed or reordered after [`ScheduleBuilder::finish`]
+    /// (an op's position locates its dependency list).
     pub ops: Vec<Op>,
     /// Required size of every buffer touched, keyed by `(rank, buffer)`.
-    /// (Serialized as an entry list so the schedule stays JSON-friendly.)
-    #[serde(with = "buf_sizes_serde")]
     pub buf_sizes: BTreeMap<(Rank, BufId), usize>,
-}
-
-mod buf_sizes_serde {
-    use super::*;
-    use serde::{Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(
-        m: &BTreeMap<(Rank, BufId), usize>,
-        s: S,
-    ) -> Result<S::Ok, S::Error> {
-        let v: Vec<(Rank, BufId, usize)> =
-            m.iter().map(|(&(r, b), &sz)| (r, b, sz)).collect();
-        serde::Serialize::serialize(&v, s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        d: D,
-    ) -> Result<BTreeMap<(Rank, BufId), usize>, D::Error> {
-        let v: Vec<(Rank, BufId, usize)> = serde::Deserialize::deserialize(d)?;
-        Ok(v.into_iter().map(|(r, b, sz)| ((r, b), sz)).collect())
-    }
+    /// Every op's dependency list, back to back in op order.
+    deps: Vec<OpId>,
 }
 
 impl Schedule {
+    /// Ids of the operations that must complete before op `id` starts.
+    pub fn deps(&self, id: OpId) -> &[OpId] {
+        let start = match id.checked_sub(1) {
+            Some(prev) => self.ops[prev].deps_end as usize,
+            None => 0,
+        };
+        &self.deps[start..self.ops[id].deps_end as usize]
+    }
+
     /// Declared size of a buffer (0 if never touched).
     pub fn buf_size(&self, rank: Rank, buf: BufId) -> usize {
         self.buf_sizes.get(&(rank, buf)).copied().unwrap_or(0)
@@ -273,7 +269,7 @@ impl Schedule {
             }
         };
         for (id, op) in self.ops.iter().enumerate() {
-            for &d in &op.deps {
+            for &d in self.deps(id) {
                 if d >= id {
                     return Err(ScheduleError::ForwardDep { op: id, dep: d });
                 }
@@ -301,12 +297,14 @@ impl Schedule {
                     if !bytes.is_multiple_of(lane) {
                         return Err(ScheduleError::MisalignedTypedOp { op: id, bytes: *bytes, lane });
                     }
-                    for (rank, buf, end) in [
-                        (*src_rank, *src_buf, src_off + bytes),
-                        (*dst_rank, *dst_buf, dst_off + bytes),
-                    ] {
+                    for (rank, buf, off) in
+                        [(*src_rank, *src_buf, *src_off), (*dst_rank, *dst_buf, *dst_off)]
+                    {
                         let size = self.buf_size(rank, buf);
-                        if end > size {
+                        // An end past `usize::MAX` is past every buffer.
+                        let end = off.checked_add(*bytes);
+                        if end.is_none_or(|end| end > size) {
+                            let end = end.unwrap_or(usize::MAX);
                             return Err(ScheduleError::OutOfBounds { op: id, rank, buf, end, size });
                         }
                     }
@@ -420,8 +418,8 @@ impl Schedule {
             next[p] = std::mem::replace(&mut head[a.max(b)], p);
         }
         let mut last_use: Vec<OpId> = (0..n).collect();
-        for (i, op) in self.ops.iter().enumerate() {
-            for &d in &op.deps {
+        for i in 0..n {
+            for &d in self.deps(i) {
                 last_use[d] = i;
             }
         }
@@ -429,11 +427,11 @@ impl Schedule {
         let mut clock: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut pool: Vec<Vec<u32>> = Vec::new();
         let mut first_race = usize::MAX;
-        for (i, op) in self.ops.iter().enumerate() {
+        for i in 0..n {
             let mut row = pool.pop().unwrap_or_default();
             row.clear();
             row.resize(tails.len(), 0);
-            for &d in &op.deps {
+            for &d in self.deps(i) {
                 for (r, &c) in row.iter_mut().zip(&clock[d]) {
                     *r = (*r).max(c);
                 }
@@ -478,24 +476,54 @@ impl Schedule {
 }
 
 /// Incremental schedule construction; grows buffer sizes automatically.
+/// Appending an op allocates nothing beyond the two vectors' own growth.
 #[derive(Debug)]
 pub struct ScheduleBuilder {
     name: String,
     num_ranks: usize,
     ops: Vec<Op>,
-    buf_sizes: BTreeMap<(Rank, BufId), usize>,
+    deps: Vec<OpId>,
+    /// `[Send, Recv]` size per rank below `num_ranks` — the buffers nearly
+    /// every copy names; `None` until first touched.
+    user_bufs: Vec<[Option<usize>; 2]>,
+    /// Every other buffer: temporaries, and whatever an out-of-range rank
+    /// names (kept so `validate` can report the rank).
+    other_bufs: BTreeMap<(Rank, BufId), usize>,
 }
 
 impl ScheduleBuilder {
     /// Starts an empty schedule for `num_ranks` ranks.
     pub fn new(name: impl Into<String>, num_ranks: usize) -> Self {
-        ScheduleBuilder { name: name.into(), num_ranks, ops: Vec::new(), buf_sizes: BTreeMap::new() }
+        ScheduleBuilder {
+            name: name.into(),
+            num_ranks,
+            ops: Vec::new(),
+            deps: Vec::new(),
+            user_bufs: vec![[None; 2]; num_ranks],
+            other_bufs: BTreeMap::new(),
+        }
+    }
+
+    /// Makes room for `ops` more ops holding `deps` more dependencies in
+    /// all. A builder that knows its size saves the vectors' doublings,
+    /// which copy more bytes than a large schedule ends up holding.
+    pub fn reserve(&mut self, ops: usize, deps: usize) {
+        self.ops.reserve(ops);
+        self.deps.reserve(deps);
     }
 
     /// Declares (or widens) a buffer.
     pub fn ensure_buf(&mut self, rank: Rank, buf: BufId, size: usize) {
-        let e = self.buf_sizes.entry((rank, buf)).or_insert(0);
-        *e = (*e).max(size);
+        let slot = match (buf, self.user_bufs.get_mut(rank)) {
+            (BufId::Send, Some(user)) => &mut user[0],
+            (BufId::Recv, Some(user)) => &mut user[1],
+            _ => {
+                let e = self.other_bufs.entry((rank, buf)).or_insert(0);
+                *e = (*e).max(size);
+                return;
+            }
+        };
+        *slot = Some(slot.map_or(size, |s| s.max(size)));
     }
 
     /// Appends a copy op and returns its id. Buffers grow to fit.
@@ -507,9 +535,9 @@ impl ScheduleBuilder {
         bytes: usize,
         mech: Mech,
         exec: Rank,
-        deps: Vec<OpId>,
+        deps: &[OpId],
     ) -> OpId {
-        self.data_op(src, dst, bytes, mech, exec, DataOp::Move, deps)
+        self.combine_with(src, dst, bytes, mech, exec, DataOp::Move, deps)
     }
 
     /// Appends a byte-wise wrapping-add combine and returns its id.
@@ -521,12 +549,13 @@ impl ScheduleBuilder {
         bytes: usize,
         mech: Mech,
         exec: Rank,
-        deps: Vec<OpId>,
+        deps: &[OpId],
     ) -> OpId {
-        self.data_op(src, dst, bytes, mech, exec, DataOp::Add, deps)
+        self.combine_with(src, dst, bytes, mech, exec, DataOp::Add, deps)
     }
 
-    /// Appends an element-wise combine with an explicit operator.
+    /// Appends an element-wise combine with an explicit operator
+    /// ([`DataOp::Move`] makes it a copy).
     #[allow(clippy::too_many_arguments)]
     pub fn combine_with(
         &mut self,
@@ -536,24 +565,12 @@ impl ScheduleBuilder {
         mech: Mech,
         exec: Rank,
         op: DataOp,
-        deps: Vec<OpId>,
+        deps: &[OpId],
     ) -> OpId {
-        self.data_op(src, dst, bytes, mech, exec, op, deps)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn data_op(
-        &mut self,
-        src: (Rank, BufId, usize),
-        dst: (Rank, BufId, usize),
-        bytes: usize,
-        mech: Mech,
-        exec: Rank,
-        op: DataOp,
-        deps: Vec<OpId>,
-    ) -> OpId {
-        self.ensure_buf(src.0, src.1, src.2 + bytes);
-        self.ensure_buf(dst.0, dst.1, dst.2 + bytes);
+        // A range ending past `usize::MAX` fits no buffer; `validate`
+        // rejects the op, the declared size just stops at the top.
+        self.ensure_buf(src.0, src.1, src.2.saturating_add(bytes));
+        self.ensure_buf(dst.0, dst.1, dst.2.saturating_add(bytes));
         self.push(
             OpKind::Copy {
                 src_rank: src.0,
@@ -572,13 +589,16 @@ impl ScheduleBuilder {
     }
 
     /// Appends a notification op and returns its id.
-    pub fn notify(&mut self, from: Rank, to: Rank, deps: Vec<OpId>) -> OpId {
+    pub fn notify(&mut self, from: Rank, to: Rank, deps: &[OpId]) -> OpId {
         self.push(OpKind::Notify { from, to }, deps)
     }
 
-    fn push(&mut self, kind: OpKind, deps: Vec<OpId>) -> OpId {
+    fn push(&mut self, kind: OpKind, deps: &[OpId]) -> OpId {
         let id = self.ops.len();
-        self.ops.push(Op { kind, deps });
+        self.deps.extend_from_slice(deps);
+        let deps_end =
+            u32::try_from(self.deps.len()).expect("a schedule holds under 2^32 dependencies");
+        self.ops.push(Op { kind, deps_end });
         id
     }
 
@@ -587,17 +607,25 @@ impl ScheduleBuilder {
         self.ops.len()
     }
 
-    /// Finishes the schedule. The op vector gives back what doubling
-    /// reserved past its length: on a 192-rank allgather that is 5 MiB of
-    /// never-written heap per schedule, and which later allocation landed
-    /// in it made a planner's resident set differ from run to run.
+    /// Finishes the schedule. Both vectors give back what doubling
+    /// reserved past their length: on a 192-rank allgather that is
+    /// megabytes of never-written heap per schedule, and which later
+    /// allocation landed in it made a planner's resident set differ from
+    /// run to run.
     pub fn finish(mut self) -> Schedule {
         self.ops.shrink_to_fit();
+        self.deps.shrink_to_fit();
+        let mut buf_sizes = self.other_bufs;
+        for (rank, user) in self.user_bufs.into_iter().enumerate() {
+            let touched = [BufId::Send, BufId::Recv].into_iter().zip(user);
+            buf_sizes.extend(touched.filter_map(|(buf, size)| Some(((rank, buf), size?))));
+        }
         Schedule {
             name: self.name,
             num_ranks: self.num_ranks,
             ops: self.ops,
-            buf_sizes: self.buf_sizes,
+            buf_sizes,
+            deps: self.deps,
         }
     }
 }
@@ -606,14 +634,14 @@ impl ScheduleBuilder {
 mod tests {
     use super::*;
 
-    fn copy_op(b: &mut ScheduleBuilder, src: Rank, dst: Rank, bytes: usize, deps: Vec<OpId>) -> OpId {
+    fn copy_op(b: &mut ScheduleBuilder, src: Rank, dst: Rank, bytes: usize, deps: &[OpId]) -> OpId {
         b.copy((src, BufId::Send, 0), (dst, BufId::Recv, 0), bytes, Mech::Memcpy, dst, deps)
     }
 
     #[test]
     fn builder_grows_buffers() {
         let mut b = ScheduleBuilder::new("t", 2);
-        b.copy((0, BufId::Send, 100), (1, BufId::Recv, 50), 10, Mech::Knem, 1, vec![]);
+        b.copy((0, BufId::Send, 100), (1, BufId::Recv, 50), 10, Mech::Knem, 1, &[]);
         let s = b.finish();
         assert_eq!(s.buf_size(0, BufId::Send), 110);
         assert_eq!(s.buf_size(1, BufId::Recv), 60);
@@ -624,16 +652,15 @@ mod tests {
     #[test]
     fn validate_rejects_forward_dep() {
         let mut b = ScheduleBuilder::new("t", 2);
-        let id = copy_op(&mut b, 0, 1, 8, vec![]);
-        let mut s = b.finish();
-        s.ops[id].deps.push(id); // self-dep
-        assert_eq!(s.validate(), Err(ScheduleError::ForwardDep { op: id, dep: id }));
+        let id = b.next_id();
+        copy_op(&mut b, 0, 1, 8, &[id]); // self-dep
+        assert_eq!(b.finish().validate(), Err(ScheduleError::ForwardDep { op: id, dep: id }));
     }
 
     #[test]
     fn validate_rejects_out_of_range_rank() {
         let mut b = ScheduleBuilder::new("t", 2);
-        copy_op(&mut b, 0, 1, 8, vec![]);
+        copy_op(&mut b, 0, 1, 8, &[]);
         let mut s = b.finish();
         s.num_ranks = 1;
         assert!(matches!(s.validate(), Err(ScheduleError::RankOutOfRange { .. })));
@@ -642,7 +669,7 @@ mod tests {
     #[test]
     fn validate_rejects_empty_copy() {
         let mut b = ScheduleBuilder::new("t", 2);
-        b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 1, Mech::Memcpy, 1, vec![]);
+        b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 1, Mech::Memcpy, 1, &[]);
         let mut s = b.finish();
         if let OpKind::Copy { ref mut bytes, .. } = s.ops[0].kind {
             *bytes = 0;
@@ -653,7 +680,7 @@ mod tests {
     #[test]
     fn validate_rejects_out_of_bounds() {
         let mut b = ScheduleBuilder::new("t", 2);
-        copy_op(&mut b, 0, 1, 8, vec![]);
+        copy_op(&mut b, 0, 1, 8, &[]);
         let mut s = b.finish();
         s.buf_sizes.insert((1, BufId::Recv), 4);
         assert!(matches!(s.validate(), Err(ScheduleError::OutOfBounds { op: 0, .. })));
@@ -662,8 +689,8 @@ mod tests {
     #[test]
     fn validate_detects_unordered_overlapping_writes() {
         let mut b = ScheduleBuilder::new("t", 3);
-        copy_op(&mut b, 0, 2, 8, vec![]);
-        copy_op(&mut b, 1, 2, 8, vec![]); // same dst range, no ordering
+        copy_op(&mut b, 0, 2, 8, &[]);
+        copy_op(&mut b, 1, 2, 8, &[]); // same dst range, no ordering
         let s = b.finish();
         assert_eq!(s.validate(), Err(ScheduleError::UnorderedOverlappingWrites { a: 0, b: 1 }));
     }
@@ -671,34 +698,34 @@ mod tests {
     #[test]
     fn ordered_overlapping_writes_are_fine() {
         let mut b = ScheduleBuilder::new("t", 3);
-        let a = copy_op(&mut b, 0, 2, 8, vec![]);
-        copy_op(&mut b, 1, 2, 8, vec![a]);
+        let a = copy_op(&mut b, 0, 2, 8, &[]);
+        copy_op(&mut b, 1, 2, 8, &[a]);
         b.finish().validate().unwrap();
     }
 
     #[test]
     fn transitively_ordered_writes_are_fine() {
         let mut b = ScheduleBuilder::new("t", 4);
-        let a = copy_op(&mut b, 0, 3, 8, vec![]);
-        let n = b.notify(3, 1, vec![a]);
-        copy_op(&mut b, 1, 3, 8, vec![n]);
+        let a = copy_op(&mut b, 0, 3, 8, &[]);
+        let n = b.notify(3, 1, &[a]);
+        copy_op(&mut b, 1, 3, 8, &[n]);
         b.finish().validate().unwrap();
     }
 
     #[test]
     fn disjoint_writes_need_no_ordering() {
         let mut b = ScheduleBuilder::new("t", 3);
-        b.copy((0, BufId::Send, 0), (2, BufId::Recv, 0), 8, Mech::Memcpy, 2, vec![]);
-        b.copy((1, BufId::Send, 0), (2, BufId::Recv, 8), 8, Mech::Memcpy, 2, vec![]);
+        b.copy((0, BufId::Send, 0), (2, BufId::Recv, 0), 8, Mech::Memcpy, 2, &[]);
+        b.copy((1, BufId::Send, 0), (2, BufId::Recv, 8), 8, Mech::Memcpy, 2, &[]);
         b.finish().validate().unwrap();
     }
 
     #[test]
     fn totals() {
         let mut b = ScheduleBuilder::new("t", 2);
-        copy_op(&mut b, 0, 1, 100, vec![]);
-        let n = b.notify(1, 0, vec![0]);
-        copy_op(&mut b, 1, 0, 50, vec![n]);
+        copy_op(&mut b, 0, 1, 100, &[]);
+        let n = b.notify(1, 0, &[0]);
+        copy_op(&mut b, 1, 0, 50, &[n]);
         let s = b.finish();
         assert_eq!(s.total_bytes(), 150);
         assert_eq!(s.num_copies(), 2);
@@ -706,13 +733,64 @@ mod tests {
         assert_eq!(s.ops[1].kind.bytes(), 0);
     }
 
+    /// `src_off + bytes` past `usize::MAX` used to wrap to a small end (or
+    /// panic in a debug build) and pass the bounds test.
     #[test]
-    fn serde_roundtrip() {
+    fn validate_rejects_a_range_that_overflows() {
         let mut b = ScheduleBuilder::new("t", 2);
-        copy_op(&mut b, 0, 1, 8, vec![]);
+        copy_op(&mut b, 0, 1, 8, &[]);
+        let mut s = b.finish();
+        s.validate().unwrap();
+        if let OpKind::Copy { ref mut src_off, .. } = s.ops[0].kind {
+            *src_off = usize::MAX - 3;
+        }
+        assert_eq!(
+            s.validate(),
+            Err(ScheduleError::OutOfBounds {
+                op: 0,
+                rank: 0,
+                buf: BufId::Send,
+                end: usize::MAX,
+                size: 8
+            })
+        );
+        // The builder declares what it can and leaves the verdict to validate.
+        let mut b = ScheduleBuilder::new("t", 2);
+        b.copy((0, BufId::Send, usize::MAX - 3), (1, BufId::Recv, 0), 8, Mech::Memcpy, 1, &[]);
         let s = b.finish();
-        let j = serde_json::to_string(&s).unwrap();
-        let back: Schedule = serde_json::from_str(&j).unwrap();
-        assert_eq!(back, s);
+        assert_eq!(s.buf_size(0, BufId::Send), usize::MAX);
+        assert!(matches!(s.validate(), Err(ScheduleError::OutOfBounds { op: 0, rank: 0, .. })));
+    }
+
+    #[test]
+    fn deps_are_slices_of_one_arena_in_op_order() {
+        let mut b = ScheduleBuilder::new("t", 4);
+        let a = copy_op(&mut b, 0, 1, 8, &[]);
+        let c = copy_op(&mut b, 0, 2, 8, &[]);
+        let n = b.notify(1, 3, &[a, c]);
+        let d = copy_op(&mut b, 0, 3, 8, &[n]);
+        let s = b.finish();
+        assert_eq!(s.deps(a), &[] as &[OpId]);
+        assert_eq!(s.deps(c), &[] as &[OpId]);
+        assert_eq!(s.deps(n), &[a, c]);
+        assert_eq!(s.deps(d), &[n]);
+        assert_eq!(s.deps, vec![a, c, n]);
+        // The layout is canonical: equal content is equal bytes.
+        assert_eq!(s.clone(), s);
+        assert!(std::mem::size_of::<Op>() <= 80, "{} bytes", std::mem::size_of::<Op>());
+    }
+
+    #[test]
+    fn builder_keeps_untouched_and_out_of_range_buffers_apart() {
+        let mut b = ScheduleBuilder::new("t", 2);
+        b.ensure_buf(0, BufId::Send, 0);
+        b.ensure_buf(1, BufId::Temp(3), 5);
+        b.ensure_buf(7, BufId::Recv, 9);
+        let s = b.finish();
+        let keys: Vec<_> = s.buf_sizes.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(
+            keys,
+            vec![((0, BufId::Send), 0), ((1, BufId::Temp(3)), 5), ((7, BufId::Recv), 9)]
+        );
     }
 }

@@ -104,8 +104,9 @@ pub fn sim_events_with_distances(
                 ],
             ),
         };
-        if !op.deps.is_empty() {
-            args.push(("deps", deps_arg(&op.deps).into()));
+        let deps = schedule.deps(id);
+        if !deps.is_empty() {
+            args.push(("deps", deps_arg(deps).into()));
         }
         let ts_us = report.op_start[id] * 1e6;
         let dur_us = (report.op_finish[id] - report.op_start[id]).max(0.0) * 1e6;
@@ -152,16 +153,16 @@ mod tests {
             4096,
             Mech::Knem,
             1,
-            vec![],
+            &[],
         );
-        let n = b.notify(1, 2, vec![a]);
+        let n = b.notify(1, 2, &[a]);
         b.copy(
             (1, BufId::Recv, 0),
             (2, BufId::Recv, 0),
             4096,
             Mech::Memcpy,
             2,
-            vec![n],
+            &[n],
         );
         let s = b.finish();
         let rep = SimExecutor::new(&ig, &binding, SimConfig::default())

@@ -32,7 +32,7 @@ fn arb_schedule() -> impl Strategy<Value = Schedule> {
                 bytes,
                 mech,
                 dst,
-                deps,
+                &deps,
             );
         }
         b.finish()
@@ -47,8 +47,8 @@ proptest! {
         let ig = machines::ig();
         let binding = Binding::identity(&ig);
         let rep = SimExecutor::new(&ig, &binding, SimConfig::default()).run(&schedule).unwrap();
-        for (id, op) in schedule.ops.iter().enumerate() {
-            for &d in &op.deps {
+        for id in 0..schedule.ops.len() {
+            for &d in schedule.deps(id) {
                 prop_assert!(rep.op_finish[d] <= rep.op_finish[id] + 1e-12);
             }
             prop_assert!(rep.op_finish[id] > 0.0);
@@ -113,8 +113,8 @@ proptest! {
             .run(&schedule)
             .unwrap();
         prop_assert!(rep.total_time > delay);
-        for (id, op) in schedule.ops.iter().enumerate() {
-            for &d in &op.deps {
+        for id in 0..schedule.ops.len() {
+            for &d in schedule.deps(id) {
                 prop_assert!(rep.op_finish[d] <= rep.op_finish[id]);
             }
         }
@@ -130,7 +130,7 @@ proptest! {
         let binding = Binding::identity(&ig);
         let time_for = |n: usize| {
             let mut b = ScheduleBuilder::new("t", 48);
-            b.copy((src, BufId::Send, 0), (dst, BufId::Recv, 0), n, Mech::Knem, dst, vec![]);
+            b.copy((src, BufId::Send, 0), (dst, BufId::Recv, 0), n, Mech::Knem, dst, &[]);
             SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false })
                 .run(&b.finish())
                 .unwrap()
@@ -147,7 +147,7 @@ fn knem_traffic_accounting_matches_copies() {
     let binding = BindingPolicy::Contiguous.bind(&ig, 48).unwrap();
     let mut b = ScheduleBuilder::new("t", 48);
     for i in 0..8 {
-        b.copy((i, BufId::Send, 0), (i + 6, BufId::Recv, 0), 10_000, Mech::Knem, i + 6, vec![]);
+        b.copy((i, BufId::Send, 0), (i + 6, BufId::Recv, 0), 10_000, Mech::Knem, i + 6, &[]);
     }
     let s = b.finish();
     let rep = SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false }).run(&s).unwrap();

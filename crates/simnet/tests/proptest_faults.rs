@@ -32,7 +32,7 @@ fn arb_schedule() -> impl Strategy<Value = Schedule> {
             deps.sort_unstable();
             deps.dedup();
             let mech = if knem { Mech::Knem } else { Mech::Memcpy };
-            b.copy((src, BufId::Send, 0), (dst, BufId::Recv, i * 200_000), bytes, mech, dst, deps);
+            b.copy((src, BufId::Send, 0), (dst, BufId::Recv, i * 200_000), bytes, mech, dst, &deps);
         }
         b.finish()
     })
@@ -146,8 +146,7 @@ proptest! {
         // seed, not a hang.
         let mut prev: Option<usize> = None;
         for r in 0..47 {
-            let deps = prev.into_iter().collect();
-            prev = Some(b.copy((r, BufId::Send, 0), (r + 1, BufId::Recv, 0), 4096, Mech::Knem, r + 1, deps));
+            prev = Some(b.copy((r, BufId::Send, 0), (r + 1, BufId::Recv, 0), 4096, Mech::Knem, r + 1, prev.as_slice()));
         }
         let schedule = b.finish();
         let res = SimExecutor::new(&ig, &binding, SimConfig::default())

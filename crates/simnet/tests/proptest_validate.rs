@@ -3,7 +3,9 @@
 //! in the same order. Verdicts must be equal — `Ok`, or the same
 //! `ScheduleError` naming the same two ops — on random DAGs, on DAGs
 //! repaired until race-free, and on repaired DAGs with one ordering
-//! removed again.
+//! removed again. Dependency lists are edited by rebuilding the schedule
+//! through `ScheduleBuilder`; the same cases pin how the builder lays the
+//! lists out.
 
 use std::collections::BTreeMap;
 
@@ -18,10 +20,10 @@ fn oracle(s: &Schedule) -> Result<(), ScheduleError> {
     let ancestors: Vec<Vec<bool>> = (0..n)
         .map(|i| {
             let mut seen = vec![false; n];
-            let mut stack = s.ops[i].deps.clone();
+            let mut stack = s.deps(i).to_vec();
             while let Some(d) = stack.pop() {
                 if !std::mem::replace(&mut seen[d], true) {
-                    stack.extend(&s.ops[d].deps);
+                    stack.extend(s.deps(d));
                 }
             }
             seen
@@ -127,15 +129,51 @@ fn arb_schedule() -> impl Strategy<Value = Schedule> {
             let from = (src.0, src.1, 8 * src_off);
             let to = (dst.0, dst.1, 8 * dst_off);
             let id = match kind {
-                0 => b.notify(src.0, dst.0, deps),
-                1..=5 => b.copy(from, to, 8 * len, Mech::Knem, dst.0, deps),
-                6 | 7 => b.combine(from, to, 8 * len, Mech::Memcpy, dst.0, deps),
-                _ => b.combine_with(from, to, 8 * len, Mech::Knem, dst.0, DataOp::SumF64, deps),
+                0 => b.notify(src.0, dst.0, &deps),
+                1..=5 => b.copy(from, to, 8 * len, Mech::Knem, dst.0, &deps),
+                6 | 7 => b.combine(from, to, 8 * len, Mech::Memcpy, dst.0, &deps),
+                _ => b.combine_with(from, to, 8 * len, Mech::Knem, dst.0, DataOp::SumF64, &deps),
             };
             last_of_thread[thread] = Some(id);
         }
         b.finish()
     })
+}
+
+/// Every op's dependency list.
+fn dep_lists(s: &Schedule) -> Vec<Vec<usize>> {
+    (0..s.ops.len()).map(|i| s.deps(i).to_vec()).collect()
+}
+
+/// The ops of `s` through a fresh builder, op `i` waiting for `deps[i]`.
+fn rebuilt(s: &Schedule, deps: &[Vec<usize>]) -> Schedule {
+    let mut b = ScheduleBuilder::new(s.name.clone(), s.num_ranks);
+    for (op, deps) in s.ops.iter().zip(deps) {
+        match op.kind {
+            OpKind::Notify { from, to } => b.notify(from, to, deps),
+            OpKind::Copy {
+                src_rank,
+                src_buf,
+                src_off,
+                dst_rank,
+                dst_buf,
+                dst_off,
+                bytes,
+                mech,
+                exec,
+                op,
+            } => b.combine_with(
+                (src_rank, src_buf, src_off),
+                (dst_rank, dst_buf, dst_off),
+                bytes,
+                mech,
+                exec,
+                op,
+                deps,
+            ),
+        };
+    }
+    b.finish()
 }
 
 /// Adds, for the race the oracle reports, the one dependency that orders
@@ -149,7 +187,9 @@ fn repaired(mut s: Schedule) -> Schedule {
             Err(ScheduleError::UnorderedReadWrite { reader, writer }) => (reader, writer),
             Err(e) => panic!("the oracle reports races only, not {e}"),
         };
-        s.ops[a.max(b)].deps.push(a.min(b));
+        let mut deps = dep_lists(&s);
+        deps[a.max(b)].push(a.min(b));
+        s = rebuilt(&s, &deps);
     }
 }
 
@@ -164,16 +204,29 @@ proptest! {
     ) {
         prop_assert_eq!(schedule.validate(), oracle(&schedule));
 
-        let mut sound = repaired(schedule);
+        // The arena: every list points strictly backwards, the lists sit
+        // back to back in op order, and the layout is a function of the
+        // content alone (a rebuild compares equal).
+        for i in 0..schedule.ops.len() {
+            prop_assert!(schedule.deps(i).iter().all(|&d| d < i), "op {}", i);
+            if i > 0 {
+                let (before, here) = (schedule.deps(i - 1), schedule.deps(i));
+                prop_assert_eq!(before.as_ptr_range().end, here.as_ptr_range().start, "op {}", i);
+            }
+        }
+        prop_assert_eq!(&rebuilt(&schedule, &dep_lists(&schedule)), &schedule);
+
+        let sound = repaired(schedule);
         prop_assert_eq!(sound.validate(), Ok(()));
 
         // Take one ordering out again: a race, unless another path covers it.
-        let with_deps: Vec<usize> =
-            (0..sound.ops.len()).filter(|&i| !sound.ops[i].deps.is_empty()).collect();
+        let mut deps = dep_lists(&sound);
+        let with_deps: Vec<usize> = (0..deps.len()).filter(|&i| !deps[i].is_empty()).collect();
         if !with_deps.is_empty() {
-            let deps = &mut sound.ops[with_deps[victim as usize % with_deps.len()]].deps;
-            deps.remove(which as usize % deps.len());
-            prop_assert_eq!(sound.validate(), oracle(&sound));
+            let list = &mut deps[with_deps[victim as usize % with_deps.len()]];
+            list.remove(which as usize % list.len());
+            let raced = rebuilt(&sound, &deps);
+            prop_assert_eq!(raced.validate(), oracle(&raced));
         }
     }
 }
@@ -185,12 +238,12 @@ proptest! {
 #[test]
 fn reported_pair_is_first_in_sweep_order_not_the_adjacent_one() {
     let mut b = ScheduleBuilder::new("t", 4);
-    let w = |b: &mut ScheduleBuilder, src, deps| {
+    let w = |b: &mut ScheduleBuilder, src, deps: &[usize]| {
         b.copy((src, BufId::Send, 0), (3, BufId::Recv, 0), 8, Mech::Memcpy, 3, deps)
     };
-    let first = w(&mut b, 0, vec![]);
-    w(&mut b, 1, vec![first]);
-    w(&mut b, 2, vec![]);
+    let first = w(&mut b, 0, &[]);
+    w(&mut b, 1, &[first]);
+    w(&mut b, 2, &[]);
     let s = b.finish();
     assert_eq!(s.validate(), Err(ScheduleError::UnorderedOverlappingWrites { a: 0, b: 2 }));
     assert_eq!(oracle(&s), s.validate());
