@@ -16,7 +16,8 @@
 //!
 //! Every call builds its schedule through the distance-aware framework in
 //! `pdac-core` (component selection included) and executes it on the
-//! real-thread executor — one OS thread per rank, real buffers — then hands
+//! real-thread executor — one cursor per rank, stepped by `min(ranks,
+//! cores)` worker threads over real buffers — then hands
 //! the results back as typed vectors. The session model is SPMD-by-proxy:
 //! the caller owns all ranks' buffers at once (`bufs[rank]`), which is what
 //! a simulation-driven reproduction can offer without OS processes.

@@ -98,11 +98,12 @@ fn data_op_for(op: ReduceOp, kind: ScalarKind) -> Result<DataOp, MpiError> {
 /// proxy, the natural interface for a simulation-backed reproduction.
 ///
 /// Everything a collective call reuses is built once, here, and lives as
-/// long as the session: the executor with its parked rank threads (created
-/// by the first collective, joined on drop) and its KNEM device, and the
-/// topology cache every plan goes through. A call is plan → lower →
-/// dispatch to the parked workers → collect. Staging buffers are pooled
-/// per call, not per session: retaining them cost 13 % peak RSS on the
+/// long as the session: the executor with its parked helper threads
+/// (created by the first collective, joined on drop) and its KNEM device,
+/// and the topology cache every plan goes through. A call is plan → lower →
+/// step the rank cursors on the caller and the woken helpers → collect.
+/// Each worker stages through one buffer, taken from a per-call pool, not
+/// a session one: keeping it cost 10 MiB (5 %) of peak RSS on the
 /// bandwidth-bound benchmark workload and bought no measurable time.
 pub struct Session {
     comm: Communicator,

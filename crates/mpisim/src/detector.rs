@@ -2,8 +2,8 @@
 //!
 //! Real MPI recovery cannot start from a god's-eye view: a rank learns of a
 //! peer's death only through *observations* — a dependency wait that drags
-//! past the suspicion window, an op completion that never arrives, a thread
-//! that exits with work still assigned. The [`FailureDetector`] turns those
+//! past the suspicion window, an op completion that never arrives, a rank
+//! whose cursor retires with work still assigned. The [`FailureDetector`] turns those
 //! observations into a per-rank state machine:
 //!
 //! ```text
@@ -41,7 +41,7 @@ pub enum RankState {
     /// Some peer's wait on this rank exceeded the suspicion window; not yet
     /// proven dead. A heartbeat refutes the suspicion.
     Suspect,
-    /// Proven dead (join audit: the rank's thread exited with operations
+    /// Proven dead (join audit: the rank's cursor retired with operations
     /// still assigned). Absorbing — heartbeats no longer apply.
     Confirmed,
 }
@@ -51,7 +51,7 @@ pub enum RankState {
 /// keeps waiting until the full deadline before treating the op as failed.
 const DEFAULT_SUSPECT_AFTER: Duration = Duration::from_millis(20);
 
-/// Observation-driven failure detector shared by the executor threads of a
+/// Observation-driven failure detector shared by the rank cursors of a
 /// run (and, in the chaos harness, across the attempts of a recovery
 /// episode, so evidence survives the re-execution boundary).
 #[derive(Debug)]
@@ -142,7 +142,7 @@ impl FailureDetector {
         }
     }
 
-    /// Join audit: `rank`'s executor thread exited on its own (no poison
+    /// Join audit: `rank`'s cursor retired on its own (no poison
     /// unwind) having completed `completed` of `assigned` operations.
     /// Leftover work on a voluntary exit is the observable signature of a
     /// crash; a full completion record is a final heartbeat that refutes

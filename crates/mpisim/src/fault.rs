@@ -2,7 +2,7 @@
 //!
 //! The simulator-side [`pdac_simnet::FaultPlan`] perturbs *modeled time*;
 //! this module perturbs the *real-thread* oracle: ranks that stall before
-//! their first operation, ranks that crash (their thread exits silently
+//! their first operation, ranks that crash (their cursor retires silently
 //! after a budget of operations), and completion notifications that are
 //! dropped on the floor. Combined with the [`RetryPolicy`] timeouts in
 //! [`crate::ThreadExecutor`], every injected fault either heals through
@@ -199,13 +199,14 @@ impl ExecFaultPlan {
         plan
     }
 
-    /// Rank `rank` sleeps `delay` before its first operation.
+    /// Rank `rank` holds off its first operation for `delay` (its cursor
+    /// waits; no worker sleeps for it).
     pub fn stall_rank(mut self, rank: Rank, delay: Duration) -> Self {
         self.stalled.push((rank, delay));
         self
     }
 
-    /// Rank `rank`'s thread exits silently after `after_ops` operations —
+    /// Rank `rank`'s cursor retires silently after `after_ops` operations —
     /// no completion, no poison; peers discover it by timing out.
     pub fn crash_rank(mut self, rank: Rank, after_ops: u64) -> Self {
         self.crashed.push((rank, after_ops));
@@ -219,7 +220,7 @@ impl ExecFaultPlan {
         self
     }
 
-    /// Rank `rank` *flaps*: it sleeps `delay` before every operation
+    /// Rank `rank` *flaps*: it holds off every operation for `delay`
     /// (looking merely slow — a `Suspect`) and crashes for good once it has
     /// completed `after_ops` operations. The crash-then-stall alternation
     /// exercises the detector's suspect→refute→confirm transitions.

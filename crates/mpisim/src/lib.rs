@@ -17,7 +17,8 @@
 //!   reports and tests assert on ([`knem`] holds its error and counter
 //!   types);
 //! * [`ThreadExecutor`] — executes any [`pdac_simnet::Schedule`] with real
-//!   threads and real buffers, one thread per rank, serving as the
+//!   threads and real buffers — one resumable cursor per rank, stepped by
+//!   `min(ranks, cores)` workers, the caller among them — serving as the
 //!   correctness oracle for every collective algorithm in `pdac-core`.
 
 #![warn(missing_docs)]

@@ -1,13 +1,13 @@
-//! The lowered form of a schedule — what the rank workers execute.
+//! The lowered form of a schedule — what the executor's cursors step.
 //!
 //! A validated [`Schedule`] is a vector of ops and an arena of their
-//! dependency lists, over buffers named by `(rank, buffer)` keys. The rank
-//! workers are long-lived threads and cannot borrow it, so
-//! [`Program::lower`] copies it once per run into an owned, `Arc`-shared
-//! program: one op stream per executing rank, the dependency lists as
-//! ranges into the program's own arena, and every buffer reference resolved
-//! to a slot of a dense table, so executing an op hashes and looks up
-//! nothing.
+//! dependency lists, over buffers named by `(rank, buffer)` keys. The
+//! executor's helper threads are long-lived and cannot borrow it, so
+//! [`Program::lower`] copies it once per run into an owned program, shared
+//! with the helpers through the run's `Arc`: one op stream per executing
+//! rank, the dependency lists as ranges into the program's own arena, and
+//! every buffer reference resolved to a slot of a dense table, so executing
+//! an op hashes and looks up nothing.
 
 use std::ops::Range;
 
@@ -43,6 +43,8 @@ pub(crate) struct Program {
     deps: Vec<OpId>,
     /// The dense buffer table: key and declared size per slot, in key order.
     bufs: Vec<((Rank, BufId), usize)>,
+    /// Bytes of the largest copy: what one staging buffer must hold.
+    max_copy: usize,
 }
 
 impl Program {
@@ -71,7 +73,7 @@ impl Program {
         let mut cursor = rank_start.clone();
         let mut stream = vec![0; schedule.ops.len()];
 
-        let mut deps = Vec::new();
+        let (mut deps, mut max_copy) = (Vec::new(), 0);
         let mut ops = Vec::with_capacity(schedule.ops.len());
         for (id, op) in schedule.ops.iter().enumerate() {
             let me = op.kind.executor();
@@ -90,6 +92,7 @@ impl Program {
                 OpKind::Notify { .. } => (usize::MAX, usize::MAX),
             };
             let (hist_kind, class) = op_kind_and_class(&op.kind, distances);
+            max_copy = max_copy.max(op.kind.bytes());
             ops.push(LoweredOp {
                 kind: op.kind.clone(),
                 src,
@@ -107,6 +110,7 @@ impl Program {
             rank_start,
             deps,
             bufs,
+            max_copy,
         }
     }
 
@@ -138,6 +142,11 @@ impl Program {
     /// Key and declared size of every buffer, in slot order.
     pub fn bufs(&self) -> &[((Rank, BufId), usize)] {
         &self.bufs
+    }
+
+    /// Bytes of the program's largest copy (0 if it has none).
+    pub fn max_copy(&self) -> usize {
+        self.max_copy
     }
 
     /// The slot of `(rank, buf)`, if the schedule declares that buffer.

@@ -1,26 +1,30 @@
 //! Real-thread schedule execution — the correctness oracle.
 //!
-//! One OS thread per rank executes that rank's operations in program order,
-//! blocking on cross-rank dependencies, moving real bytes between real
-//! buffers, and driving the configured one-sided [`Transport`] (a fresh
-//! [`TransportKind::Knem`] one by default) for every `Mech::Knem` copy. The threads are
-//! the executor's own and outlive a run: [`ThreadExecutor::run`] lowers the
-//! schedule into an owned flat program, hands each parked rank worker its
-//! share, and collects the buffers back when the last of them returns.
-//! Because [`pdac_simnet::Schedule::validate`] guarantees unordered writes
-//! never overlap, the final buffer contents are deterministic — any
-//! divergence between runs or against the expected collective semantics is
-//! a bug in the topology construction, not a race.
+//! Ranks are cursors, not threads. Each rank that has ops gets one
+//! resumable cursor over its op stream, and a run is worked by
+//! `min(active ranks, available cores)` workers: the calling thread plus
+//! helpers the executor keeps parked between runs. Any idle worker claims
+//! any runnable cursor and runs its ops, in program order, while their
+//! cross-rank dependencies are done — moving real bytes between real
+//! buffers and driving the configured one-sided [`Transport`] (a fresh
+//! [`TransportKind::Knem`] one by default) for every `Mech::Knem` copy. A
+//! cursor whose dependency is pending is set aside; stalls, flaps and retry
+//! backoffs are a time before which it may not run, so no worker ever
+//! sleeps for a rank. Because [`pdac_simnet::Schedule::validate`]
+//! guarantees unordered writes never overlap, the final buffer contents are
+//! deterministic — any divergence between runs or against the expected
+//! collective semantics is a bug in the topology construction, not a race.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use pdac_hwtopo::{DistanceMatrix, DIST_MAX_EXTENDED};
 use pdac_simnet::{BufId, DataOp, FaultStats, Mech, OpKind, Rank, Schedule, ScheduleError};
-use pdac_telemetry::LogHistogram;
+use pdac_telemetry::{LogHistogram, Span};
 
 use crate::bufpool::{BufferPool, BufferPoolStats};
 use crate::detector::{DetectorCounters, FailureDetector};
@@ -35,6 +39,10 @@ use crate::workers::Workers;
 /// (crash or dropped notification) when the caller left
 /// [`RetryPolicy::op_deadline`] unset — a chaos run must never hang.
 const FORCED_CHAOS_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Sweeps without a runnable cursor a worker spins through before it
+/// yields (or sleeps until the earliest clock, when it may).
+const IDLE_SPINS: u32 = 32;
 
 /// Execution failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,31 +201,28 @@ pub struct ExecResult {
     /// Payload-integrity accounting: every staged chunk is stamped and
     /// verified, so on any run `stamped == verified + corrupt_detected`.
     pub integrity_stats: IntegrityStats,
-    /// How dependency waits resolved (lock-free fast path vs condvar park).
+    /// How dependency waits resolved and what idle workers did meanwhile.
     pub wait_stats: WaitStats,
 }
 
-/// How the run's dependency waits resolved. Every wait lands in exactly one
-/// of the three resolution buckets, so `fast + spun + slow` is the number of
-/// dependency edges the run waited on; the other fields count events along
-/// the way. The success path is lock-free (one `done` flag per op);
-/// `parked` counts condvar parks, which only the deadline/suspect-clock path
-/// takes — a healthy run with no deadline armed reports `parked == 0`.
+/// How the run's dependency waits resolved. A wait is one `done`-flag load:
+/// a cursor whose dependency is pending is set aside, not spun on, so every
+/// wait lands in exactly one of two buckets and `fast + slow` is the number
+/// of dependency edges the run waited on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WaitStats {
-    /// Waits satisfied on the first `done`-flag check, no spinning.
+    /// Waits satisfied on the first `done`-flag check.
     pub fast: u64,
-    /// Waits that ended inside the bounded spin.
-    pub spun: u64,
-    /// Waits that outlasted the spin and went on to yield (and, under an
-    /// armed deadline, park) — however they then ended.
+    /// Waits whose first check found the dependency pending: the cursor
+    /// was set aside and resumed by a later step — however the wait ended.
     pub slow: u64,
     // Read by pdac-e2e's frozen probes, always 0; delete in the next [benchmark] PR.
     #[doc(hidden)]
     pub drained: u64,
-    /// Condvar parks (bounded slices under an armed deadline only).
+    // Read by pdac-e2e's frozen probes, always 0 (no worker parks); delete in the next [benchmark] PR.
+    #[doc(hidden)]
     pub parked: u64,
-    /// `yield_now` calls on the cooperative wait path.
+    /// `yield_now` calls of workers that found no runnable cursor.
     pub yields: u64,
 }
 
@@ -243,25 +248,31 @@ impl ExecResult {
     }
 }
 
-/// Executes schedules with one thread per participating rank.
+/// Executes schedules by stepping one cursor per participating rank.
 ///
-/// The rank threads belong to the executor, not to a run: the first
-/// [`Self::run`] creates them (named `pdac-rank-<r>`), they park between
-/// runs, and dropping the executor joins them. Keep one executor per
+/// A run is worked by `min(active ranks, available_parallelism())` workers:
+/// the calling thread and helpers that belong to the executor, not to a
+/// run — the first [`Self::run`] that needs one creates it, it parks
+/// between runs, and dropping the executor joins it. Keep one executor per
 /// communicator and every collective after the first pays a wake-up, not a
-/// thread creation; a one-shot `ThreadExecutor::new().run(..)` pays the
-/// spawn and the join it always paid. Concurrent `run` calls on one
-/// executor take turns.
+/// thread creation. Concurrent `run` calls on one executor take turns.
 #[derive(Debug)]
 pub struct ThreadExecutor {
-    /// What the `with_*` builders set; every rank job of a run shares it.
+    /// What the `with_*` builders set; every worker of a run shares it.
     config: Arc<Config>,
     /// Latency-histogram handles, resolved once per executor so a run does
     /// no name lookup for them.
     histograms: Arc<OpHistograms>,
-    /// The parked rank threads; slot `r` runs rank `r`'s program.
-    workers: Workers<RankJob, Result<RankExit, ExecError>>,
+    /// The parked helpers; worker 0 is whichever thread calls `run`.
+    workers: Workers<Job, Vec<u8>>,
+    /// Most workers a run gets: the cores this process may use (a unit
+    /// test sets 1).
+    width: usize,
 }
+
+/// What one worker takes into a run: the run, the cursor its first sweep
+/// starts at, and its staging buffer (handed back when it returns).
+type Job = (Arc<RunState>, usize, Vec<u8>);
 
 /// The builder-set half of an executor.
 #[derive(Debug, Clone, Default)]
@@ -293,208 +304,68 @@ struct Config {
     plan_id: Option<String>,
 }
 
-/// Why a dependency wait returned without the dependency completing.
-enum WaitFail {
-    /// Another rank failed and poisoned the run.
-    Poisoned,
-    /// The deadline elapsed; payload is the time actually waited.
-    TimedOut(Duration),
-}
-
-/// Observable record of one rank job's return, fed to the failure
-/// detector's join audit: a job that returned on its own (`unwound ==
-/// false`) with `completed < assigned` crashed — that is how a silent death
-/// looks from outside, no fault-plan knowledge required.
+/// How a cursor retired, fed to the failure detector's join audit: a
+/// cursor that retired on its own (`unwound == false`) with `completed <
+/// assigned` crashed — that is how a silent death looks from outside, no
+/// fault-plan knowledge required.
 struct RankExit {
-    /// Operations this rank completed before exiting.
+    /// Operations this rank completed before retiring.
     completed: usize,
     /// Whether the exit was a quiet unwind after another rank poisoned the
     /// run (leftover work is then not evidence of a crash).
     unwound: bool,
 }
 
-/// Shared wait counters, snapshotted into [`WaitStats`] at end of run.
+/// One rank's place in its program: the resumable state a worker steps.
 #[derive(Default)]
-struct WaitCounters {
-    fast: AtomicU64,
-    spun: AtomicU64,
-    slow: AtomicU64,
-    parked: AtomicU64,
-    yields: AtomicU64,
+struct Cursor {
+    rank: Rank,
+    /// Position in the rank's op stream of the op to run next.
+    next: usize,
+    /// Dependencies of that op already seen done.
+    dep: usize,
+    /// Copy ops this rank has completed: the key a corruption fault
+    /// addresses (stable across retries).
+    copy_index: u64,
+    /// Stall, flap or retry backoff: nothing runs before this instant.
+    not_before: Option<Instant>,
+    /// When the pending dependency was first found not done.
+    blocked_since: Option<Instant>,
+    /// Whether that wait already raised Suspect against the dependency's
+    /// owner.
+    suspected: bool,
+    /// The current op from its first attempt to its completion.
+    attempt: Option<Attempt>,
+    /// This rank's pause before every op (a flapping rank), and the op
+    /// budget before it crashes.
+    flap: Duration,
+    crash_after: Option<u64>,
+    /// What this rank's steps counted, summed over cursors at collect.
+    faults: FaultStats,
+    fast: u64,
+    slow: u64,
+    /// How the cursor retired; `None` while it is live.
+    exit: Option<Result<RankExit, ExecError>>,
 }
 
-/// Bounded condvar park slice under an armed deadline: a parked waiter
-/// re-checks `done`/`poisoned` at least this often, so completion needs no
-/// condvar broadcast (only `poison` still notifies, to cut parks short).
-const PARK_SLICE: Duration = Duration::from_millis(1);
-
-/// Spin iterations before falling back to `yield_now`.
-const SPIN_BUDGET: u32 = 128;
-
-/// How long a deadline-armed waiter stays on the cooperative yield path
-/// before parking on the condvar — short waits (the overwhelming majority)
-/// never touch the lock even when a chaos deadline is set.
-const PARK_AFTER: Duration = Duration::from_micros(500);
-
-struct Sync_ {
-    done: Vec<AtomicBool>,
-    poisoned: AtomicBool,
-    stats: WaitCounters,
-    /// Condvar survives only for the deadline/suspect-clock path and for
-    /// poisoning; the success path never takes the lock.
-    lock: Mutex<()>,
-    cvar: Condvar,
+/// An op in flight on a cursor; a retry backoff can span steps.
+struct Attempt {
+    retries: u32,
+    started: Instant,
+    /// The op's one trace event, recorded when the attempt is dropped.
+    _span: Span<'static>,
 }
 
-impl Sync_ {
-    fn new(program: &Program) -> Self {
-        Sync_ {
-            done: (0..program.num_ops()).map(|_| AtomicBool::new(false)).collect(),
-            poisoned: AtomicBool::new(false),
-            stats: WaitCounters::default(),
-            lock: Mutex::new(()),
-            cvar: Condvar::new(),
-        }
-    }
-
-    /// Waits for `dep`, counting the wait in exactly one resolution bucket:
-    /// `fast`, `spun`, or `slow` (whatever way it then ends).
-    fn wait(&self, dep: usize, deadline: Option<Duration>) -> Result<(), WaitFail> {
-        if self.done[dep].load(Ordering::Acquire) {
-            self.stats.fast.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-        // Phase 1: bounded spin — the lock-free success path for
-        // dependencies completing within microseconds.
-        for _ in 0..SPIN_BUDGET {
-            let done = self.done[dep].load(Ordering::Acquire);
-            if done || self.poisoned.load(Ordering::Acquire) {
-                self.stats.spun.fetch_add(1, Ordering::Relaxed);
-                return if done { Ok(()) } else { Err(WaitFail::Poisoned) };
-            }
-            std::hint::spin_loop();
-        }
-        self.stats.slow.fetch_add(1, Ordering::Relaxed);
-        self.wait_slow(dep, deadline)
-    }
-
-    /// Phase 2 of a wait (and all of a wait resumed after its suspicion
-    /// window, which is already counted): cooperative yielding; with an
-    /// armed deadline the wait eventually parks on the condvar in bounded
-    /// slices (the only blocking wait left — chaos timeouts and the failure
-    /// detector's suspect clock), and `elapsed >= deadline` surfaces as a
-    /// timeout.
-    fn wait_slow(&self, dep: usize, deadline: Option<Duration>) -> Result<(), WaitFail> {
-        let start = Instant::now();
-        loop {
-            if self.done[dep].load(Ordering::Acquire) {
-                return Ok(());
-            }
-            if self.poisoned.load(Ordering::Acquire) {
-                return Err(WaitFail::Poisoned);
-            }
-            match deadline {
-                None => {
-                    self.stats.yields.fetch_add(1, Ordering::Relaxed);
-                    std::thread::yield_now();
-                }
-                Some(d) => {
-                    let elapsed = start.elapsed();
-                    if elapsed >= d {
-                        return Err(WaitFail::TimedOut(elapsed));
-                    }
-                    if elapsed < PARK_AFTER {
-                        self.stats.yields.fetch_add(1, Ordering::Relaxed);
-                        std::thread::yield_now();
-                    } else {
-                        self.stats.parked.fetch_add(1, Ordering::Relaxed);
-                        let mut guard = self.lock.lock();
-                        if !self.done[dep].load(Ordering::Acquire)
-                            && !self.poisoned.load(Ordering::Acquire)
-                        {
-                            let _ = self.cvar.wait_for(&mut guard, PARK_SLICE.min(d - elapsed));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Publishes a completion: the `Release` store pairs with the waiters'
-    /// `Acquire` load. No lock, no broadcast — parked waiters re-check
-    /// within one `PARK_SLICE`.
-    fn complete(&self, id: usize) {
-        self.done[id].store(true, Ordering::Release);
-    }
-
-    fn poison(&self) {
-        let _guard = self.lock.lock();
-        self.poisoned.store(true, Ordering::Release);
-        self.cvar.notify_all();
-    }
-
-    fn wait_stats(&self) -> WaitStats {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        WaitStats {
-            fast: get(&self.stats.fast),
-            spun: get(&self.stats.spun),
-            slow: get(&self.stats.slow),
-            drained: 0,
-            parked: get(&self.stats.parked),
-            yields: get(&self.stats.yields),
-        }
-    }
+/// What stepping a cursor did.
+enum Step {
+    /// Ran at least one op, or retired: the run moved.
+    Moved,
+    /// Nothing to do yet; with `Some`, not before that instant (a stall,
+    /// flap or backoff ending, or a wait's suspicion window or deadline).
+    Idle(Option<Instant>),
 }
 
-/// Poisons the run if the rank job holding it unwinds, so a panic on one
-/// rank releases its peers from their waits instead of stranding them.
-struct PoisonOnUnwind<'a>(&'a Sync_);
-
-impl Drop for PoisonOnUnwind<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
-        }
-    }
-}
-
-/// Shared atomic fault counters, snapshotted into [`FaultStats`] at the
-/// end of a run.
-#[derive(Default)]
-struct FaultCounters {
-    stalled: AtomicU64,
-    crashed: AtomicU64,
-    dropped: AtomicU64,
-    abandoned: AtomicU64,
-    retries: AtomicU64,
-    backoff_ns: AtomicU64,
-    timeouts: AtomicU64,
-    stamped: AtomicU64,
-    verified: AtomicU64,
-    corrupt_detected: AtomicU64,
-    retransmits: AtomicU64,
-}
-
-impl FaultCounters {
-    fn snapshot(&self) -> FaultStats {
-        FaultStats {
-            ranks_stalled: self.stalled.load(Ordering::Relaxed),
-            ranks_crashed: self.crashed.load(Ordering::Relaxed),
-            notifies_dropped: self.dropped.load(Ordering::Relaxed),
-            ops_abandoned: self.abandoned.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            backoff_ns: self.backoff_ns.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            checksums_stamped: self.stamped.load(Ordering::Relaxed),
-            checksums_verified: self.verified.load(Ordering::Relaxed),
-            corrupt_detected: self.corrupt_detected.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            ..FaultStats::default()
-        }
-    }
-}
-
-/// Integrity context for one [`RankJob::execute_op`] attempt: whatever
+/// Integrity context for one [`RunState::execute_op`] attempt: whatever
 /// corruption the fault plan armed for this transfer, and the identity that
 /// keys the deterministic damage pattern.
 struct IntegrityCtx {
@@ -537,17 +408,26 @@ impl OpHistograms {
     }
 }
 
-/// Everything the rank jobs of one run share and the caller takes back
-/// when the last of them has returned.
+/// Everything the workers of one run share and the caller takes back when
+/// the last of them has returned.
 struct RunState {
     config: Arc<Config>,
+    program: Program,
     transport: Arc<dyn Transport>,
     pool: Arc<BufferPool>,
     histograms: Arc<OpHistograms>,
     /// The dense buffer table, in [`Program::bufs`] slot order.
     buffers: Vec<RwLock<Vec<u8>>>,
-    sync: Sync_,
-    counters: FaultCounters,
+    /// One per rank that executes ops, in rank order.
+    cursors: Vec<Mutex<Cursor>>,
+    /// One flag per op: a completion is one `Release` store.
+    done: Vec<AtomicBool>,
+    /// Set by the first error or panic; every cursor unwinds on its next
+    /// step.
+    poisoned: AtomicBool,
+    /// Cursors not yet retired; the workers return when none is left.
+    live: AtomicUsize,
+    yields: AtomicU64,
     /// Ids of the notifications whose completion the fault plan drops.
     drop_ops: HashSet<usize>,
     /// Per-dependency wait deadline of this run.
@@ -569,11 +449,11 @@ struct Before {
     detector: Option<DetectorCounters>,
 }
 
-/// One rank's share of a run — the owned value a parked worker receives.
-struct RankJob {
-    program: Arc<Program>,
-    state: Arc<RunState>,
-    rank: Rank,
+/// The cores this process may run on, read once: the standard library
+/// asks the scheduler's affinity mask and the cgroup quota every time.
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 impl Default for ThreadExecutor {
@@ -581,7 +461,8 @@ impl Default for ThreadExecutor {
         ThreadExecutor {
             config: Arc::default(),
             histograms: Arc::new(OpHistograms::resolve(pdac_telemetry::global().registry())),
-            workers: Workers::new(RankJob::run),
+            workers: Workers::new(work),
+            width: available_cores(),
         }
     }
 }
@@ -601,7 +482,7 @@ impl ThreadExecutor {
     }
 
     /// Applies one builder setting. Builders consume the executor, so its
-    /// rank threads (if a run already created them) carry over.
+    /// helper threads (if a run already created them) carry over.
     fn configure(mut self, set: impl FnOnce(&mut Config)) -> Self {
         set(Arc::make_mut(&mut self.config));
         self
@@ -648,8 +529,7 @@ impl ThreadExecutor {
 
     /// Shares a staging-buffer pool across runs, so arenas warmed by one
     /// collective are reused by the next instead of reallocated. Without
-    /// it every run gets a fresh pool (still reused across the chunks of
-    /// that run).
+    /// it every run gets a fresh pool.
     pub fn with_buffer_pool(self, pool: Arc<BufferPool>) -> Self {
         self.configure(|c| c.pool = Some(pool))
     }
@@ -665,9 +545,11 @@ impl ThreadExecutor {
     /// `init_send(rank, size)`, called once per send buffer on the calling
     /// thread; receive and temporary buffers start zeroed.
     ///
-    /// The schedule is lowered into an owned flat program, each executing
-    /// rank's parked worker is handed its share, and the call returns once
-    /// every one of them has handed it back.
+    /// The schedule is lowered into an owned flat program with one cursor
+    /// per executing rank; the calling thread checks one staging buffer
+    /// per worker out of the run's pool, works the cursors with the
+    /// helpers it wakes, and returns once every worker has handed its
+    /// buffer back.
     pub fn run(
         &self,
         schedule: &Schedule,
@@ -685,30 +567,44 @@ impl ThreadExecutor {
             },
         );
         schedule.validate()?;
-        let program = Arc::new(Program::lower(schedule, self.config.distances.as_deref()));
-        let state = Arc::new(self.run_state(&program, init_send));
+        let program = Program::lower(schedule, self.config.distances.as_deref());
+        // One run at a time from here to the published deltas: a
+        // concurrent run on a shared transport, pool or detector must land
+        // neither inside nor across this run's before/after snapshots.
+        let mut crew = self.workers.lock();
+        let state = self.run_state(program, init_send);
         let before = Before {
             knem: state.transport.stats(),
             pool: state.pool.stats(),
             detector: self.config.detector.as_ref().map(|d| d.counters()),
         };
-        // Ranks that execute nothing get no job (and no join audit).
-        let jobs = (0..program.num_ranks())
-            .filter(|&rank| !program.rank_ops(rank).is_empty())
-            .map(|rank| {
-                let (program, state) = (Arc::clone(&program), Arc::clone(&state));
-                (rank, RankJob { program, state, rank })
-            });
-        let exits = self.workers.run_all(program.num_ranks(), jobs);
-        self.collect(&program, state, exits, before)
+        let (cursors, width) = (state.cursors.len(), state.cursors.len().min(self.width));
+        // Staging is checked out here, on the calling thread, so it comes
+        // from (and goes back to) the main heap and a shared pool counts
+        // its reuse.
+        let staging: Vec<Vec<u8>> =
+            (0..width).map(|w| state.pool.acquire(w, 0, state.program.max_copy())).collect();
+        let state = Arc::new(state);
+        let jobs = staging
+            .into_iter()
+            .enumerate()
+            .map(|(w, buf)| (Arc::clone(&state), w * cursors / width, buf))
+            .collect();
+        for (w, buf) in crew.run(jobs).into_iter().enumerate() {
+            state.pool.release(w, 0, buf);
+        }
+        // Buffers come back by ownership, not by copy.
+        let state = Arc::into_inner(state)
+            .expect("every worker released the run state before returning");
+        self.collect(state, before)
     }
 
-    /// Builds what the rank jobs of one run share: every declared buffer
-    /// (allocated up front), the completion state, and the fault plan's
-    /// per-run derivations.
+    /// Builds what the workers of one run share: every declared buffer
+    /// (allocated up front), one cursor per executing rank, the completion
+    /// flags, and the fault plan's per-run derivations.
     fn run_state(
         &self,
-        program: &Program,
+        program: Program,
         mut init_send: impl FnMut(Rank, usize) -> Vec<u8>,
     ) -> RunState {
         let config = &self.config;
@@ -736,20 +632,26 @@ impl ThreadExecutor {
                 }
             }
         }
+        // Ranks that execute nothing get no cursor (and no join audit).
+        let cursors: Vec<Mutex<Cursor>> = (0..program.num_ranks())
+            .filter(|&rank| !program.rank_ops(rank).is_empty())
+            .map(|rank| Mutex::new(Cursor::new(rank, config.faults.as_ref())))
+            .collect();
         RunState {
             config: Arc::clone(config),
             transport: config
                 .transport
                 .clone()
                 .unwrap_or_else(|| TransportKind::Knem.create(None)),
-            pool: config
-                .pool
-                .clone()
-                .unwrap_or_else(|| Arc::new(BufferPool::new(program.num_ranks().max(1)))),
+            pool: config.pool.clone().unwrap_or_else(|| Arc::new(BufferPool::new(self.width))),
             histograms: Arc::clone(&self.histograms),
             buffers,
-            sync: Sync_::new(program),
-            counters: FaultCounters::default(),
+            done: (0..program.num_ops()).map(|_| AtomicBool::new(false)).collect(),
+            poisoned: AtomicBool::new(false),
+            live: AtomicUsize::new(cursors.len()),
+            yields: AtomicU64::new(0),
+            cursors,
+            program,
             drop_ops,
             // Lethal faults (crashes, dropped notifications) only surface
             // as timeouts, so they demand a finite deadline even when the
@@ -764,25 +666,25 @@ impl ThreadExecutor {
         }
     }
 
-    /// Audits the rank exits, takes the run state back from the workers
-    /// and folds the run's accounting into the result and the registry.
-    fn collect(
-        &self,
-        program: &Program,
-        state: Arc<RunState>,
-        exits: Vec<(Rank, Result<RankExit, ExecError>)>,
-        before: Before,
-    ) -> Result<ExecResult, ExecError> {
+    /// Audits the cursor exits and folds the run's accounting into the
+    /// result and the registry.
+    fn collect(&self, state: RunState, before: Before) -> Result<ExecResult, ExecError> {
         let mut first_error = None;
-        for (rank, exit) in exits {
-            match exit {
+        let mut fault_stats = FaultStats::default();
+        let mut wait_stats = WaitStats { yields: state.yields.into_inner(), ..WaitStats::default() };
+        for cursor in state.cursors {
+            let cursor = cursor.into_inner();
+            fault_stats.merge(&cursor.faults);
+            wait_stats.fast += cursor.fast;
+            wait_stats.slow += cursor.slow;
+            match cursor.exit.expect("every cursor retired before its workers returned") {
                 Ok(exit) => {
                     if let Some(det) = &self.config.detector {
                         // Join audit: a voluntary exit with work still
                         // assigned is the observable proof of a crash; a
                         // full completion record is a final heartbeat.
-                        let assigned = program.rank_ops(rank).len();
-                        det.observe_exit(rank, exit.completed, assigned, exit.unwound);
+                        let assigned = state.program.rank_ops(cursor.rank).len();
+                        det.observe_exit(cursor.rank, exit.completed, assigned, exit.unwound);
                     }
                 }
                 Err(e) => {
@@ -794,11 +696,7 @@ impl ThreadExecutor {
             return Err(e);
         }
 
-        // Buffers come back by ownership, not by copy.
-        let state = Arc::into_inner(state)
-            .expect("every rank job released the run state before reporting its exit");
         let knem_stats = state.transport.stats().delta_since(&before.knem);
-        let mut fault_stats = state.counters.snapshot();
         if let (Some(det), Some(earlier)) = (&self.config.detector, before.detector) {
             // The detector outlives the run (a recovery episode shares one
             // across attempts); the run's stats report only its delta.
@@ -814,26 +712,20 @@ impl ThreadExecutor {
             corrupt_detected: fault_stats.corrupt_detected,
             retransmits: fault_stats.retransmits,
         };
-        let wait_stats = state.sync.wait_stats();
 
         // Fold this run's accounting into the process-wide registry.
         let registry = pdac_telemetry::global().registry();
         registry.add("exec.runs", 1);
-        registry.add("exec.ops", program.num_ops() as u64);
+        registry.add("exec.ops", state.program.num_ops() as u64);
         knem_stats.publish(registry);
         fault_stats.publish(registry);
         integrity_stats.publish(registry);
         state.pool.stats().delta_since(&before.pool).publish(registry);
-        // Wait-resolution counters feed the executor health probe: a
-        // healthy no-deadline run resolves every dependency on the
-        // lock-free path (`exec.wait.parked` stays zero).
         registry.add("exec.wait.fast", wait_stats.fast);
-        registry.add("exec.wait.spun", wait_stats.spun);
         registry.add("exec.wait.slow", wait_stats.slow);
-        registry.add("exec.wait.parked", wait_stats.parked);
         registry.add("exec.wait.yields", wait_stats.yields);
 
-        let keys = program.bufs().iter().map(|&(key, _)| key);
+        let keys = state.program.bufs().iter().map(|&(key, _)| key);
         let data = state.buffers.into_iter().map(RwLock::into_inner);
         Ok(ExecResult {
             buffers: keys.zip(data).collect(),
@@ -845,236 +737,344 @@ impl ThreadExecutor {
     }
 }
 
-impl RankJob {
-    /// The work function of the rank workers: runs this rank's program,
-    /// poisoning the run on any failure so every peer unwinds. Consuming
-    /// the job releases the shared program and run state before the exit
-    /// is reported.
-    fn run(self) -> Result<RankExit, ExecError> {
-        let _poison = PoisonOnUnwind(&self.state.sync);
-        let exit = self.rank_program();
-        if exit.is_err() {
-            self.state.sync.poison();
-        }
-        exit
-    }
-
-    /// This rank's operations in program order, each behind its
-    /// dependencies, with the fault plan's stalls, flaps and crashes.
-    fn rank_program(&self) -> Result<RankExit, ExecError> {
-        let RankJob { program, state, rank } = self;
-        let (rank, counters) = (*rank, &state.counters);
-        let faults = state.config.faults.as_ref();
-        let stall = faults.map(|p| p.stall_of(rank)).unwrap_or_default();
-        let flap = faults.map(|p| p.flap_of(rank)).unwrap_or_default();
-        let crash_after = faults.and_then(|p| p.crash_of(rank));
-        let ops = program.rank_ops(rank);
-        if !stall.is_zero() {
-            counters.stalled.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(stall);
-        }
-        // Copy-op index in this rank's program order: the key a corruption
-        // fault addresses (stable across retries).
-        let mut copy_index = 0u64;
-        for (i, &id) in ops.iter().enumerate() {
-            if crash_after.is_some_and(|k| i as u64 >= k) {
-                // Silent crash: the job returns without completing or
-                // poisoning — survivors only learn of it when their waits
-                // time out.
-                counters.crashed.fetch_add(1, Ordering::Relaxed);
-                counters.abandoned.fetch_add((ops.len() - i) as u64, Ordering::Relaxed);
-                return Ok(RankExit { completed: i, unwound: false });
+/// One worker's share of a run: sweep the cursors round-robin from `first`,
+/// claim each with a try-lock (which also carries happens-before when a
+/// rank's cursor moves between workers) and step it, until every cursor
+/// has retired. A panic while stepping poisons the run and retires that
+/// cursor before it leaves the worker; the pool re-raises it on the caller
+/// once every worker has returned.
+fn work((run, first, mut staging): Job) -> Vec<u8> {
+    let n = run.cursors.len();
+    let (mut at, mut idle, mut yields) = (first, 0, 0);
+    while run.live.load(Ordering::Acquire) > 0 {
+        let (mut moved, mut busy, mut wake) = (false, false, None);
+        for _ in 0..n {
+            let slot = &run.cursors[at];
+            at = (at + 1) % n;
+            let Some(mut cursor) = slot.try_lock() else {
+                busy = true;
+                continue;
+            };
+            if cursor.exit.is_some() {
+                continue;
             }
-            if !flap.is_zero() {
-                // A flapping rank stalls before *every* op: to its peers it
-                // looks dead, then completes the op after all — Suspect
-                // raised, then refuted, until the crash budget finally
-                // fires.
-                std::thread::sleep(flap);
-            }
-            let op = program.op(id);
-            for &dep in program.deps(op) {
-                match self.wait_dep(dep) {
-                    Ok(()) => {}
-                    // Another rank failed; unwind quietly.
-                    Err(WaitFail::Poisoned) => {
-                        return Ok(RankExit { completed: i, unwound: true });
-                    }
-                    Err(WaitFail::TimedOut(waited)) => {
-                        counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                        return Err(ExecError::Timeout {
-                            rank,
-                            op: id,
-                            waited,
-                            deadline: state.deadline.expect("timeout implies a deadline"),
-                            seed: state.seed(),
-                        });
-                    }
+            match panic::catch_unwind(AssertUnwindSafe(|| cursor.step(&run, &mut staging))) {
+                Ok(Step::Moved) => moved = true,
+                Ok(Step::Idle(until)) => wake = wake.into_iter().chain(until).min(),
+                Err(payload) => {
+                    let completed = cursor.next;
+                    cursor.retire(&run, Ok(RankExit { completed, unwound: true }));
+                    run.poisoned.store(true, Ordering::Release);
+                    drop(cursor);
+                    panic::resume_unwind(payload);
                 }
             }
-            self.run_op(id, op, &mut copy_index)?;
-            if state.drop_ops.contains(&id) {
+        }
+        if moved {
+            idle = 0;
+            continue;
+        }
+        idle += 1;
+        match wake {
+            _ if idle <= IDLE_SPINS => std::hint::spin_loop(),
+            // Every cursor was in hand and none can move before `t`: only
+            // the clock can change that, so nothing is lost by sleeping.
+            Some(t) if !busy => std::thread::sleep(t.saturating_duration_since(Instant::now())),
+            _ => {
+                yields += 1;
+                std::thread::yield_now();
+            }
+        }
+    }
+    run.yields.fetch_add(yields, Ordering::Relaxed);
+    staging
+}
+
+impl Cursor {
+    /// A cursor at the start of `rank`'s stream; a stalled rank holds off
+    /// its first op for the stall (plus its flap, like every op).
+    fn new(rank: Rank, faults: Option<&ExecFaultPlan>) -> Self {
+        let stall = faults.map(|p| p.stall_of(rank)).unwrap_or_default();
+        let mut cursor = Cursor {
+            rank,
+            flap: faults.map(|p| p.flap_of(rank)).unwrap_or_default(),
+            crash_after: faults.and_then(|p| p.crash_of(rank)),
+            faults: FaultStats { ranks_stalled: u64::from(!stall.is_zero()), ..FaultStats::default() },
+            ..Cursor::default()
+        };
+        cursor.hold_off(stall + cursor.flap);
+        cursor
+    }
+
+    fn hold_off(&mut self, pause: Duration) {
+        if !pause.is_zero() {
+            self.not_before = Some(Instant::now() + pause);
+        }
+    }
+
+    /// Runs this rank's ops in program order, each behind its
+    /// dependencies, until one cannot run yet or the cursor retires.
+    fn step(&mut self, run: &RunState, staging: &mut [u8]) -> Step {
+        let ops = run.program.rank_ops(self.rank);
+        let mut moved = false;
+        let idle = |moved, until| if moved { Step::Moved } else { Step::Idle(until) };
+        loop {
+            if run.poisoned.load(Ordering::Acquire) {
+                // Another rank failed; unwind quietly.
+                let completed = self.next;
+                return self.retire(run, Ok(RankExit { completed, unwound: true }));
+            }
+            let Some(&id) = ops.get(self.next) else {
+                return self.retire(run, Ok(RankExit { completed: ops.len(), unwound: false }));
+            };
+            if self.crash_after.is_some_and(|k| self.next as u64 >= k) {
+                // Silent crash: the cursor retires without completing or
+                // poisoning — survivors only learn of it when their waits
+                // time out.
+                self.faults.ranks_crashed += 1;
+                self.faults.ops_abandoned += (ops.len() - self.next) as u64;
+                let completed = self.next;
+                return self.retire(run, Ok(RankExit { completed, unwound: false }));
+            }
+            if let Some(t) = self.not_before {
+                if Instant::now() < t {
+                    return idle(moved, Some(t));
+                }
+                self.not_before = None;
+            }
+            let op = run.program.op(id);
+            let deps = run.program.deps(op);
+            while let Some(&dep) = deps.get(self.dep) {
+                if !run.done[dep].load(Ordering::Acquire) {
+                    return match self.pending(run, id, dep) {
+                        Ok(until) => idle(moved, until),
+                        Err(e) => self.retire(run, Err(e)),
+                    };
+                }
+                self.landed(run, dep);
+                self.dep += 1;
+            }
+            match self.run_op(run, id, op, staging) {
+                Ok(true) => {}
+                // Backing off: the top of the loop holds the cursor.
+                Ok(false) => continue,
+                Err(e) => return self.retire(run, Err(e)),
+            }
+            if run.drop_ops.contains(&id) {
                 // The operation ran but its completion is never published —
                 // a lost notification, so no heartbeat either: peers cannot
                 // tell this apart from silence.
-                counters.dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
+                self.faults.notifies_dropped += 1;
+            } else {
+                run.done[id].store(true, Ordering::Release);
+                if let Some(det) = &run.config.detector {
+                    // The published completion doubles as a heartbeat —
+                    // liveness piggybacked on traffic.
+                    det.heartbeat(self.rank);
+                }
             }
-            state.sync.complete(id);
-            if let Some(det) = &state.config.detector {
-                // The published completion doubles as a heartbeat —
-                // liveness piggybacked on traffic.
-                det.heartbeat(rank);
-            }
-        }
-        Ok(RankExit { completed: ops.len(), unwound: false })
-    }
-
-    /// Waits for dependency `dep`. With a detector attached, the wait is
-    /// split at the suspicion window: silence past it raises Suspect
-    /// against the dependency's owner, but the rank keeps waiting until the
-    /// real deadline — a late completion refutes the suspicion.
-    fn wait_dep(&self, dep: usize) -> Result<(), WaitFail> {
-        let (sync, deadline, rank) = (&self.state.sync, self.state.deadline, self.rank);
-        let det = match &self.state.config.detector {
-            Some(det) if deadline.is_none_or(|d| det.suspect_after() < d) => det,
-            _ => return sync.wait(dep, deadline),
-        };
-        let waited = match sync.wait(dep, Some(det.suspect_after())) {
-            Err(WaitFail::TimedOut(waited)) => waited,
-            other => return other,
-        };
-        let owner = self.program.op(dep).kind.executor();
-        det.suspect(owner, rank);
-        match sync.wait_slow(dep, deadline.map(|d| d.saturating_sub(waited))) {
-            Ok(()) => {
-                det.heartbeat(owner);
-                Ok(())
-            }
-            Err(WaitFail::TimedOut(more)) => Err(WaitFail::TimedOut(waited + more)),
-            Err(other) => Err(other),
+            self.next += 1;
+            self.dep = 0;
+            moved = true;
+            // A flapping rank stalls before *every* op: to its peers it
+            // looks dead, then completes the op after all — Suspect raised,
+            // then refuted, until the crash budget finally fires.
+            self.hold_off(self.flap);
         }
     }
 
-    /// Runs one operation under its span, re-attempting transient failures
-    /// under the retry policy; what is left over becomes a typed error.
-    fn run_op(&self, id: usize, op: &LoweredOp, copy_index: &mut u64) -> Result<(), ExecError> {
-        let RankJob { program, state, rank } = self;
-        let (rank, kind, counters) = (*rank, &op.kind, &state.counters);
-        let (policy, seed) = (state.config.policy, state.seed());
-        let op_span = pdac_telemetry::global().recorder().span(
-            rank as u64,
-            if op.hist_kind == 2 { "notify" } else { "copy" },
-            || match kind {
-                OpKind::Copy { src_rank, dst_rank, bytes, mech, .. } => {
-                    format!("{mech:?} {src_rank}->{dst_rank} ({bytes}B)")
-                }
-                OpKind::Notify { from, to } => format!("notify {from}->{to}"),
-            },
-            || {
-                let mut args = vec![("op", id.into()), ("dist", usize::from(op.class).into())];
-                // Endpoints + dependency links: enough for pdac-analyze to
-                // rebuild the op DAG from the trace alone, without the
-                // schedule.
-                match kind {
-                    OpKind::Copy { src_rank, dst_rank, bytes, mech, .. } => {
-                        args.push(("src", (*src_rank).into()));
-                        args.push(("dst", (*dst_rank).into()));
-                        args.push(("bytes", (*bytes).into()));
-                        args.push(("mech", format!("{mech:?}").into()));
-                    }
-                    OpKind::Notify { from, to } => {
-                        args.push(("src", (*from).into()));
-                        args.push(("dst", (*to).into()));
-                    }
-                }
-                let deps = program.deps(op);
-                if !deps.is_empty() {
-                    args.push(("deps", pdac_simnet::trace::deps_arg(deps).into()));
-                }
-                if let Some(plan) = &state.config.plan_id {
-                    args.push(("plan", plan.clone().into()));
-                }
-                args
-            },
-        );
-        let op_started = Instant::now();
+    /// Dependency `dep` of op `id` is pending: start this wait's clock, or
+    /// read it. Past the detector's suspicion window the wait raises
+    /// Suspect against the dependency's owner and goes on until the real
+    /// deadline — a late completion refutes the suspicion. Returns when
+    /// the wait's clock next matters.
+    fn pending(&mut self, run: &RunState, id: usize, dep: usize) -> Result<Option<Instant>, ExecError> {
+        let since = *self.blocked_since.get_or_insert_with(Instant::now);
+        let deadline = run.deadline;
+        let det = run.config.detector.as_deref().filter(|d| {
+            !self.suspected && deadline.is_none_or(|dl| d.suspect_after() < dl)
+        });
+        if det.is_none() && deadline.is_none() {
+            return Ok(None);
+        }
+        let waited = since.elapsed();
+        if let Some(det) = det.filter(|d| waited >= d.suspect_after()) {
+            det.suspect(run.program.op(dep).kind.executor(), self.rank);
+            self.suspected = true;
+        }
+        if let Some(deadline) = deadline.filter(|&d| waited >= d) {
+            self.faults.timeouts += 1;
+            let (rank, seed) = (self.rank, run.seed());
+            return Err(ExecError::Timeout { rank, op: id, waited, deadline, seed });
+        }
+        let suspicion = det.filter(|_| !self.suspected).map(|d| d.suspect_after());
+        Ok(suspicion.into_iter().chain(deadline).min().map(|d| since + d))
+    }
+
+    /// Dependency `dep` is done: count its wait in exactly one bucket, and
+    /// refute the suspicion the wait raised, if any.
+    fn landed(&mut self, run: &RunState, dep: usize) {
+        if self.blocked_since.take().is_some() {
+            self.slow += 1;
+        } else {
+            self.fast += 1;
+        }
+        if std::mem::take(&mut self.suspected) {
+            if let Some(det) = &run.config.detector {
+                det.heartbeat(run.program.op(dep).kind.executor());
+            }
+        }
+    }
+
+    /// Records how the cursor ended; an error poisons the run.
+    fn retire(&mut self, run: &RunState, exit: Result<RankExit, ExecError>) -> Step {
+        if exit.is_err() {
+            run.poisoned.store(true, Ordering::Release);
+        }
+        self.attempt = None;
+        self.exit = Some(exit);
+        run.live.fetch_sub(1, Ordering::Release);
+        Step::Moved
+    }
+
+    /// One attempt at op `id` under its span. A transient failure within
+    /// the retry policy sets the cursor's backoff and returns `Ok(false)`;
+    /// what is left over becomes a typed error.
+    fn run_op(
+        &mut self,
+        run: &RunState,
+        id: usize,
+        op: &LoweredOp,
+        staging: &mut [u8],
+    ) -> Result<bool, ExecError> {
+        let (rank, kind) = (self.rank, &op.kind);
+        let (policy, seed) = (run.config.policy, run.seed());
+        let attempt = self.attempt.get_or_insert_with(|| Attempt {
+            retries: 0,
+            started: Instant::now(),
+            _span: op_span(run, rank, id, op),
+        });
         // Corruption armed for this transfer, if any: edge targets match
         // (rank, copy_index), source targets match the rank being pulled
         // from.
-        let (corrupt, op_index) = match kind {
-            OpKind::Copy { src_rank, .. } => {
-                let idx = *copy_index;
-                *copy_index += 1;
-                let faults = state.config.faults.as_ref();
-                (faults.and_then(|p| p.corruption_of(rank, idx, *src_rank)), idx)
-            }
-            _ => (None, 0),
+        let corrupt = match kind {
+            OpKind::Copy { src_rank, .. } => run
+                .config
+                .faults
+                .as_ref()
+                .and_then(|p| p.corruption_of(rank, self.copy_index, *src_rank)),
+            _ => None,
         };
-        let mut attempts = 0u32;
-        loop {
-            let ctx = IntegrityCtx { corrupt, attempt: attempts, op_index };
-            match self.execute_op(op, &ctx) {
-                Ok(()) => break,
-                // Never retried: a fenced epoch does not become valid again.
-                Err(KnemError::StaleEpoch { epoch, fence }) => {
-                    return Err(ExecError::StaleEpoch { rank, op: id, epoch, fence, seed });
+        let ctx = IntegrityCtx { corrupt, attempt: attempt.retries, op_index: self.copy_index };
+        match run.execute_op(rank, op, &ctx, staging, &mut self.faults) {
+            Ok(()) => {}
+            // Never retried: a fenced epoch does not become valid again.
+            Err(KnemError::StaleEpoch { epoch, fence }) => {
+                return Err(ExecError::StaleEpoch { rank, op: id, epoch, fence, seed });
+            }
+            Err(e) if attempt.retries < policy.max_retries => {
+                attempt.retries += 1;
+                let retries = attempt.retries;
+                self.faults.retries += 1;
+                if matches!(e, KnemError::ChecksumMismatch { .. }) {
+                    // A verified re-transmit: the stamp caught damage
+                    // before the combine, and this retry re-pulls the
+                    // chunk.
+                    self.faults.retransmits += 1;
                 }
-                Err(e) if attempts < policy.max_retries => {
-                    attempts += 1;
-                    counters.retries.fetch_add(1, Ordering::Relaxed);
-                    if matches!(e, KnemError::ChecksumMismatch { .. }) {
-                        // A verified re-transmit: the stamp caught damage
-                        // before the combine, and this retry re-pulls the
-                        // chunk.
-                        counters.retransmits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // Jitter (seeded, per-rank) keeps ranks that failed
-                    // together from retrying in lockstep; without a plan
-                    // seed the plain exponential schedule applies.
-                    let backoff = match seed {
-                        Some(s) => policy.backoff_jittered(s, rank, attempts),
-                        None => policy.backoff(attempts),
-                    };
-                    counters.backoff_ns.fetch_add(backoff.as_nanos() as u64, Ordering::Relaxed);
-                    pdac_telemetry::global().recorder().instant(
-                        rank as u64,
-                        "retry",
-                        || format!("retry op {id} (attempt {attempts})"),
-                        || {
-                            vec![
-                                ("op", id.into()),
-                                ("attempt", u64::from(attempts).into()),
-                                ("backoff_ns", (backoff.as_nanos() as u64).into()),
-                            ]
-                        },
-                    );
-                    std::thread::sleep(backoff);
+                // Jitter (seeded, per-rank) keeps ranks that failed
+                // together from retrying in lockstep; without a plan seed
+                // the plain exponential schedule applies.
+                let backoff = match seed {
+                    Some(s) => policy.backoff_jittered(s, rank, retries),
+                    None => policy.backoff(retries),
+                };
+                self.faults.backoff_ns += backoff.as_nanos() as u64;
+                pdac_telemetry::global().recorder().instant(
+                    rank as u64,
+                    "retry",
+                    || format!("retry op {id} (attempt {retries})"),
+                    || {
+                        vec![
+                            ("op", id.into()),
+                            ("attempt", u64::from(retries).into()),
+                            ("backoff_ns", (backoff.as_nanos() as u64).into()),
+                        ]
+                    },
+                );
+                self.not_before = Some(Instant::now() + backoff);
+                return Ok(false);
+            }
+            Err(KnemError::ChecksumMismatch { .. }) => {
+                // The original attempt and every allowed re-transmit
+                // arrived corrupt: this is a persistent corrupter, not line
+                // noise. Blame the serving rank and escalate — the detector
+                // treats the suspicion like any other liveness evidence,
+                // and the recovery layer fences the peer.
+                let peer = match kind {
+                    OpKind::Copy { src_rank, .. } => *src_rank,
+                    _ => rank,
+                };
+                if let Some(det) = &run.config.detector {
+                    det.suspect(peer, rank);
                 }
-                Err(KnemError::ChecksumMismatch { .. }) => {
-                    // The original attempt and every allowed re-transmit
-                    // arrived corrupt: this is a persistent corrupter, not
-                    // line noise. Blame the serving rank and escalate — the
-                    // detector treats the suspicion like any other liveness
-                    // evidence, and the recovery layer fences the peer.
-                    let peer = match kind {
-                        OpKind::Copy { src_rank, .. } => *src_rank,
-                        _ => rank,
-                    };
-                    if let Some(det) = &state.config.detector {
-                        det.suspect(peer, rank);
-                    }
-                    return Err(ExecError::Corrupt { rank, peer, op: id, attempts, seed });
-                }
-                Err(err) => {
-                    return Err(ExecError::Knem { rank, op: id, err, retries: attempts });
-                }
+                let attempts = attempt.retries;
+                return Err(ExecError::Corrupt { rank, peer, op: id, attempts, seed });
+            }
+            Err(err) => {
+                let retries = attempt.retries;
+                return Err(ExecError::Knem { rank, op: id, err, retries });
             }
         }
-        state.histograms.record(op.hist_kind, op.class, op_started.elapsed().as_nanos() as u64);
-        drop(op_span);
-        Ok(())
+        let done = self.attempt.take().expect("the attempt was started above");
+        run.histograms.record(op.hist_kind, op.class, done.started.elapsed().as_nanos() as u64);
+        if matches!(kind, OpKind::Copy { .. }) {
+            self.copy_index += 1;
+        }
+        Ok(true)
     }
+}
+
+/// The trace span of one op on `rank`, named and argued so `pdac-analyze`
+/// can rebuild the op DAG from the trace alone.
+fn op_span(run: &RunState, rank: Rank, id: usize, op: &LoweredOp) -> Span<'static> {
+    let kind = &op.kind;
+    pdac_telemetry::global().recorder().span(
+        rank as u64,
+        if op.hist_kind == 2 { "notify" } else { "copy" },
+        || match kind {
+            OpKind::Copy { src_rank, dst_rank, bytes, mech, .. } => {
+                format!("{mech:?} {src_rank}->{dst_rank} ({bytes}B)")
+            }
+            OpKind::Notify { from, to } => format!("notify {from}->{to}"),
+        },
+        || {
+            let mut args = vec![("op", id.into()), ("dist", usize::from(op.class).into())];
+            // Endpoints + dependency links: enough for pdac-analyze to
+            // rebuild the op DAG from the trace alone, without the
+            // schedule.
+            match kind {
+                OpKind::Copy { src_rank, dst_rank, bytes, mech, .. } => {
+                    args.push(("src", (*src_rank).into()));
+                    args.push(("dst", (*dst_rank).into()));
+                    args.push(("bytes", (*bytes).into()));
+                    args.push(("mech", format!("{mech:?}").into()));
+                }
+                OpKind::Notify { from, to } => {
+                    args.push(("src", (*from).into()));
+                    args.push(("dst", (*to).into()));
+                }
+            }
+            let deps = run.program.deps(op);
+            if !deps.is_empty() {
+                args.push(("deps", pdac_simnet::trace::deps_arg(deps).into()));
+            }
+            if let Some(plan) = &run.config.plan_id {
+                args.push(("plan", plan.clone().into()));
+            }
+            args
+        },
+    )
 }
 
 /// Applies a [`DataOp`] to a destination range. Typed operators interpret
@@ -1121,34 +1121,40 @@ fn combine_f64(dst: &mut [u8], src: &[u8], f: impl Fn(f64, f64) -> f64) {
     combine_lanes(dst, src, |a, b| f(f64::from_le_bytes(a), f64::from_le_bytes(b)).to_le_bytes());
 }
 
-impl RankJob {
-    /// Executes one operation as a two-stage pipelined copy.
+impl RunState {
+    /// Executes one operation as a two-stage pipelined copy through the
+    /// worker's staging buffer.
     ///
-    /// Stage 1 snapshots the source range into a pooled staging buffer under
-    /// the shared (read) lock and releases it; stage 2 combines the staged
-    /// bytes into the destination under the exclusive (write) lock. The
-    /// source lock is never held across the destination write, so two locks
-    /// are never held at once — no ordering discipline, no same-buffer
-    /// aliasing special cases — and a rank can stage chunk `k+1` while chunk
-    /// `k`'s destination write drains.
+    /// Stage 1 snapshots the source range into staging under the shared
+    /// (read) lock and releases it; stage 2 combines the staged bytes into
+    /// the destination under the exclusive (write) lock. The source lock is
+    /// never held across the destination write, so two locks are never held
+    /// at once — no ordering discipline, no same-buffer aliasing special
+    /// cases.
     ///
     /// The two stages bracket the integrity check: the source bytes are
     /// stamped with a checksum while the read lock is held, and the staged
     /// copy is verified just before the combine. Any damage in between — the
-    /// modeled wire, a recycled pool buffer, an injected corruption — returns
-    /// [`KnemError::ChecksumMismatch`] without touching the destination, and
-    /// the retry loop re-pulls the chunk. This holds for every transport
-    /// backend, because each of them only *resolves* the source location; the
-    /// bytes always move through this staging path.
-    fn execute_op(&self, op: &LoweredOp, ctx: &IntegrityCtx) -> Result<(), KnemError> {
+    /// modeled wire, a reused staging buffer, an injected corruption —
+    /// returns [`KnemError::ChecksumMismatch`] without touching the
+    /// destination, and the retry loop re-pulls the chunk. This holds for
+    /// every transport backend, because each of them only *resolves* the
+    /// source location; the bytes always move through this staging path.
+    fn execute_op(
+        &self,
+        rank: Rank,
+        op: &LoweredOp,
+        ctx: &IntegrityCtx,
+        staging: &mut [u8],
+        faults: &mut FaultStats,
+    ) -> Result<(), KnemError> {
         let &OpKind::Copy {
             src_rank, src_buf, src_off, dst_rank, dst_off, bytes, mech, op: data_op, ..
         } = &op.kind
         else {
             return Ok(()); // Notifications carry no payload.
         };
-        let RunState { transport, pool, buffers, counters, .. } = &*self.state;
-        let (rank, class) = (self.rank, op.class);
+        let class = op.class;
 
         // One-sided copies run the transport's register -> tx -> complete
         // protocol (KNEM cookie pull, RDMA read WQEs); the backend validates
@@ -1156,8 +1162,9 @@ impl RankJob {
         // lookup only if it is not the buffer the op named.
         let (src, src_off) = match mech {
             Mech::Knem => {
-                let epoch = self.state.config.epoch;
-                let (r, b, off) = transport.pull(src_rank, src_buf, src_off, bytes, epoch, dst_rank)?;
+                let epoch = self.config.epoch;
+                let (r, b, off) =
+                    self.transport.pull(src_rank, src_buf, src_off, bytes, epoch, dst_rank)?;
                 let slot = if (r, b) == (src_rank, src_buf) { Some(op.src) } else { self.program.slot_of(r, b) };
                 (slot.expect("the transport resolved a buffer the schedule declares"), off)
             }
@@ -1165,7 +1172,7 @@ impl RankJob {
         };
 
         let telemetry = pdac_telemetry::global();
-        let mut staging = pool.acquire(rank, class, bytes);
+        let staging = &mut staging[..bytes];
         let expected;
         {
             let _read_span = telemetry.recorder().span(
@@ -1174,25 +1181,25 @@ impl RankJob {
                 || format!("stage.read {bytes}B"),
                 || vec![("bytes", bytes.into()), ("dist", (class as u64).into())],
             );
-            let src = buffers[src].read();
+            let src = self.buffers[src].read();
             let src_bytes = &src[src_off..src_off + bytes];
             // Stamp under the source lock, in the same pass as the copy: the
             // checksum describes exactly what the owner held when it began.
-            expected = integrity::copy_stamped(&mut staging, src_bytes);
+            expected = integrity::copy_stamped(staging, src_bytes);
         }
-        counters.stamped.fetch_add(1, Ordering::Relaxed);
+        faults.checksums_stamped += 1;
         if let Some((damage, budget)) = ctx.corrupt {
             if u64::from(ctx.attempt) < budget {
                 // The staged copy *is* the modeled wire: damage applied here is
                 // exactly what in-transit corruption looks like to the verifier.
                 // The plan seed keys the damage pattern.
-                let seed = self.state.seed().unwrap_or_default();
-                integrity::corrupt_payload(damage, &mut staging, seed, rank, ctx.op_index);
+                let seed = self.seed().unwrap_or_default();
+                integrity::corrupt_payload(damage, staging, seed, rank, ctx.op_index);
             }
         }
-        let got = integrity::checksum(&staging);
+        let got = integrity::checksum(staging);
         if got != expected {
-            counters.corrupt_detected.fetch_add(1, Ordering::Relaxed);
+            faults.corrupt_detected += 1;
             telemetry.recorder().instant(
                 rank as u64,
                 "corrupt",
@@ -1205,21 +1212,17 @@ impl RankJob {
                     ]
                 },
             );
-            pool.release(rank, class, staging);
             return Err(KnemError::ChecksumMismatch { expected, got });
         }
-        counters.verified.fetch_add(1, Ordering::Relaxed);
-        {
-            let _write_span = telemetry.recorder().span(
-                rank as u64,
-                "stage",
-                || format!("stage.write {bytes}B"),
-                || vec![("bytes", bytes.into()), ("dist", (class as u64).into())],
-            );
-            let mut dst = buffers[op.dst].write();
-            apply_data_op(data_op, &mut dst[dst_off..dst_off + bytes], &staging);
-        }
-        pool.release(rank, class, staging);
+        faults.checksums_verified += 1;
+        let _write_span = telemetry.recorder().span(
+            rank as u64,
+            "stage",
+            || format!("stage.write {bytes}B"),
+            || vec![("bytes", bytes.into()), ("dist", (class as u64).into())],
+        );
+        let mut dst = self.buffers[op.dst].write();
+        apply_data_op(data_op, &mut dst[dst_off..dst_off + bytes], staging);
         Ok(())
     }
 }
@@ -1361,22 +1364,204 @@ mod tests {
         let schedule = b.finish();
         let edges: u64 = (0..schedule.ops.len()).map(|id| schedule.deps(id).len() as u64).sum();
         assert_eq!(edges, 7);
-        let res = ThreadExecutor::new().run(&schedule, pattern).unwrap();
-        let after = pdac_telemetry::global().registry().snapshot();
-        // However each wait resolved — first check, inside the spin, or
-        // past it — it is counted exactly once.
-        let w = res.wait_stats;
-        assert_eq!(w.fast + w.spun + w.slow, edges, "{w:?}");
+        let mut own = [0; 2];
+        for exec in [one_worker(), ThreadExecutor::new()] {
+            let res = exec.run(&schedule, pattern).unwrap();
+            // However each wait resolved — on the first check or on a
+            // later step of its cursor — it is counted exactly once.
+            let w = res.wait_stats;
+            assert_eq!(w.fast + w.slow, edges, "{w:?}");
+            assert_eq!((w.drained, w.parked), (0, 0), "{w:?}");
+            own[0] += w.fast;
+            own[1] += w.slow;
+        }
         // Other tests run concurrently against the same global registry,
-        // so the published delta is at least this run's own counts.
-        for (name, own) in [
-            ("exec.wait.fast", w.fast),
-            ("exec.wait.spun", w.spun),
-            ("exec.wait.slow", w.slow),
-        ] {
+        // so the published delta is at least these runs' own counts.
+        let after = pdac_telemetry::global().registry().snapshot();
+        for (name, own) in [("exec.wait.fast", own[0]), ("exec.wait.slow", own[1])] {
             let delta = after.counters.get(name).copied().unwrap_or(0)
                 - before.counters.get(name).copied().unwrap_or(0);
             assert!(delta >= own, "{name}: published {delta} < observed {own}");
+        }
+    }
+
+    /// The executor with one worker: the calling thread steps every cursor.
+    fn one_worker() -> ThreadExecutor {
+        ThreadExecutor { width: 1, ..ThreadExecutor::new() }
+    }
+
+    /// A KNEM transport that timestamps every pull with the pulling rank.
+    #[derive(Debug)]
+    struct Stopwatch {
+        inner: Arc<dyn Transport>,
+        pulls: Mutex<Vec<(Rank, Instant)>>,
+    }
+
+    impl Stopwatch {
+        fn new() -> Arc<Self> {
+            let inner = TransportKind::Knem.create(None);
+            Arc::new(Stopwatch { inner, pulls: Mutex::new(Vec::new()) })
+        }
+
+        /// When `rank`'s pulls happened, in order.
+        fn pulls_of(&self, rank: Rank) -> Vec<Instant> {
+            self.pulls.lock().iter().filter(|p| p.0 == rank).map(|p| p.1).collect()
+        }
+    }
+
+    impl Transport for Stopwatch {
+        fn name(&self) -> &'static str {
+            "stopwatch"
+        }
+        fn register(
+            &self,
+            rank: Rank,
+            buf: BufId,
+            offset: usize,
+            len: usize,
+            epoch: u64,
+        ) -> Result<crate::TxToken, crate::TransportError> {
+            self.inner.register(rank, buf, offset, len, epoch)
+        }
+        fn tx(
+            &self,
+            token: crate::TxToken,
+            peer: Rank,
+            offset: usize,
+            len: usize,
+        ) -> Result<(Rank, BufId, usize), crate::TransportError> {
+            self.pulls.lock().push((peer, Instant::now()));
+            self.inner.tx(token, peer, offset, len)
+        }
+        fn complete(&self, token: crate::TxToken) -> Result<(), crate::TransportError> {
+            self.inner.complete(token)
+        }
+        fn fence_epochs_below(&self, min_valid_epoch: u64) {
+            self.inner.fence_epochs_below(min_valid_epoch);
+        }
+        fn fenced_messages(&self) -> u64 {
+            self.inner.fenced_messages()
+        }
+        fn stats(&self) -> KnemStats {
+            self.inner.stats()
+        }
+    }
+
+    /// Rank 1 pulls once from rank 0; rank 2 pulls `chain` times from
+    /// rank 0, each pull behind the last — nothing rank 2 does waits on
+    /// rank 1.
+    fn independent_of_rank_1(chain: usize) -> Schedule {
+        let mut b = ScheduleBuilder::new("t", 3);
+        b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 256, Mech::Knem, 1, &[]);
+        let mut prev = Vec::new();
+        for i in 0..chain {
+            let dst = (2, BufId::Recv, 256 * i);
+            prev = vec![b.copy((0, BufId::Send, 0), dst, 256, Mech::Knem, 2, &prev)];
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn one_worker_runs_other_ranks_while_one_is_stalled() {
+        let stall = Duration::from_millis(50);
+        let clock = Stopwatch::new();
+        let start = Instant::now();
+        let exec = ThreadExecutor { width: 1, ..ThreadExecutor::with_transport(clock.clone()) };
+        let res = exec
+            .with_faults(ExecFaultPlan::new(61).stall_rank(1, stall))
+            .run(&independent_of_rank_1(4), pattern)
+            .unwrap();
+        assert_eq!(res.fault_stats.ranks_stalled, 1);
+        assert_eq!(res.buffer(1, BufId::Recv), &pattern(0, 256)[..]);
+        let (stalled, free) = (clock.pulls_of(1), clock.pulls_of(2));
+        assert_eq!((stalled.len(), free.len()), (1, 4));
+        // The only worker did not sleep through rank 1's stall: rank 2's
+        // chain was done long before the stall ended.
+        let free_done = free[3].duration_since(start);
+        assert!(free_done < stall / 2, "rank 2 finished after {free_done:?}");
+        assert!(stalled[0].duration_since(start) >= stall, "the stall was served");
+    }
+
+    #[test]
+    fn one_worker_charges_a_retry_backoff_without_blocking_other_ranks() {
+        let backoff = Duration::from_millis(40);
+        let clock = Stopwatch::new();
+        let start = Instant::now();
+        let exec = ThreadExecutor { width: 1, ..ThreadExecutor::with_transport(clock.clone()) };
+        // Rank 1's first pull arrives corrupt: a verified re-transmit,
+        // after a backoff of at least `backoff`.
+        let policy = RetryPolicy { max_retries: 2, backoff_base: backoff, op_deadline: None };
+        let res = exec
+            .with_policy(policy)
+            .with_faults(ExecFaultPlan::new(67).flip_bits(1, 0, 0xff))
+            .run(&independent_of_rank_1(4), pattern)
+            .unwrap();
+        assert_eq!(res.buffer(1, BufId::Recv), &pattern(0, 256)[..]);
+        assert_eq!((res.fault_stats.retries, res.integrity_stats.retransmits), (1, 1));
+        assert!(res.fault_stats.backoff_ns >= backoff.as_nanos() as u64, "{:?}", res.fault_stats);
+        let (retried, free) = (clock.pulls_of(1), clock.pulls_of(2));
+        assert_eq!((retried.len(), free.len()), (2, 4));
+        assert!(retried[1].duration_since(retried[0]) >= backoff, "the backoff was served");
+        let free_done = free[3].duration_since(start);
+        assert!(free_done < backoff / 2, "rank 2 finished after {free_done:?}");
+    }
+
+    #[test]
+    fn one_worker_suspects_then_refutes_a_flapping_rank() {
+        // Rank 1 flaps before each of its two ops; rank 0 waits on the
+        // second. The flaps outlast the suspicion window, not the deadline.
+        let mut b = ScheduleBuilder::new("t", 2);
+        let a = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 64, Mech::Memcpy, 1, &[]);
+        let n = b.notify(1, 0, &[a]);
+        b.copy((0, BufId::Send, 0), (0, BufId::Recv, 0), 64, Mech::Memcpy, 0, &[n]);
+        let det = Arc::new(FailureDetector::with_suspect_after(2, Duration::from_millis(5)));
+        let res = one_worker()
+            .with_policy(RetryPolicy { op_deadline: Some(Duration::from_millis(500)), ..RetryPolicy::chaos() })
+            .with_faults(ExecFaultPlan::new(71).flap_rank(1, Duration::from_millis(15), 10))
+            .with_detector(Arc::clone(&det))
+            .run(&b.finish(), pattern)
+            .unwrap();
+        assert_eq!(res.buffer(0, BufId::Recv), &pattern(0, 64)[..]);
+        let c = det.counters();
+        assert!(c.suspects_raised >= 1, "the flap crossed the suspicion window: {c:?}");
+        assert_eq!(c.suspects_raised, c.suspects_refuted, "every suspicion was refuted");
+        assert_eq!((det.state(1), c.ranks_confirmed_dead), (crate::RankState::Alive, 0));
+    }
+
+    #[test]
+    fn one_worker_completes_ops_in_the_same_order_every_run() {
+        // A 16-rank ring allgather: in step s, rank r pulls block r-1-s
+        // from its left neighbour, behind the neighbour's pull of it.
+        const N: usize = 16;
+        const BLOCK: usize = 64;
+        let mut b = ScheduleBuilder::new("ring", N);
+        for r in 0..N {
+            b.copy((r, BufId::Send, 0), (r, BufId::Recv, r * BLOCK), BLOCK, Mech::Memcpy, r, &[]);
+        }
+        let mut last: Vec<usize> = (0..N).collect();
+        for s in 1..N {
+            last = (0..N)
+                .map(|r| {
+                    let (left, off) = ((r + N - 1) % N, (r + N - s) % N * BLOCK);
+                    let src = (left, BufId::Recv, off);
+                    b.copy(src, (r, BufId::Recv, off), BLOCK, Mech::Knem, r, &[last[left]])
+                })
+                .collect();
+        }
+        let schedule = b.finish();
+        let order = || {
+            let clock = Stopwatch::new();
+            let exec = ThreadExecutor { width: 1, ..ThreadExecutor::with_transport(clock.clone()) };
+            let res = exec.run(&schedule, pattern).unwrap();
+            let expect: Vec<u8> = (0..N).flat_map(|r| pattern(r, BLOCK)).collect();
+            assert!((0..N).all(|r| res.buffer(r, BufId::Recv) == &expect[..]));
+            let pulls = clock.pulls.lock();
+            pulls.iter().map(|p| p.0).collect::<Vec<Rank>>()
+        };
+        let first = order();
+        assert_eq!(first.len(), N * (N - 1));
+        for run in 1..20 {
+            assert_eq!(order(), first, "run {run} picked another order");
         }
     }
 
@@ -1609,7 +1794,7 @@ mod tests {
     fn injected_knem_fault_propagates_without_hanging() {
         use crate::knem::FaultPlan;
         // A 3-level relay with a device that dies after 2 successful copies:
-        // the failing rank poisons the run, every other thread unwinds, and
+        // the failing rank poisons the run, every other cursor unwinds, and
         // the caller sees the KNEM error instead of a deadlock.
         let mut b = ScheduleBuilder::new("t", 8);
         let mut prev = b.copy(
@@ -1871,7 +2056,7 @@ mod tests {
         assert_eq!(res.fault_stats.suspects_refuted, c.suspects_refuted);
         // A wait split at the suspicion window is still one wait.
         let w = res.wait_stats;
-        assert_eq!(w.fast + w.spun + w.slow, 2, "two dependency edges: {w:?}");
+        assert_eq!(w.fast + w.slow, 2, "two dependency edges: {w:?}");
     }
 
     #[test]

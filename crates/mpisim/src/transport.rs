@@ -57,7 +57,7 @@ pub struct TxToken(pub(crate) u64);
 /// A one-sided data-movement backend the [`crate::ThreadExecutor`] can
 /// drive for `Mech::Knem` copies.
 ///
-/// Implementations must be thread-safe: every rank thread registers and
+/// Implementations must be thread-safe: every executor worker registers and
 /// pulls concurrently. Epoch-fence semantics are part of the contract —
 /// `register`/`tx` with an epoch below the fence must fail with
 /// [`TransportError::StaleEpoch`] and count the rejection, so the

@@ -1,6 +1,6 @@
-//! One executor, many runs: the rank workers an executor keeps must be as
-//! good as new after a run that failed, and two callers sharing an
-//! executor must not see each other's run.
+//! One executor, many runs: the helper threads an executor keeps must be
+//! as good as new after a run that failed or panicked, and two callers
+//! sharing an executor must not see each other's run.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -76,7 +76,7 @@ fn assert_clean_run(exec: &ThreadExecutor, bytes: usize, ctx: &str) {
 
 /// The executor's settings are per executor, so "the same executor, now
 /// healthy" is the failed one rebuilt through its builders — which keep the
-/// rank workers the failed run used.
+/// helper threads the failed run used.
 #[test]
 fn a_failed_run_leaves_the_workers_clean() {
     let short = RetryPolicy {
@@ -180,12 +180,12 @@ fn a_rank_panic_reaches_the_caller_and_the_workers_survive_it() {
         armed: true.into(),
     });
     let exec = ThreadExecutor::with_transport(Arc::clone(&mine) as Arc<dyn Transport>);
-    // No deadline is armed: the ranks behind the panicking one are released
-    // by the poisoned run, not by a timeout.
+    // No deadline is armed: the cursors behind the panicking one retire
+    // through the poisoned run, not by a timeout.
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _ = exec.run(&relay(256), pattern);
     }))
-    .expect_err("the rank's panic is re-raised on the caller");
+    .expect_err("the cursor's panic is re-raised on the caller");
     let message = caught
         .downcast_ref::<String>()
         .expect("a formatted panic message");
@@ -195,7 +195,7 @@ fn a_rank_panic_reaches_the_caller_and_the_workers_survive_it() {
     for round in 0..3 {
         let res = exec
             .run(&relay(256), pattern)
-            .expect("the same workers, a clean run");
+            .expect("the same helpers, a clean run");
         for r in 0..8 {
             assert_eq!(
                 res.buffer(r, BufId::Recv),
@@ -204,6 +204,37 @@ fn a_rank_panic_reaches_the_caller_and_the_workers_survive_it() {
             );
         }
     }
+}
+
+/// Regression: `run` used to snapshot the shared transport's counters
+/// before it took the run lock, so a caller that waited for the lock
+/// counted the traffic of the run ahead of it as its own.
+#[test]
+fn concurrent_callers_on_a_shared_transport_report_only_their_own_copies() {
+    let mut b = ScheduleBuilder::new("chain", 4);
+    let mut prev = Vec::new();
+    for r in 1..4 {
+        let src = (r - 1, if r == 1 { BufId::Send } else { BufId::Recv }, 0);
+        prev = vec![b.copy(src, (r, BufId::Recv, 0), 256, Mech::Knem, r, &prev)];
+    }
+    let chain = b.finish();
+    let device = TransportKind::Knem.create(None);
+    let exec = ThreadExecutor::with_transport(Arc::clone(&device));
+    let miscounted: usize = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    (0..200)
+                        .map(|_| exec.run(&chain, pattern).unwrap().knem_stats)
+                        .filter(|s| (s.copies, s.registrations) != (3, 3))
+                        .count()
+                })
+            })
+            .collect();
+        callers.into_iter().map(|c| c.join().unwrap()).sum()
+    });
+    assert_eq!(miscounted, 0, "of 800 runs, {miscounted} reported another run's copies");
+    assert_eq!(device.stats().copies, 3 * 800);
 }
 
 #[test]

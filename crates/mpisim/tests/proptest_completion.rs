@@ -1,10 +1,10 @@
-//! Properties of the lock-free completion path: one `Release` store per
-//! finished op, `Acquire` polls on the waiting side, no condvar on success.
+//! Properties of the completion path: one `Release` store per finished op,
+//! `Acquire` loads on the waiting side, and no worker ever parks.
 //!
-//! 1. The executor with the condvar bypassed on the success path still
-//!    detects faults: a dropped notification surfaces as a typed timeout
-//!    and a crashed rank is confirmed by the failure detector.
-//! 2. A healthy, no-deadline run never parks on the condvar.
+//! 1. A cursor blocked on a dependency still detects faults: a dropped
+//!    notification surfaces as a typed timeout and a crashed rank is
+//!    confirmed by the failure detector.
+//! 2. A healthy, no-deadline run never parks.
 //!
 //! The fan-out case repeats `PDAC_STRESS_ITERS` times (default 50) on one
 //! kept executor so CI can crank the iteration count far past what a
@@ -64,15 +64,15 @@ fn healthy_run_never_parks() {
     }
     assert_eq!(
         res.wait_stats.parked, 0,
-        "no deadline armed, so the condvar path must stay cold: {:?}",
+        "no worker parks: {:?}",
         res.wait_stats
     );
 }
 
 #[test]
-fn dropped_notify_is_detected_without_condvar() {
+fn dropped_notify_is_detected_without_parking() {
     // Drop the first notification: rank 2's wait can never be satisfied;
-    // the bounded-park path must still surface the typed timeout.
+    // its blocked cursor's clock must still surface the typed timeout.
     let policy = RetryPolicy {
         op_deadline: Some(Duration::from_millis(50)),
         ..RetryPolicy::chaos()
@@ -90,7 +90,7 @@ fn dropped_notify_is_detected_without_condvar() {
             ..
         } => {
             // Rank 2 starves on the dropped notify; rank 3 starves behind
-            // it. Whichever thread's error is recorded first wins.
+            // it. Whichever cursor times out first wins.
             assert!(
                 rank == 2 || rank == 3,
                 "a starved dependent times out, got rank {rank}"
@@ -102,7 +102,7 @@ fn dropped_notify_is_detected_without_condvar() {
 }
 
 #[test]
-fn crash_is_confirmed_by_detector_without_condvar() {
+fn crash_is_confirmed_by_detector_without_parking() {
     let det = Arc::new(FailureDetector::with_suspect_after(
         4,
         Duration::from_millis(5),
@@ -127,8 +127,8 @@ fn crash_is_confirmed_by_detector_without_condvar() {
 
 #[test]
 fn fan_out_waits_resolve_without_parking() {
-    // A fan-out from rank 0 to 7 dependents: seven waiters poll one `done`
-    // flag, and every one of them lands in exactly one resolution bucket.
+    // A fan-out from rank 0 to 7 dependents: seven cursors load one `done`
+    // flag, and every wait lands in exactly one resolution bucket.
     let iters: usize = std::env::var("PDAC_STRESS_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -164,7 +164,7 @@ fn fan_out_waits_resolve_without_parking() {
             );
         }
         let w = res.wait_stats;
-        assert_eq!(w.fast + w.spun + w.slow, 7, "iteration {i}: {w:?}");
+        assert_eq!(w.fast + w.slow, 7, "iteration {i}: {w:?}");
         assert_eq!(w.parked, 0, "iteration {i}: {w:?}");
     }
 }

@@ -40,7 +40,7 @@ fn main() {
         report.board_link_bytes());
 
     // 4b. Correctness: the same schedule moves real bytes between real
-    //     buffers on one thread per rank.
+    //     buffers, one resumable cursor per rank.
     let result = ThreadExecutor::new()
         .run(&schedule, verify::pattern)
         .expect("thread execution succeeds");
