@@ -39,6 +39,11 @@ fn bench_validation(c: &mut Criterion) {
     // validation case (transitive-reachability race check).
     let schedule = coll.allgather(&comm, 4096);
     c.bench_function("validate_allgather_48", |b| b.iter(|| schedule.validate().unwrap()));
+    // The same checking pass plus the indexes both executors read.
+    let distances = comm.distances();
+    c.bench_function("lower_allgather_48", |b| {
+        b.iter(|| schedule.lower(Some(&distances)).unwrap())
+    });
 }
 
 fn bench_thread_executor(c: &mut Criterion) {

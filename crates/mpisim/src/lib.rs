@@ -30,7 +30,6 @@ pub mod fault;
 pub mod integrity;
 pub mod knem;
 pub mod p2p;
-pub(crate) mod program;
 pub(crate) mod region;
 pub mod thread_exec;
 pub mod transport;

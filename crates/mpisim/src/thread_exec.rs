@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use pdac_hwtopo::{DistanceMatrix, DIST_MAX_EXTENDED};
-use pdac_simnet::{BufId, DataOp, FaultStats, Mech, OpKind, Rank, Schedule, ScheduleError};
+use pdac_simnet::{BufId, DataOp, FaultStats, Lowered, Mech, OpKind, Rank, Schedule, ScheduleError};
 use pdac_telemetry::{LogHistogram, Span};
 
 use crate::bufpool::{BufferPool, BufferPoolStats};
@@ -31,7 +31,6 @@ use crate::detector::{DetectorCounters, FailureDetector};
 use crate::fault::{ExecFaultPlan, RetryPolicy};
 use crate::integrity::{self, CorruptionKind, IntegrityStats};
 use crate::knem::{KnemError, KnemStats};
-use crate::program::{LoweredOp, Program};
 use crate::transport::{Transport, TransportKind};
 use crate::workers::Workers;
 
@@ -403,7 +402,12 @@ impl OpHistograms {
         OpHistograms { hist }
     }
 
-    fn record(&self, kind: usize, class: u8, ns: u64) {
+    fn record(&self, kind: &OpKind, class: u8, ns: u64) {
+        let kind = match kind {
+            OpKind::Copy { mech: Mech::Knem, .. } => 0,
+            OpKind::Copy { .. } => 1,
+            OpKind::Notify { .. } => 2,
+        };
         self.hist[kind][class as usize].record(ns);
     }
 }
@@ -412,11 +416,14 @@ impl OpHistograms {
 /// the last of them has returned.
 struct RunState {
     config: Arc<Config>,
-    program: Program,
+    /// The run's own copy of the schedule (helpers outlive the caller's
+    /// borrow) and its lowering.
+    schedule: Schedule,
+    lowered: Lowered,
     transport: Arc<dyn Transport>,
     pool: Arc<BufferPool>,
     histograms: Arc<OpHistograms>,
-    /// The dense buffer table, in [`Program::bufs`] slot order.
+    /// The dense buffer table, in [`Lowered::bufs`] slot order.
     buffers: Vec<RwLock<Vec<u8>>>,
     /// One per rank that executes ops, in rank order.
     cursors: Vec<Mutex<Cursor>>,
@@ -545,8 +552,9 @@ impl ThreadExecutor {
     /// `init_send(rank, size)`, called once per send buffer on the calling
     /// thread; receive and temporary buffers start zeroed.
     ///
-    /// The schedule is lowered into an owned flat program with one cursor
-    /// per executing rank; the calling thread checks one staging buffer
+    /// The schedule is checked and lowered once ([`Schedule::lower`]), and
+    /// the run keeps its own clone beside the lowering, with one cursor per
+    /// executing rank; the calling thread checks one staging buffer
     /// per worker out of the run's pool, works the cursors with the
     /// helpers it wakes, and returns once every worker has handed its
     /// buffer back.
@@ -566,13 +574,13 @@ impl ThreadExecutor {
                 ]
             },
         );
-        schedule.validate()?;
-        let program = Program::lower(schedule, self.config.distances.as_deref());
+        let lowered = schedule.lower(self.config.distances.as_deref())?;
+        let schedule = schedule.clone();
         // One run at a time from here to the published deltas: a
         // concurrent run on a shared transport, pool or detector must land
         // neither inside nor across this run's before/after snapshots.
         let mut crew = self.workers.lock();
-        let state = self.run_state(program, init_send);
+        let state = self.run_state(schedule, lowered, init_send);
         let before = Before {
             knem: state.transport.stats(),
             pool: state.pool.stats(),
@@ -583,7 +591,7 @@ impl ThreadExecutor {
         // from (and goes back to) the main heap and a shared pool counts
         // its reuse.
         let staging: Vec<Vec<u8>> =
-            (0..width).map(|w| state.pool.acquire(w, 0, state.program.max_copy())).collect();
+            (0..width).map(|w| state.pool.acquire(w, 0, state.lowered.max_copy())).collect();
         let state = Arc::new(state);
         let jobs = staging
             .into_iter()
@@ -604,11 +612,12 @@ impl ThreadExecutor {
     /// flags, and the fault plan's per-run derivations.
     fn run_state(
         &self,
-        program: Program,
+        schedule: Schedule,
+        lowered: Lowered,
         mut init_send: impl FnMut(Rank, usize) -> Vec<u8>,
     ) -> RunState {
         let config = &self.config;
-        let buffers = program
+        let buffers = lowered
             .bufs()
             .iter()
             .map(|&((rank, buf), size)| {
@@ -624,8 +633,8 @@ impl ThreadExecutor {
         let mut drop_ops: HashSet<usize> = HashSet::new();
         if let Some(plan) = config.faults.as_ref().filter(|p| !p.dropped_notifies().is_empty()) {
             let dropped: HashSet<u64> = plan.dropped_notifies().iter().copied().collect();
-            let notifies = (0..program.num_ops())
-                .filter(|&id| matches!(program.op(id).kind, OpKind::Notify { .. }));
+            let notifies = (0..schedule.ops.len())
+                .filter(|&id| matches!(schedule.ops[id].kind, OpKind::Notify { .. }));
             for (notify_seq, id) in notifies.enumerate() {
                 if dropped.contains(&(notify_seq as u64)) {
                     drop_ops.insert(id);
@@ -633,8 +642,8 @@ impl ThreadExecutor {
             }
         }
         // Ranks that execute nothing get no cursor (and no join audit).
-        let cursors: Vec<Mutex<Cursor>> = (0..program.num_ranks())
-            .filter(|&rank| !program.rank_ops(rank).is_empty())
+        let cursors: Vec<Mutex<Cursor>> = (0..schedule.num_ranks)
+            .filter(|&rank| !lowered.rank_ops(rank).is_empty())
             .map(|rank| Mutex::new(Cursor::new(rank, config.faults.as_ref())))
             .collect();
         RunState {
@@ -646,12 +655,13 @@ impl ThreadExecutor {
             pool: config.pool.clone().unwrap_or_else(|| Arc::new(BufferPool::new(self.width))),
             histograms: Arc::clone(&self.histograms),
             buffers,
-            done: (0..program.num_ops()).map(|_| AtomicBool::new(false)).collect(),
+            done: (0..schedule.ops.len()).map(|_| AtomicBool::new(false)).collect(),
             poisoned: AtomicBool::new(false),
             live: AtomicUsize::new(cursors.len()),
             yields: AtomicU64::new(0),
             cursors,
-            program,
+            schedule,
+            lowered,
             drop_ops,
             // Lethal faults (crashes, dropped notifications) only surface
             // as timeouts, so they demand a finite deadline even when the
@@ -683,7 +693,7 @@ impl ThreadExecutor {
                         // Join audit: a voluntary exit with work still
                         // assigned is the observable proof of a crash; a
                         // full completion record is a final heartbeat.
-                        let assigned = state.program.rank_ops(cursor.rank).len();
+                        let assigned = state.lowered.rank_ops(cursor.rank).len();
                         det.observe_exit(cursor.rank, exit.completed, assigned, exit.unwound);
                     }
                 }
@@ -716,7 +726,7 @@ impl ThreadExecutor {
         // Fold this run's accounting into the process-wide registry.
         let registry = pdac_telemetry::global().registry();
         registry.add("exec.runs", 1);
-        registry.add("exec.ops", state.program.num_ops() as u64);
+        registry.add("exec.ops", state.schedule.ops.len() as u64);
         knem_stats.publish(registry);
         fault_stats.publish(registry);
         integrity_stats.publish(registry);
@@ -725,7 +735,7 @@ impl ThreadExecutor {
         registry.add("exec.wait.slow", wait_stats.slow);
         registry.add("exec.wait.yields", wait_stats.yields);
 
-        let keys = state.program.bufs().iter().map(|&(key, _)| key);
+        let keys = state.lowered.bufs().iter().map(|&(key, _)| key);
         let data = state.buffers.into_iter().map(RwLock::into_inner);
         Ok(ExecResult {
             buffers: keys.zip(data).collect(),
@@ -815,7 +825,7 @@ impl Cursor {
     /// Runs this rank's ops in program order, each behind its
     /// dependencies, until one cannot run yet or the cursor retires.
     fn step(&mut self, run: &RunState, staging: &mut [u8]) -> Step {
-        let ops = run.program.rank_ops(self.rank);
+        let ops = run.lowered.rank_ops(self.rank);
         let mut moved = false;
         let idle = |moved, until| if moved { Step::Moved } else { Step::Idle(until) };
         loop {
@@ -842,8 +852,7 @@ impl Cursor {
                 }
                 self.not_before = None;
             }
-            let op = run.program.op(id);
-            let deps = run.program.deps(op);
+            let deps = run.schedule.deps(id);
             while let Some(&dep) = deps.get(self.dep) {
                 if !run.done[dep].load(Ordering::Acquire) {
                     return match self.pending(run, id, dep) {
@@ -854,7 +863,7 @@ impl Cursor {
                 self.landed(run, dep);
                 self.dep += 1;
             }
-            match self.run_op(run, id, op, staging) {
+            match self.run_op(run, id, staging) {
                 Ok(true) => {}
                 // Backing off: the top of the loop holds the cursor.
                 Ok(false) => continue,
@@ -899,7 +908,7 @@ impl Cursor {
         }
         let waited = since.elapsed();
         if let Some(det) = det.filter(|d| waited >= d.suspect_after()) {
-            det.suspect(run.program.op(dep).kind.executor(), self.rank);
+            det.suspect(run.schedule.ops[dep].kind.executor(), self.rank);
             self.suspected = true;
         }
         if let Some(deadline) = deadline.filter(|&d| waited >= d) {
@@ -921,7 +930,7 @@ impl Cursor {
         }
         if std::mem::take(&mut self.suspected) {
             if let Some(det) = &run.config.detector {
-                det.heartbeat(run.program.op(dep).kind.executor());
+                det.heartbeat(run.schedule.ops[dep].kind.executor());
             }
         }
     }
@@ -944,15 +953,14 @@ impl Cursor {
         &mut self,
         run: &RunState,
         id: usize,
-        op: &LoweredOp,
         staging: &mut [u8],
     ) -> Result<bool, ExecError> {
-        let (rank, kind) = (self.rank, &op.kind);
+        let (rank, kind) = (self.rank, &run.schedule.ops[id].kind);
         let (policy, seed) = (run.config.policy, run.seed());
         let attempt = self.attempt.get_or_insert_with(|| Attempt {
             retries: 0,
             started: Instant::now(),
-            _span: op_span(run, rank, id, op),
+            _span: op_span(run, rank, id),
         });
         // Corruption armed for this transfer, if any: edge targets match
         // (rank, copy_index), source targets match the rank being pulled
@@ -966,7 +974,7 @@ impl Cursor {
             _ => None,
         };
         let ctx = IntegrityCtx { corrupt, attempt: attempt.retries, op_index: self.copy_index };
-        match run.execute_op(rank, op, &ctx, staging, &mut self.faults) {
+        match run.execute_op(rank, id, &ctx, staging, &mut self.faults) {
             Ok(()) => {}
             // Never retried: a fenced epoch does not become valid again.
             Err(KnemError::StaleEpoch { epoch, fence }) => {
@@ -1027,7 +1035,8 @@ impl Cursor {
             }
         }
         let done = self.attempt.take().expect("the attempt was started above");
-        run.histograms.record(op.hist_kind, op.class, done.started.elapsed().as_nanos() as u64);
+        let ns = done.started.elapsed().as_nanos() as u64;
+        run.histograms.record(kind, run.lowered.class(id), ns);
         if matches!(kind, OpKind::Copy { .. }) {
             self.copy_index += 1;
         }
@@ -1037,11 +1046,11 @@ impl Cursor {
 
 /// The trace span of one op on `rank`, named and argued so `pdac-analyze`
 /// can rebuild the op DAG from the trace alone.
-fn op_span(run: &RunState, rank: Rank, id: usize, op: &LoweredOp) -> Span<'static> {
-    let kind = &op.kind;
+fn op_span(run: &RunState, rank: Rank, id: usize) -> Span<'static> {
+    let kind = &run.schedule.ops[id].kind;
     pdac_telemetry::global().recorder().span(
         rank as u64,
-        if op.hist_kind == 2 { "notify" } else { "copy" },
+        if matches!(kind, OpKind::Notify { .. }) { "notify" } else { "copy" },
         || match kind {
             OpKind::Copy { src_rank, dst_rank, bytes, mech, .. } => {
                 format!("{mech:?} {src_rank}->{dst_rank} ({bytes}B)")
@@ -1049,7 +1058,8 @@ fn op_span(run: &RunState, rank: Rank, id: usize, op: &LoweredOp) -> Span<'stati
             OpKind::Notify { from, to } => format!("notify {from}->{to}"),
         },
         || {
-            let mut args = vec![("op", id.into()), ("dist", usize::from(op.class).into())];
+            let dist = usize::from(run.lowered.class(id));
+            let mut args = vec![("op", id.into()), ("dist", dist.into())];
             // Endpoints + dependency links: enough for pdac-analyze to
             // rebuild the op DAG from the trace alone, without the
             // schedule.
@@ -1065,7 +1075,7 @@ fn op_span(run: &RunState, rank: Rank, id: usize, op: &LoweredOp) -> Span<'stati
                     args.push(("dst", (*to).into()));
                 }
             }
-            let deps = run.program.deps(op);
+            let deps = run.schedule.deps(id);
             if !deps.is_empty() {
                 args.push(("deps", pdac_simnet::trace::deps_arg(deps).into()));
             }
@@ -1143,18 +1153,18 @@ impl RunState {
     fn execute_op(
         &self,
         rank: Rank,
-        op: &LoweredOp,
+        id: usize,
         ctx: &IntegrityCtx,
         staging: &mut [u8],
         faults: &mut FaultStats,
     ) -> Result<(), KnemError> {
         let &OpKind::Copy {
             src_rank, src_buf, src_off, dst_rank, dst_off, bytes, mech, op: data_op, ..
-        } = &op.kind
+        } = &self.schedule.ops[id].kind
         else {
             return Ok(()); // Notifications carry no payload.
         };
-        let class = op.class;
+        let (class, [src, dst]) = (self.lowered.class(id), self.lowered.copy_slots(id));
 
         // One-sided copies run the transport's register -> tx -> complete
         // protocol (KNEM cookie pull, RDMA read WQEs); the backend validates
@@ -1165,10 +1175,10 @@ impl RunState {
                 let epoch = self.config.epoch;
                 let (r, b, off) =
                     self.transport.pull(src_rank, src_buf, src_off, bytes, epoch, dst_rank)?;
-                let slot = if (r, b) == (src_rank, src_buf) { Some(op.src) } else { self.program.slot_of(r, b) };
+                let slot = if (r, b) == (src_rank, src_buf) { Some(src) } else { self.lowered.slot_of(r, b) };
                 (slot.expect("the transport resolved a buffer the schedule declares"), off)
             }
-            Mech::Memcpy => (op.src, src_off),
+            Mech::Memcpy => (src, src_off),
         };
 
         let telemetry = pdac_telemetry::global();
@@ -1221,7 +1231,7 @@ impl RunState {
             || format!("stage.write {bytes}B"),
             || vec![("bytes", bytes.into()), ("dist", (class as u64).into())],
         );
-        let mut dst = self.buffers[op.dst].write();
+        let mut dst = self.buffers[dst].write();
         apply_data_op(data_op, &mut dst[dst_off..dst_off + bytes], staging);
         Ok(())
     }
@@ -1347,6 +1357,31 @@ mod tests {
         );
         let res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
         assert_eq!(res.buffer(1, BufId::Recv), &pattern(0, 256)[..]);
+    }
+
+    #[test]
+    fn each_op_lands_in_its_mechanisms_histogram_at_its_class() {
+        // Three ranks at pairwise-distinct distances, so the class of a
+        // sample names the op that recorded it.
+        let distances = DistanceMatrix::from_raw(3, vec![0, 1, 5, 1, 0, 3, 5, 3, 0]);
+        let mut b = ScheduleBuilder::new("t", 3);
+        let knem = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 64, Mech::Knem, 1, &[]);
+        let memcpy = b.copy((1, BufId::Recv, 0), (2, BufId::Recv, 0), 64, Mech::Memcpy, 2, &[knem]);
+        b.notify(2, 0, &[memcpy]);
+        let registry = pdac_telemetry::Registry::new();
+        let mut exec = ThreadExecutor::new().with_distances(Arc::new(distances));
+        exec.histograms = Arc::new(OpHistograms::resolve(&registry));
+        exec.run(&b.finish(), pattern).unwrap();
+
+        let recorded: Vec<(String, u64)> = registry
+            .snapshot()
+            .histograms
+            .into_iter()
+            .filter(|(_, h)| h.count > 0)
+            .map(|(name, h)| (name, h.count))
+            .collect();
+        let want = [("exec.op_ns.knem.d1", 1), ("exec.op_ns.memcpy.d3", 1), ("exec.op_ns.notify.d5", 1)];
+        assert_eq!(recorded, want.map(|(name, n)| (name.to_string(), n)));
     }
 
     #[test]

@@ -508,7 +508,7 @@ impl<'a> SimExecutor<'a> {
                 ]
             },
         );
-        schedule.validate()?;
+        let lowered = schedule.lower(None)?;
         assert!(
             schedule.num_ranks <= self.binding.num_ranks(),
             "schedule addresses {} ranks but binding holds {}",
@@ -520,24 +520,6 @@ impl<'a> SimExecutor<'a> {
         let n = ops.len();
         let nranks = schedule.num_ranks;
         let mut dep_remaining: Vec<usize> = (0..n).map(|id| schedule.deps(id).len()).collect();
-        // The dependents of op `d`, in id order, are
-        // `dependents[first[d]..first[d + 1]]` once both passes are through:
-        // the fill advances `first[d + 1]` from the start of `d`'s range to
-        // its end, which is where `d + 1`'s starts.
-        let mut first = vec![0usize; n + 2];
-        for &d in (0..n).flat_map(|id| schedule.deps(id)) {
-            first[d + 2] += 1;
-        }
-        for d in 2..n + 2 {
-            first[d] += first[d - 1];
-        }
-        let mut dependents: Vec<OpId> = vec![0; first[n + 1]];
-        for id in 0..n {
-            for &d in schedule.deps(id) {
-                dependents[first[d + 1]] = id;
-                first[d + 1] += 1;
-            }
-        }
 
         let mut run = Run {
             exec: self,
@@ -681,7 +663,7 @@ impl<'a> SimExecutor<'a> {
                         hot_regions.insert((dst_rank, dst_buf, dst_off, bytes));
                     }
                 }
-                for &dep in &dependents[first[id]..first[id + 1]] {
+                for &dep in lowered.dependents(id) {
                     dep_remaining[dep] -= 1;
                     if dep_remaining[dep] == 0 {
                         run.enqueue(dep);

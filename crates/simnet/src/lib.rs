@@ -11,7 +11,8 @@
 //!
 //! The crate also defines the [`Schedule`] intermediate representation — a
 //! DAG of copy/notify operations produced by the collective algorithms in
-//! `pdac-core` — because both executors consume it:
+//! `pdac-core` — and its [`Lowered`] index ([`Schedule::lower`]), because
+//! both executors consume them:
 //!
 //! * [`SimExecutor`] (here) — timing with contention, used by the benchmark
 //!   harness to regenerate the paper's figures;
@@ -40,6 +41,7 @@
 
 pub mod engine;
 pub mod fault;
+mod lower;
 pub mod report;
 pub mod resource;
 pub mod route;
@@ -49,6 +51,7 @@ pub mod trace;
 
 pub use engine::{SimConfig, SimExecutor, SimReport, SolverStats};
 pub use fault::{Fault, FaultPlan, FaultStats, SimError};
+pub use lower::Lowered;
 pub use report::{bw_allgather, bw_bcast, bw_p2p, Series, SweepPoint};
 pub use resource::{Calibration, Resource, TransportModel};
 pub use schedule::{

@@ -12,10 +12,15 @@
 
 use std::collections::BTreeMap;
 
+use crate::lower::{slot_in, BufTable};
+
 /// Rank index within the communicator the schedule was built for.
 pub type Rank = usize;
 /// Dense operation id.
 pub type OpId = usize;
+
+/// One byte range a copy reads or writes: `(op, start, end)`.
+type Access = (OpId, usize, usize);
 
 /// A per-rank buffer. `Send`/`Recv` mirror the user buffers of the MPI call;
 /// `Temp(i)` are internal bounce buffers (eager copy-in/copy-out stages,
@@ -259,8 +264,25 @@ impl Schedule {
             .count()
     }
 
-    /// Checks structural invariants; see [`ScheduleError`].
+    /// Checks structural invariants; see [`ScheduleError`]. This is
+    /// [`Self::lower`]'s checking pass with what it found dropped.
     pub fn validate(&self) -> Result<(), ScheduleError> {
+        self.check(|_| {}).map(drop)
+    }
+
+    /// The checking pass shared by [`Self::validate`] and [`Self::lower`].
+    /// Bounds-checking a copy finds its buffers, so the pass keeps what it
+    /// found: it returns the buffer table in key order (a slot is an index
+    /// into it) and hands `found` each op's source and destination slot, in
+    /// op order (`usize::MAX` for a notification).
+    pub(crate) fn check(
+        &self,
+        mut found: impl FnMut([usize; 2]),
+    ) -> Result<BufTable, ScheduleError> {
+        let bufs: BufTable = self.buf_sizes.iter().map(|(&key, &size)| (key, size)).collect();
+        // Per slot, the (op, start, end) of every write and every read, in op order.
+        let mut writes: Vec<Vec<Access>> = vec![Vec::new(); bufs.len()];
+        let mut reads: Vec<Vec<Access>> = vec![Vec::new(); bufs.len()];
         let check_rank = |op: OpId, r: Rank| -> Result<(), ScheduleError> {
             if r >= self.num_ranks {
                 Err(ScheduleError::RankOutOfRange { op, rank: r })
@@ -297,25 +319,40 @@ impl Schedule {
                     if !bytes.is_multiple_of(lane) {
                         return Err(ScheduleError::MisalignedTypedOp { op: id, bytes: *bytes, lane });
                     }
-                    for (rank, buf, off) in
-                        [(*src_rank, *src_buf, *src_off), (*dst_rank, *dst_buf, *dst_off)]
-                    {
-                        let size = self.buf_size(rank, buf);
+                    let mut slots = [0; 2];
+                    let ends = [(*src_rank, *src_buf, *src_off), (*dst_rank, *dst_buf, *dst_off)];
+                    for (slot, (rank, buf, off)) in slots.iter_mut().zip(ends) {
+                        let declared = slot_in(&bufs, rank, buf);
+                        let size = declared.map_or(0, |i| bufs[i].1);
                         // An end past `usize::MAX` is past every buffer.
-                        let end = off.checked_add(*bytes);
-                        if end.is_none_or(|end| end > size) {
-                            let end = end.unwrap_or(usize::MAX);
-                            return Err(ScheduleError::OutOfBounds { op: id, rank, buf, end, size });
+                        match (declared, off.checked_add(*bytes)) {
+                            (Some(i), Some(end)) if end <= size => *slot = i,
+                            (_, end) => {
+                                let end = end.unwrap_or(usize::MAX);
+                                let err = ScheduleError::OutOfBounds { op: id, rank, buf, end, size };
+                                return Err(err);
+                            }
                         }
                     }
+                    let [src, dst] = slots;
+                    let dst_access = (id, *dst_off, *dst_off + *bytes);
+                    writes[dst].push(dst_access);
+                    reads[src].push((id, *src_off, *src_off + *bytes));
+                    if *data_op != DataOp::Move {
+                        // A combine also reads its destination.
+                        reads[dst].push(dst_access);
+                    }
+                    found(slots);
                 }
                 OpKind::Notify { from, to } => {
                     check_rank(id, *from)?;
                     check_rank(id, *to)?;
+                    found([usize::MAX; 2]);
                 }
             }
         }
-        self.check_write_races()
+        self.check_write_races(&writes, &reads)?;
+        Ok(bufs)
     }
 
     /// Flags unordered pairs where both write, or one reads and the other
@@ -327,54 +364,22 @@ impl Schedule {
     /// `u32` per chain of conflicting ops, one row per op that still has a
     /// dependent to come. Time is `(deps + candidates) x chains`, memory
     /// `live rows x chains`; neither grows with `ops x candidates`.
-    fn check_write_races(&self) -> Result<(), ScheduleError> {
-        type Access = (usize, usize, usize); // (op, start, end)
-        let mut writes: BTreeMap<(Rank, BufId), Vec<Access>> = BTreeMap::new();
-        let mut reads: BTreeMap<(Rank, BufId), Vec<Access>> = BTreeMap::new();
-        for (id, op) in self.ops.iter().enumerate() {
-            if let OpKind::Copy {
-                src_rank,
-                src_buf,
-                src_off,
-                dst_rank,
-                dst_buf,
-                dst_off,
-                bytes,
-                op: data_op,
-                ..
-            } = op.kind
-            {
-                writes
-                    .entry((dst_rank, dst_buf))
-                    .or_default()
-                    .push((id, dst_off, dst_off + bytes));
-                reads
-                    .entry((src_rank, src_buf))
-                    .or_default()
-                    .push((id, src_off, src_off + bytes));
-                if data_op != DataOp::Move {
-                    // A combine also reads its destination.
-                    reads
-                        .entry((dst_rank, dst_buf))
-                        .or_default()
-                        .push((id, dst_off, dst_off + bytes));
-                }
-            }
-        }
-
-        // Combined sweep per buffer: sort all accesses by start; every
-        // overlapping pair is discovered exactly once, at its
-        // earlier-starting member (two intervals overlap iff the
+    fn check_write_races(
+        &self,
+        writes: &[Vec<Access>],
+        reads: &[Vec<Access>],
+    ) -> Result<(), ScheduleError> {
+        // Combined sweep per written buffer, in slot (= key) order: sort all
+        // accesses by start; every overlapping pair is discovered exactly
+        // once, at its earlier-starting member (two intervals overlap iff the
         // later-starting one begins before the other ends). Pairs involving
         // at least one write become candidates.
         // Entries: (op, start, end, is_write).
         let mut candidate_pairs: Vec<(usize, usize, bool)> = Vec::new();
-        for (key, w) in writes.iter_mut() {
+        for (w, r) in writes.iter().zip(reads).filter(|(w, _)| !w.is_empty()) {
             let mut accesses: Vec<(usize, usize, usize, bool)> =
                 w.iter().map(|&(op, s, e)| (op, s, e, true)).collect();
-            if let Some(r) = reads.get(key) {
-                accesses.extend(r.iter().map(|&(op, s, e)| (op, s, e, false)));
-            }
+            accesses.extend(r.iter().map(|&(op, s, e)| (op, s, e, false)));
             accesses.sort_unstable_by_key(|&(op, s, _, _)| (s, op));
             for i in 0..accesses.len() {
                 let (op_a, _s_a, e_a, w_a) = accesses[i];

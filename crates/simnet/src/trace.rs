@@ -13,19 +13,12 @@
 //! side-by-side in one Perfetto window without colliding.
 
 use crate::engine::SimReport;
+use crate::lower::distance_class;
 use crate::schedule::{OpKind, Schedule};
 
 use pdac_hwtopo::DistanceMatrix;
 use pdac_telemetry::export::{chrome_trace, TraceMeta};
 use pdac_telemetry::{Event, EventKind};
-
-/// The distance class of the pair `(a, b)` under `distances` (0 without a
-/// matrix or for out-of-range ranks).
-fn dist_class(distances: Option<&DistanceMatrix>, a: usize, b: usize) -> u8 {
-    distances
-        .filter(|d| a < d.num_ranks() && b < d.num_ranks())
-        .map_or(0, |d| d.get(a, b))
-}
 
 /// Renders a dependency list as the compact `deps` span argument
 /// (`"0,3,7"`), the linking metadata `pdac-analyze` uses to rebuild the
@@ -64,6 +57,7 @@ pub fn sim_events_with_distances(
 ) -> Vec<Event> {
     let mut events = Vec::with_capacity(schedule.ops.len());
     for (id, op) in schedule.ops.iter().enumerate() {
+        let dist = usize::from(distance_class(&op.kind, distances));
         let (name, cat, tid, mut args) = match &op.kind {
             OpKind::Copy {
                 src_rank,
@@ -82,10 +76,7 @@ pub fn sim_events_with_distances(
                     ("dst", (*dst_rank).into()),
                     ("bytes", (*bytes).into()),
                     ("mech", format!("{mech:?}").into()),
-                    (
-                        "dist",
-                        usize::from(dist_class(distances, *src_rank, *dst_rank)).into(),
-                    ),
+                    ("dist", dist.into()),
                 ],
             ),
             OpKind::Notify { from, to } => (
@@ -97,10 +88,7 @@ pub fn sim_events_with_distances(
                     ("src", (*from).into()),
                     ("dst", (*to).into()),
                     ("to", (*to).into()),
-                    (
-                        "dist",
-                        usize::from(dist_class(distances, *from, *to)).into(),
-                    ),
+                    ("dist", dist.into()),
                 ],
             ),
         };

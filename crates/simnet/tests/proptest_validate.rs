@@ -5,13 +5,21 @@
 //! repaired until race-free, and on repaired DAGs with one ordering
 //! removed again. Dependency lists are edited by rebuilding the schedule
 //! through `ScheduleBuilder`; the same cases pin how the builder lays the
-//! lists out.
+//! lists out. `Schedule::lower` must give the same verdicts, and its
+//! indexes must say what a direct reading of the schedule says.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use pdac_simnet::{BufId, DataOp, Mech, OpKind, Schedule, ScheduleBuilder, ScheduleError};
+use pdac_core::AdaptiveColl;
+use pdac_hwtopo::{machines, BindingPolicy};
+use pdac_mpisim::Communicator;
+use pdac_simnet::trace::sim_events_with_distances;
+use pdac_simnet::{
+    BufId, DataOp, Mech, OpKind, Schedule, ScheduleBuilder, ScheduleError, SimConfig, SimExecutor,
+};
 
 /// What `validate` must say about a structurally sound schedule.
 fn oracle(s: &Schedule) -> Result<(), ScheduleError> {
@@ -228,6 +236,94 @@ proptest! {
             let raced = rebuilt(&sound, &deps);
             prop_assert_eq!(raced.validate(), oracle(&raced));
         }
+    }
+
+    #[test]
+    fn lowering_indexes_what_validate_checks(schedule in arb_schedule(), twice in any::<u32>()) {
+        lowering_agrees(&schedule)?;
+        let sound = repaired(schedule);
+        lowering_agrees(&sound)?;
+
+        // One dependency listed twice: its op is that dependency's
+        // dependent twice over.
+        let mut deps = dep_lists(&sound);
+        let with_deps: Vec<usize> = (0..deps.len()).filter(|&i| !deps[i].is_empty()).collect();
+        if !with_deps.is_empty() {
+            let list = &mut deps[with_deps[twice as usize % with_deps.len()]];
+            list.push(list[twice as usize % list.len()]);
+            lowering_agrees(&rebuilt(&sound, &deps))?;
+        }
+    }
+}
+
+/// `lower` says what `validate` says, and what it indexes is what a direct
+/// reading of the schedule gives.
+fn lowering_agrees(s: &Schedule) -> Result<(), proptest::test_runner::TestCaseError> {
+    let lowered = s.lower(None);
+    prop_assert_eq!(lowered.as_ref().map(drop).map_err(Clone::clone), s.validate());
+    let Ok(lowered) = lowered else { return Ok(()) };
+    let n = s.ops.len();
+
+    // The streams partition the ops; each op is in its executor's stream,
+    // ids ascending within one.
+    let mut seen = vec![0; n];
+    for rank in 0..s.num_ranks {
+        let ops = lowered.rank_ops(rank);
+        prop_assert!(ops.windows(2).all(|w| w[0] < w[1]), "rank {} {:?}", rank, ops);
+        for &id in ops {
+            prop_assert_eq!(s.ops[id].kind.executor(), rank);
+            seen[id] += 1;
+        }
+    }
+    prop_assert!(seen.iter().all(|&k| k == 1), "{:?}", seen);
+
+    // Dependents are the inverse of the dependency lists, ascending, with
+    // multiplicity.
+    for d in 0..n {
+        let want: Vec<usize> =
+            (0..n).flat_map(|i| s.deps(i).iter().filter(|&&x| x == d).map(move |_| i)).collect();
+        prop_assert_eq!(lowered.dependents(d), &want[..], "op {}", d);
+    }
+
+    // Slots resolve back to the keys the copies name.
+    let keys: Vec<_> = lowered.bufs().iter().map(|&(key, _)| key).collect();
+    prop_assert_eq!(keys, s.buf_sizes.keys().copied().collect::<Vec<_>>());
+    for (id, op) in s.ops.iter().enumerate() {
+        if let OpKind::Copy { src_rank, src_buf, dst_rank, dst_buf, .. } = op.kind {
+            let [src, dst] = lowered.copy_slots(id);
+            prop_assert_eq!(lowered.bufs()[src].0, (src_rank, src_buf), "op {}", id);
+            prop_assert_eq!(lowered.bufs()[dst].0, (dst_rank, dst_buf), "op {}", id);
+        }
+    }
+    let largest = s.ops.iter().map(|op| op.kind.bytes()).max().unwrap_or(0);
+    prop_assert_eq!(lowered.max_copy(), largest);
+    Ok(())
+}
+
+/// The simulated trace's `dist` labels and the lowering's classes are one
+/// definition: equal on every op of a cross-socket bcast on Zoot with the
+/// distance matrix, 0 on every op without it.
+#[test]
+fn trace_dist_is_the_lowered_class() {
+    let zoot = Arc::new(machines::zoot());
+    let binding = BindingPolicy::CrossSocket.bind(&zoot, 16).unwrap();
+    let comm = Communicator::world(Arc::clone(&zoot), binding);
+    let schedule = AdaptiveColl::default().bcast(&comm, 0, 1 << 20);
+    let distances = comm.distances();
+    let report = SimExecutor::new(&zoot, comm.binding(), SimConfig::default()).run(&schedule).unwrap();
+
+    let lowered = schedule.lower(Some(&distances)).unwrap();
+    let events = sim_events_with_distances(&schedule, &report, Some(&distances));
+    assert_eq!(events.len(), schedule.ops.len());
+    for (id, event) in events.iter().enumerate() {
+        assert_eq!(event.arg_u64("dist"), Some(u64::from(lowered.class(id))), "op {id}");
+    }
+    assert!((0..events.len()).any(|id| lowered.class(id) > 0), "a cross-socket bcast has classes");
+
+    let unclassed = schedule.lower(None).unwrap();
+    let events = sim_events_with_distances(&schedule, &report, None);
+    for (id, event) in events.iter().enumerate() {
+        assert_eq!((event.arg_u64("dist"), unclassed.class(id)), (Some(0), 0), "op {id}");
     }
 }
 
