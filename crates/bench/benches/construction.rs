@@ -7,8 +7,10 @@
 //! algorithms to scale well with fully-connected graphs."
 //!
 //! These benchmarks quantify that discussion: distance-matrix computation,
-//! edge sorting, Kruskal tree construction and ring construction from 16 up
-//! to 1024 ranks (the complete graph then has ~524k edges).
+//! the edge queues (here a counting sort by distance class, one pass over
+//! the matrix, rather than the paper's comparison sort), Kruskal tree
+//! construction and ring construction from 16 up to 1024 ranks (the
+//! complete graph then has ~524k edges).
 
 use std::sync::Arc;
 
@@ -16,7 +18,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use pdac_core::adaptive::{AdaptiveColl, BcastTopology};
 use pdac_core::allgather_ring::Ring;
 use pdac_core::bcast_tree::build_bcast_tree;
-use pdac_core::edges::{bcast_edge_order, ring_edge_order};
+use pdac_core::edges::{edge_queue, CLASS_WEIGHTS};
 use pdac_core::sched::{allgather_schedule, bcast_schedule, SchedConfig};
 use pdac_core::TopoCache;
 use pdac_hwtopo::{cluster, machines, BindingPolicy, DistanceMatrix};
@@ -40,14 +42,14 @@ fn bench_construction(c: &mut Criterion) {
         let edges = ranks * (ranks - 1) / 2;
         group.throughput(Throughput::Elements(edges as u64));
 
-        group.bench_with_input(BenchmarkId::new("bcast_edge_sort", ranks), &dist, |b, d| {
-            b.iter(|| bcast_edge_order(d, 0))
+        group.bench_with_input(BenchmarkId::new("bcast_edge_queue", ranks), &dist, |b, d| {
+            b.iter(|| edge_queue(d, Some(0), &CLASS_WEIGHTS))
         });
         group.bench_with_input(BenchmarkId::new("bcast_tree", ranks), &dist, |b, d| {
             b.iter(|| build_bcast_tree(d, 0))
         });
-        group.bench_with_input(BenchmarkId::new("ring_edge_sort", ranks), &dist, |b, d| {
-            b.iter(|| ring_edge_order(d))
+        group.bench_with_input(BenchmarkId::new("ring_edge_queue", ranks), &dist, |b, d| {
+            b.iter(|| edge_queue(d, None, &CLASS_WEIGHTS))
         });
         group.bench_with_input(BenchmarkId::new("allgather_ring", ranks), &dist, |b, d| {
             b.iter(|| Ring::build(d))

@@ -17,7 +17,7 @@ use pdac_bench::human_size;
 use pdac_core::adaptive::{AdaptiveColl, AdaptivePolicy, BcastTopology};
 use pdac_core::baseline::tuned::{self, TunedConfig};
 use pdac_core::bcast_tree::build_bcast_tree;
-use pdac_core::edges::{all_edges, Edge};
+use pdac_core::edges::{edge_queue, unpack, Edge, CLASS_WEIGHTS};
 use pdac_core::sched::SchedConfig;
 use pdac_core::tree::Tree;
 use pdac_core::unionfind::DisjointSets;
@@ -29,18 +29,17 @@ use pdac_simnet::{bw_bcast, SimConfig, SimExecutor};
 /// Plain Kruskal with lexicographic (weight, u, v) order — the ablated
 /// construction without the paper's root-first heuristic.
 fn plain_kruskal_tree(dist: &DistanceMatrix, root: usize) -> Tree {
-    let mut edges = all_edges(dist);
-    edges.sort_by_key(|e| (e.w, e.u, e.v));
+    // Algorithm 2's queue is exactly (weight, u, v) order.
     let n = dist.num_ranks();
     let mut sets = DisjointSets::new(n, None);
     let mut accepted: Vec<Edge> = Vec::with_capacity(n - 1);
-    for e in edges {
+    for (u, v) in edge_queue(dist, None, &CLASS_WEIGHTS).into_iter().map(unpack) {
         if accepted.len() == n - 1 {
             break;
         }
-        if !sets.same(e.u, e.v) {
-            sets.union(e.u, e.v);
-            accepted.push(e);
+        if !sets.same(u, v) {
+            sets.union(u, v);
+            accepted.push(Edge { u, v, w: dist.get(u, v) });
         }
     }
     Tree::from_edges(n, root, &accepted)

@@ -34,9 +34,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::allgather_ring::Ring;
 use crate::alltoall::alltoall_schedule;
-use crate::bcast_tree::build_bcast_tree_with_arena;
+use crate::bcast_tree::weighted_bcast_tree;
 use crate::decision_inputs;
-use crate::edges::Edge;
+use crate::edges::CLASS_WEIGHTS;
 use crate::provenance::{Decision, DecisionKind, Provenance};
 use crate::reduce_scatter::{reduce_scatter_schedule_with_op, ring_allreduce_schedule_with_op};
 use crate::sched::{
@@ -235,8 +235,14 @@ impl Default for AdaptivePolicy {
 /// tree (when the payload splits evenly over the ranks).
 pub const RING_ALLREDUCE_MIN_BYTES: usize = 256 * 1024;
 
+/// The queue weight of each distance class under [`BcastTopology::Collapsed`]:
+/// the same-controller classes 1, 2, 3 merge into 1, cross-controller
+/// classes stay distinct.
+const INTRA_MC_COLLAPSED: [Distance; 9] = [0, 1, 1, 1, 4, 5, 6, 7, 8];
+
 /// Merges the same-controller distance classes (1, 2, 3 → 1) while keeping
-/// cross-controller classes distinct.
+/// cross-controller classes distinct: the matrix a collapsed tree's queue
+/// weights describe, which the tests build the tree from as its oracle.
 pub fn collapse_intra_mc(dist: &DistanceMatrix) -> DistanceMatrix {
     let n = dist.num_ranks();
     let mut d = Vec::with_capacity(n * n);
@@ -260,19 +266,18 @@ fn has_intra_mc_structure(classes: &[Distance]) -> bool {
 /// lookup outcome goes to the recorder if one is given.
 fn tree(comm: &Communicator, root: usize, topo: BcastTopology, sinks: &mut Sinks<'_>) -> Arc<Tree> {
     let dist = comm.distances_arc();
-    let build = |arena: &mut Vec<Edge>| match topo {
-        BcastTopology::Hierarchical => build_bcast_tree_with_arena(&dist, root, arena),
-        BcastTopology::Collapsed => {
-            build_bcast_tree_with_arena(&collapse_intra_mc(&dist), root, arena)
-        }
+    let weight = match topo {
+        BcastTopology::Hierarchical => &CLASS_WEIGHTS,
+        BcastTopology::Collapsed => &INTRA_MC_COLLAPSED,
     };
+    let build = || weighted_bcast_tree(&dist, root, weight, None);
     let epoch = comm.epoch();
     let (tree, hit) = match sinks.cache {
         Some(cache) => {
             let (tree, hit) = cache.tree(epoch, root, topo, build);
             (tree, Some(hit))
         }
-        None => (Arc::new(build(&mut Vec::new())), None),
+        None => (Arc::new(build()), None),
     };
     sinks.record(|| cache_lookup_decision(format!("topocache bcast root {root}"), hit, epoch));
     tree
@@ -281,14 +286,14 @@ fn tree(comm: &Communicator, root: usize, topo: BcastTopology, sinks: &mut Sinks
 /// The Algorithm-2 ring of `comm`; sinks as for [`tree`].
 fn ring(comm: &Communicator, sinks: &mut Sinks<'_>) -> Arc<Ring> {
     let dist = comm.distances_arc();
-    let build = |arena: &mut Vec<Edge>| Ring::build_with_arena(&dist, arena);
+    let build = || Ring::build(&dist);
     let epoch = comm.epoch();
     let (ring, hit) = match sinks.cache {
         Some(cache) => {
             let (ring, hit) = cache.ring(epoch, build);
             (ring, Some(hit))
         }
-        None => (Arc::new(build(&mut Vec::new())), None),
+        None => (Arc::new(build()), None),
     };
     sinks.record(|| cache_lookup_decision("topocache allgather ring".into(), hit, epoch));
     ring
@@ -473,9 +478,8 @@ impl AdaptiveColl {
         Arc::unwrap_or_clone(tree(comm, root, topo, &mut Sinks::default()))
     }
 
-    /// [`Self::bcast_tree`] through `cache`: a hit skips edge enumeration,
-    /// sorting and union-find entirely; a miss builds into the cache's
-    /// reusable edge arena.
+    /// [`Self::bcast_tree`] through `cache`: a hit skips the edge queue and
+    /// union-find entirely; a miss builds the tree and caches it.
     pub fn bcast_tree_cached(
         &self,
         cache: &TopoCache,
@@ -685,13 +689,13 @@ fn cache_lookup_decision(subject: String, hit: Option<bool>, epoch: u64) -> Deci
     let (choice, reason) = match hit {
         Some(true) => (
             "hit",
-            "a topology cached under this (epoch, key) was reused; edge \
-             enumeration, sorting and union-find were skipped",
+            "a topology cached under this (epoch, key) was reused; the edge \
+             queue and union-find were skipped",
         ),
         Some(false) => (
             "miss (built)",
-            "no topology cached under this (epoch, key); built fresh into the \
-             cache's edge arena",
+            "no topology cached under this (epoch, key); built fresh and \
+             cached",
         ),
         None => (
             "uncached build",

@@ -10,8 +10,7 @@
 
 use pdac_hwtopo::{Distance, DistanceMatrix};
 
-use crate::edges::{ring_edge_order_into, Edge};
-use crate::unionfind::DisjointSets;
+use crate::edges::{edge_queue, kruskal, CLASS_WEIGHTS};
 
 /// A Hamiltonian cycle over ranks, normalized to start at rank 0 and to
 /// step first toward rank 0's smaller-ranked neighbour.
@@ -51,55 +50,31 @@ impl Ring {
 
     /// Runs Algorithm 2 on the distance matrix.
     pub fn build(dist: &DistanceMatrix) -> Ring {
-        let mut arena = Vec::new();
-        Ring::build_with_arena(dist, &mut arena)
-    }
-
-    /// [`Ring::build`] with a caller-owned edge arena: the sorted edge
-    /// queue is materialized into `arena` (cleared and refilled) so
-    /// repeated constructions reuse one allocation. Produces a ring
-    /// identical to [`Ring::build`].
-    pub fn build_with_arena(dist: &DistanceMatrix, arena: &mut Vec<Edge>) -> Ring {
         let n = dist.num_ranks();
         assert!(n >= 1, "ring needs at least one rank");
         if n == 1 {
             return Ring { order: vec![0], position: vec![0] };
         }
 
-        ring_edge_order_into(dist, arena);
-        let mut sets = DisjointSets::new(n, None);
-        let mut degree = vec![0u8; n];
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut accepted = 0usize;
-        for &Edge { u, v, .. } in arena.iter() {
-            if accepted == n - 1 {
-                break;
-            }
-            if degree[u] < 2 && degree[v] < 2 && !sets.same(u, v) {
-                sets.union(u, v);
-                degree[u] += 1;
-                degree[v] += 1;
-                adj[u].push(v);
-                adj[v].push(u);
-                accepted += 1;
-            }
-        }
-        debug_assert_eq!(accepted, n - 1, "complete graph always admits a Hamiltonian path");
+        // Each rank's path neighbours; `usize::MAX` marks a free slot.
+        let mut adj = vec![[usize::MAX; 2]; n];
+        let queue = edge_queue(dist, None, &CLASS_WEIGHTS);
+        kruskal(n, None, &queue, 2, |u, v, _| link(&mut adj, u, v));
 
         // Close the ring: join the two path endpoints.
-        let ends: Vec<usize> = (0..n).filter(|&r| degree[r] < 2).collect();
-        debug_assert_eq!(ends.len(), 2);
-        adj[ends[0]].push(ends[1]);
-        adj[ends[1]].push(ends[0]);
+        let ends: Vec<usize> = (0..n).filter(|&r| adj[r][1] == usize::MAX).collect();
+        debug_assert_eq!(ends.len(), 2, "complete graph always admits a Hamiltonian path");
+        link(&mut adj, ends[0], ends[1]);
 
         // Walk the cycle from rank 0 toward its smaller neighbour.
         let mut order = Vec::with_capacity(n);
         let mut prev = 0usize;
-        let mut cur = *adj[0].iter().min().expect("rank 0 has two neighbours");
+        let mut cur = adj[0][0].min(adj[0][1]);
         order.push(0);
         while cur != 0 {
             order.push(cur);
-            let next = if adj[cur][0] == prev { adj[cur][1] } else { adj[cur][0] };
+            let [a, b] = adj[cur];
+            let next = if a == prev { b } else { a };
             prev = cur;
             cur = next;
         }
@@ -183,6 +158,15 @@ impl Ring {
             .filter(|&(d, _)| d as Distance > threshold)
             .map(|(_, &c)| c)
             .sum()
+    }
+}
+
+/// Joins `a` and `b` on the path: each takes the other into its first
+/// free neighbour slot.
+fn link(adj: &mut [[usize; 2]], a: usize, b: usize) {
+    for (x, y) in [(a, b), (b, a)] {
+        let slot = usize::from(adj[x][0] != usize::MAX);
+        adj[x][slot] = y;
     }
 }
 

@@ -1,12 +1,12 @@
 //! Algorithm 1 — distance-aware broadcast tree construction.
 //!
 //! Kruskal's minimum spanning tree with one change: the edge queue order
-//! (see [`crate::edges::bcast_edge_order`]). The ordering makes the plain
+//! (see [`crate::edges::edge_queue`]). The ordering makes the plain
 //! Kruskal acceptance rule produce the paper's topology without any
 //! special-casing:
 //!
 //! * inside a same-distance cluster, every candidate edge covering the
-//!   cluster's leader (the root, or the smallest rank) sorts before edges
+//!   cluster's leader (the root, or the smallest rank) queues before edges
 //!   between non-leaders, so members attach **star-wise to the leader**;
 //! * between clusters, the first surviving edge is the one touching both
 //!   leaders, so clusters connect **leader to leader**, and the root's own
@@ -19,11 +19,10 @@
 //! The result is a minimum-weight spanning tree of minimum depth among
 //! minimum-weight spanning trees, as claimed in §IV-B.
 
-use pdac_hwtopo::DistanceMatrix;
+use pdac_hwtopo::{Distance, DistanceMatrix};
 
-use crate::edges::{bcast_edge_order, Edge};
+use crate::edges::{edge_queue, kruskal, Edge, CLASS_WEIGHTS};
 use crate::tree::Tree;
-use crate::unionfind::DisjointSets;
 
 /// One accepted union, for the Figure-4 style walkthroughs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,67 +37,36 @@ pub struct UnionStep {
 
 /// Runs Algorithm 1 and returns the rooted tree plus the union trace.
 pub fn build_bcast_tree_traced(dist: &DistanceMatrix, root: usize) -> (Tree, Vec<UnionStep>) {
-    let n = dist.num_ranks();
-    assert!(root < n, "root {root} out of range for {n} ranks");
-    if n == 1 {
-        return (Tree { root, parent: vec![None], children: vec![vec![]] }, Vec::new());
-    }
-
-    let mut sets = DisjointSets::new(n, Some(root));
-    let mut accepted: Vec<Edge> = Vec::with_capacity(n - 1);
-    let mut trace: Vec<UnionStep> = Vec::with_capacity(n - 1);
-
-    for edge in bcast_edge_order(dist, root) {
-        if accepted.len() == n - 1 {
-            break;
-        }
-        if sets.leader_of(edge.u) != sets.leader_of(edge.v) {
-            sets.union(edge.u, edge.v);
-            accepted.push(edge);
-            trace.push(UnionStep {
-                step: accepted.len(),
-                edge,
-                merged_leader: sets.leader_of(edge.u),
-            });
-        }
-    }
-
-    (Tree::from_edges(n, root, &accepted), trace)
+    let mut trace = Vec::with_capacity(dist.num_ranks().saturating_sub(1));
+    let tree = weighted_bcast_tree(dist, root, &CLASS_WEIGHTS, Some(&mut trace));
+    (tree, trace)
 }
 
 /// Runs Algorithm 1 and returns the rooted broadcast tree.
 pub fn build_bcast_tree(dist: &DistanceMatrix, root: usize) -> Tree {
-    build_bcast_tree_traced(dist, root).0
+    weighted_bcast_tree(dist, root, &CLASS_WEIGHTS, None)
 }
 
-/// [`build_bcast_tree`] with a caller-owned edge arena: the sorted edge
-/// queue is materialized into `arena` (cleared and refilled), so repeated
-/// constructions — e.g. a topology cache refilling after invalidation —
-/// reuse one allocation instead of re-allocating `n(n-1)/2` edges per call.
-/// Produces a tree identical to [`build_bcast_tree`].
-pub fn build_bcast_tree_with_arena(
+/// Algorithm 1 with distance class `c` queued at weight `weight[c]` (the
+/// collapsed refinement merges classes this way), recording each union in
+/// `trace` when one is given. Accepted edges carry their queue weight.
+pub(crate) fn weighted_bcast_tree(
     dist: &DistanceMatrix,
     root: usize,
-    arena: &mut Vec<Edge>,
+    weight: &[Distance; 9],
+    mut trace: Option<&mut Vec<UnionStep>>,
 ) -> Tree {
     let n = dist.num_ranks();
     assert!(root < n, "root {root} out of range for {n} ranks");
-    if n == 1 {
-        return Tree { root, parent: vec![None], children: vec![vec![]] };
-    }
-
-    crate::edges::bcast_edge_order_into(dist, root, arena);
-    let mut sets = DisjointSets::new(n, Some(root));
+    let queue = edge_queue(dist, Some(root), weight);
     let mut accepted: Vec<Edge> = Vec::with_capacity(n - 1);
-    for &edge in arena.iter() {
-        if accepted.len() == n - 1 {
-            break;
+    kruskal(n, Some(root), &queue, usize::MAX, |u, v, merged_leader| {
+        let edge = Edge { u, v, w: weight[usize::from(dist.get(u, v))] };
+        accepted.push(edge);
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.push(UnionStep { step: accepted.len(), edge, merged_leader });
         }
-        if sets.leader_of(edge.u) != sets.leader_of(edge.v) {
-            sets.union(edge.u, edge.v);
-            accepted.push(edge);
-        }
-    }
+    });
     Tree::from_edges(n, root, &accepted)
 }
 

@@ -7,8 +7,8 @@
 //! near-optimal topology. A distributed algorithm will be a feasible
 //! approach for a large scale system."
 //!
-//! The full Algorithms 1 and 2 sort all `n(n-1)/2` edges. The hierarchical
-//! construction here mirrors what a distributed implementation would do:
+//! The full Algorithms 1 and 2 queue all `n(n-1)/2` edges, reading every
+//! pair's distance once. The hierarchical construction here mirrors what a distributed implementation would do:
 //!
 //! 1. **Local groups for free.** Distance-1 clusters come straight from the
 //!    hardware tree (every process knows its own cache domain from hwloc);

@@ -68,7 +68,7 @@ pub use adaptive::{AdaptiveColl, AdaptivePolicy, AllreduceAlgo, Collective, Requ
 pub use allgather_ring::Ring;
 pub use bcast_tree::build_bcast_tree;
 pub use chaos::{run_chaos, ChaosConfig, ChaosOutcome};
-pub use edges::{bcast_edge_order, ring_edge_order, Edge};
+pub use edges::{edge_queue, Edge};
 pub use membership::{agree, AgreementError, AgreementOutcome, MembershipConfig};
 pub use provenance::{Decision, DecisionKind, PlannedOp, Provenance, ProvenanceDiff};
 pub use recovery::{CollectiveError, RecoveryManager};

@@ -3,9 +3,9 @@
 //! consult it when a caller passes one and build fresh otherwise; both
 //! kinds of entry go through one lookup that reports hit or miss.
 //!
-//! Building a collective topology costs the full Kruskal pipeline: enumerate
-//! `n(n-1)/2` edges, sort them into the paper's queue order, and run the
-//! union-find acceptance loop. Production MPI calls the same collective on
+//! Building a collective topology costs the full Kruskal pipeline: queue
+//! all `n(n-1)/2` edges in the paper's order (one counting pass over the
+//! distance matrix) and run the union-find acceptance loop. Production MPI calls the same collective on
 //! the same communicator thousands of times, so the framework memoizes
 //! built topologies keyed by
 //! `(communicator epoch, collective, root, policy bucket)`:
@@ -20,10 +20,9 @@
 //!
 //! Entries are `Arc`-shared and immutable, so a hit costs one lock + hash
 //! lookup + refcount bump and skips `edges.rs` and `unionfind.rs` entirely.
-//! Misses build inside the cache lock using a reusable sorted-edge arena,
-//! so steady-state construction performs no edge-queue allocation either.
-//! Capacity is bounded; FIFO eviction keeps the common
-//! few-communicators-many-calls workload entirely resident. Rebinding
+//! Misses build inside the cache lock, queue and all, and keep nothing of
+//! the build but the topology. Capacity is bounded; FIFO eviction keeps the
+//! common few-communicators-many-calls workload entirely resident. Rebinding
 //! (dropping a communicator for a re-split one) is handled by
 //! [`TopoCache::invalidate_epoch`], or simply by eviction, since a dead
 //! epoch can never be requested again.
@@ -36,7 +35,6 @@ use pdac_telemetry::Counter;
 
 use crate::adaptive::BcastTopology;
 use crate::allgather_ring::Ring;
-use crate::edges::Edge;
 use crate::tree::Tree;
 
 /// Which collective topology an entry holds, including the per-collective
@@ -87,8 +85,6 @@ struct Inner {
     /// Insertion order for FIFO eviction.
     order: VecDeque<TopoKey>,
     capacity: usize,
-    /// Reusable sorted-edge arena handed to builders on a miss.
-    arena: Vec<Edge>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -154,7 +150,6 @@ impl TopoCache {
                 map: HashMap::new(),
                 order: VecDeque::new(),
                 capacity,
-                arena: Vec::new(),
                 hits: 0,
                 misses: 0,
                 evictions: 0,
@@ -165,14 +160,13 @@ impl TopoCache {
     }
 
     /// The broadcast tree of communicator `epoch` rooted at `root` under
-    /// `topo`, and whether the lookup hit; `build` runs on a miss and
-    /// receives the cache's reusable edge arena.
+    /// `topo`, and whether the lookup hit; `build` runs on a miss.
     pub fn tree(
         &self,
         epoch: u64,
         root: usize,
         topo: BcastTopology,
-        build: impl FnOnce(&mut Vec<Edge>) -> Tree,
+        build: impl FnOnce() -> Tree,
     ) -> (Arc<Tree>, bool) {
         let kind = TopoKind::Bcast { root, topo };
         self.lookup(TopoKey { epoch, kind }, build)
@@ -183,7 +177,7 @@ impl TopoCache {
     pub fn ring(
         &self,
         epoch: u64,
-        build: impl FnOnce(&mut Vec<Edge>) -> Ring,
+        build: impl FnOnce() -> Ring,
     ) -> (Arc<Ring>, bool) {
         let kind = TopoKind::AllgatherRing;
         self.lookup(TopoKey { epoch, kind }, build)
@@ -195,7 +189,7 @@ impl TopoCache {
     fn lookup<T: Send + Sync + 'static>(
         &self,
         key: TopoKey,
-        build: impl FnOnce(&mut Vec<Edge>) -> T,
+        build: impl FnOnce() -> T,
     ) -> (Arc<T>, bool) {
         let mut inner = self
             .inner
@@ -213,9 +207,7 @@ impl TopoCache {
         inner.misses += 1;
         self.metrics.misses.inc();
         self.record_event("topo_miss", key);
-        let mut arena = std::mem::take(&mut inner.arena);
-        let topo = Arc::new(build(&mut arena));
-        inner.arena = arena;
+        let topo = Arc::new(build());
         let evicted = inner.insert(key, Arc::clone(&topo) as CachedTopo);
         self.metrics.evictions.add(evicted);
         (topo, false)
@@ -243,7 +235,7 @@ impl TopoCache {
         removed
     }
 
-    /// Drops every entry (arena and counters are kept).
+    /// Drops every entry (counters are kept).
     pub fn clear(&self) {
         let mut inner = self
             .inner
@@ -313,7 +305,7 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bcast_tree::build_bcast_tree_with_arena;
+    use crate::bcast_tree::build_bcast_tree;
     use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix};
 
     fn matrix() -> DistanceMatrix {
@@ -328,8 +320,8 @@ mod tests {
     fn hit_returns_same_allocation() {
         let cache = TopoCache::new();
         let dist = matrix();
-        let (a, a_hit) = cache.tree(1, 0, HIER, |ar| build_bcast_tree_with_arena(&dist, 0, ar));
-        let (b, b_hit) = cache.tree(1, 0, HIER, |_| unreachable!("second lookup must hit"));
+        let (a, a_hit) = cache.tree(1, 0, HIER, || build_bcast_tree(&dist, 0));
+        let (b, b_hit) = cache.tree(1, 0, HIER, || unreachable!("second lookup must hit"));
         assert!(Arc::ptr_eq(&a, &b));
         assert!(!a_hit && b_hit, "the outcome reports miss then hit");
         let s = cache.stats();
@@ -340,12 +332,10 @@ mod tests {
     fn distinct_keys_are_distinct_entries() {
         let cache = TopoCache::new();
         let dist = matrix();
-        cache.tree(1, 0, HIER, |ar| build_bcast_tree_with_arena(&dist, 0, ar));
-        cache.tree(1, 1, HIER, |ar| build_bcast_tree_with_arena(&dist, 1, ar));
-        cache.tree(2, 0, HIER, |ar| build_bcast_tree_with_arena(&dist, 0, ar));
-        cache.tree(1, 0, BcastTopology::Collapsed, |ar| {
-            build_bcast_tree_with_arena(&dist, 0, ar)
-        });
+        cache.tree(1, 0, HIER, || build_bcast_tree(&dist, 0));
+        cache.tree(1, 1, HIER, || build_bcast_tree(&dist, 1));
+        cache.tree(2, 0, HIER, || build_bcast_tree(&dist, 0));
+        cache.tree(1, 0, BcastTopology::Collapsed, || build_bcast_tree(&dist, 0));
         assert_eq!(cache.stats().entries, 4);
         assert_eq!(cache.stats().misses, 4);
     }
@@ -354,15 +344,13 @@ mod tests {
     fn invalidate_epoch_only_touches_that_epoch() {
         let cache = TopoCache::new();
         let dist = matrix();
-        cache.tree(1, 0, HIER, |ar| build_bcast_tree_with_arena(&dist, 0, ar));
-        cache.tree(2, 0, HIER, |ar| build_bcast_tree_with_arena(&dist, 0, ar));
+        cache.tree(1, 0, HIER, || build_bcast_tree(&dist, 0));
+        cache.tree(2, 0, HIER, || build_bcast_tree(&dist, 0));
         assert_eq!(cache.invalidate_epoch(1), 1);
         assert_eq!(cache.stats().entries, 1);
         // Epoch 2 still hits; epoch 1 rebuilds.
-        cache.tree(2, 0, HIER, |_| {
-            unreachable!("epoch 2 survives invalidation")
-        });
-        cache.tree(1, 0, HIER, |ar| build_bcast_tree_with_arena(&dist, 0, ar));
+        cache.tree(2, 0, HIER, || unreachable!("epoch 2 survives invalidation"));
+        cache.tree(1, 0, HIER, || build_bcast_tree(&dist, 0));
         assert_eq!(cache.stats().invalidations, 1);
     }
 
@@ -371,16 +359,14 @@ mod tests {
         let cache = TopoCache::with_capacity(2);
         let dist = matrix();
         for root in 0..3 {
-            cache.tree(1, root, HIER, |ar| {
-                build_bcast_tree_with_arena(&dist, root, ar)
-            });
+            cache.tree(1, root, HIER, || build_bcast_tree(&dist, root));
         }
         let s = cache.stats();
         assert_eq!(s.entries, 2);
         assert_eq!(s.evictions, 1);
         // Oldest (root 0) was evicted; root 2 still resident.
-        cache.tree(1, 2, HIER, |_| unreachable!("newest entry resident"));
-        cache.tree(1, 0, HIER, |ar| build_bcast_tree_with_arena(&dist, 0, ar));
+        cache.tree(1, 2, HIER, || unreachable!("newest entry resident"));
+        cache.tree(1, 0, HIER, || build_bcast_tree(&dist, 0));
         assert_eq!(cache.stats().misses, 4);
     }
 }

@@ -1,14 +1,22 @@
 //! Property-based invariants of the distance-aware topology constructions
 //! (Algorithms 1 and 2) and their compiled schedules, over random machines,
-//! bindings, roots and payloads.
+//! bindings, roots and payloads; and the counting-sorted edge queues against
+//! a comparison sort and a textbook Kruskal over arbitrary distance tables.
 
 use proptest::prelude::*;
+use proptest::collection::vec;
+use proptest::test_runner::TestCaseError;
 
+use pdac_core::adaptive::{collapse_intra_mc, AdaptiveColl, BcastTopology};
 use pdac_core::allgather_ring::Ring;
-use pdac_core::bcast_tree::{build_bcast_tree, build_bcast_tree_traced};
+use pdac_core::bcast_tree::{build_bcast_tree, build_bcast_tree_traced, UnionStep};
+use pdac_core::edges::{edge_queue, unpack, Edge, CLASS_WEIGHTS};
 use pdac_core::sched::{allgather_schedule, bcast_schedule, reduce_schedule, SchedConfig};
+use pdac_core::tree::Tree;
+use pdac_core::unionfind::DisjointSets;
 use pdac_core::verify;
 use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix, Machine};
+use pdac_mpisim::Communicator;
 
 fn arb_machine() -> impl Strategy<Value = Machine> {
     prop_oneof![
@@ -57,8 +65,131 @@ fn mst_weight(dist: &DistanceMatrix) -> u64 {
     total
 }
 
+/// An arbitrary symmetric distance table: `n` in 1..=64, off-diagonal
+/// classes drawn from 0..=8 or, one time in four, all one class (0
+/// included), and a root.
+fn arb_table() -> impl Strategy<Value = (DistanceMatrix, usize)> {
+    let pairs = 64 * 63 / 2;
+    (1usize..=64, vec(0u8..=8, pairs), 0u8..=8, 0u8..4, any::<usize>()).prop_map(
+        |(n, classes, class, single, r)| {
+            let mut classes = classes.into_iter();
+            let mut d = vec![0; n * n];
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    let w = if single == 0 { class } else { classes.next().unwrap() };
+                    d[i * n + j] = w;
+                    d[j * n + i] = w;
+                }
+            }
+            (DistanceMatrix::from_raw(n, d), r % n)
+        },
+    )
+}
+
+/// The paper's queue by comparison sort over every pair: weight first;
+/// for a broadcast, the root's edges lead their weight ordered by the other
+/// endpoint, then the rest by ranks.
+fn oracle_queue(dist: &DistanceMatrix, root: Option<usize>) -> Vec<Edge> {
+    let n = dist.num_ranks();
+    let mut edges: Vec<Edge> = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| Edge { u, v, w: dist.get(u, v) }))
+        .collect();
+    edges.sort_by_key(|e| match root {
+        Some(r) if e.covers(r) => (e.w, 0, e.u + e.v - r, usize::MAX),
+        _ => (e.w, 1, e.u, e.v),
+    });
+    edges
+}
+
+/// Textbook Algorithm 1 over the oracle queue: the tree and its unions.
+fn oracle_tree(dist: &DistanceMatrix, root: usize) -> (Tree, Vec<UnionStep>) {
+    let n = dist.num_ranks();
+    let mut sets = DisjointSets::new(n, Some(root));
+    let mut accepted = Vec::new();
+    let mut trace = Vec::new();
+    for edge in oracle_queue(dist, Some(root)) {
+        if sets.leader_of(edge.u) != sets.leader_of(edge.v) {
+            sets.union(edge.u, edge.v);
+            accepted.push(edge);
+            let merged_leader = sets.leader_of(edge.u);
+            trace.push(UnionStep { step: accepted.len(), edge, merged_leader });
+        }
+    }
+    (Tree::from_edges(n, root, &accepted), trace)
+}
+
+/// Textbook Algorithm 2 over the oracle queue: the fan-out-2 path closed
+/// into a cycle.
+fn oracle_ring(dist: &DistanceMatrix) -> Ring {
+    let n = dist.num_ranks();
+    if n == 1 {
+        return Ring::from_order(vec![0]);
+    }
+    let mut sets = DisjointSets::new(n, None);
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for Edge { u, v, .. } in oracle_queue(dist, None) {
+        if adj[u].len() < 2 && adj[v].len() < 2 && !sets.same(u, v) {
+            sets.union(u, v);
+            adj[u].push(v);
+            adj[v].push(u);
+        }
+    }
+    let ends: Vec<usize> = (0..n).filter(|&r| adj[r].len() < 2).collect();
+    assert_eq!(ends.len(), 2);
+    let (mut order, mut prev, mut cur) = (vec![ends[0]], usize::MAX, ends[0]);
+    while order.len() < n {
+        let next = *adj[cur].iter().find(|&&x| x != prev).unwrap();
+        order.push(next);
+        (prev, cur) = (cur, next);
+    }
+    Ring::from_order(order)
+}
+
+/// The queue as `(u, v)` pairs.
+fn pairs(queue: Vec<u32>) -> Vec<(usize, usize)> {
+    queue.into_iter().map(unpack).collect()
+}
+
+/// Every construction over `dist` equals the textbook one over the sorted
+/// queue, and the collapsed tree equals a tree over the collapsed matrix.
+fn check_against_oracle(dist: &DistanceMatrix, root: usize) -> Result<(), TestCaseError> {
+    for r in [Some(root), None] {
+        let oracle: Vec<(usize, usize)> = oracle_queue(dist, r).iter().map(|e| (e.u, e.v)).collect();
+        prop_assert_eq!(pairs(edge_queue(dist, r, &CLASS_WEIGHTS)), oracle, "queue, root {:?}", r);
+    }
+    prop_assert_eq!(build_bcast_tree_traced(dist, root), oracle_tree(dist, root));
+    prop_assert_eq!(Ring::build(dist), oracle_ring(dist));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn queues_and_builds_match_the_sorted_oracle_on_any_table((dist, root) in arb_table()) {
+        check_against_oracle(&dist, root)?;
+        let collapsed = collapse_intra_mc(&dist);
+        check_against_oracle(&collapsed, root)?;
+    }
+
+    #[test]
+    fn queues_and_builds_match_the_sorted_oracle_on_machines((_m, dist, root) in arb_setup()) {
+        check_against_oracle(&dist, root)?;
+    }
+
+    #[test]
+    fn collapsed_tree_is_the_tree_of_the_collapsed_matrix(
+        machine in arb_machine(),
+        seed in any::<u64>(),
+        root_raw in any::<usize>(),
+    ) {
+        let n = machine.num_cores();
+        let binding = BindingPolicy::Random { seed }.bind(&machine, n).unwrap();
+        let comm = Communicator::world(std::sync::Arc::new(machine), binding);
+        let root = root_raw % n;
+        let collapsed = AdaptiveColl::default().bcast_tree(&comm, root, BcastTopology::Collapsed);
+        prop_assert_eq!(collapsed, build_bcast_tree(&collapse_intra_mc(&comm.distances_arc()), root));
+    }
 
     #[test]
     fn bcast_tree_is_minimum_weight_spanning_tree((_m, dist, root) in arb_setup()) {
@@ -146,9 +277,7 @@ proptest! {
         seed in any::<u64>(),
         root_raw in any::<usize>(),
     ) {
-        use pdac_core::adaptive::{AdaptiveColl, BcastTopology};
         use pdac_core::TopoCache;
-        use pdac_mpisim::Communicator;
         use std::sync::Arc;
 
         let n = machine.num_cores();

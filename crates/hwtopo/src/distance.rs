@@ -142,6 +142,11 @@ impl DistanceMatrix {
         self.d[i * self.n + j]
     }
 
+    /// Distances from rank `i` to every rank, indexed by rank.
+    pub fn row(&self, i: usize) -> &[Distance] {
+        &self.d[i * self.n..(i + 1) * self.n]
+    }
+
     /// Sorted distinct non-zero distances present in the matrix.
     pub fn classes(&self) -> Vec<Distance> {
         (1..=DIST_MAX_EXTENDED).filter(|&c| self.classes & (1 << c) != 0).collect()
