@@ -35,13 +35,13 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pdac_mpisim::knem::FaultPlan as KnemFaultPlan;
+use pdac_mpisim::knem::DeviceFault;
 use pdac_mpisim::{
-    Communicator, CorruptTarget, ExecError, ExecFaultPlan, FailureDetector, RetryPolicy,
-    ThreadExecutor, Transport, TransportKind,
+    Communicator, ExecError, FailureDetector, RetryPolicy, ThreadExecutor, Transport,
+    TransportKind,
 };
 use pdac_simnet::{
-    BufId, DataOp, FaultPlan as SimFaultPlan, FaultStats, Resource, Schedule, SimConfig,
+    BufId, CorruptTarget, DataOp, Fault, FaultPlan, FaultStats, Resource, Schedule, SimConfig,
     SimExecutor, SimReport,
 };
 use rand::rngs::StdRng;
@@ -71,7 +71,7 @@ pub struct ChaosConfig {
     /// Executor retry/timeout policy.
     pub policy: RetryPolicy,
     /// Inject the harsher cascading cocktail
-    /// ([`ExecFaultPlan::seeded_cascade`]): multiple mid-collective crashes
+    /// ([`FaultPlan::seeded_cascade`]): multiple mid-collective crashes
     /// plus, on larger worlds, a flapping rank.
     pub cascade: bool,
     /// Recovery episodes tolerated before the harness stops trusting
@@ -84,7 +84,7 @@ pub struct ChaosConfig {
     /// epoch-fence contract, so recovery behaves identically.
     pub transport: TransportKind,
     /// Layer seeded *transient* payload corruption on top of the fault
-    /// cocktail ([`ExecFaultPlan::with_seeded_corruption`]): each targeted
+    /// cocktail ([`FaultPlan::with_seeded_corruption`]): each targeted
     /// chunk arrives damaged once, is detected by the checksummed data
     /// path, and heals through a verified re-transmit.
     pub corruption: bool,
@@ -328,7 +328,7 @@ fn run_attempt(
     schedule: Schedule,
     transport: Arc<dyn Transport>,
     policy: RetryPolicy,
-    faults: Option<ExecFaultPlan>,
+    faults: Option<FaultPlan>,
     detector: Arc<FailureDetector>,
     epoch: u64,
     watchdog: Duration,
@@ -345,48 +345,6 @@ fn run_attempt(
         let _ = tx.send(exec.run(&schedule, pattern));
     });
     rx.recv_timeout(watchdog).map_err(|_| ())
-}
-
-/// Translates the not-yet-fired faults of the original (world-rank) plan
-/// into the current rank space of the shrunk communicator, so a crash whose
-/// budget never fired (its rank was blocked when the attempt died) still
-/// fires on a later attempt — the injection side of cascading failures.
-/// Dropped-notification indices do not survive a reshape and are not
-/// carried over.
-fn remap_plan(orig: &ExecFaultPlan, mgr: &RecoveryManager) -> ExecFaultPlan {
-    let mut plan = ExecFaultPlan::new(orig.seed);
-    for (current, &world) in mgr.survivors().iter().enumerate() {
-        let flap = orig.flap_of(world);
-        if !flap.is_zero() {
-            plan = plan.flap_rank(current, flap, orig.crash_of(world).unwrap_or(0));
-        } else if let Some(budget) = orig.crash_of(world) {
-            plan = plan.crash_rank(current, budget);
-        }
-        let stall = orig.stall_of(world);
-        if !stall.is_zero() {
-            plan = plan.stall_rank(current, stall);
-        }
-    }
-    // Corruption entries survive a reshape too: a remapped attempt replays
-    // its Copy ops from index zero, so an Edge target keeps its op index and
-    // only its rank is translated. Entries owned by a dead rank are dropped
-    // — in particular a fenced persistent corrupter stops corrupting, which
-    // is the whole point of fencing it.
-    let current_of =
-        |world: usize| mgr.survivors().iter().position(|&w| w == world);
-    for &(target, kind, attempts) in orig.corruptions() {
-        let mapped = match target {
-            CorruptTarget::Edge { rank, op_index } => current_of(rank)
-                .map(|current| CorruptTarget::Edge { rank: current, op_index }),
-            CorruptTarget::Source { rank } => {
-                current_of(rank).map(|current| CorruptTarget::Source { rank: current })
-            }
-        };
-        if let Some(target) = mapped {
-            plan = plan.corrupt(target, kind, attempts);
-        }
-    }
-    plan
 }
 
 /// Runs `what` on `comm` under the seeded fault cocktail of `cfg`,
@@ -470,29 +428,29 @@ fn run_chaos_inner(
     // manager's membership/election decisions into the outcome.
     let mut substitutions: Vec<Decision> = Vec::new();
 
-    // Seed-derived fault cocktail. The executor plan never crashes the
+    // Seed-derived fault cocktail, in world ranks. It never crashes the
     // preferred root (the paper's leader is re-elected only when a *set
     // member* dies; killing the root of a bcast kills the data source).
-    let mut exec_plan = if cfg.cascade {
-        ExecFaultPlan::seeded_cascade(seed, comm.size(), 3, &[preferred_root])
+    let mut plan = if cfg.cascade {
+        FaultPlan::seeded_cascade(seed, comm.size(), 3, &[preferred_root])
     } else {
-        ExecFaultPlan::seeded(seed, comm.size(), &[preferred_root])
+        FaultPlan::seeded(seed, comm.size(), &[preferred_root])
     };
     if cfg.corruption {
-        exec_plan = exec_plan.with_seeded_corruption(comm.size());
+        plan = plan.with_seeded_corruption(comm.size());
     }
     if let Some(bad) = cfg.corrupter {
-        exec_plan = exec_plan.corrupt_source(bad, 0xC0DE);
+        plan = plan.corrupt_source(bad, 0xC0DE);
     }
-    let exec_plan = exec_plan;
+    let plan = plan;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let knem_plan =
-        KnemFaultPlan::transient(rng.gen_range(0..4) as u64, 1 + rng.gen_range(0..2) as u64);
+    let device_fault =
+        DeviceFault::transient(rng.gen_range(0..4) as u64, 1 + rng.gen_range(0..2) as u64);
     let degrade_factor = 0.05 + 0.45 * rng.gen_f64();
 
     // One transport for the whole episode: the epoch fence raised after
     // each agreement must be visible to stragglers of earlier attempts.
-    let device = cfg.transport.create(Some(knem_plan));
+    let device = cfg.transport.create(Some(device_fault));
     let suspect_after = cfg
         .policy
         .op_deadline
@@ -502,7 +460,7 @@ fn run_chaos_inner(
     let mut recovered = false;
     let mut degraded = false;
     let mut recoveries = 0u32;
-    let mut attempt_faults = Some(exec_plan.clone());
+    let mut attempt_faults = Some(plan.clone());
     // Generous bound: every world rank dying one-by-one plus transient
     // retries. Exceeding it means the episode is livelocked — report a
     // hang rather than loop forever.
@@ -737,9 +695,11 @@ fn run_chaos_inner(
         // is rejected by the device rather than delivered into the rebuilt
         // topology.
         device.fence_epochs_below(mgr.epoch());
-        // Re-inject the faults that have not fired yet (remapped to the
-        // shrunk rank space) so cascading crashes keep cascading.
-        let next_plan = remap_plan(&exec_plan, &mgr);
+        // Re-inject the survivors' faults in the shrunk rank space, so a
+        // crash whose budget never fired (its rank was blocked when the
+        // attempt died) still fires on a later attempt: cascading crashes
+        // keep cascading.
+        let next_plan = plan.remap(mgr.survivors());
         attempt_faults = (!next_plan.is_empty()).then_some(next_plan);
     };
 
@@ -766,27 +726,21 @@ fn run_chaos_inner(
     } else {
         mgr.plan(what)
     };
-    let mut sim_plan = SimFaultPlan::new(seed).degrade_link(Resource::Mc(0), degrade_factor);
-    // Mirror the surviving transient corruption edges into the timing leg,
-    // so the simulator charges the same detect-and-retransmit latency the
-    // executor paid. Source targets (persistent corrupters) are not
-    // mirrored: by the time the timing leg runs they are fenced out of the
-    // survivor schedule.
-    for &(target, kind, _) in exec_plan.corruptions() {
-        let CorruptTarget::Edge { rank, op_index } = target else {
-            continue;
-        };
-        let Some(current) = mgr.survivors().iter().position(|&w| w == rank) else {
-            continue;
-        };
-        sim_plan = match kind {
-            pdac_mpisim::CorruptionKind::FlipBits { mask } => {
-                sim_plan.flip_bits(current, op_index, mask)
+    // The survivors' transient corruption edges ride along, so the
+    // simulator charges the detect-and-retransmit latency the executor
+    // paid on the same copies. Source targets (persistent corrupters) stay
+    // out: a corrupter that served a chunk has been fenced out of the
+    // survivor schedule by now, and one that served none has nothing to
+    // charge.
+    let sim_plan = plan.remap(mgr.survivors()).faults().iter().fold(
+        FaultPlan::new(seed).degrade_link(Resource::Mc(0), degrade_factor),
+        |sim_plan, fault| match *fault {
+            Fault::Corrupt { target: target @ CorruptTarget::Edge { .. }, kind, attempts } => {
+                sim_plan.corrupt(target, kind, attempts)
             }
-            pdac_mpisim::CorruptionKind::TornWrite => sim_plan.torn_write(current, op_index),
-            pdac_mpisim::CorruptionKind::StaleRead => sim_plan.stale_read(current, op_index),
-        };
-    }
+            _ => sim_plan,
+        },
+    );
     let mut sim_report = SimExecutor::new(&machine, &binding, SimConfig::default())
         .with_transport_model(cfg.transport.sim_model())
         .with_fault_plan(sim_plan)

@@ -27,10 +27,8 @@
 use std::sync::Arc;
 
 use pdac_hwtopo::{Binding, BindingPolicy, CacheSpec, Machine, MachineSpec, PackageSpec};
-use pdac_mpisim::{
-    Communicator, ExecFaultPlan, KnemError, RetryPolicy, ThreadExecutor, TransportKind,
-};
-use pdac_simnet::BufId;
+use pdac_mpisim::{Communicator, KnemError, RetryPolicy, ThreadExecutor, TransportKind};
+use pdac_simnet::{BufId, FaultPlan};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -458,7 +456,7 @@ pub fn run_workload(cfg: &WorkloadConfig) -> Result<WorkloadReport, WorkloadErro
             exec = exec.with_epoch(comm.epoch());
             if cfg.corruption {
                 // Corruption-only plan, redrawn per step.
-                let plan = ExecFaultPlan::new(seed.wrapping_add(step as u64))
+                let plan = FaultPlan::new(seed.wrapping_add(step as u64))
                     .with_seeded_corruption(comm.size());
                 exec = exec.with_faults(plan);
             }

@@ -10,8 +10,9 @@ use std::sync::Arc;
 use pdac_core::verify::pattern;
 use pdac_core::AdaptiveColl;
 use pdac_hwtopo::{machines, BindingPolicy};
-use pdac_mpisim::{Communicator, ExecFaultPlan, RetryPolicy, ThreadExecutor, TransportKind};
+use pdac_mpisim::{Communicator, RetryPolicy, ThreadExecutor, TransportKind};
 use pdac_obs::{flight, to_openmetrics};
+use pdac_simnet::FaultPlan;
 
 #[test]
 fn integrity_counters_reach_openmetrics_and_flight_dumps() {
@@ -24,7 +25,7 @@ fn integrity_counters_reach_openmetrics_and_flight_dumps() {
 
     // Seed 41 is the transport-parity corruption seed: its injectors land
     // on scheduled copies, so the run detects, re-transmits, and heals.
-    let plan = ExecFaultPlan::new(41).with_seeded_corruption(comm.size());
+    let plan = FaultPlan::new(41).with_seeded_corruption(comm.size());
     let res = ThreadExecutor::with_transport(TransportKind::Knem.create(None))
         .with_policy(RetryPolicy::chaos())
         .with_faults(plan)

@@ -18,10 +18,8 @@ use pdac_core::verify::pattern;
 use pdac_core::{Collective, RecoveryManager, Request, TopoCache};
 use pdac_hwtopo::{machines, BindingPolicy};
 use pdac_mpisim::knem::KnemError;
-use pdac_mpisim::{
-    Communicator, ExecFaultPlan, FailureDetector, RetryPolicy, ThreadExecutor, TransportKind,
-};
-use pdac_simnet::BufId;
+use pdac_mpisim::{Communicator, FailureDetector, RetryPolicy, ThreadExecutor, TransportKind};
+use pdac_simnet::{BufId, FaultPlan};
 
 fn world(n: usize) -> Communicator {
     let m = Arc::new(machines::flat_smp(n));
@@ -108,9 +106,9 @@ proptest! {
         // cascade budgets (1-3 completed ops) fire in the middle of the
         // ring. The plain cocktail crashes at-start instead.
         let plan = if cascade {
-            ExecFaultPlan::seeded_cascade(seed, n, 3, &[0])
+            FaultPlan::seeded_cascade(seed, n, 3, &[0])
         } else {
-            ExecFaultPlan::seeded(seed, n, &[0])
+            FaultPlan::seeded(seed, n, &[0])
         };
         let policy = RetryPolicy {
             op_deadline: Some(Duration::from_millis(25)),

@@ -6,10 +6,13 @@
 //! Both backends must also enforce the same epoch-fence contract: a
 //! registration stamped with a fenced epoch is rejected with `StaleEpoch`
 //! on either side of the seam. What may differ is the model a kind adds:
-//! RDMA connects each (source, puller) rank pair once, KNEM nobody.
+//! RDMA connects each (source, puller) rank pair once, KNEM nobody. And a
+//! fault plan, resolved once against a schedule, faults the same op on
+//! both transports and in the simulator.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::Duration;
 
 use pdac_core::alltoall::alltoall_schedule;
 use pdac_core::reduce_scatter::reduce_scatter_schedule;
@@ -18,9 +21,11 @@ use pdac_core::verify::{pattern, reduced_pattern};
 use pdac_core::{build_bcast_tree, AdaptiveColl, Ring};
 use pdac_hwtopo::{machines, BindingPolicy, Machine};
 use pdac_mpisim::{
-    Communicator, ExecFaultPlan, KnemError, RetryPolicy, ThreadExecutor, TransportKind,
+    Communicator, ExecError, KnemError, RetryPolicy, ThreadExecutor, TransportKind,
 };
-use pdac_simnet::{BufId, Mech, OpKind, Schedule};
+use pdac_simnet::{
+    BufId, FaultPlan, Mech, OpKind, Schedule, SimConfig, SimError, SimExecutor,
+};
 
 const RANKS: usize = 8;
 const TRANSPORTS: [TransportKind; 2] = [TransportKind::Knem, TransportKind::Rdma];
@@ -180,8 +185,8 @@ fn corruption_detection_is_identical_across_transports() {
         type CountsAndBufs = ((u64, u64, u64, u64), Vec<Vec<u8>>);
         let mut per_transport: Vec<CountsAndBufs> = Vec::new();
         for kind in TRANSPORTS {
-            let plan = ExecFaultPlan::new(41).with_seeded_corruption(n);
-            assert!(plan.has_corruption(), "seed 41 must produce injectors");
+            let plan = FaultPlan::new(41).with_seeded_corruption(n);
+            assert!(!plan.is_empty(), "seed 41 must produce injectors");
             let res = ThreadExecutor::with_transport(kind.create(None))
                 .with_policy(RetryPolicy::chaos())
                 .with_faults(plan)
@@ -263,5 +268,102 @@ fn stale_epoch_is_rejected_on_both_transports() {
             "{}: the rejection is observable in stats",
             kind.label()
         );
+    }
+}
+
+/// One fault vocabulary, two interpreters: a plan resolved once against a
+/// zoot-16 bcast names the op both legs fault. A dropped notify times out a
+/// dependent of that op on the thread executor (both transports) and is
+/// the op the simulator never finishes: it completes exactly the ops that
+/// do not wait on it. A flip aimed at each copy of each rank marks that
+/// one copy and costs one re-transmit on every leg; a flip aimed one past
+/// the rank's last copy marks nothing and costs nothing.
+#[test]
+fn both_legs_fault_the_op_the_plan_resolves_to() {
+    let machine = Arc::new(machines::zoot());
+    let binding = BindingPolicy::Contiguous.bind(&machine, 16).expect("zoot has 16 cores");
+    let comm = Communicator::world(Arc::clone(&machine), binding.clone());
+    let schedule = AdaptiveColl::default().bcast(&comm, 0, 256 * 1024);
+    let lowered = schedule.lower(None).unwrap();
+    let ops = schedule.ops.len();
+    let is_copy = |id: usize| matches!(schedule.ops[id].kind, OpKind::Copy { .. });
+    let sim = |plan: &FaultPlan| {
+        SimExecutor::new(&machine, &binding, SimConfig::default())
+            .with_fault_plan(plan.clone())
+            .run(&schedule)
+    };
+    let exec = |kind: TransportKind, plan: &FaultPlan, deadline: u64| {
+        let op_deadline = Some(Duration::from_millis(deadline));
+        ThreadExecutor::with_transport(kind.create(None))
+            .with_policy(RetryPolicy { op_deadline, ..RetryPolicy::chaos() })
+            .with_faults(plan.clone())
+            .run(&schedule, pattern)
+    };
+
+    let notifies = (0..ops).filter(|&id| !is_copy(id)).count() as u64;
+    assert!(notifies > 0, "the bcast signals its children");
+    for k in 0..notifies {
+        let plan = FaultPlan::new(k).drop_notify(k);
+        let table = plan.resolve(&schedule, &lowered);
+        let dropped: Vec<usize> = (0..ops).filter(|&id| table.op(id).dropped).collect();
+        let [d] = dropped[..] else { panic!("drop_notify({k}) resolves to {dropped:?}") };
+        for kind in TRANSPORTS {
+            match exec(kind, &plan, 30) {
+                Err(ExecError::Timeout { op, .. }) => assert!(
+                    schedule.deps(op).contains(&d),
+                    "drop_notify({k}) on {}: op {op} timed out, not a dependent of op {d}",
+                    kind.label()
+                ),
+                other => panic!("drop_notify({k}) on {}: {other:?}", kind.label()),
+            }
+        }
+        // Op `d` and everything downstream of it stay unfinished.
+        let mut waiting = vec![false; ops];
+        waiting[d] = true;
+        for id in d..ops {
+            if waiting[id] {
+                lowered.dependents(id).iter().for_each(|&w| waiting[w] = true);
+            }
+        }
+        let unfinished = waiting.iter().filter(|&&w| w).count();
+        match sim(&plan) {
+            Err(SimError::Stalled { completed, total, fault_stats, .. }) => {
+                assert_eq!(total - completed, unfinished, "drop_notify({k}): op {d} and after");
+                assert_eq!(fault_stats.notifies_dropped, 1, "drop_notify({k})");
+            }
+            other => panic!("drop_notify({k}) in the simulator: {other:?}"),
+        }
+    }
+
+    for r in 0..comm.size() {
+        let copies = lowered.rank_ops(r).iter().filter(|&&id| is_copy(id)).count() as u64;
+        for i in 0..=copies {
+            let plan = FaultPlan::new(i).flip_bits(r, i, 0x00ff_00ff_00ff_00ff);
+            let table = plan.resolve(&schedule, &lowered);
+            let marked: Vec<usize> =
+                (0..ops).filter(|&id| table.op(id).corrupt.is_some()).collect();
+            let retransmits = u64::from(i < copies);
+            match marked[..] {
+                [id] => assert!(
+                    i < copies && lowered.rank_ops(r).contains(&id) && is_copy(id),
+                    "flip_bits({r}, {i}) marks op {id}"
+                ),
+                [] => assert_eq!(i, copies, "flip_bits({r}, {i}) marks nothing"),
+                _ => panic!("flip_bits({r}, {i}) marks {marked:?}"),
+            }
+            for kind in TRANSPORTS {
+                let res = exec(kind, &plan, 500)
+                    .unwrap_or_else(|e| panic!("flip_bits({r}, {i}) on {}: {e}", kind.label()));
+                assert_eq!(
+                    res.integrity_stats.retransmits,
+                    retransmits,
+                    "flip_bits({r}, {i}) on {}",
+                    kind.label()
+                );
+            }
+            let report = sim(&plan).unwrap_or_else(|e| panic!("flip_bits({r}, {i}): {e}"));
+            let simulated = report.fault_stats.retransmits;
+            assert_eq!(simulated, retransmits, "flip_bits({r}, {i}) simulated");
+        }
     }
 }

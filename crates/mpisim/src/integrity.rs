@@ -17,10 +17,11 @@
 //! and, in the chaos harness, the membership pipeline — a persistent
 //! corrupter is fenced exactly like a crashed rank.
 //!
-//! Corruption is injected deterministically from plan seeds via
-//! [`CorruptionKind`]; there is no ambient entropy anywhere on this path.
+//! Corruption is injected deterministically from plan seeds: the fault
+//! plan's [`CorruptionKind`] says what damage, [`corrupt_payload`] applies
+//! it; there is no ambient entropy anywhere on this path.
 
-use pdac_simnet::Rank;
+use pdac_simnet::{CorruptionKind, Rank};
 
 /// Words per stripe: each lane folds every `LANES`-th word of the payload.
 const LANES: usize = 8;
@@ -148,56 +149,16 @@ impl IntegrityStats {
     }
 }
 
-/// The shapes payload corruption takes on the modeled wire. All three are
-/// applied to the staged chunk between stamp and verify, so every one is
-/// detectable by construction; what differs is the damage pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CorruptionKind {
-    /// In-transit bit corruption: the eight little-endian bytes of `mask`
-    /// are XORed into the chunk at a seed-derived offset (a flipped lane on
-    /// the wire, a bad DMA burst).
-    FlipBits {
-        /// XOR pattern; a zero mask is promoted to `0xA5` so the fault
-        /// never degenerates into a no-op.
-        mask: u64,
-    },
-    /// A torn write: the tail half of the chunk is replaced with
-    /// seed-derived garbage, as if the transfer committed only its first
-    /// segments before the writer died.
-    TornWrite,
-    /// A stale read: the whole chunk is replaced with deterministic
-    /// residue, as if a recycled pool buffer were served without being
-    /// overwritten by the current operation.
-    StaleRead,
-}
-
-impl CorruptionKind {
-    /// Short label for telemetry and summaries.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CorruptionKind::FlipBits { .. } => "flip_bits",
-            CorruptionKind::TornWrite => "torn_write",
-            CorruptionKind::StaleRead => "stale_read",
-        }
-    }
-}
-
 /// Applies `kind` to a staged chunk, deterministically for a given
-/// `(seed, rank, op_index)`. Empty chunks are left alone (there are no
-/// bytes to corrupt, and none to deliver either).
-pub fn corrupt_payload(
-    kind: CorruptionKind,
-    data: &mut [u8],
-    seed: u64,
-    rank: Rank,
-    op_index: u64,
-) {
+/// `(seed, rank, op)`. Empty chunks are left alone (there are no bytes to
+/// corrupt, and none to deliver either).
+pub fn corrupt_payload(kind: CorruptionKind, data: &mut [u8], seed: u64, rank: Rank, op: u64) {
     if data.is_empty() {
         return;
     }
     // One splitmix-style draw keys every pattern below; no ambient entropy.
     let key = (seed ^ (rank as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_add(op_index.wrapping_mul(0xbf58_476d_1ce4_e5b9));
+        .wrapping_add(op.wrapping_mul(0xbf58_476d_1ce4_e5b9));
     match kind {
         CorruptionKind::FlipBits { mask } => {
             let mask = if mask == 0 { 0xA5 } else { mask };
@@ -436,12 +397,7 @@ mod tests {
                 let clean = checksum(&base);
                 let mut dirty = base.clone();
                 corrupt_payload(kind, &mut dirty, 42, 3, 5);
-                assert_ne!(
-                    checksum(&dirty),
-                    clean,
-                    "{} on {len} bytes must be detectable",
-                    kind.label()
-                );
+                assert_ne!(checksum(&dirty), clean, "{kind:?} on {len} bytes must be detectable");
             }
         }
     }

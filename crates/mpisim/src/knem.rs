@@ -9,7 +9,7 @@
 //!
 //! The device that speaks the protocol lives in [`crate::transport`]; this
 //! file keeps what every caller of it names: the error taxonomy, the usage
-//! counters and the injected copy-fault plan.
+//! counters and the injected device failure window.
 
 use crate::transport::TxToken;
 
@@ -135,10 +135,11 @@ impl KnemStats {
     }
 }
 
-/// Copy failures injected after a budget of successful operations — the
-/// fault-injection hook for exercising error propagation end-to-end (a real
-/// KNEM copy can fail mid-collective: region torn down, `-EFAULT`, module
-/// unloaded).
+/// A device failure window: copy failures injected after a budget of
+/// successful operations — the hook for exercising error propagation
+/// end-to-end (a real KNEM copy can fail mid-collective: region torn down,
+/// `-EFAULT`, module unloaded). It belongs to the device, not to a run, so
+/// it outlives executor attempts.
 ///
 /// `fail_count` bounds the failure window: after `fail_after_copies`
 /// successful attempts, the next `fail_count` attempts fail and then the
@@ -147,22 +148,22 @@ impl KnemStats {
 /// A `fail_count` of [`u64::MAX`] (the [`Self::permanent_after`]
 /// constructor) never heals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultPlan {
+pub struct DeviceFault {
     /// Number of copies that succeed before the failure window opens.
     pub fail_after_copies: u64,
     /// Number of consecutive attempts that fail before the device heals.
     pub fail_count: u64,
 }
 
-impl FaultPlan {
+impl DeviceFault {
     /// Every copy after the first `n` attempts fails, forever.
     pub fn permanent_after(n: u64) -> Self {
-        FaultPlan { fail_after_copies: n, fail_count: u64::MAX }
+        DeviceFault { fail_after_copies: n, fail_count: u64::MAX }
     }
 
     /// After `after` successful attempts, the next `count` attempts fail,
     /// then copies succeed again — a retrying caller recovers.
     pub fn transient(after: u64, count: u64) -> Self {
-        FaultPlan { fail_after_copies: after, fail_count: count }
+        DeviceFault { fail_after_copies: after, fail_count: count }
     }
 }

@@ -38,8 +38,13 @@ pub(crate) mod workers;
 pub use bufpool::{BufferPool, BufferPoolStats};
 pub use comm::Communicator;
 pub use detector::{DetectorCounters, FailureDetector, RankState};
-pub use fault::{CorruptTarget, ExecFaultPlan, RetryPolicy};
-pub use integrity::{checksum, corrupt_payload, CorruptionKind, IntegrityStats};
+pub use fault::RetryPolicy;
+pub use integrity::{checksum, corrupt_payload, IntegrityStats};
+pub use pdac_simnet::{CorruptTarget, CorruptionKind};
+
+// Named by pdac-e2e's frozen probes; delete in the next [benchmark] PR.
+#[doc(hidden)]
+pub type ExecFaultPlan = pdac_simnet::FaultPlan;
 pub use knem::{KnemError, KnemStats};
 pub use p2p::{P2pConfig, SendOps};
 pub use thread_exec::{apply_data_op, ExecError, ExecResult, ThreadExecutor, WaitStats};

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 use pdac_simnet::{BufId, Rank};
 
-use crate::knem::{FaultPlan, KnemError};
+use crate::knem::{DeviceFault, KnemError};
 use crate::transport::TxToken;
 
 /// Number of table shards. Region ids are dealt to shards round-robin
@@ -66,13 +66,13 @@ pub(crate) struct RegionTable {
     /// Transfer attempts, counted only for fault budgeting (an injected
     /// failure consumes an attempt but is not a performed transfer).
     attempts: AtomicU64,
-    fault: Option<FaultPlan>,
+    fault: Option<DeviceFault>,
 }
 
 impl RegionTable {
     /// An empty table speaking `labels`, injecting transfer faults per
     /// `fault` if given.
-    pub fn new(labels: RegionLabels, fault: Option<FaultPlan>) -> Self {
+    pub fn new(labels: RegionLabels, fault: Option<DeviceFault>) -> Self {
         RegionTable {
             labels,
             shards: Default::default(),
@@ -251,7 +251,7 @@ impl RegionTable {
 mod tests {
     use super::*;
 
-    fn table(fault: Option<FaultPlan>) -> RegionTable {
+    fn table(fault: Option<DeviceFault>) -> RegionTable {
         RegionTable::new(
             RegionLabels {
                 category: "knem",
@@ -290,7 +290,7 @@ mod tests {
 
     #[test]
     fn fault_budget_opens_and_heals() {
-        let t = table(Some(FaultPlan::transient(1, 2)));
+        let t = table(Some(DeviceFault::transient(1, 2)));
         let id = t.register_epoch(0, BufId::Send, 0, 64, 0).unwrap();
         assert!(t.lookup(id, 0, 8).is_ok());
         assert!(t.lookup(id, 0, 8).is_err());

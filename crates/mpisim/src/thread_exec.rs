@@ -8,14 +8,14 @@
 //! cross-rank dependencies are done — moving real bytes between real
 //! buffers and driving the configured one-sided [`Transport`] (a fresh
 //! [`TransportKind::Knem`] one by default) for every `Mech::Knem` copy. A
-//! cursor whose dependency is pending is set aside; stalls, flaps and retry
+//! cursor whose dependency is pending is set aside; stalls and retry
 //! backoffs are a time before which it may not run, so no worker ever
 //! sleeps for a rank. Because [`pdac_simnet::Schedule::validate`]
 //! guarantees unordered writes never overlap, the final buffer contents are
 //! deterministic — any divergence between runs or against the expected
 //! collective semantics is a bug in the topology construction, not a race.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -23,13 +23,16 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use pdac_hwtopo::{DistanceMatrix, DIST_MAX_EXTENDED};
-use pdac_simnet::{BufId, DataOp, FaultStats, Lowered, Mech, OpKind, Rank, Schedule, ScheduleError};
+use pdac_simnet::{
+    BufId, CorruptionKind, DataOp, FaultPlan, FaultStats, Lowered, Mech, OpKind, Rank, RankFaults,
+    ResolvedFaults, Schedule, ScheduleError,
+};
 use pdac_telemetry::{LogHistogram, Span};
 
 use crate::bufpool::{BufferPool, BufferPoolStats};
 use crate::detector::{DetectorCounters, FailureDetector};
-use crate::fault::{ExecFaultPlan, RetryPolicy};
-use crate::integrity::{self, CorruptionKind, IntegrityStats};
+use crate::fault::RetryPolicy;
+use crate::integrity::{self, IntegrityStats};
 use crate::knem::{KnemError, KnemStats};
 use crate::transport::{Transport, TransportKind};
 use crate::workers::Workers;
@@ -282,8 +285,8 @@ struct Config {
     transport: Option<Arc<dyn Transport>>,
     /// Retry/timeout policy; the default is the pre-fault behavior.
     policy: RetryPolicy,
-    /// Executor-level fault plan injected into every run.
-    faults: Option<ExecFaultPlan>,
+    /// Fault plan resolved against, and injected into, every run.
+    faults: Option<FaultPlan>,
     /// Process-distance matrix of the ranks, used to label per-operation
     /// latency metrics with the paper's distance classes. Without it every
     /// operation lands in class 0.
@@ -323,10 +326,7 @@ struct Cursor {
     next: usize,
     /// Dependencies of that op already seen done.
     dep: usize,
-    /// Copy ops this rank has completed: the key a corruption fault
-    /// addresses (stable across retries).
-    copy_index: u64,
-    /// Stall, flap or retry backoff: nothing runs before this instant.
+    /// Stall or retry backoff: nothing runs before this instant.
     not_before: Option<Instant>,
     /// When the pending dependency was first found not done.
     blocked_since: Option<Instant>,
@@ -335,9 +335,9 @@ struct Cursor {
     suspected: bool,
     /// The current op from its first attempt to its completion.
     attempt: Option<Attempt>,
-    /// This rank's pause before every op (a flapping rank), and the op
-    /// budget before it crashes.
-    flap: Duration,
+    /// This rank's pause before every op, and the op budget before it
+    /// crashes.
+    stall: Duration,
     crash_after: Option<u64>,
     /// What this rank's steps counted, summed over cursors at collect.
     faults: FaultStats,
@@ -359,23 +359,9 @@ struct Attempt {
 enum Step {
     /// Ran at least one op, or retired: the run moved.
     Moved,
-    /// Nothing to do yet; with `Some`, not before that instant (a stall,
-    /// flap or backoff ending, or a wait's suspicion window or deadline).
+    /// Nothing to do yet; with `Some`, not before that instant (a stall or
+    /// backoff ending, or a wait's suspicion window or deadline).
     Idle(Option<Instant>),
-}
-
-/// Integrity context for one [`RunState::execute_op`] attempt: whatever
-/// corruption the fault plan armed for this transfer, and the identity that
-/// keys the deterministic damage pattern.
-struct IntegrityCtx {
-    /// Damage pattern and the number of attempts it poisons, when this
-    /// transfer is targeted.
-    corrupt: Option<(CorruptionKind, u64)>,
-    /// Zero-based attempt number (the retry loop increments it, so a
-    /// transient budget of 1 corrupts only the first attempt).
-    attempt: u32,
-    /// The executing rank's copy-op index, part of the damage key.
-    op_index: u64,
 }
 
 /// Handles into the global registry's histograms, resolved once per
@@ -435,8 +421,8 @@ struct RunState {
     /// Cursors not yet retired; the workers return when none is left.
     live: AtomicUsize,
     yields: AtomicU64,
-    /// Ids of the notifications whose completion the fault plan drops.
-    drop_ops: HashSet<usize>,
+    /// The fault plan resolved against `schedule`.
+    faults: ResolvedFaults,
     /// Per-dependency wait deadline of this run.
     deadline: Option<Duration>,
 }
@@ -500,11 +486,12 @@ impl ThreadExecutor {
         self.configure(|c| c.policy = policy)
     }
 
-    /// Attaches an executor-level fault plan (stalls, crashes, dropped
-    /// notifications). If the plan contains a lethal fault and no
-    /// [`RetryPolicy::op_deadline`] is set, a finite default deadline is
-    /// forced so the run cannot hang.
-    pub fn with_faults(self, plan: ExecFaultPlan) -> Self {
+    /// Attaches a fault plan, resolved against the schedule of every run
+    /// (stalls, crashes, dropped notifications, corrupted copies; link
+    /// degrades are the simulator's alone). If the plan contains a lethal
+    /// fault and no [`RetryPolicy::op_deadline`] is set, a finite default
+    /// deadline is forced so the run cannot hang.
+    pub fn with_faults(self, plan: FaultPlan) -> Self {
         self.configure(|c| c.faults = Some(plan))
     }
 
@@ -629,22 +616,12 @@ impl ThreadExecutor {
                 RwLock::new(data)
             })
             .collect();
-        // Map the plan's "nth notification" indices to schedule op ids.
-        let mut drop_ops: HashSet<usize> = HashSet::new();
-        if let Some(plan) = config.faults.as_ref().filter(|p| !p.dropped_notifies().is_empty()) {
-            let dropped: HashSet<u64> = plan.dropped_notifies().iter().copied().collect();
-            let notifies = (0..schedule.ops.len())
-                .filter(|&id| matches!(schedule.ops[id].kind, OpKind::Notify { .. }));
-            for (notify_seq, id) in notifies.enumerate() {
-                if dropped.contains(&(notify_seq as u64)) {
-                    drop_ops.insert(id);
-                }
-            }
-        }
+        let faults =
+            config.faults.as_ref().map(|p| p.resolve(&schedule, &lowered)).unwrap_or_default();
         // Ranks that execute nothing get no cursor (and no join audit).
         let cursors: Vec<Mutex<Cursor>> = (0..schedule.num_ranks)
             .filter(|&rank| !lowered.rank_ops(rank).is_empty())
-            .map(|rank| Mutex::new(Cursor::new(rank, config.faults.as_ref())))
+            .map(|rank| Mutex::new(Cursor::new(rank, faults.rank(rank))))
             .collect();
         RunState {
             config: Arc::clone(config),
@@ -662,7 +639,7 @@ impl ThreadExecutor {
             cursors,
             schedule,
             lowered,
-            drop_ops,
+            faults,
             // Lethal faults (crashes, dropped notifications) only surface
             // as timeouts, so they demand a finite deadline even when the
             // caller set none — a chaos run must end in a typed error, not
@@ -802,17 +779,16 @@ fn work((run, first, mut staging): Job) -> Vec<u8> {
 
 impl Cursor {
     /// A cursor at the start of `rank`'s stream; a stalled rank holds off
-    /// its first op for the stall (plus its flap, like every op).
-    fn new(rank: Rank, faults: Option<&ExecFaultPlan>) -> Self {
-        let stall = faults.map(|p| p.stall_of(rank)).unwrap_or_default();
+    /// its first op for the stall, like every op.
+    fn new(rank: Rank, RankFaults { stall, crash_after }: RankFaults) -> Self {
         let mut cursor = Cursor {
             rank,
-            flap: faults.map(|p| p.flap_of(rank)).unwrap_or_default(),
-            crash_after: faults.and_then(|p| p.crash_of(rank)),
+            stall,
+            crash_after,
             faults: FaultStats { ranks_stalled: u64::from(!stall.is_zero()), ..FaultStats::default() },
             ..Cursor::default()
         };
-        cursor.hold_off(stall + cursor.flap);
+        cursor.hold_off(stall);
         cursor
     }
 
@@ -869,7 +845,7 @@ impl Cursor {
                 Ok(false) => continue,
                 Err(e) => return self.retire(run, Err(e)),
             }
-            if run.drop_ops.contains(&id) {
+            if run.faults.op(id).dropped {
                 // The operation ran but its completion is never published —
                 // a lost notification, so no heartbeat either: peers cannot
                 // tell this apart from silence.
@@ -885,10 +861,10 @@ impl Cursor {
             self.next += 1;
             self.dep = 0;
             moved = true;
-            // A flapping rank stalls before *every* op: to its peers it
+            // A stalled rank stalls before *every* op: to its peers it
             // looks dead, then completes the op after all — Suspect raised,
-            // then refuted, until the crash budget finally fires.
-            self.hold_off(self.flap);
+            // then refuted, until a crash budget, if any, finally fires.
+            self.hold_off(self.stall);
         }
     }
 
@@ -962,19 +938,11 @@ impl Cursor {
             started: Instant::now(),
             _span: op_span(run, rank, id),
         });
-        // Corruption armed for this transfer, if any: edge targets match
-        // (rank, copy_index), source targets match the rank being pulled
-        // from.
-        let corrupt = match kind {
-            OpKind::Copy { src_rank, .. } => run
-                .config
-                .faults
-                .as_ref()
-                .and_then(|p| p.corruption_of(rank, self.copy_index, *src_rank)),
-            _ => None,
-        };
-        let ctx = IntegrityCtx { corrupt, attempt: attempt.retries, op_index: self.copy_index };
-        match run.execute_op(rank, id, &ctx, staging, &mut self.faults) {
+        // The damage armed for this attempt: a corruption poisons the first
+        // `budget` attempts, so a transient budget of 1 heals on the retry.
+        let (corrupt, tries) = (run.faults.op(id).corrupt, u64::from(attempt.retries));
+        let damage = corrupt.filter(|&(_, budget)| tries < budget).map(|(kind, _)| kind);
+        match run.execute_op(rank, id, damage, staging, &mut self.faults) {
             Ok(()) => {}
             // Never retried: a fenced epoch does not become valid again.
             Err(KnemError::StaleEpoch { epoch, fence }) => {
@@ -1037,9 +1005,6 @@ impl Cursor {
         let done = self.attempt.take().expect("the attempt was started above");
         let ns = done.started.elapsed().as_nanos() as u64;
         run.histograms.record(kind, run.lowered.class(id), ns);
-        if matches!(kind, OpKind::Copy { .. }) {
-            self.copy_index += 1;
-        }
         Ok(true)
     }
 }
@@ -1154,7 +1119,7 @@ impl RunState {
         &self,
         rank: Rank,
         id: usize,
-        ctx: &IntegrityCtx,
+        damage: Option<CorruptionKind>,
         staging: &mut [u8],
         faults: &mut FaultStats,
     ) -> Result<(), KnemError> {
@@ -1198,14 +1163,12 @@ impl RunState {
             expected = integrity::copy_stamped(staging, src_bytes);
         }
         faults.checksums_stamped += 1;
-        if let Some((damage, budget)) = ctx.corrupt {
-            if u64::from(ctx.attempt) < budget {
-                // The staged copy *is* the modeled wire: damage applied here is
-                // exactly what in-transit corruption looks like to the verifier.
-                // The plan seed keys the damage pattern.
-                let seed = self.seed().unwrap_or_default();
-                integrity::corrupt_payload(damage, staging, seed, rank, ctx.op_index);
-            }
+        if let Some(damage) = damage {
+            // The staged copy *is* the modeled wire: damage applied here is
+            // exactly what in-transit corruption looks like to the verifier.
+            // The plan seed and the op key the damage pattern.
+            let seed = self.seed().unwrap_or_default();
+            integrity::corrupt_payload(damage, staging, seed, rank, id as u64);
         }
         let got = integrity::checksum(staging);
         if got != expected {
@@ -1503,7 +1466,7 @@ mod tests {
         let start = Instant::now();
         let exec = ThreadExecutor { width: 1, ..ThreadExecutor::with_transport(clock.clone()) };
         let res = exec
-            .with_faults(ExecFaultPlan::new(61).stall_rank(1, stall))
+            .with_faults(FaultPlan::new(61).stall_rank(1, stall))
             .run(&independent_of_rank_1(4), pattern)
             .unwrap();
         assert_eq!(res.fault_stats.ranks_stalled, 1);
@@ -1528,7 +1491,7 @@ mod tests {
         let policy = RetryPolicy { max_retries: 2, backoff_base: backoff, op_deadline: None };
         let res = exec
             .with_policy(policy)
-            .with_faults(ExecFaultPlan::new(67).flip_bits(1, 0, 0xff))
+            .with_faults(FaultPlan::new(67).flip_bits(1, 0, 0xff))
             .run(&independent_of_rank_1(4), pattern)
             .unwrap();
         assert_eq!(res.buffer(1, BufId::Recv), &pattern(0, 256)[..]);
@@ -1543,8 +1506,8 @@ mod tests {
 
     #[test]
     fn one_worker_suspects_then_refutes_a_flapping_rank() {
-        // Rank 1 flaps before each of its two ops; rank 0 waits on the
-        // second. The flaps outlast the suspicion window, not the deadline.
+        // Rank 1 stalls before each of its two ops; rank 0 waits on the
+        // second. The stalls outlast the suspicion window, not the deadline.
         let mut b = ScheduleBuilder::new("t", 2);
         let a = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 64, Mech::Memcpy, 1, &[]);
         let n = b.notify(1, 0, &[a]);
@@ -1552,13 +1515,13 @@ mod tests {
         let det = Arc::new(FailureDetector::with_suspect_after(2, Duration::from_millis(5)));
         let res = one_worker()
             .with_policy(RetryPolicy { op_deadline: Some(Duration::from_millis(500)), ..RetryPolicy::chaos() })
-            .with_faults(ExecFaultPlan::new(71).flap_rank(1, Duration::from_millis(15), 10))
+            .with_faults(FaultPlan::new(71).stall_rank(1, Duration::from_millis(15)))
             .with_detector(Arc::clone(&det))
             .run(&b.finish(), pattern)
             .unwrap();
         assert_eq!(res.buffer(0, BufId::Recv), &pattern(0, 64)[..]);
         let c = det.counters();
-        assert!(c.suspects_raised >= 1, "the flap crossed the suspicion window: {c:?}");
+        assert!(c.suspects_raised >= 1, "the stall crossed the suspicion window: {c:?}");
         assert_eq!(c.suspects_raised, c.suspects_refuted, "every suspicion was refuted");
         assert_eq!((det.state(1), c.ranks_confirmed_dead), (crate::RankState::Alive, 0));
     }
@@ -1827,7 +1790,7 @@ mod tests {
 
     #[test]
     fn injected_knem_fault_propagates_without_hanging() {
-        use crate::knem::FaultPlan;
+        use crate::knem::DeviceFault;
         // A 3-level relay with a device that dies after 2 successful copies:
         // the failing rank poisons the run, every other cursor unwinds, and
         // the caller sees the KNEM error instead of a deadlock.
@@ -1850,7 +1813,7 @@ mod tests {
                 &[prev],
             );
         }
-        let device = TransportKind::Knem.create(Some(FaultPlan::permanent_after(2)));
+        let device = TransportKind::Knem.create(Some(DeviceFault::permanent_after(2)));
         let err = ThreadExecutor::with_transport(std::sync::Arc::clone(&device))
             .run(&b.finish(), pattern)
             .unwrap_err();
@@ -1871,7 +1834,7 @@ mod tests {
 
     #[test]
     fn injected_fault_budget_zero_fails_first_copy() {
-        use crate::knem::FaultPlan;
+        use crate::knem::DeviceFault;
         let mut b = ScheduleBuilder::new("t", 2);
         b.copy(
             (0, BufId::Send, 0),
@@ -1881,7 +1844,7 @@ mod tests {
             1,
             &[],
         );
-        let device = TransportKind::Knem.create(Some(FaultPlan::permanent_after(0)));
+        let device = TransportKind::Knem.create(Some(DeviceFault::permanent_after(0)));
         let err = ThreadExecutor::with_transport(device)
             .run(&b.finish(), pattern)
             .unwrap_err();
@@ -1891,7 +1854,7 @@ mod tests {
     #[test]
     fn transient_knem_fault_heals_through_retries() {
         use crate::fault::RetryPolicy;
-        use crate::knem::FaultPlan;
+        use crate::knem::DeviceFault;
         let mut b = ScheduleBuilder::new("t", 2);
         b.copy(
             (0, BufId::Send, 0),
@@ -1903,7 +1866,7 @@ mod tests {
         );
         // First two attempts fail, then the device heals: with 3 retries
         // the copy succeeds and the payload arrives intact.
-        let device = TransportKind::Knem.create(Some(FaultPlan::transient(0, 2)));
+        let device = TransportKind::Knem.create(Some(DeviceFault::transient(0, 2)));
         let res = ThreadExecutor::with_transport(device)
             .with_policy(RetryPolicy::chaos())
             .run(&b.finish(), pattern)
@@ -1916,7 +1879,7 @@ mod tests {
 
     #[test]
     fn crashed_rank_surfaces_as_timeout_not_hang() {
-        use crate::fault::{ExecFaultPlan, RetryPolicy};
+        use crate::fault::RetryPolicy;
         let mut b = ScheduleBuilder::new("t", 3);
         let a = b.copy(
             (0, BufId::Send, 0),
@@ -1940,7 +1903,7 @@ mod tests {
         };
         let err = ThreadExecutor::new()
             .with_policy(policy)
-            .with_faults(ExecFaultPlan::new(17).crash_rank(1, 0))
+            .with_faults(FaultPlan::new(17).crash_rank(1, 0))
             .run(&b.finish(), pattern)
             .unwrap_err();
         match err {
@@ -1954,7 +1917,6 @@ mod tests {
 
     #[test]
     fn crash_plan_without_deadline_gets_forced_deadline() {
-        use crate::fault::ExecFaultPlan;
         let mut b = ScheduleBuilder::new("t", 2);
         let a = b.copy(
             (0, BufId::Send, 0),
@@ -1976,7 +1938,7 @@ mod tests {
         // Default policy has no deadline; the lethal plan must still
         // terminate (forced deadline) instead of hanging forever.
         let err = ThreadExecutor::new()
-            .with_faults(ExecFaultPlan::new(23).crash_rank(1, 0))
+            .with_faults(FaultPlan::new(23).crash_rank(1, 0))
             .run(&b.finish(), pattern)
             .unwrap_err();
         assert!(matches!(err, ExecError::Timeout { .. }));
@@ -1984,7 +1946,7 @@ mod tests {
 
     #[test]
     fn dropped_notify_times_out_dependents() {
-        use crate::fault::{ExecFaultPlan, RetryPolicy};
+        use crate::fault::RetryPolicy;
         let mut b = ScheduleBuilder::new("t", 2);
         let a = b.copy(
             (0, BufId::Send, 0),
@@ -2009,7 +1971,7 @@ mod tests {
         };
         let err = ThreadExecutor::new()
             .with_policy(policy)
-            .with_faults(ExecFaultPlan::new(31).drop_notify(0))
+            .with_faults(FaultPlan::new(31).drop_notify(0))
             .run(&b.finish(), pattern)
             .unwrap_err();
         match err {
@@ -2020,7 +1982,6 @@ mod tests {
 
     #[test]
     fn stalled_rank_still_completes_correctly() {
-        use crate::fault::ExecFaultPlan;
         let mut b = ScheduleBuilder::new("t", 2);
         b.copy(
             (0, BufId::Send, 0),
@@ -2031,7 +1992,7 @@ mod tests {
             &[],
         );
         let res = ThreadExecutor::new()
-            .with_faults(ExecFaultPlan::new(5).stall_rank(1, std::time::Duration::from_millis(5)))
+            .with_faults(FaultPlan::new(5).stall_rank(1, std::time::Duration::from_millis(5)))
             .run(&b.finish(), pattern)
             .unwrap();
         assert_eq!(res.buffer(1, BufId::Recv), &pattern(0, 256)[..]);
@@ -2041,7 +2002,7 @@ mod tests {
     #[test]
     fn detector_suspects_then_refutes_a_stalled_rank() {
         use crate::detector::{FailureDetector, RankState};
-        use crate::fault::{ExecFaultPlan, RetryPolicy};
+        use crate::fault::RetryPolicy;
         let mut b = ScheduleBuilder::new("t", 2);
         b.copy(
             (0, BufId::Send, 0),
@@ -2072,7 +2033,7 @@ mod tests {
                 op_deadline: Some(Duration::from_millis(500)),
                 ..RetryPolicy::chaos()
             })
-            .with_faults(ExecFaultPlan::new(41).stall_rank(1, Duration::from_millis(40)))
+            .with_faults(FaultPlan::new(41).stall_rank(1, Duration::from_millis(40)))
             .with_detector(std::sync::Arc::clone(&det))
             .run(&b.finish(), pattern)
             .unwrap();
@@ -2097,7 +2058,7 @@ mod tests {
     #[test]
     fn detector_confirms_a_crashed_rank_via_join_audit() {
         use crate::detector::{FailureDetector, RankState};
-        use crate::fault::{ExecFaultPlan, RetryPolicy};
+        use crate::fault::RetryPolicy;
         let mut b = ScheduleBuilder::new("t", 3);
         let a = b.copy(
             (0, BufId::Send, 0),
@@ -2124,7 +2085,7 @@ mod tests {
                 op_deadline: Some(Duration::from_millis(50)),
                 ..RetryPolicy::chaos()
             })
-            .with_faults(ExecFaultPlan::new(43).crash_rank(1, 0))
+            .with_faults(FaultPlan::new(43).crash_rank(1, 0))
             .with_detector(std::sync::Arc::clone(&det))
             .run(&b.finish(), pattern)
             .unwrap_err();
@@ -2147,10 +2108,11 @@ mod tests {
     #[test]
     fn flapping_rank_is_suspected_refuted_then_confirmed() {
         use crate::detector::{FailureDetector, RankState};
-        use crate::fault::{ExecFaultPlan, RetryPolicy};
-        // A 3-op relay chain through rank 1: the flapper stalls before each
-        // op (Suspect → refute on completion), completes 2, then dies on
-        // the third (Suspect → Confirmed via join audit).
+        use crate::fault::RetryPolicy;
+        // A 3-op relay chain through rank 1: the flapper — a stall and a
+        // crash on one rank — stalls before each op (Suspect → refute on
+        // completion), completes 2, then dies on the third (Suspect →
+        // Confirmed via join audit).
         let mut b = ScheduleBuilder::new("t", 2);
         let mut prev = Vec::new();
         for i in 0..3 {
@@ -2182,7 +2144,7 @@ mod tests {
                 op_deadline: Some(Duration::from_millis(100)),
                 ..RetryPolicy::chaos()
             })
-            .with_faults(ExecFaultPlan::new(47).flap_rank(1, Duration::from_millis(20), 4))
+            .with_faults(FaultPlan::new(47).stall_rank(1, Duration::from_millis(20)).crash_rank(1, 4))
             .with_detector(std::sync::Arc::clone(&det))
             .run(&b.finish(), pattern)
             .unwrap_err();
@@ -2322,9 +2284,9 @@ mod tests {
             let mut b = ScheduleBuilder::new("t", 2);
             b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 512, Mech::Knem, 1, &[]);
             let plan = match kind_name {
-                "flip" => ExecFaultPlan::new(53).flip_bits(1, 0, 0xdead_beef),
-                "torn" => ExecFaultPlan::new(53).torn_write(1, 0),
-                _ => ExecFaultPlan::new(53).stale_read(1, 0),
+                "flip" => FaultPlan::new(53).flip_bits(1, 0, 0xdead_beef),
+                "torn" => FaultPlan::new(53).torn_write(1, 0),
+                _ => FaultPlan::new(53).stale_read(1, 0),
             };
             let res = ThreadExecutor::new()
                 .with_policy(RetryPolicy::chaos())
@@ -2356,7 +2318,7 @@ mod tests {
         let det = std::sync::Arc::new(FailureDetector::new(2));
         let err = ThreadExecutor::new()
             .with_policy(RetryPolicy::chaos())
-            .with_faults(ExecFaultPlan::new(59).corrupt_source(0, 0x5a))
+            .with_faults(FaultPlan::new(59).corrupt_source(0, 0x5a))
             .with_detector(std::sync::Arc::clone(&det))
             .run(&b.finish(), pattern)
             .unwrap_err();
@@ -2396,7 +2358,7 @@ mod tests {
             }
             let res = ThreadExecutor::new()
                 .with_policy(RetryPolicy::chaos())
-                .with_faults(ExecFaultPlan::new(seed).with_seeded_corruption(4))
+                .with_faults(FaultPlan::new(seed).with_seeded_corruption(4))
                 .run(&b.finish(), pattern)
                 .unwrap();
             assert_eq!(

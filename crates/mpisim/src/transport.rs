@@ -37,7 +37,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use pdac_simnet::{BufId, Rank};
 
-use crate::knem::{FaultPlan, KnemError, KnemStats};
+use crate::knem::{DeviceFault, KnemError, KnemStats};
 use crate::region::{RegionLabels, RegionTable};
 
 /// Transport failures: `BadCookie` doubles as "work request flushed",
@@ -163,9 +163,9 @@ impl TransportKind {
         }
     }
 
-    /// Instantiates a fresh device of this kind, optionally with a copy
-    /// fault plan.
-    pub fn create(&self, faults: Option<FaultPlan>) -> Arc<dyn Transport> {
+    /// Instantiates a fresh device of this kind, optionally with a failure
+    /// window.
+    pub fn create(&self, faults: Option<DeviceFault>) -> Arc<dyn Transport> {
         Arc::new(Device::new(*self, faults))
     }
 
@@ -216,7 +216,7 @@ struct Device {
 }
 
 impl Device {
-    fn new(kind: TransportKind, faults: Option<FaultPlan>) -> Self {
+    fn new(kind: TransportKind, faults: Option<DeviceFault>) -> Self {
         let model = kind.model();
         Device {
             model,
@@ -402,14 +402,14 @@ mod tests {
     #[test]
     fn fault_budget_transient_heals_permanent_does_not() {
         for kind in KINDS {
-            let t = kind.create(Some(FaultPlan::transient(2, 3)));
+            let t = kind.create(Some(DeviceFault::transient(2, 3)));
             let tok = t.register(0, BufId::Send, 0, 64, 0).unwrap();
             // Two successes, three injected failures, then healed.
             let outcomes: Vec<bool> = (0..6).map(|_| t.tx(tok, 1, 0, 8).is_ok()).collect();
             assert_eq!(outcomes, [true, true, false, false, false, true], "{kind:?}");
             assert_eq!(t.stats().copies, 3, "{kind:?}: an injected failure is not a copy");
 
-            let t = kind.create(Some(FaultPlan::permanent_after(1)));
+            let t = kind.create(Some(DeviceFault::permanent_after(1)));
             let tok = t.register(0, BufId::Send, 0, 64, 0).unwrap();
             assert!(t.tx(tok, 1, 0, 8).is_ok());
             for _ in 0..10 {
@@ -522,7 +522,7 @@ mod tests {
     fn rdma_injected_fault_on_first_contact_leaves_the_pair_unconnected() {
         // The fault budget is applied before any connection work: a flushed
         // transfer on first contact must not count as the pair's handshake.
-        let t = TransportKind::Rdma.create(Some(FaultPlan::transient(0, 1)));
+        let t = TransportKind::Rdma.create(Some(DeviceFault::transient(0, 1)));
         let tok = t.register(0, BufId::Send, 0, 64, 0).unwrap();
         assert!(t.tx(tok, 1, 0, 8).is_err());
         assert_eq!(t.stats().handshakes, 0, "no handshake on a flushed transfer");

@@ -6,11 +6,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use pdac_mpisim::fault::{ExecFaultPlan, RetryPolicy};
+use pdac_mpisim::fault::RetryPolicy;
 use pdac_mpisim::{
     ExecError, KnemStats, ThreadExecutor, Transport, TransportError, TransportKind, TxToken,
 };
-use pdac_simnet::{BufId, Mech, Rank, Schedule, ScheduleBuilder};
+use pdac_simnet::{BufId, FaultPlan, Mech, Rank, Schedule, ScheduleBuilder};
 
 fn pattern(rank: usize, size: usize) -> Vec<u8> {
     (0..size)
@@ -87,18 +87,18 @@ fn a_failed_run_leaves_the_workers_clean() {
     // Timeout: rank 3 dies silently, its dependents starve.
     let exec = ThreadExecutor::new()
         .with_policy(short)
-        .with_faults(ExecFaultPlan::new(3).crash_rank(3, 0));
+        .with_faults(FaultPlan::new(3).crash_rank(3, 0));
     let err = exec.run(&relay(512), pattern).unwrap_err();
     assert!(matches!(err, ExecError::Timeout { .. }), "{err}");
-    let exec = exec.with_faults(ExecFaultPlan::new(3));
+    let exec = exec.with_faults(FaultPlan::new(3));
     assert_clean_run(&exec, 512, "after Timeout");
 
     // Corrupt: rank 2 serves damaged bytes on every attempt.
-    let exec = exec.with_faults(ExecFaultPlan::new(5).corrupt_source(2, 0x3c));
+    let exec = exec.with_faults(FaultPlan::new(5).corrupt_source(2, 0x3c));
     let err = exec.run(&relay(512), pattern).unwrap_err();
     assert!(matches!(err, ExecError::Corrupt { peer: 2, .. }), "{err}");
     let exec = exec
-        .with_faults(ExecFaultPlan::new(5))
+        .with_faults(FaultPlan::new(5))
         .with_policy(RetryPolicy::default());
     assert_clean_run(&exec, 512, "after Corrupt");
 

@@ -14,9 +14,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pdac_mpisim::detector::{FailureDetector, RankState};
-use pdac_mpisim::fault::{ExecFaultPlan, RetryPolicy};
+use pdac_mpisim::fault::RetryPolicy;
 use pdac_mpisim::{ExecError, ThreadExecutor};
-use pdac_simnet::{BufId, Mech, ScheduleBuilder};
+use pdac_simnet::{BufId, FaultPlan, Mech, ScheduleBuilder};
 
 fn pattern(rank: usize, size: usize) -> Vec<u8> {
     (0..size)
@@ -79,7 +79,7 @@ fn dropped_notify_is_detected_without_parking() {
     };
     let err = ThreadExecutor::new()
         .with_policy(policy)
-        .with_faults(ExecFaultPlan::new(7).drop_notify(0))
+        .with_faults(FaultPlan::new(7).drop_notify(0))
         .run(&relay_schedule(), pattern)
         .unwrap_err();
     match err {
@@ -112,7 +112,7 @@ fn crash_is_confirmed_by_detector_without_parking() {
             op_deadline: Some(Duration::from_millis(50)),
             ..RetryPolicy::chaos()
         })
-        .with_faults(ExecFaultPlan::new(11).crash_rank(1, 0))
+        .with_faults(FaultPlan::new(11).crash_rank(1, 0))
         .with_detector(Arc::clone(&det))
         .run(&relay_schedule(), pattern)
         .unwrap_err();

@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use pdac_hwtopo::{core_distance, Binding, Machine};
 
-use crate::fault::{Fault, FaultPlan, FaultStats, SimError};
+use crate::fault::{Fault, FaultPlan, FaultStats, ResolvedFaults, SimError};
 use crate::resource::{Calibration, Resource, TransportModel};
 use crate::route::{copy_route, Route};
 use crate::schedule::{BufId, Mech, OpId, OpKind, Schedule};
@@ -154,139 +154,50 @@ pub struct SimExecutor<'a> {
     transport: TransportModel,
 }
 
-/// Per-run fault-injection state derived from a [`FaultPlan`]. With no
-/// plan every table is inert (zero stalls, empty degrade map, no crash
-/// thresholds), so the fault-free path is bit-identical to the original
-/// engine.
+/// Per-run fault state beside the plan's [`ResolvedFaults`]: the degrade
+/// map, the crash state and the counters. With no plan every part is inert
+/// (empty degrade map, no crash thresholds), so the fault-free path is
+/// bit-identical to the original engine.
 struct FaultState {
     /// Capacity multiplier per degraded resource.
     degrade: HashMap<Resource, f64>,
-    /// Extra per-operation latency per executor.
-    stall: Vec<f64>,
-    /// Flapping executors: `(delay, period_ops)` — the extra latency is
-    /// applied only during the odd `period_ops`-wide windows of the rank's
-    /// own operation sequence.
-    flap: Vec<Option<(f64, u64)>>,
-    /// Ops an executor starts before dying.
-    crash_after: Vec<Option<u64>>,
     crashed: Vec<bool>,
     ops_started: Vec<u64>,
-    /// Notification sequence numbers to lose.
-    drop_nth: HashSet<u64>,
-    notify_seq: u64,
-    /// `(rank, copy_index)` pairs whose staged chunk arrives corrupt. The
-    /// checksummed data path detects each one and re-transmits, so the
-    /// simulated cost is one extra transfer latency per hit.
-    corrupt: HashSet<(usize, u64)>,
-    /// Per-rank count of copy operations started (indexes `corrupt`).
-    copies_started: Vec<u64>,
     stats: FaultStats,
 }
 
 impl FaultState {
-    fn from_plan(plan: Option<&FaultPlan>, nranks: usize) -> FaultState {
+    fn new(plan: Option<&FaultPlan>, faults: &ResolvedFaults, nranks: usize) -> FaultState {
         let mut fs = FaultState {
             degrade: HashMap::new(),
-            stall: vec![0.0; nranks],
-            flap: vec![None; nranks],
-            crash_after: vec![None; nranks],
             crashed: vec![false; nranks],
             ops_started: vec![0; nranks],
-            drop_nth: HashSet::new(),
-            notify_seq: 0,
-            corrupt: HashSet::new(),
-            copies_started: vec![0; nranks],
             stats: FaultStats::default(),
         };
-        let Some(plan) = plan else { return fs };
-        for fault in plan.faults() {
-            match *fault {
-                Fault::DegradeLink { resource, factor } => {
-                    let f = fs.degrade.entry(resource).or_insert(1.0);
-                    *f = (*f * factor).max(crate::fault::MIN_DEGRADE_FACTOR);
-                    fs.stats.links_degraded += 1;
-                }
-                Fault::StallRank { rank, delay } if rank < nranks => {
-                    fs.stall[rank] += delay;
-                    fs.stats.ranks_stalled += 1;
-                }
-                Fault::CrashRank { rank, after_ops } if rank < nranks => {
-                    let k = fs.crash_after[rank].get_or_insert(after_ops);
-                    *k = (*k).min(after_ops);
-                }
-                Fault::DropNotify { nth } => {
-                    fs.drop_nth.insert(nth);
-                }
-                Fault::FlapRank {
-                    rank,
-                    delay,
-                    period_ops,
-                } if rank < nranks => {
-                    fs.flap[rank] = Some((delay, period_ops.max(1)));
-                    fs.stats.ranks_stalled += 1;
-                }
-                Fault::FlipBits { rank, op_index, .. }
-                | Fault::TornWrite { rank, op_index }
-                | Fault::StaleRead { rank, op_index }
-                    if rank < nranks =>
-                {
-                    fs.corrupt.insert((rank, op_index));
-                }
-                // Faults addressing ranks outside this schedule are inert.
-                Fault::StallRank { .. }
-                | Fault::CrashRank { .. }
-                | Fault::FlapRank { .. }
-                | Fault::FlipBits { .. }
-                | Fault::TornWrite { .. }
-                | Fault::StaleRead { .. } => {}
+        for fault in plan.map_or(&[][..], FaultPlan::faults) {
+            if let Fault::DegradeLink { resource, factor } = *fault {
+                let f = fs.degrade.entry(resource).or_insert(1.0);
+                *f = (*f * factor).max(crate::fault::MIN_DEGRADE_FACTOR);
+                fs.stats.links_degraded += 1;
             }
         }
+        let stalled = (0..nranks).filter(|&r| !faults.rank(r).stall.is_zero());
+        fs.stats.ranks_stalled = stalled.count() as u64;
         fs
     }
 
-    /// Records one op start by `rank`. Returns `true` when the rank has
-    /// crashed (the op must be abandoned instead of started).
-    fn note_op_start(&mut self, rank: usize) -> bool {
-        if let Some(k) = self.crash_after[rank] {
-            if self.ops_started[rank] >= k {
-                if !self.crashed[rank] {
-                    self.crashed[rank] = true;
-                    self.stats.ranks_crashed += 1;
-                }
-                return true;
+    /// Records one op start by `rank`, which crashes after `crash_after`
+    /// starts. Returns `true` when the rank has crashed (the op must be
+    /// abandoned instead of started).
+    fn note_op_start(&mut self, rank: usize, crash_after: Option<u64>) -> bool {
+        if crash_after.is_some_and(|k| self.ops_started[rank] >= k) {
+            if !self.crashed[rank] {
+                self.crashed[rank] = true;
+                self.stats.ranks_crashed += 1;
             }
-        }
-        self.ops_started[rank] += 1;
-        false
-    }
-
-    /// Extra latency `rank`'s next operation pays: the constant stall plus
-    /// the flap delay when the rank's own op counter sits in an odd
-    /// (stalled) window. Called after [`Self::note_op_start`], so the
-    /// counter is 1-based here.
-    fn stall_for(&self, rank: usize) -> f64 {
-        let mut s = self.stall[rank];
-        if let Some((delay, period)) = self.flap[rank] {
-            let window = self.ops_started[rank].saturating_sub(1) / period;
-            if window % 2 == 1 {
-                s += delay;
-            }
-        }
-        s
-    }
-
-    /// Records one *copy* start by `rank` and reports whether its staged
-    /// chunk arrives corrupt. A hit charges the integrity counters — the
-    /// checksummed data path always detects the damage before the combine —
-    /// and the caller adds one extra transfer latency for the re-transmit.
-    fn note_copy_start(&mut self, rank: usize) -> bool {
-        let idx = self.copies_started[rank];
-        self.copies_started[rank] += 1;
-        if self.corrupt.contains(&(rank, idx)) {
-            self.stats.corrupt_detected += 1;
-            self.stats.retransmits += 1;
             return true;
         }
+        self.ops_started[rank] += 1;
         false
     }
 }
@@ -341,6 +252,8 @@ struct Run<'a> {
     started_at: Vec<f64>,
     /// (time, op) min-heap of latency-phase completions.
     timers: BinaryHeap<Reverse<(Time, OpId)>>,
+    /// The fault plan resolved against `schedule`.
+    faults: ResolvedFaults,
     fs: FaultState,
 }
 
@@ -367,18 +280,17 @@ impl Run<'_> {
                 self.mark_stale(exec);
             }
             OpKind::Notify { from, .. } => {
-                if self.fs.note_op_start(from) {
+                let rank = self.faults.rank(from);
+                if self.fs.note_op_start(from, rank.crash_after) {
                     self.fs.stats.ops_abandoned += 1;
                     return;
                 }
-                let seq = self.fs.notify_seq;
-                self.fs.notify_seq += 1;
-                if self.fs.drop_nth.contains(&seq) {
+                if self.faults.op(id).dropped {
                     self.fs.stats.notifies_dropped += 1;
                     return;
                 }
                 self.started_at[id] = self.now;
-                let lat = self.exec.latency_of(kind) + self.fs.stall_for(from);
+                let lat = self.exec.latency_of(kind) + rank.stall.as_secs_f64();
                 self.timers.push(Reverse((Time(self.now + lat), id)));
             }
         }
@@ -405,7 +317,8 @@ impl Run<'_> {
                     self.ready[r].first().copied()
                 };
                 let Some(id) = candidate else { break };
-                if self.fs.note_op_start(r) {
+                let rank = self.faults.rank(r);
+                if self.fs.note_op_start(r, rank.crash_after) {
                     self.fs.stats.ops_abandoned += self.ready[r].len() as u64;
                     self.ready[r].clear();
                     break;
@@ -413,10 +326,13 @@ impl Run<'_> {
                 self.ready[r].remove(&id);
                 self.busy[r].push(id);
                 self.started_at[id] = self.now;
-                let mut lat = self.exec.latency_of(&ops[id].kind) + self.fs.stall_for(r);
-                if self.fs.note_copy_start(r) {
-                    // Detected corruption: the verified re-transmit
-                    // re-pulls the chunk, costing one more transfer.
+                let mut lat = self.exec.latency_of(&ops[id].kind) + rank.stall.as_secs_f64();
+                if self.faults.op(id).corrupt.is_some_and(|(_, attempts)| attempts > 0) {
+                    // The checksummed data path detects the damage before
+                    // the combine, and the verified re-transmit re-pulls
+                    // the chunk: one more transfer.
+                    self.fs.stats.corrupt_detected += 1;
+                    self.fs.stats.retransmits += 1;
                     lat += self.exec.latency_of(&ops[id].kind);
                 }
                 self.timers.push(Reverse((Time(self.now + lat), id)));
@@ -465,9 +381,10 @@ impl<'a> SimExecutor<'a> {
         self
     }
 
-    /// Attaches a seed-driven fault plan: degraded resources, stalled and
-    /// crashing ranks, and dropped notifications are injected into every
-    /// subsequent [`Self::run`]. Runs that cannot finish return a typed
+    /// Attaches a seed-driven fault plan, resolved against the schedule of
+    /// every subsequent [`Self::run`]: degraded resources, stalled and
+    /// crashing ranks, dropped notifications and corrupted copies (each
+    /// charged one re-transmit). Runs that cannot finish return a typed
     /// [`SimError`] instead of looping or panicking.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
@@ -520,6 +437,8 @@ impl<'a> SimExecutor<'a> {
         let n = ops.len();
         let nranks = schedule.num_ranks;
         let mut dep_remaining: Vec<usize> = (0..n).map(|id| schedule.deps(id).len()).collect();
+        let plan = self.fault.as_ref();
+        let faults = plan.map(|p| p.resolve(schedule, &lowered)).unwrap_or_default();
 
         let mut run = Run {
             exec: self,
@@ -531,9 +450,10 @@ impl<'a> SimExecutor<'a> {
             is_stale: vec![false; nranks],
             started_at: vec![0.0; n],
             timers: BinaryHeap::new(),
-            fs: FaultState::from_plan(self.fault.as_ref(), nranks),
+            fs: FaultState::new(plan, &faults, nranks),
+            faults,
         };
-        let seed = self.fault.as_ref().map(|p| p.seed);
+        let seed = plan.map(|p| p.seed);
         let mut op_finish: Vec<f64> = vec![0.0; n];
         let mut rank_busy: Vec<f64> = vec![0.0; nranks];
         let mut done = 0usize;
@@ -740,6 +660,7 @@ mod tests {
     use super::*;
     use crate::schedule::{BufId, Mech, ScheduleBuilder};
     use pdac_hwtopo::machines;
+    use std::time::Duration;
 
     /// A dependency-free copy of `bytes` at `off` of `src`'s send buffer to
     /// `off` of `dst`'s receive buffer, executed by `dst`.
@@ -1013,7 +934,7 @@ mod tests {
             .unwrap();
         let delay = 3e-4;
         let rep = SimExecutor::new(&ig, &binding, SimConfig::default())
-            .with_fault_plan(FaultPlan::new(7).stall_rank(1, delay))
+            .with_fault_plan(FaultPlan::new(7).stall_rank(1, Duration::from_secs_f64(delay)))
             .run(&s)
             .unwrap();
         // Rank 1 executes the first copy and sends the notify: two stalls.
@@ -1152,7 +1073,7 @@ mod tests {
         let s = chain_schedule();
         let run = |seed: u64| {
             SimExecutor::new(&ig, &binding, SimConfig::default())
-                .with_fault_plan(FaultPlan::seeded(seed, 48))
+                .with_fault_plan(FaultPlan::seeded(seed, 48, &[0]))
                 .with_deadline(10.0)
                 .run(&s)
         };

@@ -50,7 +50,10 @@ mod solver;
 pub mod trace;
 
 pub use engine::{SimConfig, SimExecutor, SimReport, SolverStats};
-pub use fault::{Fault, FaultPlan, FaultStats, SimError};
+pub use fault::{
+    CorruptTarget, CorruptionKind, Fault, FaultPlan, FaultStats, OpFaults, RankFaults,
+    ResolvedFaults, SimError,
+};
 pub use lower::Lowered;
 pub use report::{bw_allgather, bw_bcast, bw_p2p, Series, SweepPoint};
 pub use resource::{Calibration, Resource, TransportModel};

@@ -107,7 +107,8 @@ proptest! {
     fn no_event_repeats_the_state_before_it(schedule in arb_schedule(), delay in 1e2f64..1e7) {
         let ig = machines::ig();
         let binding = Binding::identity(&ig);
-        let plan = (0..48).fold(FaultPlan::new(1), |plan, r| plan.stall_rank(r, delay));
+        let stall = std::time::Duration::from_secs_f64(delay);
+        let plan = (0..48).fold(FaultPlan::new(1), |plan, r| plan.stall_rank(r, stall));
         let rep = SimExecutor::new(&ig, &binding, SimConfig::default())
             .with_fault_plan(plan)
             .run(&schedule)

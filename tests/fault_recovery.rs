@@ -18,8 +18,8 @@ use pdac::collectives::{
     run_chaos, ChaosConfig, Collective, CollectiveError, RecoveryManager, Request, TopoCache,
 };
 use pdac::hwtopo::{machines, BindingPolicy};
-use pdac::mpisim::{Communicator, ExecError, ExecFaultPlan, RetryPolicy, ThreadExecutor};
-use pdac::simnet::BufId;
+use pdac::mpisim::{Communicator, ExecError, RetryPolicy, ThreadExecutor};
+use pdac::simnet::{BufId, FaultPlan};
 
 /// Wraps a test body in a watchdog thread: if the body neither returns nor
 /// panics within `budget`, the test fails with a message naming the seed
@@ -53,7 +53,7 @@ fn stalled_rank_still_completes_bcast() {
         let comm = world(6);
         let bytes = 30_000;
         let schedule = AdaptiveColl::default().bcast(&comm, 0, bytes);
-        let plan = ExecFaultPlan::new(0).stall_rank(2, Duration::from_micros(200));
+        let plan = FaultPlan::new(0).stall_rank(2, Duration::from_micros(200));
         let res = ThreadExecutor::new()
             .with_faults(plan)
             .run(&schedule, verify::pattern)
@@ -76,7 +76,7 @@ fn dropped_notification_is_typed_timeout_then_heals() {
         let comm = world(6);
         let bytes = 10_000;
         let schedule = AdaptiveColl::default().bcast(&comm, 0, bytes);
-        let plan = ExecFaultPlan::new(41).drop_notify(0);
+        let plan = FaultPlan::new(41).drop_notify(0);
         let err = ThreadExecutor::new()
             .with_policy(RetryPolicy::chaos())
             .with_faults(plan)
@@ -104,7 +104,7 @@ fn crashed_rank_recovery_completes_on_survivors() {
         let coll = AdaptiveColl::default();
         let schedule = coll.bcast(&comm, 0, bytes);
         // Rank 3 dies before executing anything.
-        let plan = ExecFaultPlan::new(7).crash_rank(3, 0);
+        let plan = FaultPlan::new(7).crash_rank(3, 0);
         let first = ThreadExecutor::new()
             .with_policy(RetryPolicy::chaos())
             .with_faults(plan)
