@@ -27,7 +27,7 @@
 //!
 //! [`trace_io`] re-parses exported Chrome Trace JSON back into events, so
 //! all of these run either in-process (`pdac-trace run`) or offline over
-//! checked-in artifacts (`pdac-trace analyze`, `pdac-bench gate`).
+//! saved artifacts (`pdac-trace analyze`).
 
 #![warn(missing_docs)]
 

@@ -1,10 +1,10 @@
-//! `pdac-bench` — the continuous benchmark regression gate.
+//! `pdac-bench` — the canonical scenario matrix: its table, its audit and
+//! the perf-history trend.
 //!
 //! Usage:
 //!
 //! ```text
-//! pdac-bench gate [--baseline <path>] [--out <path>] [--update-baseline]
-//!                 [--history <path>] [--no-history]
+//! pdac-bench gate
 //! pdac-bench trend [--history <path>] [--label <label>]
 //! pdac-bench audit [--out-dir <dir>]
 //! pdac-bench list
@@ -13,50 +13,37 @@
 //! `gate` runs the canonical collective matrix (bcast / allgather /
 //! allreduce, small and large sizes, contiguous and cross-socket
 //! placements, across the hwtopo machine set) through the deterministic
-//! timing simulator, writes the results to `BENCH_collectives.json`
-//! (`--out`), and compares them against the checked-in baseline
-//! (`--baseline`, default `baselines/BENCH_collectives.baseline.json`).
-//! Any scenario slower than baseline beyond tolerance, with a grown
-//! schedule, or with degraded critical-path coverage fails the gate with
-//! exit code 1 — that is the CI contract. A failing comparison also dumps
-//! the flight recorder (`gate-regression`), so CI artifacts capture the
-//! run's metrics snapshot next to the violation list.
+//! timing simulator and writes `results/gate.txt`: one line per scenario
+//! with its ranks, bytes, op count, simulated seconds, critical-path
+//! coverage and wait share, and the digest of the whole simulated report.
+//! The file is committed, and `tests/gate_conformance.rs` fails on any
+//! difference from it, so a change that moves a simulated number
+//! regenerates the table with this command and commits it with the change.
 //!
-//! Every comparison run appends one line to `BENCH_history.jsonl`
-//! (`--history`, disable with `--no-history`) carrying the per-scenario
-//! `seconds` / `ops` / `wait_share` numbers; `trend` renders the delta
-//! between the two newest entries.
+//! `trend` renders the per-metric delta between the two newest entries of
+//! `BENCH_history.jsonl` (`--history`), optionally only those with one
+//! `--label` (such as `pdac-e2e/mpi_small/s20110926`).
 //!
-//! `audit` re-runs the canonical matrix with a provenance recorder
-//! attached to the plan call the gate measures, records every
-//! scenario's plan provenance, and joins the executed sim leg back
-//! against the plan: any unexplained, missing, mismatched, or re-ordered
-//! op fails with exit code 1. It writes `BENCH_provenance.json` (the
-//! full decision records), `BENCH_conformance.json` (per-scenario
-//! verdicts), and `BENCH_explain.txt` (the human-readable explain
-//! reports) into `--out-dir` (default `.`) — the CI artifact set.
-//!
-//! `--update-baseline` writes the current results to the baseline path
-//! instead of comparing; commit the refreshed file together with the
-//! change that legitimately moved the numbers.
+//! `audit` runs the canonical matrix with a provenance recorder attached
+//! to each plan, records every scenario's plan provenance, and joins the
+//! executed sim leg back against the plan: any unexplained, missing,
+//! mismatched, or re-ordered op fails with exit code 1. It writes
+//! `BENCH_provenance.json` (the full decision records),
+//! `BENCH_conformance.json` (per-scenario verdicts), and `BENCH_explain.txt`
+//! (the human-readable explain reports) into `--out-dir` (default `.`) —
+//! the CI artifact set.
 //!
 //! `list` prints the scenario matrix without running it.
 
-use std::time::{SystemTime, UNIX_EPOCH};
+use pdac_bench::gate::{canonical_scenarios, render_table, run_gate_scenarios};
+use pdac_obs::history::{load_jsonl, render_trend};
 
-use pdac_bench::gate::{
-    audit_gate_scenarios, canonical_scenarios, compare, run_gate_scenarios, GateReport, Tolerances,
-};
-use pdac_obs::history::{append_jsonl, load_jsonl, render_trend, HistoryEntry};
-
-const DEFAULT_BASELINE: &str = "baselines/BENCH_collectives.baseline.json";
-const DEFAULT_OUT: &str = "BENCH_collectives.json";
+const GATE_TABLE: &str = "results/gate.txt";
 const DEFAULT_HISTORY: &str = "BENCH_history.jsonl";
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  pdac-bench gate [--baseline <path>] [--out <path>] [--update-baseline]\n       \
-         \x20          [--history <path>] [--no-history]\n  \
+        "usage:\n  pdac-bench gate\n  \
          pdac-bench trend [--history <path>] [--label <label>]\n  \
          pdac-bench audit [--out-dir <dir>]\n  \
          pdac-bench list"
@@ -67,7 +54,7 @@ fn usage() -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("gate") => std::process::exit(gate(&args[1..])),
+        Some("gate") if args.len() == 1 => gate(),
         Some("trend") => std::process::exit(trend(&args[1..])),
         Some("audit") => std::process::exit(audit(&args[1..])),
         Some("list") => list(),
@@ -81,107 +68,12 @@ fn list() {
     }
 }
 
-fn now_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-/// Turns a gate run into one perf-history line: every scenario's headline
-/// metrics, keyed `<scenario-id>/<metric>` so `trend` can diff them.
-fn history_entry(report: &GateReport, passed: bool) -> HistoryEntry {
-    let mut entry = HistoryEntry::new("gate", now_ms())
-        .with_meta("passed", if passed { "true" } else { "false" })
-        .with_meta("scenarios", report.scenarios.len().to_string());
-    for s in &report.scenarios {
-        entry = entry
-            .metric(format!("{}/seconds", s.id), s.seconds)
-            .metric(format!("{}/ops", s.id), s.ops as f64)
-            .metric(format!("{}/wait_share", s.id), s.wait_share);
-    }
-    entry
-}
-
-fn gate(args: &[String]) -> i32 {
-    let mut baseline_path = DEFAULT_BASELINE.to_string();
-    let mut out_path = DEFAULT_OUT.to_string();
-    let mut history_path = Some(DEFAULT_HISTORY.to_string());
-    let mut update_baseline = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--baseline" => baseline_path = it.next().cloned().unwrap_or_else(|| usage()),
-            "--out" => out_path = it.next().cloned().unwrap_or_else(|| usage()),
-            "--history" => history_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--no-history" => history_path = None,
-            "--update-baseline" => update_baseline = true,
-            other => {
-                eprintln!("unknown flag {other:?}");
-                usage()
-            }
-        }
-    }
-
+fn gate() {
     eprintln!("running {} gate scenarios...", canonical_scenarios().len());
-    let report = run_gate_scenarios();
-
-    if update_baseline {
-        if let Some(dir) = std::path::Path::new(&baseline_path).parent() {
-            std::fs::create_dir_all(dir).expect("baseline dir");
-        }
-        std::fs::write(&baseline_path, report.to_json()).expect("write baseline");
-        println!(
-            "wrote {baseline_path} ({} scenarios)",
-            report.scenarios.len()
-        );
-        return 0;
-    }
-
-    std::fs::write(&out_path, report.to_json()).expect("write gate report");
-    println!("wrote {out_path} ({} scenarios)", report.scenarios.len());
-
-    let baseline_body = match std::fs::read_to_string(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!(
-                "cannot read baseline {baseline_path}: {e}\n\
-                 run `pdac-bench gate --update-baseline` to create it"
-            );
-            return 1;
-        }
-    };
-    let baseline = match GateReport::from_json(&baseline_body) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("{baseline_path}: {e}");
-            return 1;
-        }
-    };
-
-    let outcome = compare(&report, &baseline, Tolerances::default());
-    print!("{}", outcome.render());
-
-    if let Some(path) = &history_path {
-        let entry = history_entry(&report, outcome.passed());
-        match append_jsonl(std::path::Path::new(path), &entry) {
-            Ok(()) => println!("appended gate run to {path}"),
-            Err(e) => eprintln!("cannot append history {path}: {e}"),
-        }
-    }
-
-    if !outcome.passed() {
-        for v in &outcome.violations {
-            pdac_obs::flight::note(format!(
-                "gate violation: {} {} baseline={:.6e} current={:.6e} limit={:.6e}",
-                v.id, v.metric, v.baseline, v.current, v.limit
-            ));
-        }
-        if let Some(path) = pdac_obs::flight::dump("gate-regression") {
-            eprintln!("flight recorder dumped to {}", path.display());
-        }
-    }
-    outcome.exit_code()
+    let (rows, _) = run_gate_scenarios();
+    std::fs::create_dir_all("results").expect("results dir");
+    std::fs::write(GATE_TABLE, render_table(&rows)).expect("write gate table");
+    println!("wrote {GATE_TABLE} ({} scenarios)", rows.len());
 }
 
 fn trend(args: &[String]) -> i32 {
@@ -204,17 +96,11 @@ fn trend(args: &[String]) -> i32 {
         // the same "nothing to diff" situation as a one-line file, not an
         // error: say so and exit 0 so fresh checkouts can run `trend`.
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            println!(
-                "trend: no history at {history_path} yet \
-                 (run `pdac-bench gate` twice to record comparable entries)"
-            );
+            println!("trend: no history at {history_path} yet");
             return 0;
         }
         Err(e) => {
-            eprintln!(
-                "cannot read history {history_path}: {e}\n\
-                 run `pdac-bench gate` (twice) to record entries"
-            );
+            eprintln!("cannot read history {history_path}: {e}");
             return 1;
         }
     };
@@ -245,7 +131,7 @@ fn audit(args: &[String]) -> i32 {
         "auditing {} gate scenarios against their plans...",
         canonical_scenarios().len()
     );
-    let audits = audit_gate_scenarios();
+    let (_, audits) = run_gate_scenarios();
 
     let provenance_path = out_dir.join("BENCH_provenance.json");
     std::fs::write(

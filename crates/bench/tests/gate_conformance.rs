@@ -1,17 +1,28 @@
-//! The full canonical gate matrix must be explainable and conformant:
-//! every one of the 44 scenarios is planned by the gate's own plan call
-//! with a provenance recorder attached, executes on the simulator,
-//! and audits clean against its recorded plan — zero unexplained,
-//! missing, mismatched, or re-ordered ops.
+//! The 44 canonical gate scenarios, checked exactly. One pass runs every
+//! scenario once and asserts that:
+//!
+//! - each executes conformant to the plan it recorded — zero unexplained,
+//!   missing, mismatched, or re-ordered ops — and every plan explains its
+//!   algorithm, distance and chunk decisions with their inputs;
+//! - each keeps critical-path coverage of at least 0.95;
+//! - each `xsock` row simulates the same `seconds` (bit for bit) and `ops`
+//!   as its `contig` twin: the distance-aware plan is independent of the
+//!   process placement;
+//! - the rendered table equals the committed `results/gate.txt` byte for
+//!   byte, so a one-ulp move of any simulated number fails here.
 
-use pdac_bench::gate::{audit_gate_scenarios, canonical_scenarios};
+use pdac_bench::gate::{canonical_scenarios, render_table, run_gate_scenarios};
+
+const COMMITTED: &str = include_str!("../../../results/gate.txt");
 
 #[test]
-fn all_gate_scenarios_pass_schedule_conformance() {
-    let scenarios = canonical_scenarios();
-    assert_eq!(scenarios.len(), 44, "the canonical matrix has 44 scenarios");
-    let audits = audit_gate_scenarios();
-    assert_eq!(audits.len(), scenarios.len());
+fn gate_scenarios_conform_and_reproduce_the_committed_table() {
+    assert_eq!(
+        canonical_scenarios().len(),
+        44,
+        "the canonical matrix has 44 scenarios"
+    );
+    let (rows, audits) = run_gate_scenarios();
     for audit in &audits {
         assert!(
             audit.passed(),
@@ -36,5 +47,53 @@ fn all_gate_scenarios_pass_schedule_conformance() {
         assert!(labels.contains(&"algorithm"), "{}: {labels:?}", audit.id);
         assert!(labels.contains(&"distance"), "{}: {labels:?}", audit.id);
         assert!(labels.contains(&"chunk"), "{}: {labels:?}", audit.id);
+    }
+
+    for row in &rows {
+        assert!(
+            row.coverage >= 0.95,
+            "{}: critical-path coverage {}",
+            row.id,
+            row.coverage
+        );
+    }
+
+    let mut twins = 0;
+    for xsock in rows.iter().filter(|r| r.id.contains("/xsock/")) {
+        let contig_id = xsock.id.replace("/xsock/", "/contig/");
+        let contig = rows
+            .iter()
+            .find(|r| r.id == contig_id)
+            .unwrap_or_else(|| panic!("{} has no {contig_id} twin", xsock.id));
+        assert_eq!(
+            xsock.seconds.to_bits(),
+            contig.seconds.to_bits(),
+            "{}: {:?} s against {:?} s contiguous",
+            xsock.id,
+            xsock.seconds,
+            contig.seconds
+        );
+        assert_eq!(xsock.ops, contig.ops, "{}: op count", xsock.id);
+        twins += 1;
+    }
+    assert_eq!(twins, 22, "every scenario has a placement twin");
+
+    let table = render_table(&rows);
+    if table != COMMITTED {
+        let built: Vec<&str> = table.lines().collect();
+        let committed: Vec<&str> = COMMITTED.lines().collect();
+        let line = (0..built.len().max(committed.len()))
+            .find(|&i| built.get(i) != committed.get(i))
+            .unwrap_or(built.len());
+        let end = "<end of file>";
+        panic!(
+            "results/gate.txt differs from this build at line {}:\n  \
+             committed: {}\n  built:     {}\n\
+             regenerate it with `cargo run --release -p pdac-bench --bin pdac-bench -- gate` \
+             and commit it with the change that moved the numbers",
+            line + 1,
+            committed.get(line).unwrap_or(&end),
+            built.get(line).unwrap_or(&end),
+        );
     }
 }

@@ -3,8 +3,8 @@
 //! Subsystems annotate what they are doing with cheap, bounded
 //! [`note`] calls (a timestamped line in a last-N ring). Nothing is
 //! written anywhere during a healthy run; the moment something goes
-//! wrong — a chaos verification failure, a test panic, a gate
-//! regression — [`dump`] writes the ring, a full metrics snapshot, and
+//! wrong — a chaos verification failure, a test panic — [`dump`] writes
+//! the ring, a full metrics snapshot, and
 //! the `PDAC_SEED` repro variable to a JSON file under the flight
 //! directory. The file is what a CI log can't be: the last things the
 //! process *knew*, not just the last things it printed.

@@ -1,16 +1,14 @@
-//! Append-only cross-run perf history (`BENCH_history.jsonl`).
+//! Cross-run perf history (`BENCH_history.jsonl`).
 //!
-//! Every gate run appends one [`HistoryEntry`] — a flat
-//! `metric name → value` map plus free-form metadata — as a single JSON
-//! line. JSONL keeps appends atomic-enough (one `write` of one line,
-//! no read-modify-write of a growing document) and keeps the file
-//! greppable. `pdac-bench trend` loads the tail of the file and renders
-//! per-metric deltas between runs, which is the question a committed
-//! baseline snapshot cannot answer: not "are we within tolerance" but
-//! "which way are we moving".
+//! Each line is one [`HistoryEntry`] — a flat `metric name → value` map
+//! plus free-form metadata — as a single JSON object. The file holds the
+//! `pdac-e2e` rows (`pdac-e2e/<workload>/s<seed>`) recorded before and
+//! after each change; JSONL keeps it append-only and greppable.
+//! `pdac-bench trend` loads it and renders per-metric deltas between the
+//! two newest entries: not "is this number right" — the simulated numbers
+//! are pinned exactly elsewhere — but "which way are we moving".
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
@@ -51,23 +49,6 @@ impl HistoryEntry {
         self.meta.insert(key.into(), value.into());
         self
     }
-}
-
-/// Appends `entry` to the JSONL file at `path`, creating it (and parent
-/// directories) on first use.
-pub fn append_jsonl(path: &Path, entry: &HistoryEntry) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let line = serde_json::to_string(entry)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    writeln!(f, "{line}")
 }
 
 /// Loads every parseable entry from the JSONL file, oldest first.
@@ -223,36 +204,40 @@ mod tests {
         e
     }
 
+    /// Writes `lines` (one JSON object or junk each) to a fresh file named
+    /// `name` and loads it back.
+    fn load_lines(name: &str, lines: &[String]) -> (Vec<HistoryEntry>, usize) {
+        let path = std::env::temp_dir().join(format!("pdac_{name}_{}.jsonl", std::process::id()));
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let loaded = load_jsonl(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    fn line(e: &HistoryEntry) -> String {
+        serde_json::to_string(e).unwrap()
+    }
+
     #[test]
-    fn append_and_load_round_trip() {
-        let dir = std::env::temp_dir().join(format!("pdac_hist_{}", std::process::id()));
-        let path = dir.join("BENCH_history.jsonl");
+    fn load_round_trips_serialized_entries() {
         let a = entry(1, &[("x/seconds", 1.0)]).with_meta("host", "ci");
         let b = entry(2, &[("x/seconds", 1.1)]);
-        append_jsonl(&path, &a).unwrap();
-        append_jsonl(&path, &b).unwrap();
-        let (loaded, skipped) = load_jsonl(&path).unwrap();
+        let (loaded, skipped) = load_lines("hist", &[line(&a), line(&b)]);
         assert_eq!(skipped, 0);
         assert_eq!(loaded, vec![a, b]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupt_lines_are_skipped_not_fatal() {
-        let dir = std::env::temp_dir().join(format!("pdac_hist_bad_{}", std::process::id()));
-        let path = dir.join("h.jsonl");
-        append_jsonl(&path, &entry(1, &[("a", 1.0)])).unwrap();
-        std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .unwrap()
-            .write_all(b"{not json\n")
-            .unwrap();
-        append_jsonl(&path, &entry(2, &[("a", 2.0)])).unwrap();
-        let (loaded, skipped) = load_jsonl(&path).unwrap();
+        let lines = [
+            line(&entry(1, &[("a", 1.0)])),
+            "{not json".to_string(),
+            String::new(),
+            line(&entry(2, &[("a", 2.0)])),
+        ];
+        let (loaded, skipped) = load_lines("hist_bad", &lines);
         assert_eq!(loaded.len(), 2);
         assert_eq!(skipped, 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

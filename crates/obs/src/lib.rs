@@ -10,9 +10,9 @@
 //!   series ending in `+Inf`, and the original dotted metric name
 //!   survives sanitization in the `# HELP` line.
 //! * [`flight`] + [`history`] — a crash-surviving last-N-events flight
-//!   recorder (dumped on chaos failure, panic, or gate regression, with
-//!   the metrics snapshot and `PDAC_SEED` attached) and an append-only
-//!   JSONL perf history (`BENCH_history.jsonl`) with cross-run trend
+//!   recorder (dumped on chaos failure or panic, with the metrics
+//!   snapshot and `PDAC_SEED` attached) and the JSONL perf history
+//!   (`BENCH_history.jsonl`, the `pdac-e2e` rows) with cross-run trend
 //!   rendering.
 //!
 //! Everything here reads snapshots off the hot path.

@@ -138,6 +138,32 @@ impl SimReport {
             .copied()
             .unwrap_or(0.0)
     }
+
+    /// FNV-1a over the bits of everything the engine computes: total time,
+    /// per-op start/finish, per-rank busy time and per-resource traffic
+    /// (keys included, so a renumbered resource shows too). Solver and
+    /// fault accounting are left out. Equal digests mean a bit-identical
+    /// simulation.
+    pub fn digest(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        eat(&self.total_time.to_bits().to_le_bytes());
+        for series in [&self.op_start, &self.op_finish, &self.rank_busy] {
+            eat(&(series.len() as u64).to_le_bytes());
+            for x in series {
+                eat(&x.to_bits().to_le_bytes());
+            }
+        }
+        for (r, bytes) in &self.resource_bytes {
+            eat(format!("{r:?}").as_bytes());
+            eat(&bytes.to_bits().to_le_bytes());
+        }
+        h
+    }
 }
 
 /// Executes schedules against a machine + binding with a calibration table.

@@ -2,38 +2,15 @@
 //! loop may be rewritten freely, but every simulated number must come out
 //! bit for bit. The digests were recorded before the incremental solver was
 //! replaced by the flat one (PR 19) and must never be re-recorded by a change
-//! that claims to leave timing alone.
+//! that claims to leave timing alone. The digest is `SimReport::digest`,
+//! which also pins the 44 gate scenarios in `results/gate.txt`.
 
 use std::sync::Arc;
 
 use pdac_core::AdaptiveColl;
 use pdac_hwtopo::{cluster, machines, BindingPolicy, Machine};
 use pdac_mpisim::Communicator;
-use pdac_simnet::{FaultPlan, Resource, SimConfig, SimExecutor, SimReport, TransportModel};
-
-/// FNV-1a over the bits of everything the engine computes: total time,
-/// per-op start/finish, per-rank busy time and per-resource traffic (keys
-/// included, so a renumbered resource shows too).
-fn digest(rep: &SimReport) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&rep.total_time.to_bits().to_le_bytes());
-    for series in [&rep.op_start, &rep.op_finish, &rep.rank_busy] {
-        eat(&(series.len() as u64).to_le_bytes());
-        for x in series {
-            eat(&x.to_bits().to_le_bytes());
-        }
-    }
-    for (r, bytes) in &rep.resource_bytes {
-        eat(format!("{r:?}").as_bytes());
-        eat(&bytes.to_bits().to_le_bytes());
-    }
-    h
-}
+use pdac_simnet::{FaultPlan, Resource, SimConfig, SimExecutor, TransportModel};
 
 #[derive(Clone, Copy)]
 enum Coll {
@@ -70,7 +47,7 @@ fn run(case: &Case) -> u64 {
     if let Some(plan) = &case.fault {
         exec = exec.with_fault_plan(plan.clone());
     }
-    digest(&exec.run(&schedule).unwrap())
+    exec.run(&schedule).unwrap().digest()
 }
 
 #[test]
