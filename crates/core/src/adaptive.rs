@@ -797,7 +797,7 @@ fn render_classes(classes: &[Distance]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{verify_allgather, verify_bcast};
+    use crate::verify;
     use pdac_hwtopo::{machines, BindingPolicy};
     use std::sync::Arc;
 
@@ -862,9 +862,11 @@ mod tests {
             for policy in [BindingPolicy::Contiguous, BindingPolicy::Random { seed: 4 }] {
                 let c = comm(machine.clone(), policy);
                 let s = coll.bcast(&c, 0, 100_000);
-                verify_bcast(&s, 0, 100_000).unwrap_or_else(|e| panic!("{}: {e}", machine.name));
+                verify::run(Request::new(Collective::Bcast, 0, 100_000), &s)
+                    .unwrap_or_else(|e| panic!("{}: {e}", machine.name));
                 let s = coll.allgather(&c, 3000);
-                verify_allgather(&s, 3000).unwrap_or_else(|e| panic!("{}: {e}", machine.name));
+                verify::run(Request::new(Collective::Allgather, 0, 3000), &s)
+                    .unwrap_or_else(|e| panic!("{}: {e}", machine.name));
             }
         }
     }

@@ -95,34 +95,9 @@ pub fn logical_rotation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{pattern, VerifyError};
+    use crate::verify;
     use pdac_hwtopo::{machines, BindingPolicy};
-    use pdac_mpisim::ThreadExecutor;
-    use pdac_simnet::Rank;
     use std::sync::Arc;
-
-    /// Alltoall oracle: rank r's Recv block i equals block r of rank i's
-    /// pattern.
-    fn verify_alltoall(s: &Schedule, block: usize) -> Result<(), VerifyError> {
-        let res = ThreadExecutor::new().run(s, pattern)?;
-        let n = s.num_ranks;
-        for r in 0..n {
-            let got = res.buffer(r, BufId::Recv);
-            for i in 0..n {
-                let expect = &pattern(i as Rank, n * block)[r * block..(r + 1) * block];
-                let actual = &got[i * block..(i + 1) * block];
-                if expect != actual {
-                    return Err(VerifyError::Mismatch {
-                        rank: r,
-                        offset: i * block,
-                        expected: expect[0],
-                        got: actual[0],
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
 
     #[test]
     fn distance_aware_alltoall_correct() {
@@ -130,9 +105,9 @@ mod tests {
             let ig = Arc::new(machines::ig());
             let binding = policy.bind(&ig, 16).unwrap();
             let comm = Communicator::world(Arc::clone(&ig), binding.subset(&(0..16).collect::<Vec<_>>()));
-            let s = distance_aware(&comm, 512);
+            let s = distance_aware(&comm, 500);
             s.validate().unwrap();
-            verify_alltoall(&s, 512).unwrap();
+            verify::run(Request::new(Collective::Alltoall, 0, 500), &s).unwrap();
         }
     }
 
@@ -140,7 +115,7 @@ mod tests {
     fn logical_rotation_correct() {
         let s = logical_rotation(8, 1000, &pdac_mpisim::p2p::P2pConfig::default());
         s.validate().unwrap();
-        verify_alltoall(&s, 1000).unwrap();
+        verify::run(Request::new(Collective::Alltoall, 0, 1000), &s).unwrap();
     }
 
     #[test]

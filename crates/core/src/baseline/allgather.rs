@@ -99,7 +99,7 @@ pub fn recursive_doubling(n: usize, block_bytes: usize, p2p: &P2pConfig) -> Sche
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::verify_allgather;
+    use crate::{verify, Collective, Request};
 
     const P2P: P2pConfig = P2pConfig { eager_max: 4096 };
 
@@ -109,7 +109,7 @@ mod tests {
             for block in [64, 4096, 50_000] {
                 let s = ring(n, block, &P2P);
                 s.validate().unwrap();
-                verify_allgather(&s, block)
+                verify::run(Request::new(Collective::Allgather, 0, block), &s)
                     .unwrap_or_else(|e| panic!("n={n} block={block}: {e}"));
             }
         }
@@ -128,7 +128,7 @@ mod tests {
             for block in [100, 10_000] {
                 let s = recursive_doubling(n, block, &P2P);
                 s.validate().unwrap();
-                verify_allgather(&s, block)
+                verify::run(Request::new(Collective::Allgather, 0, block), &s)
                     .unwrap_or_else(|e| panic!("n={n} block={block}: {e}"));
             }
         }

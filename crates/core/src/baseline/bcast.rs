@@ -156,7 +156,7 @@ pub fn binary(n: usize, root: usize, bytes: usize, p2p: &P2pConfig, segment: usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::verify_bcast;
+    use crate::{verify, Collective, Request};
 
     const P2P: P2pConfig = P2pConfig { eager_max: 4096 };
 
@@ -167,7 +167,7 @@ mod tests {
                 for bytes in [100, 4096, 100_000] {
                     let s = binomial(n, root, bytes, &P2P);
                     s.validate().unwrap();
-                    verify_bcast(&s, root, bytes)
+                    verify::run(Request::new(Collective::Bcast, root, bytes), &s)
                         .unwrap_or_else(|e| panic!("n={n} root={root} bytes={bytes}: {e}"));
                 }
             }
@@ -197,7 +197,7 @@ mod tests {
     fn linear_correct_and_root_only_notifies() {
         let s = linear(16, 3, 1 << 20, &P2P);
         s.validate().unwrap();
-        verify_bcast(&s, 3, 1 << 20).unwrap();
+        verify::run(Request::new(Collective::Bcast, 3, 1 << 20), &s).unwrap();
         // Every copy is executed by its receiving rank (one-sided pulls).
         for op in &s.ops {
             if let pdac_simnet::OpKind::Copy { exec, dst_rank, .. } = op.kind {
@@ -210,7 +210,7 @@ mod tests {
     fn chain_correct_and_chunked() {
         let s = chain(8, 2, 300_000, &P2P, 65_536);
         s.validate().unwrap();
-        verify_bcast(&s, 2, 300_000).unwrap();
+        verify::run(Request::new(Collective::Bcast, 2, 300_000), &s).unwrap();
         assert_eq!(s.num_copies(), 7 * 5, "7 hops x 5 chunks");
         // Degenerate single rank.
         chain(1, 0, 100, &P2P, 64).validate().unwrap();
@@ -221,7 +221,7 @@ mod tests {
         for n in [2, 5, 16] {
             let s = binary(n, 1 % n, 200_000, &P2P, 32_768);
             s.validate().unwrap();
-            verify_bcast(&s, 1 % n, 200_000).unwrap();
+            verify::run(Request::new(Collective::Bcast, 1 % n, 200_000), &s).unwrap();
         }
     }
 

@@ -120,14 +120,14 @@ pub fn scatter_ring_allgather(n: usize, root: usize, bytes: usize, p2p: &P2pConf
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::verify_bcast;
+    use crate::{verify, Collective, Request};
 
     #[test]
     fn short_messages_go_binomial() {
         let cfg = MpichConfig::default();
         let s = bcast(16, 0, 8192, &cfg);
         assert!(s.name.contains("binomial"));
-        verify_bcast(&s, 0, 8192).unwrap();
+        verify::run(Request::new(Collective::Bcast, 0, 8192), &s).unwrap();
     }
 
     #[test]
@@ -136,7 +136,7 @@ mod tests {
         let s = bcast(16, 0, 1 << 20, &cfg);
         assert!(s.name.contains("vdg"));
         s.validate().unwrap();
-        verify_bcast(&s, 0, 1 << 20).unwrap();
+        verify::run(Request::new(Collective::Bcast, 0, 1 << 20), &s).unwrap();
     }
 
     #[test]
@@ -146,7 +146,7 @@ mod tests {
                 let bytes = 50_000 + n; // not divisible by n
                 let s = scatter_ring_allgather(n, root, bytes, &P2pConfig::default());
                 s.validate().unwrap();
-                verify_bcast(&s, root, bytes)
+                verify::run(Request::new(Collective::Bcast, root, bytes), &s)
                     .unwrap_or_else(|e| panic!("n={n} root={root}: {e}"));
             }
         }
@@ -177,6 +177,6 @@ mod tests {
         let cfg = MpichConfig { bcast_short_max: 4, ..Default::default() };
         let s = bcast(32, 0, 16, &cfg);
         assert!(s.name.contains("binomial"));
-        verify_bcast(&s, 0, 16).unwrap();
+        verify::run(Request::new(Collective::Bcast, 0, 16), &s).unwrap();
     }
 }

@@ -103,7 +103,7 @@ pub fn allgather(n: usize, block_bytes: usize) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{verify_allgather, verify_bcast};
+    use crate::{verify, Collective, Request};
     use pdac_simnet::OpKind;
 
     #[test]
@@ -111,7 +111,8 @@ mod tests {
         for (n, root, bytes) in [(8, 0, 4_000), (16, 5, 100_000), (3, 2, 8_192)] {
             let s = bcast(n, root, bytes);
             s.validate().unwrap();
-            verify_bcast(&s, root, bytes).unwrap_or_else(|e| panic!("n={n}: {e}"));
+            verify::run(Request::new(Collective::Bcast, root, bytes), &s)
+                .unwrap_or_else(|e| panic!("n={n}: {e}"));
             for op in &s.ops {
                 if let OpKind::Copy { mech, .. } = op.kind {
                     assert_eq!(mech, pdac_simnet::Mech::Memcpy, "sm never enters the kernel");
@@ -125,7 +126,8 @@ mod tests {
         for (n, block) in [(4, 1_000), (8, 20_000)] {
             let s = allgather(n, block);
             s.validate().unwrap();
-            verify_allgather(&s, block).unwrap_or_else(|e| panic!("n={n}: {e}"));
+            verify::run(Request::new(Collective::Allgather, 0, block), &s)
+                .unwrap_or_else(|e| panic!("n={n}: {e}"));
         }
     }
 

@@ -94,7 +94,7 @@ pub fn allgather(n: usize, block_bytes: usize, cfg: &TunedConfig) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{verify_allgather, verify_bcast};
+    use crate::{verify, Collective, Request};
 
     #[test]
     fn decision_boundaries() {
@@ -112,7 +112,8 @@ mod tests {
         for bytes in [512, 16_384, 2 << 20] {
             let s = bcast(48, 7, bytes, &cfg);
             s.validate().unwrap();
-            verify_bcast(&s, 7, bytes).unwrap_or_else(|e| panic!("bytes={bytes}: {e}"));
+            verify::run(Request::new(Collective::Bcast, 7, bytes), &s)
+                .unwrap_or_else(|e| panic!("bytes={bytes}: {e}"));
         }
     }
 
@@ -121,12 +122,12 @@ mod tests {
         let cfg = TunedConfig::default();
         let small = allgather(16, 512, &cfg);
         assert!(small.name.contains("recdbl"));
-        verify_allgather(&small, 512).unwrap();
+        verify::run(Request::new(Collective::Allgather, 0, 512), &small).unwrap();
         let large = allgather(16, 100_000, &cfg);
         assert!(large.name.contains("ring"));
-        verify_allgather(&large, 100_000).unwrap();
+        verify::run(Request::new(Collective::Allgather, 0, 100_000), &large).unwrap();
         let odd = allgather(12, 512, &cfg);
         assert!(odd.name.contains("ring"), "non power of two always rings");
-        verify_allgather(&odd, 512).unwrap();
+        verify::run(Request::new(Collective::Allgather, 0, 512), &odd).unwrap();
     }
 }

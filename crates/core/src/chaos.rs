@@ -41,7 +41,7 @@ use pdac_mpisim::{
     TransportKind,
 };
 use pdac_simnet::{
-    BufId, CorruptTarget, DataOp, Fault, FaultPlan, FaultStats, Resource, Schedule, SimConfig,
+    CorruptTarget, DataOp, Fault, FaultPlan, FaultStats, Resource, Schedule, SimConfig,
     SimExecutor, SimReport,
 };
 use rand::rngs::StdRng;
@@ -57,7 +57,7 @@ use crate::recovery::{CollectiveError, RecoveryManager};
 use crate::sched::{allreduce_schedule, SchedConfig};
 use crate::topocache::TopoCache;
 use crate::tree::Tree;
-use crate::verify::{pattern, reduced_pattern};
+use crate::verify::{self, pattern};
 
 /// Harness configuration. The watchdog bounds each attempt (execution +
 /// recovery + re-execution); the retry policy governs per-operation
@@ -265,59 +265,6 @@ fn build_degraded(mgr: &RecoveryManager, what: Request) -> Schedule {
     }
 }
 
-/// Semantic check of actual output buffers (the executor ran with faults,
-/// so the bytes — not just completion — must be validated).
-fn check_payload(
-    what: Request,
-    root: usize,
-    res: &pdac_mpisim::ExecResult,
-    num_ranks: usize,
-) -> Result<(), String> {
-    let expect = |rank: usize, expected: &[u8]| -> Result<(), String> {
-        let got = res.buffer(rank, BufId::Recv);
-        if got.len() < expected.len() {
-            return Err(format!(
-                "rank {rank}: buffer is {} bytes, expected {}",
-                got.len(),
-                expected.len()
-            ));
-        }
-        match expected.iter().zip(got).position(|(e, g)| e != g) {
-            None => Ok(()),
-            Some(off) => Err(format!(
-                "rank {rank}: byte {off} is {:#04x}, expected {:#04x}",
-                got[off], expected[off]
-            )),
-        }
-    };
-    let bytes = what.bytes;
-    match what.collective {
-        Collective::Bcast => {
-            let expected = pattern(root, bytes);
-            for r in (0..num_ranks).filter(|&r| r != root) {
-                expect(r, &expected)?;
-            }
-        }
-        Collective::Allgather => {
-            let mut expected = Vec::with_capacity(num_ranks * bytes);
-            for r in 0..num_ranks {
-                expected.extend_from_slice(&pattern(r, bytes));
-            }
-            for r in 0..num_ranks {
-                expect(r, &expected)?;
-            }
-        }
-        Collective::Allreduce => {
-            let expected = reduced_pattern(num_ranks, bytes);
-            for r in 0..num_ranks {
-                expect(r, &expected)?;
-            }
-        }
-        other => unreachable!("run_chaos rejects {other:?}"),
-    }
-    Ok(())
-}
-
 /// One executor attempt under a watchdog. `Err(())` means the watchdog
 /// fired — the executor neither finished nor returned an error in time.
 /// The attempt runs with the shared fenced transport, the episode's failure
@@ -352,8 +299,9 @@ fn run_attempt(
 /// pipeline. See the module docs for the guarantee this enforces.
 ///
 /// `what` is a broadcast, an allgather or a byte-sum tree allreduce — the
-/// collectives the harness has a degraded baseline and a payload oracle
-/// for; its root is the *preferred* world rank, re-elected if it crashes.
+/// collectives the harness has a degraded baseline for; its root is the
+/// *preferred* world rank, re-elected if it crashes. The survivors' bytes
+/// are checked by [`verify::check`] with the elected root.
 ///
 /// Every run annotates the process-global flight recorder; a failing run
 /// dumps the recorder (recent notes + metrics snapshot + `PDAC_SEED`)
@@ -376,8 +324,8 @@ pub fn run_chaos(
                     ..
                 }
         ),
-        "the chaos harness has degraded baselines and payload oracles only for bcast, \
-         allgather and byte-sum tree allreduce, not {what:?}"
+        "the chaos harness has degraded baselines only for bcast, allgather and \
+         byte-sum tree allreduce, not {what:?}"
     );
     pdac_obs::flight::set_context("transport", format!("{:?}", cfg.transport).to_lowercase());
     pdac_obs::flight::set_context("machine", comm.machine().name.clone());
@@ -708,9 +656,9 @@ fn run_chaos_inner(
     let root = mgr.elect_root(preferred_root);
     let n = mgr.comm().size();
     if let Some(res) = &final_res {
-        check_payload(what, root, res, n).map_err(|detail| CollectiveError::Verify {
+        verify::check(Request { root, ..what }, n, res).map_err(|e| CollectiveError::Verify {
             seed: Some(seed),
-            detail,
+            detail: e.to_string(),
         })?;
     }
     stats.merge(&mgr.stats());

@@ -117,7 +117,7 @@ impl CollFramework {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{verify_allgather, verify_bcast};
+    use crate::{verify, Request};
     use pdac_hwtopo::{machines, BindingPolicy};
     use std::sync::Arc;
 
@@ -146,19 +146,19 @@ mod tests {
 
         let s = fw.bcast(&c, 0, 1024);
         assert!(s.name.starts_with("sm-"), "{}", s.name);
-        verify_bcast(&s, 0, 1024).unwrap();
+        verify::run(Request::new(Collective::Bcast, 0, 1024), &s).unwrap();
 
         let s = fw.bcast(&c, 0, 8 << 10);
         assert!(s.name.starts_with("tuned-"), "{}", s.name);
-        verify_bcast(&s, 0, 8 << 10).unwrap();
+        verify::run(Request::new(Collective::Bcast, 0, 8 << 10), &s).unwrap();
 
         let s = fw.bcast(&c, 0, 256 << 10);
         assert!(s.name.starts_with("knemcoll-"), "{}", s.name);
-        verify_bcast(&s, 0, 256 << 10).unwrap();
+        verify::run(Request::new(Collective::Bcast, 0, 256 << 10), &s).unwrap();
 
         let s = fw.allgather(&c, 16 << 10);
         assert!(s.name.starts_with("knemcoll-"), "{}", s.name);
-        verify_allgather(&s, 16 << 10).unwrap();
+        verify::run(Request::new(Collective::Allgather, 0, 16 << 10), &s).unwrap();
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub fn staged_gather_schedule(tree: &Tree, block_bytes: usize) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::verify_gather;
+    use crate::verify;
     use pdac_hwtopo::{machines, BindingPolicy};
     use pdac_simnet::{SimConfig, SimExecutor};
     use std::sync::Arc;
@@ -127,7 +127,7 @@ mod tests {
     fn gather_correct() {
         let c = comm(BindingPolicy::CrossSocket, 48);
         let s = distance_aware(&c, 9, 1024);
-        verify_gather(&s, 9, 1024).unwrap();
+        verify::run(Request::new(Collective::Gather, 9, 1024), &s).unwrap();
     }
 
     #[test]
@@ -141,7 +141,8 @@ mod tests {
             for root in [0, 13] {
                 let s = distance_aware_staged(&c, root, 700);
                 s.validate().unwrap();
-                verify_gather(&s, root, 700).unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+                verify::run(Request::new(Collective::Gather, root, 700), &s)
+                    .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
             }
         }
     }

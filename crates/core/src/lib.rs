@@ -30,8 +30,10 @@
 //! * [`reduce`], [`gather`], [`scatter`], [`barrier`], [`alltoall`],
 //!   [`reduce_scatter`] — the distance-aware extensions the paper lists as
 //!   future work (allreduce is a [`Request`] of the planner);
-//! * [`verify`] — semantic oracles running any schedule through the
-//!   real-thread executor and checking collective postconditions.
+//! * [`verify`] — the one semantic oracle: [`verify::expected`] defines
+//!   what every collective delivers, [`verify::check`] compares an executor
+//!   run against it, and [`verify::run`] executes a schedule on real
+//!   threads and checks it.
 
 #![warn(missing_docs)]
 // Rank-indexed loops over parallel per-rank tables read clearer than

@@ -399,7 +399,7 @@ impl RecoveryManager {
 mod tests {
     use super::*;
     use crate::adaptive::Collective;
-    use crate::verify::{verify_allgather, verify_allreduce, verify_bcast};
+    use crate::verify;
     use pdac_hwtopo::{machines, BindingPolicy};
 
     fn manager(n: usize) -> RecoveryManager {
@@ -452,11 +452,11 @@ mod tests {
         mgr.mark_failed(0).unwrap();
         let s = mgr.plan(Request::new(Collective::Bcast, 0, 20_000));
         assert_eq!(s.num_ranks, 6);
-        verify_bcast(&s, mgr.elect_root(0), 20_000).unwrap();
+        verify::run(Request::new(Collective::Bcast, mgr.elect_root(0), 20_000), &s).unwrap();
         let s = mgr.plan(Request::new(Collective::Allgather, 0, 1024));
-        verify_allgather(&s, 1024).unwrap();
+        verify::run(Request::new(Collective::Allgather, 0, 1024), &s).unwrap();
         let s = mgr.plan(Request::new(Collective::Allreduce, 0, 4096));
-        verify_allreduce(&s, 4096).unwrap();
+        verify::run(Request::new(Collective::Allreduce, 0, 4096), &s).unwrap();
     }
 
     #[test]

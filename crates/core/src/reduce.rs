@@ -16,7 +16,7 @@ pub fn distance_aware(comm: &Communicator, root: usize, bytes: usize) -> Schedul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::verify_reduce;
+    use crate::verify;
     use pdac_hwtopo::{machines, BindingPolicy};
     use std::sync::Arc;
 
@@ -26,7 +26,7 @@ mod tests {
         let binding = BindingPolicy::CrossSocket.bind(&ig, 48).unwrap();
         let comm = Communicator::world(ig, binding);
         let s = distance_aware(&comm, 11, 20_000);
-        verify_reduce(&s, 11, 20_000).unwrap();
+        verify::run(Request::new(Collective::Reduce, 11, 20_000), &s).unwrap();
     }
 
     #[test]
@@ -36,6 +36,6 @@ mod tests {
         let world = Communicator::world(ig, binding);
         let sub = world.subset(&[5, 40, 17, 2, 33]);
         let s = distance_aware(&sub, 2, 4096);
-        verify_reduce(&s, 2, 4096).unwrap();
+        verify::run(Request::new(Collective::Reduce, 2, 4096), &s).unwrap();
     }
 }

@@ -161,47 +161,13 @@ pub fn distance_aware(comm: &Communicator, block_bytes: usize) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{pattern, reduced_pattern, VerifyError};
+    use crate::adaptive::AllreduceAlgo;
+    use crate::verify;
     use pdac_hwtopo::{machines, BindingPolicy};
-    use pdac_mpisim::ThreadExecutor;
     use std::sync::Arc;
 
-    fn verify_reduce_scatter(s: &Schedule, block: usize) -> Result<(), VerifyError> {
-        let res = ThreadExecutor::new().run(s, pattern)?;
-        let n = s.num_ranks;
-        let full = reduced_pattern(n, n * block);
-        for r in 0..n {
-            let got = &res.buffer(r, BufId::Recv)[..block];
-            let expect = &full[r * block..(r + 1) * block];
-            if got != expect {
-                return Err(VerifyError::Mismatch {
-                    rank: r,
-                    offset: 0,
-                    expected: expect[0],
-                    got: got[0],
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn verify_ring_allreduce(s: &Schedule, block: usize) -> Result<(), VerifyError> {
-        let res = ThreadExecutor::new().run(s, pattern)?;
-        let n = s.num_ranks;
-        let full = reduced_pattern(n, n * block);
-        for r in 0..n {
-            let got = &res.buffer(r, BufId::Recv)[..n * block];
-            if got != &full[..] {
-                let off = got.iter().zip(&full).position(|(a, b)| a != b).unwrap();
-                return Err(VerifyError::Mismatch {
-                    rank: r,
-                    offset: off,
-                    expected: full[off],
-                    got: got[off],
-                });
-            }
-        }
-        Ok(())
+    fn ring_allreduce(bytes: usize) -> Request {
+        Request { allreduce: AllreduceAlgo::Ring, ..Request::new(Collective::Allreduce, 0, bytes) }
     }
 
     #[test]
@@ -212,7 +178,8 @@ mod tests {
             let comm = Communicator::world(Arc::clone(&ig), binding);
             let s = distance_aware(&comm, 700);
             s.validate().unwrap();
-            verify_reduce_scatter(&s, 700).unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+            verify::run(Request::new(Collective::ReduceScatter, 0, 700), &s)
+                .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
         }
     }
 
@@ -224,7 +191,7 @@ mod tests {
         let ring = Ring::build(&comm.distances());
         let s = ring_allreduce_schedule(&ring, 512);
         s.validate().unwrap();
-        verify_ring_allreduce(&s, 512).unwrap();
+        verify::run(ring_allreduce(10 * 512), &s).unwrap();
     }
 
     #[test]
@@ -232,10 +199,10 @@ mod tests {
         let ring = Ring::from_order(vec![0]);
         let s = reduce_scatter_schedule(&ring, 64);
         s.validate().unwrap();
-        verify_reduce_scatter(&s, 64).unwrap();
+        verify::run(Request::new(Collective::ReduceScatter, 0, 64), &s).unwrap();
         let s = ring_allreduce_schedule(&ring, 64);
         s.validate().unwrap();
-        verify_ring_allreduce(&s, 64).unwrap();
+        verify::run(ring_allreduce(64), &s).unwrap();
     }
 
     #[test]

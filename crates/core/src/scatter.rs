@@ -16,7 +16,7 @@ pub fn distance_aware(comm: &Communicator, root: usize, block_bytes: usize) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::verify_scatter;
+    use crate::verify;
     use pdac_hwtopo::{machines, BindingPolicy};
     use std::sync::Arc;
 
@@ -26,6 +26,6 @@ mod tests {
         let binding = BindingPolicy::Random { seed: 21 }.bind(&ig, 48).unwrap();
         let comm = Communicator::world(ig, binding);
         let s = distance_aware(&comm, 30, 777);
-        verify_scatter(&s, 30, 777).unwrap();
+        verify::run(Request::new(Collective::Scatter, 30, 777), &s).unwrap();
     }
 }

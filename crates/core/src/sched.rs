@@ -444,6 +444,7 @@ pub fn barrier_schedule(tree: &Tree) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{verify, Collective, Request};
     use crate::allgather_ring::Ring;
     use crate::bcast_tree::build_bcast_tree;
     use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix};
@@ -572,7 +573,7 @@ mod tests {
         // differs from the uniform class-0 one.
         let uniform = 47 * bytes.div_ceil(cfg.chunk.chunk_for(0));
         assert_ne!(s.num_copies(), uniform, "{} pulls", s.num_copies());
-        crate::verify::verify_bcast(&s, 0, bytes).unwrap();
+        verify::run(Request::new(Collective::Bcast, 0, bytes), &s).unwrap();
     }
 
     #[test]
@@ -584,7 +585,7 @@ mod tests {
         let s = allgather_schedule_dist(&r, block, Some(&cfg), Some(&d));
         s.validate().unwrap();
         assert!(s.num_copies() > 48 + 48 * 47, "far pulls split into chunks");
-        crate::verify::verify_allgather(&s, block).unwrap();
+        verify::run(Request::new(Collective::Allgather, 0, block), &s).unwrap();
         // Without a config the pulls stay whole (the legacy shape).
         let legacy = allgather_schedule_dist(&r, block, None, Some(&d));
         assert_eq!(legacy.num_copies(), 48 + 48 * 47);
@@ -596,7 +597,7 @@ mod tests {
         let t = build_bcast_tree(&d, 2);
         let s = allreduce_schedule_dist(&t, 1 << 20, &SchedConfig::default(), Some(&d));
         s.validate().unwrap();
-        crate::verify::verify_allreduce(&s, 1 << 20).unwrap();
+        verify::run(Request::new(Collective::Allreduce, 0, 1 << 20), &s).unwrap();
     }
 
     #[test]

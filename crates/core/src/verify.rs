@@ -1,13 +1,18 @@
-//! Semantic oracles: run a schedule through the real-thread executor and
-//! check the collective's postcondition on actual bytes.
+//! The semantic oracle: what each collective delivers, and the check that a
+//! run delivered it.
 //!
-//! Every rank's `Send` buffer is filled with a distinctive pattern; after
-//! execution the oracle checks that each `Recv` buffer holds exactly what
-//! the collective semantics dictate. Any topology bug — a missing edge, a
-//! wrong pull offset, a mis-ordered pipeline — shows up as a byte mismatch.
+//! [`expected`] is the one definition of collective semantics: from the
+//! per-rank inputs alone it computes what every rank receives, never from a
+//! schedule. [`check`] compares an executor run against it, with every
+//! rank's `Send` buffer filled by [`pattern`]; [`run`] executes a schedule
+//! on the real-thread executor and checks it. Any topology bug — a missing
+//! edge, a wrong pull offset, a mis-ordered pipeline — shows up as a byte
+//! mismatch.
 
 use pdac_mpisim::{ExecError, ExecResult, ThreadExecutor};
-use pdac_simnet::{BufId, Rank, Schedule};
+use pdac_simnet::{BufId, DataOp, Rank, Schedule};
+
+use crate::adaptive::{Collective, Request};
 
 /// The deterministic per-rank fill pattern used by all oracles.
 pub fn pattern(rank: Rank, size: usize) -> Vec<u8> {
@@ -30,6 +35,15 @@ pub enum VerifyError {
         /// Observed byte.
         got: u8,
     },
+    /// A rank's buffer is shorter than what the collective delivers.
+    Short {
+        /// Offending rank.
+        rank: Rank,
+        /// Observed buffer length.
+        len: usize,
+        /// Length the collective delivers.
+        expected: usize,
+    },
 }
 
 impl std::fmt::Display for VerifyError {
@@ -40,6 +54,9 @@ impl std::fmt::Display for VerifyError {
                 f,
                 "rank {rank}: byte {offset} is {got:#04x}, expected {expected:#04x}"
             ),
+            VerifyError::Short { rank, len, expected } => {
+                write!(f, "rank {rank}: buffer is {len} bytes, expected {expected}")
+            }
         }
     }
 }
@@ -52,104 +69,104 @@ impl From<ExecError> for VerifyError {
     }
 }
 
-fn expect_buffer(res: &ExecResult, rank: Rank, expected: &[u8]) -> Result<(), VerifyError> {
-    let got = res.buffer(rank, BufId::Recv);
-    for (offset, (&e, &g)) in expected.iter().zip(got).enumerate() {
-        if e != g {
-            return Err(VerifyError::Mismatch { rank, offset, expected: e, got: g });
+/// What each rank receives when `collective` runs over `inputs` (rank `r`
+/// contributes `inputs[r]`), with `combine` as the reduction.
+///
+/// Entry `r` is empty where the collective delivers nothing to rank `r`:
+/// the bcast root, the non-roots of reduce and gather, and every rank of
+/// barrier. The block collectives (scatter, alltoall, reduce-scatter) split
+/// each input into one equal block per rank.
+pub fn expected<T: Copy>(
+    collective: Collective,
+    root: Rank,
+    inputs: &[Vec<T>],
+    combine: impl Fn(T, T) -> T,
+) -> Vec<Vec<T>> {
+    let n = inputs.len();
+    let block_of = |data: &[T], r: usize| {
+        let block = data.len() / n;
+        data[r * block..(r + 1) * block].to_vec()
+    };
+    let concat = || -> Vec<T> { inputs.iter().flatten().copied().collect() };
+    let reduced = || -> Vec<T> {
+        (0..inputs[0].len())
+            .map(|i| inputs[1..].iter().fold(inputs[0][i], |acc, v| combine(acc, v[i])))
+            .collect()
+    };
+    let only_at = |r: usize, data: Vec<T>| {
+        let mut out = vec![Vec::new(); n];
+        out[r] = data;
+        out
+    };
+    match collective {
+        Collective::Bcast => {
+            (0..n).map(|r| if r == root { Vec::new() } else { inputs[root].clone() }).collect()
+        }
+        Collective::Allgather => vec![concat(); n],
+        Collective::Allreduce => vec![reduced(); n],
+        Collective::Reduce => only_at(root, reduced()),
+        Collective::ReduceScatter => {
+            let reduced = reduced();
+            (0..n).map(|r| block_of(&reduced, r)).collect()
+        }
+        Collective::Gather => only_at(root, concat()),
+        Collective::Scatter => (0..n).map(|r| block_of(&inputs[root], r)).collect(),
+        Collective::Alltoall => {
+            (0..n).map(|r| inputs.iter().flat_map(|src| block_of(src, r)).collect()).collect()
+        }
+        Collective::Barrier => vec![Vec::new(); n],
+    }
+}
+
+/// Checks every rank's `Recv` buffer of `res` against [`expected`], for a
+/// run of `request` over `num_ranks` ranks whose `Send` buffers were
+/// filled by [`pattern`].
+///
+/// The inputs are what the request declares: `bytes` per rank, or one
+/// `bytes` block per rank for scatter, alltoall and reduce-scatter. The
+/// combine is the byte-wise wrapping sum.
+///
+/// # Panics
+/// Panics unless `request.op` is [`DataOp::Add`].
+pub fn check(request: Request, num_ranks: usize, res: &ExecResult) -> Result<(), VerifyError> {
+    assert_eq!(request.op, DataOp::Add, "the byte oracle combines by wrapping sum");
+    let per_rank = match request.collective {
+        Collective::Scatter | Collective::Alltoall | Collective::ReduceScatter => {
+            num_ranks * request.bytes
+        }
+        _ => request.bytes,
+    };
+    // Only the root's input is read by bcast and scatter.
+    let rooted = matches!(request.collective, Collective::Bcast | Collective::Scatter);
+    let inputs: Vec<Vec<u8>> = (0..num_ranks)
+        .map(|r| if rooted && r != request.root { Vec::new() } else { pattern(r, per_rank) })
+        .collect();
+    let want = expected(request.collective, request.root, &inputs, u8::wrapping_add);
+    for (rank, want) in want.iter().enumerate() {
+        let got = res.buffer(rank, BufId::Recv);
+        if got.len() < want.len() {
+            return Err(VerifyError::Short { rank, len: got.len(), expected: want.len() });
+        }
+        if got[..want.len()] != want[..] {
+            let offset = want.iter().zip(got).position(|(e, g)| e != g).expect("a byte differs");
+            let (expected, got) = (want[offset], got[offset]);
+            return Err(VerifyError::Mismatch { rank, offset, expected, got });
         }
     }
-    if got.len() < expected.len() {
-        return Err(VerifyError::Mismatch {
-            rank,
-            offset: got.len(),
-            expected: expected[got.len()],
-            got: 0,
-        });
-    }
     Ok(())
 }
 
-fn execute(schedule: &Schedule) -> Result<ExecResult, VerifyError> {
-    Ok(ThreadExecutor::new().run(schedule, pattern)?)
-}
-
-/// Broadcast: every non-root rank's `Recv` equals the root's `Send`.
-pub fn verify_bcast(schedule: &Schedule, root: Rank, bytes: usize) -> Result<(), VerifyError> {
-    let res = execute(schedule)?;
-    let expected = pattern(root, bytes);
-    for r in 0..schedule.num_ranks {
-        if r != root {
-            expect_buffer(&res, r, &expected)?;
-        }
-    }
-    Ok(())
-}
-
-/// Allgather: every rank's `Recv` holds block `i` = rank `i`'s pattern.
-pub fn verify_allgather(schedule: &Schedule, block_bytes: usize) -> Result<(), VerifyError> {
-    let res = execute(schedule)?;
-    let mut expected = Vec::with_capacity(schedule.num_ranks * block_bytes);
-    for r in 0..schedule.num_ranks {
-        expected.extend_from_slice(&pattern(r, block_bytes));
-    }
-    for r in 0..schedule.num_ranks {
-        expect_buffer(&res, r, &expected)?;
-    }
-    Ok(())
-}
-
-/// Reduce: the root's `Recv` equals the byte-wise wrapping sum of every
-/// rank's pattern.
-pub fn verify_reduce(schedule: &Schedule, root: Rank, bytes: usize) -> Result<(), VerifyError> {
-    let res = execute(schedule)?;
-    expect_buffer(&res, root, &reduced_pattern(schedule.num_ranks, bytes))
-}
-
-/// Allreduce: every rank's `Recv` equals the byte-wise wrapping sum.
-pub fn verify_allreduce(schedule: &Schedule, bytes: usize) -> Result<(), VerifyError> {
-    let res = execute(schedule)?;
-    let expected = reduced_pattern(schedule.num_ranks, bytes);
-    for r in 0..schedule.num_ranks {
-        expect_buffer(&res, r, &expected)?;
-    }
-    Ok(())
-}
-
-/// Gather: the root's `Recv` holds block `i` = rank `i`'s pattern.
-pub fn verify_gather(schedule: &Schedule, root: Rank, block_bytes: usize) -> Result<(), VerifyError> {
-    let res = execute(schedule)?;
-    let mut expected = Vec::with_capacity(schedule.num_ranks * block_bytes);
-    for r in 0..schedule.num_ranks {
-        expected.extend_from_slice(&pattern(r, block_bytes));
-    }
-    expect_buffer(&res, root, &expected)
-}
-
-/// Scatter: rank `i`'s `Recv` equals block `i` of the root's `Send`.
-pub fn verify_scatter(schedule: &Schedule, root: Rank, block_bytes: usize) -> Result<(), VerifyError> {
-    let res = execute(schedule)?;
-    let root_pattern = pattern(root, schedule.num_ranks * block_bytes);
-    for r in 0..schedule.num_ranks {
-        expect_buffer(&res, r, &root_pattern[r * block_bytes..(r + 1) * block_bytes])?;
-    }
-    Ok(())
-}
-
-/// The expected reduction result: byte-wise wrapping sum of all patterns.
-pub fn reduced_pattern(num_ranks: usize, bytes: usize) -> Vec<u8> {
-    let mut acc = vec![0u8; bytes];
-    for r in 0..num_ranks {
-        for (a, b) in acc.iter_mut().zip(pattern(r, bytes)) {
-            *a = a.wrapping_add(b);
-        }
-    }
-    acc
+/// Executes `schedule` on a fresh [`ThreadExecutor`] over [`pattern`] and
+/// [`check`]s the result against `request`.
+pub fn run(request: Request, schedule: &Schedule) -> Result<(), VerifyError> {
+    let res = ThreadExecutor::new().run(schedule, pattern)?;
+    check(request, schedule.num_ranks, &res)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::{AdaptiveColl, Sinks};
     use crate::allgather_ring::Ring;
     use crate::bcast_tree::build_bcast_tree;
     use crate::sched::{
@@ -157,6 +174,9 @@ mod tests {
         scatter_schedule, SchedConfig,
     };
     use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix};
+    use pdac_mpisim::Communicator;
+    use pdac_simnet::OpKind;
+    use std::sync::Arc;
 
     fn matrix(policy: BindingPolicy, n: usize) -> DistanceMatrix {
         let ig = machines::ig();
@@ -175,7 +195,7 @@ mod tests {
             for root in [0, 31] {
                 let t = build_bcast_tree(&d, root);
                 let s = bcast_schedule(&t, 300_000, &SchedConfig::default());
-                verify_bcast(&s, root, 300_000).unwrap();
+                run(Request::new(Collective::Bcast, root, 300_000), &s).unwrap();
             }
         }
     }
@@ -188,9 +208,8 @@ mod tests {
             BindingPolicy::Random { seed: 7 },
         ] {
             let d = matrix(policy, 48);
-            let r = Ring::build(&d);
-            let s = allgather_schedule(&r, 5000);
-            verify_allgather(&s, 5000).unwrap();
+            let s = allgather_schedule(&Ring::build(&d), 5000);
+            run(Request::new(Collective::Allgather, 0, 5000), &s).unwrap();
         }
     }
 
@@ -198,52 +217,72 @@ mod tests {
     fn reduce_and_allreduce_are_correct() {
         let d = matrix(BindingPolicy::Random { seed: 13 }, 24);
         let t = build_bcast_tree(&d, 7);
-        verify_reduce(&reduce_schedule(&t, 10_000), 7, 10_000).unwrap();
-        verify_allreduce(&allreduce_schedule(&t, 10_000, &SchedConfig::default()), 10_000).unwrap();
+        run(Request::new(Collective::Reduce, 7, 10_000), &reduce_schedule(&t, 10_000)).unwrap();
+        let s = allreduce_schedule(&t, 10_000, &SchedConfig::default());
+        run(Request::new(Collective::Allreduce, 7, 10_000), &s).unwrap();
     }
 
     #[test]
     fn gather_and_scatter_are_correct() {
-        verify_gather(&gather_schedule(5, 16, 2048), 5, 2048).unwrap();
-        verify_scatter(&scatter_schedule(5, 16, 2048), 5, 2048).unwrap();
+        run(Request::new(Collective::Gather, 5, 2000), &gather_schedule(5, 16, 2000)).unwrap();
+        run(Request::new(Collective::Scatter, 5, 2000), &scatter_schedule(5, 16, 2000)).unwrap();
     }
 
-    #[test]
-    fn oracle_catches_wrong_offsets() {
-        // Deliberately corrupt an allgather: swap two pull destinations.
-        let d = matrix(BindingPolicy::Contiguous, 4);
-        let ring = Ring::build(&d);
-        let mut s = allgather_schedule(&ring, 64);
-        // Find two copy ops and swap their destination offsets.
-        let mut copy_ids: Vec<usize> = s
-            .ops
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| matches!(o.kind, pdac_simnet::OpKind::Copy { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        let b_id = copy_ids.pop().unwrap();
-        let a_id = copy_ids.pop().unwrap();
-        let get_dst = |s: &pdac_simnet::Schedule, id: usize| match s.ops[id].kind {
-            pdac_simnet::OpKind::Copy { dst_off, .. } => dst_off,
-            _ => unreachable!(),
+    /// Swaps one offset between the last copy and the latest earlier copy
+    /// whose offset differs: `dst` picks the destination offsets, else the
+    /// source offsets.
+    fn swap_offsets(s: &mut Schedule, dst: bool) {
+        let offset = |kind: &OpKind| match *kind {
+            OpKind::Copy { dst_off, src_off, .. } => Some(if dst { dst_off } else { src_off }),
+            _ => None,
         };
-        let (da, db) = (get_dst(&s, a_id), get_dst(&s, b_id));
-        for (id, off) in [(a_id, db), (b_id, da)] {
-            if let pdac_simnet::OpKind::Copy { ref mut dst_off, .. } = s.ops[id].kind {
-                *dst_off = off;
+        let copies: Vec<(usize, usize)> =
+            s.ops.iter().enumerate().filter_map(|(id, o)| Some((id, offset(&o.kind)?))).collect();
+        let &(b, off_b) = copies.last().unwrap();
+        let &(a, off_a) = copies.iter().rev().find(|&&(_, off)| off != off_b).unwrap();
+        for (id, off) in [(a, off_b), (b, off_a)] {
+            if let OpKind::Copy { dst_off, src_off, .. } = &mut s.ops[id].kind {
+                *(if dst { dst_off } else { src_off }) = off;
             }
         }
-        // Either validation (write overlap) or the byte oracle must fail.
-        assert!(verify_allgather(&s, 64).is_err());
     }
 
     #[test]
-    fn reduced_pattern_is_order_independent_sum() {
-        let p = reduced_pattern(3, 4);
-        for i in 0..4 {
-            let expect = pattern(0, 4)[i].wrapping_add(pattern(1, 4)[i]).wrapping_add(pattern(2, 4)[i]);
-            assert_eq!(p[i], expect);
+    fn oracle_catches_broken_schedules() {
+        let ig = Arc::new(machines::ig());
+        let binding = BindingPolicy::Contiguous.bind(&ig, 6).unwrap();
+        let comm = Communicator::world(ig, binding);
+        // Every scatter copy lands at offset 0 of its receiver, so its
+        // broken twin swaps where two copies read from instead.
+        for (collective, dst) in [
+            (Collective::Allgather, true),
+            (Collective::Alltoall, true),
+            (Collective::ReduceScatter, true),
+            (Collective::Gather, true),
+            (Collective::Scatter, false),
+        ] {
+            let request = Request::new(collective, 2, 100);
+            let mut s = AdaptiveColl::default().plan(&comm, request, Sinks::default());
+            run(request, &s).unwrap_or_else(|e| panic!("{collective:?}: {e}"));
+            swap_offsets(&mut s, dst);
+            // Either validation (write overlap) or the byte check must fail.
+            assert!(run(request, &s).is_err(), "{collective:?}: the broken schedule passed");
         }
+    }
+
+    #[test]
+    fn expected_data_by_collective() {
+        let inputs = vec![vec![1u8, 2], vec![10, 20], vec![100, 200]];
+        let sum = |c| expected(c, 1, &inputs, u8::wrapping_add);
+        assert_eq!(sum(Collective::Bcast), [vec![10, 20], vec![], vec![10, 20]]);
+        assert_eq!(sum(Collective::Allreduce), vec![vec![111u8, 222]; 3]);
+        assert_eq!(sum(Collective::Reduce), [vec![], vec![111, 222], vec![]]);
+        assert_eq!(sum(Collective::Gather)[1], [1, 2, 10, 20, 100, 200]);
+        assert_eq!(sum(Collective::Barrier), vec![Vec::<u8>::new(); 3]);
+        let inputs: Vec<Vec<u8>> = (0..3).map(|r| (0..6).map(|i| 10 * r + i).collect()).collect();
+        let sum = |c| expected(c, 1, &inputs, u8::wrapping_add);
+        assert_eq!(sum(Collective::Scatter), [vec![10, 11], vec![12, 13], vec![14, 15]]);
+        assert_eq!(sum(Collective::Alltoall)[2], [4, 5, 14, 15, 24, 25]);
+        assert_eq!(sum(Collective::ReduceScatter)[0], [30, 33]);
     }
 }

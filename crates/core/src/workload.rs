@@ -19,10 +19,9 @@
 //! The workload itself is a **training-style storm**: a seed-derived trace
 //! of gradient-bucket sizes is allreduced over and over (data-parallel
 //! steps), replayed through the real thread executor on the configured
-//! [`TransportKind`], with every payload checked against the
-//! [`reduced_pattern`] oracle. The final step runs through the chaos
-//! harness, so the random machine also survives crash + recovery under the
-//! same transport.
+//! [`TransportKind`], with every payload checked by [`verify::check`]. The
+//! final step runs through the chaos harness, so the random machine also
+//! survives crash + recovery under the same transport.
 
 use std::sync::Arc;
 
@@ -36,7 +35,7 @@ use rand::{Rng, SeedableRng};
 use crate::adaptive::{AdaptiveColl, Collective, Request, Sinks};
 use crate::chaos::{run_chaos, ChaosConfig};
 use crate::topocache::{TopoCache, TopoCacheStats};
-use crate::verify::{pattern, reduced_pattern};
+use crate::verify::{self, pattern};
 
 /// One seeded workload: a random machine, a random placement, and an
 /// allreduce storm with optional mid-run churn and a chaos finale.
@@ -469,21 +468,9 @@ pub fn run_workload(cfg: &WorkloadConfig) -> Result<WorkloadReport, WorkloadErro
                         comm.size()
                     ))
                 })?;
-            let expected = reduced_pattern(comm.size(), bytes);
-            for r in 0..comm.size() {
-                let got = res.buffer(r, BufId::Recv);
-                if got.len() < expected.len() || got[..expected.len()] != expected[..] {
-                    let off = expected
-                        .iter()
-                        .enumerate()
-                        .position(|(i, e)| got.get(i) != Some(e))
-                        .unwrap_or(expected.len());
-                    return Err(fail(format!(
-                        "step {step} allreduce({bytes}B): rank {r} byte {off} wrong on {}",
-                        transport.name()
-                    )));
-                }
-            }
+            verify::check(request, comm.size(), &res).map_err(|e| {
+                fail(format!("step {step} allreduce({bytes}B) on {}: {e}", transport.name()))
+            })?;
             corrupt_detected += res.fault_stats.corrupt_detected;
             retransmits += res.fault_stats.retransmits;
             transfers += 1;

@@ -6,7 +6,7 @@
 use pdac_core::allgather_ring::Ring;
 use pdac_core::bcast_tree::build_bcast_tree;
 use pdac_core::sched::{allgather_schedule, bcast_schedule, SchedConfig};
-use pdac_core::{metrics, verify};
+use pdac_core::{metrics, verify, Collective, Request};
 use pdac_hwtopo::{cluster, machines, BindingPolicy, DistanceMatrix, Machine};
 use pdac_simnet::{Resource, SimConfig, SimExecutor};
 
@@ -78,11 +78,11 @@ fn cluster_collectives_are_byte_correct() {
     let (_, dist) = matrix(&c, BindingPolicy::Random { seed: 77 });
     let tree = build_bcast_tree(&dist, 5);
     let sched = bcast_schedule(&tree, 100_000, &SchedConfig::default());
-    verify::verify_bcast(&sched, 5, 100_000).unwrap();
+    verify::run(Request::new(Collective::Bcast, 5, 100_000), &sched).unwrap();
 
     let ring = Ring::build(&dist);
     let ag = allgather_schedule(&ring, 2_000);
-    verify::verify_allgather(&ag, 2_000).unwrap();
+    verify::run(Request::new(Collective::Allgather, 0, 2_000), &ag).unwrap();
 }
 
 #[test]

@@ -86,15 +86,15 @@ proptest! {
 
         let bcast = s.mgr.plan(Request::new(Collective::Bcast, 0, 2048));
         prop_assert_eq!(bcast.num_ranks, survivors.len());
-        verify::verify_bcast(&bcast, s.mgr.elect_root(0), 2048).unwrap();
+        verify::run(Request::new(Collective::Bcast, s.mgr.elect_root(0), 2048), &bcast).unwrap();
 
         let ag = s.mgr.plan(Request::new(Collective::Allgather, 0, 512));
         prop_assert_eq!(ag.num_ranks, survivors.len());
-        verify::verify_allgather(&ag, 512).unwrap();
+        verify::run(Request::new(Collective::Allgather, 0, 512), &ag).unwrap();
 
         let ar = s.mgr.plan(Request::new(Collective::Allreduce, 0, 1024));
         prop_assert_eq!(ar.num_ranks, survivors.len());
-        verify::verify_allreduce(&ar, 1024).unwrap();
+        verify::run(Request::new(Collective::Allreduce, 0, 1024), &ar).unwrap();
     }
 
     /// The survivor tree is still the paper's construction: a minimum

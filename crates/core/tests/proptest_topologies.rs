@@ -14,7 +14,7 @@ use pdac_core::edges::{edge_queue, unpack, Edge, CLASS_WEIGHTS};
 use pdac_core::sched::{allgather_schedule, bcast_schedule, reduce_schedule, SchedConfig};
 use pdac_core::tree::Tree;
 use pdac_core::unionfind::DisjointSets;
-use pdac_core::verify;
+use pdac_core::{verify, Collective, Request};
 use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix, Machine};
 use pdac_mpisim::Communicator;
 
@@ -259,16 +259,16 @@ proptest! {
         let cfg = SchedConfig::uniform(4096);
         let bcast = bcast_schedule(&tree, bytes, &cfg);
         bcast.validate().unwrap();
-        verify::verify_bcast(&bcast, root, bytes).unwrap();
+        verify::run(Request::new(Collective::Bcast, root, bytes), &bcast).unwrap();
 
         let ring = Ring::build(&dist);
         let ag = allgather_schedule(&ring, bytes.min(4096));
         ag.validate().unwrap();
-        verify::verify_allgather(&ag, bytes.min(4096)).unwrap();
+        verify::run(Request::new(Collective::Allgather, 0, bytes.min(4096)), &ag).unwrap();
 
         let red = reduce_schedule(&tree, bytes.min(4096));
         red.validate().unwrap();
-        verify::verify_reduce(&red, root, bytes.min(4096)).unwrap();
+        verify::run(Request::new(Collective::Reduce, root, bytes.min(4096)), &red).unwrap();
     }
 
     #[test]

@@ -17,8 +17,8 @@ use std::time::Duration;
 use pdac_core::alltoall::alltoall_schedule;
 use pdac_core::reduce_scatter::reduce_scatter_schedule;
 use pdac_core::sched::{allreduce_schedule, SchedConfig};
-use pdac_core::verify::{pattern, reduced_pattern};
-use pdac_core::{build_bcast_tree, AdaptiveColl, Ring};
+use pdac_core::verify::{self, pattern};
+use pdac_core::{build_bcast_tree, AdaptiveColl, Collective, Request, Ring};
 use pdac_hwtopo::{machines, BindingPolicy, Machine};
 use pdac_mpisim::{
     Communicator, ExecError, KnemError, RetryPolicy, ThreadExecutor, TransportKind,
@@ -55,14 +55,17 @@ fn pulled_pairs(schedule: &Schedule) -> u64 {
     pairs.len() as u64
 }
 
-/// Runs `schedule` under both transports and returns the per-rank `Recv`
-/// buffers of each run, asserting they are bit-identical across backends.
-fn run_both(label: &str, schedule: &Schedule, n: usize) -> Vec<Vec<u8>> {
+/// Runs `schedule` under both transports, checks each run against the
+/// oracle for `request`, and asserts the `Recv` buffers are bit-identical
+/// across backends.
+fn run_both(label: &str, request: Request, schedule: &Schedule, n: usize) {
     let mut per_transport: Vec<Vec<Vec<u8>>> = Vec::new();
     for kind in TRANSPORTS {
         let transport = kind.create(None);
         let res = ThreadExecutor::with_transport(Arc::clone(&transport))
             .run(schedule, pattern)
+            .unwrap_or_else(|e| panic!("{label} on {}: {e}", kind.label()));
+        verify::check(request, n, &res)
             .unwrap_or_else(|e| panic!("{label} on {}: {e}", kind.label()));
         let stats = transport.stats();
         assert!(
@@ -89,7 +92,6 @@ fn run_both(label: &str, schedule: &Schedule, n: usize) -> Vec<Vec<u8>> {
             "{label}: rank {r} Recv payload differs between knem and rdma"
         );
     }
-    knem
 }
 
 #[test]
@@ -102,64 +104,20 @@ fn collective_matrix_is_bit_identical_across_transports() {
         let dist = comm.distances();
         let ring = Ring::build(&dist);
         let tree = build_bcast_tree(&dist, 0);
-
-        // Bcast: every non-root rank receives the root's bytes.
-        let bytes = 20_000;
-        let recv = run_both(&format!("{name}/bcast"), &coll.bcast(&comm, 0, bytes), n);
-        let root_payload = pattern(0, bytes);
-        for (r, buf) in recv.iter().enumerate().skip(1) {
-            assert_eq!(&buf[..bytes], &root_payload[..], "{name}: bcast rank {r}");
-        }
-
-        // Allgather: rank r's slot p holds rank p's block.
-        let block = 3_000;
-        let recv = run_both(&format!("{name}/allgather"), &coll.allgather(&comm, block), n);
-        for (r, buf) in recv.iter().enumerate() {
-            for p in 0..n {
-                assert_eq!(
-                    &buf[p * block..(p + 1) * block],
-                    &pattern(p, block)[..],
-                    "{name}: allgather rank {r} slot {p}"
-                );
-            }
-        }
-
-        // Allreduce: every rank converges on the elementwise reduction.
-        let bytes = 10_000;
-        let schedule = allreduce_schedule(&tree, bytes, &SchedConfig::default());
-        let recv = run_both(&format!("{name}/allreduce"), &schedule, n);
-        let expected = reduced_pattern(n, bytes);
-        for (r, buf) in recv.iter().enumerate() {
-            assert_eq!(&buf[..bytes], &expected[..], "{name}: allreduce rank {r}");
-        }
-
-        // Alltoall: rank r's slot p holds the block rank p addressed to r.
-        let block = 1_500;
-        let recv = run_both(&format!("{name}/alltoall"), &alltoall_schedule(&ring, block), n);
-        for (r, buf) in recv.iter().enumerate() {
-            for p in 0..n {
-                assert_eq!(
-                    &buf[p * block..(p + 1) * block],
-                    &pattern(p, n * block)[r * block..(r + 1) * block],
-                    "{name}: alltoall rank {r} slot {p}"
-                );
-            }
-        }
-
-        // Reduce-scatter: rank r ends with the fully reduced block r.
-        let block = 2_000;
-        let recv = run_both(
-            &format!("{name}/reduce_scatter"),
-            &reduce_scatter_schedule(&ring, block),
-            n,
-        );
-        let expected = reduced_pattern(n, n * block);
-        for (r, buf) in recv.iter().enumerate() {
-            assert_eq!(
-                &buf[..block],
-                &expected[r * block..(r + 1) * block],
-                "{name}: reduce_scatter rank {r}"
-            );
+        let cases = [
+            (Collective::Bcast, 20_000, coll.bcast(&comm, 0, 20_000)),
+            (Collective::Allgather, 3_000, coll.allgather(&comm, 3_000)),
+            (
+                Collective::Allreduce,
+                10_000,
+                allreduce_schedule(&tree, 10_000, &SchedConfig::default()),
+            ),
+            (Collective::Alltoall, 1_500, alltoall_schedule(&ring, 1_500)),
+            (Collective::ReduceScatter, 2_000, reduce_scatter_schedule(&ring, 2_000)),
+        ];
+        for (collective, bytes, schedule) in cases {
+            let label = format!("{name}/{}", collective.label());
+            run_both(&label, Request::new(collective, 0, bytes), &schedule, n);
         }
     }
 }
@@ -192,6 +150,9 @@ fn corruption_detection_is_identical_across_transports() {
                 .with_faults(plan)
                 .run(&schedule, pattern)
                 .unwrap_or_else(|e| panic!("{name}/corrupt on {}: {e}", kind.label()));
+            let request = Request::new(Collective::Allgather, 0, block);
+            verify::check(request, n, &res)
+                .unwrap_or_else(|e| panic!("{name} on {}: healed payload: {e}", kind.label()));
             let s = &res.fault_stats;
             assert!(
                 s.corrupt_detected >= 1,
@@ -231,13 +192,6 @@ fn corruption_detection_is_identical_across_transports() {
                 knem_bufs[r], rdma_bufs[r],
                 "{name}: rank {r} healed payload differs between knem and rdma"
             );
-            for p in 0..n {
-                assert_eq!(
-                    &knem_bufs[r][p * block..(p + 1) * block],
-                    &pattern(p, block)[..],
-                    "{name}: rank {r} slot {p} healed to the oracle payload"
-                );
-            }
         }
     }
 }

@@ -1,6 +1,6 @@
-//! All nine collectives through [`Session`], checked against one
-//! expected-data function: what every rank must hold afterwards is computed
-//! from the inputs alone, never from a schedule.
+//! All nine collectives through [`Session`], on byte, integer and float
+//! elements, checked against [`verify::expected`]: what every rank must
+//! hold afterwards is computed from the inputs alone, never from a schedule.
 
 use std::sync::Arc;
 
@@ -16,41 +16,8 @@ fn only_at<T: Clone>(root: usize, n: usize, data: &[T]) -> Vec<Vec<T>> {
         .collect()
 }
 
-/// What rank `r` holds after `coll` over `inputs` (`out[r]`; empty where the
-/// collective hands that rank nothing). `combine` is the reduction.
-fn expected<T: Copy>(
-    coll: Collective,
-    inputs: &[Vec<T>],
-    root: usize,
-    combine: impl Fn(T, T) -> T,
-) -> Vec<Vec<T>> {
-    let n = inputs.len();
-    let block = inputs[0].len() / n;
-    let concat: Vec<T> = inputs.iter().flatten().copied().collect();
-    let reduced: Vec<T> = (0..inputs[0].len())
-        .map(|i| {
-            inputs[1..]
-                .iter()
-                .fold(inputs[0][i], |acc, v| combine(acc, v[i]))
-        })
-        .collect();
-    let block_of = |data: &[T], r: usize| data[r * block..(r + 1) * block].to_vec();
-    match coll {
-        Collective::Bcast => vec![inputs[root].clone(); n],
-        Collective::Allgather => vec![concat; n],
-        Collective::Allreduce => vec![reduced; n],
-        Collective::Reduce => only_at(root, n, &reduced),
-        Collective::ReduceScatter => (0..n).map(|r| block_of(&reduced, r)).collect(),
-        Collective::Gather => only_at(root, n, &concat),
-        Collective::Scatter => (0..n).map(|r| block_of(&inputs[root], r)).collect(),
-        Collective::Alltoall => (0..n)
-            .map(|r| inputs.iter().flat_map(|src| block_of(src, r)).collect())
-            .collect(),
-        Collective::Barrier => vec![Vec::new(); n],
-    }
-}
-
-/// The same collective through the session, in the shape of [`expected`].
+/// The same collective through the session, in the shape of
+/// [`verify::expected`].
 fn through_session<T: Scalar>(
     session: &Session,
     coll: Collective,
@@ -63,6 +30,8 @@ fn through_session<T: Scalar>(
         Collective::Bcast => {
             let mut bufs = inputs.to_vec();
             session.bcast(&mut bufs, root).unwrap();
+            assert!(bufs[root] == inputs[root], "bcast changed the root's buffer");
+            bufs[root].clear();
             bufs
         }
         Collective::Allgather => session.allgather(inputs).unwrap(),
@@ -80,8 +49,8 @@ fn through_session<T: Scalar>(
 }
 
 /// Runs every collective on `bytes`-per-rank inputs drawn by `element` and
-/// compares each with [`expected`]. The element count is rounded down to a
-/// multiple of the rank count so the block collectives accept it.
+/// compares each with [`verify::expected`]. The element count is rounded
+/// down to a multiple of the rank count so the block collectives accept it.
 fn check_all<T: Scalar>(
     session: &Session,
     what: &str,
@@ -98,7 +67,7 @@ fn check_all<T: Scalar>(
     for (k, coll) in Collective::ALL.into_iter().enumerate() {
         let root = (bytes + 5 * k) % n;
         let got = through_session(session, coll, &inputs, root, op);
-        let want = expected(coll, &inputs, root, combine);
+        let want = verify::expected(coll, root, &inputs, combine);
         for r in 0..n {
             assert!(
                 got[r] == want[r],
@@ -126,7 +95,18 @@ fn sessions() -> Vec<(String, Session)> {
 #[test]
 fn nine_collectives_match_the_expected_data() {
     for (what, session) in sessions() {
+        let n = session.size();
         for bytes in [1 << 10, 256 << 10] {
+            let len = bytes / n * n;
+            let patterns: Vec<Vec<u8>> = (0..n).map(|r| verify::pattern(r, len)).collect();
+            check_all::<u8>(
+                &session,
+                &what,
+                bytes,
+                |r, i| patterns[r][i],
+                ReduceOp::Sum,
+                u8::wrapping_add,
+            );
             let mut rng = StdRng::seed_from_u64(20110926 ^ bytes as u64);
             check_all::<i64>(
                 &session,
@@ -145,29 +125,6 @@ fn nine_collectives_match_the_expected_data() {
                 |_, _| (rng.gen_f64() - 0.5) * 1e12,
                 ReduceOp::Max,
                 f64::max,
-            );
-        }
-    }
-}
-
-/// The byte leg feeds `core::verify`'s per-rank pattern, so this oracle and
-/// that one are checked against each other where both cover the collective.
-#[test]
-fn byte_collectives_agree_with_core_verify() {
-    for (what, session) in sessions() {
-        let n = session.size();
-        for bytes in [1 << 10, 256 << 10] {
-            let len = bytes / n * n;
-            let patterns: Vec<Vec<u8>> = (0..n).map(|r| verify::pattern(r, len)).collect();
-            let sums = expected(Collective::Allreduce, &patterns, 0, u8::wrapping_add);
-            assert_eq!(sums[0], verify::reduced_pattern(n, len), "{what}");
-            check_all::<u8>(
-                &session,
-                &what,
-                bytes,
-                |r, i| patterns[r][i],
-                ReduceOp::Sum,
-                u8::wrapping_add,
             );
         }
     }

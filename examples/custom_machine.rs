@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use pdac::collectives::adaptive::AdaptiveColl;
 use pdac::collectives::metrics;
-use pdac::collectives::verify;
+use pdac::collectives::{verify, Collective, Request};
 use pdac::hwtopo::{BindingPolicy, CacheSpec, MachineSpec, PackageSpec};
 use pdac::mpisim::Communicator;
 
@@ -55,12 +55,13 @@ fn main() {
 
     let bytes = 256 << 10;
     let bcast = coll.bcast(&sub, 0, bytes);
-    verify::verify_bcast(&bcast, 0, bytes).expect("broadcast is correct");
+    verify::run(Request::new(Collective::Bcast, 0, bytes), &bcast).expect("broadcast is correct");
     let stress = metrics::link_stress(&bcast, &sub.distances());
     println!("broadcast link stress by distance class: {stress:?}");
 
     let allgather = coll.allgather(&sub, 64 << 10);
-    verify::verify_allgather(&allgather, 64 << 10).expect("allgather is correct");
+    let request = Request::new(Collective::Allgather, 0, 64 << 10);
+    verify::run(request, &allgather).expect("allgather is correct");
     let ring = coll.allgather_ring(&sub);
     let order: Vec<String> = ring.order().iter().map(|r| format!("P{r}")).collect();
     println!("allgather ring: {}", order.join(" -> "));

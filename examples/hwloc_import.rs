@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use pdac::collectives::adaptive::AdaptiveColl;
-use pdac::collectives::verify;
+use pdac::collectives::{verify, Collective, Request};
 use pdac::hwtopo::{hwloc_xml, render, BindingPolicy};
 use pdac::mpisim::Communicator;
 
@@ -77,7 +77,8 @@ fn main() {
     let coll = AdaptiveColl::default();
     let bytes = 64 << 10;
     let s = coll.bcast(&comm, 0, bytes);
-    verify::verify_bcast(&s, 0, bytes).expect("broadcast correct on imported machine");
+    let request = Request::new(Collective::Bcast, 0, bytes);
+    verify::run(request, &s).expect("broadcast correct on imported machine");
     println!("distance-aware broadcast on the imported topology: verified byte-for-byte");
     let ring = coll.allgather_ring(&comm);
     let order: Vec<String> = ring.order().iter().map(|r| format!("P{r}")).collect();

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use pdac::collectives::adaptive::AdaptiveColl;
-use pdac::collectives::verify;
+use pdac::collectives::{verify, Collective, Request};
 use pdac::hwtopo::{machines, BindingPolicy};
 use pdac::mpisim::{Communicator, ThreadExecutor};
 use pdac::simnet::{bw_bcast, SimConfig, SimExecutor};
@@ -46,7 +46,8 @@ fn main() {
         .expect("thread execution succeeds");
     println!("thread execution: {} KNEM single-copies, {} bytes moved through the kernel",
         result.knem_stats.copies, result.knem_stats.bytes_copied);
-    verify::verify_bcast(&schedule, 0, bytes).expect("every rank got the root's bytes");
+    let request = Request::new(Collective::Bcast, 0, bytes);
+    verify::check(request, 48, &result).expect("every rank got the root's bytes");
     println!("oracle: every rank holds the root's payload  [OK]");
 
     // 5. The punchline: the distance-aware topology does not care about the

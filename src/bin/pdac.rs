@@ -62,12 +62,23 @@ fn parse_binding(spec: &str, machine: &Machine) -> Result<Binding, String> {
         "crossnode" => BindingPolicy::CrossNode,
         "rr" => BindingPolicy::RoundRobinOs,
         s if s.starts_with("random") => {
-            let seed: u64 = s["random".len()..].parse().unwrap_or(0);
+            let seed = &s["random".len()..];
+            let seed = seed.parse().map_err(|_| format!("bad seed '{seed}' in binding '{s}'"))?;
             BindingPolicy::Random { seed }
         }
         other => return Err(format!("unknown binding '{other}'")),
     };
     policy.bind(machine, machine.num_cores()).map_err(|e| e.to_string())
+}
+
+/// The optional `[root]` argument: rank 0 when absent, else a rank below
+/// `ranks`.
+fn parse_root(arg: Option<&String>, ranks: usize) -> Result<usize, String> {
+    let Some(arg) = arg else { return Ok(0) };
+    match arg.parse() {
+        Ok(root) if root < ranks => Ok(root),
+        _ => Err(format!("bad root '{arg}', expected a rank below {ranks}")),
+    }
 }
 
 fn run() -> Result<(), String> {
@@ -111,7 +122,7 @@ fn run() -> Result<(), String> {
         "tree" => {
             let m = parse_machine(args.get(1).ok_or(usage)?)?;
             let b = parse_binding(args.get(2).ok_or(usage)?, &m)?;
-            let root: usize = args.get(3).map(|s| s.parse().unwrap_or(0)).unwrap_or(0);
+            let root = parse_root(args.get(3), b.num_ranks())?;
             let dm = DistanceMatrix::for_binding(&m, &b);
             let tree = build_bcast_tree(&dm, root);
             print!("{}", tree.render());
@@ -134,7 +145,7 @@ fn run() -> Result<(), String> {
         "dot" => {
             let m = parse_machine(args.get(1).ok_or(usage)?)?;
             let b = parse_binding(args.get(2).ok_or(usage)?, &m)?;
-            let root: usize = args.get(3).map(|s| s.parse().unwrap_or(0)).unwrap_or(0);
+            let root = parse_root(args.get(3), b.num_ranks())?;
             let dm = DistanceMatrix::for_binding(&m, &b);
             let tree = build_bcast_tree(&dm, root);
             print!("{}", dot::tree_to_dot(&tree, &dm, &m, &b));

@@ -20,7 +20,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use pdac::collectives::{adaptive::AdaptiveColl, verify};
+//! use pdac::collectives::{adaptive::AdaptiveColl, verify, Collective, Request};
 //! use pdac::hwtopo::{machines, BindingPolicy};
 //! use pdac::mpisim::Communicator;
 //! use pdac::simnet::{bw_bcast, SimConfig, SimExecutor};
@@ -33,7 +33,8 @@
 //! let report = SimExecutor::new(&machine, &binding, SimConfig::default()).run(&schedule)?;
 //! assert!(bw_bcast(48, 1 << 20, report.total_time) > 10_000.0, "tens of GB/s aggregate");
 //!
-//! verify::verify_bcast(&schedule, 0, 1 << 20)?; // real threads, real bytes
+//! let request = Request::new(Collective::Bcast, 0, 1 << 20);
+//! verify::run(request, &schedule)?; // real threads, real bytes
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

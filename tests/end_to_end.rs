@@ -32,7 +32,7 @@ fn bcast_correct_and_simulatable_everywhere() {
     for comm in communicators() {
         for bytes in [100usize, 60_000, 400_000] {
             let s = coll.bcast(&comm, 0, bytes);
-            verify::verify_bcast(&s, 0, bytes)
+            verify::run(Request::new(Collective::Bcast, 0, bytes), &s)
                 .unwrap_or_else(|e| panic!("{} ({} ranks): {e}", s.name, comm.size()));
             let rep = SimExecutor::new(comm.machine(), comm.binding(), SimConfig::default())
                 .run(&s)
@@ -47,7 +47,7 @@ fn allgather_correct_and_simulatable_everywhere() {
     let coll = AdaptiveColl::default();
     for comm in communicators() {
         let s = coll.allgather(&comm, 3000);
-        verify::verify_allgather(&s, 3000)
+        verify::run(Request::new(Collective::Allgather, 0, 3000), &s)
             .unwrap_or_else(|e| panic!("{} ({} ranks): {e}", s.name, comm.size()));
         let rep = SimExecutor::new(comm.machine(), comm.binding(), SimConfig { allow_cache: false })
             .run(&s)
@@ -65,17 +65,17 @@ fn extension_collectives_correct_on_hostile_subgroups() {
     let sub = world.subset(&[40, 1, 25, 13, 7, 31, 46, 19, 4, 37, 10, 28]);
 
     let s = reduce::distance_aware(&sub, 3, 12_345);
-    verify::verify_reduce(&s, 3, 12_345).unwrap();
+    verify::run(Request::new(Collective::Reduce, 3, 12_345), &s).unwrap();
 
     let request = Request::new(Collective::Allreduce, 0, 12_345);
     let s = AdaptiveColl::default().plan(&sub, request, Sinks::default());
-    verify::verify_allreduce(&s, 12_345).unwrap();
+    verify::run(request, &s).unwrap();
 
     let s = gather::distance_aware(&sub, 5, 2_048);
-    verify::verify_gather(&s, 5, 2_048).unwrap();
+    verify::run(Request::new(Collective::Gather, 5, 2_048), &s).unwrap();
 
-    let s = scatter::distance_aware(&sub, 5, 2_048);
-    verify::verify_scatter(&s, 5, 2_048).unwrap();
+    let s = scatter::distance_aware(&sub, 5, 2_000);
+    verify::run(Request::new(Collective::Scatter, 5, 2_000), &s).unwrap();
 
     let s = barrier::distance_aware(&sub);
     s.validate().unwrap();
@@ -97,7 +97,7 @@ fn split_communicators_run_independent_collectives() {
     assert_eq!(groups.len(), 8);
     for g in groups {
         let s = coll.bcast(&g, 2, 10_000);
-        verify::verify_bcast(&s, 2, 10_000).unwrap();
+        verify::run(Request::new(Collective::Bcast, 2, 10_000), &s).unwrap();
         // Intra-socket group: no slow-link traffic at all.
         let stress = pdac::collectives::metrics::link_stress(&s, &g.distances());
         assert_eq!(stress[5] + stress[6], 0);

@@ -19,7 +19,7 @@ use pdac::collectives::{
 };
 use pdac::hwtopo::{machines, BindingPolicy};
 use pdac::mpisim::{Communicator, ExecError, RetryPolicy, ThreadExecutor};
-use pdac::simnet::{BufId, FaultPlan};
+use pdac::simnet::FaultPlan;
 
 /// Wraps a test body in a watchdog thread: if the body neither returns nor
 /// panics within `budget`, the test fails with a message naming the seed
@@ -60,10 +60,7 @@ fn stalled_rank_still_completes_bcast() {
             .expect("a stall must not fail the collective");
         assert_eq!(res.fault_stats.ranks_stalled, 1);
         assert_eq!(res.fault_stats.ranks_crashed, 0);
-        let expected = verify::pattern(0, bytes);
-        for r in 1..6 {
-            assert_eq!(res.buffer(r, BufId::Recv), &expected[..], "rank {r} payload");
-        }
+        verify::check(Request::new(Collective::Bcast, 0, bytes), 6, &res).unwrap();
     });
 }
 
@@ -89,7 +86,7 @@ fn dropped_notification_is_typed_timeout_then_heals() {
         assert!(err.to_string().contains("fault seed 41"), "replay seed in message: {err}");
         // The fault was transient (nothing is actually dead): the same
         // schedule completes on a clean retry.
-        verify::verify_bcast(&schedule, 0, bytes).unwrap();
+        verify::run(Request::new(Collective::Bcast, 0, bytes), &schedule).unwrap();
     });
 }
 
@@ -125,7 +122,7 @@ fn crashed_rank_recovery_completes_on_survivors() {
         assert!(cache.stats().invalidations >= 1, "dead epoch purged from the cache");
         let rebuilt = mgr.plan(Request::new(Collective::Bcast, 0, bytes));
         assert_eq!(rebuilt.num_ranks, 5, "rebuilt tree spans exactly the survivors");
-        verify::verify_bcast(&rebuilt, mgr.elect_root(0), bytes).unwrap();
+        verify::run(Request::new(Collective::Bcast, mgr.elect_root(0), bytes), &rebuilt).unwrap();
         assert_eq!(mgr.stats().topology_rebuilds, 1);
     });
 }

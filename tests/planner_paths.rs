@@ -14,7 +14,7 @@ use pdac::collectives::{
 use pdac::hwtopo::{cluster, machines, BindingPolicy, Machine};
 use pdac::mpi::Session;
 use pdac::mpisim::Communicator;
-use pdac::simnet::{DataOp, Schedule};
+use pdac::simnet::DataOp;
 
 fn machines_under_test() -> Vec<Machine> {
     let node = machines::synthetic(1, 2, 4, true);
@@ -37,7 +37,9 @@ fn requests(n: usize) -> Vec<Request> {
                 c,
                 Collective::Bcast | Collective::Allreduce | Collective::Reduce
             );
-            Request::new(c, root, if message_sized { 200_000 } else { 1536 })
+            // `verify::pattern` repeats every 256 bytes, so a block size off
+            // that period keeps a misplaced block from passing.
+            Request::new(c, root, if message_sized { 200_000 } else { 1500 })
         })
         .collect();
     out.push(Request {
@@ -57,20 +59,6 @@ fn cache_choice(prov: &Provenance) -> Option<&str> {
         .map(|d| d.choice.as_str())
 }
 
-fn oracle(request: Request, s: &Schedule) -> Result<(), verify::VerifyError> {
-    let Request { root, bytes, .. } = request;
-    match request.collective {
-        Collective::Bcast => verify::verify_bcast(s, root, bytes),
-        Collective::Allgather => verify::verify_allgather(s, bytes),
-        Collective::Allreduce => verify::verify_allreduce(s, bytes),
-        Collective::Reduce => verify::verify_reduce(s, root, bytes),
-        Collective::Gather => verify::verify_gather(s, root, bytes),
-        Collective::Scatter => verify::verify_scatter(s, root, bytes),
-        // No shared oracle exists for these three; structure is validated.
-        Collective::ReduceScatter | Collective::Alltoall | Collective::Barrier => Ok(()),
-    }
-}
-
 #[test]
 fn every_sink_combination_plans_the_same_schedule() {
     let coll = AdaptiveColl::default();
@@ -88,7 +76,7 @@ fn every_sink_combination_plans_the_same_schedule() {
                 let ctx = format!("{} {policy:?} {request:?}", machine.name);
                 let plain = coll.plan(&comm, request, Sinks::default());
                 plain.validate().unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                oracle(request, &plain).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                verify::run(request, &plain).unwrap_or_else(|e| panic!("{ctx}: {e}"));
 
                 let cache = TopoCache::new();
                 let cold = coll.plan(&comm, request, Sinks::cached(&cache));

@@ -1,10 +1,11 @@
 //! Property tests of the typed session API: every collective's result must
-//! equal the serial oracle, on random machines, placements and payloads.
+//! equal [`verify::expected`], on random machines, placements and payloads.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use pdac::collectives::{verify, Collective};
 use pdac::hwtopo::{machines, BindingPolicy, Machine};
 use pdac::mpi::{ReduceOp, Session};
 
@@ -41,11 +42,8 @@ proptest! {
         let contribs: Vec<Vec<i64>> = (0..n)
             .map(|r| data.iter().map(|&x| x + r as i64).collect())
             .collect();
-        let serial: Vec<i64> = (0..data.len())
-            .map(|i| contribs.iter().map(|c| c[i]).sum())
-            .collect();
-        let result = s.allreduce(&contribs, ReduceOp::Sum).unwrap();
-        prop_assert!(result.iter().all(|v| v == &serial));
+        let serial = verify::expected(Collective::Allreduce, 0, &contribs, |a, b| a + b);
+        prop_assert_eq!(s.allreduce(&contribs, ReduceOp::Sum).unwrap(), serial);
     }
 
     #[test]
@@ -53,9 +51,8 @@ proptest! {
         let s = session(m, seed, n);
         let contribs: Vec<Vec<u32>> =
             (0..n).map(|r| (0..len).map(|i| (r * len + i) as u32).collect()).collect();
-        let expect: Vec<u32> = contribs.iter().flatten().copied().collect();
-        let gathered = s.allgather(&contribs).unwrap();
-        prop_assert!(gathered.iter().all(|g| g == &expect));
+        let expect = verify::expected(Collective::Allgather, 0, &contribs, |a, b| a + b);
+        prop_assert_eq!(s.allgather(&contribs).unwrap(), expect);
     }
 
     #[test]
@@ -87,12 +84,8 @@ proptest! {
         let s = session(m, seed, n);
         let bufs: Vec<Vec<u32>> =
             (0..n).map(|src| (0..n).map(|dst| (src * n + dst) as u32).collect()).collect();
-        let out = s.alltoall(&bufs).unwrap();
-        for (dst, got) in out.iter().enumerate() {
-            for (src, &v) in got.iter().enumerate() {
-                prop_assert_eq!(v, (src * n + dst) as u32);
-            }
-        }
+        let transposed = verify::expected(Collective::Alltoall, 0, &bufs, |a, b| a + b);
+        prop_assert_eq!(s.alltoall(&bufs).unwrap(), transposed);
     }
 
     #[test]
@@ -101,13 +94,9 @@ proptest! {
         let contribs: Vec<Vec<f64>> = (0..n)
             .map(|r| data.iter().map(|&x| x * (r as f64 + 1.0)).collect())
             .collect();
-        let maxs = s.allreduce(&contribs, ReduceOp::Max).unwrap();
-        let mins = s.allreduce(&contribs, ReduceOp::Min).unwrap();
-        for i in 0..data.len() {
-            let serial_max = contribs.iter().map(|c| c[i]).fold(f64::NEG_INFINITY, f64::max);
-            let serial_min = contribs.iter().map(|c| c[i]).fold(f64::INFINITY, f64::min);
-            prop_assert_eq!(maxs[0][i], serial_max);
-            prop_assert_eq!(mins[n - 1][i], serial_min);
+        for (op, combine) in [(ReduceOp::Max, f64::max as fn(_, _) -> _), (ReduceOp::Min, f64::min)] {
+            let serial = verify::expected(Collective::Allreduce, 0, &contribs, combine);
+            prop_assert_eq!(s.allreduce(&contribs, op).unwrap(), serial);
         }
     }
 }
