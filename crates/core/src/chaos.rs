@@ -3,70 +3,52 @@
 //! [`run_chaos`] executes one collective on the real-thread oracle with a
 //! seed-derived fault cocktail — crashed ranks (optionally a cascading
 //! multi-rank, mid-collective batch plus a flapping rank), a stalled rank,
-//! and a transient KNEM device fault — wrapped in a watchdog. Since the
-//! membership layer landed, the harness has **no god's-eye view**: it never
-//! consults the fault plan to decide who died. Failures surface only
-//! through the observation pipeline:
+//! and a transient device fault — in four steps:
 //!
-//! 1. **detect** — the [`FailureDetector`] attached to every executor
-//!    attempt turns op completions into heartbeats, overlong waits into
-//!    suspicions, and the join audit into confirmed deaths;
-//! 2. **agree** — detector-confirmed deaths are fed to
-//!    [`RecoveryManager::propose_failure`], and
-//!    [`RecoveryManager::await_agreement`] runs the coordinator-based
-//!    two-phase vote until every live rank holds the same
-//!    `(epoch, survivor_set)`;
-//! 3. **fence** — the shared KNEM device is fenced at the new epoch, so a
-//!    straggler still executing under the dead epoch is rejected with a
-//!    typed stale-epoch error instead of delivering into the rebuilt
-//!    topology;
-//! 4. **rebuild or degrade** — the distance-aware topology is rebuilt over
-//!    the survivors; when agreement fails (no survivors, coordinator churn)
-//!    or recovery churns past [`ChaosConfig::max_recoveries`], the harness
-//!    falls back to the distance-oblivious `core/baseline` algorithms and
-//!    records `degraded` in the [`ChaosOutcome`] rather than erroring.
+//! 1. **seed → plan**: the fault plan, the device fault and the simulated
+//!    link degradation all derive from the `u64` seed;
+//! 2. **recover**: [`RecoveryManager::run`] drives detect → agree → fence
+//!    → rebuild (or degrade) from observations alone — the harness has no
+//!    god's-eye view of who died;
+//! 3. **verify**: [`verify::check`] compares the survivors' bytes with the
+//!    elected root;
+//! 4. **time**: the survivor schedule runs through the contention
+//!    simulator, whose report carries the merged fault accounting.
 //!
-//! Anything else returns a typed [`CollectiveError`] quoting the seed —
-//! **never** a hang (the watchdog converts one into
-//! [`CollectiveError::Hang`]). Everything is a pure function of the `u64`
-//! seed: same seed, same fault plan, same outcome.
+//! A run that cannot complete returns a typed [`CollectiveError`] quoting
+//! the seed — **never** a hang: the chaos policy's op deadline bounds every wait, and
+//! a loop bound or the per-attempt watchdog turns a livelock or an overlong
+//! attempt into [`CollectiveError::Hang`]. Everything is a pure function of
+//! the seed: same seed, same fault plan, same outcome.
 
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
 use pdac_mpisim::knem::DeviceFault;
-use pdac_mpisim::{
-    Communicator, ExecError, FailureDetector, RetryPolicy, ThreadExecutor, Transport,
-    TransportKind,
-};
+use pdac_mpisim::{Communicator, RetryPolicy, TransportKind};
 use pdac_simnet::{
-    CorruptTarget, DataOp, Fault, FaultPlan, FaultStats, Resource, Schedule, SimConfig,
-    SimExecutor, SimReport,
+    CorruptTarget, Fault, FaultPlan, FaultStats, Resource, SimConfig, SimExecutor, SimReport,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::adaptive::{AdaptiveColl, AllreduceAlgo, Collective, Request};
-use crate::baseline;
-use crate::decision_inputs;
-use crate::edges::Edge;
+use crate::adaptive::{AdaptiveColl, Request};
 use crate::membership::MembershipConfig;
-use crate::provenance::{Decision, DecisionKind};
+use crate::provenance::Decision;
 use crate::recovery::{CollectiveError, RecoveryManager};
-use crate::sched::{allreduce_schedule, SchedConfig};
 use crate::topocache::TopoCache;
-use crate::tree::Tree;
-use crate::verify::{self, pattern};
+use crate::verify;
 
-/// Harness configuration. The watchdog bounds each attempt (execution +
-/// recovery + re-execution); the retry policy governs per-operation
-/// behavior inside the executor.
+/// Harness configuration: which faults [`run_chaos`] injects, and the
+/// bounds [`RecoveryManager::run`] recovers under. The retry policy
+/// governs per-operation behavior inside the executor.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosConfig {
     /// Seed deriving every injected fault; quoted in all failures.
     pub seed: u64,
-    /// Wall-clock budget per executor attempt before declaring a hang.
+    /// Longest one executor attempt may take. Checked when the attempt
+    /// returns — the policy's op deadline bounds every wait inside it — and
+    /// exceeding it is a [`CollectiveError::Hang`].
     pub watchdog: Duration,
     /// Executor retry/timeout policy.
     pub policy: RetryPolicy,
@@ -74,7 +56,7 @@ pub struct ChaosConfig {
     /// ([`FaultPlan::seeded_cascade`]): multiple mid-collective crashes
     /// plus, on larger worlds, a flapping rank.
     pub cascade: bool,
-    /// Recovery episodes tolerated before the harness stops trusting
+    /// Recovery episodes tolerated before recovery stops trusting
     /// coordinated rebuilds and degrades to the baseline algorithms.
     pub max_recoveries: u32,
     /// Bounds on each survivor-agreement episode.
@@ -90,7 +72,7 @@ pub struct ChaosConfig {
     pub corruption: bool,
     /// A rank that *persistently* corrupts every chunk it serves, on every
     /// attempt. Retries cannot heal it, so the executor raises
-    /// [`ExecError::Corrupt`], the detector confirms the corrupter, and
+    /// [`pdac_mpisim::ExecError::Corrupt`], the detector confirms the corrupter, and
     /// the membership pipeline fences it exactly like a crashed rank.
     pub corrupter: Option<usize>,
 }
@@ -199,107 +181,12 @@ impl ChaosOutcome {
     }
 }
 
-/// Rank-order binomial tree rooted at `root` — the distance-oblivious
-/// shape degraded allreduce runs on (baseline has no allreduce builder).
-fn binomial_tree(n: usize, root: usize) -> Tree {
-    let edges: Vec<Edge> = (1..n)
-        .map(|i| {
-            let child = (root + i) % n;
-            let parent = (root + (i & (i - 1))) % n;
-            Edge {
-                u: parent.min(child),
-                v: parent.max(child),
-                w: 0,
-            }
-        })
-        .collect();
-    Tree::from_edges(n, root, &edges)
-}
-
-/// The provenance record of one degraded-mode substitution: which
-/// distance-oblivious baseline replaced the adaptive schedule, and why.
-fn degraded_decision(
-    what: Request,
-    reason: impl Into<String>,
-    seed: u64,
-    recoveries: u32,
-    max_recoveries: u32,
-    survivors: usize,
-) -> Decision {
-    let substitute = match what.collective {
-        Collective::Bcast => "baseline binomial bcast",
-        Collective::Allgather => "baseline ring allgather",
-        Collective::Allreduce => "binomial-tree allreduce",
-        other => unreachable!("run_chaos rejects {other:?}"),
-    };
-    Decision::new(
-        DecisionKind::Recovery,
-        "degraded substitution",
-        substitute,
-        reason,
-        decision_inputs![
-            ("seed", seed),
-            ("recoveries", recoveries),
-            ("max_recoveries", max_recoveries),
-            ("survivors", survivors),
-        ],
-    )
-}
-
-/// Degraded-mode schedule: the distance-oblivious baselines, which need
-/// only the local live list — safe to build without a coordinated view.
-fn build_degraded(mgr: &RecoveryManager, what: Request) -> Schedule {
-    let n = mgr.comm().size();
-    let p2p = pdac_mpisim::P2pConfig::default();
-    let bytes = what.bytes;
-    match what.collective {
-        Collective::Bcast => {
-            baseline::bcast::binomial(n, mgr.elect_root(what.root), bytes, &p2p)
-        }
-        Collective::Allgather => baseline::allgather::ring(n, bytes, &p2p),
-        Collective::Allreduce => {
-            let tree = binomial_tree(n, mgr.elect_root(what.root));
-            allreduce_schedule(&tree, bytes, &SchedConfig::default())
-        }
-        other => unreachable!("run_chaos rejects {other:?}"),
-    }
-}
-
-/// One executor attempt under a watchdog. `Err(())` means the watchdog
-/// fired — the executor neither finished nor returned an error in time.
-/// The attempt runs with the shared fenced transport, the episode's failure
-/// detector, and the current communicator epoch stamped on every one-sided
-/// registration.
-#[allow(clippy::too_many_arguments)]
-fn run_attempt(
-    schedule: Schedule,
-    transport: Arc<dyn Transport>,
-    policy: RetryPolicy,
-    faults: Option<FaultPlan>,
-    detector: Arc<FailureDetector>,
-    epoch: u64,
-    watchdog: Duration,
-) -> Result<Result<pdac_mpisim::ExecResult, ExecError>, ()> {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let mut exec = ThreadExecutor::with_transport(transport)
-            .with_policy(policy)
-            .with_detector(detector)
-            .with_epoch(epoch);
-        if let Some(plan) = faults {
-            exec = exec.with_faults(plan);
-        }
-        let _ = tx.send(exec.run(&schedule, pattern));
-    });
-    rx.recv_timeout(watchdog).map_err(|_| ())
-}
-
 /// Runs `what` on `comm` under the seeded fault cocktail of `cfg`,
-/// recovering from failures detected through the detector→agreement
-/// pipeline. See the module docs for the guarantee this enforces.
+/// recovering through [`RecoveryManager::run`]. See the module docs for the
+/// guarantee this enforces.
 ///
 /// `what` is a broadcast, an allgather or a byte-sum tree allreduce — the
-/// collectives the harness has a degraded baseline for; its root is the
+/// collectives recovery has a degraded baseline for; its root is the
 /// *preferred* world rank, re-elected if it crashes. The survivors' bytes
 /// are checked by [`verify::check`] with the elected root.
 ///
@@ -313,20 +200,6 @@ pub fn run_chaos(
     what: Request,
     cfg: &ChaosConfig,
 ) -> Result<ChaosOutcome, CollectiveError> {
-    assert!(
-        matches!(
-            what,
-            Request { collective: Collective::Bcast | Collective::Allgather, .. }
-                | Request {
-                    collective: Collective::Allreduce,
-                    op: DataOp::Add,
-                    allreduce: AllreduceAlgo::Tree,
-                    ..
-                }
-        ),
-        "the chaos harness has degraded baselines only for bcast, allgather and \
-         byte-sum tree allreduce, not {what:?}"
-    );
     pdac_obs::flight::set_context("transport", format!("{:?}", cfg.transport).to_lowercase());
     pdac_obs::flight::set_context("machine", comm.machine().name.clone());
     pdac_obs::flight::note(format!(
@@ -336,22 +209,20 @@ pub fn run_chaos(
         cfg.cascade,
         cfg.transport,
     ));
-    match run_chaos_inner(comm, coll, what, cfg) {
-        Ok(out) => {
-            pdac_obs::flight::note(format!(
-                "chaos ok: seed={} recovered={} degraded={} failed={:?}",
-                cfg.seed, out.recovered, out.degraded, out.failed_ranks
-            ));
-            Ok(out)
-        }
+    let out = run_chaos_inner(comm, coll, what, cfg);
+    match &out {
+        Ok(out) => pdac_obs::flight::note(format!(
+            "chaos ok: seed={} recovered={} degraded={} failed={:?}",
+            cfg.seed, out.recovered, out.degraded, out.failed_ranks
+        )),
         Err(err) => {
             pdac_obs::flight::note(format!("chaos FAILED: seed={} err={err}", cfg.seed));
             if let Some(path) = pdac_obs::flight::dump("chaos-failure") {
                 eprintln!("flight recorder dumped to {}", path.display());
             }
-            Err(err)
         }
     }
+    out
 }
 
 fn run_chaos_inner(
@@ -369,20 +240,14 @@ fn run_chaos_inner(
         || vec![("seed", seed.into()), ("ranks", comm.size().into())],
     );
     telemetry.registry().add("chaos.runs", 1);
-    let preferred_root = what.root;
-    let mut mgr = RecoveryManager::new(coll, Arc::new(TopoCache::new()), comm.clone());
-    let mut stats = FaultStats::default();
-    // Degraded-mode substitutions recorded as they happen; merged with the
-    // manager's membership/election decisions into the outcome.
-    let mut substitutions: Vec<Decision> = Vec::new();
 
-    // Seed-derived fault cocktail, in world ranks. It never crashes the
+    // 1. Seed -> plan, in world ranks. The cocktail never crashes the
     // preferred root (the paper's leader is re-elected only when a *set
     // member* dies; killing the root of a bcast kills the data source).
     let mut plan = if cfg.cascade {
-        FaultPlan::seeded_cascade(seed, comm.size(), 3, &[preferred_root])
+        FaultPlan::seeded_cascade(seed, comm.size(), 3, &[what.root])
     } else {
-        FaultPlan::seeded(seed, comm.size(), &[preferred_root])
+        FaultPlan::seeded(seed, comm.size(), &[what.root])
     };
     if cfg.corruption {
         plan = plan.with_seeded_corruption(comm.size());
@@ -390,296 +255,34 @@ fn run_chaos_inner(
     if let Some(bad) = cfg.corrupter {
         plan = plan.corrupt_source(bad, 0xC0DE);
     }
-    let plan = plan;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
     let device_fault =
         DeviceFault::transient(rng.gen_range(0..4) as u64, 1 + rng.gen_range(0..2) as u64);
     let degrade_factor = 0.05 + 0.45 * rng.gen_f64();
-
-    // One transport for the whole episode: the epoch fence raised after
-    // each agreement must be visible to stragglers of earlier attempts.
+    // One transport for the whole episode, so the fence raised after each
+    // agreement guards every later attempt.
     let device = cfg.transport.create(Some(device_fault));
-    let suspect_after = cfg
-        .policy
-        .op_deadline
-        .map(|d| (d / 5).max(Duration::from_millis(1)))
-        .unwrap_or(Duration::from_millis(20));
 
-    let mut recovered = false;
-    let mut degraded = false;
-    let mut recoveries = 0u32;
-    let mut attempt_faults = Some(plan.clone());
-    // Generous bound: every world rank dying one-by-one plus transient
-    // retries. Exceeding it means the episode is livelocked — report a
-    // hang rather than loop forever.
-    let max_attempts = comm.size() as u32 + 4;
-    let mut attempts = 0u32;
+    // 2. Recover: detect -> agree -> fence -> rebuild, or degrade.
+    let mut mgr = RecoveryManager::new(coll, Arc::new(TopoCache::new()), comm.clone());
+    let done = mgr.run(what, &plan, &device, cfg)?;
 
-    let final_res = loop {
-        attempts += 1;
-        if attempts > max_attempts {
-            return Err(CollectiveError::Hang {
-                seed: Some(seed),
-                watchdog: cfg.watchdog,
-            });
-        }
-        if mgr.comm().size() == 1 {
-            // Lone survivor: there is no collective left to run. Degraded
-            // by definition — the caller gets its own data back.
-            if !degraded {
-                degraded = true;
-                stats.degraded_runs += 1;
-                telemetry.registry().add("chaos.degraded", 1);
-                substitutions.push(degraded_decision(
-                    what,
-                    "lone survivor: no peers remain to run a collective with",
-                    seed,
-                    recoveries,
-                    cfg.max_recoveries,
-                    mgr.comm().size(),
-                ));
-            }
-            break None;
-        }
-        let schedule = if degraded {
-            build_degraded(&mgr, what)
-        } else {
-            mgr.plan(what)
-        };
-        let detector = Arc::new(FailureDetector::with_suspect_after(
-            mgr.comm().size(),
-            suspect_after,
-        ));
-        let outcome = run_attempt(
-            schedule,
-            Arc::clone(&device),
-            cfg.policy,
-            attempt_faults.take(),
-            Arc::clone(&detector),
-            mgr.epoch(),
-            cfg.watchdog,
-        )
-        .map_err(|()| CollectiveError::Hang {
-            seed: Some(seed),
-            watchdog: cfg.watchdog,
-        })?;
-
-        // Decide what the attempt means — from *observations only*. A
-        // crashed leaf has no dependents, so the run can "complete" while
-        // the join audit still proves a member died; a dropped notification
-        // times a dependent out without anyone being dead.
-        let confirmed_current = match &outcome {
-            Ok(res) => {
-                stats.merge(&res.fault_stats);
-                detector.confirmed()
-            }
-            Err(ExecError::Timeout { .. }) => {
-                stats.timeouts += 1;
-                detector.confirmed()
-            }
-            Err(ExecError::StaleEpoch { .. }) => {
-                // A straggler of a fenced epoch surfaced in-line; the next
-                // attempt runs under the current epoch.
-                stats.fenced_messages += 1;
-                Vec::new()
-            }
-            Err(ExecError::Knem { retries, .. }) => {
-                // The device fault outlived the retry budget; the transient
-                // window heals with attempts, so retry on the same
-                // communicator.
-                stats.retries += u64::from(*retries);
-                Vec::new()
-            }
-            Err(ExecError::Corrupt { peer, attempts, .. }) => {
-                // Every re-transmit from `peer` failed verification: the
-                // link is not flaky, the source is poisoned. An errored run
-                // carries no executor counters, so reconstruct the attempt's
-                // integrity accounting deterministically — `attempts`
-                // re-transmits, each preceded by a detection, plus the
-                // detection that exhausted the budget — and escalate the
-                // peer to confirmed-dead so the membership pipeline fences
-                // it exactly like a crashed rank.
-                stats.retransmits += u64::from(*attempts);
-                stats.corrupt_detected += u64::from(*attempts) + 1;
-                stats.retries += u64::from(*attempts);
-                detector.confirm(*peer);
-                detector.confirmed()
-            }
-            Err(_) => Vec::new(),
-        };
-        if outcome.is_err() {
-            // A completed run folds the detector transitions into its own
-            // fault accounting; an errored one carries no stats, so pull
-            // the counters straight off the detector.
-            let c = detector.counters();
-            stats.suspects_raised += c.suspects_raised;
-            stats.suspects_refuted += c.suspects_refuted;
-            stats.ranks_confirmed_dead += c.ranks_confirmed_dead;
-        }
-
-        if confirmed_current.is_empty() {
-            match outcome {
-                Ok(res) => break Some(res),
-                Err(ExecError::Timeout { .. }) => {
-                    // Nobody is proven dead: the timeout was transient
-                    // (dropped notification, stall past the deadline).
-                    // Retry on the same communicator.
-                    stats.retries += 1;
-                    continue;
-                }
-                Err(ExecError::StaleEpoch { .. }) | Err(ExecError::Knem { .. }) => continue,
-                Err(err) => {
-                    return Err(CollectiveError::Exec {
-                        seed: Some(seed),
-                        err,
-                    });
-                }
-            }
-        }
-
-        // Deaths were observed: run the membership pipeline.
-        let world_confirmed: Vec<usize> = confirmed_current
-            .iter()
-            .map(|&r| mgr.survivors()[r])
-            .collect();
-        let world_suspects: Vec<usize> = detector
-            .suspected()
-            .iter()
-            .map(|&r| mgr.survivors()[r])
-            .collect();
-        telemetry.recorder().instant(
-            0,
-            "chaos",
-            || format!("detector confirmed dead world ranks {world_confirmed:?}"),
-            || {
-                vec![
-                    ("confirmed", world_confirmed.len().into()),
-                    ("seed", seed.into()),
-                ]
-            },
-        );
-        recoveries += 1;
-        if degraded || recoveries > cfg.max_recoveries {
-            // Past the churn bound (or already degraded): stop trusting
-            // coordinated rebuilds. Shrink by local knowledge and fall back
-            // to the rank-order baselines, which need no coordinated view.
-            if !degraded {
-                degraded = true;
-                stats.degraded_runs += 1;
-                telemetry.registry().add("chaos.degraded", 1);
-                substitutions.push(degraded_decision(
-                    what,
-                    "recovery churn exceeded the max_recoveries budget; \
-                     coordinated rebuilds are no longer trusted",
-                    seed,
-                    recoveries,
-                    cfg.max_recoveries,
-                    mgr.comm().size(),
-                ));
-            }
-            for world in world_confirmed {
-                match mgr.mark_failed(world) {
-                    Ok(()) | Err(CollectiveError::UnknownRank { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-        } else {
-            for &world in &world_confirmed {
-                mgr.propose_failure(world)?;
-            }
-            match mgr.await_agreement(&world_suspects, &cfg.membership, Some(seed)) {
-                Ok(outcome) => {
-                    telemetry.registry().add("chaos.recoveries", 1);
-                    telemetry.recorder().instant(
-                        0,
-                        "chaos",
-                        || {
-                            format!(
-                                "agreement: epoch {} survivors {:?} ({} rounds, {} reelections)",
-                                outcome.epoch,
-                                outcome.survivors,
-                                outcome.rounds,
-                                outcome.reelections
-                            )
-                        },
-                        || vec![("rounds", outcome.rounds.into()), ("seed", seed.into())],
-                    );
-                }
-                Err(CollectiveError::Agreement { err }) => {
-                    // Agreement could not converge: degraded mode, shrink
-                    // by local knowledge.
-                    telemetry.recorder().instant(
-                        0,
-                        "chaos",
-                        || format!("agreement failed ({err}); degrading to baseline"),
-                        || vec![("seed", seed.into())],
-                    );
-                    degraded = true;
-                    stats.degraded_runs += 1;
-                    telemetry.registry().add("chaos.degraded", 1);
-                    substitutions.push(degraded_decision(
-                        what,
-                        format!(
-                            "survivor agreement failed ({err}); shrinking by \
-                             local knowledge only"
-                        ),
-                        seed,
-                        recoveries,
-                        cfg.max_recoveries,
-                        mgr.comm().size(),
-                    ));
-                    for world in world_confirmed {
-                        match mgr.mark_failed(world) {
-                            Ok(()) | Err(CollectiveError::UnknownRank { .. }) => {}
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        recovered = true;
-        // Fence the dead epochs: any straggler still holding the old epoch
-        // is rejected by the device rather than delivered into the rebuilt
-        // topology.
-        device.fence_epochs_below(mgr.epoch());
-        // Re-inject the survivors' faults in the shrunk rank space, so a
-        // crash whose budget never fired (its rank was blocked when the
-        // attempt died) still fires on a later attempt: cascading crashes
-        // keep cascading.
-        let next_plan = plan.remap(mgr.survivors());
-        attempt_faults = (!next_plan.is_empty()).then_some(next_plan);
-    };
-
-    // The run completed — now the bytes must actually be right on the
+    // 3. The run completed — now the bytes must actually be right on the
     // (possibly shrunk) communicator.
-    let root = mgr.elect_root(preferred_root);
-    let n = mgr.comm().size();
-    if let Some(res) = &final_res {
-        verify::check(Request { root, ..what }, n, res).map_err(|e| CollectiveError::Verify {
-            seed: Some(seed),
-            detail: e.to_string(),
+    if let Some(res) = &done.result {
+        let root = mgr.elect_root(what.root);
+        verify::check(Request { root, ..what }, mgr.comm().size(), res).map_err(|e| {
+            CollectiveError::Verify { seed: Some(seed), detail: e.to_string() }
         })?;
     }
-    stats.merge(&mgr.stats());
-    stats.fenced_messages = stats.fenced_messages.max(device.fenced_messages());
 
-    // Timing leg: the survivor schedule through the contention simulator
-    // under a seed-derived degraded memory controller, with the chaos
-    // run's accounting merged into the report.
-    let machine = mgr.comm().machine_arc();
-    let binding = mgr.comm().binding().clone();
-    let sim_schedule = if degraded {
-        build_degraded(&mgr, what)
-    } else {
-        mgr.plan(what)
-    };
-    // The survivors' transient corruption edges ride along, so the
-    // simulator charges the detect-and-retransmit latency the executor
-    // paid on the same copies. Source targets (persistent corrupters) stay
-    // out: a corrupter that served a chunk has been fenced out of the
-    // survivor schedule by now, and one that served none has nothing to
-    // charge.
+    // 4. Timing leg: the survivor schedule through the contention simulator
+    // under a seed-derived degraded memory controller. The survivors'
+    // transient corruption edges ride along, so the simulator charges the
+    // detect-and-retransmit latency the executor paid on the same copies.
+    // Source targets (persistent corrupters) stay out: a corrupter that
+    // served a chunk has been fenced out of the survivor schedule by now,
+    // and one that served none has nothing to charge.
     let sim_plan = plan.remap(mgr.survivors()).faults().iter().fold(
         FaultPlan::new(seed).degrade_link(Resource::Mc(0), degrade_factor),
         |sim_plan, fault| match *fault {
@@ -689,35 +292,35 @@ fn run_chaos_inner(
             _ => sim_plan,
         },
     );
-    let mut sim_report = SimExecutor::new(&machine, &binding, SimConfig::default())
+    let survivors = mgr.comm();
+    let mut sim_report = SimExecutor::new(survivors.machine(), survivors.binding(), SimConfig::default())
         .with_transport_model(cfg.transport.sim_model())
         .with_fault_plan(sim_plan)
         .with_deadline(3600.0)
-        .run(&sim_schedule)
+        .run(&done.schedule)
         .map_err(|e| CollectiveError::Verify {
             seed: Some(seed),
             detail: format!("simulator leg failed: {e}"),
         })?;
-    sim_report.fault_stats.merge(&stats);
-    let stats = sim_report.fault_stats;
-
-    let mut decisions = mgr.decisions();
-    decisions.extend(substitutions);
+    sim_report.fault_stats.merge(&mgr.stats());
 
     Ok(ChaosOutcome {
-        recovered,
-        degraded,
+        // Every recovery episode removes at least one rank.
+        recovered: !mgr.failed().is_empty(),
+        degraded: mgr.degraded(),
         failed_ranks: mgr.failed().to_vec(),
-        stats,
+        stats: sim_report.fault_stats,
         sim_report,
-        decisions,
+        decisions: mgr.decisions(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::Collective;
     use crate::metrics::fault_summary_line;
+    use crate::provenance::DecisionKind;
     use pdac_hwtopo::{machines, BindingPolicy};
 
     fn world(n: usize) -> Communicator {
@@ -990,16 +593,5 @@ mod tests {
             out.stats.ranks_confirmed_dead >= 1,
             "the corrupter came through the detector, not a god's-eye view"
         );
-    }
-
-    #[test]
-    fn degraded_allreduce_binomial_tree_is_well_formed() {
-        for n in [2, 3, 5, 8] {
-            for root in 0..n {
-                let t = binomial_tree(n, root);
-                assert_eq!(t.root, root);
-                assert_eq!(t.len(), n);
-            }
-        }
     }
 }

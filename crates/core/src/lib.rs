@@ -73,7 +73,7 @@ pub use chaos::{run_chaos, ChaosConfig, ChaosOutcome};
 pub use edges::{edge_queue, Edge};
 pub use membership::{agree, AgreementError, AgreementOutcome, MembershipConfig};
 pub use provenance::{Decision, DecisionKind, PlannedOp, Provenance, ProvenanceDiff};
-pub use recovery::{CollectiveError, RecoveryManager};
+pub use recovery::{CollectiveError, Completion, HangBound, RecoveryManager};
 pub use topocache::{TopoCache, TopoCacheStats};
 pub use tree::Tree;
 pub use unionfind::DisjointSets;

@@ -2,8 +2,7 @@
 //!
 //! The paper's framework rebuilds its collective topology whenever the
 //! communicator changes; failure recovery is the same machinery under a
-//! harsher trigger. When a rank is detected dead (its peers' waits time
-//! out), the [`RecoveryManager`]:
+//! harsher trigger. When a rank is detected dead, the [`RecoveryManager`]:
 //!
 //! 1. shrinks the communicator to the survivors
 //!    ([`pdac_mpisim::Communicator::without_ranks`]), which mints a fresh
@@ -15,21 +14,55 @@
 //! 4. rebuilds the broadcast tree / allgather ring over the survivors on
 //!    the next schedule request.
 //!
-//! Every failure path returns a typed [`CollectiveError`] carrying the
-//! fault seed, so a chaos run that goes wrong can be replayed exactly.
+//! [`RecoveryManager::run`] is the one loop that drives this from
+//! observations alone — it never consults the fault plan to decide who
+//! died. Each attempt runs the collective on the calling thread with a
+//! fresh [`FailureDetector`], and what the attempt returns decides the
+//! next step:
+//!
+//! 1. **detect** — the detector turns op completions into heartbeats,
+//!    overlong waits into suspicions, and the join audit into confirmed
+//!    deaths; a persistent corrupter ([`ExecError::Corrupt`]) is confirmed
+//!    like a crashed rank;
+//! 2. **agree** — confirmed deaths are proposed
+//!    ([`RecoveryManager::propose_failure`]) and
+//!    [`RecoveryManager::await_agreement`] runs the coordinator-based
+//!    two-phase vote until every live rank holds the same
+//!    `(epoch, survivor_set)`;
+//! 3. **fence** — the shared device is fenced at the new epoch, so a
+//!    message stamped with a dead epoch is rejected with a typed
+//!    stale-epoch error instead of delivering into the rebuilt topology;
+//! 4. **rebuild or degrade** — the next attempt plans over the survivors;
+//!    when agreement fails or recovery churns past
+//!    [`ChaosConfig::max_recoveries`], the manager shrinks by local
+//!    knowledge and falls back to the distance-oblivious `core/baseline`
+//!    algorithms ([`RecoveryManager::degraded`]).
+//!
+//! A transient timeout (nobody proven dead) or an exhausted device retry
+//! budget re-runs the attempt on the same communicator. Every failure path
+//! returns a typed [`CollectiveError`] carrying the fault seed, so a run
+//! that goes wrong can be replayed exactly.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use pdac_mpisim::{Communicator, ExecError};
-use pdac_simnet::{FaultStats, Schedule};
+use pdac_mpisim::{
+    Communicator, ExecError, ExecResult, FailureDetector, P2pConfig, ThreadExecutor, Transport,
+};
+use pdac_simnet::{DataOp, FaultPlan, FaultStats, Schedule};
 
-use crate::adaptive::{AdaptiveColl, Request, Sinks};
+use crate::adaptive::{AdaptiveColl, AllreduceAlgo, Collective, Request, Sinks};
+use crate::baseline;
+use crate::chaos::ChaosConfig;
 use crate::decision_inputs;
+use crate::edges::Edge;
 use crate::membership::{agree, AgreementError, AgreementOutcome, MembershipConfig};
 use crate::provenance::{Decision, DecisionKind};
+use crate::sched::{allreduce_schedule, SchedConfig};
 use crate::topocache::TopoCache;
+use crate::tree::Tree;
+use crate::verify::pattern;
 
 /// Why a collective could not be completed (or could not even be
 /// attempted). Every variant carries the fault seed when one is known, so
@@ -59,14 +92,14 @@ pub enum CollectiveError {
         /// The underlying executor error.
         err: ExecError,
     },
-    /// The watchdog fired: the collective neither completed nor returned a
-    /// typed error within the budget. This variant existing is the point —
-    /// a chaos test that would have hung reports this instead.
+    /// A bound on the recovery loop ran out before the collective
+    /// completed. This variant existing is the point — a chaos test that
+    /// would have hung reports this instead.
     Hang {
         /// Fault seed of the run, if any.
         seed: Option<u64>,
-        /// The watchdog budget that elapsed.
-        watchdog: Duration,
+        /// The bound that ran out.
+        bound: HangBound,
     },
     /// The collective "completed" but the payload failed semantic
     /// verification on the survivors.
@@ -104,12 +137,12 @@ impl std::fmt::Display for CollectiveError {
             CollectiveError::Exec { seed: s, err } => {
                 write!(f, "unrecoverable execution failure{}: {err}", seed(s))
             }
-            CollectiveError::Hang { seed: s, watchdog } => {
-                write!(
-                    f,
-                    "collective hung past the {watchdog:?} watchdog{}",
-                    seed(s)
-                )
+            CollectiveError::Hang { seed: s, bound: HangBound::Watchdog(watchdog) } => {
+                write!(f, "collective hung past the {watchdog:?} watchdog{}", seed(s))
+            }
+            CollectiveError::Hang { seed: s, bound: HangBound::Attempts(attempts) } => {
+                let s = seed(s);
+                write!(f, "collective hung: {attempts} attempts ran out without completing{s}")
             }
             CollectiveError::Verify { seed: s, detail } => {
                 write!(f, "survivor verification failed{}: {detail}", seed(s))
@@ -122,6 +155,96 @@ impl std::fmt::Display for CollectiveError {
 }
 
 impl std::error::Error for CollectiveError {}
+
+/// Which bound of [`RecoveryManager::run`] a [`CollectiveError::Hang`] ran
+/// out of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HangBound {
+    /// One attempt took longer than [`ChaosConfig::watchdog`].
+    Watchdog(Duration),
+    /// Every attempt the loop allows — one per world rank plus four — ended
+    /// without the collective completing: the episode is livelocked.
+    Attempts(u32),
+}
+
+/// The distance-oblivious baselines degraded mode runs on. They need only
+/// the local live list, so they are safe to build without a coordinated
+/// view. [`Baseline::of`] is the one statement of which collectives
+/// [`RecoveryManager::run`] can drive.
+#[derive(Debug, Clone, Copy)]
+enum Baseline {
+    BinomialBcast,
+    RingAllgather,
+    BinomialTreeAllreduce,
+}
+
+impl Baseline {
+    /// The baseline `what` degrades to: bcast, allgather and byte-sum tree
+    /// allreduce have one.
+    fn of(what: Request) -> Option<Self> {
+        match what {
+            Request { collective: Collective::Bcast, .. } => Some(Baseline::BinomialBcast),
+            Request { collective: Collective::Allgather, .. } => Some(Baseline::RingAllgather),
+            Request {
+                collective: Collective::Allreduce,
+                op: DataOp::Add,
+                allreduce: AllreduceAlgo::Tree,
+                ..
+            } => Some(Baseline::BinomialTreeAllreduce),
+            _ => None,
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Baseline::BinomialBcast => "baseline binomial bcast",
+            Baseline::RingAllgather => "baseline ring allgather",
+            Baseline::BinomialTreeAllreduce => "binomial-tree allreduce",
+        }
+    }
+
+    fn build(self, mgr: &RecoveryManager, what: Request) -> Schedule {
+        let (n, bytes, p2p) = (mgr.comm.size(), what.bytes, P2pConfig::default());
+        match self {
+            Baseline::BinomialBcast => {
+                baseline::bcast::binomial(n, mgr.elect_root(what.root), bytes, &p2p)
+            }
+            Baseline::RingAllgather => baseline::allgather::ring(n, bytes, &p2p),
+            Baseline::BinomialTreeAllreduce => {
+                let tree = binomial_tree(n, mgr.elect_root(what.root));
+                allreduce_schedule(&tree, bytes, &SchedConfig::default())
+            }
+        }
+    }
+}
+
+/// Rank-order binomial tree rooted at `root` — the distance-oblivious
+/// shape degraded allreduce runs on (baseline has no allreduce builder).
+fn binomial_tree(n: usize, root: usize) -> Tree {
+    let edges: Vec<Edge> = (1..n)
+        .map(|i| {
+            let child = (root + i) % n;
+            let parent = (root + (i & (i - 1))) % n;
+            Edge {
+                u: parent.min(child),
+                v: parent.max(child),
+                w: 0,
+            }
+        })
+        .collect();
+    Tree::from_edges(n, root, &edges)
+}
+
+/// What [`RecoveryManager::run`] completed with.
+#[derive(Debug)]
+pub struct Completion {
+    /// The schedule the final attempt ran over the survivors — the
+    /// degraded baseline once [`RecoveryManager::degraded`].
+    pub schedule: Schedule,
+    /// The final attempt's buffers and accounting; `None` when a lone
+    /// survivor had no collective left to run.
+    pub result: Option<ExecResult>,
+}
 
 /// Tracks failures against one communicator and rebuilds collective
 /// topology over the survivors.
@@ -139,9 +262,11 @@ pub struct RecoveryManager {
     /// the input of the next [`Self::await_agreement`] episode.
     proposed: BTreeSet<usize>,
     stats: FaultStats,
+    /// Whether [`Self::run`] fell back to the baseline algorithms.
+    degraded: bool,
     /// Provenance log of recovery decisions (membership shrinks, root
-    /// re-elections), in the order they were made. A `Mutex` because root
-    /// election happens behind `&self`.
+    /// re-elections, degraded substitutions), in the order they were made.
+    /// A `Mutex` because root election happens behind `&self`.
     decisions: Mutex<Vec<Decision>>,
 }
 
@@ -158,13 +283,14 @@ impl RecoveryManager {
             failed: Vec::new(),
             proposed: BTreeSet::new(),
             stats: FaultStats::default(),
+            degraded: false,
             decisions: Mutex::new(Vec::new()),
         }
     }
 
     /// Recovery decisions recorded so far (membership shrinks, root
-    /// re-elections), in the order they were made — ready to merge into a
-    /// plan's [`crate::Provenance`].
+    /// re-elections, degraded substitutions), in the order they were made
+    /// — ready to merge into a plan's [`crate::Provenance`].
     pub fn decisions(&self) -> Vec<Decision> {
         self.decisions
             .lock()
@@ -194,10 +320,18 @@ impl RecoveryManager {
         &self.failed
     }
 
-    /// Recovery accounting: topology rebuilds performed so far (other
-    /// counters are merged in by the chaos harness).
+    /// Recovery accounting: the executor record of every attempt
+    /// [`Self::run`] made (failed attempts included), the detector's
+    /// transitions, agreement rounds, topology rebuilds, degradations, and
+    /// the loop's re-runs after a transient timeout.
     pub fn stats(&self) -> FaultStats {
         self.stats
+    }
+
+    /// Whether [`Self::run`] fell back to the distance-oblivious baselines
+    /// (agreement failure, recovery churn, or a lone survivor).
+    pub fn degraded(&self) -> bool {
+        self.degraded
     }
 
     /// Current rank of world rank `world`, if it is still alive.
@@ -392,6 +526,208 @@ impl RecoveryManager {
         }
         self.coll
             .plan(&self.comm, request, Sinks::cached(&self.cache))
+    }
+
+    /// Runs `what` to completion on the survivors under `faults` (world
+    /// ranks), every attempt on the shared `device`: attempt, classify the
+    /// error, propose, agree, fence, remap the plan, then retry or degrade
+    /// (see the module docs). `what` must be a bcast, an allgather or a
+    /// byte-sum tree allreduce — the collectives with a degraded baseline;
+    /// its root is the *preferred* world rank, re-elected if it dies.
+    ///
+    /// `cfg` supplies the seed quoted in every error, the executor's retry
+    /// policy, the watchdog each attempt must finish within, the recovery
+    /// budget and the agreement bounds. Every counter lands in
+    /// [`Self::stats`].
+    pub fn run(
+        &mut self,
+        what: Request,
+        faults: &FaultPlan,
+        device: &Arc<dyn Transport>,
+        cfg: &ChaosConfig,
+    ) -> Result<Completion, CollectiveError> {
+        let baseline = Baseline::of(what).unwrap_or_else(|| {
+            panic!(
+                "recovery has degraded baselines only for bcast, allgather and byte-sum tree \
+                 allreduce, not {what:?}"
+            )
+        });
+        let seed = Some(cfg.seed);
+        let telemetry = pdac_telemetry::global();
+        let suspect_after = cfg.policy.op_deadline.map_or(Duration::from_millis(20), |d| {
+            (d / 5).max(Duration::from_millis(1))
+        });
+        // Generous bound: every rank dying one-by-one plus transient
+        // retries. Running out means the episode is livelocked.
+        let max_attempts = self.comm.size() as u32 + 4;
+        let mut attempt_faults = Some(faults.clone());
+        let mut recoveries = 0u32;
+        for _ in 0..max_attempts {
+            if self.comm.size() == 1 {
+                // Lone survivor: there is no collective left to run.
+                // Degraded by definition — the caller keeps its own data.
+                let reason = "lone survivor: no peers remain to run a collective with";
+                self.degrade(baseline, reason, recoveries, cfg);
+                return Ok(Completion { schedule: baseline.build(self, what), result: None });
+            }
+            let schedule =
+                if self.degraded { baseline.build(self, what) } else { self.plan(what) };
+            let detector =
+                Arc::new(FailureDetector::with_suspect_after(self.comm.size(), suspect_after));
+            let mut exec = ThreadExecutor::with_transport(Arc::clone(device))
+                .with_policy(cfg.policy)
+                .with_detector(Arc::clone(&detector))
+                .with_epoch(self.epoch());
+            if let Some(plan) = attempt_faults.take() {
+                exec = exec.with_faults(plan);
+            }
+            let started = Instant::now();
+            let outcome = exec.run(&schedule, pattern);
+            if started.elapsed() > cfg.watchdog {
+                let bound = HangBound::Watchdog(cfg.watchdog);
+                return Err(CollectiveError::Hang { seed, bound });
+            }
+
+            // Decide what the attempt means — from observations only. A
+            // crashed leaf has no dependents, so the run can complete while
+            // the join audit still proves a member died; a dropped
+            // notification times a dependent out without anyone being dead.
+            let record = match &outcome {
+                Ok(res) => res.fault_stats,
+                Err(err) => err.fault_stats(),
+            };
+            self.stats.merge(&record);
+            let confirmed = match &outcome {
+                Ok(_) | Err(ExecError::Timeout { .. }) => detector.confirmed(),
+                Err(ExecError::Corrupt { peer, .. }) => {
+                    // Every re-transmit from `peer` failed verification:
+                    // the source is poisoned, not the link. Confirm it dead
+                    // so it is fenced exactly like a crashed rank.
+                    self.stats.ranks_confirmed_dead += u64::from(detector.confirm(*peer));
+                    detector.confirmed()
+                }
+                Err(_) => Vec::new(),
+            };
+            if confirmed.is_empty() {
+                match outcome {
+                    Ok(res) => return Ok(Completion { schedule, result: Some(res) }),
+                    // Nobody is proven dead: the timeout was transient
+                    // (dropped notification, stall past the deadline), or
+                    // the device fault's transient window heals with
+                    // attempts. Re-run on the same communicator.
+                    Err(ExecError::Timeout { .. }) => self.stats.retries += 1,
+                    Err(ExecError::Knem { .. }) => {}
+                    Err(err) => return Err(CollectiveError::Exec { seed, err }),
+                }
+                continue;
+            }
+
+            // Deaths were observed: run the membership pipeline.
+            let world = |ranks: Vec<usize>| -> Vec<usize> {
+                ranks.into_iter().map(|r| self.world_of[r]).collect()
+            };
+            let (world_confirmed, world_suspects) = (world(confirmed), world(detector.suspected()));
+            telemetry.recorder().instant(
+                0,
+                "chaos",
+                || format!("detector confirmed dead world ranks {world_confirmed:?}"),
+                || vec![("confirmed", world_confirmed.len().into()), ("seed", cfg.seed.into())],
+            );
+            recoveries += 1;
+            if self.degraded || recoveries > cfg.max_recoveries {
+                // Past the churn bound (or already degraded): stop trusting
+                // coordinated rebuilds.
+                let reason = "recovery churn exceeded the max_recoveries budget; \
+                              coordinated rebuilds are no longer trusted";
+                self.degrade(baseline, reason, recoveries, cfg);
+                self.shrink_locally(&world_confirmed)?;
+            } else {
+                for &rank in &world_confirmed {
+                    self.propose_failure(rank)?;
+                }
+                match self.await_agreement(&world_suspects, &cfg.membership, seed) {
+                    Ok(AgreementOutcome { epoch, survivors, rounds, reelections, .. }) => {
+                        telemetry.registry().add("chaos.recoveries", 1);
+                        telemetry.recorder().instant(
+                            0,
+                            "chaos",
+                            || {
+                                format!(
+                                    "agreement: epoch {epoch} survivors {survivors:?} \
+                                     ({rounds} rounds, {reelections} reelections)"
+                                )
+                            },
+                            || vec![("rounds", rounds.into()), ("seed", cfg.seed.into())],
+                        );
+                    }
+                    Err(CollectiveError::Agreement { err }) => {
+                        telemetry.recorder().instant(
+                            0,
+                            "chaos",
+                            || format!("agreement failed ({err}); degrading to baseline"),
+                            || vec![("seed", cfg.seed.into())],
+                        );
+                        let reason = format!(
+                            "survivor agreement failed ({err}); shrinking by local knowledge only"
+                        );
+                        self.degrade(baseline, reason, recoveries, cfg);
+                        self.shrink_locally(&world_confirmed)?;
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            // Fence the dead epochs: a message still stamped with one is
+            // rejected by the device rather than delivered into the rebuilt
+            // topology.
+            device.fence_epochs_below(self.epoch());
+            // Re-inject the survivors' faults in the shrunk rank space, so a
+            // crash whose budget never fired (its rank was blocked when the
+            // attempt died) still fires on a later attempt: cascading
+            // crashes keep cascading.
+            let next = faults.remap(self.survivors());
+            attempt_faults = (!next.is_empty()).then_some(next);
+        }
+        Err(CollectiveError::Hang { seed, bound: HangBound::Attempts(max_attempts) })
+    }
+
+    /// The one degrade transition: from here on [`Self::run`] plans with
+    /// `baseline`. Counted and recorded, with `reason`, the first time only.
+    fn degrade(
+        &mut self,
+        baseline: Baseline,
+        reason: impl Into<String>,
+        recoveries: u32,
+        cfg: &ChaosConfig,
+    ) {
+        if std::mem::replace(&mut self.degraded, true) {
+            return;
+        }
+        self.stats.degraded_runs += 1;
+        pdac_telemetry::global().registry().add("chaos.degraded", 1);
+        self.record(Decision::new(
+            DecisionKind::Recovery,
+            "degraded substitution",
+            baseline.name(),
+            reason,
+            decision_inputs![
+                ("seed", cfg.seed),
+                ("recoveries", recoveries),
+                ("max_recoveries", cfg.max_recoveries),
+                ("survivors", self.comm.size()),
+            ],
+        ));
+    }
+
+    /// Degraded-mode shrink: marks `world_dead` failed on this rank's own
+    /// evidence, without a survivor vote.
+    fn shrink_locally(&mut self, world_dead: &[usize]) -> Result<(), CollectiveError> {
+        for &world in world_dead {
+            match self.mark_failed(world) {
+                Ok(()) | Err(CollectiveError::UnknownRank { .. }) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -591,6 +927,17 @@ mod tests {
         assert_eq!(replay.survivors(), mgr.survivors());
         assert_eq!(replay.elect_root(0), mgr.elect_root(0));
         assert_eq!(replay.failed(), mgr.failed());
+    }
+
+    #[test]
+    fn degraded_allreduce_binomial_tree_is_well_formed() {
+        for n in [2, 3, 5, 8] {
+            for root in 0..n {
+                let t = binomial_tree(n, root);
+                assert_eq!(t.root, root);
+                assert_eq!(t.len(), n);
+            }
+        }
     }
 
     #[test]

@@ -23,9 +23,9 @@ fn failing_chaos_run_dumps_flight_recorder() {
     let binding = BindingPolicy::Contiguous.bind(&m, 4).unwrap();
     let comm = Communicator::world(m, binding);
 
-    // A 1 ns watchdog cannot be met by any real attempt: the executor
-    // thread has not even started when the deadline expires, so the run
-    // deterministically fails as a hang.
+    // A 1 ns watchdog cannot be met by any real attempt: the first one
+    // takes longer than that, so when it returns the run deterministically
+    // fails as a hang.
     let mut cfg = ChaosConfig::new(7);
     cfg.watchdog = Duration::from_nanos(1);
 

@@ -1,5 +1,5 @@
-//! Integrity counters must be visible on every observability surface: a
-//! corrupted-but-healed executor run publishes `integrity.*` into the
+//! Integrity counters must be visible on every observability surface: an
+//! executor run — healed or failed — publishes `integrity.*` into the
 //! global registry, the OpenMetrics exposition renders them as
 //! `pdac_integrity_*_total` samples, and a flight-recorder dump carries
 //! them in its metrics snapshot — so a scraper or a post-mortem reader
@@ -10,7 +10,7 @@ use std::sync::Arc;
 use pdac_core::verify::pattern;
 use pdac_core::AdaptiveColl;
 use pdac_hwtopo::{machines, BindingPolicy};
-use pdac_mpisim::{Communicator, RetryPolicy, ThreadExecutor, TransportKind};
+use pdac_mpisim::{Communicator, ExecError, RetryPolicy, ThreadExecutor, TransportKind};
 use pdac_obs::{flight, to_openmetrics};
 use pdac_simnet::FaultPlan;
 
@@ -22,6 +22,25 @@ fn integrity_counters_reach_openmetrics_and_flight_dumps() {
         .expect("8 ranks fit on ig");
     let comm = Communicator::world(machine, binding);
     let schedule = AdaptiveColl::default().allgather(&comm, 2048);
+    let registry = pdac_telemetry::global().registry();
+
+    // A failed run publishes too: rank 3 damages every chunk it serves, so
+    // its successor's pull exhausts the retry budget and the run errors —
+    // yet every detection it made reaches the registry. (Other ranks' pulls
+    // from rank 3 may detect damage before the run is poisoned, hence ≥.)
+    let policy = RetryPolicy::chaos();
+    let detected_before = registry.counter("integrity.corrupt_detected").get();
+    let err = ThreadExecutor::with_transport(TransportKind::Knem.create(None))
+        .with_policy(policy)
+        .with_faults(FaultPlan::new(41).corrupt_source(3, 0xC0DE))
+        .run(&schedule, pattern)
+        .expect_err("a persistent corrupter exhausts the retry budget");
+    assert!(matches!(err, ExecError::Corrupt { peer: 3, .. }), "{err}");
+    let detected = registry.counter("integrity.corrupt_detected").get() - detected_before;
+    assert!(
+        detected > u64::from(policy.max_retries),
+        "the failed run's {detected} detections must be published (original + every retry)"
+    );
 
     // Seed 41 is the transport-parity corruption seed: its injectors land
     // on scheduled copies, so the run detects, re-transmits, and heals.

@@ -155,10 +155,12 @@ impl FailureDetector {
         }
     }
 
-    /// Proof of death for `rank`. Idempotent.
-    pub fn confirm(&self, rank: Rank) {
+    /// Proof of death for `rank`. Idempotent: returns whether this call
+    /// made the `→ Confirmed` transition.
+    pub fn confirm(&self, rank: Rank) -> bool {
         let mut states = self.states.lock();
-        if rank < states.len() && states[rank] != RankState::Confirmed {
+        let fresh = rank < states.len() && states[rank] != RankState::Confirmed;
+        if fresh {
             states[rank] = RankState::Confirmed;
             self.confirmed_dead.fetch_add(1, Ordering::Relaxed);
             pdac_telemetry::global().recorder().instant(
@@ -168,6 +170,7 @@ impl FailureDetector {
                 || vec![("rank", rank.into())],
             );
         }
+        fresh
     }
 
     /// Current verdict for `rank` (`Confirmed` for out-of-range ranks, so a

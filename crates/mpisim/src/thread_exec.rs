@@ -61,6 +61,9 @@ pub enum ExecError {
         err: KnemError,
         /// Retries burned before giving up.
         retries: u32,
+        /// The run's fault accounting, attached once every cursor has
+        /// retired (see [`ExecError::fault_stats`]).
+        fault_stats: Box<FaultStats>,
     },
     /// A dependency wait exceeded the per-operation deadline — the shape a
     /// crashed peer or dropped notification presents to the survivors.
@@ -75,6 +78,9 @@ pub enum ExecError {
         deadline: Duration,
         /// Fault seed of the run, when a plan was attached.
         seed: Option<u64>,
+        /// The run's fault accounting, attached once every cursor has
+        /// retired (see [`ExecError::fault_stats`]).
+        fault_stats: Box<FaultStats>,
     },
     /// The run executes under an epoch the KNEM device has already fenced
     /// off — the membership layer agreed on a newer `(epoch, survivor_set)`
@@ -91,6 +97,9 @@ pub enum ExecError {
         fence: u64,
         /// Fault seed of the run, when a plan was attached.
         seed: Option<u64>,
+        /// The run's fault accounting, attached once every cursor has
+        /// retired (see [`ExecError::fault_stats`]).
+        fault_stats: Box<FaultStats>,
     },
     /// Every attempt at one transfer — the original plus every verified
     /// re-transmit the [`RetryPolicy`] allowed — arrived with a checksum
@@ -108,7 +117,38 @@ pub enum ExecError {
         attempts: u32,
         /// Fault seed of the run, when a plan was attached.
         seed: Option<u64>,
+        /// The run's fault accounting, attached once every cursor has
+        /// retired (see [`ExecError::fault_stats`]).
+        fault_stats: Box<FaultStats>,
     },
+}
+
+impl ExecError {
+    /// The fault accounting of the run that failed, built and published
+    /// exactly as a completed run's [`ExecResult::fault_stats`] is (zero
+    /// for a schedule rejected before it ran). Boxed in the variants, so
+    /// the `Ok` path of a run does not grow.
+    pub fn fault_stats(&self) -> FaultStats {
+        match self {
+            ExecError::Schedule(_) => FaultStats::default(),
+            ExecError::Knem { fault_stats, .. }
+            | ExecError::Timeout { fault_stats, .. }
+            | ExecError::StaleEpoch { fault_stats, .. }
+            | ExecError::Corrupt { fault_stats, .. } => **fault_stats,
+        }
+    }
+
+    /// Attaches the run's accounting once every cursor has retired.
+    fn with_fault_stats(mut self, stats: FaultStats) -> Self {
+        match &mut self {
+            ExecError::Schedule(_) => {}
+            ExecError::Knem { fault_stats, .. }
+            | ExecError::Timeout { fault_stats, .. }
+            | ExecError::StaleEpoch { fault_stats, .. }
+            | ExecError::Corrupt { fault_stats, .. } => **fault_stats = stats,
+        }
+        self
+    }
 }
 
 impl std::fmt::Display for ExecError {
@@ -120,6 +160,7 @@ impl std::fmt::Display for ExecError {
                 op,
                 err,
                 retries,
+                ..
             } => {
                 write!(
                     f,
@@ -132,6 +173,7 @@ impl std::fmt::Display for ExecError {
                 waited,
                 deadline,
                 seed,
+                ..
             } => {
                 write!(
                     f,
@@ -148,6 +190,7 @@ impl std::fmt::Display for ExecError {
                 epoch,
                 fence,
                 seed,
+                ..
             } => {
                 write!(
                     f,
@@ -164,6 +207,7 @@ impl std::fmt::Display for ExecError {
                 op,
                 attempts,
                 seed,
+                ..
             } => {
                 write!(
                     f,
@@ -654,7 +698,7 @@ impl ThreadExecutor {
     }
 
     /// Audits the cursor exits and folds the run's accounting into the
-    /// result and the registry.
+    /// registry and the result — or, when a cursor failed, into its error.
     fn collect(&self, state: RunState, before: Before) -> Result<ExecResult, ExecError> {
         let mut first_error = None;
         let mut fault_stats = FaultStats::default();
@@ -678,9 +722,6 @@ impl ThreadExecutor {
                     first_error.get_or_insert(e);
                 }
             }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
         }
 
         let knem_stats = state.transport.stats().delta_since(&before.knem);
@@ -711,6 +752,9 @@ impl ThreadExecutor {
         registry.add("exec.wait.fast", wait_stats.fast);
         registry.add("exec.wait.slow", wait_stats.slow);
         registry.add("exec.wait.yields", wait_stats.yields);
+        if let Some(e) = first_error {
+            return Err(e.with_fault_stats(fault_stats));
+        }
 
         let keys = state.lowered.bufs().iter().map(|&(key, _)| key);
         let data = state.buffers.into_iter().map(RwLock::into_inner);
@@ -890,7 +934,8 @@ impl Cursor {
         if let Some(deadline) = deadline.filter(|&d| waited >= d) {
             self.faults.timeouts += 1;
             let (rank, seed) = (self.rank, run.seed());
-            return Err(ExecError::Timeout { rank, op: id, waited, deadline, seed });
+            let fault_stats = Box::default();
+            return Err(ExecError::Timeout { rank, op: id, waited, deadline, seed, fault_stats });
         }
         let suspicion = det.filter(|_| !self.suspected).map(|d| d.suspect_after());
         Ok(suspicion.into_iter().chain(deadline).min().map(|d| since + d))
@@ -946,7 +991,8 @@ impl Cursor {
             Ok(()) => {}
             // Never retried: a fenced epoch does not become valid again.
             Err(KnemError::StaleEpoch { epoch, fence }) => {
-                return Err(ExecError::StaleEpoch { rank, op: id, epoch, fence, seed });
+                let fault_stats = Box::default();
+                return Err(ExecError::StaleEpoch { rank, op: id, epoch, fence, seed, fault_stats });
             }
             Err(e) if attempt.retries < policy.max_retries => {
                 attempt.retries += 1;
@@ -995,11 +1041,13 @@ impl Cursor {
                     det.suspect(peer, rank);
                 }
                 let attempts = attempt.retries;
-                return Err(ExecError::Corrupt { rank, peer, op: id, attempts, seed });
+                let fault_stats = Box::default();
+                return Err(ExecError::Corrupt { rank, peer, op: id, attempts, seed, fault_stats });
             }
             Err(err) => {
                 let retries = attempt.retries;
-                return Err(ExecError::Knem { rank, op: id, err, retries });
+                let fault_stats = Box::default();
+                return Err(ExecError::Knem { rank, op: id, err, retries, fault_stats });
             }
         }
         let done = self.attempt.take().expect("the attempt was started above");
@@ -1974,10 +2022,14 @@ mod tests {
             .with_faults(FaultPlan::new(31).drop_notify(0))
             .run(&b.finish(), pattern)
             .unwrap_err();
-        match err {
-            ExecError::Timeout { rank, .. } => assert_eq!(rank, 0),
+        match &err {
+            ExecError::Timeout { rank, .. } => assert_eq!(*rank, 0),
             other => panic!("expected Timeout, got {other}"),
         }
+        // The error carries the run's own accounting.
+        let stats = err.fault_stats();
+        assert_eq!(stats.notifies_dropped, 1, "{stats:?}");
+        assert!(stats.timeouts >= 1, "{stats:?}");
     }
 
     #[test]
@@ -2336,6 +2388,12 @@ mod tests {
             det.counters().suspects_raised >= 1,
             "the corrupter must be suspected before escalation"
         );
+        // The error carries the run's own accounting: the original pull and
+        // every re-transmit were detected, each retry re-transmitted.
+        let (stats, retries) = (err.fault_stats(), u64::from(RetryPolicy::chaos().max_retries));
+        assert!(stats.corrupt_detected > retries, "{stats:?}");
+        assert!(stats.retransmits >= retries, "{stats:?}");
+        assert_eq!(stats.suspects_raised, det.counters().suspects_raised, "{stats:?}");
     }
 
     #[test]

@@ -445,7 +445,9 @@ pub struct FaultStats {
     pub notifies_dropped: u64,
     /// Operations abandoned because their executor crashed.
     pub ops_abandoned: u64,
-    /// Bounded retries performed (KNEM pull re-attempts after backoff).
+    /// Bounded retries performed: KNEM pull re-attempts after backoff,
+    /// plus each time a recovery loop re-ran an attempt after a transient
+    /// timeout (nobody proven dead).
     pub retries: u64,
     /// Total nanoseconds spent sleeping in retry backoff.
     pub backoff_ns: u64,

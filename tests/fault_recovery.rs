@@ -15,7 +15,8 @@ use pdac::collectives::adaptive::AdaptiveColl;
 use pdac::collectives::metrics::fault_summary_line;
 use pdac::collectives::verify;
 use pdac::collectives::{
-    run_chaos, ChaosConfig, Collective, CollectiveError, RecoveryManager, Request, TopoCache,
+    run_chaos, ChaosConfig, Collective, CollectiveError, HangBound, RecoveryManager, Request,
+    TopoCache,
 };
 use pdac::hwtopo::{machines, BindingPolicy};
 use pdac::mpisim::{Communicator, ExecError, RetryPolicy, ThreadExecutor};
@@ -180,8 +181,18 @@ fn chaos_outcome_is_deterministic_per_seed() {
 /// Failure messages carry the seed so any chaos run can be replayed.
 #[test]
 fn collective_errors_quote_the_fault_seed() {
-    let hang = CollectiveError::Hang { seed: Some(42), watchdog: Duration::from_secs(9) };
-    assert!(hang.to_string().contains("fault seed 42"), "{hang}");
+    // A hang names the bound that ran out: one attempt's watchdog, or the
+    // loop's attempt budget.
+    let hang = CollectiveError::Hang {
+        seed: Some(42),
+        bound: HangBound::Watchdog(Duration::from_secs(9)),
+    };
+    assert_eq!(hang.to_string(), "collective hung past the 9s watchdog (fault seed 42)");
+    let livelock = CollectiveError::Hang { seed: Some(42), bound: HangBound::Attempts(10) };
+    assert_eq!(
+        livelock.to_string(),
+        "collective hung: 10 attempts ran out without completing (fault seed 42)"
+    );
     let verify = CollectiveError::Verify { seed: Some(7), detail: "rank 1: byte 0".into() };
     assert!(verify.to_string().contains("fault seed 7"), "{verify}");
     // Exhausting every rank is typed, not a panic or a hang.
