@@ -36,7 +36,7 @@
 //! `list` prints the scenario matrix without running it.
 
 use pdac_bench::gate::{canonical_scenarios, render_table, run_gate_scenarios};
-use pdac_obs::history::{load_jsonl, render_trend};
+use pdac_telemetry::history::{load_jsonl, render_trend};
 
 const GATE_TABLE: &str = "results/gate.txt";
 const DEFAULT_HISTORY: &str = "BENCH_history.jsonl";

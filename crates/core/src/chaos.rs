@@ -13,7 +13,11 @@
 //! 3. **verify**: [`verify::check`] compares the survivors' bytes with the
 //!    elected root;
 //! 4. **time**: the survivor schedule runs through the contention
-//!    simulator, whose report carries the merged fault accounting.
+//!    simulator, whose report carries the simulator's own fault accounting.
+//!
+//! The outcome keeps the two legs' records apart: [`ChaosOutcome::stats`]
+//! is what the runtime did, [`ChaosOutcome::sim_report`]'s `fault_stats`
+//! what the simulator predicted for the survivor schedule.
 //!
 //! A run that cannot complete returns a typed [`CollectiveError`] quoting
 //! the seed — **never** a hang: the chaos policy's op deadline bounds every wait, and
@@ -144,13 +148,17 @@ pub struct ChaosOutcome {
     pub degraded: bool,
     /// World ranks agreed dead during the run, in detection order.
     pub failed_ranks: Vec<usize>,
-    /// Merged fault accounting: executor counters from every attempt, the
-    /// detector's suspicion/confirmation transitions, the agreement
-    /// episode's rounds, and the recovery manager's rebuild count.
+    /// What the runtime did, as [`RecoveryManager::stats`] recorded it:
+    /// the executor counters of every attempt (the detector's transitions
+    /// among them), plus the manager's own counts — corrupters confirmed,
+    /// re-runs after a transient timeout, agreement rounds, topology
+    /// rebuilds and the degrade. Every field is also published under one
+    /// registry name; the simulator's prediction is not in it.
     pub stats: FaultStats,
     /// Timing of the final (survivor) schedule through the contention
-    /// simulator under a seed-derived degraded link; its `fault_stats`
-    /// carries the merged accounting of the whole chaos run.
+    /// simulator under a seed-derived degraded link; its `fault_stats` is
+    /// the simulator's own record (the degraded link, and the re-transmits
+    /// it modelled for the survivors' transient corruption).
     pub sim_report: SimReport,
     /// Provenance of every recovery decision the run made: membership
     /// shrinks and root re-elections (from the [`RecoveryManager`]) plus
@@ -161,7 +169,7 @@ pub struct ChaosOutcome {
 
 impl ChaosOutcome {
     /// One-line human-readable summary of the run: recovery disposition,
-    /// failed ranks, and the merged fault accounting (including retry
+    /// failed ranks, and the runtime's fault accounting (including retry
     /// counts, total backoff, and the membership counters) via
     /// [`crate::metrics::fault_summary_line`].
     pub fn summary(&self) -> String {
@@ -200,9 +208,9 @@ pub fn run_chaos(
     what: Request,
     cfg: &ChaosConfig,
 ) -> Result<ChaosOutcome, CollectiveError> {
-    pdac_obs::flight::set_context("transport", format!("{:?}", cfg.transport).to_lowercase());
-    pdac_obs::flight::set_context("machine", comm.machine().name.clone());
-    pdac_obs::flight::note(format!(
+    pdac_telemetry::flight::set_context("transport", format!("{:?}", cfg.transport).to_lowercase());
+    pdac_telemetry::flight::set_context("machine", comm.machine().name.clone());
+    pdac_telemetry::flight::note(format!(
         "chaos start: seed={} ranks={} what={what:?} cascade={} transport={:?}",
         cfg.seed,
         comm.size(),
@@ -211,13 +219,13 @@ pub fn run_chaos(
     ));
     let out = run_chaos_inner(comm, coll, what, cfg);
     match &out {
-        Ok(out) => pdac_obs::flight::note(format!(
+        Ok(out) => pdac_telemetry::flight::note(format!(
             "chaos ok: seed={} recovered={} degraded={} failed={:?}",
             cfg.seed, out.recovered, out.degraded, out.failed_ranks
         )),
         Err(err) => {
-            pdac_obs::flight::note(format!("chaos FAILED: seed={} err={err}", cfg.seed));
-            if let Some(path) = pdac_obs::flight::dump("chaos-failure") {
+            pdac_telemetry::flight::note(format!("chaos FAILED: seed={} err={err}", cfg.seed));
+            if let Some(path) = pdac_telemetry::flight::dump("chaos-failure") {
                 eprintln!("flight recorder dumped to {}", path.display());
             }
         }
@@ -293,7 +301,7 @@ fn run_chaos_inner(
         },
     );
     let survivors = mgr.comm();
-    let mut sim_report = SimExecutor::new(survivors.machine(), survivors.binding(), SimConfig::default())
+    let sim_report = SimExecutor::new(survivors.machine(), survivors.binding(), SimConfig::default())
         .with_transport_model(cfg.transport.sim_model())
         .with_fault_plan(sim_plan)
         .with_deadline(3600.0)
@@ -302,14 +310,13 @@ fn run_chaos_inner(
             seed: Some(seed),
             detail: format!("simulator leg failed: {e}"),
         })?;
-    sim_report.fault_stats.merge(&mgr.stats());
 
     Ok(ChaosOutcome {
         // Every recovery episode removes at least one rank.
         recovered: !mgr.failed().is_empty(),
         degraded: mgr.degraded(),
         failed_ranks: mgr.failed().to_vec(),
-        stats: sim_report.fault_stats,
+        stats: mgr.stats(),
         sim_report,
         decisions: mgr.decisions(),
     })
@@ -349,7 +356,7 @@ mod tests {
             "death came through the detector"
         );
         assert!(out.stats.agreement_rounds >= 1, "the survivor vote ran");
-        assert!(out.stats.links_degraded >= 1, "sim leg degraded a link");
+        assert!(out.sim_report.fault_stats.links_degraded >= 1, "sim leg degraded a link");
         assert!(out.sim_report.total_time > 0.0);
         let line = out.summary();
         println!("{line}");

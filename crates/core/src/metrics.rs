@@ -100,16 +100,6 @@ pub fn rank_distance(machine: &Machine, binding: &Binding, a: usize, b: usize) -
     core_distance(machine, binding.core_of(a), binding.core_of(b))
 }
 
-/// Folds the fault accounting of several runs (e.g. every attempt of a
-/// chaos sweep) into one record.
-pub fn merge_fault_stats(runs: &[FaultStats]) -> FaultStats {
-    let mut total = FaultStats::default();
-    for s in runs {
-        total.merge(s);
-    }
-    total
-}
-
 /// One-line human-readable summary of a [`FaultStats`] record, used by the
 /// chaos harness and the benchmark reports. Every field renders — including
 /// zero values — so lines from different runs stay column-comparable and

@@ -205,8 +205,8 @@ impl Provenance {
         let registry = pdac_telemetry::global().registry();
         registry.add("provenance.plans", 1);
         registry.add("provenance.decisions", self.decisions.len() as u64);
-        pdac_obs::flight::set_context("plan", &self.plan_id);
-        pdac_obs::flight::note(format!(
+        pdac_telemetry::flight::set_context("plan", &self.plan_id);
+        pdac_telemetry::flight::note(format!(
             "plan {}: {} ({} decisions, {} ops)",
             self.plan_id,
             self.schedule_name,

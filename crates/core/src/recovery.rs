@@ -328,6 +328,14 @@ impl RecoveryManager {
         self.stats
     }
 
+    /// Adds `n` to one field of [`Self::stats`] and to the registry counter
+    /// `name` — the one path every count the manager makes itself takes,
+    /// so the record and the registry cannot disagree.
+    fn count(&mut self, name: &str, field: fn(&mut FaultStats) -> &mut u64, n: u64) {
+        *field(&mut self.stats) += n;
+        pdac_telemetry::global().registry().add(name, n);
+    }
+
     /// Whether [`Self::run`] fell back to the distance-oblivious baselines
     /// (agreement failure, recovery churn, or a lone survivor).
     pub fn degraded(&self) -> bool {
@@ -371,9 +379,7 @@ impl RecoveryManager {
         self.world_of = map.into_iter().map(|old| self.world_of[old]).collect();
         self.comm = shrunk;
         self.failed.push(world);
-        self.stats.topology_rebuilds += 1;
-        telemetry.registry().add("recovery.ranks_failed", 1);
-        telemetry.registry().add("recovery.topology_rebuilds", 1);
+        self.count("recovery.topology_rebuilds", |s| &mut s.topology_rebuilds, 1);
         self.record(Decision::new(
             DecisionKind::Recovery,
             format!("membership world rank {world}"),
@@ -456,11 +462,12 @@ impl RecoveryManager {
             .collect();
         let outcome = agree(n, self.comm.epoch(), &dead, &views, cfg, seed)
             .map_err(|err| CollectiveError::Agreement { err })?;
-        self.stats.agreement_rounds += outcome.rounds;
-        self.stats.coordinator_reelections += outcome.reelections;
-        let registry = pdac_telemetry::global().registry();
-        registry.add("recovery.agreement_rounds", outcome.rounds);
-        registry.add("recovery.coordinator_reelections", outcome.reelections);
+        self.count("recovery.agreement_rounds", |s| &mut s.agreement_rounds, outcome.rounds);
+        self.count(
+            "recovery.coordinator_reelections",
+            |s| &mut s.coordinator_reelections,
+            outcome.reelections,
+        );
 
         // Commit: shrink to the agreed survivors (translate back to world
         // ranks first — mark_failed remaps current ranks as it goes).
@@ -603,7 +610,8 @@ impl RecoveryManager {
                     // Every re-transmit from `peer` failed verification:
                     // the source is poisoned, not the link. Confirm it dead
                     // so it is fenced exactly like a crashed rank.
-                    self.stats.ranks_confirmed_dead += u64::from(detector.confirm(*peer));
+                    let n = u64::from(detector.confirm(*peer));
+                    self.count("faults.ranks_confirmed_dead", |s| &mut s.ranks_confirmed_dead, n);
                     detector.confirmed()
                 }
                 Err(_) => Vec::new(),
@@ -615,7 +623,9 @@ impl RecoveryManager {
                     // (dropped notification, stall past the deadline), or
                     // the device fault's transient window heals with
                     // attempts. Re-run on the same communicator.
-                    Err(ExecError::Timeout { .. }) => self.stats.retries += 1,
+                    Err(ExecError::Timeout { .. }) => {
+                        self.count("faults.retries", |s| &mut s.retries, 1);
+                    }
                     Err(ExecError::Knem { .. }) => {}
                     Err(err) => return Err(CollectiveError::Exec { seed, err }),
                 }
@@ -702,8 +712,7 @@ impl RecoveryManager {
         if std::mem::replace(&mut self.degraded, true) {
             return;
         }
-        self.stats.degraded_runs += 1;
-        pdac_telemetry::global().registry().add("chaos.degraded", 1);
+        self.count("chaos.degraded", |s| &mut s.degraded_runs, 1);
         self.record(Decision::new(
             DecisionKind::Recovery,
             "degraded substitution",

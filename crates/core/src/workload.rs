@@ -361,21 +361,21 @@ pub fn run_workload(cfg: &WorkloadConfig) -> Result<WorkloadReport, WorkloadErro
     // A panicking workload (as opposed to an Err) must still leave the
     // flight ring behind; the hook chains, so installing it here is safe
     // for callers that installed their own.
-    pdac_obs::flight::install_panic_hook();
+    pdac_telemetry::flight::install_panic_hook();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xd1b5_4a32_d192_ed03);
 
     let machine = Arc::new(random_machine(&mut rng));
     // Run-identity context: a flight dump alone reproduces the run — the
     // backend, the generated machine's regime name, and the repro line.
-    pdac_obs::flight::set_context("transport", cfg.transport.label());
-    pdac_obs::flight::set_context("machine", machine.name.clone());
-    pdac_obs::flight::set_context("seed", seed.to_string());
-    pdac_obs::flight::set_context("repro", repro_command_for(seed, cfg.transport));
+    pdac_telemetry::flight::set_context("transport", cfg.transport.label());
+    pdac_telemetry::flight::set_context("machine", machine.name.clone());
+    pdac_telemetry::flight::set_context("seed", seed.to_string());
+    pdac_telemetry::flight::set_context("repro", repro_command_for(seed, cfg.transport));
     let machine_name = machine.name.clone();
     let transport_kind = cfg.transport;
     let fail = move |detail: String| {
-        pdac_obs::flight::note(format!("workload FAILED: seed={seed} {detail}"));
-        if let Some(path) = pdac_obs::flight::dump("workload-failure") {
+        pdac_telemetry::flight::note(format!("workload FAILED: seed={seed} {detail}"));
+        if let Some(path) = pdac_telemetry::flight::dump("workload-failure") {
             eprintln!("flight recorder dumped to {}", path.display());
         }
         WorkloadError {
@@ -387,7 +387,7 @@ pub fn run_workload(cfg: &WorkloadConfig) -> Result<WorkloadReport, WorkloadErro
     };
     let (binding, oversubscribed) = random_placement(&mut rng, &machine);
     let mut comm = Communicator::world(Arc::clone(&machine), binding);
-    pdac_obs::flight::note(format!(
+    pdac_telemetry::flight::note(format!(
         "workload start: seed={seed} machine={} ranks={} oversubscribed={oversubscribed} transport={}",
         machine.name,
         comm.size(),

@@ -1,21 +1,23 @@
-//! Integrity counters must be visible on every observability surface: an
-//! executor run — healed or failed — publishes `integrity.*` into the
-//! global registry, the OpenMetrics exposition renders them as
+//! Each runtime fact is counted once and reaches every observability
+//! surface. An executor run — healed or failed — publishes `integrity.*`
+//! into the global registry, the OpenMetrics rendering shows them as
 //! `pdac_integrity_*_total` samples, and a flight-recorder dump carries
-//! them in its metrics snapshot — so a scraper or a post-mortem reader
-//! sees checksum detections without access to the process.
+//! them in its metrics snapshot. A chaos episode then moves each registry
+//! counter by exactly the matching field of its runtime record.
+//!
+//! One `#[test]`, so no other test in this process shares the registry.
 
 use std::sync::Arc;
 
 use pdac_core::verify::pattern;
-use pdac_core::AdaptiveColl;
+use pdac_core::{run_chaos, AdaptiveColl, ChaosConfig, Collective, Request};
 use pdac_hwtopo::{machines, BindingPolicy};
 use pdac_mpisim::{Communicator, ExecError, RetryPolicy, ThreadExecutor, TransportKind};
-use pdac_obs::{flight, to_openmetrics};
 use pdac_simnet::FaultPlan;
+use pdac_telemetry::{flight, to_openmetrics};
 
 #[test]
-fn integrity_counters_reach_openmetrics_and_flight_dumps() {
+fn each_fact_is_published_once_and_reaches_every_surface() {
     let machine = Arc::new(machines::ig());
     let binding = BindingPolicy::Contiguous
         .bind(&machine, 8)
@@ -52,8 +54,8 @@ fn integrity_counters_reach_openmetrics_and_flight_dumps() {
         .expect("transient corruption heals within the retry budget");
     assert!(res.integrity_stats.corrupt_detected >= 1, "injector fired");
 
-    // OpenMetrics: the run's publish() put integrity.* into the global
-    // registry; the exposition renders each as a *_total counter sample.
+    // OpenMetrics: the executor put integrity.* into the global registry;
+    // the rendering shows each as a *_total counter sample.
     let text = to_openmetrics(&pdac_telemetry::global().registry().snapshot());
     let read = |name: &str| -> u64 {
         text.lines()
@@ -95,4 +97,68 @@ fn integrity_counters_reach_openmetrics_and_flight_dumps() {
     }
     std::env::remove_var(flight::FLIGHT_DIR_ENV);
     std::fs::remove_dir_all(&dir).ok();
+
+    // Registry equals record: a chaos episode on KNEM with the seeded
+    // crash, healed transient corruption and a persistent corrupter (rank
+    // 3, confirmed by the recovery manager, not by the executor). Every
+    // counter moves by exactly the runtime record's field — the
+    // simulator's prediction for the survivors adds nothing to either.
+    let smp = Arc::new(machines::flat_smp(6));
+    let binding = BindingPolicy::Contiguous
+        .bind(&smp, 6)
+        .expect("6 ranks fit");
+    let comm = Communicator::world(smp, binding);
+    let cfg = ChaosConfig {
+        corruption: true,
+        ..ChaosConfig::with_corrupter(5, 3)
+    };
+    let what = Request::new(Collective::Allgather, 0, 2048);
+    let before = registry.snapshot();
+    let out = run_chaos(&comm, AdaptiveColl::default(), what, &cfg)
+        .unwrap_or_else(|e| panic!("corrupter seed 5: {e}"));
+    let after = registry.snapshot();
+    assert!(
+        out.failed_ranks.contains(&3),
+        "the corrupter is fenced: {:?}",
+        out.failed_ranks
+    );
+    let s = &out.stats;
+    assert!(
+        s.ranks_crashed >= 1 && s.corrupt_detected >= 1,
+        "{}",
+        out.summary()
+    );
+    for (name, record) in [
+        ("faults.ranks_stalled", s.ranks_stalled),
+        ("faults.ranks_crashed", s.ranks_crashed),
+        ("faults.notifies_dropped", s.notifies_dropped),
+        ("faults.ops_abandoned", s.ops_abandoned),
+        ("faults.retries", s.retries),
+        ("faults.backoff_ns", s.backoff_ns),
+        ("faults.timeouts", s.timeouts),
+        ("faults.suspects_raised", s.suspects_raised),
+        ("faults.suspects_refuted", s.suspects_refuted),
+        ("faults.ranks_confirmed_dead", s.ranks_confirmed_dead),
+        ("integrity.stamped", s.checksums_stamped),
+        ("integrity.verified", s.checksums_verified),
+        ("integrity.corrupt_detected", s.corrupt_detected),
+        ("integrity.retransmits", s.retransmits),
+        ("knem.fenced", s.fenced_messages),
+        ("recovery.topology_rebuilds", s.topology_rebuilds),
+        ("recovery.agreement_rounds", s.agreement_rounds),
+        (
+            "recovery.coordinator_reelections",
+            s.coordinator_reelections,
+        ),
+        ("chaos.degraded", s.degraded_runs),
+    ] {
+        let count =
+            |snap: &pdac_telemetry::RegistrySnapshot| snap.counters.get(name).copied().unwrap_or(0);
+        assert_eq!(
+            count(&after) - count(&before),
+            record,
+            "{name} vs the record: {}",
+            out.summary()
+        );
+    }
 }

@@ -144,13 +144,6 @@ impl BufferPoolStats {
             bytes_allocated: self.bytes_allocated - earlier.bytes_allocated,
         }
     }
-
-    /// Folds the counters into the global registry under `exec.pool.*`.
-    pub fn publish(&self, registry: &pdac_telemetry::Registry) {
-        registry.add("exec.pool.acquires", self.acquires);
-        registry.add("exec.pool.reuses", self.reuses);
-        registry.add("exec.pool.bytes_allocated", self.bytes_allocated);
-    }
 }
 
 #[cfg(test)]

@@ -114,8 +114,8 @@ pub fn copy_stamped(dst: &mut [u8], src: &[u8]) -> u64 {
     finish(&lanes, rest, src.len())
 }
 
-/// Integrity counters for one run (monotonic; merged across attempts and
-/// legs like the other fault statistics).
+/// One run's checksum counters: the four checksum fields of the run's
+/// `FaultStats`, under the names `ExecResult::integrity_stats` reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IntegrityStats {
     /// Chunks stamped with a source checksum at `tx` time.
@@ -128,25 +128,6 @@ pub struct IntegrityStats {
     /// Verified re-transmits: re-pull + re-stage cycles triggered by a
     /// detected corruption.
     pub retransmits: u64,
-}
-
-impl IntegrityStats {
-    /// Component-wise accumulation.
-    pub fn merge(&mut self, other: &IntegrityStats) {
-        self.stamped += other.stamped;
-        self.verified += other.verified;
-        self.corrupt_detected += other.corrupt_detected;
-        self.retransmits += other.retransmits;
-    }
-
-    /// Folds the counters into the global registry under `integrity.*`
-    /// (surfaced by the OpenMetrics exposition and flight-recorder dumps).
-    pub fn publish(&self, registry: &pdac_telemetry::Registry) {
-        registry.add("integrity.stamped", self.stamped);
-        registry.add("integrity.verified", self.verified);
-        registry.add("integrity.corrupt_detected", self.corrupt_detected);
-        registry.add("integrity.retransmits", self.retransmits);
-    }
 }
 
 /// Applies `kind` to a staged chunk, deterministically for a given
@@ -419,18 +400,5 @@ mod tests {
         let mut empty: Vec<u8> = Vec::new();
         corrupt_payload(CorruptionKind::StaleRead, &mut empty, 1, 0, 0);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn stats_merge_accumulates() {
-        let mut a =
-            IntegrityStats { stamped: 5, verified: 4, corrupt_detected: 1, retransmits: 1 };
-        let b =
-            IntegrityStats { stamped: 2, verified: 2, corrupt_detected: 0, retransmits: 0 };
-        a.merge(&b);
-        assert_eq!(
-            a,
-            IntegrityStats { stamped: 7, verified: 6, corrupt_detected: 1, retransmits: 1 }
-        );
     }
 }

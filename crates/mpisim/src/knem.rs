@@ -118,21 +118,6 @@ impl KnemStats {
             segments: self.segments - earlier.segments,
         }
     }
-
-    /// Folds this record into the process-wide metrics registry under
-    /// `knem.*` counters. The per-device struct stays the per-instance
-    /// source of truth; the registry accumulates across devices and runs
-    /// for snapshot export and diffing. `handshakes` and `segments` are
-    /// read off the struct by the tests of the kind models and have no
-    /// registry name.
-    pub fn publish(&self, registry: &pdac_telemetry::Registry) {
-        registry.add("knem.registrations", self.registrations);
-        registry.add("knem.deregistrations", self.deregistrations);
-        registry.add("knem.copies", self.copies);
-        registry.add("knem.bytes_copied", self.bytes_copied);
-        registry.add("knem.lock_acquires", self.lock_acquires);
-        registry.add("knem.fenced", self.fenced);
-    }
 }
 
 /// A device failure window: copy failures injected after a budget of

@@ -734,24 +734,15 @@ impl ThreadExecutor {
             fault_stats.ranks_confirmed_dead = d.ranks_confirmed_dead;
         }
         fault_stats.fenced_messages = knem_stats.fenced;
-        let integrity_stats = IntegrityStats {
-            stamped: fault_stats.checksums_stamped,
-            verified: fault_stats.checksums_verified,
-            corrupt_detected: fault_stats.corrupt_detected,
-            retransmits: fault_stats.retransmits,
-        };
-
-        // Fold this run's accounting into the process-wide registry.
-        let registry = pdac_telemetry::global().registry();
-        registry.add("exec.runs", 1);
-        registry.add("exec.ops", state.schedule.ops.len() as u64);
-        knem_stats.publish(registry);
-        fault_stats.publish(registry);
-        integrity_stats.publish(registry);
-        state.pool.stats().delta_since(&before.pool).publish(registry);
-        registry.add("exec.wait.fast", wait_stats.fast);
-        registry.add("exec.wait.slow", wait_stats.slow);
-        registry.add("exec.wait.yields", wait_stats.yields);
+        let pool_stats = state.pool.stats().delta_since(&before.pool);
+        fold_into_registry(
+            pdac_telemetry::global().registry(),
+            state.schedule.ops.len(),
+            &knem_stats,
+            &fault_stats,
+            &pool_stats,
+            &wait_stats,
+        );
         if let Some(e) = first_error {
             return Err(e.with_fault_stats(fault_stats));
         }
@@ -762,9 +753,63 @@ impl ThreadExecutor {
             buffers: keys.zip(data).collect(),
             knem_stats,
             fault_stats,
-            integrity_stats,
+            integrity_stats: IntegrityStats {
+                stamped: fault_stats.checksums_stamped,
+                verified: fault_stats.checksums_verified,
+                corrupt_detected: fault_stats.corrupt_detected,
+                retransmits: fault_stats.retransmits,
+            },
             wait_stats,
         })
+    }
+}
+
+/// Folds one run's accounting into the process-wide registry — the one
+/// place the executor names a run counter, one name per fact:
+/// `knem.fenced` is the only name of a fenced message and `integrity.*` the
+/// only names of the checksum counters. `handshakes` and `segments` are
+/// read off [`KnemStats`] by the transport tests and have no name; the
+/// recovery counters of [`FaultStats`] are the recovery manager's to
+/// publish, and `links_degraded` is the simulator's.
+fn fold_into_registry(
+    registry: &pdac_telemetry::Registry,
+    ops: usize,
+    knem: &KnemStats,
+    faults: &FaultStats,
+    pool: &BufferPoolStats,
+    wait: &WaitStats,
+) {
+    for (name, n) in [
+        ("exec.runs", 1),
+        ("exec.ops", ops as u64),
+        ("exec.wait.fast", wait.fast),
+        ("exec.wait.slow", wait.slow),
+        ("exec.wait.yields", wait.yields),
+        ("exec.pool.acquires", pool.acquires),
+        ("exec.pool.reuses", pool.reuses),
+        ("exec.pool.bytes_allocated", pool.bytes_allocated),
+        ("knem.registrations", knem.registrations),
+        ("knem.deregistrations", knem.deregistrations),
+        ("knem.copies", knem.copies),
+        ("knem.bytes_copied", knem.bytes_copied),
+        ("knem.lock_acquires", knem.lock_acquires),
+        ("knem.fenced", knem.fenced),
+        ("integrity.stamped", faults.checksums_stamped),
+        ("integrity.verified", faults.checksums_verified),
+        ("integrity.corrupt_detected", faults.corrupt_detected),
+        ("integrity.retransmits", faults.retransmits),
+        ("faults.ranks_stalled", faults.ranks_stalled),
+        ("faults.ranks_crashed", faults.ranks_crashed),
+        ("faults.notifies_dropped", faults.notifies_dropped),
+        ("faults.ops_abandoned", faults.ops_abandoned),
+        ("faults.retries", faults.retries),
+        ("faults.backoff_ns", faults.backoff_ns),
+        ("faults.timeouts", faults.timeouts),
+        ("faults.suspects_raised", faults.suspects_raised),
+        ("faults.suspects_refuted", faults.suspects_refuted),
+        ("faults.ranks_confirmed_dead", faults.ranks_confirmed_dead),
+    ] {
+        registry.add(name, n);
     }
 }
 

@@ -118,7 +118,8 @@ pub struct SimReport {
     pub rank_busy: Vec<f64>,
     /// Rate-solver invocation counts (full vs skipped) and host time.
     pub solver_stats: SolverStats,
-    /// Fault-injection accounting (all zero when no plan was attached).
+    /// The simulator's own fault accounting: what the plan injected and
+    /// the re-transmits it modelled (all zero when no plan was attached).
     pub fault_stats: FaultStats,
 }
 
@@ -632,9 +633,9 @@ impl<'a> SimExecutor<'a> {
         }
         solver_stats.fill_ns = solver_stats.solve_ns;
 
-        // Fold this run's solver and fault accounting into the process-wide
-        // registry (the per-run structs in the report stay authoritative
-        // for per-instance assertions).
+        // Fold the solver's own work into the process-wide registry. The
+        // run's fault counts are a prediction, not something the runtime
+        // did: they stay in the report's `fault_stats`, off the registry.
         let registry = telemetry.registry();
         registry.add("sim.runs", 1);
         registry.add("sim.ops", n as u64);
@@ -642,7 +643,6 @@ impl<'a> SimExecutor<'a> {
         registry.add("sim.solver.full", solver_stats.full);
         registry.add("sim.solver.solve_ns", solver_stats.solve_ns);
         registry.add("sim.solver.fill_rounds", solver_stats.fill_rounds);
-        run.fs.stats.publish(registry);
 
         Ok(SimReport {
             total_time: run.now,

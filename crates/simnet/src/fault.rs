@@ -429,10 +429,11 @@ impl ResolvedFaults {
 }
 
 /// Observability record for fault injection and recovery: what was
-/// injected, what the runtime did about it, and what it cost. Threaded
-/// into [`crate::SimReport`] by the engine; the execution and recovery
-/// layers fill the retry/timeout/rebuild counters and merge records across
-/// attempts.
+/// injected, what the runtime did about it, and what it cost. Each leg
+/// keeps its own record: the engine's is its prediction, carried in
+/// [`crate::SimReport`] and never published; the thread executor fills and
+/// publishes one per run, and the recovery layer merges those across
+/// attempts and adds its own rebuild, agreement and degrade counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Link-degrade faults applied to the resource graph.
@@ -519,33 +520,6 @@ impl FaultStats {
         self.checksums_verified += other.checksums_verified;
         self.corrupt_detected += other.corrupt_detected;
         self.retransmits += other.retransmits;
-    }
-
-    /// Folds this record into the process-wide metrics registry under
-    /// `faults.*` counters. The per-run struct stays the per-instance
-    /// source of truth; the registry accumulates across runs for snapshot
-    /// export and diffing.
-    pub fn publish(&self, registry: &pdac_telemetry::Registry) {
-        registry.add("faults.links_degraded", self.links_degraded);
-        registry.add("faults.ranks_stalled", self.ranks_stalled);
-        registry.add("faults.ranks_crashed", self.ranks_crashed);
-        registry.add("faults.notifies_dropped", self.notifies_dropped);
-        registry.add("faults.ops_abandoned", self.ops_abandoned);
-        registry.add("faults.retries", self.retries);
-        registry.add("faults.backoff_ns", self.backoff_ns);
-        registry.add("faults.timeouts", self.timeouts);
-        registry.add("faults.topology_rebuilds", self.topology_rebuilds);
-        registry.add("faults.suspects_raised", self.suspects_raised);
-        registry.add("faults.suspects_refuted", self.suspects_refuted);
-        registry.add("faults.ranks_confirmed_dead", self.ranks_confirmed_dead);
-        registry.add("faults.agreement_rounds", self.agreement_rounds);
-        registry.add("faults.coordinator_reelections", self.coordinator_reelections);
-        registry.add("faults.fenced_messages", self.fenced_messages);
-        registry.add("faults.degraded_runs", self.degraded_runs);
-        registry.add("faults.checksums_stamped", self.checksums_stamped);
-        registry.add("faults.checksums_verified", self.checksums_verified);
-        registry.add("faults.corrupt_detected", self.corrupt_detected);
-        registry.add("faults.retransmits", self.retransmits);
     }
 }
 

@@ -49,7 +49,7 @@ struct FlightDump {
     /// last plan id — everything a dump needs to reproduce the run alone.
     context: Vec<(String, String)>,
     events: Vec<FlightEvent>,
-    metrics: pdac_telemetry::RegistrySnapshot,
+    metrics: crate::RegistrySnapshot,
 }
 
 /// The process-global last-N-events recorder.
@@ -58,7 +58,7 @@ pub struct FlightRecorder {
     ring: Mutex<VecDeque<FlightEvent>>,
     /// Last-write-wins `(key, value)` run context, included in every dump.
     context: Mutex<Vec<(String, String)>>,
-    dumps: pdac_telemetry::Counter,
+    dumps: crate::Counter,
 }
 
 static RECORDER: OnceLock<FlightRecorder> = OnceLock::new();
@@ -70,7 +70,7 @@ impl FlightRecorder {
             epoch: Instant::now(),
             ring: Mutex::new(VecDeque::with_capacity(RING_CAPACITY)),
             context: Mutex::new(Vec::new()),
-            dumps: pdac_telemetry::global()
+            dumps: crate::global()
                 .registry()
                 .counter("obs.flight.dumps"),
         })
@@ -146,7 +146,7 @@ impl FlightRecorder {
             pdac_seed: std::env::var("PDAC_SEED").ok(),
             context: self.context(),
             events,
-            metrics: pdac_telemetry::global().registry().snapshot(),
+            metrics: crate::global().registry().snapshot(),
         };
         let json = serde_json::to_string_pretty(&dump).ok()?;
         let dir = Self::dir();
@@ -235,7 +235,7 @@ mod tests {
         // Env var reads race between tests in one process; this is the
         // only test in the crate touching FLIGHT_DIR_ENV.
         std::env::set_var(FLIGHT_DIR_ENV, &dir);
-        pdac_telemetry::global()
+        crate::global()
             .registry()
             .add("obs.flight.test_marker", 7);
         note("dump-test: about to dump");

@@ -13,17 +13,27 @@
 //!   instrumented hot paths cost one predictable branch until a trace is
 //!   asked for.
 //! * the **[`Registry`]** — always-available named [`Counter`]s and
-//!   HDR-style log-bucketed [`LogHistogram`]s. This is the successor of
-//!   the ad-hoc stat structs (`SolverStats`, `FaultStats`, `KnemStats`,
-//!   `TopoCacheStats`): the structs survive as thin per-instance
-//!   compatibility accessors, but cross-run accounting flows into the
-//!   registry, where it can be snapshotted, serialized and diffed.
+//!   HDR-style log-bucketed [`LogHistogram`]s. Each counted fact has one
+//!   name here, published by the layer that owns it: the executor's run
+//!   accounting (`exec.*`, `knem.*`, `integrity.*`, `faults.*`), the
+//!   recovery manager's (`recovery.*`, `chaos.*`), the simulator's own
+//!   solver work (`sim.*`). Per-run records such as `FaultStats` carry the
+//!   same facts for one run; the registry sums them across runs, where they
+//!   can be snapshotted, serialized and diffed. The facade's
+//!   `tests/metric_catalog.rs` lists every name with its meaning and reader.
 //!
 //! The [`export`] module renders recorded events as Chrome Trace Event
 //! JSON (one format for simulated *and* real runs, so both open
 //! side-by-side in [Perfetto](https://ui.perfetto.dev)) and registry
 //! snapshots as JSON documents that `pdac-trace diff` compares for
-//! per-distance-class regression deltas.
+//! per-distance-class regression deltas. Read off the hot path:
+//!
+//! * [`flight`] — a crash-surviving last-N-notes flight recorder, dumped
+//!   with a registry snapshot and `PDAC_SEED` on a chaos failure or panic;
+//! * [`history`] — the JSONL perf history (`BENCH_history.jsonl`, the
+//!   `pdac-e2e` rows) with cross-run trend rendering;
+//! * [`openmetrics`] — a registry snapshot in the OpenMetrics text format,
+//!   kept for the benchmark's render probe.
 //!
 //! A process-global instance lives behind [`global()`]; layers that cannot
 //! thread a handle through their API record there.
@@ -32,14 +42,20 @@
 
 pub mod event;
 pub mod export;
+pub mod flight;
 pub mod histogram;
+pub mod history;
+pub mod openmetrics;
 pub mod recorder;
 pub mod registry;
 pub mod snapshot;
 
 pub use event::{ArgValue, Event, EventKind};
 pub use export::{chrome_trace, esc, TraceMeta};
+pub use flight::FlightRecorder;
 pub use histogram::{bucket_bounds, bucket_index, estimate_percentile, LogHistogram};
+pub use history::HistoryEntry;
+pub use openmetrics::to_openmetrics;
 pub use recorder::{Reader, Recorder, Span};
 pub use registry::{Counter, Registry};
 pub use snapshot::{HistogramSnapshot, RegistrySnapshot, SnapshotDiff};

@@ -15,9 +15,9 @@
 //! The output ends with the `# EOF` terminator OpenMetrics requires, so
 //! a scraper can tell a complete exposition from a truncated one.
 //!
-//! [`LogHistogram`]: pdac_telemetry::LogHistogram
+//! [`LogHistogram`]: crate::LogHistogram
 
-use pdac_telemetry::{HistogramSnapshot, RegistrySnapshot};
+use crate::{HistogramSnapshot, RegistrySnapshot};
 
 /// Prefix applied to every exposed metric name, namespacing the process
 /// in shared scrape configs.
@@ -89,7 +89,7 @@ pub fn to_openmetrics(snap: &RegistrySnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdac_telemetry::Registry;
+    use crate::Registry;
 
     #[test]
     fn names_sanitize_onto_the_legal_charset() {

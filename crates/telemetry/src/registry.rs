@@ -64,6 +64,10 @@ impl Registry {
     /// registry's lifetime.
     pub fn counter(&self, name: &str) -> Counter {
         let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        // Look up first: only a name's first use allocates its key.
+        if let Some(c) = inner.counters.get(name) {
+            return c.clone();
+        }
         inner.counters.entry(name.to_string()).or_default().clone()
     }
 

@@ -2,7 +2,7 @@
 //! containing the recent notes, the metrics snapshot, and the
 //! `PDAC_SEED` repro variable.
 
-use pdac_obs::flight;
+use pdac_telemetry::flight;
 
 #[test]
 fn panic_leaves_a_flight_dump_behind() {

@@ -1,8 +1,7 @@
 //! OpenMetrics exposition format contract tests: escaping, histogram
 //! bucket rendering, and counter monotonicity across live snapshots.
 
-use pdac_obs::to_openmetrics;
-use pdac_telemetry::{bucket_bounds, bucket_index, Registry};
+use pdac_telemetry::{bucket_bounds, bucket_index, to_openmetrics, Registry};
 
 #[test]
 fn help_lines_escape_backslash_quote_and_newline() {

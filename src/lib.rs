@@ -8,12 +8,11 @@
 //! * [`mpisim`] — MPI-like runtime, KNEM model, thread executor;
 //! * [`collectives`] — distance-aware topologies, baselines, schedules;
 //! * [`mpi`] — the typed MPI-style session API on top of everything;
-//! * [`telemetry`] — event recorder, metrics registry, trace export
-//!   (the recorder records while a reader holds it);
+//! * [`telemetry`] — event recorder, metrics registry (one name per
+//!   counted fact), trace export, the crash-surviving flight recorder and
+//!   cross-run perf history (the recorder records while a reader holds it);
 //! * [`analyze`] — performance introspection over telemetry artifacts:
-//!   critical-path extraction and sim-vs-real divergence reports;
-//! * [`obs`] — the observability plane: OpenMetrics rendering, the
-//!   crash-surviving flight recorder, and cross-run perf history.
+//!   critical-path extraction and sim-vs-real divergence reports.
 //!
 //! The whole pipeline in a dozen lines — machine, hostile placement,
 //! distance-aware broadcast, simulated timing, byte-exact verification:
@@ -45,6 +44,5 @@ pub use pdac_core as collectives;
 pub use pdac_hwtopo as hwtopo;
 pub use pdac_mpi as mpi;
 pub use pdac_mpisim as mpisim;
-pub use pdac_obs as obs;
 pub use pdac_simnet as simnet;
 pub use pdac_telemetry as telemetry;
