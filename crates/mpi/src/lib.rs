@@ -34,9 +34,16 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 // Rank-indexed loops over parallel per-rank tables read clearer than
 // iterator chains in the tests.
 #![cfg_attr(test, allow(clippy::needless_range_loop))]
+
+// `Session` lends element memory to the executor as little-endian bytes
+// (`Scalar::bytes`); a big-endian host would need a second, byte-swapping
+// path that nothing here tests.
+#[cfg(target_endian = "big")]
+compile_error!("pdac-mpi lends element memory as little-endian bytes: little-endian targets only");
 
 pub mod datatype;
 pub mod scalar;

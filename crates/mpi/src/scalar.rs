@@ -1,4 +1,9 @@
 //! Plain-old-data element types the session API moves.
+//!
+//! On a little-endian host an element's memory *is* its little-endian
+//! encoding, so [`Scalar::bytes`] and [`Scalar::bytes_mut`] view a slice of
+//! elements as the bytes [`Scalar::pack`] would produce, without a copy.
+//! The two views are this crate's only `unsafe`.
 
 /// The concrete numeric kind of a [`Scalar`], used to map typed reduction
 /// operators onto the schedule IR's lane-wise combines.
@@ -21,7 +26,8 @@ pub enum ScalarKind {
 /// A fixed-width element with a defined little-endian byte representation.
 ///
 /// Implemented for the numeric types the typed reduction operators cover.
-pub trait Scalar: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
+/// `Default` is the all-zero element.
+pub trait Scalar: Copy + Default + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// Element width in bytes.
     const WIDTH: usize;
 
@@ -37,12 +43,13 @@ pub trait Scalar: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// Panics if `bytes.len()` is not a multiple of the element width.
     fn unpack(bytes: &[u8]) -> Vec<Self>;
 
-    /// Deserializes little-endian `bytes` over the elements of `out`.
-    ///
-    /// # Panics
-    /// Panics if `bytes.len()` is not a multiple of the element width or
-    /// `out` does not hold exactly `bytes.len() / WIDTH` elements.
-    fn unpack_into(bytes: &[u8], out: &mut [Self]);
+    /// The elements' memory as bytes: equal to `pack(values)`, without a
+    /// copy.
+    fn bytes(values: &[Self]) -> &[u8];
+
+    /// The elements' memory as writable bytes: little-endian encodings
+    /// written here are decoded in place, without a copy.
+    fn bytes_mut(values: &mut [Self]) -> &mut [u8];
 }
 
 /// Splits `bytes` into whole `W`-byte elements.
@@ -68,11 +75,21 @@ macro_rules! impl_scalar {
                 elements(bytes).iter().map(|e| <$t>::from_le_bytes(*e)).collect()
             }
 
-            fn unpack_into(bytes: &[u8], out: &mut [Self]) {
-                let elements = elements(bytes);
-                assert_eq!(elements.len(), out.len(), "target length must match the payload");
-                for (o, e) in out.iter_mut().zip(elements) {
-                    *o = <$t>::from_le_bytes(*e);
+            fn bytes(values: &[Self]) -> &[u8] {
+                // SAFETY: a primitive number has no padding, and `u8` has
+                // alignment 1, so its `size_of_val` bytes are initialized
+                // and readable as `u8`; the view borrows `values`. On a
+                // little-endian host (the only one this crate builds for)
+                // they are `to_le_bytes` of each element in turn.
+                unsafe { std::slice::from_raw_parts(values.as_ptr().cast(), size_of_val(values)) }
+            }
+
+            fn bytes_mut(values: &mut [Self]) -> &mut [u8] {
+                // SAFETY: as in `bytes`; in addition every bit pattern is a
+                // valid value of a primitive number, so any bytes written
+                // through the view leave valid elements behind.
+                unsafe {
+                    std::slice::from_raw_parts_mut(values.as_mut_ptr().cast(), size_of_val(values))
                 }
             }
         }
@@ -114,7 +131,7 @@ mod tests {
         0xfff0_0000_0000_0000,
     ];
 
-    /// `pack`/`unpack`/`unpack_into` against the per-element encoding they
+    /// `pack`/`unpack` against the per-element encoding they
     /// replaced (one `to_le_bytes` copy, one `from_le_bytes` of a
     /// runtime-length chunk per element), compared on bit patterns.
     fn check_conversions<T: Scalar, const W: usize>(
@@ -138,9 +155,6 @@ mod tests {
         prop_assert_eq!(bits(&decoded), bits(&values));
         prop_assert_eq!(bits(&T::unpack(&packed)), bits(&values));
         prop_assert_eq!(bits(&from_bytes::<T>(&packed)), bits(&values));
-        let mut target = vec![from_le([0xa5; W]); values.len()];
-        T::unpack_into(&packed, &mut target);
-        prop_assert_eq!(bits(&target), bits(&values));
         Ok(())
     }
 
@@ -171,11 +185,33 @@ mod tests {
         u8_conversions(u8, |b| b as u8),
     }
 
+    /// The byte views are `pack`'s output, and writing an encoding through
+    /// the mutable view decodes it, for every element type.
+    fn check_views<T: Scalar>(values: Vec<T>) -> Result<(), TestCaseError> {
+        prop_assert_eq!(T::bytes(&values), &T::pack(&values)[..]);
+        let mut target = vec![T::default(); values.len()];
+        T::bytes_mut(&mut target).copy_from_slice(&T::pack(&values));
+        prop_assert_eq!(T::pack(&target), T::pack(&values));
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn byte_views_are_the_packed_encoding(raw in vec(any::<u64>(), 0..=64)) {
+            check_views(raw.iter().map(|&b| f64::from_bits(b)).collect())?;
+            check_views(raw.iter().map(|&b| b as i64).collect())?;
+            check_views(raw.clone())?;
+            check_views(raw.iter().map(|&b| b as u32).collect())?;
+            check_views(raw.iter().map(|&b| b as i32).collect())?;
+            check_views(raw.iter().map(|&b| b as u8).collect())?;
+        }
+    }
+
     #[test]
     fn empty_slices_convert() {
         assert!(u32::pack(&[]).is_empty());
         assert!(f64::unpack(&[]).is_empty());
-        u64::unpack_into(&[], &mut []);
+        assert!(u64::bytes(&[]).is_empty());
     }
 
     #[test]
@@ -188,17 +224,5 @@ mod tests {
     #[should_panic(expected = "element-aligned")]
     fn misaligned_rejected() {
         from_bytes::<u32>(&[0, 1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "element-aligned")]
-    fn misaligned_unpack_into_rejected() {
-        u64::unpack_into(&[0; 12], &mut [0; 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "target length must match")]
-    fn wrong_length_target_rejected() {
-        u32::unpack_into(&[0; 8], &mut [0; 3]);
     }
 }

@@ -7,10 +7,8 @@ use pdac_core::adaptive::{AdaptiveColl, Collective, Request, Sinks};
 use pdac_core::framework::{CollFramework, Component};
 use pdac_core::topocache::TopoCache;
 use pdac_hwtopo::{Binding, BindingPolicy, Machine, TopoError};
-use pdac_mpisim::{
-    Communicator, ExecError, ExecResult, KnemStats, ThreadExecutor, TransportKind,
-};
-use pdac_simnet::{BufId, DataOp, Schedule};
+use pdac_mpisim::{Communicator, ExecError, KnemStats, ThreadExecutor, TransportKind};
+use pdac_simnet::{BufId, DataOp, Rank, Schedule};
 
 use crate::datatype::Datatype;
 use crate::scalar::{Scalar, ScalarKind};
@@ -102,6 +100,10 @@ fn data_op_for(op: ReduceOp, kind: ScalarKind) -> Result<DataOp, MpiError> {
 /// (created by the first collective, joined on drop) and its KNEM device,
 /// and the topology cache every plan goes through. A call is plan → lower →
 /// step the rank cursors on the caller and the woken helpers → collect.
+/// The callers' vectors are the run's buffers: inputs are lent read only
+/// as the send buffers and read in place, and the vectors a call returns
+/// (allocated zeroed) or overwrites are lent as the receive buffers, so
+/// results land where the caller reads them, with no pack or unpack.
 /// Each worker stages through one buffer, taken from a per-call pool, not
 /// a session one: keeping it cost 10 MiB (5 %) of peak RSS on the
 /// bandwidth-bound benchmark workload and bought no measurable time.
@@ -184,25 +186,21 @@ impl Session {
         }
     }
 
-    /// Plans `request` and runs it with per-rank send payloads.
-    fn plan_and_execute(
+    /// Runs a schedule over the callers' memory, recording device stats:
+    /// each `(rank, bytes)` of `inputs` is lent read only as that rank's
+    /// send buffer, each of `outputs` as its receive buffer, written in
+    /// place. A lend is exactly the size the schedule declares.
+    fn execute<'a>(
         &self,
-        request: Request,
-        send: Vec<Vec<u8>>,
-    ) -> Result<ExecResult, MpiError> {
-        self.execute(&self.plan(request), send)
-    }
-
-    /// Runs a schedule on the session's executor; each rank's packed send
-    /// payload is moved into its send buffer. Records device stats.
-    fn execute(&self, schedule: &Schedule, mut send: Vec<Vec<u8>>) -> Result<ExecResult, MpiError> {
-        let result = self.executor.run(schedule, |rank, size| {
-            let mut bytes = send.get_mut(rank).map(std::mem::take).unwrap_or_default();
-            bytes.resize(size.max(bytes.len()), 0);
-            bytes
-        })?;
+        schedule: &Schedule,
+        inputs: impl IntoIterator<Item = (Rank, &'a [u8])>,
+        outputs: impl IntoIterator<Item = (Rank, &'a mut [u8])>,
+    ) -> Result<(), MpiError> {
+        let read = inputs.into_iter().map(|(rank, bytes)| ((rank, BufId::Send), bytes));
+        let write = outputs.into_iter().map(|(rank, bytes)| ((rank, BufId::Recv), bytes));
+        let result = self.executor.run_lent(schedule, read, write)?;
         self.last_knem.set(result.knem_stats);
-        Ok(result)
+        Ok(())
     }
 
     fn check_uniform<T>(&self, bufs: &[Vec<T>], what: &str) -> Result<usize, MpiError> {
@@ -243,15 +241,12 @@ impl Session {
         }
         let bytes = len * T::WIDTH;
         let schedule = self.plan_selected(Request::new(Collective::Bcast, root, bytes));
-        let mut send: Vec<Vec<u8>> = vec![Vec::new(); self.size()];
-        send[root] = T::pack(&bufs[root]);
-        let result = self.execute(&schedule, send)?;
-        for (r, buf) in bufs.iter_mut().enumerate() {
-            if r != root {
-                T::unpack_into(&result.buffer(r, BufId::Recv)[..bytes], buf);
-            }
-        }
-        Ok(())
+        // The root's vector is its send buffer, every other rank's its
+        // receive buffer.
+        let (below, rest) = bufs.split_at_mut(root);
+        let (src, above) = rest.split_first_mut().expect("the root is a rank");
+        let others = below.iter_mut().enumerate().chain((root + 1..).zip(above));
+        self.execute(&schedule, [(root, T::bytes(src))], others.map(|(r, b)| (r, T::bytes_mut(b))))
     }
 
     /// Broadcast of a derived datatype: the selected bytes of the root's
@@ -296,11 +291,9 @@ impl Session {
         }
         let block = len * T::WIDTH;
         let schedule = self.plan_selected(Request::new(Collective::Allgather, 0, block));
-        let send: Vec<Vec<u8>> = contribs.iter().map(|c| T::pack(c)).collect();
-        let result = self.execute(&schedule, send)?;
-        Ok((0..self.size())
-            .map(|r| T::unpack(&result.buffer(r, BufId::Recv)[..block * self.size()]))
-            .collect())
+        let mut out = zeroed(self.size(), len * self.size());
+        self.execute(&schedule, lend(contribs), lend_mut(&mut out))?;
+        Ok(out)
     }
 
     /// Reduce: the root receives the element-wise combination of every
@@ -318,10 +311,10 @@ impl Session {
             return Ok(Vec::new());
         }
         let bytes = len * T::WIDTH;
-        let send: Vec<Vec<u8>> = contribs.iter().map(|c| T::pack(c)).collect();
         let request = Request { op: data_op, ..Request::new(Collective::Reduce, root, bytes) };
-        let result = self.plan_and_execute(request, send)?;
-        Ok(T::unpack(&result.buffer(root, BufId::Recv)[..bytes]))
+        let mut out = vec![T::default(); len];
+        self.execute(&self.plan(request), lend(contribs), [(root, T::bytes_mut(&mut out))])?;
+        Ok(out)
     }
 
     /// Allreduce: every rank receives the combination. Payloads that split
@@ -337,16 +330,15 @@ impl Session {
         if len == 0 {
             return Ok(vec![Vec::new(); self.size()]);
         }
-        let n = self.size();
         let bytes = len * T::WIDTH;
-        let send: Vec<Vec<u8>> = contribs.iter().map(|c| T::pack(c)).collect();
         let request = Request {
             op: data_op,
             allreduce: AdaptiveColl::allreduce_algorithm_choice(&self.comm, bytes, data_op),
             ..Request::new(Collective::Allreduce, 0, bytes)
         };
-        let result = self.plan_and_execute(request, send)?;
-        Ok((0..n).map(|r| T::unpack(&result.buffer(r, BufId::Recv)[..bytes])).collect())
+        let mut out = zeroed(self.size(), len);
+        self.execute(&self.plan(request), lend(contribs), lend_mut(&mut out))?;
+        Ok(out)
     }
 
     /// Reduce-scatter: contributions of `n * block` elements; rank `r`
@@ -371,10 +363,10 @@ impl Session {
         if !block.is_multiple_of(data_op.lane_bytes()) {
             return Err(MpiError::Shape("reduce_scatter: block not lane-aligned".into()));
         }
-        let send: Vec<Vec<u8>> = contribs.iter().map(|c| T::pack(c)).collect();
         let request = Request { op: data_op, ..Request::new(Collective::ReduceScatter, 0, block) };
-        let result = self.plan_and_execute(request, send)?;
-        Ok((0..n).map(|r| T::unpack(&result.buffer(r, BufId::Recv)[..block])).collect())
+        let mut out = zeroed(n, len / n);
+        self.execute(&self.plan(request), lend(contribs), lend_mut(&mut out))?;
+        Ok(out)
     }
 
     /// Gather: the root receives every rank's contribution, concatenated.
@@ -389,9 +381,10 @@ impl Session {
             return Ok(Vec::new());
         }
         let block = len * T::WIDTH;
-        let send: Vec<Vec<u8>> = contribs.iter().map(|c| T::pack(c)).collect();
-        let result = self.plan_and_execute(Request::new(Collective::Gather, root, block), send)?;
-        Ok(T::unpack(&result.buffer(root, BufId::Recv)[..block * self.size()]))
+        let schedule = self.plan(Request::new(Collective::Gather, root, block));
+        let mut out = vec![T::default(); len * self.size()];
+        self.execute(&schedule, lend(contribs), [(root, T::bytes_mut(&mut out))])?;
+        Ok(out)
     }
 
     /// Scatter: the root's `n * block` elements are split; rank `r`
@@ -409,10 +402,10 @@ impl Session {
         if block == 0 {
             return Ok(vec![Vec::new(); n]);
         }
-        let mut send: Vec<Vec<u8>> = vec![Vec::new(); n];
-        send[root] = T::pack(data);
-        let result = self.plan_and_execute(Request::new(Collective::Scatter, root, block), send)?;
-        Ok((0..n).map(|r| T::unpack(&result.buffer(r, BufId::Recv)[..block])).collect())
+        let schedule = self.plan(Request::new(Collective::Scatter, root, block));
+        let mut out = zeroed(n, data.len() / n);
+        self.execute(&schedule, [(root, T::bytes(data))], lend_mut(&mut out))?;
+        Ok(out)
     }
 
     /// Alltoall: each rank's `n * block` elements are personalized; rank
@@ -429,9 +422,10 @@ impl Session {
         if block == 0 {
             return Ok(vec![Vec::new(); n]);
         }
-        let send: Vec<Vec<u8>> = bufs.iter().map(|c| T::pack(c)).collect();
-        let result = self.plan_and_execute(Request::new(Collective::Alltoall, 0, block), send)?;
-        Ok((0..n).map(|r| T::unpack(&result.buffer(r, BufId::Recv)[..block * n])).collect())
+        let schedule = self.plan(Request::new(Collective::Alltoall, 0, block));
+        let mut out = zeroed(n, len);
+        self.execute(&schedule, lend(bufs), lend_mut(&mut out))?;
+        Ok(out)
     }
 
     /// Barrier: completes once every rank has entered (notification
@@ -440,9 +434,23 @@ impl Session {
         if self.size() == 1 {
             return Ok(());
         }
-        self.plan_and_execute(Request::new(Collective::Barrier, 0, 0), Vec::new())?;
-        Ok(())
+        self.execute(&self.plan(Request::new(Collective::Barrier, 0, 0)), [], [])
     }
+}
+
+/// Every rank's vector, lent read only.
+fn lend<T: Scalar>(bufs: &[Vec<T>]) -> impl Iterator<Item = (Rank, &[u8])> {
+    bufs.iter().map(|b| T::bytes(b)).enumerate()
+}
+
+/// Every rank's vector, lent writable.
+fn lend_mut<T: Scalar>(bufs: &mut [Vec<T>]) -> impl Iterator<Item = (Rank, &mut [u8])> {
+    bufs.iter_mut().map(|b| T::bytes_mut(b)).enumerate()
+}
+
+/// `n` vectors of `len` zero elements: what a receive buffer starts as.
+fn zeroed<T: Scalar>(n: usize, len: usize) -> Vec<Vec<T>> {
+    (0..n).map(|_| vec![T::default(); len]).collect()
 }
 
 #[cfg(test)]

@@ -129,3 +129,29 @@ fn nine_collectives_match_the_expected_data() {
         }
     }
 }
+
+/// `Session` lends each caller's vector as a send or receive buffer, and
+/// the executor refuses a lend of another size than the schedule declares.
+/// Every collective, on rank counts that split few sizes evenly, at sizes
+/// on both sides of each component threshold — bcast's and allgather's
+/// 2 KiB, bcast's 16 KiB, the ring allreduce's 256 KiB — runs through and
+/// delivers the expected data.
+#[test]
+fn every_lend_is_the_size_the_schedule_declares() {
+    for n in [2, 3, 7] {
+        let session =
+            Session::new(Arc::new(machines::ig()), BindingPolicy::Contiguous, n).unwrap();
+        let what = format!("igx{n}");
+        for bytes in [8 * n, 2048, 2048 + 8 * n, 16 << 10, (16 << 10) + 8 * n, (256 << 10) + 8 * n] {
+            let mut rng = StdRng::seed_from_u64(45058 ^ bytes as u64);
+            check_all::<i64>(
+                &session,
+                &what,
+                bytes,
+                |_, _| rng.next_u64() as i64,
+                ReduceOp::Sum,
+                i64::wrapping_add,
+            );
+        }
+    }
+}

@@ -1,10 +1,9 @@
 //! NUMA-aware per-rank staging-buffer pools.
 //!
-//! The double-buffered executor stages every copy through a scratch buffer
-//! (read the source under a shared lock, release it, then combine into the
-//! destination under the exclusive lock). Allocating that scratch per
-//! operation would put the allocator on the hot path; this pool keeps
-//! arenas alive across operations instead.
+//! The executor stages every copy through a scratch buffer (copy the source
+//! in, verify it, then combine it into the destination). Allocating that
+//! scratch per operation would put the allocator on the hot path; this
+//! pool keeps arenas alive across operations instead.
 //!
 //! * **Sharding** — one shard per rank (modulo the shard count), so two
 //!   ranks never contend on the same free list and a buffer is reused by

@@ -2,13 +2,13 @@
 //! corruption injection.
 //!
 //! The executor stamps every staged chunk with a checksum computed over the
-//! *source* bytes at `tx` time (while it still holds the source lock, in the
-//! pass that copies them to staging: [`copy_stamped`]) and verifies the
-//! staged copy at completion ([`checksum`]), just before the combine into the
-//! destination. Anything that mutates the bytes in between — the modeled
-//! "wire" — is detected, whichever [`crate::Transport`] backend resolved
-//! the source: the checksum brackets the transfer itself, so KNEM pulls and
-//! RDMA reads are covered by the same invariant.
+//! *source* bytes at `tx` time, in the pass that copies them to staging
+//! ([`copy_stamped`]), and verifies the staged copy at completion
+//! ([`checksum`]), just before the combine into the destination. Anything
+//! that mutates the bytes in between — the modeled "wire" — is detected,
+//! whichever [`crate::Transport`] backend resolved the source: the
+//! checksum brackets the transfer itself, so KNEM pulls and RDMA reads are
+//! covered by the same invariant.
 //!
 //! A verification failure is retryable: the executor re-pulls and re-stages
 //! the chunk under the existing [`crate::RetryPolicy`] (a *verified

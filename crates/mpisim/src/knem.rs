@@ -11,6 +11,8 @@
 //! file keeps what every caller of it names: the error taxonomy, the usage
 //! counters and the injected device failure window.
 
+use pdac_simnet::{BufId, Rank};
+
 use crate::transport::TxToken;
 
 /// KNEM API failures.
@@ -50,6 +52,15 @@ pub enum KnemError {
         /// Checksum of the staged bytes at completion.
         got: u64,
     },
+    /// The transport resolved a pull to another location than the one
+    /// the copy names. Never retried: the executor reads only the range
+    /// the op names, the one the schedule's race check saw.
+    Misrouted {
+        /// `(rank, buffer, offset)` the copy names as its source.
+        named: (Rank, BufId, usize),
+        /// `(rank, buffer, offset)` the transport returned.
+        resolved: (Rank, BufId, usize),
+    },
 }
 
 impl std::fmt::Display for KnemError {
@@ -69,6 +80,10 @@ impl std::fmt::Display for KnemError {
             KnemError::ChecksumMismatch { expected, got } => write!(
                 f,
                 "payload checksum mismatch: stamped {expected:#018x}, staged bytes hash to {got:#018x}"
+            ),
+            KnemError::Misrouted { named, resolved } => write!(
+                f,
+                "transport resolved the pull of {named:?} to {resolved:?}"
             ),
         }
     }

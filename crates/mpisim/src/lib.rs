@@ -22,6 +22,7 @@
 //!   correctness oracle for every collective algorithm in `pdac-core`.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod bufpool;
 pub mod comm;

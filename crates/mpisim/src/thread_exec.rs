@@ -14,6 +14,11 @@
 //! guarantees unordered writes never overlap, the final buffer contents are
 //! deterministic — any divergence between runs or against the expected
 //! collective semantics is a bug in the topology construction, not a race.
+//!
+//! The buffers live in one slot arena, without locks, and
+//! [`ThreadExecutor::run_lent`] runs over the caller's own memory, so the
+//! executor reads inputs in place and writes results where the caller
+//! reads them.
 
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
@@ -21,7 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use pdac_hwtopo::{DistanceMatrix, DIST_MAX_EXTENDED};
 use pdac_simnet::{
     BufId, CorruptionKind, DataOp, FaultPlan, FaultStats, Lowered, Mech, OpKind, Rank, RankFaults,
@@ -37,6 +42,9 @@ use crate::knem::{KnemError, KnemStats};
 use crate::transport::{Transport, TransportKind};
 use crate::workers::Workers;
 
+mod arena;
+use arena::{Arena, Memory};
+
 /// Deadline forced onto runs whose fault plan contains a lethal fault
 /// (crash or dropped notification) when the caller left
 /// [`RetryPolicy::op_deadline`] unset — a chaos run must never hang.
@@ -51,6 +59,26 @@ const IDLE_SPINS: u32 = 32;
 pub enum ExecError {
     /// The schedule failed validation.
     Schedule(ScheduleError),
+    /// A lend passed to [`ThreadExecutor::run_lent`] is not the size the
+    /// schedule declares for its buffer (0 for a buffer it never names).
+    /// Nothing ran.
+    Lend {
+        /// Rank of the lent buffer.
+        rank: Rank,
+        /// The lent buffer.
+        buf: BufId,
+        /// Bytes lent.
+        lent: usize,
+        /// Bytes the schedule declares.
+        declared: usize,
+    },
+    /// [`ThreadExecutor::run_lent`] was lent one buffer twice. Nothing ran.
+    LentTwice {
+        /// Rank of the lent buffer.
+        rank: Rank,
+        /// The lent buffer.
+        buf: BufId,
+    },
     /// A KNEM operation failed after exhausting the retry budget.
     Knem {
         /// Rank whose operation failed.
@@ -130,7 +158,9 @@ impl ExecError {
     /// the `Ok` path of a run does not grow.
     pub fn fault_stats(&self) -> FaultStats {
         match self {
-            ExecError::Schedule(_) => FaultStats::default(),
+            ExecError::Schedule(_) | ExecError::Lend { .. } | ExecError::LentTwice { .. } => {
+                FaultStats::default()
+            }
             ExecError::Knem { fault_stats, .. }
             | ExecError::Timeout { fault_stats, .. }
             | ExecError::StaleEpoch { fault_stats, .. }
@@ -141,7 +171,7 @@ impl ExecError {
     /// Attaches the run's accounting once every cursor has retired.
     fn with_fault_stats(mut self, stats: FaultStats) -> Self {
         match &mut self {
-            ExecError::Schedule(_) => {}
+            ExecError::Schedule(_) | ExecError::Lend { .. } | ExecError::LentTwice { .. } => {}
             ExecError::Knem { fault_stats, .. }
             | ExecError::Timeout { fault_stats, .. }
             | ExecError::StaleEpoch { fault_stats, .. }
@@ -155,6 +185,13 @@ impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecError::Schedule(e) => write!(f, "invalid schedule: {e}"),
+            ExecError::Lend { rank, buf, lent, declared } => write!(
+                f,
+                "rank {rank}'s {buf:?} buffer: {lent} bytes lent, the schedule declares {declared}"
+            ),
+            ExecError::LentTwice { rank, buf } => {
+                write!(f, "rank {rank}'s {buf:?} buffer is lent twice")
+            }
             ExecError::Knem {
                 rank,
                 op,
@@ -232,7 +269,8 @@ impl From<ScheduleError> for ExecError {
     }
 }
 
-/// Final buffer contents plus device statistics.
+/// Final contents of the buffers the run owned, plus device statistics.
+/// A lent buffer is the caller's and is not in the result.
 #[derive(Debug)]
 pub struct ExecResult {
     buffers: HashMap<(Rank, BufId), Vec<u8>>,
@@ -244,8 +282,8 @@ pub struct ExecResult {
     /// Fault-injection and recovery accounting (all zero on a fault-free,
     /// default-policy run).
     pub fault_stats: FaultStats,
-    /// Payload-integrity accounting: every staged chunk is stamped and
-    /// verified, so on any run `stamped == verified + corrupt_detected`.
+    /// Payload-integrity accounting: every copy is stamped and verified,
+    /// so on any run `stamped == verified + corrupt_detected`.
     pub integrity_stats: IntegrityStats,
     /// How dependency waits resolved and what idle workers did meanwhile.
     pub wait_stats: WaitStats,
@@ -273,7 +311,8 @@ pub struct WaitStats {
 }
 
 impl ExecResult {
-    /// Contents of `(rank, buf)` after execution (empty slice if absent).
+    /// Contents of `(rank, buf)` after execution (empty slice if the
+    /// schedule does not declare it, or the caller lent it).
     pub fn buffer(&self, rank: Rank, buf: BufId) -> &[u8] {
         self.buffers
             .get(&(rank, buf))
@@ -453,8 +492,8 @@ struct RunState {
     transport: Arc<dyn Transport>,
     pool: Arc<BufferPool>,
     histograms: Arc<OpHistograms>,
-    /// The dense buffer table, in [`Lowered::bufs`] slot order.
-    buffers: Vec<RwLock<Vec<u8>>>,
+    /// The run's buffers, in [`Lowered::bufs`] slot order.
+    arena: Arena,
     /// One per rank that executes ops, in rank order.
     cursors: Vec<Mutex<Cursor>>,
     /// One flag per op: a completion is one `Release` store.
@@ -594,6 +633,38 @@ impl ThreadExecutor {
         schedule: &Schedule,
         init_send: impl FnMut(Rank, usize) -> Vec<u8>,
     ) -> Result<ExecResult, ExecError> {
+        self.run_over(schedule, init_send, Vec::new())
+    }
+
+    /// Runs `schedule` over the caller's memory, as [`Self::run`] does
+    /// over buffers of its own. `read` lends buffers the run reads in
+    /// place, `write` buffers it reads and writes in place, each keyed by
+    /// `(rank, buffer)`; both start with the caller's bytes. A read lend
+    /// of a buffer some copy writes is copied first, so the caller's bytes
+    /// stay as they were. Buffers nobody lent start zeroed. Lent buffers
+    /// are not in the result.
+    ///
+    /// Every lend must be exactly the size the schedule declares for its
+    /// buffer, or the call fails with [`ExecError::Lend`] before anything
+    /// runs; a buffer lent twice fails it with [`ExecError::LentTwice`].
+    pub fn run_lent<'a>(
+        &self,
+        schedule: &Schedule,
+        read: impl IntoIterator<Item = ((Rank, BufId), &'a [u8])>,
+        write: impl IntoIterator<Item = ((Rank, BufId), &'a mut [u8])>,
+    ) -> Result<ExecResult, ExecError> {
+        let read = read.into_iter().map(|(key, bytes)| (key, Memory::Read(bytes)));
+        let write = write.into_iter().map(|(key, bytes)| (key, Memory::Write(bytes)));
+        self.run_over(schedule, |_, size| vec![0; size], read.chain(write).collect())
+    }
+
+    /// The one path behind [`Self::run`] and [`Self::run_lent`].
+    fn run_over<'a>(
+        &self,
+        schedule: &Schedule,
+        init_send: impl FnMut(Rank, usize) -> Vec<u8>,
+        lends: Vec<((Rank, BufId), Memory<'a>)>,
+    ) -> Result<ExecResult, ExecError> {
         let _run_span = pdac_telemetry::global().recorder().span(
             0,
             "exec",
@@ -606,12 +677,29 @@ impl ThreadExecutor {
             },
         );
         let lowered = schedule.lower(self.config.distances.as_deref())?;
+        let mut lent: Vec<Option<Memory<'a>>> = lowered.bufs().iter().map(|_| None).collect();
+        for ((rank, buf), memory) in lends {
+            let slot = lowered.slot_of(rank, buf);
+            let declared = slot.map_or(0, |s| lowered.bufs()[s].1);
+            if memory.len() != declared {
+                return Err(ExecError::Lend { rank, buf, lent: memory.len(), declared });
+            }
+            if let Some(s) = slot {
+                if lent[s].is_some() {
+                    return Err(ExecError::LentTwice { rank, buf });
+                }
+                lent[s] = Some(match memory {
+                    Memory::Read(bytes) if lowered.written(s) => Memory::Owned(bytes.to_vec()),
+                    memory => memory,
+                });
+            }
+        }
         let schedule = schedule.clone();
         // One run at a time from here to the published deltas: a
         // concurrent run on a shared transport, pool or detector must land
         // neither inside nor across this run's before/after snapshots.
         let mut crew = self.workers.lock();
-        let state = self.run_state(schedule, lowered, init_send);
+        let state = self.run_state(schedule, lowered, init_send, lent);
         let before = Before {
             knem: state.transport.stats(),
             pool: state.pool.stats(),
@@ -632,34 +720,39 @@ impl ThreadExecutor {
         for (w, buf) in crew.run(jobs).into_iter().enumerate() {
             state.pool.release(w, 0, buf);
         }
-        // Buffers come back by ownership, not by copy.
+        // Owned buffers come back by ownership, not by copy; from here on
+        // no worker holds the run state, so no lend is touched again.
         let state = Arc::into_inner(state)
             .expect("every worker released the run state before returning");
         self.collect(state, before)
     }
 
-    /// Builds what the workers of one run share: every declared buffer
-    /// (allocated up front), one cursor per executing rank, the completion
-    /// flags, and the fault plan's per-run derivations.
+    /// Builds what the workers of one run share: the slot arena (each
+    /// declared buffer lent or allocated up front), one cursor per
+    /// executing rank, the completion flags, and the fault plan's per-run
+    /// derivations.
     fn run_state(
         &self,
         schedule: Schedule,
         lowered: Lowered,
         mut init_send: impl FnMut(Rank, usize) -> Vec<u8>,
+        lent: Vec<Option<Memory<'_>>>,
     ) -> RunState {
         let config = &self.config;
-        let buffers = lowered
-            .bufs()
-            .iter()
-            .map(|&((rank, buf), size)| {
+        let memory = lowered.bufs().iter().zip(lent).map(|(&((rank, buf), size), lent)| {
+            lent.unwrap_or_else(|| {
                 let mut data = match buf {
                     BufId::Send => init_send(rank, size),
                     _ => vec![0; size],
                 };
                 data.resize(size, 0);
-                RwLock::new(data)
+                Memory::Owned(data)
             })
-            .collect();
+        });
+        // SAFETY: `run_over` keeps the lends borrowed until it has taken
+        // the run state, arena included, back from every worker (arena
+        // module doc, last point).
+        let arena = unsafe { Arena::new(memory) };
         let faults =
             config.faults.as_ref().map(|p| p.resolve(&schedule, &lowered)).unwrap_or_default();
         // Ranks that execute nothing get no cursor (and no join audit).
@@ -675,7 +768,7 @@ impl ThreadExecutor {
                 .unwrap_or_else(|| TransportKind::Knem.create(None)),
             pool: config.pool.clone().unwrap_or_else(|| Arc::new(BufferPool::new(self.width))),
             histograms: Arc::clone(&self.histograms),
-            buffers,
+            arena,
             done: (0..schedule.ops.len()).map(|_| AtomicBool::new(false)).collect(),
             poisoned: AtomicBool::new(false),
             live: AtomicUsize::new(cursors.len()),
@@ -747,10 +840,9 @@ impl ThreadExecutor {
             return Err(e.with_fault_stats(fault_stats));
         }
 
-        let keys = state.lowered.bufs().iter().map(|&(key, _)| key);
-        let data = state.buffers.into_iter().map(RwLock::into_inner);
+        let keys = state.lowered.bufs();
         Ok(ExecResult {
-            buffers: keys.zip(data).collect(),
+            buffers: state.arena.into_owned().map(|(slot, data)| (keys[slot].0, data)).collect(),
             knem_stats,
             fault_stats,
             integrity_stats: IntegrityStats {
@@ -1039,6 +1131,13 @@ impl Cursor {
                 let fault_stats = Box::default();
                 return Err(ExecError::StaleEpoch { rank, op: id, epoch, fence, seed, fault_stats });
             }
+            // Never retried: a transport that resolves another range is
+            // broken, not flaky, and the bytes it names were never checked
+            // for races.
+            Err(err @ KnemError::Misrouted { .. }) => {
+                let (retries, fault_stats) = (attempt.retries, Box::default());
+                return Err(ExecError::Knem { rank, op: id, err, retries, fault_stats });
+            }
             Err(e) if attempt.retries < policy.max_retries => {
                 attempt.retries += 1;
                 let retries = attempt.retries;
@@ -1190,24 +1289,25 @@ fn combine_f64(dst: &mut [u8], src: &[u8], f: impl Fn(f64, f64) -> f64) {
 }
 
 impl RunState {
-    /// Executes one operation as a two-stage pipelined copy through the
-    /// worker's staging buffer.
+    /// Executes one operation as a two-stage copy through the worker's
+    /// staging buffer; a notification carries no payload.
     ///
-    /// Stage 1 snapshots the source range into staging under the shared
-    /// (read) lock and releases it; stage 2 combines the staged bytes into
-    /// the destination under the exclusive (write) lock. The source lock is
-    /// never held across the destination write, so two locks are never held
-    /// at once — no ordering discipline, no same-buffer aliasing special
-    /// cases.
+    /// A one-sided copy first runs the transport's register → tx →
+    /// complete protocol (KNEM cookie pull, RDMA read WQEs). The op fails
+    /// with [`KnemError::Misrouted`] unless the transport resolved exactly
+    /// the source range the op names: that range is what the race check
+    /// saw.
     ///
-    /// The two stages bracket the integrity check: the source bytes are
-    /// stamped with a checksum while the read lock is held, and the staged
-    /// copy is verified just before the combine. Any damage in between — the
-    /// modeled wire, a reused staging buffer, an injected corruption —
-    /// returns [`KnemError::ChecksumMismatch`] without touching the
-    /// destination, and the retry loop re-pulls the chunk. This holds for
-    /// every transport backend, because each of them only *resolves* the
-    /// source location; the bytes always move through this staging path.
+    /// Stage 1 copies the source range into staging, stamping it with a
+    /// checksum in the same pass ([`integrity::copy_stamped`]); stage 2
+    /// combines the staged bytes into the destination. The two stages
+    /// never hold slices at once, so a copy whose source and destination
+    /// overlap in one buffer moves like `memmove`. They bracket the
+    /// integrity check: the fault plan's damage hits the staged bytes, and
+    /// the staged copy is verified just before the combine, so a
+    /// corruption returns [`KnemError::ChecksumMismatch`] without touching
+    /// the destination and the retry loop re-pulls the chunk — whichever
+    /// backend resolved the source.
     fn execute_op(
         &self,
         rank: Rank,
@@ -1222,39 +1322,33 @@ impl RunState {
         else {
             return Ok(()); // Notifications carry no payload.
         };
-        let (class, [src, dst]) = (self.lowered.class(id), self.lowered.copy_slots(id));
-
-        // One-sided copies run the transport's register -> tx -> complete
-        // protocol (KNEM cookie pull, RDMA read WQEs); the backend validates
-        // the region and returns the absolute source location — a slot
-        // lookup only if it is not the buffer the op named.
-        let (src, src_off) = match mech {
-            Mech::Knem => {
-                let epoch = self.config.epoch;
-                let (r, b, off) =
-                    self.transport.pull(src_rank, src_buf, src_off, bytes, epoch, dst_rank)?;
-                let slot = if (r, b) == (src_rank, src_buf) { Some(src) } else { self.lowered.slot_of(r, b) };
-                (slot.expect("the transport resolved a buffer the schedule declares"), off)
+        if mech == Mech::Knem {
+            let (named, epoch) = ((src_rank, src_buf, src_off), self.config.epoch);
+            let resolved = self.transport.pull(src_rank, src_buf, src_off, bytes, epoch, dst_rank)?;
+            if resolved != named {
+                return Err(KnemError::Misrouted { named, resolved });
             }
-            Mech::Memcpy => (src, src_off),
-        };
-
-        let telemetry = pdac_telemetry::global();
-        let staging = &mut staging[..bytes];
-        let expected;
-        {
-            let _read_span = telemetry.recorder().span(
+        }
+        let [src, dst] = self.lowered.copy_slots(id);
+        let (telemetry, class) = (pdac_telemetry::global(), self.lowered.class(id));
+        let stage_span = |what: &str| {
+            telemetry.recorder().span(
                 rank as u64,
                 "stage",
-                || format!("stage.read {bytes}B"),
+                || format!("stage.{what} {bytes}B"),
                 || vec![("bytes", bytes.into()), ("dist", (class as u64).into())],
-            );
-            let src = self.buffers[src].read();
-            let src_bytes = &src[src_off..src_off + bytes];
-            // Stamp under the source lock, in the same pass as the copy: the
-            // checksum describes exactly what the owner held when it began.
-            expected = integrity::copy_stamped(staging, src_bytes);
-        }
+            )
+        };
+        let staging = &mut staging[..bytes];
+        let expected = {
+            let _read_span = stage_span("read");
+            // Stamped in the pass that copies: the checksum describes
+            // exactly what the owner held when the pull began.
+            // SAFETY: the race check and the dependency flags order every
+            // writer of this range; the transport resolved the named source
+            // (arena module doc).
+            unsafe { self.arena.read(src, src_off, bytes, |s| integrity::copy_stamped(staging, s)) }
+        };
         faults.checksums_stamped += 1;
         if let Some(damage) = damage {
             // The staged copy *is* the modeled wire: damage applied here is
@@ -1263,10 +1357,27 @@ impl RunState {
             let seed = self.seed().unwrap_or_default();
             integrity::corrupt_payload(damage, staging, seed, rank, id as u64);
         }
-        let got = integrity::checksum(staging);
+        self.verify(rank, bytes, expected, integrity::checksum(staging), faults)?;
+        let _write_span = stage_span("write");
+        // SAFETY: the race check and the dependency flags order every other
+        // op touching this range (arena module doc).
+        unsafe { self.arena.write(dst, dst_off, bytes, |d| apply_data_op(data_op, d, staging)) };
+        Ok(())
+    }
+
+    /// Compares a chunk's checksum at completion, `got`, with its stamp,
+    /// counting the verdict and tracing a mismatch.
+    fn verify(
+        &self,
+        rank: Rank,
+        bytes: usize,
+        expected: u64,
+        got: u64,
+        faults: &mut FaultStats,
+    ) -> Result<(), KnemError> {
         if got != expected {
             faults.corrupt_detected += 1;
-            telemetry.recorder().instant(
+            pdac_telemetry::global().recorder().instant(
                 rank as u64,
                 "corrupt",
                 || format!("checksum mismatch ({bytes}B chunk)"),
@@ -1281,17 +1392,12 @@ impl RunState {
             return Err(KnemError::ChecksumMismatch { expected, got });
         }
         faults.checksums_verified += 1;
-        let _write_span = telemetry.recorder().span(
-            rank as u64,
-            "stage",
-            || format!("stage.write {bytes}B"),
-            || vec![("bytes", bytes.into()), ("dist", (class as u64).into())],
-        );
-        let mut dst = self.buffers[dst].write();
-        apply_data_op(data_op, &mut dst[dst_off..dst_off + bytes], staging);
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod random_schedules;
 
 #[cfg(test)]
 mod tests {
@@ -1654,6 +1760,150 @@ mod tests {
         for run in 1..20 {
             assert_eq!(order(), first, "run {run} picked another order");
         }
+    }
+
+    /// A KNEM transport that resolves every pull `shift` bytes past the
+    /// range the copy names.
+    #[derive(Debug)]
+    struct Misroute {
+        inner: Arc<dyn Transport>,
+        shift: usize,
+    }
+
+    impl Transport for Misroute {
+        fn name(&self) -> &'static str {
+            "misroute"
+        }
+        fn register(
+            &self,
+            rank: Rank,
+            buf: BufId,
+            offset: usize,
+            len: usize,
+            epoch: u64,
+        ) -> Result<crate::TxToken, crate::TransportError> {
+            self.inner.register(rank, buf, offset, len, epoch)
+        }
+        fn tx(
+            &self,
+            token: crate::TxToken,
+            peer: Rank,
+            offset: usize,
+            len: usize,
+        ) -> Result<(Rank, BufId, usize), crate::TransportError> {
+            let (rank, buf, off) = self.inner.tx(token, peer, offset, len)?;
+            Ok((rank, buf, off + self.shift))
+        }
+        fn complete(&self, token: crate::TxToken) -> Result<(), crate::TransportError> {
+            self.inner.complete(token)
+        }
+        fn fence_epochs_below(&self, min_valid_epoch: u64) {
+            self.inner.fence_epochs_below(min_valid_epoch);
+        }
+        fn fenced_messages(&self) -> u64 {
+            self.inner.fenced_messages()
+        }
+        fn stats(&self) -> KnemStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn a_pull_resolved_elsewhere_fails_its_op_without_copying() {
+        // Rank 1 copies its own bytes, then pulls from rank 0 through a
+        // transport that resolves 8 bytes past the named range (still
+        // inside rank 0's buffer, so only the executor's check stops it).
+        let mut b = ScheduleBuilder::new("t", 2);
+        let first = b.copy((1, BufId::Send, 0), (1, BufId::Recv, 64), 64, Mech::Memcpy, 1, &[]);
+        let pull = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 64, Mech::Knem, 1, &[first]);
+        b.copy((0, BufId::Send, 64), (0, BufId::Temp(0), 0), 8, Mech::Memcpy, 0, &[]);
+        let schedule = b.finish();
+        let shift = Misroute { inner: TransportKind::Knem.create(None), shift: 8 };
+        let exec = ThreadExecutor::with_transport(Arc::new(shift)).with_policy(RetryPolicy::chaos());
+        let (send, mut recv) = (pattern(0, 72), vec![0xaa; 128]);
+        let err = exec
+            .run_lent(&schedule, [((0, BufId::Send), &send[..])], [((1, BufId::Recv), &mut recv[..])])
+            .unwrap_err();
+        match &err {
+            ExecError::Knem { rank: 1, op, err: KnemError::Misrouted { named, resolved }, retries: 0, .. } => {
+                assert_eq!(*op, pull, "the error names the op");
+                assert_eq!((*named, *resolved), ((0, BufId::Send, 0), (0, BufId::Send, 8)));
+            }
+            other => panic!("expected a misrouted pull, got {other}"),
+        }
+        assert!(err.to_string().contains(&format!("op {pull}")), "{err}");
+        assert!(recv[..64].iter().all(|&b| b == 0xaa), "nothing was copied for the op");
+    }
+
+    #[test]
+    fn copies_overlapping_themselves_have_memmove_semantics_owned_or_lent() {
+        // Rank 0 fills its receive buffer, then copies within it forward
+        // (destination above the source) and backward, each copy sharing
+        // 48 of its 64 bytes with its own source.
+        let mut b = ScheduleBuilder::new("t", 1);
+        let fill = b.copy((0, BufId::Send, 0), (0, BufId::Recv, 0), 128, Mech::Memcpy, 0, &[]);
+        let fwd = b.copy((0, BufId::Recv, 8), (0, BufId::Recv, 24), 64, Mech::Memcpy, 0, &[fill]);
+        b.copy((0, BufId::Recv, 40), (0, BufId::Recv, 24), 64, Mech::Knem, 0, &[fwd]);
+        let schedule = b.finish();
+        let mut want = pattern(0, 128);
+        want.copy_within(8..72, 24);
+        want.copy_within(40..104, 24);
+
+        let exec = ThreadExecutor::new();
+        let owned = exec.run(&schedule, pattern).unwrap();
+        assert_eq!(owned.buffer(0, BufId::Recv), &want[..], "owned");
+        let (send, mut recv) = (pattern(0, 128), vec![0; 128]);
+        let lent = exec
+            .run_lent(&schedule, [((0, BufId::Send), &send[..])], [((0, BufId::Recv), &mut recv[..])])
+            .unwrap();
+        assert_eq!(recv, want, "lent");
+        assert!(lent.buffer(0, BufId::Recv).is_empty(), "a lent buffer is the caller's");
+        assert_eq!(lent.integrity_stats.verified, 3);
+    }
+
+    #[test]
+    fn malformed_lends_are_refused_before_running() {
+        let mut b = ScheduleBuilder::new("t", 2);
+        b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 64, Mech::Memcpy, 1, &[]);
+        let schedule = b.finish();
+        let (send, mut recv) = (pattern(0, 64), vec![7; 65]);
+        let exec = ThreadExecutor::new();
+        let err = exec
+            .run_lent(&schedule, [((0, BufId::Send), &send[..])], [((1, BufId::Recv), &mut recv[..])])
+            .unwrap_err();
+        let want = ExecError::Lend { rank: 1, buf: BufId::Recv, lent: 65, declared: 64 };
+        assert_eq!(err, want);
+        assert!(recv.iter().all(|&b| b == 7), "nothing ran");
+        // A buffer the schedule never names is declared 0 bytes.
+        let err = exec.run_lent(&schedule, [((1, BufId::Send), &send[..])], []).unwrap_err();
+        assert_eq!(err, ExecError::Lend { rank: 1, buf: BufId::Send, lent: 64, declared: 0 });
+        // A buffer lent twice, read-only and writable alike: the shadowed
+        // lend would never be written.
+        let (mut first, mut second) = (vec![7; 64], vec![7; 64]);
+        let write = [((1, BufId::Recv), &mut first[..]), ((1, BufId::Recv), &mut second[..])];
+        let err = exec.run_lent(&schedule, [], write).unwrap_err();
+        assert_eq!(err, ExecError::LentTwice { rank: 1, buf: BufId::Recv });
+        let read = [((0, BufId::Send), &send[..]), ((0, BufId::Send), &send[..])];
+        let err = exec.run_lent(&schedule, read, []).unwrap_err();
+        assert_eq!(err, ExecError::LentTwice { rank: 0, buf: BufId::Send });
+        assert!(first.iter().chain(&second).all(|&b| b == 7), "nothing ran");
+    }
+
+    #[test]
+    fn a_read_lend_of_a_written_buffer_is_copied_and_left_as_lent() {
+        // Rank 0's send buffer is read by rank 1, then overwritten from
+        // rank 1's send buffer.
+        let mut b = ScheduleBuilder::new("t", 2);
+        let a = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 64, Mech::Knem, 1, &[]);
+        b.copy((1, BufId::Send, 0), (0, BufId::Send, 0), 64, Mech::Memcpy, 0, &[a]);
+        let schedule = b.finish();
+        let (mine, theirs) = (pattern(0, 64), pattern(1, 64));
+        let read = [((0, BufId::Send), &mine[..]), ((1, BufId::Send), &theirs[..])];
+        let res = ThreadExecutor::new().run_lent(&schedule, read, []).unwrap();
+        assert_eq!(mine, pattern(0, 64), "the caller's bytes are untouched");
+        assert_eq!(res.buffer(1, BufId::Recv), &pattern(0, 64)[..]);
+        assert_eq!(res.buffer(0, BufId::Send), &pattern(1, 64)[..], "the copy was written");
+        assert!(res.buffer(1, BufId::Send).is_empty(), "an unwritten read lend stays lent");
     }
 
     #[test]

@@ -81,7 +81,8 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
     /// Performs the data movement of `len` bytes starting `offset` bytes
     /// into the registered transfer, initiated by `peer` (the pulling
     /// rank). Returns the absolute `(rank, buf, byte offset)` source
-    /// location the caller stages the bytes from.
+    /// location the caller copies the bytes from; the executor fails the
+    /// op unless it is exactly the location the op names.
     fn tx(
         &self,
         token: TxToken,

@@ -1,18 +1,24 @@
 //! The executor's worker pool: the calling thread plus parked helpers.
 //!
 //! A [`Workers`] pool owns named helper threads. A run locks the pool,
-//! hands job `i >= 1` to helper `i` (spawning helpers the pool does not
-//! have yet), runs job 0 on the calling thread, and returns once every job
-//! has returned. Helpers park in a blocking channel receive between runs
+//! spawns the helpers it does not have yet, hands job `i >= 1` to helper
+//! `i`, runs job 0 on the calling thread, and returns once every job has
+//! returned. Helpers park in a blocking channel receive between runs
 //! and are joined when the pool is dropped; concurrent callers take turns
 //! at the lock.
 //!
-//! No crate here uses `unsafe`, so a helper cannot run a closure borrowing
-//! the caller's stack: jobs are owned values (`J: 'static`) and the work
-//! function consumes them, which releases whatever a job shares with the
-//! caller *before* its outcome is reported — the caller can then take
-//! sole ownership of the shared state back.
+//! A helper does not run a closure borrowing the caller's stack: jobs are
+//! owned values (`J: 'static`) and the work function consumes them, which
+//! releases whatever a job shares with the caller *before* its outcome is
+//! reported — the caller can then take sole ownership of the shared state
+//! back. Every helper a run needs exists before its first job is handed
+//! out, so a refused spawn unwinds before any job has started; and a job's
+//! panic is re-raised on the caller only after every job of the run has
+//! returned. Nothing of a run therefore outlives [`Crew::run`], whether it
+//! returns or unwinds: the executor's slot arena, which lends the caller's
+//! memory to the run, rests on that.
 
+use std::io;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
@@ -65,22 +71,22 @@ impl<J: Send + 'static, R: Send + 'static> Crew<'_, J, R> {
     /// if a job panicked, the first payload is re-raised here instead.
     pub fn run(&mut self, jobs: Vec<J>) -> Vec<R> {
         let set = &mut *self.set;
+        // All helpers first: if the OS refuses one, this unwinds while no
+        // job of the run has been handed out.
+        while set.threads.len() + 1 < jobs.len() {
+            let (job_tx, job_rx) = mpsc::channel();
+            let (done, work) = (set.done_tx.clone(), self.work);
+            let handle = spawn_helper(set.threads.len() + 1, move || helper(job_rx, done, work))
+                .expect("the OS refused a worker thread");
+            set.threads.push((job_tx, handle));
+        }
         let mut jobs = jobs.into_iter();
         let Some(own) = jobs.next() else {
             return Vec::new();
         };
         let mut sent = 0;
-        for (i, job) in jobs.enumerate() {
-            if i == set.threads.len() {
-                let (job_tx, job_rx) = mpsc::channel();
-                let (done, work) = (set.done_tx.clone(), self.work);
-                let handle = std::thread::Builder::new()
-                    .name(format!("pdac-worker-{}", i + 1))
-                    .spawn(move || helper(job_rx, done, work))
-                    .expect("the OS refused a worker thread");
-                set.threads.push((job_tx, handle));
-            }
-            set.threads[i].0.send(job).expect("helpers only exit when the pool is dropped");
+        for ((job_tx, _), job) in set.threads.iter().zip(jobs) {
+            job_tx.send(job).expect("helpers only exit when the pool is dropped");
             sent += 1;
         }
         let work = self.work;
@@ -99,6 +105,15 @@ impl<J, R> Workers<J, R> {
     pub fn threads(&self) -> usize {
         self.set.lock().threads.len()
     }
+}
+
+/// Starts helper `i`'s thread.
+fn spawn_helper(i: usize, body: impl FnOnce() + Send + 'static) -> io::Result<JoinHandle<()>> {
+    #[cfg(test)]
+    if tests::REFUSED_SPAWN.get() == Some(i) {
+        return Err(io::Error::other("spawn refused by the test"));
+    }
+    std::thread::Builder::new().name(format!("pdac-worker-{i}")).spawn(body)
 }
 
 fn helper<J, R>(jobs: Receiver<J>, done: Sender<Outcome<R>>, work: fn(J) -> R) {
@@ -140,7 +155,14 @@ impl<J, R> std::fmt::Debug for Workers<J, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Barrier};
+
+    thread_local! {
+        /// The helper whose spawn fails, for runs started on this thread.
+        pub(super) static REFUSED_SPAWN: Cell<Option<usize>> = const { Cell::new(None) };
+    }
 
     fn double(x: u64) -> u64 {
         if x == u64::MAX {
@@ -212,5 +234,35 @@ mod tests {
             }
         });
         assert_eq!(workers.threads(), 1);
+    }
+
+    /// A job that counts itself in when it starts and while it runs.
+    fn tally((running, started): (Arc<AtomicUsize>, Arc<AtomicUsize>)) {
+        started.fetch_add(1, Ordering::SeqCst);
+        running.fetch_add(1, Ordering::SeqCst);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        running.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    #[test]
+    fn a_refused_spawn_unwinds_before_any_job_starts() {
+        let workers = Workers::new(tally);
+        let (running, started) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let jobs = || (0..4).map(|_| (Arc::clone(&running), Arc::clone(&started))).collect();
+        // Helper 1 spawns, helper 2 is refused.
+        REFUSED_SPAWN.set(Some(2));
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| workers.lock().run(jobs())))
+            .expect_err("the refused spawn reaches the caller");
+        REFUSED_SPAWN.set(None);
+        assert!(caught.downcast_ref::<String>().is_some_and(|m| m.contains("refused a worker")));
+        assert_eq!(running.load(Ordering::SeqCst), 0, "no job outlives the run");
+        // A job handed to the helper that did spawn would start by now.
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert_eq!(started.load(Ordering::SeqCst), 0, "no job was handed out");
+        assert_eq!(workers.threads(), 1);
+        // The next run grows the pool and sees no outcome of the failed one.
+        assert_eq!(workers.lock().run(jobs()).len(), 4);
+        assert_eq!(started.load(Ordering::SeqCst), 4);
+        assert_eq!(workers.threads(), 3);
     }
 }

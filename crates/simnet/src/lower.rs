@@ -4,8 +4,8 @@
 //! keeps what that pass found: every buffer reference resolved to a slot of
 //! a flat, key-ordered buffer table. It then adds the indexes the executors
 //! step by — one op stream per executing rank, each op's dependents, each
-//! op's distance class and the largest copy — so executing an op hashes
-//! and looks up nothing.
+//! op's distance class, the largest copy and which slots some copy
+//! writes — so executing an op hashes and looks up nothing.
 
 use pdac_hwtopo::DistanceMatrix;
 
@@ -34,6 +34,8 @@ pub struct Lowered {
     dependents: Vec<OpId>,
     dependents_start: Vec<usize>,
     max_copy: usize,
+    /// Per slot: whether some copy writes it.
+    written: Vec<bool>,
 }
 
 impl Schedule {
@@ -47,6 +49,12 @@ impl Schedule {
         let (rank_start, stream) = group_by_key(self.num_ranks, by_executor);
         let by_dep = (0..self.ops.len()).flat_map(|id| self.deps(id).iter().map(move |&d| (d, id)));
         let (dependents_start, dependents) = group_by_key(self.ops.len(), by_dep);
+        let mut written = vec![false; bufs.len()];
+        for (op, &[_, dst]) in self.ops.iter().zip(&slots) {
+            if let OpKind::Copy { .. } = op.kind {
+                written[dst] = true;
+            }
+        }
         Ok(Lowered {
             bufs,
             slots,
@@ -56,6 +64,7 @@ impl Schedule {
             dependents,
             dependents_start,
             max_copy: self.ops.iter().map(|op| op.kind.bytes()).max().unwrap_or(0),
+            written,
         })
     }
 }
@@ -97,6 +106,11 @@ impl Lowered {
     /// buffer must hold.
     pub fn max_copy(&self) -> usize {
         self.max_copy
+    }
+
+    /// Whether some copy writes `slot`.
+    pub fn written(&self, slot: usize) -> bool {
+        self.written[slot]
     }
 }
 
@@ -178,5 +192,9 @@ mod tests {
         assert_eq!(p.slot_of(0, BufId::Recv), None);
         assert_eq!(p.copy_slots(n), [usize::MAX; 2]);
         assert!((0..5).all(|id| p.class(id) == 0), "no matrix, class 0");
+
+        // Rank 0's send buffer is only read; every destination is written.
+        let written: Vec<bool> = (0..p.bufs().len()).map(|s| p.written(s)).collect();
+        assert_eq!(written, [false, true, true, true]);
     }
 }

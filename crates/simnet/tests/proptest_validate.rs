@@ -297,6 +297,16 @@ fn lowering_agrees(s: &Schedule) -> Result<(), proptest::test_runner::TestCaseEr
     }
     let largest = s.ops.iter().map(|op| op.kind.bytes()).max().unwrap_or(0);
     prop_assert_eq!(lowered.max_copy(), largest);
+    // A slot is written iff some copy names it as its destination.
+    let mut written = vec![false; lowered.bufs().len()];
+    for (id, op) in s.ops.iter().enumerate() {
+        if let OpKind::Copy { .. } = op.kind {
+            written[lowered.copy_slots(id)[1]] = true;
+        }
+    }
+    for (slot, &w) in written.iter().enumerate() {
+        prop_assert_eq!(lowered.written(slot), w, "slot {}", slot);
+    }
     Ok(())
 }
 
