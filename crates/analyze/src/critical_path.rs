@@ -216,11 +216,6 @@ impl CriticalPathReport {
         }
     }
 
-    /// The mechanism bucket of the largest on-path contribution, if any.
-    pub fn dominant_mech(&self) -> Option<&str> {
-        self.by_mech.first().map(|r| r.key.as_str())
-    }
-
     /// Serializes to pretty-printed JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serializes")

@@ -26,8 +26,8 @@
 //!   follow the plan" answer.
 //!
 //! [`trace_io`] re-parses exported Chrome Trace JSON back into events, so
-//! all of these run either in-process (`pdac-trace run`) or offline over
-//! saved artifacts (`pdac-trace analyze`).
+//! all of these run either in-process (`pdac trace run`) or offline over
+//! saved artifacts (`pdac trace analyze`).
 
 #![warn(missing_docs)]
 

@@ -1,8 +1,8 @@
 //! Re-parsing exported Chrome Trace JSON back into [`Event`]s.
 //!
-//! The exporter's output is the long-lived artifact — `pdac-trace run`
+//! The exporter's output is the long-lived artifact — `pdac trace run`
 //! writes `trace_real.json` / `trace_sim.json` to disk and a later
-//! `pdac-trace analyze` (as CI's explain-audit job runs it) must reconstruct the op graph
+//! `pdac trace analyze` (as CI's explain-audit job runs it) must reconstruct the op graph
 //! from nothing else. The parser is deliberately lenient: metadata rows
 //! and unknown phases are skipped, unknown argument keys are dropped, and
 //! unknown categories map to a generic `"trace"` — the analyzer only

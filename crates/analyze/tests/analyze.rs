@@ -61,7 +61,7 @@ fn divergence_of_a_saved_leg_against_itself_flags_nothing() {
     let report = exec.run(&schedule).expect("simulation runs");
 
     let dist = DistanceMatrix::for_binding(comm.machine(), comm.binding());
-    // Sim leg: the simulator's events, as `pdac-trace` feeds them. "Real"
+    // Sim leg: the simulator's events, as `pdac trace` feeds them. "Real"
     // leg: the same events out to a trace file and back. Identical timings
     // up to export rounding, so nothing may flag.
     let events = sim_events_with_distances(&schedule, &report, Some(&dist));
@@ -91,7 +91,7 @@ fn exported_trace_reanalyzes_to_the_same_critical_path() {
     let events = sim_events_with_distances(&schedule, &report, Some(&dist));
     let direct = CriticalPathReport::extract(&OpGraph::from_events(&events));
 
-    // Round-trip through the exported artifact, as `pdac-trace analyze`
+    // Round-trip through the exported artifact, as `pdac trace analyze`
     // and the CI gate do.
     let json = chrome_trace(&events, &TraceMeta::sim().with_ranks(comm.size()));
     let reparsed = events_from_chrome_trace(&json).expect("trace parses");

@@ -1,6 +1,6 @@
 //! The canonical scenario matrix and its exact oracle.
 //!
-//! `pdac-bench gate` runs a canonical scenario matrix — bcast / allgather /
+//! `pdac gate` runs a canonical scenario matrix — bcast / allgather /
 //! allreduce at small and large sizes, contiguous and cross-socket
 //! placements, across the hwtopo machine set — through the timing
 //! simulator and writes one line per scenario to `results/gate.txt`
@@ -9,6 +9,12 @@
 //! again and fails on the first line that differs. A change that means to
 //! move a simulated number regenerates the file and commits it with the
 //! change.
+//!
+//! `pdac audit` runs the same matrix with a provenance recorder attached to
+//! each plan and joins the executed sim leg back against it: any
+//! unexplained, missing, mismatched or re-ordered op fails it. It writes
+//! `BENCH_provenance.json` (the decision records), `BENCH_conformance.json`
+//! (per-scenario verdicts) and `BENCH_explain.txt` (the explain reports).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -244,6 +250,46 @@ pub fn run_gate_scenarios() -> (Vec<ScenarioResult>, Vec<ScenarioAudit>) {
     canonical_scenarios().iter().map(run_scenario).unzip()
 }
 
+/// `pdac gate`: the matrix, written to `results/gate.txt`.
+pub fn write_table() -> Result<(), String> {
+    eprintln!("running {} gate scenarios...", canonical_scenarios().len());
+    let (rows, _) = run_gate_scenarios();
+    crate::write_file("results/gate.txt", &render_table(&rows))
+}
+
+/// `pdac audit`: the matrix against its plans, artifacts in `out_dir`.
+/// Fails when a scenario does not conform.
+pub fn audit(out_dir: &str) -> Result<(), String> {
+    eprintln!("auditing {} gate scenarios against their plans...", canonical_scenarios().len());
+    let (_, audits) = run_gate_scenarios();
+    let conformance: Vec<_> = audits.iter().map(|a| &a.conformance).collect();
+    let mut explain = String::new();
+    for a in &audits {
+        let (plan, verdict) = (a.provenance.explain(), a.conformance.render());
+        let _ = write!(explain, "=== {} ===\n{plan}{verdict}\n", a.id);
+    }
+    for (name, body) in [
+        ("BENCH_provenance.json", serde_json::to_string_pretty(&audits).expect("serializes")),
+        ("BENCH_conformance.json", serde_json::to_string_pretty(&conformance).expect("serializes")),
+        ("BENCH_explain.txt", explain),
+    ] {
+        crate::write_file(std::path::Path::new(out_dir).join(name), &body)?;
+    }
+
+    let failed: Vec<&ScenarioAudit> = audits.iter().filter(|a| !a.passed()).collect();
+    for a in &failed {
+        print!("{}", a.conformance.render());
+        println!("  FAIL {}", a.id);
+    }
+    if failed.is_empty() {
+        let n = audits.len();
+        println!("audit: PASS ({n} scenarios, every executed op explained by its plan)");
+        Ok(())
+    } else {
+        Err(format!("audit failed: {} of {} scenarios", failed.len(), audits.len()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,7 +330,7 @@ mod tests {
     #[test]
     fn audited_scenarios_conform_and_explain_their_decisions() {
         // The cheap slice here; the full 44-scenario matrix is audited in
-        // the integration test and the `pdac-bench audit` binary.
+        // the integration test and the `pdac audit` subcommand.
         let scenarios: Vec<Scenario> = canonical_scenarios()
             .into_iter()
             .filter(|s| s.machine == "zoot" && s.bytes <= 16 << 10)

@@ -1,96 +1,30 @@
-//! # pdac-bench — figure regeneration harness
+//! # pdac-bench — the bodies of the `pdac` binary's experiment subcommands
 //!
-//! One binary per figure of the paper's evaluation (`fig2`, `fig4`, `fig5`,
-//! `fig6`, `fig7`, `fig8`), the extension experiments (`ablation`,
-//! `cluster`, `scaling`, `future`, `tune`, `trace`), and Criterion
-//! micro-benchmarks for the construction overhead the paper discusses in
-//! §V-B.
+//! - [`figures`]: one [`figures::Figure`] per figure of the paper's
+//!   evaluation (`fig2`, `fig4`–`fig8`) and per extension that sweeps like
+//!   one (`future`, `cluster`). Each sweeps the message sizes through the
+//!   timing simulator, prints the table and an ASCII rendition of the plot,
+//!   writes machine-readable JSON under `results/`, and states the paper's
+//!   claims once as a function of the series it swept.
+//! - [`claims`]: the claims as one table, `results/claims.txt`.
+//! - [`gate`]: the canonical scenario matrix, its exact table and its
+//!   plan-conformance audit.
+//! - [`trace`]: one collective on both executors with telemetry.
+//! - [`extensions`]: ablations, the construction scaling study and the
+//!   component auto-tuner.
 //!
-//! Each figure binary sweeps the paper's message sizes, runs every curve
-//! through the timing simulator, prints the table and an ASCII rendition of
-//! the plot, checks the paper's qualitative claims (who wins, by what
-//! factor, where the crossovers sit) and writes machine-readable JSON under
-//! `results/`.
+//! Criterion micro-benchmarks under `benches/` time the construction
+//! overhead the paper discusses in §V-B.
 
 #![warn(missing_docs)]
 
+pub mod claims;
+pub mod extensions;
+pub mod figures;
 pub mod gate;
+pub mod trace;
 
-use std::sync::Arc;
-
-use pdac_hwtopo::{Binding, BindingPolicy, Machine};
-use pdac_mpisim::Communicator;
-use pdac_simnet::{Schedule, Series, SimConfig, SimExecutor, SweepPoint};
-
-/// How a figure converts completion time into the plotted bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BwKind {
-    /// Broadcast: `(N-1) * S / t`.
-    Bcast,
-    /// Allgather: `N * (N-1) * S / t`.
-    Allgather,
-}
-
-/// Builds the schedule of one curve for one message size.
-pub type CurveBuilder<'a> = Box<dyn Fn(&Communicator, usize) -> Schedule + 'a>;
-
-/// One curve of a figure: a label, a placement, and a schedule builder.
-pub struct Curve<'a> {
-    /// Curve label as it appears in the paper's legend.
-    pub label: String,
-    /// Placement policy for this curve.
-    pub policy: BindingPolicy,
-    /// Builds the schedule for one message size.
-    pub build: CurveBuilder<'a>,
-}
-
-/// Sweeps `sizes` for every curve on `machine` with `ranks` ranks.
-///
-/// `off_cache` disables cache-route reuse, matching the IMB `off-cache`
-/// option the paper uses for Figures 6 and 7.
-pub fn run_figure(
-    machine: &Machine,
-    ranks: usize,
-    sizes: &[usize],
-    curves: &[Curve<'_>],
-    kind: BwKind,
-    off_cache: bool,
-) -> Vec<Series> {
-    let machine = Arc::new(machine.clone());
-    curves
-        .iter()
-        .map(|curve| {
-            let binding = curve
-                .policy
-                .bind(&machine, ranks)
-                .expect("figure placement must fit the machine");
-            let comm = Communicator::world(Arc::clone(&machine), binding.clone());
-            let mut series = Series::new(curve.label.clone());
-            for &size in sizes {
-                let schedule = (curve.build)(&comm, size);
-                let report = SimExecutor::new(
-                    &machine,
-                    &binding,
-                    SimConfig {
-                        allow_cache: !off_cache,
-                    },
-                )
-                .run(&schedule)
-                .expect("figure schedules validate");
-                let bw = match kind {
-                    BwKind::Bcast => pdac_simnet::bw_bcast(ranks, size, report.total_time),
-                    BwKind::Allgather => pdac_simnet::bw_allgather(ranks, size, report.total_time),
-                };
-                series.points.push(SweepPoint {
-                    msg_bytes: size,
-                    bw_mbs: bw,
-                    seconds: report.total_time,
-                });
-            }
-            series
-        })
-        .collect()
-}
+use pdac_simnet::Series;
 
 /// Formats a figure as the table the paper plots: one row per size, one
 /// column per curve, bandwidth in MBytes/s.
@@ -176,17 +110,15 @@ pub fn human_size(bytes: usize) -> String {
     }
 }
 
-/// Writes the series as JSON under `results/` (created on demand) and
-/// returns the path.
-pub fn write_json(name: &str, series: &[Series]) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
-    std::fs::write(
-        &path,
-        serde_json::to_string_pretty(series).expect("series serialize"),
-    )?;
-    Ok(path)
+/// Writes `body` to `path`, creating its directory, and says so.
+pub fn write_file(path: impl AsRef<std::path::Path>, body: &str) -> Result<(), String> {
+    let path = path.as_ref();
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    dir.map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, body))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    println!("wrote {}", path.display());
+    Ok(())
 }
 
 /// Relative bandwidth loss of `b` versus `a` at one size, in percent.
@@ -206,14 +138,10 @@ pub fn max_loss_pct(a: &Series, b: &Series, min_size: usize) -> f64 {
         .fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// A binding for tests and ad-hoc probes.
-pub fn bind(machine: &Machine, policy: BindingPolicy, ranks: usize) -> Binding {
-    policy.bind(machine, ranks).expect("binding fits")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdac_simnet::SweepPoint;
 
     #[test]
     fn human_sizes_match_figure_axes() {

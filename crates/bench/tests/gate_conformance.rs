@@ -89,7 +89,7 @@ fn gate_scenarios_conform_and_reproduce_the_committed_table() {
         panic!(
             "results/gate.txt differs from this build at line {}:\n  \
              committed: {}\n  built:     {}\n\
-             regenerate it with `cargo run --release -p pdac-bench --bin pdac-bench -- gate` \
+             regenerate it with `cargo run --release -- gate` \
              and commit it with the change that moved the numbers",
             line + 1,
             committed.get(line).unwrap_or(&end),

@@ -1,12 +1,11 @@
 //! Graphviz DOT export for communication topologies.
 //!
-//! `dot -Tsvg out.dot > out.svg` renders the trees and rings the way the
-//! paper draws its Figures 1, 4 and 5: nodes labelled `P<rank>`, grouped by
-//! NUMA node, edges annotated with the process distance.
+//! `dot -Tsvg out.dot > out.svg` renders the trees the way the paper draws
+//! its Figures 1 and 4: nodes labelled `P<rank>`, grouped by NUMA node,
+//! edges annotated with the process distance.
 
 use pdac_hwtopo::{Binding, DistanceMatrix, Machine};
 
-use crate::allgather_ring::Ring;
 use crate::tree::Tree;
 
 /// Escapes nothing fancy — rank labels are alphanumeric by construction.
@@ -48,22 +47,6 @@ pub fn tree_to_dot(
     out
 }
 
-/// An allgather ring as a directed cycle in DOT.
-pub fn ring_to_dot(
-    ring: &Ring,
-    dist: &DistanceMatrix,
-    machine: &Machine,
-    binding: &Binding,
-) -> String {
-    let mut out = String::from("digraph allgather {\n  layout=circo;\n  node [shape=circle];\n");
-    cluster_blocks(machine, binding, &mut out);
-    for (a, b) in ring.edges() {
-        out.push_str(&format!("  P{a} -> P{b} [label=\"{}\"];\n", dist.get(a, b)));
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,16 +65,5 @@ mod tests {
         assert_eq!(dot.matches(" -> ").count(), 11, "one arrow per tree edge");
         assert!(dot.contains("subgraph cluster_numa3"));
         assert!(dot.ends_with("}\n"));
-    }
-
-    #[test]
-    fn ring_dot_is_a_cycle() {
-        let m = machines::quad_socket_dual_core();
-        let binding = BindingPolicy::Random { seed: 5 }.bind(&m, 8).unwrap();
-        let dist = DistanceMatrix::for_binding(&m, &binding);
-        let ring = Ring::build(&dist);
-        let dot = ring_to_dot(&ring, &dist, &m, &binding);
-        assert_eq!(dot.matches(" -> ").count(), 8, "one arrow per ring edge");
-        assert!(dot.contains("layout=circo"));
     }
 }

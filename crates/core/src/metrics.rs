@@ -7,7 +7,7 @@
 //! writes per NUMA node, `links x (P*N - 1)` remote block transfers, `P*N`
 //! copies per process, and perfectly balanced controllers.
 
-use pdac_hwtopo::{core_distance, Binding, DistanceMatrix, Machine};
+use pdac_hwtopo::{Binding, DistanceMatrix, Machine};
 use pdac_simnet::{FaultStats, Mech, OpKind, Schedule};
 
 /// Aggregate memory-system counts for one schedule on one placement.
@@ -93,11 +93,6 @@ pub fn slow_link_bytes(schedule: &Schedule, dist: &DistanceMatrix, threshold: u8
         .filter(|&(d, _)| d as u8 > threshold)
         .map(|(_, &b)| b)
         .sum()
-}
-
-/// Convenience: distance between the bound cores of two ranks.
-pub fn rank_distance(machine: &Machine, binding: &Binding, a: usize, b: usize) -> u8 {
-    core_distance(machine, binding.core_of(a), binding.core_of(b))
 }
 
 /// One-line human-readable summary of a [`FaultStats`] record, used by the
@@ -211,14 +206,5 @@ mod tests {
         assert_eq!(MemStats::imbalance(&[5, 5, 5]), 1.0);
         assert_eq!(MemStats::imbalance(&[9, 3]), 1.5);
         assert_eq!(MemStats::imbalance(&[4, 0, 4]), 1.0, "unused nodes ignored");
-    }
-
-    #[test]
-    fn rank_distance_respects_binding() {
-        let ig = machines::ig();
-        let binding = BindingPolicy::CrossSocket.bind(&ig, 48).unwrap();
-        assert_eq!(rank_distance(&ig, &binding, 0, 8), 1);
-        assert_eq!(rank_distance(&ig, &binding, 0, 1), 5);
-        assert_eq!(rank_distance(&ig, &binding, 0, 4), 6);
     }
 }

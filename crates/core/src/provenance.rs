@@ -13,7 +13,7 @@
 //!
 //! * **explain** ([`Provenance::explain`]) — a human-readable report
 //!   naming a recorded reason for every algorithm, chunk-class, cache and
-//!   fallback decision (`pdac-trace explain`);
+//!   fallback decision (`pdac trace explain`);
 //! * **diff** ([`Provenance::diff`]) — joins two plans decision-by-
 //!   decision (subjects are epoch-stable keys) so a migration or rebind
 //!   answers "what changed in the plan and which decision input moved";

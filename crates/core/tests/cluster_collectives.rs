@@ -125,7 +125,7 @@ fn placement_stability_extends_to_clusters() {
 /// in time: the ring allgather on eight IG nodes is ~295 K ops with ~147 K
 /// conflicting pairs, and a race check that keeps an ops × candidates
 /// reachability table needs gigabytes for it. No wall-clock assertion; the
-/// CI memory cap on `--bin cluster` guards the 192-rank case the same way.
+/// CI memory cap on `pdac claims` guards the 192-rank case the same way.
 #[test]
 fn allgather_on_384_ranks_validates() {
     let c = cluster::homogeneous("ig-x8", &machines::ig(), 8, 2).unwrap();

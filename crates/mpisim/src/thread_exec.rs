@@ -320,13 +320,6 @@ impl ExecResult {
             .unwrap_or(&[])
     }
 
-    /// Moves one buffer out of the result without copying (empty vector if
-    /// absent). Callers that keep the payload — verification oracles,
-    /// benchmark harnesses — take ownership instead of cloning a view.
-    pub fn take_buffer(&mut self, rank: Rank, buf: BufId) -> Vec<u8> {
-        self.buffers.remove(&(rank, buf)).unwrap_or_default()
-    }
-
     /// Consumes the result, returning every buffer by ownership.
     pub fn into_buffers(self) -> HashMap<(Rank, BufId), Vec<u8>> {
         self.buffers
@@ -2094,15 +2087,11 @@ mod tests {
             1,
             &[],
         );
-        let mut res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
-        let owned = res.take_buffer(1, BufId::Recv);
-        assert_eq!(owned, pattern(0, 256));
-        assert!(
-            res.buffer(1, BufId::Recv).is_empty(),
-            "taken buffer is gone"
-        );
-        let rest = res.into_buffers();
-        assert!(rest.contains_key(&(0, BufId::Send)));
+        let res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
+        assert_eq!(res.buffer(1, BufId::Recv), &pattern(0, 256)[..]);
+        let owned = res.into_buffers();
+        assert_eq!(owned[&(1, BufId::Recv)], pattern(0, 256));
+        assert!(owned.contains_key(&(0, BufId::Send)));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! plus free-form metadata — as a single JSON object. The file holds the
 //! `pdac-e2e` rows (`pdac-e2e/<workload>/s<seed>`) recorded before and
 //! after each change; JSONL keeps it append-only and greppable.
-//! `pdac-bench trend` loads it and renders per-metric deltas between the
+//! `pdac trend` loads it and renders per-metric deltas between the
 //! two newest entries: not "is this number right" — the simulated numbers
 //! are pinned exactly elsewhere — but "which way are we moving".
 

@@ -25,7 +25,7 @@
 //! The [`export`] module renders recorded events as Chrome Trace Event
 //! JSON (one format for simulated *and* real runs, so both open
 //! side-by-side in [Perfetto](https://ui.perfetto.dev)) and registry
-//! snapshots as JSON documents that `pdac-trace diff` compares for
+//! snapshots as JSON documents that `pdac trace diff` compares for
 //! per-distance-class regression deltas. Read off the hot path:
 //!
 //! * [`flight`] — a crash-surviving last-N-notes flight recorder, dumped
@@ -89,7 +89,7 @@ impl Telemetry {
     }
 
     /// Clears recorded events and zeroes every registered metric — the
-    /// start-of-run reset the `pdac-trace` CLI performs so one run's
+    /// start-of-run reset `pdac trace` performs so one run's
     /// artifacts describe exactly that run.
     pub fn reset(&self) {
         self.recorder.clear();

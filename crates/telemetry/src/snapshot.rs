@@ -1,7 +1,7 @@
 //! Serializable metric snapshots and snapshot-to-snapshot diffs.
 //!
 //! A [`RegistrySnapshot`] is the JSON artifact one run leaves behind
-//! (`pdac-trace run` writes it next to the trace); [`RegistrySnapshot::diff`]
+//! (`pdac trace run` writes it next to the trace); [`RegistrySnapshot::diff`]
 //! compares two of them — counter deltas plus per-histogram count/mean
 //! movement — which is how a perf PR proves its per-distance-class latency
 //! numbers against a baseline run.
@@ -147,7 +147,7 @@ impl SnapshotDiff {
         self.counters.is_empty() && self.histograms.is_empty()
     }
 
-    /// Human-readable multi-line rendering (`pdac-trace diff` output).
+    /// Human-readable multi-line rendering (`pdac trace diff` output).
     pub fn render(&self) -> String {
         if self.is_empty() {
             return "no differences\n".to_string();

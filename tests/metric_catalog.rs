@@ -43,27 +43,27 @@ enum Kind {
 
 use Kind::{Counter, Histograms, Span};
 
-/// `(kind, name, meaning, reader)`. A reader is a test, `pdac-trace`
+/// `(kind, name, meaning, reader)`. A reader is a test, `pdac trace`
 /// (its `metrics.json` snapshot and `diff`, or its trace files), the flight
 /// dump (which carries the whole registry), the `pdac-e2e` benchmark, or —
-/// for a span category `pdac-trace` never records — the trace a caller
+/// for a span category `pdac trace` never records — the trace a caller
 /// drains from an armed recorder and opens in Perfetto.
 #[rustfmt::skip]
 const CATALOG: &[(Kind, &str, &str, &str)] = &[
     // Thread executor: one publish site per run, `collect`.
-    (Counter, "exec.runs", "executor runs, completed or failed", "pdac-trace diff"),
-    (Counter, "exec.ops", "schedule ops handed to the executor", "pdac-trace diff"),
+    (Counter, "exec.runs", "executor runs, completed or failed", "pdac trace diff"),
+    (Counter, "exec.ops", "schedule ops handed to the executor", "pdac trace diff"),
     (Counter, "exec.wait.fast", "dependency waits satisfied on the first check", "thread_exec unit tests"),
     (Counter, "exec.wait.slow", "dependency waits that set the cursor aside", "thread_exec unit tests"),
-    (Counter, "exec.wait.yields", "yields of workers that found no runnable cursor", "pdac-trace diff"),
-    (Counter, "exec.pool.acquires", "staging buffers taken from the pool", "pdac-trace diff"),
-    (Counter, "exec.pool.reuses", "staging buffers served from a free list", "pdac-trace diff"),
-    (Counter, "exec.pool.bytes_allocated", "bytes the pool allocated fresh", "pdac-trace diff"),
-    (Counter, "knem.registrations", "regions registered with the one-sided device", "pdac-trace diff"),
-    (Counter, "knem.deregistrations", "regions deregistered", "pdac-trace diff"),
-    (Counter, "knem.copies", "single-copy operations", "pdac-trace diff"),
-    (Counter, "knem.bytes_copied", "bytes moved by single-copy operations", "pdac-trace diff"),
-    (Counter, "knem.lock_acquires", "cookie-table shard locks taken", "pdac-trace diff"),
+    (Counter, "exec.wait.yields", "yields of workers that found no runnable cursor", "pdac trace diff"),
+    (Counter, "exec.pool.acquires", "staging buffers taken from the pool", "pdac trace diff"),
+    (Counter, "exec.pool.reuses", "staging buffers served from a free list", "pdac trace diff"),
+    (Counter, "exec.pool.bytes_allocated", "bytes the pool allocated fresh", "pdac trace diff"),
+    (Counter, "knem.registrations", "regions registered with the one-sided device", "pdac trace diff"),
+    (Counter, "knem.deregistrations", "regions deregistered", "pdac trace diff"),
+    (Counter, "knem.copies", "single-copy operations", "pdac trace diff"),
+    (Counter, "knem.bytes_copied", "bytes moved by single-copy operations", "pdac trace diff"),
+    (Counter, "knem.lock_acquires", "cookie-table shard locks taken", "pdac trace diff"),
     (Counter, "knem.fenced", "stale-epoch operations the device refused", "integrity_observability"),
     (Counter, "integrity.stamped", "chunks stamped with a source checksum", "integrity_observability"),
     (Counter, "integrity.verified", "staged chunks that verified clean", "integrity_observability"),
@@ -79,7 +79,7 @@ const CATALOG: &[(Kind, &str, &str, &str)] = &[
     (Counter, "faults.suspects_raised", "detector suspicions raised", "integrity_observability"),
     (Counter, "faults.suspects_refuted", "suspicions refuted by a heartbeat", "integrity_observability"),
     (Counter, "faults.ranks_confirmed_dead", "ranks the detector or recovery confirmed dead", "integrity_observability"),
-    (Histograms, "exec.op_ns.{kind}.d{class}", "per-op wall time by transfer kind and distance class", "pdac-trace diff, tests/telemetry.rs"),
+    (Histograms, "exec.op_ns.{kind}.d{class}", "per-op wall time by transfer kind and distance class", "pdac trace diff, tests/telemetry.rs"),
     // Recovery manager.
     (Counter, "recovery.topology_rebuilds", "ranks shrunk out under a fresh epoch", "integrity_observability"),
     (Counter, "recovery.agreement_rounds", "survivor-agreement vote rounds", "integrity_observability"),
@@ -88,35 +88,35 @@ const CATALOG: &[(Kind, &str, &str, &str)] = &[
     (Counter, "chaos.recoveries", "agreements committed inside a recovery loop", "flight dump"),
     (Counter, "chaos.degraded", "recovery loops that fell back to the baselines", "integrity_observability"),
     // Simulator: its solver's own work, never its fault prediction.
-    (Counter, "sim.runs", "simulator runs", "pdac-trace diff"),
-    (Counter, "sim.ops", "schedule ops simulated", "pdac-trace diff"),
-    (Counter, "sim.solver.full", "rate solves", "pdac-trace diff"),
-    (Counter, "sim.solver.skipped", "events whose flow set did not change", "pdac-trace diff"),
-    (Counter, "sim.solver.solve_ns", "host time spent solving rates", "pdac-trace diff"),
-    (Counter, "sim.solver.fill_rounds", "progressive-filling rounds", "pdac-trace diff"),
+    (Counter, "sim.runs", "simulator runs", "pdac trace diff"),
+    (Counter, "sim.ops", "schedule ops simulated", "pdac trace diff"),
+    (Counter, "sim.solver.full", "rate solves", "pdac trace diff"),
+    (Counter, "sim.solver.skipped", "events whose flow set did not change", "pdac trace diff"),
+    (Counter, "sim.solver.solve_ns", "host time spent solving rates", "pdac trace diff"),
+    (Counter, "sim.solver.fill_rounds", "progressive-filling rounds", "pdac trace diff"),
     // Planning.
     (Counter, "hwtopo.distance_fills", "distance matrices filled", "pdac-e2e"),
-    (Counter, "hwtopo.distance_cells", "distance-matrix cells filled", "pdac-trace diff"),
-    (Counter, "topocache.hits", "topologies served from the cache", "pdac-trace diff"),
-    (Counter, "topocache.misses", "topologies built on a cache miss", "pdac-trace diff"),
-    (Counter, "topocache.evictions", "topologies evicted at capacity", "pdac-trace diff"),
-    (Counter, "topocache.invalidations", "topologies dropped with their epoch", "pdac-trace diff"),
-    (Counter, "provenance.plans", "plans recorded with a provenance sink", "pdac-trace diff"),
-    (Counter, "provenance.decisions", "decisions those plans recorded", "pdac-trace diff"),
-    (Counter, "conformance.audits", "trace legs audited against a plan", "pdac-trace diff"),
-    (Counter, "conformance.unexplained", "executed ops the plan does not explain", "pdac-trace diff"),
-    (Counter, "conformance.missing", "planned ops that never ran", "pdac-trace diff"),
-    (Counter, "conformance.mismatched", "ops that ran with the wrong shape", "pdac-trace diff"),
-    (Counter, "conformance.reordered", "ops that started before a planned dependency ended", "pdac-trace diff"),
+    (Counter, "hwtopo.distance_cells", "distance-matrix cells filled", "pdac trace diff"),
+    (Counter, "topocache.hits", "topologies served from the cache", "pdac trace diff"),
+    (Counter, "topocache.misses", "topologies built on a cache miss", "pdac trace diff"),
+    (Counter, "topocache.evictions", "topologies evicted at capacity", "pdac trace diff"),
+    (Counter, "topocache.invalidations", "topologies dropped with their epoch", "pdac trace diff"),
+    (Counter, "provenance.plans", "plans recorded with a provenance sink", "pdac trace diff"),
+    (Counter, "provenance.decisions", "decisions those plans recorded", "pdac trace diff"),
+    (Counter, "conformance.audits", "trace legs audited against a plan", "pdac trace diff"),
+    (Counter, "conformance.unexplained", "executed ops the plan does not explain", "pdac trace diff"),
+    (Counter, "conformance.missing", "planned ops that never ran", "pdac trace diff"),
+    (Counter, "conformance.mismatched", "ops that ran with the wrong shape", "pdac trace diff"),
+    (Counter, "conformance.reordered", "ops that started before a planned dependency ended", "pdac trace diff"),
     (Counter, "obs.flight.dumps", "flight-recorder dumps written", "flight dump"),
     // Recorder categories.
-    (Span, "copy", "one executed copy op, with its distance class", "pdac-trace (OpGraph, conformance)"),
-    (Span, "notify", "one executed notify op", "pdac-trace (OpGraph, conformance)"),
-    (Span, "stage", "a copy's staging read and verified write", "pdac-trace trace_real.json"),
+    (Span, "copy", "one executed copy op, with its distance class", "pdac trace (OpGraph, conformance)"),
+    (Span, "notify", "one executed notify op", "pdac trace (OpGraph, conformance)"),
+    (Span, "stage", "a copy's staging read and verified write", "pdac trace trace_real.json"),
     (Span, "corrupt", "a checksum mismatch caught at staging", "any armed run's trace, in Perfetto"),
     (Span, "retry", "a pull retried after backoff", "any armed run's trace; analyze::trace_io"),
-    (Span, "exec", "one executor run", "pdac-trace trace_real.json"),
-    (Span, "knem", "KNEM region registrations, fences and pull faults", "pdac-trace trace_real.json"),
+    (Span, "exec", "one executor run", "pdac trace trace_real.json"),
+    (Span, "knem", "KNEM region registrations, fences and pull faults", "pdac trace trace_real.json"),
     (Span, "rdma", "RDMA memory registrations, fences and flushed requests", "any armed run's trace, in Perfetto"),
     (Span, "detector", "failure-detector transitions", "any armed run's trace, in Perfetto"),
     (Span, "recovery", "membership shrinks, proposals, root re-elections", "any armed run's trace, in Perfetto"),
