@@ -7,7 +7,7 @@
 //!
 //! 1. **seed → plan**: the fault plan, the device fault and the simulated
 //!    link degradation all derive from the `u64` seed;
-//! 2. **recover**: [`RecoveryManager::run`] drives detect → agree → fence
+//! 2. **recover**: [`RecoveryManager::run`] drives detect → shrink → fence
 //!    → rebuild (or degrade) from observations alone — the harness has no
 //!    god's-eye view of who died;
 //! 3. **verify**: [`verify::check`] compares the survivors' bytes with the
@@ -37,7 +37,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::adaptive::{AdaptiveColl, Request};
-use crate::membership::MembershipConfig;
 use crate::provenance::Decision;
 use crate::recovery::{CollectiveError, RecoveryManager};
 use crate::topocache::TopoCache;
@@ -60,11 +59,9 @@ pub struct ChaosConfig {
     /// ([`FaultPlan::seeded_cascade`]): multiple mid-collective crashes
     /// plus, on larger worlds, a flapping rank.
     pub cascade: bool,
-    /// Recovery episodes tolerated before recovery stops trusting
-    /// coordinated rebuilds and degrades to the baseline algorithms.
+    /// Recovery episodes tolerated before recovery stops rebuilding
+    /// distance-aware topologies and degrades to the baseline algorithms.
     pub max_recoveries: u32,
-    /// Bounds on each survivor-agreement episode.
-    pub membership: MembershipConfig,
     /// One-sided transport backend for the execution leg; the timing leg
     /// charges the matching simulator cost model. Both backends share the
     /// epoch-fence contract, so recovery behaves identically.
@@ -77,7 +74,7 @@ pub struct ChaosConfig {
     /// A rank that *persistently* corrupts every chunk it serves, on every
     /// attempt. Retries cannot heal it, so the executor raises
     /// [`pdac_mpisim::ExecError::Corrupt`], the detector confirms the corrupter, and
-    /// the membership pipeline fences it exactly like a crashed rank.
+    /// the recovery loop shrinks and fences it exactly like a crashed rank.
     pub corrupter: Option<usize>,
 }
 
@@ -95,7 +92,6 @@ impl ChaosConfig {
             },
             cascade: false,
             max_recoveries: 3,
-            membership: MembershipConfig::default(),
             transport: TransportKind::Knem,
             corruption: false,
             corrupter: None,
@@ -141,18 +137,19 @@ impl ChaosConfig {
 /// What a successful chaos run looked like.
 #[derive(Debug)]
 pub struct ChaosOutcome {
-    /// Whether recovery (agreement + communicator shrink + rebuild) ran.
+    /// Whether recovery (communicator shrink + rebuild) ran.
     pub recovered: bool,
     /// Whether the run fell back to the distance-oblivious baseline
-    /// algorithms (agreement failure, recovery churn, or a lone survivor).
+    /// algorithms (recovery churn, or a lone survivor).
     pub degraded: bool,
-    /// World ranks agreed dead during the run, in detection order.
+    /// World ranks the detector confirmed dead during the run, in the
+    /// order they were shrunk out.
     pub failed_ranks: Vec<usize>,
     /// What the runtime did, as [`RecoveryManager::stats`] recorded it:
     /// the executor counters of every attempt (the detector's transitions
     /// among them), plus the manager's own counts — corrupters confirmed,
-    /// re-runs after a transient timeout, agreement rounds, topology
-    /// rebuilds and the degrade. Every field is also published under one
+    /// re-runs after a transient timeout, topology rebuilds and the
+    /// degrade. Every field is also published under one
     /// registry name; the simulator's prediction is not in it.
     pub stats: FaultStats,
     /// Timing of the final (survivor) schedule through the contention
@@ -170,7 +167,7 @@ pub struct ChaosOutcome {
 impl ChaosOutcome {
     /// One-line human-readable summary of the run: recovery disposition,
     /// failed ranks, and the runtime's fault accounting (including retry
-    /// counts, total backoff, and the membership counters) via
+    /// counts, total backoff, and the detector counters) via
     /// [`crate::metrics::fault_summary_line`].
     pub fn summary(&self) -> String {
         let mut disposition = if self.recovered {
@@ -268,10 +265,10 @@ fn run_chaos_inner(
         DeviceFault::transient(rng.gen_range(0..4) as u64, 1 + rng.gen_range(0..2) as u64);
     let degrade_factor = 0.05 + 0.45 * rng.gen_f64();
     // One transport for the whole episode, so the fence raised after each
-    // agreement guards every later attempt.
+    // shrink guards every later attempt.
     let device = cfg.transport.create(Some(device_fault));
 
-    // 2. Recover: detect -> agree -> fence -> rebuild, or degrade.
+    // 2. Recover: detect -> shrink -> fence -> rebuild, or degrade.
     let mut mgr = RecoveryManager::new(coll, Arc::new(TopoCache::new()), comm.clone());
     let done = mgr.run(what, &plan, &device, cfg)?;
 
@@ -355,7 +352,6 @@ mod tests {
             out.stats.ranks_confirmed_dead >= 1,
             "death came through the detector"
         );
-        assert!(out.stats.agreement_rounds >= 1, "the survivor vote ran");
         assert!(out.sim_report.fault_stats.links_degraded >= 1, "sim leg degraded a link");
         assert!(out.sim_report.total_time > 0.0);
         let line = out.summary();
@@ -370,8 +366,8 @@ mod tests {
     #[test]
     fn chaos_recovers_identically_on_rdma_transport() {
         // Same seed, same machine, same collective — only the one-sided
-        // backend differs. The epoch-fence contract is shared, so detection,
-        // agreement and the final survivor set must match the KNEM run.
+        // backend differs. The epoch-fence contract is shared, so detection
+        // and the final survivor set must match the KNEM run.
         let comm = world(6);
         let what = Request::new(Collective::Bcast, 0, 20_000);
         let knem = run_chaos(&comm, AdaptiveColl::default(), what, &ChaosConfig::new(0))
@@ -415,7 +411,7 @@ mod tests {
 
     #[test]
     fn lone_survivor_degrades_instead_of_erroring() {
-        // Two ranks, one crashes: agreement leaves a single survivor and
+        // Two ranks, one crashes: the shrink leaves a single survivor and
         // the "collective" degenerates — degraded, not an error.
         let comm = world(2);
         let mut cfg = ChaosConfig::new(11);
@@ -464,9 +460,9 @@ mod tests {
     }
 
     #[test]
-    fn cascading_crashes_recover_through_repeated_agreement() {
+    fn cascading_crashes_recover_through_repeated_shrinks() {
         // The cascade cocktail can kill several ranks mid-collective; every
-        // recovery must come through the detector→agreement pipeline, and
+        // recovery must come through the detector→shrink pipeline, and
         // the final payload must verify on whatever survives. Allgather is
         // the right victim: each rank executes n-1 pulls, so the 1-3 op
         // crash budgets fire in the middle of the ring (a bcast leaf has a
@@ -484,12 +480,16 @@ mod tests {
             .unwrap_or_else(|e| panic!("cascade seed {seed}: {e}"));
             if out.failed_ranks.len() > 1 {
                 hit_multi = true;
-                assert!(out.stats.agreement_rounds >= 1 || out.degraded);
             }
             assert_eq!(
                 out.failed_ranks.len() as u64,
                 out.stats.ranks_confirmed_dead,
                 "seed {seed}: every removal was detector-confirmed (no omniscient path)"
+            );
+            assert_eq!(
+                out.stats.topology_rebuilds,
+                out.failed_ranks.len() as u64,
+                "seed {seed}: one rebuild per rank shrunk out"
             );
         }
         assert!(
@@ -568,8 +568,8 @@ mod tests {
     fn persistent_corrupter_is_fenced_like_a_crashed_rank() {
         // A rank that damages every chunk it serves cannot be healed by
         // retries: the executor exhausts the budget, raises the typed
-        // Corrupt error, the detector confirms the peer, and the membership
-        // pipeline fences it — the collective then completes over the
+        // Corrupt error, the detector confirms the peer, and the recovery
+        // loop shrinks and fences it — the collective then completes over the
         // survivors exactly as it would after a crash.
         let comm = world(6);
         let cfg = ChaosConfig::with_corrupter(5, 3);

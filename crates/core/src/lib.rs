@@ -52,7 +52,6 @@ pub mod dot;
 pub mod edges;
 pub mod framework;
 pub mod gather;
-pub mod membership;
 pub mod metrics;
 pub mod provenance;
 pub mod recovery;
@@ -71,7 +70,6 @@ pub use allgather_ring::Ring;
 pub use bcast_tree::build_bcast_tree;
 pub use chaos::{run_chaos, ChaosConfig, ChaosOutcome};
 pub use edges::{edge_queue, Edge};
-pub use membership::{agree, AgreementError, AgreementOutcome, MembershipConfig};
 pub use provenance::{Decision, DecisionKind, PlannedOp, Provenance, ProvenanceDiff};
 pub use recovery::{CollectiveError, Completion, HangBound, RecoveryManager};
 pub use topocache::{TopoCache, TopoCacheStats};

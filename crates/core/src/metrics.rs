@@ -104,7 +104,7 @@ pub fn fault_summary_line(stats: &FaultStats) -> String {
         "faults: {} injected ({} links degraded, {} ranks stalled, {} ranks crashed, \
          {} notifies dropped), {} retries ({:.3} ms backoff), {} timeouts, {} ops abandoned, \
          {} topology rebuilds; membership: {} suspected ({} refuted), {} confirmed dead, \
-         {} agreement rounds ({} re-elections), {} fenced, {} degraded runs; \
+         {} fenced, {} degraded runs; \
          integrity: {} stamped, {} verified, {} corrupt detected, {} retransmits",
         stats.total_injected(),
         stats.links_degraded,
@@ -119,8 +119,6 @@ pub fn fault_summary_line(stats: &FaultStats) -> String {
         stats.suspects_raised,
         stats.suspects_refuted,
         stats.ranks_confirmed_dead,
-        stats.agreement_rounds,
-        stats.coordinator_reelections,
         stats.fenced_messages,
         stats.degraded_runs,
         stats.checksums_stamped,

@@ -24,26 +24,24 @@
 //!    overlong waits into suspicions, and the join audit into confirmed
 //!    deaths; a persistent corrupter ([`ExecError::Corrupt`]) is confirmed
 //!    like a crashed rank;
-//! 2. **agree** — confirmed deaths are proposed
-//!    ([`RecoveryManager::propose_failure`]) and
-//!    [`RecoveryManager::await_agreement`] runs the coordinator-based
-//!    two-phase vote until every live rank holds the same
-//!    `(epoch, survivor_set)`;
+//! 2. **shrink** — the communicator loses exactly the detector's confirmed
+//!    ranks, in ascending order ([`RecoveryManager::mark_failed`] each). The
+//!    detector is the attempt's one view of who died: every rank cursor
+//!    reported into it, so there is nothing left for the survivors to
+//!    reconcile. A rank that is only suspected stays a member;
 //! 3. **fence** — the shared device is fenced at the new epoch, so a
 //!    message stamped with a dead epoch is rejected with a typed
 //!    stale-epoch error instead of delivering into the rebuilt topology;
 //! 4. **rebuild or degrade** — the next attempt plans over the survivors;
-//!    when agreement fails or recovery churns past
-//!    [`ChaosConfig::max_recoveries`], the manager shrinks by local
-//!    knowledge and falls back to the distance-oblivious `core/baseline`
-//!    algorithms ([`RecoveryManager::degraded`]).
+//!    once recovery churns past [`ChaosConfig::max_recoveries`], or one
+//!    survivor is left, the manager falls back to the distance-oblivious
+//!    `core/baseline` algorithms ([`RecoveryManager::degraded`]).
 //!
 //! A transient timeout (nobody proven dead) or an exhausted device retry
 //! budget re-runs the attempt on the same communicator. Every failure path
 //! returns a typed [`CollectiveError`] carrying the fault seed, so a run
 //! that goes wrong can be replayed exactly.
 
-use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -57,7 +55,6 @@ use crate::baseline;
 use crate::chaos::ChaosConfig;
 use crate::decision_inputs;
 use crate::edges::Edge;
-use crate::membership::{agree, AgreementError, AgreementOutcome, MembershipConfig};
 use crate::provenance::{Decision, DecisionKind};
 use crate::sched::{allreduce_schedule, SchedConfig};
 use crate::topocache::TopoCache;
@@ -109,13 +106,6 @@ pub enum CollectiveError {
         /// Human-readable mismatch description.
         detail: String,
     },
-    /// The survivor-set agreement protocol could not converge (coordinator
-    /// churn past the bound, or no survivors). The chaos harness treats
-    /// this as the degraded-mode trigger rather than a hard failure.
-    Agreement {
-        /// The underlying agreement failure.
-        err: AgreementError,
-    },
 }
 
 impl std::fmt::Display for CollectiveError {
@@ -147,9 +137,6 @@ impl std::fmt::Display for CollectiveError {
             CollectiveError::Verify { seed: s, detail } => {
                 write!(f, "survivor verification failed{}: {detail}", seed(s))
             }
-            CollectiveError::Agreement { err } => {
-                write!(f, "survivor agreement failed: {err}")
-            }
         }
     }
 }
@@ -168,8 +155,8 @@ pub enum HangBound {
 }
 
 /// The distance-oblivious baselines degraded mode runs on. They need only
-/// the local live list, so they are safe to build without a coordinated
-/// view. [`Baseline::of`] is the one statement of which collectives
+/// the live rank list, not a distance matrix. [`Baseline::of`] is the one
+/// statement of which collectives
 /// [`RecoveryManager::run`] can drive.
 #[derive(Debug, Clone, Copy)]
 enum Baseline {
@@ -258,9 +245,6 @@ pub struct RecoveryManager {
     world_of: Vec<usize>,
     /// World ranks marked failed, in detection order.
     failed: Vec<usize>,
-    /// World ranks proposed dead (detector-confirmed) but not yet agreed:
-    /// the input of the next [`Self::await_agreement`] episode.
-    proposed: BTreeSet<usize>,
     stats: FaultStats,
     /// Whether [`Self::run`] fell back to the baseline algorithms.
     degraded: bool,
@@ -281,7 +265,6 @@ impl RecoveryManager {
             world_size,
             world_of: (0..world_size).collect(),
             failed: Vec::new(),
-            proposed: BTreeSet::new(),
             stats: FaultStats::default(),
             degraded: false,
             decisions: Mutex::new(Vec::new()),
@@ -322,7 +305,7 @@ impl RecoveryManager {
 
     /// Recovery accounting: the executor record of every attempt
     /// [`Self::run`] made (failed attempts included), the detector's
-    /// transitions, agreement rounds, topology rebuilds, degradations, and
+    /// transitions, topology rebuilds, degradations, and
     /// the loop's re-runs after a transient timeout.
     pub fn stats(&self) -> FaultStats {
         self.stats
@@ -337,7 +320,7 @@ impl RecoveryManager {
     }
 
     /// Whether [`Self::run`] fell back to the distance-oblivious baselines
-    /// (agreement failure, recovery churn, or a lone survivor).
+    /// (recovery churn, or a lone survivor).
     pub fn degraded(&self) -> bool {
         self.degraded
     }
@@ -396,91 +379,9 @@ impl RecoveryManager {
         Ok(())
     }
 
-    /// Current communicator epoch — the fence value once the next
-    /// agreement commits.
+    /// Current communicator epoch — the fence value after a shrink.
     pub fn epoch(&self) -> u64 {
         self.comm.epoch()
-    }
-
-    /// World ranks proposed dead but not yet agreed.
-    pub fn proposed(&self) -> Vec<usize> {
-        self.proposed.iter().copied().collect()
-    }
-
-    /// Records local evidence that world rank `world` is dead (a
-    /// detector-confirmed crash). No topology change happens here — the
-    /// shrink waits for [`Self::await_agreement`], because a rank must not
-    /// rebuild over a survivor set its peers have not converged on.
-    pub fn propose_failure(&mut self, world: usize) -> Result<(), CollectiveError> {
-        if self.current_rank_of(world).is_none() {
-            return Err(CollectiveError::UnknownRank {
-                rank: world,
-                world_size: self.world_size,
-            });
-        }
-        if self.proposed.insert(world) {
-            pdac_telemetry::global().recorder().instant(
-                world as u64,
-                "recovery",
-                || format!("propose_failure world rank {world}"),
-                || vec![("world_rank", world.into())],
-            );
-        }
-        Ok(())
-    }
-
-    /// Runs one survivor-set agreement episode over the proposals
-    /// accumulated by [`Self::propose_failure`] (plus `suspects`, which
-    /// steer coordinator election but cannot condemn a responsive rank),
-    /// then shrinks the communicator to the agreed survivors under a fresh
-    /// epoch. Returns the converged outcome; on a non-converging episode
-    /// ([`CollectiveError::Agreement`]) the communicator is left untouched
-    /// so the caller can fall back to degraded mode.
-    pub fn await_agreement(
-        &mut self,
-        suspects: &[usize],
-        cfg: &MembershipConfig,
-        seed: Option<u64>,
-    ) -> Result<AgreementOutcome, CollectiveError> {
-        // The episode runs in *current* rank space (the protocol's world is
-        // whatever the communicator currently is).
-        let n = self.comm.size();
-        let dead: BTreeSet<usize> = self
-            .proposed
-            .iter()
-            .filter_map(|&w| self.current_rank_of(w))
-            .collect();
-        let suspect_view: BTreeSet<usize> = suspects
-            .iter()
-            .filter_map(|&w| self.current_rank_of(w))
-            .chain(dead.iter().copied())
-            .collect();
-        // Every live rank enters with the same detector-fed view; ranks do
-        // not suspect themselves.
-        let views: Vec<BTreeSet<usize>> = (0..n)
-            .map(|r| suspect_view.iter().copied().filter(|&s| s != r).collect())
-            .collect();
-        let outcome = agree(n, self.comm.epoch(), &dead, &views, cfg, seed)
-            .map_err(|err| CollectiveError::Agreement { err })?;
-        self.count("recovery.agreement_rounds", |s| &mut s.agreement_rounds, outcome.rounds);
-        self.count(
-            "recovery.coordinator_reelections",
-            |s| &mut s.coordinator_reelections,
-            outcome.reelections,
-        );
-
-        // Commit: shrink to the agreed survivors (translate back to world
-        // ranks first — mark_failed remaps current ranks as it goes).
-        let casualties: Vec<usize> = (0..n)
-            .filter(|r| !outcome.survivors.contains(r))
-            .map(|r| self.world_of[r])
-            .collect();
-        for world in casualties {
-            self.mark_failed(world)?;
-            self.proposed.remove(&world);
-        }
-        self.proposed.clear();
-        Ok(outcome)
     }
 
     /// Root re-election by the set-leader rule: the preferred world rank if
@@ -537,15 +438,15 @@ impl RecoveryManager {
 
     /// Runs `what` to completion on the survivors under `faults` (world
     /// ranks), every attempt on the shared `device`: attempt, classify the
-    /// error, propose, agree, fence, remap the plan, then retry or degrade
-    /// (see the module docs). `what` must be a bcast, an allgather or a
-    /// byte-sum tree allreduce — the collectives with a degraded baseline;
-    /// its root is the *preferred* world rank, re-elected if it dies.
+    /// error, shrink by the confirmed deaths, fence, remap the plan, then
+    /// retry or degrade (see the module docs). `what` must be a bcast, an
+    /// allgather or a byte-sum tree allreduce — the collectives with a
+    /// degraded baseline; its root is the *preferred* world rank,
+    /// re-elected if it dies.
     ///
     /// `cfg` supplies the seed quoted in every error, the executor's retry
-    /// policy, the watchdog each attempt must finish within, the recovery
-    /// budget and the agreement bounds. Every counter lands in
-    /// [`Self::stats`].
+    /// policy, the watchdog each attempt must finish within and the
+    /// recovery budget. Every counter lands in [`Self::stats`].
     pub fn run(
         &mut self,
         what: Request,
@@ -632,11 +533,9 @@ impl RecoveryManager {
                 continue;
             }
 
-            // Deaths were observed: run the membership pipeline.
-            let world = |ranks: Vec<usize>| -> Vec<usize> {
-                ranks.into_iter().map(|r| self.world_of[r]).collect()
-            };
-            let (world_confirmed, world_suspects) = (world(confirmed), world(detector.suspected()));
+            // Deaths were observed: shrink by exactly what the detector
+            // confirmed, ascending.
+            let world_confirmed: Vec<usize> = confirmed.iter().map(|&r| self.world_of[r]).collect();
             telemetry.recorder().instant(
                 0,
                 "chaos",
@@ -644,48 +543,14 @@ impl RecoveryManager {
                 || vec![("confirmed", world_confirmed.len().into()), ("seed", cfg.seed.into())],
             );
             recoveries += 1;
-            if self.degraded || recoveries > cfg.max_recoveries {
-                // Past the churn bound (or already degraded): stop trusting
-                // coordinated rebuilds.
+            if recoveries > cfg.max_recoveries {
+                // Past the churn bound: stop rebuilding distance-aware
+                // topologies.
                 let reason = "recovery churn exceeded the max_recoveries budget; \
                               coordinated rebuilds are no longer trusted";
                 self.degrade(baseline, reason, recoveries, cfg);
-                self.shrink_locally(&world_confirmed)?;
-            } else {
-                for &rank in &world_confirmed {
-                    self.propose_failure(rank)?;
-                }
-                match self.await_agreement(&world_suspects, &cfg.membership, seed) {
-                    Ok(AgreementOutcome { epoch, survivors, rounds, reelections, .. }) => {
-                        telemetry.registry().add("chaos.recoveries", 1);
-                        telemetry.recorder().instant(
-                            0,
-                            "chaos",
-                            || {
-                                format!(
-                                    "agreement: epoch {epoch} survivors {survivors:?} \
-                                     ({rounds} rounds, {reelections} reelections)"
-                                )
-                            },
-                            || vec![("rounds", rounds.into()), ("seed", cfg.seed.into())],
-                        );
-                    }
-                    Err(CollectiveError::Agreement { err }) => {
-                        telemetry.recorder().instant(
-                            0,
-                            "chaos",
-                            || format!("agreement failed ({err}); degrading to baseline"),
-                            || vec![("seed", cfg.seed.into())],
-                        );
-                        let reason = format!(
-                            "survivor agreement failed ({err}); shrinking by local knowledge only"
-                        );
-                        self.degrade(baseline, reason, recoveries, cfg);
-                        self.shrink_locally(&world_confirmed)?;
-                    }
-                    Err(e) => return Err(e),
-                }
             }
+            self.shrink(&world_confirmed)?;
             // Fence the dead epochs: a message still stamped with one is
             // rejected by the device rather than delivered into the rebuilt
             // topology.
@@ -727,15 +592,14 @@ impl RecoveryManager {
         ));
     }
 
-    /// Degraded-mode shrink: marks `world_dead` failed on this rank's own
-    /// evidence, without a survivor vote.
-    fn shrink_locally(&mut self, world_dead: &[usize]) -> Result<(), CollectiveError> {
+    /// The one shrink of [`Self::run`]: marks `world_dead` failed, one
+    /// [`Self::mark_failed`] per rank in the order given, and counts the
+    /// recovery.
+    fn shrink(&mut self, world_dead: &[usize]) -> Result<(), CollectiveError> {
         for &world in world_dead {
-            match self.mark_failed(world) {
-                Ok(()) | Err(CollectiveError::UnknownRank { .. }) => {}
-                Err(e) => return Err(e),
-            }
+            self.mark_failed(world)?;
         }
+        pdac_telemetry::global().registry().add("chaos.recoveries", 1);
         Ok(())
     }
 }
@@ -824,100 +688,32 @@ mod tests {
     }
 
     #[test]
-    fn exhausting_all_ranks_is_typed() {
-        let mut mgr = manager(2);
-        mgr.mark_failed(0).unwrap();
-        assert!(matches!(
-            mgr.mark_failed(1),
-            Err(CollectiveError::AllRanksFailed { .. })
-        ));
-    }
-
-    #[test]
-    fn double_propose_is_idempotent_double_mark_is_typed() {
-        let mut mgr = manager(6);
-        mgr.propose_failure(4).unwrap();
-        mgr.propose_failure(4).unwrap();
-        assert_eq!(
-            mgr.proposed(),
-            vec![4],
-            "re-proposing the same evidence is a no-op"
-        );
-        let out = mgr
-            .await_agreement(&[], &MembershipConfig::default(), Some(1))
-            .unwrap();
-        assert_eq!(out.survivors.len(), 5);
-        assert!(
-            mgr.proposed().is_empty(),
-            "agreement consumes the proposals"
-        );
-        // The rank is gone now: proposing or marking it again is typed.
-        assert!(matches!(
-            mgr.propose_failure(4),
-            Err(CollectiveError::UnknownRank { rank: 4, .. })
-        ));
-        assert!(matches!(
-            mgr.mark_failed(4),
-            Err(CollectiveError::UnknownRank { rank: 4, .. })
-        ));
-    }
-
-    #[test]
-    fn all_but_one_rank_can_fail_through_agreement() {
+    fn all_but_one_rank_can_fail() {
         let mut mgr = manager(5);
         for world in 1..5 {
-            mgr.propose_failure(world).unwrap();
+            mgr.mark_failed(world).unwrap();
         }
-        let out = mgr
-            .await_agreement(&[], &MembershipConfig::default(), Some(2))
-            .unwrap();
-        assert_eq!(
-            out.survivors,
-            vec![0],
-            "rank 0 answered the poll and survived alone"
-        );
         assert_eq!(mgr.comm().size(), 1);
         assert_eq!(mgr.survivors(), &[0]);
         assert_eq!(mgr.elect_root(3), 0, "the lone survivor is every root");
         assert_eq!(mgr.stats().topology_rebuilds, 4);
-        // The very last rank cannot be agreed away: no coordinator answers.
-        mgr.propose_failure(0).unwrap();
-        let err = mgr.await_agreement(&[], &MembershipConfig::default(), Some(2));
-        assert!(matches!(
-            err,
-            Err(CollectiveError::Agreement {
-                err: AgreementError::NoSurvivors { .. }
-            })
-        ));
-        assert_eq!(
-            mgr.comm().size(),
-            1,
-            "a failed episode leaves the communicator untouched"
-        );
+        // The very last rank cannot be shrunk away.
+        assert!(matches!(mgr.mark_failed(0), Err(CollectiveError::AllRanksFailed { .. })));
+        assert_eq!(mgr.comm().size(), 1, "a refused shrink leaves the communicator");
     }
 
     #[test]
     fn repeated_root_death_keeps_epochs_monotone_and_election_deterministic() {
         let mut mgr = manager(6);
         let mut last_epoch = mgr.epoch();
-        // Kill the current leader four times in a row; each episode must
+        // Kill the current leader four times in a row; each shrink must
         // mint a strictly larger fencing epoch and re-elect the smallest
         // surviving world rank.
-        for round in 0..4u64 {
+        for round in 0..4 {
             let root_world = mgr.survivors()[mgr.elect_root(0)];
-            assert_eq!(
-                root_world as u64, round,
-                "leader election is rank-order deterministic"
-            );
-            mgr.propose_failure(root_world).unwrap();
-            let out = mgr
-                .await_agreement(&[root_world], &MembershipConfig::default(), Some(round))
-                .unwrap();
-            assert!(out.epoch > round, "agreement epochs advance");
-            assert!(
-                mgr.epoch() > last_epoch,
-                "fencing epoch is strictly monotone"
-            );
+            assert_eq!(root_world, round, "leader election is rank-order deterministic");
+            mgr.mark_failed(root_world).unwrap();
+            assert!(mgr.epoch() > last_epoch, "fencing epoch is strictly monotone");
             last_epoch = mgr.epoch();
             assert_eq!(mgr.failed().last().copied(), Some(root_world));
         }
@@ -926,12 +722,9 @@ mod tests {
         // survivor set and the same leader (epochs are global, so only the
         // group — not the epoch value — must match).
         let mut replay = manager(6);
-        for round in 0..4u64 {
+        for _ in 0..4 {
             let root_world = replay.survivors()[replay.elect_root(0)];
-            replay.propose_failure(root_world).unwrap();
-            replay
-                .await_agreement(&[root_world], &MembershipConfig::default(), Some(round))
-                .unwrap();
+            replay.mark_failed(root_world).unwrap();
         }
         assert_eq!(replay.survivors(), mgr.survivors());
         assert_eq!(replay.elect_root(0), mgr.elect_root(0));
@@ -950,15 +743,22 @@ mod tests {
     }
 
     #[test]
-    fn suspects_cannot_condemn_a_live_rank() {
+    fn a_rank_that_is_only_suspected_is_never_shrunk() {
+        // Rank 3 crashes before its first op; rank 1 holds off every op
+        // past the suspicion window (a fifth of the op deadline) but well
+        // inside the deadline. The run shrinks by the confirmed crash only:
+        // the stalled rank's suspicion is refuted by its completions.
         let mut mgr = manager(4);
-        // Rank 2 is merely suspected (no crash proposed): the vote must
-        // keep it, because it would answer the coordinator's poll.
-        mgr.propose_failure(1).unwrap();
-        let out = mgr
-            .await_agreement(&[2], &MembershipConfig::default(), Some(9))
-            .unwrap();
-        assert_eq!(out.survivors, vec![0, 2, 3]);
-        assert_eq!(mgr.survivors(), &[0, 2, 3]);
+        let mut cfg = ChaosConfig::new(9);
+        cfg.policy.op_deadline = Some(Duration::from_millis(500));
+        let faults = FaultPlan::new(9).crash_rank(3, 0).stall_rank(1, Duration::from_millis(250));
+        let what = Request::new(Collective::Allgather, 0, 1024);
+        let done = mgr.run(what, &faults, &pdac_mpisim::TransportKind::Knem.create(None), &cfg);
+        let done = done.unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(mgr.failed(), &[3]);
+        assert_eq!(mgr.survivors(), &[0, 1, 2]);
+        assert!(!mgr.degraded());
+        assert!(mgr.stats().suspects_refuted >= 1, "a live rank was suspected: {:?}", mgr.stats());
+        verify::check(what, 3, &done.result.expect("three survivors ran it")).unwrap();
     }
 }

@@ -90,11 +90,6 @@ impl DisjointSets {
         true
     }
 
-    /// Number of disjoint sets remaining.
-    pub fn num_sets(&mut self) -> usize {
-        (0..self.len()).filter(|&v| self.find(v) == v).count()
-    }
-
     /// Members of each set, grouped and sorted, ordered by leader rank.
     pub fn sets(&mut self) -> Vec<Vec<usize>> {
         let n = self.len();
@@ -118,7 +113,7 @@ mod tests {
     fn singletons() {
         let mut s = DisjointSets::new(4, None);
         assert_eq!(s.len(), 4);
-        assert_eq!(s.num_sets(), 4);
+        assert_eq!(s.sets().len(), 4);
         for v in 0..4 {
             assert_eq!(s.leader_of(v), v);
         }
@@ -132,7 +127,7 @@ mod tests {
         assert_eq!(s.leader_of(4), 2);
         assert_eq!(s.leader_of(2), 2);
         assert!(!s.union(2, 4), "already same set");
-        assert_eq!(s.num_sets(), 4);
+        assert_eq!(s.sets().len(), 4);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub struct WorkloadConfig {
     /// Migrate every rank mid-storm (epoch churn).
     pub churn: bool,
     /// Drive the final step through the chaos harness (fault injection,
-    /// detection, agreement, recovery).
+    /// detection, shrink, recovery).
     pub chaos: bool,
     /// Inject seeded *transient* payload corruption into every storm step
     /// (and, with [`Self::chaos`], the finale): damaged chunks must be
@@ -478,7 +478,7 @@ pub fn run_workload(cfg: &WorkloadConfig) -> Result<WorkloadReport, WorkloadErro
     }
 
     // Chaos finale: the last training step, but under the seeded fault
-    // cocktail — crash, detect, agree, fence, rebuild, verify.
+    // cocktail — crash, detect, shrink, fence, rebuild, verify.
     let chaos_summary = if cfg.chaos && comm.size() >= 2 {
         let mut chaos_cfg = ChaosConfig::on_transport(seed, cfg.transport);
         chaos_cfg.corruption = cfg.corruption;

@@ -145,11 +145,6 @@ fn each_fact_is_published_once_and_reaches_every_surface() {
         ("integrity.retransmits", s.retransmits),
         ("knem.fenced", s.fenced_messages),
         ("recovery.topology_rebuilds", s.topology_rebuilds),
-        ("recovery.agreement_rounds", s.agreement_rounds),
-        (
-            "recovery.coordinator_reelections",
-            s.coordinator_reelections,
-        ),
         ("chaos.degraded", s.degraded_runs),
     ] {
         let count =

@@ -176,16 +176,6 @@ impl Machine {
         self.os_index[os_id]
     }
 
-    /// Cores belonging to the NUMA node with logical id `numa`, in topology
-    /// order.
-    pub fn cores_of_numa(&self, numa: usize) -> Vec<CoreId> {
-        self.cores
-            .iter()
-            .filter(|c| c.numa == numa)
-            .map(|c| c.core)
-            .collect()
-    }
-
     /// Cores belonging to socket `socket`, in topology order.
     pub fn cores_of_socket(&self, socket: usize) -> Vec<CoreId> {
         self.cores
@@ -193,16 +183,6 @@ impl Machine {
             .filter(|c| c.socket == socket)
             .map(|c| c.core)
             .collect()
-    }
-
-    /// Number of cores per socket if uniform, `None` if sockets differ.
-    pub fn uniform_cores_per_socket(&self) -> Option<usize> {
-        let mut counts = vec![0usize; self.num_sockets];
-        for c in &self.cores {
-            counts[c.socket] += 1;
-        }
-        let first = *counts.first()?;
-        counts.iter().all(|&c| c == first).then_some(first)
     }
 
     /// Capacity of the largest cache above `core` (its outermost level).
@@ -255,7 +235,7 @@ mod tests {
         assert_eq!(ig.num_boards, 2);
         assert_eq!(ig.num_numa, 8);
         assert_eq!(ig.num_sockets, 8);
-        assert_eq!(ig.uniform_cores_per_socket(), Some(6));
+        assert!((0..ig.num_sockets).all(|s| ig.cores_of_socket(s).len() == 6));
     }
 
     #[test]
@@ -301,14 +281,6 @@ mod tests {
             let b = z.core(z.core_of_os_id(os + 1)).socket;
             assert_ne!(a, b, "OS ids {os},{} on same socket", os + 1);
         }
-    }
-
-    #[test]
-    fn cores_of_numa_partition() {
-        let ig = machines::ig();
-        let mut all: Vec<CoreId> = (0..ig.num_numa).flat_map(|n| ig.cores_of_numa(n)).collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..48).collect::<Vec<_>>());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use pdac_core::adaptive::{AdaptiveColl, Collective, Request, Sinks};
 use pdac_core::framework::{CollFramework, Component};
 use pdac_core::topocache::TopoCache;
-use pdac_hwtopo::{Binding, BindingPolicy, Machine, TopoError};
+use pdac_hwtopo::{BindingPolicy, Machine, TopoError};
 use pdac_mpisim::{Communicator, ExecError, KnemStats, ThreadExecutor, TransportKind};
 use pdac_simnet::{BufId, DataOp, Rank, Schedule};
 
@@ -124,29 +124,15 @@ impl Session {
         nranks: usize,
     ) -> Result<Self, MpiError> {
         let binding = policy.bind(&machine, nranks)?;
-        Ok(Self::from_parts(Communicator::world(machine, binding), CollFramework::default()))
-    }
-
-    /// Creates a session over an explicit binding and framework.
-    pub fn with_binding(
-        machine: Arc<Machine>,
-        binding: Binding,
-        framework: CollFramework,
-    ) -> Self {
-        Self::from_parts(Communicator::world(machine, binding), framework)
-    }
-
-    fn from_parts(comm: Communicator, framework: CollFramework) -> Self {
-        let coll = AdaptiveColl::new(framework.adaptive);
-        let executor = ThreadExecutor::with_transport(TransportKind::Knem.create(None));
-        Session {
-            comm,
+        let framework = CollFramework::default();
+        Ok(Session {
+            comm: Communicator::world(machine, binding),
+            coll: AdaptiveColl::new(framework.adaptive),
             framework,
-            coll,
             cache: TopoCache::new(),
-            executor,
+            executor: ThreadExecutor::with_transport(TransportKind::Knem.create(None)),
             last_knem: Cell::new(KnemStats::default()),
-        }
+        })
     }
 
     /// Number of ranks.
@@ -167,22 +153,20 @@ impl Session {
     }
 
     /// The schedule this session runs for `request` (exposed for
-    /// inspection), planned through the session's topology cache.
+    /// inspection). The framework's decision table picks the component of
+    /// a broadcast or allgather; the distance-aware one, and every other
+    /// collective, plans through the session's topology cache.
     pub fn plan(&self, request: Request) -> Schedule {
-        self.coll.plan(&self.comm, request, Sinks::cached(&self.cache))
-    }
-
-    /// The schedule of a broadcast or allgather `request`: the framework's
-    /// decision table picks the component, and the distance-aware one plans
-    /// through [`Self::plan`] like every other collective.
-    fn plan_selected(&self, request: Request) -> Schedule {
         let Request { collective, root, bytes, .. } = request;
+        // Only those two have a component besides the distance-aware one.
         match (collective, self.framework.table.select(collective, bytes)) {
-            (_, Component::KnemColl) => self.plan(request),
-            (Collective::Bcast, _) => self.framework.bcast(&self.comm, root, bytes),
-            (Collective::Allgather, _) => self.framework.allgather(&self.comm, bytes),
-            // Only those two have a component besides the distance-aware one.
-            _ => self.plan(request),
+            (Collective::Bcast, Component::Sm | Component::Tuned) => {
+                self.framework.bcast(&self.comm, root, bytes)
+            }
+            (Collective::Allgather, Component::Sm | Component::Tuned) => {
+                self.framework.allgather(&self.comm, bytes)
+            }
+            _ => self.coll.plan(&self.comm, request, Sinks::cached(&self.cache)),
         }
     }
 
@@ -240,7 +224,7 @@ impl Session {
             return Ok(());
         }
         let bytes = len * T::WIDTH;
-        let schedule = self.plan_selected(Request::new(Collective::Bcast, root, bytes));
+        let schedule = self.plan(Request::new(Collective::Bcast, root, bytes));
         // The root's vector is its send buffer, every other rank's its
         // receive buffer.
         let (below, rest) = bufs.split_at_mut(root);
@@ -290,7 +274,7 @@ impl Session {
             return Ok(vec![Vec::new(); self.size()]);
         }
         let block = len * T::WIDTH;
-        let schedule = self.plan_selected(Request::new(Collective::Allgather, 0, block));
+        let schedule = self.plan(Request::new(Collective::Allgather, 0, block));
         let mut out = zeroed(self.size(), len * self.size());
         self.execute(&schedule, lend(contribs), lend_mut(&mut out))?;
         Ok(out)

@@ -70,7 +70,7 @@ fn bcast_writes_into_the_callers_vectors() {
     let (n, len, root) = (12, 32 << 10, 5);
     let s = session(n);
     let mut bufs: Vec<Vec<u64>> = (0..n).map(|r| vec![r as u64; len]).collect();
-    s.bcast(&mut bufs, root).unwrap(); // Helpers and the plan cache warm up.
+    s.bcast(&mut bufs, root).unwrap(); // Helpers and the topology cache warm up.
     // Each call checks one staging buffer per worker, of the schedule's
     // largest copy, out of a pool of its own.
     let schedule = s.plan(Request::new(Collective::Bcast, root, len * u64::WIDTH));

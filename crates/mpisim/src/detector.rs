@@ -179,22 +179,13 @@ impl FailureDetector {
         self.states.lock().get(rank).copied().unwrap_or(RankState::Confirmed)
     }
 
-    /// Ranks currently under unrefuted suspicion.
-    pub fn suspected(&self) -> Vec<Rank> {
-        self.ranks_in(RankState::Suspect)
-    }
-
-    /// Ranks proven dead.
+    /// Ranks proven dead, ascending.
     pub fn confirmed(&self) -> Vec<Rank> {
-        self.ranks_in(RankState::Confirmed)
-    }
-
-    fn ranks_in(&self, state: RankState) -> Vec<Rank> {
         self.states
             .lock()
             .iter()
             .enumerate()
-            .filter(|(_, s)| **s == state)
+            .filter(|(_, s)| **s == RankState::Confirmed)
             .map(|(r, _)| r)
             .collect()
     }
@@ -219,7 +210,6 @@ mod tests {
         assert_eq!(det.state(2), RankState::Alive);
         det.suspect(2, 0);
         assert_eq!(det.state(2), RankState::Suspect);
-        assert_eq!(det.suspected(), vec![2]);
         // The "dead" rank completes an op: it was merely slow.
         det.heartbeat(2);
         assert_eq!(det.state(2), RankState::Alive);

@@ -32,7 +32,7 @@ pub enum KnemError {
         region_len: usize,
     },
     /// The operation carries an epoch the device has fenced off: the
-    /// membership layer agreed on a new `(epoch, survivor_set)` and this
+    /// recovery layer shrank the communicator under a new epoch and this
     /// message predates it. Stale deliveries are rejected, never served
     /// into the rebuilt topology.
     StaleEpoch {

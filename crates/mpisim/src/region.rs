@@ -58,8 +58,8 @@ pub(crate) struct RegionTable {
     registrations: AtomicU64,
     deregistrations: AtomicU64,
     lock_acquires: AtomicU64,
-    /// Lowest epoch still accepted. Raised by the membership layer when the
-    /// survivors agree on a new `(epoch, survivor_set)`; operations stamped
+    /// Lowest epoch still accepted. Raised by the recovery layer when it
+    /// shrinks the communicator under a new epoch; operations stamped
     /// below it are rejected with [`KnemError::StaleEpoch`].
     epoch_fence: AtomicU64,
     fenced: AtomicU64,

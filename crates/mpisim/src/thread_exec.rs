@@ -111,7 +111,7 @@ pub enum ExecError {
         fault_stats: Box<FaultStats>,
     },
     /// The run executes under an epoch the KNEM device has already fenced
-    /// off — the membership layer agreed on a newer `(epoch, survivor_set)`
+    /// off — the recovery layer shrank the communicator under a newer epoch
     /// while this straggler was still in flight. Not retried: a fenced
     /// epoch never becomes valid again.
     StaleEpoch {

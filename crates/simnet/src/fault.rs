@@ -433,7 +433,7 @@ impl ResolvedFaults {
 /// keeps its own record: the engine's is its prediction, carried in
 /// [`crate::SimReport`] and never published; the thread executor fills and
 /// publishes one per run, and the recovery layer merges those across
-/// attempts and adds its own rebuild, agreement and degrade counts.
+/// attempts and adds its own rebuild and degrade counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Link-degrade faults applied to the resource graph.
@@ -465,18 +465,12 @@ pub struct FaultStats {
     /// Ranks the detector confirmed dead (silent exit with work remaining,
     /// or suspicion that outlived the confirmation window).
     pub ranks_confirmed_dead: u64,
-    /// Message rounds the survivor-set agreement protocol ran before every
-    /// live rank converged on the same `(epoch, survivor_set)`.
-    pub agreement_rounds: u64,
-    /// Coordinator re-elections during agreement (the coordinator itself
-    /// was dead or unresponsive).
-    pub coordinator_reelections: u64,
     /// Stale-epoch messages rejected by the epoch fence (KNEM cookies or
     /// notifies stamped with a dead epoch, refused delivery into the
     /// rebuilt topology).
     pub fenced_messages: u64,
     /// Runs that fell back to the distance-oblivious baseline algorithms
-    /// because agreement or rebuild could not complete.
+    /// (recovery churned past its budget, or one survivor was left).
     pub degraded_runs: u64,
     /// Chunks stamped with a source checksum at `tx` time (executor legs
     /// only; the simulated leg does not move real bytes).
@@ -512,8 +506,6 @@ impl FaultStats {
         self.suspects_raised += other.suspects_raised;
         self.suspects_refuted += other.suspects_refuted;
         self.ranks_confirmed_dead += other.ranks_confirmed_dead;
-        self.agreement_rounds += other.agreement_rounds;
-        self.coordinator_reelections += other.coordinator_reelections;
         self.fenced_messages += other.fenced_messages;
         self.degraded_runs += other.degraded_runs;
         self.checksums_stamped += other.checksums_stamped;
@@ -735,8 +727,6 @@ mod tests {
             suspects_raised: 3,
             suspects_refuted: 2,
             ranks_confirmed_dead: 1,
-            agreement_rounds: 6,
-            coordinator_reelections: 1,
             fenced_messages: 2,
             degraded_runs: 1,
             checksums_stamped: 9,

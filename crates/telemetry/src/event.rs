@@ -100,16 +100,6 @@ impl Event {
         }
     }
 
-    /// The argument named `key` as a float (integers widen losslessly up
-    /// to 2^53).
-    pub fn arg_f64(&self, key: &str) -> Option<f64> {
-        match self.arg(key)? {
-            ArgValue::F64(v) => Some(*v),
-            ArgValue::U64(v) => Some(*v as f64),
-            ArgValue::Str(_) => None,
-        }
-    }
-
     /// The argument named `key` as a string.
     pub fn arg_str(&self, key: &str) -> Option<&str> {
         match self.arg(key)? {

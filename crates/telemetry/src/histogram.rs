@@ -101,19 +101,6 @@ impl LogHistogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Records `n` occurrences of `value` in one shot — for folding a
-    /// pre-aggregated per-run histogram into the process-wide one without
-    /// `n` individual records.
-    #[inline]
-    pub fn record_many(&self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)

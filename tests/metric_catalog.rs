@@ -19,8 +19,7 @@ use std::time::Duration;
 use pdac::analyze::{ConformanceReport, MechKind, OpGraph, OpSpan};
 use pdac::collectives::verify::pattern;
 use pdac::collectives::{
-    run_chaos, AdaptiveColl, ChaosConfig, Collective, MembershipConfig, RecoveryManager, Request,
-    Sinks, TopoCache,
+    run_chaos, AdaptiveColl, ChaosConfig, Collective, Request, Sinks, TopoCache,
 };
 use pdac::hwtopo::{machines, BindingPolicy, DistanceMatrix};
 use pdac::mpisim::{
@@ -82,10 +81,8 @@ const CATALOG: &[(Kind, &str, &str, &str)] = &[
     (Histograms, "exec.op_ns.{kind}.d{class}", "per-op wall time by transfer kind and distance class", "pdac trace diff, tests/telemetry.rs"),
     // Recovery manager.
     (Counter, "recovery.topology_rebuilds", "ranks shrunk out under a fresh epoch", "integrity_observability"),
-    (Counter, "recovery.agreement_rounds", "survivor-agreement vote rounds", "integrity_observability"),
-    (Counter, "recovery.coordinator_reelections", "agreement coordinators retired as dead", "integrity_observability"),
     (Counter, "chaos.runs", "chaos episodes started", "flight dump"),
-    (Counter, "chaos.recoveries", "agreements committed inside a recovery loop", "flight dump"),
+    (Counter, "chaos.recoveries", "shrinks by the detector's confirmed set inside a recovery loop", "flight dump"),
     (Counter, "chaos.degraded", "recovery loops that fell back to the baselines", "integrity_observability"),
     // Simulator: its solver's own work, never its fault prediction.
     (Counter, "sim.runs", "simulator runs", "pdac trace diff"),
@@ -119,8 +116,8 @@ const CATALOG: &[(Kind, &str, &str, &str)] = &[
     (Span, "knem", "KNEM region registrations, fences and pull faults", "pdac trace trace_real.json"),
     (Span, "rdma", "RDMA memory registrations, fences and flushed requests", "any armed run's trace, in Perfetto"),
     (Span, "detector", "failure-detector transitions", "any armed run's trace, in Perfetto"),
-    (Span, "recovery", "membership shrinks, proposals, root re-elections", "any armed run's trace, in Perfetto"),
-    (Span, "chaos", "chaos episodes, confirmations and agreements", "any armed run's trace, in Perfetto"),
+    (Span, "recovery", "membership shrinks and root re-elections", "any armed run's trace, in Perfetto"),
+    (Span, "chaos", "chaos episodes and detector confirmations", "any armed run's trace, in Perfetto"),
     (Span, "topocache", "topology cache hits, misses and invalidations", "any armed run's trace, in Perfetto"),
     (Span, "hwtopo", "distance-matrix fills", "any armed run's trace, in Perfetto"),
     (Span, "simnet", "one simulator run", "any armed run's trace, in Perfetto"),
@@ -193,8 +190,8 @@ fn every_published_name_is_catalogued_and_seen() {
 
     // What chaos leaves to chance or never does, forced: a stall that
     // outlasts the suspicion window and is refuted, a dropped notification,
-    // a straggler from a fenced epoch, two RDMA runs sharing a staging
-    // pool, and an agreement whose coordinator is the dead rank.
+    // a straggler from a fenced epoch, and two RDMA runs sharing a staging
+    // pool.
     let bcast = coll.bcast(&smp, 0, 4096);
     ThreadExecutor::new()
         .with_policy(RetryPolicy {
@@ -228,10 +225,6 @@ fn every_published_name_is_catalogued_and_seen() {
         rdma.run(&bcast, pattern)
             .expect("a fault-free run completes");
     }
-    let mut mgr = RecoveryManager::new(coll.clone(), Arc::new(TopoCache::new()), smp.clone());
-    mgr.propose_failure(0).expect("rank 0 is live");
-    mgr.await_agreement(&[1, 2, 3, 4, 5], &MembershipConfig::default(), None)
-        .expect("the survivors agree");
     seen(reader.drain());
 
     // A plain simulation.

@@ -6,6 +6,8 @@
 use std::sync::Arc;
 
 use pdac::collectives::adaptive::BcastTopology;
+use pdac::collectives::baseline::tuned::{self, TunedConfig};
+use pdac::collectives::framework::CollFramework;
 use pdac::collectives::sched::{allreduce_schedule_dist, SchedConfig};
 use pdac::collectives::{
     build_bcast_tree, verify, AdaptiveColl, AllreduceAlgo, Collective, DecisionKind, Provenance,
@@ -174,31 +176,44 @@ fn tree_allreduce_has_one_rule() {
 
 #[test]
 fn session_plans_through_its_cache_without_changing_the_schedule() {
-    // `Session::plan` always goes through the session's own TopoCache now;
-    // for all nine collectives the miss and every later hit must equal the
-    // schedule planned with no cache at all — also where `Session` routes a
-    // broadcast or allgather to the distance-aware component itself.
+    // `Session::plan` is the schedule each call runs. Through the session's
+    // own TopoCache, for all nine collectives, the miss and every later hit
+    // must equal the schedule planned with no cache at all — or, where the
+    // framework's decision table routes a small broadcast or allgather to
+    // another component, that component's schedule.
+    let framework = CollFramework::default();
+    let tuned = TunedConfig::default();
     for (machine, n) in [(machines::ig(), 12), (machines::zoot(), 16)] {
         let session = Session::new(Arc::new(machine), BindingPolicy::CrossSocket, n).unwrap();
         let comm = session.comm();
         let uncached = AdaptiveColl::default();
         for request in requests(n) {
-            let plain = uncached.plan(comm, request, Sinks::default());
+            let plain = match request.collective {
+                // `requests` gives allgather a 1500-byte block: tuned's.
+                Collective::Allgather => framework.allgather(comm, request.bytes),
+                _ => uncached.plan(comm, request, Sinks::default()),
+            };
             for pass in ["miss", "hit", "hit again"] {
                 assert_eq!(session.plan(request), plain, "{} {request:?}: {pass}", comm.name());
             }
         }
-        let framework = pdac::collectives::framework::CollFramework::default();
-        let (root, bytes) = (n / 3, 200_000);
+        let root = n / 3;
+        let plan = |collective, bytes| session.plan(Request::new(collective, root, bytes));
         assert_eq!(
-            session.plan(Request::new(Collective::Bcast, root, bytes)),
-            framework.bcast(comm, root, bytes),
+            plan(Collective::Bcast, 200_000),
+            framework.bcast(comm, root, 200_000),
             "the KnemColl branch of the framework's bcast"
         );
         assert_eq!(
-            session.plan(Request::new(Collective::Allgather, 0, 4096)),
+            plan(Collective::Allgather, 4096),
             framework.allgather(comm, 4096),
             "the KnemColl branch of the framework's allgather"
         );
+        // The sizes the table routes elsewhere, and one it does not.
+        assert_eq!(plan(Collective::Bcast, 1024), framework.bcast(comm, root, 1024), "1 KiB bcast");
+        assert_eq!(plan(Collective::Bcast, 8192), tuned::bcast(n, root, 8192, &tuned), "8 KiB bcast");
+        assert_eq!(plan(Collective::Allgather, 1024), tuned::allgather(n, 1024, &tuned), "1 KiB allgather");
+        let big = Request::new(Collective::Bcast, root, 1 << 20);
+        assert_eq!(session.plan(big), uncached.plan(comm, big, Sinks::default()), "1 MiB bcast");
     }
 }

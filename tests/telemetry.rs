@@ -151,7 +151,6 @@ fn fault_summary_includes_retries_and_backoff() {
     // runs stay column-comparable.
     assert!(line.contains("0 suspected (0 refuted)"), "{line}");
     assert!(line.contains("0 confirmed dead"), "{line}");
-    assert!(line.contains("0 agreement rounds (0 re-elections)"), "{line}");
     assert!(line.contains("0 fenced"), "{line}");
     assert!(line.contains("0 degraded runs"), "{line}");
 
@@ -161,8 +160,6 @@ fn fault_summary_includes_retries_and_backoff() {
         suspects_raised: 3,
         suspects_refuted: 2,
         ranks_confirmed_dead: 1,
-        agreement_rounds: 4,
-        coordinator_reelections: 1,
         fenced_messages: 5,
         degraded_runs: 1,
         ..FaultStats::default()
@@ -170,7 +167,6 @@ fn fault_summary_includes_retries_and_backoff() {
     let busy_line = fault_summary_line(&busy);
     assert!(busy_line.contains("3 suspected (2 refuted)"), "{busy_line}");
     assert!(busy_line.contains("1 confirmed dead"), "{busy_line}");
-    assert!(busy_line.contains("4 agreement rounds (1 re-elections)"), "{busy_line}");
     assert!(busy_line.contains("5 fenced"), "{busy_line}");
     assert!(busy_line.contains("1 degraded runs"), "{busy_line}");
     assert_eq!(
