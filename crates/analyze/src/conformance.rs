@@ -21,7 +21,7 @@
 //! dependent's recorded start is always at or after its dependency's
 //! recorded end. Only a true violation (or a corrupted trace) trips it.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pdac_core::Provenance;
 
@@ -33,7 +33,7 @@ use crate::opgraph::{MechKind, OpGraph};
 pub const ORDER_EPS_US: f64 = 1e-6;
 
 /// One dependency-order violation: `op` started before `dep` ended.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OrderViolation {
     /// The op that ran too early.
     pub op: usize,
@@ -46,7 +46,7 @@ pub struct OrderViolation {
 }
 
 /// The outcome of joining one executed trace against one plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ConformanceReport {
     /// The plan the trace was audited against.
     pub plan_id: String,
@@ -172,11 +172,6 @@ impl ConformanceReport {
         serde_json::to_string_pretty(self).expect("conformance report serializes")
     }
 
-    /// Parses a conformance document.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        serde_json::from_str(s).map_err(|e| format!("bad conformance JSON: {e:?}"))
-    }
-
     /// Human-readable multi-line rendering.
     pub fn render(&self) -> String {
         let list = |ids: &[usize]| -> String {
@@ -259,8 +254,7 @@ mod tests {
         assert!(rep.passed(), "{}", rep.render());
         assert_eq!(rep.executed_ops, rep.planned_ops);
         assert!(rep.render().contains("verdict: PASS"));
-        let back = ConformanceReport::from_json(&rep.to_json()).expect("round trip");
-        assert_eq!(back, rep);
+        serde_json::from_str::<serde_json::Value>(&rep.to_json()).expect("JSON");
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //! report's `coverage` is the identified-span share of wall time, the
 //! figure the acceptance gate checks.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::opgraph::OpGraph;
 
 /// How a step was reached from its predecessor on the path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum EdgeKind {
     /// First operation of the chain (no predecessor).
     Start,
@@ -32,7 +32,7 @@ pub enum EdgeKind {
 }
 
 /// One operation on the critical path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PathStep {
     /// Operation id.
     pub op: usize,
@@ -59,7 +59,7 @@ pub struct PathStep {
 
 /// One attribution bucket: the share of on-path span time belonging to a
 /// rank, mechanism or distance class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AttributionRow {
     /// Bucket key (`rank 3`, `knem`, `d4`...).
     pub key: String,
@@ -70,7 +70,7 @@ pub struct AttributionRow {
 }
 
 /// The critical-path answer for one trace leg.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CriticalPathReport {
     /// Wall time of the run in microseconds (latest end − earliest start).
     pub wall_us: f64,
@@ -219,11 +219,6 @@ impl CriticalPathReport {
     /// Serializes to pretty-printed JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serializes")
-    }
-
-    /// Parses a report previously written by [`CriticalPathReport::to_json`].
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
     }
 
     /// Human-readable multi-line rendering.
@@ -379,14 +374,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_graph_yields_zero_report_and_json_round_trips() {
+    fn empty_graph_yields_zero_report_and_json_parses() {
         let r = CriticalPathReport::extract(&OpGraph::default());
         assert_eq!(r.coverage, 0.0);
         assert!(r.render().contains("no op spans"));
         let g = OpGraph::new(vec![span(0, 0, 0.0, 1.0, vec![])]);
         let r = CriticalPathReport::extract(&g);
-        let back = CriticalPathReport::from_json(&r.to_json()).expect("round trip");
-        assert_eq!(back, r);
+        serde_json::from_str::<serde_json::Value>(&r.to_json()).expect("JSON");
         assert!(r.render().contains("op    0"));
     }
 }

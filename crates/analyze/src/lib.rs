@@ -39,6 +39,6 @@ pub mod trace_io;
 
 pub use conformance::{ConformanceReport, OrderViolation};
 pub use critical_path::{AttributionRow, CriticalPathReport, EdgeKind, PathStep};
-pub use divergence::{ClassDrift, DivergenceConfig, DivergenceReport};
+pub use divergence::{ClassDrift, DivergenceReport};
 pub use opgraph::{MechKind, OpGraph, OpSpan};
 pub use trace_io::events_from_chrome_trace;

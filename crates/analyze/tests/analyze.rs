@@ -4,9 +4,7 @@
 
 use std::sync::Arc;
 
-use pdac_analyze::{
-    events_from_chrome_trace, CriticalPathReport, DivergenceConfig, DivergenceReport, OpGraph,
-};
+use pdac_analyze::{events_from_chrome_trace, CriticalPathReport, DivergenceReport, OpGraph};
 use pdac_core::AdaptiveColl;
 use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix};
 use pdac_mpisim::Communicator;
@@ -68,7 +66,7 @@ fn divergence_of_a_saved_leg_against_itself_flags_nothing() {
     let sim = OpGraph::from_events(&events);
     let json = chrome_trace(&events, &TraceMeta::real().with_ranks(comm.size()));
     let real = OpGraph::from_events(&events_from_chrome_trace(&json).expect("trace parses"));
-    let rep = DivergenceReport::compare(&real, &sim, DivergenceConfig::default());
+    let rep = DivergenceReport::compare(&real, &sim);
     assert_eq!(rep.joined_ops, schedule.ops.len());
     assert_eq!(rep.real_only, 0);
     assert_eq!(rep.sim_only, 0);

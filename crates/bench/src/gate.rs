@@ -25,7 +25,7 @@ use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix, Machine};
 use pdac_mpisim::Communicator;
 use pdac_simnet::trace::sim_events_with_distances;
 use pdac_simnet::{SimConfig, SimExecutor, TransportModel};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One cell of the canonical matrix.
 #[derive(Debug, Clone)]
@@ -174,7 +174,7 @@ pub fn render_table(rows: &[ScenarioResult]) -> String {
 
 /// One scenario's audit artifacts: the plan that explains it and the
 /// verdict of joining the executed sim leg back against that plan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ScenarioAudit {
     /// Scenario id (same key as [`ScenarioResult`]).
     pub id: String,

@@ -32,15 +32,15 @@
 //! earlier `run`: op ids, distance classes and dependency links ride in the
 //! span args.
 //!
-//! `diff` compares two `metrics.json` snapshots (counter deltas and
-//! per-histogram count/mean/percentile shifts) or two `provenance.json`
-//! plans (the decisions that changed).
+//! `diff` compares two `provenance.json` plans (the decisions and decision
+//! inputs that changed) or two `metrics.json` snapshots (counters and
+//! per-histogram count, mean and percentiles). Both flatten to `key →
+//! value` and go through the one differ, `pdac_telemetry::diff`.
 
 use std::sync::Arc;
 
 use pdac_analyze::{
-    events_from_chrome_trace, ConformanceReport, CriticalPathReport, DivergenceConfig,
-    DivergenceReport, OpGraph,
+    events_from_chrome_trace, ConformanceReport, CriticalPathReport, DivergenceReport, OpGraph,
 };
 use pdac_core::verify::pattern;
 use pdac_core::{AdaptiveColl, Provenance, Request, Sinks};
@@ -195,7 +195,7 @@ pub fn explain(job: &Job) -> Result<(), String> {
 fn write_reports(outdir: &str, real: &OpGraph, sim: &OpGraph) -> Result<(), String> {
     let cp_real = CriticalPathReport::extract(real);
     let cp_sim = CriticalPathReport::extract(sim);
-    let div = DivergenceReport::compare(real, sim, DivergenceConfig::default());
+    let div = DivergenceReport::compare(real, sim);
     write_file(
         format!("{outdir}/critical_path.json"),
         &format!("{{\"real\":{},\"sim\":{}}}\n", cp_real.to_json(), cp_sim.to_json()),
@@ -221,23 +221,30 @@ pub fn analyze(outdir: &str) -> Result<(), String> {
     write_reports(outdir, &load("trace_real.json")?, &load("trace_sim.json")?)
 }
 
-/// `pdac trace diff`: two provenance documents, or two metrics snapshots.
+/// `pdac trace diff`: two provenance documents, or two metrics snapshots,
+/// through the one differ.
 pub fn diff(base_path: &str, new_path: &str) -> Result<(), String> {
     let (base, new) = (read_file(base_path)?, read_file(new_path)?);
-    if let (Ok(base), Ok(new)) = (Provenance::from_json(&base), Provenance::from_json(&new)) {
-        print!("{}", base.diff(&new).render());
-        return Ok(());
-    }
     let load = |path: &str, body: &str| {
-        RegistrySnapshot::from_json(body).map_err(|e| {
-            format!("{path} is neither a provenance document nor a metrics snapshot: {e}")
-        })
+        RegistrySnapshot::from_json(body)
+            .map(|s| s.flat())
+            .map_err(|e| {
+                format!("{path} is neither a provenance document nor a metrics snapshot: {e}")
+            })
     };
-    let d = load(new_path, &new)?.diff(&load(base_path, &base)?);
-    if d.is_empty() {
-        println!("no metric changes between {base_path} and {new_path}");
-    } else {
-        print!("{}", d.render());
-    }
+    let plans = (Provenance::from_json(&base), Provenance::from_json(&new));
+    let (header, before, after) = match plans {
+        (Ok(b), Ok(n)) => (
+            format!("plan diff: {} -> {}", b.plan_id, n.plan_id),
+            b.flat(),
+            n.flat(),
+        ),
+        _ => (
+            format!("metrics diff: {base_path} -> {new_path}"),
+            load(base_path, &base)?,
+            load(new_path, &new)?,
+        ),
+    };
+    print!("{header}\n{}", pdac_telemetry::diff::diff(&before, &after));
     Ok(())
 }

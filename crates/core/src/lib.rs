@@ -70,7 +70,7 @@ pub use allgather_ring::Ring;
 pub use bcast_tree::build_bcast_tree;
 pub use chaos::{run_chaos, ChaosConfig, ChaosOutcome};
 pub use edges::{edge_queue, Edge};
-pub use provenance::{Decision, DecisionKind, PlannedOp, Provenance, ProvenanceDiff};
+pub use provenance::{Decision, DecisionKind, PlannedOp, Provenance};
 pub use recovery::{CollectiveError, Completion, HangBound, RecoveryManager};
 pub use topocache::{TopoCache, TopoCacheStats};
 pub use tree::Tree;

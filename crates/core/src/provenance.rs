@@ -14,9 +14,10 @@
 //! * **explain** ([`Provenance::explain`]) — a human-readable report
 //!   naming a recorded reason for every algorithm, chunk-class, cache and
 //!   fallback decision (`pdac trace explain`);
-//! * **diff** ([`Provenance::diff`]) — joins two plans decision-by-
-//!   decision (subjects are epoch-stable keys) so a migration or rebind
-//!   answers "what changed in the plan and which decision input moved";
+//! * **diff** ([`Provenance::flat`]) — one key per decision and per
+//!   decision input (subjects are epoch-stable keys), so the one differ
+//!   (`pdac_telemetry::diff`) answers across a migration or rebind "what
+//!   changed in the plan and which decision input moved";
 //! * **conformance** — the planned-op list ([`PlannedOp`], derived from
 //!   the compiled [`Schedule`]) is what `pdac-analyze` joins an executed
 //!   trace against, flagging unexplained, missing, or re-ordered ops.
@@ -24,6 +25,7 @@
 use serde::{Deserialize, Serialize};
 
 use pdac_simnet::{OpKind, Schedule};
+use pdac_telemetry::diff::Flat;
 
 /// Which planning rule a [`Decision`] came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -57,8 +59,9 @@ impl DecisionKind {
 }
 
 /// One recorded decision: what was chosen, why, and the inputs the rule
-/// saw. `subject` is the epoch-stable join key [`Provenance::diff`] keys
-/// on, so it must not embed epoch numbers (those belong in `inputs`).
+/// saw. `subject` is the epoch-stable key [`Provenance::flat`] names the
+/// decision by, so it must not embed epoch numbers (those belong in
+/// `inputs`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Decision {
     /// The rule that fired.
@@ -269,162 +272,21 @@ impl Provenance {
         out
     }
 
-    /// Diffs this plan (the *old* side) against `new`, keyed by
-    /// `(kind, subject)`: which decisions changed, which inputs moved,
-    /// which decisions exist on only one side.
-    pub fn diff(&self, new: &Provenance) -> ProvenanceDiff {
-        let key = |d: &Decision| (d.kind, d.subject.clone());
-        let mut changed = Vec::new();
-        let mut removed = Vec::new();
-        for old_d in &self.decisions {
-            match new.decisions.iter().find(|d| key(d) == key(old_d)) {
-                None => removed.push(format!("[{}] {}", old_d.kind.label(), old_d.subject)),
-                Some(new_d) => {
-                    let mut moved = Vec::new();
-                    for (name, old_v) in &old_d.inputs {
-                        match new_d.input(name) {
-                            Some(new_v) if new_v != old_v => moved.push(InputMove {
-                                name: name.clone(),
-                                old: old_v.clone(),
-                                new: new_v.to_string(),
-                            }),
-                            Some(_) => {}
-                            None => moved.push(InputMove {
-                                name: name.clone(),
-                                old: old_v.clone(),
-                                new: "-".into(),
-                            }),
-                        }
-                    }
-                    for (name, new_v) in &new_d.inputs {
-                        if old_d.input(name).is_none() {
-                            moved.push(InputMove {
-                                name: name.clone(),
-                                old: "-".into(),
-                                new: new_v.clone(),
-                            });
-                        }
-                    }
-                    if old_d.choice != new_d.choice || !moved.is_empty() {
-                        changed.push(DecisionDelta {
-                            kind: old_d.kind,
-                            subject: old_d.subject.clone(),
-                            old_choice: old_d.choice.clone(),
-                            new_choice: new_d.choice.clone(),
-                            moved_inputs: moved,
-                        });
-                    }
-                }
+    /// The plan as the one differ's [`Flat`] form: `[kind] subject` →
+    /// choice, `[kind] subject: input` → value for every decision input,
+    /// and `planned ops` → count. A decision's `reason` stays out: prose
+    /// that restates the inputs would only add noise to a diff.
+    pub fn flat(&self) -> Flat {
+        let mut flat = Flat::new();
+        for d in &self.decisions {
+            let key = format!("[{}] {}", d.kind.label(), d.subject);
+            for (name, value) in &d.inputs {
+                flat.insert(format!("{key}: {name}"), value.clone());
             }
+            flat.insert(key, d.choice.clone());
         }
-        let added = new
-            .decisions
-            .iter()
-            .filter(|d| !self.decisions.iter().any(|o| key(o) == key(d)))
-            .map(|d| format!("[{}] {}", d.kind.label(), d.subject))
-            .collect();
-        ProvenanceDiff {
-            old_plan: self.plan_id.clone(),
-            new_plan: new.plan_id.clone(),
-            changed,
-            removed,
-            added,
-            ops_before: self.planned_ops.len(),
-            ops_after: new.planned_ops.len(),
-        }
-    }
-}
-
-/// One input whose value moved between two plans (`-` marks a side the
-/// input is absent from).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct InputMove {
-    /// Input name.
-    pub name: String,
-    /// Value in the old plan.
-    pub old: String,
-    /// Value in the new plan.
-    pub new: String,
-}
-
-/// One decision present in both plans whose choice or inputs differ.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DecisionDelta {
-    /// The rule the decision came from.
-    pub kind: DecisionKind,
-    /// The (stable) subject both sides share.
-    pub subject: String,
-    /// The old plan's choice.
-    pub old_choice: String,
-    /// The new plan's choice.
-    pub new_choice: String,
-    /// Inputs whose values moved.
-    pub moved_inputs: Vec<InputMove>,
-}
-
-/// The decision-by-decision delta between two plans — the "what changed
-/// and which input moved" answer across a migration or rebind epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProvenanceDiff {
-    /// The old plan's id.
-    pub old_plan: String,
-    /// The new plan's id.
-    pub new_plan: String,
-    /// Decisions whose choice or inputs moved.
-    pub changed: Vec<DecisionDelta>,
-    /// Decisions present only in the old plan (`[kind] subject`).
-    pub removed: Vec<String>,
-    /// Decisions present only in the new plan (`[kind] subject`).
-    pub added: Vec<String>,
-    /// Planned-op count of the old plan.
-    pub ops_before: usize,
-    /// Planned-op count of the new plan.
-    pub ops_after: usize,
-}
-
-impl ProvenanceDiff {
-    /// True when no decision changed, appeared, or disappeared.
-    pub fn is_unchanged(&self) -> bool {
-        self.changed.is_empty() && self.removed.is_empty() && self.added.is_empty()
-    }
-
-    /// Serializes to pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("diff serializes")
-    }
-
-    /// Human-readable multi-line rendering.
-    pub fn render(&self) -> String {
-        let mut out = format!("plan diff: {} -> {}\n", self.old_plan, self.new_plan);
-        if self.is_unchanged() {
-            out.push_str("  no decision changed\n");
-        }
-        for c in &self.changed {
-            out.push_str(&format!(
-                "  ~ [{}] {}: {} -> {}\n",
-                c.kind.label(),
-                c.subject,
-                c.old_choice,
-                c.new_choice
-            ));
-            for m in &c.moved_inputs {
-                out.push_str(&format!(
-                    "      input {} moved: {} -> {}\n",
-                    m.name, m.old, m.new
-                ));
-            }
-        }
-        for s in &self.removed {
-            out.push_str(&format!("  - {s} (only in old plan)\n"));
-        }
-        for s in &self.added {
-            out.push_str(&format!("  + {s} (only in new plan)\n"));
-        }
-        out.push_str(&format!(
-            "  planned ops: {} -> {}\n",
-            self.ops_before, self.ops_after
-        ));
-        out
+        flat.insert("planned ops".into(), self.planned_ops.len().to_string());
+        flat
     }
 }
 
@@ -489,59 +351,5 @@ mod tests {
         let back = Provenance::from_json(&p.to_json()).expect("round trip");
         assert_eq!(back, p);
         assert!(Provenance::from_json("nope").is_err());
-    }
-
-    #[test]
-    fn diff_identifies_changed_decisions_and_moved_inputs() {
-        let old = sample();
-        let mut new = Provenance::begin("bcast", 8, 1 << 10, 4);
-        new.record(Decision::new(
-            DecisionKind::Topology,
-            "bcast topology",
-            "Hierarchical",
-            "message at or below the collapse threshold",
-            decision_inputs![("bytes", 1 << 10), ("collapse_threshold", 16 * 1024)],
-        ));
-        new.record(Decision::new(
-            DecisionKind::ChunkClass,
-            "chunk d5",
-            "131072 B chunks",
-            "cross-socket edges keep the tuned chunk",
-            decision_inputs![("distance_class", 5)],
-        ));
-        let diff = old.diff(&new);
-        assert!(!diff.is_unchanged());
-        let topo = diff
-            .changed
-            .iter()
-            .find(|c| c.subject == "bcast topology")
-            .expect("changed");
-        assert_eq!(topo.old_choice, "Collapsed");
-        assert_eq!(topo.new_choice, "Hierarchical");
-        let moved = topo
-            .moved_inputs
-            .iter()
-            .find(|m| m.name == "bytes")
-            .expect("bytes moved");
-        assert_eq!(
-            (moved.old.as_str(), moved.new.as_str()),
-            ("1048576", "1024")
-        );
-        assert!(diff.removed.contains(&"[chunk] chunk d1".to_string()));
-        assert!(diff.added.contains(&"[chunk] chunk d5".to_string()));
-        let text = diff.render();
-        assert!(
-            text.contains("input bytes moved: 1048576 -> 1024"),
-            "{text}"
-        );
-        assert!(text.contains("+ [chunk] chunk d5"), "{text}");
-    }
-
-    #[test]
-    fn identical_plans_diff_empty() {
-        let p = sample();
-        let diff = p.diff(&p.clone());
-        assert!(diff.is_unchanged());
-        assert!(diff.render().contains("no decision changed"));
     }
 }

@@ -9,10 +9,7 @@
 //!   `scatter`, `alltoall` and `barrier` over **typed slices** (`f64`,
 //!   `i64`, `u64`, `u32`, `u8`);
 //! * typed reduction operators ([`ReduceOp`]) mapped onto the schedule IR's
-//!   lane-wise combines;
-//! * MPI-style **derived datatypes** ([`Datatype`]: contiguous, vector,
-//!   indexed) with pack/unpack, so strided application data can ride the
-//!   collectives without manual staging.
+//!   lane-wise combines.
 //!
 //! Every call builds its schedule through the distance-aware framework in
 //! `pdac-core` (component selection included) and executes it on the
@@ -45,10 +42,8 @@
 #[cfg(target_endian = "big")]
 compile_error!("pdac-mpi lends element memory as little-endian bytes: little-endian targets only");
 
-pub mod datatype;
 pub mod scalar;
 pub mod session;
 
-pub use datatype::Datatype;
 pub use scalar::Scalar;
 pub use session::{MpiError, ReduceOp, Session};

@@ -10,7 +10,6 @@ use pdac_hwtopo::{BindingPolicy, Machine, TopoError};
 use pdac_mpisim::{Communicator, ExecError, KnemStats, ThreadExecutor, TransportKind};
 use pdac_simnet::{BufId, DataOp, Rank, Schedule};
 
-use crate::datatype::Datatype;
 use crate::scalar::{Scalar, ScalarKind};
 
 /// Typed reduction operators (the MPI_Op subset with lane-wise support).
@@ -233,39 +232,6 @@ impl Session {
         self.execute(&schedule, [(root, T::bytes(src))], others.map(|(r, b)| (r, T::bytes_mut(b))))
     }
 
-    /// Broadcast of a derived datatype: the selected bytes of the root's
-    /// buffer are packed, broadcast and unpacked into every rank's buffer.
-    pub fn bcast_typed(
-        &self,
-        bufs: &mut [Vec<u8>],
-        dt: &Datatype,
-        root: usize,
-    ) -> Result<(), MpiError> {
-        if bufs.len() != self.size() {
-            return Err(MpiError::Shape("bcast_typed: one buffer per rank".into()));
-        }
-        self.check_root(root, "bcast_typed")?;
-        if !dt.is_valid() {
-            return Err(MpiError::Shape("bcast_typed: invalid datatype".into()));
-        }
-        let extent = dt.extent();
-        if bufs.iter().any(|b| b.len() < extent) {
-            return Err(MpiError::Shape("bcast_typed: buffer shorter than the extent".into()));
-        }
-        // Reuse the scalar path over the packed bytes.
-        let mut staged: Vec<Vec<u8>> = vec![vec![0; dt.size()]; self.size()];
-        staged[root] = dt.pack(&bufs[root]);
-        if dt.size() > 0 {
-            self.bcast::<u8>(&mut staged, root)?;
-        }
-        for (r, buf) in bufs.iter_mut().enumerate() {
-            if r != root {
-                dt.unpack(&staged[r], buf);
-            }
-        }
-        Ok(())
-    }
-
     /// Allgather: every rank contributes its vector; every rank receives
     /// the concatenation in rank order.
     pub fn allgather<T: Scalar>(&self, contribs: &[Vec<T>]) -> Result<Vec<Vec<T>>, MpiError> {
@@ -447,7 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn bcast_typed_scalars() {
+    fn bcast_scalars() {
         let s = session(12);
         let mut bufs: Vec<Vec<f64>> = (0..12).map(|r| vec![r as f64; 100]).collect();
         s.bcast(&mut bufs, 5).unwrap();
@@ -550,29 +516,11 @@ mod tests {
             };
             shape(s.bcast(&mut data.clone(), n), "bcast");
             shape(s.bcast(&mut vec![Vec::<u32>::new(); n], n), "empty bcast");
-            let mut bytes = vec![vec![0u8; 8]; n];
-            shape(s.bcast_typed(&mut bytes, &Datatype::Contiguous { count: 8 }, n + 3), "bcast_typed");
             shape(s.gather(&data, n).map(drop), "gather");
             shape(s.scatter(&data[0], n).map(drop), "scatter");
             let lanes: Vec<Vec<i64>> = vec![vec![1, 2]; n];
             shape(s.reduce(&lanes, ReduceOp::Sum, usize::MAX).map(drop), "reduce");
         }
-    }
-
-    #[test]
-    fn bcast_typed_rejects_buffers_shorter_than_the_extent() {
-        let s = session(4);
-        let dt = Datatype::Vector { count: 4, blocklen: 2, stride: 4 };
-        assert_eq!(dt.extent(), 14);
-        // Short at the root (pack would assert) and short elsewhere (unpack).
-        for short in [1, 2] {
-            let mut bufs: Vec<Vec<u8>> = (0..4).map(|r| vec![r as u8; 14]).collect();
-            bufs[short].truncate(13);
-            assert!(matches!(s.bcast_typed(&mut bufs, &dt, 1), Err(MpiError::Shape(_))));
-        }
-        let mut bufs: Vec<Vec<u8>> = (0..4).map(|r| vec![r as u8; 14]).collect();
-        s.bcast_typed(&mut bufs, &dt, 1).unwrap();
-        assert_eq!(bufs[3], [1, 1, 3, 3, 1, 1, 3, 3, 1, 1, 3, 3, 1, 1]);
     }
 
     #[test]
@@ -601,27 +549,6 @@ mod tests {
         assert_eq!(counts[1].registrations, counts[1].deregistrations);
         s.barrier().unwrap();
         assert_eq!(s.last_knem_stats(), KnemStats::default(), "a barrier pulls nothing");
-    }
-
-    #[test]
-    fn bcast_typed_strided_column() {
-        let s = session(4);
-        // 8x8 byte matrices; broadcast column 2 of root rank 1 into
-        // everyone's column 2, leaving the rest untouched.
-        let mut bufs: Vec<Vec<u8>> = (0..4).map(|r| vec![r as u8; 64]).collect();
-        for i in 0..8 {
-            bufs[1][i * 8 + 2] = 100 + i as u8;
-        }
-        let dt = Datatype::Indexed { blocks: (0..8).map(|i| (i * 8 + 2, 1)).collect() };
-        s.bcast_typed(&mut bufs, &dt, 1).unwrap();
-        for r in 0..4 {
-            for i in 0..8 {
-                assert_eq!(bufs[r][i * 8 + 2], 100 + i as u8, "rank {r} row {i}");
-                if r != 1 {
-                    assert_eq!(bufs[r][i * 8], r as u8, "unselected bytes untouched");
-                }
-            }
-        }
     }
 
     #[test]

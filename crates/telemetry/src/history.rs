@@ -4,14 +4,17 @@
 //! plus free-form metadata — as a single JSON object. The file holds the
 //! `pdac-e2e` rows (`pdac-e2e/<workload>/s<seed>`) recorded before and
 //! after each change; JSONL keeps it append-only and greppable.
-//! `pdac trend` loads it and renders per-metric deltas between the
-//! two newest entries: not "is this number right" — the simulated numbers
-//! are pinned exactly elsewhere — but "which way are we moving".
+//! `pdac trend` loads it and passes the `metrics` maps of the two newest
+//! entries, already flat, to the one differ ([`crate::diff`]): not "is this
+//! number right" — the simulated numbers are pinned exactly elsewhere — but
+//! "which way are we moving".
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
+
+use crate::diff::{diff, Flat};
 
 /// One run's record in the history file.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -43,12 +46,6 @@ impl HistoryEntry {
         self.metrics.insert(name.into(), value);
         self
     }
-
-    /// Appends one metadata key, returning `self` for chaining.
-    pub fn with_meta(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.meta.insert(key.into(), value.into());
-        self
-    }
 }
 
 /// Loads every parseable entry from the JSONL file, oldest first.
@@ -71,67 +68,15 @@ pub fn load_jsonl(path: &Path) -> std::io::Result<(Vec<HistoryEntry>, usize)> {
     Ok((entries, skipped))
 }
 
-/// A metric's movement between two history entries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrendRow {
-    /// Metric name.
-    pub name: String,
-    /// Value in the older entry, if present.
-    pub before: Option<f64>,
-    /// Value in the newer entry, if present.
-    pub after: Option<f64>,
-}
-
-impl TrendRow {
-    /// Relative change `(after - before) / |before|`, when both sides
-    /// exist and `before` is nonzero.
-    pub fn rel(&self) -> Option<f64> {
-        match (self.before, self.after) {
-            (Some(b), Some(a)) if b.abs() > f64::EPSILON => Some((a - b) / b.abs()),
-            _ => None,
-        }
-    }
-}
-
-/// Compares the two newest entries (optionally restricted to one
-/// `label`) and returns one row per metric present in either.
-pub fn diff_latest(entries: &[HistoryEntry], label: Option<&str>) -> Vec<TrendRow> {
+/// The trend between the two newest entries (optionally restricted to one
+/// `label`): a one-line header, then their `metrics` maps through
+/// [`crate::diff::diff`]. Fewer than two entries give a one-line message.
+pub fn render_trend(entries: &[HistoryEntry], label: Option<&str>) -> String {
     let picked: Vec<&HistoryEntry> = entries
         .iter()
         .filter(|e| label.is_none_or(|l| e.label == l))
         .collect();
-    let n = picked.len();
-    if n < 2 {
-        return Vec::new();
-    }
-    let (older, newer) = (picked[n - 2], picked[n - 1]);
-    let names: std::collections::BTreeSet<&String> =
-        older.metrics.keys().chain(newer.metrics.keys()).collect();
-    names
-        .into_iter()
-        .map(|name| TrendRow {
-            name: name.clone(),
-            before: older.metrics.get(name).copied(),
-            after: newer.metrics.get(name).copied(),
-        })
-        .collect()
-}
-
-/// Renders a trend table for the two newest entries. Rows moving more
-/// than `highlight_rel` (e.g. `0.05` for ±5%) are marked; rows below
-/// `quiet_rel` are summarized in one closing line instead of listed,
-/// keeping the table about what moved.
-pub fn render_trend(
-    entries: &[HistoryEntry],
-    label: Option<&str>,
-    highlight_rel: f64,
-    quiet_rel: f64,
-) -> String {
-    let picked: Vec<&HistoryEntry> = entries
-        .iter()
-        .filter(|e| label.is_none_or(|l| e.label == l))
-        .collect();
-    if picked.len() < 2 {
+    let [.., older, newer] = picked[..] else {
         return format!(
             "trend: need at least 2 history entries{}, have {}\n",
             label
@@ -139,57 +84,20 @@ pub fn render_trend(
                 .unwrap_or_default(),
             picked.len()
         );
-    }
-    let (older, newer) = (picked[picked.len() - 2], picked[picked.len() - 1]);
-    let rows = diff_latest(entries, label);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "trend `{}`: {} -> {} ({} metrics)\n",
+    };
+    let flat = |e: &HistoryEntry| -> Flat {
+        e.metrics
+            .iter()
+            .map(|(k, v)| (k.clone(), v.to_string()))
+            .collect()
+    };
+    format!(
+        "trend `{}`: {} -> {}\n{}",
         newer.label,
         older.timestamp_ms,
         newer.timestamp_ms,
-        rows.len()
-    ));
-    let mut quiet = 0usize;
-    for row in &rows {
-        match (row.before, row.after) {
-            (Some(b), Some(a)) => {
-                let rel = row.rel();
-                if rel.map(|r| r.abs() < quiet_rel).unwrap_or(false) {
-                    quiet += 1;
-                    continue;
-                }
-                let pct = rel
-                    .map(|r| format!("{:+.1}%", r * 100.0))
-                    .unwrap_or_else(|| "n/a".into());
-                let mark = if rel.map(|r| r.abs() > highlight_rel).unwrap_or(false) {
-                    " <<"
-                } else {
-                    ""
-                };
-                out.push_str(&format!(
-                    "  {:<44} {b:>12.6} -> {a:>12.6}  {pct}{mark}\n",
-                    row.name
-                ));
-            }
-            (None, Some(a)) => out.push_str(&format!(
-                "  {:<44} {:>12} -> {a:>12.6}  new\n",
-                row.name, "-"
-            )),
-            (Some(b), None) => out.push_str(&format!(
-                "  {:<44} {b:>12.6} -> {:>12}  gone\n",
-                row.name, "-"
-            )),
-            (None, None) => {}
-        }
-    }
-    if quiet > 0 {
-        out.push_str(&format!(
-            "  ({quiet} metrics moved < {:.1}% — not shown)\n",
-            quiet_rel * 100.0
-        ));
-    }
-    out
+        diff(&flat(older), &flat(newer))
+    )
 }
 
 #[cfg(test)]
@@ -220,7 +128,8 @@ mod tests {
 
     #[test]
     fn load_round_trips_serialized_entries() {
-        let a = entry(1, &[("x/seconds", 1.0)]).with_meta("host", "ci");
+        let mut a = entry(1, &[("x/seconds", 1.0)]);
+        a.meta.insert("host".into(), "ci".into());
         let b = entry(2, &[("x/seconds", 1.1)]);
         let (loaded, skipped) = load_lines("hist", &[line(&a), line(&b)]);
         assert_eq!(skipped, 0);
@@ -238,38 +147,5 @@ mod tests {
         let (loaded, skipped) = load_lines("hist_bad", &lines);
         assert_eq!(loaded.len(), 2);
         assert_eq!(skipped, 1);
-    }
-
-    #[test]
-    fn diff_pairs_the_two_newest_entries() {
-        let entries = vec![
-            entry(1, &[("a", 1.0), ("gone", 5.0)]),
-            entry(2, &[("a", 2.0), ("fresh", 7.0)]),
-        ];
-        let rows = diff_latest(&entries, Some("gate"));
-        let a = rows.iter().find(|r| r.name == "a").unwrap();
-        assert_eq!((a.before, a.after), (Some(1.0), Some(2.0)));
-        assert!((a.rel().unwrap() - 1.0).abs() < 1e-12);
-        assert!(rows.iter().any(|r| r.name == "gone" && r.after.is_none()));
-        assert!(rows.iter().any(|r| r.name == "fresh" && r.before.is_none()));
-    }
-
-    #[test]
-    fn trend_rendering_marks_movers_and_folds_noise() {
-        let entries = vec![
-            entry(1, &[("big/seconds", 1.0), ("flat/seconds", 1.0)]),
-            entry(2, &[("big/seconds", 1.5), ("flat/seconds", 1.0001)]),
-        ];
-        let text = render_trend(&entries, None, 0.05, 0.01);
-        assert!(text.contains("big/seconds"));
-        assert!(text.contains("+50.0% <<"));
-        assert!(!text.contains("flat/seconds"), "quiet rows folded:\n{text}");
-        assert!(text.contains("1 metrics moved < 1.0%"));
-    }
-
-    #[test]
-    fn trend_needs_two_entries() {
-        let one = vec![entry(1, &[("a", 1.0)])];
-        assert!(render_trend(&one, None, 0.05, 0.01).contains("need at least 2"));
     }
 }

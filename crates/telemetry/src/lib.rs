@@ -24,14 +24,17 @@
 //!
 //! The [`export`] module renders recorded events as Chrome Trace Event
 //! JSON (one format for simulated *and* real runs, so both open
-//! side-by-side in [Perfetto](https://ui.perfetto.dev)) and registry
-//! snapshots as JSON documents that `pdac trace diff` compares for
-//! per-distance-class regression deltas. Read off the hot path:
+//! side-by-side in [Perfetto](https://ui.perfetto.dev)); registry
+//! snapshots serialize as JSON documents ([`snapshot`]). Read off the hot
+//! path:
 //!
+//! * [`diff`] — the one differ: a history entry, a registry snapshot or a
+//!   plan's provenance flattens to `key → value`, and one function pairs
+//!   two of them and renders what moved (`pdac trend`, `pdac trace diff`);
 //! * [`flight`] — a crash-surviving last-N-notes flight recorder, dumped
 //!   with a registry snapshot and `PDAC_SEED` on a chaos failure or panic;
 //! * [`history`] — the JSONL perf history (`BENCH_history.jsonl`, the
-//!   `pdac-e2e` rows) with cross-run trend rendering;
+//!   `pdac-e2e` rows) and the trend between its two newest entries;
 //! * [`openmetrics`] — a registry snapshot in the OpenMetrics text format,
 //!   kept for the benchmark's render probe.
 //!
@@ -40,6 +43,7 @@
 
 #![warn(missing_docs)]
 
+pub mod diff;
 pub mod event;
 pub mod export;
 pub mod flight;
@@ -58,7 +62,7 @@ pub use history::HistoryEntry;
 pub use openmetrics::to_openmetrics;
 pub use recorder::{Reader, Recorder, Span};
 pub use registry::{Counter, Registry};
-pub use snapshot::{HistogramSnapshot, RegistrySnapshot, SnapshotDiff};
+pub use snapshot::{HistogramSnapshot, RegistrySnapshot};
 
 use std::sync::OnceLock;
 

@@ -277,8 +277,7 @@ fn run() -> Result<(), String> {
             if skipped > 0 {
                 eprintln!("warning: skipped {skipped} corrupt history line(s) in {path}");
             }
-            // ±5% marks a mover; deltas under 0.5% fold into the quiet line.
-            print!("{}", render_trend(&entries, args.get(2).map(String::as_str), 0.05, 0.005));
+            print!("{}", render_trend(&entries, args.get(2).map(String::as_str)));
         }
         "trace" => match arg(1)?.as_str() {
             "run" => trace::run(&trace_job(&args[2..], 4, "65536", "results/pdac_trace")?)?,

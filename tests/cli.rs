@@ -104,6 +104,28 @@ fn every_subcommand_runs_at_its_cheapest_input() {
 }
 
 #[test]
+fn trace_diff_names_the_input_a_rebinding_moved() {
+    let dir = workdir("rebind");
+    for (out, policy) in [("before", "contiguous"), ("after", "crosssocket")] {
+        let args = format!("trace explain bcast 8 4096 {out} quad {policy}");
+        let (code, _, stderr) = pdac(&dir, &args);
+        assert_eq!(code, Some(0), "{args}: {stderr}");
+    }
+    let (code, diff, stderr) = pdac(
+        &dir,
+        "trace diff before/provenance.json after/provenance.json",
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    // An input that did not move is never listed, so a row for a
+    // `[distance]` decision's `edges` input names one the rebinding moved.
+    assert!(
+        diff.lines()
+            .any(|l| l.trim_start().starts_with("[distance] edges d1: edges ")),
+        "{diff}"
+    );
+}
+
+#[test]
 fn help_lists_every_subcommand() {
     let (code, help, _) = pdac(&workdir("help"), "--help");
     assert_eq!(code, Some(0));
