@@ -230,7 +230,7 @@ mod tests {
         let n = machine.num_cores();
         let binding = BindingPolicy::Contiguous.bind(&machine, n).unwrap();
         let comm = Communicator::world(Arc::clone(&machine), binding.clone());
-        let (schedule, prov) = AdaptiveColl::default().bcast_explained(None, &comm, 0, 64 << 10);
+        let (schedule, prov) = AdaptiveColl.bcast_explained(None, &comm, 0, 64 << 10);
         let report = SimExecutor::new(&machine, &binding, SimConfig::default())
             .run(&schedule)
             .expect("schedule validates");

@@ -25,7 +25,7 @@ fn world_32() -> Communicator {
 #[test]
 fn bcast_32_critical_path_attributes_at_least_95_percent_of_wall_time() {
     let comm = world_32();
-    let schedule = AdaptiveColl::default().bcast(&comm, 0, 256 * 1024);
+    let schedule = AdaptiveColl.bcast(&comm, 0, 256 * 1024);
     let exec = SimExecutor::new(comm.machine(), comm.binding(), SimConfig::default());
     let report = exec.run(&schedule).expect("simulation runs");
 
@@ -54,7 +54,7 @@ fn bcast_32_critical_path_attributes_at_least_95_percent_of_wall_time() {
 #[test]
 fn divergence_of_a_saved_leg_against_itself_flags_nothing() {
     let comm = world_32();
-    let schedule = AdaptiveColl::default().bcast(&comm, 0, 64 * 1024);
+    let schedule = AdaptiveColl.bcast(&comm, 0, 64 * 1024);
     let exec = SimExecutor::new(comm.machine(), comm.binding(), SimConfig::default());
     let report = exec.run(&schedule).expect("simulation runs");
 
@@ -81,7 +81,7 @@ fn divergence_of_a_saved_leg_against_itself_flags_nothing() {
 #[test]
 fn exported_trace_reanalyzes_to_the_same_critical_path() {
     let comm = world_32();
-    let schedule = AdaptiveColl::default().allgather(&comm, 4096);
+    let schedule = AdaptiveColl.allgather(&comm, 4096);
     let exec = SimExecutor::new(comm.machine(), comm.binding(), SimConfig::default());
     let report = exec.run(&schedule).expect("simulation runs");
 

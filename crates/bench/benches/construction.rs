@@ -90,7 +90,7 @@ fn bench_schedule_generation(c: &mut Criterion) {
     let machine = Arc::new(cluster::homogeneous("ig-x4", &machines::ig(), 4, 2).unwrap());
     let binding = BindingPolicy::CrossNode.bind(&machine, 192).unwrap();
     let comm = Communicator::world(machine, binding);
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     let cache = TopoCache::new();
     let ring = coll.allgather_ring_cached(&cache, &comm);
     coll.bcast_cached(&cache, &comm, 0, 1 << 20);
@@ -110,7 +110,7 @@ fn bench_topo_cache(c: &mut Criterion) {
     let machine = Arc::new(machines::synthetic(2, 2, 8, true));
     let binding = BindingPolicy::Random { seed: 9 }.bind(&machine, 32).unwrap();
     let comm = Communicator::world(Arc::clone(&machine), binding);
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     let cache = TopoCache::new();
     for root in 0..32 {
         coll.bcast_tree_cached(&cache, &comm, root, BcastTopology::Hierarchical);

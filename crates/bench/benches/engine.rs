@@ -14,7 +14,7 @@ fn bench_sim_executor(c: &mut Criterion) {
     let ig = Arc::new(machines::ig());
     let binding = BindingPolicy::CrossSocket.bind(&ig, 48).unwrap();
     let comm = Communicator::world(Arc::clone(&ig), binding.clone());
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
 
     let mut group = c.benchmark_group("sim_executor");
     for (name, schedule) in [
@@ -34,7 +34,7 @@ fn bench_validation(c: &mut Criterion) {
     let ig = Arc::new(machines::ig());
     let binding = BindingPolicy::Contiguous.bind(&ig, 48).unwrap();
     let comm = Communicator::world(Arc::clone(&ig), binding);
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     // The allgather schedule has ~4.6k ops / ~2.3k copies: the heaviest
     // validation case (transitive-reachability race check).
     let schedule = coll.allgather(&comm, 4096);
@@ -50,7 +50,7 @@ fn bench_thread_executor(c: &mut Criterion) {
     let ig = Arc::new(machines::ig());
     let binding = BindingPolicy::Contiguous.bind(&ig, 16).unwrap();
     let comm = Communicator::world(Arc::clone(&ig), binding);
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
 
     let mut group = c.benchmark_group("thread_executor");
     group.sample_size(20);

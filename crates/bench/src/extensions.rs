@@ -5,14 +5,14 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use pdac_core::adaptive::{AdaptiveColl, AdaptivePolicy};
+use pdac_core::adaptive::AdaptiveColl;
 use pdac_core::baseline::sm;
 use pdac_core::baseline::tuned::{self, TunedConfig};
 use pdac_core::bcast_tree::build_bcast_tree;
 use pdac_core::distributed::hierarchical_bcast_tree;
 use pdac_core::edges::{edge_queue, unpack, Edge, CLASS_WEIGHTS};
-use pdac_core::framework::{Component, DecisionTable, Rule};
-use pdac_core::sched::SchedConfig;
+use pdac_core::framework::Component;
+use pdac_core::sched::{bcast_schedule_dist, SchedConfig};
 use pdac_core::tree::Tree;
 use pdac_core::unionfind::DisjointSets;
 use pdac_core::Collective;
@@ -21,7 +21,7 @@ use pdac_mpisim::p2p::P2pConfig;
 use pdac_mpisim::Communicator;
 use pdac_simnet::{bw_bcast, Schedule, SimConfig, SimExecutor};
 
-use crate::{human_size, write_file};
+use crate::human_size;
 
 /// Plain Kruskal with lexicographic (weight, u, v) order — the ablated
 /// construction without the paper's root-first heuristic.
@@ -96,13 +96,12 @@ fn pipeline_chunk_ablation() {
     let binding = BindingPolicy::Contiguous.bind(&ig, 48).unwrap();
     let comm = Communicator::world(Arc::clone(&ig), binding.clone());
     let bytes = 8 << 20;
+    let topo = AdaptiveColl.bcast_topology_choice(&comm, bytes);
+    let tree = AdaptiveColl.bcast_tree(&comm, 0, topo);
+    let dist = comm.distances_arc();
     println!("{:>10} {:>14}", "chunk", "BW (MB/s)");
     for chunk in [0usize, 32 << 10, 64 << 10, 128 << 10, 512 << 10, 2 << 20] {
-        let coll = AdaptiveColl::new(AdaptivePolicy {
-            sched: SchedConfig::uniform(chunk),
-            ..Default::default()
-        });
-        let s = coll.bcast(&comm, 0, bytes);
+        let s = bcast_schedule_dist(&tree, bytes, &SchedConfig::uniform(chunk), Some(&dist));
         let t = SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false })
             .run(&s)
             .unwrap()
@@ -189,21 +188,22 @@ pub fn scaling() {
     println!("the distributed construction the paper's §VI sketches is viable.");
 }
 
-/// `pdac tune` — a component decision table for `machine`.
+/// `pdac tune` — the component rules a sweep picks for `machine`.
 ///
 /// Mirrors how Open MPI's *tuned* thresholds were produced: sweep every
 /// component (sm / tuned / knemcoll) over the message sizes, pick the
 /// fastest per size bin under the *worst-case* placement (the framework's
-/// whole point is robustness to placement), and write the resulting
-/// `DecisionTable` to `results/decision_table_<machine>.json` next to the
-/// printed crossover summary.
-pub fn tune(machine: Machine) -> Result<(), String> {
+/// whole point is robustness to placement), and print the winners
+/// compressed into size rules. The planner does not read them: its
+/// thresholds are the constants in `pdac_core::adaptive`, and this is the
+/// sweep to compare them against.
+pub fn tune(machine: Machine) {
     let machine = Arc::new(machine);
     let n = machine.num_cores();
     let sizes: Vec<usize> = (9..=23).map(|p| 1usize << p).collect();
     let placements = [BindingPolicy::Contiguous, BindingPolicy::CrossSocket];
     let cfg = &TunedConfig::default();
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
 
     // Worst-case (over placements) time of one component at one size.
     let worst_time = |build: &dyn Fn(&Communicator, usize) -> Schedule,
@@ -221,7 +221,9 @@ pub fn tune(machine: Machine) -> Result<(), String> {
             .fold(0.0f64, f64::max)
     };
 
-    let mut rules: Vec<Rule> = Vec::new();
+    // `(collective, inclusive max bytes, winner)`; the last rule of each
+    // collective is a catch-all.
+    let mut rules: Vec<(Collective, usize, Component)> = Vec::new();
     for collective in [Collective::Bcast, Collective::Allgather] {
         let label = format!("{collective:?}");
         println!("# {label} on {} ({} ranks), worst-case placement, time in us", machine.name, n);
@@ -285,22 +287,19 @@ pub fn tune(machine: Machine) -> Result<(), String> {
                 j += 1;
             }
             let max_bytes = if j + 1 == winners.len() { usize::MAX } else { winners[j].0 };
-            rules.push(Rule { collective, max_bytes, component });
+            rules.push((collective, max_bytes, component));
             i = j + 1;
         }
         println!();
     }
 
-    let table = DecisionTable { rules };
     println!("rules:");
-    for r in &table.rules {
-        let bound = if r.max_bytes == usize::MAX {
+    for (collective, max_bytes, component) in rules {
+        let bound = if max_bytes == usize::MAX {
             "..".to_string()
         } else {
-            format!("<= {}", human_size(r.max_bytes))
+            format!("<= {}", human_size(max_bytes))
         };
-        println!("  {:?} {bound:>10} -> {:?}", r.collective, r.component);
+        println!("  {collective:?} {bound:>10} -> {component:?}");
     }
-    let json = serde_json::to_string_pretty(&table).expect("table serializes");
-    write_file(format!("results/decision_table_{}.json", machine.name), &json)
 }

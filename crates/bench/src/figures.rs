@@ -184,7 +184,7 @@ fn tuned_vs_knem(tuned: &str, hostile: (&str, BindingPolicy), kind: BwKind) -> V
     let mut curves = Vec::with_capacity(4);
     for knem in [false, true] {
         for (place, policy) in [("contiguous", BindingPolicy::Contiguous), hostile.clone()] {
-            let (coll, cfg) = (AdaptiveColl::default(), TunedConfig::default());
+            let (coll, cfg) = (AdaptiveColl, TunedConfig::default());
             curves.push(Curve {
                 label: format!("{}_{place}", if knem { "KNEMColl" } else { tuned }),
                 policy,
@@ -447,11 +447,9 @@ pub fn fig7() -> Figure {
 /// binding. The second sweep runs those three at 1 MB, and both topologies
 /// below the 16 KB threshold.
 pub fn fig8() -> Figure {
-    let coll = AdaptiveColl::default();
     let topology = |label: &str, policy: BindingPolicy, topo: BcastTopology| {
-        let coll = coll.clone();
         let build: CurveBuilder =
-            Box::new(move |comm, size| coll.bcast_with_topology(comm, 0, size, topo));
+            Box::new(move |comm, size| AdaptiveColl.bcast_with_topology(comm, 0, size, topo));
         Curve { label: label.into(), policy, build }
     };
     let (contig, xsock) = (BindingPolicy::Contiguous, BindingPolicy::CrossSocket);
@@ -461,14 +459,13 @@ pub fn fig8() -> Figure {
     for component in ["MPICH2", "tuned", "KNEMColl"] {
         for (place, policy) in [("contiguous", contig.clone()), ("rr", rr.clone())] {
             let (mpich_cfg, tuned_cfg) = (MpichConfig::default(), TunedConfig::default());
-            let coll = coll.clone();
             components.push(Curve {
                 label: format!("{component}_{place}"),
                 policy,
                 build: Box::new(move |comm, size| match component {
                     "MPICH2" => mpich::bcast(comm.size(), 0, size, &mpich_cfg),
                     "tuned" => tuned::bcast(comm.size(), 0, size, &tuned_cfg),
-                    _ => coll.bcast(comm, 0, size),
+                    _ => AdaptiveColl.bcast(comm, 0, size),
                 }),
             });
         }
@@ -507,7 +504,7 @@ pub fn fig8() -> Figure {
             let zoot = Arc::new(machines::zoot());
             let binding = BindingPolicy::Contiguous.bind(&zoot, 16).expect("16 ranks fit");
             let comm = Communicator::world(zoot, binding);
-            let choice = |bytes| AdaptiveColl::default().bcast_topology_choice(&comm, bytes);
+            let choice = |bytes| AdaptiveColl.bcast_topology_choice(&comm, bytes);
             let knem_over = over(0, 2, 4).min(over(1, 3, 5));
             let collapse = (choice(16 << 10), choice(32 << 10))
                 == (BcastTopology::Hierarchical, BcastTopology::Collapsed);

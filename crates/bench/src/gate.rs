@@ -210,7 +210,7 @@ pub fn run_scenario(scenario: &Scenario) -> (ScenarioResult, ScenarioAudit) {
         provenance: Some(&mut provenance),
     };
     let request = Request::new(scenario.collective, 0, scenario.bytes);
-    let schedule = AdaptiveColl::default().plan(&comm, request, sinks);
+    let schedule = AdaptiveColl.plan(&comm, request, sinks);
     let report = SimExecutor::new(&machine, comm.binding(), SimConfig::default())
         .with_transport_model(scenario.transport)
         .run(&schedule)

@@ -77,7 +77,7 @@ impl Job {
     fn plan(&self, prov: Option<&mut Provenance>) -> Schedule {
         let comm = Communicator::world(Arc::clone(&self.machine), self.binding.clone());
         let sinks = Sinks { cache: None, provenance: prov };
-        AdaptiveColl::default().plan(&comm, self.request, sinks)
+        AdaptiveColl.plan(&comm, self.request, sinks)
     }
 
     /// The sim leg of `schedule` and its events, with distance classes.

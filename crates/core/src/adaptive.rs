@@ -212,25 +212,23 @@ impl<'a> Sinks<'a> {
     }
 }
 
-/// Framework policy knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptivePolicy {
-    /// Pipeline configuration for tree collectives.
-    pub sched: SchedConfig,
-    /// Above this message size, same-memory-controller distance classes are
-    /// collapsed (§V-B puts the Zoot crossover at 16 KB).
-    pub collapse_intra_mc_above: usize,
-}
+// The planner's message-size thresholds. Each is read by exactly one
+// choice function (`framework::component`, `bcast_topology_choice` or
+// `allreduce_algorithm_choice`), and none is settable. The paper puts the
+// KNEM crossover "equivalent to a 16 KB broadcast or a 2 KB allgather"
+// (§IV-A) and the Zoot collapse point at 16 KB (§V-B).
 
-impl Default for AdaptivePolicy {
-    fn default() -> Self {
-        AdaptivePolicy {
-            sched: SchedConfig::default(),
-            collapse_intra_mc_above: 16 * 1024,
-        }
-    }
-}
-
+/// Broadcasts up to this size go to the shared-memory component.
+pub const SM_BCAST_MAX_BYTES: usize = 2 * 1024;
+/// Broadcasts above [`SM_BCAST_MAX_BYTES`] and up to this size go to the
+/// tuned component; larger ones are distance-aware.
+pub const TUNED_BCAST_MAX_BYTES: usize = 16 * 1024;
+/// Allgather blocks up to this size go to the tuned component; larger ones
+/// are distance-aware.
+pub const TUNED_ALLGATHER_MAX_BYTES: usize = 2 * 1024;
+/// Above this broadcast size, same-memory-controller distance classes are
+/// collapsed.
+pub const COLLAPSE_ABOVE_BYTES: usize = 16 * 1024;
 /// From this payload upward the bandwidth-optimal ring allreduce beats the
 /// tree (when the payload splits evenly over the ranks).
 pub const RING_ALLREDUCE_MIN_BYTES: usize = 256 * 1024;
@@ -309,22 +307,15 @@ enum Routes {
 }
 
 /// The distance-aware adaptive collective component ("KNEM collective").
-#[derive(Debug, Clone, Default)]
-pub struct AdaptiveColl {
-    policy: AdaptivePolicy,
-}
+/// It has no settings: its thresholds are the constants above and its
+/// pipeline chunks are [`SchedConfig::default`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AdaptiveColl;
 
 impl AdaptiveColl {
-    /// Component with an explicit policy.
-    pub fn new(policy: AdaptivePolicy) -> Self {
-        AdaptiveColl { policy }
-    }
-
     /// Which refinement the framework picks for a broadcast of `bytes`.
     pub fn bcast_topology_choice(&self, comm: &Communicator, bytes: usize) -> BcastTopology {
-        if bytes > self.policy.collapse_intra_mc_above
-            && has_intra_mc_structure(&comm.distances_arc().classes())
-        {
+        if bytes > COLLAPSE_ABOVE_BYTES && has_intra_mc_structure(&comm.distances_arc().classes()) {
             BcastTopology::Collapsed
         } else {
             BcastTopology::Hierarchical
@@ -368,7 +359,7 @@ impl AdaptiveColl {
         // direct gather or scatter planned without a recorder.
         let dist = || comm.distances_arc();
         let n = comm.size();
-        let cfg = &self.policy.sched;
+        let cfg = &SchedConfig::default();
         let Request {
             collective,
             root,
@@ -579,7 +570,7 @@ impl AdaptiveColl {
         topo: BcastTopology,
     ) -> Decision {
         let classes = dist.classes();
-        let threshold = self.policy.collapse_intra_mc_above;
+        let threshold = COLLAPSE_ABOVE_BYTES;
         let (choice, reason) = match topo {
             BcastTopology::Collapsed => (
                 "Collapsed",
@@ -753,12 +744,7 @@ fn record_edge_decisions(
         ));
         let Some(chunk) = chunk else { continue };
         let chunk_bytes = chunk.chunk_for(*c);
-        // A zero chunk disables pipelining for the class.
-        let chunks_per_edge = if chunk_bytes == 0 {
-            1
-        } else {
-            bytes.div_ceil(chunk_bytes).max(1)
-        };
+        let chunks_per_edge = bytes.div_ceil(chunk_bytes).max(1);
         let (choice, reason) = if chunks_per_edge > 1 {
             (
                 format!("{chunk_bytes} B chunks"),
@@ -811,7 +797,7 @@ mod tests {
     #[test]
     fn zoot_collapses_to_linear_for_large_messages() {
         let c = comm(machines::zoot(), BindingPolicy::Contiguous);
-        let coll = AdaptiveColl::default();
+        let coll = AdaptiveColl;
         assert_eq!(
             coll.bcast_topology_choice(&c, 8 << 20),
             BcastTopology::Collapsed
@@ -835,7 +821,7 @@ mod tests {
     fn ig_is_unaffected_by_collapsing() {
         // IG's classes are {1, 5, 6}: no 2/3 structure to collapse.
         let c = comm(machines::ig(), BindingPolicy::CrossSocket);
-        let coll = AdaptiveColl::default();
+        let coll = AdaptiveColl;
         assert_eq!(
             coll.bcast_topology_choice(&c, 8 << 20),
             BcastTopology::Hierarchical
@@ -857,7 +843,7 @@ mod tests {
 
     #[test]
     fn adaptive_bcast_and_allgather_are_correct_everywhere() {
-        let coll = AdaptiveColl::default();
+        let coll = AdaptiveColl;
         for machine in machines::all_predefined() {
             for policy in [BindingPolicy::Contiguous, BindingPolicy::Random { seed: 4 }] {
                 let c = comm(machine.clone(), policy);
@@ -874,7 +860,7 @@ mod tests {
     #[test]
     fn schedule_names_reflect_choices() {
         let c = comm(machines::zoot(), BindingPolicy::Contiguous);
-        let coll = AdaptiveColl::default();
+        let coll = AdaptiveColl;
         assert!(coll.bcast(&c, 0, 1 << 20).name.contains("linearized"));
         assert!(coll.bcast(&c, 0, 1 << 10).name.contains("hier"));
         assert_eq!(coll.allgather(&c, 64).name, "knemcoll-allgather");
@@ -883,7 +869,7 @@ mod tests {
     #[test]
     fn cached_topologies_match_fresh_builds() {
         let cache = TopoCache::new();
-        let coll = AdaptiveColl::default();
+        let coll = AdaptiveColl;
         for machine in machines::all_predefined() {
             let c = comm(machine.clone(), BindingPolicy::Random { seed: 13 });
             for topo in [BcastTopology::Hierarchical, BcastTopology::Collapsed] {
@@ -904,7 +890,7 @@ mod tests {
     #[test]
     fn dup_shares_the_epoch_and_hits_a_subset_misses() {
         let cache = TopoCache::new();
-        let coll = AdaptiveColl::default();
+        let coll = AdaptiveColl;
         let c = comm(machines::ig(), BindingPolicy::CrossSocket);
         coll.bcast_cached(&cache, &c, 0, 1 << 10);
         let before = cache.stats();
@@ -956,7 +942,7 @@ mod tests {
 
     #[test]
     fn tree_allreduce_pipelines_large_payloads() {
-        let coll = AdaptiveColl::default();
+        let coll = AdaptiveColl;
         let c = comm(machines::zoot(), BindingPolicy::Contiguous);
         let plan = |bytes| {
             coll.plan(
@@ -972,28 +958,10 @@ mod tests {
     }
 
     #[test]
-    fn recorder_tolerates_disabled_chunking() {
-        let coll = AdaptiveColl::new(AdaptivePolicy {
-            sched: SchedConfig::uniform(0),
-            ..AdaptivePolicy::default()
-        });
-        let c = comm(machines::zoot(), BindingPolicy::Contiguous);
-        let mut prov = Provenance::default();
-        let sinks = Sinks {
-            cache: None,
-            provenance: Some(&mut prov),
-        };
-        coll.plan(&c, Request::new(Collective::Bcast, 0, 1 << 20), sinks);
-        for d in prov.decisions_of(DecisionKind::ChunkClass) {
-            assert_eq!(d.input("chunks_per_edge"), Some("1"));
-        }
-    }
-
-    #[test]
     fn explained_provenance_names_every_decision_kind() {
         use crate::provenance::DecisionKind;
         let c = comm(machines::zoot(), BindingPolicy::Contiguous);
-        let coll = AdaptiveColl::default();
+        let coll = AdaptiveColl;
         let (_, p) = coll.bcast_explained(None, &c, 0, 1 << 20);
         assert_eq!(p.decisions_of(DecisionKind::Algorithm).len(), 1);
         let topo = &p.decisions_of(DecisionKind::Topology)[0];
@@ -1026,7 +994,7 @@ mod tests {
     fn migration_diff_pinpoints_moved_inputs() {
         // "Migration": the same job lands on a different binding — fresh
         // epoch, different distance profile, different topology ruling.
-        let coll = AdaptiveColl::default();
+        let coll = AdaptiveColl;
         let before = comm(machines::zoot(), BindingPolicy::Contiguous);
         let after = comm(machines::ig(), BindingPolicy::CrossSocket);
         let (_, p_before) = coll.bcast_explained(None, &before, 0, 1 << 20);

@@ -53,7 +53,7 @@ pub fn alltoall_schedule(ring: &Ring, block_bytes: usize) -> Schedule {
 /// Distance-aware alltoall for a communicator.
 pub fn distance_aware(comm: &Communicator, block_bytes: usize) -> Schedule {
     let request = Request::new(Collective::Alltoall, 0, block_bytes);
-    AdaptiveColl::default().plan(comm, request, Sinks::default())
+    AdaptiveColl.plan(comm, request, Sinks::default())
 }
 
 /// Rank-order baseline: the classic rotation over *logical* ranks

@@ -10,7 +10,7 @@ use crate::adaptive::{AdaptiveColl, Collective, Request, Sinks};
 /// Builds the barrier schedule for `comm`.
 pub fn distance_aware(comm: &Communicator) -> Schedule {
     let request = Request::new(Collective::Barrier, 0, 0);
-    AdaptiveColl::default().plan(comm, request, Sinks::default())
+    AdaptiveColl.plan(comm, request, Sinks::default())
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ use pdac_simnet::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::adaptive::{AdaptiveColl, Request};
+use crate::adaptive::Request;
 use crate::provenance::Decision;
 use crate::recovery::{CollectiveError, RecoveryManager};
 use crate::topocache::TopoCache;
@@ -201,7 +201,6 @@ impl ChaosOutcome {
 /// knew, not just the final error line.
 pub fn run_chaos(
     comm: &Communicator,
-    coll: AdaptiveColl,
     what: Request,
     cfg: &ChaosConfig,
 ) -> Result<ChaosOutcome, CollectiveError> {
@@ -214,7 +213,7 @@ pub fn run_chaos(
         cfg.cascade,
         cfg.transport,
     ));
-    let out = run_chaos_inner(comm, coll, what, cfg);
+    let out = run_chaos_inner(comm, what, cfg);
     match &out {
         Ok(out) => pdac_telemetry::flight::note(format!(
             "chaos ok: seed={} recovered={} degraded={} failed={:?}",
@@ -232,7 +231,6 @@ pub fn run_chaos(
 
 fn run_chaos_inner(
     comm: &Communicator,
-    coll: AdaptiveColl,
     what: Request,
     cfg: &ChaosConfig,
 ) -> Result<ChaosOutcome, CollectiveError> {
@@ -269,7 +267,7 @@ fn run_chaos_inner(
     let device = cfg.transport.create(Some(device_fault));
 
     // 2. Recover: detect -> shrink -> fence -> rebuild, or degrade.
-    let mut mgr = RecoveryManager::new(coll, Arc::new(TopoCache::new()), comm.clone());
+    let mut mgr = RecoveryManager::new(Arc::new(TopoCache::new()), comm.clone());
     let done = mgr.run(what, &plan, &device, cfg)?;
 
     // 3. The run completed — now the bytes must actually be right on the
@@ -337,13 +335,8 @@ mod tests {
     fn chaos_bcast_recovers_from_crash() {
         let comm = world(6);
         let cfg = ChaosConfig::new(0);
-        let out = run_chaos(
-            &comm,
-            AdaptiveColl::default(),
-            Request::new(Collective::Bcast, 0, 20_000),
-            &cfg,
-        )
-        .unwrap_or_else(|e| panic!("seed {}: {e}", cfg.seed));
+        let out = run_chaos(&comm, Request::new(Collective::Bcast, 0, 20_000), &cfg)
+            .unwrap_or_else(|e| panic!("seed {}: {e}", cfg.seed));
         assert!(out.recovered, "seed 0 crashes a non-root rank");
         assert!(!out.degraded, "a single crash recovers without degrading");
         assert_eq!(out.failed_ranks.len(), 1);
@@ -370,11 +363,10 @@ mod tests {
         // and the final survivor set must match the KNEM run.
         let comm = world(6);
         let what = Request::new(Collective::Bcast, 0, 20_000);
-        let knem = run_chaos(&comm, AdaptiveColl::default(), what, &ChaosConfig::new(0))
+        let knem = run_chaos(&comm, what, &ChaosConfig::new(0))
             .unwrap_or_else(|e| panic!("knem seed 0: {e}"));
         let rdma_cfg = ChaosConfig::on_transport(0, TransportKind::Rdma);
-        let rdma = run_chaos(&comm, AdaptiveColl::default(), what, &rdma_cfg)
-            .unwrap_or_else(|e| panic!("rdma seed 0: {e}"));
+        let rdma = run_chaos(&comm, what, &rdma_cfg).unwrap_or_else(|e| panic!("rdma seed 0: {e}"));
         assert_eq!(knem.failed_ranks, rdma.failed_ranks);
         assert_eq!(knem.recovered, rdma.recovered);
         assert_eq!(knem.degraded, rdma.degraded);
@@ -392,7 +384,6 @@ mod tests {
         let run = || {
             run_chaos(
                 &comm,
-                AdaptiveColl::default(),
                 Request::new(Collective::Allgather, 0, 2048),
                 &ChaosConfig::new(77),
             )
@@ -416,13 +407,8 @@ mod tests {
         let comm = world(2);
         let mut cfg = ChaosConfig::new(11);
         cfg.watchdog = Duration::from_secs(5);
-        let out = run_chaos(
-            &comm,
-            AdaptiveColl::default(),
-            Request::new(Collective::Bcast, 0, 4096),
-            &cfg,
-        )
-        .unwrap_or_else(|e| panic!("seed 11: {e}"));
+        let out = run_chaos(&comm, Request::new(Collective::Bcast, 0, 4096), &cfg)
+            .unwrap_or_else(|e| panic!("seed 11: {e}"));
         assert!(out.degraded, "one survivor cannot run a collective");
         assert_eq!(out.failed_ranks.len(), 1);
         assert!(out.stats.degraded_runs >= 1);
@@ -441,13 +427,8 @@ mod tests {
         let comm = world(6);
         let mut cfg = ChaosConfig::new(0);
         cfg.max_recoveries = 0;
-        let out = run_chaos(
-            &comm,
-            AdaptiveColl::default(),
-            Request::new(Collective::Bcast, 0, 20_000),
-            &cfg,
-        )
-        .unwrap_or_else(|e| panic!("seed 0: {e}"));
+        let out = run_chaos(&comm, Request::new(Collective::Bcast, 0, 20_000), &cfg)
+            .unwrap_or_else(|e| panic!("seed 0: {e}"));
         assert!(out.recovered);
         assert!(
             out.degraded,
@@ -471,13 +452,8 @@ mod tests {
         let mut hit_multi = false;
         for seed in 0..12 {
             let cfg = ChaosConfig::cascade(seed);
-            let out = run_chaos(
-                &comm,
-                AdaptiveColl::default(),
-                Request::new(Collective::Allgather, 0, 2048),
-                &cfg,
-            )
-            .unwrap_or_else(|e| panic!("cascade seed {seed}: {e}"));
+            let out = run_chaos(&comm, Request::new(Collective::Allgather, 0, 2048), &cfg)
+                .unwrap_or_else(|e| panic!("cascade seed {seed}: {e}"));
             if out.failed_ranks.len() > 1 {
                 hit_multi = true;
             }
@@ -502,8 +478,8 @@ mod tests {
     fn chaos_outcome_carries_recovery_provenance() {
         let comm = world(6);
         let what = Request::new(Collective::Bcast, 0, 20_000);
-        let out = run_chaos(&comm, AdaptiveColl::default(), what, &ChaosConfig::new(0))
-            .unwrap_or_else(|e| panic!("seed 0: {e}"));
+        let out =
+            run_chaos(&comm, what, &ChaosConfig::new(0)).unwrap_or_else(|e| panic!("seed 0: {e}"));
         let shrink = out
             .decisions
             .iter()
@@ -515,8 +491,7 @@ mod tests {
         // with its reason and the budget input that tripped it.
         let mut cfg = ChaosConfig::new(0);
         cfg.max_recoveries = 0;
-        let out = run_chaos(&comm, AdaptiveColl::default(), what, &cfg)
-            .unwrap_or_else(|e| panic!("seed 0: {e}"));
+        let out = run_chaos(&comm, what, &cfg).unwrap_or_else(|e| panic!("seed 0: {e}"));
         let sub = out
             .decisions
             .iter()
@@ -541,13 +516,8 @@ mod tests {
         let mut last_line = String::new();
         for seed in 0..6 {
             let cfg = ChaosConfig::with_corruption(seed);
-            let out = run_chaos(
-                &comm,
-                AdaptiveColl::default(),
-                Request::new(Collective::Allgather, 0, 2048),
-                &cfg,
-            )
-            .unwrap_or_else(|e| panic!("corruption seed {seed}: {e}"));
+            let out = run_chaos(&comm, Request::new(Collective::Allgather, 0, 2048), &cfg)
+                .unwrap_or_else(|e| panic!("corruption seed {seed}: {e}"));
             assert!(
                 out.stats.checksums_stamped > 0,
                 "seed {seed}: every chunk moved through the checksummed path"
@@ -573,13 +543,8 @@ mod tests {
         // survivors exactly as it would after a crash.
         let comm = world(6);
         let cfg = ChaosConfig::with_corrupter(5, 3);
-        let out = run_chaos(
-            &comm,
-            AdaptiveColl::default(),
-            Request::new(Collective::Allgather, 0, 2048),
-            &cfg,
-        )
-        .unwrap_or_else(|e| panic!("corrupter seed 5: {e}"));
+        let out = run_chaos(&comm, Request::new(Collective::Allgather, 0, 2048), &cfg)
+            .unwrap_or_else(|e| panic!("corrupter seed 5: {e}"));
         assert!(
             out.failed_ranks.contains(&3),
             "the corrupter is fenced out: {:?}",

@@ -4,26 +4,28 @@
 //! (§II: "a runtime selection framework to determine the optimal algorithms
 //! based on message and communicator size"). This module reproduces that
 //! layer over our three components — the shared-memory `sm` baseline, the
-//! rank-order `tuned` baseline, and the distance-aware `knemcoll` — with a
-//! serde-able decision table playing the role of Open MPI's tuning file.
+//! rank-order `tuned` baseline, and the distance-aware `knemcoll` — with
+//! one size rule, [`component`], in place of Open MPI's tuning file.
 //!
-//! The shipped default encodes the paper's own guidance: the KNEM
-//! collective "mainly accelerate\[s\] large messages' collective
-//! communication, and not small messages" (§IV-A), so small payloads stay
-//! on the copy-in/copy-out paths and everything past the kernel-overhead
-//! crossover goes distance-aware.
-
-use serde::{Deserialize, Serialize};
+//! The rule encodes the paper's own guidance: the KNEM collective "mainly
+//! accelerate\[s\] large messages' collective communication, and not small
+//! messages" (§IV-A), so small payloads stay on the copy-in/copy-out paths
+//! and everything past the kernel-overhead crossover goes distance-aware.
+//! Its thresholds are constants beside the planner's other size rules in
+//! [`crate::adaptive`]; `pdac tune` prints the rules a sweep would pick.
 
 use pdac_mpisim::Communicator;
 use pdac_simnet::Schedule;
 
-use crate::adaptive::{AdaptiveColl, AdaptivePolicy, Collective};
-use crate::baseline::tuned::{self, TunedConfig};
+use crate::adaptive::{
+    AdaptiveColl, Collective, Request, Sinks, SM_BCAST_MAX_BYTES, TUNED_ALLGATHER_MAX_BYTES,
+    TUNED_BCAST_MAX_BYTES,
+};
 use crate::baseline::sm;
+use crate::baseline::tuned::{self, TunedConfig};
 
 /// The selectable collective components.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Component {
     /// Shared-memory copy-in/copy-out baseline.
     Sm,
@@ -33,91 +35,61 @@ pub enum Component {
     KnemColl,
 }
 
-/// One decision-table row: messages up to `max_bytes` (inclusive) go to
-/// `component`. Rows are evaluated in order; the last row should be a
-/// catch-all (`max_bytes = usize::MAX`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Rule {
-    /// The collective the rule covers.
-    pub collective: Collective,
-    /// Inclusive upper message-size bound.
-    pub max_bytes: usize,
-    /// Selected component.
-    pub component: Component,
-}
-
-/// The tuning table; serializable so deployments can ship their own.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DecisionTable {
-    /// Ordered rules; first match wins.
-    pub rules: Vec<Rule>,
-}
-
-impl Default for DecisionTable {
-    fn default() -> Self {
-        use Collective::*;
-        use Component::*;
-        DecisionTable {
-            rules: vec![
-                // Broadcast: the paper puts the KNEM crossover near 16 KB.
-                Rule { collective: Bcast, max_bytes: 2048, component: Sm },
-                Rule { collective: Bcast, max_bytes: 16 * 1024, component: Tuned },
-                Rule { collective: Bcast, max_bytes: usize::MAX, component: KnemColl },
-                // Allgather: crossover near 2 KB per block.
-                Rule { collective: Allgather, max_bytes: 2048, component: Tuned },
-                Rule { collective: Allgather, max_bytes: usize::MAX, component: KnemColl },
-            ],
-        }
+/// The component selected for `collective` at `bytes` (the per-rank block
+/// for an allgather). Only broadcast and allgather have a component besides
+/// the distance-aware one.
+pub fn component(collective: Collective, bytes: usize) -> Component {
+    match collective {
+        Collective::Bcast if bytes <= SM_BCAST_MAX_BYTES => Component::Sm,
+        Collective::Bcast if bytes <= TUNED_BCAST_MAX_BYTES => Component::Tuned,
+        Collective::Allgather if bytes <= TUNED_ALLGATHER_MAX_BYTES => Component::Tuned,
+        _ => Component::KnemColl,
     }
 }
 
-impl DecisionTable {
-    /// The component selected for `collective` at `bytes`.
-    pub fn select(&self, collective: Collective, bytes: usize) -> Component {
-        self.rules
-            .iter()
-            .find(|r| r.collective == collective && bytes <= r.max_bytes)
-            .map(|r| r.component)
-            .unwrap_or(Component::KnemColl)
-    }
-}
-
-/// The full collective stack: component selection on top, per-component
-/// configuration below.
-#[derive(Debug, Clone, Default)]
-pub struct CollFramework {
-    /// Component decision table.
-    pub table: DecisionTable,
-    /// Distance-aware component policy.
-    pub adaptive: AdaptivePolicy,
-    /// Tuned-component thresholds.
-    pub tuned: TunedConfig,
-}
+/// The full collective stack: component selection on top, the selected
+/// component's schedule below.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CollFramework;
 
 impl CollFramework {
+    /// Plans `request` through the component [`component`] selects. The
+    /// distance-aware one plans through `sinks`; the baselines build their
+    /// rank-order schedule and ignore them.
+    pub fn plan(&self, comm: &Communicator, request: Request, sinks: Sinks<'_>) -> Schedule {
+        let Request {
+            collective,
+            root,
+            bytes,
+            ..
+        } = request;
+        let (n, cfg) = (comm.size(), &TunedConfig::default());
+        match (collective, component(collective, bytes)) {
+            (_, Component::KnemColl) => AdaptiveColl.plan(comm, request, sinks),
+            (Collective::Bcast, Component::Sm) => sm::bcast(n, root, bytes),
+            (Collective::Bcast, Component::Tuned) => tuned::bcast(n, root, bytes, cfg),
+            (Collective::Allgather, Component::Tuned) => tuned::allgather(n, bytes, cfg),
+            (other, c) => unreachable!("{other:?} has no {c:?} component"),
+        }
+    }
+
     /// Broadcast through the selected component.
     pub fn bcast(&self, comm: &Communicator, root: usize, bytes: usize) -> Schedule {
-        match self.table.select(Collective::Bcast, bytes) {
-            Component::Sm => sm::bcast(comm.size(), root, bytes),
-            Component::Tuned => tuned::bcast(comm.size(), root, bytes, &self.tuned),
-            Component::KnemColl => AdaptiveColl::new(self.adaptive).bcast(comm, root, bytes),
-        }
+        let request = Request::new(Collective::Bcast, root, bytes);
+        self.plan(comm, request, Sinks::default())
     }
 
     /// Allgather through the selected component.
     pub fn allgather(&self, comm: &Communicator, block_bytes: usize) -> Schedule {
-        match self.table.select(Collective::Allgather, block_bytes) {
-            Component::Sm => sm::allgather(comm.size(), block_bytes),
-            Component::Tuned => tuned::allgather(comm.size(), block_bytes, &self.tuned),
-            Component::KnemColl => AdaptiveColl::new(self.adaptive).allgather(comm, block_bytes),
-        }
+        let request = Request::new(Collective::Allgather, 0, block_bytes);
+        self.plan(comm, request, Sinks::default())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{verify, Request};
+    use crate::verify;
     use pdac_hwtopo::{machines, BindingPolicy};
     use std::sync::Arc;
 
@@ -128,20 +100,21 @@ mod tests {
     }
 
     #[test]
-    fn default_table_boundaries() {
-        let t = DecisionTable::default();
-        assert_eq!(t.select(Collective::Bcast, 512), Component::Sm);
-        assert_eq!(t.select(Collective::Bcast, 2048), Component::Sm);
-        assert_eq!(t.select(Collective::Bcast, 2049), Component::Tuned);
-        assert_eq!(t.select(Collective::Bcast, 16 << 10), Component::Tuned);
-        assert_eq!(t.select(Collective::Bcast, 1 << 20), Component::KnemColl);
-        assert_eq!(t.select(Collective::Allgather, 1024), Component::Tuned);
-        assert_eq!(t.select(Collective::Allgather, 64 << 10), Component::KnemColl);
+    fn component_boundaries() {
+        use Collective::*;
+        assert_eq!(component(Bcast, 512), Component::Sm);
+        assert_eq!(component(Bcast, 2048), Component::Sm);
+        assert_eq!(component(Bcast, 2049), Component::Tuned);
+        assert_eq!(component(Bcast, 16 << 10), Component::Tuned);
+        assert_eq!(component(Bcast, 1 << 20), Component::KnemColl);
+        assert_eq!(component(Allgather, 1024), Component::Tuned);
+        assert_eq!(component(Allgather, 64 << 10), Component::KnemColl);
+        assert_eq!(component(Reduce, 1), Component::KnemColl);
     }
 
     #[test]
     fn framework_dispatch_names_and_correctness() {
-        let fw = CollFramework::default();
+        let fw = CollFramework;
         let c = comm();
 
         let s = fw.bcast(&c, 0, 1024);
@@ -159,27 +132,5 @@ mod tests {
         let s = fw.allgather(&c, 16 << 10);
         assert!(s.name.starts_with("knemcoll-"), "{}", s.name);
         verify::run(Request::new(Collective::Allgather, 0, 16 << 10), &s).unwrap();
-    }
-
-    #[test]
-    fn custom_table_round_trips_and_applies() {
-        let table = DecisionTable {
-            rules: vec![Rule {
-                collective: Collective::Bcast,
-                max_bytes: usize::MAX,
-                component: Component::Sm,
-            }],
-        };
-        let json = serde_json::to_string(&table).unwrap();
-        let back: DecisionTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, table);
-
-        let fw = CollFramework { table: back, ..Default::default() };
-        let s = fw.bcast(&comm(), 0, 4 << 20);
-        assert!(s.name.starts_with("sm-"), "catch-all rule forces sm");
-        // Unknown collective sizes fall through to the distance-aware
-        // component when no rule matches.
-        let empty = DecisionTable { rules: vec![] };
-        assert_eq!(empty.select(Collective::Bcast, 1), Component::KnemColl);
     }
 }

@@ -12,7 +12,8 @@
 //!   instead of many small ones; the root finally scatters the staged
 //!   blocks to their rank offsets with local copies. More intermediate
 //!   traffic, far fewer long-distance operations — the classic message
-//!   aggregation trade-off, which [`adaptive`] resolves by block size.
+//!   aggregation trade-off. The planner always gathers directly; the
+//!   staged form stays a library function for that comparison.
 
 use pdac_mpisim::Communicator;
 use pdac_simnet::{BufId, Mech, OpId, Schedule, ScheduleBuilder};
@@ -23,29 +24,15 @@ use crate::tree::Tree;
 /// Builds the direct (one-sided pull) gather schedule.
 pub fn distance_aware(comm: &Communicator, root: usize, block_bytes: usize) -> Schedule {
     let request = Request::new(Collective::Gather, root, block_bytes);
-    AdaptiveColl::default().plan(comm, request, Sinks::default())
+    AdaptiveColl.plan(comm, request, Sinks::default())
 }
 
 /// Builds the staged (tree-aggregating) gather schedule.
 pub fn distance_aware_staged(comm: &Communicator, root: usize, block_bytes: usize) -> Schedule {
-    let tree = AdaptiveColl::default().bcast_tree(comm, root, BcastTopology::Hierarchical);
+    let tree = AdaptiveColl.bcast_tree(comm, root, BcastTopology::Hierarchical);
     let mut s = staged_gather_schedule(&tree, block_bytes);
     s.name = format!("dist-gather-staged/{}", comm.name());
     s
-}
-
-/// Strategy cut-over: small blocks aggregate, large blocks pull directly
-/// (aggregation pays extra store-and-forward bytes that only amortize while
-/// per-operation latency dominates).
-pub const STAGED_MAX_BLOCK: usize = 4096;
-
-/// Picks direct vs staged by block size.
-pub fn adaptive(comm: &Communicator, root: usize, block_bytes: usize) -> Schedule {
-    if block_bytes <= STAGED_MAX_BLOCK && comm.size() > 2 {
-        distance_aware_staged(comm, root, block_bytes)
-    } else {
-        distance_aware(comm, root, block_bytes)
-    }
 }
 
 /// Ranks of `r`'s subtree in *subtree order*: self first, then each child's
@@ -191,9 +178,5 @@ mod tests {
             t_direct_large < t_staged_large,
             "direct must win for 256K blocks: {t_direct_large:.6} vs {t_staged_large:.6}"
         );
-
-        // And the adaptive chooser picks accordingly.
-        assert!(adaptive(&c, 0, small).name.contains("staged"));
-        assert!(!adaptive(&c, 0, large).name.contains("staged"));
     }
 }

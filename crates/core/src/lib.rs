@@ -65,7 +65,7 @@ pub mod unionfind;
 pub mod verify;
 pub mod workload;
 
-pub use adaptive::{AdaptiveColl, AdaptivePolicy, AllreduceAlgo, Collective, Request, Sinks};
+pub use adaptive::{AdaptiveColl, AllreduceAlgo, Collective, Request, Sinks};
 pub use allgather_ring::Ring;
 pub use bcast_tree::build_bcast_tree;
 pub use chaos::{run_chaos, ChaosConfig, ChaosOutcome};
@@ -76,6 +76,6 @@ pub use topocache::{TopoCache, TopoCacheStats};
 pub use tree::Tree;
 pub use unionfind::DisjointSets;
 pub use workload::{
-    corruption_repro_command_for, corruption_sweep, repro_command, repro_command_for,
+    corruption_repro_command_for, corruption_sweep, repro_command_for,
     run_workload, stress_iters, sweep, WorkloadConfig, WorkloadError, WorkloadReport,
 };

@@ -237,7 +237,6 @@ pub struct Completion {
 /// topology over the survivors.
 #[derive(Debug)]
 pub struct RecoveryManager {
-    coll: AdaptiveColl,
     cache: Arc<TopoCache>,
     comm: Communicator,
     world_size: usize,
@@ -256,10 +255,9 @@ pub struct RecoveryManager {
 
 impl RecoveryManager {
     /// A manager over `comm` with no failures yet.
-    pub fn new(coll: AdaptiveColl, cache: Arc<TopoCache>, comm: Communicator) -> Self {
+    pub fn new(cache: Arc<TopoCache>, comm: Communicator) -> Self {
         let world_size = comm.size();
         RecoveryManager {
-            coll,
             cache,
             comm,
             world_size,
@@ -432,8 +430,7 @@ impl RecoveryManager {
         if request.collective.is_rooted() {
             request.root = self.elect_root(request.root);
         }
-        self.coll
-            .plan(&self.comm, request, Sinks::cached(&self.cache))
+        AdaptiveColl.plan(&self.comm, request, Sinks::cached(&self.cache))
     }
 
     /// Runs `what` to completion on the survivors under `faults` (world
@@ -615,7 +612,7 @@ mod tests {
         let m = Arc::new(machines::flat_smp(n));
         let binding = BindingPolicy::Contiguous.bind(&m, n).unwrap();
         let comm = Communicator::world(m, binding);
-        RecoveryManager::new(AdaptiveColl::default(), Arc::new(TopoCache::new()), comm)
+        RecoveryManager::new(Arc::new(TopoCache::new()), comm)
     }
 
     #[test]

@@ -155,7 +155,7 @@ pub fn ring_allreduce_schedule_with_op(ring: &Ring, block_bytes: usize, op: Data
 /// Distance-aware reduce-scatter for a communicator.
 pub fn distance_aware(comm: &Communicator, block_bytes: usize) -> Schedule {
     let request = Request::new(Collective::ReduceScatter, 0, block_bytes);
-    AdaptiveColl::default().plan(comm, request, Sinks::default())
+    AdaptiveColl.plan(comm, request, Sinks::default())
 }
 
 #[cfg(test)]
@@ -227,7 +227,7 @@ mod tests {
         let total = 48 * (64 << 10); // 3MB vector
         let time = |algo| {
             let request = Request { allreduce: algo, ..Request::new(Collective::Allreduce, 0, total) };
-            let schedule = AdaptiveColl::default().plan(&comm, request, Sinks::default());
+            let schedule = AdaptiveColl.plan(&comm, request, Sinks::default());
             exec.run(&schedule).unwrap().total_time
         };
         let t_ring = time(crate::adaptive::AllreduceAlgo::Ring);

@@ -10,7 +10,7 @@ use crate::adaptive::{AdaptiveColl, Collective, Request, Sinks};
 /// Builds the scatter schedule for `comm` rooted at `root`.
 pub fn distance_aware(comm: &Communicator, root: usize, block_bytes: usize) -> Schedule {
     let request = Request::new(Collective::Scatter, root, block_bytes);
-    AdaptiveColl::default().plan(comm, request, Sinks::default())
+    AdaptiveColl.plan(comm, request, Sinks::default())
 }
 
 #[cfg(test)]

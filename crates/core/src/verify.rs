@@ -262,7 +262,7 @@ mod tests {
             (Collective::Scatter, false),
         ] {
             let request = Request::new(collective, 2, 100);
-            let mut s = AdaptiveColl::default().plan(&comm, request, Sinks::default());
+            let mut s = AdaptiveColl.plan(&comm, request, Sinks::default());
             run(request, &s).unwrap_or_else(|e| panic!("{collective:?}: {e}"));
             swap_offsets(&mut s, dst);
             // Either validation (write overlap) or the byte check must fail.

@@ -13,8 +13,8 @@
 //!
 //! Everything is a pure function of the `u64` seed. A failing seed is
 //! reported with a one-line `PDAC_SEED=<n>` repro command (see
-//! [`repro_command`]); the sweep helpers ([`sweep`], [`stress_iters`]) give
-//! CI a bounded 100-seed harness over both transport backends.
+//! [`repro_command_for`]); the sweep helpers ([`sweep`], [`stress_iters`])
+//! give CI a bounded 100-seed harness over both transport backends.
 //!
 //! The workload itself is a **training-style storm**: a seed-derived trace
 //! of gradient-bucket sizes is allreduced over and over (data-parallel
@@ -186,11 +186,6 @@ impl std::fmt::Display for WorkloadError {
 }
 
 impl std::error::Error for WorkloadError {}
-
-/// The one-line command reproducing a failing seed on both transports.
-pub fn repro_command(seed: u64) -> String {
-    format!("PDAC_SEED={seed} cargo test -p pdac-core --test workload_sweep -- --nocapture")
-}
 
 /// The one-line command reproducing a failing seed on the exact transport
 /// backend that failed (the sweep harness honors `PDAC_TRANSPORT`).
@@ -393,7 +388,7 @@ pub fn run_workload(cfg: &WorkloadConfig) -> Result<WorkloadReport, WorkloadErro
         comm.size(),
         cfg.transport.label(),
     ));
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     let cache = TopoCache::new();
     let transport = cfg.transport.create(None);
     // One executor for the whole storm, like a communicator keeps one: its
@@ -484,7 +479,6 @@ pub fn run_workload(cfg: &WorkloadConfig) -> Result<WorkloadReport, WorkloadErro
         chaos_cfg.corruption = cfg.corruption;
         let out = run_chaos(
             &comm,
-            AdaptiveColl::default(),
             Request::new(Collective::Allreduce, 0, trace[0]),
             &chaos_cfg,
         )

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pdac_core::chaos::{run_chaos, ChaosConfig};
-use pdac_core::{AdaptiveColl, Collective, Request};
+use pdac_core::{Collective, Request};
 use pdac_hwtopo::{machines, BindingPolicy};
 use pdac_mpisim::Communicator;
 
@@ -29,13 +29,8 @@ fn failing_chaos_run_dumps_flight_recorder() {
     let mut cfg = ChaosConfig::new(7);
     cfg.watchdog = Duration::from_nanos(1);
 
-    let err = run_chaos(
-        &comm,
-        AdaptiveColl::default(),
-        Request::new(Collective::Bcast, 0, 4096),
-        &cfg,
-    )
-    .expect_err("1 ns watchdog must fail the run");
+    let err = run_chaos(&comm, Request::new(Collective::Bcast, 0, 4096), &cfg)
+        .expect_err("1 ns watchdog must fail the run");
     let err_text = err.to_string();
 
     let mut dumps: Vec<_> = std::fs::read_dir(&dir)

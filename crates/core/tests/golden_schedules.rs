@@ -93,7 +93,7 @@ fn all_digests() -> Vec<(String, u64)> {
             96,
         ),
     ];
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     let p2p = P2pConfig::default();
     let mut out = Vec::new();
     for (label, machine, policy, n) in comms {

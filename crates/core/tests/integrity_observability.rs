@@ -23,7 +23,7 @@ fn each_fact_is_published_once_and_reaches_every_surface() {
         .bind(&machine, 8)
         .expect("8 ranks fit on ig");
     let comm = Communicator::world(machine, binding);
-    let schedule = AdaptiveColl::default().allgather(&comm, 2048);
+    let schedule = AdaptiveColl.allgather(&comm, 2048);
     let registry = pdac_telemetry::global().registry();
 
     // A failed run publishes too: rank 3 damages every chunk it serves, so
@@ -114,8 +114,7 @@ fn each_fact_is_published_once_and_reaches_every_surface() {
     };
     let what = Request::new(Collective::Allgather, 0, 2048);
     let before = registry.snapshot();
-    let out = run_chaos(&comm, AdaptiveColl::default(), what, &cfg)
-        .unwrap_or_else(|e| panic!("corrupter seed 5: {e}"));
+    let out = run_chaos(&comm, what, &cfg).unwrap_or_else(|e| panic!("corrupter seed 5: {e}"));
     let after = registry.snapshot();
     assert!(
         out.failed_ranks.contains(&3),

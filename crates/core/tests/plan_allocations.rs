@@ -72,7 +72,7 @@ fn a_cached_plan_allocates_per_schedule_not_per_op() {
     let ig = Arc::new(machines::ig());
     let binding = BindingPolicy::CrossSocket.bind(&ig, 48).unwrap();
     let comm = Communicator::world(ig, binding);
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     let cache = TopoCache::new();
     // Fill the cache (and the communicator's distance matrix): what follows
     // is the steady state of repeated collectives on one communicator.

@@ -10,7 +10,6 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use pdac_core::adaptive::AdaptiveColl;
 use pdac_core::chaos::{run_chaos, ChaosConfig};
 use pdac_core::verify::pattern;
 use pdac_core::{Collective, RecoveryManager, Request, TopoCache};
@@ -40,7 +39,7 @@ proptest! {
     ) {
         let comm = world(n);
         let cache = Arc::new(TopoCache::new());
-        let mut mgr = RecoveryManager::new(AdaptiveColl::default(), cache, comm);
+        let mut mgr = RecoveryManager::new(cache, comm);
         // Mid-collective cocktail: allgather gives every rank n-1 ops, so
         // cascade budgets (1-3 completed ops) fire in the middle of the
         // ring. The plain cocktail crashes at-start instead.
@@ -120,7 +119,6 @@ proptest! {
         cfg.watchdog = Duration::from_secs(30);
         let out = run_chaos(
             &comm,
-            AdaptiveColl::default(),
             Request::new(Collective::Allgather, 0, 1024),
             &cfg,
         );

@@ -43,7 +43,7 @@ fn apply_failures(machine: Machine, seed: u64, script: &[u16]) -> Shrunk {
     let binding = BindingPolicy::Random { seed }.bind(&machine, n).unwrap();
     let comm = Communicator::world(Arc::new(machine), binding);
     let cache = Arc::new(TopoCache::new());
-    let mut mgr = RecoveryManager::new(AdaptiveColl::default(), Arc::clone(&cache), comm);
+    let mut mgr = RecoveryManager::new(Arc::clone(&cache), comm);
     let mut killed = Vec::new();
     for &raw in script {
         if mgr.comm().size() == 1 {
@@ -160,7 +160,7 @@ proptest! {
     ) {
         let s = apply_failures(machine, seed, &script);
         let n = s.mgr.comm().size();
-        let coll = AdaptiveColl::default();
+        let coll = AdaptiveColl;
 
         let before = s.cache.stats();
         let tree = coll.bcast_tree_cached(&s.cache, s.mgr.comm(), 0, BcastTopology::Hierarchical);

@@ -187,7 +187,7 @@ proptest! {
         let binding = BindingPolicy::Random { seed }.bind(&machine, n).unwrap();
         let comm = Communicator::world(std::sync::Arc::new(machine), binding);
         let root = root_raw % n;
-        let collapsed = AdaptiveColl::default().bcast_tree(&comm, root, BcastTopology::Collapsed);
+        let collapsed = AdaptiveColl.bcast_tree(&comm, root, BcastTopology::Collapsed);
         prop_assert_eq!(collapsed, build_bcast_tree(&collapse_intra_mc(&comm.distances_arc()), root));
     }
 
@@ -284,7 +284,7 @@ proptest! {
         let binding = BindingPolicy::Random { seed }.bind(&machine, n).unwrap();
         let comm = Communicator::world(Arc::new(machine), binding);
         let root = root_raw % n;
-        let coll = AdaptiveColl::default();
+        let coll = AdaptiveColl;
         let cache = TopoCache::new();
 
         for topo in [BcastTopology::Hierarchical, BcastTopology::Collapsed] {

@@ -100,7 +100,7 @@ fn collective_matrix_is_bit_identical_across_transports() {
         let comm = comm_on(machine);
         let n = comm.size();
         let name = comm.machine().name.clone();
-        let coll = AdaptiveColl::default();
+        let coll = AdaptiveColl;
         let dist = comm.distances();
         let ring = Ring::build(&dist);
         let tree = build_bcast_tree(&dist, 0);
@@ -134,7 +134,7 @@ fn corruption_detection_is_identical_across_transports() {
         let comm = comm_on(machine);
         let n = comm.size();
         let name = comm.machine().name.clone();
-        let coll = AdaptiveColl::default();
+        let coll = AdaptiveColl;
         let block = 3_000;
         // Allgather gives every rank n-1 copies, so every seeded edge
         // target (op indices 0..4) lands on a real operation.
@@ -237,7 +237,7 @@ fn both_legs_fault_the_op_the_plan_resolves_to() {
     let machine = Arc::new(machines::zoot());
     let binding = BindingPolicy::Contiguous.bind(&machine, 16).expect("zoot has 16 cores");
     let comm = Communicator::world(Arc::clone(&machine), binding.clone());
-    let schedule = AdaptiveColl::default().bcast(&comm, 0, 256 * 1024);
+    let schedule = AdaptiveColl.bcast(&comm, 0, 256 * 1024);
     let lowered = schedule.lower(None).unwrap();
     let ops = schedule.ops.len();
     let is_copy = |id: usize| matches!(schedule.ops[id].kind, OpKind::Copy { .. });

@@ -4,7 +4,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use pdac_core::adaptive::{AdaptiveColl, Collective, Request, Sinks};
-use pdac_core::framework::{CollFramework, Component};
+use pdac_core::framework::CollFramework;
 use pdac_core::topocache::TopoCache;
 use pdac_hwtopo::{BindingPolicy, Machine, TopoError};
 use pdac_mpisim::{Communicator, ExecError, KnemStats, ThreadExecutor, TransportKind};
@@ -108,8 +108,6 @@ fn data_op_for(op: ReduceOp, kind: ScalarKind) -> Result<DataOp, MpiError> {
 /// bandwidth-bound benchmark workload and bought no measurable time.
 pub struct Session {
     comm: Communicator,
-    framework: CollFramework,
-    coll: AdaptiveColl,
     cache: TopoCache,
     executor: ThreadExecutor,
     last_knem: Cell<KnemStats>,
@@ -123,11 +121,8 @@ impl Session {
         nranks: usize,
     ) -> Result<Self, MpiError> {
         let binding = policy.bind(&machine, nranks)?;
-        let framework = CollFramework::default();
         Ok(Session {
             comm: Communicator::world(machine, binding),
-            coll: AdaptiveColl::new(framework.adaptive),
-            framework,
             cache: TopoCache::new(),
             executor: ThreadExecutor::with_transport(TransportKind::Knem.create(None)),
             last_knem: Cell::new(KnemStats::default()),
@@ -152,21 +147,10 @@ impl Session {
     }
 
     /// The schedule this session runs for `request` (exposed for
-    /// inspection). The framework's decision table picks the component of
-    /// a broadcast or allgather; the distance-aware one, and every other
-    /// collective, plans through the session's topology cache.
+    /// inspection): [`CollFramework::plan`] through the session's topology
+    /// cache.
     pub fn plan(&self, request: Request) -> Schedule {
-        let Request { collective, root, bytes, .. } = request;
-        // Only those two have a component besides the distance-aware one.
-        match (collective, self.framework.table.select(collective, bytes)) {
-            (Collective::Bcast, Component::Sm | Component::Tuned) => {
-                self.framework.bcast(&self.comm, root, bytes)
-            }
-            (Collective::Allgather, Component::Sm | Component::Tuned) => {
-                self.framework.allgather(&self.comm, bytes)
-            }
-            _ => self.coll.plan(&self.comm, request, Sinks::cached(&self.cache)),
-        }
+        CollFramework.plan(&self.comm, request, Sinks::cached(&self.cache))
     }
 
     /// Runs a schedule over the callers' memory, recording device stats:

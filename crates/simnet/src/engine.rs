@@ -372,20 +372,10 @@ impl Run<'_> {
 impl<'a> SimExecutor<'a> {
     /// Creates an executor with the machine's default calibration.
     pub fn new(machine: &'a Machine, binding: &'a Binding, config: SimConfig) -> Self {
-        Self::with_calibration(machine, binding, Calibration::for_machine(machine), config)
-    }
-
-    /// Creates an executor with an explicit calibration (ablations).
-    pub fn with_calibration(
-        machine: &'a Machine,
-        binding: &'a Binding,
-        cal: Calibration,
-        config: SimConfig,
-    ) -> Self {
         SimExecutor {
             machine,
             binding,
-            cal,
+            cal: Calibration::for_machine(machine),
             config,
             fault: None,
             deadline: None,

@@ -55,7 +55,7 @@ pub use fault::{
     ResolvedFaults, SimError,
 };
 pub use lower::Lowered;
-pub use report::{bw_allgather, bw_bcast, bw_p2p, Series, SweepPoint};
+pub use report::{bw_allgather, bw_bcast, Series, SweepPoint};
 pub use resource::{Calibration, Resource, TransportModel};
 pub use schedule::{
     BufId, DataOp, Mech, Op, OpId, OpKind, Rank, Schedule, ScheduleBuilder, ScheduleError,

@@ -24,11 +24,6 @@ pub fn bw_allgather(num_ranks: usize, block_bytes: usize, seconds: f64) -> f64 {
     (num_ranks as f64) * (num_ranks.saturating_sub(1) as f64) * block_bytes as f64 / seconds / MB
 }
 
-/// Point-to-point bandwidth in MBytes/s.
-pub fn bw_p2p(msg_bytes: usize, seconds: f64) -> f64 {
-    msg_bytes as f64 / seconds / MB
-}
-
 /// One `(message size, bandwidth)` sample.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SweepPoint {
@@ -82,7 +77,6 @@ mod tests {
 
     #[test]
     fn bandwidth_conventions() {
-        assert_eq!(bw_p2p(1_000_000, 1.0), 1.0);
         assert_eq!(bw_bcast(48, 1_000_000, 1.0), 47.0);
         assert_eq!(bw_allgather(48, 1_000_000, 1.0), 48.0 * 47.0);
         // Degenerate single-rank cases don't divide by negative counts.

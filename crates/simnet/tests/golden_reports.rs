@@ -34,7 +34,7 @@ struct Case {
 fn run(case: &Case) -> u64 {
     let binding = case.policy.bind(&case.machine, case.ranks).unwrap();
     let comm = Communicator::world(Arc::clone(&case.machine), binding);
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     let schedule = match case.coll {
         Coll::Bcast => coll.bcast(&comm, 0, case.bytes),
         Coll::Allgather => coll.allgather(&comm, case.bytes),

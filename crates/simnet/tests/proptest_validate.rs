@@ -318,7 +318,7 @@ fn trace_dist_is_the_lowered_class() {
     let zoot = Arc::new(machines::zoot());
     let binding = BindingPolicy::CrossSocket.bind(&zoot, 16).unwrap();
     let comm = Communicator::world(Arc::clone(&zoot), binding);
-    let schedule = AdaptiveColl::default().bcast(&comm, 0, 1 << 20);
+    let schedule = AdaptiveColl.bcast(&comm, 0, 1 << 20);
     let distances = comm.distances();
     let report = SimExecutor::new(&zoot, comm.binding(), SimConfig::default()).run(&schedule).unwrap();
 

@@ -28,7 +28,7 @@ fn main() {
               remote transfers = links*(P*N-1) = {}, copies per rank = P*N = {}\n",
         p * p * n, n * (p * n - 1), p * n);
 
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     let aware = coll.allgather(&comm, block);
     let m = memory_accesses(&aware, &machine, &binding);
     println!("distance-aware allgather (cross-socket placement):");

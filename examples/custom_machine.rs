@@ -48,7 +48,7 @@ fn main() {
     println!("\nsub-communicator of {} ranks, distance classes {:?}",
         sub.size(), sub.distances().classes());
 
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     let tree = coll.bcast_tree(&sub, 0, pdac::collectives::adaptive::BcastTopology::Hierarchical);
     println!("\ndistance-aware broadcast tree:");
     print!("{}", tree.render());

@@ -74,7 +74,7 @@ fn main() {
     let comm = Communicator::world(Arc::clone(&machine), binding);
     println!("\ndistance classes (cross-socket placement): {:?}", comm.distances().classes());
 
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     let bytes = 64 << 10;
     let s = coll.bcast(&comm, 0, bytes);
     let request = Request::new(Collective::Bcast, 0, bytes);

@@ -31,7 +31,7 @@ fn policies() -> Vec<BindingPolicy> {
 
 fn main() {
     let machine = Arc::new(machines::ig());
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     let tuned_cfg = TunedConfig::default();
     let bytes = 1 << 20;
 

@@ -24,7 +24,7 @@ fn main() {
     let comm = Communicator::world(Arc::clone(&machine), binding.clone());
 
     // 3. The distance-aware collective component.
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     let bytes = 1 << 20;
     let schedule = coll.bcast(&comm, 0, bytes);
     println!("\nbroadcast schedule `{}`: {} ops, {} copies",

@@ -14,7 +14,7 @@
 //! pdac claims                                 every figure, then results/claims.txt
 //! pdac ablation                               the design ablations
 //! pdac scaling                                full vs leader-probing construction (timed)
-//! pdac tune [machine]                         component decision table (default ig)
+//! pdac tune [machine]                         component size rules (default ig)
 //! pdac gate                                   the 44-scenario matrix, results/gate.txt
 //! pdac audit [outdir]                         the matrix audited against its plans
 //! pdac trend [history] [label]                newest vs previous perf-history entry
@@ -221,7 +221,7 @@ fn run() -> Result<(), String> {
             let bytes = parse_count("byte count", arg(4)?)?;
             let comm = Communicator::world(Arc::clone(&m), b.clone());
             let n = comm.size();
-            let coll_impl = AdaptiveColl::default();
+            let coll_impl = AdaptiveColl;
             let tuned_cfg = TunedConfig::default();
             let (schedule, bw): (_, fn(usize, usize, f64) -> f64) = match coll.as_str() {
                 "bcast" => (coll_impl.bcast(&comm, 0, bytes), bw_bcast),
@@ -251,7 +251,7 @@ fn run() -> Result<(), String> {
         }
         "tune" => {
             no_more(2)?;
-            extensions::tune(parse_machine(args.get(1).map_or("ig", String::as_str))?)?;
+            extensions::tune(parse_machine(args.get(1).map_or("ig", String::as_str))?);
         }
         "gate" => {
             no_more(1)?;

@@ -28,7 +28,7 @@
 //! let binding = BindingPolicy::CrossSocket.bind(&machine, 48)?;
 //! let comm = Communicator::world(Arc::clone(&machine), binding.clone());
 //!
-//! let schedule = AdaptiveColl::default().bcast(&comm, 0, 1 << 20);
+//! let schedule = AdaptiveColl.bcast(&comm, 0, 1 << 20);
 //! let report = SimExecutor::new(&machine, &binding, SimConfig::default()).run(&schedule)?;
 //! assert!(bw_bcast(48, 1 << 20, report.total_time) > 10_000.0, "tens of GB/s aggregate");
 //!

@@ -66,6 +66,7 @@ fn bad_roots_and_seeds_exit_1_with_a_message() {
 fn every_subcommand_runs_at_its_cheapest_input() {
     let dir = workdir("every");
     let history = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_history.jsonl");
+    let mut tune = String::new();
     for args in [
         "topo flat4",
         "distances quad crosssocket",
@@ -89,12 +90,22 @@ fn every_subcommand_runs_at_its_cheapest_input() {
         "trace explain allreduce 4 4096 explain quad crosssocket",
         "trace diff explain/provenance.json explain/provenance.json",
     ] {
-        let (code, _, stderr) = pdac(&dir, args);
+        let (code, stdout, stderr) = pdac(&dir, args);
         assert_eq!(code, Some(0), "{args}: {stderr}");
+        if args == "tune flat2" {
+            tune = stdout;
+        }
+    }
+    // `tune` prints its rules, each collective's last one a catch-all.
+    for collective in ["Bcast", "Allgather"] {
+        let rule = [collective, "..", "->"];
+        assert!(
+            tune.lines().any(|l| l.split_whitespace().take(3).eq(rule)),
+            "no catch-all {collective} rule in\n{tune}"
+        );
     }
     for artifact in [
         "results/fig2.json",
-        "results/decision_table_flat-smp-2.json",
         "audit/BENCH_conformance.json",
         "run/divergence.json",
         "explain/conformance.json",

@@ -28,7 +28,7 @@ fn communicators() -> Vec<Communicator> {
 
 #[test]
 fn bcast_correct_and_simulatable_everywhere() {
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     for comm in communicators() {
         for bytes in [100usize, 60_000, 400_000] {
             let s = coll.bcast(&comm, 0, bytes);
@@ -44,7 +44,7 @@ fn bcast_correct_and_simulatable_everywhere() {
 
 #[test]
 fn allgather_correct_and_simulatable_everywhere() {
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     for comm in communicators() {
         let s = coll.allgather(&comm, 3000);
         verify::run(Request::new(Collective::Allgather, 0, 3000), &s)
@@ -68,7 +68,7 @@ fn extension_collectives_correct_on_hostile_subgroups() {
     verify::run(Request::new(Collective::Reduce, 3, 12_345), &s).unwrap();
 
     let request = Request::new(Collective::Allreduce, 0, 12_345);
-    let s = AdaptiveColl::default().plan(&sub, request, Sinks::default());
+    let s = AdaptiveColl.plan(&sub, request, Sinks::default());
     verify::run(request, &s).unwrap();
 
     let s = gather::distance_aware(&sub, 5, 2_048);
@@ -92,7 +92,7 @@ fn split_communicators_run_independent_collectives() {
     let binding = BindingPolicy::Contiguous.bind(&ig, 48).unwrap();
     let world = Communicator::world(Arc::clone(&ig), binding);
     let machine = world.machine_arc();
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     let groups = world.split(|r| machine.core(r).numa as i64, |r| r as i64);
     assert_eq!(groups.len(), 8);
     for g in groups {
@@ -138,7 +138,7 @@ fn simulator_traffic_matches_the_analytical_model() {
 fn simulated_time_and_thread_execution_agree_on_schedules() {
     // Both executors must accept exactly the same schedules; any validation
     // divergence is a bug.
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     for comm in communicators().into_iter().take(6) {
         let schedules = vec![
             coll.bcast(&comm, 0, 50_000),

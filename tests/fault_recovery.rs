@@ -54,7 +54,7 @@ fn stalled_rank_still_completes_bcast() {
     watchdog("stalled_rank_still_completes_bcast", 0, Duration::from_secs(30), || {
         let comm = world(6);
         let bytes = 30_000;
-        let schedule = AdaptiveColl::default().bcast(&comm, 0, bytes);
+        let schedule = AdaptiveColl.bcast(&comm, 0, bytes);
         let plan = FaultPlan::new(0).stall_rank(2, Duration::from_micros(200));
         let res = ThreadExecutor::new()
             .with_faults(plan)
@@ -74,7 +74,7 @@ fn dropped_notification_is_typed_timeout_then_heals() {
     watchdog("dropped_notification_is_typed_timeout_then_heals", 41, Duration::from_secs(30), || {
         let comm = world(6);
         let bytes = 10_000;
-        let schedule = AdaptiveColl::default().bcast(&comm, 0, bytes);
+        let schedule = AdaptiveColl.bcast(&comm, 0, bytes);
         let plan = FaultPlan::new(41).drop_notify(0);
         let err = ThreadExecutor::new()
             .with_policy(RetryPolicy::chaos())
@@ -100,7 +100,7 @@ fn crashed_rank_recovery_completes_on_survivors() {
     watchdog("crashed_rank_recovery_completes_on_survivors", 7, Duration::from_secs(60), || {
         let comm = world(6);
         let bytes = 20_000;
-        let coll = AdaptiveColl::default();
+        let coll = AdaptiveColl;
         let schedule = coll.bcast(&comm, 0, bytes);
         // Rank 3 dies before executing anything.
         let plan = FaultPlan::new(7).crash_rank(3, 0);
@@ -117,7 +117,7 @@ fn crashed_rank_recovery_completes_on_survivors() {
 
         // Recovery: shrink to the survivors, rebuild, run clean, verify.
         let cache = Arc::new(TopoCache::new());
-        let mut mgr = RecoveryManager::new(coll, Arc::clone(&cache), comm.clone());
+        let mut mgr = RecoveryManager::new(Arc::clone(&cache), comm.clone());
         let _ = mgr.plan(Request::new(Collective::Bcast, 0, bytes)); // warm the doomed epoch
         mgr.mark_failed(3).unwrap();
         assert_eq!(mgr.survivors(), &[0, 1, 2, 4, 5]);
@@ -140,7 +140,6 @@ fn chaos_harness_records_fault_stats_in_sim_report() {
         let cfg = ChaosConfig::new(0);
         let out = run_chaos(
             &comm,
-            AdaptiveColl::default(),
             Request::new(Collective::Bcast, 0, 20_000),
             &cfg,
         )
@@ -167,7 +166,6 @@ fn chaos_outcome_is_deterministic_per_seed() {
         let run = || {
             run_chaos(
                 &comm,
-                AdaptiveColl::default(),
                 Request::new(Collective::Allreduce, 0, 4096),
                 &ChaosConfig::new(13),
             )
@@ -199,11 +197,7 @@ fn collective_errors_quote_the_fault_seed() {
     let verify = CollectiveError::Verify { seed: Some(7), detail: "rank 1: byte 0".into() };
     assert!(verify.to_string().contains("fault seed 7"), "{verify}");
     // Exhausting every rank is typed, not a panic or a hang.
-    let mut mgr = RecoveryManager::new(
-        AdaptiveColl::default(),
-        Arc::new(TopoCache::new()),
-        world(2),
-    );
+    let mut mgr = RecoveryManager::new(Arc::new(TopoCache::new()), world(2));
     mgr.mark_failed(1).unwrap();
     assert!(matches!(mgr.mark_failed(0), Err(CollectiveError::AllRanksFailed { .. })));
 }
@@ -216,7 +210,6 @@ fn collective_errors_quote_the_fault_seed() {
 fn chaos_sweep_100_seeds_never_hangs() {
     watchdog("chaos_sweep_100_seeds_never_hangs", 0, Duration::from_secs(240), || {
         let comm = world(6);
-        let coll = AdaptiveColl::default();
         let mut recovered = 0u32;
         let mut rebuilds = 0u64;
         let mut injected = 0u64;
@@ -226,7 +219,7 @@ fn chaos_sweep_100_seeds_never_hangs() {
                 1 => Request::new(Collective::Allgather, 0, 1024),
                 _ => Request::new(Collective::Allreduce, 0, 4096),
             };
-            match run_chaos(&comm, coll.clone(), what, &ChaosConfig::new(seed)) {
+            match run_chaos(&comm, what, &ChaosConfig::new(seed)) {
                 Ok(out) => {
                     if out.recovered {
                         recovered += 1;
@@ -270,7 +263,6 @@ fn membership_sweep_100_cascade_seeds_shrinks_through_detection() {
     watchdog(name, 0, Duration::from_secs(240), || {
         let n = 7;
         let comm = world(n);
-        let coll = AdaptiveColl::default();
         let mut confirmed = 0u64;
         let mut degraded = 0u64;
         let mut fenced = 0u64;
@@ -280,8 +272,7 @@ fn membership_sweep_100_cascade_seeds_shrinks_through_detection() {
             // budgets actually fire.
             let mut cfg = ChaosConfig::cascade(seed);
             cfg.policy.op_deadline = Some(Duration::from_millis(50));
-            match run_chaos(&comm, coll.clone(), Request::new(Collective::Allgather, 0, 1024), &cfg)
-            {
+            match run_chaos(&comm, Request::new(Collective::Allgather, 0, 1024), &cfg) {
                 Ok(out) => {
                     assert_eq!(
                         out.failed_ranks.len() as u64,

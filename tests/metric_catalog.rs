@@ -164,7 +164,7 @@ fn every_published_name_is_catalogued_and_seen() {
     let reader = telemetry.recorder().reader();
     let mut categories: BTreeSet<&'static str> = BTreeSet::new();
     let mut seen = |events: Vec<Event>| categories.extend(events.iter().map(|e| e.cat));
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     let flat = Arc::new(machines::flat_smp(6));
     let smp = Communicator::world(
         Arc::clone(&flat),
@@ -184,7 +184,7 @@ fn every_published_name_is_catalogued_and_seen() {
             ..ChaosConfig::with_corruption(1)
         },
     ] {
-        run_chaos(&smp, coll.clone(), allgather, &cfg).unwrap_or_else(|e| panic!("{e}"));
+        run_chaos(&smp, allgather, &cfg).unwrap_or_else(|e| panic!("{e}"));
         seen(reader.drain());
     }
 

@@ -5,7 +5,10 @@
 
 use std::sync::Arc;
 
-use pdac::collectives::adaptive::BcastTopology;
+use pdac::collectives::adaptive::{
+    BcastTopology, COLLAPSE_ABOVE_BYTES, RING_ALLREDUCE_MIN_BYTES, SM_BCAST_MAX_BYTES,
+    TUNED_ALLGATHER_MAX_BYTES, TUNED_BCAST_MAX_BYTES,
+};
 use pdac::collectives::baseline::tuned::{self, TunedConfig};
 use pdac::collectives::framework::CollFramework;
 use pdac::collectives::sched::{allreduce_schedule_dist, SchedConfig};
@@ -63,7 +66,7 @@ fn cache_choice(prov: &Provenance) -> Option<&str> {
 
 #[test]
 fn every_sink_combination_plans_the_same_schedule() {
-    let coll = AdaptiveColl::default();
+    let coll = AdaptiveColl;
     for machine in machines_under_test() {
         let machine = Arc::new(machine);
         let n = machine.num_cores();
@@ -158,20 +161,13 @@ fn tree_allreduce_has_one_rule() {
     let gate = allreduce_schedule_dist(&tree, bytes, &SchedConfig::default(), Some(&dist));
 
     assert_eq!(session.plan(request), gate, "Session");
-    let recovery = RecoveryManager::new(
-        AdaptiveColl::default(),
-        Arc::new(TopoCache::new()),
-        comm.clone(),
-    );
+    let recovery = RecoveryManager::new(Arc::new(TopoCache::new()), comm.clone());
     assert_eq!(
         recovery.plan(request),
         gate,
         "RecoveryManager with no failures"
     );
-    assert_eq!(
-        AdaptiveColl::default().plan(comm, request, Sinks::default()),
-        gate
-    );
+    assert_eq!(AdaptiveColl.plan(comm, request, Sinks::default()), gate);
 }
 
 #[test]
@@ -179,14 +175,14 @@ fn session_plans_through_its_cache_without_changing_the_schedule() {
     // `Session::plan` is the schedule each call runs. Through the session's
     // own TopoCache, for all nine collectives, the miss and every later hit
     // must equal the schedule planned with no cache at all — or, where the
-    // framework's decision table routes a small broadcast or allgather to
+    // framework's component rule routes a small broadcast or allgather to
     // another component, that component's schedule.
-    let framework = CollFramework::default();
+    let framework = CollFramework;
     let tuned = TunedConfig::default();
     for (machine, n) in [(machines::ig(), 12), (machines::zoot(), 16)] {
         let session = Session::new(Arc::new(machine), BindingPolicy::CrossSocket, n).unwrap();
         let comm = session.comm();
-        let uncached = AdaptiveColl::default();
+        let uncached = AdaptiveColl;
         for request in requests(n) {
             let plain = match request.collective {
                 // `requests` gives allgather a 1500-byte block: tuned's.
@@ -209,11 +205,53 @@ fn session_plans_through_its_cache_without_changing_the_schedule() {
             framework.allgather(comm, 4096),
             "the KnemColl branch of the framework's allgather"
         );
-        // The sizes the table routes elsewhere, and one it does not.
+        // The sizes the rule routes elsewhere, and one it does not.
         assert_eq!(plan(Collective::Bcast, 1024), framework.bcast(comm, root, 1024), "1 KiB bcast");
         assert_eq!(plan(Collective::Bcast, 8192), tuned::bcast(n, root, 8192, &tuned), "8 KiB bcast");
         assert_eq!(plan(Collective::Allgather, 1024), tuned::allgather(n, 1024, &tuned), "1 KiB allgather");
         let big = Request::new(Collective::Bcast, root, 1 << 20);
         assert_eq!(session.plan(big), uncached.plan(comm, big, Sinks::default()), "1 MiB bcast");
     }
+}
+
+#[test]
+fn every_size_rule_flips_exactly_at_its_threshold() {
+    // Planned through `Session`, so each row is the schedule a call runs.
+    // Zoot's 16 ranks share memory controllers, so the collapse rule has
+    // something to collapse; 16 ranks of 8-byte lanes put the largest ring
+    // size below `RING_ALLREDUCE_MIN_BYTES` at 128 bytes under it.
+    let n = 16;
+    let session = Session::new(Arc::new(machines::zoot()), BindingPolicy::Contiguous, n).unwrap();
+    let comm = session.comm();
+    let bcast = |bytes| Request::new(Collective::Bcast, 0, bytes);
+    let allgather = |bytes| Request::new(Collective::Allgather, 0, bytes);
+    let allreduce = |bytes| Request {
+        op: DataOp::SumF64,
+        allreduce: AdaptiveColl::allreduce_algorithm_choice(comm, bytes, DataOp::SumF64),
+        ..Request::new(Collective::Allreduce, 0, bytes)
+    };
+    let sm = SM_BCAST_MAX_BYTES;
+    let tb = TUNED_BCAST_MAX_BYTES;
+    let ta = TUNED_ALLGATHER_MAX_BYTES;
+    let c = COLLAPSE_ABOVE_BYTES;
+    let r = RING_ALLREDUCE_MIN_BYTES;
+    let (linear, ring) = ("knemcoll-bcast/linearized", "dist-ring-allreduce");
+    // Per threshold: the last request on its near side, the first past it,
+    // and the schedule-name prefix each plans to.
+    let rows = [
+        (bcast(sm), bcast(sm + 1), "sm-", "tuned-"),
+        (bcast(tb), bcast(tb + 1), "tuned-", "knemcoll-"),
+        (allgather(ta), allgather(ta + 1), "tuned-", "knemcoll-"),
+        (bcast(c), bcast(c + 1), "tuned-", linear),
+        (allreduce(r - 128), allreduce(r), "dist-allreduce", ring),
+    ];
+    for (near, past, near_name, past_name) in rows {
+        for (request, want) in [(near, near_name), (past, past_name)] {
+            let name = session.plan(request).name;
+            assert!(name.starts_with(want), "{request:?}: {name}");
+        }
+    }
+    // Session sends a broadcast at the collapse threshold to tuned, so the
+    // rule's near side is read off the distance-aware component.
+    assert_eq!(AdaptiveColl.bcast(comm, 0, c).name, "knemcoll-bcast/hier");
 }

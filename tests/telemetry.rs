@@ -19,7 +19,7 @@ fn bcast_world(ranks: usize, bytes: usize) -> (Communicator, pdac::simnet::Sched
         .bind(&machine, ranks)
         .expect("binding fits");
     let comm = Communicator::world(Arc::clone(&machine), binding);
-    let schedule = AdaptiveColl::default().bcast(&comm, 0, bytes);
+    let schedule = AdaptiveColl.bcast(&comm, 0, bytes);
     (comm, schedule)
 }
 
