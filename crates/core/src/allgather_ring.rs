@@ -19,6 +19,9 @@ pub struct Ring {
     order: Vec<usize>,
     /// position[rank] = index of `rank` in `order`.
     position: Vec<usize>,
+    /// Each rank's neighbours: what a schedule's walk reads at every step.
+    left: Vec<usize>,
+    right: Vec<usize>,
 }
 
 impl Ring {
@@ -41,11 +44,19 @@ impl Ring {
         if n > 2 && rotated[1] > rotated[n - 1] {
             rotated[1..].reverse();
         }
-        let mut position = vec![0; n];
-        for (i, &r) in rotated.iter().enumerate() {
+        Ring::normalized(rotated)
+    }
+
+    /// Indexes a cycle that already starts at rank 0 in its walking direction.
+    fn normalized(order: Vec<usize>) -> Ring {
+        let n = order.len();
+        let (mut position, mut left, mut right) = (vec![0; n], vec![0; n], vec![0; n]);
+        for (i, &r) in order.iter().enumerate() {
             position[r] = i;
+            left[r] = order[(i + n - 1) % n];
+            right[r] = order[(i + 1) % n];
         }
-        Ring { order: rotated, position }
+        Ring { order, position, left, right }
     }
 
     /// Runs Algorithm 2 on the distance matrix.
@@ -53,7 +64,7 @@ impl Ring {
         let n = dist.num_ranks();
         assert!(n >= 1, "ring needs at least one rank");
         if n == 1 {
-            return Ring { order: vec![0], position: vec![0] };
+            return Ring::normalized(vec![0]);
         }
 
         // Each rank's path neighbours; `usize::MAX` marks a free slot.
@@ -79,12 +90,7 @@ impl Ring {
             cur = next;
         }
         debug_assert_eq!(order.len(), n);
-
-        let mut position = vec![0; n];
-        for (i, &r) in order.iter().enumerate() {
-            position[r] = i;
-        }
-        Ring { order, position }
+        Ring::normalized(order)
     }
 
     /// Number of ranks.
@@ -110,14 +116,12 @@ impl Ring {
     /// The neighbour each rank pushes toward (pulls happen from
     /// [`Self::left`]).
     pub fn right(&self, rank: usize) -> usize {
-        let n = self.len();
-        self.order[(self.position[rank] + 1) % n]
+        self.right[rank]
     }
 
     /// The neighbour each rank pulls from.
     pub fn left(&self, rank: usize) -> usize {
-        let n = self.len();
-        self.order[(self.position[rank] + n - 1) % n]
+        self.left[rank]
     }
 
     /// The rank sitting `k` steps to the left.
