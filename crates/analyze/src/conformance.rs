@@ -130,12 +130,8 @@ impl ConformanceReport {
             }
         }
 
-        let missing: Vec<usize> = plan
-            .planned_ops
-            .iter()
-            .filter(|p| graph.get(p.op).is_none())
-            .map(|p| p.op)
-            .collect();
+        let missing: Vec<usize> =
+            plan.planned_ops.iter().filter(|p| graph.get(p.op).is_none()).map(|p| p.op).collect();
 
         unexplained.sort_unstable();
         reordered.sort_by_key(|v| (v.op, v.dep));
@@ -206,10 +202,7 @@ impl ConformanceReport {
                 ));
             }
         }
-        out.push_str(&format!(
-            "  verdict: {}\n",
-            if self.passed() { "PASS" } else { "FAIL" }
-        ));
+        out.push_str(&format!("  verdict: {}\n", if self.passed() { "PASS" } else { "FAIL" }));
         out
     }
 }
@@ -235,10 +228,7 @@ mod tests {
             .run(&schedule)
             .expect("schedule validates");
         let dist = DistanceMatrix::for_binding(&machine, &binding);
-        (
-            sim_events_with_distances(&schedule, &report, Some(&dist)),
-            prov,
-        )
+        (sim_events_with_distances(&schedule, &report, Some(&dist)), prov)
     }
 
     fn explained_run() -> (OpGraph, Provenance) {
@@ -286,10 +276,7 @@ mod tests {
         let (graph, prov) = explained_run();
         let mut spans: Vec<OpSpan> = graph.spans().to_vec();
         // Yank some op with a dependency back to t=0, before anything ends.
-        let victim = spans
-            .iter()
-            .position(|s| !s.deps.is_empty())
-            .expect("a dependent op exists");
+        let victim = spans.iter().position(|s| !s.deps.is_empty()).expect("a dependent op exists");
         spans[victim].start_us = 0.0;
         let op = spans[victim].op;
         let rep = ConformanceReport::audit(&OpGraph::new(spans), &prov);
@@ -310,11 +297,7 @@ mod tests {
         spans[copy_idx].bytes += 7;
         let rep = ConformanceReport::audit(&OpGraph::new(spans), &prov);
         assert!(rep.unexplained.contains(&tagged));
-        assert!(
-            rep.mismatched.iter().any(|m| m.contains("B, executed")),
-            "{:?}",
-            rep.mismatched
-        );
+        assert!(rep.mismatched.iter().any(|m| m.contains("B, executed")), "{:?}", rep.mismatched);
     }
 
     #[test]
@@ -343,10 +326,7 @@ mod tests {
         let reparsed = crate::events_from_chrome_trace(&json).expect("trace parses");
         let graph = OpGraph::from_events(&reparsed);
         assert_eq!(graph.len(), events.len());
-        assert!(
-            graph.spans().iter().all(|s| s.plan.is_some()),
-            "plan ids survive the file"
-        );
+        assert!(graph.spans().iter().all(|s| s.plan.is_some()), "plan ids survive the file");
         let rep = ConformanceReport::audit(&graph, &prov);
         assert_eq!(rep.unexplained, vec![foreign], "{}", rep.render());
     }

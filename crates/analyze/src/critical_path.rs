@@ -150,12 +150,10 @@ impl CriticalPathReport {
         let mut rev: Vec<(usize, EdgeKind)> = vec![(idx, EdgeKind::Start)];
         loop {
             let preds = graph.predecessors(idx);
-            let Some(&best) = preds.iter().max_by(|&&a, &&b| {
-                graph
-                    .span_at(a)
-                    .end_us()
-                    .total_cmp(&graph.span_at(b).end_us())
-            }) else {
+            let Some(&best) = preds
+                .iter()
+                .max_by(|&&a, &&b| graph.span_at(a).end_us().total_cmp(&graph.span_at(b).end_us()))
+            else {
                 break;
             };
             let edge = if graph.span_at(idx).deps.contains(&graph.span_at(best).op) {
@@ -203,11 +201,7 @@ impl CriticalPathReport {
             wall_us,
             span_us,
             wait_us,
-            coverage: if wall_us > 0.0 {
-                (span_us / wall_us).min(1.0)
-            } else {
-                0.0
-            },
+            coverage: if wall_us > 0.0 { (span_us / wall_us).min(1.0) } else { 0.0 },
             total_ops: graph.len(),
             by_rank: attribution(&steps, |s| format!("rank {}", s.tid)),
             by_mech: attribution(&steps, |s| s.mech.clone()),
@@ -236,22 +230,15 @@ impl CriticalPathReport {
             self.coverage * 100.0,
             self.wait_us,
         );
-        for (label, rows) in [
-            ("rank", &self.by_rank),
-            ("mech", &self.by_mech),
-            ("dist", &self.by_dist),
-        ] {
+        for (label, rows) in
+            [("rank", &self.by_rank), ("mech", &self.by_mech), ("dist", &self.by_dist)]
+        {
             out.push_str(&format!("  by {label}: "));
             for (i, r) in rows.iter().take(6).enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!(
-                    "{} {:.1}us ({:.0}%)",
-                    r.key,
-                    r.us,
-                    r.share * 100.0
-                ));
+                out.push_str(&format!("{} {:.1}us ({:.0}%)", r.key, r.us, r.share * 100.0));
             }
             out.push('\n');
         }
@@ -315,10 +302,7 @@ mod tests {
         // Rank 0 runs two back-to-back ops with no dep between them; the
         // second is the last to finish. Without the program-order edge the
         // path would cover only op1's span.
-        let g = OpGraph::new(vec![
-            span(0, 0, 0.0, 8.0, vec![]),
-            span(1, 0, 8.0, 8.0, vec![]),
-        ]);
+        let g = OpGraph::new(vec![span(0, 0, 0.0, 8.0, vec![]), span(1, 0, 8.0, 8.0, vec![])]);
         let r = CriticalPathReport::extract(&g);
         assert_eq!(r.steps.len(), 2);
         assert_eq!(r.steps[1].edge, EdgeKind::Program);
@@ -355,22 +339,13 @@ mod tests {
             span(1, 1, 4.0 + 4.5e-13, 4.0, vec![0]),
         ]);
         let r = CriticalPathReport::extract(&g);
-        assert_eq!(
-            r.wait_us, 0.0,
-            "dust clamps to exactly zero, not a tiny float"
-        );
+        assert_eq!(r.wait_us, 0.0, "dust clamps to exactly zero, not a tiny float");
         assert_eq!(r.steps[1].wait_us, 0.0);
         // A real (≥1ns) gap still counts.
-        let g = OpGraph::new(vec![
-            span(0, 0, 0.0, 4.0, vec![]),
-            span(1, 1, 4.0 + 2e-3, 4.0, vec![0]),
-        ]);
+        let g =
+            OpGraph::new(vec![span(0, 0, 0.0, 4.0, vec![]), span(1, 1, 4.0 + 2e-3, 4.0, vec![0])]);
         let r = CriticalPathReport::extract(&g);
-        assert!(
-            (r.wait_us - 2e-3).abs() < 1e-12,
-            "real gaps survive: {}",
-            r.wait_us
-        );
+        assert!((r.wait_us - 2e-3).abs() < 1e-12, "real gaps survive: {}", r.wait_us);
     }
 
     #[test]

@@ -78,27 +78,17 @@ impl DivergenceReport {
                 None => real_only += 1,
             }
         }
-        let sim_only = sim
-            .spans()
-            .iter()
-            .filter(|s| real.get(s.op).is_none())
-            .count();
+        let sim_only = sim.spans().iter().filter(|s| real.get(s.op).is_none()).count();
 
         let total_real: f64 = joined.iter().map(|(r, _)| r.dur_us).sum();
         let total_sim: f64 = joined.iter().map(|(_, s)| s.dur_us).sum();
-        let global_scale = if total_sim > 0.0 {
-            total_real / total_sim
-        } else {
-            0.0
-        };
+        let global_scale = if total_sim > 0.0 { total_real / total_sim } else { 0.0 };
 
         // Class key = (mech label, dist) from the sim leg — the model's own
         // view of what it predicted.
         let mut sums: BTreeMap<(String, u8), (usize, f64, f64)> = BTreeMap::new();
         for (r, s) in &joined {
-            let e = sums
-                .entry((s.mech.label().to_string(), s.dist))
-                .or_insert((0, 0.0, 0.0));
+            let e = sums.entry((s.mech.label().to_string(), s.dist)).or_insert((0, 0.0, 0.0));
             e.0 += 1;
             e.1 += r.dur_us;
             e.2 += s.dur_us;
@@ -107,11 +97,7 @@ impl DivergenceReport {
             .into_iter()
             .map(|((mech, dist), (ops, real_us, sim_us))| {
                 let ratio = if sim_us > 0.0 { real_us / sim_us } else { 0.0 };
-                let drift = if global_scale > 0.0 {
-                    ratio / global_scale
-                } else {
-                    0.0
-                };
+                let drift = if global_scale > 0.0 { ratio / global_scale } else { 0.0 };
                 ClassDrift {
                     mech,
                     dist,
@@ -215,11 +201,7 @@ mod tests {
         let mut sim = Vec::new();
         let mut real = Vec::new();
         for i in 0..12 {
-            let (mech, dist) = if i % 2 == 0 {
-                (MechKind::Memcpy, 1)
-            } else {
-                (MechKind::Knem, 4)
-            };
+            let (mech, dist) = if i % 2 == 0 { (MechKind::Memcpy, 1) } else { (MechKind::Knem, 4) };
             sim.push(span(i, mech, dist, 10.0));
             let extra = match scale_class {
                 Some((m, d, f)) if m == mech && d == dist => f,
@@ -236,10 +218,7 @@ mod tests {
         let rep = DivergenceReport::compare(&real, &sim);
         assert_eq!(rep.joined_ops, 12);
         assert!((rep.global_scale - 2.0).abs() < 1e-9);
-        assert!(
-            !rep.any_flagged(),
-            "uniform calibration offset must not flag"
-        );
+        assert!(!rep.any_flagged(), "uniform calibration offset must not flag");
         for c in &rep.classes {
             assert!((c.drift - 1.0).abs() < 1e-9);
         }
@@ -256,11 +235,7 @@ mod tests {
             .find(|c| c.mech == "knem" && c.dist == 4)
             .expect("knem class present");
         assert!(knem.flagged);
-        assert!(
-            knem.drift > 1.25,
-            "slow class drifts above the scale: {}",
-            knem.drift
-        );
+        assert!(knem.drift > 1.25, "slow class drifts above the scale: {}", knem.drift);
         // The slow class inflates the global scale, so the well-modelled
         // class lands *below* 1.0 — drift is relative by design.
         let memcpy = rep.classes.iter().find(|c| c.mech == "memcpy").unwrap();

@@ -94,11 +94,7 @@ impl OpGraph {
             by_op.insert(s.op, i);
             prev_on_tid.push(last_on_tid.insert(s.tid, i));
         }
-        OpGraph {
-            spans,
-            by_op,
-            prev_on_tid,
-        }
+        OpGraph { spans, by_op, prev_on_tid }
     }
 
     /// Rebuilds the DAG from recorded events: every `Complete` event with
@@ -170,16 +166,8 @@ impl OpGraph {
         if self.spans.is_empty() {
             return 0.0;
         }
-        let start = self
-            .spans
-            .iter()
-            .map(|s| s.start_us)
-            .fold(f64::INFINITY, f64::min);
-        let end = self
-            .spans
-            .iter()
-            .map(|s| s.end_us())
-            .fold(f64::NEG_INFINITY, f64::max);
+        let start = self.spans.iter().map(|s| s.start_us).fold(f64::INFINITY, f64::min);
+        let end = self.spans.iter().map(|s| s.end_us()).fold(f64::NEG_INFINITY, f64::max);
         (end - start).max(0.0)
     }
 
@@ -192,11 +180,8 @@ impl OpGraph {
     /// Predecessor candidates of span `idx`: its dependency spans plus the
     /// previous span on the same tid (executor serialization).
     pub(crate) fn predecessors(&self, idx: usize) -> Vec<usize> {
-        let mut preds: Vec<usize> = self.spans[idx]
-            .deps
-            .iter()
-            .filter_map(|d| self.by_op.get(d).copied())
-            .collect();
+        let mut preds: Vec<usize> =
+            self.spans[idx].deps.iter().filter_map(|d| self.by_op.get(d).copied()).collect();
         if let Some(prev) = self.prev_on_tid[idx] {
             if !preds.contains(&prev) {
                 preds.push(prev);

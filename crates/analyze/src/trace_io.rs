@@ -33,16 +33,8 @@ const KNOWN_KEYS: [&str; 15] = [
 ];
 
 /// Categories seen in exported traces, interned back to `&'static str`.
-const KNOWN_CATS: [&str; 8] = [
-    "copy",
-    "notify",
-    "exec",
-    "retry",
-    "topocache",
-    "recovery",
-    "fault",
-    "test",
-];
+const KNOWN_CATS: [&str; 8] =
+    ["copy", "notify", "exec", "retry", "topocache", "recovery", "fault", "test"];
 
 fn intern(table: &'static [&'static str], s: &str) -> Option<&'static str> {
     table.iter().find(|k| **k == s).copied()
@@ -87,10 +79,7 @@ pub fn events_from_chrome_trace(json: &str) -> Result<Vec<Event>, String> {
             _ => continue, // metadata, counters, anything the analyzer ignores
         };
         let name = row["name"].as_str().unwrap_or("").to_string();
-        let cat = row["cat"]
-            .as_str()
-            .and_then(|c| intern(&KNOWN_CATS, c))
-            .unwrap_or("trace");
+        let cat = row["cat"].as_str().and_then(|c| intern(&KNOWN_CATS, c)).unwrap_or("trace");
         events.push(Event {
             seq: events.len() as u64,
             ts_us: row["ts"].as_f64().unwrap_or(0.0),
@@ -191,11 +180,6 @@ mod tests {
         assert!(events_from_chrome_trace("not json").is_err());
         assert!(events_from_chrome_trace(r#"{"other":1}"#).is_err());
         // An empty traceEvents array is a valid (empty) trace.
-        assert_eq!(
-            events_from_chrome_trace(r#"{"traceEvents":[]}"#)
-                .unwrap()
-                .len(),
-            0
-        );
+        assert_eq!(events_from_chrome_trace(r#"{"traceEvents":[]}"#).unwrap().len(), 0);
     }
 }

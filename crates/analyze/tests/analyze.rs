@@ -16,9 +16,7 @@ fn world_32() -> Communicator {
     // 2 boards x 2 NUMA x 8 cores = 32 ranks, scattered placement so the
     // schedule spans several distance classes.
     let m = Arc::new(machines::synthetic(2, 2, 8, true));
-    let binding = BindingPolicy::Random { seed: 7 }
-        .bind(&m, 32)
-        .expect("binding fits");
+    let binding = BindingPolicy::Random { seed: 7 }.bind(&m, 32).expect("binding fits");
     Communicator::world(m, binding)
 }
 
@@ -71,11 +69,7 @@ fn divergence_of_a_saved_leg_against_itself_flags_nothing() {
     assert_eq!(rep.real_only, 0);
     assert_eq!(rep.sim_only, 0);
     assert!((rep.global_scale - 1.0).abs() < 1e-6);
-    assert!(
-        !rep.any_flagged(),
-        "identical legs must not drift: {}",
-        rep.render()
-    );
+    assert!(!rep.any_flagged(), "identical legs must not drift: {}", rep.render());
 }
 
 #[test]
@@ -98,13 +92,7 @@ fn exported_trace_reanalyzes_to_the_same_critical_path() {
     assert_eq!(offline.steps.len(), direct.steps.len());
     let direct_ops: Vec<usize> = direct.steps.iter().map(|s| s.op).collect();
     let offline_ops: Vec<usize> = offline.steps.iter().map(|s| s.op).collect();
-    assert_eq!(
-        offline_ops, direct_ops,
-        "offline analysis sees the same path"
-    );
-    assert!(
-        (offline.wall_us - direct.wall_us).abs() < 1e-3,
-        "timestamps survive export rounding"
-    );
+    assert_eq!(offline_ops, direct_ops, "offline analysis sees the same path");
+    assert!((offline.wall_us - direct.wall_us).abs() < 1e-3, "timestamps survive export rounding");
     assert!(offline.coverage >= 0.95);
 }

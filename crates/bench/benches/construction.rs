@@ -80,9 +80,7 @@ fn bench_schedule_generation(c: &mut Criterion) {
     group.bench_function("bcast_8M_pipelined", |b| {
         b.iter(|| bcast_schedule(&tree, 8 << 20, &SchedConfig::default()))
     });
-    group.bench_function("allgather_48_ranks", |b| {
-        b.iter(|| allgather_schedule(&ring, 64 << 10))
-    });
+    group.bench_function("allgather_48_ranks", |b| b.iter(|| allgather_schedule(&ring, 64 << 10)));
 
     // The largest schedules `pdac-e2e`'s `plan_churn` compiles on a cache
     // hit (its `core.sched_build_ns.*` probes time the 48-rank ones): four
@@ -94,9 +92,7 @@ fn bench_schedule_generation(c: &mut Criterion) {
     let cache = TopoCache::new();
     let ring = coll.allgather_ring_cached(&cache, &comm);
     coll.bcast_cached(&cache, &comm, 0, 1 << 20);
-    group.bench_function("allgather_192_ranks", |b| {
-        b.iter(|| allgather_schedule(&ring, 64 << 10))
-    });
+    group.bench_function("allgather_192_ranks", |b| b.iter(|| allgather_schedule(&ring, 64 << 10)));
     group.bench_function("bcast_1M_cached_192_ranks", |b| {
         b.iter(|| coll.bcast_cached(&cache, &comm, 0, 1 << 20))
     });

@@ -81,7 +81,10 @@ impl Claim {
     /// A number reproduced above `yes`, partly above `partly`.
     pub fn above(
         id: impl Into<String>,
-        paper: &'static str, x: f64, yes: f64, partly: f64,
+        paper: &'static str,
+        x: f64,
+        yes: f64,
+        partly: f64,
     ) -> Claim {
         Claim::number(id, paper, x, (yes, f64::INFINITY), (partly, f64::INFINITY))
     }
@@ -103,10 +106,7 @@ impl Claim {
 pub fn render(claims: &[Claim]) -> String {
     let mut out = format!("{:<40} {:>10} {:>22}  verdict\n", "# claim", "paper", "measured");
     for c in claims {
-        out.push_str(&format!(
-            "{:<40} {:>10} {:>22}  {}\n",
-            c.id, c.paper, c.measured, c.verdict
-        ));
+        out.push_str(&format!("{:<40} {:>10} {:>22}  {}\n", c.id, c.paper, c.measured, c.verdict));
     }
     out
 }

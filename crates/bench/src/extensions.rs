@@ -65,11 +65,9 @@ fn edge_order_ablation() {
     println!("# Ablation 1: Algorithm 1 edge order vs plain lexicographic Kruskal\n");
     let [case, ranks, a1, plain, eq] = ["case", "ranks", "depth(A1)", "depth(plain)", "weight =="];
     println!("{case:<26} {ranks:>6} {a1:>12} {plain:>12} {eq:>12}");
-    for (machine, seed) in [
-        (machines::ig(), 3),
-        (machines::zoot(), 4),
-        (machines::synthetic(2, 4, 8, true), 5),
-    ] {
+    for (machine, seed) in
+        [(machines::ig(), 3), (machines::zoot(), 4), (machines::synthetic(2, 4, 8, true), 5)]
+    {
         let n = machine.num_cores();
         for root in [0, n / 2] {
             let binding = BindingPolicy::Random { seed }.bind(&machine, n).unwrap();
@@ -123,10 +121,7 @@ fn eager_threshold_ablation() {
     for bytes in [512usize, 2 << 10, 8 << 10, 32 << 10] {
         let mut row = format!("{:>12}", human_size(bytes));
         for eager in [1 << 10, 4 << 10, 16 << 10] {
-            let cfg = TunedConfig {
-                p2p: P2pConfig { eager_max: eager },
-                ..Default::default()
-            };
+            let cfg = TunedConfig { p2p: P2pConfig { eager_max: eager }, ..Default::default() };
             let s = tuned::bcast(48, 0, bytes, &cfg);
             let t = SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false })
                 .run(&s)
@@ -148,8 +143,10 @@ fn eager_threshold_ablation() {
 /// intra-node cases. However, on a large scale system, it's difficult for
 /// these greedy algorithms to scale well with fully-connected graphs."
 pub fn scaling() {
-    println!("{:>6} {:>12} {:>12} {:>9}  {:>12} {:>12} {:>8}",
-        "ranks", "full pairs", "probes", "saving", "full time", "hier time", "speedup");
+    println!(
+        "{:>6} {:>12} {:>12} {:>9}  {:>12} {:>12} {:>8}",
+        "ranks", "full pairs", "probes", "saving", "full time", "hier time", "speedup"
+    );
 
     for nodes in [1usize, 2, 4, 8, 16, 32, 64] {
         let machine = if nodes == 1 {
@@ -206,8 +203,7 @@ pub fn tune(machine: Machine) {
     let coll = AdaptiveColl;
 
     // Worst-case (over placements) time of one component at one size.
-    let worst_time = |build: &dyn Fn(&Communicator, usize) -> Schedule,
-                      size: usize| {
+    let worst_time = |build: &dyn Fn(&Communicator, usize) -> Schedule, size: usize| {
         placements
             .iter()
             .map(|p| {
@@ -264,10 +260,8 @@ pub fn tune(machine: Machine) {
                 ],
                 other => unreachable!("{other:?} has no sm/tuned component to tune against"),
             };
-            let &(winner, _) = candidates
-                .iter()
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("three candidates");
+            let &(winner, _) =
+                candidates.iter().min_by(|a, b| a.1.total_cmp(&b.1)).expect("three candidates");
             winners.push((size, winner));
             println!(
                 "{:>10} {:>12.1} {:>12.1} {:>12.1}  {:>9}",

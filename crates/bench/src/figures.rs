@@ -537,8 +537,13 @@ pub fn future() -> Figure {
         name: "future",
         preamble: || {
             let (m, dist) = future_placement();
-            println!("machine: {} — {} cores, {} sockets, {} NUMA nodes (one per die)",
-                m.name, m.num_cores(), m.num_sockets, m.num_numa);
+            println!(
+                "machine: {} — {} cores, {} sockets, {} NUMA nodes (one per die)",
+                m.name,
+                m.num_cores(),
+                m.num_sockets,
+                m.num_numa
+            );
             let classes = dist.classes();
             println!("distance classes: {classes:?} (4 = same socket, different controllers)\n");
             let tree = build_bcast_tree(&dist, 0);

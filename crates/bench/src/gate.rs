@@ -66,10 +66,9 @@ pub fn canonical_scenarios() -> Vec<Scenario> {
             (Collective::Allreduce, [16 << 10, 1 << 20]),
         ] {
             for bytes in sizes {
-                for (placement, policy) in [
-                    ("contig", BindingPolicy::Contiguous),
-                    ("xsock", BindingPolicy::CrossSocket),
-                ] {
+                for (placement, policy) in
+                    [("contig", BindingPolicy::Contiguous), ("xsock", BindingPolicy::CrossSocket)]
+                {
                     out.push(Scenario {
                         id: format!(
                             "{machine}/{}/{placement}/{}",
@@ -87,14 +86,11 @@ pub fn canonical_scenarios() -> Vec<Scenario> {
         }
     }
     for machine in ["ig", "zoot"] {
-        for (collective, bytes) in [
-            (Collective::Bcast, 1 << 20),
-            (Collective::Allgather, 64 << 10),
-        ] {
-            for (placement, policy) in [
-                ("contig", BindingPolicy::Contiguous),
-                ("xsock", BindingPolicy::CrossSocket),
-            ] {
+        for (collective, bytes) in [(Collective::Bcast, 1 << 20), (Collective::Allgather, 64 << 10)]
+        {
+            for (placement, policy) in
+                [("contig", BindingPolicy::Contiguous), ("xsock", BindingPolicy::CrossSocket)]
+            {
                 out.push(Scenario {
                     id: format!(
                         "{machine}/{}/{placement}/{}/rdma",
@@ -199,16 +195,10 @@ impl ScenarioAudit {
 pub fn run_scenario(scenario: &Scenario) -> (ScenarioResult, ScenarioAudit) {
     let machine = Arc::new(machine_by_label(&scenario.machine));
     let ranks = machine.num_cores();
-    let binding = scenario
-        .policy
-        .bind(&machine, ranks)
-        .expect("gate placement fits");
+    let binding = scenario.policy.bind(&machine, ranks).expect("gate placement fits");
     let comm = Communicator::world(Arc::clone(&machine), binding);
     let mut provenance = Provenance::default();
-    let sinks = Sinks {
-        cache: None,
-        provenance: Some(&mut provenance),
-    };
+    let sinks = Sinks { cache: None, provenance: Some(&mut provenance) };
     let request = Request::new(scenario.collective, 0, scenario.bytes);
     let schedule = AdaptiveColl.plan(&comm, request, sinks);
     let report = SimExecutor::new(&machine, comm.binding(), SimConfig::default())
@@ -220,12 +210,7 @@ pub fn run_scenario(scenario: &Scenario) -> (ScenarioResult, ScenarioAudit) {
     let events = sim_events_with_distances(&schedule, &report, Some(&dist));
     let graph = OpGraph::from_events(&events);
     let cp = CriticalPathReport::extract(&graph);
-    let notify_us = cp
-        .by_mech
-        .iter()
-        .find(|r| r.key == "notify")
-        .map(|r| r.us)
-        .unwrap_or(0.0);
+    let notify_us = cp.by_mech.iter().find(|r| r.key == "notify").map(|r| r.us).unwrap_or(0.0);
     let row = ScenarioResult {
         id: scenario.id.clone(),
         ranks,
@@ -297,17 +282,10 @@ mod tests {
     #[test]
     fn rdma_scenarios_extend_the_matrix_without_renaming_knem_rows() {
         let all = canonical_scenarios();
-        let rdma: Vec<_> = all
-            .iter()
-            .filter(|s| s.transport == TransportModel::Rdma)
-            .collect();
+        let rdma: Vec<_> = all.iter().filter(|s| s.transport == TransportModel::Rdma).collect();
         assert!(rdma.len() >= 4, "gate tracks the RDMA transport slice");
         for s in &rdma {
-            assert!(
-                s.id.ends_with("/rdma"),
-                "{} carries the transport suffix",
-                s.id
-            );
+            assert!(s.id.ends_with("/rdma"), "{} carries the transport suffix", s.id);
         }
         // KNEM rows keep their historical ids.
         for s in all.iter().filter(|s| s.transport == TransportModel::Knem) {
@@ -338,33 +316,15 @@ mod tests {
         assert!(!scenarios.is_empty());
         for scenario in &scenarios {
             let (_, audit) = run_scenario(scenario);
-            assert!(
-                audit.passed(),
-                "{}:\n{}",
-                scenario.id,
-                audit.conformance.render()
-            );
-            assert_eq!(
-                audit.conformance.executed_ops,
-                audit.conformance.planned_ops
-            );
+            assert!(audit.passed(), "{}:\n{}", scenario.id, audit.conformance.render());
+            assert_eq!(audit.conformance.executed_ops, audit.conformance.planned_ops);
             // Every audited plan names its algorithm choice with inputs.
             let explain = audit.provenance.explain();
             assert!(explain.contains("algorithm"), "{explain}");
             assert!(!audit.provenance.decisions.is_empty());
             for d in &audit.provenance.decisions {
-                assert!(
-                    !d.reason.is_empty(),
-                    "{}: bare decision {:?}",
-                    scenario.id,
-                    d
-                );
-                assert!(
-                    !d.inputs.is_empty(),
-                    "{}: inputless decision {:?}",
-                    scenario.id,
-                    d
-                );
+                assert!(!d.reason.is_empty(), "{}: bare decision {:?}", scenario.id, d);
+                assert!(!d.inputs.is_empty(), "{}: inputless decision {:?}", scenario.id, d);
             }
         }
     }

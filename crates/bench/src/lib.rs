@@ -158,11 +158,7 @@ mod tests {
             points: bws
                 .iter()
                 .enumerate()
-                .map(|(i, &bw)| SweepPoint {
-                    msg_bytes: 512 << i,
-                    bw_mbs: bw,
-                    seconds: 1.0,
-                })
+                .map(|(i, &bw)| SweepPoint { msg_bytes: 512 << i, bw_mbs: bw, seconds: 1.0 })
                 .collect(),
         };
         let series = vec![mk("a", &[10.0, 20.0, 40.0]), mk("b", &[40.0, 20.0, 10.0])];
@@ -170,11 +166,7 @@ mod tests {
         assert!(chart.contains("o a"));
         assert!(chart.contains("x b"));
         assert!(chart.contains('&'), "equal midpoints overlap");
-        assert_eq!(
-            chart.matches('x').count(),
-            2 + 1,
-            "two plotted points + legend"
-        );
+        assert_eq!(chart.matches('x').count(), 2 + 1, "two plotted points + legend");
         assert!(render_chart(&[], 8).is_empty());
     }
 
@@ -182,21 +174,13 @@ mod tests {
     fn loss_pct_basics() {
         let mk = |bw: f64| {
             let mut s = Series::new("x");
-            s.points.push(SweepPoint {
-                msg_bytes: 1024,
-                bw_mbs: bw,
-                seconds: 1.0,
-            });
+            s.points.push(SweepPoint { msg_bytes: 1024, bw_mbs: bw, seconds: 1.0 });
             s
         };
         let a = mk(100.0);
         let b = mk(55.0);
         assert!((loss_pct(&a, &b, 1024) - 45.0).abs() < 1e-9);
-        assert_eq!(
-            loss_pct(&a, &b, 2048),
-            0.0,
-            "missing size contributes nothing"
-        );
+        assert_eq!(loss_pct(&a, &b, 2048), 0.0, "missing size contributes nothing");
         assert!((max_loss_pct(&a, &b, 0) - 45.0).abs() < 1e-9);
     }
 }

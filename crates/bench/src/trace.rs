@@ -226,19 +226,15 @@ pub fn analyze(outdir: &str) -> Result<(), String> {
 pub fn diff(base_path: &str, new_path: &str) -> Result<(), String> {
     let (base, new) = (read_file(base_path)?, read_file(new_path)?);
     let load = |path: &str, body: &str| {
-        RegistrySnapshot::from_json(body)
-            .map(|s| s.flat())
-            .map_err(|e| {
-                format!("{path} is neither a provenance document nor a metrics snapshot: {e}")
-            })
+        RegistrySnapshot::from_json(body).map(|s| s.flat()).map_err(|e| {
+            format!("{path} is neither a provenance document nor a metrics snapshot: {e}")
+        })
     };
     let plans = (Provenance::from_json(&base), Provenance::from_json(&new));
     let (header, before, after) = match plans {
-        (Ok(b), Ok(n)) => (
-            format!("plan diff: {} -> {}", b.plan_id, n.plan_id),
-            b.flat(),
-            n.flat(),
-        ),
+        (Ok(b), Ok(n)) => {
+            (format!("plan diff: {} -> {}", b.plan_id, n.plan_id), b.flat(), n.flat())
+        }
         _ => (
             format!("metrics diff: {base_path} -> {new_path}"),
             load(base_path, &base)?,

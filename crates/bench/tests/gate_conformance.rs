@@ -17,24 +17,11 @@ const COMMITTED: &str = include_str!("../../../results/gate.txt");
 
 #[test]
 fn gate_scenarios_conform_and_reproduce_the_committed_table() {
-    assert_eq!(
-        canonical_scenarios().len(),
-        44,
-        "the canonical matrix has 44 scenarios"
-    );
+    assert_eq!(canonical_scenarios().len(), 44, "the canonical matrix has 44 scenarios");
     let (rows, audits) = run_gate_scenarios();
     for audit in &audits {
-        assert!(
-            audit.passed(),
-            "{} failed conformance:\n{}",
-            audit.id,
-            audit.conformance.render()
-        );
-        assert!(
-            audit.conformance.planned_ops > 0,
-            "{} has an empty plan",
-            audit.id
-        );
+        assert!(audit.passed(), "{} failed conformance:\n{}", audit.id, audit.conformance.render());
+        assert!(audit.conformance.planned_ops > 0, "{} has an empty plan", audit.id);
         // Every plan explains at least an algorithm choice, a topology or
         // edge classification, and a chunking decision, each with inputs.
         let prov = &audit.provenance;
@@ -50,12 +37,7 @@ fn gate_scenarios_conform_and_reproduce_the_committed_table() {
     }
 
     for row in &rows {
-        assert!(
-            row.coverage >= 0.95,
-            "{}: critical-path coverage {}",
-            row.id,
-            row.coverage
-        );
+        assert!(row.coverage >= 0.95, "{}: critical-path coverage {}", row.id, row.coverage);
     }
 
     let mut twins = 0;

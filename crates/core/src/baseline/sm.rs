@@ -153,8 +153,7 @@ mod tests {
 
         let bytes = 2 << 20;
         let t_sm = exec.run(&bcast(48, 0, bytes)).unwrap().total_time;
-        let t_knem =
-            exec.run(&AdaptiveColl.bcast(&comm, 0, bytes)).unwrap().total_time;
+        let t_knem = exec.run(&AdaptiveColl.bcast(&comm, 0, bytes)).unwrap().total_time;
         assert!(
             t_knem < t_sm * 0.6,
             "KNEM must clearly win for 2MB: knem {t_knem:.4}s vs sm {t_sm:.4}s"

@@ -100,37 +100,25 @@ impl ChaosConfig {
 
     /// Like [`Self::new`], but with the cascading multi-crash cocktail.
     pub fn cascade(seed: u64) -> Self {
-        ChaosConfig {
-            cascade: true,
-            ..ChaosConfig::new(seed)
-        }
+        ChaosConfig { cascade: true, ..ChaosConfig::new(seed) }
     }
 
     /// Like [`Self::new`], but running on the given transport backend.
     pub fn on_transport(seed: u64, transport: TransportKind) -> Self {
-        ChaosConfig {
-            transport,
-            ..ChaosConfig::new(seed)
-        }
+        ChaosConfig { transport, ..ChaosConfig::new(seed) }
     }
 
     /// Like [`Self::new`], but layering seeded transient payload
     /// corruption on top of the cocktail.
     pub fn with_corruption(seed: u64) -> Self {
-        ChaosConfig {
-            corruption: true,
-            ..ChaosConfig::new(seed)
-        }
+        ChaosConfig { corruption: true, ..ChaosConfig::new(seed) }
     }
 
     /// Like [`Self::new`], but with `corrupter` persistently corrupting
     /// every chunk it serves — the escalation path, proving a corrupter is
     /// fenced like a crashed rank.
     pub fn with_corrupter(seed: u64, corrupter: usize) -> Self {
-        ChaosConfig {
-            corrupter: Some(corrupter),
-            ..ChaosConfig::new(seed)
-        }
+        ChaosConfig { corrupter: Some(corrupter), ..ChaosConfig::new(seed) }
     }
 }
 
@@ -274,9 +262,8 @@ fn run_chaos_inner(
     // (possibly shrunk) communicator.
     if let Some(res) = &done.result {
         let root = mgr.elect_root(what.root);
-        verify::check(Request { root, ..what }, mgr.comm().size(), res).map_err(|e| {
-            CollectiveError::Verify { seed: Some(seed), detail: e.to_string() }
-        })?;
+        verify::check(Request { root, ..what }, mgr.comm().size(), res)
+            .map_err(|e| CollectiveError::Verify { seed: Some(seed), detail: e.to_string() })?;
     }
 
     // 4. Timing leg: the survivor schedule through the contention simulator
@@ -296,15 +283,16 @@ fn run_chaos_inner(
         },
     );
     let survivors = mgr.comm();
-    let sim_report = SimExecutor::new(survivors.machine(), survivors.binding(), SimConfig::default())
-        .with_transport_model(cfg.transport.sim_model())
-        .with_fault_plan(sim_plan)
-        .with_deadline(3600.0)
-        .run(&done.schedule)
-        .map_err(|e| CollectiveError::Verify {
-            seed: Some(seed),
-            detail: format!("simulator leg failed: {e}"),
-        })?;
+    let sim_report =
+        SimExecutor::new(survivors.machine(), survivors.binding(), SimConfig::default())
+            .with_transport_model(cfg.transport.sim_model())
+            .with_fault_plan(sim_plan)
+            .with_deadline(3600.0)
+            .run(&done.schedule)
+            .map_err(|e| CollectiveError::Verify {
+                seed: Some(seed),
+                detail: format!("simulator leg failed: {e}"),
+            })?;
 
     Ok(ChaosOutcome {
         // Every recovery episode removes at least one rank.
@@ -341,19 +329,13 @@ mod tests {
         assert!(!out.degraded, "a single crash recovers without degrading");
         assert_eq!(out.failed_ranks.len(), 1);
         assert!(out.stats.topology_rebuilds >= 1);
-        assert!(
-            out.stats.ranks_confirmed_dead >= 1,
-            "death came through the detector"
-        );
+        assert!(out.stats.ranks_confirmed_dead >= 1, "death came through the detector");
         assert!(out.sim_report.fault_stats.links_degraded >= 1, "sim leg degraded a link");
         assert!(out.sim_report.total_time > 0.0);
         let line = out.summary();
         println!("{line}");
         assert!(line.contains("recovered from rank failure"), "{line}");
-        assert!(
-            line.contains("backoff"),
-            "retry/backoff accounting is summarized: {line}"
-        );
+        assert!(line.contains("backoff"), "retry/backoff accounting is summarized: {line}");
     }
 
     #[test]
@@ -382,11 +364,7 @@ mod tests {
     fn chaos_outcome_is_seed_deterministic() {
         let comm = world(5);
         let run = || {
-            run_chaos(
-                &comm,
-                Request::new(Collective::Allgather, 0, 2048),
-                &ChaosConfig::new(77),
-            )
+            run_chaos(&comm, Request::new(Collective::Allgather, 0, 2048), &ChaosConfig::new(77))
         };
         let a = run().unwrap_or_else(|e| panic!("seed 77: {e}"));
         let b = run().unwrap_or_else(|e| panic!("seed 77: {e}"));
@@ -412,11 +390,7 @@ mod tests {
         assert!(out.degraded, "one survivor cannot run a collective");
         assert_eq!(out.failed_ranks.len(), 1);
         assert!(out.stats.degraded_runs >= 1);
-        assert!(
-            out.summary().contains("degraded to baseline"),
-            "{}",
-            out.summary()
-        );
+        assert!(out.summary().contains("degraded to baseline"), "{}", out.summary());
     }
 
     #[test]
@@ -430,10 +404,7 @@ mod tests {
         let out = run_chaos(&comm, Request::new(Collective::Bcast, 0, 20_000), &cfg)
             .unwrap_or_else(|e| panic!("seed 0: {e}"));
         assert!(out.recovered);
-        assert!(
-            out.degraded,
-            "zero recovery budget forces the baseline fallback"
-        );
+        assert!(out.degraded, "zero recovery budget forces the baseline fallback");
         assert_eq!(out.failed_ranks.len(), 1);
         assert!(out.stats.degraded_runs >= 1);
         let line = out.summary();
@@ -468,10 +439,7 @@ mod tests {
                 "seed {seed}: one rebuild per rank shrunk out"
             );
         }
-        assert!(
-            hit_multi,
-            "12 cascade seeds should include a multi-rank crash"
-        );
+        assert!(hit_multi, "12 cascade seeds should include a multi-rank crash");
     }
 
     #[test]
@@ -527,10 +495,7 @@ mod tests {
             last_line = fault_summary_line(&out.stats);
         }
         assert!(detections >= 1, "six seeds must damage at least one chunk");
-        assert!(
-            retransmits >= 1,
-            "each detection is healed by a counted re-transmit"
-        );
+        assert!(retransmits >= 1, "each detection is healed by a counted re-transmit");
         assert!(last_line.contains("corrupt detected"), "{last_line}");
     }
 

@@ -173,7 +173,8 @@ pub fn hierarchical_ring(dist: &DistanceMatrix) -> (Ring, SparseInfo) {
     }
 
     // Arcs of ranks; each arc is traversed head..tail along the ring.
-    let mut arcs: Vec<Vec<usize>> = seed_groups(dist, None).into_iter().map(|g| g.members).collect();
+    let mut arcs: Vec<Vec<usize>> =
+        seed_groups(dist, None).into_iter().map(|g| g.members).collect();
     let mut info = SparseInfo { probes: 0, levels: 1 };
 
     let classes: Vec<Distance> = dist.classes().into_iter().filter(|&c| c > 1).collect();
@@ -197,9 +198,8 @@ pub fn hierarchical_ring(dist: &DistanceMatrix) -> (Ring, SparseInfo) {
             // Extend at the tail while a compatible arc exists.
             loop {
                 let tail = *chain.last().expect("non-empty");
-                let next = (0..l)
-                    .filter(|&j| !used[j])
-                    .find(|&j| dist.get(tail, arcs[j][0]) <= class);
+                let next =
+                    (0..l).filter(|&j| !used[j]).find(|&j| dist.get(tail, arcs[j][0]) <= class);
                 match next {
                     Some(j) => {
                         used[j] = true;

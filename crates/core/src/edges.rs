@@ -167,7 +167,12 @@ mod tests {
         let covers = |&(_, u, v): &(Distance, usize, usize)| u == root || v == root;
         for pair in edges.windows(2) {
             if pair[0].0 == pair[1].0 && !covers(&pair[0]) {
-                assert!(!covers(&pair[1]), "root edge {:?} after non-root edge {:?}", pair[1], pair[0]);
+                assert!(
+                    !covers(&pair[1]),
+                    "root edge {:?} after non-root edge {:?}",
+                    pair[1],
+                    pair[0]
+                );
             }
         }
         // Within each class's root prefix, non-root endpoints ascend.

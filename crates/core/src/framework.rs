@@ -57,12 +57,7 @@ impl CollFramework {
     /// distance-aware one plans through `sinks`; the baselines build their
     /// rank-order schedule and ignore them.
     pub fn plan(&self, comm: &Communicator, request: Request, sinks: Sinks<'_>) -> Schedule {
-        let Request {
-            collective,
-            root,
-            bytes,
-            ..
-        } = request;
+        let Request { collective, root, bytes, .. } = request;
         let (n, cfg) = (comm.size(), &TunedConfig::default());
         match (collective, component(collective, bytes)) {
             (_, Component::KnemColl) => AdaptiveColl.plan(comm, request, sinks),

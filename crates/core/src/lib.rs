@@ -76,6 +76,6 @@ pub use topocache::{TopoCache, TopoCacheStats};
 pub use tree::Tree;
 pub use unionfind::DisjointSets;
 pub use workload::{
-    corruption_repro_command_for, corruption_sweep, repro_command_for,
-    run_workload, stress_iters, sweep, WorkloadConfig, WorkloadError, WorkloadReport,
+    corruption_repro_command_for, corruption_sweep, repro_command_for, run_workload, stress_iters,
+    sweep, WorkloadConfig, WorkloadError, WorkloadReport,
 };

@@ -96,10 +96,7 @@ impl Decision {
 
     /// The value recorded for input `name`, if any.
     pub fn input(&self, name: &str) -> Option<&str> {
-        self.inputs
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+        self.inputs.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
     }
 }
 
@@ -187,12 +184,9 @@ impl Provenance {
             .enumerate()
             .map(|(id, op)| {
                 let (kind, src, dst, bytes) = match op.kind {
-                    OpKind::Copy {
-                        src_rank,
-                        dst_rank,
-                        bytes,
-                        ..
-                    } => ("copy", src_rank, dst_rank, bytes),
+                    OpKind::Copy { src_rank, dst_rank, bytes, .. } => {
+                        ("copy", src_rank, dst_rank, bytes)
+                    }
                     OpKind::Notify { from, to } => ("notify", from, to, 0),
                 };
                 PlannedOp {
@@ -239,22 +233,13 @@ impl Provenance {
         let mut out = format!(
             "plan {}: {} over {} ranks, {} B, epoch {}\n",
             self.plan_id,
-            if self.schedule_name.is_empty() {
-                "<unattached>"
-            } else {
-                &self.schedule_name
-            },
+            if self.schedule_name.is_empty() { "<unattached>" } else { &self.schedule_name },
             self.num_ranks,
             self.bytes,
             self.epoch,
         );
         for d in &self.decisions {
-            out.push_str(&format!(
-                "  [{}] {} -> {}\n",
-                d.kind.label(),
-                d.subject,
-                d.choice
-            ));
+            out.push_str(&format!("  [{}] {} -> {}\n", d.kind.label(), d.subject, d.choice));
             out.push_str(&format!("      why: {}\n", d.reason));
             if !d.inputs.is_empty() {
                 let rendered: Vec<String> =
@@ -327,22 +312,10 @@ mod tests {
     fn explain_names_choice_reason_and_inputs() {
         let text = sample().explain();
         assert!(text.contains("plan bcast-e3-n8-b1048576"), "{text}");
-        assert!(
-            text.contains("[topology] bcast topology -> Collapsed"),
-            "{text}"
-        );
-        assert!(
-            text.contains("why: bytes above the collapse threshold"),
-            "{text}"
-        );
-        assert!(
-            text.contains("inputs: bytes=1048576, collapse_threshold=16384"),
-            "{text}"
-        );
-        assert!(
-            text.contains("[chunk] chunk d1 -> 65536 B chunks"),
-            "{text}"
-        );
+        assert!(text.contains("[topology] bcast topology -> Collapsed"), "{text}");
+        assert!(text.contains("why: bytes above the collapse threshold"), "{text}");
+        assert!(text.contains("inputs: bytes=1048576, collapse_threshold=16384"), "{text}");
+        assert!(text.contains("[chunk] chunk d1 -> 65536 B chunks"), "{text}");
     }
 
     #[test]

@@ -119,10 +119,7 @@ impl std::fmt::Display for CollectiveError {
                 write!(f, "all ranks failed{}", seed(s))
             }
             CollectiveError::UnknownRank { rank, world_size } => {
-                write!(
-                    f,
-                    "rank {rank} is not a live rank of a {world_size}-rank world"
-                )
+                write!(f, "rank {rank} is not a live rank of a {world_size}-rank world")
             }
             CollectiveError::Exec { seed: s, err } => {
                 write!(f, "unrecoverable execution failure{}: {err}", seed(s))
@@ -212,11 +209,7 @@ fn binomial_tree(n: usize, root: usize) -> Tree {
         .map(|i| {
             let child = (root + i) % n;
             let parent = (root + (i & (i - 1))) % n;
-            Edge {
-                u: parent.min(child),
-                v: parent.max(child),
-                w: 0,
-            }
+            Edge { u: parent.min(child), v: parent.max(child), w: 0 }
         })
         .collect();
     Tree::from_edges(n, root, &edges)
@@ -273,17 +266,11 @@ impl RecoveryManager {
     /// re-elections, degraded substitutions), in the order they were made
     /// — ready to merge into a plan's [`crate::Provenance`].
     pub fn decisions(&self) -> Vec<Decision> {
-        self.decisions
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
+        self.decisions.lock().unwrap_or_else(|p| p.into_inner()).clone()
     }
 
     fn record(&self, d: Decision) {
-        self.decisions
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(d);
+        self.decisions.lock().unwrap_or_else(|p| p.into_inner()).push(d);
     }
 
     /// The current (possibly shrunk) communicator.
@@ -333,10 +320,7 @@ impl RecoveryManager {
     /// fresh epoch, under which the next schedule request rebuilds).
     pub fn mark_failed(&mut self, world: usize) -> Result<(), CollectiveError> {
         let Some(current) = self.current_rank_of(world) else {
-            return Err(CollectiveError::UnknownRank {
-                rank: world,
-                world_size: self.world_size,
-            });
+            return Err(CollectiveError::UnknownRank { rank: world, world_size: self.world_size });
         };
         if self.comm.size() == 1 {
             return Err(CollectiveError::AllRanksFailed { seed: None });
@@ -393,18 +377,8 @@ impl RecoveryManager {
             pdac_telemetry::global().recorder().instant(
                 preferred_world as u64,
                 "recovery",
-                || {
-                    format!(
-                        "reelect root: {preferred_world} dead -> world {}",
-                        self.world_of[root]
-                    )
-                },
-                || {
-                    vec![
-                        ("preferred", preferred_world.into()),
-                        ("elected", root.into()),
-                    ]
-                },
+                || format!("reelect root: {preferred_world} dead -> world {}", self.world_of[root]),
+                || vec![("preferred", preferred_world.into()), ("elected", root.into())],
             );
             self.record(Decision::new(
                 DecisionKind::Recovery,
@@ -459,9 +433,10 @@ impl RecoveryManager {
         });
         let seed = Some(cfg.seed);
         let telemetry = pdac_telemetry::global();
-        let suspect_after = cfg.policy.op_deadline.map_or(Duration::from_millis(20), |d| {
-            (d / 5).max(Duration::from_millis(1))
-        });
+        let suspect_after = cfg
+            .policy
+            .op_deadline
+            .map_or(Duration::from_millis(20), |d| (d / 5).max(Duration::from_millis(1)));
         // Generous bound: every rank dying one-by-one plus transient
         // retries. Running out means the episode is livelocked.
         let max_attempts = self.comm.size() as u32 + 4;
@@ -475,8 +450,7 @@ impl RecoveryManager {
                 self.degrade(baseline, reason, recoveries, cfg);
                 return Ok(Completion { schedule: baseline.build(self, what), result: None });
             }
-            let schedule =
-                if self.degraded { baseline.build(self, what) } else { self.plan(what) };
+            let schedule = if self.degraded { baseline.build(self, what) } else { self.plan(what) };
             let detector =
                 Arc::new(FailureDetector::with_suspect_after(self.comm.size(), suspect_after));
             let mut exec = ThreadExecutor::with_transport(Arc::clone(device))
@@ -626,26 +600,15 @@ mod tests {
         assert_eq!(mgr.failed(), &[3, 0]);
         assert_eq!(mgr.stats().topology_rebuilds, 2);
         // A dead rank cannot die twice.
-        assert!(matches!(
-            mgr.mark_failed(3),
-            Err(CollectiveError::UnknownRank { rank: 3, .. })
-        ));
+        assert!(matches!(mgr.mark_failed(3), Err(CollectiveError::UnknownRank { rank: 3, .. })));
     }
 
     #[test]
     fn leader_reelection_follows_set_leader_rule() {
         let mut mgr = manager(6);
-        assert_eq!(
-            mgr.elect_root(2),
-            2,
-            "alive preferred leader keeps the role"
-        );
+        assert_eq!(mgr.elect_root(2), 2, "alive preferred leader keeps the role");
         mgr.mark_failed(2).unwrap();
-        assert_eq!(
-            mgr.elect_root(2),
-            0,
-            "smallest surviving world rank takes over"
-        );
+        assert_eq!(mgr.elect_root(2), 0, "smallest surviving world rank takes over");
         mgr.mark_failed(0).unwrap();
         assert_eq!(mgr.survivors()[mgr.elect_root(0)], 1);
         assert_eq!(mgr.elect_root(4), mgr.current_rank_of(4).unwrap());
@@ -673,10 +636,7 @@ mod tests {
         let before = mgr.cache.stats();
         assert_eq!(before.misses, 1);
         mgr.mark_failed(1).unwrap();
-        assert!(
-            mgr.cache.stats().invalidations >= 1,
-            "dead epoch was purged"
-        );
+        assert!(mgr.cache.stats().invalidations >= 1, "dead epoch was purged");
         // The rebuilt topology is a fresh miss under the new epoch, and it
         // spans only the survivors.
         let s = mgr.plan(Request::new(Collective::Bcast, 0, 10_000));

@@ -129,9 +129,7 @@ impl Default for TopoCache {
 
 impl std::fmt::Debug for TopoCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TopoCache")
-            .field("stats", &self.stats())
-            .finish()
+        f.debug_struct("TopoCache").field("stats", &self.stats()).finish()
     }
 }
 
@@ -174,11 +172,7 @@ impl TopoCache {
 
     /// The allgather ring of communicator `epoch`, and whether the lookup
     /// hit; `build` as for [`Self::tree`].
-    pub fn ring(
-        &self,
-        epoch: u64,
-        build: impl FnOnce() -> Ring,
-    ) -> (Arc<Ring>, bool) {
+    pub fn ring(&self, epoch: u64, build: impl FnOnce() -> Ring) -> (Arc<Ring>, bool) {
         let kind = TopoKind::AllgatherRing;
         self.lookup(TopoKey { epoch, kind }, build)
     }
@@ -191,14 +185,9 @@ impl TopoCache {
         key: TopoKey,
         build: impl FnOnce() -> T,
     ) -> (Arc<T>, bool) {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if let Some(entry) = inner.map.get(&key) {
-            let topo = Arc::clone(entry)
-                .downcast::<T>()
-                .expect("key kind fixes the entry type");
+            let topo = Arc::clone(entry).downcast::<T>().expect("key kind fixes the entry type");
             inner.hits += 1;
             self.metrics.hits.inc();
             self.record_event("topo_hit", key);
@@ -216,10 +205,7 @@ impl TopoCache {
     /// Drops every entry of `epoch` (a communicator was rebound or freed).
     /// Returns the number of entries removed.
     pub fn invalidate_epoch(&self, epoch: u64) -> usize {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let before = inner.map.len();
         inner.map.retain(|k, _| k.epoch != epoch);
         inner.order.retain(|k| k.epoch != epoch);
@@ -237,10 +223,7 @@ impl TopoCache {
 
     /// Drops every entry (counters are kept).
     pub fn clear(&self) {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let removed = inner.map.len();
         inner.map.clear();
         inner.order.clear();
@@ -259,21 +242,14 @@ impl TopoCache {
                     TopoKind::Bcast { root, .. } => ("bcast", root as u64),
                     TopoKind::AllgatherRing => ("allgather_ring", 0),
                 };
-                vec![
-                    ("epoch", key.epoch.into()),
-                    ("kind", kind.into()),
-                    ("root", root.into()),
-                ]
+                vec![("epoch", key.epoch.into()), ("kind", kind.into()), ("root", root.into())]
             },
         );
     }
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> TopoCacheStats {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         TopoCacheStats {
             hits: inner.hits,
             misses: inner.misses,

@@ -22,12 +22,7 @@ impl DisjointSets {
     /// set containing it.
     pub fn new(n: usize, root: Option<usize>) -> Self {
         assert!(root.is_none_or(|r| r < n), "root out of range");
-        DisjointSets {
-            parent: (0..n).collect(),
-            size: vec![1; n],
-            leader: (0..n).collect(),
-            root,
-        }
+        DisjointSets { parent: (0..n).collect(), size: vec![1; n], leader: (0..n).collect(), root }
     }
 
     /// Number of elements.

@@ -16,7 +16,9 @@ use crate::adaptive::{Collective, Request};
 
 /// The deterministic per-rank fill pattern used by all oracles.
 pub fn pattern(rank: Rank, size: usize) -> Vec<u8> {
-    (0..size).map(|i| (rank as u8).wrapping_mul(131).wrapping_add((i as u8).wrapping_mul(7))).collect()
+    (0..size)
+        .map(|i| (rank as u8).wrapping_mul(131).wrapping_add((i as u8).wrapping_mul(7)))
+        .collect()
 }
 
 /// Oracle failures.
@@ -50,10 +52,9 @@ impl std::fmt::Display for VerifyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             VerifyError::Exec(e) => write!(f, "execution failed: {e}"),
-            VerifyError::Mismatch { rank, offset, expected, got } => write!(
-                f,
-                "rank {rank}: byte {offset} is {got:#04x}, expected {expected:#04x}"
-            ),
+            VerifyError::Mismatch { rank, offset, expected, got } => {
+                write!(f, "rank {rank}: byte {offset} is {got:#04x}, expected {expected:#04x}")
+            }
             VerifyError::Short { rank, len, expected } => {
                 write!(f, "rank {rank}: buffer is {len} bytes, expected {expected}")
             }

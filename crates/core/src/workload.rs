@@ -77,19 +77,13 @@ impl WorkloadConfig {
 
     /// Like [`Self::new`], on the given transport backend.
     pub fn on_transport(seed: u64, transport: TransportKind) -> Self {
-        WorkloadConfig {
-            transport,
-            ..WorkloadConfig::new(seed)
-        }
+        WorkloadConfig { transport, ..WorkloadConfig::new(seed) }
     }
 
     /// Like [`Self::on_transport`], with transient payload corruption
     /// injected into every storm step and the chaos finale.
     pub fn corrupted(seed: u64, transport: TransportKind) -> Self {
-        WorkloadConfig {
-            corruption: true,
-            ..WorkloadConfig::on_transport(seed, transport)
-        }
+        WorkloadConfig { corruption: true, ..WorkloadConfig::on_transport(seed, transport) }
     }
 }
 
@@ -134,11 +128,7 @@ impl WorkloadReport {
             self.machine,
             self.cores,
             self.ranks,
-            if self.oversubscribed {
-                ", oversubscribed"
-            } else {
-                ""
-            },
+            if self.oversubscribed { ", oversubscribed" } else { "" },
             if self.churned { ", churned" } else { "" },
             self.transfers,
             self.cache.hits,
@@ -208,10 +198,7 @@ pub fn corruption_repro_command_for(seed: u64, transport: TransportKind) -> Stri
 /// Iteration budget for seed sweeps: `PDAC_STRESS_ITERS` when set (CI
 /// cranks it to 100), else `default`.
 pub fn stress_iters(default: usize) -> usize {
-    std::env::var("PDAC_STRESS_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    std::env::var("PDAC_STRESS_ITERS").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
 /// A random but always-valid machine: 1–2 boards, 1–2 sockets each, 1–2
@@ -263,17 +250,10 @@ fn random_spec(rng: &mut StdRng) -> MachineSpec {
             };
             let caches = match rng.gen_range(0..3) {
                 0 => vec![],
-                1 => vec![CacheSpec {
-                    level: 3,
-                    size_bytes: 8 << 20,
-                    cores: (0..n).collect(),
-                }],
+                1 => vec![CacheSpec { level: 3, size_bytes: 8 << 20, cores: (0..n).collect() }],
                 _ => {
-                    let mut v = vec![CacheSpec {
-                        level: 3,
-                        size_bytes: 8 << 20,
-                        cores: (0..n).collect(),
-                    }];
+                    let mut v =
+                        vec![CacheSpec { level: 3, size_bytes: 8 << 20, cores: (0..n).collect() }];
                     let mut base = 0;
                     for &d in &cores_per_die {
                         v.push(CacheSpec {
@@ -296,10 +276,7 @@ fn random_spec(rng: &mut StdRng) -> MachineSpec {
             });
         }
     }
-    let total: usize = sockets
-        .iter()
-        .map(|s| s.cores_per_die.iter().sum::<usize>())
-        .sum();
+    let total: usize = sockets.iter().map(|s| s.cores_per_die.iter().sum::<usize>()).sum();
     let os_order = if rng.gen_range(0..2) == 1 {
         let mut p: Vec<usize> = (0..total).collect();
         p.shuffle(rng);
@@ -311,11 +288,7 @@ fn random_spec(rng: &mut StdRng) -> MachineSpec {
         "fuzz-b{boards}s{sockets_per_board}r{regime}c{total}{}",
         if os_order.is_some() { "-scrambled" } else { "" }
     );
-    MachineSpec {
-        name,
-        sockets,
-        os_order,
-    }
+    MachineSpec { name, sockets, os_order }
 }
 
 /// A random placement on `machine`: usually an injective policy binding
@@ -337,13 +310,9 @@ pub fn random_placement(rng: &mut StdRng, machine: &Machine) -> (Binding, bool) 
         let policy = match rng.gen_range(0..3) {
             0 => BindingPolicy::Contiguous,
             1 => BindingPolicy::CrossSocket,
-            _ => BindingPolicy::Random {
-                seed: rng.gen_range(0..1 << 30) as u64,
-            },
+            _ => BindingPolicy::Random { seed: rng.gen_range(0..1 << 30) as u64 },
         };
-        let b = policy
-            .bind(machine, nranks)
-            .expect("nranks <= cores by construction");
+        let b = policy.bind(machine, nranks).expect("nranks <= cores by construction");
         (b, false)
     }
 }
@@ -373,12 +342,7 @@ pub fn run_workload(cfg: &WorkloadConfig) -> Result<WorkloadReport, WorkloadErro
         if let Some(path) = pdac_telemetry::flight::dump("workload-failure") {
             eprintln!("flight recorder dumped to {}", path.display());
         }
-        WorkloadError {
-            seed,
-            transport: transport_kind,
-            machine: machine_name.clone(),
-            detail,
-        }
+        WorkloadError { seed, transport: transport_kind, machine: machine_name.clone(), detail }
     };
     let (binding, oversubscribed) = random_placement(&mut rng, &machine);
     let mut comm = Communicator::world(Arc::clone(&machine), binding);
@@ -403,9 +367,8 @@ pub fn run_workload(cfg: &WorkloadConfig) -> Result<WorkloadReport, WorkloadErro
     }
 
     // Training-style trace: the same gradient buckets, every step.
-    let trace: Vec<usize> = (0..cfg.buckets.max(1))
-        .map(|_| 1024usize << rng.gen_range(0..6))
-        .collect();
+    let trace: Vec<usize> =
+        (0..cfg.buckets.max(1)).map(|_| 1024usize << rng.gen_range(0..6)).collect();
     let churn_step = (cfg.steps / 2).max(1);
     let mut churned = false;
     let mut transfers = 0usize;
@@ -454,15 +417,13 @@ pub fn run_workload(cfg: &WorkloadConfig) -> Result<WorkloadReport, WorkloadErro
                     .with_seeded_corruption(comm.size());
                 exec = exec.with_faults(plan);
             }
-            let res = exec
-                .run(&schedule, pattern)
-                .map_err(|e| {
-                    fail(format!(
-                        "step {step} allreduce({bytes}B) on {} ({} ranks): {e}",
-                        transport.name(),
-                        comm.size()
-                    ))
-                })?;
+            let res = exec.run(&schedule, pattern).map_err(|e| {
+                fail(format!(
+                    "step {step} allreduce({bytes}B) on {} ({} ranks): {e}",
+                    transport.name(),
+                    comm.size()
+                ))
+            })?;
             verify::check(request, comm.size(), &res).map_err(|e| {
                 fail(format!("step {step} allreduce({bytes}B) on {}: {e}", transport.name()))
             })?;
@@ -477,12 +438,8 @@ pub fn run_workload(cfg: &WorkloadConfig) -> Result<WorkloadReport, WorkloadErro
     let chaos_summary = if cfg.chaos && comm.size() >= 2 {
         let mut chaos_cfg = ChaosConfig::on_transport(seed, cfg.transport);
         chaos_cfg.corruption = cfg.corruption;
-        let out = run_chaos(
-            &comm,
-            Request::new(Collective::Allreduce, 0, trace[0]),
-            &chaos_cfg,
-        )
-        .map_err(|e| fail(format!("chaos finale on {}: {e}", cfg.transport.label())))?;
+        let out = run_chaos(&comm, Request::new(Collective::Allreduce, 0, trace[0]), &chaos_cfg)
+            .map_err(|e| fail(format!("chaos finale on {}: {e}", cfg.transport.label())))?;
         Some(out.summary())
     } else {
         None
@@ -514,9 +471,7 @@ pub fn sweep(
 ) -> Result<Vec<WorkloadReport>, WorkloadError> {
     let mut reports = Vec::with_capacity(count);
     for seed in base_seed..base_seed + count as u64 {
-        reports.push(run_workload(&WorkloadConfig::on_transport(
-            seed, transport,
-        ))?);
+        reports.push(run_workload(&WorkloadConfig::on_transport(seed, transport))?);
     }
     Ok(reports)
 }
@@ -600,10 +555,7 @@ mod tests {
 
     #[test]
     fn workload_is_seed_deterministic() {
-        let cfg = WorkloadConfig {
-            chaos: false,
-            ..WorkloadConfig::new(3)
-        };
+        let cfg = WorkloadConfig { chaos: false, ..WorkloadConfig::new(3) };
         let a = run_workload(&cfg).unwrap_or_else(|e| panic!("{e}"));
         let b = run_workload(&cfg).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(a.machine, b.machine);
@@ -617,16 +569,10 @@ mod tests {
         // Find a churning seed and check the TopoCache drop plus the
         // stale-epoch rejection actually registered.
         for seed in 0..8 {
-            let cfg = WorkloadConfig {
-                chaos: false,
-                ..WorkloadConfig::new(seed)
-            };
+            let cfg = WorkloadConfig { chaos: false, ..WorkloadConfig::new(seed) };
             let rep = run_workload(&cfg).unwrap_or_else(|e| panic!("{e}"));
             if rep.churned {
-                assert!(
-                    rep.cache.invalidations > 0,
-                    "churn dropped cached topologies"
-                );
+                assert!(rep.cache.invalidations > 0, "churn dropped cached topologies");
                 assert!(rep.fenced_messages > 0, "the straggler probe was fenced");
                 assert!(!rep.summary().is_empty());
                 return;
@@ -638,10 +584,7 @@ mod tests {
     #[test]
     fn storm_verifies_on_both_transports() {
         for kind in [TransportKind::Knem, TransportKind::Rdma] {
-            let cfg = WorkloadConfig {
-                chaos: false,
-                ..WorkloadConfig::on_transport(5, kind)
-            };
+            let cfg = WorkloadConfig { chaos: false, ..WorkloadConfig::on_transport(5, kind) };
             let rep = run_workload(&cfg).unwrap_or_else(|e| panic!("{}: {e}", kind.label()));
             assert_eq!(rep.transfers, cfg.steps * cfg.buckets);
         }
@@ -668,10 +611,7 @@ mod tests {
             detected += rep.corrupt_detected;
             assert!(rep.summary().contains("corrupt detected"), "{}", rep.summary());
         }
-        assert!(
-            detected >= 1,
-            "six corrupted seeds must damage at least one scheduled chunk"
-        );
+        assert!(detected >= 1, "six corrupted seeds must damage at least one scheduled chunk");
     }
 
     #[test]

@@ -24,7 +24,9 @@ fn matrix(machine: &Machine, policy: BindingPolicy) -> (pdac_hwtopo::Binding, Di
 #[test]
 fn bcast_tree_crosses_the_network_exactly_once_per_node() {
     let c = ig_cluster();
-    for policy in [BindingPolicy::Contiguous, BindingPolicy::CrossNode, BindingPolicy::Random { seed: 8 }] {
+    for policy in
+        [BindingPolicy::Contiguous, BindingPolicy::CrossNode, BindingPolicy::Random { seed: 8 }]
+    {
         let (_, dist) = matrix(&c, policy.clone());
         let tree = build_bcast_tree(&dist, 0);
         let net_edges = tree.edges_at_distance(&dist, 7) + tree.edges_at_distance(&dist, 8);
@@ -60,14 +62,12 @@ fn cluster_bcast_simulates_with_network_traffic_accounted() {
     let rep = SimExecutor::new(&c, &binding, SimConfig { allow_cache: false }).run(&sched).unwrap();
     assert!(rep.total_time > 0.0);
     // Three network transfers: each crosses two NICs.
-    let nic_bytes: f64 = (0..4)
-        .filter_map(|n| rep.resource_bytes.get(&Resource::Nic(n)).copied())
-        .sum();
+    let nic_bytes: f64 =
+        (0..4).filter_map(|n| rep.resource_bytes.get(&Resource::Nic(n)).copied()).sum();
     assert_eq!(nic_bytes, 6.0 * bytes as f64);
     // Exactly one inter-switch transfer (two uplink traversals).
-    let up: f64 = (0..2)
-        .filter_map(|s| rep.resource_bytes.get(&Resource::SwitchUplink(s)).copied())
-        .sum();
+    let up: f64 =
+        (0..2).filter_map(|s| rep.resource_bytes.get(&Resource::SwitchUplink(s)).copied()).sum();
     assert_eq!(up, 2.0 * bytes as f64);
 }
 
@@ -95,11 +95,7 @@ fn slow_link_bytes_count_network_classes() {
     let stress = metrics::link_stress(&sched, &dist);
     assert_eq!(stress[7], 2 * bytes as u64, "two same-switch node joins");
     assert_eq!(stress[8], bytes as u64, "one cross-switch join");
-    assert_eq!(
-        metrics::slow_link_bytes(&sched, &dist, 6),
-        3 * bytes as u64,
-        "total network bytes"
-    );
+    assert_eq!(metrics::slow_link_bytes(&sched, &dist, 6), 3 * bytes as u64, "total network bytes");
 }
 
 #[test]

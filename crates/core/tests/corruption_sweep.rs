@@ -39,7 +39,9 @@ fn seeded_corruption_sweep() {
         for kind in transports_under_test() {
             match run_workload(&WorkloadConfig::corrupted(seed, kind)) {
                 Ok(rep) => println!("[{}] {}", kind.label(), rep.summary()),
-                Err(e) => panic!("{e}\ncorruption repro: {}", corruption_repro_command_for(seed, kind)),
+                Err(e) => {
+                    panic!("{e}\ncorruption repro: {}", corruption_repro_command_for(seed, kind))
+                }
             }
         }
         return;
@@ -60,10 +62,7 @@ fn seeded_corruption_sweep() {
                     retransmits,
                     reports[0].summary()
                 );
-                assert!(
-                    reports.iter().all(|r| r.transfers > 0),
-                    "every workload moved bytes"
-                );
+                assert!(reports.iter().all(|r| r.transfers > 0), "every workload moved bytes");
                 assert_eq!(
                     detections, retransmits,
                     "every storm detection was healed by exactly one re-transmit"

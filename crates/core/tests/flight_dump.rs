@@ -43,40 +43,18 @@ fn failing_chaos_run_dumps_flight_recorder() {
         })
         .collect();
     dumps.sort();
-    assert!(
-        !dumps.is_empty(),
-        "chaos failure must write a flight dump in {}",
-        dir.display()
-    );
+    assert!(!dumps.is_empty(), "chaos failure must write a flight dump in {}", dir.display());
 
     let body = std::fs::read_to_string(dumps.last().unwrap()).unwrap();
-    assert!(
-        body.contains("\"reason\": \"chaos-failure\""),
-        "dump names its reason:\n{body}"
-    );
-    assert!(
-        body.contains("chaos start: seed=7"),
-        "dump holds the start note:\n{body}"
-    );
-    assert!(
-        body.contains("chaos FAILED: seed=7"),
-        "dump holds the failure note:\n{body}"
-    );
-    assert!(
-        body.contains("\"pdac_seed\": \"20260810\""),
-        "dump captures PDAC_SEED:\n{body}"
-    );
-    assert!(
-        body.contains("\"metrics\""),
-        "dump embeds a metrics snapshot:\n{body}"
-    );
+    assert!(body.contains("\"reason\": \"chaos-failure\""), "dump names its reason:\n{body}");
+    assert!(body.contains("chaos start: seed=7"), "dump holds the start note:\n{body}");
+    assert!(body.contains("chaos FAILED: seed=7"), "dump holds the failure note:\n{body}");
+    assert!(body.contains("\"pdac_seed\": \"20260810\""), "dump captures PDAC_SEED:\n{body}");
+    assert!(body.contains("\"metrics\""), "dump embeds a metrics snapshot:\n{body}");
     // The failure note quotes the actual error so the dump is
     // self-explanatory without the test log.
     let head = err_text.split('\n').next().unwrap();
-    assert!(
-        body.contains(head),
-        "dump quotes the error ({head}):\n{body}"
-    );
+    assert!(body.contains(head), "dump quotes the error ({head}):\n{body}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

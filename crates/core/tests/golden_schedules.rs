@@ -142,7 +142,10 @@ fn all_digests() -> Vec<(String, u64)> {
 fn schedules_are_identical_to_the_recorded_digests() {
     let got = all_digests();
     let same = got.len() == WANT.len()
-        && got.iter().zip(WANT).all(|((name, h), &(want_name, want))| name == want_name && *h == want);
+        && got
+            .iter()
+            .zip(WANT)
+            .all(|((name, h), &(want_name, want))| name == want_name && *h == want);
     if !same {
         let table: String =
             got.iter().map(|(name, h)| format!("    (\"{name}\", {h:#018x}),\n")).collect();

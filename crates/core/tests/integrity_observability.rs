@@ -19,9 +19,7 @@ use pdac_telemetry::{flight, to_openmetrics};
 #[test]
 fn each_fact_is_published_once_and_reaches_every_surface() {
     let machine = Arc::new(machines::ig());
-    let binding = BindingPolicy::Contiguous
-        .bind(&machine, 8)
-        .expect("8 ranks fit on ig");
+    let binding = BindingPolicy::Contiguous.bind(&machine, 8).expect("8 ranks fit on ig");
     let comm = Communicator::world(machine, binding);
     let schedule = AdaptiveColl.allgather(&comm, 2048);
     let registry = pdac_telemetry::global().registry();
@@ -89,11 +87,7 @@ fn each_fact_is_published_once_and_reaches_every_surface() {
         "integrity.corrupt_detected",
         "integrity.retransmits",
     ] {
-        assert!(
-            dump.contains(counter),
-            "{counter} missing from flight dump {}",
-            path.display()
-        );
+        assert!(dump.contains(counter), "{counter} missing from flight dump {}", path.display());
     }
     std::env::remove_var(flight::FLIGHT_DIR_ENV);
     std::fs::remove_dir_all(&dir).ok();
@@ -104,29 +98,16 @@ fn each_fact_is_published_once_and_reaches_every_surface() {
     // counter moves by exactly the runtime record's field — the
     // simulator's prediction for the survivors adds nothing to either.
     let smp = Arc::new(machines::flat_smp(6));
-    let binding = BindingPolicy::Contiguous
-        .bind(&smp, 6)
-        .expect("6 ranks fit");
+    let binding = BindingPolicy::Contiguous.bind(&smp, 6).expect("6 ranks fit");
     let comm = Communicator::world(smp, binding);
-    let cfg = ChaosConfig {
-        corruption: true,
-        ..ChaosConfig::with_corrupter(5, 3)
-    };
+    let cfg = ChaosConfig { corruption: true, ..ChaosConfig::with_corrupter(5, 3) };
     let what = Request::new(Collective::Allgather, 0, 2048);
     let before = registry.snapshot();
     let out = run_chaos(&comm, what, &cfg).unwrap_or_else(|e| panic!("corrupter seed 5: {e}"));
     let after = registry.snapshot();
-    assert!(
-        out.failed_ranks.contains(&3),
-        "the corrupter is fenced: {:?}",
-        out.failed_ranks
-    );
+    assert!(out.failed_ranks.contains(&3), "the corrupter is fenced: {:?}", out.failed_ranks);
     let s = &out.stats;
-    assert!(
-        s.ranks_crashed >= 1 && s.corrupt_detected >= 1,
-        "{}",
-        out.summary()
-    );
+    assert!(s.ranks_crashed >= 1 && s.corrupt_detected >= 1, "{}", out.summary());
     for (name, record) in [
         ("faults.ranks_stalled", s.ranks_stalled),
         ("faults.ranks_crashed", s.ranks_crashed),

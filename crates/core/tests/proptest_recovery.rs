@@ -58,10 +58,7 @@ fn apply_failures(machine: Machine, seed: u64, script: &[u16]) -> Shrunk {
         mgr.mark_failed(victim).unwrap();
         killed.push(victim);
         assert_ne!(mgr.comm().epoch(), epoch_before, "failure mints a fresh epoch");
-        assert!(
-            cache.stats().invalidations > inval_before,
-            "the dead epoch's entries were purged"
-        );
+        assert!(cache.stats().invalidations > inval_before, "the dead epoch's entries were purged");
     }
     Shrunk { mgr, cache, killed }
 }

@@ -20,12 +20,8 @@ use pdac_core::sched::{allreduce_schedule, SchedConfig};
 use pdac_core::verify::{self, pattern};
 use pdac_core::{build_bcast_tree, AdaptiveColl, Collective, Request, Ring};
 use pdac_hwtopo::{machines, BindingPolicy, Machine};
-use pdac_mpisim::{
-    Communicator, ExecError, KnemError, RetryPolicy, ThreadExecutor, TransportKind,
-};
-use pdac_simnet::{
-    BufId, FaultPlan, Mech, OpKind, Schedule, SimConfig, SimError, SimExecutor,
-};
+use pdac_mpisim::{Communicator, ExecError, KnemError, RetryPolicy, ThreadExecutor, TransportKind};
+use pdac_simnet::{BufId, FaultPlan, Mech, OpKind, Schedule, SimConfig, SimError, SimExecutor};
 
 const RANKS: usize = 8;
 const TRANSPORTS: [TransportKind; 2] = [TransportKind::Knem, TransportKind::Rdma];
@@ -33,9 +29,7 @@ const TRANSPORTS: [TransportKind; 2] = [TransportKind::Knem, TransportKind::Rdma
 fn comm_on(machine: Machine) -> Communicator {
     let machine = Arc::new(machine);
     // Cross-socket placement touches every distance class the machine has.
-    let binding = BindingPolicy::CrossSocket
-        .bind(&machine, RANKS)
-        .expect("parity placement fits");
+    let binding = BindingPolicy::CrossSocket.bind(&machine, RANKS).expect("parity placement fits");
     Communicator::world(machine, binding)
 }
 
@@ -172,12 +166,7 @@ fn corruption_detection_is_identical_across_transports() {
                 kind.label()
             );
             per_transport.push((
-                (
-                    s.checksums_stamped,
-                    s.checksums_verified,
-                    s.corrupt_detected,
-                    s.retransmits,
-                ),
+                (s.checksums_stamped, s.checksums_verified, s.corrupt_detected, s.retransmits),
                 (0..n).map(|r| res.buffer(r, BufId::Recv).to_vec()).collect(),
             ));
         }

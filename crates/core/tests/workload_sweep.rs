@@ -52,10 +52,7 @@ fn seeded_workload_sweep() {
                     churned,
                     reports[0].summary()
                 );
-                assert!(
-                    reports.iter().all(|r| r.transfers > 0),
-                    "every workload moved bytes"
-                );
+                assert!(reports.iter().all(|r| r.transfers > 0), "every workload moved bytes");
             }
             Err(e) => panic!("{e}"),
         }

@@ -139,7 +139,10 @@ impl BindingPolicy {
                     while next[socket] >= per_socket[socket].len() {
                         socket = (socket + 1) % machine.num_sockets;
                         tried += 1;
-                        debug_assert!(tried <= machine.num_sockets, "nranks <= cores guarantees progress");
+                        debug_assert!(
+                            tried <= machine.num_sockets,
+                            "nranks <= cores guarantees progress"
+                        );
                     }
                     map.push(per_socket[socket][next[socket]]);
                     next[socket] += 1;
@@ -160,7 +163,10 @@ impl BindingPolicy {
                     while next[node] >= per_node[node].len() {
                         node = (node + 1) % machine.num_nodes;
                         tried += 1;
-                        debug_assert!(tried <= machine.num_nodes, "nranks <= cores guarantees progress");
+                        debug_assert!(
+                            tried <= machine.num_nodes,
+                            "nranks <= cores guarantees progress"
+                        );
                     }
                     map.push(per_node[node][next[node]]);
                     next[node] += 1;
@@ -347,8 +353,22 @@ mod tests {
         let spec = MachineSpec {
             name: "lopsided".into(),
             sockets: vec![
-                PackageSpec { board: 0, numa: 0, cores_per_die: vec![1], die_numa: None, caches: vec![], numa_memory_bytes: 0 },
-                PackageSpec { board: 0, numa: 1, cores_per_die: vec![3], die_numa: None, caches: vec![], numa_memory_bytes: 0 },
+                PackageSpec {
+                    board: 0,
+                    numa: 0,
+                    cores_per_die: vec![1],
+                    die_numa: None,
+                    caches: vec![],
+                    numa_memory_bytes: 0,
+                },
+                PackageSpec {
+                    board: 0,
+                    numa: 1,
+                    cores_per_die: vec![3],
+                    die_numa: None,
+                    caches: vec![],
+                    numa_memory_bytes: 0,
+                },
             ],
             os_order: None,
         };

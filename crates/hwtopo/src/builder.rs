@@ -126,9 +126,8 @@ impl MachineSpec {
         let mut die_counter = 0usize;
 
         for (socket_id, spec) in self.sockets.iter().enumerate() {
-            let board_obj = *board_objs[spec.board].get_or_insert_with(|| {
-                builder.push(ObjKind::Board, Some(root), 0)
-            });
+            let board_obj = *board_objs[spec.board]
+                .get_or_insert_with(|| builder.push(ObjKind::Board, Some(root), 0));
             // Whole-socket NUMA: Board -> NumaNode -> Socket (Zoot, IG).
             // Split socket (per-die controllers): Board -> Socket ->
             // NumaNode -> Die (Magny-Cours).
@@ -153,7 +152,11 @@ impl MachineSpec {
                     let die_parent = if split {
                         let numa = numa_of_socket_die(spec, die);
                         *numa_objs[numa].get_or_insert_with(|| {
-                            builder.push(ObjKind::NumaNode, Some(socket_obj), spec.numa_memory_bytes)
+                            builder.push(
+                                ObjKind::NumaNode,
+                                Some(socket_obj),
+                                spec.numa_memory_bytes,
+                            )
                         })
                     } else {
                         socket_obj
@@ -248,16 +251,14 @@ impl MachineSpec {
         let mut owners: std::collections::HashMap<usize, Owner> = Default::default();
         for (si, s) in self.sockets.iter().enumerate() {
             match &s.die_numa {
-                None => {
-                    match owners.get(&s.numa) {
-                        Some(Owner::Whole) | None => {
-                            owners.insert(s.numa, Owner::Whole);
-                        }
-                        Some(Owner::Die(..)) => {
-                            return Err(TopoError::NumaOwnershipConflict { numa: s.numa })
-                        }
+                None => match owners.get(&s.numa) {
+                    Some(Owner::Whole) | None => {
+                        owners.insert(s.numa, Owner::Whole);
                     }
-                }
+                    Some(Owner::Die(..)) => {
+                        return Err(TopoError::NumaOwnershipConflict { numa: s.numa })
+                    }
+                },
                 Some(dn) => {
                     if dn.len() != s.cores_per_die.len() {
                         return Err(TopoError::BadDieNuma {

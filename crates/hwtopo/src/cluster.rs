@@ -33,11 +33,7 @@ pub fn cluster(
     if nodes.is_empty() {
         return Err(TopoError::EmptyMachine);
     }
-    assert_eq!(
-        nodes.len(),
-        switch_of_node.len(),
-        "one switch assignment per node"
-    );
+    assert_eq!(nodes.len(), switch_of_node.len(), "one switch assignment per node");
     let num_switches = switch_of_node.iter().max().unwrap() + 1;
 
     let mut objs: Vec<Obj> = Vec::new();
@@ -115,12 +111,7 @@ pub fn cluster(
         numa_off += machine.num_numa;
         socket_off += machine.num_sockets;
         core_off += machine.num_cores();
-        die_off += machine
-            .cores
-            .iter()
-            .filter_map(|c| c.die)
-            .max()
-            .map_or(0, |d| d + 1);
+        die_off += machine.cores.iter().filter_map(|c| c.die).max().map_or(0, |d| d + 1);
         for l in 1..=3u8 {
             cache_off[l as usize] += machine
                 .cores

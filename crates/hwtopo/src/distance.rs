@@ -259,8 +259,28 @@ mod tests {
         // Same socket, different memory controllers (Magny-Cours style):
         // representable by the pure function even though the builder always
         // nests sockets inside NUMA nodes.
-        let a = CoreView { core: 0, obj: 0, board: 0, numa: 0, socket: 0, die: Some(0), caches: vec![], node: 0, switch: 0 };
-        let b = CoreView { core: 1, obj: 1, board: 0, numa: 1, socket: 0, die: Some(1), caches: vec![], node: 0, switch: 0 };
+        let a = CoreView {
+            core: 0,
+            obj: 0,
+            board: 0,
+            numa: 0,
+            socket: 0,
+            die: Some(0),
+            caches: vec![],
+            node: 0,
+            switch: 0,
+        };
+        let b = CoreView {
+            core: 1,
+            obj: 1,
+            board: 0,
+            numa: 1,
+            socket: 0,
+            die: Some(1),
+            caches: vec![],
+            node: 0,
+            switch: 0,
+        };
         assert_eq!(core_view_distance(&a, &b), 4);
     }
 

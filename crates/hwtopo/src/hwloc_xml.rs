@@ -112,24 +112,23 @@ fn parse_xml(input: &str) -> Result<XNode, XmlError> {
         }
         let rest = &input[pos..];
         if rest.starts_with("<!--") {
-            pos += rest.find("-->").map(|o| o + 3).ok_or(XmlError::Malformed {
-                at: pos,
-                what: "unterminated comment",
-            })?;
+            pos += rest
+                .find("-->")
+                .map(|o| o + 3)
+                .ok_or(XmlError::Malformed { at: pos, what: "unterminated comment" })?;
             continue;
         }
         if rest.starts_with("<?") || rest.starts_with("<!") {
-            pos += rest.find('>').map(|o| o + 1).ok_or(XmlError::Malformed {
-                at: pos,
-                what: "unterminated prolog/doctype",
-            })?;
+            pos += rest
+                .find('>')
+                .map(|o| o + 1)
+                .ok_or(XmlError::Malformed { at: pos, what: "unterminated prolog/doctype" })?;
             continue;
         }
         if let Some(close_rest) = rest.strip_prefix("</") {
-            let end = close_rest.find('>').ok_or(XmlError::Malformed {
-                at: pos,
-                what: "unterminated closing tag",
-            })?;
+            let end = close_rest
+                .find('>')
+                .ok_or(XmlError::Malformed { at: pos, what: "unterminated closing tag" })?;
             let name = close_rest[..end].trim();
             let node = stack.pop().ok_or(XmlError::Malformed {
                 at: pos,
@@ -150,7 +149,8 @@ fn parse_xml(input: &str) -> Result<XNode, XmlError> {
         }
 
         // Opening or self-closing tag.
-        let end = rest.find('>').ok_or(XmlError::Malformed { at: pos, what: "unterminated tag" })?;
+        let end =
+            rest.find('>').ok_or(XmlError::Malformed { at: pos, what: "unterminated tag" })?;
         let self_closing = rest[..end].ends_with('/');
         let body = rest[1..end].trim_end_matches('/').trim();
         let (name, attr_str) = match body.find(char::is_whitespace) {
@@ -170,17 +170,16 @@ fn parse_xml(input: &str) -> Result<XNode, XmlError> {
             };
             let key = a[..eq].trim().to_string();
             let after = a[eq + 1..].trim_start();
-            let quote = after.chars().next().ok_or(XmlError::Malformed {
-                at: pos,
-                what: "attribute without value",
-            })?;
+            let quote = after
+                .chars()
+                .next()
+                .ok_or(XmlError::Malformed { at: pos, what: "attribute without value" })?;
             if quote != '"' && quote != '\'' {
                 return Err(XmlError::Malformed { at: pos, what: "unquoted attribute value" });
             }
-            let val_end = after[1..].find(quote).ok_or(XmlError::Malformed {
-                at: pos,
-                what: "unterminated attribute value",
-            })?;
+            let val_end = after[1..]
+                .find(quote)
+                .ok_or(XmlError::Malformed { at: pos, what: "unterminated attribute value" })?;
             attrs.insert(key, after[1..1 + val_end].to_string());
             a = after[1 + val_end + 1..].trim_start();
         }
@@ -275,7 +274,13 @@ impl Converter {
         id
     }
 
-    fn push(&mut self, kind: ObjKind, logical_id: usize, parent: Option<ObjIdx>, size: u64) -> ObjIdx {
+    fn push(
+        &mut self,
+        kind: ObjKind,
+        logical_id: usize,
+        parent: Option<ObjIdx>,
+        size: u64,
+    ) -> ObjIdx {
         let idx = self.objs.len();
         self.objs.push(Obj { kind, logical_id, parent, children: Vec::new(), size_bytes: size });
         if let Some(p) = parent {
@@ -298,16 +303,12 @@ impl Converter {
                 // restored when leaving so siblings don't see our caches.
                 let cache_depth_before = caches.len();
                 let size: u64 = match kind {
-                    ObjKind::Cache(_) => node
-                        .attrs
-                        .get("cache_size")
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(0),
-                    ObjKind::NumaNode | ObjKind::Machine => node
-                        .attrs
-                        .get("local_memory")
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(0),
+                    ObjKind::Cache(_) => {
+                        node.attrs.get("cache_size").and_then(|s| s.parse().ok()).unwrap_or(0)
+                    }
+                    ObjKind::NumaNode | ObjKind::Machine => {
+                        node.attrs.get("local_memory").and_then(|s| s.parse().ok()).unwrap_or(0)
+                    }
                     _ => 0,
                 };
                 let mut ctx2 = ctx;
@@ -384,11 +385,8 @@ impl Converter {
                             && c.children.is_empty()
                     }) {
                         let id = self.next_id("numa");
-                        let size = mem
-                            .attrs
-                            .get("local_memory")
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or(0);
+                        let size =
+                            mem.attrs.get("local_memory").and_then(|s| s.parse().ok()).unwrap_or(0);
                         self.push(ObjKind::NumaNode, id, Some(idx), size);
                         ctx2.numa = Some(id);
                     }
@@ -451,24 +449,14 @@ pub fn parse_hwloc_xml(xml: &str) -> Result<Machine, XmlError> {
     let root = parse_xml(xml)?;
     // lstopo wraps everything in <topology>; accept a bare object too.
     let machine_node = if root.name == "topology" {
-        root.children
-            .iter()
-            .find(|c| c.name == "object")
-            .ok_or(XmlError::NoCores)?
-            .clone()
+        root.children.iter().find(|c| c.name == "object").ok_or(XmlError::NoCores)?.clone()
     } else {
         root
     };
 
     let mut conv = Converter::default();
-    let ctx = Ctx {
-        parent: None,
-        board: 0,
-        numa: None,
-        socket: None,
-        die: None,
-        depth_under_machine: 0,
-    };
+    let ctx =
+        Ctx { parent: None, board: 0, numa: None, socket: None, die: None, depth_under_machine: 0 };
     conv.convert(&machine_node, ctx, &mut Vec::new());
 
     if conv.cores.is_empty() {
@@ -521,7 +509,9 @@ pub fn parse_hwloc_xml(xml: &str) -> Result<Machine, XmlError> {
 }
 
 /// Reads and parses an hwloc XML file.
-pub fn parse_hwloc_file(path: impl AsRef<std::path::Path>) -> Result<Machine, Box<dyn std::error::Error>> {
+pub fn parse_hwloc_file(
+    path: impl AsRef<std::path::Path>,
+) -> Result<Machine, Box<dyn std::error::Error>> {
     Ok(parse_hwloc_xml(&std::fs::read_to_string(path)?)?)
 }
 
@@ -598,8 +588,7 @@ mod tests {
     #[test]
     fn numa_memory_recorded() {
         let m = parse_hwloc_xml(DUAL_SOCKET).unwrap();
-        let numa_objs: Vec<&Obj> =
-            m.objs.iter().filter(|o| o.kind == ObjKind::NumaNode).collect();
+        let numa_objs: Vec<&Obj> = m.objs.iter().filter(|o| o.kind == ObjKind::NumaNode).collect();
         assert_eq!(numa_objs.len(), 2);
         assert!(numa_objs.iter().all(|o| o.size_bytes == 34_359_738_368));
     }
@@ -675,17 +664,11 @@ mod tests {
             parse_hwloc_xml("<topology><object type=\"Machine\"></wrong>"),
             Err(XmlError::TagMismatch { .. })
         ));
-        assert!(matches!(
-            parse_hwloc_xml("<topology></topology>"),
-            Err(XmlError::NoCores)
-        ));
+        assert!(matches!(parse_hwloc_xml("<topology></topology>"), Err(XmlError::NoCores)));
         assert!(matches!(
             parse_hwloc_xml("<topology><object type=\"Machine\"/></topology>"),
             Err(XmlError::NoCores)
         ));
-        assert!(matches!(
-            parse_hwloc_xml("<a attr=novalue></a>"),
-            Err(XmlError::Malformed { .. })
-        ));
+        assert!(matches!(parse_hwloc_xml("<a attr=novalue></a>"), Err(XmlError::Malformed { .. })));
     }
 }

@@ -98,7 +98,9 @@ pub fn two_board_numa12() -> Machine {
         numa: s,
         cores_per_die: vec![3],
         die_numa: None,
-        caches: (0..3).map(|c| CacheSpec { level: 1, size_bytes: 64 * KB, cores: vec![c] }).collect(),
+        caches: (0..3)
+            .map(|c| CacheSpec { level: 1, size_bytes: 64 * KB, cores: vec![c] })
+            .collect(),
         numa_memory_bytes: 4 * GB,
     };
     MachineSpec {
@@ -314,10 +316,7 @@ mod tests {
             ],
             os_order: None,
         };
-        assert_eq!(
-            conflict.build().unwrap_err(),
-            TopoError::NumaOwnershipConflict { numa: 1 }
-        );
+        assert_eq!(conflict.build().unwrap_err(), TopoError::NumaOwnershipConflict { numa: 1 });
     }
 
     #[test]

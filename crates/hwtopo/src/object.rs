@@ -109,17 +109,12 @@ impl CoreView {
     /// Whether the two cores share at least one cache of any level —
     /// condition (1) of the paper's distance definition.
     pub fn shares_cache_with(&self, other: &CoreView) -> bool {
-        self.caches
-            .iter()
-            .any(|c| other.caches.contains(c))
+        self.caches.iter().any(|c| other.caches.contains(c))
     }
 
     /// The innermost cache shared with `other`, if any: `(level, id)`.
     pub fn innermost_shared_cache(&self, other: &CoreView) -> Option<(u8, usize)> {
-        self.caches
-            .iter()
-            .find(|c| other.caches.contains(c))
-            .copied()
+        self.caches.iter().find(|c| other.caches.contains(c)).copied()
     }
 }
 
@@ -178,11 +173,7 @@ impl Machine {
 
     /// Cores belonging to socket `socket`, in topology order.
     pub fn cores_of_socket(&self, socket: usize) -> Vec<CoreId> {
-        self.cores
-            .iter()
-            .filter(|c| c.socket == socket)
-            .map(|c| c.core)
-            .collect()
+        self.cores.iter().filter(|c| c.socket == socket).map(|c| c.core).collect()
     }
 
     /// Capacity of the largest cache above `core` (its outermost level).

@@ -181,24 +181,15 @@ fn cyclic_and_dangling_parent_references_are_typed() {
     // 0 <-> 1 parent cycle (mutually consistent links, so only the chain
     // walk can catch it).
     let cyclic = vec![obj(Some(1), vec![1]), obj(Some(0), vec![0])];
-    assert!(matches!(
-        validate_object_tree(&cyclic),
-        Err(XmlError::CyclicTopology { .. })
-    ));
+    assert!(matches!(validate_object_tree(&cyclic), Err(XmlError::CyclicTopology { .. })));
 
     // Parent index out of range.
     let dangling = vec![obj(Some(7), vec![])];
-    assert!(matches!(
-        validate_object_tree(&dangling),
-        Err(XmlError::CyclicTopology { at: 0 })
-    ));
+    assert!(matches!(validate_object_tree(&dangling), Err(XmlError::CyclicTopology { at: 0 })));
 
     // Child link without the matching parent link.
     let one_sided = vec![obj(None, vec![1]), obj(None, vec![])];
-    assert!(matches!(
-        validate_object_tree(&one_sided),
-        Err(XmlError::CyclicTopology { at: 0 })
-    ));
+    assert!(matches!(validate_object_tree(&one_sided), Err(XmlError::CyclicTopology { at: 0 })));
 
     // A well-formed two-level tree passes.
     let good = vec![obj(None, vec![1, 2]), obj(Some(0), vec![]), obj(Some(0), vec![])];

@@ -304,11 +304,7 @@ impl Session {
     }
 
     /// Gather: the root receives every rank's contribution, concatenated.
-    pub fn gather<T: Scalar>(
-        &self,
-        contribs: &[Vec<T>],
-        root: usize,
-    ) -> Result<Vec<T>, MpiError> {
+    pub fn gather<T: Scalar>(&self, contribs: &[Vec<T>], root: usize) -> Result<Vec<T>, MpiError> {
         let len = self.check_uniform(contribs, "gather")?;
         self.check_root(root, "gather")?;
         if len == 0 {
@@ -446,7 +442,8 @@ mod tests {
     #[test]
     fn allgather_gather_scatter_alltoall() {
         let s = session(6);
-        let contribs: Vec<Vec<u32>> = (0..6).map(|r| vec![r as u32 * 10, r as u32 * 10 + 1]).collect();
+        let contribs: Vec<Vec<u32>> =
+            (0..6).map(|r| vec![r as u32 * 10, r as u32 * 10 + 1]).collect();
         let gathered = s.allgather(&contribs).unwrap();
         let expect: Vec<u32> = (0..6).flat_map(|r| [r * 10, r * 10 + 1]).collect();
         assert!(gathered.iter().all(|g| g == &expect));
@@ -458,7 +455,8 @@ mod tests {
         }
 
         // Alltoall with per-destination payloads.
-        let bufs: Vec<Vec<u32>> = (0..6).map(|src| (0..6).map(|dst| (src * 6 + dst) as u32).collect()).collect();
+        let bufs: Vec<Vec<u32>> =
+            (0..6).map(|src| (0..6).map(|dst| (src * 6 + dst) as u32).collect()).collect();
         let exchanged = s.alltoall(&bufs).unwrap();
         for (dst, got) in exchanged.iter().enumerate() {
             let expect: Vec<u32> = (0..6).map(|src| (src * 6 + dst) as u32).collect();
@@ -469,7 +467,8 @@ mod tests {
     #[test]
     fn reduce_scatter_blocks() {
         let s = session(4);
-        let contribs: Vec<Vec<i64>> = (0..4).map(|r| (0..8).map(|i| (r * 8 + i) as i64).collect()).collect();
+        let contribs: Vec<Vec<i64>> =
+            (0..4).map(|r| (0..8).map(|i| (r * 8 + i) as i64).collect()).collect();
         let blocks = s.reduce_scatter(&contribs, ReduceOp::Sum).unwrap();
         for (r, block) in blocks.iter().enumerate() {
             let expect: Vec<i64> =

@@ -11,9 +11,7 @@ use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
 /// `data` at `root`, nothing anywhere else.
 fn only_at<T: Clone>(root: usize, n: usize, data: &[T]) -> Vec<Vec<T>> {
-    (0..n)
-        .map(|r| if r == root { data.to_vec() } else { Vec::new() })
-        .collect()
+    (0..n).map(|r| if r == root { data.to_vec() } else { Vec::new() }).collect()
 }
 
 /// The same collective through the session, in the shape of
@@ -61,9 +59,7 @@ fn check_all<T: Scalar>(
 ) {
     let n = session.size();
     let len = bytes / T::WIDTH / n * n;
-    let inputs: Vec<Vec<T>> = (0..n)
-        .map(|r| (0..len).map(|i| element(r, i)).collect())
-        .collect();
+    let inputs: Vec<Vec<T>> = (0..n).map(|r| (0..len).map(|i| element(r, i)).collect()).collect();
     for (k, coll) in Collective::ALL.into_iter().enumerate() {
         let root = (bytes + 5 * k) % n;
         let got = through_session(session, coll, &inputs, root, op);
@@ -139,10 +135,10 @@ fn nine_collectives_match_the_expected_data() {
 #[test]
 fn every_lend_is_the_size_the_schedule_declares() {
     for n in [2, 3, 7] {
-        let session =
-            Session::new(Arc::new(machines::ig()), BindingPolicy::Contiguous, n).unwrap();
+        let session = Session::new(Arc::new(machines::ig()), BindingPolicy::Contiguous, n).unwrap();
         let what = format!("igx{n}");
-        for bytes in [8 * n, 2048, 2048 + 8 * n, 16 << 10, (16 << 10) + 8 * n, (256 << 10) + 8 * n] {
+        for bytes in [8 * n, 2048, 2048 + 8 * n, 16 << 10, (16 << 10) + 8 * n, (256 << 10) + 8 * n]
+        {
             let mut rng = StdRng::seed_from_u64(45058 ^ bytes as u64);
             check_all::<i64>(
                 &session,

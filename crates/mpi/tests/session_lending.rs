@@ -71,8 +71,8 @@ fn bcast_writes_into_the_callers_vectors() {
     let s = session(n);
     let mut bufs: Vec<Vec<u64>> = (0..n).map(|r| vec![r as u64; len]).collect();
     s.bcast(&mut bufs, root).unwrap(); // Helpers and the topology cache warm up.
-    // Each call checks one staging buffer per worker, of the schedule's
-    // largest copy, out of a pool of its own.
+                                       // Each call checks one staging buffer per worker, of the schedule's
+                                       // largest copy, out of a pool of its own.
     let schedule = s.plan(Request::new(Collective::Bcast, root, len * u64::WIDTH));
     let workers = std::thread::available_parallelism().map_or(1, |w| w.get()).min(n);
     let staging = workers * schedule.lower(None).unwrap().max_copy();
@@ -106,7 +106,9 @@ fn lent_buffers_are_absent_from_the_result() {
     let mut recv: Vec<Vec<u8>> = (0..n).map(|_| vec![0; bytes]).collect();
     let others = recv.iter_mut().enumerate().filter(|&(r, _)| r != root);
     let write = others.map(|(r, b)| ((r, BufId::Recv), &mut b[..]));
-    let result = ThreadExecutor::new().run_lent(&schedule, [((root, BufId::Send), &src[..])], write).unwrap();
+    let result = ThreadExecutor::new()
+        .run_lent(&schedule, [((root, BufId::Send), &src[..])], write)
+        .unwrap();
     for r in (0..n).filter(|&r| r != root) {
         assert_eq!(recv[r], src, "rank {r} received in place");
         assert!(result.buffer(r, BufId::Recv).is_empty(), "rank {r}'s lent buffer came back");

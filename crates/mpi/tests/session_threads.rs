@@ -13,14 +13,8 @@ use pdac_mpi::{ReduceOp, Session};
 /// `Threads:` of `/proc/self/status`.
 fn process_threads() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
-    let line = status
-        .lines()
-        .find(|l| l.starts_with("Threads:"))
-        .expect("a Threads: line");
-    line["Threads:".len()..]
-        .trim()
-        .parse()
-        .expect("a thread count")
+    let line = status.lines().find(|l| l.starts_with("Threads:")).expect("a Threads: line");
+    line["Threads:".len()..].trim().parse().expect("a thread count")
 }
 
 #[test]
@@ -31,11 +25,7 @@ fn two_hundred_collectives_spawn_once_and_drop_joins() {
     const N: usize = 12;
     let before = process_threads();
     let session = Session::new(Arc::new(machines::ig()), BindingPolicy::CrossSocket, N).unwrap();
-    assert_eq!(
-        process_threads(),
-        before,
-        "a session spawns nothing until it is used"
-    );
+    assert_eq!(process_threads(), before, "a session spawns nothing until it is used");
 
     session.barrier().unwrap();
     let parked = process_threads();
@@ -68,10 +58,7 @@ fn two_hundred_collectives_spawn_once_and_drop_joins() {
             }
             3 => {
                 let contribs: Vec<Vec<i64>> = (0..N).map(|r| vec![r as i64; 10]).collect();
-                assert_eq!(
-                    session.reduce(&contribs, ReduceOp::Sum, root).unwrap(),
-                    vec![66; 10]
-                );
+                assert_eq!(session.reduce(&contribs, ReduceOp::Sum, root).unwrap(), vec![66; 10]);
             }
             4 => {
                 let contribs: Vec<Vec<u32>> = (0..N).map(|r| vec![r as u32; 600]).collect();
@@ -89,15 +76,11 @@ fn two_hundred_collectives_spawn_once_and_drop_joins() {
             6 => {
                 let data: Vec<u32> = (0..N as u32 * 3).collect();
                 let blocks = session.scatter(&data, root).unwrap();
-                assert!(blocks
-                    .iter()
-                    .enumerate()
-                    .all(|(r, b)| b[..] == data[r * 3..r * 3 + 3]));
+                assert!(blocks.iter().enumerate().all(|(r, b)| b[..] == data[r * 3..r * 3 + 3]));
             }
             7 => {
-                let bufs: Vec<Vec<u32>> = (0..N)
-                    .map(|src| (0..N).map(|dst| (src * N + dst) as u32).collect())
-                    .collect();
+                let bufs: Vec<Vec<u32>> =
+                    (0..N).map(|src| (0..N).map(|dst| (src * N + dst) as u32).collect()).collect();
                 let got = session.alltoall(&bufs).unwrap();
                 assert!((0..N).all(|dst| (0..N).all(|src| got[dst][src] == (src * N + dst) as u32)));
             }
@@ -108,11 +91,7 @@ fn two_hundred_collectives_spawn_once_and_drop_joins() {
             }
             _ => session.barrier().unwrap(),
         }
-        assert_eq!(
-            process_threads(),
-            parked,
-            "call {i} changed the thread count"
-        );
+        assert_eq!(process_threads(), parked, "call {i} changed the thread count");
     }
 
     drop(session);
@@ -122,9 +101,5 @@ fn two_hundred_collectives_spawn_once_and_drop_joins() {
     while process_threads() != before && std::time::Instant::now() < deadline {
         std::thread::yield_now();
     }
-    assert_eq!(
-        process_threads(),
-        before,
-        "dropping the session joined its helper threads"
-    );
+    assert_eq!(process_threads(), before, "dropping the session joined its helper threads");
 }

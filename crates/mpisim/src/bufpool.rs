@@ -84,15 +84,13 @@ impl BufferPool {
                 self.reuses.fetch_add(1, Ordering::Relaxed);
                 let grow = len.saturating_sub(buf.capacity());
                 if grow > 0 {
-                    self.bytes_allocated
-                        .fetch_add(grow as u64, Ordering::Relaxed);
+                    self.bytes_allocated.fetch_add(grow as u64, Ordering::Relaxed);
                 }
                 buf.resize(len, 0);
                 buf
             }
             None => {
-                self.bytes_allocated
-                    .fetch_add(len as u64, Ordering::Relaxed);
+                self.bytes_allocated.fetch_add(len as u64, Ordering::Relaxed);
                 vec![0; len]
             }
         }

@@ -95,8 +95,9 @@ impl Communicator {
     /// with its parent.
     pub fn distances_arc(&self) -> Arc<DistanceMatrix> {
         Arc::clone(
-            self.dist
-                .get_or_init(|| Arc::new(DistanceMatrix::for_binding(&self.machine, &self.binding))),
+            self.dist.get_or_init(|| {
+                Arc::new(DistanceMatrix::for_binding(&self.machine, &self.binding))
+            }),
         )
     }
 
@@ -151,8 +152,7 @@ impl Communicator {
             "failed rank out of range for {}",
             self.name
         );
-        let survivors: Vec<usize> =
-            (0..self.size()).filter(|r| !failed.contains(r)).collect();
+        let survivors: Vec<usize> = (0..self.size()).filter(|r| !failed.contains(r)).collect();
         assert!(!survivors.is_empty(), "all ranks of {} failed", self.name);
         let mut child = self.subset(&survivors);
         child.name = format!("{}.shrink", self.name);

@@ -40,11 +40,7 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            backoff_base: Duration::from_micros(50),
-            op_deadline: None,
-        }
+        RetryPolicy { max_retries: 0, backoff_base: Duration::from_micros(50), op_deadline: None }
     }
 }
 

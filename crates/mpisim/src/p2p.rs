@@ -195,15 +195,8 @@ mod tests {
         let mut b = ScheduleBuilder::new("t", 2);
         let mut seq = 0;
         let cfg = P2pConfig { eager_max: 0 };
-        let ops = emit_send(
-            &mut b,
-            &cfg,
-            &mut seq,
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            1,
-            &[],
-        );
+        let ops =
+            emit_send(&mut b, &cfg, &mut seq, (0, BufId::Send, 0), (1, BufId::Recv, 0), 1, &[]);
         assert!(ops.ack.is_some(), "everything rendezvous at threshold 0");
     }
 }

@@ -179,12 +179,8 @@ impl RegionTable {
         offset: usize,
         len: usize,
     ) -> Result<(Rank, BufId, usize), KnemError> {
-        let region = self
-            .shard(id)
-            .lock()
-            .get(&id)
-            .copied()
-            .ok_or(KnemError::BadCookie(TxToken(id)))?;
+        let region =
+            self.shard(id).lock().get(&id).copied().ok_or(KnemError::BadCookie(TxToken(id)))?;
         self.check_epoch(region.rank, region.epoch)?;
         // Offsets come from the caller: an end or a source offset past
         // `usize::MAX` is out of region, not a wrapped pass.

@@ -192,26 +192,10 @@ impl std::fmt::Display for ExecError {
             ExecError::LentTwice { rank, buf } => {
                 write!(f, "rank {rank}'s {buf:?} buffer is lent twice")
             }
-            ExecError::Knem {
-                rank,
-                op,
-                err,
-                retries,
-                ..
-            } => {
-                write!(
-                    f,
-                    "KNEM failure at rank {rank} op {op} after {retries} retries: {err}"
-                )
+            ExecError::Knem { rank, op, err, retries, .. } => {
+                write!(f, "KNEM failure at rank {rank} op {op} after {retries} retries: {err}")
             }
-            ExecError::Timeout {
-                rank,
-                op,
-                waited,
-                deadline,
-                seed,
-                ..
-            } => {
+            ExecError::Timeout { rank, op, waited, deadline, seed, .. } => {
                 write!(
                     f,
                     "rank {rank} op {op} timed out after {waited:?} (deadline {deadline:?})"
@@ -221,14 +205,7 @@ impl std::fmt::Display for ExecError {
                 }
                 Ok(())
             }
-            ExecError::StaleEpoch {
-                rank,
-                op,
-                epoch,
-                fence,
-                seed,
-                ..
-            } => {
+            ExecError::StaleEpoch { rank, op, epoch, fence, seed, .. } => {
                 write!(
                     f,
                     "rank {rank} op {op} fenced: run epoch {epoch} is behind the fence at {fence}"
@@ -238,14 +215,7 @@ impl std::fmt::Display for ExecError {
                 }
                 Ok(())
             }
-            ExecError::Corrupt {
-                rank,
-                peer,
-                op,
-                attempts,
-                seed,
-                ..
-            } => {
+            ExecError::Corrupt { rank, peer, op, attempts, seed, .. } => {
                 write!(
                     f,
                     "rank {rank} op {op}: payload from rank {peer} failed checksum \
@@ -314,10 +284,7 @@ impl ExecResult {
     /// Contents of `(rank, buf)` after execution (empty slice if the
     /// schedule does not declare it, or the caller lent it).
     pub fn buffer(&self, rank: Rank, buf: BufId) -> &[u8] {
-        self.buffers
-            .get(&(rank, buf))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.buffers.get(&(rank, buf)).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Consumes the result, returning every buffer by ownership.
@@ -662,12 +629,7 @@ impl ThreadExecutor {
             0,
             "exec",
             || format!("exec_run {} ({} ops)", schedule.name, schedule.ops.len()),
-            || {
-                vec![
-                    ("ranks", schedule.num_ranks.into()),
-                    ("ops", schedule.ops.len().into()),
-                ]
-            },
+            || vec![("ranks", schedule.num_ranks.into()), ("ops", schedule.ops.len().into())],
         );
         let lowered = schedule.lower(self.config.distances.as_deref())?;
         let mut lent: Vec<Option<Memory<'a>>> = lowered.bufs().iter().map(|_| None).collect();
@@ -715,8 +677,8 @@ impl ThreadExecutor {
         }
         // Owned buffers come back by ownership, not by copy; from here on
         // no worker holds the run state, so no lend is touched again.
-        let state = Arc::into_inner(state)
-            .expect("every worker released the run state before returning");
+        let state =
+            Arc::into_inner(state).expect("every worker released the run state before returning");
         self.collect(state, before)
     }
 
@@ -755,10 +717,7 @@ impl ThreadExecutor {
             .collect();
         RunState {
             config: Arc::clone(config),
-            transport: config
-                .transport
-                .clone()
-                .unwrap_or_else(|| TransportKind::Knem.create(None)),
+            transport: config.transport.clone().unwrap_or_else(|| TransportKind::Knem.create(None)),
             pool: config.pool.clone().unwrap_or_else(|| Arc::new(BufferPool::new(self.width))),
             histograms: Arc::clone(&self.histograms),
             arena,
@@ -788,7 +747,8 @@ impl ThreadExecutor {
     fn collect(&self, state: RunState, before: Before) -> Result<ExecResult, ExecError> {
         let mut first_error = None;
         let mut fault_stats = FaultStats::default();
-        let mut wait_stats = WaitStats { yields: state.yields.into_inner(), ..WaitStats::default() };
+        let mut wait_stats =
+            WaitStats { yields: state.yields.into_inner(), ..WaitStats::default() };
         for cursor in state.cursors {
             let cursor = cursor.into_inner();
             fault_stats.merge(&cursor.faults);
@@ -959,7 +919,10 @@ impl Cursor {
             rank,
             stall,
             crash_after,
-            faults: FaultStats { ranks_stalled: u64::from(!stall.is_zero()), ..FaultStats::default() },
+            faults: FaultStats {
+                ranks_stalled: u64::from(!stall.is_zero()),
+                ..FaultStats::default()
+            },
             ..Cursor::default()
         };
         cursor.hold_off(stall);
@@ -1047,12 +1010,19 @@ impl Cursor {
     /// Suspect against the dependency's owner and goes on until the real
     /// deadline — a late completion refutes the suspicion. Returns when
     /// the wait's clock next matters.
-    fn pending(&mut self, run: &RunState, id: usize, dep: usize) -> Result<Option<Instant>, ExecError> {
+    fn pending(
+        &mut self,
+        run: &RunState,
+        id: usize,
+        dep: usize,
+    ) -> Result<Option<Instant>, ExecError> {
         let since = *self.blocked_since.get_or_insert_with(Instant::now);
         let deadline = run.deadline;
-        let det = run.config.detector.as_deref().filter(|d| {
-            !self.suspected && deadline.is_none_or(|dl| d.suspect_after() < dl)
-        });
+        let det = run
+            .config
+            .detector
+            .as_deref()
+            .filter(|d| !self.suspected && deadline.is_none_or(|dl| d.suspect_after() < dl));
         if det.is_none() && deadline.is_none() {
             return Ok(None);
         }
@@ -1100,12 +1070,7 @@ impl Cursor {
     /// One attempt at op `id` under its span. A transient failure within
     /// the retry policy sets the cursor's backoff and returns `Ok(false)`;
     /// what is left over becomes a typed error.
-    fn run_op(
-        &mut self,
-        run: &RunState,
-        id: usize,
-        staging: &mut [u8],
-    ) -> Result<bool, ExecError> {
+    fn run_op(&mut self, run: &RunState, id: usize, staging: &mut [u8]) -> Result<bool, ExecError> {
         let (rank, kind) = (self.rank, &run.schedule.ops[id].kind);
         let (policy, seed) = (run.config.policy, run.seed());
         let attempt = self.attempt.get_or_insert_with(|| Attempt {
@@ -1122,7 +1087,14 @@ impl Cursor {
             // Never retried: a fenced epoch does not become valid again.
             Err(KnemError::StaleEpoch { epoch, fence }) => {
                 let fault_stats = Box::default();
-                return Err(ExecError::StaleEpoch { rank, op: id, epoch, fence, seed, fault_stats });
+                return Err(ExecError::StaleEpoch {
+                    rank,
+                    op: id,
+                    epoch,
+                    fence,
+                    seed,
+                    fault_stats,
+                });
             }
             // Never retried: a transport that resolves another range is
             // broken, not flaky, and the bytes it names were never checked
@@ -1310,14 +1282,23 @@ impl RunState {
         faults: &mut FaultStats,
     ) -> Result<(), KnemError> {
         let &OpKind::Copy {
-            src_rank, src_buf, src_off, dst_rank, dst_off, bytes, mech, op: data_op, ..
+            src_rank,
+            src_buf,
+            src_off,
+            dst_rank,
+            dst_off,
+            bytes,
+            mech,
+            op: data_op,
+            ..
         } = &self.schedule.ops[id].kind
         else {
             return Ok(()); // Notifications carry no payload.
         };
         if mech == Mech::Knem {
             let (named, epoch) = ((src_rank, src_buf, src_off), self.config.epoch);
-            let resolved = self.transport.pull(src_rank, src_buf, src_off, bytes, epoch, dst_rank)?;
+            let resolved =
+                self.transport.pull(src_rank, src_buf, src_off, bytes, epoch, dst_rank)?;
             if resolved != named {
                 return Err(KnemError::Misrouted { named, resolved });
             }
@@ -1400,9 +1381,7 @@ mod tests {
 
     /// Distinctive per-rank fill pattern.
     fn pattern(rank: Rank, size: usize) -> Vec<u8> {
-        (0..size)
-            .map(|i| (rank as u8).wrapping_mul(37).wrapping_add(i as u8))
-            .collect()
+        (0..size).map(|i| (rank as u8).wrapping_mul(37).wrapping_add(i as u8)).collect()
     }
 
     /// The typed combines as they were before each operator got its own
@@ -1502,14 +1481,7 @@ mod tests {
     #[test]
     fn single_copy_moves_bytes() {
         let mut b = ScheduleBuilder::new("t", 2);
-        b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            256,
-            Mech::Memcpy,
-            1,
-            &[],
-        );
+        b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 256, Mech::Memcpy, 1, &[]);
         let res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
         assert_eq!(res.buffer(1, BufId::Recv), &pattern(0, 256)[..]);
     }
@@ -1535,7 +1507,8 @@ mod tests {
             .filter(|(_, h)| h.count > 0)
             .map(|(name, h)| (name, h.count))
             .collect();
-        let want = [("exec.op_ns.knem.d1", 1), ("exec.op_ns.memcpy.d3", 1), ("exec.op_ns.notify.d5", 1)];
+        let want =
+            [("exec.op_ns.knem.d1", 1), ("exec.op_ns.memcpy.d3", 1), ("exec.op_ns.notify.d5", 1)];
         assert_eq!(recorded, want.map(|(name, n)| (name.to_string(), n)));
     }
 
@@ -1548,7 +1521,14 @@ mod tests {
         let mut prev = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 256, Mech::Memcpy, 1, &[]);
         for r in 2..4 {
             let n = b.notify(r - 1, r, &[prev]);
-            prev = b.copy((r - 1, BufId::Recv, 0), (r, BufId::Recv, 0), 256, Mech::Knem, r, &[n, prev]);
+            prev = b.copy(
+                (r - 1, BufId::Recv, 0),
+                (r, BufId::Recv, 0),
+                256,
+                Mech::Knem,
+                r,
+                &[n, prev],
+            );
         }
         b.copy((3, BufId::Recv, 0), (3, BufId::Temp(0), 0), 256, Mech::Memcpy, 3, &[prev]);
         let schedule = b.finish();
@@ -1706,7 +1686,10 @@ mod tests {
         b.copy((0, BufId::Send, 0), (0, BufId::Recv, 0), 64, Mech::Memcpy, 0, &[n]);
         let det = Arc::new(FailureDetector::with_suspect_after(2, Duration::from_millis(5)));
         let res = one_worker()
-            .with_policy(RetryPolicy { op_deadline: Some(Duration::from_millis(500)), ..RetryPolicy::chaos() })
+            .with_policy(RetryPolicy {
+                op_deadline: Some(Duration::from_millis(500)),
+                ..RetryPolicy::chaos()
+            })
             .with_faults(FaultPlan::new(71).stall_rank(1, Duration::from_millis(15)))
             .with_detector(Arc::clone(&det))
             .run(&b.finish(), pattern)
@@ -1812,13 +1795,24 @@ mod tests {
         b.copy((0, BufId::Send, 64), (0, BufId::Temp(0), 0), 8, Mech::Memcpy, 0, &[]);
         let schedule = b.finish();
         let shift = Misroute { inner: TransportKind::Knem.create(None), shift: 8 };
-        let exec = ThreadExecutor::with_transport(Arc::new(shift)).with_policy(RetryPolicy::chaos());
+        let exec =
+            ThreadExecutor::with_transport(Arc::new(shift)).with_policy(RetryPolicy::chaos());
         let (send, mut recv) = (pattern(0, 72), vec![0xaa; 128]);
         let err = exec
-            .run_lent(&schedule, [((0, BufId::Send), &send[..])], [((1, BufId::Recv), &mut recv[..])])
+            .run_lent(
+                &schedule,
+                [((0, BufId::Send), &send[..])],
+                [((1, BufId::Recv), &mut recv[..])],
+            )
             .unwrap_err();
         match &err {
-            ExecError::Knem { rank: 1, op, err: KnemError::Misrouted { named, resolved }, retries: 0, .. } => {
+            ExecError::Knem {
+                rank: 1,
+                op,
+                err: KnemError::Misrouted { named, resolved },
+                retries: 0,
+                ..
+            } => {
                 assert_eq!(*op, pull, "the error names the op");
                 assert_eq!((*named, *resolved), ((0, BufId::Send, 0), (0, BufId::Send, 8)));
             }
@@ -1847,7 +1841,11 @@ mod tests {
         assert_eq!(owned.buffer(0, BufId::Recv), &want[..], "owned");
         let (send, mut recv) = (pattern(0, 128), vec![0; 128]);
         let lent = exec
-            .run_lent(&schedule, [((0, BufId::Send), &send[..])], [((0, BufId::Recv), &mut recv[..])])
+            .run_lent(
+                &schedule,
+                [((0, BufId::Send), &send[..])],
+                [((0, BufId::Recv), &mut recv[..])],
+            )
             .unwrap();
         assert_eq!(recv, want, "lent");
         assert!(lent.buffer(0, BufId::Recv).is_empty(), "a lent buffer is the caller's");
@@ -1862,7 +1860,11 @@ mod tests {
         let (send, mut recv) = (pattern(0, 64), vec![7; 65]);
         let exec = ThreadExecutor::new();
         let err = exec
-            .run_lent(&schedule, [((0, BufId::Send), &send[..])], [((1, BufId::Recv), &mut recv[..])])
+            .run_lent(
+                &schedule,
+                [((0, BufId::Send), &send[..])],
+                [((1, BufId::Recv), &mut recv[..])],
+            )
             .unwrap_err();
         let want = ExecError::Lend { rank: 1, buf: BufId::Recv, lent: 65, declared: 64 };
         assert_eq!(err, want);
@@ -1902,14 +1904,7 @@ mod tests {
     #[test]
     fn knem_copy_moves_bytes_and_counts() {
         let mut b = ScheduleBuilder::new("t", 2);
-        b.copy(
-            (0, BufId::Send, 10),
-            (1, BufId::Recv, 5),
-            100,
-            Mech::Knem,
-            1,
-            &[],
-        );
+        b.copy((0, BufId::Send, 10), (1, BufId::Recv, 5), 100, Mech::Knem, 1, &[]);
         let res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
         assert_eq!(res.buffer(1, BufId::Recv)[5..105], pattern(0, 110)[10..110]);
         assert_eq!(res.knem_stats.copies, 1);
@@ -1932,10 +1927,7 @@ mod tests {
         );
         let res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
         assert_eq!(res.buffer(1, BufId::Recv), &pattern(0, 1024)[..]);
-        assert_eq!(
-            res.knem_stats.copies, 0,
-            "eager path never enters the kernel"
-        );
+        assert_eq!(res.knem_stats.copies, 0, "eager path never enters the kernel");
         assert_eq!(res.buffer(0, BufId::Temp(0)), &pattern(0, 1024)[..]);
     }
 
@@ -1961,30 +1953,9 @@ mod tests {
     fn fan_out_and_deps() {
         // 0 -> 1 -> {2,3}: a two-level relay.
         let mut b = ScheduleBuilder::new("t", 4);
-        let a = b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            512,
-            Mech::Knem,
-            1,
-            &[],
-        );
-        b.copy(
-            (1, BufId::Recv, 0),
-            (2, BufId::Recv, 0),
-            512,
-            Mech::Knem,
-            2,
-            &[a],
-        );
-        b.copy(
-            (1, BufId::Recv, 0),
-            (3, BufId::Recv, 0),
-            512,
-            Mech::Knem,
-            3,
-            &[a],
-        );
+        let a = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 512, Mech::Knem, 1, &[]);
+        b.copy((1, BufId::Recv, 0), (2, BufId::Recv, 0), 512, Mech::Knem, 2, &[a]);
+        b.copy((1, BufId::Recv, 0), (3, BufId::Recv, 0), 512, Mech::Knem, 3, &[a]);
         let res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
         for r in 1..4 {
             assert_eq!(res.buffer(r, BufId::Recv), &pattern(0, 512)[..], "rank {r}");
@@ -2025,14 +1996,8 @@ mod tests {
         let b_ = ThreadExecutor::new().run(&build(), pattern).unwrap();
         for r in 0..16 {
             assert_eq!(a.buffer(r, BufId::Recv), b_.buffer(r, BufId::Recv));
-            assert_eq!(
-                &a.buffer(r, BufId::Recv)[..4096],
-                &pattern((r + 15) % 16, 4096)[..]
-            );
-            assert_eq!(
-                &a.buffer(r, BufId::Recv)[4096..],
-                &pattern((r + 15) % 16, 4096)[..]
-            );
+            assert_eq!(&a.buffer(r, BufId::Recv)[..4096], &pattern((r + 15) % 16, 4096)[..]);
+            assert_eq!(&a.buffer(r, BufId::Recv)[4096..], &pattern((r + 15) % 16, 4096)[..]);
         }
     }
 
@@ -2042,51 +2007,19 @@ mod tests {
         // real data lands via the high-to-low direction, then fans back
         // low-to-high.
         let mut b = ScheduleBuilder::new("t", 1);
-        let a = b.copy(
-            (0, BufId::Send, 0),
-            (0, BufId::Recv, 64),
-            64,
-            Mech::Memcpy,
-            0,
-            &[],
-        );
-        let c = b.copy(
-            (0, BufId::Recv, 64),
-            (0, BufId::Recv, 0),
-            64,
-            Mech::Memcpy,
-            0,
-            &[a],
-        );
-        b.copy(
-            (0, BufId::Recv, 0),
-            (0, BufId::Recv, 128),
-            64,
-            Mech::Memcpy,
-            0,
-            &[c],
-        );
+        let a = b.copy((0, BufId::Send, 0), (0, BufId::Recv, 64), 64, Mech::Memcpy, 0, &[]);
+        let c = b.copy((0, BufId::Recv, 64), (0, BufId::Recv, 0), 64, Mech::Memcpy, 0, &[a]);
+        b.copy((0, BufId::Recv, 0), (0, BufId::Recv, 128), 64, Mech::Memcpy, 0, &[c]);
         let res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
         for seg in [0, 64, 128] {
-            assert_eq!(
-                res.buffer(0, BufId::Recv)[seg..seg + 64],
-                pattern(0, 64)[..],
-                "at {seg}"
-            );
+            assert_eq!(res.buffer(0, BufId::Recv)[seg..seg + 64], pattern(0, 64)[..], "at {seg}");
         }
     }
 
     #[test]
     fn buffers_can_be_taken_by_ownership() {
         let mut b = ScheduleBuilder::new("t", 2);
-        b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            256,
-            Mech::Memcpy,
-            1,
-            &[],
-        );
+        b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 256, Mech::Memcpy, 1, &[]);
         let res = ThreadExecutor::new().run(&b.finish(), pattern).unwrap();
         assert_eq!(res.buffer(1, BufId::Recv), &pattern(0, 256)[..]);
         let owned = res.into_buffers();
@@ -2097,22 +2030,8 @@ mod tests {
     #[test]
     fn invalid_schedule_rejected_before_spawning() {
         let mut b = ScheduleBuilder::new("t", 3);
-        b.copy(
-            (0, BufId::Send, 0),
-            (2, BufId::Recv, 0),
-            8,
-            Mech::Memcpy,
-            2,
-            &[],
-        );
-        b.copy(
-            (1, BufId::Send, 0),
-            (2, BufId::Recv, 0),
-            8,
-            Mech::Memcpy,
-            2,
-            &[],
-        );
+        b.copy((0, BufId::Send, 0), (2, BufId::Recv, 0), 8, Mech::Memcpy, 2, &[]);
+        b.copy((1, BufId::Send, 0), (2, BufId::Recv, 0), 8, Mech::Memcpy, 2, &[]);
         let err = ThreadExecutor::new().run(&b.finish(), pattern).unwrap_err();
         assert!(matches!(
             err,
@@ -2127,23 +2046,10 @@ mod tests {
         // the failing rank poisons the run, every other cursor unwinds, and
         // the caller sees the KNEM error instead of a deadlock.
         let mut b = ScheduleBuilder::new("t", 8);
-        let mut prev = b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            256,
-            Mech::Knem,
-            1,
-            &[],
-        );
+        let mut prev = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 256, Mech::Knem, 1, &[]);
         for r in 2..8 {
-            prev = b.copy(
-                (r - 1, BufId::Recv, 0),
-                (r, BufId::Recv, 0),
-                256,
-                Mech::Knem,
-                r,
-                &[prev],
-            );
+            prev =
+                b.copy((r - 1, BufId::Recv, 0), (r, BufId::Recv, 0), 256, Mech::Knem, r, &[prev]);
         }
         let device = TransportKind::Knem.create(Some(DeviceFault::permanent_after(2)));
         let err = ThreadExecutor::with_transport(std::sync::Arc::clone(&device))
@@ -2151,35 +2057,18 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            ExecError::Knem {
-                err: crate::knem::KnemError::BadCookie(_),
-                retries: 0,
-                ..
-            }
+            ExecError::Knem { err: crate::knem::KnemError::BadCookie(_), retries: 0, .. }
         ));
-        assert_eq!(
-            device.stats().copies,
-            2,
-            "exactly the budgeted copies succeeded"
-        );
+        assert_eq!(device.stats().copies, 2, "exactly the budgeted copies succeeded");
     }
 
     #[test]
     fn injected_fault_budget_zero_fails_first_copy() {
         use crate::knem::DeviceFault;
         let mut b = ScheduleBuilder::new("t", 2);
-        b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            64,
-            Mech::Knem,
-            1,
-            &[],
-        );
+        b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 64, Mech::Knem, 1, &[]);
         let device = TransportKind::Knem.create(Some(DeviceFault::permanent_after(0)));
-        let err = ThreadExecutor::with_transport(device)
-            .run(&b.finish(), pattern)
-            .unwrap_err();
+        let err = ThreadExecutor::with_transport(device).run(&b.finish(), pattern).unwrap_err();
         assert!(matches!(err, ExecError::Knem { .. }));
     }
 
@@ -2188,14 +2077,7 @@ mod tests {
         use crate::fault::RetryPolicy;
         use crate::knem::DeviceFault;
         let mut b = ScheduleBuilder::new("t", 2);
-        b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            256,
-            Mech::Knem,
-            1,
-            &[],
-        );
+        b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 256, Mech::Knem, 1, &[]);
         // First two attempts fail, then the device heals: with 3 retries
         // the copy succeeds and the payload arrives intact.
         let device = TransportKind::Knem.create(Some(DeviceFault::transient(0, 2)));
@@ -2213,22 +2095,8 @@ mod tests {
     fn crashed_rank_surfaces_as_timeout_not_hang() {
         use crate::fault::RetryPolicy;
         let mut b = ScheduleBuilder::new("t", 3);
-        let a = b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            64,
-            Mech::Memcpy,
-            1,
-            &[],
-        );
-        b.copy(
-            (1, BufId::Recv, 0),
-            (2, BufId::Recv, 0),
-            64,
-            Mech::Memcpy,
-            2,
-            &[a],
-        );
+        let a = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 64, Mech::Memcpy, 1, &[]);
+        b.copy((1, BufId::Recv, 0), (2, BufId::Recv, 0), 64, Mech::Memcpy, 2, &[a]);
         let policy = RetryPolicy {
             op_deadline: Some(std::time::Duration::from_millis(50)),
             ..RetryPolicy::chaos()
@@ -2250,23 +2118,9 @@ mod tests {
     #[test]
     fn crash_plan_without_deadline_gets_forced_deadline() {
         let mut b = ScheduleBuilder::new("t", 2);
-        let a = b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            64,
-            Mech::Memcpy,
-            1,
-            &[],
-        );
+        let a = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 64, Mech::Memcpy, 1, &[]);
         let n = b.notify(1, 0, &[a]);
-        b.copy(
-            (0, BufId::Send, 0),
-            (0, BufId::Recv, 0),
-            64,
-            Mech::Memcpy,
-            0,
-            &[n],
-        );
+        b.copy((0, BufId::Send, 0), (0, BufId::Recv, 0), 64, Mech::Memcpy, 0, &[n]);
         // Default policy has no deadline; the lethal plan must still
         // terminate (forced deadline) instead of hanging forever.
         let err = ThreadExecutor::new()
@@ -2280,23 +2134,9 @@ mod tests {
     fn dropped_notify_times_out_dependents() {
         use crate::fault::RetryPolicy;
         let mut b = ScheduleBuilder::new("t", 2);
-        let a = b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            64,
-            Mech::Memcpy,
-            1,
-            &[],
-        );
+        let a = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 64, Mech::Memcpy, 1, &[]);
         let n = b.notify(1, 0, &[a]);
-        b.copy(
-            (0, BufId::Send, 0),
-            (0, BufId::Recv, 0),
-            64,
-            Mech::Memcpy,
-            0,
-            &[n],
-        );
+        b.copy((0, BufId::Send, 0), (0, BufId::Recv, 0), 64, Mech::Memcpy, 0, &[n]);
         let policy = RetryPolicy {
             op_deadline: Some(std::time::Duration::from_millis(50)),
             ..RetryPolicy::chaos()
@@ -2319,14 +2159,7 @@ mod tests {
     #[test]
     fn stalled_rank_still_completes_correctly() {
         let mut b = ScheduleBuilder::new("t", 2);
-        b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            256,
-            Mech::Memcpy,
-            1,
-            &[],
-        );
+        b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 256, Mech::Memcpy, 1, &[]);
         let res = ThreadExecutor::new()
             .with_faults(FaultPlan::new(5).stall_rank(1, std::time::Duration::from_millis(5)))
             .run(&b.finish(), pattern)
@@ -2340,30 +2173,14 @@ mod tests {
         use crate::detector::{FailureDetector, RankState};
         use crate::fault::RetryPolicy;
         let mut b = ScheduleBuilder::new("t", 2);
-        b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            64,
-            Mech::Memcpy,
-            1,
-            &[],
-        );
+        b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 64, Mech::Memcpy, 1, &[]);
         let n = b.notify(1, 0, &[0]);
-        b.copy(
-            (0, BufId::Send, 0),
-            (0, BufId::Recv, 0),
-            64,
-            Mech::Memcpy,
-            0,
-            &[n],
-        );
+        b.copy((0, BufId::Send, 0), (0, BufId::Recv, 0), 64, Mech::Memcpy, 0, &[n]);
         // Rank 1 stalls well past the 5 ms suspicion window but well under
         // the 500 ms deadline: rank 0 suspects it, then the completed
         // notify refutes the suspicion.
-        let det = std::sync::Arc::new(FailureDetector::with_suspect_after(
-            2,
-            Duration::from_millis(5),
-        ));
+        let det =
+            std::sync::Arc::new(FailureDetector::with_suspect_after(2, Duration::from_millis(5)));
         let res = ThreadExecutor::new()
             .with_policy(RetryPolicy {
                 op_deadline: Some(Duration::from_millis(500)),
@@ -2375,14 +2192,8 @@ mod tests {
             .unwrap();
         assert_eq!(det.state(1), RankState::Alive, "stall is not death");
         let c = det.counters();
-        assert!(
-            c.suspects_raised >= 1,
-            "the stall crossed the suspicion window"
-        );
-        assert_eq!(
-            c.suspects_raised, c.suspects_refuted,
-            "every suspicion was refuted"
-        );
+        assert!(c.suspects_raised >= 1, "the stall crossed the suspicion window");
+        assert_eq!(c.suspects_raised, c.suspects_refuted, "every suspicion was refuted");
         assert_eq!(c.ranks_confirmed_dead, 0);
         assert_eq!(res.fault_stats.suspects_raised, c.suspects_raised);
         assert_eq!(res.fault_stats.suspects_refuted, c.suspects_refuted);
@@ -2396,26 +2207,10 @@ mod tests {
         use crate::detector::{FailureDetector, RankState};
         use crate::fault::RetryPolicy;
         let mut b = ScheduleBuilder::new("t", 3);
-        let a = b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            64,
-            Mech::Memcpy,
-            1,
-            &[],
-        );
-        b.copy(
-            (1, BufId::Recv, 0),
-            (2, BufId::Recv, 0),
-            64,
-            Mech::Memcpy,
-            2,
-            &[a],
-        );
-        let det = std::sync::Arc::new(FailureDetector::with_suspect_after(
-            3,
-            Duration::from_millis(5),
-        ));
+        let a = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 64, Mech::Memcpy, 1, &[]);
+        b.copy((1, BufId::Recv, 0), (2, BufId::Recv, 0), 64, Mech::Memcpy, 2, &[a]);
+        let det =
+            std::sync::Arc::new(FailureDetector::with_suspect_after(3, Duration::from_millis(5)));
         let err = ThreadExecutor::new()
             .with_policy(RetryPolicy {
                 op_deadline: Some(Duration::from_millis(50)),
@@ -2463,33 +2258,22 @@ mod tests {
             let n = b.notify(1, 0, &[a]);
             prev = vec![n];
         }
-        b.copy(
-            (0, BufId::Send, 0),
-            (0, BufId::Recv, 0),
-            64,
-            Mech::Memcpy,
-            0,
-            &prev,
-        );
-        let det = std::sync::Arc::new(FailureDetector::with_suspect_after(
-            2,
-            Duration::from_millis(5),
-        ));
+        b.copy((0, BufId::Send, 0), (0, BufId::Recv, 0), 64, Mech::Memcpy, 0, &prev);
+        let det =
+            std::sync::Arc::new(FailureDetector::with_suspect_after(2, Duration::from_millis(5)));
         let err = ThreadExecutor::new()
             .with_policy(RetryPolicy {
                 op_deadline: Some(Duration::from_millis(100)),
                 ..RetryPolicy::chaos()
             })
-            .with_faults(FaultPlan::new(47).stall_rank(1, Duration::from_millis(20)).crash_rank(1, 4))
+            .with_faults(
+                FaultPlan::new(47).stall_rank(1, Duration::from_millis(20)).crash_rank(1, 4),
+            )
             .with_detector(std::sync::Arc::clone(&det))
             .run(&b.finish(), pattern)
             .unwrap_err();
         assert!(matches!(err, ExecError::Timeout { .. }));
-        assert_eq!(
-            det.state(1),
-            RankState::Confirmed,
-            "the flapper finally died"
-        );
+        assert_eq!(det.state(1), RankState::Confirmed, "the flapper finally died");
         let c = det.counters();
         assert!(
             c.suspects_refuted >= 1,
@@ -2506,14 +2290,7 @@ mod tests {
         let device = TransportKind::Knem.create(None);
         device.fence_epochs_below(7);
         let mut b = ScheduleBuilder::new("t", 2);
-        b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            64,
-            Mech::Knem,
-            1,
-            &[],
-        );
+        b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 64, Mech::Knem, 1, &[]);
         // A straggler still executing under epoch 3 after the membership
         // layer fenced everything below 7: typed rejection, zero retries
         // burned, the fenced message accounted.
@@ -2532,14 +2309,7 @@ mod tests {
         assert_eq!(device.fenced_messages(), 1);
         // A current-epoch run on the same device sails through.
         let mut b2 = ScheduleBuilder::new("t", 2);
-        b2.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            64,
-            Mech::Knem,
-            1,
-            &[],
-        );
+        b2.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 64, Mech::Knem, 1, &[]);
         let res = ThreadExecutor::with_transport(device)
             .with_epoch(7)
             .run(&b2.finish(), pattern)
@@ -2553,14 +2323,7 @@ mod tests {
         let device = TransportKind::Knem.create(None);
         for _ in 0..3 {
             let mut b = ScheduleBuilder::new("t", 2);
-            b.copy(
-                (0, BufId::Send, 0),
-                (1, BufId::Recv, 0),
-                64,
-                Mech::Knem,
-                1,
-                &[],
-            );
+            b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 64, Mech::Knem, 1, &[]);
             ThreadExecutor::with_transport(std::sync::Arc::clone(&device))
                 .run(&b.finish(), pattern)
                 .unwrap();
@@ -2575,22 +2338,8 @@ mod tests {
         // Corrupt a validated schedule after the fact: shrink the source
         // buffer so the KNEM pull overruns its region.
         let mut b = ScheduleBuilder::new("t", 3);
-        let a = b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            64,
-            Mech::Knem,
-            1,
-            &[],
-        );
-        b.copy(
-            (1, BufId::Recv, 0),
-            (2, BufId::Recv, 0),
-            64,
-            Mech::Knem,
-            2,
-            &[a],
-        );
+        let a = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 64, Mech::Knem, 1, &[]);
+        b.copy((1, BufId::Recv, 0), (2, BufId::Recv, 0), 64, Mech::Knem, 2, &[a]);
         let s = b.finish();
         // Run through a device-level failure by injecting an op that
         // references a region with a bad range via direct device use.

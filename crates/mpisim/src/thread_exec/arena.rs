@@ -123,12 +123,9 @@ impl Arena {
                     writable: false,
                     owned: None,
                 },
-                Memory::Write(bytes) => Slot {
-                    base: bytes.as_mut_ptr(),
-                    len: bytes.len(),
-                    writable: true,
-                    owned: None,
-                },
+                Memory::Write(bytes) => {
+                    Slot { base: bytes.as_mut_ptr(), len: bytes.len(), writable: true, owned: None }
+                }
             })
             .collect();
         Arena { slots }
@@ -192,18 +189,13 @@ impl Arena {
     /// Consumes the arena, returning every owned slot's bytes with its
     /// slot index; lent slots are left out.
     pub(crate) fn into_owned(self) -> impl Iterator<Item = (usize, Vec<u8>)> {
-        self.slots
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.owned.map(|b| (i, b)))
+        self.slots.into_iter().enumerate().filter_map(|(i, s)| s.owned.map(|b| (i, b)))
     }
 }
 
 impl fmt::Debug for Arena {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Arena")
-            .field("slots", &self.slots.len())
-            .finish()
+        f.debug_struct("Arena").field("slots", &self.slots.len()).finish()
     }
 }
 

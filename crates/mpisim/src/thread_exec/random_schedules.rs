@@ -36,7 +36,9 @@ fn random_schedule(rng: &mut StdRng) -> Schedule {
     let ops = 1 + rng.gen_range(0..24);
     for id in 0..ops {
         let deps: Vec<usize> = (0..id)
-            .filter(|&d| if d + 1 == id { rng.gen_range(0..4) != 0 } else { rng.gen_range(0..3) == 0 })
+            .filter(
+                |&d| if d + 1 == id { rng.gen_range(0..4) != 0 } else { rng.gen_range(0..3) == 0 },
+            )
             .collect();
         if rng.gen_range(0..7) == 0 {
             b.notify(rng.gen_range(0..RANKS), rng.gen_range(0..RANKS), &deps);
@@ -69,7 +71,9 @@ fn initial(rank: Rank, buf: BufId, size: usize) -> Vec<u8> {
         BufId::Recv => 85,
         BufId::Temp(_) => 170,
     };
-    (0..size).map(|i| (rank as u8).wrapping_mul(37).wrapping_add(salt).wrapping_add(i as u8)).collect()
+    (0..size)
+        .map(|i| (rank as u8).wrapping_mul(37).wrapping_add(salt).wrapping_add(i as u8))
+        .collect()
 }
 
 /// How the caller hands one buffer to the run.
@@ -84,9 +88,23 @@ enum Hand {
 /// order, since every dependency points backwards — each copy reading a
 /// snapshot of its source, so a copy overlapping itself moves like
 /// `memmove`.
-fn sequential(schedule: &Schedule, mut bufs: HashMap<(Rank, BufId), Vec<u8>>) -> HashMap<(Rank, BufId), Vec<u8>> {
+fn sequential(
+    schedule: &Schedule,
+    mut bufs: HashMap<(Rank, BufId), Vec<u8>>,
+) -> HashMap<(Rank, BufId), Vec<u8>> {
     for op in &schedule.ops {
-        if let OpKind::Copy { src_rank, src_buf, src_off, dst_rank, dst_buf, dst_off, bytes, op, .. } = op.kind {
+        if let OpKind::Copy {
+            src_rank,
+            src_buf,
+            src_off,
+            dst_rank,
+            dst_buf,
+            dst_off,
+            bytes,
+            op,
+            ..
+        } = op.kind
+        {
             let snapshot = bufs[&(src_rank, src_buf)][src_off..src_off + bytes].to_vec();
             let dst = bufs.get_mut(&(dst_rank, dst_buf)).expect("every named buffer is declared");
             apply_data_op(op, &mut dst[dst_off..dst_off + bytes], &snapshot);

@@ -384,7 +384,7 @@ mod tests {
             assert!(t.tx(old, 1, 0, 8).is_ok());
             t.fence_epochs_below(5);
             t.fence_epochs_below(2); // lowering is a no-op
-            // The straggler's token predates the fence: every pull is rejected.
+                                     // The straggler's token predates the fence: every pull is rejected.
             let stale = KnemError::StaleEpoch { epoch: 3, fence: 5 };
             assert_eq!(t.tx(old, 1, 0, 8), Err(stale), "{kind:?}");
             // And a straggler cannot publish new regions under the dead epoch.

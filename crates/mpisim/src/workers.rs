@@ -52,10 +52,7 @@ impl<J: Send + 'static, R: Send + 'static> Workers<J, R> {
     /// An empty pool; helpers are created by the first run that needs them.
     pub fn new(work: fn(J) -> R) -> Self {
         let (done_tx, done_rx) = mpsc::channel();
-        Workers {
-            work,
-            set: Mutex::new(Set { threads: Vec::new(), done_tx, done_rx }),
-        }
+        Workers { work, set: Mutex::new(Set { threads: Vec::new(), done_tx, done_rx }) }
     }
 
     /// Takes the pool for one run; a concurrent caller waits here.

@@ -13,65 +13,32 @@ use pdac_mpisim::{
 use pdac_simnet::{BufId, FaultPlan, Mech, Rank, Schedule, ScheduleBuilder};
 
 fn pattern(rank: usize, size: usize) -> Vec<u8> {
-    (0..size)
-        .map(|i| (rank as u8).wrapping_mul(29).wrapping_add(i as u8))
-        .collect()
+    (0..size).map(|i| (rank as u8).wrapping_mul(29).wrapping_add(i as u8)).collect()
 }
 
 /// An 8-rank relay with cross-rank notifies and a memcpy tail per rank:
 /// every rank executes, every dependency but the tails crosses ranks.
 fn relay(bytes: usize) -> Schedule {
     let mut b = ScheduleBuilder::new("relay", 8);
-    let mut prev = b.copy(
-        (0, BufId::Send, 0),
-        (1, BufId::Recv, 0),
-        bytes,
-        Mech::Knem,
-        1,
-        &[],
-    );
-    b.copy(
-        (0, BufId::Send, 0),
-        (0, BufId::Recv, 0),
-        bytes,
-        Mech::Memcpy,
-        0,
-        &[],
-    );
+    let mut prev = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), bytes, Mech::Knem, 1, &[]);
+    b.copy((0, BufId::Send, 0), (0, BufId::Recv, 0), bytes, Mech::Memcpy, 0, &[]);
     for r in 2..8 {
         let n = b.notify(r - 1, r, &[prev]);
-        prev = b.copy(
-            (r - 1, BufId::Recv, 0),
-            (r, BufId::Recv, 0),
-            bytes,
-            Mech::Knem,
-            r,
-            &[n],
-        );
+        prev = b.copy((r - 1, BufId::Recv, 0), (r, BufId::Recv, 0), bytes, Mech::Knem, r, &[n]);
     }
     b.finish()
 }
 
 /// Runs the clean relay on `exec` and checks every byte and every count.
 fn assert_clean_run(exec: &ThreadExecutor, bytes: usize, ctx: &str) {
-    let res = exec
-        .run(&relay(bytes), pattern)
-        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    let res = exec.run(&relay(bytes), pattern).unwrap_or_else(|e| panic!("{ctx}: {e}"));
     for r in 0..8 {
-        assert_eq!(
-            res.buffer(r, BufId::Recv),
-            &pattern(0, bytes)[..],
-            "{ctx}: rank {r}"
-        );
+        assert_eq!(res.buffer(r, BufId::Recv), &pattern(0, bytes)[..], "{ctx}: rank {r}");
     }
     assert_eq!(res.knem_stats.copies, 7, "{ctx}: this run's pulls only");
     assert_eq!(res.integrity_stats.stamped, 8, "{ctx}");
     assert_eq!(res.integrity_stats.verified, 8, "{ctx}");
-    assert_eq!(
-        res.fault_stats.timeouts + res.fault_stats.retries,
-        0,
-        "{ctx}"
-    );
+    assert_eq!(res.fault_stats.timeouts + res.fault_stats.retries, 0, "{ctx}");
 }
 
 /// The executor's settings are per executor, so "the same executor, now
@@ -79,15 +46,12 @@ fn assert_clean_run(exec: &ThreadExecutor, bytes: usize, ctx: &str) {
 /// helper threads the failed run used.
 #[test]
 fn a_failed_run_leaves_the_workers_clean() {
-    let short = RetryPolicy {
-        op_deadline: Some(Duration::from_millis(40)),
-        ..RetryPolicy::chaos()
-    };
+    let short =
+        RetryPolicy { op_deadline: Some(Duration::from_millis(40)), ..RetryPolicy::chaos() };
 
     // Timeout: rank 3 dies silently, its dependents starve.
-    let exec = ThreadExecutor::new()
-        .with_policy(short)
-        .with_faults(FaultPlan::new(3).crash_rank(3, 0));
+    let exec =
+        ThreadExecutor::new().with_policy(short).with_faults(FaultPlan::new(3).crash_rank(3, 0));
     let err = exec.run(&relay(512), pattern).unwrap_err();
     assert!(matches!(err, ExecError::Timeout { .. }), "{err}");
     let exec = exec.with_faults(FaultPlan::new(3));
@@ -97,9 +61,7 @@ fn a_failed_run_leaves_the_workers_clean() {
     let exec = exec.with_faults(FaultPlan::new(5).corrupt_source(2, 0x3c));
     let err = exec.run(&relay(512), pattern).unwrap_err();
     assert!(matches!(err, ExecError::Corrupt { peer: 2, .. }), "{err}");
-    let exec = exec
-        .with_faults(FaultPlan::new(5))
-        .with_policy(RetryPolicy::default());
+    let exec = exec.with_faults(FaultPlan::new(5)).with_policy(RetryPolicy::default());
     assert_clean_run(&exec, 512, "after Corrupt");
 
     // StaleEpoch: the device was fenced past the run's epoch.
@@ -107,17 +69,7 @@ fn a_failed_run_leaves_the_workers_clean() {
     device.fence_epochs_below(9);
     let exec = ThreadExecutor::with_transport(Arc::clone(&device)).with_epoch(4);
     let err = exec.run(&relay(512), pattern).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            ExecError::StaleEpoch {
-                epoch: 4,
-                fence: 9,
-                ..
-            }
-        ),
-        "{err}"
-    );
+    assert!(matches!(err, ExecError::StaleEpoch { epoch: 4, fence: 9, .. }), "{err}");
     let exec = exec.with_epoch(9);
     assert_clean_run(&exec, 512, "after StaleEpoch");
     assert_clean_run(&exec, 4096, "and again, larger");
@@ -175,10 +127,7 @@ impl Transport for Landmine {
 
 #[test]
 fn a_rank_panic_reaches_the_caller_and_the_workers_survive_it() {
-    let mine = Arc::new(Landmine {
-        inner: TransportKind::Knem.create(None),
-        armed: true.into(),
-    });
+    let mine = Arc::new(Landmine { inner: TransportKind::Knem.create(None), armed: true.into() });
     let exec = ThreadExecutor::with_transport(Arc::clone(&mine) as Arc<dyn Transport>);
     // No deadline is armed: the cursors behind the panicking one retire
     // through the poisoned run, not by a timeout.
@@ -186,22 +135,14 @@ fn a_rank_panic_reaches_the_caller_and_the_workers_survive_it() {
         let _ = exec.run(&relay(256), pattern);
     }))
     .expect_err("the cursor's panic is re-raised on the caller");
-    let message = caught
-        .downcast_ref::<String>()
-        .expect("a formatted panic message");
+    let message = caught.downcast_ref::<String>().expect("a formatted panic message");
     assert_eq!(message, "landmine under rank 4");
 
     mine.armed.store(false, Ordering::SeqCst);
     for round in 0..3 {
-        let res = exec
-            .run(&relay(256), pattern)
-            .expect("the same helpers, a clean run");
+        let res = exec.run(&relay(256), pattern).expect("the same helpers, a clean run");
         for r in 0..8 {
-            assert_eq!(
-                res.buffer(r, BufId::Recv),
-                &pattern(0, 256)[..],
-                "round {round} rank {r}"
-            );
+            assert_eq!(res.buffer(r, BufId::Recv), &pattern(0, 256)[..], "round {round} rank {r}");
         }
     }
 }

@@ -126,18 +126,12 @@ pub struct SimReport {
 impl SimReport {
     /// Traffic through the memory controller of `numa`.
     pub fn mc_bytes(&self, numa: usize) -> f64 {
-        self.resource_bytes
-            .get(&Resource::Mc(numa))
-            .copied()
-            .unwrap_or(0.0)
+        self.resource_bytes.get(&Resource::Mc(numa)).copied().unwrap_or(0.0)
     }
 
     /// Traffic through the inter-board link.
     pub fn board_link_bytes(&self) -> f64 {
-        self.resource_bytes
-            .get(&Resource::BoardLink)
-            .copied()
-            .unwrap_or(0.0)
+        self.resource_bytes.get(&Resource::BoardLink).copied().unwrap_or(0.0)
     }
 
     /// FNV-1a over the bits of everything the engine computes: total time,
@@ -256,9 +250,7 @@ pub const PIPELINE_DEPTH: usize = 2;
 /// The `(src_rank, dst_rank)` edge of a copy op (None for notifies).
 fn copy_edge(kind: &OpKind) -> Option<(usize, usize)> {
     match *kind {
-        OpKind::Copy {
-            src_rank, dst_rank, ..
-        } => Some((src_rank, dst_rank)),
+        OpKind::Copy { src_rank, dst_rank, .. } => Some((src_rank, dst_rank)),
         OpKind::Notify { .. } => None,
     }
 }
@@ -336,10 +328,7 @@ impl Run<'_> {
             while self.busy[r].len() < PIPELINE_DEPTH {
                 let candidate = if let Some(&head) = self.busy[r].first() {
                     let edge = copy_edge(&ops[head].kind);
-                    self.ready[r]
-                        .iter()
-                        .copied()
-                        .find(|&id| copy_edge(&ops[id].kind) == edge)
+                    self.ready[r].iter().copied().find(|&id| copy_edge(&ops[id].kind) == edge)
                 } else {
                     self.ready[r].first().copied()
                 };
@@ -435,12 +424,7 @@ impl<'a> SimExecutor<'a> {
             0,
             "simnet",
             || format!("sim_run {} ({} ops)", schedule.name, schedule.ops.len()),
-            || {
-                vec![
-                    ("ranks", schedule.num_ranks.into()),
-                    ("ops", schedule.ops.len().into()),
-                ]
-            },
+            || vec![("ranks", schedule.num_ranks.into()), ("ops", schedule.ops.len().into())],
         );
         let lowered = schedule.lower(None)?;
         assert!(
@@ -539,15 +523,7 @@ impl<'a> SimExecutor<'a> {
                 }
                 run.timers.pop();
                 match ops[id].kind {
-                    OpKind::Copy {
-                        src_rank,
-                        src_buf,
-                        src_off,
-                        dst_rank,
-                        exec,
-                        bytes,
-                        ..
-                    } => {
+                    OpKind::Copy { src_rank, src_buf, src_off, dst_rank, exec, bytes, .. } => {
                         copy_route(
                             self.machine,
                             self.binding.core_of(src_rank),
@@ -580,15 +556,8 @@ impl<'a> SimExecutor<'a> {
             for &id in &completed {
                 op_finish[id] = now;
                 done += 1;
-                if let OpKind::Copy {
-                    dst_rank,
-                    dst_buf,
-                    dst_off,
-                    exec,
-                    bytes,
-                    mech,
-                    ..
-                } = ops[id].kind
+                if let OpKind::Copy { dst_rank, dst_buf, dst_off, exec, bytes, mech, .. } =
+                    ops[id].kind
                 {
                     debug_assert!(run.busy[exec].contains(&id));
                     run.busy[exec].retain(|&b| b != id);
@@ -647,22 +616,12 @@ impl<'a> SimExecutor<'a> {
 
     fn latency_of(&self, kind: &OpKind) -> f64 {
         let distance = |a: usize, b: usize| {
-            core_distance(
-                self.machine,
-                self.binding.core_of(a),
-                self.binding.core_of(b),
-            )
+            core_distance(self.machine, self.binding.core_of(a), self.binding.core_of(b))
         };
         match *kind {
-            OpKind::Copy {
-                src_rank,
-                dst_rank,
-                mech,
-                ..
-            } => {
+            OpKind::Copy { src_rank, dst_rank, mech, .. } => {
                 let one_sided = mech == Mech::Knem;
-                self.cal
-                    .op_latency_for(self.transport, distance(src_rank, dst_rank), one_sided)
+                self.cal.op_latency_for(self.transport, distance(src_rank, dst_rank), one_sided)
             }
             OpKind::Notify { from, to } => {
                 self.cal.notify_latency + self.cal.wire_latency(distance(from, to))
@@ -689,14 +648,7 @@ mod tests {
         mech: Mech,
     ) -> OpId {
         let at = |rank, buf| (rank, buf, off);
-        b.copy(
-            at(src, BufId::Send),
-            at(dst, BufId::Recv),
-            bytes,
-            mech,
-            dst,
-            &[],
-        )
+        b.copy(at(src, BufId::Send), at(dst, BufId::Recv), bytes, mech, dst, &[])
     }
 
     fn run_on_ig(build: impl FnOnce(&mut ScheduleBuilder)) -> SimReport {
@@ -705,9 +657,7 @@ mod tests {
         let mut b = ScheduleBuilder::new("test", 48);
         build(&mut b);
         let s = b.finish();
-        SimExecutor::new(&ig, &binding, SimConfig::default())
-            .run(&s)
-            .unwrap()
+        SimExecutor::new(&ig, &binding, SimConfig::default()).run(&s).unwrap()
     }
 
     #[test]
@@ -751,9 +701,7 @@ mod tests {
         let mut b = ScheduleBuilder::new("test", 48);
         pull(&mut b, 0, 12, 0, 65536, Mech::Knem);
         let s = b.finish();
-        let knem = SimExecutor::new(&ig, &binding, SimConfig::default())
-            .run(&s)
-            .unwrap();
+        let knem = SimExecutor::new(&ig, &binding, SimConfig::default()).run(&s).unwrap();
         let rdma = SimExecutor::new(&ig, &binding, SimConfig::default())
             .with_transport_model(TransportModel::Rdma)
             .run(&s)
@@ -768,9 +716,7 @@ mod tests {
         let mut b = ScheduleBuilder::new("test", 48);
         pull(&mut b, 0, 12, 0, 65536, Mech::Memcpy);
         let s = b.finish();
-        let plain = SimExecutor::new(&ig, &binding, SimConfig::default())
-            .run(&s)
-            .unwrap();
+        let plain = SimExecutor::new(&ig, &binding, SimConfig::default()).run(&s).unwrap();
         let plain_rdma = SimExecutor::new(&ig, &binding, SimConfig::default())
             .with_transport_model(TransportModel::Rdma)
             .run(&s)
@@ -803,9 +749,8 @@ mod tests {
         pull(&mut b, 0, 1, 0, 1 << 20, Mech::Memcpy);
         pull(&mut b, 2, 3, 0, 1 << 20, Mech::Memcpy);
         let s = b.finish();
-        let rep = SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false })
-            .run(&s)
-            .unwrap();
+        let rep =
+            SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false }).run(&s).unwrap();
         // Both copies NUMA-local with mult 2 -> controller share = mc/4.
         let expect_rate = cal.core_bw.min(cal.mc_bw / 4.0);
         let expect = cal.op_latency(1, false) + (1 << 20) as f64 / expect_rate;
@@ -821,21 +766,10 @@ mod tests {
             // independent — the double buffer only pipelines one edge's
             // chunk stream.
             pull(b, 0, 1, 0, 1 << 20, Mech::Memcpy);
-            b.copy(
-                (2, BufId::Send, 0),
-                (1, BufId::Recv, 1 << 20),
-                1 << 20,
-                Mech::Memcpy,
-                1,
-                &[],
-            );
+            b.copy((2, BufId::Send, 0), (1, BufId::Recv, 1 << 20), 1 << 20, Mech::Memcpy, 1, &[]);
         });
         let one = cal.op_latency(1, false) + (1 << 20) as f64 / cal.core_bw.min(cal.cache_bw);
-        assert!(
-            (rep.total_time - 2.0 * one).abs() / one < 1e-6,
-            "{}",
-            rep.total_time
-        );
+        assert!((rep.total_time - 2.0 * one).abs() / one < 1e-6, "{}", rep.total_time);
     }
 
     #[test]
@@ -847,10 +781,7 @@ mod tests {
             pull(b, 0, 1, 0, 1 << 20, Mech::Memcpy);
             pull(b, 0, 1, 1 << 20, 1 << 20, Mech::Memcpy);
         });
-        assert_eq!(
-            rep.op_start[0], rep.op_start[1],
-            "both chunks start together"
-        );
+        assert_eq!(rep.op_start[0], rep.op_start[1], "both chunks start together");
         // Bandwidth is conserved — the two in-flight chunks share the
         // bottleneck — so overlap saves exactly one op-latency phase.
         let one = cal.op_latency(1, false) + (1 << 20) as f64 / cal.core_bw.min(cal.cache_bw);
@@ -864,19 +795,9 @@ mod tests {
         let rep3 = run_on_ig(|b| {
             pull(b, 0, 1, 0, 1 << 20, Mech::Memcpy);
             pull(b, 0, 1, 1 << 20, 1 << 20, Mech::Memcpy);
-            b.copy(
-                (2, BufId::Send, 0),
-                (1, BufId::Recv, 2 << 20),
-                1 << 20,
-                Mech::Memcpy,
-                1,
-                &[],
-            );
+            b.copy((2, BufId::Send, 0), (1, BufId::Recv, 2 << 20), 1 << 20, Mech::Memcpy, 1, &[]);
         });
-        assert!(
-            rep3.op_start[2] > rep3.op_start[1],
-            "third chunk is a different edge"
-        );
+        assert!(rep3.op_start[2] > rep3.op_start[1], "third chunk is a different edge");
     }
 
     #[test]
@@ -885,14 +806,7 @@ mod tests {
         let rep = run_on_ig(|b| {
             let a = pull(b, 0, 1, 0, 1 << 20, Mech::Memcpy);
             let n = b.notify(1, 2, &[a]);
-            b.copy(
-                (1, BufId::Recv, 0),
-                (2, BufId::Recv, 0),
-                1 << 20,
-                Mech::Memcpy,
-                2,
-                &[n],
-            );
+            b.copy((1, BufId::Recv, 0), (2, BufId::Recv, 0), 1 << 20, Mech::Memcpy, 2, &[n]);
         });
         let copy = cal.op_latency(1, false) + (1 << 20) as f64 / cal.core_bw.min(cal.cache_bw);
         let notify = cal.notify_latency + cal.hop_latency;
@@ -911,14 +825,7 @@ mod tests {
         let mut b = ScheduleBuilder::new("fault-chain", 48);
         let a = pull(&mut b, 0, 1, 0, 1 << 16, Mech::Memcpy);
         let n = b.notify(1, 2, &[a]);
-        b.copy(
-            (1, BufId::Recv, 0),
-            (2, BufId::Recv, 0),
-            1 << 16,
-            Mech::Memcpy,
-            2,
-            &[n],
-        );
+        b.copy((1, BufId::Recv, 0), (2, BufId::Recv, 0), 1 << 16, Mech::Memcpy, 2, &[n]);
         b.finish()
     }
 
@@ -926,17 +833,12 @@ mod tests {
     fn fault_free_plan_matches_plain_run() {
         let (ig, binding) = ig_exec();
         let s = chain_schedule();
-        let plain = SimExecutor::new(&ig, &binding, SimConfig::default())
-            .run(&s)
-            .unwrap();
+        let plain = SimExecutor::new(&ig, &binding, SimConfig::default()).run(&s).unwrap();
         let faulted = SimExecutor::new(&ig, &binding, SimConfig::default())
             .with_fault_plan(FaultPlan::new(7))
             .run(&s)
             .unwrap();
-        assert_eq!(
-            plain.total_time, faulted.total_time,
-            "empty plan must be bit-exact"
-        );
+        assert_eq!(plain.total_time, faulted.total_time, "empty plan must be bit-exact");
         assert_eq!(plain.op_finish, faulted.op_finish);
         assert_eq!(faulted.fault_stats, FaultStats::default());
     }
@@ -945,9 +847,7 @@ mod tests {
     fn stalled_rank_delays_completion() {
         let (ig, binding) = ig_exec();
         let s = chain_schedule();
-        let base = SimExecutor::new(&ig, &binding, SimConfig::default())
-            .run(&s)
-            .unwrap();
+        let base = SimExecutor::new(&ig, &binding, SimConfig::default()).run(&s).unwrap();
         let delay = 3e-4;
         let rep = SimExecutor::new(&ig, &binding, SimConfig::default())
             .with_fault_plan(FaultPlan::new(7).stall_rank(1, Duration::from_secs_f64(delay)))
@@ -955,12 +855,7 @@ mod tests {
             .unwrap();
         // Rank 1 executes the first copy and sends the notify: two stalls.
         let expect = base.total_time + 2.0 * delay;
-        assert!(
-            (rep.total_time - expect).abs() < 1e-9,
-            "{} vs {}",
-            rep.total_time,
-            expect
-        );
+        assert!((rep.total_time - expect).abs() < 1e-9, "{} vs {}", rep.total_time, expect);
         assert_eq!(rep.fault_stats.ranks_stalled, 1);
     }
 
@@ -988,9 +883,7 @@ mod tests {
     fn corrupted_copy_charges_detection_and_one_retransmit() {
         let (ig, binding) = ig_exec();
         let s = chain_schedule();
-        let base = SimExecutor::new(&ig, &binding, SimConfig::default())
-            .run(&s)
-            .unwrap();
+        let base = SimExecutor::new(&ig, &binding, SimConfig::default()).run(&s).unwrap();
         // Rank 2's first (and only) copy arrives corrupt; the checksummed
         // path detects it and re-pulls, so the run completes with exactly
         // one extra transfer latency on the critical path.
@@ -1024,13 +917,7 @@ mod tests {
             .run(&s)
             .unwrap_err();
         match err {
-            SimError::Stalled {
-                seed,
-                completed,
-                total,
-                fault_stats,
-                ..
-            } => {
+            SimError::Stalled { seed, completed, total, fault_stats, .. } => {
                 assert_eq!(seed, Some(11));
                 assert!(completed < total);
                 assert_eq!(fault_stats.ranks_crashed, 1);
@@ -1049,9 +936,7 @@ mod tests {
             .run(&s)
             .unwrap_err();
         match err {
-            SimError::Stalled {
-                seed, fault_stats, ..
-            } => {
+            SimError::Stalled { seed, fault_stats, .. } => {
                 assert_eq!(seed, Some(5));
                 assert_eq!(fault_stats.notifies_dropped, 1);
             }
@@ -1068,13 +953,7 @@ mod tests {
             .run(&s)
             .unwrap_err();
         match err {
-            SimError::DeadlineExceeded {
-                seed,
-                deadline,
-                completed,
-                total,
-                ..
-            } => {
+            SimError::DeadlineExceeded { seed, deadline, completed, total, .. } => {
                 assert_eq!(seed, None);
                 assert_eq!(deadline, 1e-9);
                 assert!(completed < total);
@@ -1128,22 +1007,8 @@ mod tests {
             // Stage data into rank 0's Temp with the given mechanism, then
             // pull it cross-socket: a hot source is served by cache
             // intervention (no Mc(0) read); a cold one reads DRAM.
-            let a = b.copy(
-                (0, BufId::Send, 0),
-                (0, BufId::Temp(0), 0),
-                1 << 20,
-                mech,
-                0,
-                &[],
-            );
-            b.copy(
-                (0, BufId::Temp(0), 0),
-                (12, BufId::Recv, 0),
-                1 << 20,
-                Mech::Knem,
-                12,
-                &[a],
-            );
+            let a = b.copy((0, BufId::Send, 0), (0, BufId::Temp(0), 0), 1 << 20, mech, 0, &[]);
+            b.copy((0, BufId::Temp(0), 0), (12, BufId::Recv, 0), 1 << 20, Mech::Knem, 12, &[a]);
             SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false })
                 .run(&b.finish())
                 .unwrap()
@@ -1191,17 +1056,8 @@ mod tests {
         let mono = {
             let mut b = ScheduleBuilder::new("mono", 48);
             let a = pull(&mut b, 0, 12, 0, total, Mech::Knem);
-            b.copy(
-                (12, BufId::Recv, 0),
-                (24, BufId::Recv, 0),
-                total,
-                Mech::Knem,
-                24,
-                &[a],
-            );
-            SimExecutor::new(&ig, &binding, SimConfig::default())
-                .run(&b.finish())
-                .unwrap()
+            b.copy((12, BufId::Recv, 0), (24, BufId::Recv, 0), total, Mech::Knem, 24, &[a]);
+            SimExecutor::new(&ig, &binding, SimConfig::default()).run(&b.finish()).unwrap()
         };
         let piped = {
             let mut b = ScheduleBuilder::new("piped", 48);
@@ -1226,9 +1082,7 @@ mod tests {
                     prev[c + 1] = Some(second);
                 }
             }
-            SimExecutor::new(&ig, &binding, SimConfig::default())
-                .run(&b.finish())
-                .unwrap()
+            SimExecutor::new(&ig, &binding, SimConfig::default()).run(&b.finish()).unwrap()
         };
         // The two hops share the middle socket's port, so pipelining cannot
         // reach the ideal 2x; it must still be a clear win.

@@ -210,9 +210,8 @@ impl FaultPlan {
             let flapper = candidates[rng.gen_range(0..candidates.len())];
             let micros = 20 * (1 + rng.gen_range(0..5) as u64);
             let budget = 2 + rng.gen_range(0..4) as u64;
-            plan = plan
-                .stall_rank(flapper, Duration::from_micros(micros))
-                .crash_rank(flapper, budget);
+            plan =
+                plan.stall_rank(flapper, Duration::from_micros(micros)).crash_rank(flapper, budget);
         }
         plan
     }
@@ -311,9 +310,7 @@ impl FaultPlan {
     /// timeout (a crash or a dropped notification). The thread executor
     /// forces a finite deadline when this holds so the run cannot hang.
     pub fn has_lethal_fault(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f, Fault::CrashRank { .. } | Fault::DropNotify { .. }))
+        self.faults.iter().any(|f| matches!(f, Fault::CrashRank { .. } | Fault::DropNotify { .. }))
     }
 
     /// This plan in the rank space of a shrunk communicator, where
@@ -361,9 +358,11 @@ impl FaultPlan {
                         table.ops[id].dropped = true;
                     }
                 }
-                Fault::Corrupt { target: CorruptTarget::Edge { rank, op_index }, kind, attempts }
-                    if rank < nranks =>
-                {
+                Fault::Corrupt {
+                    target: CorruptTarget::Edge { rank, op_index },
+                    kind,
+                    attempts,
+                } if rank < nranks => {
                     let mut copies = lowered.rank_ops(rank).iter().filter(|id| is_copy(id));
                     if let Some(&id) = copies.nth(op_index as usize) {
                         table.ops[id].corrupt.get_or_insert((kind, attempts));

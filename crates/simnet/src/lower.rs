@@ -127,9 +127,7 @@ pub(crate) fn distance_class(kind: &OpKind, distances: Option<&DistanceMatrix>) 
         OpKind::Copy { src_rank, dst_rank, .. } => (src_rank, dst_rank),
         OpKind::Notify { from, to } => (from, to),
     };
-    distances
-        .filter(|d| a < d.num_ranks() && b < d.num_ranks())
-        .map_or(0, |d| d.get(a, b))
+    distances.filter(|d| a < d.num_ranks() && b < d.num_ranks()).map_or(0, |d| d.get(a, b))
 }
 
 /// Groups `(key, value)` items by key with a counting sort, keeping their

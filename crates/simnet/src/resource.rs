@@ -323,7 +323,13 @@ mod tests {
     #[test]
     fn capacities_positive() {
         for cal in [Calibration::zoot(), Calibration::ig(), Calibration::generic()] {
-            for r in [Resource::Core(0), Resource::Cache(0), Resource::Mc(0), Resource::Port(0), Resource::BoardLink] {
+            for r in [
+                Resource::Core(0),
+                Resource::Cache(0),
+                Resource::Mc(0),
+                Resource::Port(0),
+                Resource::BoardLink,
+            ] {
                 assert!(cal.capacity(r) > 0.0);
             }
         }

@@ -141,16 +141,7 @@ mod tests {
     ) -> Route {
         // Stale entries must not survive into the next route.
         let mut route = vec![(Resource::BoardLink, 9)];
-        super::copy_route(
-            machine,
-            src,
-            dst,
-            exec,
-            bytes,
-            allow_cache,
-            src_hot,
-            &mut route,
-        );
+        super::copy_route(machine, src, dst, exec, bytes, allow_cache, src_hot, &mut route);
         route
     }
 

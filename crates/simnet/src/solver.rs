@@ -219,10 +219,7 @@ impl Flows {
         while unfixed > 0 {
             rounds += 1;
             let min_share = min_of(&self.share);
-            debug_assert!(
-                min_share.is_finite(),
-                "every flow crosses a finite-capacity core"
-            );
+            debug_assert!(min_share.is_finite(), "every flow crosses a finite-capacity core");
             // The bottlenecks are judged on the shares the round started
             // with: collect first, drain after.
             let limit = min_share * (1.0 + 1e-9);
@@ -269,11 +266,7 @@ impl Flows {
 
     /// Traffic placed on each resource by the flows that finished.
     pub fn resource_bytes(&self) -> BTreeMap<Resource, f64> {
-        self.resources
-            .iter()
-            .copied()
-            .zip(self.traffic.iter().copied())
-            .collect()
+        self.resources.iter().copied().zip(self.traffic.iter().copied()).collect()
     }
 }
 
@@ -288,10 +281,7 @@ fn min_of(xs: &[f64]) -> f64 {
             *lane = lesser(*lane, x);
         }
     }
-    rest.iter()
-        .chain(&lanes)
-        .copied()
-        .fold(f64::INFINITY, lesser)
+    rest.iter().chain(&lanes).copied().fold(f64::INFINITY, lesser)
 }
 
 /// What one unit of multiplicity gets of `residual`; unloaded resources
@@ -328,9 +318,7 @@ mod tests {
             let bottlenecked: Vec<usize> = (0..flows.len())
                 .filter(|&i| rates[i].is_none())
                 .filter(|&i| {
-                    flows[i]
-                        .iter()
-                        .any(|&(r, _)| loaded(r) && share[r] <= min_share * (1.0 + 1e-9))
+                    flows[i].iter().any(|&(r, _)| loaded(r) && share[r] <= min_share * (1.0 + 1e-9))
                 })
                 .collect();
             for i in bottlenecked {
@@ -359,14 +347,8 @@ mod tests {
                     .collect()
             })
             .collect();
-        let got = slots
-            .iter()
-            .map(|&s| flows.slab[s as usize].rate.to_bits())
-            .collect();
-        let want = reference_rates(&routes, &flows.caps)
-            .into_iter()
-            .map(f64::to_bits)
-            .collect();
+        let got = slots.iter().map(|&s| flows.slab[s as usize].rate.to_bits()).collect();
+        let want = reference_rates(&routes, &flows.caps).into_iter().map(f64::to_bits).collect();
         (got, want)
     }
 
@@ -434,12 +416,7 @@ mod tests {
         // bottleneck, and the shared flow sits on both incidence lists.
         let mut flows = Flows::default();
         let cap = |_| 9.0e9;
-        flows.add(
-            0,
-            1 << 20,
-            &[(Resource::Mc(0), 1), (Resource::Mc(1), 1)],
-            cap,
-        );
+        flows.add(0, 1 << 20, &[(Resource::Mc(0), 1), (Resource::Mc(1), 1)], cap);
         flows.add(1, 1 << 20, &[(Resource::Mc(0), 2)], cap);
         flows.add(2, 1 << 20, &[(Resource::Mc(1), 2)], cap);
         let (next, rounds) = flows.solve(0.0);
@@ -496,10 +473,7 @@ mod tests {
         let mut finished = Vec::new();
         assert_eq!(flows.advance(tick, tick, &mut finished), 2.0 * tick);
         assert!(finished.is_empty());
-        assert_eq!(
-            flows.advance(tick, 2.0 * tick, &mut finished),
-            f64::INFINITY
-        );
+        assert_eq!(flows.advance(tick, 2.0 * tick, &mut finished), f64::INFINITY);
         assert_eq!(finished, [7]);
         let bytes = flows.resource_bytes();
         assert_eq!(bytes[&Resource::Core(3)], 1024.0);

@@ -59,14 +59,7 @@ pub fn sim_events_with_distances(
     for (id, op) in schedule.ops.iter().enumerate() {
         let dist = usize::from(distance_class(&op.kind, distances));
         let (name, cat, tid, mut args) = match &op.kind {
-            OpKind::Copy {
-                src_rank,
-                dst_rank,
-                bytes,
-                mech,
-                exec,
-                ..
-            } => (
+            OpKind::Copy { src_rank, dst_rank, bytes, mech, exec, .. } => (
                 format!("{mech:?} {src_rank}->{dst_rank} ({bytes}B)"),
                 "copy",
                 *exec,
@@ -135,36 +128,16 @@ mod tests {
         let ig = machines::ig();
         let binding = Binding::identity(&ig);
         let mut b = ScheduleBuilder::new("t", 4);
-        let a = b.copy(
-            (0, BufId::Send, 0),
-            (1, BufId::Recv, 0),
-            4096,
-            Mech::Knem,
-            1,
-            &[],
-        );
+        let a = b.copy((0, BufId::Send, 0), (1, BufId::Recv, 0), 4096, Mech::Knem, 1, &[]);
         let n = b.notify(1, 2, &[a]);
-        b.copy(
-            (1, BufId::Recv, 0),
-            (2, BufId::Recv, 0),
-            4096,
-            Mech::Memcpy,
-            2,
-            &[n],
-        );
+        b.copy((1, BufId::Recv, 0), (2, BufId::Recv, 0), 4096, Mech::Memcpy, 2, &[n]);
         let s = b.finish();
-        let rep = SimExecutor::new(&ig, &binding, SimConfig::default())
-            .run(&s)
-            .unwrap();
+        let rep = SimExecutor::new(&ig, &binding, SimConfig::default()).run(&s).unwrap();
         let trace = to_chrome_trace(&s, &rep);
 
         let parsed: serde_json::Value = serde_json::from_str(&trace).expect("valid JSON");
         let events = parsed["traceEvents"].as_array().unwrap();
-        assert_eq!(
-            events.len(),
-            1 + 4 + 3,
-            "process name + 4 rank names + 3 ops"
-        );
+        assert_eq!(events.len(), 1 + 4 + 3, "process name + 4 rank names + 3 ops");
         assert_eq!(events[0]["args"]["name"], "sim", "sim runs are labelled");
         assert_eq!(events[0]["pid"].as_u64(), Some(1));
         // Durations are non-negative and ordered along the dependency chain.
@@ -180,14 +153,8 @@ mod tests {
         assert!(xs.iter().all(|e| e["args"]["dist"].as_u64() == Some(0)));
         let distances = DistanceMatrix::for_binding(&ig, &binding);
         let classed = sim_events_with_distances(&s, &rep, Some(&distances));
-        assert_eq!(
-            classed[0].arg_u64("dist"),
-            Some(u64::from(distances.get(0, 1)))
-        );
-        assert_eq!(
-            classed[2].arg_u64("dist"),
-            Some(u64::from(distances.get(1, 2)))
-        );
+        assert_eq!(classed[0].arg_u64("dist"), Some(u64::from(distances.get(0, 1))));
+        assert_eq!(classed[2].arg_u64("dist"), Some(u64::from(distances.get(1, 2))));
     }
 
     #[test]

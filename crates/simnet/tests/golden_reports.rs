@@ -39,9 +39,7 @@ fn run(case: &Case) -> u64 {
         Coll::Bcast => coll.bcast(&comm, 0, case.bytes),
         Coll::Allgather => coll.allgather(&comm, case.bytes),
     };
-    let config = SimConfig {
-        allow_cache: case.allow_cache,
-    };
+    let config = SimConfig { allow_cache: case.allow_cache };
     let mut exec = SimExecutor::new(&case.machine, comm.binding(), config)
         .with_transport_model(case.transport);
     if let Some(plan) = &case.fault {

@@ -14,7 +14,13 @@ use pdac_simnet::{
 /// depend on a few earlier ops; destination offsets are striped per op to
 /// keep writes disjoint.
 fn arb_schedule() -> impl Strategy<Value = Schedule> {
-    let op = (0usize..48, 0usize..48, 1usize..200_000, any::<bool>(), prop::collection::vec(any::<u16>(), 0..3));
+    let op = (
+        0usize..48,
+        0usize..48,
+        1usize..200_000,
+        any::<bool>(),
+        prop::collection::vec(any::<u16>(), 0..3),
+    );
     prop::collection::vec(op, 1..40).prop_map(|ops| {
         let mut b = ScheduleBuilder::new("random", 48);
         for (i, (src, dst, bytes, knem, raw_deps)) in ops.into_iter().enumerate() {
@@ -26,14 +32,7 @@ fn arb_schedule() -> impl Strategy<Value = Schedule> {
             deps.sort_unstable();
             deps.dedup();
             let mech = if knem { Mech::Knem } else { Mech::Memcpy };
-            b.copy(
-                (src, BufId::Send, 0),
-                (dst, BufId::Recv, i * 200_000),
-                bytes,
-                mech,
-                dst,
-                &deps,
-            );
+            b.copy((src, BufId::Send, 0), (dst, BufId::Recv, i * 200_000), bytes, mech, dst, &deps);
         }
         b.finish()
     })
@@ -152,9 +151,7 @@ fn knem_traffic_accounting_matches_copies() {
     }
     let s = b.finish();
     let rep = SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false }).run(&s).unwrap();
-    let core_bytes: f64 = (0..48)
-        .filter_map(|c| rep.resource_bytes.get(&Resource::Core(c)))
-        .sum();
+    let core_bytes: f64 = (0..48).filter_map(|c| rep.resource_bytes.get(&Resource::Core(c))).sum();
     // Remote copies weigh 2x on the copy engine.
     assert_eq!(core_bytes, 2.0 * s.total_bytes() as f64);
     let mc_total: f64 = (0..8).map(|n| rep.mc_bytes(n)).sum();

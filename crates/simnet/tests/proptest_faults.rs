@@ -19,13 +19,8 @@ use pdac_simnet::{
 /// A random `ranks`-rank op forest like `proptest_engine`'s: each op may
 /// depend on a few earlier ops, and about one op in four is a notify.
 fn arb_schedule(ranks: usize) -> impl Strategy<Value = Schedule> {
-    let op = (
-        0..ranks,
-        0..ranks,
-        1usize..200_000,
-        0u8..8,
-        prop::collection::vec(any::<u16>(), 0..3),
-    );
+    let op =
+        (0..ranks, 0..ranks, 1usize..200_000, 0u8..8, prop::collection::vec(any::<u16>(), 0..3));
     prop::collection::vec(op, 1..40).prop_map(move |ops| {
         let mut b = ScheduleBuilder::new("random", ranks);
         for (i, (src, dst, bytes, pick, raw_deps)) in ops.into_iter().enumerate() {
@@ -52,11 +47,7 @@ fn arb_schedule(ranks: usize) -> impl Strategy<Value = Schedule> {
 fn arb_benign_plan() -> impl Strategy<Value = FaultPlan> {
     let degrade = (0usize..10, 0.05f64..1.0);
     let stall = (0usize..48, 0u64..100_000);
-    (
-        any::<u64>(),
-        prop::collection::vec(degrade, 0..3),
-        prop::collection::vec(stall, 0..3),
-    )
+    (any::<u64>(), prop::collection::vec(degrade, 0..3), prop::collection::vec(stall, 0..3))
         .prop_map(|(seed, degrades, stalls)| {
             let mut plan = FaultPlan::new(seed);
             for (pick, factor) in degrades {

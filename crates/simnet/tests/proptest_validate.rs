@@ -320,7 +320,8 @@ fn trace_dist_is_the_lowered_class() {
     let comm = Communicator::world(Arc::clone(&zoot), binding);
     let schedule = AdaptiveColl.bcast(&comm, 0, 1 << 20);
     let distances = comm.distances();
-    let report = SimExecutor::new(&zoot, comm.binding(), SimConfig::default()).run(&schedule).unwrap();
+    let report =
+        SimExecutor::new(&zoot, comm.binding(), SimConfig::default()).run(&schedule).unwrap();
 
     let lowered = schedule.lower(Some(&distances)).unwrap();
     let events = sim_events_with_distances(&schedule, &report, Some(&distances));

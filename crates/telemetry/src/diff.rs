@@ -67,10 +67,7 @@ pub fn diff(before: &Flat, after: &Flat) -> String {
         out.push('\n');
     }
     if quiet > 0 {
-        out.push_str(&format!(
-            "  ({quiet} rows moved < {:.1}%, not shown)\n",
-            QUIET_REL * 100.0
-        ));
+        out.push_str(&format!("  ({quiet} rows moved < {:.1}%, not shown)\n", QUIET_REL * 100.0));
     }
     if out.is_empty() {
         out.push_str("  no differences\n");

@@ -70,9 +70,7 @@ impl FlightRecorder {
             epoch: Instant::now(),
             ring: Mutex::new(VecDeque::with_capacity(RING_CAPACITY)),
             context: Mutex::new(Vec::new()),
-            dumps: crate::global()
-                .registry()
-                .counter("obs.flight.dumps"),
+            dumps: crate::global().registry().counter("obs.flight.dumps"),
         })
     }
 
@@ -90,10 +88,7 @@ impl FlightRecorder {
 
     /// The current run context, in insertion order.
     pub fn context(&self) -> Vec<(String, String)> {
-        self.context
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
+        self.context.lock().unwrap_or_else(|p| p.into_inner()).clone()
     }
 
     /// Records a note, evicting the oldest when the ring is full. A
@@ -106,10 +101,7 @@ impl FlightRecorder {
         if ring.len() == RING_CAPACITY {
             ring.pop_front();
         }
-        ring.push_back(FlightEvent {
-            t_us: self.epoch.elapsed().as_micros() as u64,
-            what,
-        });
+        ring.push_back(FlightEvent { t_us: self.epoch.elapsed().as_micros() as u64, what });
     }
 
     /// Number of notes currently held.
@@ -134,13 +126,8 @@ impl FlightRecorder {
     /// path written, or `None` when the write failed (a recorder must
     /// never turn a failure into a second failure).
     pub fn dump(&self, reason: &str) -> Option<PathBuf> {
-        let events: Vec<FlightEvent> = self
-            .ring
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .cloned()
-            .collect();
+        let events: Vec<FlightEvent> =
+            self.ring.lock().unwrap_or_else(|p| p.into_inner()).iter().cloned().collect();
         let dump = FlightDump {
             reason: reason.to_string(),
             pdac_seed: std::env::var("PDAC_SEED").ok(),
@@ -153,13 +140,7 @@ impl FlightRecorder {
         std::fs::create_dir_all(&dir).ok()?;
         let slug: String = reason
             .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() {
-                    c.to_ascii_lowercase()
-                } else {
-                    '-'
-                }
-            })
+            .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '-' })
             .collect();
         let n = self.dumps.get();
         self.dumps.inc();
@@ -235,38 +216,23 @@ mod tests {
         // Env var reads race between tests in one process; this is the
         // only test in the crate touching FLIGHT_DIR_ENV.
         std::env::set_var(FLIGHT_DIR_ENV, &dir);
-        crate::global()
-            .registry()
-            .add("obs.flight.test_marker", 7);
+        crate::global().registry().add("obs.flight.test_marker", 7);
         note("dump-test: about to dump");
         set_context("transport", "knem");
         set_context("transport", "rdma"); // last write wins
         set_context("machine", "fuzz-b1s1r0c3");
         let ctx = FlightRecorder::global().context();
         assert_eq!(
-            ctx.iter()
-                .find(|(k, _)| k == "transport")
-                .map(|(_, v)| v.as_str()),
+            ctx.iter().find(|(k, _)| k == "transport").map(|(_, v)| v.as_str()),
             Some("rdma"),
             "replaced context values do not linger"
         );
         let path = dump("unit test").expect("dump written");
         std::env::remove_var(FLIGHT_DIR_ENV);
         let text = std::fs::read_to_string(&path).expect("dump readable");
-        assert!(
-            text.contains("\"rdma\""),
-            "dump carries the transport context:\n{text}"
-        );
-        assert!(
-            text.contains("fuzz-b1s1r0c3"),
-            "dump carries the machine regime name"
-        );
-        assert!(path
-            .file_name()
-            .unwrap()
-            .to_str()
-            .unwrap()
-            .starts_with("flight-unit-test-"));
+        assert!(text.contains("\"rdma\""), "dump carries the transport context:\n{text}");
+        assert!(text.contains("fuzz-b1s1r0c3"), "dump carries the machine regime name");
+        assert!(path.file_name().unwrap().to_str().unwrap().starts_with("flight-unit-test-"));
         assert!(text.contains("\"reason\": \"unit test\""));
         assert!(text.contains("dump-test: about to dump"));
         assert!(text.contains("obs.flight.test_marker"));

@@ -165,11 +165,7 @@ impl LogHistogram {
                 })
             })
             .collect();
-        HistogramSnapshot {
-            count: self.count(),
-            sum: self.sum(),
-            buckets,
-        }
+        HistogramSnapshot { count: self.count(), sum: self.sum(), buckets }
     }
 }
 
@@ -202,19 +198,7 @@ mod tests {
 
     #[test]
     fn every_value_falls_inside_its_bucket_bounds() {
-        for v in [
-            0u64,
-            1,
-            2,
-            3,
-            7,
-            8,
-            1000,
-            4095,
-            4096,
-            u64::MAX / 2,
-            u64::MAX,
-        ] {
+        for v in [0u64, 1, 2, 3, 7, 8, 1000, 4095, 4096, u64::MAX / 2, u64::MAX] {
             let (lo, hi) = bucket_bounds(bucket_index(v));
             assert!(lo <= v && v <= hi, "{v} outside [{lo}, {hi}]");
         }
@@ -233,15 +217,9 @@ mod tests {
             h.record(1000);
         }
         let p50 = h.p50();
-        assert!(
-            (8.0..=15.0).contains(&p50),
-            "p50 {p50} inside the value's bucket"
-        );
+        assert!((8.0..=15.0).contains(&p50), "p50 {p50} inside the value's bucket");
         let p99 = h.p99();
-        assert!(
-            (512.0..=1023.0).contains(&p99),
-            "p99 {p99} inside the tail bucket"
-        );
+        assert!((512.0..=1023.0).contains(&p99), "p99 {p99} inside the tail bucket");
         assert!(h.p90() <= p99, "percentiles are monotone");
         // q clamps: 0 -> low end, 1 -> top of the highest bucket.
         assert!(h.percentile(0.0) <= p50);
@@ -261,14 +239,7 @@ mod tests {
         assert_eq!(snap.count, 5);
         // Buckets: {0}, {1}, [4,7] twice, [1024,2047].
         assert_eq!(snap.buckets.len(), 4);
-        assert_eq!(
-            snap.buckets[2],
-            BucketCount {
-                lo: 4,
-                hi: 7,
-                count: 2
-            }
-        );
+        assert_eq!(snap.buckets[2], BucketCount { lo: 4, hi: 7, count: 2 });
         h.reset();
         assert_eq!(h.count(), 0);
         assert!(h.snapshot().buckets.is_empty());

@@ -34,11 +34,7 @@ pub struct HistoryEntry {
 impl HistoryEntry {
     /// A new entry with the given label and timestamp.
     pub fn new(label: impl Into<String>, timestamp_ms: u64) -> Self {
-        HistoryEntry {
-            label: label.into(),
-            timestamp_ms,
-            ..Default::default()
-        }
+        HistoryEntry { label: label.into(), timestamp_ms, ..Default::default() }
     }
 
     /// Appends one metric, returning `self` for chaining.
@@ -72,24 +68,17 @@ pub fn load_jsonl(path: &Path) -> std::io::Result<(Vec<HistoryEntry>, usize)> {
 /// `label`): a one-line header, then their `metrics` maps through
 /// [`crate::diff::diff`]. Fewer than two entries give a one-line message.
 pub fn render_trend(entries: &[HistoryEntry], label: Option<&str>) -> String {
-    let picked: Vec<&HistoryEntry> = entries
-        .iter()
-        .filter(|e| label.is_none_or(|l| e.label == l))
-        .collect();
+    let picked: Vec<&HistoryEntry> =
+        entries.iter().filter(|e| label.is_none_or(|l| e.label == l)).collect();
     let [.., older, newer] = picked[..] else {
         return format!(
             "trend: need at least 2 history entries{}, have {}\n",
-            label
-                .map(|l| format!(" with label `{l}`"))
-                .unwrap_or_default(),
+            label.map(|l| format!(" with label `{l}`")).unwrap_or_default(),
             picked.len()
         );
     };
     let flat = |e: &HistoryEntry| -> Flat {
-        e.metrics
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_string()))
-            .collect()
+        e.metrics.iter().map(|(k, v)| (k.clone(), v.to_string())).collect()
     };
     format!(
         "trend `{}`: {} -> {}\n{}",

@@ -76,10 +76,7 @@ pub struct Telemetry {
 impl Telemetry {
     /// A fresh instance with the default recorder capacity.
     pub fn new() -> Self {
-        Telemetry {
-            recorder: Recorder::new(recorder::DEFAULT_CAPACITY),
-            registry: Registry::new(),
-        }
+        Telemetry { recorder: Recorder::new(recorder::DEFAULT_CAPACITY), registry: Registry::new() }
     }
 
     /// The event recorder.

@@ -94,19 +94,9 @@ mod tests {
     #[test]
     fn names_sanitize_onto_the_legal_charset() {
         assert_eq!(sanitize_name("sim.solver.full"), "pdac_sim_solver_full");
-        assert_eq!(
-            sanitize_name("exec.op_ns.knem.d4"),
-            "pdac_exec_op_ns_knem_d4"
-        );
-        assert_eq!(
-            sanitize_name("weird name-with/junk"),
-            "pdac_weird_name_with_junk"
-        );
-        assert_eq!(
-            sanitize_name("9lives"),
-            "pdac_9lives",
-            "prefix keeps the first char legal"
-        );
+        assert_eq!(sanitize_name("exec.op_ns.knem.d4"), "pdac_exec_op_ns_knem_d4");
+        assert_eq!(sanitize_name("weird name-with/junk"), "pdac_weird_name_with_junk");
+        assert_eq!(sanitize_name("9lives"), "pdac_9lives", "prefix keeps the first char legal");
     }
 
     #[test]

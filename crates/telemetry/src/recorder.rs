@@ -188,9 +188,7 @@ impl Recorder {
     /// Every update leaves a ring valid, so a shard poisoned by a panicking
     /// recorder thread is still readable.
     fn ring(shard: &Mutex<VecDeque<Event>>) -> MutexGuard<'_, VecDeque<Event>> {
-        shard
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn push(&self, mut event: Event) {
@@ -302,22 +300,14 @@ mod tests {
         assert_eq!(names, ["both", "one"]);
         drop(inner);
         rec.instant(0, "test", never_name, never_args);
-        assert!(
-            rec.is_empty(),
-            "nothing records once the last reader is gone"
-        );
+        assert!(rec.is_empty(), "nothing records once the last reader is gone");
     }
 
     #[test]
     fn span_opened_while_armed_lands_after_disarm() {
         let rec = Recorder::new(1024);
         let reader = rec.reader();
-        let span = rec.span(
-            7,
-            "test",
-            || "straddles".into(),
-            || vec![("k", 1u64.into())],
-        );
+        let span = rec.span(7, "test", || "straddles".into(), || vec![("k", 1u64.into())]);
         drop(reader);
         drop(span);
         let events = rec.reader().drain();

@@ -140,11 +140,7 @@ mod tests {
         reg.add("a", 1);
         reg.histogram("lat").record(9);
         let snap = reg.snapshot();
-        assert_eq!(
-            snap.counters.keys().collect::<Vec<_>>(),
-            vec!["a", "b"],
-            "sorted by name"
-        );
+        assert_eq!(snap.counters.keys().collect::<Vec<_>>(), vec!["a", "b"], "sorted by name");
         assert_eq!(snap.histograms["lat"].count, 1);
     }
 }

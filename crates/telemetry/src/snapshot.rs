@@ -91,11 +91,8 @@ impl RegistrySnapshot {
     /// histogram (mean to 0.1, percentiles to 1, as [`Self::render`] shows
     /// them).
     pub fn flat(&self) -> Flat {
-        let mut flat: Flat = self
-            .counters
-            .iter()
-            .map(|(name, v)| (name.clone(), v.to_string()))
-            .collect();
+        let mut flat: Flat =
+            self.counters.iter().map(|(name, v)| (name.clone(), v.to_string())).collect();
         for (name, h) in &self.histograms {
             flat.insert(format!("{name}.count"), h.count.to_string());
             flat.insert(format!("{name}.mean"), format!("{:.1}", h.mean()));

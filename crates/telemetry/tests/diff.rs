@@ -8,16 +8,11 @@ use pdac_telemetry::history::render_trend;
 use pdac_telemetry::{HistogramSnapshot, HistoryEntry, Registry, RegistrySnapshot};
 
 fn entry(label: &str, ts: u64, metrics: &[(&str, f64)]) -> HistoryEntry {
-    metrics
-        .iter()
-        .fold(HistoryEntry::new(label, ts), |e, (k, v)| e.metric(*k, *v))
+    metrics.iter().fold(HistoryEntry::new(label, ts), |e, (k, v)| e.metric(*k, *v))
 }
 
 fn flat(pairs: &[(&str, &str)]) -> Flat {
-    pairs
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect()
+    pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
 }
 
 /// A removed counter and an empty removed histogram: both read 0, and the
@@ -25,11 +20,7 @@ fn flat(pairs: &[(&str, &str)]) -> Flat {
 fn removed_at_zero() -> String {
     let mut old = RegistrySnapshot::default();
     old.counters.insert("gone.counter".into(), 0);
-    let empty = HistogramSnapshot {
-        count: 0,
-        sum: 0,
-        buckets: Vec::new(),
-    };
+    let empty = HistogramSnapshot { count: 0, sum: 0, buckets: Vec::new() };
     old.histograms.insert("gone.hist".into(), empty);
     diff(&old.flat(), &RegistrySnapshot::default().flat())
 }
@@ -83,11 +74,7 @@ fn every_document_diffs_by_one_rule() {
             render_trend(
                 &[
                     entry("gate", 1, &[("big", 1.0), ("flat", 1.0), ("small", 1.0)]),
-                    entry(
-                        "gate",
-                        2,
-                        &[("big", 1.5), ("flat", 1.0001), ("small", 1.02)],
-                    ),
+                    entry("gate", 2, &[("big", 1.5), ("flat", 1.0001), ("small", 1.02)]),
                 ],
                 None,
             ),
@@ -133,13 +120,7 @@ fn every_document_diffs_by_one_rule() {
         (
             "a removed series is reported at zero",
             removed_at_zero(),
-            vec![
-                "gone.counter",
-                "gone.hist.count",
-                "gone.hist.p99",
-                "0 -> -",
-                " gone\n",
-            ],
+            vec!["gone.counter", "gone.hist.count", "gone.hist.p99", "0 -> -", " gone\n"],
             vec!["no differences"],
         ),
         (

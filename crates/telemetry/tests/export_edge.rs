@@ -40,26 +40,13 @@ fn control_characters_in_thread_names_stay_valid_json() {
     let json = chrome_trace(&events, &meta);
     let parsed: serde_json::Value = serde_json::from_str(&json).expect("escaped JSON parses");
     let rows = parsed["traceEvents"].as_array().unwrap();
-    assert_eq!(
-        rows[0]["args"]["name"].as_str(),
-        Some("run\n\"with\"\tcontrol\u{1}chars")
-    );
+    assert_eq!(rows[0]["args"]["name"].as_str(), Some("run\n\"with\"\tcontrol\u{1}chars"));
     let thread_rows: Vec<_> = rows.iter().filter(|r| r["name"] == "thread_name").collect();
     assert_eq!(thread_rows.len(), 2);
-    assert_eq!(
-        thread_rows[0]["args"]["name"].as_str(),
-        Some("rank\u{0} zero")
-    );
-    assert_eq!(
-        thread_rows[1]["args"]["name"].as_str(),
-        Some("tab\there\nnewline\\backslash")
-    );
+    assert_eq!(thread_rows[0]["args"]["name"].as_str(), Some("rank\u{0} zero"));
+    assert_eq!(thread_rows[1]["args"]["name"].as_str(), Some("tab\there\nnewline\\backslash"));
     let x = rows.iter().find(|r| r["ph"] == "X").expect("the span row");
-    assert_eq!(
-        x["name"].as_str(),
-        Some("copy\u{2} 0->1"),
-        "control char round-trips"
-    );
+    assert_eq!(x["name"].as_str(), Some("copy\u{2} 0->1"), "control char round-trips");
 }
 
 #[test]
@@ -67,9 +54,7 @@ fn export_of_more_than_64k_events_round_trips() {
     // One export larger than the recorder's default total capacity
     // (1 << 16): the exporter must neither truncate nor corrupt.
     const N: usize = (1 << 16) + 1000;
-    let events: Vec<Event> = (0..N)
-        .map(|i| span_event(i as u64, (i % 32) as u64, "op"))
-        .collect();
+    let events: Vec<Event> = (0..N).map(|i| span_event(i as u64, (i % 32) as u64, "op")).collect();
     let json = chrome_trace(&events, &TraceMeta::sim().with_ranks(32));
     let parsed: serde_json::Value = serde_json::from_str(&json).expect("large trace parses");
     let rows = parsed["traceEvents"].as_array().unwrap();
@@ -93,10 +78,7 @@ fn recorder_overflow_drops_oldest_but_export_stays_consistent() {
     assert!(rec.dropped() > 0, "overflow recorded");
     let events = reader.drain();
     assert!(!events.is_empty());
-    assert!(
-        events.windows(2).all(|w| w[0].seq < w[1].seq),
-        "drain is seq-ordered"
-    );
+    assert!(events.windows(2).all(|w| w[0].seq < w[1].seq), "drain is seq-ordered");
     let json = chrome_trace(&events, &TraceMeta::real());
     let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
     assert!(parsed["traceEvents"].as_array().unwrap().len() > events.len());

@@ -9,9 +9,7 @@ fn panic_leaves_a_flight_dump_behind() {
     let dir = std::env::temp_dir().join(format!("pdac_flight_it_{}", std::process::id()));
     std::env::set_var(flight::FLIGHT_DIR_ENV, &dir);
     std::env::set_var("PDAC_SEED", "424242");
-    pdac_telemetry::global()
-        .registry()
-        .add("obs.flight.it_marker", 3);
+    pdac_telemetry::global().registry().add("obs.flight.it_marker", 3);
 
     flight::install_panic_hook();
     flight::note("integration: about to panic deliberately");
@@ -31,30 +29,14 @@ fn panic_leaves_a_flight_dump_behind() {
                 .unwrap_or(false)
         })
         .collect();
-    assert!(
-        !dumps.is_empty(),
-        "panic hook wrote a dump under {}",
-        dir.display()
-    );
+    assert!(!dumps.is_empty(), "panic hook wrote a dump under {}", dir.display());
     dumps.sort();
     let text = std::fs::read_to_string(dumps.last().unwrap()).expect("dump readable");
     assert!(text.contains("\"reason\": \"panic\""));
-    assert!(
-        text.contains("deliberate flight-recorder test panic"),
-        "panic message recorded"
-    );
-    assert!(
-        text.contains("integration: about to panic deliberately"),
-        "earlier notes survive"
-    );
-    assert!(
-        text.contains("\"pdac_seed\": \"424242\""),
-        "repro seed captured"
-    );
-    assert!(
-        text.contains("obs.flight.it_marker"),
-        "metrics snapshot attached"
-    );
+    assert!(text.contains("deliberate flight-recorder test panic"), "panic message recorded");
+    assert!(text.contains("integration: about to panic deliberately"), "earlier notes survive");
+    assert!(text.contains("\"pdac_seed\": \"424242\""), "repro seed captured");
+    assert!(text.contains("obs.flight.it_marker"), "metrics snapshot attached");
 
     std::env::remove_var(flight::FLIGHT_DIR_ENV);
     std::env::remove_var("PDAC_SEED");

@@ -41,15 +41,11 @@ fn histograms_render_cumulative_buckets_with_inf_sum_and_count() {
     let (_, hi_small) = bucket_bounds(bucket_index(5));
     let (_, hi_large) = bucket_bounds(bucket_index(1000));
     assert!(
-        text.contains(&format!(
-            "pdac_op_latency_ns_bucket{{le=\"{hi_small}\"}} 2\n"
-        )),
+        text.contains(&format!("pdac_op_latency_ns_bucket{{le=\"{hi_small}\"}} 2\n")),
         "small bucket cumulative count is 2:\n{text}"
     );
     assert!(
-        text.contains(&format!(
-            "pdac_op_latency_ns_bucket{{le=\"{hi_large}\"}} 3\n"
-        )),
+        text.contains(&format!("pdac_op_latency_ns_bucket{{le=\"{hi_large}\"}} 3\n")),
         "large bucket accumulates the small one:\n{text}"
     );
     assert!(text.contains("pdac_op_latency_ns_bucket{le=\"+Inf\"} 3\n"));
@@ -59,10 +55,7 @@ fn histograms_render_cumulative_buckets_with_inf_sum_and_count() {
     // Bucket series is cumulative: counts never decrease down the page,
     // and +Inf equals _count.
     let mut prev = 0u64;
-    for line in text
-        .lines()
-        .filter(|l| l.starts_with("pdac_op_latency_ns_bucket"))
-    {
+    for line in text.lines().filter(|l| l.starts_with("pdac_op_latency_ns_bucket")) {
         let v: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
         assert!(v >= prev, "bucket counts must be cumulative: {line}");
         prev = v;
@@ -88,11 +81,7 @@ fn counters_are_monotone_across_successive_snapshots() {
     };
     let a = read(&first, "pdac_mono_counter_total");
     let b = read(&second, "pdac_mono_counter_total");
-    assert_eq!(
-        (a, b),
-        (2, 5),
-        "counter accumulates, never resets between scrapes"
-    );
+    assert_eq!((a, b), (2, 5), "counter accumulates, never resets between scrapes");
     assert!(b >= a, "counters are monotone");
     assert!(!first.contains("pdac_mono_other_total"));
     assert!(second.contains("pdac_mono_other_total 1\n"));

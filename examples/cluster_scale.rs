@@ -17,8 +17,13 @@ use pdac::simnet::{bw_bcast, Resource, SimConfig, SimExecutor};
 
 fn main() {
     let c = cluster::homogeneous("ig-x4", &machines::ig(), 4, 2).expect("cluster builds");
-    println!("cluster: {} nodes x {} cores = {} ranks, {} switches",
-        c.num_nodes, c.num_cores() / c.num_nodes, c.num_cores(), c.num_switches);
+    println!(
+        "cluster: {} nodes x {} cores = {} ranks, {} switches",
+        c.num_nodes,
+        c.num_cores() / c.num_nodes,
+        c.num_cores(),
+        c.num_switches
+    );
 
     let binding = BindingPolicy::CrossNode.bind(&c, 192).expect("binding fits");
     let dist = DistanceMatrix::for_binding(&c, &binding);
@@ -34,17 +39,23 @@ fn main() {
     // fraction of the distance information.
     let (sparse, info) = hierarchical_bcast_tree(&dist, 0);
     assert_eq!(sparse, tree);
-    println!("\nhierarchical construction: {} probes vs {} full pairs ({}x fewer)",
-        info.probes, 192 * 191 / 2, (192 * 191 / 2) / info.probes);
+    println!(
+        "\nhierarchical construction: {} probes vs {} full pairs ({}x fewer)",
+        info.probes,
+        192 * 191 / 2,
+        (192 * 191 / 2) / info.probes
+    );
 
     let bytes = 4 << 20;
     let sched = bcast_schedule(&tree, bytes, &SchedConfig::default());
     let rep = SimExecutor::new(&c, &binding, SimConfig { allow_cache: false })
         .run(&sched)
         .expect("schedule validates");
-    println!("\n4MB broadcast: {:.1} ms -> {:.0} MB/s aggregate",
-        rep.total_time * 1e3, bw_bcast(192, bytes, rep.total_time));
+    println!(
+        "\n4MB broadcast: {:.1} ms -> {:.0} MB/s aggregate",
+        rep.total_time * 1e3,
+        bw_bcast(192, bytes, rep.total_time)
+    );
     let nic: f64 = (0..4).filter_map(|n| rep.resource_bytes.get(&Resource::Nic(n)).copied()).sum();
-    println!("network traffic: {:.0} MB over NICs = 3 node joins x 2 adapters x 4MB",
-        nic / 1e6);
+    println!("network traffic: {:.0} MB over NICs = 3 node joins x 2 adapters x 4MB", nic / 1e6);
 }

@@ -37,16 +37,24 @@ fn main() {
     println!("machine description is {} bytes of JSON", json.len());
     let spec: MachineSpec = serde_json::from_str(&json).expect("spec deserializes");
     let machine = Arc::new(spec.build().expect("spec is valid"));
-    println!("built {}: {} cores / {} NUMA nodes / {} boards",
-        machine.name, machine.num_cores(), machine.num_numa, machine.num_boards);
+    println!(
+        "built {}: {} cores / {} NUMA nodes / {} boards",
+        machine.name,
+        machine.num_cores(),
+        machine.num_numa,
+        machine.num_boards
+    );
 
     // A 30-rank job bound randomly across the machine, then split into an
     // application sub-communicator with a permuted rank order.
     let binding = BindingPolicy::Random { seed: 7 }.bind(&machine, 30).expect("binding fits");
     let world = Communicator::world(Arc::clone(&machine), binding);
     let sub = world.subset(&[29, 3, 17, 11, 23, 5, 8, 26, 14, 20, 2, 19]);
-    println!("\nsub-communicator of {} ranks, distance classes {:?}",
-        sub.size(), sub.distances().classes());
+    println!(
+        "\nsub-communicator of {} ranks, distance classes {:?}",
+        sub.size(),
+        sub.distances().classes()
+    );
 
     let coll = AdaptiveColl;
     let tree = coll.bcast_tree(&sub, 0, pdac::collectives::adaptive::BcastTopology::Hierarchical);

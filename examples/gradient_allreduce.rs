@@ -37,8 +37,10 @@ fn main() {
     let serial: f64 = (0..ranks).map(|r| grads[r][7]).sum::<f64>() / ranks as f64;
     assert!((averaged[7] - serial).abs() < 1e-12);
     println!("48-rank gradient allreduce of {params} f64 verified against serial reduction");
-    println!("(all ranks hold identical averaged gradients; kernel copies: {})",
-        session.last_knem_stats().copies);
+    println!(
+        "(all ranks hold identical averaged gradients; kernel copies: {})",
+        session.last_knem_stats().copies
+    );
 
     // 2. The performance story: tree vs bandwidth-optimal ring, simulated.
     let binding = BindingPolicy::CrossSocket.bind(&machine, ranks).expect("binding fits");

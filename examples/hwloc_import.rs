@@ -65,8 +65,13 @@ fn main() {
     };
 
     println!("\n{}", render::render_machine(&machine));
-    println!("{} cores / {} sockets / {} NUMA nodes / {} boards",
-        machine.num_cores(), machine.num_sockets, machine.num_numa, machine.num_boards);
+    println!(
+        "{} cores / {} sockets / {} NUMA nodes / {} boards",
+        machine.num_cores(),
+        machine.num_sockets,
+        machine.num_numa,
+        machine.num_boards
+    );
 
     let machine = Arc::new(machine);
     let n = machine.num_cores();

@@ -36,8 +36,10 @@ fn main() {
     let bytes = 1 << 20;
 
     println!("IG, 48 ranks, 1MB payloads; aggregate bandwidth in MB/s\n");
-    println!("{:<14}  {:>14} {:>14}  {:>16} {:>16}",
-        "placement", "tuned bcast", "KNEM bcast", "tuned allgather", "KNEM allgather");
+    println!(
+        "{:<14}  {:>14} {:>14}  {:>16} {:>16}",
+        "placement", "tuned bcast", "KNEM bcast", "tuned allgather", "KNEM allgather"
+    );
 
     let mut mins = [f64::INFINITY; 4];
     let mut maxs = [0.0f64; 4];
@@ -47,23 +49,36 @@ fn main() {
         let sim = SimExecutor::new(&machine, &binding, SimConfig { allow_cache: false });
 
         let bws = [
-            bw_bcast(48, bytes, sim.run(&tuned::bcast(48, 0, bytes, &tuned_cfg)).unwrap().total_time),
+            bw_bcast(
+                48,
+                bytes,
+                sim.run(&tuned::bcast(48, 0, bytes, &tuned_cfg)).unwrap().total_time,
+            ),
             bw_bcast(48, bytes, sim.run(&coll.bcast(&comm, 0, bytes)).unwrap().total_time),
-            bw_allgather(48, bytes, sim.run(&tuned::allgather(48, bytes, &tuned_cfg)).unwrap().total_time),
+            bw_allgather(
+                48,
+                bytes,
+                sim.run(&tuned::allgather(48, bytes, &tuned_cfg)).unwrap().total_time,
+            ),
             bw_allgather(48, bytes, sim.run(&coll.allgather(&comm, bytes)).unwrap().total_time),
         ];
         for (i, bw) in bws.iter().enumerate() {
             mins[i] = mins[i].min(*bw);
             maxs[i] = maxs[i].max(*bw);
         }
-        println!("{:<14}  {:>14.0} {:>14.0}  {:>16.0} {:>16.0}",
-            policy.label(), bws[0], bws[1], bws[2], bws[3]);
+        println!(
+            "{:<14}  {:>14.0} {:>14.0}  {:>16.0} {:>16.0}",
+            policy.label(),
+            bws[0],
+            bws[1],
+            bws[2],
+            bws[3]
+        );
     }
 
     println!("\nstability (min/max across placements):");
-    for (i, name) in ["tuned bcast", "KNEM bcast", "tuned allgather", "KNEM allgather"]
-        .iter()
-        .enumerate()
+    for (i, name) in
+        ["tuned bcast", "KNEM bcast", "tuned allgather", "KNEM allgather"].iter().enumerate()
     {
         println!("  {:<16} {:>5.1}%", name, 100.0 * mins[i] / maxs[i]);
     }

@@ -8,22 +8,30 @@
 //!
 //! Run with: `cargo run --example topology_tour`
 
-use pdac::collectives::{build_bcast_tree, Tree};
 use pdac::collectives::edges::Edge;
+use pdac::collectives::{build_bcast_tree, Tree};
 use pdac::hwtopo::{core_distance, machines, render, BindingPolicy, DistanceMatrix};
 
 fn main() {
     // --- Figure 3: IG ---
     let ig = machines::ig();
     println!("# IG (paper Figure 3)\n{}", render::render_machine(&ig));
-    println!("distance examples (§IV-A): core0-core5 = {}, core0-core12 = {}, core0-core24 = {}",
-        core_distance(&ig, 0, 5), core_distance(&ig, 0, 12), core_distance(&ig, 0, 24));
+    println!(
+        "distance examples (§IV-A): core0-core5 = {}, core0-core12 = {}, core0-core24 = {}",
+        core_distance(&ig, 0, 5),
+        core_distance(&ig, 0, 12),
+        core_distance(&ig, 0, 24)
+    );
 
     // --- Zoot ---
     let zoot = machines::zoot();
     println!("\n# Zoot (§III)\n{}", render::render_machine(&zoot));
-    println!("distance examples (§IV-A): core0-core1 = {}, core0-core2 = {}, core0-core4 = {}",
-        core_distance(&zoot, 0, 1), core_distance(&zoot, 0, 2), core_distance(&zoot, 0, 4));
+    println!(
+        "distance examples (§IV-A): core0-core1 = {}, core0-core2 = {}, core0-core4 = {}",
+        core_distance(&zoot, 0, 1),
+        core_distance(&zoot, 0, 2),
+        core_distance(&zoot, 0, 4)
+    );
 
     // --- Figure 1: the mismatch ---
     // Quad-socket dual-core node; the launcher placed communicating pairs
@@ -37,10 +45,11 @@ fn main() {
     print!("{}", render::render_binding(&m, &binding));
 
     // The in-order binomial tree the MPI library would build from ranks.
-    let binomial_edges: Vec<Edge> = [(0usize, 4usize), (0, 2), (4, 6), (0, 1), (2, 3), (4, 5), (6, 7)]
-        .iter()
-        .map(|&(u, v)| Edge { u, v, w: dist.get(u, v) })
-        .collect();
+    let binomial_edges: Vec<Edge> =
+        [(0usize, 4usize), (0, 2), (4, 6), (0, 1), (2, 3), (4, 5), (6, 7)]
+            .iter()
+            .map(|&(u, v)| Edge { u, v, w: dist.get(u, v) })
+            .collect();
     let binomial = Tree::from_edges(8, 0, &binomial_edges);
     println!("\nin-order binomial tree (rank-built):");
     print!("{}", binomial.render());

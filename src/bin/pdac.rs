@@ -173,8 +173,14 @@ fn run() -> Result<(), String> {
             no_more(2)?;
             let m = parse_machine(arg(1)?)?;
             print!("{}", render::render_machine(&m));
-            println!("{} cores / {} sockets / {} NUMA nodes / {} boards / {} nodes",
-                m.num_cores(), m.num_sockets, m.num_numa, m.num_boards, m.num_nodes);
+            println!(
+                "{} cores / {} sockets / {} NUMA nodes / {} boards / {} nodes",
+                m.num_cores(),
+                m.num_sockets,
+                m.num_numa,
+                m.num_boards,
+                m.num_nodes
+            );
         }
         "distances" => {
             no_more(3)?;

@@ -122,16 +122,13 @@ fn trace_diff_names_the_input_a_rebinding_moved() {
         let (code, _, stderr) = pdac(&dir, &args);
         assert_eq!(code, Some(0), "{args}: {stderr}");
     }
-    let (code, diff, stderr) = pdac(
-        &dir,
-        "trace diff before/provenance.json after/provenance.json",
-    );
+    let (code, diff, stderr) =
+        pdac(&dir, "trace diff before/provenance.json after/provenance.json");
     assert_eq!(code, Some(0), "{stderr}");
     // An input that did not move is never listed, so a row for a
     // `[distance]` decision's `edges` input names one the rebinding moved.
     assert!(
-        diff.lines()
-            .any(|l| l.trim_start().starts_with("[distance] edges d1: edges ")),
+        diff.lines().any(|l| l.trim_start().starts_with("[distance] edges d1: edges ")),
         "{diff}"
     );
 }
@@ -142,9 +139,32 @@ fn help_lists_every_subcommand() {
     assert_eq!(code, Some(0));
     let words: Vec<&str> = help.split(|c: char| !c.is_alphanumeric() && c != '-').collect();
     for sub in [
-        "topo", "distances", "tree", "ring", "dot", "simulate", "fig2", "fig4", "fig5", "fig6",
-        "fig7", "fig8", "future", "cluster", "claims", "ablation", "scaling", "tune", "gate",
-        "audit", "trend", "trace", "run", "explain", "analyze", "diff",
+        "topo",
+        "distances",
+        "tree",
+        "ring",
+        "dot",
+        "simulate",
+        "fig2",
+        "fig4",
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig8",
+        "future",
+        "cluster",
+        "claims",
+        "ablation",
+        "scaling",
+        "tune",
+        "gate",
+        "audit",
+        "trend",
+        "trace",
+        "run",
+        "explain",
+        "analyze",
+        "diff",
     ] {
         assert!(words.contains(&sub), "--help does not list {sub}");
     }

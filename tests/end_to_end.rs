@@ -49,9 +49,10 @@ fn allgather_correct_and_simulatable_everywhere() {
         let s = coll.allgather(&comm, 3000);
         verify::run(Request::new(Collective::Allgather, 0, 3000), &s)
             .unwrap_or_else(|e| panic!("{} ({} ranks): {e}", s.name, comm.size()));
-        let rep = SimExecutor::new(comm.machine(), comm.binding(), SimConfig { allow_cache: false })
-            .run(&s)
-            .unwrap();
+        let rep =
+            SimExecutor::new(comm.machine(), comm.binding(), SimConfig { allow_cache: false })
+                .run(&s)
+                .unwrap();
         assert!(rep.total_time > 0.0);
     }
 }
@@ -79,9 +80,7 @@ fn extension_collectives_correct_on_hostile_subgroups() {
 
     let s = barrier::distance_aware(&sub);
     s.validate().unwrap();
-    let rep = SimExecutor::new(sub.machine(), sub.binding(), SimConfig::default())
-        .run(&s)
-        .unwrap();
+    let rep = SimExecutor::new(sub.machine(), sub.binding(), SimConfig::default()).run(&s).unwrap();
     assert!(rep.total_time > 0.0);
 }
 
@@ -123,9 +122,8 @@ fn simulator_traffic_matches_the_analytical_model() {
         let sched = bcast_schedule(&tree, 1 << 20, &SchedConfig::default());
 
         let analytic = memory_accesses(&sched, &ig, &binding);
-        let report = SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false })
-            .run(&sched)
-            .unwrap();
+        let report =
+            SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false }).run(&sched).unwrap();
         for numa in 0..8 {
             let expect = (analytic.reads_per_numa[numa] + analytic.writes_per_numa[numa]) as f64;
             assert_eq!(report.mc_bytes(numa), expect, "{policy:?}, numa {numa}");
@@ -147,9 +145,7 @@ fn simulated_time_and_thread_execution_agree_on_schedules() {
         ];
         for s in schedules {
             s.validate().unwrap();
-            SimExecutor::new(comm.machine(), comm.binding(), SimConfig::default())
-                .run(&s)
-                .unwrap();
+            SimExecutor::new(comm.machine(), comm.binding(), SimConfig::default()).run(&s).unwrap();
             pdac::mpisim::ThreadExecutor::new().run(&s, verify::pattern).unwrap();
         }
     }

@@ -71,25 +71,30 @@ fn stalled_rank_still_completes_bcast() {
 /// retry of the same schedule completes.
 #[test]
 fn dropped_notification_is_typed_timeout_then_heals() {
-    watchdog("dropped_notification_is_typed_timeout_then_heals", 41, Duration::from_secs(30), || {
-        let comm = world(6);
-        let bytes = 10_000;
-        let schedule = AdaptiveColl.bcast(&comm, 0, bytes);
-        let plan = FaultPlan::new(41).drop_notify(0);
-        let err = ThreadExecutor::new()
-            .with_policy(RetryPolicy::chaos())
-            .with_faults(plan)
-            .run(&schedule, verify::pattern)
-            .expect_err("the stranded dependent must time out");
-        match &err {
-            ExecError::Timeout { seed, .. } => assert_eq!(*seed, Some(41)),
-            other => panic!("expected a typed timeout, got {other}"),
-        }
-        assert!(err.to_string().contains("fault seed 41"), "replay seed in message: {err}");
-        // The fault was transient (nothing is actually dead): the same
-        // schedule completes on a clean retry.
-        verify::run(Request::new(Collective::Bcast, 0, bytes), &schedule).unwrap();
-    });
+    watchdog(
+        "dropped_notification_is_typed_timeout_then_heals",
+        41,
+        Duration::from_secs(30),
+        || {
+            let comm = world(6);
+            let bytes = 10_000;
+            let schedule = AdaptiveColl.bcast(&comm, 0, bytes);
+            let plan = FaultPlan::new(41).drop_notify(0);
+            let err = ThreadExecutor::new()
+                .with_policy(RetryPolicy::chaos())
+                .with_faults(plan)
+                .run(&schedule, verify::pattern)
+                .expect_err("the stranded dependent must time out");
+            match &err {
+                ExecError::Timeout { seed, .. } => assert_eq!(*seed, Some(41)),
+                other => panic!("expected a typed timeout, got {other}"),
+            }
+            assert!(err.to_string().contains("fault seed 41"), "replay seed in message: {err}");
+            // The fault was transient (nothing is actually dead): the same
+            // schedule completes on a clean retry.
+            verify::run(Request::new(Collective::Bcast, 0, bytes), &schedule).unwrap();
+        },
+    );
 }
 
 /// A crashed non-root rank is detected by timeout, the communicator
@@ -138,12 +143,8 @@ fn chaos_harness_records_fault_stats_in_sim_report() {
     watchdog("chaos_harness_records_fault_stats_in_sim_report", 0, Duration::from_secs(60), || {
         let comm = world(6);
         let cfg = ChaosConfig::new(0);
-        let out = run_chaos(
-            &comm,
-            Request::new(Collective::Bcast, 0, 20_000),
-            &cfg,
-        )
-        .unwrap_or_else(|e| panic!("seed {}: {e}", cfg.seed));
+        let out = run_chaos(&comm, Request::new(Collective::Bcast, 0, 20_000), &cfg)
+            .unwrap_or_else(|e| panic!("seed {}: {e}", cfg.seed));
         assert!(out.recovered, "seed 0 crashes a non-root rank on flat_smp(6)");
         assert_eq!(out.failed_ranks.len(), 1);
         assert_ne!(out.failed_ranks[0], 0, "the root is never the victim");
@@ -164,12 +165,8 @@ fn chaos_outcome_is_deterministic_per_seed() {
     watchdog("chaos_outcome_is_deterministic_per_seed", 13, Duration::from_secs(60), || {
         let comm = world(6);
         let run = || {
-            run_chaos(
-                &comm,
-                Request::new(Collective::Allreduce, 0, 4096),
-                &ChaosConfig::new(13),
-            )
-            .unwrap_or_else(|e| panic!("seed 13: {e}"))
+            run_chaos(&comm, Request::new(Collective::Allreduce, 0, 4096), &ChaosConfig::new(13))
+                .unwrap_or_else(|e| panic!("seed 13: {e}"))
         };
         let a = run();
         let b = run();
@@ -239,8 +236,11 @@ fn chaos_sweep_100_seeds_never_hangs() {
                 Err(e) => {
                     assert!(
                         e.to_string().contains(&format!("fault seed {seed}"))
-                            || matches!(e, CollectiveError::UnknownRank { .. }
-                                | CollectiveError::AllRanksFailed { .. }),
+                            || matches!(
+                                e,
+                                CollectiveError::UnknownRank { .. }
+                                    | CollectiveError::AllRanksFailed { .. }
+                            ),
                         "seed {seed}: error does not quote its seed: {e}"
                     );
                 }
@@ -287,7 +287,11 @@ fn membership_sweep_100_cascade_seeds_shrinks_through_detection() {
                     // The survivor schedule spans the world minus the
                     // removed ranks: each removed once, each a world rank.
                     let removed: BTreeSet<usize> = out.failed_ranks.iter().copied().collect();
-                    assert_eq!(removed.len(), out.failed_ranks.len(), "seed {seed}: a rank removed twice");
+                    assert_eq!(
+                        removed.len(),
+                        out.failed_ranks.len(),
+                        "seed {seed}: a rank removed twice"
+                    );
                     assert!(removed.iter().all(|&r| r < n), "seed {seed}: {removed:?}");
                     assert_eq!(
                         out.sim_report.rank_busy.len(),

@@ -149,13 +149,10 @@ fn fits(pattern: &str, name: &str) -> bool {
     let (pattern, name): (Vec<&str>, Vec<&str>) =
         (pattern.split('.').collect(), name.split('.').collect());
     pattern.len() == name.len()
-        && pattern
-            .iter()
-            .zip(&name)
-            .all(|(p, n)| match p.split_once('{') {
-                None => p == n,
-                Some((head, _)) => n.len() > head.len() && n.starts_with(head),
-            })
+        && pattern.iter().zip(&name).all(|(p, n)| match p.split_once('{') {
+            None => p == n,
+            Some((head, _)) => n.len() > head.len() && n.starts_with(head),
+        })
 }
 
 #[test]
@@ -168,9 +165,7 @@ fn every_published_name_is_catalogued_and_seen() {
     let flat = Arc::new(machines::flat_smp(6));
     let smp = Communicator::world(
         Arc::clone(&flat),
-        BindingPolicy::Contiguous
-            .bind(&flat, 6)
-            .expect("6 ranks fit"),
+        BindingPolicy::Contiguous.bind(&flat, 6).expect("6 ranks fit"),
     );
 
     // Chaos on KNEM: the seeded crash and stall, healed transient
@@ -179,10 +174,7 @@ fn every_published_name_is_catalogued_and_seen() {
     let allgather = Request::new(Collective::Allgather, 0, 2048);
     for cfg in [
         ChaosConfig::with_corruption(1),
-        ChaosConfig {
-            max_recoveries: 0,
-            ..ChaosConfig::with_corruption(1)
-        },
+        ChaosConfig { max_recoveries: 0, ..ChaosConfig::with_corruption(1) },
     ] {
         run_chaos(&smp, allgather, &cfg).unwrap_or_else(|e| panic!("{e}"));
         seen(reader.drain());
@@ -198,10 +190,7 @@ fn every_published_name_is_catalogued_and_seen() {
             op_deadline: Some(Duration::from_millis(500)),
             ..RetryPolicy::chaos()
         })
-        .with_detector(Arc::new(FailureDetector::with_suspect_after(
-            6,
-            Duration::from_millis(2),
-        )))
+        .with_detector(Arc::new(FailureDetector::with_suspect_after(6, Duration::from_millis(2))))
         .with_faults(FaultPlan::new(3).stall_rank(0, Duration::from_millis(20)))
         .run(&bcast, pattern)
         .expect("a stall is not a failure");
@@ -222,39 +211,27 @@ fn every_published_name_is_catalogued_and_seen() {
     let rdma = ThreadExecutor::with_transport(TransportKind::Rdma.create(None))
         .with_buffer_pool(Arc::new(BufferPool::new(6)));
     for _ in 0..2 {
-        rdma.run(&bcast, pattern)
-            .expect("a fault-free run completes");
+        rdma.run(&bcast, pattern).expect("a fault-free run completes");
     }
     seen(reader.drain());
 
     // A plain simulation.
     let ig = machines::ig();
-    let binding = BindingPolicy::Contiguous
-        .bind(&ig, 48)
-        .expect("48 ranks fit");
+    let binding = BindingPolicy::Contiguous.bind(&ig, 48).expect("48 ranks fit");
     let comm = Communicator::world(Arc::new(ig.clone()), binding.clone());
     let sim = SimExecutor::new(&ig, &binding, SimConfig::default());
-    sim.run(&coll.allgather(&comm, 4096))
-        .expect("schedule validates");
+    sim.run(&coll.allgather(&comm, 4096)).expect("schedule validates");
     seen(reader.drain());
 
     // Planning through a one-entry cache: miss, hit, miss with an
     // eviction, then the epoch's entry invalidated.
     let cache = TopoCache::with_capacity(1);
     for root in [0, 0, 1] {
-        coll.plan(
-            &comm,
-            Request::new(Collective::Bcast, root, 1 << 20),
-            Sinks::cached(&cache),
-        );
+        coll.plan(&comm, Request::new(Collective::Bcast, root, 1 << 20), Sinks::cached(&cache));
     }
     assert_eq!(cache.invalidate_epoch(comm.epoch()), 1);
     let stats = cache.stats();
-    assert_eq!(
-        (stats.hits, stats.misses, stats.evictions),
-        (1, 2, 1),
-        "{stats:?}"
-    );
+    assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 2, 1), "{stats:?}");
     seen(reader.drain());
 
     // An explained plan, audited clean and then against a tampered trace
@@ -266,22 +243,11 @@ fn every_published_name_is_catalogued_and_seen() {
     assert!(ConformanceReport::audit(&graph, &prov).passed());
     let mut spans: Vec<OpSpan> = graph.spans().to_vec();
     spans.pop();
-    let rogue = OpSpan {
-        op: usize::MAX,
-        name: "rogue".into(),
-        plan: None,
-        ..spans[0].clone()
-    };
+    let rogue = OpSpan { op: usize::MAX, name: "rogue".into(), plan: None, ..spans[0].clone() };
     spans.push(rogue);
-    let copy = spans
-        .iter()
-        .position(|s| s.mech != MechKind::Notify)
-        .expect("a copy");
+    let copy = spans.iter().position(|s| s.mech != MechKind::Notify).expect("a copy");
     spans[copy].bytes += 7;
-    let early = spans
-        .iter()
-        .position(|s| !s.deps.is_empty())
-        .expect("a dependent op");
+    let early = spans.iter().position(|s| !s.deps.is_empty()).expect("a dependent op");
     spans[early].start_us = 0.0;
     let tampered = ConformanceReport::audit(&OpGraph::new(spans), &prov);
     assert!(!tampered.passed());
@@ -302,41 +268,25 @@ fn every_published_name_is_catalogued_and_seen() {
         .counters
         .keys()
         .filter(|n| !catalogued(Counter, n))
-        .chain(
-            snapshot
-                .histograms
-                .keys()
-                .filter(|n| !catalogued(Histograms, n)),
-        )
+        .chain(snapshot.histograms.keys().filter(|n| !catalogued(Histograms, n)))
         .map(String::as_str)
         .chain(categories.iter().copied().filter(|c| !catalogued(Span, c)))
         .collect();
-    assert!(
-        uncatalogued.is_empty(),
-        "published but not in the catalog: {uncatalogued:?}"
-    );
+    assert!(uncatalogued.is_empty(), "published but not in the catalog: {uncatalogued:?}");
 
     let unseen: Vec<&str> = CATALOG
         .iter()
         .filter(|&&(_, name, ..)| !SCHEDULED.contains(&name))
         .filter(|&&(kind, name, ..)| match kind {
             Counter => snapshot.counters.get(name).copied().unwrap_or(0) == 0,
-            Histograms => !snapshot
-                .histograms
-                .iter()
-                .any(|(n, h)| fits(name, n) && h.count > 0),
+            Histograms => !snapshot.histograms.iter().any(|(n, h)| fits(name, n) && h.count > 0),
             Span => !categories.contains(name),
         })
         .map(|r| r.1)
         .collect();
-    assert!(
-        unseen.is_empty(),
-        "catalogued but never seen non-zero: {unseen:?}"
-    );
+    assert!(unseen.is_empty(), "catalogued but never seen non-zero: {unseen:?}");
 
-    let back: Vec<&str> = DELETED
-        .into_iter()
-        .filter(|n| snapshot.counters.contains_key(*n))
-        .collect();
+    let back: Vec<&str> =
+        DELETED.into_iter().filter(|n| snapshot.counters.contains_key(*n)).collect();
     assert!(back.is_empty(), "deleted names registered again: {back:?}");
 }

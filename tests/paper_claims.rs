@@ -77,10 +77,7 @@ fn table() -> &'static [Claim] {
 
 fn assert_reproduced(ids: &[&str]) {
     for id in ids {
-        let claim = table()
-            .iter()
-            .find(|c| c.id == *id)
-            .unwrap_or_else(|| panic!("no claim {id}"));
+        let claim = table().iter().find(|c| c.id == *id).unwrap_or_else(|| panic!("no claim {id}"));
         assert_eq!(claim.verdict, Verdict::Reproduced, "{claim:?}");
     }
 }
@@ -111,11 +108,8 @@ fn experiments_claim_tables_quote_the_claims_file() {
         if !in_table || line.starts_with("|---") {
             continue;
         }
-        let cells: Vec<&str> = line
-            .split('|')
-            .map(|c| c.trim().trim_matches('`'))
-            .filter(|c| !c.is_empty())
-            .collect();
+        let cells: Vec<&str> =
+            line.split('|').map(|c| c.trim().trim_matches('`')).filter(|c| !c.is_empty()).collect();
         assert!(
             COMMITTED_TABLE.lines().any(|l| l.split_whitespace().eq(cells.iter().copied())),
             "EXPERIMENTS.md row {line:?} is not a line of results/claims.txt"

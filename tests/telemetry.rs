@@ -15,9 +15,7 @@ use pdac::telemetry::{RegistrySnapshot, TraceMeta};
 
 fn bcast_world(ranks: usize, bytes: usize) -> (Communicator, pdac::simnet::Schedule) {
     let machine = Arc::new(machines::ig());
-    let binding = BindingPolicy::Contiguous
-        .bind(&machine, ranks)
-        .expect("binding fits");
+    let binding = BindingPolicy::Contiguous.bind(&machine, ranks).expect("binding fits");
     let comm = Communicator::world(Arc::clone(&machine), binding);
     let schedule = AdaptiveColl.bcast(&comm, 0, bytes);
     (comm, schedule)
@@ -36,14 +34,8 @@ fn sim_trace_round_trips_with_one_x_event_per_op() {
 
     let xs: Vec<_> = rows.iter().filter(|r| r["ph"] == "X").collect();
     assert_eq!(xs.len(), schedule.ops.len(), "one X event per executed op");
-    assert!(
-        xs.iter().all(|e| e["pid"].as_u64() == Some(1)),
-        "sim rows live under pid 1"
-    );
-    let process = rows
-        .iter()
-        .find(|r| r["name"] == "process_name")
-        .expect("process_name row");
+    assert!(xs.iter().all(|e| e["pid"].as_u64() == Some(1)), "sim rows live under pid 1");
+    let process = rows.iter().find(|r| r["name"] == "process_name").expect("process_name row");
     assert_eq!(process["args"]["name"], "sim");
     let threads: Vec<_> = rows.iter().filter(|r| r["name"] == "thread_name").collect();
     assert_eq!(threads.len(), schedule.num_ranks, "every rank row is named");
@@ -80,23 +72,13 @@ fn real_trace_round_trips_with_one_x_event_per_op() {
         .iter()
         .filter(|r| r["ph"] == "X" && (r["cat"] == "copy" || r["cat"] == "notify"))
         .collect();
-    assert_eq!(
-        op_xs.len(),
-        schedule.ops.len(),
-        "one X event per executed op"
-    );
-    assert!(
-        op_xs.iter().all(|e| e["pid"].as_u64() == Some(2)),
-        "real rows live under pid 2"
-    );
+    assert_eq!(op_xs.len(), schedule.ops.len(), "one X event per executed op");
+    assert!(op_xs.iter().all(|e| e["pid"].as_u64() == Some(2)), "real rows live under pid 2");
     assert!(
         op_xs.iter().all(|e| e["args"]["dist"].as_u64().is_some()),
         "every op is labelled with its distance class"
     );
-    let process = rows
-        .iter()
-        .find(|r| r["name"] == "process_name")
-        .expect("process_name row");
+    let process = rows.iter().find(|r| r["name"] == "process_name").expect("process_name row");
     assert_eq!(process["args"]["name"], "real");
 
     // The registry saw the same run: one copy histogram value per copy op.
@@ -109,11 +91,8 @@ fn real_trace_round_trips_with_one_x_event_per_op() {
         })
         .map(|(_, h)| h.count)
         .sum();
-    let copy_ops = schedule
-        .ops
-        .iter()
-        .filter(|o| matches!(o.kind, pdac::simnet::OpKind::Copy { .. }))
-        .count();
+    let copy_ops =
+        schedule.ops.iter().filter(|o| matches!(o.kind, pdac::simnet::OpKind::Copy { .. })).count();
     assert_eq!(copies as usize, copy_ops, "one latency sample per copy op");
 }
 
@@ -128,10 +107,7 @@ fn snapshot_diff_round_trips_through_json() {
     let new = RegistrySnapshot::from_json(&reg.snapshot().to_json()).expect("round-trips");
 
     let rows = pdac::telemetry::diff::diff(&base.flat(), &new.flat());
-    let row = |key: &str| {
-        rows.lines()
-            .find(|l| l.split_whitespace().next() == Some(key))
-    };
+    let row = |key: &str| rows.lines().find(|l| l.split_whitespace().next() == Some(key));
     let copies = row("knem.copies").unwrap_or_else(|| panic!("{rows}"));
     assert!(copies.contains("7 -> 10"), "{rows}");
     let count = row("exec.op_ns.knem.d5.count").unwrap_or_else(|| panic!("{rows}"));
@@ -142,11 +118,7 @@ fn snapshot_diff_round_trips_through_json() {
 
 #[test]
 fn fault_summary_includes_retries_and_backoff() {
-    let stats = FaultStats {
-        retries: 4,
-        backoff_ns: 2_500_000,
-        ..FaultStats::default()
-    };
+    let stats = FaultStats { retries: 4, backoff_ns: 2_500_000, ..FaultStats::default() };
     let line = fault_summary_line(&stats);
     assert!(line.contains("4 retries"), "{line}");
     assert!(line.contains("2.500 ms backoff"), "{line}");
