@@ -21,9 +21,11 @@
 //! dependent's recorded start is always at or after its dependency's
 //! recorded end. Only a true violation (or a corrupted trace) trips it.
 
+use std::collections::HashMap;
+
 use serde::Serialize;
 
-use pdac_core::Provenance;
+use pdac_core::{PlannedOp, Provenance};
 
 use crate::opgraph::{MechKind, OpGraph};
 
@@ -75,9 +77,15 @@ impl ConformanceReport {
         let mut unexplained = Vec::new();
         let mut mismatched = Vec::new();
         let mut reordered = Vec::new();
+        // The planned ops by id, the first of any duplicate: a document read
+        // from JSON may list them out of order, twice or past its length.
+        let mut by_id: HashMap<usize, &PlannedOp> = HashMap::with_capacity(plan.planned_ops.len());
+        for p in &plan.planned_ops {
+            by_id.entry(p.op).or_insert(p);
+        }
 
         for span in graph.spans() {
-            let Some(planned) = plan.planned_ops.iter().find(|p| p.op == span.op) else {
+            let Some(&planned) = by_id.get(&span.op) else {
                 unexplained.push(span.op);
                 continue;
             };
@@ -329,5 +337,37 @@ mod tests {
         assert!(graph.spans().iter().all(|s| s.plan.is_some()), "plan ids survive the file");
         let rep = ConformanceReport::audit(&graph, &prov);
         assert_eq!(rep.unexplained, vec![foreign], "{}", rep.render());
+    }
+
+    #[test]
+    fn planned_op_order_does_not_change_the_report() {
+        // A trace with one of each finding, so every branch of the join runs.
+        let (graph, prov) = explained_run();
+        let mut spans: Vec<OpSpan> = graph.spans().to_vec();
+        spans.pop();
+        spans[0].plan = Some("someone-elses-plan".into());
+        let copy = spans.iter().skip(1).position(|s| s.mech != MechKind::Notify).expect("a copy");
+        spans[1 + copy].bytes += 7;
+        let late = spans.iter().rposition(|s| !s.deps.is_empty()).expect("a dependent op");
+        spans[late].start_us = 0.0;
+        let graph = OpGraph::new(spans);
+        let rep = ConformanceReport::audit(&graph, &prov);
+        assert!(!rep.missing.is_empty() && !rep.unexplained.is_empty(), "{}", rep.render());
+        assert!(!rep.mismatched.is_empty() && !rep.reordered.is_empty(), "{}", rep.render());
+
+        let mut reversed = prov.clone();
+        reversed.planned_ops.reverse();
+        assert_eq!(ConformanceReport::audit(&graph, &reversed), rep);
+
+        // A later duplicate of an id is ignored, as a scan from the front
+        // ignores it; only the planned-op count sees it.
+        let mut duplicated = prov.clone();
+        let first = prov.planned_ops.iter().position(|p| p.kind == "copy" && !p.deps.is_empty());
+        let mut twin = duplicated.planned_ops[first.expect("a dependent copy")].clone();
+        twin.bytes += 1;
+        twin.deps.clear();
+        duplicated.planned_ops.push(twin);
+        let dup = ConformanceReport::audit(&graph, &duplicated);
+        assert_eq!(dup, ConformanceReport { planned_ops: rep.planned_ops + 1, ..rep });
     }
 }

@@ -19,7 +19,7 @@ use pdac_core::Collective;
 use pdac_hwtopo::{cluster, machines, BindingPolicy, DistanceMatrix, Machine};
 use pdac_mpisim::p2p::P2pConfig;
 use pdac_mpisim::Communicator;
-use pdac_simnet::{bw_bcast, Schedule, SimConfig, SimExecutor};
+use pdac_simnet::{bw_bcast, SimConfig, SimExecutor};
 
 use crate::human_size;
 
@@ -49,7 +49,7 @@ fn plain_kruskal_tree(dist: &DistanceMatrix, root: usize) -> Tree {
 ///    root fan-out (the paper's "minimum depth among minimum weight
 ///    spanning trees" claim, quantified).
 /// 2. **Pipeline chunk size** — broadcast bandwidth vs chunk size on IG
-///    (the knob behind `SchedConfig::pipeline_chunk`).
+///    (`SchedConfig::uniform`: one `ChunkPolicy` size for every class).
 /// 3. **Eager/rendezvous threshold** — the SM/KNEM 4 KB switch in the
 ///    baseline p2p stack.
 ///
@@ -202,15 +202,24 @@ pub fn tune(machine: Machine) {
     let cfg = &TunedConfig::default();
     let coll = AdaptiveColl;
 
+    let build = |collective, component, c: &Communicator, s| match (collective, component) {
+        (Collective::Bcast, Component::Sm) => sm::bcast(c.size(), 0, s),
+        (Collective::Bcast, Component::Tuned) => tuned::bcast(c.size(), 0, s, cfg),
+        (Collective::Bcast, Component::KnemColl) => coll.bcast(c, 0, s),
+        (Collective::Allgather, Component::Sm) => sm::allgather(c.size(), s),
+        (Collective::Allgather, Component::Tuned) => tuned::allgather(c.size(), s, cfg),
+        (Collective::Allgather, Component::KnemColl) => coll.allgather(c, s),
+        (other, _) => unreachable!("{other:?} has no sm/tuned component to tune against"),
+    };
     // Worst-case (over placements) time of one component at one size.
-    let worst_time = |build: &dyn Fn(&Communicator, usize) -> Schedule, size: usize| {
+    let worst = |collective, component, size: usize| {
         placements
             .iter()
             .map(|p| {
                 let binding = p.bind(&machine, n).expect("binding fits");
                 let comm = Communicator::world(Arc::clone(&machine), binding.clone());
                 SimExecutor::new(&machine, &binding, SimConfig { allow_cache: false })
-                    .run(&build(&comm, size))
+                    .run(&build(collective, component, &comm, size))
                     .expect("schedule validates")
                     .total_time
             })
@@ -229,37 +238,12 @@ pub fn tune(machine: Machine) {
             // Above 256K the sm component's 8K-fragment schedules explode in
             // op count (and it has long lost by then); disqualify it instead
             // of simulating millions of bounce copies.
-            let sm_viable = size <= 256 << 10;
-            let candidates: Vec<(Component, f64)> = match collective {
-                Collective::Bcast => vec![
-                    (
-                        Component::Sm,
-                        if sm_viable {
-                            worst_time(&|c, s| sm::bcast(c.size(), 0, s), size)
-                        } else {
-                            f64::INFINITY
-                        },
-                    ),
-                    (Component::Tuned, worst_time(&|c, s| tuned::bcast(c.size(), 0, s, cfg), size)),
-                    (Component::KnemColl, worst_time(&|c, s| coll.bcast(c, 0, s), size)),
-                ],
-                Collective::Allgather => vec![
-                    (
-                        Component::Sm,
-                        if sm_viable {
-                            worst_time(&|c, s| sm::allgather(c.size(), s), size)
-                        } else {
-                            f64::INFINITY
-                        },
-                    ),
-                    (
-                        Component::Tuned,
-                        worst_time(&|c, s| tuned::allgather(c.size(), s, cfg), size),
-                    ),
-                    (Component::KnemColl, worst_time(&|c, s| coll.allgather(c, s), size)),
-                ],
-                other => unreachable!("{other:?} has no sm/tuned component to tune against"),
+            let time = |component| match component {
+                Component::Sm if size > 256 << 10 => f64::INFINITY,
+                _ => worst(collective, component, size),
             };
+            let candidates =
+                [Component::Sm, Component::Tuned, Component::KnemColl].map(|c| (c, time(c)));
             let &(winner, _) =
                 candidates.iter().min_by(|a, b| a.1.total_cmp(&b.1)).expect("three candidates");
             winners.push((size, winner));
@@ -273,16 +257,10 @@ pub fn tune(machine: Machine) {
             );
         }
         // Compress consecutive same-winner bins into rules.
-        let mut i = 0;
-        while i < winners.len() {
-            let component = winners[i].1;
-            let mut j = i;
-            while j + 1 < winners.len() && winners[j + 1].1 == component {
-                j += 1;
-            }
-            let max_bytes = if j + 1 == winners.len() { usize::MAX } else { winners[j].0 };
-            rules.push((collective, max_bytes, component));
-            i = j + 1;
+        let runs: Vec<_> = winners.chunk_by(|a, b| a.1 == b.1).collect();
+        for (k, run) in runs.iter().enumerate() {
+            let max_bytes = if k + 1 == runs.len() { usize::MAX } else { run[run.len() - 1].0 };
+            rules.push((collective, max_bytes, run[0].1));
         }
         println!();
     }

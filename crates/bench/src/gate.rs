@@ -59,6 +59,22 @@ pub struct Scenario {
 /// placement independence, checked as an equality.
 pub fn canonical_scenarios() -> Vec<Scenario> {
     let mut out = Vec::new();
+    let mut push = |machine: &str, collective: Collective, bytes: usize, transport| {
+        let suffix = if transport == TransportModel::Rdma { "/rdma" } else { "" };
+        let size = crate::human_size(bytes);
+        for (placement, policy) in
+            [("contig", BindingPolicy::Contiguous), ("xsock", BindingPolicy::CrossSocket)]
+        {
+            out.push(Scenario {
+                id: format!("{machine}/{}/{placement}/{size}{suffix}", collective.label()),
+                machine: machine.to_string(),
+                collective,
+                policy,
+                bytes,
+                transport,
+            });
+        }
+    };
     for machine in ["ig", "zoot", "syn2x2x8"] {
         for (collective, sizes) in [
             (Collective::Bcast, [16 << 10, 1 << 20]),
@@ -66,44 +82,14 @@ pub fn canonical_scenarios() -> Vec<Scenario> {
             (Collective::Allreduce, [16 << 10, 1 << 20]),
         ] {
             for bytes in sizes {
-                for (placement, policy) in
-                    [("contig", BindingPolicy::Contiguous), ("xsock", BindingPolicy::CrossSocket)]
-                {
-                    out.push(Scenario {
-                        id: format!(
-                            "{machine}/{}/{placement}/{}",
-                            collective.label(),
-                            crate::human_size(bytes)
-                        ),
-                        machine: machine.to_string(),
-                        collective,
-                        policy,
-                        bytes,
-                        transport: TransportModel::Knem,
-                    });
-                }
+                push(machine, collective, bytes, TransportModel::Knem);
             }
         }
     }
     for machine in ["ig", "zoot"] {
         for (collective, bytes) in [(Collective::Bcast, 1 << 20), (Collective::Allgather, 64 << 10)]
         {
-            for (placement, policy) in
-                [("contig", BindingPolicy::Contiguous), ("xsock", BindingPolicy::CrossSocket)]
-            {
-                out.push(Scenario {
-                    id: format!(
-                        "{machine}/{}/{placement}/{}/rdma",
-                        collective.label(),
-                        crate::human_size(bytes)
-                    ),
-                    machine: machine.to_string(),
-                    collective,
-                    policy,
-                    bytes,
-                    transport: TransportModel::Rdma,
-                });
-            }
+            push(machine, collective, bytes, TransportModel::Rdma);
         }
     }
     out

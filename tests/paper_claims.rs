@@ -6,13 +6,15 @@
 //! build), after every curve is simulated again at the sizes its claims
 //! read and found equal to the committed points bit for bit. Every other
 //! sweep runs in full. The rendered table must then equal the committed
-//! file, the claims this test has always asserted must be `reproduced`, and
-//! every row of EXPERIMENTS.md's claim tables must quote the file.
+//! file, every committed verdict must follow from its row's `paper` and
+//! `measured` cells by the rule the file's header prints, the claims this
+//! test has always asserted must be `reproduced`, and every row of
+//! EXPERIMENTS.md's claim tables must quote the file.
 
 use std::sync::OnceLock;
 
 use pdac::simnet::Series;
-use pdac_bench::claims::{self, Claim, Verdict};
+use pdac_bench::claims::{self, Claim, Comparator, Verdict};
 use pdac_bench::figures::{self, Sweep};
 
 /// Each committed sweep, and the sizes at which it is simulated again: the
@@ -93,6 +95,28 @@ fn claims_table_matches_the_committed_file() {
         rendered.lines().count(),
         "results/claims.txt has a different number of lines"
     );
+}
+
+#[test]
+fn committed_verdicts_follow_from_the_paper_and_measured_cells() {
+    assert!(
+        COMMITTED_TABLE.starts_with(&claims::render(&[])),
+        "results/claims.txt does not start with the verdict rule and the column header"
+    );
+    let mut rows = 0;
+    for row in COMMITTED_TABLE.lines().filter(|l| !l.starts_with('#')) {
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        let [id, paper, measured, verdict] = cells[..] else {
+            panic!("results/claims.txt row {row:?} is not four cells");
+        };
+        let paper: Comparator = paper.parse().unwrap_or_else(|e| panic!("{id}: {e}"));
+        // `Claim::new` judges a bool as the number it converts to, 0 or 1.
+        let x = measured.parse::<bool>().map(f64::from).or_else(|_| measured.parse());
+        let x = x.unwrap_or_else(|e| panic!("{id}: {e}"));
+        assert_eq!(paper.judge(x).to_string(), verdict, "{id}: {paper} on {measured}");
+        rows += 1;
+    }
+    assert!(rows > 0, "results/claims.txt has no rows");
 }
 
 #[test]
