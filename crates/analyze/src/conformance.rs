@@ -52,14 +52,14 @@ pub struct OrderViolation {
 pub struct ConformanceReport {
     /// The plan the trace was audited against.
     pub plan_id: String,
-    /// Ops the plan contains.
+    /// Distinct op ids the plan contains.
     pub planned_ops: usize,
     /// Op spans the trace contains.
     pub executed_ops: usize,
     /// Executed op ids the plan does not explain (unknown id, or stamped
     /// with a different plan id).
     pub unexplained: Vec<usize>,
-    /// Planned op ids that never executed.
+    /// Planned op ids that never executed, each once, ascending.
     pub missing: Vec<usize>,
     /// Ops whose executed shape differs from the plan (`op 3: planned
     /// copy of 4096 B, executed notify`).
@@ -138,15 +138,16 @@ impl ConformanceReport {
             }
         }
 
-        let missing: Vec<usize> =
-            plan.planned_ops.iter().filter(|p| graph.get(p.op).is_none()).map(|p| p.op).collect();
+        let mut missing: Vec<usize> =
+            by_id.keys().copied().filter(|&op| graph.get(op).is_none()).collect();
 
         unexplained.sort_unstable();
+        missing.sort_unstable();
         reordered.sort_by_key(|v| (v.op, v.dep));
 
         let report = ConformanceReport {
             plan_id: plan.plan_id.clone(),
-            planned_ops: plan.planned_ops.len(),
+            planned_ops: by_id.len(),
             executed_ops: graph.len(),
             unexplained,
             missing,
@@ -341,10 +342,11 @@ mod tests {
 
     #[test]
     fn planned_op_order_does_not_change_the_report() {
-        // A trace with one of each finding, so every branch of the join runs.
+        // A trace with one of each finding, so every branch of the join
+        // runs, and two missing ops, so their order shows.
         let (graph, prov) = explained_run();
         let mut spans: Vec<OpSpan> = graph.spans().to_vec();
-        spans.pop();
+        let gone = [spans.pop().expect("an op").op, spans.pop().expect("an op").op];
         spans[0].plan = Some("someone-elses-plan".into());
         let copy = spans.iter().skip(1).position(|s| s.mech != MechKind::Notify).expect("a copy");
         spans[1 + copy].bytes += 7;
@@ -352,7 +354,8 @@ mod tests {
         spans[late].start_us = 0.0;
         let graph = OpGraph::new(spans);
         let rep = ConformanceReport::audit(&graph, &prov);
-        assert!(!rep.missing.is_empty() && !rep.unexplained.is_empty(), "{}", rep.render());
+        assert_eq!(rep.missing, [gone[1], gone[0]], "{}", rep.render());
+        assert!(!rep.unexplained.is_empty(), "{}", rep.render());
         assert!(!rep.mismatched.is_empty() && !rep.reordered.is_empty(), "{}", rep.render());
 
         let mut reversed = prov.clone();
@@ -360,14 +363,16 @@ mod tests {
         assert_eq!(ConformanceReport::audit(&graph, &reversed), rep);
 
         // A later duplicate of an id is ignored, as a scan from the front
-        // ignores it; only the planned-op count sees it.
+        // ignores it, and a repeated unexecuted entry is missing once: the
+        // report counts and lists distinct ids.
         let mut duplicated = prov.clone();
         let first = prov.planned_ops.iter().position(|p| p.kind == "copy" && !p.deps.is_empty());
         let mut twin = duplicated.planned_ops[first.expect("a dependent copy")].clone();
         twin.bytes += 1;
         twin.deps.clear();
         duplicated.planned_ops.push(twin);
-        let dup = ConformanceReport::audit(&graph, &duplicated);
-        assert_eq!(dup, ConformanceReport { planned_ops: rep.planned_ops + 1, ..rep });
+        let unexecuted = prov.planned_ops.iter().find(|p| p.op == gone[1]).expect("planned");
+        duplicated.planned_ops.insert(0, unexecuted.clone());
+        assert_eq!(ConformanceReport::audit(&graph, &duplicated), rep);
     }
 }

@@ -19,7 +19,7 @@ use pdac_core::adaptive::{AdaptiveColl, BcastTopology};
 use pdac_core::allgather_ring::Ring;
 use pdac_core::bcast_tree::build_bcast_tree;
 use pdac_core::edges::{edge_queue, CLASS_WEIGHTS};
-use pdac_core::sched::{allgather_schedule, bcast_schedule, SchedConfig};
+use pdac_core::sched::{allgather_schedule_dist, bcast_schedule_dist, SchedConfig};
 use pdac_core::TopoCache;
 use pdac_hwtopo::{cluster, machines, BindingPolicy, DistanceMatrix};
 use pdac_mpisim::Communicator;
@@ -78,9 +78,11 @@ fn bench_schedule_generation(c: &mut Criterion) {
     let tree = build_bcast_tree(&dist, 0);
     let ring = Ring::build(&dist);
     group.bench_function("bcast_8M_pipelined", |b| {
-        b.iter(|| bcast_schedule(&tree, 8 << 20, &SchedConfig::default()))
+        b.iter(|| bcast_schedule_dist(&tree, 8 << 20, &SchedConfig::default(), None))
     });
-    group.bench_function("allgather_48_ranks", |b| b.iter(|| allgather_schedule(&ring, 64 << 10)));
+    group.bench_function("allgather_48_ranks", |b| {
+        b.iter(|| allgather_schedule_dist(&ring, 64 << 10, None, None))
+    });
 
     // The largest schedules `pdac-e2e`'s `plan_churn` compiles on a cache
     // hit (its `core.sched_build_ns.*` probes time the 48-rank ones): four
@@ -92,7 +94,9 @@ fn bench_schedule_generation(c: &mut Criterion) {
     let cache = TopoCache::new();
     let ring = coll.allgather_ring_cached(&cache, &comm);
     coll.bcast_cached(&cache, &comm, 0, 1 << 20);
-    group.bench_function("allgather_192_ranks", |b| b.iter(|| allgather_schedule(&ring, 64 << 10)));
+    group.bench_function("allgather_192_ranks", |b| {
+        b.iter(|| allgather_schedule_dist(&ring, 64 << 10, None, None))
+    });
     group.bench_function("bcast_1M_cached_192_ranks", |b| {
         b.iter(|| coll.bcast_cached(&cache, &comm, 0, 1 << 20))
     });

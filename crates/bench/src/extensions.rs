@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use pdac_core::adaptive::AdaptiveColl;
 use pdac_core::baseline::sm;
-use pdac_core::baseline::tuned::{self, TunedConfig};
+use pdac_core::baseline::tuned;
 use pdac_core::bcast_tree::build_bcast_tree;
 use pdac_core::distributed::hierarchical_bcast_tree;
 use pdac_core::edges::{edge_queue, unpack, Edge, CLASS_WEIGHTS};
@@ -121,8 +121,7 @@ fn eager_threshold_ablation() {
     for bytes in [512usize, 2 << 10, 8 << 10, 32 << 10] {
         let mut row = format!("{:>12}", human_size(bytes));
         for eager in [1 << 10, 4 << 10, 16 << 10] {
-            let cfg = TunedConfig { p2p: P2pConfig { eager_max: eager }, ..Default::default() };
-            let s = tuned::bcast(48, 0, bytes, &cfg);
+            let s = tuned::bcast(48, 0, bytes, &P2pConfig { eager_max: eager });
             let t = SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false })
                 .run(&s)
                 .unwrap()
@@ -199,15 +198,15 @@ pub fn tune(machine: Machine) {
     let n = machine.num_cores();
     let sizes: Vec<usize> = (9..=23).map(|p| 1usize << p).collect();
     let placements = [BindingPolicy::Contiguous, BindingPolicy::CrossSocket];
-    let cfg = &TunedConfig::default();
+    let p2p = &P2pConfig::default();
     let coll = AdaptiveColl;
 
     let build = |collective, component, c: &Communicator, s| match (collective, component) {
         (Collective::Bcast, Component::Sm) => sm::bcast(c.size(), 0, s),
-        (Collective::Bcast, Component::Tuned) => tuned::bcast(c.size(), 0, s, cfg),
+        (Collective::Bcast, Component::Tuned) => tuned::bcast(c.size(), 0, s, p2p),
         (Collective::Bcast, Component::KnemColl) => coll.bcast(c, 0, s),
         (Collective::Allgather, Component::Sm) => sm::allgather(c.size(), s),
-        (Collective::Allgather, Component::Tuned) => tuned::allgather(c.size(), s, cfg),
+        (Collective::Allgather, Component::Tuned) => tuned::allgather(c.size(), s, p2p),
         (Collective::Allgather, Component::KnemColl) => coll.allgather(c, s),
         (other, _) => unreachable!("{other:?} has no sm/tuned component to tune against"),
     };

@@ -11,13 +11,13 @@ use std::sync::Arc;
 
 use pdac_core::adaptive::{AdaptiveColl, BcastTopology};
 use pdac_core::allgather_ring::Ring;
-use pdac_core::baseline::mpich::{self, MpichConfig};
-use pdac_core::baseline::tuned::{self, TunedConfig};
+use pdac_core::baseline::{mpich, tuned};
 use pdac_core::bcast_tree::{build_bcast_tree, build_bcast_tree_traced};
 use pdac_core::metrics::{self, MemStats};
-use pdac_core::sched::{allgather_schedule, bcast_schedule, SchedConfig};
+use pdac_core::sched::{allgather_schedule_dist, bcast_schedule_dist, SchedConfig};
 use pdac_hwtopo::machines::{self, magny_cours};
 use pdac_hwtopo::{cluster, render, Binding, BindingPolicy, DistanceMatrix, Machine};
+use pdac_mpisim::p2p::P2pConfig;
 use pdac_mpisim::Communicator;
 use pdac_simnet::report::{imb_sizes, large_sizes};
 use pdac_simnet::{bw_allgather, bw_bcast, Schedule, Series, SimConfig, SimExecutor, SweepPoint};
@@ -184,15 +184,15 @@ fn tuned_vs_knem(tuned: &str, hostile: (&str, BindingPolicy), kind: BwKind) -> V
     let mut curves = Vec::with_capacity(4);
     for knem in [false, true] {
         for (place, policy) in [("contiguous", BindingPolicy::Contiguous), hostile.clone()] {
-            let (coll, cfg) = (AdaptiveColl, TunedConfig::default());
+            let (coll, p2p) = (AdaptiveColl, P2pConfig::default());
             curves.push(Curve {
                 label: format!("{}_{place}", if knem { "KNEMColl" } else { tuned }),
                 policy,
                 build: Box::new(move |comm, size| match (knem, kind) {
                     (true, Bcast) => coll.bcast(comm, 0, size),
                     (true, Allgather) => coll.allgather(comm, size),
-                    (false, Bcast) => tuned::bcast(comm.size(), 0, size, &cfg),
-                    (false, Allgather) => tuned::allgather(comm.size(), size, &cfg),
+                    (false, Bcast) => tuned::bcast(comm.size(), 0, size, &p2p),
+                    (false, Allgather) => tuned::allgather(comm.size(), size, &p2p),
                 }),
             });
         }
@@ -220,8 +220,7 @@ fn placement_claims(id: &str, s: &[Series], min_size: usize, loss: Comparator) -
 /// OS numbering interleaves sockets on Zoot.
 pub fn fig2() -> Figure {
     let zoot = machines::zoot();
-    let cfg = MpichConfig::default();
-    let mpich = move |comm: &Communicator, size| mpich::bcast(comm.size(), 0, size, &cfg);
+    let mpich = |comm: &Communicator, size| mpich::bcast(comm.size(), 0, size);
     // `user:0..15` lists the OS processor ids in order — identical to the
     // round-robin map on Zoot (§III), so the two curves must coincide.
     let user_map: Vec<usize> = (0..16).map(|i| zoot.core_of_os_id(i)).collect();
@@ -284,7 +283,7 @@ pub fn fig4() -> Figure {
                 println!("  ({:2}) {edge}  -> merged set leader P{leader}", s.step);
             }
             print!("\nbroadcast tree (root P5):\n{}", tree.render());
-            let sched = bcast_schedule(&tree, 1 << 20, &SchedConfig::default());
+            let sched = bcast_schedule_dist(&tree, 1 << 20, &SchedConfig::default(), None);
             println!("tree depth                 : {}", tree.depth());
             println!("bytes crossing the boards  : {}\n", metrics::link_stress(&sched, &dist)[6]);
         },
@@ -340,7 +339,7 @@ pub fn fig5() -> Figure {
         sweeps: Vec::new(),
         claims: |_| {
             let (machine, binding, dist, ring) = fig5_ring();
-            let sched = allgather_schedule(&ring, 64 << 10);
+            let sched = allgather_schedule_dist(&ring, 64 << 10, None, None);
             let m = metrics::memory_accesses(&sched, &machine, &binding);
             let balanced = MemStats::imbalance(&m.writes_per_numa) == 1.0;
             let copies = m.copies_per_rank.iter().all(|&c| c == 8);
@@ -438,13 +437,12 @@ pub fn fig8() -> Figure {
     let mut components = Vec::with_capacity(8);
     for component in ["MPICH2", "tuned", "KNEMColl"] {
         for (place, policy) in [("contiguous", contig.clone()), ("rr", rr.clone())] {
-            let (mpich_cfg, tuned_cfg) = (MpichConfig::default(), TunedConfig::default());
             components.push(Curve {
                 label: format!("{component}_{place}"),
                 policy,
                 build: Box::new(move |comm, size| match component {
-                    "MPICH2" => mpich::bcast(comm.size(), 0, size, &mpich_cfg),
-                    "tuned" => tuned::bcast(comm.size(), 0, size, &tuned_cfg),
+                    "MPICH2" => mpich::bcast(comm.size(), 0, size),
+                    "tuned" => tuned::bcast(comm.size(), 0, size, &P2pConfig::default()),
                     _ => AdaptiveColl.bcast(comm, 0, size),
                 }),
             });

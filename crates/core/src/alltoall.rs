@@ -59,42 +59,6 @@ pub fn distance_aware(comm: &Communicator, block_bytes: usize) -> Schedule {
     AdaptiveColl.plan(comm, request, Sinks::default())
 }
 
-/// Rank-order baseline: the classic rotation over *logical* ranks
-/// (`peer = (r + k) mod n` at step `k`), through the p2p stack.
-pub fn logical_rotation(
-    n: usize,
-    block_bytes: usize,
-    p2p: &pdac_mpisim::p2p::P2pConfig,
-) -> Schedule {
-    let mut b = ScheduleBuilder::new("rotation-alltoall", n);
-    let mut temp = 0u32;
-    for r in 0..n {
-        b.copy(
-            (r, BufId::Send, r * block_bytes),
-            (r, BufId::Recv, r * block_bytes),
-            block_bytes,
-            Mech::Memcpy,
-            r,
-            &[],
-        );
-    }
-    for k in 1..n {
-        for r in 0..n {
-            let to = (r + k) % n;
-            pdac_mpisim::p2p::emit_send(
-                &mut b,
-                p2p,
-                &mut temp,
-                (r, BufId::Send, to * block_bytes),
-                (to, BufId::Recv, r * block_bytes),
-                block_bytes,
-                &[],
-            );
-        }
-    }
-    b.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,13 +77,6 @@ mod tests {
             s.validate().unwrap();
             verify::run(Request::new(Collective::Alltoall, 0, 500), &s).unwrap();
         }
-    }
-
-    #[test]
-    fn logical_rotation_correct() {
-        let s = logical_rotation(8, 1000, &pdac_mpisim::p2p::P2pConfig::default());
-        s.validate().unwrap();
-        verify::run(Request::new(Collective::Alltoall, 0, 1000), &s).unwrap();
     }
 
     #[test]

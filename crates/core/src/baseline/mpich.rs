@@ -11,30 +11,19 @@ use pdac_simnet::{BufId, OpId, Schedule, ScheduleBuilder};
 
 use super::{bcast, block_range, vrank_to_rank};
 
-/// MPICH-style decision parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct MpichConfig {
-    /// Point-to-point protocol parameters.
-    pub p2p: P2pConfig,
-    /// At or below this, broadcast binomially (MPICH's 12 KB default).
-    pub bcast_short_max: usize,
-}
-
-impl Default for MpichConfig {
-    fn default() -> Self {
-        MpichConfig { p2p: P2pConfig::default(), bcast_short_max: 12 * 1024 }
-    }
-}
+/// At or below this, broadcast binomially (MPICH's 12 KB default).
+const MPICH_SHORT_MAX: usize = 12 * 1024;
 
 /// MPICH2-style broadcast: binomial below the threshold, van de Geijn
-/// (scatter + ring allgather) above it.
-pub fn bcast(n: usize, root: usize, bytes: usize, cfg: &MpichConfig) -> Schedule {
-    let mut s = if bytes <= cfg.bcast_short_max || bytes < n || n == 1 {
-        let mut s = bcast::binomial(n, root, bytes, &cfg.p2p);
+/// (scatter + ring allgather) above it, over the default p2p stack.
+pub fn bcast(n: usize, root: usize, bytes: usize) -> Schedule {
+    let p2p = &P2pConfig::default();
+    let mut s = if bytes <= MPICH_SHORT_MAX || bytes < n || n == 1 {
+        let mut s = bcast::binomial(n, root, bytes, p2p);
         s.name = "binomial".into();
         s
     } else {
-        scatter_ring_allgather(n, root, bytes, &cfg.p2p)
+        scatter_ring_allgather(n, root, bytes, p2p)
     };
     s.name = format!("mpich-bcast/{}", s.name);
     s
@@ -124,16 +113,14 @@ mod tests {
 
     #[test]
     fn short_messages_go_binomial() {
-        let cfg = MpichConfig::default();
-        let s = bcast(16, 0, 8192, &cfg);
+        let s = bcast(16, 0, 8192);
         assert!(s.name.contains("binomial"));
         verify::run(Request::new(Collective::Bcast, 0, 8192), &s).unwrap();
     }
 
     #[test]
     fn long_messages_go_van_de_geijn() {
-        let cfg = MpichConfig::default();
-        let s = bcast(16, 0, 1 << 20, &cfg);
+        let s = bcast(16, 0, 1 << 20);
         assert!(s.name.contains("vdg"));
         s.validate().unwrap();
         verify::run(Request::new(Collective::Bcast, 0, 1 << 20), &s).unwrap();
@@ -172,11 +159,16 @@ mod tests {
     }
 
     #[test]
+    fn short_threshold_is_12k() {
+        assert_eq!(bcast(16, 0, MPICH_SHORT_MAX).name, "mpich-bcast/binomial");
+        assert_eq!(bcast(16, 0, MPICH_SHORT_MAX + 1).name, "mpich-bcast/vdg");
+    }
+
+    #[test]
     fn tiny_messages_fall_back_to_binomial() {
-        // bytes < n cannot be block-scattered.
-        let cfg = MpichConfig { bcast_short_max: 4, ..Default::default() };
-        let s = bcast(32, 0, 16, &cfg);
-        assert!(s.name.contains("binomial"));
-        verify::run(Request::new(Collective::Bcast, 0, 16), &s).unwrap();
+        // Above the short threshold but fewer bytes than ranks: the
+        // message cannot be block-scattered.
+        let n = MPICH_SHORT_MAX + 12;
+        assert_eq!(bcast(n, 0, MPICH_SHORT_MAX + 1).name, "mpich-bcast/binomial");
     }
 }

@@ -13,36 +13,18 @@ use pdac_simnet::Schedule;
 
 use super::{allgather, bcast};
 
-/// Decision thresholds for the tuned-style component.
-#[derive(Debug, Clone, Copy)]
-pub struct TunedConfig {
-    /// Point-to-point protocol parameters.
-    pub p2p: P2pConfig,
-    /// Broadcast: at or below this, use the binomial tree.
-    pub bcast_small_max: usize,
-    /// Broadcast: at or below this (and above small), segmented binary.
-    pub bcast_binary_max: usize,
-    /// Segment size of the binary tree.
-    pub binary_segment: usize,
-    /// Segment size of the pipelined chain.
-    pub chain_segment: usize,
-    /// Allgather: at or below this total payload (block x ranks), use
-    /// recursive doubling when the communicator is a power of two.
-    pub allgather_recdbl_max_total: usize,
-}
-
-impl Default for TunedConfig {
-    fn default() -> Self {
-        TunedConfig {
-            p2p: P2pConfig::default(),
-            bcast_small_max: 4096,
-            bcast_binary_max: 512 * 1024,
-            binary_segment: 32 * 1024,
-            chain_segment: 128 * 1024,
-            allgather_recdbl_max_total: 64 * 1024,
-        }
-    }
-}
+/// Broadcast: at or below this, use the binomial tree.
+const TUNED_BINOMIAL_MAX: usize = 4 * 1024;
+/// Broadcast: at or below this (and above the binomial range), use the
+/// segmented binary tree; above it, the pipelined chain.
+const TUNED_BINARY_MAX: usize = 512 * 1024;
+/// Segment size of the binary tree.
+const TUNED_BINARY_SEGMENT: usize = 32 * 1024;
+/// Segment size of the pipelined chain.
+const TUNED_CHAIN_SEGMENT: usize = 128 * 1024;
+/// Allgather: at or below this total payload (block x ranks), use
+/// recursive doubling when the communicator is a power of two.
+const TUNED_RECDBL_MAX_TOTAL: usize = 64 * 1024;
 
 /// Which broadcast algorithm the decider would pick (exposed for tests and
 /// the bench harness labels).
@@ -57,35 +39,36 @@ pub enum BcastChoice {
 }
 
 /// The broadcast decision function.
-pub fn bcast_choice(cfg: &TunedConfig, _n: usize, bytes: usize) -> BcastChoice {
-    if bytes <= cfg.bcast_small_max {
+pub fn bcast_choice(bytes: usize) -> BcastChoice {
+    if bytes <= TUNED_BINOMIAL_MAX {
         BcastChoice::Binomial
-    } else if bytes <= cfg.bcast_binary_max {
+    } else if bytes <= TUNED_BINARY_MAX {
         BcastChoice::Binary
     } else {
         BcastChoice::Chain
     }
 }
 
-/// Tuned-style broadcast: decide, then build over logical ranks.
-pub fn bcast(n: usize, root: usize, bytes: usize, cfg: &TunedConfig) -> Schedule {
-    let mut s = match bcast_choice(cfg, n, bytes) {
-        BcastChoice::Binomial => bcast::binomial(n, root, bytes, &cfg.p2p),
-        BcastChoice::Binary => bcast::binary(n, root, bytes, &cfg.p2p, cfg.binary_segment),
-        BcastChoice::Chain => bcast::chain(n, root, bytes, &cfg.p2p, cfg.chain_segment),
+/// Tuned-style broadcast: decide, then build over logical ranks through
+/// the `p2p` protocol stack.
+pub fn bcast(n: usize, root: usize, bytes: usize, p2p: &P2pConfig) -> Schedule {
+    let mut s = match bcast_choice(bytes) {
+        BcastChoice::Binomial => bcast::binomial(n, root, bytes, p2p),
+        BcastChoice::Binary => bcast::binary(n, root, bytes, p2p, TUNED_BINARY_SEGMENT),
+        BcastChoice::Chain => bcast::chain(n, root, bytes, p2p, TUNED_CHAIN_SEGMENT),
     };
     s.name = format!("tuned-bcast/{}", s.name);
     s
 }
 
 /// Tuned-style allgather: recursive doubling for small power-of-two cases,
-/// logical ring otherwise.
-pub fn allgather(n: usize, block_bytes: usize, cfg: &TunedConfig) -> Schedule {
+/// logical ring otherwise, through the `p2p` protocol stack.
+pub fn allgather(n: usize, block_bytes: usize, p2p: &P2pConfig) -> Schedule {
     let total = block_bytes.saturating_mul(n);
-    let mut s = if n.is_power_of_two() && total <= cfg.allgather_recdbl_max_total {
-        allgather::recursive_doubling(n, block_bytes, &cfg.p2p)
+    let mut s = if n.is_power_of_two() && total <= TUNED_RECDBL_MAX_TOTAL {
+        allgather::recursive_doubling(n, block_bytes, p2p)
     } else {
-        allgather::ring(n, block_bytes, &cfg.p2p)
+        allgather::ring(n, block_bytes, p2p)
     };
     s.name = format!("tuned-allgather/{}", s.name);
     s
@@ -95,22 +78,40 @@ pub fn allgather(n: usize, block_bytes: usize, cfg: &TunedConfig) -> Schedule {
 mod tests {
     use super::*;
     use crate::{verify, Collective, Request};
+    use pdac_simnet::{BufId, OpKind};
 
     #[test]
     fn decision_boundaries() {
-        let cfg = TunedConfig::default();
-        assert_eq!(bcast_choice(&cfg, 48, 512), BcastChoice::Binomial);
-        assert_eq!(bcast_choice(&cfg, 48, 4096), BcastChoice::Binomial);
-        assert_eq!(bcast_choice(&cfg, 48, 8192), BcastChoice::Binary);
-        assert_eq!(bcast_choice(&cfg, 48, 512 * 1024), BcastChoice::Binary);
-        assert_eq!(bcast_choice(&cfg, 48, 1 << 20), BcastChoice::Chain);
+        assert_eq!(bcast_choice(512), BcastChoice::Binomial);
+        assert_eq!(bcast_choice(TUNED_BINOMIAL_MAX), BcastChoice::Binomial);
+        assert_eq!(bcast_choice(TUNED_BINOMIAL_MAX + 1), BcastChoice::Binary);
+        assert_eq!(bcast_choice(TUNED_BINARY_MAX), BcastChoice::Binary);
+        assert_eq!(bcast_choice(TUNED_BINARY_MAX + 1), BcastChoice::Chain);
+        assert_eq!(bcast_choice(1 << 20), BcastChoice::Chain);
+        // The segment sizes (32 KiB is binary, 640 KiB a chain), read off
+        // how many pieces reach rank 1: a whole number of segments, and
+        // one byte past it.
+        let p2p = P2pConfig::default();
+        let pieces = |bytes| {
+            let s = bcast(2, 0, bytes, &p2p);
+            let ops = s.ops.iter().map(|o| &o.kind);
+            ops.filter(|k| matches!(k, OpKind::Copy { dst_rank: 1, dst_buf: BufId::Recv, .. }))
+                .count()
+        };
+        assert_eq!(pieces(TUNED_BINARY_SEGMENT), 1);
+        assert_eq!(pieces(TUNED_BINARY_SEGMENT + 1), 2);
+        assert_eq!(pieces(5 * TUNED_CHAIN_SEGMENT), 5);
+        assert_eq!(pieces(5 * TUNED_CHAIN_SEGMENT + 1), 6);
+        // Allgather: recursive doubling up to the total, the ring past it.
+        let recdbl_block = TUNED_RECDBL_MAX_TOTAL / 16;
+        assert!(allgather(16, recdbl_block, &p2p).name.contains("recdbl"));
+        assert!(allgather(16, recdbl_block + 1, &p2p).name.contains("ring"));
     }
 
     #[test]
     fn tuned_bcast_correct_across_regimes() {
-        let cfg = TunedConfig::default();
         for bytes in [512, 16_384, 2 << 20] {
-            let s = bcast(48, 7, bytes, &cfg);
+            let s = bcast(48, 7, bytes, &P2pConfig::default());
             s.validate().unwrap();
             verify::run(Request::new(Collective::Bcast, 7, bytes), &s)
                 .unwrap_or_else(|e| panic!("bytes={bytes}: {e}"));
@@ -119,14 +120,14 @@ mod tests {
 
     #[test]
     fn tuned_allgather_picks_recdbl_then_ring() {
-        let cfg = TunedConfig::default();
-        let small = allgather(16, 512, &cfg);
+        let p2p = P2pConfig::default();
+        let small = allgather(16, 512, &p2p);
         assert!(small.name.contains("recdbl"));
         verify::run(Request::new(Collective::Allgather, 0, 512), &small).unwrap();
-        let large = allgather(16, 100_000, &cfg);
+        let large = allgather(16, 100_000, &p2p);
         assert!(large.name.contains("ring"));
         verify::run(Request::new(Collective::Allgather, 0, 100_000), &large).unwrap();
-        let odd = allgather(12, 512, &cfg);
+        let odd = allgather(12, 512, &p2p);
         assert!(odd.name.contains("ring"), "non power of two always rings");
         verify::run(Request::new(Collective::Allgather, 0, 512), &odd).unwrap();
     }

@@ -14,6 +14,7 @@
 //! Its thresholds are constants beside the planner's other size rules in
 //! [`crate::adaptive`]; `pdac tune` prints the rules a sweep would pick.
 
+use pdac_mpisim::p2p::P2pConfig;
 use pdac_mpisim::Communicator;
 use pdac_simnet::Schedule;
 
@@ -21,8 +22,7 @@ use crate::adaptive::{
     AdaptiveColl, Collective, Request, Sinks, SM_BCAST_MAX_BYTES, TUNED_ALLGATHER_MAX_BYTES,
     TUNED_BCAST_MAX_BYTES,
 };
-use crate::baseline::sm;
-use crate::baseline::tuned::{self, TunedConfig};
+use crate::baseline::{sm, tuned};
 
 /// The selectable collective components.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,12 +58,12 @@ impl CollFramework {
     /// rank-order schedule and ignore them.
     pub fn plan(&self, comm: &Communicator, request: Request, sinks: Sinks<'_>) -> Schedule {
         let Request { collective, root, bytes, .. } = request;
-        let (n, cfg) = (comm.size(), &TunedConfig::default());
+        let (n, p2p) = (comm.size(), &P2pConfig::default());
         match (collective, component(collective, bytes)) {
             (_, Component::KnemColl) => AdaptiveColl.plan(comm, request, sinks),
             (Collective::Bcast, Component::Sm) => sm::bcast(n, root, bytes),
-            (Collective::Bcast, Component::Tuned) => tuned::bcast(n, root, bytes, cfg),
-            (Collective::Allgather, Component::Tuned) => tuned::allgather(n, bytes, cfg),
+            (Collective::Bcast, Component::Tuned) => tuned::bcast(n, root, bytes, p2p),
+            (Collective::Allgather, Component::Tuned) => tuned::allgather(n, bytes, p2p),
             (other, c) => unreachable!("{other:?} has no {c:?} component"),
         }
     }

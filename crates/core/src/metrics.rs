@@ -133,7 +133,7 @@ mod tests {
     use super::*;
     use crate::allgather_ring::Ring;
     use crate::bcast_tree::build_bcast_tree;
-    use crate::sched::{allgather_schedule, bcast_schedule, SchedConfig};
+    use crate::sched::{allgather_schedule_dist, bcast_schedule_dist, SchedConfig};
     use pdac_hwtopo::{machines, BindingPolicy};
 
     const S: u64 = 4096;
@@ -146,7 +146,7 @@ mod tests {
             let binding = policy.bind(&ig, 48).unwrap();
             let dist = DistanceMatrix::for_binding(&ig, &binding);
             let ring = Ring::build(&dist);
-            let sched = allgather_schedule(&ring, S as usize);
+            let sched = allgather_schedule_dist(&ring, S as usize, None, None);
             let m = memory_accesses(&sched, &ig, &binding);
 
             let (n, p) = (8u64, 6u64);
@@ -172,7 +172,7 @@ mod tests {
             let binding = policy.bind(&ig, 48).unwrap();
             let dist = DistanceMatrix::for_binding(&ig, &binding);
             let tree = build_bcast_tree(&dist, 0);
-            let sched = bcast_schedule(&tree, bytes, &SchedConfig::uniform(0));
+            let sched = bcast_schedule_dist(&tree, bytes, &SchedConfig::uniform(0), None);
             // Exactly one message crosses the boards, 6 cross sockets.
             let stress = link_stress(&sched, &dist);
             assert_eq!(stress[6], bytes as u64);
@@ -190,7 +190,7 @@ mod tests {
         let binding = BindingPolicy::CrossSocket.bind(&ig, 48).unwrap();
         let dist = DistanceMatrix::for_binding(&ig, &binding);
         let tree = build_bcast_tree(&dist, 0);
-        let sched = bcast_schedule(&tree, 1 << 16, &SchedConfig::default());
+        let sched = bcast_schedule_dist(&tree, 1 << 16, &SchedConfig::default(), None);
         let m = memory_accesses(&sched, &ig, &binding);
         // Every rank but the root writes its copy exactly once, so the only
         // imbalance is the root's own missing write: 6/5.875.

@@ -56,7 +56,7 @@ use crate::chaos::ChaosConfig;
 use crate::decision_inputs;
 use crate::edges::Edge;
 use crate::provenance::{Decision, DecisionKind};
-use crate::sched::{allreduce_schedule, SchedConfig};
+use crate::sched::{allreduce_schedule_with_op, SchedConfig};
 use crate::topocache::TopoCache;
 use crate::tree::Tree;
 use crate::verify::pattern;
@@ -196,7 +196,7 @@ impl Baseline {
             Baseline::RingAllgather => baseline::allgather::ring(n, bytes, &p2p),
             Baseline::BinomialTreeAllreduce => {
                 let tree = binomial_tree(n, mgr.elect_root(what.root));
-                allreduce_schedule(&tree, bytes, &SchedConfig::default())
+                allreduce_schedule_with_op(&tree, bytes, &SchedConfig::default(), DataOp::Add)
             }
         }
     }

@@ -171,8 +171,8 @@ mod tests {
     use crate::allgather_ring::Ring;
     use crate::bcast_tree::build_bcast_tree;
     use crate::sched::{
-        allgather_schedule, allreduce_schedule, bcast_schedule, gather_schedule, reduce_schedule,
-        scatter_schedule, SchedConfig,
+        allgather_schedule_dist, allreduce_schedule_with_op, bcast_schedule_dist, gather_schedule,
+        reduce_schedule_with_op, scatter_schedule, SchedConfig,
     };
     use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix};
     use pdac_mpisim::Communicator;
@@ -195,7 +195,7 @@ mod tests {
             let d = matrix(policy, 48);
             for root in [0, 31] {
                 let t = build_bcast_tree(&d, root);
-                let s = bcast_schedule(&t, 300_000, &SchedConfig::default());
+                let s = bcast_schedule_dist(&t, 300_000, &SchedConfig::default(), None);
                 run(Request::new(Collective::Bcast, root, 300_000), &s).unwrap();
             }
         }
@@ -209,7 +209,7 @@ mod tests {
             BindingPolicy::Random { seed: 7 },
         ] {
             let d = matrix(policy, 48);
-            let s = allgather_schedule(&Ring::build(&d), 5000);
+            let s = allgather_schedule_dist(&Ring::build(&d), 5000, None, None);
             run(Request::new(Collective::Allgather, 0, 5000), &s).unwrap();
         }
     }
@@ -218,8 +218,12 @@ mod tests {
     fn reduce_and_allreduce_are_correct() {
         let d = matrix(BindingPolicy::Random { seed: 13 }, 24);
         let t = build_bcast_tree(&d, 7);
-        run(Request::new(Collective::Reduce, 7, 10_000), &reduce_schedule(&t, 10_000)).unwrap();
-        let s = allreduce_schedule(&t, 10_000, &SchedConfig::default());
+        run(
+            Request::new(Collective::Reduce, 7, 10_000),
+            &reduce_schedule_with_op(&t, 10_000, DataOp::Add),
+        )
+        .unwrap();
+        let s = allreduce_schedule_with_op(&t, 10_000, &SchedConfig::default(), DataOp::Add);
         run(Request::new(Collective::Allreduce, 7, 10_000), &s).unwrap();
     }
 

@@ -5,7 +5,7 @@
 
 use pdac_core::allgather_ring::Ring;
 use pdac_core::bcast_tree::build_bcast_tree;
-use pdac_core::sched::{allgather_schedule, bcast_schedule, SchedConfig};
+use pdac_core::sched::{allgather_schedule_dist, bcast_schedule_dist, SchedConfig};
 use pdac_core::{metrics, verify, Collective, Request};
 use pdac_hwtopo::{cluster, machines, BindingPolicy, DistanceMatrix, Machine};
 use pdac_simnet::{Resource, SimConfig, SimExecutor};
@@ -58,7 +58,7 @@ fn cluster_bcast_simulates_with_network_traffic_accounted() {
     let (binding, dist) = matrix(&c, BindingPolicy::CrossNode);
     let tree = build_bcast_tree(&dist, 0);
     let bytes = 1 << 20;
-    let sched = bcast_schedule(&tree, bytes, &SchedConfig::default());
+    let sched = bcast_schedule_dist(&tree, bytes, &SchedConfig::default(), None);
     let rep = SimExecutor::new(&c, &binding, SimConfig { allow_cache: false }).run(&sched).unwrap();
     assert!(rep.total_time > 0.0);
     // Three network transfers: each crosses two NICs.
@@ -77,11 +77,11 @@ fn cluster_collectives_are_byte_correct() {
     let c = cluster::homogeneous("zoot-x2", &machines::zoot(), 2, 1).unwrap();
     let (_, dist) = matrix(&c, BindingPolicy::Random { seed: 77 });
     let tree = build_bcast_tree(&dist, 5);
-    let sched = bcast_schedule(&tree, 100_000, &SchedConfig::default());
+    let sched = bcast_schedule_dist(&tree, 100_000, &SchedConfig::default(), None);
     verify::run(Request::new(Collective::Bcast, 5, 100_000), &sched).unwrap();
 
     let ring = Ring::build(&dist);
-    let ag = allgather_schedule(&ring, 2_000);
+    let ag = allgather_schedule_dist(&ring, 2_000, None, None);
     verify::run(Request::new(Collective::Allgather, 0, 2_000), &ag).unwrap();
 }
 
@@ -91,7 +91,7 @@ fn slow_link_bytes_count_network_classes() {
     let (_, dist) = matrix(&c, BindingPolicy::Contiguous);
     let tree = build_bcast_tree(&dist, 0);
     let bytes = 1 << 16;
-    let sched = bcast_schedule(&tree, bytes, &SchedConfig::uniform(0));
+    let sched = bcast_schedule_dist(&tree, bytes, &SchedConfig::uniform(0), None);
     let stress = metrics::link_stress(&sched, &dist);
     assert_eq!(stress[7], 2 * bytes as u64, "two same-switch node joins");
     assert_eq!(stress[8], bytes as u64, "one cross-switch join");
@@ -106,7 +106,7 @@ fn placement_stability_extends_to_clusters() {
     let bw = |policy: BindingPolicy| {
         let (binding, dist) = matrix(&c, policy);
         let tree = build_bcast_tree(&dist, 0);
-        let sched = bcast_schedule(&tree, bytes, &SchedConfig::default());
+        let sched = bcast_schedule_dist(&tree, bytes, &SchedConfig::default(), None);
         let rep =
             SimExecutor::new(&c, &binding, SimConfig { allow_cache: false }).run(&sched).unwrap();
         bw_bcast(c.num_cores(), bytes, rep.total_time)
@@ -126,7 +126,7 @@ fn placement_stability_extends_to_clusters() {
 fn allgather_on_384_ranks_validates() {
     let c = cluster::homogeneous("ig-x8", &machines::ig(), 8, 2).unwrap();
     let (_, dist) = matrix(&c, BindingPolicy::CrossNode);
-    let sched = allgather_schedule(&Ring::build(&dist), 16 << 10);
+    let sched = allgather_schedule_dist(&Ring::build(&dist), 16 << 10, None, None);
     assert_eq!(sched.num_ranks, 384);
     assert!(sched.ops.len() > 290_000, "{} ops", sched.ops.len());
     sched.validate().unwrap();

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use pdac_core::baseline::{allgather, bcast, mpich, sm, tuned};
-use pdac_core::{alltoall, gather, AdaptiveColl, AllreduceAlgo, Collective, Request, Sinks};
+use pdac_core::{gather, AdaptiveColl, AllreduceAlgo, Collective, Request, Sinks};
 use pdac_hwtopo::{cluster, machines, BindingPolicy};
 use pdac_mpisim::p2p::P2pConfig;
 use pdac_mpisim::Communicator;
@@ -115,7 +115,6 @@ fn all_digests() -> Vec<(String, u64)> {
             };
             case("allreduce_ring", coll.plan(&comm, ring, Sinks::default()));
             case("gather_staged", gather::distance_aware_staged(&comm, root, bytes));
-            case("rotation_alltoall", alltoall::logical_rotation(n, bytes, &p2p));
             case("binomial", bcast::binomial(n, root, bytes, &p2p));
             case("linear", bcast::linear(n, root, bytes, &p2p));
             case("chain", bcast::chain(n, root, bytes, &p2p, 128 << 10));
@@ -124,15 +123,15 @@ fn all_digests() -> Vec<(String, u64)> {
             if n.is_power_of_two() {
                 case("recdbl_allgather", allgather::recursive_doubling(n, bytes, &p2p));
             }
-            case("mpich_bcast", mpich::bcast(n, root, bytes, &mpich::MpichConfig::default()));
+            case("mpich_bcast", mpich::bcast(n, root, bytes));
             case("sm_bcast", sm::bcast(n, root, bytes));
             // 8 KiB fragments, each waiting on every fragment of the block
             // before it: at 1 MiB blocks that is millions of ops.
             if bytes <= 64 << 10 {
                 case("sm_allgather", sm::allgather(n, bytes));
             }
-            case("tuned_bcast", tuned::bcast(n, root, bytes, &tuned::TunedConfig::default()));
-            case("tuned_allgather", tuned::allgather(n, bytes, &tuned::TunedConfig::default()));
+            case("tuned_bcast", tuned::bcast(n, root, bytes, &p2p));
+            case("tuned_allgather", tuned::allgather(n, bytes, &p2p));
         }
     }
     out
@@ -171,7 +170,6 @@ const WANT: &[(&str, u64)] = &[
     ("zoot16/xsock/barrier/4K", 0x8836de0c3b46ec02),
     ("zoot16/xsock/allreduce_ring/4K", 0x30c51f40f55247ec),
     ("zoot16/xsock/gather_staged/4K", 0x0c028603c8d17873),
-    ("zoot16/xsock/rotation_alltoall/4K", 0x168e07ed4c1ef937),
     ("zoot16/xsock/binomial/4K", 0xe5504ccd868a7d82),
     ("zoot16/xsock/linear/4K", 0xf1936eb288539d91),
     ("zoot16/xsock/chain/4K", 0xd96ca3633ccddde8),
@@ -194,7 +192,6 @@ const WANT: &[(&str, u64)] = &[
     ("zoot16/xsock/barrier/64K", 0x8836de0c3b46ec02),
     ("zoot16/xsock/allreduce_ring/64K", 0x31c537b195decdec),
     ("zoot16/xsock/gather_staged/64K", 0x413fbd2495b8d873),
-    ("zoot16/xsock/rotation_alltoall/64K", 0x88a01299f252e217),
     ("zoot16/xsock/binomial/64K", 0xe971fa1cc90a7bfc),
     ("zoot16/xsock/linear/64K", 0x778c154d5aa35d09),
     ("zoot16/xsock/chain/64K", 0x4a18605af150f785),
@@ -217,7 +214,6 @@ const WANT: &[(&str, u64)] = &[
     ("zoot16/xsock/barrier/1M", 0x8836de0c3b46ec02),
     ("zoot16/xsock/allreduce_ring/1M", 0x5102ac7c323f4dec),
     ("zoot16/xsock/gather_staged/1M", 0x4ec3725db752d873),
-    ("zoot16/xsock/rotation_alltoall/1M", 0x3d1d3457acbae217),
     ("zoot16/xsock/binomial/1M", 0xd1645a975bf57bfc),
     ("zoot16/xsock/linear/1M", 0x2ac95c4439e05d09),
     ("zoot16/xsock/chain/1M", 0x7d3f1fd7f7c504df),
@@ -239,7 +235,6 @@ const WANT: &[(&str, u64)] = &[
     ("ig48/rand3/barrier/4K", 0xcd50435bfa62dabd),
     ("ig48/rand3/allreduce_ring/4K", 0x3ee2a145e1b393f4),
     ("ig48/rand3/gather_staged/4K", 0x17554d78cbc48374),
-    ("ig48/rand3/rotation_alltoall/4K", 0xacc10d56dc3b2d97),
     ("ig48/rand3/binomial/4K", 0x8bbe8eb87d70f1af),
     ("ig48/rand3/linear/4K", 0xb52235c9c45ee234),
     ("ig48/rand3/chain/4K", 0x399bc282a5719223),
@@ -261,7 +256,6 @@ const WANT: &[(&str, u64)] = &[
     ("ig48/rand3/barrier/64K", 0xcd50435bfa62dabd),
     ("ig48/rand3/allreduce_ring/64K", 0xf63d8f62253ecff4),
     ("ig48/rand3/gather_staged/64K", 0x232ca4a24ea3a374),
-    ("ig48/rand3/rotation_alltoall/64K", 0xf59f2b8982834437),
     ("ig48/rand3/binomial/64K", 0x869f6fbe6fc169dc),
     ("ig48/rand3/linear/64K", 0xbb97a0b06985a402),
     ("ig48/rand3/chain/64K", 0x9b51cbca3118063a),
@@ -283,7 +277,6 @@ const WANT: &[(&str, u64)] = &[
     ("ig48/rand3/barrier/1M", 0xcd50435bfa62dabd),
     ("ig48/rand3/allreduce_ring/1M", 0x9342a10440394ff4),
     ("ig48/rand3/gather_staged/1M", 0xcc208060a7f1a374),
-    ("ig48/rand3/rotation_alltoall/1M", 0xc739e26e07874437),
     ("ig48/rand3/binomial/1M", 0x96932afc2fe669dc),
     ("ig48/rand3/linear/1M", 0x72f850af57b0a402),
     ("ig48/rand3/chain/1M", 0xf19d4009750e471d),
@@ -304,7 +297,6 @@ const WANT: &[(&str, u64)] = &[
     ("igx2-96/xnode/barrier/4K", 0x67d4ed4c03ca0ad7),
     ("igx2-96/xnode/allreduce_ring/4K", 0x7f01a32ce67347f0),
     ("igx2-96/xnode/gather_staged/4K", 0xbbbe81499c95a05c),
-    ("igx2-96/xnode/rotation_alltoall/4K", 0xdeeec084bb30e627),
     ("igx2-96/xnode/binomial/4K", 0xf2eea2ce85ea14ea),
     ("igx2-96/xnode/linear/4K", 0xf014d68e5e4f9274),
     ("igx2-96/xnode/chain/4K", 0x3970653e5ca3cd23),
@@ -326,7 +318,6 @@ const WANT: &[(&str, u64)] = &[
     ("igx2-96/xnode/barrier/64K", 0x67d4ed4c03ca0ad7),
     ("igx2-96/xnode/allreduce_ring/64K", 0x5fe734b8488e91f0),
     ("igx2-96/xnode/gather_staged/64K", 0x73cd37046f5f805c),
-    ("igx2-96/xnode/rotation_alltoall/64K", 0x4082ecfeac694b67),
     ("igx2-96/xnode/binomial/64K", 0x32d76bd83c19ce74),
     ("igx2-96/xnode/linear/64K", 0xbc4179d0ca1d63c2),
     ("igx2-96/xnode/chain/64K", 0xe3b13f2ec619e33a),
@@ -348,7 +339,6 @@ const WANT: &[(&str, u64)] = &[
     ("igx2-96/xnode/barrier/1M", 0x67d4ed4c03ca0ad7),
     ("igx2-96/xnode/allreduce_ring/1M", 0xdb53d6c0fe27c1f0),
     ("igx2-96/xnode/gather_staged/1M", 0x0cdb022e7407805c),
-    ("igx2-96/xnode/rotation_alltoall/1M", 0x5e7a4fa4e7814b67),
     ("igx2-96/xnode/binomial/1M", 0x84004653ff10ce74),
     ("igx2-96/xnode/linear/1M", 0x3b7cd3a9466863c2),
     ("igx2-96/xnode/chain/1M", 0x283a3ffdeb6c47ad),

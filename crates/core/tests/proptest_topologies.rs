@@ -11,12 +11,15 @@ use pdac_core::adaptive::{collapse_intra_mc, AdaptiveColl, BcastTopology};
 use pdac_core::allgather_ring::Ring;
 use pdac_core::bcast_tree::{build_bcast_tree, build_bcast_tree_traced, UnionStep};
 use pdac_core::edges::{edge_queue, unpack, Edge, CLASS_WEIGHTS};
-use pdac_core::sched::{allgather_schedule, bcast_schedule, reduce_schedule, SchedConfig};
+use pdac_core::sched::{
+    allgather_schedule_dist, bcast_schedule_dist, reduce_schedule_with_op, SchedConfig,
+};
 use pdac_core::tree::Tree;
 use pdac_core::unionfind::DisjointSets;
 use pdac_core::{verify, Collective, Request};
 use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix, Machine};
 use pdac_mpisim::Communicator;
+use pdac_simnet::DataOp;
 
 fn arb_machine() -> impl Strategy<Value = Machine> {
     prop_oneof![
@@ -283,16 +286,16 @@ proptest! {
     ) {
         let tree = build_bcast_tree(&dist, root);
         let cfg = SchedConfig::uniform(4096);
-        let bcast = bcast_schedule(&tree, bytes, &cfg);
+        let bcast = bcast_schedule_dist(&tree, bytes, &cfg, None);
         bcast.validate().unwrap();
         verify::run(Request::new(Collective::Bcast, root, bytes), &bcast).unwrap();
 
         let ring = Ring::build(&dist);
-        let ag = allgather_schedule(&ring, bytes.min(4096));
+        let ag = allgather_schedule_dist(&ring, bytes.min(4096), None, None);
         ag.validate().unwrap();
         verify::run(Request::new(Collective::Allgather, 0, bytes.min(4096)), &ag).unwrap();
 
-        let red = reduce_schedule(&tree, bytes.min(4096));
+        let red = reduce_schedule_with_op(&tree, bytes.min(4096), DataOp::Add);
         red.validate().unwrap();
         verify::run(Request::new(Collective::Reduce, root, bytes.min(4096)), &red).unwrap();
     }

@@ -15,13 +15,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pdac_core::alltoall::alltoall_schedule;
-use pdac_core::reduce_scatter::reduce_scatter_schedule;
-use pdac_core::sched::{allreduce_schedule, SchedConfig};
+use pdac_core::reduce_scatter::reduce_scatter_schedule_with_op;
+use pdac_core::sched::{allreduce_schedule_with_op, SchedConfig};
 use pdac_core::verify::{self, pattern};
 use pdac_core::{build_bcast_tree, AdaptiveColl, Collective, Request, Ring};
 use pdac_hwtopo::{machines, BindingPolicy, Machine};
 use pdac_mpisim::{Communicator, ExecError, KnemError, RetryPolicy, ThreadExecutor, TransportKind};
-use pdac_simnet::{BufId, FaultPlan, Mech, OpKind, Schedule, SimConfig, SimError, SimExecutor};
+use pdac_simnet::{
+    BufId, DataOp, FaultPlan, Mech, OpKind, Schedule, SimConfig, SimError, SimExecutor,
+};
 
 const RANKS: usize = 8;
 const TRANSPORTS: [TransportKind; 2] = [TransportKind::Knem, TransportKind::Rdma];
@@ -104,10 +106,14 @@ fn collective_matrix_is_bit_identical_across_transports() {
             (
                 Collective::Allreduce,
                 10_000,
-                allreduce_schedule(&tree, 10_000, &SchedConfig::default()),
+                allreduce_schedule_with_op(&tree, 10_000, &SchedConfig::default(), DataOp::Add),
             ),
             (Collective::Alltoall, 1_500, alltoall_schedule(&ring, 1_500)),
-            (Collective::ReduceScatter, 2_000, reduce_scatter_schedule(&ring, 2_000)),
+            (
+                Collective::ReduceScatter,
+                2_000,
+                reduce_scatter_schedule_with_op(&ring, 2_000, DataOp::Add),
+            ),
         ];
         for (collective, bytes, schedule) in cases {
             let label = format!("{name}/{}", collective.label());

@@ -1,7 +1,7 @@
 //! Chrome-tracing export of simulated executions.
 //!
-//! Converts a [`Schedule`] plus its [`SimReport`] into the Chrome Trace
-//! Event JSON format (`chrome://tracing`, or [Perfetto](https://ui.perfetto.dev)):
+//! Converts a [`Schedule`] plus its [`SimReport`] into events for the
+//! Chrome Trace Event JSON format (`chrome://tracing`, or [Perfetto](https://ui.perfetto.dev)):
 //! one row per rank, one duration event per operation, labelled with the
 //! op kind, peer and byte count. The pipelining structure of a collective —
 //! who waits on whom, where the bottleneck rank sits — becomes visible at a
@@ -17,7 +17,6 @@ use crate::lower::distance_class;
 use crate::schedule::{OpKind, Schedule};
 
 use pdac_hwtopo::DistanceMatrix;
-use pdac_telemetry::export::{chrome_trace, TraceMeta};
 use pdac_telemetry::{Event, EventKind};
 
 /// Renders a dependency list as the compact `deps` span argument
@@ -34,22 +33,15 @@ pub fn deps_arg(deps: &[usize]) -> String {
     out
 }
 
-/// Escapes a JSON string value. Delegates to the workspace's single
-/// escaper, which also handles control characters.
-pub fn esc(s: &str) -> String {
-    pdac_telemetry::export::esc(s)
-}
-
 /// Converts one simulated run into exporter events: one `X` event per
 /// operation, on the executor's rank row (sender's row for notifies), with
-/// op kind, peers, byte count and dependency links in the args.
-pub fn sim_events(schedule: &Schedule, report: &SimReport) -> Vec<Event> {
-    sim_events_with_distances(schedule, report, None)
-}
-
-/// [`sim_events`] with endpoint distance classes: each op gains a `dist`
-/// argument labelling its pair with the paper's `d0..d8` classes, matching
-/// the real executor's span labels so the two legs join class-by-class.
+/// op kind, peers, byte count and dependency links in the args. Each op's
+/// `dist` argument labels its pair with the paper's `d0..d8` classes from
+/// `distances` (0 without a matrix), matching the real executor's span
+/// labels so the two legs join class-by-class. Timestamps are microseconds
+/// (the format's native unit); render them with
+/// [`pdac_telemetry::export::chrome_trace`] under
+/// [`pdac_telemetry::TraceMeta::sim`].
 pub fn sim_events_with_distances(
     schedule: &Schedule,
     report: &SimReport,
@@ -105,23 +97,13 @@ pub fn sim_events_with_distances(
     events
 }
 
-/// Renders the Chrome Trace Event JSON for one simulated run.
-///
-/// Timestamps are microseconds (the format's native unit). Copy ops appear
-/// on their executor's row; notifications on the sender's row with a
-/// `notify` category so they can be filtered out.
-pub fn to_chrome_trace(schedule: &Schedule, report: &SimReport) -> String {
-    let events = sim_events(schedule, report);
-    let meta = TraceMeta::sim().with_ranks(schedule.num_ranks);
-    chrome_trace(&events, &meta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{SimConfig, SimExecutor};
     use crate::schedule::{BufId, Mech, ScheduleBuilder};
     use pdac_hwtopo::{machines, Binding};
+    use pdac_telemetry::export::{chrome_trace, TraceMeta};
 
     #[test]
     fn trace_is_valid_json_with_one_event_per_op() {
@@ -133,7 +115,8 @@ mod tests {
         b.copy((1, BufId::Recv, 0), (2, BufId::Recv, 0), 4096, Mech::Memcpy, 2, &[n]);
         let s = b.finish();
         let rep = SimExecutor::new(&ig, &binding, SimConfig::default()).run(&s).unwrap();
-        let trace = to_chrome_trace(&s, &rep);
+        let events = sim_events_with_distances(&s, &rep, None);
+        let trace = chrome_trace(&events, &TraceMeta::sim().with_ranks(s.num_ranks));
 
         let parsed: serde_json::Value = serde_json::from_str(&trace).expect("valid JSON");
         let events = parsed["traceEvents"].as_array().unwrap();
@@ -155,14 +138,5 @@ mod tests {
         let classed = sim_events_with_distances(&s, &rep, Some(&distances));
         assert_eq!(classed[0].arg_u64("dist"), Some(u64::from(distances.get(0, 1))));
         assert_eq!(classed[2].arg_u64("dist"), Some(u64::from(distances.get(1, 2))));
-    }
-
-    #[test]
-    fn labels_are_escaped() {
-        assert_eq!(esc(r#"a"b\c"#), r#"a\"b\\c"#);
-        // Control characters are escaped too (the simnet escaper is the
-        // shared telemetry escaper).
-        assert_eq!(esc("a\nb\tc"), "a\\nb\\tc");
-        assert_eq!(esc("x\u{2}y"), "x\\u0002y");
     }
 }

@@ -11,7 +11,7 @@
 
 use pdac::collectives::bcast_tree::build_bcast_tree;
 use pdac::collectives::distributed::hierarchical_bcast_tree;
-use pdac::collectives::sched::{bcast_schedule, SchedConfig};
+use pdac::collectives::sched::{bcast_schedule_dist, SchedConfig};
 use pdac::hwtopo::{cluster, machines, BindingPolicy, DistanceMatrix};
 use pdac::simnet::{bw_bcast, Resource, SimConfig, SimExecutor};
 
@@ -47,7 +47,7 @@ fn main() {
     );
 
     let bytes = 4 << 20;
-    let sched = bcast_schedule(&tree, bytes, &SchedConfig::default());
+    let sched = bcast_schedule_dist(&tree, bytes, &SchedConfig::default(), None);
     let rep = SimExecutor::new(&c, &binding, SimConfig { allow_cache: false })
         .run(&sched)
         .expect("schedule validates");

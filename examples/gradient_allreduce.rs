@@ -13,12 +13,12 @@ use std::sync::Arc;
 
 use pdac::collectives::allgather_ring::Ring;
 use pdac::collectives::bcast_tree::build_bcast_tree;
-use pdac::collectives::reduce_scatter::ring_allreduce_schedule;
-use pdac::collectives::sched::{allreduce_schedule, SchedConfig};
+use pdac::collectives::reduce_scatter::ring_allreduce_schedule_with_op;
+use pdac::collectives::sched::{allreduce_schedule_with_op, SchedConfig};
 use pdac::hwtopo::{machines, BindingPolicy};
 use pdac::mpi::{ReduceOp, Session};
 use pdac::mpisim::Communicator;
-use pdac::simnet::{SimConfig, SimExecutor};
+use pdac::simnet::{DataOp, SimConfig, SimExecutor};
 
 fn main() {
     let machine = Arc::new(machines::ig());
@@ -50,12 +50,12 @@ fn main() {
     for bytes in [48 << 10, 384 << 10, 3 << 20, 24 << 20] {
         let tree = build_bcast_tree(&comm.distances(), 0);
         let t_tree = exec
-            .run(&allreduce_schedule(&tree, bytes, &SchedConfig::default()))
+            .run(&allreduce_schedule_with_op(&tree, bytes, &SchedConfig::default(), DataOp::Add))
             .expect("tree schedule")
             .total_time;
         let ring = Ring::build(&comm.distances());
         let t_ring = exec
-            .run(&ring_allreduce_schedule(&ring, bytes / ranks))
+            .run(&ring_allreduce_schedule_with_op(&ring, bytes / ranks, DataOp::Add))
             .expect("ring schedule")
             .total_time;
         println!(

@@ -13,8 +13,9 @@
 use std::sync::Arc;
 
 use pdac::collectives::adaptive::AdaptiveColl;
-use pdac::collectives::baseline::tuned::{self, TunedConfig};
+use pdac::collectives::baseline::tuned;
 use pdac::hwtopo::{machines, BindingPolicy};
+use pdac::mpisim::p2p::P2pConfig;
 use pdac::mpisim::Communicator;
 use pdac::simnet::{bw_allgather, bw_bcast, SimConfig, SimExecutor};
 
@@ -32,7 +33,7 @@ fn policies() -> Vec<BindingPolicy> {
 fn main() {
     let machine = Arc::new(machines::ig());
     let coll = AdaptiveColl;
-    let tuned_cfg = TunedConfig::default();
+    let p2p = P2pConfig::default();
     let bytes = 1 << 20;
 
     println!("IG, 48 ranks, 1MB payloads; aggregate bandwidth in MB/s\n");
@@ -49,16 +50,12 @@ fn main() {
         let sim = SimExecutor::new(&machine, &binding, SimConfig { allow_cache: false });
 
         let bws = [
-            bw_bcast(
-                48,
-                bytes,
-                sim.run(&tuned::bcast(48, 0, bytes, &tuned_cfg)).unwrap().total_time,
-            ),
+            bw_bcast(48, bytes, sim.run(&tuned::bcast(48, 0, bytes, &p2p)).unwrap().total_time),
             bw_bcast(48, bytes, sim.run(&coll.bcast(&comm, 0, bytes)).unwrap().total_time),
             bw_allgather(
                 48,
                 bytes,
-                sim.run(&tuned::allgather(48, bytes, &tuned_cfg)).unwrap().total_time,
+                sim.run(&tuned::allgather(48, bytes, &p2p)).unwrap().total_time,
             ),
             bw_allgather(48, bytes, sim.run(&coll.allgather(&comm, bytes)).unwrap().total_time),
         ];

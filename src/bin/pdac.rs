@@ -42,11 +42,12 @@ use std::sync::Arc;
 
 use pdac::collectives::adaptive::AdaptiveColl;
 use pdac::collectives::allgather_ring::Ring;
-use pdac::collectives::baseline::tuned::{self, TunedConfig};
+use pdac::collectives::baseline::tuned;
 use pdac::collectives::bcast_tree::build_bcast_tree;
 use pdac::collectives::{dot, Collective, Request};
 use pdac::hwtopo::{cluster, hwloc_xml, machines, render};
 use pdac::hwtopo::{Binding, BindingPolicy, DistanceMatrix, Machine};
+use pdac::mpisim::p2p::P2pConfig;
 use pdac::mpisim::Communicator;
 use pdac::simnet::{bw_allgather, bw_bcast, SimConfig, SimExecutor};
 use pdac::telemetry::history::{load_jsonl, render_trend};
@@ -228,12 +229,12 @@ fn run() -> Result<(), String> {
             let comm = Communicator::world(Arc::clone(&m), b.clone());
             let n = comm.size();
             let coll_impl = AdaptiveColl;
-            let tuned_cfg = TunedConfig::default();
+            let p2p = P2pConfig::default();
             let (schedule, bw): (_, fn(usize, usize, f64) -> f64) = match coll.as_str() {
                 "bcast" => (coll_impl.bcast(&comm, 0, bytes), bw_bcast),
                 "allgather" => (coll_impl.allgather(&comm, bytes), bw_allgather),
-                "tuned-bcast" => (tuned::bcast(n, 0, bytes, &tuned_cfg), bw_bcast),
-                "tuned-allgather" => (tuned::allgather(n, bytes, &tuned_cfg), bw_allgather),
+                "tuned-bcast" => (tuned::bcast(n, 0, bytes, &p2p), bw_bcast),
+                "tuned-allgather" => (tuned::allgather(n, bytes, &p2p), bw_allgather),
                 other => return Err(format!("unknown collective '{other}'")),
             };
             let report = SimExecutor::new(&m, &b, SimConfig { allow_cache: false })

@@ -111,7 +111,7 @@ fn simulator_traffic_matches_the_analytical_model() {
     // analytic counts exactly: reads + writes attributed per NUMA node.
     use pdac::collectives::bcast_tree::build_bcast_tree;
     use pdac::collectives::metrics::memory_accesses;
-    use pdac::collectives::sched::{bcast_schedule, SchedConfig};
+    use pdac::collectives::sched::{bcast_schedule_dist, SchedConfig};
     use pdac::hwtopo::DistanceMatrix;
 
     let ig = Arc::new(machines::ig());
@@ -119,7 +119,7 @@ fn simulator_traffic_matches_the_analytical_model() {
         let binding = policy.bind(&ig, 48).unwrap();
         let dist = DistanceMatrix::for_binding(&ig, &binding);
         let tree = build_bcast_tree(&dist, 0);
-        let sched = bcast_schedule(&tree, 1 << 20, &SchedConfig::default());
+        let sched = bcast_schedule_dist(&tree, 1 << 20, &SchedConfig::default(), None);
 
         let analytic = memory_accesses(&sched, &ig, &binding);
         let report =

@@ -9,7 +9,7 @@ use pdac::collectives::adaptive::{
     BcastTopology, COLLAPSE_ABOVE_BYTES, RING_ALLREDUCE_MIN_BYTES, SM_BCAST_MAX_BYTES,
     TUNED_ALLGATHER_MAX_BYTES, TUNED_BCAST_MAX_BYTES,
 };
-use pdac::collectives::baseline::tuned::{self, TunedConfig};
+use pdac::collectives::baseline::tuned;
 use pdac::collectives::framework::CollFramework;
 use pdac::collectives::sched::{allreduce_schedule_dist, SchedConfig};
 use pdac::collectives::{
@@ -18,6 +18,7 @@ use pdac::collectives::{
 };
 use pdac::hwtopo::{cluster, machines, BindingPolicy, Machine};
 use pdac::mpi::Session;
+use pdac::mpisim::p2p::P2pConfig;
 use pdac::mpisim::Communicator;
 use pdac::simnet::DataOp;
 
@@ -164,7 +165,7 @@ fn session_plans_through_its_cache_without_changing_the_schedule() {
     // framework's component rule routes a small broadcast or allgather to
     // another component, that component's schedule.
     let framework = CollFramework;
-    let tuned = TunedConfig::default();
+    let p2p = P2pConfig::default();
     for (machine, n) in [(machines::ig(), 12), (machines::zoot(), 16)] {
         let session = Session::new(Arc::new(machine), BindingPolicy::CrossSocket, n).unwrap();
         let comm = session.comm();
@@ -193,14 +194,10 @@ fn session_plans_through_its_cache_without_changing_the_schedule() {
         );
         // The sizes the rule routes elsewhere, and one it does not.
         assert_eq!(plan(Collective::Bcast, 1024), framework.bcast(comm, root, 1024), "1 KiB bcast");
-        assert_eq!(
-            plan(Collective::Bcast, 8192),
-            tuned::bcast(n, root, 8192, &tuned),
-            "8 KiB bcast"
-        );
+        assert_eq!(plan(Collective::Bcast, 8192), tuned::bcast(n, root, 8192, &p2p), "8 KiB bcast");
         assert_eq!(
             plan(Collective::Allgather, 1024),
-            tuned::allgather(n, 1024, &tuned),
+            tuned::allgather(n, 1024, &p2p),
             "1 KiB allgather"
         );
         let big = Request::new(Collective::Bcast, root, 1 << 20);

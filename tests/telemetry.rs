@@ -10,8 +10,9 @@ use pdac::collectives::adaptive::AdaptiveColl;
 use pdac::collectives::metrics::fault_summary_line;
 use pdac::hwtopo::{machines, BindingPolicy};
 use pdac::mpisim::Communicator;
+use pdac::simnet::trace::sim_events_with_distances;
 use pdac::simnet::{FaultStats, SimConfig, SimExecutor};
-use pdac::telemetry::{RegistrySnapshot, TraceMeta};
+use pdac::telemetry::{chrome_trace, RegistrySnapshot, TraceMeta};
 
 fn bcast_world(ranks: usize, bytes: usize) -> (Communicator, pdac::simnet::Schedule) {
     let machine = Arc::new(machines::ig());
@@ -28,7 +29,8 @@ fn sim_trace_round_trips_with_one_x_event_per_op() {
         .run(&schedule)
         .expect("schedule validates");
 
-    let trace = pdac::simnet::trace::to_chrome_trace(&schedule, &report);
+    let events = sim_events_with_distances(&schedule, &report, None);
+    let trace = chrome_trace(&events, &TraceMeta::sim().with_ranks(schedule.num_ranks));
     let parsed: serde_json::Value = serde_json::from_str(&trace).expect("trace is valid JSON");
     let rows = parsed["traceEvents"].as_array().expect("traceEvents array");
 
@@ -62,8 +64,7 @@ fn real_trace_round_trips_with_one_x_event_per_op() {
         .expect("collective executes");
     let events = reader.drain();
 
-    let trace =
-        pdac::telemetry::chrome_trace(&events, &TraceMeta::real().with_ranks(schedule.num_ranks));
+    let trace = chrome_trace(&events, &TraceMeta::real().with_ranks(schedule.num_ranks));
     let parsed: serde_json::Value = serde_json::from_str(&trace).expect("trace is valid JSON");
     let rows = parsed["traceEvents"].as_array().expect("traceEvents array");
 
