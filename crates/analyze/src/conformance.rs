@@ -237,7 +237,7 @@ mod tests {
             .run(&schedule)
             .expect("schedule validates");
         let dist = DistanceMatrix::for_binding(&machine, &binding);
-        (sim_events_with_distances(&schedule, &report, Some(&dist)), prov)
+        (sim_events_with_distances(&schedule, &report, Some(&dist)).events(), prov)
     }
 
     fn explained_run() -> (OpGraph, Provenance) {

@@ -10,6 +10,8 @@
 use std::collections::HashMap;
 
 use pdac_hwtopo::DIST_MAX_EXTENDED;
+use pdac_simnet::trace::{op_label, SimTrace};
+use pdac_simnet::{Mech, OpKind};
 use pdac_telemetry::{Event, EventKind};
 use serde::{Deserialize, Serialize};
 
@@ -82,28 +84,19 @@ pub struct OpGraph {
     prev_on_tid: Vec<Option<usize>>,
 }
 
-impl OpGraph {
-    /// Builds a graph from a span list (spans with duplicate op ids keep
-    /// the last occurrence).
-    pub fn new(mut spans: Vec<OpSpan>) -> Self {
-        spans.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
-        let mut by_op = HashMap::with_capacity(spans.len());
-        let mut last_on_tid: HashMap<u64, usize> = HashMap::new();
-        let mut prev_on_tid = Vec::with_capacity(spans.len());
-        for (i, s) in spans.iter().enumerate() {
-            by_op.insert(s.op, i);
-            prev_on_tid.push(last_on_tid.insert(s.tid, i));
-        }
-        OpGraph { spans, by_op, prev_on_tid }
-    }
+/// What an [`OpGraph`] is built from: recorded or loaded events, or a
+/// simulated run's [`SimTrace`], read straight from its schedule and report.
+pub trait SpanSource {
+    /// The op spans, in input order.
+    fn op_spans(&self) -> Vec<OpSpan>;
+}
 
-    /// Rebuilds the DAG from recorded events: every `Complete` event with
-    /// an `op` argument becomes a span; instants, unlabelled spans
-    /// (run-level wrappers, cache events) and spans whose `dist` is no
-    /// distance class are ignored.
-    pub fn from_events(events: &[Event]) -> Self {
-        let spans = events
-            .iter()
+impl SpanSource for [Event] {
+    /// Every `Complete` event with an `op` argument becomes a span;
+    /// instants, unlabelled spans (run-level wrappers, cache events) and
+    /// spans whose `dist` is no distance class are ignored.
+    fn op_spans(&self) -> Vec<OpSpan> {
+        self.iter()
             .filter(|e| e.kind == EventKind::Complete)
             .filter_map(|e| {
                 let op = e.arg_u64("op")? as usize;
@@ -135,8 +128,71 @@ impl OpGraph {
                     plan: e.arg_str("plan").map(str::to_string),
                 })
             })
-            .collect();
-        OpGraph::new(spans)
+            .collect()
+    }
+}
+
+impl SpanSource for Vec<Event> {
+    fn op_spans(&self) -> Vec<OpSpan> {
+        self.as_slice().op_spans()
+    }
+}
+
+impl SpanSource for SimTrace<'_> {
+    /// The spans parsing [`SimTrace::events`] would give, without
+    /// rendering them: one per op, in id order.
+    fn op_spans(&self) -> Vec<OpSpan> {
+        let schedule = self.schedule;
+        let mut spans = Vec::with_capacity(schedule.ops.len());
+        spans.extend(schedule.ops.iter().enumerate().filter_map(|(id, op)| {
+            // A deserialized matrix may hold any byte; parsing drops such spans.
+            let dist = Some(self.dist(id)).filter(|d| *d <= DIST_MAX_EXTENDED)?;
+            let mech = match op.kind {
+                OpKind::Copy { mech: Mech::Knem, .. } => MechKind::Knem,
+                OpKind::Copy { .. } => MechKind::Memcpy,
+                OpKind::Notify { .. } => MechKind::Notify,
+            };
+            let (start_us, dur_us) = self.span_us(id);
+            Some(OpSpan {
+                op: id,
+                tid: op.kind.executor() as u64,
+                name: op_label(&op.kind),
+                mech,
+                dist,
+                bytes: op.kind.bytes() as u64,
+                start_us,
+                dur_us,
+                deps: schedule.deps(id).to_vec(),
+                plan: None,
+            })
+        }));
+        spans
+    }
+}
+
+impl OpGraph {
+    /// Builds a graph from a span list (spans with duplicate op ids keep
+    /// the last occurrence). Spans are ordered by start; ties keep their
+    /// input order.
+    pub fn new(spans: Vec<OpSpan>) -> Self {
+        let mut order: Vec<(f64, usize)> = spans.iter().map(|s| s.start_us).zip(0..).collect();
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut slots: Vec<Option<OpSpan>> = spans.into_iter().map(Some).collect();
+        let spans: Vec<_> = order.iter().map(|&(_, i)| slots[i].take().expect("once")).collect();
+        let mut by_op = HashMap::with_capacity(spans.len());
+        let mut last_on_tid: HashMap<u64, usize> = HashMap::new();
+        let mut prev_on_tid = Vec::with_capacity(spans.len());
+        for (i, s) in spans.iter().enumerate() {
+            by_op.insert(s.op, i);
+            prev_on_tid.push(last_on_tid.insert(s.tid, i));
+        }
+        OpGraph { spans, by_op, prev_on_tid }
+    }
+
+    /// Rebuilds the DAG from a [`SpanSource`]: recorded or loaded events
+    /// (`&[Event]`, `&Vec<Event>`) or a simulated run's [`SimTrace`].
+    pub fn from_events<S: SpanSource + ?Sized>(source: &S) -> Self {
+        OpGraph::new(source.op_spans())
     }
 
     /// Spans in start order.

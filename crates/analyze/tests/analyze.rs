@@ -62,7 +62,7 @@ fn divergence_of_a_saved_leg_against_itself_flags_nothing() {
     // up to export rounding, so nothing may flag.
     let events = sim_events_with_distances(&schedule, &report, Some(&dist));
     let sim = OpGraph::from_events(&events);
-    let json = chrome_trace(&events, &TraceMeta::real().with_ranks(comm.size()));
+    let json = chrome_trace(&events.events(), &TraceMeta::real().with_ranks(comm.size()));
     let real = OpGraph::from_events(&events_from_chrome_trace(&json).expect("trace parses"));
     let rep = DivergenceReport::compare(&real, &sim);
     assert_eq!(rep.joined_ops, schedule.ops.len());
@@ -85,7 +85,7 @@ fn exported_trace_reanalyzes_to_the_same_critical_path() {
 
     // Round-trip through the exported artifact, as `pdac trace analyze`
     // and the CI gate do.
-    let json = chrome_trace(&events, &TraceMeta::sim().with_ranks(comm.size()));
+    let json = chrome_trace(&events.events(), &TraceMeta::sim().with_ranks(comm.size()));
     let reparsed = events_from_chrome_trace(&json).expect("trace parses");
     let offline = CriticalPathReport::extract(&OpGraph::from_events(&reparsed));
 

@@ -80,17 +80,11 @@ impl Job {
         AdaptiveColl.plan(&comm, self.request, sinks)
     }
 
-    /// The sim leg of `schedule` and its events, with distance classes.
-    fn simulate(
-        &self,
-        schedule: &Schedule,
-        distances: &DistanceMatrix,
-    ) -> Result<(SimReport, Vec<pdac_telemetry::Event>), String> {
-        let report = SimExecutor::new(&self.machine, &self.binding, SimConfig::default())
+    /// The sim leg of `schedule`.
+    fn simulate(&self, schedule: &Schedule) -> Result<SimReport, String> {
+        SimExecutor::new(&self.machine, &self.binding, SimConfig::default())
             .run(schedule)
-            .map_err(|e| e.to_string())?;
-        let events = sim_events_with_distances(schedule, &report, Some(distances));
-        Ok((report, events))
+            .map_err(|e| e.to_string())
     }
 }
 
@@ -122,16 +116,13 @@ pub fn run(job: &Job) -> Result<(), String> {
 
     // Sim leg: the same schedule through the contention model, rendered by
     // the same exporter.
-    let (report, sim_events) = job.simulate(&schedule, &distances)?;
+    let report = job.simulate(&schedule)?;
+    let sim = sim_events_with_distances(&schedule, &report, Some(&distances));
 
     job.write("trace_real.json", &chrome_trace(&real_events, &meta(TraceMeta::real())))?;
-    job.write("trace_sim.json", &chrome_trace(&sim_events, &meta(TraceMeta::sim())))?;
+    job.write("trace_sim.json", &chrome_trace(&sim.events(), &meta(TraceMeta::sim())))?;
     job.write("metrics.json", &telemetry.registry().snapshot().to_json())?;
-    write_reports(
-        &job.outdir,
-        &OpGraph::from_events(&real_events),
-        &OpGraph::from_events(&sim_events),
-    )?;
+    write_reports(&job.outdir, &OpGraph::from_events(&real_events), &OpGraph::from_events(&sim))?;
 
     println!(
         "{}: {} ops over {} ranks; real run {} KNEM copies, sim {:.3} ms",
@@ -164,7 +155,9 @@ pub fn explain(job: &Job) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let real = OpGraph::from_events(&reader.drain());
     drop(reader);
-    let sim = OpGraph::from_events(&job.simulate(&schedule, &distances)?.1);
+    let report = job.simulate(&schedule)?;
+    let sim =
+        OpGraph::from_events(&sim_events_with_distances(&schedule, &report, Some(&distances)));
 
     let sim_conf = ConformanceReport::audit(&sim, &prov);
     println!("-- sim leg --");

@@ -1173,12 +1173,7 @@ fn op_span(run: &RunState, rank: Rank, id: usize) -> Span<'static> {
     pdac_telemetry::global().recorder().span(
         rank as u64,
         if matches!(kind, OpKind::Notify { .. }) { "notify" } else { "copy" },
-        || match kind {
-            OpKind::Copy { src_rank, dst_rank, bytes, mech, .. } => {
-                format!("{mech:?} {src_rank}->{dst_rank} ({bytes}B)")
-            }
-            OpKind::Notify { from, to } => format!("notify {from}->{to}"),
-        },
+        || pdac_simnet::trace::op_label(kind),
         || {
             let dist = usize::from(run.lowered.class(id));
             let mut args = vec![("op", id.into()), ("dist", dist.into())];
@@ -1190,7 +1185,7 @@ fn op_span(run: &RunState, rank: Rank, id: usize) -> Span<'static> {
                     args.push(("src", (*src_rank).into()));
                     args.push(("dst", (*dst_rank).into()));
                     args.push(("bytes", (*bytes).into()));
-                    args.push(("mech", format!("{mech:?}").into()));
+                    args.push(("mech", mech.name().into()));
                 }
                 OpKind::Notify { from, to } => {
                     args.push(("src", (*from).into()));

@@ -47,6 +47,16 @@ pub enum Mech {
     Knem,
 }
 
+impl Mech {
+    /// The name span labels and trace arguments give the mechanism.
+    pub fn name(self) -> &'static str {
+        match self {
+            Mech::Memcpy => "Memcpy",
+            Mech::Knem => "Knem",
+        }
+    }
+}
+
 /// What a copy does with the destination bytes.
 ///
 /// `Move` transfers; everything else combines element-wise into the

@@ -1,16 +1,17 @@
 //! Chrome-tracing export of simulated executions.
 //!
-//! Converts a [`Schedule`] plus its [`SimReport`] into events for the
-//! Chrome Trace Event JSON format (`chrome://tracing`, or [Perfetto](https://ui.perfetto.dev)):
-//! one row per rank, one duration event per operation, labelled with the
-//! op kind, peer and byte count. The pipelining structure of a collective —
-//! who waits on whom, where the bottleneck rank sits — becomes visible at a
-//! glance.
+//! A [`Schedule`] plus its [`SimReport`] is viewed as a [`SimTrace`]: one
+//! span per operation, on the executor's rank row, labelled with the op
+//! kind, peer and byte count. `pdac-analyze` reads the view directly;
+//! [`SimTrace::events`] renders it for the Chrome Trace Event JSON format
+//! (`chrome://tracing`, or [Perfetto](https://ui.perfetto.dev)).
 //!
 //! Rendering goes through the workspace-wide exporter in
 //! [`pdac_telemetry::export`], so a simulated run (pid 1, process `sim`)
 //! and a real-thread run of the same schedule (pid 2, process `real`) load
 //! side-by-side in one Perfetto window without colliding.
+
+use std::fmt::Write;
 
 use crate::engine::SimReport;
 use crate::lower::distance_class;
@@ -24,77 +25,111 @@ use pdac_telemetry::{Event, EventKind};
 /// op DAG from a trace alone.
 pub fn deps_arg(deps: &[usize]) -> String {
     let mut out = String::new();
-    for (i, d) in deps.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&d.to_string());
+    for d in deps {
+        let _ = write!(out, "{}{d}", if out.is_empty() { "" } else { "," });
     }
     out
 }
 
-/// Converts one simulated run into exporter events: one `X` event per
-/// operation, on the executor's rank row (sender's row for notifies), with
-/// op kind, peers, byte count and dependency links in the args. Each op's
-/// `dist` argument labels its pair with the paper's `d0..d8` classes from
-/// `distances` (0 without a matrix), matching the real executor's span
-/// labels so the two legs join class-by-class. Timestamps are microseconds
-/// (the format's native unit); render them with
-/// [`pdac_telemetry::export::chrome_trace`] under
-/// [`pdac_telemetry::TraceMeta::sim`].
-pub fn sim_events_with_distances(
-    schedule: &Schedule,
-    report: &SimReport,
-    distances: Option<&DistanceMatrix>,
-) -> Vec<Event> {
-    let mut events = Vec::with_capacity(schedule.ops.len());
-    for (id, op) in schedule.ops.iter().enumerate() {
-        let dist = usize::from(distance_class(&op.kind, distances));
-        let (name, cat, tid, mut args) = match &op.kind {
-            OpKind::Copy { src_rank, dst_rank, bytes, mech, exec, .. } => (
-                format!("{mech:?} {src_rank}->{dst_rank} ({bytes}B)"),
-                "copy",
-                *exec,
-                vec![
-                    ("op", id.into()),
-                    ("src", (*src_rank).into()),
-                    ("dst", (*dst_rank).into()),
-                    ("bytes", (*bytes).into()),
-                    ("mech", format!("{mech:?}").into()),
-                    ("dist", dist.into()),
-                ],
-            ),
-            OpKind::Notify { from, to } => (
-                format!("notify {from}->{to}"),
-                "notify",
-                *from,
-                vec![
-                    ("op", id.into()),
-                    ("src", (*from).into()),
-                    ("dst", (*to).into()),
-                    ("to", (*to).into()),
-                    ("dist", dist.into()),
-                ],
-            ),
-        };
-        let deps = schedule.deps(id);
-        if !deps.is_empty() {
-            args.push(("deps", deps_arg(deps).into()));
+/// The span label of one op, the same on both executors:
+/// `"Knem 0->3 (4096B)"` for a copy, `"notify 3->0"` for a notification.
+/// One allocation for any label up to 32 bytes (`format!` grows from empty).
+pub fn op_label(kind: &OpKind) -> String {
+    let mut label = String::with_capacity(32);
+    let _ = match kind {
+        OpKind::Copy { src_rank, dst_rank, bytes, mech, .. } => {
+            write!(label, "{} {src_rank}->{dst_rank} ({bytes}B)", mech.name())
         }
-        let ts_us = report.op_start[id] * 1e6;
-        let dur_us = (report.op_finish[id] - report.op_start[id]).max(0.0) * 1e6;
-        events.push(Event {
-            seq: id as u64,
-            ts_us,
-            dur_us,
-            tid: tid as u64,
-            name,
-            cat,
-            kind: EventKind::Complete,
-            args,
-        });
+        OpKind::Notify { from, to } => write!(label, "notify {from}->{to}"),
+    };
+    label
+}
+
+/// One simulated run seen as spans, borrowed; see [`sim_events_with_distances`].
+#[derive(Debug, Clone, Copy)]
+pub struct SimTrace<'a> {
+    /// The schedule the run executed.
+    pub schedule: &'a Schedule,
+    report: &'a SimReport,
+    distances: Option<&'a DistanceMatrix>,
+}
+
+/// Views one simulated run as one span per operation, on the executor's
+/// rank row (sender's row for notifies), without per-op work. Each op's
+/// distance class labels its pair with the paper's `d0..d8` classes from
+/// `distances` (0 without a matrix), matching the real executor's span
+/// labels so the two legs join class-by-class.
+pub fn sim_events_with_distances<'a>(
+    schedule: &'a Schedule,
+    report: &'a SimReport,
+    distances: Option<&'a DistanceMatrix>,
+) -> SimTrace<'a> {
+    SimTrace { schedule, report, distances }
+}
+
+impl<'a> SimTrace<'a> {
+    /// Start and (never negative) duration of op `id` in microseconds, the
+    /// trace format's native unit.
+    pub fn span_us(&self, id: usize) -> (f64, f64) {
+        let (start, finish) = (self.report.op_start[id], self.report.op_finish[id]);
+        (start * 1e6, (finish - start).max(0.0) * 1e6)
     }
-    events
+
+    /// Distance class of op `id`'s endpoints (0 without a matrix).
+    pub fn dist(&self, id: usize) -> u8 {
+        distance_class(&self.schedule.ops[id].kind, self.distances)
+    }
+
+    /// The view as exporter events: one `X` event per operation, with op
+    /// kind, peers, byte count, distance class and dependency links in the
+    /// args. Render them with [`pdac_telemetry::export::chrome_trace`]
+    /// under [`pdac_telemetry::TraceMeta::sim`].
+    pub fn events(&self) -> Vec<Event> {
+        let schedule = self.schedule;
+        let mut events = Vec::with_capacity(schedule.ops.len());
+        for (id, op) in schedule.ops.iter().enumerate() {
+            let dist = usize::from(self.dist(id));
+            let (cat, mut args) = match &op.kind {
+                OpKind::Copy { src_rank, dst_rank, bytes, mech, .. } => (
+                    "copy",
+                    vec![
+                        ("op", id.into()),
+                        ("src", (*src_rank).into()),
+                        ("dst", (*dst_rank).into()),
+                        ("bytes", (*bytes).into()),
+                        ("mech", mech.name().into()),
+                        ("dist", dist.into()),
+                    ],
+                ),
+                OpKind::Notify { from, to } => (
+                    "notify",
+                    vec![
+                        ("op", id.into()),
+                        ("src", (*from).into()),
+                        ("dst", (*to).into()),
+                        ("to", (*to).into()),
+                        ("dist", dist.into()),
+                    ],
+                ),
+            };
+            let deps = schedule.deps(id);
+            if !deps.is_empty() {
+                args.push(("deps", deps_arg(deps).into()));
+            }
+            let (ts_us, dur_us) = self.span_us(id);
+            events.push(Event {
+                seq: id as u64,
+                ts_us,
+                dur_us,
+                tid: op.kind.executor() as u64,
+                name: op_label(&op.kind),
+                cat,
+                kind: EventKind::Complete,
+                args,
+            });
+        }
+        events
+    }
 }
 
 #[cfg(test)]
@@ -115,7 +150,7 @@ mod tests {
         b.copy((1, BufId::Recv, 0), (2, BufId::Recv, 0), 4096, Mech::Memcpy, 2, &[n]);
         let s = b.finish();
         let rep = SimExecutor::new(&ig, &binding, SimConfig::default()).run(&s).unwrap();
-        let events = sim_events_with_distances(&s, &rep, None);
+        let events = sim_events_with_distances(&s, &rep, None).events();
         let trace = chrome_trace(&events, &TraceMeta::sim().with_ranks(s.num_ranks));
 
         let parsed: serde_json::Value = serde_json::from_str(&trace).expect("valid JSON");
@@ -135,7 +170,7 @@ mod tests {
         // Classes come from the matrix when there is one, else 0.
         assert!(xs.iter().all(|e| e["args"]["dist"].as_u64() == Some(0)));
         let distances = DistanceMatrix::for_binding(&ig, &binding);
-        let classed = sim_events_with_distances(&s, &rep, Some(&distances));
+        let classed = sim_events_with_distances(&s, &rep, Some(&distances)).events();
         assert_eq!(classed[0].arg_u64("dist"), Some(u64::from(distances.get(0, 1))));
         assert_eq!(classed[2].arg_u64("dist"), Some(u64::from(distances.get(1, 2))));
     }

@@ -324,7 +324,7 @@ fn trace_dist_is_the_lowered_class() {
         SimExecutor::new(&zoot, comm.binding(), SimConfig::default()).run(&schedule).unwrap();
 
     let lowered = schedule.lower(Some(&distances)).unwrap();
-    let events = sim_events_with_distances(&schedule, &report, Some(&distances));
+    let events = sim_events_with_distances(&schedule, &report, Some(&distances)).events();
     assert_eq!(events.len(), schedule.ops.len());
     for (id, event) in events.iter().enumerate() {
         assert_eq!(event.arg_u64("dist"), Some(u64::from(lowered.class(id))), "op {id}");
@@ -332,7 +332,7 @@ fn trace_dist_is_the_lowered_class() {
     assert!((0..events.len()).any(|id| lowered.class(id) > 0), "a cross-socket bcast has classes");
 
     let unclassed = schedule.lower(None).unwrap();
-    let events = sim_events_with_distances(&schedule, &report, None);
+    let events = sim_events_with_distances(&schedule, &report, None).events();
     for (id, event) in events.iter().enumerate() {
         assert_eq!((event.arg_u64("dist"), unclassed.class(id)), (Some(0), 0), "op {id}");
     }

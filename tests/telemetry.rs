@@ -6,9 +6,12 @@
 
 use std::sync::Arc;
 
+use pdac::analyze::{events_from_chrome_trace, CriticalPathReport, OpGraph, OpSpan};
 use pdac::collectives::adaptive::AdaptiveColl;
 use pdac::collectives::metrics::fault_summary_line;
-use pdac::hwtopo::{machines, BindingPolicy};
+use pdac::collectives::Collective::*;
+use pdac::collectives::{AllreduceAlgo, Request, Sinks};
+use pdac::hwtopo::{cluster, machines, BindingPolicy};
 use pdac::mpisim::Communicator;
 use pdac::simnet::trace::sim_events_with_distances;
 use pdac::simnet::{FaultStats, SimConfig, SimExecutor};
@@ -29,7 +32,7 @@ fn sim_trace_round_trips_with_one_x_event_per_op() {
         .run(&schedule)
         .expect("schedule validates");
 
-    let events = sim_events_with_distances(&schedule, &report, None);
+    let events = sim_events_with_distances(&schedule, &report, None).events();
     let trace = chrome_trace(&events, &TraceMeta::sim().with_ranks(schedule.num_ranks));
     let parsed: serde_json::Value = serde_json::from_str(&trace).expect("trace is valid JSON");
     let rows = parsed["traceEvents"].as_array().expect("traceEvents array");
@@ -41,6 +44,71 @@ fn sim_trace_round_trips_with_one_x_event_per_op() {
     assert_eq!(process["args"]["name"], "sim");
     let threads: Vec<_> = rows.iter().filter(|r| r["name"] == "thread_name").collect();
     assert_eq!(threads.len(), schedule.num_ranks, "every rank row is named");
+}
+
+/// The analyzer reads the sim leg through its view, without rendering
+/// events. Parsing the rendered events, or those events out to a trace file
+/// and back, must give the same spans and the same critical path, for every
+/// collective on one machine, one cross-socket placement and one cluster.
+#[test]
+fn sim_trace_view_gives_the_spans_its_events_parse_to() {
+    let ig = machines::ig();
+    let ig_x2 = cluster::homogeneous("ig-x2", &ig, 2, 1).expect("cluster builds");
+    let worlds = [
+        ("zoot-16", machines::zoot(), BindingPolicy::Contiguous, 16),
+        ("ig-48", ig, BindingPolicy::CrossSocket, 48),
+        ("ig-x2-96", ig_x2, BindingPolicy::CrossNode, 96),
+    ];
+    for (world, machine, policy, ranks) in worlds {
+        let machine = Arc::new(machine);
+        let binding = policy.bind(&machine, ranks).expect("binding fits");
+        let comm = Communicator::world(Arc::clone(&machine), binding);
+        let dist = comm.distances();
+        let sim = SimExecutor::new(&machine, comm.binding(), SimConfig::default());
+        let ring =
+            Request { allreduce: AllreduceAlgo::Ring, ..Request::new(Allreduce, 0, ranks << 10) };
+        let requests = [
+            Request::new(Bcast, 0, 16 << 10),
+            Request::new(Bcast, 0, 1 << 20),
+            Request::new(Allgather, 0, 4 << 10),
+            Request::new(Allreduce, 0, 64 << 10),
+            ring,
+            Request::new(Alltoall, 0, 1 << 10),
+            Request::new(ReduceScatter, 0, 4 << 10),
+            Request::new(Gather, 1, 4 << 10),
+            Request::new(Scatter, 1, 4 << 10),
+            Request::new(Barrier, 0, 0),
+        ];
+        for request in requests {
+            let case = format!("{world} {request:?}");
+            let schedule = AdaptiveColl.plan(&comm, request, Sinks::default());
+            let report = sim.run(&schedule).expect("schedule validates");
+            let trace = sim_events_with_distances(&schedule, &report, Some(&dist));
+            let events = trace.events();
+
+            let viewed = OpGraph::from_events(&trace);
+            let parsed = OpGraph::from_events(&events);
+            assert_eq!(viewed.len(), schedule.ops.len(), "{case}");
+            assert_eq!(viewed.spans(), parsed.spans(), "{case}");
+            assert_eq!(
+                CriticalPathReport::extract(&viewed),
+                CriticalPathReport::extract(&parsed),
+                "{case}"
+            );
+
+            let json = chrome_trace(&events, &TraceMeta::sim().with_ranks(ranks));
+            let loaded = OpGraph::from_events(&events_from_chrome_trace(&json).expect("parses"));
+            assert_eq!(loaded.len(), viewed.len(), "{case}");
+            for span in viewed.spans() {
+                let file = loaded.get(span.op).expect("every op survives the file");
+                // The file keeps microseconds to three decimals.
+                assert!((file.start_us - span.start_us).abs() < 1e-3, "{case} op {}", span.op);
+                assert!((file.dur_us - span.dur_us).abs() < 1e-3, "{case} op {}", span.op);
+                let times = OpSpan { start_us: span.start_us, dur_us: span.dur_us, ..file.clone() };
+                assert_eq!(&times, span, "{case}");
+            }
+        }
+    }
 }
 
 /// The real-executor counterpart: an 8-rank bcast on the thread executor,
