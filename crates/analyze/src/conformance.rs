@@ -112,7 +112,7 @@ impl ConformanceReport {
                 ));
             }
             let mut planned_deps = planned.deps.clone();
-            let mut executed_deps = span.deps.clone();
+            let mut executed_deps = span.deps.to_vec();
             planned_deps.sort_unstable();
             executed_deps.sort_unstable();
             if planned_deps != executed_deps {
@@ -259,7 +259,7 @@ mod tests {
     #[test]
     fn dropped_span_is_missing_and_foreign_span_is_unexplained() {
         let (graph, prov) = explained_run();
-        let mut spans: Vec<OpSpan> = graph.spans().to_vec();
+        let mut spans: Vec<OpSpan> = graph.spans().map(OpSpan::from).collect();
         let dropped = spans.pop().expect("non-empty").op;
         spans.push(OpSpan {
             op: 100_000,
@@ -283,7 +283,7 @@ mod tests {
     #[test]
     fn early_start_is_a_dependency_order_violation() {
         let (graph, prov) = explained_run();
-        let mut spans: Vec<OpSpan> = graph.spans().to_vec();
+        let mut spans: Vec<OpSpan> = graph.spans().map(OpSpan::from).collect();
         // Yank some op with a dependency back to t=0, before anything ends.
         let victim = spans.iter().position(|s| !s.deps.is_empty()).expect("a dependent op exists");
         spans[victim].start_us = 0.0;
@@ -295,7 +295,7 @@ mod tests {
     #[test]
     fn wrong_plan_tag_and_wrong_shape_are_flagged() {
         let (graph, prov) = explained_run();
-        let mut spans: Vec<OpSpan> = graph.spans().to_vec();
+        let mut spans: Vec<OpSpan> = graph.spans().map(OpSpan::from).collect();
         spans[0].plan = Some("someone-elses-plan".into());
         let tagged = spans[0].op;
         let copy_idx = spans
@@ -312,7 +312,7 @@ mod tests {
     #[test]
     fn matching_plan_tag_passes() {
         let (graph, prov) = explained_run();
-        let mut spans: Vec<OpSpan> = graph.spans().to_vec();
+        let mut spans: Vec<OpSpan> = graph.spans().map(OpSpan::from).collect();
         for s in &mut spans {
             s.plan = Some(prov.plan_id.clone());
         }
@@ -335,7 +335,7 @@ mod tests {
         let reparsed = crate::events_from_chrome_trace(&json).expect("trace parses");
         let graph = OpGraph::from_events(&reparsed);
         assert_eq!(graph.len(), events.len());
-        assert!(graph.spans().iter().all(|s| s.plan.is_some()), "plan ids survive the file");
+        assert!(graph.spans().all(|s| s.plan.is_some()), "plan ids survive the file");
         let rep = ConformanceReport::audit(&graph, &prov);
         assert_eq!(rep.unexplained, vec![foreign], "{}", rep.render());
     }
@@ -345,7 +345,7 @@ mod tests {
         // A trace with one of each finding, so every branch of the join
         // runs, and two missing ops, so their order shows.
         let (graph, prov) = explained_run();
-        let mut spans: Vec<OpSpan> = graph.spans().to_vec();
+        let mut spans: Vec<OpSpan> = graph.spans().map(OpSpan::from).collect();
         let gone = [spans.pop().expect("an op").op, spans.pop().expect("an op").op];
         spans[0].plan = Some("someone-elses-plan".into());
         let copy = spans.iter().skip(1).position(|s| s.mech != MechKind::Notify).expect("a copy");

@@ -182,7 +182,7 @@ impl CriticalPathReport {
                 PathStep {
                     op: s.op,
                     tid: s.tid,
-                    name: s.name.clone(),
+                    name: s.name(),
                     mech: s.mech.label().to_string(),
                     dist: s.dist,
                     bytes: s.bytes,

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use serde::Serialize;
 
-use crate::opgraph::OpGraph;
+use crate::opgraph::{OpGraph, SpanRef};
 
 /// Relative drift band: a class is flagged when `|drift - 1| > TOLERANCE`.
 const TOLERANCE: f64 = 0.25;
@@ -70,7 +70,7 @@ pub struct DivergenceReport {
 impl DivergenceReport {
     /// Joins the real (measured) leg against the sim (predicted) leg.
     pub fn compare(real: &OpGraph, sim: &OpGraph) -> Self {
-        let mut joined: Vec<(&crate::opgraph::OpSpan, &crate::opgraph::OpSpan)> = Vec::new();
+        let mut joined: Vec<(SpanRef, SpanRef)> = Vec::new();
         let mut real_only = 0usize;
         for r in real.spans() {
             match sim.get(r.op) {
@@ -78,7 +78,7 @@ impl DivergenceReport {
                 None => real_only += 1,
             }
         }
-        let sim_only = sim.spans().iter().filter(|s| real.get(s.op).is_none()).count();
+        let sim_only = sim.spans().filter(|s| real.get(s.op).is_none()).count();
 
         let total_real: f64 = joined.iter().map(|(r, _)| r.dur_us).sum();
         let total_sim: f64 = joined.iter().map(|(_, s)| s.dur_us).sum();

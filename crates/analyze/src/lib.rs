@@ -40,5 +40,5 @@ pub mod trace_io;
 pub use conformance::{ConformanceReport, OrderViolation};
 pub use critical_path::{AttributionRow, CriticalPathReport, EdgeKind, PathStep};
 pub use divergence::{ClassDrift, DivergenceReport};
-pub use opgraph::{MechKind, OpGraph, OpSpan, SpanSource};
+pub use opgraph::{MechKind, OpGraph, OpSpan, SpanRecord, SpanRef, SpanSource};
 pub use trace_io::events_from_chrome_trace;

@@ -1,8 +1,9 @@
-//! What building the op graph of a simulated run allocates. The graph reads
-//! each span straight from the schedule and the report, so an op costs its
-//! label and, when it has dependencies, one vector of them; everything else
-//! is a handful of whole-graph vectors and maps. Rendering the run as trace
-//! events first and parsing them back costs five or more per op.
+//! What building the op graph of a simulated run allocates. The graph is
+//! one dense table read straight from the schedule and the report: a few
+//! whole-graph vectors (records, dependency offsets and ids, the op-id and
+//! program-order tables, the sort keys), however many ops the run has. A
+//! label, a dependency vector or a hash-map entry per op would cost tens of
+//! thousands of allocations on this run.
 //!
 //! One `#[test]` only: the counter is armed per thread, but a second test
 //! would still share the allocator's fast path for no benefit.
@@ -59,8 +60,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Allocations the graph of any simulated run may make, whatever its size.
+const TABLES: usize = 32;
+
 #[test]
-fn a_simulated_graph_allocates_a_label_and_a_dependency_list_per_op() {
+fn a_simulated_graph_allocates_a_fixed_number_of_tables() {
     let ig = machines::ig();
     let ig_x4 = Arc::new(cluster::homogeneous("ig-x4", &ig, 4, 2).unwrap());
     let binding = BindingPolicy::Contiguous.bind(&ig_x4, 192).unwrap();
@@ -79,9 +83,5 @@ fn a_simulated_graph_allocates_a_label_and_a_dependency_list_per_op() {
 
     let ops = schedule.ops.len();
     assert_eq!(graph.len(), ops);
-    let with_deps = (0..ops).filter(|&id| !schedule.deps(id).is_empty()).count();
-    assert!(
-        allocations <= ops + with_deps + 64,
-        "{allocations} allocations for {ops} ops ({with_deps} with dependencies)"
-    );
+    assert!(allocations <= TABLES, "{allocations} allocations for {ops} ops");
 }

@@ -516,14 +516,14 @@ pub fn parse_hwloc_file(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::distance::core_distance;
 
     /// A dual-socket, hwloc-2 style machine: NUMANode memory children,
     /// per-package L3, per-core L2/L1, 2 cores per package, out-of-order
     /// PU os_index.
-    const DUAL_SOCKET: &str = r#"<?xml version="1.0" encoding="UTF-8"?>
+    pub(crate) const DUAL_SOCKET: &str = r#"<?xml version="1.0" encoding="UTF-8"?>
 <!DOCTYPE topology SYSTEM "hwloc2.dtd">
 <topology version="2.0">
  <object type="Machine" os_index="0" cpuset="0x000000ff">

@@ -178,16 +178,10 @@ impl Machine {
 
     /// Capacity of the largest cache above `core` (its outermost level).
     pub fn largest_cache_size(&self, core: CoreId) -> Option<u64> {
-        self.cores[core]
-            .caches
-            .iter()
-            .map(|&(level, id)| {
-                self.objs
-                    .iter()
-                    .find(|o| o.kind == ObjKind::Cache(level) && o.logical_id == id)
-                    .map(|o| o.size_bytes)
-                    .unwrap_or(0)
-            })
+        let caches = &self.cores[core].caches;
+        self.ancestors(core)
+            .filter(|o| matches!(o.kind, ObjKind::Cache(l) if caches.contains(&(l, o.logical_id))))
+            .map(|o| o.size_bytes)
             .max()
             .filter(|&s| s > 0)
     }
@@ -195,10 +189,15 @@ impl Machine {
     /// Size in bytes of the innermost cache shared by `a` and `b`, if any.
     pub fn shared_cache_size(&self, a: CoreId, b: CoreId) -> Option<u64> {
         let (level, id) = self.cores[a].innermost_shared_cache(&self.cores[b])?;
-        self.objs
-            .iter()
+        self.ancestors(a)
             .find(|o| o.kind == ObjKind::Cache(level) && o.logical_id == id)
             .map(|o| o.size_bytes)
+    }
+
+    /// The objects above `core`'s `Core` object, innermost first.
+    fn ancestors(&self, core: CoreId) -> impl Iterator<Item = &Obj> {
+        let first = self.objs[self.cores[core].obj].parent;
+        std::iter::successors(first, |&i| self.objs[i].parent).map(|i| &self.objs[i])
     }
 
     /// Walks the subtree rooted at `idx` depth-first, calling `f` with
@@ -271,6 +270,36 @@ mod tests {
             let a = z.core(z.core_of_os_id(os)).socket;
             let b = z.core(z.core_of_os_id(os + 1)).socket;
             assert_ne!(a, b, "OS ids {os},{} on same socket", os + 1);
+        }
+    }
+
+    #[test]
+    fn cache_sizes_from_the_ancestors_match_an_arena_scan() {
+        // What the sizes were before the walk: the first arena object of
+        // the cache's level and logical id.
+        let scan = |m: &Machine, (level, id): (u8, usize)| {
+            let mut objs = m.objs.iter();
+            objs.find(|o| o.kind == ObjKind::Cache(level) && o.logical_id == id)
+                .map(|o| o.size_bytes)
+        };
+        let ig = machines::ig();
+        let machines = [
+            machines::zoot(),
+            machines::synthetic(2, 2, 8, true),
+            crate::cluster::homogeneous("ig-x4", &ig, 4, 2).unwrap(),
+            crate::hwloc_xml::parse_hwloc_xml(crate::hwloc_xml::tests::DUAL_SOCKET).unwrap(),
+            ig,
+        ];
+        for m in &machines {
+            for a in 0..m.num_cores() {
+                let largest = m.core(a).caches.iter().map(|&c| scan(m, c).unwrap_or(0));
+                assert_eq!(m.largest_cache_size(a), largest.max().filter(|&s| s > 0), "{}", m.name);
+                for b in 0..m.num_cores() {
+                    let shared = m.core(a).innermost_shared_cache(m.core(b));
+                    let expected = shared.and_then(|c| scan(m, c));
+                    assert_eq!(m.shared_cache_size(a, b), expected, "{} {a} {b}", m.name);
+                }
+            }
         }
     }
 

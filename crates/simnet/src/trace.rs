@@ -15,7 +15,7 @@ use std::fmt::Write;
 
 use crate::engine::SimReport;
 use crate::lower::distance_class;
-use crate::schedule::{OpKind, Schedule};
+use crate::schedule::{Mech, OpKind, Rank, Schedule};
 
 use pdac_hwtopo::DistanceMatrix;
 use pdac_telemetry::{Event, EventKind};
@@ -35,12 +35,21 @@ pub fn deps_arg(deps: &[usize]) -> String {
 /// `"Knem 0->3 (4096B)"` for a copy, `"notify 3->0"` for a notification.
 /// One allocation for any label up to 32 bytes (`format!` grows from empty).
 pub fn op_label(kind: &OpKind) -> String {
-    let mut label = String::with_capacity(32);
-    let _ = match kind {
+    match *kind {
         OpKind::Copy { src_rank, dst_rank, bytes, mech, .. } => {
-            write!(label, "{} {src_rank}->{dst_rank} ({bytes}B)", mech.name())
+            span_label(Some(mech), src_rank, dst_rank, bytes)
         }
-        OpKind::Notify { from, to } => write!(label, "notify {from}->{to}"),
+        OpKind::Notify { from, to } => span_label(None, from, to, 0),
+    }
+}
+
+/// [`op_label`] from an op's copy mechanism (`None` for a notification),
+/// endpoints and bytes.
+pub fn span_label(mech: Option<Mech>, from: Rank, to: Rank, bytes: usize) -> String {
+    let mut label = String::with_capacity(32);
+    let _ = match mech {
+        Some(mech) => write!(label, "{} {from}->{to} ({bytes}B)", mech.name()),
+        None => write!(label, "notify {from}->{to}"),
     };
     label
 }

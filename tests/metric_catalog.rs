@@ -241,7 +241,7 @@ fn every_published_name_is_catalogued_and_seen() {
     let dist = DistanceMatrix::for_binding(&ig, &binding);
     let graph = OpGraph::from_events(&sim_events_with_distances(&schedule, &report, Some(&dist)));
     assert!(ConformanceReport::audit(&graph, &prov).passed());
-    let mut spans: Vec<OpSpan> = graph.spans().to_vec();
+    let mut spans: Vec<OpSpan> = graph.spans().map(OpSpan::from).collect();
     spans.pop();
     let rogue = OpSpan { op: usize::MAX, name: "rogue".into(), plan: None, ..spans[0].clone() };
     spans.push(rogue);
