@@ -146,16 +146,21 @@ impl CriticalPathReport {
             };
         };
 
-        // Walk backwards, always through the latest-ending predecessor.
+        // Walk backwards, always through the latest-ending predecessor, and
+        // stop at one already on the chain: a trace file's deps can cycle.
         let mut rev: Vec<(usize, EdgeKind)> = vec![(idx, EdgeKind::Start)];
+        let mut on_chain = vec![false; graph.len()];
+        on_chain[idx] = true;
         loop {
             let preds = graph.predecessors(idx);
             let Some(&best) = preds
                 .iter()
                 .max_by(|&&a, &&b| graph.span_at(a).end_us().total_cmp(&graph.span_at(b).end_us()))
+                .filter(|&&best| !on_chain[best])
             else {
                 break;
             };
+            on_chain[best] = true;
             let edge = if graph.span_at(idx).deps.contains(&graph.span_at(best).op) {
                 EdgeKind::Dep
             } else {
@@ -295,6 +300,16 @@ mod tests {
         assert_eq!(r.span_us, 15.0);
         assert_eq!(r.coverage, 1.0, "gap-free chain covers the whole wall");
         assert_eq!(r.total_ops, 3);
+    }
+
+    #[test]
+    fn a_dependency_cycle_ends_the_walk() {
+        // A trace file can name anything as a dep: these two spans name
+        // each other, so the latest-ending predecessor never runs out.
+        let g = OpGraph::new(vec![span(0, 0, 0.0, 4.0, vec![1]), span(1, 1, 1.0, 4.0, vec![0])]);
+        let r = CriticalPathReport::extract(&g);
+        let ops: Vec<usize> = r.steps.iter().map(|s| s.op).collect();
+        assert_eq!(ops, vec![0, 1]);
     }
 
     #[test]

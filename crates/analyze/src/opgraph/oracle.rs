@@ -60,6 +60,7 @@ impl MapGraph {
             .predecessors(idx)
             .into_iter()
             .max_by(|&a, &b| self.spans[a].end_us().total_cmp(&self.spans[b].end_us()))
+            .filter(|best| rev.iter().all(|&(on, _)| on != *best))
         {
             let dep = self.spans[idx].deps.contains(&self.spans[best].op);
             rev.last_mut().expect("non-empty").1 =

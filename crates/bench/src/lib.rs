@@ -13,8 +13,8 @@
 //! - [`extensions`]: ablations, the construction scaling study and the
 //!   component auto-tuner.
 //!
-//! Criterion micro-benchmarks under `benches/` time the construction
-//! overhead the paper discusses in §V-B.
+//! The construction overhead the paper discusses in §V-B is timed by
+//! [`extensions::scaling`] (`pdac scaling`).
 
 #![warn(missing_docs)]
 

@@ -20,7 +20,7 @@ use crate::tree::Tree;
 /// Near edges keep small chunks so tree levels overlap aggressively; far
 /// edges pay a fixed per-chunk cost (KNEM setup, a notification round-trip)
 /// that small chunks cannot amortize, so they ship larger chunks and let
-/// the executor's double-buffered pipeline hide the boundary. Index is the
+/// the simulator's two-deep same-edge pipeline hide the boundary. Index is the
 /// process-distance class `0..=8`; out-of-range classes clamp to 8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkPolicy {

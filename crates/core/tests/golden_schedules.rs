@@ -72,7 +72,7 @@ fn digest(s: &Schedule) -> u64 {
         eat(deps.len() as u64);
         deps.iter().for_each(|&d| eat(d as u64));
     }
-    for (&(rank, buf), &size) in &s.buf_sizes {
+    for &((rank, buf), size) in s.bufs() {
         for x in [rank as u64, buf_word(buf), size as u64] {
             eat(x);
         }

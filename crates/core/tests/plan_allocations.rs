@@ -1,9 +1,12 @@
-//! What a plan on a cached topology allocates. A schedule is two flat
-//! vectors, the ring emitters and the broadcast reserve them exactly, and
-//! the emitters reuse their per-step vectors, so compiling one costs a handful
-//! of vectors plus its buffer-size table's B-tree nodes: under 128
-//! allocations at 48 ranks and at 192, where a vector per step would add
-//! 191.
+//! What a plan on a cached topology allocates. A schedule is three flat
+//! vectors (ops, dependencies, buffer sizes), the ring emitters and the
+//! broadcast reserve the first two exactly, `finish` fills the buffer table
+//! in one exact-size allocation, and the emitters reuse their per-step
+//! vectors, so compiling one costs a fixed number of vectors and nothing
+//! per buffer or per step: at most [`MAX_ALLOCATIONS`] at 48 ranks and at
+//! 192 alike, where a vector per step would add 191 and a tree node per
+//! buffer dozens. Lowering reads that table in place and allocates only
+//! its own indexes.
 //!
 //! One `#[test]` only: the counter is armed per thread, but a second test
 //! would still share the allocator's fast path for no benefit.
@@ -16,7 +19,7 @@ use std::sync::Arc;
 use pdac_core::{AdaptiveColl, AllreduceAlgo, Collective, Request, Sinks, TopoCache};
 use pdac_hwtopo::{cluster, machines, BindingPolicy};
 use pdac_mpisim::Communicator;
-use pdac_simnet::Schedule;
+use pdac_simnet::{BufId, ScheduleBuilder};
 
 struct Counting;
 
@@ -58,14 +61,20 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// The schedule `plan` returns and the heap blocks this thread asked for
-/// while it ran.
-fn allocations_of(plan: impl FnOnce() -> Schedule) -> (Schedule, usize) {
+/// The one bound, the same at every communicator size.
+const MAX_ALLOCATIONS: usize = 32;
+
+/// Lowering a copy-free schedule: one block per index vector (slots, the
+/// per-slot access lists, two CSRs, written, class), and no table copy.
+const LOWERING_BLOCKS: usize = 8;
+
+/// What `f` returns and the heap blocks this thread asked for while it ran.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     ARMED.with(|armed| armed.set(true));
-    let schedule = plan();
+    let out = f();
     ARMED.with(|armed| armed.set(false));
-    (schedule, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
 #[test]
@@ -96,11 +105,29 @@ fn a_cached_plan_allocates_per_schedule_not_per_op() {
             plan();
             let (schedule, allocations) = allocations_of(plan);
             assert!(
-                allocations < 128,
+                allocations <= MAX_ALLOCATIONS,
                 "{ranks}-rank {:?}: {allocations} allocations for {} ops",
                 request.collective,
                 schedule.ops.len()
             );
         }
     }
+
+    // Planning never checks a schedule, so lowering is measured alone, on
+    // a 192-rank notification ring with no per-buffer access list.
+    let mut b = ScheduleBuilder::new("notify ring", 192);
+    let mut last = None;
+    for rank in 0..192 {
+        b.ensure_buf(rank, BufId::Send, 64);
+        b.ensure_buf(rank, BufId::Recv, 64);
+        last = Some(b.notify(rank, (rank + 1) % 192, last.as_slice()));
+    }
+    let ring = b.finish();
+    let (lowered, allocations) = allocations_of(|| ring.lower(None));
+    lowered.unwrap();
+    assert!(
+        allocations <= LOWERING_BLOCKS,
+        "lowering {} buffers took {allocations} allocations",
+        ring.bufs().len()
+    );
 }

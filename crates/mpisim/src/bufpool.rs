@@ -1,23 +1,20 @@
 //! NUMA-aware per-rank staging-buffer pools.
 //!
 //! The executor stages every copy through a scratch buffer (copy the source
-//! in, verify it, then combine it into the destination). Allocating that
-//! scratch per operation would put the allocator on the hot path; this
-//! pool keeps arenas alive across operations instead.
+//! in, verify it, then combine it into the destination). It checks out one
+//! such buffer per worker per run, sized to the run's largest copy, at
+//! class 0, and returns it when the run ends; the pool keeps it alive
+//! across runs so a repeated collective does not allocate it again.
 //!
-//! * **Sharding** — one shard per rank (modulo the shard count), so two
-//!   ranks never contend on the same free list and a buffer is reused by
-//!   the core — and hence the NUMA node — that last touched it.
-//! * **Distance-class keying** — free lists are segregated by the paper's
-//!   process-distance class of the edge the buffer served (`0..=8`). Chunk
-//!   sizes are chosen per distance class ([`pdac-core`'s chunk policy]), so
-//!   same-class reuse almost always finds a buffer of exactly the right
-//!   capacity instead of growing one.
+//! * **Sharding** — the `rank` argument picks a shard (modulo the shard
+//!   count). The executor passes its worker index and makes one shard per
+//!   worker, so workers never contend on one free list.
+//! * **Distance-class keying** — each shard keeps one free list per
+//!   process-distance class (`0..=8`). The executor's one buffer per worker
+//!   serves copies of every class, so it checks out and returns at class 0.
 //! * **Exclusive checkout** — `acquire` transfers ownership to the caller;
 //!   the buffer is invisible to every other thread until `release` returns
 //!   it. There is no aliasing window, so no per-buffer synchronisation.
-//!
-//! [`pdac-core`'s chunk policy]: ../../pdac_core/sched/struct.ChunkPolicy.html
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -48,8 +45,9 @@ pub struct BufferPool {
 }
 
 /// How many free buffers one (shard, class) list retains; beyond this,
-/// released buffers are dropped back to the allocator. Two is the
-/// double-buffer working set: chunk `k` draining while `k+1` stages.
+/// released buffers are dropped back to the allocator. The executor
+/// returns one buffer per worker, each to its own shard, so one would do
+/// for it; the second is slack for a caller sharing the pool.
 const RETAIN_PER_CLASS: usize = 2;
 
 /// Fill byte written over released buffers in debug builds, so a caller

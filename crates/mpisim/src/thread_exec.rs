@@ -452,7 +452,7 @@ struct RunState {
     transport: Arc<dyn Transport>,
     pool: Arc<BufferPool>,
     histograms: Arc<OpHistograms>,
-    /// The run's buffers, in [`Lowered::bufs`] slot order.
+    /// The run's buffers, in [`Schedule::bufs`] slot order.
     arena: Arena,
     /// One per rank that executes ops, in rank order.
     cursors: Vec<Mutex<Cursor>>,
@@ -632,10 +632,10 @@ impl ThreadExecutor {
             || vec![("ranks", schedule.num_ranks.into()), ("ops", schedule.ops.len().into())],
         );
         let lowered = schedule.lower(self.config.distances.as_deref())?;
-        let mut lent: Vec<Option<Memory<'a>>> = lowered.bufs().iter().map(|_| None).collect();
+        let mut lent: Vec<Option<Memory<'a>>> = schedule.bufs().iter().map(|_| None).collect();
         for ((rank, buf), memory) in lends {
-            let slot = lowered.slot_of(rank, buf);
-            let declared = slot.map_or(0, |s| lowered.bufs()[s].1);
+            let slot = schedule.slot_of(rank, buf);
+            let declared = slot.map_or(0, |s| schedule.bufs()[s].1);
             if memory.len() != declared {
                 return Err(ExecError::Lend { rank, buf, lent: memory.len(), declared });
             }
@@ -694,7 +694,7 @@ impl ThreadExecutor {
         lent: Vec<Option<Memory<'_>>>,
     ) -> RunState {
         let config = &self.config;
-        let memory = lowered.bufs().iter().zip(lent).map(|(&((rank, buf), size), lent)| {
+        let memory = schedule.bufs().iter().zip(lent).map(|(&((rank, buf), size), lent)| {
             lent.unwrap_or_else(|| {
                 let mut data = match buf {
                     BufId::Send => init_send(rank, size),
@@ -793,7 +793,7 @@ impl ThreadExecutor {
             return Err(e.with_fault_stats(fault_stats));
         }
 
-        let keys = state.lowered.bufs();
+        let keys = state.schedule.bufs();
         Ok(ExecResult {
             buffers: state.arena.into_owned().map(|(slot, data)| (keys[slot].0, data)).collect(),
             knem_stats,

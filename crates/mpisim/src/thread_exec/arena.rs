@@ -1,6 +1,6 @@
 //! The run's buffers: one slot per declared buffer, owned or lent.
 //!
-//! A run's slots follow [`pdac_simnet::Lowered::bufs`] order. A slot is
+//! A run's slots follow [`pdac_simnet::Schedule::bufs`] order. A slot is
 //! either owned by the run (a `Vec<u8>` the result hands back) or lent by
 //! the caller for the duration of one [`crate::ThreadExecutor`] call — read
 //! only (`&[u8]`) or writable (`&mut [u8]`). Every worker of the run reads

@@ -120,7 +120,7 @@ proptest! {
     fn random_schedules_end_as_the_sequential_reference(seed in any::<u64>(), width in 1usize..5) {
         let mut rng = StdRng::seed_from_u64(seed);
         let schedule = random_schedule(&mut rng);
-        let keys: Vec<((Rank, BufId), usize)> = schedule.buf_sizes.iter().map(|(&k, &s)| (k, s)).collect();
+        let keys = schedule.bufs();
         let hands: Vec<Hand> =
             keys.iter().map(|_| [Hand::Owned, Hand::Read, Hand::Write][rng.gen_range(0..3)]).collect();
         let lends = hands.iter().any(|&h| h != Hand::Owned);

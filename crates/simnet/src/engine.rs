@@ -238,13 +238,13 @@ impl Ord for Time {
     }
 }
 
-/// Per-executor copy pipeline depth for same-edge chunk streams.
+/// Per-executor copy pipeline depth for same-edge chunk streams: the
+/// simulator's model, not the thread executor's behaviour.
 ///
-/// The thread executor double-buffers each `(sender, receiver)` edge: while
-/// chunk `k`'s copy drains, chunk `k+1` is staged into the second buffer
-/// and its transfer overlaps. The engine models that as up to two in-flight
-/// copies per executor, restricted to ops of the *same* edge — unrelated
-/// copies still serialize on the single executor thread.
+/// An executor may have two copies of one `(sender, receiver)` edge in
+/// flight (chunk `k+1` while chunk `k` drains); other copies serialize. The
+/// thread executor stages every copy through its worker's one buffer, one
+/// op at a time (ROADMAP, "One issue rule").
 pub const PIPELINE_DEPTH: usize = 2;
 
 /// The `(src_rank, dst_rank)` edge of a copy op (None for notifies).

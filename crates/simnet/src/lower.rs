@@ -2,24 +2,21 @@
 //!
 //! [`Schedule::lower`] runs the checking pass of [`Schedule::validate`] and
 //! keeps what that pass found: every buffer reference resolved to a slot of
-//! a flat, key-ordered buffer table. It then adds the indexes the executors
-//! step by — one op stream per executing rank, each op's dependents, each
-//! op's distance class, the largest copy and which slots some copy
-//! writes — so executing an op hashes and looks up nothing.
+//! the schedule's own key-ordered buffer table ([`Schedule::bufs`]). It then
+//! adds the indexes the executors step by — one op stream per executing
+//! rank, each op's dependents, each op's distance class, the largest copy
+//! and which slots some copy writes — so executing an op hashes and looks
+//! up nothing.
 
 use pdac_hwtopo::DistanceMatrix;
 
-use crate::schedule::{BufId, OpId, OpKind, Rank, Schedule, ScheduleError};
-
-/// Key and declared size of every buffer, in key order.
-pub(crate) type BufTable = Vec<((Rank, BufId), usize)>;
+use crate::schedule::{OpId, OpKind, Rank, Schedule, ScheduleError};
 
 /// A checked schedule indexed for execution. It holds indexes only: an
-/// executor reads it beside the [`Schedule`] it was lowered from.
+/// executor reads it beside the [`Schedule`] it was lowered from, whose
+/// buffer table its slots index.
 #[derive(Debug)]
 pub struct Lowered {
-    /// The buffer table; a slot is an index into it.
-    bufs: BufTable,
     /// Source and destination slot of each op (`usize::MAX` for a
     /// notification).
     slots: Vec<[usize; 2]>,
@@ -44,19 +41,18 @@ impl Schedule {
     /// each op with its endpoints' process-distance class.
     pub fn lower(&self, distances: Option<&DistanceMatrix>) -> Result<Lowered, ScheduleError> {
         let mut slots = Vec::with_capacity(self.ops.len());
-        let bufs = self.check(|found| slots.push(found))?;
+        self.check(|found| slots.push(found))?;
         let by_executor = self.ops.iter().enumerate().map(|(id, op)| (op.kind.executor(), id));
         let (rank_start, stream) = group_by_key(self.num_ranks, by_executor);
         let by_dep = (0..self.ops.len()).flat_map(|id| self.deps(id).iter().map(move |&d| (d, id)));
         let (dependents_start, dependents) = group_by_key(self.ops.len(), by_dep);
-        let mut written = vec![false; bufs.len()];
+        let mut written = vec![false; self.bufs().len()];
         for (op, &[_, dst]) in self.ops.iter().zip(&slots) {
             if let OpKind::Copy { .. } = op.kind {
                 written[dst] = true;
             }
         }
         Ok(Lowered {
-            bufs,
             slots,
             class: self.ops.iter().map(|op| distance_class(&op.kind, distances)).collect(),
             stream,
@@ -81,8 +77,8 @@ impl Lowered {
         &self.dependents[self.dependents_start[id]..self.dependents_start[id + 1]]
     }
 
-    /// Buffer-table slots of copy `id`'s source and destination
-    /// (`usize::MAX` for a notification).
+    /// Slots of copy `id`'s source and destination in the schedule's
+    /// buffer table (`usize::MAX` for a notification).
     pub fn copy_slots(&self, id: OpId) -> [usize; 2] {
         self.slots[id]
     }
@@ -90,16 +86,6 @@ impl Lowered {
     /// Process-distance class of op `id`'s endpoints (0 without a matrix).
     pub fn class(&self, id: OpId) -> u8 {
         self.class[id]
-    }
-
-    /// Key and declared size of every buffer, in slot order (key order).
-    pub fn bufs(&self) -> &[((Rank, BufId), usize)] {
-        &self.bufs
-    }
-
-    /// The slot of `(rank, buf)`, if the schedule declares that buffer.
-    pub fn slot_of(&self, rank: Rank, buf: BufId) -> Option<usize> {
-        slot_in(&self.bufs, rank, buf)
     }
 
     /// Bytes of the largest copy (0 if there is none): what one staging
@@ -112,11 +98,6 @@ impl Lowered {
     pub fn written(&self, slot: usize) -> bool {
         self.written[slot]
     }
-}
-
-/// Position of `(rank, buf)` in a buffer table sorted by key.
-pub(crate) fn slot_in(bufs: &[((Rank, BufId), usize)], rank: Rank, buf: BufId) -> Option<usize> {
-    bufs.binary_search_by_key(&(rank, buf), |&(key, _)| key).ok()
 }
 
 /// The process-distance class of an op's endpoints — a copy's source and
@@ -158,7 +139,7 @@ fn group_by_key<T: Copy + Default>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{Mech, ScheduleBuilder};
+    use crate::schedule::{BufId, Mech, ScheduleBuilder};
 
     #[test]
     fn lowering_keeps_program_order_deps_and_slots() {
@@ -182,17 +163,15 @@ mod tests {
         assert_eq!(p.dependents(n), &[] as &[OpId]);
         assert_eq!(p.max_copy(), 64);
 
-        // Slots follow the schedule's key order and resolve both ways.
-        let keys: Vec<(Rank, BufId)> = p.bufs().iter().map(|&(key, _)| key).collect();
-        assert_eq!(keys, schedule.buf_sizes.keys().copied().collect::<Vec<_>>());
-        assert_eq!(p.bufs()[p.copy_slots(a)[1]], ((1, BufId::Recv), 64));
-        assert_eq!(p.slot_of(1, BufId::Temp(0)), Some(p.copy_slots(e)[1]));
-        assert_eq!(p.slot_of(0, BufId::Recv), None);
+        // Slots index the schedule's buffer table and resolve both ways.
+        assert_eq!(schedule.bufs()[p.copy_slots(a)[1]], ((1, BufId::Recv), 64));
+        assert_eq!(schedule.slot_of(1, BufId::Temp(0)), Some(p.copy_slots(e)[1]));
+        assert_eq!(schedule.slot_of(0, BufId::Recv), None);
         assert_eq!(p.copy_slots(n), [usize::MAX; 2]);
         assert!((0..5).all(|id| p.class(id) == 0), "no matrix, class 0");
 
         // Rank 0's send buffer is only read; every destination is written.
-        let written: Vec<bool> = (0..p.bufs().len()).map(|s| p.written(s)).collect();
+        let written: Vec<bool> = (0..schedule.bufs().len()).map(|s| p.written(s)).collect();
         assert_eq!(written, [false, true, true, true]);
     }
 }

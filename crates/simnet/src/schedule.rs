@@ -10,10 +10,6 @@
 //! (`dep < id`), which every builder satisfies naturally and which makes
 //! program order a valid topological order for per-rank serial execution.
 
-use std::collections::BTreeMap;
-
-use crate::lower::{slot_in, BufTable};
-
 /// Rank index within the communicator the schedule was built for.
 pub type Rank = usize;
 /// Dense operation id.
@@ -224,12 +220,14 @@ impl std::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// A complete, validated-on-demand operation DAG: two flat vectors.
+/// A complete, validated-on-demand operation DAG: three flat vectors.
 ///
 /// The dependency lists live in one private arena in op order with no gaps
-/// (an op stores only where its list ends), so two schedules with the same
-/// ops and dependencies have the same bytes and building, cloning,
-/// comparing or dropping one touches two heap blocks however many ops it has.
+/// (an op stores only where its list ends), and the buffer sizes in one
+/// private table sorted by key, so two schedules with the same ops,
+/// dependencies and buffers have the same bytes and building, cloning,
+/// comparing or dropping one touches three heap blocks however many ops it
+/// has.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     /// Human-readable algorithm name (reported by the bench harness).
@@ -240,10 +238,11 @@ pub struct Schedule {
     /// are not added, removed or reordered after [`ScheduleBuilder::finish`]
     /// (an op's position locates its dependency list).
     pub ops: Vec<Op>,
-    /// Required size of every buffer touched, keyed by `(rank, buffer)`.
-    pub buf_sizes: BTreeMap<(Rank, BufId), usize>,
     /// Every op's dependency list, back to back in op order.
     deps: Vec<OpId>,
+    /// Key and required size of every buffer touched, sorted by key with
+    /// no key twice; a slot is an index into it.
+    bufs: Vec<((Rank, BufId), usize)>,
 }
 
 impl Schedule {
@@ -256,9 +255,19 @@ impl Schedule {
         &self.deps[start..self.ops[id].deps_end as usize]
     }
 
+    /// Key and declared size of every buffer, in slot order (key order).
+    pub fn bufs(&self) -> &[((Rank, BufId), usize)] {
+        &self.bufs
+    }
+
+    /// The slot of `(rank, buf)`, if the schedule declares that buffer.
+    pub fn slot_of(&self, rank: Rank, buf: BufId) -> Option<usize> {
+        self.bufs.binary_search_by_key(&(rank, buf), |&(key, _)| key).ok()
+    }
+
     /// Declared size of a buffer (0 if never touched).
     pub fn buf_size(&self, rank: Rank, buf: BufId) -> usize {
-        self.buf_sizes.get(&(rank, buf)).copied().unwrap_or(0)
+        self.slot_of(rank, buf).map_or(0, |slot| self.bufs[slot].1)
     }
 
     /// Total payload bytes moved by all copies.
@@ -272,24 +281,18 @@ impl Schedule {
     }
 
     /// Checks structural invariants; see [`ScheduleError`]. This is
-    /// [`Self::lower`]'s checking pass with what it found dropped.
+    /// [`Self::lower`]'s checking pass with the slots it found dropped.
     pub fn validate(&self) -> Result<(), ScheduleError> {
-        self.check(|_| {}).map(drop)
+        self.check(|_| {})
     }
 
     /// The checking pass shared by [`Self::validate`] and [`Self::lower`].
-    /// Bounds-checking a copy finds its buffers, so the pass keeps what it
-    /// found: it returns the buffer table in key order (a slot is an index
-    /// into it) and hands `found` each op's source and destination slot, in
-    /// op order (`usize::MAX` for a notification).
-    pub(crate) fn check(
-        &self,
-        mut found: impl FnMut([usize; 2]),
-    ) -> Result<BufTable, ScheduleError> {
-        let bufs: BufTable = self.buf_sizes.iter().map(|(&key, &size)| (key, size)).collect();
-        // Per slot, the (op, start, end) of every write and every read, in op order.
-        let mut writes: Vec<Vec<Access>> = vec![Vec::new(); bufs.len()];
-        let mut reads: Vec<Vec<Access>> = vec![Vec::new(); bufs.len()];
+    /// Bounds-checking a copy finds its buffers' slots, so the pass hands
+    /// `found` each op's source and destination slot, in op order
+    /// (`usize::MAX` for a notification).
+    pub(crate) fn check(&self, mut found: impl FnMut([usize; 2])) -> Result<(), ScheduleError> {
+        // Per slot, its writes and its reads as (op, start, end), in op order.
+        let mut by_slot: Vec<[Vec<Access>; 2]> = vec![Default::default(); self.bufs.len()];
         let check_rank = |op: OpId, r: Rank| -> Result<(), ScheduleError> {
             if r >= self.num_ranks {
                 Err(ScheduleError::RankOutOfRange { op, rank: r })
@@ -333,8 +336,8 @@ impl Schedule {
                     let mut slots = [0; 2];
                     let ends = [(*src_rank, *src_buf, *src_off), (*dst_rank, *dst_buf, *dst_off)];
                     for (slot, (rank, buf, off)) in slots.iter_mut().zip(ends) {
-                        let declared = slot_in(&bufs, rank, buf);
-                        let size = declared.map_or(0, |i| bufs[i].1);
+                        let declared = self.slot_of(rank, buf);
+                        let size = declared.map_or(0, |i| self.bufs[i].1);
                         // An end past `usize::MAX` is past every buffer.
                         match (declared, off.checked_add(*bytes)) {
                             (Some(i), Some(end)) if end <= size => *slot = i,
@@ -348,11 +351,11 @@ impl Schedule {
                     }
                     let [src, dst] = slots;
                     let dst_access = (id, *dst_off, *dst_off + *bytes);
-                    writes[dst].push(dst_access);
-                    reads[src].push((id, *src_off, *src_off + *bytes));
+                    by_slot[dst][0].push(dst_access);
+                    by_slot[src][1].push((id, *src_off, *src_off + *bytes));
                     if *data_op != DataOp::Move {
                         // A combine also reads its destination.
-                        reads[dst].push(dst_access);
+                        by_slot[dst][1].push(dst_access);
                     }
                     found(slots);
                 }
@@ -363,8 +366,7 @@ impl Schedule {
                 }
             }
         }
-        self.check_write_races(&writes, &reads)?;
-        Ok(bufs)
+        self.check_write_races(&by_slot)
     }
 
     /// Flags unordered pairs where both write, or one reads and the other
@@ -376,11 +378,7 @@ impl Schedule {
     /// `u32` per chain of conflicting ops, one row per op that still has a
     /// dependent to come. Time is `(deps + candidates) x chains`, memory
     /// `live rows x chains`; neither grows with `ops x candidates`.
-    fn check_write_races(
-        &self,
-        writes: &[Vec<Access>],
-        reads: &[Vec<Access>],
-    ) -> Result<(), ScheduleError> {
+    fn check_write_races(&self, by_slot: &[[Vec<Access>; 2]]) -> Result<(), ScheduleError> {
         // Combined sweep per written buffer, in slot (= key) order: sort all
         // accesses by start; every overlapping pair is discovered exactly
         // once, at its earlier-starting member (two intervals overlap iff the
@@ -388,7 +386,7 @@ impl Schedule {
         // at least one write become candidates.
         // Entries: (op, start, end, is_write).
         let mut candidate_pairs: Vec<(usize, usize, bool)> = Vec::new();
-        for (w, r) in writes.iter().zip(reads).filter(|(w, _)| !w.is_empty()) {
+        for [w, r] in by_slot.iter().filter(|[w, _]| !w.is_empty()) {
             let mut accesses: Vec<(usize, usize, usize, bool)> =
                 w.iter().map(|&(op, s, e)| (op, s, e, true)).collect();
             accesses.extend(r.iter().map(|&(op, s, e)| (op, s, e, false)));
@@ -503,9 +501,10 @@ pub struct ScheduleBuilder {
     /// `[Send, Recv, Temp(0)]` size per rank below `num_ranks` — the
     /// buffers nearly every copy names; `None` until first touched.
     rank_bufs: Vec<[Option<usize>; 3]>,
-    /// Every other buffer: further temporaries, and whatever an
-    /// out-of-range rank names (kept so `validate` can report the rank).
-    other_bufs: BTreeMap<(Rank, BufId), usize>,
+    /// Every other buffer, once per declaration: further temporaries, and
+    /// whatever an out-of-range rank names (kept so `validate` can report
+    /// the rank).
+    other_bufs: Vec<((Rank, BufId), usize)>,
 }
 
 impl ScheduleBuilder {
@@ -517,7 +516,7 @@ impl ScheduleBuilder {
             ops: Vec::new(),
             deps: Vec::new(),
             rank_bufs: vec![[None; 3]; num_ranks],
-            other_bufs: BTreeMap::new(),
+            other_bufs: Vec::new(),
         }
     }
 
@@ -536,11 +535,7 @@ impl ScheduleBuilder {
             (BufId::Send, Some(bufs)) => &mut bufs[0],
             (BufId::Recv, Some(bufs)) => &mut bufs[1],
             (BufId::Temp(0), Some(bufs)) => &mut bufs[2],
-            _ => {
-                let e = self.other_bufs.entry((rank, buf)).or_insert(0);
-                *e = (*e).max(size);
-                return;
-            }
+            _ => return self.other_bufs.push(((rank, buf), size)),
         };
         *slot = Some(slot.map_or(size, |s| s.max(size)));
     }
@@ -639,20 +634,33 @@ impl ScheduleBuilder {
     /// megabytes of never-written heap per schedule, and which later
     /// allocation landed in it made a planner's resident set differ from
     /// run to run.
+    ///
+    /// The buffer table is one exact-size vector, filled in one pass that
+    /// merges the per-rank array with the other buffers in key order.
     pub fn finish(mut self) -> Schedule {
         self.ops.shrink_to_fit();
         self.deps.shrink_to_fit();
-        let mut buf_sizes = self.other_bufs;
-        for (rank, bufs) in self.rank_bufs.into_iter().enumerate() {
-            let touched = [BufId::Send, BufId::Recv, BufId::Temp(0)].into_iter().zip(bufs);
-            buf_sizes.extend(touched.filter_map(|(buf, size)| Some(((rank, buf), size?))));
+        // By key, largest size first, so dedup keeps each key's largest.
+        let mut others = self.other_bufs;
+        others.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+        others.dedup_by_key(|&mut (key, _)| key);
+        let per_rank = self.rank_bufs.iter().enumerate().flat_map(|(rank, sizes)| {
+            let touched = [BufId::Send, BufId::Recv, BufId::Temp(0)].into_iter().zip(sizes);
+            touched.filter_map(move |(buf, &size)| Some(((rank, buf), size?)))
+        });
+        let mut bufs = Vec::with_capacity(per_rank.clone().count() + others.len());
+        let mut others = others.into_iter().peekable();
+        for entry in per_rank {
+            bufs.extend(std::iter::from_fn(|| others.next_if(|other| other.0 < entry.0)));
+            bufs.push(entry);
         }
+        bufs.extend(others);
         Schedule {
             name: self.name,
             num_ranks: self.num_ranks,
             ops: self.ops,
-            buf_sizes,
             deps: self.deps,
+            bufs,
         }
     }
 }
@@ -709,7 +717,8 @@ mod tests {
         let mut b = ScheduleBuilder::new("t", 2);
         copy_op(&mut b, 0, 1, 8, &[]);
         let mut s = b.finish();
-        s.buf_sizes.insert((1, BufId::Recv), 4);
+        let slot = s.slot_of(1, BufId::Recv).unwrap();
+        s.bufs[slot].1 = 4;
         assert!(matches!(s.validate(), Err(ScheduleError::OutOfBounds { op: 0, .. })));
     }
 
@@ -813,11 +822,25 @@ mod tests {
         b.ensure_buf(0, BufId::Send, 0);
         b.ensure_buf(1, BufId::Temp(3), 5);
         b.ensure_buf(7, BufId::Recv, 9);
+        b.ensure_buf(0, BufId::Temp(2), 1);
+        b.ensure_buf(1, BufId::Temp(3), 2);
+        b.ensure_buf(1, BufId::Recv, 4);
         let s = b.finish();
-        let keys: Vec<_> = s.buf_sizes.iter().map(|(&k, &v)| (k, v)).collect();
+        // One sorted table: further temporaries after their rank's first
+        // three, the largest size per key, out-of-range ranks last.
         assert_eq!(
-            keys,
-            vec![((0, BufId::Send), 0), ((1, BufId::Temp(3)), 5), ((7, BufId::Recv), 9)]
+            s.bufs(),
+            [
+                ((0, BufId::Send), 0),
+                ((0, BufId::Temp(2)), 1),
+                ((1, BufId::Recv), 4),
+                ((1, BufId::Temp(3)), 5),
+                ((7, BufId::Recv), 9)
+            ]
         );
+        assert_eq!(s.bufs.capacity(), 5, "one exact-size table");
+        assert_eq!(s.slot_of(1, BufId::Temp(3)), Some(3));
+        assert_eq!(s.slot_of(1, BufId::Send), None);
+        assert_eq!(s.buf_size(7, BufId::Recv), 9);
     }
 }

@@ -285,20 +285,21 @@ fn lowering_agrees(s: &Schedule) -> Result<(), proptest::test_runner::TestCaseEr
         prop_assert_eq!(lowered.dependents(d), &want[..], "op {}", d);
     }
 
-    // Slots resolve back to the keys the copies name.
-    let keys: Vec<_> = lowered.bufs().iter().map(|&(key, _)| key).collect();
-    prop_assert_eq!(keys, s.buf_sizes.keys().copied().collect::<Vec<_>>());
+    // The buffer table is strictly key-ordered, and slots index it back to
+    // the keys the copies name.
+    let bufs = s.bufs();
+    prop_assert!(bufs.windows(2).all(|w| w[0].0 < w[1].0), "{:?}", bufs);
     for (id, op) in s.ops.iter().enumerate() {
         if let OpKind::Copy { src_rank, src_buf, dst_rank, dst_buf, .. } = op.kind {
             let [src, dst] = lowered.copy_slots(id);
-            prop_assert_eq!(lowered.bufs()[src].0, (src_rank, src_buf), "op {}", id);
-            prop_assert_eq!(lowered.bufs()[dst].0, (dst_rank, dst_buf), "op {}", id);
+            prop_assert_eq!(bufs[src].0, (src_rank, src_buf), "op {}", id);
+            prop_assert_eq!(bufs[dst].0, (dst_rank, dst_buf), "op {}", id);
         }
     }
     let largest = s.ops.iter().map(|op| op.kind.bytes()).max().unwrap_or(0);
     prop_assert_eq!(lowered.max_copy(), largest);
     // A slot is written iff some copy names it as its destination.
-    let mut written = vec![false; lowered.bufs().len()];
+    let mut written = vec![false; bufs.len()];
     for (id, op) in s.ops.iter().enumerate() {
         if let OpKind::Copy { .. } = op.kind {
             written[lowered.copy_slots(id)[1]] = true;
