@@ -204,11 +204,11 @@ pub fn stress_iters(default: usize) -> usize {
 /// A random but always-valid machine: 1–2 boards, 1–2 sockets each, 1–2
 /// dies per socket, 1–3 cores per die, one of three NUMA regimes (private
 /// controller per socket, Zoot-style shared controller per board, or
-/// Magny-Cours-style per-die split), seed-chosen cache nesting, and a
-/// possibly scrambled OS enumeration. Every spec passes
-/// [`MachineSpec::build`] validation by construction — the fuzzing targets
-/// the *consumers* of exotic-but-legal topologies, not the validator
-/// (hostile_xml already covers illegal input).
+/// Magny-Cours-style per-die split), no caches, an L3 per die, or an L3
+/// and an L2 per die, and a possibly scrambled OS enumeration. Every spec
+/// passes [`MachineSpec::build`] validation by construction — the fuzzing
+/// targets the *consumers* of exotic-but-legal topologies, not the
+/// validator (hostile_xml already covers illegal input).
 pub fn random_machine(rng: &mut StdRng) -> Machine {
     let spec = random_spec(rng);
     match spec.build() {
@@ -229,7 +229,6 @@ fn random_spec(rng: &mut StdRng) -> MachineSpec {
         for _ in 0..sockets_per_board {
             let dies = 1 + rng.gen_range(0..2);
             let cores_per_die: Vec<usize> = (0..dies).map(|_| 1 + rng.gen_range(0..3)).collect();
-            let n: usize = cores_per_die.iter().sum();
             let (numa, die_numa) = match regime {
                 0 => {
                     let id = numa_counter;
@@ -248,23 +247,18 @@ fn random_spec(rng: &mut StdRng) -> MachineSpec {
                     (ids[0], Some(ids))
                 }
             };
-            let caches = match rng.gen_range(0..3) {
+            // Caches nest inside dies: a multi-die socket gets one per die.
+            let per_die = |level: u8, size_bytes: u64| {
+                let mut base = 0;
+                cores_per_die.iter().map(move |&d| {
+                    base += d;
+                    CacheSpec { level, size_bytes, cores: (base - d..base).collect() }
+                })
+            };
+            let caches: Vec<CacheSpec> = match rng.gen_range(0..3) {
                 0 => vec![],
-                1 => vec![CacheSpec { level: 3, size_bytes: 8 << 20, cores: (0..n).collect() }],
-                _ => {
-                    let mut v =
-                        vec![CacheSpec { level: 3, size_bytes: 8 << 20, cores: (0..n).collect() }];
-                    let mut base = 0;
-                    for &d in &cores_per_die {
-                        v.push(CacheSpec {
-                            level: 2,
-                            size_bytes: 1 << 20,
-                            cores: (base..base + d).collect(),
-                        });
-                        base += d;
-                    }
-                    v
-                }
+                1 => per_die(3, 8 << 20).collect(),
+                _ => per_die(3, 8 << 20).chain(per_die(2, 1 << 20)).collect(),
             };
             sockets.push(PackageSpec {
                 board,
@@ -502,10 +496,10 @@ mod tests {
 
     #[test]
     fn random_machines_always_validate() {
-        // 200 seeds of pure topology fuzzing: every generated spec builds,
+        // 2 000 seeds of pure topology fuzzing: every generated spec builds,
         // has at least one core, and its distance machinery is total.
         let mut rng = StdRng::seed_from_u64(42);
-        for _ in 0..200 {
+        for _ in 0..2000 {
             let m = random_machine(&mut rng);
             assert!(m.num_cores() >= 1);
             assert!(m.num_numa >= 1);

@@ -2,14 +2,19 @@
 //!
 //! A [`MachineSpec`] lists sockets in global core order, each carrying its
 //! board / NUMA-node coordinates, die layout and cache coverage. `build`
-//! checks structural invariants (dense ids, caches nested inside dies, no
-//! overlapping same-level caches, OS order a permutation) and produces the
-//! object tree plus the flattened [`CoreView`] table.
+//! checks structural invariants (NUMA nodes owned by one board or one die,
+//! non-empty caches nested inside dies and inside each other, no
+//! overlapping same-level caches), builds the object tree, and hands it to
+//! [`Machine::from_tree`], which numbers the objects, derives the
+//! [`crate::CoreView`] table and checks the OS order.
+
+use std::cmp::Reverse;
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::TopoError;
-use crate::object::{CoreView, Machine, Obj, ObjIdx, ObjKind};
+use crate::object::{push_obj, Machine, ObjIdx, ObjKind};
 
 /// A cache shared by a subset of a socket's cores.
 ///
@@ -20,18 +25,21 @@ pub struct CacheSpec {
     pub level: u8,
     /// Capacity in bytes.
     pub size_bytes: u64,
-    /// Socket-local core indices covered by this cache.
+    /// Socket-local core indices covered by this cache, all on one die.
     pub cores: Vec<usize>,
 }
 
 /// One socket (physical package) and its position in the hierarchy.
+///
+/// Board and NUMA ids name objects; the built machine numbers them in
+/// order of first appearance, as it numbers every object kind.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PackageSpec {
-    /// Board the socket sits on (dense ids starting at 0).
+    /// Board the socket sits on.
     pub board: usize,
     /// NUMA node (memory controller domain) the socket belongs to. Several
-    /// sockets may share one NUMA node (e.g. Zoot's single FSB controller).
-    /// Ignored when [`Self::die_numa`] splits the socket.
+    /// sockets of one board may share one NUMA node (e.g. Zoot's single
+    /// FSB controller). Ignored when [`Self::die_numa`] splits the socket.
     pub numa: usize,
     /// Cores per die. A single-element vector models a socket without an
     /// explicit die level.
@@ -54,18 +62,6 @@ impl PackageSpec {
     fn num_cores(&self) -> usize {
         self.cores_per_die.iter().sum()
     }
-
-    /// Die index of a socket-local core.
-    fn die_of_local(&self, local: usize) -> usize {
-        let mut acc = 0;
-        for (d, &n) in self.cores_per_die.iter().enumerate() {
-            acc += n;
-            if local < acc {
-                return d;
-            }
-        }
-        unreachable!("local core index validated before use")
-    }
 }
 
 /// Declarative machine description; serde-serializable.
@@ -83,182 +79,94 @@ pub struct MachineSpec {
 impl MachineSpec {
     /// Builds and validates the machine.
     pub fn build(&self) -> Result<Machine, TopoError> {
-        let total_cores: usize = self.sockets.iter().map(|s| s.num_cores()).sum();
-        if total_cores == 0 {
-            return Err(TopoError::EmptyMachine);
-        }
         self.validate()?;
+        let mut objs = Vec::new();
+        let root = push_obj(&mut objs, ObjKind::Machine, None, 0);
+        let mut boards: HashMap<usize, ObjIdx> = HashMap::new();
+        let mut numas: HashMap<usize, ObjIdx> = HashMap::new();
 
-        let num_boards = self.sockets.iter().map(|s| s.board).max().unwrap() + 1;
-        let numa_of_socket_die = |s: &PackageSpec, die: usize| -> usize {
-            s.die_numa.as_ref().map(|dn| dn[die]).unwrap_or(s.numa)
-        };
-        let num_numa = self
-            .sockets
-            .iter()
-            .flat_map(|s| (0..s.cores_per_die.len()).map(move |d| numa_of_socket_die(s, d)))
-            .max()
-            .unwrap()
-            + 1;
-        let num_sockets = self.sockets.len();
-
-        let mut builder = TreeBuilder::default();
-        let total_mem: u64 = {
-            // Count each NUMA node's memory once.
-            let mut seen = vec![false; num_numa];
-            let mut sum = 0u64;
-            for s in &self.sockets {
-                for d in 0..s.cores_per_die.len() {
-                    let numa = numa_of_socket_die(s, d);
-                    if !seen[numa] {
-                        seen[numa] = true;
-                        sum += s.numa_memory_bytes;
-                    }
-                }
-            }
-            sum
-        };
-        let root = builder.push(ObjKind::Machine, None, total_mem);
-
-        let mut cores: Vec<CoreView> = Vec::with_capacity(total_cores);
-        let mut board_objs: Vec<Option<ObjIdx>> = vec![None; num_boards];
-        let mut numa_objs: Vec<Option<ObjIdx>> = vec![None; num_numa];
-        let mut die_counter = 0usize;
-
-        for (socket_id, spec) in self.sockets.iter().enumerate() {
-            let board_obj = *board_objs[spec.board]
-                .get_or_insert_with(|| builder.push(ObjKind::Board, Some(root), 0));
+        for spec in &self.sockets {
+            let board = *boards
+                .entry(spec.board)
+                .or_insert_with(|| push_obj(&mut objs, ObjKind::Board, Some(root), 0));
+            let mut numa = |objs: &mut Vec<_>, id: usize, parent: ObjIdx| {
+                *numas.entry(id).or_insert_with(|| {
+                    push_obj(objs, ObjKind::NumaNode, Some(parent), spec.numa_memory_bytes)
+                })
+            };
             // Whole-socket NUMA: Board -> NumaNode -> Socket (Zoot, IG).
             // Split socket (per-die controllers): Board -> Socket ->
             // NumaNode -> Die (Magny-Cours).
-            let split = spec.die_numa.is_some();
-            let socket_obj = if split {
-                builder.push(ObjKind::Socket, Some(board_obj), 0)
-            } else {
-                let numa_obj = *numa_objs[spec.numa].get_or_insert_with(|| {
-                    builder.push(ObjKind::NumaNode, Some(board_obj), spec.numa_memory_bytes)
-                });
-                builder.push(ObjKind::Socket, Some(numa_obj), 0)
+            let socket = match spec.die_numa {
+                Some(_) => push_obj(&mut objs, ObjKind::Socket, Some(board), 0),
+                None => {
+                    let parent = numa(&mut objs, spec.numa, board);
+                    push_obj(&mut objs, ObjKind::Socket, Some(parent), 0)
+                }
             };
 
-            let explicit_dies = spec.cores_per_die.len() > 1 || split;
-            let n_local = spec.num_cores();
-
-            // Die objects (or the socket itself when dies are implicit).
-            let mut die_objs: Vec<ObjIdx> = Vec::new();
-            let mut die_ids: Vec<usize> = Vec::new();
-            for die in 0..spec.cores_per_die.len() {
-                if explicit_dies {
-                    let die_parent = if split {
-                        let numa = numa_of_socket_die(spec, die);
-                        *numa_objs[numa].get_or_insert_with(|| {
-                            builder.push(
-                                ObjKind::NumaNode,
-                                Some(socket_obj),
-                                spec.numa_memory_bytes,
-                            )
-                        })
-                    } else {
-                        socket_obj
-                    };
-                    let d = builder.push(ObjKind::Die, Some(die_parent), 0);
-                    builder.objs[d].logical_id = die_counter;
-                    die_objs.push(d);
-                    die_ids.push(die_counter);
-                    die_counter += 1;
-                } else {
-                    die_objs.push(socket_obj);
-                    die_ids.push(usize::MAX);
-                }
+            // For each local core, the innermost container placed so far:
+            // its die, or the socket itself when dies are implicit.
+            let explicit_dies = spec.cores_per_die.len() > 1 || spec.die_numa.is_some();
+            let mut container = Vec::with_capacity(spec.num_cores());
+            for (die, &n) in spec.cores_per_die.iter().enumerate() {
+                let die_obj = match &spec.die_numa {
+                    _ if !explicit_dies => socket,
+                    Some(die_numa) => {
+                        let parent = numa(&mut objs, die_numa[die], socket);
+                        push_obj(&mut objs, ObjKind::Die, Some(parent), 0)
+                    }
+                    None => push_obj(&mut objs, ObjKind::Die, Some(socket), 0),
+                };
+                container.extend(std::iter::repeat_n(die_obj, n));
             }
 
             // Insert caches largest-coverage first so nesting works: each
             // cache attaches under the smallest already-placed cache (or the
-            // die) that strictly contains it.
-            let mut order: Vec<usize> = (0..spec.caches.len()).collect();
-            order.sort_by_key(|&i| std::cmp::Reverse(spec.caches[i].cores.len()));
-            // For each local core, the innermost container placed so far.
-            let mut container: Vec<ObjIdx> =
-                (0..n_local).map(|l| die_objs[spec.die_of_local(l)]).collect();
-            // Per-core cache ancestry accumulated innermost-last; reversed at
-            // the end so CoreView stores innermost-first.
-            let mut core_caches: Vec<Vec<(u8, usize)>> = vec![Vec::new(); n_local];
-
-            for i in order {
-                let c = &spec.caches[i];
+            // die) that contains it.
+            let mut order: Vec<&CacheSpec> = spec.caches.iter().collect();
+            order.sort_by_key(|c| Reverse(c.cores.len()));
+            for c in order {
                 let parent = container[c.cores[0]];
-                let obj = builder.push(ObjKind::Cache(c.level), Some(parent), c.size_bytes);
-                let global_cache_id = builder.next_cache_id(c.level);
-                builder.objs[obj].logical_id = global_cache_id;
+                let cache =
+                    push_obj(&mut objs, ObjKind::Cache(c.level), Some(parent), c.size_bytes);
                 for &l in &c.cores {
-                    container[l] = obj;
-                    core_caches[l].push((c.level, global_cache_id));
+                    container[l] = cache;
                 }
             }
 
-            for local in 0..n_local {
-                let core_id = cores.len();
-                let core_obj = builder.push(ObjKind::Core, Some(container[local]), 0);
-                builder.objs[core_obj].logical_id = core_id;
-                let pu = builder.push(ObjKind::Pu, Some(core_obj), 0);
-                builder.objs[pu].logical_id = core_id;
-                let mut caches = core_caches[local].clone();
-                caches.reverse(); // innermost first
-                let local_die = spec.die_of_local(local);
-                let die = die_ids[local_die];
-                cores.push(CoreView {
-                    core: core_id,
-                    obj: core_obj,
-                    board: spec.board,
-                    numa: numa_of_socket_die(spec, local_die),
-                    socket: socket_id,
-                    die: (die != usize::MAX).then_some(die),
-                    caches,
-                    node: 0,
-                    switch: 0,
-                });
+            for parent in container {
+                let core = push_obj(&mut objs, ObjKind::Core, Some(parent), 0);
+                push_obj(&mut objs, ObjKind::Pu, Some(core), 0);
             }
         }
 
-        let os_index = match &self.os_order {
-            Some(order) => order.clone(),
-            None => (0..total_cores).collect(),
-        };
-
-        Ok(Machine {
-            name: self.name.clone(),
-            objs: builder.objs,
-            cores,
-            os_index,
-            num_boards,
-            num_numa,
-            num_sockets,
-            num_nodes: 1,
-            num_switches: 1,
-        })
+        // Each NUMA node's memory, counted once.
+        let numa_memory = objs.iter().filter(|o| o.kind == ObjKind::NumaNode);
+        objs[root].size_bytes = numa_memory.map(|o| o.size_bytes).sum();
+        let total_cores = self.sockets.iter().map(PackageSpec::num_cores).sum();
+        let os_index = self.os_order.clone().unwrap_or_else(|| (0..total_cores).collect());
+        Machine::from_tree(self.name.clone(), objs, os_index)
     }
 
     fn validate(&self) -> Result<(), TopoError> {
-        let total_cores: usize = self.sockets.iter().map(|s| s.num_cores()).sum();
-
-        // NUMA ownership: an id is either shared by whole sockets (Zoot's
-        // FSB) or private to one die of one split socket — never both.
+        // NUMA ownership: an id is either shared by whole sockets of one
+        // board (Zoot's FSB) or private to one die of one split socket.
         #[derive(PartialEq)]
         enum Owner {
-            Whole,
-            Die(usize, usize),
+            Board(usize),
+            Die,
         }
-        let mut owners: std::collections::HashMap<usize, Owner> = Default::default();
+        let mut owners: HashMap<usize, Owner> = HashMap::new();
         for (si, s) in self.sockets.iter().enumerate() {
             match &s.die_numa {
-                None => match owners.get(&s.numa) {
-                    Some(Owner::Whole) | None => {
-                        owners.insert(s.numa, Owner::Whole);
+                None => {
+                    if *owners.entry(s.numa).or_insert(Owner::Board(s.board))
+                        != Owner::Board(s.board)
+                    {
+                        return Err(TopoError::NumaOwnershipConflict { numa: s.numa });
                     }
-                    Some(Owner::Die(..)) => {
-                        return Err(TopoError::NumaOwnershipConflict { numa: s.numa })
-                    }
-                },
+                }
                 Some(dn) => {
                     if dn.len() != s.cores_per_die.len() {
                         return Err(TopoError::BadDieNuma {
@@ -267,8 +175,8 @@ impl MachineSpec {
                             got: dn.len(),
                         });
                     }
-                    for (die, &numa) in dn.iter().enumerate() {
-                        if owners.insert(numa, Owner::Die(si, die)).is_some() {
+                    for &numa in dn {
+                        if owners.insert(numa, Owner::Die).is_some() {
                             return Err(TopoError::NumaOwnershipConflict { numa });
                         }
                     }
@@ -287,6 +195,9 @@ impl MachineSpec {
                 if !(1..=3).contains(&c.level) {
                     return Err(TopoError::BadCacheLevel(c.level));
                 }
+                if c.cores.is_empty() {
+                    return Err(TopoError::EmptyCache { socket: si, level: c.level });
+                }
                 for &core in &c.cores {
                     if core >= n {
                         return Err(TopoError::CacheCoreOutOfRange {
@@ -301,62 +212,24 @@ impl MachineSpec {
                     covered[core].push(c.level);
                 }
             }
-        }
-
-        if let Some(order) = &self.os_order {
-            if order.len() != total_cores {
-                return Err(TopoError::BadOsOrder {
-                    expected_len: total_cores,
-                    got_len: order.len(),
+            // Every cache within one die, and any two caches disjoint or
+            // one inside the other.
+            let die_of: Vec<usize> = (s.cores_per_die.iter().enumerate())
+                .flat_map(|(die, &n)| std::iter::repeat_n(die, n))
+                .collect();
+            for c in &s.caches {
+                let shared = |o: &CacheSpec| o.cores.iter().filter(|l| c.cores.contains(l)).count();
+                let spans_dies = c.cores.iter().any(|&l| die_of[l] != die_of[c.cores[0]]);
+                let partial = s.caches.iter().any(|o| {
+                    let k = shared(o);
+                    k > 0 && k < o.cores.len() && k < c.cores.len()
                 });
-            }
-            let mut seen = vec![false; total_cores];
-            for &c in order {
-                if c >= total_cores || seen[c] {
-                    return Err(TopoError::BadOsOrder {
-                        expected_len: total_cores,
-                        got_len: order.len(),
-                    });
+                if spans_dies || partial {
+                    return Err(TopoError::UnnestedCache { socket: si, level: c.level });
                 }
-                seen[c] = true;
             }
         }
         Ok(())
-    }
-}
-
-/// Arena-building helper assigning logical ids per kind.
-#[derive(Default)]
-struct TreeBuilder {
-    objs: Vec<Obj>,
-    counts: std::collections::HashMap<ObjKind, usize>,
-    cache_counts: [usize; 4],
-}
-
-impl TreeBuilder {
-    fn push(&mut self, kind: ObjKind, parent: Option<ObjIdx>, size_bytes: u64) -> ObjIdx {
-        let idx = self.objs.len();
-        let logical_id = match kind {
-            // Caches, dies, cores and PUs get their ids fixed by the caller.
-            ObjKind::Cache(_) | ObjKind::Die | ObjKind::Core | ObjKind::Pu => 0,
-            _ => {
-                let c = self.counts.entry(kind).or_insert(0);
-                let id = *c;
-                *c += 1;
-                id
-            }
-        };
-        self.objs.push(Obj { kind, logical_id, parent, children: Vec::new(), size_bytes });
-        if let Some(p) = parent {
-            self.objs[p].children.push(idx);
-        }
-        idx
-    }
-
-    fn next_cache_id(&mut self, level: u8) -> usize {
-        let id = self.cache_counts[level as usize];
-        self.cache_counts[level as usize] += 1;
-        id
     }
 }
 
@@ -510,6 +383,50 @@ mod tests {
         assert!(matches!(spec.build().unwrap_err(), TopoError::BadOsOrder { .. }));
         spec.os_order = Some(vec![0; 8]);
         assert!(matches!(spec.build().unwrap_err(), TopoError::BadOsOrder { .. }));
+    }
+
+    #[test]
+    fn rejects_a_cache_that_spans_dies() {
+        let mut spec = simple_spec();
+        let l3 = CacheSpec { level: 3, size_bytes: 1 << 22, cores: vec![0, 1, 2, 3] };
+        spec.sockets[1].caches.push(l3);
+        assert_eq!(spec.build().unwrap_err(), TopoError::UnnestedCache { socket: 1, level: 3 });
+    }
+
+    #[test]
+    fn rejects_a_cache_that_covers_part_of_another() {
+        let mut spec = simple_spec();
+        spec.sockets[0].cores_per_die = vec![4];
+        spec.sockets[0].caches.push(CacheSpec { level: 3, size_bytes: 1, cores: vec![1, 2] });
+        assert_eq!(spec.build().unwrap_err(), TopoError::UnnestedCache { socket: 0, level: 2 });
+    }
+
+    #[test]
+    fn rejects_an_empty_cache_read_from_json() {
+        let json = r#"{"name": "bad", "os_order": null, "sockets": [{"board": 0, "numa": 0,
+            "cores_per_die": [2], "numa_memory_bytes": 0,
+            "caches": [{"level": 2, "size_bytes": 1024, "cores": []}]}]}"#;
+        let spec: MachineSpec = serde_json::from_str(json).unwrap();
+        assert_eq!(spec.build().unwrap_err(), TopoError::EmptyCache { socket: 0, level: 2 });
+    }
+
+    #[test]
+    fn rejects_a_numa_node_on_two_boards() {
+        let mut spec = simple_spec();
+        spec.sockets[1].board = 1;
+        assert_eq!(spec.build().unwrap_err(), TopoError::NumaOwnershipConflict { numa: 0 });
+    }
+
+    #[test]
+    fn ids_are_numbered_in_order_of_first_appearance() {
+        let mut spec = simple_spec();
+        spec.sockets[0].numa = 7;
+        spec.sockets[1].numa = 3;
+        spec.sockets[0].board = 5;
+        spec.sockets[1].board = 5;
+        let m = spec.build().unwrap();
+        assert_eq!((m.core(0).numa, m.core(4).numa, m.num_numa), (0, 1, 2));
+        assert_eq!((m.core(0).board, m.num_boards), (0, 1));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! object arenas must all produce typed [`XmlError`]s — never a panic,
 //! never an infinite walk.
 
-use pdac_hwtopo::hwloc_xml::{parse_hwloc_xml, validate_object_tree, XmlError};
-use pdac_hwtopo::{Obj, ObjKind};
+use pdac_hwtopo::hwloc_xml::{parse_hwloc_xml, XmlError};
+use pdac_hwtopo::{Machine, Obj, ObjKind, TopoError};
 
 /// The well-formed dual-socket document the happy-path tests use; the
 /// hostile cases are derived from it.
@@ -165,37 +165,44 @@ fn garbage_attributes_are_tolerated_or_typed() {
     ));
 }
 
-/// The arena audit: a parent chain that loops, a dangling parent index,
-/// and a one-sided parent/child link are each caught as the typed cyclic
-/// error instead of sending a parent walk into an infinite loop.
+/// The arena audit every machine passes through (`Machine::from_tree`): a
+/// parent chain that loops, a dangling parent index, and a one-sided
+/// parent/child link are each caught as the typed error instead of sending
+/// a parent walk into an infinite loop.
 #[test]
 fn cyclic_and_dangling_parent_references_are_typed() {
-    let obj = |parent: Option<usize>, children: Vec<usize>| Obj {
-        kind: ObjKind::Machine,
+    let obj = |kind: ObjKind, parent: Option<usize>, children: Vec<usize>| Obj {
+        kind,
         logical_id: 0,
         parent,
         children,
         size_bytes: 0,
     };
+    let audit = |objs: Vec<Obj>| Machine::from_tree("arena", objs, vec![0]).map(|_| ());
+    let root = |parent, children| obj(ObjKind::Machine, parent, children);
 
-    // 0 <-> 1 parent cycle (mutually consistent links, so only the chain
-    // walk can catch it).
-    let cyclic = vec![obj(Some(1), vec![1]), obj(Some(0), vec![0])];
-    assert!(matches!(validate_object_tree(&cyclic), Err(XmlError::CyclicTopology { .. })));
+    // 0 <-> 1 parent cycle (mutually consistent links, so only the
+    // parents-first order can catch it).
+    let cyclic = vec![root(Some(1), vec![1]), root(Some(0), vec![0])];
+    assert!(matches!(audit(cyclic), Err(TopoError::NotATree { .. })));
 
     // Parent index out of range.
-    let dangling = vec![obj(Some(7), vec![])];
-    assert!(matches!(validate_object_tree(&dangling), Err(XmlError::CyclicTopology { at: 0 })));
+    let dangling = vec![root(Some(7), vec![])];
+    assert!(matches!(audit(dangling), Err(TopoError::NotATree { at: 0 })));
 
     // Child link without the matching parent link.
-    let one_sided = vec![obj(None, vec![1]), obj(None, vec![])];
-    assert!(matches!(validate_object_tree(&one_sided), Err(XmlError::CyclicTopology { at: 0 })));
+    let one_sided = vec![root(None, vec![1]), root(None, vec![])];
+    assert!(matches!(audit(one_sided), Err(TopoError::NotATree { at: 0 })));
 
     // A well-formed two-level tree passes.
-    let good = vec![obj(None, vec![1, 2]), obj(Some(0), vec![]), obj(Some(0), vec![])];
-    assert!(validate_object_tree(&good).is_ok());
+    let good = vec![
+        root(None, vec![1, 2]),
+        obj(ObjKind::Core, Some(0), vec![]),
+        obj(ObjKind::Cache(1), Some(0), vec![]),
+    ];
+    assert!(audit(good).is_ok());
 
     // And every parse-produced arena passes by construction.
     let m = parse_hwloc_xml(DUAL_SOCKET).unwrap();
-    assert!(validate_object_tree(&m.objs).is_ok());
+    assert!(Machine::from_tree(m.name, m.objs, m.os_index).is_ok());
 }

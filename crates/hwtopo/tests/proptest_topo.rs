@@ -1,16 +1,139 @@
 //! Property-based invariants of the topology model, distance function and
 //! binding policies, over randomly generated machines.
 
+use std::cmp::Reverse;
+
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 use pdac_hwtopo::{
-    core_distance, machines, Binding, BindingPolicy, DistanceMatrix, Machine, DIST_MAX,
+    core_distance, machines, Binding, BindingPolicy, CacheSpec, DistanceMatrix, Machine,
+    MachineSpec, PackageSpec, TopoError, DIST_MAX,
 };
 
 /// Random hierarchical machines via the synthetic generator.
 fn arb_machine() -> impl Strategy<Value = Machine> {
     (1usize..=3, 1usize..=3, 1usize..=4, any::<bool>())
         .prop_map(|(boards, numa, cores, l3)| machines::synthetic(boards, numa, cores, l3))
+}
+
+fn coin(rng: &mut StdRng) -> bool {
+    rng.gen_range(0..2) == 1
+}
+
+/// A random spec: 1–2 boards of 1–2 sockets, 1–2 dies of 1–3 cores, one of
+/// three NUMA regimes (a controller per socket, one per board, one per
+/// die), and per socket any of a socket-wide L3 (which spans the dies of a
+/// two-die socket), an L2 per die and an L1 per core; OS order maybe
+/// shuffled. NUMA ids are dense in order of first appearance.
+fn random_spec(seed: u64) -> MachineSpec {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (boards, per_board, regime) =
+        (1 + rng.gen_range(0..2), 1 + rng.gen_range(0..2), rng.gen_range(0..3));
+    let mut next_numa = 0;
+    let mut sockets = Vec::new();
+    for board in 0..boards {
+        for _ in 0..per_board {
+            let cores_per_die: Vec<usize> =
+                (0..1 + rng.gen_range(0..2)).map(|_| 1 + rng.gen_range(0..3)).collect();
+            let n: usize = cores_per_die.iter().sum();
+            let mut fresh = || {
+                next_numa += 1;
+                next_numa - 1
+            };
+            let (numa, die_numa) = match regime {
+                0 => (fresh(), None),
+                1 => (board, None),
+                _ => {
+                    let ids: Vec<usize> = cores_per_die.iter().map(|_| fresh()).collect();
+                    (ids[0], Some(ids))
+                }
+            };
+            let mut caches = Vec::new();
+            if coin(&mut rng) {
+                caches.push(CacheSpec { level: 3, size_bytes: 8 << 20, cores: (0..n).collect() });
+            }
+            if coin(&mut rng) {
+                let mut base = 0;
+                for &d in &cores_per_die {
+                    let cores = (base..base + d).collect();
+                    caches.push(CacheSpec { level: 2, size_bytes: 1 << 20, cores });
+                    base += d;
+                }
+            }
+            if coin(&mut rng) {
+                caches.extend((0..n).map(|c| CacheSpec {
+                    level: 1,
+                    size_bytes: 1,
+                    cores: vec![c],
+                }));
+            }
+            sockets.push(PackageSpec {
+                board,
+                numa,
+                cores_per_die,
+                die_numa,
+                caches,
+                numa_memory_bytes: 1 << 30,
+            });
+        }
+    }
+    let total = sockets.iter().flat_map(|s| &s.cores_per_die).sum();
+    let mut os_order: Vec<usize> = (0..total).collect();
+    os_order.shuffle(&mut rng);
+    MachineSpec {
+        name: format!("spec-{seed}"),
+        sockets,
+        os_order: coin(&mut rng).then_some(os_order),
+    }
+}
+
+/// Checks every core's view against the spec that built `m`: socket index,
+/// board, NUMA node (`die_numa` or `numa`), die (`None` when implicit,
+/// else numbered across the machine), and the caches covering the core,
+/// innermost first, each level numbered socket by socket, larger coverage
+/// first.
+fn check_views_against(
+    spec: &MachineSpec,
+    m: &Machine,
+) -> Result<(), prop::test_runner::TestCaseError> {
+    let (mut core, mut next_die, mut next_cache) = (0, 0, [0usize; 4]);
+    for (socket, s) in spec.sockets.iter().enumerate() {
+        let explicit_dies = s.cores_per_die.len() > 1 || s.die_numa.is_some();
+        let mut placed: Vec<&CacheSpec> = s.caches.iter().collect();
+        placed.sort_by_key(|c| Reverse(c.cores.len()));
+        let ids: Vec<(u8, usize)> = placed
+            .iter()
+            .map(|c| {
+                next_cache[c.level as usize] += 1;
+                (c.level, next_cache[c.level as usize] - 1)
+            })
+            .collect();
+        let mut local = 0;
+        for (die, &n) in s.cores_per_die.iter().enumerate() {
+            for _ in 0..n {
+                let v = m.core(core);
+                prop_assert_eq!(v.socket, socket);
+                prop_assert_eq!(v.board, s.board);
+                prop_assert_eq!(v.numa, s.die_numa.as_ref().map_or(s.numa, |ids| ids[die]));
+                prop_assert_eq!(v.die, explicit_dies.then_some(next_die + die));
+                let covering = placed.iter().zip(&ids).filter(|(c, _)| c.cores.contains(&local));
+                let caches: Vec<(u8, usize)> = covering.map(|(_, &id)| id).rev().collect();
+                prop_assert_eq!(&v.caches, &caches, "core {}", core);
+                local += 1;
+                core += 1;
+            }
+        }
+        if explicit_dies {
+            next_die += s.cores_per_die.len();
+        }
+    }
+    prop_assert_eq!(m.num_cores(), core);
+    prop_assert_eq!(m.num_sockets, spec.sockets.len());
+    prop_assert_eq!(m.num_boards, spec.sockets.iter().map(|s| s.board).max().unwrap() + 1);
+    Ok(())
 }
 
 fn arb_policy() -> impl Strategy<Value = BindingPolicy> {
@@ -20,6 +143,25 @@ fn arb_policy() -> impl Strategy<Value = BindingPolicy> {
         Just(BindingPolicy::CrossSocket),
         any::<u64>().prop_map(|seed| BindingPolicy::Random { seed }),
     ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    #[test]
+    fn views_follow_the_spec_and_caches_stay_inside_dies(seed in any::<u64>()) {
+        let spec = random_spec(seed);
+        let spans_dies = spec.sockets.iter().any(|s| {
+            let n: usize = s.cores_per_die.iter().sum();
+            s.cores_per_die.len() > 1 && s.caches.iter().any(|c| c.cores.len() == n)
+        });
+        match spec.build() {
+            Ok(m) if !spans_dies => check_views_against(&spec, &m)?,
+            Err(TopoError::UnnestedCache { level: 3, .. }) if spans_dies => {}
+            other => prop_assert!(false, "spans dies: {}, built: {:?}", spans_dies, other.map(|m| m.name)),
+        }
+    }
+
 }
 
 proptest! {

@@ -1,28 +1,25 @@
-//! NUMA-aware per-rank staging-buffer pools.
+//! Per-worker staging-buffer pools.
 //!
 //! The executor stages every copy through a scratch buffer (copy the source
 //! in, verify it, then combine it into the destination). It checks out one
-//! such buffer per worker per run, sized to the run's largest copy, at
-//! class 0, and returns it when the run ends; the pool keeps it alive
-//! across runs so a repeated collective does not allocate it again.
+//! such buffer per worker per run, sized to the run's largest copy, and
+//! returns it when the run ends; the pool keeps it alive across runs so a
+//! repeated collective does not allocate it again.
 //!
-//! * **Sharding** — the `rank` argument picks a shard (modulo the shard
-//!   count). The executor passes its worker index and makes one shard per
-//!   worker, so workers never contend on one free list.
-//! * **Distance-class keying** — each shard keeps one free list per
-//!   process-distance class (`0..=8`). The executor's one buffer per worker
-//!   serves copies of every class, so it checks out and returns at class 0.
+//! * **Sharding** — the `shard` argument picks a shard (modulo the shard
+//!   count), each one free list. The executor passes its worker index and
+//!   makes one shard per worker, so workers never contend on one list.
 //! * **Exclusive checkout** — `acquire` transfers ownership to the caller;
 //!   the buffer is invisible to every other thread until `release` returns
 //!   it. There is no aliasing window, so no per-buffer synchronisation.
+//!
+//! `acquire` and `release` still take a `_class` argument that the pool
+//! ignores: the `pdac-e2e` benchmark package (`benchmarks/e2e`) calls that
+//! signature, so the argument goes with the next change to that package.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use pdac_hwtopo::DIST_MAX_EXTENDED;
-
-/// Free lists of one shard, segregated by distance class.
-type ClassLists = [Vec<Vec<u8>>; DIST_MAX_EXTENDED as usize + 1];
 
 /// Pool usage counters (monotonic over the pool's lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,17 +35,17 @@ pub struct BufferPoolStats {
 /// Sharded pool of reusable staging buffers.
 #[derive(Debug)]
 pub struct BufferPool {
-    shards: Vec<Mutex<ClassLists>>,
+    shards: Vec<Mutex<Vec<Vec<u8>>>>,
     acquires: AtomicU64,
     reuses: AtomicU64,
     bytes_allocated: AtomicU64,
 }
 
-/// How many free buffers one (shard, class) list retains; beyond this,
-/// released buffers are dropped back to the allocator. The executor
-/// returns one buffer per worker, each to its own shard, so one would do
-/// for it; the second is slack for a caller sharing the pool.
-const RETAIN_PER_CLASS: usize = 2;
+/// How many free buffers one shard retains; beyond this, released buffers
+/// are dropped back to the allocator. The executor returns one buffer per
+/// worker, each to its own shard, so one would do for it; the second is
+/// slack for a caller sharing the pool.
+const RETAIN_PER_SHARD: usize = 2;
 
 /// Fill byte written over released buffers in debug builds, so a caller
 /// that reads a recycled buffer before overwriting it sees loud uniform
@@ -57,26 +54,22 @@ const RETAIN_PER_CLASS: usize = 2;
 pub const POISON_BYTE: u8 = 0xDB;
 
 impl BufferPool {
-    /// Creates a pool with one shard per expected rank (minimum 1).
+    /// Creates a pool with `shards` shards (minimum 1): one per worker.
     pub fn new(shards: usize) -> Self {
         BufferPool {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(std::array::from_fn(|_| Vec::new())))
-                .collect(),
+            shards: (0..shards.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
             acquires: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
             bytes_allocated: AtomicU64::new(0),
         }
     }
 
-    /// Checks out a buffer of exactly `len` bytes for `rank`, preferring a
-    /// previously released buffer of the same distance class. Contents are
-    /// unspecified — callers overwrite the full length.
-    pub fn acquire(&self, rank: usize, class: u8, len: usize) -> Vec<u8> {
+    /// Checks out a buffer of exactly `len` bytes from `shard`, preferring
+    /// a previously released one. Contents are unspecified — callers
+    /// overwrite the full length.
+    pub fn acquire(&self, shard: usize, _class: u8, len: usize) -> Vec<u8> {
         self.acquires.fetch_add(1, Ordering::Relaxed);
-        let class = (class as usize).min(DIST_MAX_EXTENDED as usize);
-        let shard = &self.shards[rank % self.shards.len()];
-        let reused = shard.lock()[class].pop();
+        let reused = self.shards[shard % self.shards.len()].lock().pop();
         match reused {
             Some(mut buf) => {
                 self.reuses.fetch_add(1, Ordering::Relaxed);
@@ -94,7 +87,7 @@ impl BufferPool {
         }
     }
 
-    /// Returns a buffer to `rank`'s shard for reuse under `class`.
+    /// Returns a buffer to `shard` for reuse.
     ///
     /// In debug builds the buffer is poisoned first: `acquire`'s contract
     /// is "contents are unspecified", and without poisoning a recycled
@@ -104,18 +97,16 @@ impl BufferPool {
     /// memset (the executor overwrites the full length before any read,
     /// and the checksum verifies it); debug builds make a violation
     /// unmissable instead of silently correct-looking.
-    pub fn release(&self, rank: usize, class: u8, buf: Vec<u8>) {
+    pub fn release(&self, shard: usize, _class: u8, buf: Vec<u8>) {
         #[cfg(debug_assertions)]
         let buf = {
             let mut buf = buf;
             buf.iter_mut().for_each(|b| *b = POISON_BYTE);
             buf
         };
-        let class = (class as usize).min(DIST_MAX_EXTENDED as usize);
-        let shard = &self.shards[rank % self.shards.len()];
-        let mut lists = shard.lock();
-        if lists[class].len() < RETAIN_PER_CLASS {
-            lists[class].push(buf);
+        let mut free = self.shards[shard % self.shards.len()].lock();
+        if free.len() < RETAIN_PER_SHARD {
+            free.push(buf);
         }
     }
 
@@ -160,33 +151,15 @@ mod tests {
     }
 
     #[test]
-    fn classes_do_not_share_arenas() {
-        let pool = BufferPool::new(2);
-        let b = pool.acquire(0, 2, 128);
-        pool.release(0, 2, b);
-        let _far = pool.acquire(0, 7, 128);
-        assert_eq!(pool.stats().reuses, 0, "class 7 must not raid class 2");
-    }
-
-    #[test]
     fn ranks_map_to_distinct_shards() {
         let pool = BufferPool::new(2);
         let b = pool.acquire(0, 0, 64);
         pool.release(0, 0, b);
-        // Rank 1 hashes to the other shard: no reuse.
+        // Shard 1 is the other list: no reuse.
         let _other = pool.acquire(1, 0, 64);
         assert_eq!(pool.stats().reuses, 0);
-        // Rank 2 wraps back onto rank 0's shard: reuse.
+        // Shard 2 wraps back onto shard 0: reuse.
         let _wrap = pool.acquire(2, 0, 64);
-        assert_eq!(pool.stats().reuses, 1);
-    }
-
-    #[test]
-    fn oversized_class_is_clamped() {
-        let pool = BufferPool::new(1);
-        let b = pool.acquire(0, 200, 32);
-        pool.release(0, 200, b);
-        assert_eq!(pool.acquire(0, DIST_MAX_EXTENDED, 32).len(), 32);
         assert_eq!(pool.stats().reuses, 1);
     }
 
@@ -197,13 +170,13 @@ mod tests {
         for b in bufs {
             pool.release(0, 1, b);
         }
-        // Only RETAIN_PER_CLASS survive; the rest went back to the allocator.
-        for _ in 0..RETAIN_PER_CLASS {
+        // Only RETAIN_PER_SHARD survive; the rest went back to the allocator.
+        for _ in 0..RETAIN_PER_SHARD {
             pool.acquire(0, 1, 256);
         }
-        assert_eq!(pool.stats().reuses as usize, RETAIN_PER_CLASS);
+        assert_eq!(pool.stats().reuses as usize, RETAIN_PER_SHARD);
         pool.acquire(0, 1, 256);
-        assert_eq!(pool.stats().reuses as usize, RETAIN_PER_CLASS);
+        assert_eq!(pool.stats().reuses as usize, RETAIN_PER_SHARD);
     }
 
     /// Regression: a recycled buffer must never leak a prior op's bytes

@@ -16,41 +16,7 @@ use pdac::collectives::{verify, Collective, Request};
 use pdac::hwtopo::{hwloc_xml, render, BindingPolicy};
 use pdac::mpisim::Communicator;
 
-const BUNDLED: &str = r#"<?xml version="1.0" encoding="UTF-8"?>
-<topology version="2.0">
- <object type="Machine">
-  <object type="Package" os_index="0">
-   <object type="NUMANode" os_index="0" local_memory="68719476736"/>
-   <object type="L3Cache" cache_size="33554432" depth="3">
-    <object type="Core" os_index="0"><object type="PU" os_index="0"/></object>
-    <object type="Core" os_index="1"><object type="PU" os_index="1"/></object>
-    <object type="Core" os_index="2"><object type="PU" os_index="2"/></object>
-    <object type="Core" os_index="3"><object type="PU" os_index="3"/></object>
-   </object>
-   <object type="L3Cache" cache_size="33554432" depth="3">
-    <object type="Core" os_index="4"><object type="PU" os_index="4"/></object>
-    <object type="Core" os_index="5"><object type="PU" os_index="5"/></object>
-    <object type="Core" os_index="6"><object type="PU" os_index="6"/></object>
-    <object type="Core" os_index="7"><object type="PU" os_index="7"/></object>
-   </object>
-  </object>
-  <object type="Package" os_index="1">
-   <object type="NUMANode" os_index="1" local_memory="68719476736"/>
-   <object type="L3Cache" cache_size="33554432" depth="3">
-    <object type="Core" os_index="8"><object type="PU" os_index="8"/></object>
-    <object type="Core" os_index="9"><object type="PU" os_index="9"/></object>
-    <object type="Core" os_index="10"><object type="PU" os_index="10"/></object>
-    <object type="Core" os_index="11"><object type="PU" os_index="11"/></object>
-   </object>
-   <object type="L3Cache" cache_size="33554432" depth="3">
-    <object type="Core" os_index="12"><object type="PU" os_index="12"/></object>
-    <object type="Core" os_index="13"><object type="PU" os_index="13"/></object>
-    <object type="Core" os_index="14"><object type="PU" os_index="14"/></object>
-    <object type="Core" os_index="15"><object type="PU" os_index="15"/></object>
-   </object>
-  </object>
- </object>
-</topology>"#;
+const BUNDLED: &str = include_str!("../crates/hwtopo/tests/fixtures/epyc_bundled.xml");
 
 fn main() {
     let machine = match std::env::args().nth(1) {
