@@ -10,7 +10,8 @@
 //!
 //! * a typed **topology tree** ([`Machine`], [`Obj`], [`ObjKind`]) describing
 //!   boards, NUMA nodes (memory controllers), sockets, dies, caches, cores
-//!   and processing units;
+//!   and processing units, from which [`Machine::from_tree`] derives every
+//!   logical id and per-core view;
 //! * a validated **builder** ([`MachineSpec`]) plus serde round-tripping of
 //!   machine descriptions;
 //! * the **predefined machines** used in the paper's evaluation
