@@ -25,8 +25,9 @@ pub struct Ring {
 }
 
 impl Ring {
-    /// Wraps an explicit cycle order (used by the scalable hierarchical
-    /// construction in [`crate::distributed`]).
+    /// Wraps an explicit cycle order, normalized as [`Ring::build`]
+    /// normalizes Algorithm 2's: a ring the caller chose, such as a test's
+    /// oracle ring or a single rank's.
     ///
     /// # Panics
     /// Panics if `order` is not a permutation of `0..n`.
@@ -279,5 +280,20 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.order()[0], 0);
         assert!(a.order()[1] < a.left(0), "walks toward the smaller neighbour first");
+    }
+
+    #[test]
+    fn from_order_normalizes() {
+        let r = Ring::from_order(vec![2, 0, 1, 3]);
+        assert_eq!(r.order()[0], 0);
+        assert!(r.order()[1] < r.left(0));
+        let full = Ring::from_order(vec![0, 1, 2, 3]);
+        assert_eq!(full.right(3), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation")]
+    fn from_order_rejects_duplicates() {
+        Ring::from_order(vec![0, 1, 1]);
     }
 }

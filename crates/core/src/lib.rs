@@ -47,7 +47,6 @@ pub mod barrier;
 pub mod baseline;
 pub mod bcast_tree;
 pub mod chaos;
-pub mod distributed;
 pub mod dot;
 pub mod edges;
 pub mod framework;

@@ -22,10 +22,12 @@
 //! transparent: their children are lifted into the parent; I/O subtrees
 //! (`Bridge`, `PCIDev`, `OSDev`, `Misc`) are dropped. Both hwloc-1 style
 //! (NUMANode as a container) and hwloc-2 style (NUMANode as a childless
-//! memory child) layouts are accepted. A memory child stays beside the
-//! subtree it serves; on a transparent object (an hwloc-2 nested `Group`,
-//! as in a Magny-Cours package) it becomes a NUMA container of the lifted
-//! children instead, so its domain still covers exactly that subtree.
+//! memory child) layouts are accepted. An object's memory children are
+//! one NUMA domain whose size is their sum (DRAM beside HBM, say). The
+//! domain stays beside the subtree it serves; on a transparent object (an
+//! hwloc-2 nested `Group`, as in a Magny-Cours package) it becomes a NUMA
+//! container of the lifted children instead, so it still covers exactly
+//! that subtree.
 //!
 //! The converter only builds the object tree and the OS numbering;
 //! [`Machine::from_tree`] numbers the objects and derives the core views.
@@ -268,19 +270,20 @@ struct Converter {
 
 impl Converter {
     fn convert(&mut self, node: &XNode, parent: Option<ObjIdx>, depth_under_machine: usize) {
-        // The first memory child; the others are dropped.
-        let memory = node.children.iter().find(|c| is_memory_child(c));
+        // All memory children (DRAM beside HBM, say) are one NUMA domain
+        // holding their sum.
+        let memory = node
+            .children
+            .iter()
+            .filter(|c| is_memory_child(c))
+            .map(|mem| attr_u64(mem, "local_memory"))
+            .reduce(u64::saturating_add);
         let mapped = map_type(node, depth_under_machine);
         let (here, depth) = match mapped {
             Mapped::Skip => return,
             Mapped::Transparent => match memory {
-                Some(mem) => {
-                    let numa = push_obj(
-                        &mut self.objs,
-                        ObjKind::NumaNode,
-                        parent,
-                        attr_u64(mem, "local_memory"),
-                    );
+                Some(size) => {
+                    let numa = push_obj(&mut self.objs, ObjKind::NumaNode, parent, size);
                     (Some(numa), depth_under_machine)
                 }
                 None => (parent, depth_under_machine),
@@ -309,8 +312,7 @@ impl Converter {
                     }
                     _ => {}
                 }
-                if let Some(mem) = memory.filter(|_| kind != ObjKind::NumaNode) {
-                    let size = attr_u64(mem, "local_memory");
+                if let Some(size) = memory.filter(|_| kind != ObjKind::NumaNode) {
                     push_obj(&mut self.objs, ObjKind::NumaNode, Some(idx), size);
                 }
                 (Some(idx), depth_under_machine + 1)
@@ -437,6 +439,16 @@ pub(crate) mod tests {
         assert_eq!(core_distance(&m, 0, 2), 4, "same socket, other memory controller");
         let numa_objs = m.objs.iter().filter(|o| o.kind == ObjKind::NumaNode);
         assert!(numa_objs.map(|o| o.size_bytes).all(|size| size == 8 << 30));
+    }
+
+    #[test]
+    fn memory_children_of_one_object_are_one_domain() {
+        // A package with DRAM and HBM memory children: one NUMA domain
+        // holding both.
+        let m = parse_hwloc_xml(include_str!("../tests/fixtures/hbm_package.xml")).unwrap();
+        let numa = m.objs.iter().filter(|o| o.kind == ObjKind::NumaNode);
+        assert_eq!(numa.map(|o| o.size_bytes).collect::<Vec<_>>(), [3072]);
+        assert_eq!(m.num_numa, 1);
     }
 
     #[test]

@@ -40,18 +40,11 @@ impl Schedule {
     /// same verdicts — and indexes it for execution. `distances` labels
     /// each op with its endpoints' process-distance class.
     pub fn lower(&self, distances: Option<&DistanceMatrix>) -> Result<Lowered, ScheduleError> {
-        let mut slots = Vec::with_capacity(self.ops.len());
-        self.check(|found| slots.push(found))?;
+        let (slots, written) = self.check()?;
         let by_executor = self.ops.iter().enumerate().map(|(id, op)| (op.kind.executor(), id));
         let (rank_start, stream) = group_by_key(self.num_ranks, by_executor);
         let by_dep = (0..self.ops.len()).flat_map(|id| self.deps(id).iter().map(move |&d| (d, id)));
         let (dependents_start, dependents) = group_by_key(self.ops.len(), by_dep);
-        let mut written = vec![false; self.bufs().len()];
-        for (op, &[_, dst]) in self.ops.iter().zip(&slots) {
-            if let OpKind::Copy { .. } = op.kind {
-                written[dst] = true;
-            }
-        }
         Ok(Lowered {
             slots,
             class: self.ops.iter().map(|op| distance_class(&op.kind, distances)).collect(),
@@ -114,7 +107,7 @@ pub(crate) fn distance_class(kind: &OpKind, distances: Option<&DistanceMatrix>) 
 /// Groups `(key, value)` items by key with a counting sort, keeping their
 /// order within a key: key `k`'s values are `values[start[k]..start[k + 1]]`.
 /// Two passes over `items`, no comparison.
-fn group_by_key<T: Copy + Default>(
+pub(crate) fn group_by_key<T: Copy + Default>(
     keys: usize,
     items: impl Iterator<Item = (usize, T)> + Clone,
 ) -> (Vec<usize>, Vec<T>) {

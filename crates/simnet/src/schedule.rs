@@ -10,13 +10,15 @@
 //! (`dep < id`), which every builder satisfies naturally and which makes
 //! program order a valid topological order for per-rank serial execution.
 
+use crate::lower::group_by_key;
+
 /// Rank index within the communicator the schedule was built for.
 pub type Rank = usize;
 /// Dense operation id.
 pub type OpId = usize;
 
-/// One byte range a copy reads or writes: `(op, start, end)`.
-type Access = (OpId, usize, usize);
+/// One byte range a copy reads or writes: `(op, start, end, is_write)`.
+type Access = (OpId, usize, usize, bool);
 
 /// A per-rank buffer. `Send`/`Recv` mirror the user buffers of the MPI call;
 /// `Temp(i)` are internal bounce buffers (eager copy-in/copy-out stages,
@@ -281,18 +283,17 @@ impl Schedule {
     }
 
     /// Checks structural invariants; see [`ScheduleError`]. This is
-    /// [`Self::lower`]'s checking pass with the slots it found dropped.
+    /// [`Self::lower`]'s checking pass with what it found dropped.
     pub fn validate(&self) -> Result<(), ScheduleError> {
-        self.check(|_| {})
+        self.check().map(drop)
     }
 
     /// The checking pass shared by [`Self::validate`] and [`Self::lower`].
-    /// Bounds-checking a copy finds its buffers' slots, so the pass hands
-    /// `found` each op's source and destination slot, in op order
-    /// (`usize::MAX` for a notification).
-    pub(crate) fn check(&self, mut found: impl FnMut([usize; 2])) -> Result<(), ScheduleError> {
-        // Per slot, its writes and its reads as (op, start, end), in op order.
-        let mut by_slot: Vec<[Vec<Access>; 2]> = vec![Default::default(); self.bufs.len()];
+    /// Bounds-checking a copy finds its buffers' slots, so the pass returns
+    /// each op's source and destination slot, in op order (`usize::MAX`
+    /// for a notification), and per slot whether some copy writes it.
+    pub(crate) fn check(&self) -> Result<(Vec<[usize; 2]>, Vec<bool>), ScheduleError> {
+        let mut found = Vec::with_capacity(self.ops.len());
         let check_rank = |op: OpId, r: Rank| -> Result<(), ScheduleError> {
             if r >= self.num_ranks {
                 Err(ScheduleError::RankOutOfRange { op, rank: r })
@@ -349,24 +350,37 @@ impl Schedule {
                             }
                         }
                     }
-                    let [src, dst] = slots;
-                    let dst_access = (id, *dst_off, *dst_off + *bytes);
-                    by_slot[dst][0].push(dst_access);
-                    by_slot[src][1].push((id, *src_off, *src_off + *bytes));
-                    if *data_op != DataOp::Move {
-                        // A combine also reads its destination.
-                        by_slot[dst][1].push(dst_access);
-                    }
-                    found(slots);
+                    found.push(slots);
                 }
                 OpKind::Notify { from, to } => {
                     check_rank(id, *from)?;
                     check_rank(id, *to)?;
-                    found([usize::MAX; 2]);
+                    found.push([usize::MAX; 2]);
                 }
             }
         }
-        self.check_write_races(&by_slot)
+        // Every access keyed `2 * slot` for a write, `2 * slot + 1` for a
+        // read, in op order: grouped by key, a slot's writes and then its
+        // reads lie side by side. Ends cannot overflow: the bounds check
+        // above computed each one.
+        let accesses =
+            self.ops.iter().zip(&found).enumerate().flat_map(|(id, (op, &[src, dst]))| {
+                let OpKind::Copy { src_off, dst_off, bytes, op: data_op, .. } = op.kind else {
+                    return [None; 3];
+                };
+                let dst_end = dst_off + bytes;
+                [
+                    Some((2 * dst, (id, dst_off, dst_end, true))),
+                    Some((2 * src + 1, (id, src_off, src_off + bytes, false))),
+                    // A combine also reads its destination.
+                    (data_op != DataOp::Move)
+                        .then_some((2 * dst + 1, (id, dst_off, dst_end, false))),
+                ]
+            });
+        let (start, mut by_slot) = group_by_key(2 * self.bufs.len(), accesses.flatten());
+        self.check_write_races(&start, &mut by_slot)?;
+        let written = (0..self.bufs.len()).map(|slot| start[2 * slot + 1] > start[2 * slot]);
+        Ok((found, written.collect()))
     }
 
     /// Flags unordered pairs where both write, or one reads and the other
@@ -378,18 +392,22 @@ impl Schedule {
     /// `u32` per chain of conflicting ops, one row per op that still has a
     /// dependent to come. Time is `(deps + candidates) x chains`, memory
     /// `live rows x chains`; neither grows with `ops x candidates`.
-    fn check_write_races(&self, by_slot: &[[Vec<Access>; 2]]) -> Result<(), ScheduleError> {
+    ///
+    /// `by_slot[start[2 * s]..start[2 * s + 2]]` holds slot `s`'s writes and
+    /// then its reads, each in op order; the sweep sorts it in place.
+    fn check_write_races(
+        &self,
+        start: &[usize],
+        by_slot: &mut [Access],
+    ) -> Result<(), ScheduleError> {
         // Combined sweep per written buffer, in slot (= key) order: sort all
         // accesses by start; every overlapping pair is discovered exactly
         // once, at its earlier-starting member (two intervals overlap iff the
         // later-starting one begins before the other ends). Pairs involving
         // at least one write become candidates.
-        // Entries: (op, start, end, is_write).
         let mut candidate_pairs: Vec<(usize, usize, bool)> = Vec::new();
-        for [w, r] in by_slot.iter().filter(|[w, _]| !w.is_empty()) {
-            let mut accesses: Vec<(usize, usize, usize, bool)> =
-                w.iter().map(|&(op, s, e)| (op, s, e, true)).collect();
-            accesses.extend(r.iter().map(|&(op, s, e)| (op, s, e, false)));
+        for slot in (0..self.bufs.len()).filter(|&s| start[2 * s + 1] > start[2 * s]) {
+            let accesses = &mut by_slot[start[2 * slot]..start[2 * slot + 2]];
             accesses.sort_unstable_by_key(|&(op, s, _, _)| (s, op));
             for i in 0..accesses.len() {
                 let (op_a, _s_a, e_a, w_a) = accesses[i];

@@ -10,7 +10,6 @@
 //! Run with: `cargo run --release --example cluster_scale`
 
 use pdac::collectives::bcast_tree::build_bcast_tree;
-use pdac::collectives::distributed::hierarchical_bcast_tree;
 use pdac::collectives::sched::{bcast_schedule_dist, SchedConfig};
 use pdac::hwtopo::{cluster, machines, BindingPolicy, DistanceMatrix};
 use pdac::simnet::{bw_bcast, Resource, SimConfig, SimExecutor};
@@ -34,17 +33,6 @@ fn main() {
     for class in dist.classes() {
         println!("  distance {class}: {:>3} edges", tree.edges_at_distance(&dist, class));
     }
-
-    // The distributed construction produces the identical tree from a
-    // fraction of the distance information.
-    let (sparse, info) = hierarchical_bcast_tree(&dist, 0);
-    assert_eq!(sparse, tree);
-    println!(
-        "\nhierarchical construction: {} probes vs {} full pairs ({}x fewer)",
-        info.probes,
-        192 * 191 / 2,
-        (192 * 191 / 2) / info.probes
-    );
 
     let bytes = 4 << 20;
     let sched = bcast_schedule_dist(&tree, bytes, &SchedConfig::default(), None);

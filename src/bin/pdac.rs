@@ -13,7 +13,7 @@
 //!                                             results/<figure>.json
 //! pdac claims                                 every figure, then results/claims.txt
 //! pdac ablation                               the design ablations
-//! pdac scaling                                full vs leader-probing construction (timed)
+//! pdac scaling                                Algorithm 1 build time, 48 to 3 072 ranks
 //! pdac tune [machine]                         component size rules (default ig)
 //! pdac gate                                   the 44-scenario matrix, results/gate.txt
 //! pdac audit [outdir]                         the matrix audited against its plans
