@@ -3,7 +3,7 @@
 //! auto-tuner.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pdac_core::adaptive::AdaptiveColl;
 use pdac_core::baseline::sm;
@@ -134,7 +134,8 @@ fn eager_threshold_ablation() {
 
 /// `pdac scaling` (§V-B discussion): wall time of Algorithm 1's full
 /// build, which queues all `n(n-1)/2` pairs, from one IG node (48 ranks) to
-/// 64 of them (3 072 ranks).
+/// 64 of them (3 072 ranks). Each size prints the median of five builds
+/// after one untimed build, so the first call's cold caches do not count.
 ///
 /// "This overhead of sorting up to thousands of edges is minimal in
 /// intra-node cases. However, on a large scale system, it's difficult for
@@ -152,11 +153,16 @@ pub fn scaling() {
         let binding = BindingPolicy::Random { seed: 42 }.bind(&machine, n).unwrap();
         let dist = DistanceMatrix::for_binding(&machine, &binding);
 
-        let t0 = Instant::now();
         let tree = build_bcast_tree(&dist, 0);
-        let elapsed = t0.elapsed();
+        let mut times = [Duration::ZERO; 5];
+        for time in &mut times {
+            let t0 = Instant::now();
+            std::hint::black_box(build_bcast_tree(&dist, 0));
+            *time = t0.elapsed();
+        }
+        times.sort_unstable();
 
-        println!("{:>6} {:>12} {:>6} {:>12.2?}", n, n * (n - 1) / 2, tree.depth(), elapsed);
+        println!("{:>6} {:>12} {:>6} {:>12.2?}", n, n * (n - 1) / 2, tree.depth(), times[2]);
     }
 }
 

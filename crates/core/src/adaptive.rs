@@ -903,13 +903,14 @@ mod tests {
         let c = comm(machines::zoot(), BindingPolicy::Contiguous);
         let coll = AdaptiveColl;
         let (_, p) = coll.bcast_explained(None, &c, 0, 1 << 20);
-        assert_eq!(p.decisions_of(DecisionKind::Algorithm).len(), 1);
-        let topo = &p.decisions_of(DecisionKind::Topology)[0];
+        let of = |kind| p.decisions.iter().filter(move |d| d.kind == kind);
+        assert_eq!(of(DecisionKind::Algorithm).count(), 1);
+        let topo = of(DecisionKind::Topology).next().unwrap();
         assert_eq!(topo.choice, "Collapsed");
         assert_eq!(topo.input("collapse_threshold"), Some("16384"));
-        assert!(!p.decisions_of(DecisionKind::DistanceClass).is_empty());
-        assert!(!p.decisions_of(DecisionKind::ChunkClass).is_empty());
-        assert_eq!(p.decisions_of(DecisionKind::CacheLookup)[0].choice, "uncached build");
+        assert!(of(DecisionKind::DistanceClass).next().is_some());
+        assert!(of(DecisionKind::ChunkClass).next().is_some());
+        assert_eq!(of(DecisionKind::CacheLookup).next().unwrap().choice, "uncached build");
         for d in &p.decisions {
             assert!(!d.reason.is_empty(), "{:?} has a reason", d.subject);
             assert!(!d.inputs.is_empty(), "{:?} names its inputs", d.subject);

@@ -27,7 +27,7 @@ mod tests {
         let comm = Communicator::world(Arc::clone(&ig), binding);
         let s = distance_aware(&comm);
         s.validate().unwrap();
-        assert_eq!(s.total_bytes(), 0);
+        assert_eq!(s.ops.iter().map(|o| o.kind.bytes()).sum::<usize>(), 0);
     }
 
     #[test]

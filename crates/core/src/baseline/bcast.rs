@@ -1,5 +1,5 @@
-//! Rank-order broadcast baselines: binomial, linear, pipelined chain and
-//! segmented binary tree.
+//! Rank-order broadcast baselines: binomial, pipelined chain and segmented
+//! binary tree.
 //!
 //! All operate in vrank space (rank rotated so the root is vrank 0) and
 //! move data with the SM/KNEM point-to-point fragments, so their simulated
@@ -54,28 +54,6 @@ pub fn binomial(n: usize, root: usize, bytes: usize, p2p: &P2pConfig) -> Schedul
             arrival[peer] = Some(ops.arrival);
         }
         offset /= 2;
-    }
-    b.finish()
-}
-
-/// Flat (linear) broadcast: the root feeds every other rank directly. With
-/// rendezvous transfers the root only posts notifications and all pulls
-/// proceed concurrently against its buffer — the topology that wins on
-/// single-memory-controller machines for large messages (Figure 8).
-pub fn linear(n: usize, root: usize, bytes: usize, p2p: &P2pConfig) -> Schedule {
-    let mut b = ScheduleBuilder::new("linear-bcast", n);
-    b.ensure_buf(root, BufId::Send, bytes);
-    let mut temp = 0u32;
-    for v in 1..n {
-        emit_send(
-            &mut b,
-            p2p,
-            &mut temp,
-            (root, BufId::Send, 0),
-            (vrank_to_rank(v, root, n), BufId::Recv, 0),
-            bytes,
-            &[],
-        );
     }
     b.finish()
 }
@@ -191,19 +169,6 @@ mod tests {
             .unwrap();
         assert_eq!(first_copy, 4);
         assert_eq!(s.num_copies(), 7, "one rendezvous pull per non-root rank");
-    }
-
-    #[test]
-    fn linear_correct_and_root_only_notifies() {
-        let s = linear(16, 3, 1 << 20, &P2P);
-        s.validate().unwrap();
-        verify::run(Request::new(Collective::Bcast, 3, 1 << 20), &s).unwrap();
-        // Every copy is executed by its receiving rank (one-sided pulls).
-        for op in &s.ops {
-            if let pdac_simnet::OpKind::Copy { exec, dst_rank, .. } = op.kind {
-                assert_eq!(exec, dst_rank);
-            }
-        }
     }
 
     #[test]

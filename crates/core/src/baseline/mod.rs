@@ -6,8 +6,8 @@
 //! [`pdac_mpisim::p2p`], i.e. through the same eager / rendezvous protocol
 //! stack Open MPI's *tuned* component uses over the SM/KNEM BTL.
 //!
-//! * [`bcast`] — binomial, linear, pipelined chain and segmented binary
-//!   broadcast trees;
+//! * [`bcast`] — binomial, pipelined chain and segmented binary broadcast
+//!   trees;
 //! * [`allgather`] — logical-ring and recursive-doubling allgather;
 //! * [`tuned`] — an Open MPI *tuned*-style decision function choosing among
 //!   the above by message and communicator size;

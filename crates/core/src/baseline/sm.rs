@@ -135,7 +135,11 @@ mod tests {
     fn sm_moves_every_byte_twice() {
         // Copy-in + copy-out: total copied bytes = 2x payload.
         let s = bcast(4, 0, 10_000);
-        assert_eq!(s.total_bytes(), 2 * 3 * 10_000, "3 receivers, two traversals each");
+        assert_eq!(
+            s.ops.iter().map(|o| o.kind.bytes()).sum::<usize>(),
+            2 * 3 * 10_000,
+            "3 receivers, two traversals each"
+        );
     }
 
     #[test]

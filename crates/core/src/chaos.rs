@@ -107,19 +107,6 @@ impl ChaosConfig {
     pub fn on_transport(seed: u64, transport: TransportKind) -> Self {
         ChaosConfig { transport, ..ChaosConfig::new(seed) }
     }
-
-    /// Like [`Self::new`], but layering seeded transient payload
-    /// corruption on top of the cocktail.
-    pub fn with_corruption(seed: u64) -> Self {
-        ChaosConfig { corruption: true, ..ChaosConfig::new(seed) }
-    }
-
-    /// Like [`Self::new`], but with `corrupter` persistently corrupting
-    /// every chunk it serves — the escalation path, proving a corrupter is
-    /// fenced like a crashed rank.
-    pub fn with_corrupter(seed: u64, corrupter: usize) -> Self {
-        ChaosConfig { corrupter: Some(corrupter), ..ChaosConfig::new(seed) }
-    }
 }
 
 /// What a successful chaos run looked like.
@@ -483,7 +470,7 @@ mod tests {
         let mut retransmits = 0u64;
         let mut last_line = String::new();
         for seed in 0..6 {
-            let cfg = ChaosConfig::with_corruption(seed);
+            let cfg = ChaosConfig { corruption: true, ..ChaosConfig::new(seed) };
             let out = run_chaos(&comm, Request::new(Collective::Allgather, 0, 2048), &cfg)
                 .unwrap_or_else(|e| panic!("corruption seed {seed}: {e}"));
             assert!(
@@ -507,7 +494,7 @@ mod tests {
         // loop shrinks and fences it — the collective then completes over the
         // survivors exactly as it would after a crash.
         let comm = world(6);
-        let cfg = ChaosConfig::with_corrupter(5, 3);
+        let cfg = ChaosConfig { corrupter: Some(3), ..ChaosConfig::new(5) };
         let out = run_chaos(&comm, Request::new(Collective::Allgather, 0, 2048), &cfg)
             .unwrap_or_else(|e| panic!("corrupter seed 5: {e}"));
         assert!(

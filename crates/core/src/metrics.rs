@@ -84,17 +84,6 @@ pub fn link_stress(schedule: &Schedule, dist: &DistanceMatrix) -> [u64; 9] {
     stress
 }
 
-/// Bytes moved over physical links slower than `threshold` — what the
-/// distance-aware constructions minimize.
-pub fn slow_link_bytes(schedule: &Schedule, dist: &DistanceMatrix, threshold: u8) -> u64 {
-    link_stress(schedule, dist)
-        .iter()
-        .enumerate()
-        .filter(|&(d, _)| d as u8 > threshold)
-        .map(|(_, &b)| b)
-        .sum()
-}
-
 /// One-line human-readable summary of a [`FaultStats`] record, used by the
 /// chaos harness and the benchmark reports. Every field renders — including
 /// zero values — so lines from different runs stay column-comparable and
@@ -178,7 +167,7 @@ mod tests {
             assert_eq!(stress[6], bytes as u64);
             assert_eq!(stress[5], 6 * bytes as u64);
             assert_eq!(stress[1], 40 * bytes as u64);
-            assert_eq!(slow_link_bytes(&sched, &dist, 1), 7 * bytes as u64);
+            assert_eq!(stress[2..].iter().sum::<u64>(), 7 * bytes as u64);
         }
     }
 

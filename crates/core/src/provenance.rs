@@ -212,11 +212,6 @@ impl Provenance {
         ));
     }
 
-    /// Decisions of one kind, in recording order.
-    pub fn decisions_of(&self, kind: DecisionKind) -> Vec<&Decision> {
-        self.decisions.iter().filter(|d| d.kind == kind).collect()
-    }
-
     /// Serializes to pretty-printed JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("provenance serializes")
@@ -302,7 +297,7 @@ mod tests {
     fn plan_id_and_inputs_are_recorded() {
         let p = sample();
         assert_eq!(p.plan_id, "bcast-e3-n8-b1048576");
-        let topo = &p.decisions_of(DecisionKind::Topology)[0];
+        let topo = p.decisions.iter().find(|d| d.kind == DecisionKind::Topology).unwrap();
         assert_eq!(topo.choice, "Collapsed");
         assert_eq!(topo.input("collapse_threshold"), Some("16384"));
         assert!(topo.input("nonexistent").is_none());

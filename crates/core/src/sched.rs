@@ -495,8 +495,8 @@ mod tests {
         // 47 edges x 8 chunks of 128K: one pull + one notify each.
         assert_eq!(s.num_copies(), 47 * 8);
         assert_eq!(s.ops.len(), 47 * 8 * 2);
-        assert_eq!(s.buf_size(0, BufId::Send), 1 << 20);
-        assert_eq!(s.buf_size(1, BufId::Recv), 1 << 20);
+        assert_eq!(s.bufs()[s.slot_of(0, BufId::Send).unwrap()].1, 1 << 20);
+        assert_eq!(s.bufs()[s.slot_of(1, BufId::Recv).unwrap()].1, 1 << 20);
     }
 
     #[test]
@@ -515,7 +515,7 @@ mod tests {
         let s = allgather_schedule_dist(&r, 4096, None, None);
         s.validate().unwrap();
         assert_eq!(s.num_copies(), 48 + 48 * 47, "locals + pulls");
-        assert_eq!(s.buf_size(0, BufId::Recv), 48 * 4096);
+        assert_eq!(s.bufs()[s.slot_of(0, BufId::Recv).unwrap()].1, 48 * 4096);
     }
 
     #[test]
@@ -552,7 +552,7 @@ mod tests {
         let s = barrier_schedule(&t);
         s.validate().unwrap();
         assert_eq!(s.num_copies(), 0);
-        assert_eq!(s.total_bytes(), 0);
+        assert_eq!(s.ops.iter().map(|o| o.kind.bytes()).sum::<usize>(), 0);
         assert_eq!(s.ops.len(), 2 * 47, "one up + one down notify per edge");
     }
 

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use pdac_core::baseline::{allgather, bcast, mpich, sm, tuned};
-use pdac_core::{gather, AdaptiveColl, AllreduceAlgo, Collective, Request, Sinks};
+use pdac_core::{AdaptiveColl, AllreduceAlgo, Collective, Request, Sinks};
 use pdac_hwtopo::{cluster, machines, BindingPolicy};
 use pdac_mpisim::p2p::P2pConfig;
 use pdac_mpisim::Communicator;
@@ -114,9 +114,7 @@ fn all_digests() -> Vec<(String, u64)> {
                 ..Request::new(Collective::Allreduce, 0, bytes / n * n)
             };
             case("allreduce_ring", coll.plan(&comm, ring, Sinks::default()));
-            case("gather_staged", gather::distance_aware_staged(&comm, root, bytes));
             case("binomial", bcast::binomial(n, root, bytes, &p2p));
-            case("linear", bcast::linear(n, root, bytes, &p2p));
             case("chain", bcast::chain(n, root, bytes, &p2p, 128 << 10));
             case("binary", bcast::binary(n, root, bytes, &p2p, 32 << 10));
             case("ring_allgather", allgather::ring(n, bytes, &p2p));
@@ -169,9 +167,7 @@ const WANT: &[(&str, u64)] = &[
     ("zoot16/xsock/alltoall/4K", 0xc7072ca13116303e),
     ("zoot16/xsock/barrier/4K", 0x8836de0c3b46ec02),
     ("zoot16/xsock/allreduce_ring/4K", 0x30c51f40f55247ec),
-    ("zoot16/xsock/gather_staged/4K", 0x0c028603c8d17873),
     ("zoot16/xsock/binomial/4K", 0xe5504ccd868a7d82),
-    ("zoot16/xsock/linear/4K", 0xf1936eb288539d91),
     ("zoot16/xsock/chain/4K", 0xd96ca3633ccddde8),
     ("zoot16/xsock/binary/4K", 0x9ab451ca1204160f),
     ("zoot16/xsock/ring_allgather/4K", 0x263f6cd1055fc746),
@@ -191,9 +187,7 @@ const WANT: &[(&str, u64)] = &[
     ("zoot16/xsock/alltoall/64K", 0x5e818b9570bbd03e),
     ("zoot16/xsock/barrier/64K", 0x8836de0c3b46ec02),
     ("zoot16/xsock/allreduce_ring/64K", 0x31c537b195decdec),
-    ("zoot16/xsock/gather_staged/64K", 0x413fbd2495b8d873),
     ("zoot16/xsock/binomial/64K", 0xe971fa1cc90a7bfc),
-    ("zoot16/xsock/linear/64K", 0x778c154d5aa35d09),
     ("zoot16/xsock/chain/64K", 0x4a18605af150f785),
     ("zoot16/xsock/binary/64K", 0x109d9374433f008e),
     ("zoot16/xsock/ring_allgather/64K", 0xe178578853d23646),
@@ -213,9 +207,7 @@ const WANT: &[(&str, u64)] = &[
     ("zoot16/xsock/alltoall/1M", 0xfe0ed8e12a6fd03e),
     ("zoot16/xsock/barrier/1M", 0x8836de0c3b46ec02),
     ("zoot16/xsock/allreduce_ring/1M", 0x5102ac7c323f4dec),
-    ("zoot16/xsock/gather_staged/1M", 0x4ec3725db752d873),
     ("zoot16/xsock/binomial/1M", 0xd1645a975bf57bfc),
-    ("zoot16/xsock/linear/1M", 0x2ac95c4439e05d09),
     ("zoot16/xsock/chain/1M", 0x7d3f1fd7f7c504df),
     ("zoot16/xsock/binary/1M", 0x81c90e723812e8e9),
     ("zoot16/xsock/ring_allgather/1M", 0x6194b92353e43646),
@@ -234,9 +226,7 @@ const WANT: &[(&str, u64)] = &[
     ("ig48/rand3/alltoall/4K", 0x3d45d5c6ad147d8e),
     ("ig48/rand3/barrier/4K", 0xcd50435bfa62dabd),
     ("ig48/rand3/allreduce_ring/4K", 0x3ee2a145e1b393f4),
-    ("ig48/rand3/gather_staged/4K", 0x17554d78cbc48374),
     ("ig48/rand3/binomial/4K", 0x8bbe8eb87d70f1af),
-    ("ig48/rand3/linear/4K", 0xb52235c9c45ee234),
     ("ig48/rand3/chain/4K", 0x399bc282a5719223),
     ("ig48/rand3/binary/4K", 0x3c043f2030ab4f4c),
     ("ig48/rand3/ring_allgather/4K", 0x0aa98e3e8c39b366),
@@ -255,9 +245,7 @@ const WANT: &[(&str, u64)] = &[
     ("ig48/rand3/alltoall/64K", 0x5178bc7c96843d8e),
     ("ig48/rand3/barrier/64K", 0xcd50435bfa62dabd),
     ("ig48/rand3/allreduce_ring/64K", 0xf63d8f62253ecff4),
-    ("ig48/rand3/gather_staged/64K", 0x232ca4a24ea3a374),
     ("ig48/rand3/binomial/64K", 0x869f6fbe6fc169dc),
-    ("ig48/rand3/linear/64K", 0xbb97a0b06985a402),
     ("ig48/rand3/chain/64K", 0x9b51cbca3118063a),
     ("ig48/rand3/binary/64K", 0x40c4f9582ade313e),
     ("ig48/rand3/ring_allgather/64K", 0xe5caf92c042fb026),
@@ -276,9 +264,7 @@ const WANT: &[(&str, u64)] = &[
     ("ig48/rand3/alltoall/1M", 0x25996309acc03d8e),
     ("ig48/rand3/barrier/1M", 0xcd50435bfa62dabd),
     ("ig48/rand3/allreduce_ring/1M", 0x9342a10440394ff4),
-    ("ig48/rand3/gather_staged/1M", 0xcc208060a7f1a374),
     ("ig48/rand3/binomial/1M", 0x96932afc2fe669dc),
-    ("ig48/rand3/linear/1M", 0x72f850af57b0a402),
     ("ig48/rand3/chain/1M", 0xf19d4009750e471d),
     ("ig48/rand3/binary/1M", 0xb39d52d90aebed97),
     ("ig48/rand3/ring_allgather/1M", 0x2c7a91806be1b026),
@@ -296,9 +282,7 @@ const WANT: &[(&str, u64)] = &[
     ("igx2-96/xnode/alltoall/4K", 0x36f74135b8a4c36e),
     ("igx2-96/xnode/barrier/4K", 0x67d4ed4c03ca0ad7),
     ("igx2-96/xnode/allreduce_ring/4K", 0x7f01a32ce67347f0),
-    ("igx2-96/xnode/gather_staged/4K", 0xbbbe81499c95a05c),
     ("igx2-96/xnode/binomial/4K", 0xf2eea2ce85ea14ea),
-    ("igx2-96/xnode/linear/4K", 0xf014d68e5e4f9274),
     ("igx2-96/xnode/chain/4K", 0x3970653e5ca3cd23),
     ("igx2-96/xnode/binary/4K", 0xb5310d308146ee74),
     ("igx2-96/xnode/ring_allgather/4K", 0x5977723472950f16),
@@ -317,9 +301,7 @@ const WANT: &[(&str, u64)] = &[
     ("igx2-96/xnode/alltoall/64K", 0x9249a2feda92636e),
     ("igx2-96/xnode/barrier/64K", 0x67d4ed4c03ca0ad7),
     ("igx2-96/xnode/allreduce_ring/64K", 0x5fe734b8488e91f0),
-    ("igx2-96/xnode/gather_staged/64K", 0x73cd37046f5f805c),
     ("igx2-96/xnode/binomial/64K", 0x32d76bd83c19ce74),
-    ("igx2-96/xnode/linear/64K", 0xbc4179d0ca1d63c2),
     ("igx2-96/xnode/chain/64K", 0xe3b13f2ec619e33a),
     ("igx2-96/xnode/binary/64K", 0xaee5978ff2455f3e),
     ("igx2-96/xnode/ring_allgather/64K", 0xb0f51673620146d6),
@@ -338,9 +320,7 @@ const WANT: &[(&str, u64)] = &[
     ("igx2-96/xnode/alltoall/1M", 0x2a294da68cda636e),
     ("igx2-96/xnode/barrier/1M", 0x67d4ed4c03ca0ad7),
     ("igx2-96/xnode/allreduce_ring/1M", 0xdb53d6c0fe27c1f0),
-    ("igx2-96/xnode/gather_staged/1M", 0x0cdb022e7407805c),
     ("igx2-96/xnode/binomial/1M", 0x84004653ff10ce74),
-    ("igx2-96/xnode/linear/1M", 0x3b7cd3a9466863c2),
     ("igx2-96/xnode/chain/1M", 0x283a3ffdeb6c47ad),
     ("igx2-96/xnode/binary/1M", 0x64a4f78f4f0c7727),
     ("igx2-96/xnode/ring_allgather/1M", 0x14ccf3c1e00d46d6),

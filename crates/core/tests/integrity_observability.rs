@@ -100,7 +100,7 @@ fn each_fact_is_published_once_and_reaches_every_surface() {
     let smp = Arc::new(machines::flat_smp(6));
     let binding = BindingPolicy::Contiguous.bind(&smp, 6).expect("6 ranks fit");
     let comm = Communicator::world(smp, binding);
-    let cfg = ChaosConfig { corruption: true, ..ChaosConfig::with_corrupter(5, 3) };
+    let cfg = ChaosConfig { corruption: true, corrupter: Some(3), ..ChaosConfig::new(5) };
     let what = Request::new(Collective::Allgather, 0, 2048);
     let before = registry.snapshot();
     let out = run_chaos(&comm, what, &cfg).unwrap_or_else(|e| panic!("corrupter seed 5: {e}"));

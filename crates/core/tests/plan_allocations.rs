@@ -6,7 +6,8 @@
 //! per buffer or per step: at most [`MAX_ALLOCATIONS`] at 48 ranks and at
 //! 192 alike, where a vector per step would add 191 and a tree node per
 //! buffer dozens. Lowering reads that table in place and allocates only
-//! its own indexes.
+//! its own indexes, and frees its access table before the race check's
+//! clock pass ([`RING_ALLREDUCE_PEAK_BYTES`]).
 //!
 //! One `#[test]` only: the counter is armed per thread, but a second test
 //! would still share the allocator's fast path for no benefit.
@@ -27,32 +28,42 @@ static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Bytes this thread allocated minus bytes it freed while armed, and
+    /// the highest that sum reached.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
-fn count() {
+/// Counts `blocks` more heap blocks and `grown` more live bytes (negative
+/// when freeing).
+fn count(blocks: usize, grown: isize) {
     if ARMED.with(Cell::get) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.fetch_add(blocks, Ordering::Relaxed);
+        let live = LIVE.with(Cell::get) + grown;
+        LIVE.with(|cell| cell.set(live));
+        PEAK.with(|peak| peak.set(peak.get().max(live)));
     }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
 // contract is the one the caller already upholds; counting touches only an
-// atomic and a const-initialised thread-local `Cell` (no allocation, no
+// atomic and const-initialised thread-local `Cell`s (no allocation, no
 // destructor).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(1, layout.size() as isize);
         // SAFETY: the caller's `layout` is passed through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, -(layout.size() as isize));
         // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(1, new_size as isize - layout.size() as isize);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -75,13 +86,21 @@ const LOWERING_BLOCKS: usize = 8;
 /// not one list per slot.
 const RING_ALLREDUCE_LOWERING: usize = 1_450;
 
-/// What `f` returns and the heap blocks this thread asked for while it ran.
-fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+/// The most heap the same lowering holds at once (17.5 MB). The access
+/// table (one 32-byte entry per copy end) is freed before the
+/// happens-before clocks are built; holding both reads 23.4 MB.
+const RING_ALLREDUCE_PEAK_BYTES: usize = 20_000_000;
+
+/// What `f` returns, the heap blocks this thread asked for while it ran,
+/// and the most bytes it held at once.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    LIVE.with(|live| live.set(0));
+    PEAK.with(|peak| peak.set(0));
     ARMED.with(|armed| armed.set(true));
     let out = f();
     ARMED.with(|armed| armed.set(false));
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before, PEAK.with(Cell::get) as usize)
 }
 
 #[test]
@@ -110,7 +129,7 @@ fn a_cached_plan_allocates_per_schedule_not_per_op() {
             // communicator.
             let plan = || coll.plan(&comm, request, Sinks::cached(&cache));
             plan();
-            let (schedule, allocations) = allocations_of(plan);
+            let (schedule, allocations, _) = allocations_of(plan);
             assert!(
                 allocations <= MAX_ALLOCATIONS,
                 "{ranks}-rank {:?}: {allocations} allocations for {} ops",
@@ -118,13 +137,17 @@ fn a_cached_plan_allocates_per_schedule_not_per_op() {
                 schedule.ops.len()
             );
             if ranks == 192 && request == ring_allreduce(ranks) {
-                let (lowered, allocations) = allocations_of(|| schedule.lower(None));
+                let (lowered, allocations, peak) = allocations_of(|| schedule.lower(None));
                 lowered.unwrap();
                 assert!(
                     allocations <= RING_ALLREDUCE_LOWERING,
                     "lowering the {ranks}-rank ring allreduce ({} ops) took {allocations} \
                      allocations",
                     schedule.ops.len()
+                );
+                assert!(
+                    peak <= RING_ALLREDUCE_PEAK_BYTES,
+                    "lowering the {ranks}-rank ring allreduce held {peak} bytes at once"
                 );
             }
         }
@@ -140,7 +163,7 @@ fn a_cached_plan_allocates_per_schedule_not_per_op() {
         last = Some(b.notify(rank, (rank + 1) % 192, last.as_slice()));
     }
     let ring = b.finish();
-    let (lowered, allocations) = allocations_of(|| ring.lower(None));
+    let (lowered, allocations, _) = allocations_of(|| ring.lower(None));
     lowered.unwrap();
     assert!(
         allocations <= LOWERING_BLOCKS,

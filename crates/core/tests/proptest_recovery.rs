@@ -104,8 +104,7 @@ proptest! {
     ) {
         let s = apply_failures(machine, seed, &script);
         let comm = s.mgr.comm();
-        let machine = comm.machine_arc();
-        let dist = DistanceMatrix::for_binding(&machine, comm.binding());
+        let dist = DistanceMatrix::for_binding(comm.machine(), comm.binding());
         let root = s.mgr.elect_root(0);
         let tree = build_bcast_tree(&dist, root);
 

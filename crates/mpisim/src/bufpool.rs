@@ -18,8 +18,7 @@
 //! signature, so the argument goes with the next change to that package.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Pool usage counters (monotonic over the pool's lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,7 +68,10 @@ impl BufferPool {
     /// overwrite the full length.
     pub fn acquire(&self, shard: usize, _class: u8, len: usize) -> Vec<u8> {
         self.acquires.fetch_add(1, Ordering::Relaxed);
-        let reused = self.shards[shard % self.shards.len()].lock().pop();
+        let reused = self.shards[shard % self.shards.len()]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
         match reused {
             Some(mut buf) => {
                 self.reuses.fetch_add(1, Ordering::Relaxed);
@@ -104,7 +106,8 @@ impl BufferPool {
             buf.iter_mut().for_each(|b| *b = POISON_BYTE);
             buf
         };
-        let mut free = self.shards[shard % self.shards.len()].lock();
+        let mut free =
+            self.shards[shard % self.shards.len()].lock().unwrap_or_else(PoisonError::into_inner);
         if free.len() < RETAIN_PER_SHARD {
             free.push(buf);
         }

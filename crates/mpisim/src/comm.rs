@@ -53,11 +53,6 @@ impl Communicator {
         &self.machine
     }
 
-    /// Shared handle to the machine.
-    pub fn machine_arc(&self) -> Arc<Machine> {
-        Arc::clone(&self.machine)
-    }
-
     /// The rank → core binding of this communicator.
     pub fn binding(&self) -> &Binding {
         &self.binding
@@ -256,7 +251,7 @@ mod tests {
     #[test]
     fn split_by_numa_gives_one_group_per_socket() {
         let w = world();
-        let machine = w.machine_arc();
+        let machine = w.machine();
         let groups = w.split(|r| machine.core(r).numa as i64, |r| r as i64);
         assert_eq!(groups.len(), 8);
         for (n, g) in groups.iter().enumerate() {

@@ -28,9 +28,9 @@
 //! an idle-tick carved out of the dependency-wait deadline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use pdac_simnet::Rank;
 
 /// Liveness verdict for one rank.
@@ -113,7 +113,7 @@ impl FailureDetector {
     /// provably alive *now*. Refutes an outstanding suspicion; never
     /// un-confirms a death.
     pub fn heartbeat(&self, rank: Rank) {
-        let mut states = self.states.lock();
+        let mut states = self.states.lock().unwrap_or_else(PoisonError::into_inner);
         if states.get(rank).copied() == Some(RankState::Suspect) {
             states[rank] = RankState::Alive;
             self.suspects_refuted.fetch_add(1, Ordering::Relaxed);
@@ -129,7 +129,7 @@ impl FailureDetector {
     /// `observer`'s wait on an operation owned by `rank` exceeded the
     /// suspicion window. Idempotent; no effect on a confirmed death.
     pub fn suspect(&self, rank: Rank, observer: Rank) {
-        let mut states = self.states.lock();
+        let mut states = self.states.lock().unwrap_or_else(PoisonError::into_inner);
         if states.get(rank).copied() == Some(RankState::Alive) {
             states[rank] = RankState::Suspect;
             self.suspects_raised.fetch_add(1, Ordering::Relaxed);
@@ -158,7 +158,7 @@ impl FailureDetector {
     /// Proof of death for `rank`. Idempotent: returns whether this call
     /// made the `→ Confirmed` transition.
     pub fn confirm(&self, rank: Rank) -> bool {
-        let mut states = self.states.lock();
+        let mut states = self.states.lock().unwrap_or_else(PoisonError::into_inner);
         let fresh = rank < states.len() && states[rank] != RankState::Confirmed;
         if fresh {
             states[rank] = RankState::Confirmed;
@@ -176,13 +176,15 @@ impl FailureDetector {
     /// Current verdict for `rank` (`Confirmed` for out-of-range ranks, so a
     /// stale index never reads as alive).
     pub fn state(&self, rank: Rank) -> RankState {
-        self.states.lock().get(rank).copied().unwrap_or(RankState::Confirmed)
+        let states = self.states.lock().unwrap_or_else(PoisonError::into_inner);
+        states.get(rank).copied().unwrap_or(RankState::Confirmed)
     }
 
     /// Ranks proven dead, ascending.
     pub fn confirmed(&self) -> Vec<Rank> {
         self.states
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .enumerate()
             .filter(|(_, s)| **s == RankState::Confirmed)

@@ -187,7 +187,7 @@ mod tests {
             }
             _ => panic!("expected copy"),
         }
-        assert_eq!(s.buf_size(1, BufId::Recv), 100_000);
+        assert_eq!(s.bufs()[s.slot_of(1, BufId::Recv).unwrap()].1, 100_000);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use pdac_simnet::{BufId, Rank};
 
 use crate::knem::{DeviceFault, KnemError};
@@ -87,11 +87,10 @@ impl RegionTable {
         }
     }
 
-    /// The shard owning region `id`, counting the acquisition the caller
-    /// is about to perform.
-    fn shard(&self, id: u64) -> &Mutex<HashMap<u64, Region>> {
+    /// The shard owning region `id`, locked and counted.
+    fn shard(&self, id: u64) -> MutexGuard<'_, HashMap<u64, Region>> {
         self.lock_acquires.fetch_add(1, Ordering::Relaxed);
-        &self.shards[(id as usize) % REGION_SHARDS]
+        self.shards[(id as usize) % REGION_SHARDS].lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Counts a lock acquisition the device performs on its own lock (the
@@ -114,7 +113,7 @@ impl RegionTable {
     ) -> Result<u64, KnemError> {
         self.check_epoch(rank, epoch)?;
         let id = self.next.fetch_add(1, Ordering::Relaxed);
-        self.shard(id).lock().insert(id, Region { rank, buf, offset, len, epoch });
+        self.shard(id).insert(id, Region { rank, buf, offset, len, epoch });
         self.registrations.fetch_add(1, Ordering::Relaxed);
         let event = self.labels.register_event;
         let key = self.labels.handle_key;
@@ -179,8 +178,7 @@ impl RegionTable {
         offset: usize,
         len: usize,
     ) -> Result<(Rank, BufId, usize), KnemError> {
-        let region =
-            self.shard(id).lock().get(&id).copied().ok_or(KnemError::BadCookie(TxToken(id)))?;
+        let region = self.shard(id).get(&id).copied().ok_or(KnemError::BadCookie(TxToken(id)))?;
         self.check_epoch(region.rank, region.epoch)?;
         // Offsets come from the caller: an end or a source offset past
         // `usize::MAX` is out of region, not a wrapped pass.
@@ -218,7 +216,7 @@ impl RegionTable {
 
     /// Removes a registration; later transfers with the handle fail.
     pub fn deregister(&self, id: u64) -> Result<(), KnemError> {
-        match self.shard(id).lock().remove(&id) {
+        match self.shard(id).remove(&id) {
             Some(_) => {
                 self.deregistrations.fetch_add(1, Ordering::Relaxed);
                 Ok(())

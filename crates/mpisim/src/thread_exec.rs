@@ -23,10 +23,9 @@
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use pdac_hwtopo::{DistanceMatrix, DIST_MAX_EXTENDED};
 use pdac_simnet::{
     BufId, CorruptionKind, DataOp, FaultPlan, FaultStats, Lowered, Mech, OpKind, Rank, RankFaults,
@@ -750,7 +749,7 @@ impl ThreadExecutor {
         let mut wait_stats =
             WaitStats { yields: state.yields.into_inner(), ..WaitStats::default() };
         for cursor in state.cursors {
-            let cursor = cursor.into_inner();
+            let cursor = cursor.into_inner().unwrap_or_else(PoisonError::into_inner);
             fault_stats.merge(&cursor.faults);
             wait_stats.fast += cursor.fast;
             wait_stats.slow += cursor.slow;
@@ -872,9 +871,13 @@ fn work((run, first, mut staging): Job) -> Vec<u8> {
         for _ in 0..n {
             let slot = &run.cursors[at];
             at = (at + 1) % n;
-            let Some(mut cursor) = slot.try_lock() else {
-                busy = true;
-                continue;
+            let mut cursor = match slot.try_lock() {
+                Ok(cursor) => cursor,
+                Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => {
+                    busy = true;
+                    continue;
+                }
             };
             if cursor.exit.is_some() {
                 continue;
@@ -1570,7 +1573,7 @@ mod tests {
 
         /// When `rank`'s pulls happened, in order.
         fn pulls_of(&self, rank: Rank) -> Vec<Instant> {
-            self.pulls.lock().iter().filter(|p| p.0 == rank).map(|p| p.1).collect()
+            self.pulls.lock().unwrap().iter().filter(|p| p.0 == rank).map(|p| p.1).collect()
         }
     }
 
@@ -1595,7 +1598,7 @@ mod tests {
             offset: usize,
             len: usize,
         ) -> Result<(Rank, BufId, usize), crate::TransportError> {
-            self.pulls.lock().push((peer, Instant::now()));
+            self.pulls.lock().unwrap().push((peer, Instant::now()));
             self.inner.tx(token, peer, offset, len)
         }
         fn complete(&self, token: crate::TxToken) -> Result<(), crate::TransportError> {
@@ -1723,7 +1726,7 @@ mod tests {
             let res = exec.run(&schedule, pattern).unwrap();
             let expect: Vec<u8> = (0..N).flat_map(|r| pattern(r, BLOCK)).collect();
             assert!((0..N).all(|r| res.buffer(r, BufId::Recv) == &expect[..]));
-            let pulls = clock.pulls.lock();
+            let pulls = clock.pulls.lock().unwrap();
             pulls.iter().map(|p| p.0).collect::<Vec<Rank>>()
         };
         let first = order();

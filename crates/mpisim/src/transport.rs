@@ -32,9 +32,8 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use pdac_simnet::{BufId, Rank};
 
 use crate::knem::{DeviceFault, KnemError, KnemStats};
@@ -259,7 +258,8 @@ impl Transport for Device {
         let (rank, buf, src_off) = self.table.lookup(token.0, offset, len)?;
         if self.model.per_peer_setup {
             self.table.count_lock_acquire();
-            if self.connected.lock().insert((rank.min(peer), rank.max(peer))) {
+            let pair = (rank.min(peer), rank.max(peer));
+            if self.connected.lock().unwrap_or_else(PoisonError::into_inner).insert(pair) {
                 // One handshake per pair: the bootstrap exchange (QPN,
                 // start PSN, path info) that brings both directions to RTS.
                 self.handshakes.fetch_add(1, Ordering::Relaxed);

@@ -21,9 +21,8 @@
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-
-use parking_lot::{Mutex, MutexGuard};
 
 /// What a job returned, or the payload it panicked with.
 type Outcome<R> = std::thread::Result<R>;
@@ -57,7 +56,7 @@ impl<J: Send + 'static, R: Send + 'static> Workers<J, R> {
 
     /// Takes the pool for one run; a concurrent caller waits here.
     pub fn lock(&self) -> Crew<'_, J, R> {
-        Crew { work: self.work, set: self.set.lock() }
+        Crew { work: self.work, set: self.set.lock().unwrap_or_else(PoisonError::into_inner) }
     }
 }
 
@@ -100,7 +99,7 @@ impl<J: Send + 'static, R: Send + 'static> Crew<'_, J, R> {
 impl<J, R> Workers<J, R> {
     /// Helper threads currently alive in the pool.
     pub fn threads(&self) -> usize {
-        self.set.lock().threads.len()
+        self.set.lock().unwrap_or_else(PoisonError::into_inner).threads.len()
     }
 }
 

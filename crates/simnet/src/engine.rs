@@ -405,11 +405,6 @@ impl<'a> SimExecutor<'a> {
         self
     }
 
-    /// The calibration in use.
-    pub fn calibration(&self) -> &Calibration {
-        &self.cal
-    }
-
     /// Validates and simulates `schedule`, returning timing and traffic.
     ///
     /// With a [`FaultPlan`] attached the run may instead return a typed
@@ -668,7 +663,8 @@ mod tests {
             pull(b, 0, 0, 0, 1 << 20, Mech::Memcpy);
         });
         let expect_rate = cal.core_bw.min(cal.mc_bw / 2.0);
-        let expect = cal.op_latency(0, false) + (1 << 20) as f64 / expect_rate;
+        let expect =
+            cal.op_latency_for(TransportModel::Knem, 0, false) + (1 << 20) as f64 / expect_rate;
         assert!(
             (rep.total_time - expect).abs() / expect < 1e-9,
             "{} vs {}",
@@ -736,7 +732,8 @@ mod tests {
         // off-cache defaults to allow_cache=true; 1MB fits the shared L3, so
         // these actually route through the cache domain and share it.
         let expect_rate = cal.core_bw.min(cal.cache_bw / 2.0);
-        let expect = cal.op_latency(1, false) + (1 << 20) as f64 / expect_rate;
+        let expect =
+            cal.op_latency_for(TransportModel::Knem, 1, false) + (1 << 20) as f64 / expect_rate;
         assert!((rep.total_time - expect).abs() / expect < 1e-6);
     }
 
@@ -753,7 +750,8 @@ mod tests {
             SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false }).run(&s).unwrap();
         // Both copies NUMA-local with mult 2 -> controller share = mc/4.
         let expect_rate = cal.core_bw.min(cal.mc_bw / 4.0);
-        let expect = cal.op_latency(1, false) + (1 << 20) as f64 / expect_rate;
+        let expect =
+            cal.op_latency_for(TransportModel::Knem, 1, false) + (1 << 20) as f64 / expect_rate;
         assert!((rep.total_time - expect).abs() / expect < 1e-6);
     }
 
@@ -768,7 +766,8 @@ mod tests {
             pull(b, 0, 1, 0, 1 << 20, Mech::Memcpy);
             b.copy((2, BufId::Send, 0), (1, BufId::Recv, 1 << 20), 1 << 20, Mech::Memcpy, 1, &[]);
         });
-        let one = cal.op_latency(1, false) + (1 << 20) as f64 / cal.core_bw.min(cal.cache_bw);
+        let one = cal.op_latency_for(TransportModel::Knem, 1, false)
+            + (1 << 20) as f64 / cal.core_bw.min(cal.cache_bw);
         assert!((rep.total_time - 2.0 * one).abs() / one < 1e-6, "{}", rep.total_time);
     }
 
@@ -784,7 +783,8 @@ mod tests {
         assert_eq!(rep.op_start[0], rep.op_start[1], "both chunks start together");
         // Bandwidth is conserved — the two in-flight chunks share the
         // bottleneck — so overlap saves exactly one op-latency phase.
-        let one = cal.op_latency(1, false) + (1 << 20) as f64 / cal.core_bw.min(cal.cache_bw);
+        let one = cal.op_latency_for(TransportModel::Knem, 1, false)
+            + (1 << 20) as f64 / cal.core_bw.min(cal.cache_bw);
         let expect = one + (1 << 20) as f64 / cal.core_bw.min(cal.cache_bw);
         assert!(
             (rep.total_time - expect).abs() / expect < 1e-6,
@@ -808,7 +808,8 @@ mod tests {
             let n = b.notify(1, 2, &[a]);
             b.copy((1, BufId::Recv, 0), (2, BufId::Recv, 0), 1 << 20, Mech::Memcpy, 2, &[n]);
         });
-        let copy = cal.op_latency(1, false) + (1 << 20) as f64 / cal.core_bw.min(cal.cache_bw);
+        let copy = cal.op_latency_for(TransportModel::Knem, 1, false)
+            + (1 << 20) as f64 / cal.core_bw.min(cal.cache_bw);
         let notify = cal.notify_latency + cal.hop_latency;
         assert!((rep.total_time - (2.0 * copy + notify)).abs() / copy < 1e-6);
         assert!(rep.op_finish[0] < rep.op_finish[1]);
@@ -874,7 +875,8 @@ mod tests {
         // 1MB fits the shared L3 and routes through the cache domain; at half
         // capacity the cache becomes the bottleneck below the core engine.
         let expect_rate = cal.core_bw.min(cal.cache_bw * 0.5);
-        let expect = cal.op_latency(1, false) + (1 << 20) as f64 / expect_rate;
+        let expect =
+            cal.op_latency_for(TransportModel::Knem, 1, false) + (1 << 20) as f64 / expect_rate;
         assert!((rep.total_time - expect).abs() / expect < 1e-6);
         assert_eq!(rep.fault_stats.links_degraded, 1);
     }

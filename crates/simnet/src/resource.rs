@@ -229,14 +229,6 @@ impl Calibration {
         }
     }
 
-    /// Latency of a data operation: `base + wire`, plus the KNEM setup for
-    /// kernel-assisted copies (the registration cost of an RDMA get plays
-    /// the same role across nodes). Charges the default transport model;
-    /// see [`Self::op_latency_for`] for the transport-pluggable variant.
-    pub fn op_latency(&self, distance: u8, knem: bool) -> f64 {
-        self.op_latency_for(TransportModel::Knem, distance, knem)
-    }
-
     /// Per-transport setup cost of a one-sided operation.
     pub fn setup_latency(&self, model: TransportModel) -> f64 {
         match model {
@@ -289,8 +281,14 @@ mod tests {
     fn latency_is_monotone_in_distance() {
         let cal = Calibration::generic();
         for d in 0..6 {
-            assert!(cal.op_latency(d, false) < cal.op_latency(d + 1, false));
-            assert!(cal.op_latency(d, false) < cal.op_latency(d, true));
+            assert!(
+                cal.op_latency_for(TransportModel::Knem, d, false)
+                    < cal.op_latency_for(TransportModel::Knem, d + 1, false)
+            );
+            assert!(
+                cal.op_latency_for(TransportModel::Knem, d, false)
+                    < cal.op_latency_for(TransportModel::Knem, d, true)
+            );
         }
     }
 
@@ -298,16 +296,11 @@ mod tests {
     fn rdma_setup_undercuts_knem_trap() {
         // The verbs path never enters the kernel on the data path, so the
         // per-op setup must sit well below the KNEM syscall+cookie cost on
-        // every calibration, and the explicit-model lookup must agree with
-        // the legacy KNEM-only entry point.
+        // every calibration.
         for cal in [Calibration::zoot(), Calibration::ig(), Calibration::generic()] {
             assert!(cal.rdma_setup < cal.knem_setup / 2.0);
             assert!(cal.rdma_mtu > 0);
             for d in 0..9 {
-                assert_eq!(
-                    cal.op_latency(d, true).to_bits(),
-                    cal.op_latency_for(TransportModel::Knem, d, true).to_bits()
-                );
                 let delta = cal.op_latency_for(TransportModel::Knem, d, true)
                     - cal.op_latency_for(TransportModel::Rdma, d, true);
                 assert!((delta - (cal.knem_setup - cal.rdma_setup)).abs() < 1e-15);

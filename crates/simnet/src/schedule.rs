@@ -267,16 +267,6 @@ impl Schedule {
         self.bufs.binary_search_by_key(&(rank, buf), |&(key, _)| key).ok()
     }
 
-    /// Declared size of a buffer (0 if never touched).
-    pub fn buf_size(&self, rank: Rank, buf: BufId) -> usize {
-        self.slot_of(rank, buf).map_or(0, |slot| self.bufs[slot].1)
-    }
-
-    /// Total payload bytes moved by all copies.
-    pub fn total_bytes(&self) -> usize {
-        self.ops.iter().map(|o| o.kind.bytes()).sum()
-    }
-
     /// Number of copy operations.
     pub fn num_copies(&self) -> usize {
         self.ops.iter().filter(|o| matches!(o.kind, OpKind::Copy { .. })).count()
@@ -378,33 +368,30 @@ impl Schedule {
                 ]
             });
         let (start, mut by_slot) = group_by_key(2 * self.bufs.len(), accesses.flatten());
-        self.check_write_races(&start, &mut by_slot)?;
-        let written = (0..self.bufs.len()).map(|slot| start[2 * slot + 1] > start[2 * slot]);
-        Ok((found, written.collect()))
+        let written = (0..self.bufs.len()).map(|s| start[2 * s + 1] > start[2 * s]).collect();
+        let candidate_pairs = self.overlapping_pairs(&start, &mut by_slot);
+        // The clock pass reads only the pairs: free the table first.
+        drop((start, by_slot));
+        self.check_write_races(&candidate_pairs)?;
+        Ok((found, written))
     }
 
-    /// Flags unordered pairs where both write, or one reads and the other
-    /// writes, overlapping bytes of the same buffer.
-    ///
-    /// Overlap candidates come from an interval sweep per buffer (near
-    /// linear for conflict-free schedules) and are reported in sweep order.
-    /// Whether a pair is ordered is read off happens-before clocks: one
-    /// `u32` per chain of conflicting ops, one row per op that still has a
-    /// dependent to come. Time is `(deps + candidates) x chains`, memory
-    /// `live rows x chains`; neither grows with `ops x candidates`.
+    /// Every pair of ops that touch overlapping bytes of one buffer, at
+    /// least one of them writing: `(a, b, true)` for two writes, `(reader,
+    /// writer, false)` otherwise. They come from an interval sweep per
+    /// buffer (near linear for conflict-free schedules), in sweep order.
     ///
     /// `by_slot[start[2 * s]..start[2 * s + 2]]` holds slot `s`'s writes and
     /// then its reads, each in op order; the sweep sorts it in place.
-    fn check_write_races(
+    fn overlapping_pairs(
         &self,
         start: &[usize],
         by_slot: &mut [Access],
-    ) -> Result<(), ScheduleError> {
+    ) -> Vec<(usize, usize, bool)> {
         // Combined sweep per written buffer, in slot (= key) order: sort all
         // accesses by start; every overlapping pair is discovered exactly
         // once, at its earlier-starting member (two intervals overlap iff the
-        // later-starting one begins before the other ends). Pairs involving
-        // at least one write become candidates.
+        // later-starting one begins before the other ends).
         let mut candidate_pairs: Vec<(usize, usize, bool)> = Vec::new();
         for slot in (0..self.bufs.len()).filter(|&s| start[2 * s + 1] > start[2 * s]) {
             let accesses = &mut by_slot[start[2 * slot]..start[2 * slot + 2]];
@@ -428,6 +415,20 @@ impl Schedule {
                 }
             }
         }
+        candidate_pairs
+    }
+
+    /// Flags the first of `candidate_pairs` (see [`Self::overlapping_pairs`])
+    /// whose ops are unordered.
+    ///
+    /// Whether a pair is ordered is read off happens-before clocks: one
+    /// `u32` per chain of conflicting ops, one row per op that still has a
+    /// dependent to come. Time is `(deps + candidates) x chains`, memory
+    /// `live rows x chains`; neither grows with `ops x candidates`.
+    fn check_write_races(
+        &self,
+        candidate_pairs: &[(usize, usize, bool)],
+    ) -> Result<(), ScheduleError> {
         if candidate_pairs.is_empty() {
             return Ok(());
         }
@@ -696,9 +697,9 @@ mod tests {
         let mut b = ScheduleBuilder::new("t", 2);
         b.copy((0, BufId::Send, 100), (1, BufId::Recv, 50), 10, Mech::Knem, 1, &[]);
         let s = b.finish();
-        assert_eq!(s.buf_size(0, BufId::Send), 110);
-        assert_eq!(s.buf_size(1, BufId::Recv), 60);
-        assert_eq!(s.buf_size(1, BufId::Send), 0);
+        assert_eq!(s.bufs()[s.slot_of(0, BufId::Send).unwrap()].1, 110);
+        assert_eq!(s.bufs()[s.slot_of(1, BufId::Recv).unwrap()].1, 60);
+        assert_eq!(s.slot_of(1, BufId::Send), None);
         s.validate().unwrap();
     }
 
@@ -781,7 +782,7 @@ mod tests {
         let n = b.notify(1, 0, &[0]);
         copy_op(&mut b, 1, 0, 50, &[n]);
         let s = b.finish();
-        assert_eq!(s.total_bytes(), 150);
+        assert_eq!(s.ops.iter().map(|o| o.kind.bytes()).sum::<usize>(), 150);
         assert_eq!(s.num_copies(), 2);
         assert_eq!(s.ops[1].kind.executor(), 1);
         assert_eq!(s.ops[1].kind.bytes(), 0);
@@ -812,7 +813,7 @@ mod tests {
         let mut b = ScheduleBuilder::new("t", 2);
         b.copy((0, BufId::Send, usize::MAX - 3), (1, BufId::Recv, 0), 8, Mech::Memcpy, 1, &[]);
         let s = b.finish();
-        assert_eq!(s.buf_size(0, BufId::Send), usize::MAX);
+        assert_eq!(s.bufs()[s.slot_of(0, BufId::Send).unwrap()].1, usize::MAX);
         assert!(matches!(s.validate(), Err(ScheduleError::OutOfBounds { op: 0, rank: 0, .. })));
     }
 
@@ -859,6 +860,6 @@ mod tests {
         assert_eq!(s.bufs.capacity(), 5, "one exact-size table");
         assert_eq!(s.slot_of(1, BufId::Temp(3)), Some(3));
         assert_eq!(s.slot_of(1, BufId::Send), None);
-        assert_eq!(s.buf_size(7, BufId::Recv), 9);
+        assert_eq!(s.bufs()[s.slot_of(7, BufId::Recv).unwrap()].1, 9);
     }
 }

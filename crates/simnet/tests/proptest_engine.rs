@@ -153,9 +153,10 @@ fn knem_traffic_accounting_matches_copies() {
     let rep = SimExecutor::new(&ig, &binding, SimConfig { allow_cache: false }).run(&s).unwrap();
     let core_bytes: f64 = (0..48).filter_map(|c| rep.resource_bytes.get(&Resource::Core(c))).sum();
     // Remote copies weigh 2x on the copy engine.
-    assert_eq!(core_bytes, 2.0 * s.total_bytes() as f64);
+    let payload = s.ops.iter().map(|o| o.kind.bytes()).sum::<usize>() as f64;
+    assert_eq!(core_bytes, 2.0 * payload);
     let mc_total: f64 = (0..8).map(|n| rep.mc_bytes(n)).sum();
-    assert_eq!(mc_total, 2.0 * s.total_bytes() as f64, "1 read + 1 write per byte");
+    assert_eq!(mc_total, 2.0 * payload, "1 read + 1 write per byte");
 }
 
 #[test]

@@ -90,9 +90,8 @@ fn split_communicators_run_independent_collectives() {
     let ig = Arc::new(machines::ig());
     let binding = BindingPolicy::Contiguous.bind(&ig, 48).unwrap();
     let world = Communicator::world(Arc::clone(&ig), binding);
-    let machine = world.machine_arc();
     let coll = AdaptiveColl;
-    let groups = world.split(|r| machine.core(r).numa as i64, |r| r as i64);
+    let groups = world.split(|r| ig.core(r).numa as i64, |r| r as i64);
     assert_eq!(groups.len(), 8);
     for g in groups {
         let s = coll.bcast(&g, 2, 10_000);

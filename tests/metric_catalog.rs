@@ -173,8 +173,8 @@ fn every_published_name_is_catalogued_and_seen() {
     // degrades to the baselines.
     let allgather = Request::new(Collective::Allgather, 0, 2048);
     for cfg in [
-        ChaosConfig::with_corruption(1),
-        ChaosConfig { max_recoveries: 0, ..ChaosConfig::with_corruption(1) },
+        ChaosConfig { corruption: true, ..ChaosConfig::new(1) },
+        ChaosConfig { max_recoveries: 0, corruption: true, ..ChaosConfig::new(1) },
     ] {
         run_chaos(&smp, allgather, &cfg).unwrap_or_else(|e| panic!("{e}"));
         seen(reader.drain());

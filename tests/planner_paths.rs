@@ -60,7 +60,7 @@ fn requests(n: usize) -> Vec<Request> {
 }
 
 fn cache_choice(prov: &Provenance) -> Option<&str> {
-    prov.decisions_of(DecisionKind::CacheLookup).first().map(|d| d.choice.as_str())
+    prov.decisions.iter().find(|d| d.kind == DecisionKind::CacheLookup).map(|d| d.choice.as_str())
 }
 
 #[test]
@@ -103,13 +103,13 @@ fn every_sink_combination_plans_the_same_schedule() {
                     assert_eq!(prov.planned_ops.len(), plain.ops.len(), "{ctx}");
                     assert_eq!(prov.schedule_name, plain.name, "{ctx}");
                     assert_eq!(prov.collective, request.collective.label(), "{ctx}");
-                    assert_eq!(prov.decisions_of(DecisionKind::Algorithm).len(), 1, "{ctx}");
+                    let of = |kind| prov.decisions.iter().filter(move |d| d.kind == kind);
+                    assert_eq!(of(DecisionKind::Algorithm).count(), 1, "{ctx}");
                     // A forced broadcast topology is recorded as forced, not
                     // explained by the size rule it bypassed.
-                    let topology = prov.decisions_of(DecisionKind::Topology);
                     let bcast = request.collective == Collective::Bcast;
-                    assert_eq!(topology.len(), usize::from(bcast), "{ctx}");
-                    for topology in topology {
+                    assert_eq!(of(DecisionKind::Topology).count(), usize::from(bcast), "{ctx}");
+                    for topology in of(DecisionKind::Topology) {
                         let forced = topology.reason.starts_with("forced by the request;");
                         assert_eq!(forced, request.bcast_topo.is_some(), "{ctx}: {topology:?}");
                     }
