@@ -7,7 +7,9 @@
 //!
 //! * `trace_real.json` — Chrome Trace Event timeline of the real run (per
 //!   operation: rank, peer, mechanism, bytes, distance class). The run
-//!   holds a reader on the event recorder, which is what arms it.
+//!   holds a reader on the event recorder, which is what arms it, and
+//!   fails rather than write a partial leg when the recorder's ring
+//!   overflowed.
 //! * `trace_sim.json` — the simulated counterpart, same format and
 //!   exporter; load both into <https://ui.perfetto.dev> side-by-side.
 //! * `metrics.json` — registry snapshot: counters plus log-bucketed
@@ -49,7 +51,8 @@ use pdac_mpisim::{Communicator, ThreadExecutor};
 use pdac_simnet::trace::sim_events_with_distances;
 use pdac_simnet::{Schedule, SimConfig, SimExecutor, SimReport};
 use pdac_telemetry::export::{chrome_trace, TraceMeta};
-use pdac_telemetry::RegistrySnapshot;
+use pdac_telemetry::recorder::DEFAULT_CAPACITY;
+use pdac_telemetry::{Event, Reader, Recorder, RegistrySnapshot};
 
 use crate::write_file;
 
@@ -88,6 +91,20 @@ impl Job {
     }
 }
 
+/// Drains the real leg from `rec` (a ring of `capacity` events), refusing
+/// it when the ring dropped events: a partial leg would show ops that ran
+/// as missing and skew every report built on it.
+fn drain_whole(rec: &Recorder, reader: &Reader, capacity: usize) -> Result<Vec<Event>, String> {
+    let events = reader.drain();
+    match rec.dropped() {
+        0 => Ok(events),
+        dropped => Err(format!(
+            "the event recorder dropped {dropped} events of the real leg \
+             (its ring holds {capacity}); trace a smaller run"
+        )),
+    }
+}
+
 fn read_file(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
@@ -110,7 +127,7 @@ pub fn run(job: &Job) -> Result<(), String> {
         .with_distances(Arc::clone(&distances))
         .run(&schedule, pattern)
         .map_err(|e| e.to_string())?;
-    let real_events = reader.drain();
+    let real_events = drain_whole(telemetry.recorder(), &reader, DEFAULT_CAPACITY)?;
     drop(reader);
     let meta = |m: TraceMeta| m.with_ranks(schedule.num_ranks);
 
@@ -153,7 +170,7 @@ pub fn explain(job: &Job) -> Result<(), String> {
         .with_plan_id(prov.plan_id.clone())
         .run(&schedule, pattern)
         .map_err(|e| e.to_string())?;
-    let real = OpGraph::from_events(&reader.drain());
+    let real = OpGraph::from_events(&drain_whole(telemetry.recorder(), &reader, DEFAULT_CAPACITY)?);
     drop(reader);
     let report = job.simulate(&schedule)?;
     let sim =
@@ -236,4 +253,25 @@ pub fn diff(base_path: &str, new_path: &str) -> Result<(), String> {
     };
     print!("{header}\n{}", pdac_telemetry::diff::diff(&before, &after));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_leg_the_ring_dropped_events_of_is_refused() {
+        let rec = Recorder::new(16);
+        let reader = rec.reader();
+        let record = |n: usize| {
+            for i in 0..n {
+                rec.instant(0, "copy", || format!("op {i}"), Vec::new);
+            }
+        };
+        record(16);
+        assert_eq!(drain_whole(&rec, &reader, 16).map(|e| e.len()), Ok(16), "a full ring is whole");
+        record(19);
+        let err = drain_whole(&rec, &reader, 16).unwrap_err();
+        assert!(err.contains("dropped 3 events") && err.contains("holds 16"), "{err}");
+    }
 }

@@ -1,50 +1,50 @@
-//! Per-worker staging-buffer pools.
+//! The staging-buffer pool.
 //!
 //! The executor stages every copy through a scratch buffer (copy the source
 //! in, verify it, then combine it into the destination). It checks out one
-//! such buffer per worker per run, sized to the run's largest copy, and
-//! returns it when the run ends; the pool keeps it alive across runs so a
-//! repeated collective does not allocate it again.
+//! such buffer per worker per run, sized to the run's largest copy, on the
+//! calling thread, and returns them there when the run ends; the pool keeps
+//! them alive across runs so a repeated collective does not allocate them
+//! again.
 //!
-//! * **Sharding** — the `shard` argument picks a shard (modulo the shard
-//!   count), each one free list. The executor passes its worker index and
-//!   makes one shard per worker, so workers never contend on one list.
+//! * **One free list** — at most `n` buffers (one per worker), under one
+//!   lock together with the usage counters.
 //! * **Exclusive checkout** — `acquire` transfers ownership to the caller;
 //!   the buffer is invisible to every other thread until `release` returns
 //!   it. There is no aliasing window, so no per-buffer synchronisation.
 //!
-//! `acquire` and `release` still take a `_class` argument that the pool
-//! ignores: the `pdac-e2e` benchmark package (`benchmarks/e2e`) calls that
-//! signature, so the argument goes with the next change to that package.
+//! `acquire` and `release` still take `_shard` and `_class` arguments that
+//! the pool ignores: the `pdac-e2e` benchmark package (`benchmarks/e2e`)
+//! calls that signature, so they go with the next change to that package.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Pool usage counters (monotonic over the pool's lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufferPoolStats {
     /// Buffers checked out.
     pub acquires: u64,
-    /// Checkouts served from a free list instead of the allocator.
+    /// Checkouts served from the free list instead of the allocator.
     pub reuses: u64,
     /// Bytes obtained from the allocator (capacity growth included).
     pub bytes_allocated: u64,
 }
 
-/// Sharded pool of reusable staging buffers.
+/// Pool of reusable staging buffers.
 #[derive(Debug)]
 pub struct BufferPool {
-    shards: Vec<Mutex<Vec<Vec<u8>>>>,
-    acquires: AtomicU64,
-    reuses: AtomicU64,
-    bytes_allocated: AtomicU64,
+    /// Free buffers kept at most; beyond this, released buffers are
+    /// dropped back to the allocator.
+    retain: usize,
+    free: Mutex<Free>,
 }
 
-/// How many free buffers one shard retains; beyond this, released buffers
-/// are dropped back to the allocator. The executor returns one buffer per
-/// worker, each to its own shard, so one would do for it; the second is
-/// slack for a caller sharing the pool.
-const RETAIN_PER_SHARD: usize = 2;
+/// What the pool's lock guards.
+#[derive(Debug, Default)]
+struct Free {
+    bufs: Vec<Vec<u8>>,
+    stats: BufferPoolStats,
+}
 
 /// Fill byte written over released buffers in debug builds, so a caller
 /// that reads a recycled buffer before overwriting it sees loud uniform
@@ -53,43 +53,42 @@ const RETAIN_PER_SHARD: usize = 2;
 pub const POISON_BYTE: u8 = 0xDB;
 
 impl BufferPool {
-    /// Creates a pool with `shards` shards (minimum 1): one per worker.
-    pub fn new(shards: usize) -> Self {
-        BufferPool {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
-            acquires: AtomicU64::new(0),
-            reuses: AtomicU64::new(0),
-            bytes_allocated: AtomicU64::new(0),
-        }
+    /// Creates a pool keeping at most `n` free buffers (minimum 1): one
+    /// per worker.
+    pub fn new(n: usize) -> Self {
+        BufferPool { retain: n.max(1), free: Mutex::default() }
     }
 
-    /// Checks out a buffer of exactly `len` bytes from `shard`, preferring
-    /// a previously released one. Contents are unspecified — callers
-    /// overwrite the full length.
-    pub fn acquire(&self, shard: usize, _class: u8, len: usize) -> Vec<u8> {
-        self.acquires.fetch_add(1, Ordering::Relaxed);
-        let reused = self.shards[shard % self.shards.len()]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop();
+    /// Every update leaves the list valid, so a lock poisoned by a
+    /// panicking holder is taken back.
+    fn lock(&self) -> MutexGuard<'_, Free> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Checks out a buffer of exactly `len` bytes, preferring a previously
+    /// released one. Contents are unspecified — callers overwrite the full
+    /// length.
+    pub fn acquire(&self, _shard: usize, _class: u8, len: usize) -> Vec<u8> {
+        let reused = {
+            let mut free = self.lock();
+            let reused = free.bufs.pop();
+            let stats = &mut free.stats;
+            stats.acquires += 1;
+            stats.reuses += u64::from(reused.is_some());
+            let grow = reused.as_ref().map_or(len, |buf| len.saturating_sub(buf.capacity()));
+            stats.bytes_allocated += grow as u64;
+            reused
+        };
         match reused {
             Some(mut buf) => {
-                self.reuses.fetch_add(1, Ordering::Relaxed);
-                let grow = len.saturating_sub(buf.capacity());
-                if grow > 0 {
-                    self.bytes_allocated.fetch_add(grow as u64, Ordering::Relaxed);
-                }
                 buf.resize(len, 0);
                 buf
             }
-            None => {
-                self.bytes_allocated.fetch_add(len as u64, Ordering::Relaxed);
-                vec![0; len]
-            }
+            None => vec![0; len],
         }
     }
 
-    /// Returns a buffer to `shard` for reuse.
+    /// Returns a buffer for reuse.
     ///
     /// In debug builds the buffer is poisoned first: `acquire`'s contract
     /// is "contents are unspecified", and without poisoning a recycled
@@ -99,27 +98,22 @@ impl BufferPool {
     /// memset (the executor overwrites the full length before any read,
     /// and the checksum verifies it); debug builds make a violation
     /// unmissable instead of silently correct-looking.
-    pub fn release(&self, shard: usize, _class: u8, buf: Vec<u8>) {
+    pub fn release(&self, _shard: usize, _class: u8, buf: Vec<u8>) {
         #[cfg(debug_assertions)]
         let buf = {
             let mut buf = buf;
             buf.iter_mut().for_each(|b| *b = POISON_BYTE);
             buf
         };
-        let mut free =
-            self.shards[shard % self.shards.len()].lock().unwrap_or_else(PoisonError::into_inner);
-        if free.len() < RETAIN_PER_SHARD {
-            free.push(buf);
+        let mut free = self.lock();
+        if free.bufs.len() < self.retain {
+            free.bufs.push(buf);
         }
     }
 
     /// Lifetime usage counters.
     pub fn stats(&self) -> BufferPoolStats {
-        BufferPoolStats {
-            acquires: self.acquires.load(Ordering::Relaxed),
-            reuses: self.reuses.load(Ordering::Relaxed),
-            bytes_allocated: self.bytes_allocated.load(Ordering::Relaxed),
-        }
+        self.lock().stats
     }
 }
 
@@ -154,32 +148,19 @@ mod tests {
     }
 
     #[test]
-    fn ranks_map_to_distinct_shards() {
-        let pool = BufferPool::new(2);
-        let b = pool.acquire(0, 0, 64);
-        pool.release(0, 0, b);
-        // Shard 1 is the other list: no reuse.
-        let _other = pool.acquire(1, 0, 64);
-        assert_eq!(pool.stats().reuses, 0);
-        // Shard 2 wraps back onto shard 0: reuse.
-        let _wrap = pool.acquire(2, 0, 64);
-        assert_eq!(pool.stats().reuses, 1);
-    }
-
-    #[test]
     fn retention_is_bounded() {
-        let pool = BufferPool::new(1);
-        let bufs: Vec<_> = (0..5).map(|_| pool.acquire(0, 1, 256)).collect();
-        for b in bufs {
-            pool.release(0, 1, b);
+        let pool = BufferPool::new(2);
+        let bufs: Vec<_> = (0..5).map(|i| pool.acquire(i, 1, 256)).collect();
+        for (i, b) in bufs.into_iter().enumerate() {
+            pool.release(i, 1, b);
         }
-        // Only RETAIN_PER_SHARD survive; the rest went back to the allocator.
-        for _ in 0..RETAIN_PER_SHARD {
+        // Only two survive; the rest went back to the allocator.
+        for _ in 0..2 {
             pool.acquire(0, 1, 256);
         }
-        assert_eq!(pool.stats().reuses as usize, RETAIN_PER_SHARD);
+        assert_eq!(pool.stats().reuses, 2);
         pool.acquire(0, 1, 256);
-        assert_eq!(pool.stats().reuses as usize, RETAIN_PER_SHARD);
+        assert_eq!(pool.stats().reuses, 2);
     }
 
     /// Regression: a recycled buffer must never leak a prior op's bytes

@@ -102,9 +102,8 @@ pub struct KnemStats {
     pub copies: u64,
     /// Bytes moved by single-copy operations.
     pub bytes_copied: u64,
-    /// Cookie-table lock acquisitions — the contention observable. With
-    /// the sharded table this counts per-shard acquisitions; concurrent
-    /// ranks holding different cookies no longer serialize on one lock.
+    /// Device-table lock acquisitions — the contention observable: one
+    /// per register, tx and complete, whatever the kind.
     pub lock_acquires: u64,
     /// Stale-epoch operations the device refused (registrations or pulls
     /// stamped with an epoch behind the fence).

@@ -31,7 +31,6 @@ pub mod fault;
 pub mod integrity;
 pub mod knem;
 pub mod p2p;
-pub(crate) mod region;
 pub mod thread_exec;
 pub mod transport;
 pub(crate) mod workers;

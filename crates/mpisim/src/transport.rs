@@ -19,25 +19,25 @@
 //!   rejected with [`KnemError::StaleEpoch`], never delivered into a
 //!   rebuilt topology.
 //!
-//! There is one implementation, over the crate-private region table. What a
-//! kind changes is data: whether the first transfer between a rank pair
-//! pays a connection set-up (the RDMA queue-pair ladder, `RESET → INIT →
-//! RTR → RTS`, walked once per unordered pair), whether a transfer is cut
-//! into [`SEGMENT_BYTES`] work requests, and the telemetry vocabulary. This
-//! is the scope of the ring process groups of verbs-era training runtimes:
-//! bring-up once per neighbour pair, MTU-sized work requests after it.
+//! There is one implementation: a device whose regions, connected pairs,
+//! epoch fence and counters sit in one table under one lock, taken once
+//! per verb. What a kind changes is data: whether the first transfer
+//! between a rank pair pays a connection set-up (the RDMA queue-pair
+//! ladder, `RESET → INIT → RTR → RTS`, walked once per unordered pair),
+//! whether a transfer is cut into [`SEGMENT_BYTES`] work requests, and the
+//! telemetry vocabulary. This is the scope of the ring process groups of
+//! verbs-era training runtimes: bring-up once per neighbour pair, MTU-sized
+//! work requests after it.
 //!
 //! [`Transport`] stays a trait so a test can put a fake in front of the
 //! executor (a transport that panics, one that counts).
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pdac_simnet::{BufId, Rank};
 
 use crate::knem::{DeviceFault, KnemError, KnemStats};
-use crate::region::{RegionLabels, RegionTable};
 
 /// Transport failures: `BadCookie` doubles as "work request flushed",
 /// `OutOfRegion` as a local protection fault, and `StaleEpoch` keeps its
@@ -136,10 +136,19 @@ pub enum TransportKind {
     Rdma,
 }
 
-/// What a [`TransportKind`] sets on the device.
+/// What a [`TransportKind`] sets on the device: its per-peer set-up, its
+/// segment size and its telemetry vocabulary ("knem_register" vs
+/// "mr_register", a dead cookie vs a flushed WQE).
 #[derive(Debug, Clone, Copy)]
 struct KindModel {
-    labels: RegionLabels,
+    /// Telemetry category ("knem" / "rdma").
+    category: &'static str,
+    /// Event name for a successful registration.
+    register_event: &'static str,
+    /// Event name for an injected transfer fault.
+    fault_event: &'static str,
+    /// Argument key naming the handle ("cookie" / "mr").
+    handle_key: &'static str,
     /// The first transfer between an unordered rank pair pays a connection
     /// set-up.
     per_peer_setup: bool,
@@ -151,7 +160,7 @@ struct KindModel {
 impl TransportKind {
     /// Short label ("knem", "rdma") for scenario ids and reports.
     pub fn label(&self) -> &'static str {
-        self.model().labels.category
+        self.model().category
     }
 
     /// The simulator cost model charging this backend's setup costs, so a
@@ -166,28 +175,24 @@ impl TransportKind {
     /// Instantiates a fresh device of this kind, optionally with a failure
     /// window.
     pub fn create(&self, faults: Option<DeviceFault>) -> Arc<dyn Transport> {
-        Arc::new(Device::new(*self, faults))
+        Arc::new(Device { model: self.model(), fault: faults, table: Mutex::default() })
     }
 
     fn model(&self) -> KindModel {
         match self {
             TransportKind::Knem => KindModel {
-                labels: RegionLabels {
-                    category: "knem",
-                    register_event: "knem_register",
-                    fault_event: "knem_pull_fault",
-                    handle_key: "cookie",
-                },
+                category: "knem",
+                register_event: "knem_register",
+                fault_event: "knem_pull_fault",
+                handle_key: "cookie",
                 per_peer_setup: false,
                 segment: None,
             },
             TransportKind::Rdma => KindModel {
-                labels: RegionLabels {
-                    category: "rdma",
-                    register_event: "mr_register",
-                    fault_event: "wqe_flush",
-                    handle_key: "mr",
-                },
+                category: "rdma",
+                register_event: "mr_register",
+                fault_event: "wqe_flush",
+                handle_key: "mr",
                 per_peer_setup: true,
                 segment: Some(SEGMENT_BYTES),
             },
@@ -195,8 +200,8 @@ impl TransportKind {
     }
 }
 
-/// The simulated device. Thread-safe: ranks register and pull concurrently;
-/// only same-shard region operations and first-contact checks serialize.
+/// The simulated device. Thread-safe: ranks register and pull concurrently,
+/// each verb holding the device's one lock once.
 ///
 /// It reproduces the *interface contract*, not the silicon: regions are
 /// registered with epoch stamps, transfers validate bounds and epoch, and
@@ -205,34 +210,80 @@ impl TransportKind {
 #[derive(Debug)]
 struct Device {
     model: KindModel,
-    table: RegionTable,
+    /// Injected transfer failures, if any.
+    fault: Option<DeviceFault>,
+    table: Mutex<Table>,
+}
+
+/// What the device's lock guards.
+#[derive(Debug, Default)]
+struct Table {
+    /// Live regions by handle.
+    regions: HashMap<u64, Region>,
     /// Unordered rank pairs that have exchanged a transfer, as
     /// `(low, high)`; filled only when the kind has a per-peer set-up.
-    connected: Mutex<HashSet<(Rank, Rank)>>,
-    copies: AtomicU64,
-    bytes_copied: AtomicU64,
-    handshakes: AtomicU64,
-    segments: AtomicU64,
+    connected: HashSet<(Rank, Rank)>,
+    /// The next region's handle.
+    next: u64,
+    /// Lowest epoch still accepted. Raised by the recovery layer when it
+    /// shrinks the communicator under a new epoch; operations stamped
+    /// below it are rejected with [`KnemError::StaleEpoch`].
+    fence: u64,
+    /// Transfer attempts, counted only for fault budgeting (an injected
+    /// failure consumes an attempt but is not a performed transfer).
+    attempts: u64,
+    stats: KnemStats,
+}
+
+/// A registered memory region: a byte range of one rank's buffer, stamped
+/// with the communicator epoch it was registered under.
+#[derive(Debug, Clone, Copy)]
+struct Region {
+    rank: Rank,
+    buf: BufId,
+    offset: usize,
+    len: usize,
+    epoch: u64,
 }
 
 impl Device {
-    fn new(kind: TransportKind, faults: Option<DeviceFault>) -> Self {
-        let model = kind.model();
-        Device {
-            model,
-            table: RegionTable::new(model.labels, faults),
-            connected: Mutex::default(),
-            copies: AtomicU64::new(0),
-            bytes_copied: AtomicU64::new(0),
-            handshakes: AtomicU64::new(0),
-            segments: AtomicU64::new(0),
+    /// The table, locked. Reading the counters or raising the fence goes
+    /// through here uncounted; every update leaves the table valid, so a
+    /// lock poisoned by a panicking holder is taken back.
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The table, locked for one verb (register, tx or complete), which
+    /// counts as one `lock_acquires`.
+    fn lock_for_verb(&self) -> MutexGuard<'_, Table> {
+        let mut table = self.lock();
+        table.stats.lock_acquires += 1;
+        table
+    }
+
+    /// Rejects `epoch` when it is behind the fence, counting the rejection:
+    /// a straggler from a dead epoch must neither publish regions into the
+    /// rebuilt topology nor be served from one.
+    fn check_epoch(&self, table: &mut Table, rank: Rank, epoch: u64) -> Result<(), KnemError> {
+        let fence = table.fence;
+        if epoch < fence {
+            table.stats.fenced += 1;
+            pdac_telemetry::global().recorder().instant(
+                rank as u64,
+                self.model.category,
+                || format!("fenced stale-epoch message (epoch {epoch} < fence {fence})"),
+                || vec![("epoch", epoch.into()), ("fence", fence.into())],
+            );
+            return Err(KnemError::StaleEpoch { epoch, fence });
         }
+        Ok(())
     }
 }
 
 impl Transport for Device {
     fn name(&self) -> &'static str {
-        self.model.labels.category
+        self.model.category
     }
 
     fn register(
@@ -243,7 +294,23 @@ impl Transport for Device {
         len: usize,
         epoch: u64,
     ) -> Result<TxToken, TransportError> {
-        self.table.register_epoch(rank, buf, offset, len, epoch).map(TxToken)
+        let id = {
+            let mut table = self.lock_for_verb();
+            self.check_epoch(&mut table, rank, epoch)?;
+            let id = table.next;
+            table.next += 1;
+            table.regions.insert(id, Region { rank, buf, offset, len, epoch });
+            table.stats.registrations += 1;
+            id
+        };
+        let (event, key) = (self.model.register_event, self.model.handle_key);
+        pdac_telemetry::global().recorder().instant(
+            rank as u64,
+            self.model.category,
+            || format!("{event} #{id}"),
+            || vec![(key, id.into()), ("len", len.into()), ("epoch", epoch.into())],
+        );
+        Ok(TxToken(id))
     }
 
     fn tx(
@@ -253,54 +320,96 @@ impl Transport for Device {
         offset: usize,
         len: usize,
     ) -> Result<(Rank, BufId, usize), TransportError> {
-        // The lookup also applies the injected-fault budget *before* any
-        // connection work: a flushed transfer never connects a pair.
-        let (rank, buf, src_off) = self.table.lookup(token.0, offset, len)?;
-        if self.model.per_peer_setup {
-            self.table.count_lock_acquire();
-            let pair = (rank.min(peer), rank.max(peer));
-            if self.connected.lock().unwrap_or_else(PoisonError::into_inner).insert(pair) {
-                // One handshake per pair: the bootstrap exchange (QPN,
-                // start PSN, path info) that brings both directions to RTS.
-                self.handshakes.fetch_add(1, Ordering::Relaxed);
+        let id = token.0;
+        let mut table = self.lock_for_verb();
+        let region = *table.regions.get(&id).ok_or(KnemError::BadCookie(token))?;
+        self.check_epoch(&mut table, region.rank, region.epoch)?;
+        // Offsets come from the caller: an end or a source offset past
+        // `usize::MAX` is out of region, not a wrapped pass.
+        let src_off = match (offset.checked_add(len), region.offset.checked_add(offset)) {
+            (Some(end), Some(src_off)) if end <= region.len => src_off,
+            _ => {
+                return Err(KnemError::OutOfRegion {
+                    cookie: token,
+                    offset,
+                    len,
+                    region_len: region.len,
+                })
+            }
+        };
+        // The fault budget is applied *before* any connection work: a
+        // flushed transfer never connects a pair.
+        if let Some(plan) = self.fault {
+            let attempt = table.attempts;
+            table.attempts += 1;
+            if attempt >= plan.fail_after_copies
+                && attempt - plan.fail_after_copies < plan.fail_count
+            {
+                // Report the injected fault as a dead handle (what a torn
+                // down region or a flushed WQE looks like to the caller).
+                drop(table);
+                let (event, key) = (self.model.fault_event, self.model.handle_key);
                 pdac_telemetry::global().recorder().instant(
-                    rank as u64,
-                    self.model.labels.category,
-                    || format!("qp handshake {rank}<->{peer} (RESET->INIT->RTR->RTS)"),
-                    || vec![("peer", (peer as u64).into())],
+                    region.rank as u64,
+                    self.model.category,
+                    || format!("{event} #{id}"),
+                    || vec![(key, id.into())],
                 );
+                return Err(KnemError::BadCookie(token));
             }
         }
-        let segments = self.model.segment.map_or(1, |s| len.max(1).div_ceil(s));
-        self.segments.fetch_add(segments as u64, Ordering::Relaxed);
-        self.copies.fetch_add(1, Ordering::Relaxed);
-        self.bytes_copied.fetch_add(len as u64, Ordering::Relaxed);
+        // One handshake per pair: the bootstrap exchange (QPN, start PSN,
+        // path info) that brings both directions to RTS.
+        let (rank, buf) = (region.rank, region.buf);
+        let handshake =
+            self.model.per_peer_setup && table.connected.insert((rank.min(peer), rank.max(peer)));
+        let stats = &mut table.stats;
+        stats.handshakes += u64::from(handshake);
+        stats.segments += self.model.segment.map_or(1, |s| len.max(1).div_ceil(s)) as u64;
+        stats.copies += 1;
+        stats.bytes_copied += len as u64;
+        drop(table);
+        if handshake {
+            pdac_telemetry::global().recorder().instant(
+                rank as u64,
+                self.model.category,
+                || format!("qp handshake {rank}<->{peer} (RESET->INIT->RTR->RTS)"),
+                || vec![("peer", (peer as u64).into())],
+            );
+        }
         Ok((rank, buf, src_off))
     }
 
     fn complete(&self, token: TxToken) -> Result<(), TransportError> {
-        self.table.deregister(token.0)
+        let mut table = self.lock_for_verb();
+        table.regions.remove(&token.0).ok_or(KnemError::BadCookie(token))?;
+        table.stats.deregistrations += 1;
+        Ok(())
     }
 
     fn fence_epochs_below(&self, min_valid_epoch: u64) {
-        self.table.fence_epochs_below(min_valid_epoch);
+        let raised = {
+            let mut table = self.lock();
+            let raised = table.fence < min_valid_epoch;
+            table.fence = table.fence.max(min_valid_epoch);
+            raised
+        };
+        if raised {
+            pdac_telemetry::global().recorder().instant(
+                0,
+                self.model.category,
+                || format!("epoch fence raised to {min_valid_epoch}"),
+                || vec![("fence", min_valid_epoch.into())],
+            );
+        }
     }
 
     fn fenced_messages(&self) -> u64 {
-        self.table.fenced_messages()
+        self.lock().stats.fenced
     }
 
     fn stats(&self) -> KnemStats {
-        KnemStats {
-            registrations: self.table.registrations(),
-            deregistrations: self.table.deregistrations(),
-            copies: self.copies.load(Ordering::Relaxed),
-            bytes_copied: self.bytes_copied.load(Ordering::Relaxed),
-            lock_acquires: self.table.lock_acquires(),
-            fenced: self.table.fenced_messages(),
-            handshakes: self.handshakes.load(Ordering::Relaxed),
-            segments: self.segments.load(Ordering::Relaxed),
-        }
+        self.lock().stats
     }
 }
 
@@ -423,20 +532,20 @@ mod tests {
     fn one_lock_acquire_per_register_lookup_deregister() {
         for kind in KINDS {
             let t = kind.create(None);
-            let n = crate::region::REGION_SHARDS as u64;
+            let n = 16;
             let tokens: Vec<TxToken> =
                 (0..n as usize).map(|i| t.register(0, BufId::Send, i, 8, 0).unwrap()).collect();
             assert_eq!(t.stats().lock_acquires, n, "{kind:?}: register");
             for tok in &tokens {
                 t.tx(*tok, 1, 0, 8).unwrap();
             }
-            // A kind with per-peer set-up also takes the pair-set lock.
-            let per_tx = 1 + u64::from(kind.model().per_peer_setup);
-            assert_eq!(t.stats().lock_acquires, n + per_tx * n, "{kind:?}: tx");
+            // The connected pairs share the regions' lock: a per-peer
+            // set-up takes no second one.
+            assert_eq!(t.stats().lock_acquires, 2 * n, "{kind:?}: tx");
             for tok in tokens {
                 t.complete(tok).unwrap();
             }
-            assert_eq!(t.stats().lock_acquires, 2 * n + per_tx * n, "{kind:?}: complete");
+            assert_eq!(t.stats().lock_acquires, 3 * n, "{kind:?}: complete");
         }
     }
 

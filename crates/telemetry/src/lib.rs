@@ -5,11 +5,11 @@
 //! topology cache and the recovery machinery all speak to the same two
 //! primitives:
 //!
-//! * the **[`Recorder`]** — a sharded, bounded ring buffer of timestamped
-//!   [`Event`]s (spans and instants). It records only while somebody
-//!   holds a [`Reader`] on it, and the reader is also the only way to
-//!   drain it: with none, every `span`/`instant` call returns after one
-//!   relaxed load — no clock read, no allocation, no lock — so
+//! * the **[`Recorder`]** — one bounded ring buffer of timestamped
+//!   [`Event`]s (spans and instants) under one lock. It records only
+//!   while somebody holds a [`Reader`] on it, and the reader is also the
+//!   only way to drain it: with none, every `span`/`instant` call returns
+//!   after one relaxed load — no clock read, no allocation, no lock — so
 //!   instrumented hot paths cost one predictable branch until a trace is
 //!   asked for.
 //! * the **[`Registry`]** — always-available named [`Counter`]s and

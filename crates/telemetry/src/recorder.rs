@@ -1,12 +1,10 @@
-//! The bounded, sharded event recorder.
+//! The bounded event recorder.
 //!
-//! Events land in one of [`SHARDS`] independently locked ring buffers
-//! picked by the recording thread's id, so concurrent ranks almost never
-//! contend on a lock; a global atomic sequence number preserves the exact
-//! record order across shards for the exporter. Each shard is bounded:
-//! when full, the oldest event of that shard is dropped (and counted), so
-//! a long run degrades to "most recent window" instead of unbounded
-//! memory.
+//! Events land in one ring buffer under one lock, which also hands out the
+//! sequence number that orders them for the exporter. The ring is bounded:
+//! when full, the oldest event is dropped (and counted), so a long run
+//! degrades to "most recent window" instead of unbounded memory. Whichever
+//! threads record, the whole capacity is theirs.
 //!
 //! **Armed by its readers.** A recorder records only while somebody holds
 //! a [`Reader`] on it ([`Recorder::reader`]) — the guard is also the only
@@ -19,30 +17,33 @@
 
 use crate::event::{ArgValue, Event, EventKind};
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Number of independently locked event rings.
-pub const SHARDS: usize = 16;
-
-/// Default total event capacity (split across shards).
+/// Default event capacity.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
 /// Records spans and instants into a bounded ring while a [`Reader`] is
-/// held. See the module docs for the sharding and arming contract.
+/// held. See the module docs for the bounding and arming contract.
 #[derive(Debug)]
 pub struct Recorder {
     epoch: Instant,
     /// Live [`Reader`] guards; recording calls are no-ops while it is 0.
     readers: AtomicUsize,
-    seq: AtomicU64,
-    dropped: AtomicU64,
-    cap_per_shard: usize,
-    shards: Vec<Mutex<VecDeque<Event>>>,
+    capacity: usize,
+    ring: Mutex<Ring>,
+}
+
+/// What the recorder's lock guards.
+#[derive(Debug, Default)]
+struct Ring {
+    events: VecDeque<Event>,
+    /// The next event's sequence number; never reset.
+    seq: u64,
+    /// Events discarded because the ring was full.
+    dropped: u64,
 }
 
 /// A reader's hold on a [`Recorder`]: the recorder records from
@@ -73,15 +74,13 @@ struct SpanInner<'a> {
 }
 
 impl Recorder {
-    /// A recorder holding at most `capacity` events (split across shards).
+    /// A recorder holding at most `capacity` events (at least one).
     pub fn new(capacity: usize) -> Self {
         Recorder {
             epoch: Instant::now(),
             readers: AtomicUsize::new(0),
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            cap_per_shard: capacity.div_ceil(SHARDS).max(1),
-            shards: (0..SHARDS).map(|_| Mutex::new(VecDeque::new())).collect(),
+            capacity: capacity.max(1),
+            ring: Mutex::default(),
         }
     }
 
@@ -185,27 +184,26 @@ impl Recorder {
         });
     }
 
-    /// Every update leaves a ring valid, so a shard poisoned by a panicking
-    /// recorder thread is still readable.
-    fn ring(shard: &Mutex<VecDeque<Event>>) -> MutexGuard<'_, VecDeque<Event>> {
-        shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// Every update leaves the ring valid, so a ring poisoned by a
+    /// panicking recorder thread is still readable.
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn push(&self, mut event: Event) {
-        event.seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut hasher = DefaultHasher::new();
-        std::thread::current().id().hash(&mut hasher);
-        let mut ring = Self::ring(&self.shards[(hasher.finish() as usize) % SHARDS]);
-        if ring.len() >= self.cap_per_shard {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut ring = self.ring();
+        event.seq = ring.seq;
+        ring.seq += 1;
+        if ring.events.len() >= self.capacity {
+            ring.events.pop_front();
+            ring.dropped += 1;
         }
-        ring.push_back(event);
+        ring.events.push_back(event);
     }
 
     /// Number of events currently buffered.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| Self::ring(s).len()).sum()
+        self.ring().events.len()
     }
 
     /// True when no events are buffered.
@@ -213,31 +211,24 @@ impl Recorder {
         self.len() == 0
     }
 
-    /// Events discarded because a shard ring was full.
+    /// Events discarded because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring().dropped
     }
 
     /// Discards every buffered event (sequence numbers keep increasing, so
     /// later drains still order correctly against earlier ones).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            Self::ring(shard).clear();
-        }
-        self.dropped.store(0, Ordering::Relaxed);
+        let mut ring = self.ring();
+        ring.events.clear();
+        ring.dropped = 0;
     }
 }
 
 impl Reader<'_> {
-    /// Takes every recorded event, ordered by sequence number (record
-    /// order).
+    /// Takes every recorded event, in sequence number (record) order.
     pub fn drain(&self) -> Vec<Event> {
-        let mut all = Vec::new();
-        for shard in &self.rec.shards {
-            all.extend(Recorder::ring(shard).drain(..));
-        }
-        all.sort_by_key(|e| e.seq);
-        all
+        self.rec.ring().events.drain(..).collect()
     }
 }
 
@@ -339,17 +330,38 @@ mod tests {
 
     #[test]
     fn ring_bounds_and_counts_drops() {
-        // All events come from one thread, so they land in one shard of
-        // capacity ceil(32/16) = 2.
         let rec = Recorder::new(32);
         let reader = rec.reader();
-        for i in 0..10 {
+        for i in 0..40 {
             rec.instant(0, "test", || format!("e{i}"), Vec::new);
         }
-        assert_eq!(rec.len(), 2);
+        assert_eq!(rec.len(), 32, "the whole capacity is usable");
         assert_eq!(rec.dropped(), 8);
-        let events = reader.drain();
-        assert_eq!(events.last().unwrap().name, "e9", "newest survives");
+        let names: Vec<String> = reader.drain().into_iter().map(|e| e.name).collect();
+        let newest: Vec<String> = (8..40).map(|i| format!("e{i}")).collect();
+        assert_eq!(names, newest, "the newest 32 survive, in record order");
+    }
+
+    #[test]
+    fn threads_sharing_the_ring_fill_its_whole_capacity() {
+        for threads in 2..=4 {
+            let rec = Recorder::new(60);
+            let reader = rec.reader();
+            std::thread::scope(|scope| {
+                for t in 0..threads {
+                    let rec = &rec;
+                    scope.spawn(move || {
+                        for i in 0..60 / threads {
+                            rec.instant(t as u64, "test", || format!("t{t}.{i}"), Vec::new);
+                        }
+                    });
+                }
+            });
+            assert_eq!(rec.dropped(), 0, "{threads} threads");
+            let events = reader.drain();
+            assert_eq!(events.len(), 60, "{threads} threads");
+            assert!(events.windows(2).all(|w| w[0].seq < w[1].seq), "drained in sequence order");
+        }
     }
 
     #[test]

@@ -56,13 +56,13 @@ const CATALOG: &[(Kind, &str, &str, &str)] = &[
     (Counter, "exec.wait.slow", "dependency waits that set the cursor aside", "thread_exec unit tests"),
     (Counter, "exec.wait.yields", "yields of workers that found no runnable cursor", "pdac trace diff"),
     (Counter, "exec.pool.acquires", "staging buffers taken from the pool", "pdac trace diff"),
-    (Counter, "exec.pool.reuses", "staging buffers served from a free list", "pdac trace diff"),
+    (Counter, "exec.pool.reuses", "staging buffers served from the free list", "pdac trace diff"),
     (Counter, "exec.pool.bytes_allocated", "bytes the pool allocated fresh", "pdac trace diff"),
     (Counter, "knem.registrations", "regions registered with the one-sided device", "pdac trace diff"),
     (Counter, "knem.deregistrations", "regions deregistered", "pdac trace diff"),
     (Counter, "knem.copies", "single-copy operations", "pdac trace diff"),
     (Counter, "knem.bytes_copied", "bytes moved by single-copy operations", "pdac trace diff"),
-    (Counter, "knem.lock_acquires", "cookie-table shard locks taken", "pdac trace diff"),
+    (Counter, "knem.lock_acquires", "device-table locks taken: one per register, tx and complete", "pdac trace diff"),
     (Counter, "knem.fenced", "stale-epoch operations the device refused", "integrity_observability"),
     (Counter, "integrity.stamped", "chunks stamped with a source checksum", "integrity_observability"),
     (Counter, "integrity.verified", "staged chunks that verified clean", "integrity_observability"),
